@@ -13,6 +13,7 @@
 
 use crate::latency::LatencyModel;
 use crate::message::{ResourceRecord, SearchHit, Time};
+use crate::overlay;
 use crate::peer::PeerId;
 use crate::pool::serve_batch;
 use crate::sharded::ShardedIndexNode;
@@ -91,6 +92,9 @@ impl PeerNetwork for CentralizedNetwork {
     }
 
     fn unpublish(&mut self, provider: PeerId, key: &str) {
+        if provider.index() >= self.alive.len() {
+            return; // an id outside the network has no session to end
+        }
         self.stats.sent(MsgKind::Unpublish);
         self.server.remove(provider, key);
     }
@@ -188,23 +192,15 @@ impl PeerNetwork for CentralizedNetwork {
     }
 
     fn retrieve(&mut self, origin: PeerId, provider: PeerId, key: &str) -> RetrieveOutcome {
-        self.stats.retrieves += 1;
-        if !self.is_alive(origin) {
-            // a dead peer cannot send: the request never leaves the origin
-            return RetrieveOutcome::Unavailable;
-        }
-        self.stats.sent(MsgKind::Retrieve);
-        if !self.is_alive(provider) {
-            self.stats.dropped += 1;
-            return RetrieveOutcome::Unavailable;
-        }
-        if !self.server.has_provider(key, provider) {
-            self.stats.sent(MsgKind::RetrieveFail);
-            return RetrieveOutcome::Unavailable;
-        }
-        self.stats.sent(MsgKind::RetrieveOk);
-        self.stats.retrieves_ok += 1;
-        RetrieveOutcome::Fetched { provider, latency: self.rtt(origin, provider) }
+        let Self { alive, server, latency, stats } = self;
+        overlay::retrieve(
+            stats,
+            overlay::is_alive(alive, origin),
+            alive.get(provider.index()).copied(),
+            provider,
+            || server.has_provider(key, provider),
+            || latency.delay(origin, provider) + latency.delay(provider, origin),
+        )
     }
 
     fn stats(&self) -> &NetStats {

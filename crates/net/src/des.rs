@@ -7,7 +7,7 @@
 //! measuring a single query but caps experiments at the scale where
 //! per-peer objects and per-search allocation stay cheap.
 //!
-//! [`DesNetwork`] runs the same three protocols on **one global
+//! [`DesNetwork`] runs the three protocols on **one global
 //! virtual-time queue** ([`crate::sim::EventQueue`], tie-broken by
 //! `(timestamp, sequence)`): query issue, per-hop message delivery, hit
 //! return, churn transitions, and digest refresh are all timestamped
@@ -16,26 +16,34 @@
 //! `Vec`s for liveness and super assignment) instead of one object per
 //! peer, which is what makes 100k+ peers tractable.
 //!
-//! # Equivalence with the step substrates
+//! # One core, three drivers
 //!
-//! The engine replays the step substrates' accounting decision-for-
-//! decision: the same `MsgKind` counters bump at the same logical points,
-//! the same RNG streams drive walker selection and super assignment, and
-//! latency draws happen in the same order. A sequential
-//! [`PeerNetwork::search`] through the trait therefore produces the same
-//! message counts, latencies, and hit *sets* as the equivalent step
-//! substrate (hit *order* may differ for Gnutella: the arena scans
-//! records in per-peer insertion order while the metadata index scans in
-//! doc-id order, and doc ids are recycled). The property tests in
-//! `tests/des_equivalence.rs` pin this down.
+//! The Gnutella and FastTrack walk itself — who drops a copy, who
+//! evaluates, what a hit costs on the way back, where a copy goes next —
+//! is not in this file: it is the crate's one overlay-search core
+//! (`overlay.rs`), which the step substrates drive from a private
+//! per-query queue. This engine is its third driver. Its sink turns
+//! every forwarded copy into a `FloodQuery`/`SuperQuery` event and
+//! every hit batch into a `HitDeliver` on the global queue, counted in
+//! the query's `pending`; its time base is the query's issue time; and
+//! its Gnutella share table is the [`RecordArena`] instead of one
+//! `IndexNode` per peer. The same RNG streams drive walker selection
+//! and super assignment, so a sequential [`PeerNetwork::search`]
+//! through the trait produces the same message counts, latencies and
+//! hit *sets* as the equivalent step substrate (hit *order* may differ
+//! for Gnutella: the arena scans records in per-peer insertion order
+//! while the metadata index scans in doc-id order, and doc ids are
+//! recycled). The property tests in `tests/des_equivalence.rs` pin the
+//! drivers to each other.
 
 use crate::churn::ChurnEvent;
 use crate::digest::{term_hash, RouteTable, RoutingDigest};
-use crate::event::{DesEvent, PropMode};
+use crate::event::DesEvent;
 use crate::flooding::FloodingConfig;
 use crate::index_node::IndexNode;
 use crate::latency::LatencyModel;
 use crate::message::{ResourceRecord, SearchHit, SharedFields, Time};
+use crate::overlay::{self, is_alive, Hop, Match, Progress, Sink, Walk};
 use crate::peer::PeerId;
 use crate::sim::EventQueue;
 use crate::stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
@@ -45,7 +53,7 @@ use crate::traits::{PeerNetwork, ProtocolKind};
 use crate::NetConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use up2p_store::{normalize, tokenize, Query};
 
 /// Pseudo-peer id of the central index server (mirrors the step
@@ -144,7 +152,7 @@ impl RecordArena {
 
     /// All of `peer`'s records matching `query` within `community`, in
     /// insertion order.
-    fn matches(&self, peer: u32, community: &str, query: &Query) -> Vec<(String, SharedFields)> {
+    fn matches(&self, peer: u32, community: &str, query: &Query) -> Vec<Match> {
         let Some(&cid) = self.community_ids.get(community) else { return Vec::new() };
         let Some(list) = self.by_peer.get(peer as usize) else { return Vec::new() };
         let mut out = Vec::new();
@@ -154,6 +162,7 @@ impl RecordArena {
             {
                 out.push((
                     self.keys[slot as usize].clone(),
+                    PeerId(peer),
                     SharedFields::clone(&self.fields[slot as usize]),
                 ));
             }
@@ -221,6 +230,24 @@ struct FastTrackState {
     walk_rng: StdRng,
 }
 
+impl GnutellaState {
+    fn refresh_digests(&mut self, stats: &mut NetStats) {
+        let GnutellaState { topology, arena, config, routes, .. } = self;
+        overlay::refresh_digests(routes, topology, stats, |p| {
+            arena.digest_of(p, config.digests.log2_bits)
+        });
+    }
+}
+
+impl FastTrackState {
+    fn refresh_digests(&mut self, stats: &mut NetStats) {
+        let FastTrackState { config, super_topology, indexes, routes, .. } = self;
+        overlay::refresh_digests(routes, super_topology, stats, |s| {
+            overlay::index_digest(&indexes[s as usize], config.digests.log2_bits)
+        });
+    }
+}
+
 /// Protocol-specific half of the engine. Boxed so the enum stays small
 /// (`clippy::large_enum_variant`).
 enum Protocol {
@@ -241,14 +268,40 @@ struct QueryState {
     community: String,
     query: Query,
     issued_at: Time,
-    outcome: SearchOutcome,
-    seen: HashSet<u32>,
-    hit_seen: HashSet<(String, PeerId)>,
+    progress: Progress,
     pending: u32,
-    last_hit_at: Time,
-    quiescence: Time,
     done: bool,
     taken: bool,
+}
+
+/// The walk's deliveries become events on the global timeline, each one
+/// more thing its query waits for.
+struct Timeline<'a> {
+    qid: u32,
+    /// Flat overlay (`FloodQuery`) or super overlay (`SuperQuery`).
+    flat: bool,
+    pending: &'a mut u32,
+    queue: &'a mut EventQueue<DesEvent>,
+}
+
+impl Sink for Timeline<'_> {
+    fn forward(&mut self, at: Time, hop: Hop) {
+        let (qid, Hop { to, path, ttl, mode }) = (self.qid, hop);
+        *self.pending += 1;
+        self.queue.push(
+            at,
+            if self.flat {
+                DesEvent::FloodQuery { qid, to: PeerId(to), path, ttl, mode }
+            } else {
+                DesEvent::SuperQuery { qid, to, path, ttl, mode }
+            },
+        );
+    }
+
+    fn hits_return(&mut self, at: Time, n: u32) {
+        *self.pending += 1;
+        self.queue.push(at, DesEvent::HitDeliver { qid: self.qid, hits: n });
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -263,8 +316,8 @@ struct QueryState {
 /// constructors, then either:
 ///
 /// * drive it through the [`PeerNetwork`] trait — each `search` pumps
-///   the queue until that query completes, exactly reproducing the step
-///   substrate's accounting — or
+///   the queue until that query completes, with the step substrate's
+///   accounting — or
 /// * build a global timeline with [`DesNetwork::schedule_query`],
 ///   [`DesNetwork::schedule_churn`], and
 ///   [`DesNetwork::schedule_digest_refresh`], then [`DesNetwork::run`]
@@ -426,12 +479,8 @@ impl DesNetwork {
             community: community.to_string(),
             query,
             issued_at: at,
-            outcome: SearchOutcome::default(),
-            seen: HashSet::new(),
-            hit_seen: HashSet::new(),
+            progress: Progress::new(at),
             pending: 1,
-            last_hit_at: at,
-            quiescence: at,
             done: false,
             taken: false,
         });
@@ -475,7 +524,7 @@ impl DesNetwork {
         for qs in &mut self.queries {
             if qs.done && !qs.taken {
                 qs.taken = true;
-                out.push(std::mem::take(&mut qs.outcome));
+                out.push(std::mem::take(&mut qs.progress.outcome));
             }
         }
         out
@@ -489,7 +538,7 @@ impl DesNetwork {
             return None;
         }
         qs.taken = true;
-        Some(std::mem::take(&mut qs.outcome))
+        Some(std::mem::take(&mut qs.progress.outcome))
     }
 
     // ---- introspection -----------------------------------------------
@@ -592,8 +641,8 @@ impl DesNetwork {
     pub fn refresh_digests(&mut self) {
         match &mut self.state {
             Protocol::Napster(_) => {}
-            Protocol::Gnutella(g) => refresh_gnutella_digests(g, &mut self.stats),
-            Protocol::FastTrack(ft) => refresh_fasttrack_digests(ft, &mut self.stats),
+            Protocol::Gnutella(g) => g.refresh_digests(&mut self.stats),
+            Protocol::FastTrack(ft) => ft.refresh_digests(&mut self.stats),
         }
     }
 
@@ -625,15 +674,15 @@ impl DesNetwork {
     fn dispatch(&mut self, t: Time, ev: DesEvent) -> Option<u32> {
         match ev {
             DesEvent::QueryIssue { qid } => {
-                self.handle_query_issue(t, qid);
+                self.handle_query(t, qid, None);
                 Some(qid)
             }
             DesEvent::FloodQuery { qid, to, path, ttl, mode } => {
-                self.handle_flood_query(t, qid, to, path, ttl, mode);
+                self.handle_query(t, qid, Some(Hop { to: to.0, path, ttl, mode }));
                 Some(qid)
             }
             DesEvent::SuperQuery { qid, to, path, ttl, mode } => {
-                self.handle_super_query(t, qid, to, path, ttl, mode);
+                self.handle_query(t, qid, Some(Hop { to, path, ttl, mode }));
                 Some(qid)
             }
             DesEvent::ServerQuery { qid } => {
@@ -668,389 +717,94 @@ impl DesNetwork {
             return;
         }
         qs.done = true;
-        let end = if qs.outcome.hits.is_empty() { qs.quiescence } else { qs.last_hit_at };
-        qs.outcome.latency = end.saturating_sub(qs.issued_at);
-        let issued = qs.issued_at;
-        qs.outcome.first_hit_latency =
-            qs.outcome.first_hit_latency.map(|f| f.saturating_sub(issued));
-        if !qs.outcome.hits.is_empty() {
-            self.stats.queries_with_hits += 1;
-        }
-        qs.seen = HashSet::new();
-        qs.hit_seen = HashSet::new();
+        qs.progress.finish(qs.issued_at, &mut self.stats);
     }
 
     // ---- event handlers ----------------------------------------------
 
-    fn handle_query_issue(&mut self, t: Time, qid: u32) {
+    /// The driver half of a query's life on the timeline: `hop: None`
+    /// issues the query, `Some` delivers one copy. Everything the walk
+    /// decides happens in [`Walk`]; this picks the share table, the
+    /// entry point and the event flavor per protocol.
+    fn handle_query(&mut self, t: Time, qid: u32, hop: Option<Hop>) {
         let Self { state, alive, latency, stats, queue, queries, .. } = self;
         let Some(qs) = queries.get_mut(qid as usize) else { return };
         qs.pending = qs.pending.saturating_sub(1);
-        stats.queries += 1;
-        let origin = qs.origin;
-        if !alive.get(origin.index()).copied().unwrap_or(false) {
-            return;
+        let QueryState { origin, community, query, progress, pending, .. } = qs;
+        let (origin, community, query) = (*origin, community.as_str(), &*query);
+        if hop.is_none() {
+            stats.queries += 1;
+            if !is_alive(alive, origin) {
+                return;
+            }
         }
         match state {
             Protocol::Napster(_) => {
                 // One round trip to the server; the reply always arrives.
                 stats.sent(MsgKind::Query);
                 stats.sent(MsgKind::QueryHit);
-                qs.outcome.messages = 2;
+                progress.outcome.messages = 2;
                 let up = latency.delay(origin, SERVER);
                 let down = latency.delay(SERVER, origin);
-                qs.quiescence = t + up + down;
-                qs.last_hit_at = qs.quiescence;
-                qs.pending += 1;
+                progress.quiescence = t + up + down;
+                progress.last_hit_at = progress.quiescence;
+                *pending += 1;
                 queue.push(t + up, DesEvent::ServerQuery { qid });
             }
             Protocol::Gnutella(g) => {
-                let guided = g.config.digests.enabled;
-                if guided {
-                    refresh_gnutella_digests(g, stats);
+                if hop.is_none() {
+                    g.refresh_digests(stats);
                 }
-                // Local hits are free: no message, zero hops, zero latency.
-                for (key, fields) in g.arena.matches(origin.0, &qs.community, &qs.query) {
-                    qs.hit_seen.insert((key.clone(), origin));
-                    qs.outcome.hits.push(SearchHit { key, provider: origin, fields, hops: 0 });
-                    stats.hit(0);
-                    qs.outcome.first_hit_latency = Some(t);
-                }
-                qs.seen.insert(origin.0);
-                if g.config.ttl == 0 {
-                    return;
-                }
-                if guided {
-                    if qs.outcome.hits.is_empty() {
-                        let GnutellaState { topology, routes, walk_rng, config, .. } = &mut **g;
-                        let QueryState { community, query, outcome, pending, .. } = qs;
-                        forward_guided_des(
-                            t,
-                            origin.0,
-                            None,
-                            &[],
-                            config.ttl,
-                            community,
-                            query,
-                            config.digests.fanout,
-                            config.digests.walk_width,
-                            topology,
-                            routes,
-                            walk_rng,
-                            latency.as_mut(),
-                            stats,
-                            &mut outcome.messages,
-                            pending,
-                            queue,
-                            |to, path, ttl, mode| DesEvent::FloodQuery {
-                                qid,
-                                to: PeerId(to),
-                                path,
-                                ttl,
-                                mode,
-                            },
-                        );
-                    }
-                } else {
-                    let ttl = g.config.ttl - 1;
-                    for nb in g.topology.neighbors(origin) {
-                        stats.sent(MsgKind::Query);
-                        qs.outcome.messages += 1;
-                        let at = t + latency.delay(origin, nb);
-                        qs.pending += 1;
-                        queue.push(
-                            at,
-                            DesEvent::FloodQuery {
-                                qid,
-                                to: nb,
-                                path: vec![origin.0],
-                                ttl,
-                                mode: PropMode::Flood,
-                            },
-                        );
-                    }
+                let GnutellaState { topology, arena, config, routes, walk_rng } = &mut **g;
+                let mut walk = Walk {
+                    topology,
+                    routes,
+                    alive,
+                    latency: latency.as_mut(),
+                    walk_rng,
+                    stats,
+                    community,
+                    query,
+                    ttl: config.ttl,
+                    dedup: config.dedup,
+                };
+                let eval = |p| arena.matches(p, community, query);
+                let mut sink = Timeline { qid, flat: true, pending, queue };
+                match hop {
+                    None => walk.start(progress, t, origin.0, None, eval, &mut sink),
+                    Some(hop) => walk.arrive(progress, t, hop, eval, &mut sink),
                 }
             }
             Protocol::FastTrack(ft) => {
-                let guided = ft.config.digests.enabled;
-                if guided {
-                    refresh_fasttrack_digests(ft, stats);
+                if hop.is_none() {
+                    ft.refresh_digests(stats);
                 }
-                let s0 = ft.super_of[origin.index()];
-                let mut uplink: Time = 0;
-                if origin.index() >= ft.config.supers {
-                    stats.sent(MsgKind::Query);
-                    qs.outcome.messages += 1;
-                    uplink = latency.delay(origin, PeerId(s0));
-                    if !alive.get(s0 as usize).copied().unwrap_or(false) {
-                        stats.dropped += 1;
-                        qs.quiescence = t + uplink;
-                        return;
+                let FastTrackState {
+                    config, super_of, super_topology, indexes, routes, walk_rng, ..
+                } = &mut **ft;
+                let mut walk = Walk {
+                    topology: super_topology,
+                    routes,
+                    alive,
+                    latency: latency.as_mut(),
+                    walk_rng,
+                    stats,
+                    community,
+                    query,
+                    ttl: config.ttl,
+                    dedup: true,
+                };
+                let eval =
+                    |s| overlay::index_matches(&indexes[s as usize], alive, community, query);
+                let mut sink = Timeline { qid, flat: false, pending, queue };
+                match hop {
+                    None => {
+                        let entry = super_of[origin.index()];
+                        walk.start(progress, t, origin.0, Some(entry), eval, &mut sink)
                     }
-                }
-                let mode = if guided { PropMode::Guided } else { PropMode::Flood };
-                qs.pending += 1;
-                queue.push(
-                    t + uplink,
-                    DesEvent::SuperQuery {
-                        qid,
-                        to: s0,
-                        path: Vec::new(),
-                        ttl: ft.config.ttl,
-                        mode,
-                    },
-                );
-            }
-        }
-    }
-
-    fn handle_flood_query(
-        &mut self,
-        t: Time,
-        qid: u32,
-        to: PeerId,
-        path: Vec<u32>,
-        ttl: u8,
-        mode: PropMode,
-    ) {
-        let Self { state, alive, latency, stats, queue, queries, .. } = self;
-        let Protocol::Gnutella(g) = state else { return };
-        let Some(qs) = queries.get_mut(qid as usize) else { return };
-        qs.pending = qs.pending.saturating_sub(1);
-        qs.quiescence = qs.quiescence.max(t);
-        if !alive.get(to.index()).copied().unwrap_or(false) {
-            stats.dropped += 1;
-            return;
-        }
-        let first_visit = qs.seen.insert(to.0);
-        match mode {
-            PropMode::Flood if g.config.dedup && !first_visit => return,
-            PropMode::Guided if !first_visit => return,
-            _ => {}
-        }
-        // Walkers (and un-deduped floods) may revisit, but a revisit
-        // never re-evaluates records.
-        let evaluate = first_visit || mode == PropMode::Flood;
-        let local = if evaluate {
-            g.arena.matches(to.0, &qs.community, &qs.query)
-        } else {
-            Vec::new()
-        };
-        if !local.is_empty() {
-            // Route the hit back along the recorded path.
-            let mut back: Time = 0;
-            let mut prev = to.0;
-            for &node in path.iter().rev() {
-                stats.sent(MsgKind::QueryHit);
-                qs.outcome.messages += 1;
-                back += latency.delay(PeerId(prev), PeerId(node));
-                prev = node;
-            }
-            let arrival = t + back;
-            let hops = path.len() as u8;
-            let mut new_hits = 0u32;
-            for (key, fields) in local {
-                if qs.hit_seen.insert((key.clone(), to)) {
-                    qs.outcome.hits.push(SearchHit { key, provider: to, fields, hops });
-                    stats.hit(hops);
-                    qs.last_hit_at = qs.last_hit_at.max(arrival);
-                    qs.outcome.first_hit_latency =
-                        Some(qs.outcome.first_hit_latency.map_or(arrival, |f| f.min(arrival)));
-                    new_hits += 1;
+                    Some(hop) => walk.arrive(progress, t, hop, eval, &mut sink),
                 }
             }
-            qs.pending += 1;
-            queue.push(arrival, DesEvent::HitDeliver { qid, hits: new_hits });
-            if mode != PropMode::Flood {
-                // Guided copies and walkers stop at the first frontier hit.
-                return;
-            }
-        }
-        if ttl == 0 {
-            return;
-        }
-        let Some(&sender) = path.last() else { return };
-        if mode == PropMode::Flood {
-            for nb in g.topology.neighbors(to) {
-                if nb.0 == sender {
-                    continue;
-                }
-                stats.sent(MsgKind::Query);
-                qs.outcome.messages += 1;
-                let at = t + latency.delay(to, nb);
-                let mut next_path = path.clone();
-                next_path.push(to.0);
-                qs.pending += 1;
-                queue.push(
-                    at,
-                    DesEvent::FloodQuery {
-                        qid,
-                        to: nb,
-                        path: next_path,
-                        ttl: ttl - 1,
-                        mode: PropMode::Flood,
-                    },
-                );
-            }
-        } else {
-            let GnutellaState { topology, routes, walk_rng, config, .. } = &mut **g;
-            let QueryState { community, query, outcome, pending, .. } = qs;
-            forward_guided_des(
-                t,
-                to.0,
-                Some(sender),
-                &path,
-                ttl,
-                community,
-                query,
-                config.digests.fanout,
-                1,
-                topology,
-                routes,
-                walk_rng,
-                latency.as_mut(),
-                stats,
-                &mut outcome.messages,
-                pending,
-                queue,
-                |next, p, rem, m| DesEvent::FloodQuery {
-                    qid,
-                    to: PeerId(next),
-                    path: p,
-                    ttl: rem,
-                    mode: m,
-                },
-            );
-        }
-    }
-
-    fn handle_super_query(
-        &mut self,
-        t: Time,
-        qid: u32,
-        to: u32,
-        path: Vec<u32>,
-        ttl: u8,
-        mode: PropMode,
-    ) {
-        let Self { state, alive, latency, stats, queue, queries, .. } = self;
-        let Protocol::FastTrack(ft) = state else { return };
-        let Some(qs) = queries.get_mut(qid as usize) else { return };
-        qs.pending = qs.pending.saturating_sub(1);
-        qs.quiescence = qs.quiescence.max(t);
-        if !alive.get(to as usize).copied().unwrap_or(false) {
-            stats.dropped += 1;
-            return;
-        }
-        let first_visit = qs.seen.insert(to);
-        match mode {
-            PropMode::Walk => {}
-            _ if !first_visit => return,
-            _ => {}
-        }
-        let origin = qs.origin;
-        let origin_is_super = origin.index() < ft.config.supers;
-        let hops = path.len() as u8 + u8::from(!origin_is_super);
-        let mut local_hits: Vec<SearchHit> = Vec::new();
-        if first_visit {
-            let QueryState { community, query, hit_seen, .. } = &mut *qs;
-            let alive_ref = &*alive;
-            ft.indexes[to as usize].search(
-                community.as_str(),
-                query,
-                |p| alive_ref.get(p.index()).copied().unwrap_or(false),
-                |key, provider, fields| {
-                    if hit_seen.insert((key.to_string(), provider)) {
-                        local_hits.push(SearchHit {
-                            key: key.to_string(),
-                            provider,
-                            fields: fields.clone(),
-                            hops,
-                        });
-                    }
-                },
-            );
-        }
-        if !local_hits.is_empty() {
-            let mut back: Time = 0;
-            let mut prev = to;
-            for &node in path.iter().rev() {
-                stats.sent(MsgKind::QueryHit);
-                qs.outcome.messages += 1;
-                back += latency.delay(PeerId(prev), PeerId(node));
-                prev = node;
-            }
-            if !origin_is_super {
-                stats.sent(MsgKind::QueryHit);
-                qs.outcome.messages += 1;
-                let s0 = ft.super_of[origin.index()];
-                back += latency.delay(PeerId(s0), origin);
-            }
-            let arrival = t + back;
-            let batch = local_hits.len() as u32;
-            for h in local_hits {
-                stats.hit(h.hops);
-                qs.last_hit_at = qs.last_hit_at.max(arrival);
-                qs.outcome.first_hit_latency =
-                    Some(qs.outcome.first_hit_latency.map_or(arrival, |f| f.min(arrival)));
-                qs.outcome.hits.push(h);
-            }
-            qs.pending += 1;
-            queue.push(arrival, DesEvent::HitDeliver { qid, hits: batch });
-            if mode != PropMode::Flood {
-                return;
-            }
-        }
-        if ttl == 0 {
-            return;
-        }
-        let sender = path.last().copied();
-        if mode == PropMode::Flood {
-            for nb in ft.super_topology.neighbors(PeerId(to)) {
-                if Some(nb.0) == sender {
-                    continue;
-                }
-                stats.sent(MsgKind::Query);
-                qs.outcome.messages += 1;
-                let at = t + latency.delay(PeerId(to), nb);
-                let mut next_path = path.clone();
-                next_path.push(to);
-                qs.pending += 1;
-                queue.push(
-                    at,
-                    DesEvent::SuperQuery {
-                        qid,
-                        to: nb.0,
-                        path: next_path,
-                        ttl: ttl - 1,
-                        mode: PropMode::Flood,
-                    },
-                );
-            }
-        } else {
-            let width = if sender.is_none() { ft.config.digests.walk_width } else { 1 };
-            let FastTrackState { super_topology, routes, walk_rng, config, .. } = &mut **ft;
-            let QueryState { community, query, outcome, pending, .. } = qs;
-            forward_guided_des(
-                t,
-                to,
-                sender,
-                &path,
-                ttl,
-                community,
-                query,
-                config.digests.fanout,
-                width,
-                super_topology,
-                routes,
-                walk_rng,
-                latency.as_mut(),
-                stats,
-                &mut outcome.messages,
-                pending,
-                queue,
-                |next, p, rem, m| DesEvent::SuperQuery { qid, to: next, path: p, ttl: rem, mode: m },
-            );
         }
     }
 
@@ -1059,10 +813,10 @@ impl DesNetwork {
         let Protocol::Napster(np) = state else { return };
         let Some(qs) = queries.get_mut(qid as usize) else { return };
         qs.pending = qs.pending.saturating_sub(1);
-        let arrival = qs.quiescence;
+        let arrival = qs.progress.quiescence;
         let batch;
         {
-            let QueryState { community, query, outcome, .. } = &mut *qs;
+            let QueryState { community, query, progress: Progress { outcome, .. }, .. } = &mut *qs;
             let alive_ref = &*alive;
             let hits = &mut outcome.hits;
             np.server.search(
@@ -1093,102 +847,6 @@ impl DesNetwork {
 }
 
 // ---------------------------------------------------------------------
-// Shared guided-forwarding logic
-// ---------------------------------------------------------------------
-
-/// Digest-guided forwarding, shared by the flat and super overlays:
-/// rank neighbors by advertised depth, take the best `fanout`, or fall
-/// back to `walk_width` random walkers when no digest matches. Mirrors
-/// the step substrates' `forward_guided` decision-for-decision (same
-/// sort, same RNG draws) but emits queue events instead of recursing.
-#[allow(clippy::too_many_arguments)]
-fn forward_guided_des(
-    t: Time,
-    from: u32,
-    sender: Option<u32>,
-    path: &[u32],
-    ttl: u8,
-    community: &str,
-    query: &Query,
-    fanout: usize,
-    walk_width: usize,
-    topology: &Topology,
-    routes: &RouteTable,
-    walk_rng: &mut StdRng,
-    latency: &mut (dyn LatencyModel + Send + Sync),
-    stats: &mut NetStats,
-    messages: &mut u64,
-    pending: &mut u32,
-    queue: &mut EventQueue<DesEvent>,
-    make_event: impl Fn(u32, Vec<u32>, u8, PropMode) -> DesEvent,
-) {
-    if ttl == 0 {
-        return;
-    }
-    let mut candidates: Vec<(u8, u32)> = topology
-        .neighbors(PeerId(from))
-        .map(|p| p.0)
-        .filter(|&nb| Some(nb) != sender)
-        .filter_map(|nb| {
-            routes.min_depth(nb, from, community, query, ttl).map(|d| (d, nb))
-        })
-        .collect();
-    candidates.sort_unstable();
-    let targets: Vec<(u32, PropMode)> = if candidates.is_empty() {
-        let mut options: Vec<u32> = topology
-            .neighbors(PeerId(from))
-            .map(|p| p.0)
-            .filter(|&nb| Some(nb) != sender)
-            .collect();
-        let mut walkers = Vec::new();
-        while walkers.len() < walk_width && !options.is_empty() {
-            let i = walk_rng.gen_range(0..options.len());
-            walkers.push((options.swap_remove(i), PropMode::Walk));
-        }
-        walkers
-    } else {
-        candidates.into_iter().take(fanout.max(1)).map(|(_, nb)| (nb, PropMode::Guided)).collect()
-    };
-    for (nb, mode) in targets {
-        stats.sent(MsgKind::Query);
-        *messages += 1;
-        let at = t + latency.delay(PeerId(from), PeerId(nb));
-        let mut next_path = path.to_vec();
-        next_path.push(from);
-        *pending += 1;
-        queue.push(at, make_event(nb, next_path, ttl - 1, mode));
-    }
-}
-
-fn refresh_gnutella_digests(g: &mut GnutellaState, stats: &mut NetStats) {
-    let cfg = g.config.digests;
-    if !cfg.enabled || !g.routes.needs_refresh() {
-        return;
-    }
-    let GnutellaState { routes, topology, arena, .. } = g;
-    let (requests, pushes) = routes.refresh(topology, |p| arena.digest_of(p, cfg.log2_bits));
-    stats.sent_n(MsgKind::DigestRequest, requests);
-    stats.sent_n(MsgKind::DigestPush, pushes);
-}
-
-fn refresh_fasttrack_digests(ft: &mut FastTrackState, stats: &mut NetStats) {
-    let cfg = ft.config.digests;
-    if !cfg.enabled || !ft.routes.needs_refresh() {
-        return;
-    }
-    let FastTrackState { routes, super_topology, indexes, .. } = ft;
-    let (requests, pushes) = routes.refresh(super_topology, |s| {
-        let mut digest = RoutingDigest::new(cfg.log2_bits);
-        if let Some(index) = indexes.get(s as usize) {
-            digest.add_node(index);
-        }
-        digest
-    });
-    stats.sent_n(MsgKind::DigestRequest, requests);
-    stats.sent_n(MsgKind::DigestPush, pushes);
-}
-
-// ---------------------------------------------------------------------
 // PeerNetwork impl
 // ---------------------------------------------------------------------
 
@@ -1202,7 +860,7 @@ impl PeerNetwork for DesNetwork {
     }
 
     fn is_alive(&self, peer: PeerId) -> bool {
-        self.alive.get(peer.index()).copied().unwrap_or(false)
+        is_alive(&self.alive, peer)
     }
 
     fn set_alive(&mut self, peer: PeerId, alive: bool) {
@@ -1215,7 +873,7 @@ impl PeerNetwork for DesNetwork {
         let Self { state, alive, stats, .. } = self;
         match state {
             Protocol::Napster(np) => {
-                if !alive.get(provider.index()).copied().unwrap_or(false) {
+                if !is_alive(alive, provider) {
                     return;
                 }
                 stats.sent(MsgKind::Publish);
@@ -1231,7 +889,7 @@ impl PeerNetwork for DesNetwork {
                 }
             }
             Protocol::FastTrack(ft) => {
-                if !alive.get(provider.index()).copied().unwrap_or(false) {
+                if !is_alive(alive, provider) {
                     return;
                 }
                 let s = ft.super_of[provider.index()];
@@ -1249,6 +907,9 @@ impl PeerNetwork for DesNetwork {
 
     fn unpublish(&mut self, provider: PeerId, key: &str) {
         let Self { state, alive, stats, .. } = self;
+        if provider.index() >= alive.len() {
+            return; // an id outside the network shares nothing
+        }
         match state {
             Protocol::Napster(np) => {
                 stats.sent(MsgKind::Unpublish);
@@ -1256,14 +917,11 @@ impl PeerNetwork for DesNetwork {
             }
             Protocol::Gnutella(g) => {
                 g.arena.remove(provider.0, key);
-                if g.config.digests.enabled && provider.index() < alive.len() {
+                if g.config.digests.enabled {
                     g.routes.mark_dirty(provider.0);
                 }
             }
             Protocol::FastTrack(ft) => {
-                if provider.index() >= alive.len() {
-                    return;
-                }
                 let s = ft.super_of[provider.index()];
                 if provider.index() >= ft.config.supers {
                     stats.sent(MsgKind::Unpublish);
@@ -1285,30 +943,19 @@ impl PeerNetwork for DesNetwork {
     }
 
     fn retrieve(&mut self, origin: PeerId, provider: PeerId, key: &str) -> RetrieveOutcome {
-        self.stats.retrieves += 1;
-        if !self.is_alive(origin) {
-            return RetrieveOutcome::Unavailable;
-        }
-        self.stats.sent(MsgKind::Retrieve);
-        if !self.is_alive(provider) {
-            self.stats.dropped += 1;
-            return RetrieveOutcome::Unavailable;
-        }
-        let has = match &self.state {
-            Protocol::Napster(np) => np.server.has_provider(key, provider),
-            Protocol::Gnutella(g) => g.arena.has(provider.0, key),
-            Protocol::FastTrack(ft) => {
-                ft.owned.get(provider.index()).is_some_and(|set| set.contains(key))
-            }
-        };
-        if !has {
-            self.stats.sent(MsgKind::RetrieveFail);
-            return RetrieveOutcome::Unavailable;
-        }
-        self.stats.sent(MsgKind::RetrieveOk);
-        self.stats.retrieves_ok += 1;
-        let latency = self.latency.delay(origin, provider) + self.latency.delay(provider, origin);
-        RetrieveOutcome::Fetched { provider, latency }
+        let Self { state, alive, latency, stats, .. } = self;
+        overlay::retrieve(
+            stats,
+            is_alive(alive, origin),
+            alive.get(provider.index()).copied(),
+            provider,
+            || match state {
+                Protocol::Napster(np) => np.server.has_provider(key, provider),
+                Protocol::Gnutella(g) => g.arena.has(provider.0, key),
+                Protocol::FastTrack(ft) => ft.owned[provider.index()].contains(key),
+            },
+            || latency.delay(origin, provider) + latency.delay(provider, origin),
+        )
     }
 
     fn stats(&self) -> &NetStats {

@@ -11,11 +11,11 @@
 use crate::message::Time;
 use crate::peer::PeerId;
 
-/// How a query copy propagates. Mirrors the step substrates' modes:
-/// blind flooding uses [`PropMode::Flood`] throughout; guided search
-/// forwards digest-selected copies as [`PropMode::Guided`] and falls
-/// back to TTL'd random walkers ([`PropMode::Walk`]) when no neighbor
-/// digest matches.
+/// How a query copy propagates, on every driver of the overlay-search
+/// core: blind flooding uses [`PropMode::Flood`] throughout; guided
+/// search forwards digest-selected copies as [`PropMode::Guided`] and
+/// falls back to TTL'd random walkers ([`PropMode::Walk`]) when no
+/// neighbor digest matches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PropMode {
     /// Forward to every neighbor except the sender (baseline).
@@ -30,8 +30,8 @@ pub enum PropMode {
 ///
 /// `qid` fields index into the engine's per-query state table; `path`
 /// vectors carry the route travelled so far, *excluding* the
-/// destination (the last element is the immediate sender), exactly as
-/// the step substrates' in-flight query copies do.
+/// destination (the last element is the immediate sender): the overlay
+/// core's in-flight query copy with a query id attached.
 #[derive(Debug, Clone)]
 pub enum DesEvent {
     /// A scheduled query leaves its origin.

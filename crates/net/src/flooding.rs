@@ -15,18 +15,17 @@
 //! neighbors, stops at the first peer with local hits, and falls back to
 //! TTL'd random walkers when no digest matches.
 
-use crate::digest::{DigestConfig, RouteTable, RoutingDigest};
+use crate::digest::{DigestConfig, RouteTable};
 use crate::index_node::IndexNode;
 use crate::latency::LatencyModel;
-use crate::message::{ResourceRecord, SearchHit, SharedFields, Time, DEFAULT_TTL};
+use crate::message::{ResourceRecord, DEFAULT_TTL};
+use crate::overlay::{self, Walk};
 use crate::peer::PeerId;
-use crate::sim::EventQueue;
-use crate::stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
+use crate::stats::{NetStats, RetrieveOutcome, SearchOutcome};
 use crate::topology::Topology;
 use crate::traits::PeerNetwork;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use rand::SeedableRng;
 use up2p_store::Query;
 
 /// Tuning knobs for the flooding substrate.
@@ -46,18 +45,6 @@ impl Default for FloodingConfig {
     fn default() -> Self {
         FloodingConfig { ttl: DEFAULT_TTL, dedup: true, digests: DigestConfig::default() }
     }
-}
-
-/// How a query copy propagates (guided search only; blind flooding uses
-/// `Flood` throughout).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Propagation {
-    /// Forward to every neighbor except the sender (baseline).
-    Flood,
-    /// Forward along digest-selected neighbors, capped at the fanout.
-    Guided,
-    /// Random-walk fallback: no digest matched, keep one walker alive.
-    Walk,
 }
 
 /// The flooding (Gnutella) substrate.
@@ -85,16 +72,6 @@ impl std::fmt::Debug for FloodingNetwork {
             .field("config", &self.config)
             .finish()
     }
-}
-
-/// A query copy in flight. `path` is the route travelled so far,
-/// *excluding* the destination (the last element is the immediate
-/// sender); hits found at the destination travel back along it.
-struct QueryEvent {
-    to: PeerId,
-    path: Vec<PeerId>,
-    ttl: u8,
-    mode: Propagation,
 }
 
 impl FloodingNetwork {
@@ -133,90 +110,16 @@ impl FloodingNetwork {
         self.shared.get(peer.index()).map_or(0, IndexNode::len)
     }
 
-    /// Evaluates a query against one peer's share table, collecting
-    /// `(key, fields)` pairs (the provider is the peer itself).
-    fn local_matches(&self, peer: PeerId, community: &str, query: &Query) -> Vec<(String, SharedFields)> {
-        let mut matches = Vec::new();
-        self.shared[peer.index()].search(community, query, |_| true, |key, _, fields| {
-            matches.push((key.to_string(), fields.clone()));
-        });
-        matches
-    }
-
     /// Rebuilds dirty routing digests and repropagates the attenuated
     /// layers, counting the `DigestRequest`/`DigestPush` exchange the
     /// refresh costs. A no-op when guided search is disabled or nothing
     /// changed since the last refresh; guided searches call this lazily,
     /// the way a servent batches digest updates onto its keep-alives.
     pub fn refresh_digests(&mut self) {
-        let cfg = self.config.digests;
-        if !cfg.enabled || !self.routes.needs_refresh() {
-            return;
-        }
-        let shared = &self.shared;
-        let (requests, pushes) = self.routes.refresh(&self.topology, |p| {
-            let mut d = RoutingDigest::new(cfg.log2_bits);
-            d.add_node(&shared[p as usize]);
-            d
+        let (shared, bits) = (&self.shared, self.config.digests.log2_bits);
+        overlay::refresh_digests(&mut self.routes, &self.topology, &mut self.stats, |p| {
+            overlay::index_digest(&shared[p as usize], bits)
         });
-        self.stats.sent_n(MsgKind::DigestRequest, requests);
-        self.stats.sent_n(MsgKind::DigestPush, pushes);
-    }
-
-    /// Forwards one guided query copy from `from`: digest-matching
-    /// neighbors (closest plausible match first, capped at the fanout)
-    /// when any exist, else up to `walk_width` random walkers so stale
-    /// or saturated digests degrade to extra messages, not misses.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_guided(
-        &mut self,
-        t: Time,
-        from: PeerId,
-        sender: Option<PeerId>,
-        path: &[PeerId],
-        ttl: u8,
-        community: &str,
-        query: &Query,
-        walk_width: usize,
-        outcome: &mut SearchOutcome,
-        queue: &mut EventQueue<QueryEvent>,
-    ) {
-        if ttl == 0 {
-            return;
-        }
-        let mut candidates: Vec<(u8, PeerId)> = self
-            .topology
-            .neighbors(from)
-            .filter(|&nb| Some(nb) != sender)
-            .filter_map(|nb| {
-                self.routes.min_depth(nb.0, from.0, community, query, ttl).map(|d| (d, nb))
-            })
-            .collect();
-        candidates.sort_unstable();
-        let targets: Vec<(PeerId, Propagation)> = if candidates.is_empty() {
-            let mut options: Vec<PeerId> =
-                self.topology.neighbors(from).filter(|&nb| Some(nb) != sender).collect();
-            let mut walkers = Vec::new();
-            while walkers.len() < walk_width && !options.is_empty() {
-                let i = self.walk_rng.gen_range(0..options.len());
-                walkers.push((options.swap_remove(i), Propagation::Walk));
-            }
-            walkers
-        } else {
-            candidates
-                .into_iter()
-                .take(self.config.digests.fanout.max(1))
-                .map(|(_, nb)| (nb, Propagation::Guided))
-                .collect()
-        };
-        for (nb, mode) in targets {
-            self.stats.sent(MsgKind::Query);
-            outcome.messages += 1;
-            let at = t + self.latency.delay(from, nb);
-            let mut next_path = path.to_vec();
-            next_path.push(from);
-            queue.push(at, QueryEvent { to: nb, path: next_path, ttl: ttl - 1, mode });
-        }
     }
 }
 
@@ -230,7 +133,7 @@ impl PeerNetwork for FloodingNetwork {
     }
 
     fn is_alive(&self, peer: PeerId) -> bool {
-        self.alive.get(peer.index()).copied().unwrap_or(false)
+        overlay::is_alive(&self.alive, peer)
     }
 
     fn set_alive(&mut self, peer: PeerId, alive: bool) {
@@ -261,184 +164,39 @@ impl PeerNetwork for FloodingNetwork {
 
     fn search(&mut self, origin: PeerId, community: &str, query: &Query) -> SearchOutcome {
         self.stats.queries += 1;
-        let mut outcome = SearchOutcome::default();
         if !self.is_alive(origin) {
-            return outcome;
+            return SearchOutcome::default();
         }
-        let guided = self.config.digests.enabled;
-        if guided {
-            self.refresh_digests();
+        self.refresh_digests();
+        let (alive, shared) = (&self.alive, &self.shared);
+        Walk {
+            topology: &self.topology,
+            routes: &self.routes,
+            alive,
+            latency: self.latency.as_mut(),
+            walk_rng: &mut self.walk_rng,
+            stats: &mut self.stats,
+            community,
+            query,
+            ttl: self.config.ttl,
+            dedup: self.config.dedup,
         }
-        let mut hit_seen: HashSet<(String, PeerId)> = HashSet::new();
-        // local results cost nothing (the servent consults its own
-        // repository before the network)
-        for (key, fields) in self.local_matches(origin, community, query) {
-            hit_seen.insert((key.clone(), origin));
-            outcome.hits.push(SearchHit { key, provider: origin, fields, hops: 0 });
-            self.stats.hit(0);
-            outcome.first_hit_latency = Some(0);
-        }
-
-        let mut queue: EventQueue<QueryEvent> = EventQueue::new();
-        let mut seen: HashSet<PeerId> = HashSet::new();
-        seen.insert(origin);
-        if self.config.ttl > 0 {
-            if guided {
-                // frontier stop: local hits already satisfy the query, so
-                // a guided search pays no network messages at all
-                if outcome.hits.is_empty() {
-                    self.forward_guided(
-                        0,
-                        origin,
-                        None,
-                        &[],
-                        self.config.ttl,
-                        community,
-                        query,
-                        self.config.digests.walk_width,
-                        &mut outcome,
-                        &mut queue,
-                    );
-                }
-            } else {
-                let neighbors: Vec<PeerId> = self.topology.neighbors(origin).collect();
-                for nb in neighbors {
-                    self.stats.sent(MsgKind::Query);
-                    outcome.messages += 1;
-                    let at = self.latency.delay(origin, nb);
-                    queue.push(at, QueryEvent {
-                        to: nb,
-                        path: vec![origin],
-                        ttl: self.config.ttl - 1,
-                        mode: Propagation::Flood,
-                    });
-                }
-            }
-        }
-
-        let mut last_hit_at: Time = 0;
-        let mut quiescence: Time = 0;
-        while let Some((t, ev)) = queue.pop() {
-            quiescence = quiescence.max(t);
-            if !self.is_alive(ev.to) {
-                self.stats.dropped += 1;
-                continue;
-            }
-            let first_visit = seen.insert(ev.to);
-            match ev.mode {
-                // duplicate query arrival, dropped by the GUID cache
-                Propagation::Flood if self.config.dedup && !first_visit => continue,
-                // a guided copy is always deduplicated; a walker survives
-                // revisits (it merely skips re-evaluating the share table)
-                Propagation::Guided if !first_visit => continue,
-                _ => {}
-            }
-            // evaluate against this peer's share-table index
-            let evaluate = first_visit || ev.mode == Propagation::Flood;
-            let matches = if evaluate {
-                self.local_matches(ev.to, community, query)
-            } else {
-                Vec::new()
-            };
-            if !matches.is_empty() {
-                // QueryHit routes back along the reverse path: one message
-                // per edge, arriving after the summed reverse delays
-                let mut back_latency: Time = 0;
-                let mut prev = ev.to;
-                for &node in ev.path.iter().rev() {
-                    self.stats.sent(MsgKind::QueryHit);
-                    outcome.messages += 1;
-                    back_latency += self.latency.delay(prev, node);
-                    prev = node;
-                }
-                let arrival = t + back_latency;
-                let hops = ev.path.len() as u8;
-                for (key, fields) in matches {
-                    if hit_seen.insert((key.clone(), ev.to)) {
-                        outcome.hits.push(SearchHit { key, provider: ev.to, fields, hops });
-                        self.stats.hit(hops);
-                        last_hit_at = last_hit_at.max(arrival);
-                        outcome.first_hit_latency = Some(
-                            outcome.first_hit_latency.map_or(arrival, |f| f.min(arrival)),
-                        );
-                    }
-                }
-                if ev.mode != Propagation::Flood {
-                    // frontier stop: this copy found results, stop paying
-                    // for forwarding (other copies keep exploring)
-                    continue;
-                }
-            }
-            if ev.ttl == 0 {
-                continue;
-            }
-            // every queued event carries at least the origin in its path;
-            // an empty one would be a malformed event — drop it
-            let Some(&sender) = ev.path.last() else { continue };
-            if ev.mode == Propagation::Flood {
-                // forward to all neighbors except the immediate sender
-                let neighbors: Vec<PeerId> = self.topology.neighbors(ev.to).collect();
-                for nb in neighbors {
-                    if nb == sender {
-                        continue;
-                    }
-                    self.stats.sent(MsgKind::Query);
-                    outcome.messages += 1;
-                    let at = t + self.latency.delay(ev.to, nb);
-                    let mut path = ev.path.clone();
-                    path.push(ev.to);
-                    queue.push(at, QueryEvent {
-                        to: nb,
-                        path,
-                        ttl: ev.ttl - 1,
-                        mode: Propagation::Flood,
-                    });
-                }
-            } else {
-                // guided copies and walkers re-consult the digests every
-                // hop (a walker escaping a stale region resumes guided
-                // forwarding); mid-path dead ends continue as one walker
-                self.forward_guided(
-                    t,
-                    ev.to,
-                    Some(sender),
-                    &ev.path,
-                    ev.ttl,
-                    community,
-                    query,
-                    1,
-                    &mut outcome,
-                    &mut queue,
-                );
-            }
-        }
-
-        outcome.latency = if outcome.hits.is_empty() { quiescence } else { last_hit_at };
-        if !outcome.hits.is_empty() {
-            self.stats.queries_with_hits += 1;
-        }
-        outcome
+        // each peer answers from its own share-table index
+        .run(origin.0, None, |p| {
+            overlay::index_matches(&shared[p as usize], alive, community, query)
+        })
     }
 
     fn retrieve(&mut self, origin: PeerId, provider: PeerId, key: &str) -> RetrieveOutcome {
-        self.stats.retrieves += 1;
-        if !self.is_alive(origin) {
-            // a dead peer cannot send: the request never leaves the origin
-            return RetrieveOutcome::Unavailable;
-        }
-        self.stats.sent(MsgKind::Retrieve);
-        if !self.is_alive(provider) {
-            self.stats.dropped += 1;
-            return RetrieveOutcome::Unavailable;
-        }
-        if !self.shared[provider.index()].has_provider(key, provider) {
-            self.stats.sent(MsgKind::RetrieveFail);
-            return RetrieveOutcome::Unavailable;
-        }
-        self.stats.sent(MsgKind::RetrieveOk);
-        self.stats.retrieves_ok += 1;
-        let latency = self.latency.delay(origin, provider) + self.latency.delay(provider, origin);
-        RetrieveOutcome::Fetched { provider, latency }
+        let Self { alive, shared, latency, stats, .. } = self;
+        overlay::retrieve(
+            stats,
+            overlay::is_alive(alive, origin),
+            alive.get(provider.index()).copied(),
+            provider,
+            || shared[provider.index()].has_provider(key, provider),
+            || latency.delay(origin, provider) + latency.delay(provider, origin),
+        )
     }
 
     fn stats(&self) -> &NetStats {
@@ -454,6 +212,7 @@ impl PeerNetwork for FloodingNetwork {
 mod tests {
     use super::*;
     use crate::latency::ConstantLatency;
+    use crate::stats::MsgKind;
 
     fn record(key: &str, name: &str) -> ResourceRecord {
         ResourceRecord::new(key, "c", vec![("o/name".to_string(), name.to_string())])

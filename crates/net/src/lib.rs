@@ -12,6 +12,16 @@
 //! * [`FloodingNetwork`] — Gnutella-style TTL flooding over an overlay,
 //! * [`SuperPeerNetwork`] — FastTrack-style two-tier super-peer network.
 //!
+//! The two overlay protocols share one search core (the private
+//! `overlay` module: visit and dedup rules, reverse-path `QueryHit`
+//! accounting, frontier stop, blind and digest-guided forwarding) under
+//! three thin drivers: the flat and the two-tier step substrates above,
+//! which run each search to quiescence on a private queue, and
+//! [`DesNetwork`], which runs all three protocols on one global
+//! virtual-time queue so churn lands while queries are in flight.
+//! [`LiveNetwork`] is a different protocol shape (threads, out-of-band
+//! hits) and shares only the retrieve accounting.
+//!
 //! No 2002 network exists to join, so the substrates reproduce *routing
 //! semantics* (which peers are asked, how many messages, how many hops)
 //! under seeded latency models, overlay topologies and churn — the
@@ -49,6 +59,7 @@ mod index_node;
 mod latency;
 mod live;
 mod message;
+mod overlay;
 mod peer;
 mod pool;
 mod sharded;
@@ -300,5 +311,36 @@ mod tests {
         }
         assert!(costs[0].1 <= costs[1].1, "{costs:?}");
         assert!(costs[1].1 <= costs[2].1, "{costs:?}");
+    }
+
+    #[test]
+    fn unknown_peer_operations_send_nothing_on_any_substrate() {
+        // every substrate, built every way, with digests on where they apply
+        let config = NetConfig::new().digests(DigestConfig::guided());
+        let mut nets: Vec<(String, Box<dyn PeerNetwork>)> = Vec::new();
+        for kind in [ProtocolKind::Napster, ProtocolKind::Gnutella, ProtocolKind::FastTrack] {
+            nets.push((format!("step {kind}"), build_network_with(kind, 16, 7, &config)));
+            nets.push((format!("des {kind}"), Box::new(DesNetwork::build(kind, 16, 7, &config))));
+        }
+        nets.push(("live".to_string(), Box::new(LiveNetwork::new(Topology::ring_lattice(16, 2)))));
+        let record =
+            || ResourceRecord::new("k", "c", vec![("o/name".to_string(), "x".to_string())]);
+        for (name, net) in &mut nets {
+            net.publish(PeerId(2), record());
+            net.reset_stats();
+            for ghost in [PeerId(16), PeerId(u32::MAX)] {
+                net.publish(ghost, record());
+                net.unpublish(ghost, "k");
+                let out = net.search(ghost, "c", &Query::any_keyword("x"));
+                assert!(out.hits.is_empty() && out.messages == 0, "{name}");
+                for (origin, provider) in [(ghost, PeerId(2)), (PeerId(1), ghost)] {
+                    let fetched = net.retrieve(origin, provider, "k");
+                    assert_eq!(fetched, RetrieveOutcome::Unavailable, "{name}");
+                }
+            }
+            assert_eq!(net.stats().messages, 0, "{name}: {:?}", net.stats().by_kind());
+            assert_eq!(net.stats().dropped, 0, "{name}");
+            assert!(net.retrieve(PeerId(1), PeerId(2), "k").is_fetched(), "{name}: record intact");
+        }
     }
 }

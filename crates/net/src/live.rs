@@ -22,6 +22,7 @@
 //! every query through one shared `AtomicU64`.)
 
 use crate::message::{ResourceRecord, SearchHit, DEFAULT_TTL};
+use crate::overlay;
 use crate::peer::PeerId;
 use crate::sharded::ShardedIndexNode;
 use crate::stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
@@ -315,28 +316,16 @@ impl PeerNetwork for LiveNetwork {
     }
 
     fn retrieve(&mut self, origin: PeerId, provider: PeerId, key: &str) -> RetrieveOutcome {
-        self.stats.retrieves += 1;
-        if !self.is_alive(origin) {
-            // a dead peer cannot send: the request never leaves the origin
-            return RetrieveOutcome::Unavailable;
-        }
-        self.stats.sent(MsgKind::Retrieve);
-        if !self.is_alive(provider) {
-            self.stats.dropped += 1;
-            return RetrieveOutcome::Unavailable;
-        }
-        let has = self
-            .peers
-            .get(provider.index())
-            .map(|p| p.shared.has_provider(key, provider))
-            .unwrap_or(false);
-        if !has {
-            self.stats.sent(MsgKind::RetrieveFail);
-            return RetrieveOutcome::Unavailable;
-        }
-        self.stats.sent(MsgKind::RetrieveOk);
-        self.stats.retrieves_ok += 1;
-        RetrieveOutcome::Fetched { provider, latency: 0 }
+        let origin_alive = self.is_alive(origin);
+        let target = self.peers.get(provider.index());
+        overlay::retrieve(
+            &mut self.stats,
+            origin_alive,
+            target.map(|p| p.alive.load(Ordering::Relaxed)),
+            provider,
+            || target.is_some_and(|p| p.shared.has_provider(key, provider)),
+            || 0,
+        )
     }
 
     fn stats(&self) -> &NetStats {

@@ -7,19 +7,19 @@
 //! super answers a query with a posting-list lookup over its leaves'
 //! records instead of scanning them.
 
-use crate::digest::{DigestConfig, RouteTable, RoutingDigest};
+use crate::digest::{DigestConfig, RouteTable};
 use crate::index_node::IndexNode;
 use crate::latency::LatencyModel;
-use crate::message::{ResourceRecord, SearchHit, Time};
+use crate::message::ResourceRecord;
+use crate::overlay::{self, Walk};
 use crate::peer::PeerId;
 use crate::pool::serve_batch;
-use crate::sim::EventQueue;
 use crate::stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
 use crate::topology::Topology;
 use crate::traits::{PeerNetwork, SearchRequest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use up2p_store::Query;
 
 /// Configuration for the super-peer substrate.
@@ -43,32 +43,13 @@ impl Default for SuperPeerConfig {
     }
 }
 
-/// How a super-overlay query copy propagates (mirrors the flooding
-/// substrate's guided-search modes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Propagation {
-    Flood,
-    Guided,
-    Walk,
-}
-
 /// The super-peer (FastTrack) substrate.
 pub struct SuperPeerNetwork {
-    config: SuperPeerConfig,
-    /// peer index → index of its super-peer (supers map to themselves).
-    super_of: Vec<usize>,
-    /// Overlay among super-peers; `PeerId` in this graph is the *super
-    /// index* (0..supers), not the global peer id.
-    super_topology: Topology,
-    /// Per-super metadata index over its leaves' records.
-    indexes: Vec<IndexNode>,
+    plane: ServePlane,
     /// Per-peer owned object keys (for retrieval).
     owned: Vec<BTreeSet<String>>,
-    alive: Vec<bool>,
     latency: Box<dyn LatencyModel + Send + Sync>,
     stats: NetStats,
-    /// Per-directed-edge attenuated digests over the super overlay.
-    routes: RouteTable,
     /// Seeded source for the random-walk fallback.
     walk_rng: StdRng,
 }
@@ -76,113 +57,33 @@ pub struct SuperPeerNetwork {
 impl std::fmt::Debug for SuperPeerNetwork {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SuperPeerNetwork")
-            .field("peers", &self.alive.len())
-            .field("config", &self.config)
+            .field("peers", &self.plane.alive.len())
+            .field("config", &self.plane.config)
             .finish()
     }
 }
 
-struct SuperQueryEvent {
-    /// Destination super index.
-    to: usize,
-    /// Super indices travelled (last = sender).
-    path: Vec<usize>,
-    ttl: u8,
-    mode: Propagation,
+/// Everything one query evaluation consults and never writes — the
+/// serving plane of the super overlay. Kept apart from the mutable
+/// accounting (latency model, walker rng, statistics) so `search_batch`
+/// can share one plane across pool workers, giving each request a forked
+/// latency model, its own seeded walker rng and a private [`NetStats`]
+/// merged back in request order.
+struct ServePlane {
+    config: SuperPeerConfig,
+    /// peer index → index of its super-peer (supers map to themselves).
+    super_of: Vec<usize>,
+    /// Overlay among super-peers; `PeerId` in this graph is the *super
+    /// index* (0..supers), which is also the super's global peer id.
+    super_topology: Topology,
+    /// Per-super metadata index over its leaves' records.
+    indexes: Vec<IndexNode>,
+    alive: Vec<bool>,
+    /// Per-directed-edge attenuated digests over the super overlay.
+    routes: RouteTable,
 }
 
-/// Read-only borrow of everything one query evaluation consults — the
-/// serving plane of the super overlay. [`SuperPeerNetwork::search`]
-/// builds it next to the mutable accounting (latency model, walker rng,
-/// statistics), and `search_batch` shares one plane across pool workers,
-/// giving each request a forked latency model, its own seeded walker rng
-/// and a private [`NetStats`] merged back in request order.
-struct ServePlane<'a> {
-    config: &'a SuperPeerConfig,
-    super_of: &'a [usize],
-    super_topology: &'a Topology,
-    indexes: &'a [IndexNode],
-    alive: &'a [bool],
-    routes: &'a RouteTable,
-}
-
-impl ServePlane<'_> {
-    fn is_alive(&self, peer: PeerId) -> bool {
-        self.alive.get(peer.index()).copied().unwrap_or(false)
-    }
-
-    fn is_super(&self, peer: PeerId) -> bool {
-        peer.index() < self.config.supers
-    }
-
-    fn super_peer_id(&self, super_index: usize) -> PeerId {
-        PeerId(super_index as u32)
-    }
-
-    /// Forwards one guided query copy across the super overlay:
-    /// digest-selected neighbors first, random walkers as the fallback.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_guided(
-        &self,
-        latency: &mut dyn LatencyModel,
-        walk_rng: &mut StdRng,
-        stats: &mut NetStats,
-        t: Time,
-        from: usize,
-        sender: Option<usize>,
-        path: &[usize],
-        ttl: u8,
-        community: &str,
-        query: &Query,
-        walk_width: usize,
-        outcome: &mut SearchOutcome,
-        queue: &mut EventQueue<SuperQueryEvent>,
-    ) {
-        if ttl == 0 {
-            return;
-        }
-        let mut candidates: Vec<(u8, usize)> = self
-            .super_topology
-            .neighbors(PeerId(from as u32))
-            .map(|p| p.index())
-            .filter(|&nb| Some(nb) != sender)
-            .filter_map(|nb| {
-                self.routes
-                    .min_depth(nb as u32, from as u32, community, query, ttl)
-                    .map(|d| (d, nb))
-            })
-            .collect();
-        candidates.sort_unstable();
-        let targets: Vec<(usize, Propagation)> = if candidates.is_empty() {
-            let mut options: Vec<usize> = self
-                .super_topology
-                .neighbors(PeerId(from as u32))
-                .map(|p| p.index())
-                .filter(|&nb| Some(nb) != sender)
-                .collect();
-            let mut walkers = Vec::new();
-            while walkers.len() < walk_width && !options.is_empty() {
-                let i = walk_rng.gen_range(0..options.len());
-                walkers.push((options.swap_remove(i), Propagation::Walk));
-            }
-            walkers
-        } else {
-            candidates
-                .into_iter()
-                .take(self.config.digests.fanout.max(1))
-                .map(|(_, nb)| (nb, Propagation::Guided))
-                .collect()
-        };
-        for (nb, mode) in targets {
-            stats.sent(MsgKind::Query);
-            outcome.messages += 1;
-            let at = t + latency.delay(self.super_peer_id(from), self.super_peer_id(nb));
-            let mut next_path = path.to_vec();
-            next_path.push(from);
-            queue.push(at, SuperQueryEvent { to: nb, path: next_path, ttl: ttl - 1, mode });
-        }
-    }
-
+impl ServePlane {
     /// Runs one query to quiescence against the read-only plane. The
     /// caller has already counted the query, checked the origin is alive
     /// and refreshed digests; this accounts everything else into the
@@ -197,153 +98,23 @@ impl ServePlane<'_> {
         community: &str,
         query: &Query,
     ) -> SearchOutcome {
-        let mut outcome = SearchOutcome::default();
-        let guided = self.config.digests.enabled;
-        let s0 = self.super_of[origin.index()];
-        let mut uplink: Time = 0;
-        if !self.is_super(origin) {
-            stats.sent(MsgKind::Query);
-            outcome.messages += 1;
-            uplink = latency.delay(origin, self.super_peer_id(s0));
-            if !self.is_alive(self.super_peer_id(s0)) {
-                stats.dropped += 1;
-                outcome.latency = uplink;
-                return outcome; // orphaned leaf: its super is gone
-            }
+        let entry = self.super_of[origin.index()] as u32;
+        Walk {
+            topology: &self.super_topology,
+            routes: &self.routes,
+            alive: &self.alive,
+            latency,
+            walk_rng,
+            stats,
+            community,
+            query,
+            ttl: self.config.ttl,
+            dedup: true,
         }
-
-        let mut queue: EventQueue<SuperQueryEvent> = EventQueue::new();
-        let mut seen: HashSet<usize> = HashSet::new();
-        let mode = if guided { Propagation::Guided } else { Propagation::Flood };
-        queue.push(uplink, SuperQueryEvent { to: s0, path: Vec::new(), ttl: self.config.ttl, mode });
-
-        let mut hit_seen: HashSet<(String, PeerId)> = HashSet::new();
-        let mut last_hit_at: Time = 0;
-        let mut quiescence: Time = 0;
-        while let Some((t, ev)) = queue.pop() {
-            quiescence = quiescence.max(t);
-            let super_id = self.super_peer_id(ev.to);
-            if !self.is_alive(super_id) {
-                stats.dropped += 1;
-                continue;
-            }
-            let first_visit = seen.insert(ev.to);
-            match ev.mode {
-                // a walker survives revisits (it merely skips
-                // re-evaluating the index); everything else deduplicates
-                Propagation::Walk => {}
-                _ if !first_visit => continue,
-                _ => {}
-            }
-            // answer from this super's index: candidates come from the
-            // posting lists, liveness filters only that candidate set
-            let hops = ev.path.len() as u8 + u8::from(!self.is_super(origin));
-            let mut local_hits: Vec<SearchHit> = Vec::new();
-            if first_visit {
-                let alive = self.alive;
-                let hit_seen = &mut hit_seen;
-                let local_hits = &mut local_hits;
-                self.indexes[ev.to].search(
-                    community,
-                    query,
-                    |p| alive.get(p.index()).copied().unwrap_or(false),
-                    |key, p, fields| {
-                        if hit_seen.insert((key.to_string(), p)) {
-                            local_hits.push(SearchHit {
-                                key: key.to_string(),
-                                provider: p,
-                                fields: fields.clone(),
-                                hops,
-                            });
-                        }
-                    },
-                );
-            }
-            if !local_hits.is_empty() {
-                // back along super path, then down to the leaf
-                let mut back: Time = 0;
-                let mut prev = ev.to;
-                for &node in ev.path.iter().rev() {
-                    stats.sent(MsgKind::QueryHit);
-                    outcome.messages += 1;
-                    back += latency.delay(self.super_peer_id(prev), self.super_peer_id(node));
-                    prev = node;
-                }
-                if !self.is_super(origin) {
-                    stats.sent(MsgKind::QueryHit);
-                    outcome.messages += 1;
-                    back += latency.delay(self.super_peer_id(s0), origin);
-                }
-                let arrival = t + back;
-                for h in local_hits {
-                    stats.hit(h.hops);
-                    last_hit_at = last_hit_at.max(arrival);
-                    outcome.first_hit_latency =
-                        Some(outcome.first_hit_latency.map_or(arrival, |f| f.min(arrival)));
-                    outcome.hits.push(h);
-                }
-                if ev.mode != Propagation::Flood {
-                    // frontier stop: this copy found results, stop paying
-                    // for forwarding
-                    continue;
-                }
-            }
-            if ev.ttl == 0 {
-                continue;
-            }
-            let sender = ev.path.last().copied();
-            if ev.mode == Propagation::Flood {
-                // flood to neighboring supers
-                let neighbors: Vec<usize> = self
-                    .super_topology
-                    .neighbors(PeerId(ev.to as u32))
-                    .map(|p| p.index())
-                    .collect();
-                for nb in neighbors {
-                    if Some(nb) == sender {
-                        continue;
-                    }
-                    stats.sent(MsgKind::Query);
-                    outcome.messages += 1;
-                    let at =
-                        t + latency.delay(self.super_peer_id(ev.to), self.super_peer_id(nb));
-                    let mut path = ev.path.clone();
-                    path.push(ev.to);
-                    queue.push(at, SuperQueryEvent {
-                        to: nb,
-                        path,
-                        ttl: ev.ttl - 1,
-                        mode: Propagation::Flood,
-                    });
-                }
-            } else {
-                // guided copies and walkers re-consult the digests every
-                // hop; a fallback at the origin's super spawns the full
-                // walker width, mid-path dead ends continue as one walker
-                let width = if sender.is_none() { self.config.digests.walk_width } else { 1 };
-                self.forward_guided(
-                    latency,
-                    walk_rng,
-                    stats,
-                    t,
-                    ev.to,
-                    sender,
-                    &ev.path,
-                    ev.ttl,
-                    community,
-                    query,
-                    width,
-                    &mut outcome,
-                    &mut queue,
-                );
-            }
-        }
-
-        outcome.latency = if outcome.hits.is_empty() { quiescence } else { last_hit_at };
-        if !outcome.hits.is_empty() {
-            stats.queries_with_hits += 1;
-        }
-        outcome
+        // each super answers for its live leaves from its own index
+        .run(origin.0, Some(entry), |s| {
+            overlay::index_matches(&self.indexes[s as usize], &self.alive, community, query)
+        })
     }
 }
 
@@ -377,64 +148,40 @@ impl SuperPeerNetwork {
             Topology::small_world(config.supers, config.super_degree, 0.2, seed ^ 0x5eed)
         };
         SuperPeerNetwork {
-            config,
-            super_of,
-            super_topology,
-            indexes: std::iter::repeat_with(IndexNode::new).take(config.supers).collect(),
+            plane: ServePlane {
+                config,
+                super_of,
+                super_topology,
+                indexes: std::iter::repeat_with(IndexNode::new).take(config.supers).collect(),
+                alive: vec![true; n],
+                routes: RouteTable::new(config.digests),
+            },
             owned: vec![BTreeSet::new(); n],
-            alive: vec![true; n],
             latency,
             stats: NetStats::new(),
-            routes: RouteTable::new(config.digests),
             walk_rng: StdRng::seed_from_u64(seed ^ 0x3a1f_7a1c),
         }
     }
 
     /// The super-peer index a peer is attached to.
     pub fn super_of(&self, peer: PeerId) -> usize {
-        self.super_of[peer.index()]
+        self.plane.super_of[peer.index()]
     }
 
     /// Is the given peer a super-peer?
     pub fn is_super(&self, peer: PeerId) -> bool {
-        peer.index() < self.config.supers
+        peer.index() < self.plane.config.supers
     }
 
     /// Rebuilds dirty routing digests over the super overlay, counting
     /// the `DigestRequest`/`DigestPush` exchange. Lazy, like the flooding
     /// substrate: the next guided search triggers it.
     pub fn refresh_digests(&mut self) {
-        let cfg = self.config.digests;
-        if !cfg.enabled || !self.routes.needs_refresh() {
-            return;
-        }
-        let indexes = &self.indexes;
-        let (requests, pushes) = self.routes.refresh(&self.super_topology, |s| {
-            let mut d = RoutingDigest::new(cfg.log2_bits);
-            d.add_node(&indexes[s as usize]);
-            d
+        let ServePlane { config, super_topology, indexes, routes, .. } = &mut self.plane;
+        overlay::refresh_digests(routes, super_topology, &mut self.stats, |s| {
+            overlay::index_digest(&indexes[s as usize], config.digests.log2_bits)
         });
-        self.stats.sent_n(MsgKind::DigestRequest, requests);
-        self.stats.sent_n(MsgKind::DigestPush, pushes);
     }
-
-}
-
-/// Borrows the read-only serving plane out of a [`SuperPeerNetwork`].
-/// A macro rather than a method so the borrow covers only the six
-/// serving-state fields — the accounting fields (latency, walker rng,
-/// stats) stay independently mutably borrowable next to the plane.
-macro_rules! serve_plane {
-    ($net:expr) => {
-        ServePlane {
-            config: &$net.config,
-            super_of: &$net.super_of,
-            super_topology: &$net.super_topology,
-            indexes: &$net.indexes,
-            alive: &$net.alive,
-            routes: &$net.routes,
-        }
-    };
 }
 
 impl PeerNetwork for SuperPeerNetwork {
@@ -443,15 +190,15 @@ impl PeerNetwork for SuperPeerNetwork {
     }
 
     fn peer_count(&self) -> usize {
-        self.alive.len()
+        self.plane.alive.len()
     }
 
     fn is_alive(&self, peer: PeerId) -> bool {
-        self.alive.get(peer.index()).copied().unwrap_or(false)
+        overlay::is_alive(&self.plane.alive, peer)
     }
 
     fn set_alive(&mut self, peer: PeerId, alive: bool) {
-        if let Some(a) = self.alive.get_mut(peer.index()) {
+        if let Some(a) = self.plane.alive.get_mut(peer.index()) {
             *a = alive;
         }
     }
@@ -465,21 +212,22 @@ impl PeerNetwork for SuperPeerNetwork {
             self.stats.sent(MsgKind::Publish); // leaf → super upload
         }
         self.owned[provider.index()].insert(record.key.clone());
-        self.indexes[s].insert(provider, &record);
-        if self.config.digests.enabled {
-            self.routes.mark_dirty(s as u32);
+        self.plane.indexes[s].insert(provider, &record);
+        if self.plane.config.digests.enabled {
+            self.plane.routes.mark_dirty(s as u32);
         }
     }
 
     fn unpublish(&mut self, provider: PeerId, key: &str) {
-        let s = self.super_of(provider);
+        // an id outside the network has no super to tell
+        let Some(&s) = self.plane.super_of.get(provider.index()) else { return };
         if !self.is_super(provider) {
             self.stats.sent(MsgKind::Unpublish);
         }
         self.owned[provider.index()].remove(key);
-        self.indexes[s].remove(provider, key);
-        if self.config.digests.enabled {
-            self.routes.mark_dirty(s as u32);
+        self.plane.indexes[s].remove(provider, key);
+        if self.plane.config.digests.enabled {
+            self.plane.routes.mark_dirty(s as u32);
         }
     }
 
@@ -489,8 +237,7 @@ impl PeerNetwork for SuperPeerNetwork {
             return SearchOutcome::default();
         }
         self.refresh_digests();
-        let plane = serve_plane!(self);
-        plane.search(
+        self.plane.search(
             self.latency.as_mut(),
             &mut self.walk_rng,
             &mut self.stats,
@@ -508,14 +255,14 @@ impl PeerNetwork for SuperPeerNetwork {
         // in request order before fanning out, so batch results do not
         // depend on worker scheduling.
         let walk_seeds: Vec<u64> = requests.iter().map(|_| self.walk_rng.gen()).collect();
-        let plane = serve_plane!(self);
+        let plane = &self.plane;
         let latency = &self.latency;
         let served: Vec<(SearchOutcome, NetStats)> =
             serve_batch(workers, requests.len(), |i| {
                 let r = &requests[i];
                 let mut stats = NetStats::new();
                 stats.queries += 1;
-                let outcome = if plane.is_alive(r.origin) {
+                let outcome = if overlay::is_alive(&plane.alive, r.origin) {
                     let mut latency = latency.fork(i as u64);
                     let mut walk_rng = StdRng::seed_from_u64(walk_seeds[i]);
                     plane.search(
@@ -540,24 +287,15 @@ impl PeerNetwork for SuperPeerNetwork {
     }
 
     fn retrieve(&mut self, origin: PeerId, provider: PeerId, key: &str) -> RetrieveOutcome {
-        self.stats.retrieves += 1;
-        if !self.is_alive(origin) {
-            // a dead peer cannot send: the request never leaves the origin
-            return RetrieveOutcome::Unavailable;
-        }
-        self.stats.sent(MsgKind::Retrieve);
-        if !self.is_alive(provider) {
-            self.stats.dropped += 1;
-            return RetrieveOutcome::Unavailable;
-        }
-        if !self.owned[provider.index()].contains(key) {
-            self.stats.sent(MsgKind::RetrieveFail);
-            return RetrieveOutcome::Unavailable;
-        }
-        self.stats.sent(MsgKind::RetrieveOk);
-        self.stats.retrieves_ok += 1;
-        let latency = self.latency.delay(origin, provider) + self.latency.delay(provider, origin);
-        RetrieveOutcome::Fetched { provider, latency }
+        let Self { plane, owned, latency, stats, .. } = self;
+        overlay::retrieve(
+            stats,
+            overlay::is_alive(&plane.alive, origin),
+            plane.alive.get(provider.index()).copied(),
+            provider,
+            || owned[provider.index()].contains(key),
+            || latency.delay(origin, provider) + latency.delay(provider, origin),
+        )
     }
 
     fn stats(&self) -> &NetStats {
@@ -807,7 +545,7 @@ mod tests {
         assert_eq!(got[0].hits, expected.hits);
         assert!(!got[1].hits.is_empty(), "second origin reaches the record too");
         // the lazy digest build is shared state, paid once for the batch
-        let edges = 2 * batch.super_topology.edge_count() as u64;
+        let edges = 2 * batch.plane.super_topology.edge_count() as u64;
         assert_eq!(batch.stats().count(MsgKind::DigestRequest), edges);
         assert_eq!(batch.stats().count(MsgKind::DigestPush), edges);
         assert_eq!(batch.stats().queries, 2);
@@ -819,7 +557,7 @@ mod tests {
         net.publish(PeerId(30), record("k", "x"));
         net.search(PeerId(40), "c", &Query::any_keyword("x"));
         // one request per directed super-overlay edge, pushed once
-        let edges = 2 * net.super_topology.edge_count() as u64;
+        let edges = 2 * net.plane.super_topology.edge_count() as u64;
         assert_eq!(net.stats().count(MsgKind::DigestRequest), edges);
         assert_eq!(net.stats().count(MsgKind::DigestPush), edges);
         // a second search with no publishes in between pays nothing new

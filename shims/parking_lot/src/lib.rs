@@ -24,12 +24,16 @@ pub use lock_order::{declare_order, observed_pairs, reset as reset_lock_order};
 /// table and the optional declared order. Active in debug builds only.
 pub mod lock_order {
     use std::collections::HashMap;
+    #[cfg(debug_assertions)]
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Mutex as StdMutex, OnceLock, PoisonError};
 
     /// Identity of a lock for ordering purposes: its declared class name,
-    /// or the anonymous instance id.
+    /// or the anonymous instance id. Only debug builds track locks, so
+    /// only they construct one; release builds keep the type because the
+    /// (then always empty) observed-pair table is keyed by it.
     #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
     pub(crate) enum LockKey {
         Named(&'static str),
         Anon(u64),
@@ -44,10 +48,12 @@ pub mod lock_order {
         }
     }
 
+    #[cfg(debug_assertions)]
     pub(crate) static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
     /// A monotonically increasing token per acquisition, so guards can be
     /// released out of LIFO order.
+    #[cfg(debug_assertions)]
     static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 
     struct OrderState {
@@ -65,6 +71,7 @@ pub mod lock_order {
         })
     }
 
+    #[cfg(debug_assertions)]
     thread_local! {
         static HELD: std::cell::RefCell<Vec<(LockKey, u64)>> =
             const { std::cell::RefCell::new(Vec::new()) };
@@ -98,6 +105,7 @@ pub mod lock_order {
 
     /// Records an acquisition, asserting order discipline. Returns the
     /// release token.
+    #[cfg(debug_assertions)]
     pub(crate) fn acquired(key: &LockKey) -> u64 {
         let token = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
         let held_snapshot: Vec<LockKey> =
@@ -154,6 +162,7 @@ pub mod lock_order {
     }
 
     /// Records a release by token (guards may drop in any order).
+    #[cfg(debug_assertions)]
     pub(crate) fn released(token: u64) {
         HELD.with(|h| {
             let mut held = h.borrow_mut();

@@ -19,7 +19,7 @@ fn corpus() -> Vec<(ResourceId, Vec<(String, String)>)> {
 
 fn loaded(items: &[(ResourceId, Vec<(String, String)>)]) -> MetadataIndex {
     let mut ix = MetadataIndex::new();
-    ix.insert_batch(items.to_vec());
+    ix.insert_batch(items.iter().cloned().map(|(id, f)| (id, f, None)));
     ix
 }
 
@@ -40,7 +40,7 @@ fn bench_index_scale(c: &mut Criterion) {
     g.bench_function("insert_batch_10k", |b| {
         b.iter(|| {
             let mut ix = MetadataIndex::new();
-            ix.insert_batch(items.clone());
+            ix.insert_batch(items.iter().cloned().map(|(id, f)| (id, f, None)));
             ix.len()
         })
     });

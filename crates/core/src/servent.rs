@@ -401,9 +401,8 @@ impl Servent {
     /// schemas and stylesheets, plus the local repository) under `dir`.
     ///
     /// The repository is written as a durable-store snapshot (compacted
-    /// segment + manifest), so [`Servent::load_state`] recovers it
-    /// through the pre-tokenized fast path instead of re-parsing and
-    /// re-indexing per-object XML.
+    /// segment + manifest), so [`Servent::load_state`] recovers it from
+    /// pre-tokenized postings without re-indexing.
     ///
     /// # Errors
     ///
@@ -448,11 +447,14 @@ impl Servent {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Store`] for I/O and format problems, plus
-    /// schema errors for corrupt community files.
+    /// Returns [`CoreError::Store`] for I/O and format problems —
+    /// including a `repository` directory with no durable-store manifest,
+    /// which is refused rather than loaded empty — plus schema errors for
+    /// corrupt community files.
     pub fn load_state(peer: PeerId, dir: &std::path::Path) -> Result<Servent, CoreError> {
         let mut servent = Servent::new(peer);
-        servent.repository = Repository::load_dir(&dir.join("repository"))?;
+        (servent.repository, _) =
+            up2p_store::DurableRepository::recover(&dir.join("repository"))?;
         let cdir = dir.join("communities");
         if cdir.is_dir() {
             let mut entries: Vec<_> = std::fs::read_dir(&cdir)

@@ -54,7 +54,7 @@ impl Series {
         }
     }
 
-    /// p-th percentile by nearest-rank (p in [0,100]; 0 for empty).
+    /// p-th percentile by nearest-rank (p in `[0,100]`; 0 for empty).
     pub fn percentile(&self, p: f64) -> f64 {
         if self.values.is_empty() {
             return 0.0;

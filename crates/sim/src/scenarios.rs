@@ -799,7 +799,7 @@ pub fn e8_index_scale_report(scale: Scale, seed: u64) -> (Table, BenchReport) {
     let work = items.clone();
     let started = Instant::now();
     let mut ix = MetadataIndex::new();
-    ix.insert_batch(work);
+    ix.insert_batch(work.into_iter().map(|(id, f)| (id, f, None)));
     let secs = started.elapsed().as_secs_f64();
     report.push("batch_insert_per_sec", n as f64 / secs);
     t.row([
@@ -1530,7 +1530,7 @@ pub fn e11_des_scale_report(scale: Scale, seed: u64) -> (Table, BenchReport) {
 }
 
 // ---------------------------------------------------------------------
-// E12 — durability: WAL + segment recovery vs the XML rebuild baseline
+// E12 — durability: WAL publish, compaction, segment + WAL recovery
 // ---------------------------------------------------------------------
 
 /// Unique scratch directory for an E12 sub-measurement. Scenario tests
@@ -1550,8 +1550,8 @@ fn dir_bytes(dir: &std::path::Path) -> u64 {
 }
 
 /// E12: the append-only durability layer — write-ahead-logged publishes,
-/// compaction into a pre-tokenized segment, and manifest recovery — vs
-/// the legacy re-tokenizing XML directory rebuild (table only).
+/// compaction into a pre-tokenized segment, and manifest recovery
+/// (table only).
 pub fn e12_durability(scale: Scale, seed: u64) -> Table {
     e12_durability_report(scale, seed).0
 }
@@ -1560,10 +1560,7 @@ pub fn e12_durability(scale: Scale, seed: u64) -> Table {
 /// to `BENCH_e12_durability.json` by `run_experiments`). One corpus of
 /// synthetic tracks is published through the durable store (batched
 /// fsync for the bulk, a per-record-fsync slice for the worst case),
-/// compacted, and recovered through the manifest fast path; the same
-/// state saved as a legacy XML directory is then reloaded through the
-/// parse-and-re-tokenize fallback so the two recovery paths face
-/// identical contents.
+/// compacted, and recovered from the segment + WAL tail.
 pub fn e12_durability_report(scale: Scale, seed: u64) -> (Table, BenchReport) {
     use up2p_store::{DurableOptions, DurableRepository, SyncPolicy};
     let n = match scale {
@@ -1571,7 +1568,7 @@ pub fn e12_durability_report(scale: Scale, seed: u64) -> (Table, BenchReport) {
         Scale::Smoke => 2_000,
     };
     let mut t = Table::new(
-        format!("E12: durable store vs XML rebuild ({n} synthetic tracks)"),
+        format!("E12: durable store ({n} synthetic tracks)"),
         &["operation", "objects", "wall ms", "throughput /s", "detail"],
     );
     let mut report = BenchReport::new("e12_durability");
@@ -1660,8 +1657,8 @@ pub fn e12_durability_report(scale: Scale, seed: u64) -> (Table, BenchReport) {
         format!("segment + manifest, {durable_bytes} bytes on disk"),
     ]);
 
-    // recovery through the manifest fast path: pre-tokenized segment
-    // frames replay straight into the index, no tokenizer run
+    // recovery: pre-tokenized segment frames replay straight into the
+    // index, no tokenizer run
     drop(store);
     let started = Instant::now();
     let (recovered, rec) = DurableRepository::recover(&durable_dir).expect("recover");
@@ -1677,56 +1674,7 @@ pub fn e12_durability_report(scale: Scale, seed: u64) -> (Table, BenchReport) {
         format!("generation {}, zero re-tokenization", rec.generation),
     ]);
 
-    // the baseline: the same state as a legacy XML directory, reloaded
-    // through the parse-every-wrapper, re-tokenize-everything fallback
-    let xml_dir = e12_tmp("xml");
-    let _ = std::fs::remove_dir_all(&xml_dir);
-    recovered.save_dir(&xml_dir).expect("save XML baseline");
-    let xml_bytes = dir_bytes(&xml_dir);
-    let started = Instant::now();
-    let (rebuilt, load) = Repository::load_dir_report(&xml_dir).expect("XML rebuild");
-    let xml_secs = started.elapsed().as_secs_f64();
-    assert!(!load.from_manifest, "baseline must exercise the legacy scan");
-    assert_eq!(rebuilt.len(), n);
-    report.push("xml_rebuild_ms", xml_secs * 1e3);
-    report.push("xml_bytes", xml_bytes as f64);
-    t.row([
-        "XML rebuild (baseline)".to_string(),
-        n.to_string(),
-        fnum(xml_secs * 1e3),
-        fnum(n as f64 / xml_secs),
-        "legacy load_dir: parse wrappers + re-tokenize".to_string(),
-    ]);
-
-    // both paths must serve identical query results
-    for genre in corpus::TRACK_GENRES {
-        let q = Query::eq("track/genre", genre);
-        assert_eq!(
-            recovered.search(Some("tracks"), &q).len(),
-            rebuilt.search(Some("tracks"), &q).len(),
-            "recovered and rebuilt stores disagree on genre {genre}"
-        );
-    }
-
-    let speedup = xml_secs / recovery_secs;
-    report.push("recovery_speedup", speedup);
-    t.row([
-        "recovery speedup".to_string(),
-        n.to_string(),
-        "-".to_string(),
-        format!("{}x", fnum(speedup)),
-        "manifest fast path vs XML rebuild".to_string(),
-    ]);
-    t.row([
-        "on-disk footprint".to_string(),
-        n.to_string(),
-        "-".to_string(),
-        "-".to_string(),
-        format!("durable {durable_bytes} bytes vs XML {xml_bytes} bytes"),
-    ]);
-
     let _ = std::fs::remove_dir_all(&durable_dir);
-    let _ = std::fs::remove_dir_all(&xml_dir);
     (t, report)
 }
 
@@ -2029,28 +1977,19 @@ mod tests {
     #[test]
     fn e12_recovery_beats_the_xml_rebuild_and_round_trips() {
         let (t, report) = e12_durability_report(Scale::Smoke, 7);
-        // publish (batched), publish (fsync each), compaction, recovery,
-        // XML baseline, speedup, footprint
-        assert_eq!(t.rows.len(), 7);
+        // publish (batched), publish (fsync each), compaction, recovery
+        assert_eq!(t.rows.len(), 4);
         assert_eq!(report.get("objects"), Some(2_000.0));
         for key in [
             "publish_durable_per_sec",
             "publish_fsync_each_per_sec",
             "compact_ms",
             "recovery_ms",
-            "xml_rebuild_ms",
-            "recovery_speedup",
             "durable_bytes",
-            "xml_bytes",
         ] {
             let v = report.get(key).unwrap_or_else(|| panic!("missing metric {key}"));
             assert!(v > 0.0, "{key} should be positive, got {v}");
         }
-        // replaying pre-tokenized segment frames must beat parsing and
-        // re-tokenizing every XML wrapper even at 2k objects in a debug
-        // build; the committed artifact pins the ≥5x criterion at 100k
-        let speedup = report.get("recovery_speedup").unwrap();
-        assert!(speedup >= 1.1, "recovery speedup fell to {speedup:.2}x at smoke scale");
         // the JSON artifact round-trips through the report parser
         let json = report.to_json();
         assert!(json.contains("\"name\": \"e12_durability\""));

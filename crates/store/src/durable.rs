@@ -11,13 +11,14 @@
 //! via temp-file + rename is the single commit point, so a crash at any
 //! byte of compaction leaves the previous generation fully intact.
 //!
-//! Recovery ([`DurableRepository::recover`], also reachable through
-//! [`Repository::load_dir`]'s manifest fast path) loads the segment and
-//! replays the WAL tail. Both carry [`PreparedField`]s — the normalized
-//! values and keyword tokens computed once at publish — so rebuilding
-//! the posting lists never runs the tokenizer, which is what makes
-//! restart cheap for the churn-heavy peers the paper's availability
-//! argument cares about (experiment E12 quantifies the speedup).
+//! This is the store's only on-disk layout, and recovery
+//! ([`DurableRepository::recover`]) its only loader: it reads the
+//! segment and replays the WAL tail. Both carry
+//! [`PreparedField`](crate::PreparedField)s — the normalized values and
+//! keyword tokens computed once at publish — so rebuilding the posting
+//! lists never runs the tokenizer, which is what makes restart cheap for
+//! the churn-heavy peers the paper's availability argument cares about
+//! (experiment E12 times it).
 
 use crate::digest::ResourceId;
 use crate::error::StoreError;
@@ -28,6 +29,7 @@ use crate::segment::{load_segment, read_manifest, write_manifest, write_segment,
 use crate::wal::{replay, SyncPolicy, Wal, WalRecord};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use up2p_xml::Document;
 
 /// Tuning knobs for a [`DurableRepository`].
@@ -117,43 +119,28 @@ impl DurableRepository {
         opts: DurableOptions,
     ) -> Result<DurableRepository, StoreError> {
         std::fs::create_dir_all(dir)?;
-        match read_manifest(dir)? {
+        let (repo, manifest, wal, wal_records) = match read_manifest(dir)? {
             Some(manifest) => {
                 let (repo, valid_len, report) = replay_state(dir, &manifest)?;
-                let wal =
-                    Wal::open_end(&*fs, &dir.join(&manifest.wal), valid_len, opts.sync)?;
-                Ok(DurableRepository {
-                    repo,
-                    dir: dir.to_path_buf(),
-                    fs,
-                    wal,
-                    manifest,
-                    wal_records: report.wal_records,
-                    opts,
-                })
+                let wal = Wal::open_end(&*fs, &dir.join(&manifest.wal), valid_len, opts.sync)?;
+                (repo, manifest, wal, report.wal_records)
             }
             None => {
                 let manifest =
                     Manifest { generation: 0, segment: None, wal: Manifest::wal_name(0) };
                 let wal = Wal::create(&*fs, &dir.join(&manifest.wal), opts.sync)?;
                 write_manifest(&*fs, dir, &manifest)?;
-                Ok(DurableRepository {
-                    repo: Repository::new(),
-                    dir: dir.to_path_buf(),
-                    fs,
-                    wal,
-                    manifest,
-                    wal_records: 0,
-                    opts,
-                })
+                (Repository::new(), manifest, wal, 0)
             }
-        }
+        };
+        Ok(DurableRepository { repo, dir: dir.to_path_buf(), fs, wal, manifest, wal_records, opts })
     }
 
     /// Read-only recovery: rebuilds a [`Repository`] from the manifest's
     /// segment + WAL tail without taking over the directory (no
-    /// truncation, no new files). This is [`Repository::load_dir`]'s
-    /// fast path.
+    /// truncation, no new files). A directory without a manifest —
+    /// missing, empty, or holding anything else — is refused, never
+    /// loaded as an empty store.
     ///
     /// # Errors
     ///
@@ -167,29 +154,19 @@ impl DurableRepository {
         Ok((repo, report))
     }
 
-    /// Writes a plain [`Repository`]'s current state as a fresh durable
-    /// generation in `dir`: one compacted segment, an empty WAL and the
-    /// committing manifest. This is how the servent's `save_state`
-    /// produces a directory that [`Repository::load_dir`] recovers
-    /// without re-tokenizing.
+    /// Writes a plain [`Repository`]'s current state as the next durable
+    /// generation in `dir` (one compacted segment, an empty WAL and the
+    /// committing manifest), retiring the generation it finds there.
+    /// This is how the servent's `save_state` produces a directory that
+    /// [`recover`](Self::recover) loads without re-tokenizing.
     ///
     /// # Errors
     ///
     /// I/O failures from writing the generation's files.
     pub fn save_snapshot(repo: &Repository, dir: &Path) -> Result<(), StoreError> {
         std::fs::create_dir_all(dir)?;
-        let generation = match read_manifest(dir) {
-            Ok(Some(m)) => m.generation + 1,
-            _ => 0,
-        };
-        let fs = RealFs;
-        let records: Vec<WalRecord> = repo.iter().map(publish_record).collect();
-        let seg_name = Manifest::segment_name(generation);
-        write_segment(&fs, &dir.join(&seg_name), records.len() as u32, records.iter())?;
-        let wal_name = Manifest::wal_name(generation);
-        drop(Wal::create(&fs, &dir.join(&wal_name), SyncPolicy::EveryRecord)?);
-        let manifest = Manifest { generation, segment: Some(seg_name), wal: wal_name };
-        write_manifest(&fs, dir, &manifest)?;
+        let retired = read_manifest(dir).ok().flatten();
+        write_generation(&RealFs, dir, repo, retired.as_ref(), SyncPolicy::EveryRecord)?;
         Ok(())
     }
 
@@ -238,20 +215,20 @@ impl DurableRepository {
         &mut self,
         community: &str,
         doc: Document,
-        fields: impl Into<std::sync::Arc<[(String, String)]>>,
+        fields: impl Into<Arc<[(String, String)]>>,
     ) -> Result<ResourceId, StoreError> {
         let fields = fields.into();
         let xml = doc.to_xml_string();
         let prep = prepare_fields(&fields);
         let rec = WalRecord::Publish {
             community: community.to_string(),
-            xml,
+            xml: xml.clone(),
             fields: fields.to_vec(),
             prep: prep.clone(),
         };
         self.wal.append(&rec)?;
         self.wal_records += 1;
-        let id = self.repo.insert_prepared(community, doc, fields, &prep);
+        let id = self.repo.admit(community, xml, doc, fields, Some(&prep));
         self.maybe_compact()?;
         Ok(id)
     }
@@ -295,22 +272,11 @@ impl DurableRepository {
     /// I/O failures; on error the in-memory store still points at the
     /// old (intact) generation.
     pub fn compact(&mut self) -> Result<(), StoreError> {
-        let generation = self.manifest.generation + 1;
-        let records: Vec<WalRecord> = self.repo.iter().map(publish_record).collect();
-        let seg_name = Manifest::segment_name(generation);
-        write_segment(&*self.fs, &self.dir.join(&seg_name), records.len() as u32, records.iter())?;
-        let wal_name = Manifest::wal_name(generation);
-        let new_wal = Wal::create(&*self.fs, &self.dir.join(&wal_name), self.opts.sync)?;
-        let manifest = Manifest { generation, segment: Some(seg_name), wal: wal_name };
-        write_manifest(&*self.fs, &self.dir, &manifest)?;
-        // committed: swap in the new generation, then GC the old
-        let old = std::mem::replace(&mut self.manifest, manifest);
-        self.wal = new_wal;
+        let (manifest, wal) =
+            write_generation(&*self.fs, &self.dir, &self.repo, Some(&self.manifest), self.opts.sync)?;
+        self.manifest = manifest;
+        self.wal = wal;
         self.wal_records = 0;
-        let _ = self.fs.remove_file(&self.dir.join(&old.wal));
-        if let Some(seg) = &old.segment {
-            let _ = self.fs.remove_file(&self.dir.join(seg));
-        }
         Ok(())
     }
 
@@ -338,15 +304,41 @@ impl DurableRepository {
     }
 }
 
-/// Encodes a stored object as the publish-shaped record compaction and
-/// snapshots persist (re-tokenizing once; recovery then never does).
-fn publish_record(obj: &StoredObject) -> WalRecord {
-    WalRecord::Publish {
-        community: obj.community.clone(),
-        xml: obj.xml.clone(),
-        fields: obj.fields.to_vec(),
-        prep: prepare_fields(&obj.fields),
+/// Writes `repo`'s live set as the generation after `retired` (generation
+/// 0 when there is none): segment, fresh WAL, then the manifest rename
+/// that commits both. Only after that commit are the retired
+/// generation's files garbage-collected, best-effort. Returns the new
+/// manifest and its open WAL.
+fn write_generation(
+    fs: &dyn StoreFs,
+    dir: &Path,
+    repo: &Repository,
+    retired: Option<&Manifest>,
+    sync: SyncPolicy,
+) -> Result<(Manifest, Wal), StoreError> {
+    let generation = retired.map_or(0, |m| m.generation + 1);
+    // publish-shaped entries, tokenized here once so recovery never is
+    let records: Vec<WalRecord> = repo
+        .iter()
+        .map(|obj| WalRecord::Publish {
+            community: obj.community.clone(),
+            xml: obj.xml.clone(),
+            fields: obj.fields.to_vec(),
+            prep: prepare_fields(&obj.fields),
+        })
+        .collect();
+    let seg_name = Manifest::segment_name(generation);
+    write_segment(fs, &dir.join(&seg_name), records.len() as u32, records.iter())?;
+    let wal_name = Manifest::wal_name(generation);
+    let wal = Wal::create(fs, &dir.join(&wal_name), sync)?;
+    let manifest = Manifest { generation, segment: Some(seg_name), wal: wal_name };
+    write_manifest(fs, dir, &manifest)?;
+    if let Some(old) = retired {
+        for name in old.segment.iter().chain([&old.wal]) {
+            let _ = fs.remove_file(&dir.join(name));
+        }
     }
+    Ok((manifest, wal))
 }
 
 /// Rebuilds the repository a manifest describes: segment first, then the
@@ -385,10 +377,10 @@ fn replay_state(
             continue; // unreachable: removes never enter the map
         };
         let doc = Document::parse(&xml)?;
-        items.push((community, doc, fields, prep));
+        items.push((community, xml, doc, fields.into(), Some(prep)));
     }
     let mut repo = Repository::new();
-    repo.insert_prepared_batch(items);
+    repo.admit_batch(items);
     let report = RecoveryReport {
         generation: manifest.generation,
         segment_objects,

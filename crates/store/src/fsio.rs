@@ -116,7 +116,7 @@ pub fn read_frame(buf: &[u8], pos: usize) -> FrameRead<'_> {
 // ---------------------------------------------------------------------
 
 /// A writable store file: sequential writes plus an explicit durability
-/// barrier. [`Wal`](crate::Wal) batches appends between [`sync`] calls.
+/// barrier. The WAL batches appends between [`sync`] calls.
 ///
 /// [`sync`]: StoreWriter::sync
 pub trait StoreWriter: Write + Send + std::fmt::Debug {

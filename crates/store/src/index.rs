@@ -101,7 +101,7 @@ impl SymbolTable {
 #[derive(Debug, Clone)]
 struct DocEntry {
     id: ResourceId,
-    fields: Arc<[(String, String)]>,
+    fields: SharedFields,
     path_syms: Vec<u32>,
     norms: Vec<String>,
 }
@@ -161,18 +161,15 @@ impl MetadataIndex {
     /// is the borrowing insert the net layer's index nodes use so one
     /// metadata allocation serves the publisher, every index node and
     /// every search hit.
-    pub fn insert_shared(&mut self, id: ResourceId, fields: Arc<[(String, String)]>) {
+    pub fn insert_shared(&mut self, id: ResourceId, fields: SharedFields) {
         self.remove(&id);
-        let doc = self.alloc_doc(id.clone());
-        let entry = self.post_fields(doc, id, fields, None);
-        self.docs[doc as usize] = Some(entry);
+        self.admit(id, fields, None, None);
     }
 
     /// Indexes an object from its pre-tokenized form without running the
-    /// tokenizer — the recovery path: `prep` comes from a WAL or segment
-    /// record that [`prepare_fields`] produced at publish time. When the
-    /// prepared form does not line up with the fields (foreign or damaged
-    /// input), falls back to [`insert_shared`](Self::insert_shared) and
+    /// tokenizer — the durable publish path: `prep` is what
+    /// [`prepare_fields`] produced for the WAL record. When the prepared
+    /// form does not line up with the fields (foreign or damaged input),
     /// tokenizes normally rather than posting mismatched lists.
     pub fn insert_tokenized(
         &mut self,
@@ -180,26 +177,27 @@ impl MetadataIndex {
         fields: SharedFields,
         prep: &[PreparedField],
     ) {
-        if prep.len() != fields.len() {
-            return self.insert_shared(id, fields);
-        }
         self.remove(&id);
-        let doc = self.alloc_doc(id.clone());
-        let entry = self.post_prepared(doc, id, fields, prep, None);
-        self.docs[doc as usize] = Some(entry);
+        self.admit(id, fields, Some(prep), None);
     }
 
-    /// Bulk version of [`insert_tokenized`](Self::insert_tokenized) with
-    /// the same deferred posting-list ordering as
-    /// [`insert_batch`](Self::insert_batch) — the segment/WAL replay fast
-    /// path for loading large recovered corpora. Last occurrence of a
-    /// repeated id wins.
-    pub fn insert_batch_tokenized<I>(&mut self, batch: I)
+    /// Bulk-inserts a batch, deferring posting-list ordering until the
+    /// whole batch is in: lists touched by the batch are appended to
+    /// unchecked, then sorted and deduplicated once at the end. An item
+    /// that carries its pre-tokenized form (segment/WAL replay) is posted
+    /// from it without running the tokenizer, with the same length check
+    /// as [`insert_tokenized`](Self::insert_tokenized). When the batch
+    /// repeats an id, the last occurrence wins (sequential-insert
+    /// semantics).
+    pub fn insert_batch<I, F>(&mut self, batch: I)
     where
-        I: IntoIterator<Item = (ResourceId, SharedFields, Vec<PreparedField>)>,
+        I: IntoIterator<Item = (ResourceId, F, Option<Vec<PreparedField>>)>,
+        F: Into<SharedFields>,
     {
-        let items: Vec<(ResourceId, SharedFields, Vec<PreparedField>)> =
-            batch.into_iter().collect();
+        let items: Vec<(ResourceId, SharedFields, Option<Vec<PreparedField>>)> =
+            batch.into_iter().map(|(id, fields, prep)| (id, fields.into(), prep)).collect();
+        // removals first, while every posting list is still sorted; also
+        // mark all but the last occurrence of a repeated id as skipped
         let mut keep = vec![true; items.len()];
         {
             let mut last: HashMap<&ResourceId, usize> = HashMap::with_capacity(items.len());
@@ -214,64 +212,11 @@ impl MetadataIndex {
         }
         self.docs.reserve(items.len());
         self.doc_ids.reserve(items.len());
-        let mut dirty: HashSet<(bool, u32, u32)> = HashSet::new();
+        let mut dirty = DirtyLists::new();
         for (i, (id, fields, prep)) in items.into_iter().enumerate() {
-            if !keep[i] {
-                continue;
+            if keep[i] {
+                self.admit(id, fields, prep.as_deref(), Some(&mut dirty));
             }
-            if prep.len() != fields.len() {
-                self.insert_shared(id, fields);
-                continue;
-            }
-            let doc = self.alloc_doc(id.clone());
-            let entry = self.post_prepared(doc, id, fields, &prep, Some(&mut dirty));
-            self.docs[doc as usize] = Some(entry);
-        }
-        for (is_token, path, term) in dirty {
-            let maps = if is_token { &mut self.tokens } else { &mut self.exact };
-            if let Some(list) = maps[path as usize].get_mut(&term) {
-                list.sort_unstable();
-                list.dedup();
-            }
-        }
-    }
-
-    /// Bulk-inserts a batch, deferring posting-list ordering until the
-    /// whole batch is in: lists touched by the batch are appended to
-    /// unchecked, then sorted and deduplicated once at the end. When the
-    /// batch repeats an id, the last occurrence wins (sequential-insert
-    /// semantics).
-    pub fn insert_batch<I, F>(&mut self, batch: I)
-    where
-        I: IntoIterator<Item = (ResourceId, F)>,
-        F: Into<Arc<[(String, String)]>>,
-    {
-        let items: Vec<(ResourceId, SharedFields)> =
-            batch.into_iter().map(|(id, fields)| (id, fields.into())).collect();
-        // removals first, while every posting list is still sorted; also
-        // mark all but the last occurrence of a repeated id as skipped
-        let mut keep = vec![true; items.len()];
-        {
-            let mut last: HashMap<&ResourceId, usize> = HashMap::with_capacity(items.len());
-            for (i, (id, _)) in items.iter().enumerate() {
-                if let Some(prev) = last.insert(id, i) {
-                    keep[prev] = false;
-                }
-            }
-        }
-        for (id, _) in &items {
-            self.remove(id);
-        }
-        self.docs.reserve(items.len());
-        self.doc_ids.reserve(items.len());
-        let mut dirty: HashSet<(bool, u32, u32)> = HashSet::new();
-        for (i, (id, fields)) in items.into_iter().enumerate() {
-            if !keep[i] {
-                continue;
-            }
-            let doc = self.alloc_doc(id.clone());
-            let entry = self.post_fields(doc, id, fields, Some(&mut dirty));
-            self.docs[doc as usize] = Some(entry);
         }
         for (is_token, path, term) in dirty {
             let maps = if is_token { &mut self.tokens } else { &mut self.exact };
@@ -417,77 +362,55 @@ impl MetadataIndex {
         sym
     }
 
-    /// Interns and posts one object's fields. With `dirty` (bulk mode)
-    /// postings are appended unchecked and the touched lists recorded;
-    /// without it every list is kept sorted in place.
-    fn post_fields(
+    /// Indexes an object that is not (or no longer) in the index: from
+    /// `prep` when it lines up with the fields, through the tokenizer
+    /// otherwise.
+    fn admit(
         &mut self,
-        doc: u32,
         id: ResourceId,
-        fields: Arc<[(String, String)]>,
-        mut dirty: Option<&mut HashSet<(bool, u32, u32)>>,
-    ) -> DocEntry {
+        fields: SharedFields,
+        prep: Option<&[PreparedField]>,
+        dirty: Option<&mut DirtyLists>,
+    ) {
+        match prep.filter(|p| p.len() == fields.len()) {
+            Some(prep) => self.post(id, fields, prep, dirty),
+            None => self.post(id, fields, Tokenizer, dirty),
+        }
+    }
+
+    /// The one posting body: allocates the doc-id, interns and posts the
+    /// fields with each one's normalized value and tokens taken from
+    /// `source`, and stores the entry. With `dirty` (bulk mode) postings
+    /// are appended unchecked and the touched lists recorded; without it
+    /// every list is kept sorted in place. Removal later replays the
+    /// entry via `for_each_token`, which matches a prepared source
+    /// because [`prepare_fields`] used the same visitor.
+    fn post<S: TermSource>(
+        &mut self,
+        id: ResourceId,
+        fields: SharedFields,
+        source: S,
+        mut dirty: Option<&mut DirtyLists>,
+    ) {
+        let doc = self.alloc_doc(id.clone());
         let mut path_syms = Vec::with_capacity(fields.len());
         let mut norms = Vec::with_capacity(fields.len());
-        for (path, value) in fields.iter() {
+        for (i, (path, value)) in fields.iter().enumerate() {
             let p = self.intern_path(path);
             path_syms.push(p);
-            let norm = normalize(value);
+            let norm = source.norm(i, value);
             let v = self.terms.intern(&norm);
             let exact_list = self.exact[p as usize].entry(v).or_default();
-            match dirty.as_deref_mut() {
-                Some(d) => bulk_post(exact_list, doc, (false, p, v), d),
-                None => post(exact_list, doc),
-            }
+            add_posting(exact_list, doc, (false, p, v), dirty.as_deref_mut());
             let (terms, tokens) = (&mut self.terms, &mut self.tokens);
-            for_each_token(value, |token| {
+            source.for_each_token(i, value, |token| {
                 let t = terms.intern(token);
                 let token_list = tokens[p as usize].entry(t).or_default();
-                match dirty.as_deref_mut() {
-                    Some(d) => bulk_post(token_list, doc, (true, p, t), d),
-                    None => post(token_list, doc),
-                }
+                add_posting(token_list, doc, (true, p, t), dirty.as_deref_mut());
             });
             norms.push(norm);
         }
-        DocEntry { id, fields, path_syms, norms }
-    }
-
-    /// [`post_fields`](Self::post_fields) without the tokenizer: norms
-    /// and tokens come from the prepared form. Caller guarantees
-    /// `prep.len() == fields.len()`; removal later replays the entry via
-    /// `for_each_token`, which matches because [`prepare_fields`] used
-    /// the same visitor.
-    fn post_prepared(
-        &mut self,
-        doc: u32,
-        id: ResourceId,
-        fields: Arc<[(String, String)]>,
-        prep: &[PreparedField],
-        mut dirty: Option<&mut HashSet<(bool, u32, u32)>>,
-    ) -> DocEntry {
-        let mut path_syms = Vec::with_capacity(fields.len());
-        let mut norms = Vec::with_capacity(fields.len());
-        for ((path, _), pf) in fields.iter().zip(prep) {
-            let p = self.intern_path(path);
-            path_syms.push(p);
-            let v = self.terms.intern(&pf.norm);
-            let exact_list = self.exact[p as usize].entry(v).or_default();
-            match dirty.as_deref_mut() {
-                Some(d) => bulk_post(exact_list, doc, (false, p, v), d),
-                None => post(exact_list, doc),
-            }
-            for token in &pf.tokens {
-                let t = self.terms.intern(token);
-                let token_list = self.tokens[p as usize].entry(t).or_default();
-                match dirty.as_deref_mut() {
-                    Some(d) => bulk_post(token_list, doc, (true, p, t), d),
-                    None => post(token_list, doc),
-                }
-            }
-            norms.push(pf.norm.clone());
-        }
-        DocEntry { id, fields, path_syms, norms }
+        self.docs[doc as usize] = Some(DocEntry { id, fields, path_syms, norms });
     }
 
     /// Sorted doc-ids of every live object.
@@ -609,33 +532,61 @@ impl MetadataIndex {
     }
 }
 
-/// Bulk-mode posting: appends without re-sorting, recording the list as
-/// dirty (to be sorted + deduplicated at batch commit) only when the
-/// append actually lands out of order — with ascending doc-id allocation
-/// that is rare, so the dirty set stays small.
-fn bulk_post(list: &mut Vec<u32>, doc: u32, key: (bool, u32, u32), dirty: &mut HashSet<(bool, u32, u32)>) {
-    match list.last() {
-        Some(&tail) if tail == doc => {}
-        Some(&tail) if tail > doc => {
-            list.push(doc);
-            dirty.insert(key);
-        }
-        _ => list.push(doc),
+/// Posting lists a bulk insert appended to out of order, as
+/// `(is_token, path symbol, term symbol)`.
+type DirtyLists = HashSet<(bool, u32, u32)>;
+
+/// Where [`MetadataIndex::post`] gets field `i`'s normalized value and
+/// keyword tokens.
+trait TermSource {
+    fn norm(&self, i: usize, value: &str) -> String;
+    fn for_each_token(&self, i: usize, value: &str, f: impl FnMut(&str));
+}
+
+/// Derives both from the raw value; the token visitor allocates no
+/// `String` per token.
+struct Tokenizer;
+
+impl TermSource for Tokenizer {
+    fn norm(&self, _: usize, value: &str) -> String {
+        normalize(value)
+    }
+    fn for_each_token(&self, _: usize, value: &str, f: impl FnMut(&str)) {
+        for_each_token(value, f);
     }
 }
 
-/// Inserts `doc` into a sorted posting list, keeping it sorted and
-/// duplicate-free. Appends in O(1) in the common (ascending doc-id) case.
-fn post(list: &mut Vec<u32>, doc: u32) {
+/// Reads back what [`prepare_fields`] derived; never runs the tokenizer.
+/// The slice must be as long as the object's field list.
+impl TermSource for &[PreparedField] {
+    fn norm(&self, i: usize, _: &str) -> String {
+        self[i].norm.clone()
+    }
+    fn for_each_token(&self, i: usize, _: &str, mut f: impl FnMut(&str)) {
+        self[i].tokens.iter().for_each(|t| f(t));
+    }
+}
+
+/// Adds `doc` to a posting list. Ascending doc-ids (the common case)
+/// append in O(1) either way. An out-of-order doc-id is inserted at its
+/// sorted position when `dirty` is `None`; in bulk mode it is appended
+/// and the list recorded in `dirty`, to be sorted and deduplicated once
+/// at batch commit.
+fn add_posting(list: &mut Vec<u32>, doc: u32, key: (bool, u32, u32), dirty: Option<&mut DirtyLists>) {
     match list.last() {
-        Some(&tail) if tail < doc => list.push(doc),
         Some(&tail) if tail == doc => {}
-        None => list.push(doc),
-        _ => {
-            if let Err(pos) = list.binary_search(&doc) {
-                list.insert(pos, doc);
+        Some(&tail) if tail > doc => match dirty {
+            Some(dirty) => {
+                list.push(doc);
+                dirty.insert(key);
             }
-        }
+            None => {
+                if let Err(pos) = list.binary_search(&doc) {
+                    list.insert(pos, doc);
+                }
+            }
+        },
+        _ => list.push(doc),
     }
 }
 
@@ -918,7 +869,7 @@ mod tests {
             (id(3), fields("Factory Method", "creational")),
         ];
         let mut batched = MetadataIndex::new();
-        batched.insert_batch(items.clone());
+        batched.insert_batch(items.iter().cloned().map(|(rid, f)| (rid, f, None)));
         let mut sequential = MetadataIndex::new();
         for (rid, f) in items {
             sequential.insert(rid, f);
@@ -961,8 +912,8 @@ mod tests {
             reference.insert_shared(rid.clone(), Arc::clone(f));
             single.insert_tokenized(rid.clone(), Arc::clone(f), &prepare_fields(f));
         }
-        batched.insert_batch_tokenized(
-            items.iter().map(|(rid, f)| (rid.clone(), Arc::clone(f), prepare_fields(f))),
+        batched.insert_batch(
+            items.iter().map(|(rid, f)| (rid.clone(), Arc::clone(f), Some(prepare_fields(f)))),
         );
         for ix in [&single, &batched] {
             for q in [

@@ -4,12 +4,10 @@
 
 use crate::digest::ResourceId;
 use crate::error::StoreError;
-use crate::index::{IndexStats, MetadataIndex, PreparedField};
+use crate::index::{IndexStats, MetadataIndex, PreparedField, SharedFields};
 use crate::query::Query;
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
-use std::sync::Arc;
-use up2p_xml::{Document, ElementBuilder, XPath};
+use up2p_xml::{Document, XPath};
 
 /// A stored shared object: its community, canonical XML, parsed document
 /// and the metadata fields that were extracted for indexing.
@@ -24,11 +22,18 @@ pub struct StoredObject {
     /// Extracted `(field path, value)` metadata — the same allocation the
     /// metadata index (and, on the publish path, the network record)
     /// holds.
-    pub fields: Arc<[(String, String)]>,
+    pub fields: SharedFields,
     doc: Document,
 }
 
 impl StoredObject {
+    /// Builds the object around the canonical XML it is given (`doc`'s
+    /// serialization), which also fixes its id.
+    fn new(community: String, xml: String, doc: Document, fields: SharedFields) -> Self {
+        let id = ResourceId::for_object(&community, &xml);
+        StoredObject { id, community, xml, fields, doc }
+    }
+
     /// The parsed object document.
     pub fn document(&self) -> &Document {
         &self.doc
@@ -42,19 +47,6 @@ impl StoredObject {
             .find(|(p, _)| crate::query::field_matches(p, leaf))
             .map(|(_, v)| v.as_str())
     }
-}
-
-/// How [`Repository::load_dir_report`] loaded a directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoadReport {
-    /// `true` when the durable-store manifest fast path ran (segment +
-    /// WAL replay, no re-tokenization); `false` for the legacy
-    /// XML-per-object scan.
-    pub from_manifest: bool,
-    /// Objects loaded.
-    pub objects: usize,
-    /// Recovery detail when the fast path ran.
-    pub recovery: Option<crate::durable::RecoveryReport>,
 }
 
 /// Content-addressed repository of XML objects with metadata search.
@@ -141,73 +133,9 @@ impl Repository {
         &mut self,
         community: &str,
         doc: Document,
-        fields: impl Into<Arc<[(String, String)]>>,
+        fields: impl Into<SharedFields>,
     ) -> ResourceId {
-        let fields = fields.into();
-        let xml = doc.to_xml_string();
-        let id = ResourceId::for_object(community, &xml);
-        self.index.insert_shared(id.clone(), Arc::clone(&fields));
-        self.by_community.entry(community.to_string()).or_default().insert(id.clone());
-        self.objects.insert(
-            id.clone(),
-            StoredObject { id: id.clone(), community: community.to_string(), xml, fields, doc },
-        );
-        id
-    }
-
-    /// Inserts with pre-extracted fields *and* their pre-tokenized form
-    /// (see [`crate::prepare_fields`]) — the durable-store path, where
-    /// tokenization already happened when the WAL record was built and
-    /// must not run again.
-    pub fn insert_prepared(
-        &mut self,
-        community: &str,
-        doc: Document,
-        fields: impl Into<Arc<[(String, String)]>>,
-        prep: &[PreparedField],
-    ) -> ResourceId {
-        let fields = fields.into();
-        let xml = doc.to_xml_string();
-        let id = ResourceId::for_object(community, &xml);
-        self.index.insert_tokenized(id.clone(), Arc::clone(&fields), prep);
-        self.by_community.entry(community.to_string()).or_default().insert(id.clone());
-        self.objects.insert(
-            id.clone(),
-            StoredObject { id: id.clone(), community: community.to_string(), xml, fields, doc },
-        );
-        id
-    }
-
-    /// Bulk [`insert_prepared`](Self::insert_prepared) with deferred
-    /// posting-list merging ([`MetadataIndex::insert_batch_tokenized`]) —
-    /// the segment/WAL recovery load path. Returns ids in input order.
-    pub fn insert_prepared_batch<I>(&mut self, items: I) -> Vec<ResourceId>
-    where
-        I: IntoIterator<Item = (String, Document, Vec<(String, String)>, Vec<PreparedField>)>,
-    {
-        type Prepared = (ResourceId, Arc<[(String, String)]>, Vec<PreparedField>, String, String, Document);
-        let prepared: Vec<Prepared> = items
-            .into_iter()
-            .map(|(community, doc, fields, prep)| {
-                let fields: Arc<[(String, String)]> = fields.into();
-                let xml = doc.to_xml_string();
-                let id = ResourceId::for_object(&community, &xml);
-                (id, fields, prep, community, xml, doc)
-            })
-            .collect();
-        self.index.insert_batch_tokenized(
-            prepared
-                .iter()
-                .map(|(id, fields, prep, _, _, _)| (id.clone(), Arc::clone(fields), prep.clone())),
-        );
-        let mut ids = Vec::with_capacity(prepared.len());
-        for (id, fields, _, community, xml, doc) in prepared {
-            ids.push(id.clone());
-            self.by_community.entry(community.clone()).or_default().insert(id.clone());
-            self.objects
-                .insert(id.clone(), StoredObject { id, community, xml, fields, doc });
-        }
-        ids
+        self.admit(community, doc.to_xml_string(), doc, fields.into(), None)
     }
 
     /// Bulk-inserts parsed documents, extracting and indexing the given
@@ -224,30 +152,56 @@ impl Repository {
     where
         I: IntoIterator<Item = Document>,
     {
-        type Prepared = (ResourceId, Arc<[(String, String)]>, String, Document);
-        let prepared: Vec<Prepared> = docs
-            .into_iter()
-            .map(|doc| {
-                let fields: Arc<[(String, String)]> =
-                    Self::extract_fields(&doc, index_paths).into();
-                let xml = doc.to_xml_string();
-                let id = ResourceId::for_object(community, &xml);
-                (id, fields, xml, doc)
-            })
-            .collect();
-        self.index.insert_batch(
-            prepared.iter().map(|(id, fields, _, _)| (id.clone(), Arc::clone(fields))),
-        );
-        let mut ids = Vec::with_capacity(prepared.len());
-        for (id, fields, xml, doc) in prepared {
-            ids.push(id.clone());
-            self.by_community.entry(community.to_string()).or_default().insert(id.clone());
-            self.objects.insert(
-                id.clone(),
-                StoredObject { id, community: community.to_string(), xml, fields, doc },
-            );
+        self.admit_batch(docs.into_iter().map(|doc| {
+            let fields = Self::extract_fields(&doc, index_paths).into();
+            (community.to_string(), doc.to_xml_string(), doc, fields, None)
+        }))
+    }
+
+    /// The one write path for a single object: `xml` is `doc`'s canonical
+    /// serialization, made once by the caller (the durable store has it
+    /// for the WAL record already). With `prep` — the fields'
+    /// pre-tokenized form, see [`crate::prepare_fields`] — the index
+    /// posts without running the tokenizer.
+    pub(crate) fn admit(
+        &mut self,
+        community: &str,
+        xml: String,
+        doc: Document,
+        fields: SharedFields,
+        prep: Option<&[PreparedField]>,
+    ) -> ResourceId {
+        let obj = StoredObject::new(community.to_string(), xml, doc, fields);
+        match prep {
+            Some(prep) => self.index.insert_tokenized(obj.id.clone(), obj.fields.clone(), prep),
+            None => self.index.insert_shared(obj.id.clone(), obj.fields.clone()),
         }
+        self.file(obj)
+    }
+
+    /// Bulk [`admit`](Self::admit) over `(community, xml, doc, fields,
+    /// prep)` items through [`MetadataIndex::insert_batch`] — bulk loads
+    /// and segment/WAL recovery. Returns ids in input order.
+    pub(crate) fn admit_batch<I>(&mut self, items: I) -> Vec<ResourceId>
+    where
+        I: IntoIterator<Item = (String, String, Document, SharedFields, Option<Vec<PreparedField>>)>,
+    {
+        let (mut ids, mut postings) = (Vec::new(), Vec::new());
+        for (community, xml, doc, fields, prep) in items {
+            let obj = StoredObject::new(community, xml, doc, fields);
+            postings.push((obj.id.clone(), obj.fields.clone(), prep));
+            ids.push(self.file(obj));
+        }
+        self.index.insert_batch(postings);
         ids
+    }
+
+    /// Files an object under its id and community.
+    fn file(&mut self, obj: StoredObject) -> ResourceId {
+        let id = obj.id.clone();
+        self.by_community.entry(obj.community.clone()).or_default().insert(id.clone());
+        self.objects.insert(id.clone(), obj);
+        id
     }
 
     /// Fetches an object by id.
@@ -357,128 +311,6 @@ impl Repository {
     /// Index size statistics (experiment E7).
     pub fn index_stats(&self) -> IndexStats {
         self.index.stats()
-    }
-
-    /// Persists every object under `dir` (one XML file per object).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] on filesystem failures.
-    pub fn save_dir(&self, dir: &Path) -> Result<(), StoreError> {
-        std::fs::create_dir_all(dir)?;
-        for obj in self.objects.values() {
-            let mut fields = ElementBuilder::new("fields");
-            for (path, value) in obj.fields.iter() {
-                fields = fields.child(
-                    ElementBuilder::new("field").attr("path", path.clone()).text(value.clone()),
-                );
-            }
-            let wrapper = ElementBuilder::new("stored")
-                .attr("community", obj.community.clone())
-                .child(fields)
-                .build();
-            // splice the object document in as a sibling of <fields>
-            let mut wrapper = wrapper;
-            let root = wrapper
-                .document_element()
-                .ok_or_else(|| StoreError::Corrupt("built wrapper has no root".into()))?;
-            let holder = wrapper.create_element("object".into());
-            wrapper.append_child(root, holder);
-            let obj_doc = Document::parse(&obj.xml)?;
-            let obj_root = obj_doc.document_element().ok_or_else(|| {
-                StoreError::Corrupt(format!("stored object `{}` has no root element", obj.id))
-            })?;
-            let copied = wrapper.import_subtree(&obj_doc, obj_root);
-            wrapper.append_child(holder, copied);
-            let path = dir.join(format!("{}.xml", obj.id));
-            std::fs::write(path, wrapper.to_xml_string())?;
-        }
-        Ok(())
-    }
-
-    /// Loads a repository from `dir`: when the directory holds a durable
-    /// store manifest, recovers through the segment + WAL fast path
-    /// (pre-tokenized postings, no tokenizer, no per-object XML wrapper
-    /// parsing); otherwise falls back to scanning the legacy one-XML-
-    /// file-per-object layout written by [`Repository::save_dir`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Corrupt`] when a file does not follow its
-    /// format, plus I/O and XML errors.
-    pub fn load_dir(dir: &Path) -> Result<Repository, StoreError> {
-        Ok(Self::load_dir_report(dir)?.0)
-    }
-
-    /// [`load_dir`](Self::load_dir) plus a [`LoadReport`] saying which
-    /// path ran — the hook the persistence regression tests use to prove
-    /// the manifest fast path is taken (and stays index-rebuild-free).
-    ///
-    /// # Errors
-    ///
-    /// As [`load_dir`](Self::load_dir).
-    pub fn load_dir_report(dir: &Path) -> Result<(Repository, LoadReport), StoreError> {
-        if crate::segment::read_manifest(dir)?.is_some() {
-            let (repo, recovery) = crate::durable::DurableRepository::recover(dir)?;
-            let objects = repo.len();
-            return Ok((repo, LoadReport { from_manifest: true, objects, recovery: Some(recovery) }));
-        }
-        let repo = Self::load_dir_xml(dir)?;
-        let objects = repo.len();
-        Ok((repo, LoadReport { from_manifest: false, objects, recovery: None }))
-    }
-
-    /// The legacy loader: parse every `<stored>` wrapper file and rebuild
-    /// the index from scratch (re-tokenizing). Kept as the fallback for
-    /// directories written before the durable store existed — and as the
-    /// baseline experiment E12 measures recovery against.
-    fn load_dir_xml(dir: &Path) -> Result<Repository, StoreError> {
-        let mut repo = Repository::new();
-        let mut entries: Vec<_> = std::fs::read_dir(dir)?
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "xml"))
-            .collect();
-        entries.sort();
-        for path in entries {
-            let text = std::fs::read_to_string(&path)?;
-            let doc = Document::parse(&text)?;
-            let root = doc
-                .document_element()
-                .ok_or_else(|| StoreError::Corrupt(format!("{}: empty", path.display())))?;
-            if doc.local_name(root) != Some("stored") {
-                return Err(StoreError::Corrupt(format!(
-                    "{}: root is not <stored>",
-                    path.display()
-                )));
-            }
-            let community = doc
-                .attr(root, "community")
-                .ok_or_else(|| {
-                    StoreError::Corrupt(format!("{}: missing community", path.display()))
-                })?
-                .to_string();
-            let mut fields = Vec::new();
-            if let Some(fields_el) = doc.child_named(root, "fields") {
-                for f in doc.children_named(fields_el, "field") {
-                    let Some(p) = doc.attr(f, "path") else { continue };
-                    fields.push((p.to_string(), doc.text_content(f)));
-                }
-            }
-            let holder = doc.child_named(root, "object").ok_or_else(|| {
-                StoreError::Corrupt(format!("{}: missing <object>", path.display()))
-            })?;
-            let inner = doc.child_elements(holder).next().ok_or_else(|| {
-                StoreError::Corrupt(format!("{}: empty <object>", path.display()))
-            })?;
-            let mut obj_doc = Document::new();
-            let copied = obj_doc.import_subtree(&doc, inner);
-            let obj_root = obj_doc.root();
-            obj_doc.append_child(obj_root, copied);
-            repo.insert_with_fields(&community, obj_doc, fields);
-        }
-        Ok(repo)
     }
 }
 
@@ -629,11 +461,12 @@ mod tests {
 
     #[test]
     fn persistence_round_trip() {
+        use crate::durable::DurableRepository;
         let r = sample();
         let dir = std::env::temp_dir().join(format!("up2p-store-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        r.save_dir(&dir).unwrap();
-        let loaded = Repository::load_dir(&dir).unwrap();
+        DurableRepository::save_snapshot(&r, &dir).unwrap();
+        let (loaded, _) = DurableRepository::recover(&dir).unwrap();
         assert_eq!(loaded.len(), r.len());
         // same ids, same search results
         let hits = loaded.search(Some("patterns"), &Query::any_keyword("factory"));
@@ -642,17 +475,6 @@ mod tests {
         let ids_before: Vec<_> = r.iter().map(|o| o.id.clone()).collect();
         let ids_after: Vec<_> = loaded.iter().map(|o| o.id.clone()).collect();
         assert_eq!(ids_before, ids_after);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn load_rejects_corrupt_files() {
-        let dir =
-            std::env::temp_dir().join(format!("up2p-store-corrupt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("bad.xml"), "<notstored/>").unwrap();
-        assert!(matches!(Repository::load_dir(&dir), Err(StoreError::Corrupt(_))));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

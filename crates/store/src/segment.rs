@@ -15,7 +15,7 @@
 //! fully intact.
 
 use crate::error::StoreError;
-use crate::fsio::{encode_frame, read_frame, FrameRead, StoreFs};
+use crate::fsio::{encode_frame, read_frame, FrameRead, StoreFs, FRAME_HEADER};
 use crate::wal::{decode_record, encode_record, WalRecord};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -157,7 +157,8 @@ pub(crate) fn load_segment(path: &Path) -> Result<Vec<WalRecord>, StoreError> {
     let count =
         u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
     let mut pos = SEG_MAGIC.len() + 4;
-    let mut records = Vec::with_capacity(count);
+    // a damaged count must not size the allocation; the file length bounds it
+    let mut records = Vec::with_capacity(count.min(bytes.len() / FRAME_HEADER));
     for i in 0..count {
         match read_frame(&bytes, pos) {
             FrameRead::Frame { payload, next } => {

@@ -31,8 +31,8 @@ thread_local! {
     static TOKEN_PASSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Number of tokenization passes (one per field value fed through
-/// [`for_each_token`]) performed *on this thread* since it started.
+/// Number of tokenization passes (one per field value fed through the
+/// index's token visitor) performed *on this thread* since it started.
 ///
 /// This is the observability hook the persistence tests use to prove the
 /// durable recovery path never re-tokenizes: sample before and after a

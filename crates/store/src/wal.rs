@@ -151,20 +151,17 @@ pub(crate) fn replay(bytes: &[u8]) -> WalReplay {
 }
 
 /// The append handle on the live WAL file.
+#[derive(Debug)]
 pub(crate) struct Wal {
     writer: Box<dyn StoreWriter>,
     policy: SyncPolicy,
     appended_since_sync: usize,
     frame_buf: Vec<u8>,
-}
-
-impl std::fmt::Debug for Wal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Wal")
-            .field("policy", &self.policy)
-            .field("appended_since_sync", &self.appended_since_sync)
-            .finish()
-    }
+    /// Set by the first failed write or sync. The file may now end in a
+    /// torn frame, and replay stops at the first one — a frame appended
+    /// behind it would be acknowledged and then lost — so nothing more is
+    /// written until the store is reopened (which truncates the tail).
+    poisoned: bool,
 }
 
 impl Wal {
@@ -174,7 +171,7 @@ impl Wal {
         let mut writer = fs.create(path)?;
         writer.write_all(WAL_MAGIC)?;
         writer.sync()?;
-        Ok(Wal { writer, policy, appended_since_sync: 0, frame_buf: Vec::new() })
+        Ok(Wal { writer, policy, appended_since_sync: 0, frame_buf: Vec::new(), poisoned: false })
     }
 
     /// Reopens an existing WAL for appending, truncating to the valid
@@ -191,18 +188,19 @@ impl Wal {
             return Wal::create(fs, path, policy);
         }
         let writer = fs.append_truncated(path, valid_len)?;
-        Ok(Wal { writer, policy, appended_since_sync: 0, frame_buf: Vec::new() })
+        Ok(Wal { writer, policy, appended_since_sync: 0, frame_buf: Vec::new(), poisoned: false })
     }
 
     /// Appends one record as a checksummed frame, syncing according to
     /// the policy. On `Ok` under [`SyncPolicy::EveryRecord`] the record
-    /// is durable.
+    /// is durable. After any failed append or sync every further one
+    /// fails too, until the store is reopened.
     pub(crate) fn append(&mut self, rec: &WalRecord) -> io::Result<()> {
         self.frame_buf.clear();
         encode_record(rec, &mut self.frame_buf);
         let mut frame = Vec::with_capacity(self.frame_buf.len() + crate::fsio::FRAME_HEADER);
         encode_frame(&self.frame_buf, &mut frame);
-        self.writer.write_all(&frame)?;
+        self.guarded(|w| w.write_all(&frame))?;
         self.appended_since_sync += 1;
         match self.policy {
             SyncPolicy::EveryRecord => self.sync(),
@@ -213,9 +211,23 @@ impl Wal {
 
     /// Forces everything appended so far to stable storage.
     pub(crate) fn sync(&mut self) -> io::Result<()> {
-        self.writer.sync()?;
+        self.guarded(|w| w.sync())?;
         self.appended_since_sync = 0;
         Ok(())
+    }
+
+    /// Runs one writer operation unless the log is poisoned, poisoning it
+    /// when the operation fails.
+    fn guarded(
+        &mut self,
+        op: impl FnOnce(&mut dyn StoreWriter) -> io::Result<()>,
+    ) -> io::Result<()> {
+        if self.poisoned {
+            return Err(io::Error::other("WAL write failed earlier; reopen the store to resume"));
+        }
+        let result = op(&mut *self.writer);
+        self.poisoned = result.is_err();
+        result
     }
 }
 

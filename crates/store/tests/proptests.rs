@@ -3,8 +3,13 @@
 //! must round-trip through `Display`.
 
 use proptest::prelude::*;
-use std::collections::BTreeSet;
-use up2p_store::{parse_cmip, MetadataIndex, Query, Repository, ResourceId, ValuePattern};
+use std::collections::{BTreeMap, BTreeSet};
+use up2p_store::{
+    parse_cmip, prepare_fields, token_passes, DurableOptions, DurableRepository, IndexStats,
+    MetadataIndex, PreparedField, Query, Repository, ResourceId, SharedFields, SyncPolicy,
+    ValuePattern,
+};
+use up2p_xml::Document;
 
 fn word() -> impl Strategy<Value = String> {
     prop_oneof![
@@ -61,6 +66,39 @@ fn query_strategy() -> impl Strategy<Value = Query> {
             inner.prop_map(|q| Query::Not(Box::new(q))),
         ]
     })
+}
+
+/// One insert of the four-cell tape: the object's slot (its id), its
+/// fields, and whether its prepared form is cut one entry short.
+type TapeItem = (usize, Vec<(String, String)>, bool);
+
+fn slot_id(slot: usize) -> ResourceId {
+    ResourceId::for_bytes(&[slot as u8])
+}
+
+/// The prepared form an item's writer hands over: what `prepare_fields`
+/// derives, or — for foreign input — a form of the wrong length, which
+/// the index must not trust.
+fn item_prep(fields: &[(String, String)], short: bool) -> Vec<PreparedField> {
+    let mut prep = prepare_fields(fields);
+    if short {
+        prep.pop();
+    }
+    prep
+}
+
+/// Every query's matches in `for_each_match` (doc-id) order.
+fn match_order(ix: &MetadataIndex, query: &Query) -> Vec<ResourceId> {
+    let mut out = Vec::new();
+    ix.for_each_match(query, |id, _| out.push(id.clone()));
+    out
+}
+
+/// `stats()` without `approx_bytes`: the interner keeps the strings of
+/// objects that were replaced or removed, and a batch never interns the
+/// fields of an occurrence a later one in the same batch overrides.
+fn counts(s: IndexStats) -> (usize, usize, usize, usize) {
+    (s.objects, s.fields, s.token_postings, s.exact_postings)
 }
 
 proptest! {
@@ -199,34 +237,163 @@ proptest! {
         prop_assert!(ix.is_empty());
     }
 
-    /// `insert_batch` is observationally identical to sequential inserts
-    /// for any corpus (including duplicate ids within the batch).
+    /// The four insert cells — (tokenizing | prepared) × (single | batch) —
+    /// are one write path: driven through one random insert / remove /
+    /// re-insert tape (repeated ids inside a batch, prepared forms of the
+    /// wrong length) they hold the same postings and answer every query
+    /// like the linear scan. Within a shape the prepared cell also visits
+    /// matches in the tokenizing cell's order; across shapes doc-ids may
+    /// differ (a batch removes every replaced id before it allocates), so
+    /// only the match sets agree. Prepared inserts of new ids run zero
+    /// tokenizer passes.
     #[test]
-    fn batch_insert_equals_sequential(
+    fn four_insert_cells_agree(
         objects in prop::collection::vec(object_fields(), 1..10),
-        dup in 0u8..2,
+        tape in prop::collection::vec(
+            (0u8..4, prop::collection::vec((0usize..12, object_fields(), any::<bool>()), 1..4)),
+            1..12,
+        ),
         query in query_strategy(),
     ) {
-        let mut items: Vec<(ResourceId, Vec<(String, String)>)> = objects
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (ResourceId::for_bytes(&[i as u8]), f.clone()))
-            .collect();
-        if dup == 1 {
-            // repeat the first id with the last object's fields: last wins
-            let fields = objects.last().unwrap().clone();
-            items.push((items[0].0.clone(), fields));
+        // cells: [tokenizing single, prepared single, tokenizing batch, prepared batch]
+        let mut cells: [MetadataIndex; 4] = Default::default();
+        let mut model: BTreeMap<ResourceId, Vec<(String, String)>> = BTreeMap::new();
+        let insert_group = |cells: &mut [MetadataIndex; 4], group: &[TapeItem]| {
+            let shared: Vec<(ResourceId, SharedFields, Vec<PreparedField>)> = group
+                .iter()
+                .map(|(slot, f, short)| (slot_id(*slot), f.clone().into(), item_prep(f, *short)))
+                .collect();
+            let before = token_passes();
+            for (id, f, prep) in &shared {
+                cells[1].insert_tokenized(id.clone(), f.clone(), prep);
+            }
+            let single_passes = token_passes() - before;
+            cells[3].insert_batch(
+                shared.iter().map(|(id, f, prep)| (id.clone(), f.clone(), Some(prep.clone()))),
+            );
+            let prepared_passes = token_passes() - before;
+            for (id, f, _) in &shared {
+                cells[0].insert_shared(id.clone(), f.clone());
+            }
+            cells[2].insert_batch(shared.iter().map(|(id, f, _)| (id.clone(), f.clone(), None)));
+            (single_passes, prepared_passes, token_passes() - before - prepared_passes)
+        };
+
+        // initial load: new ids, well-formed prepared forms
+        let load: Vec<TapeItem> =
+            objects.iter().cloned().enumerate().map(|(i, f)| (i, f, false)).collect();
+        let (single, prepared, tokenizing) = insert_group(&mut cells, &load);
+        prop_assert_eq!((single, prepared), (0, 0), "prepared cells ran the tokenizer");
+        let n_fields = objects.iter().map(Vec::len).sum::<usize>() as u64;
+        prop_assert_eq!(tokenizing, 2 * n_fields, "tokenizing cells: one pass per field");
+        model.extend(load.into_iter().map(|(slot, f, _)| (slot_id(slot), f)));
+
+        for (op, mut group) in tape {
+            match op {
+                0 => {
+                    let id = slot_id(group[0].0);
+                    cells.iter_mut().for_each(|ix| ix.remove(&id));
+                    model.remove(&id);
+                }
+                _ => {
+                    if op == 3 {
+                        // repeat the first id inside the batch: last wins
+                        let (slot, last) = (group[0].0, group[group.len() - 1].1.clone());
+                        group.push((slot, last, false));
+                    }
+                    insert_group(&mut cells, &group);
+                    model.extend(group.into_iter().map(|(slot, f, _)| (slot_id(slot), f)));
+                }
+            }
+            let via_scan: BTreeSet<ResourceId> = model
+                .iter()
+                .filter(|(_, f)| query.matches_fields(f))
+                .map(|(id, _)| id.clone())
+                .collect();
+            for (i, ix) in cells.iter().enumerate() {
+                prop_assert_eq!(counts(ix.stats()), counts(cells[0].stats()), "cell {}", i);
+                prop_assert_eq!(ix.execute(&query), via_scan.clone(), "cell {}: {}", i, &query);
+            }
+            for q in [&query, &Query::All] {
+                prop_assert_eq!(match_order(&cells[1], q), match_order(&cells[0], q), "single");
+                prop_assert_eq!(match_order(&cells[3], q), match_order(&cells[2], q), "batch");
+            }
         }
-        let mut batched = MetadataIndex::new();
-        batched.insert_batch(items.clone());
-        let mut sequential = MetadataIndex::new();
-        for (id, fields) in items {
-            sequential.insert(id, fields);
+    }
+
+    /// The `Repository` twin of `four_insert_cells_agree`: sequential
+    /// `insert_doc`, bulk `insert_batch`, durable publish (prepared,
+    /// single) and recovery of that store's directory (prepared, bulk)
+    /// all end in the same objects, postings and search results, with one
+    /// tokenizer pass per field on a durable publish and none in recovery.
+    #[test]
+    fn repository_write_paths_agree(
+        groups in prop::collection::vec(
+            (prop::collection::vec((word(), word()), 1..4), any::<bool>(), 0usize..8),
+            1..6,
+        ),
+        query in query_strategy(),
+    ) {
+        static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "up2p-store-prop-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let paths = vec!["obj/name".to_string(), "obj/keywords".to_string()];
+        let opts = DurableOptions { sync: SyncPolicy::Manual, compact_every: None };
+        let (mut sequential, mut batched) = (Repository::new(), Repository::new());
+        let mut durable = DurableRepository::open(&dir, opts).unwrap();
+        let mut ids: Vec<ResourceId> = Vec::new();
+        for (objects, repeat, victim) in groups {
+            let mut docs: Vec<Document> = objects
+                .iter()
+                .map(|(name, kw)| {
+                    let xml = format!("<obj><name>{name}</name><keywords>{kw} {name}</keywords></obj>");
+                    Document::parse(&xml).unwrap()
+                })
+                .collect();
+            if repeat {
+                docs.push(docs[0].clone()); // the same id twice in one batch
+            }
+            let batch_ids = batched.insert_batch("c", docs.clone(), &paths);
+            for (doc, batch_id) in docs.into_iter().zip(batch_ids) {
+                let fresh = !durable.repository().contains(&batch_id);
+                let id = sequential.insert_doc("c", doc.clone(), &paths);
+                let before = token_passes();
+                prop_assert_eq!(&durable.publish_doc("c", doc, &paths).unwrap(), &id);
+                if fresh {
+                    prop_assert_eq!(token_passes() - before, paths.len() as u64);
+                }
+                prop_assert_eq!(&batch_id, &id);
+                ids.push(id);
+            }
+            // every other round, remove an earlier object everywhere
+            if victim % 2 == 0 {
+                let id = ids[victim % ids.len()].clone();
+                sequential.remove(&id);
+                batched.remove(&id);
+                durable.remove(&id).unwrap();
+            }
         }
-        prop_assert_eq!(batched.execute(&query), sequential.execute(&query), "{}", &query);
-        let (b, s) = (batched.stats(), sequential.stats());
-        prop_assert_eq!(b.token_postings, s.token_postings);
-        prop_assert_eq!(b.exact_postings, s.exact_postings);
-        prop_assert_eq!(b.objects, s.objects);
+        durable.sync().unwrap();
+        let before = token_passes();
+        let (recovered, _) = DurableRepository::recover(&dir).unwrap();
+        prop_assert_eq!(token_passes() - before, 0, "recovery ran the tokenizer");
+        let dump = |r: &Repository| -> Vec<(ResourceId, String, SharedFields)> {
+            r.iter().map(|o| (o.id.clone(), o.xml.clone(), o.fields.clone())).collect()
+        };
+        let hits = |r: &Repository| -> Vec<ResourceId> {
+            r.search(Some("c"), &query).iter().map(|o| o.id.clone()).collect()
+        };
+        for (name, repo) in
+            [("batched", &batched), ("durable", durable.repository()), ("recovered", &recovered)]
+        {
+            prop_assert_eq!(dump(repo), dump(&sequential), "{}", name);
+            prop_assert_eq!(counts(repo.index_stats()), counts(sequential.index_stats()), "{}", name);
+            prop_assert_eq!(hits(repo), hits(&sequential), "{}: {}", name, &query);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

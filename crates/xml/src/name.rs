@@ -26,8 +26,8 @@ impl QName {
     ///
     /// # Panics
     ///
-    /// Panics if `local` is not a valid XML name (use [`QName::parse`] via
-    /// `str::parse` for a fallible version).
+    /// Panics if `local` is not a valid XML name (use `str::parse::<QName>`
+    /// for a fallible version).
     pub fn local_only(local: &str) -> Self {
         assert!(is_valid_ncname(local), "invalid XML name: {local:?}");
         QName { prefix: None, local: local.into() }

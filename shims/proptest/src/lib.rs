@@ -1,7 +1,7 @@
 //! Minimal offline stand-in for `proptest`.
 //!
 //! Supports the subset this workspace's property suites use: the
-//! [`Strategy`] trait with `prop_map` / `prop_recursive` / `boxed`,
+//! [`Strategy`](strategy::Strategy) trait with `prop_map` / `prop_recursive` / `boxed`,
 //! regex-literal string strategies (`"[a-z]{1,8}"` etc.), numeric range
 //! strategies, tuple composition, `Just`, `any::<T>()`,
 //! `prop::collection::{vec, btree_set}`, the `proptest!` test macro and

@@ -91,8 +91,8 @@ fn repository_persistence_round_trip() {
 
     let dir = std::env::temp_dir().join(format!("up2p-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    servent.repository().save_dir(&dir).unwrap();
-    let loaded = up2p::store::Repository::load_dir(&dir).unwrap();
+    up2p::store::DurableRepository::save_snapshot(servent.repository(), &dir).unwrap();
+    let (loaded, _) = up2p::store::DurableRepository::recover(&dir).unwrap();
     assert_eq!(loaded.len(), 5);
     // ids and search results survive the round trip
     let before: Vec<_> = servent

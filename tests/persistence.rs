@@ -82,7 +82,7 @@ fn load_state_with_missing_dir_fails_cleanly() {
 
 #[test]
 fn saved_state_loads_through_manifest_fast_path_without_retokenizing() {
-    use up2p::store::{token_passes, Repository};
+    use up2p::store::{token_passes, DurableRepository};
     let community = pattern_community();
     let mut servent = Servent::new(PeerId(0));
     servent.join(community.clone());
@@ -100,11 +100,9 @@ fn saved_state_loads_through_manifest_fast_path_without_retokenizing() {
     // manifest-committed, and loading it runs zero tokenization passes
     let repo_dir = dir.join("repository");
     let passes_before = token_passes();
-    let (loaded, report) = Repository::load_dir_report(&repo_dir).unwrap();
+    let (loaded, recovery) = DurableRepository::recover(&repo_dir).unwrap();
     assert_eq!(token_passes() - passes_before, 0, "recovery must not re-tokenize");
-    assert!(report.from_manifest, "manifest fast path must be taken");
-    assert_eq!(report.objects, 6);
-    let recovery = report.recovery.expect("fast path reports recovery detail");
+    assert_eq!(loaded.len(), 6);
     assert_eq!(recovery.segment_objects, 6);
     assert_eq!(recovery.torn_bytes, 0);
 
@@ -120,13 +118,20 @@ fn saved_state_loads_through_manifest_fast_path_without_retokenizing() {
         assert_eq!(before, after, "on {q}");
     }
 
-    // regression: re-saving over unchanged state and re-loading still
-    // takes the fast path (no index rebuild from XML), just a newer
-    // generation
-    servent.save_state(&dir).unwrap();
-    let (_, report2) = Repository::load_dir_report(&repo_dir).unwrap();
-    assert!(report2.from_manifest);
-    assert!(report2.recovery.expect("detail").generation > recovery.generation);
+    // regression: re-saving over unchanged state commits a newer
+    // generation and retires the old one — repeated saves must not leave
+    // a copy of the repository behind each time
+    for _ in 0..3 {
+        servent.save_state(&dir).unwrap();
+    }
+    let (_, recovery2) = DurableRepository::recover(&repo_dir).unwrap();
+    assert_eq!(recovery2.generation, recovery.generation + 3);
+    let mut files: Vec<String> = std::fs::read_dir(&repo_dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["MANIFEST", "seg-3.up2p", "wal-3.log"]);
 
     // and the full servent restore path uses the same loader
     let restored = Servent::load_state(PeerId(0), &dir).unwrap();
@@ -135,25 +140,23 @@ fn saved_state_loads_through_manifest_fast_path_without_retokenizing() {
 }
 
 #[test]
-fn legacy_xml_directories_still_load_via_fallback() {
-    use up2p::store::{Repository, StoredObject};
-    let community = pattern_community();
-    let mut servent = Servent::new(PeerId(0));
-    servent.join(community.clone());
-    let obj = servent.create_object(&community.id, &pattern_values(&GOF_PATTERNS[0])).unwrap();
-    let mut net = build_network(ProtocolKind::Napster, 2, 1);
-    let mut plane = PayloadPlane::new();
-    servent.publish(&mut *net, &mut plane, &obj).unwrap();
-
-    // write the pre-durable layout (one XML wrapper per object) directly
-    let dir = tmp("legacy-xml");
+fn directories_without_a_manifest_are_refused_not_loaded_empty() {
+    use up2p::store::{DurableRepository, StoreError};
+    // a directory of one-XML-wrapper-per-object files (the layout the
+    // store wrote before it had a manifest) is not a store
+    let dir = tmp("xml-only");
     let _ = std::fs::remove_dir_all(&dir);
-    servent.repository().save_dir(&dir).unwrap();
-    let (loaded, report) = Repository::load_dir_report(&dir).unwrap();
-    assert!(!report.from_manifest, "no manifest → legacy scan");
-    assert!(report.recovery.is_none());
-    let objects: Vec<StoredObject> = loaded.iter().cloned().collect();
-    assert_eq!(objects.len(), 1);
-    assert_eq!(objects[0].id.to_string(), obj.key);
+    let repo_dir = dir.join("repository");
+    std::fs::create_dir_all(&repo_dir).unwrap();
+    std::fs::write(
+        repo_dir.join("0123.xml"),
+        r#"<stored community="patterns"><fields><field path="pattern/name">Observer</field></fields><object><pattern><name>Observer</name></pattern></object></stored>"#,
+    )
+    .unwrap();
+    assert!(matches!(DurableRepository::recover(&repo_dir), Err(StoreError::Corrupt(_))));
+    let err = Servent::load_state(PeerId(0), &dir).unwrap_err();
+    assert!(matches!(err, up2p::CoreError::Store(StoreError::Corrupt(_))));
     std::fs::remove_dir_all(&dir).unwrap();
+    // and neither is a directory that does not exist
+    assert!(matches!(DurableRepository::recover(&repo_dir), Err(StoreError::Corrupt(_))));
 }

@@ -37,7 +37,7 @@
 //! drivers to each other.
 
 use crate::churn::ChurnEvent;
-use crate::digest::{term_hash, RouteTable, RoutingDigest};
+use crate::digest::{RecordVisitor, RouteTable};
 use crate::event::DesEvent;
 use crate::flooding::FloodingConfig;
 use crate::index_node::IndexNode;
@@ -54,7 +54,7 @@ use crate::NetConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
-use up2p_store::{normalize, tokenize, Query};
+use up2p_store::Query;
 
 /// Pseudo-peer id of the central index server (mirrors the step
 /// substrate's convention; never a member of the peer vector).
@@ -106,9 +106,10 @@ impl RecordArena {
     }
 
     /// Inserts or replaces `peer`'s copy of `record` (keyed by
-    /// `record.key`), mirroring `IndexNode::upsert`.
-    fn upsert(&mut self, peer: u32, record: &ResourceRecord) {
-        self.remove(peer, &record.key);
+    /// `record.key`), mirroring `IndexNode::upsert`: returns the
+    /// `(community, fields)` of the copy it replaced.
+    fn upsert(&mut self, peer: u32, record: &ResourceRecord) -> Option<(&str, SharedFields)> {
+        let replaced = self.take(peer, &record.key);
         let cid = self.intern_community(&record.community);
         let slot = match self.free.pop() {
             Some(s) => {
@@ -128,16 +129,25 @@ impl RecordArena {
         if let Some(list) = self.by_peer.get_mut(peer as usize) {
             list.push(slot);
         }
+        replaced.map(|(cid, fields)| (self.community_names[cid as usize].as_str(), fields))
     }
 
-    fn remove(&mut self, peer: u32, key: &str) {
-        let RecordArena { keys, fields, free, by_peer, .. } = self;
-        let Some(list) = by_peer.get_mut(peer as usize) else { return };
-        let Some(pos) = list.iter().position(|&s| keys[s as usize] == key) else { return };
+    /// Removes `peer`'s copy of `key`, returning its `(community,
+    /// fields)` when there was one.
+    fn remove(&mut self, peer: u32, key: &str) -> Option<(&str, SharedFields)> {
+        let (cid, fields) = self.take(peer, key)?;
+        Some((self.community_names[cid as usize].as_str(), fields))
+    }
+
+    fn take(&mut self, peer: u32, key: &str) -> Option<(u32, SharedFields)> {
+        let RecordArena { keys, communities, fields, free, by_peer, .. } = self;
+        let list = by_peer.get_mut(peer as usize)?;
+        let pos = list.iter().position(|&s| keys[s as usize] == key)?;
         let slot = list.remove(pos);
         keys[slot as usize].clear();
-        fields[slot as usize] = SharedFields::from(Vec::new());
         free.push(slot);
+        let taken = std::mem::replace(&mut fields[slot as usize], SharedFields::from(Vec::new()));
+        Some((communities[slot as usize], taken))
     }
 
     fn has(&self, peer: u32, key: &str) -> bool {
@@ -170,25 +180,13 @@ impl RecordArena {
         out
     }
 
-    /// Builds `peer`'s routing digest, bit-identical to
-    /// `RoutingDigest::add_node` over an equivalent `IndexNode`: per live
-    /// record, the community marker, plus each field's normalized value
-    /// and its tokens. Bloom inserts are idempotent, so re-posting a term
-    /// shared by two records changes nothing.
-    fn digest_of(&self, peer: u32, log2_bits: u8) -> RoutingDigest {
-        let mut digest = RoutingDigest::new(log2_bits);
-        let Some(list) = self.by_peer.get(peer as usize) else { return digest };
-        for &slot in list {
+    /// Visits `(community, fields)` of every record `peer` shares — what
+    /// `IndexNode::for_each_record` visits on an equivalent share table.
+    fn for_each_record(&self, peer: u32, visit: &mut RecordVisitor<'_>) {
+        for &slot in self.by_peer.get(peer as usize).into_iter().flatten() {
             let community = &self.community_names[self.communities[slot as usize] as usize];
-            digest.insert(term_hash(community, None));
-            for (_, value) in self.fields[slot as usize].iter() {
-                digest.insert(term_hash(community, Some(&normalize(value))));
-                for token in tokenize(value) {
-                    digest.insert(term_hash(community, Some(&token)));
-                }
-            }
+            visit(community, &self.fields[slot as usize]);
         }
-        digest
     }
 
     /// Deterministic size estimate (no allocator introspection, so two
@@ -232,18 +230,18 @@ struct FastTrackState {
 
 impl GnutellaState {
     fn refresh_digests(&mut self, stats: &mut NetStats) {
-        let GnutellaState { topology, arena, config, routes, .. } = self;
-        overlay::refresh_digests(routes, topology, stats, |p| {
-            arena.digest_of(p, config.digests.log2_bits)
+        let GnutellaState { topology, arena, routes, .. } = self;
+        overlay::refresh_digests(routes, topology, stats, |p, visit| {
+            arena.for_each_record(p, visit)
         });
     }
 }
 
 impl FastTrackState {
     fn refresh_digests(&mut self, stats: &mut NetStats) {
-        let FastTrackState { config, super_topology, indexes, routes, .. } = self;
-        overlay::refresh_digests(routes, super_topology, stats, |s| {
-            overlay::index_digest(&indexes[s as usize], config.digests.log2_bits)
+        let FastTrackState { super_topology, indexes, routes, .. } = self;
+        overlay::refresh_digests(routes, super_topology, stats, |s, visit| {
+            indexes[s as usize].for_each_record(visit)
         });
     }
 }
@@ -616,7 +614,9 @@ impl DesNetwork {
         let state = match &self.state {
             Protocol::Napster(np) => np.server.len() as u64 * 256,
             Protocol::Gnutella(g) => {
-                g.arena.approx_bytes() + g.topology.edge_count() as u64 * 16
+                g.arena.approx_bytes()
+                    + g.topology.edge_count() as u64 * 16
+                    + g.routes.approx_bytes()
             }
             Protocol::FastTrack(ft) => {
                 let owned: u64 = ft
@@ -629,6 +629,7 @@ impl DesNetwork {
                     + indexes
                     + ft.super_topology.edge_count() as u64 * 16
                     + ft.super_of.len() as u64 * 4
+                    + ft.routes.approx_bytes()
             }
         };
         let events =
@@ -883,10 +884,11 @@ impl PeerNetwork for DesNetwork {
                 if provider.index() >= alive.len() {
                     return;
                 }
-                g.arena.upsert(provider.0, &record);
-                if g.config.digests.enabled {
-                    g.routes.mark_dirty(provider.0);
+                let GnutellaState { arena, routes, .. } = &mut **g;
+                if let Some((community, fields)) = arena.upsert(provider.0, &record) {
+                    routes.record_removed(provider.0, community, &fields);
                 }
+                routes.record_added(provider.0, &record.community, &record.fields);
             }
             Protocol::FastTrack(ft) => {
                 if !is_alive(alive, provider) {
@@ -897,10 +899,8 @@ impl PeerNetwork for DesNetwork {
                     stats.sent(MsgKind::Publish);
                 }
                 ft.owned[provider.index()].insert(record.key.clone());
-                ft.indexes[s as usize].insert(provider, &record);
-                if ft.config.digests.enabled {
-                    ft.routes.mark_dirty(s);
-                }
+                let FastTrackState { indexes, routes, .. } = &mut **ft;
+                overlay::insert_record(routes, s, &mut indexes[s as usize], provider, &record);
             }
         }
     }
@@ -916,9 +916,9 @@ impl PeerNetwork for DesNetwork {
                 np.server.remove(provider, key);
             }
             Protocol::Gnutella(g) => {
-                g.arena.remove(provider.0, key);
-                if g.config.digests.enabled {
-                    g.routes.mark_dirty(provider.0);
+                let GnutellaState { arena, routes, .. } = &mut **g;
+                if let Some((community, fields)) = arena.remove(provider.0, key) {
+                    routes.record_removed(provider.0, community, &fields);
                 }
             }
             Protocol::FastTrack(ft) => {
@@ -927,10 +927,8 @@ impl PeerNetwork for DesNetwork {
                     stats.sent(MsgKind::Unpublish);
                 }
                 ft.owned[provider.index()].remove(key);
-                ft.indexes[s as usize].remove(provider, key);
-                if ft.config.digests.enabled {
-                    ft.routes.mark_dirty(s);
-                }
+                let FastTrackState { indexes, routes, .. } = &mut **ft;
+                overlay::remove_record(routes, s, &mut indexes[s as usize], provider, key);
             }
         }
     }
@@ -970,6 +968,7 @@ impl PeerNetwork for DesNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::RoutingDigest;
     use crate::latency::ConstantLatency;
     use crate::stats::MsgKind;
 
@@ -1075,7 +1074,8 @@ mod tests {
         // remove one so live-term filtering is exercised
         arena.remove(0, "k0");
         node.remove(PeerId(0), "k0");
-        let from_arena = arena.digest_of(0, 10);
+        let mut from_arena = RoutingDigest::new(10);
+        arena.for_each_record(0, &mut |community, fields| from_arena.add_record(community, fields));
         let mut from_node = RoutingDigest::new(10);
         from_node.add_node(&node);
         assert_eq!(from_arena, from_node);

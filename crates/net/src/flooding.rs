@@ -110,15 +110,16 @@ impl FloodingNetwork {
         self.shared.get(peer.index()).map_or(0, IndexNode::len)
     }
 
-    /// Rebuilds dirty routing digests and repropagates the attenuated
-    /// layers, counting the `DigestRequest`/`DigestPush` exchange the
-    /// refresh costs. A no-op when guided search is disabled or nothing
-    /// changed since the last refresh; guided searches call this lazily,
-    /// the way a servent batches digest updates onto its keep-alives.
+    /// Brings the routing digests up to date with the writes since the
+    /// last refresh and repropagates the attenuated layers they changed,
+    /// counting the `DigestRequest`/`DigestPush` exchange the refresh
+    /// costs. A no-op when guided search is disabled or nothing changed
+    /// since the last refresh; guided searches call this lazily, the way
+    /// a servent batches digest updates onto its keep-alives.
     pub fn refresh_digests(&mut self) {
-        let (shared, bits) = (&self.shared, self.config.digests.log2_bits);
-        overlay::refresh_digests(&mut self.routes, &self.topology, &mut self.stats, |p| {
-            overlay::index_digest(&shared[p as usize], bits)
+        let shared = &self.shared;
+        overlay::refresh_digests(&mut self.routes, &self.topology, &mut self.stats, |p, visit| {
+            shared[p as usize].for_each_record(visit)
         });
     }
 }
@@ -146,19 +147,13 @@ impl PeerNetwork for FloodingNetwork {
         // Gnutella shares from the local store: no message is sent, and
         // republishing a key replaces the peer's own record (upsert).
         if let Some(node) = self.shared.get_mut(provider.index()) {
-            node.upsert(provider, &record);
-            if self.config.digests.enabled {
-                self.routes.mark_dirty(provider.0);
-            }
+            overlay::upsert_record(&mut self.routes, provider.0, node, provider, &record);
         }
     }
 
     fn unpublish(&mut self, provider: PeerId, key: &str) {
         if let Some(node) = self.shared.get_mut(provider.index()) {
-            node.remove(provider, key);
-            if self.config.digests.enabled {
-                self.routes.mark_dirty(provider.0);
-            }
+            overlay::remove_record(&mut self.routes, provider.0, node, provider, key);
         }
     }
 

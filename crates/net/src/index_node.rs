@@ -56,11 +56,14 @@ impl CommunityTable {
     }
 
     /// Removes the record and its postings outright, returning the
-    /// provider set it had (for upsert's provider-preserving replace).
-    pub(crate) fn take_record(&mut self, key: &str) -> Option<(ResourceId, BTreeSet<PeerId>)> {
+    /// provider set it had (for upsert's provider-preserving replace)
+    /// and the fields it was indexed under.
+    pub(crate) fn take_record(&mut self, key: &str) -> Option<(BTreeSet<PeerId>, SharedFields)> {
         let (id, providers) = self.providers.remove_entry(key)?;
+        // a key the provider table knows is in the index too
+        let fields = self.index.shared_fields(&id).cloned().unwrap_or_else(|| Vec::new().into());
         self.index.remove(&id);
-        Some((id, providers))
+        Some((providers, fields))
     }
 
     /// Merges `extra` into the record's provider set (no-op when the key
@@ -74,17 +77,14 @@ impl CommunityTable {
     /// Withdraws `provider`'s copy of the record. When the last provider
     /// leaves, the record's postings are removed from the sub-index
     /// (targeted replay — cost proportional to the record, not the
-    /// index). Returns `true` exactly when the record disappeared.
-    pub(crate) fn remove_provider(&mut self, key: &str, provider: PeerId) -> bool {
-        let Some(providers) = self.providers.get_mut(key) else { return false };
+    /// index). Returns the record's fields exactly when it disappeared.
+    pub(crate) fn remove_provider(&mut self, key: &str, provider: PeerId) -> Option<SharedFields> {
+        let providers = self.providers.get_mut(key)?;
         providers.remove(&provider);
         if !providers.is_empty() {
-            return false;
+            return None;
         }
-        if let Some((id, _)) = self.providers.remove_entry(key) {
-            self.index.remove(&id);
-        }
-        true
+        self.take_record(key).map(|(_, fields)| fields)
     }
 
     /// Is `provider` currently advertising the record?
@@ -97,15 +97,9 @@ impl CommunityTable {
         self.providers.get(key).map_or(0, BTreeSet::len)
     }
 
-    /// `true` when no live records remain in this community.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Visits each live interned term (keyword token or normalized exact
-    /// value) of this community — the digest vocabulary.
-    pub(crate) fn for_each_live_term<F: FnMut(&str)>(&self, f: F) {
-        self.index.for_each_live_term(f);
+    /// Visits the fields of every live record of this community.
+    pub(crate) fn for_each_record<F: FnMut(&SharedFields)>(&self, mut f: F) {
+        self.index.for_each_match(&Query::All, |_, fields| f(fields));
     }
 
     /// Evaluates a query against this community's records, invoking
@@ -148,6 +142,8 @@ pub struct IndexNode {
     /// Community name → slot in `communities` (sub-indexes are created
     /// lazily on first publish).
     names: HashMap<String, u32>,
+    /// Slot → community name (the inverse of `names`).
+    slot_names: Vec<String>,
     communities: Vec<CommunityTable>,
     /// Record key → community slot, for community-blind removal and
     /// provider checks.
@@ -180,11 +176,13 @@ impl IndexNode {
     /// indexes the record's fields (one refcount bump on the shared
     /// metadata); subsequent publishes of the same key are provider-set
     /// insertions only, regardless of the fields they carry — exactly
-    /// the first-record-wins semantics the linear tables had.
-    pub fn insert(&mut self, provider: PeerId, record: &ResourceRecord) {
+    /// the first-record-wins semantics the linear tables had. Returns
+    /// `true` when the record entered the share table (first provider
+    /// in), `false` when only its provider set grew.
+    pub fn insert(&mut self, provider: PeerId, record: &ResourceRecord) -> bool {
         if let Some(&slot) = self.by_key.get(record.key.as_str()) {
             if self.communities[slot as usize].add_provider(record.key.as_str(), provider) {
-                return;
+                return false;
             }
             // key table and provider table disagree (should not happen);
             // drop the stale key entry and re-index the record fresh
@@ -195,6 +193,7 @@ impl IndexNode {
             None => {
                 let slot = self.communities.len() as u32;
                 self.names.insert(record.community.clone(), slot);
+                self.slot_names.push(record.community.clone());
                 self.communities.push(CommunityTable::default());
                 slot
             }
@@ -202,6 +201,7 @@ impl IndexNode {
         let id = ResourceId::from_key(&record.key);
         self.communities[slot as usize].index_record(id.clone(), provider, &record.fields);
         self.by_key.insert(id, slot);
+        true
     }
 
     /// Registers `provider` for the record, replacing the stored fields
@@ -209,27 +209,34 @@ impl IndexNode {
     /// last-publish-wins semantics a peer's *own* share table has
     /// (flooding and live peers overwrote their `BTreeMap` entry
     /// wholesale). Providers accumulated under the old record are kept.
-    pub fn upsert(&mut self, provider: PeerId, record: &ResourceRecord) {
+    /// The record always enters the share table; the return value is the
+    /// `(community, fields)` of the stored record it pushed out, if any.
+    pub fn upsert(
+        &mut self,
+        provider: PeerId,
+        record: &ResourceRecord,
+    ) -> Option<(&str, SharedFields)> {
         let previous = self.by_key.get(record.key.as_str()).copied().and_then(|slot| {
             let taken = self.communities[slot as usize].take_record(record.key.as_str())?;
             self.by_key.remove(record.key.as_str());
-            Some(taken.1)
+            Some((slot, taken))
         });
         self.insert(provider, record);
-        if let Some(old_providers) = previous {
-            if let Some(&slot) = self.by_key.get(record.key.as_str()) {
-                self.communities[slot as usize].extend_providers(record.key.as_str(), old_providers);
-            }
+        let (old_slot, (old_providers, old_fields)) = previous?;
+        if let Some(&slot) = self.by_key.get(record.key.as_str()) {
+            self.communities[slot as usize].extend_providers(record.key.as_str(), old_providers);
         }
+        Some((&self.slot_names[old_slot as usize], old_fields))
     }
 
     /// Withdraws `provider`'s copy of the record; the record's postings
-    /// disappear with its last provider.
-    pub fn remove(&mut self, provider: PeerId, key: &str) {
-        let Some(&slot) = self.by_key.get(key) else { return };
-        if self.communities[slot as usize].remove_provider(key, provider) {
-            self.by_key.remove(key);
-        }
+    /// disappear with its last provider, and only then is its
+    /// `(community, fields)` returned.
+    pub fn remove(&mut self, provider: PeerId, key: &str) -> Option<(&str, SharedFields)> {
+        let &slot = self.by_key.get(key)?;
+        let fields = self.communities[slot as usize].remove_provider(key, provider)?;
+        self.by_key.remove(key);
+        Some((&self.slot_names[slot as usize], fields))
     }
 
     /// Is `provider` currently advertising the record?
@@ -246,24 +253,15 @@ impl IndexNode {
             .map_or(0, |&slot| self.communities[slot as usize].provider_count(key))
     }
 
-    /// Visits every digest entry this node's share table advertises:
-    /// `(community, None)` once per community with live records, then
-    /// `(community, Some(term))` for each live interned term (keyword
-    /// token or normalized exact value) of that community — the exact
-    /// vocabulary a [`crate::RoutingDigest`] of this node hashes.
-    /// Communities whose records have all been withdrawn are skipped, so
-    /// a rebuilt digest forgets them.
-    pub fn for_each_digest_term<F>(&self, mut f: F)
+    /// Visits `(community, fields)` of every record in this node's share
+    /// table, whatever its provider set — what a routing digest of the
+    /// node is built from.
+    pub fn for_each_record<F>(&self, mut f: F)
     where
-        F: FnMut(&str, Option<&str>),
+        F: FnMut(&str, &[(String, String)]),
     {
-        for (name, &slot) in &self.names {
-            let sub = &self.communities[slot as usize];
-            if sub.is_empty() {
-                continue;
-            }
-            f(name, None);
-            sub.for_each_live_term(|term| f(name, Some(term)));
+        for (name, sub) in self.slot_names.iter().zip(&self.communities) {
+            sub.for_each_record(|fields| f(name, fields));
         }
     }
 
@@ -408,26 +406,32 @@ mod tests {
 
     #[test]
     fn digest_terms_cover_live_communities_only() {
+        use crate::digest::{term_hash, RoutingDigest};
         let mut node = IndexNode::new();
         node.insert(PeerId(1), &record("k1", "patterns", "Observer Pattern"));
         node.insert(PeerId(2), &record("k2", "songs", "Jazz"));
-        let collect = |node: &IndexNode| {
-            let mut v: Vec<(String, Option<String>)> = Vec::new();
-            node.for_each_digest_term(|c, t| v.push((c.to_string(), t.map(str::to_string))));
-            v.sort();
-            v
+        let digest = |node: &IndexNode| {
+            let mut d = RoutingDigest::new(12);
+            d.add_node(node);
+            d
         };
-        let terms = collect(&node);
+        let has = |d: &RoutingDigest, c: &str, t: Option<&str>| d.contains(term_hash(c, t));
+        let d = digest(&node);
         // community markers plus tokens plus the normalized exact value
-        assert!(terms.contains(&("patterns".to_string(), None)));
-        assert!(terms.contains(&("patterns".to_string(), Some("observer".to_string()))));
-        assert!(terms.contains(&("patterns".to_string(), Some("observer pattern".to_string()))));
-        assert!(terms.contains(&("songs".to_string(), Some("jazz".to_string()))));
-        // withdrawing a community's last record drops it from the digest
-        // vocabulary even though its sub-index slot persists
+        assert!(has(&d, "patterns", None));
+        assert!(has(&d, "patterns", Some("observer")));
+        assert!(has(&d, "patterns", Some("observer pattern")));
+        assert!(has(&d, "songs", Some("jazz")));
+        // withdrawing a community's last record drops it from the record
+        // walk, and so from the digest, even though its sub-index slot
+        // persists
         node.remove(PeerId(1), "k1");
-        let terms = collect(&node);
-        assert!(!terms.iter().any(|(c, _)| c == "patterns"));
-        assert!(terms.contains(&("songs".to_string(), None)));
+        let mut visited = Vec::new();
+        node.for_each_record(|c, fields| visited.push((c.to_string(), fields.to_vec())));
+        let jazz = record("k2", "songs", "Jazz").fields.to_vec();
+        assert_eq!(visited, vec![("songs".to_string(), jazz)]);
+        let d = digest(&node);
+        assert!(!has(&d, "patterns", None) && !has(&d, "patterns", Some("observer")));
+        assert!(has(&d, "songs", None));
     }
 }

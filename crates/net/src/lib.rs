@@ -71,7 +71,7 @@ mod traits;
 
 pub use centralized::CentralizedNetwork;
 pub use des::DesNetwork;
-pub use digest::{DigestConfig, RouteTable, RoutingDigest};
+pub use digest::{DigestConfig, RecordVisitor, RouteTable, RoutingDigest};
 pub use event::{DesEvent, PropMode};
 pub use flooding::{FloodingConfig, FloodingNetwork};
 pub use index_node::IndexNode;

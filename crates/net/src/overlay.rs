@@ -21,13 +21,15 @@
 //! Node ids are plain `u32`s: peer ids on the flat overlay, super
 //! indices (which are the supers' peer ids) on the two-tier one. The
 //! retrieve and digest-refresh accounting every substrate shares lives
-//! here too ([`retrieve`], [`refresh_digests`]).
+//! here too ([`retrieve`], [`refresh_digests`]), and so do the share-table
+//! writes that keep the digests informed ([`insert_record`],
+//! [`upsert_record`], [`remove_record`]).
 
-use crate::digest::{RouteTable, RoutingDigest};
+use crate::digest::{RecordVisitor, RouteTable};
 use crate::event::PropMode;
 use crate::index_node::IndexNode;
 use crate::latency::LatencyModel;
-use crate::message::{SearchHit, SharedFields, Time};
+use crate::message::{ResourceRecord, SearchHit, SharedFields, Time};
 use crate::peer::PeerId;
 use crate::sim::EventQueue;
 use crate::stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
@@ -60,11 +62,49 @@ pub(crate) fn index_matches(
     matches
 }
 
-/// The routing digest advertising one [`IndexNode`]'s records.
-pub(crate) fn index_digest(node: &IndexNode, log2_bits: u8) -> RoutingDigest {
-    let mut digest = RoutingDigest::new(log2_bits);
-    digest.add_node(node);
-    digest
+/// First-record-wins publish into overlay node `id`'s share table (a
+/// super's index of its leaves), telling the routing digests when the
+/// record entered it.
+pub(crate) fn insert_record(
+    routes: &mut RouteTable,
+    id: u32,
+    node: &mut IndexNode,
+    provider: PeerId,
+    record: &ResourceRecord,
+) {
+    if node.insert(provider, record) {
+        routes.record_added(id, &record.community, &record.fields);
+    }
+}
+
+/// Last-publish-wins publish into overlay node `id`'s share table (a
+/// peer's own shares): the stored record it replaces leaves the routing
+/// digests, the new one enters them.
+pub(crate) fn upsert_record(
+    routes: &mut RouteTable,
+    id: u32,
+    node: &mut IndexNode,
+    provider: PeerId,
+    record: &ResourceRecord,
+) {
+    if let Some((community, fields)) = node.upsert(provider, record) {
+        routes.record_removed(id, community, &fields);
+    }
+    routes.record_added(id, &record.community, &record.fields);
+}
+
+/// Withdraws `provider`'s copy from overlay node `id`'s share table; the
+/// record leaves the routing digests with its last provider.
+pub(crate) fn remove_record(
+    routes: &mut RouteTable,
+    id: u32,
+    node: &mut IndexNode,
+    provider: PeerId,
+    key: &str,
+) {
+    if let Some((community, fields)) = node.remove(provider, key) {
+        routes.record_removed(id, community, &fields);
+    }
 }
 
 /// A query copy in flight. `path` is the route travelled so far,
@@ -368,21 +408,23 @@ impl Walk<'_> {
     }
 }
 
-/// Rebuilds dirty routing digests over `topology` from `digest_of` and
-/// counts the `DigestRequest`/`DigestPush` exchange the refresh costs.
-/// A no-op when guided search is disabled or nothing changed since the
-/// last refresh; guided searches call this lazily, the way a servent
-/// batches digest updates onto its keep-alives.
+/// Brings the routing digests over `topology` up to date with the
+/// writes since the last refresh and counts the
+/// `DigestRequest`/`DigestPush` exchange that costs. `records_of` lists
+/// a node's share table (see [`RouteTable::refresh`]). A no-op when
+/// guided search is disabled or nothing changed since the last refresh;
+/// guided searches call this lazily, the way a servent batches digest
+/// updates onto its keep-alives.
 pub(crate) fn refresh_digests(
     routes: &mut RouteTable,
     topology: &Topology,
     stats: &mut NetStats,
-    digest_of: impl FnMut(u32) -> RoutingDigest,
+    records_of: impl FnMut(u32, &mut RecordVisitor<'_>),
 ) {
     if !routes.config().enabled || !routes.needs_refresh() {
         return;
     }
-    let (requests, pushes) = routes.refresh(topology, digest_of);
+    let (requests, pushes) = routes.refresh(topology, records_of);
     stats.sent_n(MsgKind::DigestRequest, requests);
     stats.sent_n(MsgKind::DigestPush, pushes);
 }
@@ -421,7 +463,7 @@ pub(crate) fn retrieve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::digest::{term_hash, DigestConfig};
+    use crate::digest::DigestConfig;
     use crate::latency::ConstantLatency;
     use rand::SeedableRng;
 
@@ -452,8 +494,9 @@ mod tests {
     }
 
     /// A scripted overlay: no index, no queue. Node `n` answers with one
-    /// record `k<n>` iff it is a holder; a node advertises (its digest
-    /// carries the community bit) iff it is a holder.
+    /// record `k<n>` iff it is a holder; a node advertises (a field-less
+    /// record, so its digest carries the community bit) iff it is a
+    /// holder.
     struct Script {
         topology: Topology,
         routes: RouteTable,
@@ -477,12 +520,10 @@ mod tests {
             }
             let mut routes = RouteTable::new(digests);
             if digests.enabled {
-                routes.refresh(&topology, |node| {
-                    let mut d = RoutingDigest::new(digests.log2_bits);
+                routes.refresh(&topology, |node, visit| {
                     if holders.contains(&node) {
-                        d.insert(term_hash("c", None));
+                        visit("c", &[]);
                     }
-                    d
                 });
             }
             Script {

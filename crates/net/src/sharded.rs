@@ -194,7 +194,7 @@ impl ShardedIndexNode {
             self.write_guards.fetch_add(1, Ordering::Relaxed);
             let taken = shard.write().take_record(record.key.as_str())?;
             keys.remove(record.key.as_str());
-            Some(taken.1)
+            Some(taken.0)
         });
         self.insert_locked(&mut keys, provider, record);
         if let Some(old_providers) = previous {
@@ -215,7 +215,7 @@ impl ShardedIndexNode {
         let shard = self.shard(slot);
         self.write_guards.fetch_add(1, Ordering::Relaxed);
         let gone = shard.write().remove_provider(key, provider);
-        if gone {
+        if gone.is_some() {
             keys.remove(key);
         }
     }
@@ -244,13 +244,14 @@ impl ShardedIndexNode {
         table.provider_count(key)
     }
 
-    /// Visits every digest entry this node advertises, exactly as
-    /// [`crate::IndexNode::for_each_digest_term`]. Each community is
-    /// visited under its own shard read guard (a per-shard snapshot, not
-    /// a cross-shard one — concurrent writers may land between shards).
-    pub fn for_each_digest_term<F>(&self, mut f: F)
+    /// Visits `(community, fields)` of every record this node holds —
+    /// what a routing digest of it is built from — exactly as
+    /// [`crate::IndexNode::for_each_record`]. Each community is visited
+    /// under its own shard read guard (a per-shard snapshot, not a
+    /// cross-shard one — concurrent writers may land between shards).
+    pub fn for_each_record<F>(&self, mut f: F)
     where
-        F: FnMut(&str, Option<&str>),
+        F: FnMut(&str, &[(String, String)]),
     {
         let entries: Vec<(String, Arc<RwLock<CommunityTable>>)> = {
             let router = self.router.read();
@@ -262,11 +263,7 @@ impl ShardedIndexNode {
         };
         for (name, shard) in entries {
             let table = shard.read();
-            if table.is_empty() {
-                continue;
-            }
-            f(&name, None);
-            table.for_each_live_term(|term| f(&name, Some(term)));
+            table.for_each_record(|fields| f(&name, fields));
         }
     }
 
@@ -400,11 +397,12 @@ mod tests {
                 assert_eq!(a, b, "step {step} community {c}");
             }
         }
-        let mut a: Vec<(String, Option<String>)> = Vec::new();
-        sharded.for_each_digest_term(|c, t| a.push((c.to_string(), t.map(str::to_string))));
+        // what a digest of either node would be built from
+        let mut a: Vec<(String, Vec<(String, String)>)> = Vec::new();
+        sharded.for_each_record(|c, fields| a.push((c.to_string(), fields.to_vec())));
         a.sort();
-        let mut b: Vec<(String, Option<String>)> = Vec::new();
-        linear.for_each_digest_term(|c, t| b.push((c.to_string(), t.map(str::to_string))));
+        let mut b: Vec<(String, Vec<(String, String)>)> = Vec::new();
+        linear.for_each_record(|c, fields| b.push((c.to_string(), fields.to_vec())));
         b.sort();
         assert_eq!(a, b);
     }

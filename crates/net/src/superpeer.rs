@@ -173,13 +173,14 @@ impl SuperPeerNetwork {
         peer.index() < self.plane.config.supers
     }
 
-    /// Rebuilds dirty routing digests over the super overlay, counting
-    /// the `DigestRequest`/`DigestPush` exchange. Lazy, like the flooding
+    /// Brings the routing digests over the super overlay up to date with
+    /// the writes since the last refresh, counting the
+    /// `DigestRequest`/`DigestPush` exchange. Lazy, like the flooding
     /// substrate: the next guided search triggers it.
     pub fn refresh_digests(&mut self) {
-        let ServePlane { config, super_topology, indexes, routes, .. } = &mut self.plane;
-        overlay::refresh_digests(routes, super_topology, &mut self.stats, |s| {
-            overlay::index_digest(&indexes[s as usize], config.digests.log2_bits)
+        let ServePlane { super_topology, indexes, routes, .. } = &mut self.plane;
+        overlay::refresh_digests(routes, super_topology, &mut self.stats, |s, visit| {
+            indexes[s as usize].for_each_record(visit)
         });
     }
 }
@@ -212,10 +213,8 @@ impl PeerNetwork for SuperPeerNetwork {
             self.stats.sent(MsgKind::Publish); // leaf → super upload
         }
         self.owned[provider.index()].insert(record.key.clone());
-        self.plane.indexes[s].insert(provider, &record);
-        if self.plane.config.digests.enabled {
-            self.plane.routes.mark_dirty(s as u32);
-        }
+        let ServePlane { indexes, routes, .. } = &mut self.plane;
+        overlay::insert_record(routes, s as u32, &mut indexes[s], provider, &record);
     }
 
     fn unpublish(&mut self, provider: PeerId, key: &str) {
@@ -225,10 +224,8 @@ impl PeerNetwork for SuperPeerNetwork {
             self.stats.sent(MsgKind::Unpublish);
         }
         self.owned[provider.index()].remove(key);
-        self.plane.indexes[s].remove(provider, key);
-        if self.plane.config.digests.enabled {
-            self.plane.routes.mark_dirty(s as u32);
-        }
+        let ServePlane { indexes, routes, .. } = &mut self.plane;
+        overlay::remove_record(routes, s as u32, &mut indexes[s], provider, key);
     }
 
     fn search(&mut self, origin: PeerId, community: &str, query: &Query) -> SearchOutcome {

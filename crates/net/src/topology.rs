@@ -14,12 +14,16 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone)]
 pub struct Topology {
     adjacency: Vec<BTreeSet<PeerId>>,
+    /// XOR of a hash of every undirected edge, kept current by
+    /// `connect`/`disconnect`: equal edge sets give equal fingerprints
+    /// whatever the order they were built in.
+    fingerprint: u64,
 }
 
 impl Topology {
     /// An empty topology over `n` peers.
     pub fn empty(n: usize) -> Self {
-        Topology { adjacency: vec![BTreeSet::new(); n] }
+        Topology { adjacency: vec![BTreeSet::new(); n], fingerprint: 0 }
     }
 
     /// Number of peers.
@@ -34,16 +38,25 @@ impl Topology {
 
     /// Adds an undirected edge (self-loops ignored).
     pub fn connect(&mut self, a: PeerId, b: PeerId) {
-        if a != b {
-            self.adjacency[a.index()].insert(b);
+        if a != b && self.adjacency[a.index()].insert(b) {
             self.adjacency[b.index()].insert(a);
+            self.fingerprint ^= edge_hash(a, b);
         }
     }
 
     /// Removes an undirected edge.
     pub fn disconnect(&mut self, a: PeerId, b: PeerId) {
-        self.adjacency[a.index()].remove(&b);
-        self.adjacency[b.index()].remove(&a);
+        if self.adjacency[a.index()].remove(&b) {
+            self.adjacency[b.index()].remove(&a);
+            self.fingerprint ^= edge_hash(a, b);
+        }
+    }
+
+    /// A 64-bit summary of the edge set, O(1) to read: what a cache
+    /// derived from this graph (the routing-digest edge arena) compares
+    /// to notice that the graph was rewired under it.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// Neighbors of `p` in id order.
@@ -171,6 +184,16 @@ impl Topology {
     }
 }
 
+/// Direction-free hash of one edge (splitmix64 finalizer over the
+/// ordered endpoint pair).
+fn edge_hash(a: PeerId, b: PeerId) -> u64 {
+    let (lo, hi) = (a.0.min(b.0) as u64, a.0.max(b.0) as u64);
+    let mut x = (hi << 32 | lo).wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,6 +241,28 @@ mod tests {
         assert!(t.is_connected());
         t.disconnect(PeerId(0), PeerId(1));
         assert_eq!(t.degree(PeerId(0)), 0);
+    }
+
+    #[test]
+    fn fingerprint_follows_the_edge_set_not_its_history() {
+        let mut a = Topology::empty(4);
+        let empty = a.fingerprint();
+        a.connect(PeerId(0), PeerId(1));
+        a.connect(PeerId(2), PeerId(3));
+        let mut b = Topology::empty(4);
+        b.connect(PeerId(3), PeerId(2));
+        b.connect(PeerId(1), PeerId(0));
+        b.connect(PeerId(1), PeerId(0)); // a repeat changes nothing
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        // a rewire keeps node and edge counts but not the fingerprint
+        b.disconnect(PeerId(2), PeerId(3));
+        b.connect(PeerId(1), PeerId(3));
+        assert_eq!(a.edge_count(), b.edge_count());
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        a.disconnect(PeerId(0), PeerId(1));
+        a.disconnect(PeerId(0), PeerId(1)); // so does a repeated removal
+        a.disconnect(PeerId(2), PeerId(3));
+        assert_eq!(a.fingerprint(), empty);
     }
 
     #[test]

@@ -260,6 +260,57 @@ proptest! {
         )?;
     }
 
+    /// Writes between guided searches: the digests are built by the
+    /// first search, so every later round's publishes, republishes and
+    /// withdrawals reach them as deltas and the next search pays a
+    /// refresh. The DES driver must pay what the step driver pays —
+    /// `DigestPush` and `DigestRequest` are in the stats fingerprint,
+    /// compared after every round — and find what it finds.
+    #[test]
+    fn des_matches_step_guided_write_then_refresh(
+        dims in (0usize..2, 8usize..32, 0u64..300),
+        rounds in pvec(
+            (publish_ops(), pvec((0usize..16, 0u32..ORACLE_PEERS as u32), 0..8)),
+            2..5,
+        ),
+        origin in 0u32..ORACLE_PEERS as u32,
+        query in oracle_query(),
+    ) {
+        let (kind_idx, n, seed) = dims;
+        let kind = [ProtocolKind::Gnutella, ProtocolKind::FastTrack][kind_idx];
+        let config = NetConfig::new()
+            .digests(DigestConfig { log2_bits: 8, ..DigestConfig::guided() });
+        let mut step = build_network_with(kind, n, seed, &config);
+        let mut des = DesNetwork::build(kind, n, seed, &config);
+        for (round, (publishes, removals)) in rounds.iter().enumerate() {
+            for op in publishes.iter().take(12) {
+                let record = ResourceRecord::new(&*op.key, op.community, op.fields.clone());
+                step.publish(op.provider, record.clone());
+                des.publish(op.provider, record);
+            }
+            for &(key, provider) in removals {
+                let key = format!("k{key}");
+                step.unpublish(PeerId(provider), &key);
+                des.unpublish(PeerId(provider), &key);
+            }
+            let community = COMMUNITIES[round % 2];
+            let s = step.search(PeerId(origin), community, &query);
+            let d = des.search(PeerId(origin), community, &query);
+            prop_assert_eq!(
+                outcome_fingerprint(&s),
+                outcome_fingerprint(&d),
+                "round {} diverged ({:?}, {} in {})", round, kind, query, community
+            );
+            prop_assert_eq!(
+                stats_fingerprint(step.stats()),
+                stats_fingerprint(des.stats()),
+                "stats diverged after round {} ({:?})", round, kind
+            );
+        }
+        // guided mode was on: the first search built the digests
+        prop_assert!(step.stats().count(MsgKind::DigestRequest) > 0);
+    }
+
     /// The un-deduped flooding ablation (E6) also matches: revisits
     /// re-evaluate records and re-send hit back-propagation.
     #[test]

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use up2p_net::{
     build_network, ConstantLatency, DigestConfig, FloodingConfig, FloodingNetwork, IndexNode,
-    PeerId, PeerNetwork, ProtocolKind, ResourceRecord, Topology,
+    PeerId, PeerNetwork, ProtocolKind, ResourceRecord, RouteTable, RoutingDigest, Topology,
 };
 use up2p_store::{Query, ValuePattern};
 
@@ -159,8 +159,180 @@ impl LinearTable {
     }
 }
 
+// ---------------------------------------------------------------------
+// Delta-maintained routing digests against a from-scratch rebuild
+// ---------------------------------------------------------------------
+
+/// One step of a digest-maintenance history over a few overlay nodes.
+#[derive(Debug, Clone)]
+enum DigestOp {
+    /// Publish `key` at node `at` on behalf of `provider`. With four
+    /// keys, two communities and three providers this is also a
+    /// republish with changed fields, a republish into the other
+    /// community, and a second provider of a key.
+    Publish { at: u32, provider: u32, key: u8, community: usize, fields: Vec<(String, String)> },
+    /// Withdraw `provider`'s copy: a non-last provider, the last one, or
+    /// one that never published.
+    Unpublish { at: u32, provider: u32, key: u8 },
+    Refresh,
+}
+
+fn digest_ops(nodes: u32) -> impl Strategy<Value = Vec<DigestOp>> {
+    let publish = || {
+        (
+            0..nodes,
+            0u32..3,
+            0u8..4,
+            0usize..COMMUNITIES.len(),
+            pvec((field_path(), value_word()), 0..3),
+        )
+            .prop_map(|(at, provider, key, community, fields)| DigestOp::Publish {
+                at,
+                provider,
+                key,
+                community,
+                fields: fields.into_iter().map(|(p, v)| (p.to_string(), v.to_string())).collect(),
+            })
+    };
+    // half publishes, a quarter withdrawals, a quarter refreshes
+    let op = prop_oneof![
+        publish(),
+        publish(),
+        (0..nodes, 0u32..3, 0u8..4)
+            .prop_map(|(at, provider, key)| DigestOp::Unpublish { at, provider, key }),
+        Just(DigestOp::Refresh),
+    ];
+    pvec(op, 1..60)
+}
+
+/// A connected overlay: node `i > 0` hangs off `parents[i-1] % i`, plus
+/// a few chords.
+fn connected_topology(parents: &[u32], chords: &[(u32, u32)]) -> Topology {
+    let n = parents.len() as u32 + 1;
+    let mut topo = Topology::empty(n as usize);
+    for (i, &parent) in parents.iter().enumerate() {
+        topo.connect(PeerId(i as u32 + 1), PeerId(parent % (i as u32 + 1)));
+    }
+    for &(a, b) in chords {
+        topo.connect(PeerId(a % n), PeerId(b % n));
+    }
+    topo
+}
+
+/// Every layer of every directed edge of `table`, in edge order.
+fn all_layers(table: &RouteTable, topo: &Topology, radius: u8) -> Vec<Vec<Vec<u64>>> {
+    let mut out = Vec::new();
+    for q in topo.peers() {
+        for p in topo.neighbors(q) {
+            let layers = (1..=radius.max(1))
+                .map(|d| table.layer(q.0, p.0, d).expect("edge and depth exist").to_vec())
+                .collect();
+            out.push(layers);
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The licence for delta maintenance: whatever the history of
+    /// publishes, republishes, withdrawals and refreshes, after every
+    /// refresh the delta-maintained table holds, bit for bit, what a
+    /// table built from scratch from the same share tables holds, and it
+    /// reports one push per directed edge whose layers changed. Run
+    /// against both call sites: the flat overlay's last-publish-wins
+    /// `upsert` and the two-tier overlay's first-record-wins `insert`.
+    #[test]
+    fn delta_digests_equal_a_rebuild_from_scratch(
+        parents in pvec(any::<u32>(), 2..9),
+        chords in pvec((any::<u32>(), any::<u32>()), 0..6),
+        shape in (0u8..5, 6u8..10, any::<bool>()),
+        ops in digest_ops(3),
+    ) {
+        let (radius, log2_bits, flat) = shape;
+        let config = DigestConfig { radius, log2_bits, ..DigestConfig::guided() };
+        let topo = connected_topology(&parents, &chords);
+        prop_assert!(topo.is_connected());
+        let directed = 2 * topo.edge_count() as u64;
+        let n = topo.len() as u32;
+        let mut nodes: Vec<IndexNode> = (0..n).map(|_| IndexNode::new()).collect();
+        let mut table = RouteTable::new(config);
+        let mut before: Option<Vec<Vec<Vec<u64>>>> = None;
+        for op in ops.iter().chain([&DigestOp::Refresh]) {
+            match op {
+                DigestOp::Publish { at, provider, key, community, fields } => {
+                    // spread the three generated node ids over the overlay
+                    let at = at * (n - 1) / 2;
+                    let record = ResourceRecord::new(
+                        format!("k{key}"), COMMUNITIES[*community], fields.clone());
+                    let node = &mut nodes[at as usize];
+                    if flat {
+                        if let Some((community, fields)) = node.upsert(PeerId(*provider), &record) {
+                            table.record_removed(at, community, &fields);
+                        }
+                        table.record_added(at, &record.community, &record.fields);
+                    } else if node.insert(PeerId(*provider), &record) {
+                        table.record_added(at, &record.community, &record.fields);
+                    }
+                }
+                DigestOp::Unpublish { at, provider, key } => {
+                    let at = at * (n - 1) / 2;
+                    let removed = nodes[at as usize].remove(PeerId(*provider), &format!("k{key}"));
+                    if let Some((community, fields)) = removed {
+                        table.record_removed(at, community, &fields);
+                    }
+                }
+                DigestOp::Refresh => {
+                    let got = table
+                        .refresh(&topo, |p, visit| nodes[p as usize].for_each_record(visit));
+                    let mut scratch = RouteTable::new(config);
+                    scratch.refresh(&topo, |p, visit| nodes[p as usize].for_each_record(visit));
+                    let after = all_layers(&table, &topo, radius);
+                    prop_assert_eq!(&after, &all_layers(&scratch, &topo, radius));
+                    let expected = match &before {
+                        None => (directed, directed),
+                        Some(before) => {
+                            (0, before.iter().zip(&after).filter(|(b, a)| b != a).count() as u64)
+                        }
+                    };
+                    prop_assert_eq!(got, expected, "(requests, pushes)");
+                    prop_assert!(!table.needs_refresh());
+                    before = Some(after);
+                }
+            }
+        }
+    }
+
+    /// No false negatives, from the index's side: whatever a node's index
+    /// answers for a query, the digest of that node says "maybe" — for
+    /// every query class, after removals too.
+    #[test]
+    fn digest_never_denies_what_the_index_answers(
+        publishes in publish_ops(),
+        removals in pvec((0usize..16, 0u32..ORACLE_PEERS as u32), 0..12),
+        query in oracle_query(),
+        log2_bits in 6u8..13,
+    ) {
+        let mut node = IndexNode::new();
+        for op in &publishes {
+            let record = ResourceRecord::new(&*op.key, op.community, op.fields.clone());
+            node.insert(op.provider, &record);
+        }
+        for &(key, provider) in &removals {
+            node.remove(PeerId(provider), &format!("k{key}"));
+        }
+        let mut digest = RoutingDigest::new(log2_bits);
+        digest.add_node(&node);
+        for community in COMMUNITIES {
+            let mut answered = false;
+            node.search(community, &query, |_| true, |_, _, _| answered = true);
+            prop_assert!(
+                !answered || digest.may_match(community, &query),
+                "digest denies {} in {} although the index answers it", query, community
+            );
+        }
+    }
 
     /// With duplicate suppression, forwarded queries cross each overlay
     /// edge at most once per direction: total messages are bounded by

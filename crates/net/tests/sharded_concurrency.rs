@@ -76,7 +76,9 @@ fn oracle_states(tape: &[Op]) -> Vec<Vec<HitSet>> {
                 let rec = record(op).expect("insert has a record");
                 node.insert(PeerId(*peer), &rec);
             }
-            Op::Remove { key, peer } => node.remove(PeerId(*peer), &format!("k{key}")),
+            Op::Remove { key, peer } => {
+                node.remove(PeerId(*peer), &format!("k{key}"));
+            }
         }
         for (c, community) in COMMUNITIES.iter().enumerate() {
             let mut hits = BTreeSet::new();
@@ -124,7 +126,9 @@ proptest! {
                             let rec = record(op).expect("insert has a record");
                             node.insert(PeerId(*peer), &rec);
                         }
-                        Op::Remove { key, peer } => node.remove(PeerId(*peer), &format!("k{key}")),
+                        Op::Remove { key, peer } => {
+                node.remove(PeerId(*peer), &format!("k{key}"));
+            }
                     }
                     std::thread::yield_now();
                 }
@@ -183,7 +187,7 @@ fn search_never_takes_a_write_guard() {
         assert_eq!(node.len(), 20);
         assert!(!node.is_empty());
         assert_eq!(node.community_count(), 2);
-        node.for_each_digest_term(|_, _| {});
+        node.for_each_record(|_, _| {});
     }
     assert_eq!(
         node.write_guard_count(),

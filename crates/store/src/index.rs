@@ -309,28 +309,6 @@ impl MetadataIndex {
         }
     }
 
-    /// Visits every interned term (keyword token or normalized value)
-    /// that still backs at least one live posting — the vocabulary a
-    /// routing digest of this index must cover. Removal drops emptied
-    /// posting lists, so membership in any posting map is liveness; a
-    /// term interned by objects that have all been removed is skipped
-    /// even though its symbol stays in the interner. Visit order is
-    /// unspecified (digest construction is order-insensitive).
-    pub fn for_each_live_term<F>(&self, mut f: F)
-    where
-        F: FnMut(&str),
-    {
-        let mut live: HashSet<u32> = HashSet::new();
-        for map in self.tokens.iter().chain(self.exact.iter()) {
-            live.extend(map.keys().copied());
-        }
-        for (term, sym) in &self.terms.lookup {
-            if live.contains(sym) {
-                f(term);
-            }
-        }
-    }
-
     /// Allocates a doc-id (recycling freed slots) and registers the id.
     fn alloc_doc(&mut self, id: ResourceId) -> u32 {
         let doc = match self.free.pop() {
@@ -731,34 +709,6 @@ mod tests {
         assert_eq!(hits.len(), 2);
         let hits = ix.execute(&Query::keyword("name", "observer"));
         assert_eq!(hits, BTreeSet::from([id(1)]));
-    }
-
-    #[test]
-    fn live_terms_track_removals() {
-        let mut ix = sample();
-        let terms = |ix: &MetadataIndex| {
-            let mut v: Vec<String> = Vec::new();
-            ix.for_each_live_term(|t| v.push(t.to_string()));
-            v.sort_unstable();
-            v
-        };
-        let before = terms(&ix);
-        // tokens and normalized values both appear
-        assert!(before.contains(&"observer".to_string()));
-        assert!(before.contains(&"abstract factory".to_string()));
-        // removing the only Observer object retires its private terms but
-        // keeps shared ones ("factory" still backs ids 2 and 3)
-        ix.remove(&id(1));
-        let after = terms(&ix);
-        assert!(!after.contains(&"observer".to_string()));
-        assert!(!after.contains(&"behavioral".to_string()));
-        assert!(after.contains(&"factory".to_string()));
-        assert!(after.len() < before.len());
-        // an empty index exposes no terms, even though symbols stay
-        // interned
-        ix.remove(&id(2));
-        ix.remove(&id(3));
-        assert!(terms(&ix).is_empty());
     }
 
     #[test]

@@ -50,6 +50,6 @@ pub use index::{prepare_fields, IndexStats, MetadataIndex, PreparedField, Shared
 pub use query::{field_matches, Query, ValuePattern};
 pub use repository::{Repository, StoredObject};
 pub use tokenizer::{
-    is_normalized, normalize, token_passes, tokenize, tokenize_with, STOPWORDS,
+    for_each_token, is_normalized, normalize, token_passes, tokenize, tokenize_with, STOPWORDS,
 };
 pub use wal::SyncPolicy;

@@ -46,8 +46,9 @@ pub fn token_passes() -> u64 {
 /// [`tokenize`], stopwords dropped) without allocating a `String` per
 /// token: already-lowercase ASCII tokens are passed through as slices of
 /// `text`, and only mixed-case / non-ASCII tokens are lowercased into a
-/// single reused buffer. This is the indexing/removal hot path.
-pub(crate) fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
+/// single reused buffer. This is the indexing/removal hot path, and what
+/// the net layer's routing digests enumerate a record's keywords with.
+pub fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
     TOKEN_PASSES.with(|c| c.set(c.get() + 1));
     for raw in text.split(|c: char| !c.is_alphanumeric()) {
         if raw.is_empty() {

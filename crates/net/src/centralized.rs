@@ -27,7 +27,7 @@ pub struct CentralizedNetwork {
     /// The server's indexed record table, sharded by community.
     server: ShardedIndexNode,
     latency: Box<dyn LatencyModel + Send + Sync>,
-    stats: NetStats,
+    pub(crate) stats: NetStats,
 }
 
 impl std::fmt::Debug for CentralizedNetwork {
@@ -56,8 +56,67 @@ impl CentralizedNetwork {
         self.server.len()
     }
 
-    fn rtt(&mut self, a: PeerId, b: PeerId) -> Time {
-        self.latency.delay(a, b) + self.latency.delay(b, a)
+    /// Deterministic estimate of resident state in bytes: liveness and
+    /// the server's records.
+    pub(crate) fn approx_bytes(&self) -> u64 {
+        self.alive.len() as u64 + self.server.len() as u64 * 256
+    }
+
+    /// Opens a query: counts it, and for a live origin counts the round
+    /// trip — one request up, one response down, the reply comes whether
+    /// or not it carries hits — and draws the delay of its two legs.
+    /// `None` means the query never leaves.
+    pub(crate) fn begin_query(&mut self, origin: PeerId) -> Option<(Time, Time)> {
+        self.stats.queries += 1;
+        if !self.is_alive(origin) {
+            return None;
+        }
+        self.stats.sent(MsgKind::Query);
+        self.stats.sent(MsgKind::QueryHit);
+        Some((self.latency.delay(origin, SERVER), self.latency.delay(SERVER, origin)))
+    }
+
+    /// The server's answer to a query whose reply lands at `arrival`:
+    /// the matching records of every provider online *now*, one hop
+    /// away. Takes the server and the liveness apart from the network so
+    /// `search_batch` workers can evaluate against them concurrently.
+    fn evaluate(
+        server: &ShardedIndexNode,
+        alive: &[bool],
+        community: &str,
+        query: &Query,
+        outcome: &mut SearchOutcome,
+        arrival: Time,
+    ) {
+        outcome.messages = 2;
+        outcome.latency = arrival;
+        server.search(community, query, |p| overlay::is_alive(alive, p), |key, provider, fields| {
+            outcome.hits.push(SearchHit {
+                key: key.to_string(),
+                provider,
+                fields: fields.clone(),
+                hops: 1,
+            });
+        });
+        if !outcome.hits.is_empty() {
+            outcome.first_hit_latency = Some(arrival);
+        }
+    }
+
+    /// [`CentralizedNetwork::evaluate`] on this network, with the hits
+    /// counted; whether the query found anything is left to the caller's
+    /// close of the query.
+    pub(crate) fn answer(
+        &mut self,
+        community: &str,
+        query: &Query,
+        outcome: &mut SearchOutcome,
+        arrival: Time,
+    ) {
+        Self::evaluate(&self.server, &self.alive, community, query, outcome, arrival);
+        for _ in &outcome.hits {
+            self.stats.hit(1);
+        }
     }
 }
 
@@ -74,7 +133,7 @@ impl PeerNetwork for CentralizedNetwork {
     }
 
     fn is_alive(&self, peer: PeerId) -> bool {
-        self.alive.get(peer.index()).copied().unwrap_or(false)
+        overlay::is_alive(&self.alive, peer)
     }
 
     fn set_alive(&mut self, peer: PeerId, alive: bool) {
@@ -100,50 +159,20 @@ impl PeerNetwork for CentralizedNetwork {
     }
 
     fn search(&mut self, origin: PeerId, community: &str, query: &Query) -> SearchOutcome {
-        self.stats.queries += 1;
         let mut outcome = SearchOutcome::default();
-        if !self.is_alive(origin) {
-            return outcome;
-        }
-        // one request up, one response down
-        self.stats.sent(MsgKind::Query);
-        self.stats.sent(MsgKind::QueryHit);
-        outcome.messages = 2;
-        outcome.latency = self.rtt(origin, SERVER);
-        let alive = &self.alive;
-        self.server.search(
-            community,
-            query,
-            |p| alive.get(p.index()).copied().unwrap_or(false),
-            |key, provider, fields| {
-                outcome.hits.push(SearchHit {
-                    key: key.to_string(),
-                    provider,
-                    fields: fields.clone(),
-                    hops: 1,
-                });
-            },
-        );
-        for _ in &outcome.hits {
-            self.stats.hit(1);
-        }
-        if !outcome.hits.is_empty() {
-            self.stats.queries_with_hits += 1;
-            outcome.first_hit_latency = Some(outcome.latency);
+        if let Some((up, down)) = self.begin_query(origin) {
+            self.answer(community, query, &mut outcome, up + down);
+            self.stats.queries_with_hits += u64::from(!outcome.hits.is_empty());
         }
         outcome
     }
 
     fn search_batch(&mut self, requests: &[SearchRequest], workers: usize) -> Vec<SearchOutcome> {
-        // the latency model is stateful (&mut), so the per-request RTTs
+        // the latency model is stateful (&mut), so the per-request legs
         // are sampled sequentially in request order — the same call
         // sequence sequential serving makes — before the parallel phase
-        let mut rtts: Vec<Option<Time>> = Vec::with_capacity(requests.len());
-        for r in requests {
-            let rtt =
-                if self.is_alive(r.origin) { Some(self.rtt(r.origin, SERVER)) } else { None };
-            rtts.push(rtt);
-        }
+        let legs: Vec<Option<(Time, Time)>> =
+            requests.iter().map(|r| self.begin_query(r.origin)).collect();
         // parallel phase: read-guard-only evaluation against the shared
         // sharded server from the worker pool
         let server = &self.server;
@@ -151,42 +180,18 @@ impl PeerNetwork for CentralizedNetwork {
         let outcomes = serve_batch(workers, requests.len(), |i| {
             let r = &requests[i];
             let mut outcome = SearchOutcome::default();
-            let Some(latency) = rtts.get(i).copied().flatten() else { return outcome };
-            outcome.messages = 2;
-            outcome.latency = latency;
-            server.search(
-                &r.community,
-                &r.query,
-                |p| alive.get(p.index()).copied().unwrap_or(false),
-                |key, provider, fields| {
-                    outcome.hits.push(SearchHit {
-                        key: key.to_string(),
-                        provider,
-                        fields: fields.clone(),
-                        hops: 1,
-                    });
-                },
-            );
-            if !outcome.hits.is_empty() {
-                outcome.first_hit_latency = Some(latency);
+            if let Some((up, down)) = legs[i] {
+                Self::evaluate(server, alive, &r.community, &r.query, &mut outcome, up + down);
             }
             outcome
         });
-        // stats merge in request order: identical totals and by_kind()
+        // hit counters merge afterwards: identical totals and by_kind()
         // view to issuing the batch through `search` one at a time
-        for (outcome, rtt) in outcomes.iter().zip(&rtts) {
-            self.stats.queries += 1;
-            if rtt.is_none() {
-                continue;
-            }
-            self.stats.sent(MsgKind::Query);
-            self.stats.sent(MsgKind::QueryHit);
+        for outcome in &outcomes {
             for _ in &outcome.hits {
                 self.stats.hit(1);
             }
-            if !outcome.hits.is_empty() {
-                self.stats.queries_with_hits += 1;
-            }
+            self.stats.queries_with_hits += u64::from(!outcome.hits.is_empty());
         }
         outcomes
     }

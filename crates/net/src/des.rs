@@ -3,77 +3,71 @@
 //! The step substrates ([`crate::CentralizedNetwork`],
 //! [`crate::FloodingNetwork`], [`crate::SuperPeerNetwork`]) simulate one
 //! search at a time on a private event queue; churn and digest refresh
-//! happen *between* searches, instantaneously. That is faithful for
-//! measuring a single query but caps experiments at the scale where
-//! per-peer objects and per-search allocation stay cheap.
+//! happen *between* searches, instantaneously. [`DesNetwork`] runs the
+//! same three protocols on **one global virtual-time queue**
+//! ([`crate::sim::EventQueue`], tie-broken by `(timestamp, sequence)`):
+//! query issue, per-hop message delivery, hit return, churn transitions
+//! and digest refresh are all timestamped [`DesEvent`]s, so a churn
+//! storm lands *while* queries are in flight.
 //!
-//! [`DesNetwork`] runs the three protocols on **one global
-//! virtual-time queue** ([`crate::sim::EventQueue`], tie-broken by
-//! `(timestamp, sequence)`): query issue, per-hop message delivery, hit
-//! return, churn transitions, and digest refresh are all timestamped
-//! [`DesEvent`]s, so a churn storm lands *while* queries are in flight.
-//! Per-peer state is struct-of-arrays ([`RecordArena`] slots plus flat
-//! `Vec`s for liveness and super assignment) instead of one object per
-//! peer, which is what makes 100k+ peers tractable.
+//! # A scheduler, not a protocol
 //!
-//! # One core, three drivers
+//! The engine owns a step substrate and a timeline, nothing else. Peers,
+//! liveness, shared records, overlay, routing digests, latency model,
+//! walker rng and statistics are the substrate's, built by the
+//! substrate's constructor; `publish`, `unpublish`, `retrieve`, liveness
+//! and digest refresh delegate to it, and a query event borrows the
+//! substrate's own walk (the crate's one overlay-search core,
+//! `overlay.rs`) exactly as the substrate's `search` does. What differs
+//! is the [`Sink`]: every forwarded copy becomes a `FloodQuery` /
+//! `SuperQuery` event and every hit batch a `HitDeliver` on the global
+//! queue, counted in the query's `pending`, with the query's issue time
+//! as the time base. A sequential [`PeerNetwork::search`] therefore
+//! produces the message counts, latencies and hit *sets* of the step
+//! substrate built from the same seed — there is one constructor and one
+//! stream of rng draws, not two kept alike — and `tests/des_equivalence.rs`
+//! pins what is still the driver's own: queue discipline, time base,
+//! `pending`.
 //!
-//! The Gnutella and FastTrack walk itself — who drops a copy, who
-//! evaluates, what a hit costs on the way back, where a copy goes next —
-//! is not in this file: it is the crate's one overlay-search core
-//! (`overlay.rs`), which the step substrates drive from a private
-//! per-query queue. This engine is its third driver. Its sink turns
-//! every forwarded copy into a `FloodQuery`/`SuperQuery` event and
-//! every hit batch into a `HitDeliver` on the global queue, counted in
-//! the query's `pending`; its time base is the query's issue time; and
-//! its Gnutella share table is the [`RecordArena`] instead of one
-//! `IndexNode` per peer. The same RNG streams drive walker selection
-//! and super assignment, so a sequential [`PeerNetwork::search`]
-//! through the trait produces the same message counts, latencies and
-//! hit *sets* as the equivalent step substrate (hit *order* may differ
-//! for Gnutella: the arena scans records in per-peer insertion order
-//! while the metadata index scans in doc-id order, and doc ids are
-//! recycled). The property tests in `tests/des_equivalence.rs` pin the
-//! drivers to each other.
+//! The one choice made here is the Gnutella share-table layout: the
+//! engine drives `FloodingNetwork<RecordArena>`, struct-of-arrays over
+//! all peers instead of one inverted index per peer, which is what makes
+//! 100k+ peers tractable. Hit *order* may differ from the step network
+//! for that reason alone: the arena scans a peer's records in insertion
+//! order, the metadata index in doc-id order, and doc ids are recycled.
 
+use crate::centralized::CentralizedNetwork;
 use crate::churn::ChurnEvent;
-use crate::digest::{RecordVisitor, RouteTable};
+use crate::digest::RecordVisitor;
 use crate::event::DesEvent;
-use crate::flooding::FloodingConfig;
-use crate::index_node::IndexNode;
+use crate::flooding::{FloodingConfig, FloodingNetwork, ShareTable};
 use crate::latency::LatencyModel;
-use crate::message::{ResourceRecord, SearchHit, SharedFields, Time};
-use crate::overlay::{self, is_alive, Hop, Match, Progress, Sink, Walk};
+use crate::message::{ResourceRecord, SharedFields, Time};
+use crate::overlay::{Hop, Match, Progress, Sink};
 use crate::peer::PeerId;
 use crate::sim::EventQueue;
-use crate::stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
-use crate::superpeer::SuperPeerConfig;
+use crate::stats::{NetStats, RetrieveOutcome, SearchOutcome};
+use crate::superpeer::{SuperPeerConfig, SuperPeerNetwork};
 use crate::topology::Topology;
 use crate::traits::{PeerNetwork, ProtocolKind};
 use crate::NetConfig;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use up2p_store::Query;
-
-/// Pseudo-peer id of the central index server (mirrors the step
-/// substrate's convention; never a member of the peer vector).
-const SERVER: PeerId = PeerId(u32::MAX);
 
 // ---------------------------------------------------------------------
 // Struct-of-arrays record storage
 // ---------------------------------------------------------------------
 
-/// Struct-of-arrays record store for the flooding substrate: one slot
-/// per live record across *all* peers, with per-peer slot lists. Replaces
-/// the step substrate's `Vec<IndexNode>` (one inverted index per peer),
-/// which is prohibitively pointer-heavy at 100k peers.
+/// The struct-of-arrays [`ShareTable`]: one slot per live record across
+/// *all* peers, with per-peer slot lists, where the step substrate's
+/// default layout keeps one inverted index per peer — prohibitively
+/// pointer-heavy at 100k peers.
 ///
 /// Communities are interned once; fields stay behind the shared
 /// [`SharedFields`] arc so a record replicated on many peers costs one
 /// allocation.
 #[derive(Debug, Default)]
-struct RecordArena {
+pub struct RecordArena {
     /// Record key per slot (empty string = free slot).
     keys: Vec<String>,
     /// Interned community id per slot.
@@ -91,10 +85,6 @@ struct RecordArena {
 }
 
 impl RecordArena {
-    fn new(peers: usize) -> RecordArena {
-        RecordArena { by_peer: vec![Vec::new(); peers], ..RecordArena::default() }
-    }
-
     fn intern_community(&mut self, name: &str) -> u32 {
         if let Some(&id) = self.community_ids.get(name) {
             return id;
@@ -105,10 +95,27 @@ impl RecordArena {
         id
     }
 
-    /// Inserts or replaces `peer`'s copy of `record` (keyed by
-    /// `record.key`), mirroring `IndexNode::upsert`: returns the
-    /// `(community, fields)` of the copy it replaced.
+    fn take(&mut self, peer: u32, key: &str) -> Option<(u32, SharedFields)> {
+        let RecordArena { keys, communities, fields, free, by_peer, .. } = self;
+        let list = by_peer.get_mut(peer as usize)?;
+        let pos = list.iter().position(|&s| keys[s as usize] == key)?;
+        let slot = list.remove(pos);
+        keys[slot as usize].clear();
+        free.push(slot);
+        let taken = std::mem::replace(&mut fields[slot as usize], SharedFields::from(Vec::new()));
+        Some((communities[slot as usize], taken))
+    }
+}
+
+impl ShareTable for RecordArena {
+    fn with_peers(peers: usize) -> RecordArena {
+        RecordArena { by_peer: vec![Vec::new(); peers], ..RecordArena::default() }
+    }
+
     fn upsert(&mut self, peer: u32, record: &ResourceRecord) -> Option<(&str, SharedFields)> {
+        if peer as usize >= self.by_peer.len() {
+            return None;
+        }
         let replaced = self.take(peer, &record.key);
         let cid = self.intern_community(&record.community);
         let slot = match self.free.pop() {
@@ -126,28 +133,13 @@ impl RecordArena {
                 s
             }
         };
-        if let Some(list) = self.by_peer.get_mut(peer as usize) {
-            list.push(slot);
-        }
+        self.by_peer[peer as usize].push(slot);
         replaced.map(|(cid, fields)| (self.community_names[cid as usize].as_str(), fields))
     }
 
-    /// Removes `peer`'s copy of `key`, returning its `(community,
-    /// fields)` when there was one.
     fn remove(&mut self, peer: u32, key: &str) -> Option<(&str, SharedFields)> {
         let (cid, fields) = self.take(peer, key)?;
         Some((self.community_names[cid as usize].as_str(), fields))
-    }
-
-    fn take(&mut self, peer: u32, key: &str) -> Option<(u32, SharedFields)> {
-        let RecordArena { keys, communities, fields, free, by_peer, .. } = self;
-        let list = by_peer.get_mut(peer as usize)?;
-        let pos = list.iter().position(|&s| keys[s as usize] == key)?;
-        let slot = list.remove(pos);
-        keys[slot as usize].clear();
-        free.push(slot);
-        let taken = std::mem::replace(&mut fields[slot as usize], SharedFields::from(Vec::new()));
-        Some((communities[slot as usize], taken))
     }
 
     fn has(&self, peer: u32, key: &str) -> bool {
@@ -160,8 +152,7 @@ impl RecordArena {
         self.by_peer.get(peer as usize).map_or(0, Vec::len)
     }
 
-    /// All of `peer`'s records matching `query` within `community`, in
-    /// insertion order.
+    /// A scan of `peer`'s records, in insertion order.
     fn matches(&self, peer: u32, community: &str, query: &Query) -> Vec<Match> {
         let Some(&cid) = self.community_ids.get(community) else { return Vec::new() };
         let Some(list) = self.by_peer.get(peer as usize) else { return Vec::new() };
@@ -180,8 +171,6 @@ impl RecordArena {
         out
     }
 
-    /// Visits `(community, fields)` of every record `peer` shares — what
-    /// `IndexNode::for_each_record` visits on an equivalent share table.
     fn for_each_record(&self, peer: u32, visit: &mut RecordVisitor<'_>) {
         for &slot in self.by_peer.get(peer as usize).into_iter().flatten() {
             let community = &self.community_names[self.communities[slot as usize] as usize];
@@ -189,8 +178,7 @@ impl RecordArena {
         }
     }
 
-    /// Deterministic size estimate (no allocator introspection, so two
-    /// same-seed runs report the same number).
+    /// Deterministic (two same-seed runs report the same number).
     fn approx_bytes(&self) -> u64 {
         let slots = self.keys.len() as u64;
         let key_bytes: u64 = self.keys.iter().map(|k| k.len() as u64).sum();
@@ -200,58 +188,43 @@ impl RecordArena {
 }
 
 // ---------------------------------------------------------------------
-// Per-protocol state
+// The driven substrate
 // ---------------------------------------------------------------------
 
-/// Napster: one central index, queried over a star.
-struct NapsterState {
-    server: IndexNode,
+/// The step substrate the engine schedules: all protocol state and every
+/// protocol decision live in here.
+enum Substrate {
+    Napster(CentralizedNetwork),
+    Gnutella(FloodingNetwork<RecordArena>),
+    FastTrack(SuperPeerNetwork),
 }
 
-/// Gnutella: flat overlay, records in the arena, optional digests.
-struct GnutellaState {
-    topology: Topology,
-    arena: RecordArena,
-    config: FloodingConfig,
-    routes: RouteTable,
-    walk_rng: StdRng,
-}
-
-/// FastTrack: leaves pinned to supers, per-super indexes and digests.
-struct FastTrackState {
-    config: SuperPeerConfig,
-    super_of: Vec<u32>,
-    super_topology: Topology,
-    indexes: Vec<IndexNode>,
-    owned: Vec<BTreeSet<String>>,
-    routes: RouteTable,
-    walk_rng: StdRng,
-}
-
-impl GnutellaState {
-    fn refresh_digests(&mut self, stats: &mut NetStats) {
-        let GnutellaState { topology, arena, routes, .. } = self;
-        overlay::refresh_digests(routes, topology, stats, |p, visit| {
-            arena.for_each_record(p, visit)
-        });
+impl Substrate {
+    /// Everything the [`PeerNetwork`] trait already offers is delegated
+    /// through these two.
+    fn as_net(&self) -> &dyn PeerNetwork {
+        match self {
+            Substrate::Napster(n) => n,
+            Substrate::Gnutella(g) => g,
+            Substrate::FastTrack(f) => f,
+        }
     }
-}
 
-impl FastTrackState {
-    fn refresh_digests(&mut self, stats: &mut NetStats) {
-        let FastTrackState { super_topology, indexes, routes, .. } = self;
-        overlay::refresh_digests(routes, super_topology, stats, |s, visit| {
-            indexes[s as usize].for_each_record(visit)
-        });
+    fn as_net_mut(&mut self) -> &mut dyn PeerNetwork {
+        match self {
+            Substrate::Napster(n) => n,
+            Substrate::Gnutella(g) => g,
+            Substrate::FastTrack(f) => f,
+        }
     }
-}
 
-/// Protocol-specific half of the engine. Boxed so the enum stays small
-/// (`clippy::large_enum_variant`).
-enum Protocol {
-    Napster(Box<NapsterState>),
-    Gnutella(Box<GnutellaState>),
-    FastTrack(Box<FastTrackState>),
+    fn stats_mut(&mut self) -> &mut NetStats {
+        match self {
+            Substrate::Napster(n) => &mut n.stats,
+            Substrate::Gnutella(g) => &mut g.stats,
+            Substrate::FastTrack(f) => &mut f.stats,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -309,8 +282,8 @@ impl Sink for Timeline<'_> {
 /// Discrete-event simulation substrate running Napster, Gnutella, or
 /// FastTrack semantics on one global virtual-time queue.
 ///
-/// Construct with [`DesNetwork::build`] (mirror of
-/// [`crate::build_network_with`], seed-for-seed) or the per-protocol
+/// Construct with [`DesNetwork::build`] (the same [`NetConfig`] mapping
+/// and seeds as [`crate::build_network_with`]) or the per-protocol
 /// constructors, then either:
 ///
 /// * drive it through the [`PeerNetwork`] trait — each `search` pumps
@@ -322,11 +295,7 @@ impl Sink for Timeline<'_> {
 ///   it to completion, letting queries and churn interleave in virtual
 ///   time.
 pub struct DesNetwork {
-    kind: ProtocolKind,
-    state: Protocol,
-    alive: Vec<bool>,
-    latency: Box<dyn LatencyModel + Send + Sync>,
-    stats: NetStats,
+    substrate: Substrate,
     queue: EventQueue<DesEvent>,
     queries: Vec<QueryState>,
     clock: Time,
@@ -338,8 +307,8 @@ pub struct DesNetwork {
 impl std::fmt::Debug for DesNetwork {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DesNetwork")
-            .field("kind", &self.kind)
-            .field("peers", &self.alive.len())
+            .field("kind", &self.kind())
+            .field("peers", &self.peer_count())
             .field("clock", &self.clock)
             .field("events_processed", &self.events_processed)
             .field("queued", &self.queue.len())
@@ -351,18 +320,9 @@ impl std::fmt::Debug for DesNetwork {
 impl DesNetwork {
     // ---- construction ------------------------------------------------
 
-    fn with_state(
-        kind: ProtocolKind,
-        peers: usize,
-        latency: Box<dyn LatencyModel + Send + Sync>,
-        state: Protocol,
-    ) -> DesNetwork {
+    fn driving(substrate: Substrate) -> DesNetwork {
         DesNetwork {
-            kind,
-            state,
-            alive: vec![true; peers],
-            latency,
-            stats: NetStats::new(),
+            substrate,
             queue: EventQueue::new(),
             queries: Vec::new(),
             clock: 0,
@@ -374,94 +334,53 @@ impl DesNetwork {
 
     /// Napster semantics: every peer talks to one central index server.
     pub fn napster(peers: usize, latency: Box<dyn LatencyModel + Send + Sync>) -> DesNetwork {
-        let state = Protocol::Napster(Box::new(NapsterState { server: IndexNode::new() }));
-        DesNetwork::with_state(ProtocolKind::Napster, peers, latency, state)
+        DesNetwork::driving(Substrate::Napster(CentralizedNetwork::new(peers, latency)))
     }
 
-    /// Gnutella semantics on an explicit overlay. The walker RNG seed
-    /// matches [`crate::FloodingNetwork::new`] so guided fallback walks
-    /// pick the same neighbors.
+    /// Gnutella semantics on an explicit overlay: a
+    /// [`FloodingNetwork`] over the [`RecordArena`] layout.
     pub fn gnutella(
         topology: Topology,
         latency: Box<dyn LatencyModel + Send + Sync>,
         config: FloodingConfig,
     ) -> DesNetwork {
-        let peers = topology.len();
-        let state = Protocol::Gnutella(Box::new(GnutellaState {
-            arena: RecordArena::new(peers),
-            routes: RouteTable::new(config.digests),
-            walk_rng: StdRng::seed_from_u64(0xd16e_57ed ^ peers as u64),
-            topology,
-            config,
-        }));
-        DesNetwork::with_state(ProtocolKind::Gnutella, peers, latency, state)
+        DesNetwork::driving(Substrate::Gnutella(FloodingNetwork::with_table(
+            topology, latency, config,
+        )))
     }
 
-    /// FastTrack semantics: the first `config.supers` peers are supers,
-    /// every other peer is assigned one uniformly. RNG consumption
-    /// mirrors [`crate::SuperPeerNetwork::new`] draw-for-draw.
+    /// FastTrack semantics: a [`SuperPeerNetwork`] — the first
+    /// `config.supers` peers are supers, every other peer is assigned one
+    /// uniformly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.supers` is zero or exceeds `peers`.
     pub fn fasttrack(
         peers: usize,
         config: SuperPeerConfig,
         latency: Box<dyn LatencyModel + Send + Sync>,
         seed: u64,
     ) -> DesNetwork {
-        assert!(config.supers > 0 && config.supers <= peers, "invalid super count");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut super_of = Vec::with_capacity(peers);
-        for i in 0..peers {
-            if i < config.supers {
-                super_of.push(i as u32);
-            } else {
-                super_of.push(rng.gen_range(0..config.supers) as u32);
-            }
-        }
-        let super_topology = if config.supers <= 3 {
-            Topology::ring_lattice(config.supers, 1)
-        } else {
-            Topology::small_world(config.supers, config.super_degree, 0.2, seed ^ 0x5eed)
-        };
-        let state = Protocol::FastTrack(Box::new(FastTrackState {
-            super_of,
-            super_topology,
-            indexes: std::iter::repeat_with(IndexNode::new).take(config.supers).collect(),
-            owned: vec![BTreeSet::new(); peers],
-            routes: RouteTable::new(config.digests),
-            walk_rng: StdRng::seed_from_u64(seed ^ 0x3a1f_7a1c),
-            config,
-        }));
-        DesNetwork::with_state(ProtocolKind::FastTrack, peers, latency, state)
+        DesNetwork::driving(Substrate::FastTrack(SuperPeerNetwork::new(
+            peers, config, latency, seed,
+        )))
     }
 
     /// Builds a DES substrate from the same [`NetConfig`] knobs as
     /// [`crate::build_network_with`], consuming seeds identically so the
     /// two constructions are comparable run-for-run.
     pub fn build(kind: ProtocolKind, peers: usize, seed: u64, config: &NetConfig) -> DesNetwork {
+        let latency = config.latency.build(peers, seed);
         match kind {
-            ProtocolKind::Napster => DesNetwork::napster(peers, config.latency.build(peers, seed)),
+            ProtocolKind::Napster => DesNetwork::napster(peers, latency),
             ProtocolKind::Gnutella => {
                 let topology = Topology::small_world(peers, 2, 0.2, seed);
-                DesNetwork::gnutella(
-                    topology,
-                    config.latency.build(peers, seed),
-                    FloodingConfig {
-                        ttl: config.ttl,
-                        dedup: config.dedup,
-                        digests: config.digests,
-                    },
-                )
+                DesNetwork::gnutella(topology, latency, config.flooding())
             }
-            ProtocolKind::FastTrack => DesNetwork::fasttrack(
-                peers,
-                SuperPeerConfig {
-                    supers: config.super_count(peers),
-                    super_degree: config.super_degree,
-                    ttl: config.super_ttl,
-                    digests: config.digests,
-                },
-                config.latency.build(peers, seed),
-                seed,
-            ),
+            ProtocolKind::FastTrack => {
+                DesNetwork::fasttrack(peers, config.super_peer(peers), latency, seed)
+            }
         }
     }
 
@@ -518,14 +437,7 @@ impl DesNetwork {
     /// in scheduling order.
     pub fn run(&mut self) -> Vec<SearchOutcome> {
         self.pump(None);
-        let mut out = Vec::new();
-        for qs in &mut self.queries {
-            if qs.done && !qs.taken {
-                qs.taken = true;
-                out.push(std::mem::take(&mut qs.progress.outcome));
-            }
-        }
-        out
+        (0..self.queries.len() as u32).filter_map(|qid| self.take_outcome(qid)).collect()
     }
 
     /// Takes a completed query's outcome by id (`None` if unknown, not
@@ -543,7 +455,11 @@ impl DesNetwork {
 
     /// Which protocol this engine runs.
     pub fn kind(&self) -> ProtocolKind {
-        self.kind
+        match self.substrate {
+            Substrate::Napster(_) => ProtocolKind::Napster,
+            Substrate::Gnutella(_) => ProtocolKind::Gnutella,
+            Substrate::FastTrack(_) => ProtocolKind::FastTrack,
+        }
     }
 
     /// Current virtual time (max timestamp processed so far).
@@ -564,21 +480,17 @@ impl DesNetwork {
     /// Records currently shared by `peer` (0 for Napster, where records
     /// live only on the server).
     pub fn shared_count(&self, peer: PeerId) -> usize {
-        match &self.state {
-            Protocol::Napster(_) => 0,
-            Protocol::Gnutella(g) => g.arena.shared_count(peer.0),
-            Protocol::FastTrack(ft) => {
-                ft.owned.get(peer.index()).map_or(0, BTreeSet::len)
-            }
+        match &self.substrate {
+            Substrate::Napster(_) => 0,
+            Substrate::Gnutella(g) => g.shared_count(peer),
+            Substrate::FastTrack(f) => f.shared_count(peer),
         }
     }
 
     /// The super-peer index `peer` reports to (FastTrack only).
     pub fn super_of_peer(&self, peer: PeerId) -> Option<usize> {
-        match &self.state {
-            Protocol::FastTrack(ft) => {
-                ft.super_of.get(peer.index()).map(|&s| s as usize)
-            }
+        match &self.substrate {
+            Substrate::FastTrack(f) => f.super_of(peer),
             _ => None,
         }
     }
@@ -595,55 +507,34 @@ impl DesNetwork {
         query: &Query,
         max_depth: u8,
     ) -> Option<u8> {
-        match &self.state {
-            Protocol::Napster(_) => None,
-            Protocol::Gnutella(g) => {
-                g.routes.min_depth(advertiser, receiver, community, query, max_depth)
-            }
-            Protocol::FastTrack(ft) => {
-                ft.routes.min_depth(advertiser, receiver, community, query, max_depth)
-            }
-        }
+        let routes = match &self.substrate {
+            Substrate::Napster(_) => return None,
+            Substrate::Gnutella(g) => g.routes(),
+            Substrate::FastTrack(f) => f.routes(),
+        };
+        routes.min_depth(advertiser, receiver, community, query, max_depth)
     }
 
-    /// Deterministic estimate of resident state in bytes: liveness,
-    /// protocol state, and the event queue at its high-water mark. Not
-    /// allocator-exact — comparable across runs and protocols, which is
-    /// what the E11 scale experiment needs.
+    /// Deterministic estimate of resident state in bytes: the
+    /// substrate's own estimate plus the event queue at its high-water
+    /// mark. Not allocator-exact — comparable across runs and protocols,
+    /// which is what the E11 scale experiment needs.
     pub fn approx_bytes(&self) -> u64 {
-        let state = match &self.state {
-            Protocol::Napster(np) => np.server.len() as u64 * 256,
-            Protocol::Gnutella(g) => {
-                g.arena.approx_bytes()
-                    + g.topology.edge_count() as u64 * 16
-                    + g.routes.approx_bytes()
-            }
-            Protocol::FastTrack(ft) => {
-                let owned: u64 = ft
-                    .owned
-                    .iter()
-                    .map(|s| 24 + s.iter().map(|k| 32 + k.len() as u64).sum::<u64>())
-                    .sum();
-                let indexes: u64 = ft.indexes.iter().map(|i| i.len() as u64 * 256).sum();
-                owned
-                    + indexes
-                    + ft.super_topology.edge_count() as u64 * 16
-                    + ft.super_of.len() as u64 * 4
-                    + ft.routes.approx_bytes()
-            }
+        let state = match &self.substrate {
+            Substrate::Napster(n) => n.approx_bytes(),
+            Substrate::Gnutella(g) => g.approx_bytes(),
+            Substrate::FastTrack(f) => f.approx_bytes(),
         };
-        let events =
-            self.peak_queue as u64 * (std::mem::size_of::<DesEvent>() as u64 + 24);
-        self.alive.len() as u64 + state + events
+        state + self.peak_queue as u64 * (std::mem::size_of::<DesEvent>() as u64 + 24)
     }
 
     /// Rebuilds dirty routing digests immediately (also triggered by the
     /// guided search path and [`DesEvent::DigestRefresh`] events).
     pub fn refresh_digests(&mut self) {
-        match &mut self.state {
-            Protocol::Napster(_) => {}
-            Protocol::Gnutella(g) => g.refresh_digests(&mut self.stats),
-            Protocol::FastTrack(ft) => ft.refresh_digests(&mut self.stats),
+        match &mut self.substrate {
+            Substrate::Napster(_) => {}
+            Substrate::Gnutella(g) => g.refresh_digests(),
+            Substrate::FastTrack(f) => f.refresh_digests(),
         }
     }
 
@@ -687,7 +578,7 @@ impl DesNetwork {
                 Some(qid)
             }
             DesEvent::ServerQuery { qid } => {
-                self.handle_server_query(t, qid);
+                self.handle_server_query(qid);
                 Some(qid)
             }
             DesEvent::HitDeliver { qid, .. } => {
@@ -697,9 +588,7 @@ impl DesNetwork {
                 Some(qid)
             }
             DesEvent::Churn { peer, online } => {
-                if let Some(slot) = self.alive.get_mut(peer.index()) {
-                    *slot = online;
-                }
+                self.set_alive(peer, online);
                 None
             }
             DesEvent::DigestRefresh => {
@@ -718,132 +607,70 @@ impl DesNetwork {
             return;
         }
         qs.done = true;
-        qs.progress.finish(qs.issued_at, &mut self.stats);
+        qs.progress.finish(qs.issued_at, self.substrate.stats_mut());
     }
 
     // ---- event handlers ----------------------------------------------
 
     /// The driver half of a query's life on the timeline: `hop: None`
-    /// issues the query, `Some` delivers one copy. Everything the walk
-    /// decides happens in [`Walk`]; this picks the share table, the
-    /// entry point and the event flavor per protocol.
+    /// issues the query, `Some` delivers one copy. Whether the query
+    /// leaves at all and everything its walk decides is the substrate's;
+    /// this picks the entry point and the event flavor per protocol.
     fn handle_query(&mut self, t: Time, qid: u32, hop: Option<Hop>) {
-        let Self { state, alive, latency, stats, queue, queries, .. } = self;
+        let Self { substrate, queue, queries, .. } = self;
         let Some(qs) = queries.get_mut(qid as usize) else { return };
         qs.pending = qs.pending.saturating_sub(1);
         let QueryState { origin, community, query, progress, pending, .. } = qs;
         let (origin, community, query) = (*origin, community.as_str(), &*query);
-        if hop.is_none() {
-            stats.queries += 1;
-            if !is_alive(alive, origin) {
-                return;
-            }
-        }
-        match state {
-            Protocol::Napster(_) => {
-                // One round trip to the server; the reply always arrives.
-                stats.sent(MsgKind::Query);
-                stats.sent(MsgKind::QueryHit);
-                progress.outcome.messages = 2;
-                let up = latency.delay(origin, SERVER);
-                let down = latency.delay(SERVER, origin);
+        match substrate {
+            Substrate::Napster(n) => {
+                let Some((up, down)) = n.begin_query(origin) else { return };
                 progress.quiescence = t + up + down;
                 progress.last_hit_at = progress.quiescence;
                 *pending += 1;
                 queue.push(t + up, DesEvent::ServerQuery { qid });
             }
-            Protocol::Gnutella(g) => {
-                if hop.is_none() {
-                    g.refresh_digests(stats);
+            Substrate::Gnutella(g) => {
+                if hop.is_none() && !g.begin_query(origin) {
+                    return;
                 }
-                let GnutellaState { topology, arena, config, routes, walk_rng } = &mut **g;
-                let mut walk = Walk {
-                    topology,
-                    routes,
-                    alive,
-                    latency: latency.as_mut(),
-                    walk_rng,
-                    stats,
-                    community,
-                    query,
-                    ttl: config.ttl,
-                    dedup: config.dedup,
-                };
-                let eval = |p| arena.matches(p, community, query);
+                let (mut walk, eval) = g.walk(community, query);
                 let mut sink = Timeline { qid, flat: true, pending, queue };
                 match hop {
                     None => walk.start(progress, t, origin.0, None, eval, &mut sink),
                     Some(hop) => walk.arrive(progress, t, hop, eval, &mut sink),
                 }
             }
-            Protocol::FastTrack(ft) => {
-                if hop.is_none() {
-                    ft.refresh_digests(stats);
+            Substrate::FastTrack(f) => {
+                if hop.is_none() && !f.begin_query(origin) {
+                    return;
                 }
-                let FastTrackState {
-                    config, super_of, super_topology, indexes, routes, walk_rng, ..
-                } = &mut **ft;
-                let mut walk = Walk {
-                    topology: super_topology,
-                    routes,
-                    alive,
-                    latency: latency.as_mut(),
-                    walk_rng,
-                    stats,
-                    community,
-                    query,
-                    ttl: config.ttl,
-                    dedup: true,
-                };
-                let eval =
-                    |s| overlay::index_matches(&indexes[s as usize], alive, community, query);
+                let entry = f.super_of(origin).map(|s| s as u32);
+                let (mut walk, eval) = f.walk(community, query);
                 let mut sink = Timeline { qid, flat: false, pending, queue };
                 match hop {
-                    None => {
-                        let entry = super_of[origin.index()];
-                        walk.start(progress, t, origin.0, Some(entry), eval, &mut sink)
-                    }
+                    None => walk.start(progress, t, origin.0, entry, eval, &mut sink),
                     Some(hop) => walk.arrive(progress, t, hop, eval, &mut sink),
                 }
             }
         }
     }
 
-    fn handle_server_query(&mut self, _t: Time, qid: u32) {
-        let Self { state, alive, stats, queue, queries, .. } = self;
-        let Protocol::Napster(np) = state else { return };
+    /// The server answers when the request reaches it — liveness is read
+    /// now, not at issue — and its reply lands at the time the issue
+    /// drew.
+    fn handle_server_query(&mut self, qid: u32) {
+        let Self { substrate, queue, queries, .. } = self;
+        let Substrate::Napster(n) = substrate else { return };
         let Some(qs) = queries.get_mut(qid as usize) else { return };
-        qs.pending = qs.pending.saturating_sub(1);
         let arrival = qs.progress.quiescence;
-        let batch;
-        {
-            let QueryState { community, query, progress: Progress { outcome, .. }, .. } = &mut *qs;
-            let alive_ref = &*alive;
-            let hits = &mut outcome.hits;
-            np.server.search(
-                community.as_str(),
-                query,
-                |p| alive_ref.get(p.index()).copied().unwrap_or(false),
-                |key, provider, fields| {
-                    hits.push(SearchHit {
-                        key: key.to_string(),
-                        provider,
-                        fields: fields.clone(),
-                        hops: 1,
-                    });
-                },
-            );
-            for _ in &outcome.hits {
-                stats.hit(1);
-            }
-            if !outcome.hits.is_empty() {
-                outcome.first_hit_latency = Some(arrival);
-            }
-            batch = outcome.hits.len() as u32;
-        }
-        // The server's reply arrives whether or not it carries hits.
-        qs.pending += 1;
-        queue.push(arrival, DesEvent::HitDeliver { qid, hits: batch });
+        let outcome = &mut qs.progress.outcome;
+        n.answer(&qs.community, &qs.query, outcome, arrival);
+        // The server's reply arrives whether or not it carries hits, so
+        // `pending` stays as it is: this event leaves it, the reply
+        // enters it.
+        let hits = outcome.hits.len() as u32;
+        queue.push(arrival, DesEvent::HitDeliver { qid, hits });
     }
 }
 
@@ -853,84 +680,27 @@ impl DesNetwork {
 
 impl PeerNetwork for DesNetwork {
     fn protocol_name(&self) -> &'static str {
-        self.kind.schema_value()
+        self.substrate.as_net().protocol_name()
     }
 
     fn peer_count(&self) -> usize {
-        self.alive.len()
+        self.substrate.as_net().peer_count()
     }
 
     fn is_alive(&self, peer: PeerId) -> bool {
-        is_alive(&self.alive, peer)
+        self.substrate.as_net().is_alive(peer)
     }
 
     fn set_alive(&mut self, peer: PeerId, alive: bool) {
-        if let Some(slot) = self.alive.get_mut(peer.index()) {
-            *slot = alive;
-        }
+        self.substrate.as_net_mut().set_alive(peer, alive);
     }
 
     fn publish(&mut self, provider: PeerId, record: ResourceRecord) {
-        let Self { state, alive, stats, .. } = self;
-        match state {
-            Protocol::Napster(np) => {
-                if !is_alive(alive, provider) {
-                    return;
-                }
-                stats.sent(MsgKind::Publish);
-                np.server.insert(provider, &record);
-            }
-            Protocol::Gnutella(g) => {
-                if provider.index() >= alive.len() {
-                    return;
-                }
-                let GnutellaState { arena, routes, .. } = &mut **g;
-                if let Some((community, fields)) = arena.upsert(provider.0, &record) {
-                    routes.record_removed(provider.0, community, &fields);
-                }
-                routes.record_added(provider.0, &record.community, &record.fields);
-            }
-            Protocol::FastTrack(ft) => {
-                if !is_alive(alive, provider) {
-                    return;
-                }
-                let s = ft.super_of[provider.index()];
-                if provider.index() >= ft.config.supers {
-                    stats.sent(MsgKind::Publish);
-                }
-                ft.owned[provider.index()].insert(record.key.clone());
-                let FastTrackState { indexes, routes, .. } = &mut **ft;
-                overlay::insert_record(routes, s, &mut indexes[s as usize], provider, &record);
-            }
-        }
+        self.substrate.as_net_mut().publish(provider, record);
     }
 
     fn unpublish(&mut self, provider: PeerId, key: &str) {
-        let Self { state, alive, stats, .. } = self;
-        if provider.index() >= alive.len() {
-            return; // an id outside the network shares nothing
-        }
-        match state {
-            Protocol::Napster(np) => {
-                stats.sent(MsgKind::Unpublish);
-                np.server.remove(provider, key);
-            }
-            Protocol::Gnutella(g) => {
-                let GnutellaState { arena, routes, .. } = &mut **g;
-                if let Some((community, fields)) = arena.remove(provider.0, key) {
-                    routes.record_removed(provider.0, community, &fields);
-                }
-            }
-            Protocol::FastTrack(ft) => {
-                let s = ft.super_of[provider.index()];
-                if provider.index() >= ft.config.supers {
-                    stats.sent(MsgKind::Unpublish);
-                }
-                ft.owned[provider.index()].remove(key);
-                let FastTrackState { indexes, routes, .. } = &mut **ft;
-                overlay::remove_record(routes, s, &mut indexes[s as usize], provider, key);
-            }
-        }
+        self.substrate.as_net_mut().unpublish(provider, key);
     }
 
     fn search(&mut self, origin: PeerId, community: &str, query: &Query) -> SearchOutcome {
@@ -941,27 +711,15 @@ impl PeerNetwork for DesNetwork {
     }
 
     fn retrieve(&mut self, origin: PeerId, provider: PeerId, key: &str) -> RetrieveOutcome {
-        let Self { state, alive, latency, stats, .. } = self;
-        overlay::retrieve(
-            stats,
-            is_alive(alive, origin),
-            alive.get(provider.index()).copied(),
-            provider,
-            || match state {
-                Protocol::Napster(np) => np.server.has_provider(key, provider),
-                Protocol::Gnutella(g) => g.arena.has(provider.0, key),
-                Protocol::FastTrack(ft) => ft.owned[provider.index()].contains(key),
-            },
-            || latency.delay(origin, provider) + latency.delay(provider, origin),
-        )
+        self.substrate.as_net_mut().retrieve(origin, provider, key)
     }
 
     fn stats(&self) -> &NetStats {
-        &self.stats
+        self.substrate.as_net().stats()
     }
 
     fn reset_stats(&mut self) {
-        self.stats = NetStats::new();
+        self.substrate.as_net_mut().reset_stats();
     }
 }
 
@@ -969,6 +727,7 @@ impl PeerNetwork for DesNetwork {
 mod tests {
     use super::*;
     use crate::digest::RoutingDigest;
+    use crate::index_node::IndexNode;
     use crate::latency::ConstantLatency;
     use crate::stats::MsgKind;
 
@@ -1064,7 +823,7 @@ mod tests {
 
     #[test]
     fn arena_digest_matches_index_node_digest() {
-        let mut arena = RecordArena::new(2);
+        let mut arena = RecordArena::with_peers(2);
         let mut node = IndexNode::new();
         for (i, artist) in ["miles davis", "john coltrane"].iter().enumerate() {
             let rec = track(&format!("k{i}"), artist);
@@ -1083,7 +842,7 @@ mod tests {
 
     #[test]
     fn arena_upsert_recycles_slots() {
-        let mut arena = RecordArena::new(1);
+        let mut arena = RecordArena::with_peers(1);
         arena.upsert(0, &track("k1", "a"));
         arena.upsert(0, &track("k2", "b"));
         arena.remove(0, "k1");

@@ -837,17 +837,24 @@ mod tests {
 
         fn insert(&mut self, at: u32, provider: u32, record: &ResourceRecord) {
             let node = &mut self.nodes[at as usize];
-            crate::overlay::insert_record(&mut self.table, at, node, PeerId(provider), record);
+            if node.insert(PeerId(provider), record) {
+                self.table.record_added(at, &record.community, &record.fields);
+            }
         }
 
         fn upsert(&mut self, at: u32, provider: u32, record: &ResourceRecord) {
             let node = &mut self.nodes[at as usize];
-            crate::overlay::upsert_record(&mut self.table, at, node, PeerId(provider), record);
+            if let Some((community, fields)) = node.upsert(PeerId(provider), record) {
+                self.table.record_removed(at, community, &fields);
+            }
+            self.table.record_added(at, &record.community, &record.fields);
         }
 
         fn remove(&mut self, at: u32, provider: u32, key: &str) {
             let node = &mut self.nodes[at as usize];
-            crate::overlay::remove_record(&mut self.table, at, node, PeerId(provider), key);
+            if let Some((community, fields)) = node.remove(PeerId(provider), key) {
+                self.table.record_removed(at, community, &fields);
+            }
         }
 
         /// Refreshes both sides and holds the table to the reference:

@@ -5,9 +5,16 @@
 //! Publishing is free (objects are shared from the provider's own store;
 //! no metadata leaves the peer), searching costs O(edges within the TTL
 //! horizon) messages — exactly the trade-off against Napster that
-//! experiment E6 measures. Each peer's share table is an [`IndexNode`],
-//! so the per-node evaluation a query pays at every visited peer is a
-//! posting-list lookup, not a scan of the peer's records.
+//! experiment E6 measures.
+//!
+//! The peers' records live in a [`ShareTable`], the substrate's one type
+//! parameter. [`FloodingNetwork::new`] lays them out as one [`IndexNode`]
+//! per peer, so the evaluation a query pays at every visited peer is a
+//! posting-list lookup, not a scan of the peer's records;
+//! [`crate::DesNetwork`] drives the same substrate over the
+//! struct-of-arrays [`crate::RecordArena`]. Everything else — liveness,
+//! write path, digests, retrieve, the assembly of the query walk —
+//! exists once, here, for both.
 //!
 //! With [`DigestConfig::enabled`] the substrate switches to *guided*
 //! search (experiment E10): forwarding consults per-neighbor
@@ -15,11 +22,11 @@
 //! neighbors, stops at the first peer with local hits, and falls back to
 //! TTL'd random walkers when no digest matches.
 
-use crate::digest::{DigestConfig, RouteTable};
+use crate::digest::{DigestConfig, RecordVisitor, RouteTable};
 use crate::index_node::IndexNode;
 use crate::latency::LatencyModel;
-use crate::message::{ResourceRecord, DEFAULT_TTL};
-use crate::overlay::{self, Walk};
+use crate::message::{ResourceRecord, SharedFields, DEFAULT_TTL};
+use crate::overlay::{self, Match, Walk};
 use crate::peer::PeerId;
 use crate::stats::{NetStats, RetrieveOutcome, SearchOutcome};
 use crate::topology::Topology;
@@ -47,16 +54,97 @@ impl Default for FloodingConfig {
     }
 }
 
-/// The flooding (Gnutella) substrate.
-pub struct FloodingNetwork {
+/// The records every peer of a flat overlay shares from its own store:
+/// peer `p`'s records are provided by `p` alone, and republishing a key
+/// replaces the peer's copy (last publish wins). An id outside
+/// `0..peers` shares nothing and accepts nothing.
+///
+/// Two layouts, each measured as irreplaceable on its side (DESIGN.md
+/// §3e): `Vec<IndexNode>`, an inverted index per peer, for a flood that
+/// evaluates at 900 peers per query; [`crate::RecordArena`],
+/// struct-of-arrays over all peers, for 10 000+ simulated peers. The
+/// constructor that builds the network fixes the layout, never an option.
+pub trait ShareTable {
+    /// An empty table for peers `0..peers`.
+    fn with_peers(peers: usize) -> Self;
+
+    /// Inserts or replaces `peer`'s copy of `record`; returns the
+    /// `(community, fields)` of the copy it replaced.
+    fn upsert(&mut self, peer: u32, record: &ResourceRecord) -> Option<(&str, SharedFields)>;
+
+    /// Removes `peer`'s copy of `key`; returns its `(community, fields)`
+    /// when there was one.
+    fn remove(&mut self, peer: u32, key: &str) -> Option<(&str, SharedFields)>;
+
+    /// Does `peer` share `key`?
+    fn has(&self, peer: u32, key: &str) -> bool;
+
+    /// Number of records `peer` shares.
+    fn shared_count(&self, peer: u32) -> usize;
+
+    /// `peer`'s records matching `query` within `community`, as
+    /// `(key, provider, fields)` — the local evaluation of a query copy
+    /// that reached a live `peer`. Order is the layout's own.
+    fn matches(&self, peer: u32, community: &str, query: &Query) -> Vec<Match>;
+
+    /// Visits `(community, fields)` of every record `peer` shares — what
+    /// the peer's routing digest is built from.
+    fn for_each_record(&self, peer: u32, visit: &mut RecordVisitor<'_>);
+
+    /// Deterministic size estimate in bytes (no allocator introspection).
+    fn approx_bytes(&self) -> u64;
+}
+
+/// One inverted index per peer; the provider of every record in slot `i`
+/// is peer `i`.
+impl ShareTable for Vec<IndexNode> {
+    fn with_peers(peers: usize) -> Self {
+        std::iter::repeat_with(IndexNode::new).take(peers).collect()
+    }
+
+    fn upsert(&mut self, peer: u32, record: &ResourceRecord) -> Option<(&str, SharedFields)> {
+        self.get_mut(peer as usize)?.upsert(PeerId(peer), record)
+    }
+
+    fn remove(&mut self, peer: u32, key: &str) -> Option<(&str, SharedFields)> {
+        self.get_mut(peer as usize)?.remove(PeerId(peer), key)
+    }
+
+    fn has(&self, peer: u32, key: &str) -> bool {
+        self.get(peer as usize).is_some_and(|node| node.has_provider(key, PeerId(peer)))
+    }
+
+    fn shared_count(&self, peer: u32) -> usize {
+        self.get(peer as usize).map_or(0, IndexNode::len)
+    }
+
+    fn matches(&self, peer: u32, community: &str, query: &Query) -> Vec<Match> {
+        // the only provider in `peer`'s index is `peer`, which is being asked
+        self.get(peer as usize)
+            .map_or_else(Vec::new, |node| overlay::index_matches(node, |_| true, community, query))
+    }
+
+    fn for_each_record(&self, peer: u32, visit: &mut RecordVisitor<'_>) {
+        if let Some(node) = self.get(peer as usize) {
+            node.for_each_record(visit);
+        }
+    }
+
+    fn approx_bytes(&self) -> u64 {
+        self.iter().map(|node| node.len() as u64 * 256).sum()
+    }
+}
+
+/// The flooding (Gnutella) substrate. Without type arguments this is the
+/// network [`FloodingNetwork::new`] builds, one inverted index per peer.
+pub struct FloodingNetwork<T: ShareTable = Vec<IndexNode>> {
     topology: Topology,
     alive: Vec<bool>,
-    /// Per-peer local share table (each peer indexes only its own
-    /// records; the provider of every record at slot `i` is peer `i`).
-    shared: Vec<IndexNode>,
+    /// What every peer shares from its own store.
+    shared: T,
     latency: Box<dyn LatencyModel + Send + Sync>,
     config: FloodingConfig,
-    stats: NetStats,
+    pub(crate) stats: NetStats,
     /// Per-directed-edge attenuated digests (guided search only).
     routes: RouteTable,
     /// Seeded source for the random-walk fallback; part of the
@@ -64,7 +152,7 @@ pub struct FloodingNetwork {
     walk_rng: StdRng,
 }
 
-impl std::fmt::Debug for FloodingNetwork {
+impl<T: ShareTable> std::fmt::Debug for FloodingNetwork<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FloodingNetwork")
             .field("peers", &self.alive.len())
@@ -82,11 +170,22 @@ impl FloodingNetwork {
         latency: Box<dyn LatencyModel + Send + Sync>,
         config: FloodingConfig,
     ) -> Self {
+        FloodingNetwork::with_table(topology, latency, config)
+    }
+}
+
+impl<T: ShareTable> FloodingNetwork<T> {
+    /// [`FloodingNetwork::new`] over the share-table layout `T`.
+    pub(crate) fn with_table(
+        topology: Topology,
+        latency: Box<dyn LatencyModel + Send + Sync>,
+        config: FloodingConfig,
+    ) -> Self {
         let n = topology.len();
         FloodingNetwork {
             topology,
             alive: vec![true; n],
-            shared: std::iter::repeat_with(IndexNode::new).take(n).collect(),
+            shared: T::with_peers(n),
             latency,
             config,
             stats: NetStats::new(),
@@ -107,7 +206,21 @@ impl FloodingNetwork {
 
     /// Number of records shared by one peer.
     pub fn shared_count(&self, peer: PeerId) -> usize {
-        self.shared.get(peer.index()).map_or(0, IndexNode::len)
+        self.shared.shared_count(peer.0)
+    }
+
+    /// The routing digests as of the last refresh.
+    pub(crate) fn routes(&self) -> &RouteTable {
+        &self.routes
+    }
+
+    /// Deterministic estimate of resident state in bytes: liveness,
+    /// share table, overlay edges and routing digests.
+    pub(crate) fn approx_bytes(&self) -> u64 {
+        self.alive.len() as u64
+            + self.shared.approx_bytes()
+            + self.topology.edge_count() as u64 * 16
+            + self.routes.approx_bytes()
     }
 
     /// Brings the routing digests up to date with the writes since the
@@ -119,12 +232,49 @@ impl FloodingNetwork {
     pub fn refresh_digests(&mut self) {
         let shared = &self.shared;
         overlay::refresh_digests(&mut self.routes, &self.topology, &mut self.stats, |p, visit| {
-            shared[p as usize].for_each_record(visit)
+            shared.for_each_record(p, visit)
         });
+    }
+
+    /// Opens a query: counts it, and for a live origin brings the digests
+    /// up to date. `false` means the query never leaves.
+    pub(crate) fn begin_query(&mut self, origin: PeerId) -> bool {
+        self.stats.queries += 1;
+        let live = self.is_alive(origin);
+        if live {
+            self.refresh_digests();
+        }
+        live
+    }
+
+    /// The walk of one query over this network, and the local evaluation
+    /// its hops run: each peer answers from its own shares. Borrowed for
+    /// a whole query by [`PeerNetwork::search`] and for one event at a
+    /// time by [`crate::DesNetwork`]; the query enters at its origin
+    /// (`entry: None`).
+    pub(crate) fn walk<'a>(
+        &'a mut self,
+        community: &'a str,
+        query: &'a Query,
+    ) -> (Walk<'a>, impl FnMut(u32) -> Vec<Match> + 'a) {
+        let shared = &self.shared;
+        let walk = Walk {
+            topology: &self.topology,
+            routes: &self.routes,
+            alive: &self.alive,
+            latency: self.latency.as_mut(),
+            walk_rng: &mut self.walk_rng,
+            stats: &mut self.stats,
+            community,
+            query,
+            ttl: self.config.ttl,
+            dedup: self.config.dedup,
+        };
+        (walk, move |p| shared.matches(p, community, query))
     }
 }
 
-impl PeerNetwork for FloodingNetwork {
+impl<T: ShareTable> PeerNetwork for FloodingNetwork<T> {
     fn protocol_name(&self) -> &'static str {
         "Gnutella"
     }
@@ -145,41 +295,30 @@ impl PeerNetwork for FloodingNetwork {
 
     fn publish(&mut self, provider: PeerId, record: ResourceRecord) {
         // Gnutella shares from the local store: no message is sent, and
-        // republishing a key replaces the peer's own record (upsert).
-        if let Some(node) = self.shared.get_mut(provider.index()) {
-            overlay::upsert_record(&mut self.routes, provider.0, node, provider, &record);
+        // republishing a key replaces the peer's own record (upsert) —
+        // the stored record it replaces leaves the routing digests, the
+        // new one enters them
+        if provider.index() >= self.alive.len() {
+            return;
         }
+        if let Some((community, fields)) = self.shared.upsert(provider.0, &record) {
+            self.routes.record_removed(provider.0, community, &fields);
+        }
+        self.routes.record_added(provider.0, &record.community, &record.fields);
     }
 
     fn unpublish(&mut self, provider: PeerId, key: &str) {
-        if let Some(node) = self.shared.get_mut(provider.index()) {
-            overlay::remove_record(&mut self.routes, provider.0, node, provider, key);
+        if let Some((community, fields)) = self.shared.remove(provider.0, key) {
+            self.routes.record_removed(provider.0, community, &fields);
         }
     }
 
     fn search(&mut self, origin: PeerId, community: &str, query: &Query) -> SearchOutcome {
-        self.stats.queries += 1;
-        if !self.is_alive(origin) {
+        if !self.begin_query(origin) {
             return SearchOutcome::default();
         }
-        self.refresh_digests();
-        let (alive, shared) = (&self.alive, &self.shared);
-        Walk {
-            topology: &self.topology,
-            routes: &self.routes,
-            alive,
-            latency: self.latency.as_mut(),
-            walk_rng: &mut self.walk_rng,
-            stats: &mut self.stats,
-            community,
-            query,
-            ttl: self.config.ttl,
-            dedup: self.config.dedup,
-        }
-        // each peer answers from its own share-table index
-        .run(origin.0, None, |p| {
-            overlay::index_matches(&shared[p as usize], alive, community, query)
-        })
+        let (mut walk, eval) = self.walk(community, query);
+        walk.run(origin.0, None, eval)
     }
 
     fn retrieve(&mut self, origin: PeerId, provider: PeerId, key: &str) -> RetrieveOutcome {
@@ -189,7 +328,7 @@ impl PeerNetwork for FloodingNetwork {
             overlay::is_alive(alive, origin),
             alive.get(provider.index()).copied(),
             provider,
-            || shared[provider.index()].has_provider(key, provider),
+            || shared.has(provider.0, key),
             || latency.delay(origin, provider) + latency.delay(provider, origin),
         )
     }

@@ -14,11 +14,14 @@
 //!
 //! The two overlay protocols share one search core (the private
 //! `overlay` module: visit and dedup rules, reverse-path `QueryHit`
-//! accounting, frontier stop, blind and digest-guided forwarding) under
-//! three thin drivers: the flat and the two-tier step substrates above,
-//! which run each search to quiescence on a private queue, and
-//! [`DesNetwork`], which runs all three protocols on one global
-//! virtual-time queue so churn lands while queries are in flight.
+//! accounting, frontier stop, blind and digest-guided forwarding), and
+//! each protocol's state — constructor, write path, retrieve, digest
+//! refresh, the assembly of its walk — exists once, in its substrate
+//! above. Two schedulers run it: the substrate's own `search`, one query
+//! to quiescence on a private queue, and [`DesNetwork`], which owns one
+//! of the substrates and drives it from one global virtual-time queue so
+//! churn lands while queries are in flight (picking, for Gnutella, the
+//! [`RecordArena`] layout of the [`ShareTable`] for scale).
 //! [`LiveNetwork`] is a different protocol shape (threads, out-of-band
 //! hits) and shares only the retrieve accounting.
 //!
@@ -70,10 +73,10 @@ mod topology;
 mod traits;
 
 pub use centralized::CentralizedNetwork;
-pub use des::DesNetwork;
+pub use des::{DesNetwork, RecordArena};
 pub use digest::{DigestConfig, RecordVisitor, RouteTable, RoutingDigest};
 pub use event::{DesEvent, PropMode};
-pub use flooding::{FloodingConfig, FloodingNetwork};
+pub use flooding::{FloodingConfig, FloodingNetwork, ShareTable};
 pub use index_node::IndexNode;
 pub use live::LiveNetwork;
 pub use latency::{ConstantLatency, CoordinateLatency, LatencyModel, LatencySpec, UniformLatency};
@@ -189,6 +192,22 @@ impl NetConfig {
     pub fn super_count(&self, n: usize) -> usize {
         self.supers.unwrap_or_else(|| (n as f64).sqrt().ceil() as usize).clamp(1, n.max(1))
     }
+
+    /// The Gnutella substrate's share of this configuration.
+    pub(crate) fn flooding(&self) -> FloodingConfig {
+        FloodingConfig { ttl: self.ttl, dedup: self.dedup, digests: self.digests }
+    }
+
+    /// The FastTrack substrate's share of this configuration, sized for
+    /// `n` peers.
+    pub(crate) fn super_peer(&self, n: usize) -> SuperPeerConfig {
+        SuperPeerConfig {
+            supers: self.super_count(n),
+            super_degree: self.super_degree,
+            ttl: self.super_ttl,
+            digests: self.digests,
+        }
+    }
 }
 
 /// Builds a substrate of the given kind from an explicit configuration:
@@ -205,20 +224,11 @@ pub fn build_network_with(
         }
         ProtocolKind::Gnutella => {
             let topo = Topology::small_world(n, 2, 0.2, seed);
-            Box::new(FloodingNetwork::new(
-                topo,
-                config.latency.build(n, seed),
-                FloodingConfig { ttl: config.ttl, dedup: config.dedup, digests: config.digests },
-            ))
+            Box::new(FloodingNetwork::new(topo, config.latency.build(n, seed), config.flooding()))
         }
         ProtocolKind::FastTrack => Box::new(SuperPeerNetwork::new(
             n,
-            SuperPeerConfig {
-                supers: config.super_count(n),
-                super_degree: config.super_degree,
-                ttl: config.super_ttl,
-                digests: config.digests,
-            },
+            config.super_peer(n),
             config.latency.build(n, seed),
             seed,
         )),
@@ -342,5 +352,14 @@ mod tests {
             assert_eq!(net.stats().dropped, 0, "{name}");
             assert!(net.retrieve(PeerId(1), PeerId(2), "k").is_fetched(), "{name}: record intact");
         }
+        // the accessor beside the trait: nobody is a ghost's super
+        let latency = config.latency.build(16, 7);
+        let step = SuperPeerNetwork::new(16, config.super_peer(16), latency, 7);
+        let des = DesNetwork::build(ProtocolKind::FastTrack, 16, 7, &config);
+        for ghost in [PeerId(16), PeerId(u32::MAX)] {
+            assert_eq!((step.super_of(ghost), des.super_of_peer(ghost)), (None, None));
+        }
+        assert_eq!(step.super_of(PeerId(9)), des.super_of_peer(PeerId(9)), "one constructor");
+        assert!(step.super_of(PeerId(9)).is_some());
     }
 }

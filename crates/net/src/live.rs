@@ -19,7 +19,10 @@
 //! threads serving one query never contend on a counter with the
 //! threads serving another, and batch serving can attribute messages
 //! to requests exactly. (The previous design funneled every forward of
-//! every query through one shared `AtomicU64`.)
+//! every query through one shared `AtomicU64`.) The duplicate
+//! suppression lives in the same shared per-query state, so a peer
+//! thread keeps nothing about a query once its copies are consumed and
+//! a long-lived network does not grow with the queries it has served.
 
 use crate::message::{ResourceRecord, SearchHit, DEFAULT_TTL};
 use crate::overlay;
@@ -29,19 +32,26 @@ use crate::stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
 use crate::topology::Topology;
 use crate::traits::{PeerNetwork, SearchRequest};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use up2p_store::Query;
 
+/// What every copy of one query shares; freed with the last of them.
+struct QueryShared {
+    /// Forward counter: bumped once per overlay crossing by whichever
+    /// peer thread forwards the query.
+    forwards: AtomicU64,
+    /// One flag per peer, set by the first copy to reach it (the GUID
+    /// cache, kept with the query instead of with the peer).
+    visited: Vec<AtomicBool>,
+}
+
 enum LiveMsg {
     Query {
-        query_id: u64,
+        state: Arc<QueryShared>,
         reply: Sender<SearchHit>,
-        /// This query's forward counter: bumped once per overlay
-        /// crossing by whichever peer thread forwards it.
-        forwards: Arc<AtomicU64>,
         community: String,
         query: Query,
         ttl: u8,
@@ -59,7 +69,7 @@ struct PeerState {
 /// A query in flight: issued, not yet drained.
 struct PendingSearch {
     reply_rx: Receiver<SearchHit>,
-    forwards: Arc<AtomicU64>,
+    state: Arc<QueryShared>,
     started: Instant,
 }
 
@@ -69,7 +79,6 @@ pub struct LiveNetwork {
     peers: Vec<PeerState>,
     handles: Vec<std::thread::JoinHandle<()>>,
     stats: NetStats,
-    next_query_id: u64,
     /// How long a search waits for hits to arrive.
     pub search_deadline: Duration,
 }
@@ -116,7 +125,6 @@ impl LiveNetwork {
             peers,
             handles,
             stats: NetStats::new(),
-            next_query_id: 1,
             search_deadline: Duration::from_millis(200),
         }
     }
@@ -130,21 +138,21 @@ impl LiveNetwork {
         if !p.alive.load(Ordering::Relaxed) {
             return None;
         }
-        let query_id = self.next_query_id;
-        self.next_query_id += 1;
         let (reply_tx, reply_rx) = unbounded::<SearchHit>();
-        let forwards = Arc::new(AtomicU64::new(0));
+        let state = Arc::new(QueryShared {
+            forwards: AtomicU64::new(0),
+            visited: self.peers.iter().map(|_| AtomicBool::new(false)).collect(),
+        });
         let started = Instant::now();
         let _ = p.tx.send(LiveMsg::Query {
-            query_id,
+            state: Arc::clone(&state),
             reply: reply_tx,
-            forwards: Arc::clone(&forwards),
             community: community.to_string(),
             query: query.clone(),
             ttl: DEFAULT_TTL,
             hops: 0,
         });
-        Some(PendingSearch { reply_rx, forwards, started })
+        Some(PendingSearch { reply_rx, state, started })
     }
 
     /// Collects an in-flight query's hits until the deadline, then folds
@@ -176,7 +184,7 @@ impl LiveNetwork {
         // forward — attribute them to the kind counter instead of bumping
         // the raw total (which used to leave `by_kind()` blind to live
         // traffic: the stat-conservation drift up2p-analyzer flags)
-        let forwarded = pending.forwards.load(Ordering::Relaxed);
+        let forwarded = pending.state.forwards.load(Ordering::Relaxed);
         self.stats.sent_n(MsgKind::Query, forwarded);
         outcome.messages = forwarded;
         if !outcome.hits.is_empty() {
@@ -193,16 +201,17 @@ fn peer_loop(
     alive: Arc<AtomicBool>,
     shared: Arc<ShardedIndexNode>,
 ) {
-    let mut seen: HashSet<u64> = HashSet::new();
     while let Ok(msg) = rx.recv() {
         match msg {
             LiveMsg::Shutdown => return,
-            LiveMsg::Query { query_id, reply, forwards, community, query, ttl, hops } => {
+            LiveMsg::Query { state, reply, community, query, ttl, hops } => {
                 if !alive.load(Ordering::Relaxed) {
                     continue; // dead peers drop traffic
                 }
-                if !seen.insert(query_id) {
-                    continue; // duplicate suppression (GUID cache)
+                // duplicate suppression (GUID cache): the flag is only
+                // claimed, it publishes no other data, hence Relaxed
+                if state.visited[own_id.index()].swap(true, Ordering::Relaxed) {
+                    continue;
                 }
                 // evaluation takes read guards only (inside the sharded
                 // node) and the hits are sent after they drop: a slow or
@@ -224,11 +233,10 @@ fn peer_loop(
                 }
                 if ttl > 0 {
                     for nb in &neighbors {
-                        forwards.fetch_add(1, Ordering::Relaxed);
+                        state.forwards.fetch_add(1, Ordering::Relaxed);
                         let _ = nb.send(LiveMsg::Query {
-                            query_id,
+                            state: Arc::clone(&state),
                             reply: reply.clone(),
-                            forwards: Arc::clone(&forwards),
                             community: community.clone(),
                             query: query.clone(),
                             ttl: ttl - 1,
@@ -502,6 +510,27 @@ mod tests {
             let out = net.drain(pending);
             assert_eq!(out.hits.len(), 1, "in-flight query still answered");
         }
+    }
+
+    #[test]
+    fn a_drained_query_leaves_no_state_behind_in_the_peers() {
+        // regression: every peer thread used to remember every query id
+        // in a set of its own, forever. The dedup flags now travel with
+        // the query, so once its copies are consumed the only holder of
+        // its shared state is whoever kept a handle — here, the test.
+        let mut net = live(16);
+        net.publish(PeerId(9), record("k1", "observer"));
+        let pending =
+            net.issue(PeerId(0), "c", &Query::any_keyword("observer")).expect("live origin");
+        let state = Arc::clone(&pending.state);
+        assert_eq!(net.drain(pending).hits.len(), 1);
+        assert!(state.visited[9].load(Ordering::Relaxed), "the provider was reached");
+        // copies can still sit in peer inboxes when the drain returns
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while Arc::strong_count(&state) > 1 && Instant::now() < give_up {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(Arc::strong_count(&state), 1, "a peer still holds the query's state");
     }
 
     #[test]

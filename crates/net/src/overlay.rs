@@ -10,26 +10,27 @@
 //! and count it, and leave *when* and *against which records* to the
 //! caller:
 //!
-//! * the **local evaluation** is an `FnMut(node) -> Vec<Match>` — an
-//!   [`IndexNode`] per peer or per super ([`index_matches`]), or the DES
-//!   engine's record arena;
+//! * the **local evaluation** is an `FnMut(node) -> Vec<Match>` — the
+//!   flat overlay's [`crate::ShareTable`], or an [`IndexNode`] per super
+//!   ([`index_matches`]);
 //! * the **[`Sink`]** receives every forwarded copy and every hit batch
 //!   with its delivery time — [`Walk::run`] drains a private per-query
 //!   queue from time 0, [`crate::DesNetwork`] pushes onto its global
 //!   timeline.
 //!
+//! Each overlay substrate assembles its [`Walk`] in one place (its
+//! `walk` method) and lends it to whichever driver is running the query.
+//!
 //! Node ids are plain `u32`s: peer ids on the flat overlay, super
 //! indices (which are the supers' peer ids) on the two-tier one. The
 //! retrieve and digest-refresh accounting every substrate shares lives
-//! here too ([`retrieve`], [`refresh_digests`]), and so do the share-table
-//! writes that keep the digests informed ([`insert_record`],
-//! [`upsert_record`], [`remove_record`]).
+//! here too ([`retrieve`], [`refresh_digests`]).
 
 use crate::digest::{RecordVisitor, RouteTable};
 use crate::event::PropMode;
 use crate::index_node::IndexNode;
 use crate::latency::LatencyModel;
-use crate::message::{ResourceRecord, SearchHit, SharedFields, Time};
+use crate::message::{SearchHit, SharedFields, Time};
 use crate::peer::PeerId;
 use crate::sim::EventQueue;
 use crate::stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
@@ -48,63 +49,18 @@ pub(crate) fn is_alive(alive: &[bool], peer: PeerId) -> bool {
 }
 
 /// Local evaluation against one [`IndexNode`]: candidates come from the
-/// posting lists, liveness filters only that candidate set.
+/// posting lists, `alive` filters only that candidate set's providers.
 pub(crate) fn index_matches(
     node: &IndexNode,
-    alive: &[bool],
+    alive: impl Fn(PeerId) -> bool,
     community: &str,
     query: &Query,
 ) -> Vec<Match> {
     let mut matches = Vec::new();
-    node.search(community, query, |p| is_alive(alive, p), |key, provider, fields| {
+    node.search(community, query, alive, |key, provider, fields| {
         matches.push((key.to_string(), provider, fields.clone()));
     });
     matches
-}
-
-/// First-record-wins publish into overlay node `id`'s share table (a
-/// super's index of its leaves), telling the routing digests when the
-/// record entered it.
-pub(crate) fn insert_record(
-    routes: &mut RouteTable,
-    id: u32,
-    node: &mut IndexNode,
-    provider: PeerId,
-    record: &ResourceRecord,
-) {
-    if node.insert(provider, record) {
-        routes.record_added(id, &record.community, &record.fields);
-    }
-}
-
-/// Last-publish-wins publish into overlay node `id`'s share table (a
-/// peer's own shares): the stored record it replaces leaves the routing
-/// digests, the new one enters them.
-pub(crate) fn upsert_record(
-    routes: &mut RouteTable,
-    id: u32,
-    node: &mut IndexNode,
-    provider: PeerId,
-    record: &ResourceRecord,
-) {
-    if let Some((community, fields)) = node.upsert(provider, record) {
-        routes.record_removed(id, community, &fields);
-    }
-    routes.record_added(id, &record.community, &record.fields);
-}
-
-/// Withdraws `provider`'s copy from overlay node `id`'s share table; the
-/// record leaves the routing digests with its last provider.
-pub(crate) fn remove_record(
-    routes: &mut RouteTable,
-    id: u32,
-    node: &mut IndexNode,
-    provider: PeerId,
-    key: &str,
-) {
-    if let Some((community, fields)) = node.remove(provider, key) {
-        routes.record_removed(id, community, &fields);
-    }
 }
 
 /// A query copy in flight. `path` is the route travelled so far,

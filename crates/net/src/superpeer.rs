@@ -11,7 +11,7 @@ use crate::digest::{DigestConfig, RouteTable};
 use crate::index_node::IndexNode;
 use crate::latency::LatencyModel;
 use crate::message::ResourceRecord;
-use crate::overlay::{self, Walk};
+use crate::overlay::{self, Match, Walk};
 use crate::peer::PeerId;
 use crate::pool::serve_batch;
 use crate::stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
@@ -49,7 +49,7 @@ pub struct SuperPeerNetwork {
     /// Per-peer owned object keys (for retrieval).
     owned: Vec<BTreeSet<String>>,
     latency: Box<dyn LatencyModel + Send + Sync>,
-    stats: NetStats,
+    pub(crate) stats: NetStats,
     /// Seeded source for the random-walk fallback.
     walk_rng: StdRng,
 }
@@ -72,7 +72,7 @@ impl std::fmt::Debug for SuperPeerNetwork {
 struct ServePlane {
     config: SuperPeerConfig,
     /// peer index → index of its super-peer (supers map to themselves).
-    super_of: Vec<usize>,
+    super_of: Vec<u32>,
     /// Overlay among super-peers; `PeerId` in this graph is the *super
     /// index* (0..supers), which is also the super's global peer id.
     super_topology: Topology,
@@ -84,22 +84,20 @@ struct ServePlane {
 }
 
 impl ServePlane {
-    /// Runs one query to quiescence against the read-only plane. The
-    /// caller has already counted the query, checked the origin is alive
-    /// and refreshed digests; this accounts everything else into the
-    /// given `stats` (which may be a private per-request accounting on a
-    /// pool worker).
-    fn search(
-        &self,
-        latency: &mut dyn LatencyModel,
-        walk_rng: &mut StdRng,
-        stats: &mut NetStats,
-        origin: PeerId,
-        community: &str,
-        query: &Query,
-    ) -> SearchOutcome {
-        let entry = self.super_of[origin.index()] as u32;
-        Walk {
+    /// The walk of one query over the read-only plane, accounting into
+    /// whatever the caller hands in (the network's own latency model,
+    /// walker rng and statistics, or a pool worker's private ones), and
+    /// the local evaluation its hops run: each super answers for its live
+    /// leaves from its own index.
+    fn walk<'a>(
+        &'a self,
+        latency: &'a mut dyn LatencyModel,
+        walk_rng: &'a mut StdRng,
+        stats: &'a mut NetStats,
+        community: &'a str,
+        query: &'a Query,
+    ) -> (Walk<'a>, impl FnMut(u32) -> Vec<Match> + 'a) {
+        let walk = Walk {
             topology: &self.super_topology,
             routes: &self.routes,
             alive: &self.alive,
@@ -110,11 +108,9 @@ impl ServePlane {
             query,
             ttl: self.config.ttl,
             dedup: true,
-        }
-        // each super answers for its live leaves from its own index
-        .run(origin.0, Some(entry), |s| {
-            overlay::index_matches(&self.indexes[s as usize], &self.alive, community, query)
-        })
+        };
+        let alive = |p| overlay::is_alive(&self.alive, p);
+        (walk, move |s| overlay::index_matches(&self.indexes[s as usize], alive, community, query))
     }
 }
 
@@ -137,9 +133,9 @@ impl SuperPeerNetwork {
         let mut super_of = Vec::with_capacity(n);
         for i in 0..n {
             if i < config.supers {
-                super_of.push(i);
+                super_of.push(i as u32);
             } else {
-                super_of.push(rng.gen_range(0..config.supers));
+                super_of.push(rng.gen_range(0..config.supers) as u32);
             }
         }
         let super_topology = if config.supers <= 3 {
@@ -163,14 +159,42 @@ impl SuperPeerNetwork {
         }
     }
 
-    /// The super-peer index a peer is attached to.
-    pub fn super_of(&self, peer: PeerId) -> usize {
-        self.plane.super_of[peer.index()]
+    /// The super-peer index a peer is attached to; `None` for an id
+    /// outside the network.
+    pub fn super_of(&self, peer: PeerId) -> Option<usize> {
+        self.plane.super_of.get(peer.index()).map(|&s| s as usize)
     }
 
     /// Is the given peer a super-peer?
     pub fn is_super(&self, peer: PeerId) -> bool {
         peer.index() < self.plane.config.supers
+    }
+
+    /// Number of records shared by one peer.
+    pub(crate) fn shared_count(&self, peer: PeerId) -> usize {
+        self.owned.get(peer.index()).map_or(0, BTreeSet::len)
+    }
+
+    /// The routing digests as of the last refresh.
+    pub(crate) fn routes(&self) -> &RouteTable {
+        &self.plane.routes
+    }
+
+    /// Deterministic estimate of resident state in bytes: liveness, owned
+    /// keys, super indexes, super overlay and routing digests.
+    pub(crate) fn approx_bytes(&self) -> u64 {
+        let owned: u64 = self
+            .owned
+            .iter()
+            .map(|s| 24 + s.iter().map(|k| 32 + k.len() as u64).sum::<u64>())
+            .sum();
+        let indexes: u64 = self.plane.indexes.iter().map(|i| i.len() as u64 * 256).sum();
+        self.plane.alive.len() as u64
+            + owned
+            + indexes
+            + self.plane.super_topology.edge_count() as u64 * 16
+            + self.plane.super_of.len() as u64 * 4
+            + self.plane.routes.approx_bytes()
     }
 
     /// Brings the routing digests over the super overlay up to date with
@@ -182,6 +206,29 @@ impl SuperPeerNetwork {
         overlay::refresh_digests(routes, super_topology, &mut self.stats, |s, visit| {
             indexes[s as usize].for_each_record(visit)
         });
+    }
+
+    /// Opens a query: counts it, and for a live origin brings the digests
+    /// up to date. `false` means the query never leaves.
+    pub(crate) fn begin_query(&mut self, origin: PeerId) -> bool {
+        self.stats.queries += 1;
+        let live = self.is_alive(origin);
+        if live {
+            self.refresh_digests();
+        }
+        live
+    }
+
+    /// [`ServePlane::walk`] on the network's own accounting, borrowed by
+    /// [`crate::DesNetwork`] one event at a time; the query enters at
+    /// [`SuperPeerNetwork::super_of`] its origin.
+    pub(crate) fn walk<'a>(
+        &'a mut self,
+        community: &'a str,
+        query: &'a Query,
+    ) -> (Walk<'a>, impl FnMut(u32) -> Vec<Match> + 'a) {
+        let Self { plane, latency, walk_rng, stats, .. } = self;
+        plane.walk(latency.as_mut(), walk_rng, stats, community, query)
     }
 }
 
@@ -208,13 +255,15 @@ impl PeerNetwork for SuperPeerNetwork {
         if !self.is_alive(provider) {
             return;
         }
-        let s = self.super_of(provider);
+        let s = self.plane.super_of[provider.index()];
         if !self.is_super(provider) {
             self.stats.sent(MsgKind::Publish); // leaf → super upload
         }
         self.owned[provider.index()].insert(record.key.clone());
-        let ServePlane { indexes, routes, .. } = &mut self.plane;
-        overlay::insert_record(routes, s as u32, &mut indexes[s], provider, &record);
+        // first record wins; the digests hear of it when it enters the index
+        if self.plane.indexes[s as usize].insert(provider, &record) {
+            self.plane.routes.record_added(s, &record.community, &record.fields);
+        }
     }
 
     fn unpublish(&mut self, provider: PeerId, key: &str) {
@@ -224,24 +273,20 @@ impl PeerNetwork for SuperPeerNetwork {
             self.stats.sent(MsgKind::Unpublish);
         }
         self.owned[provider.index()].remove(key);
+        // the record leaves the digests with its last provider
         let ServePlane { indexes, routes, .. } = &mut self.plane;
-        overlay::remove_record(routes, s as u32, &mut indexes[s], provider, key);
+        if let Some((community, fields)) = indexes[s as usize].remove(provider, key) {
+            routes.record_removed(s, community, &fields);
+        }
     }
 
     fn search(&mut self, origin: PeerId, community: &str, query: &Query) -> SearchOutcome {
-        self.stats.queries += 1;
-        if !self.is_alive(origin) {
+        if !self.begin_query(origin) {
             return SearchOutcome::default();
         }
-        self.refresh_digests();
-        self.plane.search(
-            self.latency.as_mut(),
-            &mut self.walk_rng,
-            &mut self.stats,
-            origin,
-            community,
-            query,
-        )
+        let entry = self.plane.super_of[origin.index()];
+        let (mut walk, eval) = self.walk(community, query);
+        walk.run(origin.0, Some(entry), eval)
     }
 
     fn search_batch(&mut self, requests: &[SearchRequest], workers: usize) -> Vec<SearchOutcome> {
@@ -262,14 +307,14 @@ impl PeerNetwork for SuperPeerNetwork {
                 let outcome = if overlay::is_alive(&plane.alive, r.origin) {
                     let mut latency = latency.fork(i as u64);
                     let mut walk_rng = StdRng::seed_from_u64(walk_seeds[i]);
-                    plane.search(
+                    let (mut walk, eval) = plane.walk(
                         latency.as_mut(),
                         &mut walk_rng,
                         &mut stats,
-                        r.origin,
                         &r.community,
                         &r.query,
-                    )
+                    );
+                    walk.run(r.origin.0, Some(plane.super_of[r.origin.index()]), eval)
                 } else {
                     SearchOutcome::default()
                 };
@@ -326,7 +371,7 @@ mod tests {
     fn leaves_are_assigned_to_supers() {
         let net = net(50, 5);
         for p in 0..50u32 {
-            let s = net.super_of(PeerId(p));
+            let s = net.super_of(PeerId(p)).expect("in range");
             assert!(s < 5);
             if p < 5 {
                 assert_eq!(s, p as usize, "supers are their own super");
@@ -360,7 +405,7 @@ mod tests {
         let mut net = net(20, 4);
         // find a leaf and kill its super
         let leaf = PeerId(15);
-        let s = net.super_of(leaf);
+        let s = net.super_of(leaf).expect("in range");
         net.publish(PeerId(10), record("k", "x"));
         net.set_alive(PeerId(s as u32), false);
         let out = net.search(leaf, "c", &Query::any_keyword("x"));

@@ -15,8 +15,8 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use up2p_net::{
     build_network_with, DesNetwork, DigestConfig, IndexNode, LatencySpec, MsgKind, NetConfig,
-    NetStats, PeerId, PeerNetwork, ProtocolKind, ResourceRecord, RoutingDigest, SearchOutcome,
-    Topology,
+    NetStats, PeerId, PeerNetwork, ProtocolKind, RecordArena, ResourceRecord, RoutingDigest,
+    SearchOutcome, ShareTable, Topology,
 };
 use up2p_store::{Query, ValuePattern};
 
@@ -106,6 +106,74 @@ fn oracle_query() -> impl Strategy<Value = Query> {
             inner.prop_map(|q| Query::Not(Box::new(q))),
         ]
     })
+}
+
+/// Peers of the share-table tape; ids from here up are outside the table.
+const TABLE_PEERS: u32 = 3;
+
+/// One write on the share-table tape. Five keys over three peers and two
+/// communities, so a tape re-upserts keys with changed fields, moves them
+/// to the other community, and removes keys that are not there.
+#[derive(Debug, Clone)]
+struct TableOp {
+    remove: bool,
+    peer: u32,
+    record: ResourceRecord,
+}
+
+fn table_ops() -> impl Strategy<Value = Vec<TableOp>> {
+    pvec(
+        (
+            0u8..3,
+            0u32..TABLE_PEERS + 2,
+            0usize..5,
+            0usize..COMMUNITIES.len(),
+            pvec((field_path(), value_word()), 1..3),
+        ),
+        1..40,
+    )
+    .prop_map(|ops| {
+        ops.into_iter()
+            .map(|(kind, peer, key, community, fields)| {
+                let fields: Vec<(String, String)> =
+                    fields.into_iter().map(|(p, v)| (p.to_string(), v.to_string())).collect();
+                TableOp {
+                    remove: kind == 0,
+                    // the two ids past the table: just outside, and far outside
+                    peer: if peer > TABLE_PEERS { u32::MAX } else { peer },
+                    record: ResourceRecord::new(format!("k{key}"), COMMUNITIES[community], fields),
+                }
+            })
+            .collect()
+    })
+}
+
+type Fields = Vec<(String, String)>;
+type TableView = (Vec<bool>, usize, Vec<Vec<(String, PeerId, Fields)>>, Vec<(String, Fields)>);
+
+/// Everything a [`ShareTable`] lets one see of `peer`, order-free: which
+/// of the tape's keys it has, its record count, the hit set of a keyword
+/// and of `Query::All` per community, and the record multiset.
+fn table_view<T: ShareTable>(table: &T, peer: u32) -> TableView {
+    let has = (0..5).map(|k| table.has(peer, &format!("k{k}"))).collect();
+    let mut hit_sets = Vec::new();
+    for community in COMMUNITIES {
+        for query in [Query::any_keyword("banana"), Query::All] {
+            let mut hits: Vec<_> = table
+                .matches(peer, community, &query)
+                .into_iter()
+                .map(|(key, provider, fields)| (key, provider, fields.to_vec()))
+                .collect();
+            hits.sort();
+            hit_sets.push(hits);
+        }
+    }
+    let mut records = Vec::new();
+    table.for_each_record(peer, &mut |community, fields| {
+        records.push((community.to_string(), fields.to_vec()));
+    });
+    records.sort();
+    (has, table.shared_count(peer), hit_sets, records)
 }
 
 /// Order-insensitive hit set: `(key, provider, hops)` triples.
@@ -329,16 +397,47 @@ proptest! {
         )?;
     }
 
-    /// The DES record arena and the step substrate's per-peer
-    /// `IndexNode` advertise bit-identical routing digests for any
-    /// publish/unpublish history — the guided-search equivalence above
-    /// rests on this.
+    /// The two [`ShareTable`] layouts — the DES record arena and the
+    /// step substrate's per-peer `IndexNode` — answer alike through the
+    /// one trait after every write of a random tape, and advertise
+    /// bit-identical routing digests for any publish/unpublish history.
+    /// The search equivalences above rest on this.
     #[test]
     fn arena_digests_bit_identical_to_index_node(
         publishes in publish_ops(),
         removals in pvec((0usize..16, 0u32..ORACLE_PEERS as u32), 0..12),
         log2_bits in 6u8..12,
+        tape in table_ops(),
     ) {
+        let mut nodes = <Vec<IndexNode>>::with_peers(TABLE_PEERS as usize);
+        let mut arena = RecordArena::with_peers(TABLE_PEERS as usize);
+        for (i, op) in tape.iter().enumerate() {
+            // what the write pushed out is what the digests are told left
+            let own = |r: Option<(&str, up2p_net::SharedFields)>| {
+                r.map(|(community, fields)| (community.to_string(), fields.to_vec()))
+            };
+            // (through the trait by name: `Vec` has a `remove` of its own)
+            let (from_nodes, from_arena) = if op.remove {
+                (
+                    own(ShareTable::remove(&mut nodes, op.peer, &op.record.key)),
+                    own(ShareTable::remove(&mut arena, op.peer, &op.record.key)),
+                )
+            } else {
+                (
+                    own(ShareTable::upsert(&mut nodes, op.peer, &op.record)),
+                    own(ShareTable::upsert(&mut arena, op.peer, &op.record)),
+                )
+            };
+            prop_assert_eq!(from_nodes, from_arena, "op #{} returned differently: {:?}", i, op);
+            for peer in (0..=TABLE_PEERS).chain([u32::MAX]) {
+                prop_assert_eq!(
+                    table_view(&nodes, peer),
+                    table_view(&arena, peer),
+                    "peer {} differs after op #{}: {:?}", peer, i, op
+                );
+            }
+        }
+
         // Drive one peer's state both ways through the *same* history.
         let peer = PeerId(0);
         let mut node = IndexNode::new();

@@ -83,6 +83,19 @@ fn e12_artifact_shows_full_scale_recovery_win() {
 }
 
 #[test]
+fn e9_artifact_is_a_full_scale_run_on_a_multi_core_host() {
+    let text = std::fs::read_to_string(artifact_path("BENCH_e9_search_scale.json"))
+        .expect("BENCH_e9_search_scale.json is committed at the repo root");
+    let report = BenchReport::from_json(&text).expect("parses");
+    assert_eq!(report.get("objects").unwrap() as usize, 100_000, "full-scale run recorded");
+    // the worker grid and the batch row time-slice one core when there is
+    // only one: a single-thread run once recorded batched Napster at half
+    // the sequential rate, which was the host and not the code
+    let threads = report.get("hardware_threads").unwrap() as usize;
+    assert!(threads >= 2, "E9 taken on {threads} hardware thread(s); re-take it on two or more");
+}
+
+#[test]
 fn e11_artifact_reports_scale_grid() {
     let text = std::fs::read_to_string(artifact_path("BENCH_e11_des_scale.json"))
         .expect("BENCH_e11_des_scale.json is committed at the repo root");

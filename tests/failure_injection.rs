@@ -209,7 +209,7 @@ fn orphaned_superpeer_leaves_recover_when_super_returns() {
     publisher.publish(&mut net, &mut plane, &obj).unwrap();
 
     let leaf = PeerId(15);
-    let super_idx = net.super_of(leaf) as u32;
+    let super_idx = net.super_of(leaf).expect("leaf is in the network") as u32;
     let mut seeker = Servent::new(leaf);
     seeker.join(community.clone());
 

@@ -570,3 +570,59 @@ proptest! {
         }
     }
 }
+
+/// Guided search at a scale where it matters: 256 peers sharing 10 000
+/// records whose names draw three words each from a skewed vocabulary
+/// (popular words are everywhere, the tail sits at a few peers). Routing
+/// digests must cut the per-query message bill at least tenfold on both
+/// decentralized substrates while still answering at least nine in ten
+/// of the queries blind flooding answers, and what the digests cost to
+/// maintain is reported rather than hidden.
+#[test]
+fn guided_search_cuts_the_message_bill_tenfold_at_scale() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use up2p_net::{build_network_with, NetConfig};
+    const PEERS: usize = 256;
+    const RECORDS: usize = 10_000;
+    const VOCABULARY: f64 = 5_000.0;
+    const QUERIES: usize = 40;
+    let mut rng = StdRng::seed_from_u64(7);
+    // cubing a uniform draw piles the mass onto the low word numbers
+    let mut word = move || format!("word{:04}", (VOCABULARY * rng.gen::<f64>().powi(3)) as usize);
+    let records: Vec<ResourceRecord> = (0..RECORDS)
+        .map(|i| record(&format!("k{i}"), &format!("{} {} {}", word(), word(), word())))
+        .collect();
+    let queries: Vec<Query> = (0..QUERIES).map(|_| Query::keyword("name", &word())).collect();
+
+    for kind in [ProtocolKind::Gnutella, ProtocolKind::FastTrack] {
+        // (mean messages per query, queries answered, digest messages)
+        let measure = |config: &NetConfig| {
+            let mut net = build_network_with(kind, PEERS, 7, config);
+            for (i, r) in records.iter().enumerate() {
+                net.publish(PeerId((i % PEERS) as u32), r.clone());
+            }
+            net.reset_stats();
+            let (mut messages, mut answered) = (0u64, 0usize);
+            for (i, q) in queries.iter().enumerate() {
+                let out = net.search(PeerId(((i * 11 + 5) % PEERS) as u32), "c", q);
+                messages += out.messages;
+                answered += usize::from(!out.hits.is_empty());
+            }
+            (messages as f64 / QUERIES as f64, answered, net.digest_messages())
+        };
+        let (flood_msgs, flood_answered, flood_digest) = measure(&NetConfig::new());
+        let (guided_msgs, guided_answered, guided_digest) =
+            measure(&NetConfig::new().digests(DigestConfig::guided()));
+        assert!(flood_answered > QUERIES / 2, "{kind}: the mix should mostly be answerable");
+        assert!(
+            flood_msgs >= 10.0 * guided_msgs,
+            "{kind}: guided search should cut messages ≥10x, got {flood_msgs:.1} → {guided_msgs:.1}"
+        );
+        assert!(
+            guided_answered as f64 >= 0.9 * flood_answered as f64,
+            "{kind}: guided answered {guided_answered} of the {flood_answered} flooding answers"
+        );
+        assert_eq!(flood_digest, 0, "{kind}: blind flooding pays no digest traffic");
+        assert!(guided_digest > 0, "{kind}: the digest maintenance bill must be reported");
+    }
+}

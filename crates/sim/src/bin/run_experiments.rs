@@ -1,50 +1,30 @@
-//! Regenerates experiment tables (E1–E12).
+//! Prints the experiment tables (E1–E7, E11) and writes no file.
 //!
 //! ```text
 //! cargo run -p up2p-sim --release --bin run_experiments             # all, ASCII
-//! cargo run -p up2p-sim --release --bin run_experiments -- --md     # markdown (EXPERIMENTS.md body)
+//! cargo run -p up2p-sim --release --bin run_experiments -- --md     # markdown
 //! cargo run -p up2p-sim --release --bin run_experiments -- --smoke  # reduced sizes
-//! cargo run -p up2p-sim --release --bin run_experiments -- --scenario e8 --quick
-//! cargo run -p up2p-sim --release --bin run_experiments -- --scenario e9_search_scale --quick
-//! cargo run -p up2p-sim --release --bin run_experiments -- --scenario e10_guided_search
-//! cargo run -p up2p-sim --release --bin run_experiments -- --scenario e11_des_scale --quick
-//! cargo run -p up2p-sim --release --bin run_experiments -- --scenario e12_durability --quick
+//! cargo run -p up2p-sim --release --bin run_experiments -- --scenario e11
 //! ```
 //!
-//! Running E8–E12 (alone or as part of the full run) also writes the
-//! scenario's JSON metrics to `BENCH_e8_index_scale.json` /
-//! `BENCH_e9_search_scale.json` / `BENCH_e10_guided_search.json` /
-//! `BENCH_e11_des_scale.json` / `BENCH_e12_durability.json` (override
-//! with `--out PATH` on a single-scenario run) — the perf-trajectory
-//! artifacts CI uploads.
+//! Wall-clock measurement of the product (index, search, durability,
+//! guided routing) is the repo benchmark's job: `up2p_bench/`.
 
 use up2p_sim::{
-    e10_guided_search_report, e11_des_scale_report, e12_durability_report, e1_pipeline,
-    e2_generation, e3_discovery, e4_metadata, e5_replication, e6_dedup_ablation, e6_protocols,
-    e6_topologies, e6_ttl_sweep, e7_indexing, e8_index_scale_report, e9_search_scale_report,
-    Scale, Table,
+    e11_des_scale, e1_pipeline, e2_generation, e3_discovery, e4_metadata, e5_replication,
+    e6_dedup_ablation, e6_protocols, e6_topologies, e6_ttl_sweep, e7_indexing, run_all, Scale,
 };
 
-const E8_REPORT_DEFAULT: &str = "BENCH_e8_index_scale.json";
-const E9_REPORT_DEFAULT: &str = "BENCH_e9_search_scale.json";
-const E10_REPORT_DEFAULT: &str = "BENCH_e10_guided_search.json";
-const E11_REPORT_DEFAULT: &str = "BENCH_e11_des_scale.json";
-const E12_REPORT_DEFAULT: &str = "BENCH_e12_durability.json";
-
 fn print_help() {
-    println!("run_experiments — regenerate the U-P2P experiment tables (E1-E12)");
+    println!("run_experiments — print the U-P2P experiment tables (E1-E7, E11)");
     println!();
     println!("USAGE:");
     println!("    cargo run -p up2p-sim --release --bin run_experiments [-- FLAGS]");
     println!();
     println!("FLAGS:");
-    println!("    --md              emit markdown tables (EXPERIMENTS.md body) instead of ASCII");
-    println!("    --smoke, --quick  reduced sizes for a quick sanity run");
-    println!("    --scenario NAME   run one scenario only (e1..e12; e12_durability works too)");
-    println!("    --out PATH        where the scenario JSON report goes on a single");
-    println!("                      --scenario e8..e12 run (defaults {E8_REPORT_DEFAULT} /");
-    println!("                      {E9_REPORT_DEFAULT} / {E10_REPORT_DEFAULT} /");
-    println!("                      {E11_REPORT_DEFAULT} / {E12_REPORT_DEFAULT})");
+    println!("    --md              emit markdown tables instead of ASCII");
+    println!("    --smoke           reduced sizes for a quick sanity run");
+    println!("    --scenario NAME   run one scenario only (e1..e7, e11)");
     println!("    -h, --help        print this help");
 }
 
@@ -57,23 +37,15 @@ fn main() {
     let mut markdown = false;
     let mut scale = Scale::Full;
     let mut scenario: Option<String> = None;
-    let mut out_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--md" => markdown = true,
-            "--smoke" | "--quick" => scale = Scale::Smoke,
+            "--smoke" => scale = Scale::Smoke,
             "--scenario" => match it.next() {
                 Some(name) => scenario = Some(name.clone()),
                 None => {
-                    eprintln!("error: --scenario needs a name (e1..e12)");
-                    std::process::exit(2);
-                }
-            },
-            "--out" => match it.next() {
-                Some(path) => out_path = Some(path.clone()),
-                None => {
-                    eprintln!("error: --out needs a path");
+                    eprintln!("error: --scenario needs a name (e1..e7, e11)");
                     std::process::exit(2);
                 }
             },
@@ -85,95 +57,32 @@ fn main() {
     }
     let seed = 42;
 
-    // --out redirects the report only on a single-scenario run; a full
-    // run writes every report to its default path (honoring --out there
-    // would make E9 clobber E8's file)
-    let single_scenario = scenario.is_some();
-    if out_path.is_some() && !single_scenario {
-        eprintln!("warning: --out is ignored without --scenario; using default report paths");
-    }
-    let write_report = |report: &up2p_sim::BenchReport, default_path: &str| {
-        let path = match (&out_path, single_scenario) {
-            (Some(path), true) => path.as_str(),
-            _ => default_path,
-        };
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("warning: could not write {path}: {e}");
-        } else {
-            eprintln!("wrote {path}");
-        }
-    };
-    let run_e8 = |tables: &mut Vec<Table>| {
-        let (table, report) = e8_index_scale_report(scale, seed);
-        write_report(&report, E8_REPORT_DEFAULT);
-        tables.push(table);
-    };
-    let run_e9 = |tables: &mut Vec<Table>| {
-        let (table, report) = e9_search_scale_report(scale, seed);
-        write_report(&report, E9_REPORT_DEFAULT);
-        tables.push(table);
-    };
-    let run_e10 = |tables: &mut Vec<Table>| {
-        let (table, report) = e10_guided_search_report(scale, seed);
-        write_report(&report, E10_REPORT_DEFAULT);
-        tables.push(table);
-    };
-    let run_e11 = |tables: &mut Vec<Table>| {
-        let (table, report) = e11_des_scale_report(scale, seed);
-        write_report(&report, E11_REPORT_DEFAULT);
-        tables.push(table);
-    };
-    let run_e12 = |tables: &mut Vec<Table>| {
-        let (table, report) = e12_durability_report(scale, seed);
-        write_report(&report, E12_REPORT_DEFAULT);
-        tables.push(table);
-    };
-
-    let mut tables = Vec::new();
-    match scenario.as_deref() {
+    let tables = match scenario.as_deref() {
         None => {
-            // same order as run_all, with E8–E12 run through their
-            // report paths so the JSON artifacts are written on full
-            // runs too
             eprintln!("running all scenarios at {scale:?} scale (seed {seed}) ...");
-            tables.push(e1_pipeline());
-            tables.push(e2_generation(&[4, 8, 16, 32, 64]));
-            tables.push(e3_discovery(scale, seed));
-            tables.push(e4_metadata());
-            tables.push(e5_replication(scale, seed));
-            tables.push(e6_protocols(scale, seed));
-            tables.push(e6_ttl_sweep(scale, seed));
-            tables.push(e6_dedup_ablation(scale, seed));
-            tables.push(e6_topologies(scale, seed));
-            tables.push(e7_indexing());
-            run_e8(&mut tables);
-            run_e9(&mut tables);
-            run_e10(&mut tables);
-            run_e11(&mut tables);
-            run_e12(&mut tables);
+            run_all(scale, seed)
         }
-        Some("e1") => tables.push(e1_pipeline()),
-        Some("e2") => tables.push(e2_generation(&[4, 8, 16, 32, 64])),
-        Some("e3") => tables.push(e3_discovery(scale, seed)),
-        Some("e4") => tables.push(e4_metadata()),
-        Some("e5") => tables.push(e5_replication(scale, seed)),
-        Some("e6") => {
-            tables.push(e6_protocols(scale, seed));
-            tables.push(e6_ttl_sweep(scale, seed));
-            tables.push(e6_dedup_ablation(scale, seed));
-            tables.push(e6_topologies(scale, seed));
-        }
-        Some("e7") => tables.push(e7_indexing()),
-        Some("e8" | "e8_index_scale") => run_e8(&mut tables),
-        Some("e9" | "e9_search_scale") => run_e9(&mut tables),
-        Some("e10" | "e10_guided_search") => run_e10(&mut tables),
-        Some("e11" | "e11_des_scale") => run_e11(&mut tables),
-        Some("e12" | "e12_durability") => run_e12(&mut tables),
+        Some("e1") => vec![e1_pipeline()],
+        Some("e2") => vec![e2_generation(&[4, 8, 16, 32, 64])],
+        Some("e3") => vec![e3_discovery(scale, seed)],
+        Some("e4") => vec![e4_metadata()],
+        Some("e5") => vec![e5_replication(scale, seed)],
+        Some("e6") => vec![
+            e6_protocols(scale, seed),
+            e6_ttl_sweep(scale, seed),
+            e6_dedup_ablation(scale, seed),
+            e6_topologies(scale, seed),
+        ],
+        Some("e7") => vec![e7_indexing()],
+        Some("e11") => vec![e11_des_scale(scale, seed)],
         Some(other) => {
-            eprintln!("error: unknown scenario '{other}' (expected e1..e12)");
+            eprintln!(
+                "error: unknown scenario '{other}' (expected e1..e7 or e11; e8, e9, e10 and \
+                 e12 are retired, their measurements are up2p_bench workloads and probes)"
+            );
             std::process::exit(2);
         }
-    }
+    };
     for table in tables {
         if markdown {
             println!("{}\n", table.to_markdown());

@@ -8,8 +8,11 @@
 //! * **Molecules** — a small CML-flavored chemistry set (the paper's §I
 //!   example of sharing "XML descriptions of chemical molecules").
 
+use crate::workload::{rng_for, Zipf};
+use rand::Rng;
 use up2p_core::Community;
 use up2p_schema::{FieldKind, SchemaBuilder};
+use up2p_store::{Query, ValuePattern};
 
 /// One design pattern record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -347,18 +350,17 @@ pub fn song_filename(s: &SongRecord) -> String {
     )
 }
 
-/// Genre enumeration of the synthetic track corpus — E8's exact-match
-/// query terms are drawn from this list.
-pub const TRACK_GENRES: [&str; 8] =
+/// Genre enumeration of the synthetic track corpus.
+const TRACK_GENRES: [&str; 8] =
     ["rock", "jazz", "classical", "electronic", "folk", "blues", "soul", "ambient"];
 
-/// Deterministically generates `n` synthetic track field sets for the
-/// index-scale experiment (E8): a Zipf-skewed vocabulary of title words,
-/// a long tail of artists, a small genre enumeration and a year — the
+/// Deterministically generates `n` synthetic track field sets, the
+/// catalogue E11 publishes: a Zipf-skewed vocabulary of title words, a
+/// long tail of artists, a small genre enumeration and a year — the
 /// shape of a large music-sharing community's metadata.
 pub fn synthetic_track_fields(n: usize, seed: u64) -> Vec<Vec<(String, String)>> {
-    use crate::workload::{rng_for, Zipf};
-    use rand::Rng;
+    // the stream label predates E11; renaming it would reseed every
+    // table built on this corpus
     let mut rng = rng_for(seed, "e8-corpus");
     let vocab = Zipf::new(5000, 1.05);
     let artists = Zipf::new(1000, 1.05);
@@ -379,6 +381,37 @@ pub fn synthetic_track_fields(n: usize, seed: u64) -> Vec<Vec<(String, String)>>
                 ),
                 ("track/year".to_string(), format!("{}", 1950 + i % 70)),
             ]
+        })
+        .collect()
+}
+
+/// The Zipf-skewed query mix over the synthetic track corpus: half
+/// keyword lookups, a quarter exact genre matches, and the rest boolean
+/// and wildcard queries — the shape of a large community's search box.
+pub(crate) fn synthetic_track_queries(n_queries: usize, seed: u64) -> Vec<Query> {
+    // stream label kept for the same reason as the corpus's
+    let mut rng = rng_for(seed, "e9-queries");
+    let vocab = Zipf::new(5000, 1.05);
+    (0..n_queries)
+        .map(|i| {
+            let word = format!("word{:04}", vocab.sample(&mut rng));
+            match i % 20 {
+                0..=9 => Query::keyword("title", &word),
+                10..=14 => {
+                    Query::eq("track/genre", TRACK_GENRES[rng.gen_range(0..TRACK_GENRES.len())])
+                }
+                15..=17 => Query::and([
+                    Query::eq("track/genre", TRACK_GENRES[rng.gen_range(0..TRACK_GENRES.len())]),
+                    Query::keyword("title", &word),
+                ]),
+                _ => Query::Match {
+                    field: "track/artist".to_string(),
+                    pattern: ValuePattern::from_wildcard(&format!(
+                        "artist{:02}*",
+                        rng.gen_range(0..100)
+                    )),
+                },
+            }
         })
         .collect()
 }

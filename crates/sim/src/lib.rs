@@ -1,8 +1,8 @@
 //! # up2p-sim
 //!
 //! Reproduction harness for the U-P2P paper: corpora, workloads, world
-//! construction and the experiment scenarios E1–E11 whose tables are
-//! recorded in EXPERIMENTS.md.
+//! construction and the experiment scenarios E1–E7 and E11, whose tables
+//! `run_experiments` prints.
 //!
 //! The paper contains no quantitative evaluation (its three figures are
 //! architecture diagrams and the bootstrap schema); DESIGN.md §4 maps
@@ -16,7 +16,7 @@
 //! let (mut world, community) = pattern_world(ProtocolKind::Napster, 16, 2, 7);
 //! let out = world.search_from(3, &community, &Query::any_keyword("observer"));
 //! assert!(!out.hits.is_empty());
-//! // table generators regenerate the EXPERIMENTS.md rows:
+//! // each scenario returns its table:
 //! let table = up2p_sim::e7_indexing();
 //! assert!(table.to_markdown().contains("name only"));
 //! # let _ = Scale::Smoke;
@@ -34,12 +34,9 @@ mod workload;
 
 pub use experiment::{pattern_world, World};
 pub use metrics::{retrieval_quality, RetrievalQuality, Series};
-pub use report::{fnum, ms, BenchReport, Table};
+pub use report::{fnum, ms, Table};
 pub use scenarios::{
-    e1_pipeline, e2_generation, e3_discovery, e4_metadata, e5_replication, e6_dedup_ablation,
-    e6_protocols, e6_topologies, e6_ttl_sweep, e7_indexing, e8_index_scale,
-    e10_guided_search, e10_guided_search_report, e11_des_scale, e11_des_scale_report,
-    e12_durability, e12_durability_report, e8_index_scale_report, e9_search_scale,
-    e9_search_scale_report, run_all, Scale,
+    e11_des_scale, e1_pipeline, e2_generation, e3_discovery, e4_metadata, e5_replication,
+    e6_dedup_ablation, e6_protocols, e6_topologies, e6_ttl_sweep, e7_indexing, run_all, Scale,
 };
 pub use workload::{assign_providers, rng_for, Zipf};

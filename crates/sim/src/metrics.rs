@@ -1,6 +1,6 @@
 //! Small statistics helpers for experiment reporting.
 
-/// Online accumulator for mean/min/max/percentiles of a series.
+/// Accumulator for the mean and percentiles of a series.
 #[derive(Debug, Clone, Default)]
 pub struct Series {
     values: Vec<f64>,
@@ -36,25 +36,8 @@ impl Series {
         }
     }
 
-    /// Minimum (0 for an empty series).
-    pub fn min(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().copied().fold(f64::INFINITY, f64::min)
-        }
-    }
-
-    /// Maximum (0 for an empty series).
-    pub fn max(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-        }
-    }
-
-    /// p-th percentile by nearest-rank (p in `[0,100]`; 0 for empty).
+    /// p-th percentile (p in `[0,100]`; 0 for empty): the sorted
+    /// observation at index `round(p/100 · (n−1))`, no interpolation.
     pub fn percentile(&self, p: f64) -> f64 {
         if self.values.is_empty() {
             return 0.0;
@@ -63,11 +46,6 @@ impl Series {
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
         sorted[rank.min(sorted.len() - 1)]
-    }
-
-    /// Median.
-    pub fn median(&self) -> f64 {
-        self.percentile(50.0)
     }
 }
 
@@ -116,9 +94,7 @@ mod tests {
         }
         assert_eq!(s.len(), 5);
         assert!((s.mean() - 3.0).abs() < 1e-12);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 5.0);
-        assert_eq!(s.median(), 3.0);
+        assert_eq!(s.percentile(50.0), 3.0);
         assert_eq!(s.percentile(100.0), 5.0);
         assert_eq!(s.percentile(0.0), 1.0);
     }
@@ -128,9 +104,7 @@ mod tests {
         let s = Series::new();
         assert!(s.is_empty());
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.median(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
+        assert_eq!(s.percentile(50.0), 0.0);
     }
 
     #[test]

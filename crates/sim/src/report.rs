@@ -1,5 +1,5 @@
-//! Experiment report tables: ASCII rendering for terminals and CSV for
-//! post-processing — the rows each bench/example prints for EXPERIMENTS.md.
+//! Experiment report tables: ASCII rendering for terminals and markdown
+//! for documents — what `run_experiments` prints.
 
 use std::fmt;
 
@@ -40,26 +40,7 @@ impl Table {
         self
     }
 
-    /// Renders as CSV (headers first).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let escape = |cell: &str| {
-            if cell.contains(',') || cell.contains('"') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        out.push_str(&self.headers.iter().map(|h| escape(h)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders as a GitHub-flavored markdown table (for EXPERIMENTS.md).
+    /// Renders as a GitHub-flavored markdown table.
     pub fn to_markdown(&self) -> String {
         let mut out = format!("**{}**\n\n", self.title);
         out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
@@ -106,202 +87,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// A flat named-metric report serialized as JSON — the `BENCH_*.json`
-/// perf-trajectory artifacts CI uploads (first series: E8 index scale).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BenchReport {
-    /// Report name (e.g. `e8_index_scale`).
-    pub name: String,
-    metrics: Vec<(String, f64)>,
-}
-
-impl BenchReport {
-    /// Creates an empty report.
-    pub fn new(name: impl Into<String>) -> BenchReport {
-        BenchReport { name: name.into(), metrics: Vec::new() }
-    }
-
-    /// Records (or overwrites) a metric.
-    pub fn push(&mut self, key: &str, value: f64) -> &mut BenchReport {
-        match self.metrics.iter_mut().find(|(k, _)| k == key) {
-            Some((_, v)) => *v = value,
-            None => self.metrics.push((key.to_string(), value)),
-        }
-        self
-    }
-
-    /// Reads a metric back.
-    pub fn get(&self, key: &str) -> Option<f64> {
-        self.metrics.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
-    }
-
-    /// The scenario name this report belongs to.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Iterates the recorded metrics in insertion order.
-    pub fn metrics(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.metrics.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Parses the JSON produced by [`BenchReport::to_json`] back into a
-    /// report — the schema round-trip CI relies on for the committed
-    /// `BENCH_*.json` artifacts. Accepts exactly the flat
-    /// `{"name": …, "metrics": {…}}` shape with numeric or `null`
-    /// values (`null` parses back as NaN, which re-serializes as
-    /// `null`); anything else returns `None`.
-    pub fn from_json(text: &str) -> Option<BenchReport> {
-        let mut p = JsonCursor { bytes: text.as_bytes(), pos: 0 };
-        p.skip_ws();
-        p.require(b'{')?;
-        let mut name = None;
-        let mut metrics = Vec::new();
-        let mut saw_metrics = false;
-        loop {
-            p.skip_ws();
-            if p.eat(b'}') {
-                break;
-            }
-            let key = p.string()?;
-            p.skip_ws();
-            p.require(b':')?;
-            p.skip_ws();
-            match key.as_str() {
-                "name" => name = Some(p.string()?),
-                "metrics" if !saw_metrics => {
-                    saw_metrics = true;
-                    p.require(b'{')?;
-                    loop {
-                        p.skip_ws();
-                        if p.eat(b'}') {
-                            break;
-                        }
-                        let k = p.string()?;
-                        p.skip_ws();
-                        p.require(b':')?;
-                        p.skip_ws();
-                        let v = if p.eat_word("null") { f64::NAN } else { p.number()? };
-                        metrics.push((k, v));
-                        p.skip_ws();
-                        if !p.eat(b',') {
-                            p.skip_ws();
-                            p.require(b'}')?;
-                            break;
-                        }
-                    }
-                }
-                _ => return None,
-            }
-            p.skip_ws();
-            if !p.eat(b',') {
-                p.skip_ws();
-                p.require(b'}')?;
-                break;
-            }
-        }
-        p.skip_ws();
-        if p.pos != p.bytes.len() || !saw_metrics {
-            return None;
-        }
-        Some(BenchReport { name: name?, metrics })
-    }
-
-    /// Renders as a stable JSON object (insertion order preserved;
-    /// non-finite values become `null`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"name\": \"{}\",\n", self.name.replace('"', "\\\"")));
-        out.push_str("  \"metrics\": {\n");
-        for (i, (k, v)) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 == self.metrics.len() { "" } else { "," };
-            if v.is_finite() {
-                out.push_str(&format!("    \"{}\": {v}{comma}\n", k.replace('"', "\\\"")));
-            } else {
-                out.push_str(&format!("    \"{}\": null{comma}\n", k.replace('"', "\\\"")));
-            }
-        }
-        out.push_str("  }\n}\n");
-        out
-    }
-}
-
-/// Byte cursor for the minimal JSON subset [`BenchReport::from_json`]
-/// accepts. Not a general JSON parser: strings support only `\"` and
-/// `\\` escapes (the only ones `to_json` emits), and numbers are
-/// whatever `f64::from_str` takes.
-struct JsonCursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonCursor<'_> {
-    fn skip_ws(&mut self) {
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn require(&mut self, b: u8) -> Option<()> {
-        self.eat(b).then_some(())
-    }
-
-    fn eat_word(&mut self, word: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.require(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos)? {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    let escaped = self.bytes.get(self.pos + 1)?;
-                    if *escaped != b'"' && *escaped != b'\\' {
-                        return None;
-                    }
-                    out.push(*escaped as char);
-                    self.pos += 2;
-                }
-                &b => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<f64> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos]).ok()?.parse().ok()
-    }
-}
-
 /// Formats a float with sensible experiment precision.
 pub fn fnum(v: f64) -> String {
     if v == 0.0 {
@@ -339,14 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_with_escaping() {
-        let mut t = Table::new("T", &["a", "b"]);
-        t.row(["x,y", "say \"hi\""]);
-        let csv = t.to_csv();
-        assert_eq!(csv, "a,b\n\"x,y\",\"say \"\"hi\"\"\"\n");
-    }
-
-    #[test]
     fn markdown_shape() {
         let md = sample().to_markdown();
         assert!(md.starts_with("**T**"));
@@ -358,50 +135,6 @@ mod tests {
     #[should_panic(expected = "row width mismatch")]
     fn row_width_checked() {
         Table::new("T", &["a", "b"]).row(["only-one"]);
-    }
-
-    #[test]
-    fn bench_report_json_round_trip_shape() {
-        let mut r = BenchReport::new("e8_index_scale");
-        r.push("objects", 100000.0).push("insert_per_sec", 412345.5).push("bad", f64::NAN);
-        r.push("objects", 90000.0); // overwrite keeps one entry
-        assert_eq!(r.get("objects"), Some(90000.0));
-        let json = r.to_json();
-        assert!(json.contains("\"name\": \"e8_index_scale\""));
-        assert!(json.contains("\"objects\": 90000"));
-        assert!(json.contains("\"insert_per_sec\": 412345.5"));
-        assert!(json.contains("\"bad\": null"));
-        // valid object shape: balanced braces, no trailing comma
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(!json.contains(",\n  }"));
-    }
-
-    #[test]
-    fn bench_report_from_json_round_trips() {
-        let mut r = BenchReport::new("e11_des_scale");
-        r.push("peers", 100000.0).push("events_per_sec", 1234567.25).push("ratio", 0.5);
-        let json = r.to_json();
-        let parsed = BenchReport::from_json(&json).expect("own output parses");
-        assert_eq!(parsed, r);
-        assert_eq!(parsed.to_json(), json, "byte-exact round trip");
-        // null metrics survive a full cycle as null
-        r.push("bad", f64::NAN);
-        let json = r.to_json();
-        let parsed = BenchReport::from_json(&json).expect("null metric parses");
-        assert!(parsed.get("bad").is_some_and(f64::is_nan));
-        assert_eq!(parsed.to_json(), json);
-        // malformed shapes are rejected, not mis-parsed
-        for bad in [
-            "",
-            "{}",
-            "[1,2]",
-            "{\"name\": \"x\"}",
-            "{\"name\": \"x\", \"metrics\": {\"k\": }}",
-            "{\"name\": \"x\", \"metrics\": {}, \"extra\": 1}",
-            "{\"name\": \"x\", \"metrics\": {}} trailing",
-        ] {
-            assert!(BenchReport::from_json(bad).is_none(), "accepted: {bad}");
-        }
     }
 
     #[test]

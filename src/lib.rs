@@ -8,7 +8,7 @@
 //! * [`xslt`] — XSLT engine
 //! * [`store`] — repository, metadata index, query languages
 //! * [`net`] — simulated P2P substrates (Napster / Gnutella / FastTrack)
-//! * [`sim`] — corpora, workloads and the E1–E8 experiment scenarios
+//! * [`sim`] — corpora, workloads and the E1–E7 and E11 experiment scenarios
 //!
 //! See `examples/quickstart.rs` for the five-minute tour and DESIGN.md
 //! for the paper-to-module map.

@@ -498,7 +498,7 @@ query = [
 retrieve = ["Retrieve"]
 
 [stats.substrates]
-"crates/net/src/live.rs" = ["query", "retrieve"]
+"crates/net/src/overlay.rs" = ["query", "retrieve"]
 
 [locks]
 scan = ["crates"]
@@ -517,7 +517,7 @@ declared_order = ["keys", "router", "shard"]
         let s = cfg.stats.expect("stats section");
         assert_eq!(s.enum_name, "MsgKind");
         assert_eq!(s.classes["query"], vec!["Query", "QueryHit"]);
-        assert_eq!(s.substrates["crates/net/src/live.rs"], vec!["query", "retrieve"]);
+        assert_eq!(s.substrates["crates/net/src/overlay.rs"], vec!["query", "retrieve"]);
         let l = cfg.locks.expect("locks section");
         assert_eq!(l.send_methods, vec!["send"]);
         assert_eq!(l.declared_order, vec!["keys", "router", "shard"]);

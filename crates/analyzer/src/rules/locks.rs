@@ -518,7 +518,7 @@ mod tests {
 
     #[test]
     fn closure_inside_guard_scope_still_counts() {
-        // the live.rs PR-4 shape: callback sends while the node guard lives
+        // a search callback that sends while the node guard still lives
         let (_, findings) = run(
             "fn f(&self) { let node = shared.lock(); node.search(|k| { let _ = reply.send(k); }); }",
             &["send"],

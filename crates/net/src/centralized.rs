@@ -9,7 +9,7 @@
 //! [`ShardedIndexNode`] — the community-sharded, read-mostly table —
 //! so query evaluation is a posting-list lookup behind read guards, and
 //! [`PeerNetwork::search_batch`] serves many in-flight queries from a
-//! thread pool at once (the multi-core serving plane E9 measures).
+//! thread pool at once (timed by `search_napster`'s `net.pool.*` probes).
 
 use crate::latency::LatencyModel;
 use crate::message::{ResourceRecord, SearchHit, Time};

@@ -19,15 +19,14 @@
 //! and digest refresh delegate to it, and a query event borrows the
 //! substrate's own walk (the crate's one overlay-search core,
 //! `overlay.rs`) exactly as the substrate's `search` does. What differs
-//! is the [`Sink`]: every forwarded copy becomes a `FloodQuery` /
-//! `SuperQuery` event and every hit batch a `HitDeliver` on the global
-//! queue, counted in the query's `pending`, with the query's issue time
-//! as the time base. A sequential [`PeerNetwork::search`] therefore
-//! produces the message counts, latencies and hit *sets* of the step
-//! substrate built from the same seed — there is one constructor and one
-//! stream of rng draws, not two kept alike — and `tests/des_equivalence.rs`
-//! pins what is still the driver's own: queue discipline, time base,
-//! `pending`.
+//! is the [`Sink`]: every forwarded copy becomes a `Query` event and
+//! every hit batch a `HitDeliver` on the global queue, counted in the
+//! query's `pending`, with the query's issue time as the time base. A
+//! sequential [`PeerNetwork::search`] therefore produces the message
+//! counts, latencies and hit *sets* of the step substrate built from the
+//! same seed — there is one constructor and one stream of rng draws, not
+//! two kept alike — and `tests/des_equivalence.rs` pins what is still the
+//! driver's own: queue discipline, time base, `pending`.
 //!
 //! The one choice made here is the Gnutella share-table layout: the
 //! engine drives `FloodingNetwork<RecordArena>`, struct-of-arrays over
@@ -51,7 +50,7 @@ use crate::superpeer::{SuperPeerConfig, SuperPeerNetwork};
 use crate::topology::Topology;
 use crate::traits::{PeerNetwork, ProtocolKind};
 use crate::NetConfig;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use up2p_store::Query;
 
 // ---------------------------------------------------------------------
@@ -245,12 +244,20 @@ struct QueryState {
     taken: bool,
 }
 
+/// Query ids are never reused: the table holds the queries from id
+/// `retired` on, and an id below it — handed out and freed — finds none.
+fn query_mut(
+    queries: &mut VecDeque<QueryState>,
+    retired: u32,
+    qid: u32,
+) -> Option<&mut QueryState> {
+    queries.get_mut(qid.checked_sub(retired)? as usize)
+}
+
 /// The walk's deliveries become events on the global timeline, each one
 /// more thing its query waits for.
 struct Timeline<'a> {
     qid: u32,
-    /// Flat overlay (`FloodQuery`) or super overlay (`SuperQuery`).
-    flat: bool,
     pending: &'a mut u32,
     queue: &'a mut EventQueue<DesEvent>,
 }
@@ -259,14 +266,7 @@ impl Sink for Timeline<'_> {
     fn forward(&mut self, at: Time, hop: Hop) {
         let (qid, Hop { to, path, ttl, mode }) = (self.qid, hop);
         *self.pending += 1;
-        self.queue.push(
-            at,
-            if self.flat {
-                DesEvent::FloodQuery { qid, to: PeerId(to), path, ttl, mode }
-            } else {
-                DesEvent::SuperQuery { qid, to, path, ttl, mode }
-            },
-        );
+        self.queue.push(at, DesEvent::Query { qid, to, path, ttl, mode });
     }
 
     fn hits_return(&mut self, at: Time, n: u32) {
@@ -297,7 +297,9 @@ impl Sink for Timeline<'_> {
 pub struct DesNetwork {
     substrate: Substrate,
     queue: EventQueue<DesEvent>,
-    queries: Vec<QueryState>,
+    queries: VecDeque<QueryState>,
+    /// Queries freed so far: the id of `queries[0]`.
+    retired: u32,
     clock: Time,
     events_processed: u64,
     peak_queue: usize,
@@ -324,7 +326,8 @@ impl DesNetwork {
         DesNetwork {
             substrate,
             queue: EventQueue::new(),
-            queries: Vec::new(),
+            queries: VecDeque::new(),
+            retired: 0,
             clock: 0,
             events_processed: 0,
             peak_queue: 0,
@@ -390,8 +393,8 @@ impl DesNetwork {
     /// the query id used in [`DesEvent`] variants and
     /// [`DesNetwork::take_outcome`].
     pub fn schedule_query(&mut self, at: Time, origin: PeerId, community: &str, query: Query) -> u32 {
-        let qid = self.queries.len() as u32;
-        self.queries.push(QueryState {
+        let qid = self.retired + self.queries.len() as u32;
+        self.queries.push_back(QueryState {
             origin,
             community: community.to_string(),
             query,
@@ -437,18 +440,26 @@ impl DesNetwork {
     /// in scheduling order.
     pub fn run(&mut self) -> Vec<SearchOutcome> {
         self.pump(None);
-        (0..self.queries.len() as u32).filter_map(|qid| self.take_outcome(qid)).collect()
+        let held = self.retired..self.retired + self.queries.len() as u32;
+        held.filter_map(|qid| self.take_outcome(qid)).collect()
     }
 
     /// Takes a completed query's outcome by id (`None` if unknown, not
     /// yet finished, or already taken).
     pub fn take_outcome(&mut self, qid: u32) -> Option<SearchOutcome> {
-        let qs = self.queries.get_mut(qid as usize)?;
+        let qs = query_mut(&mut self.queries, self.retired, qid)?;
         if !qs.done || qs.taken {
             return None;
         }
         qs.taken = true;
-        Some(std::mem::take(&mut qs.progress.outcome))
+        let outcome = std::mem::take(&mut qs.progress.outcome);
+        // a taken query is done, so no queued event names it: free the
+        // taken prefix instead of holding every query ever scheduled
+        while self.queries.front().is_some_and(|qs| qs.taken) {
+            self.queries.pop_front();
+            self.retired += 1;
+        }
+        Some(outcome)
     }
 
     // ---- introspection -----------------------------------------------
@@ -552,11 +563,8 @@ impl DesNetwork {
             }
             let qid = self.dispatch(t, ev);
             self.peak_queue = self.peak_queue.max(self.queue.len());
-            if let Some(q) = qid {
-                self.finalize_if_done(q);
-                if until == Some(q) && self.queries.get(q as usize).is_some_and(|qs| qs.done) {
-                    return;
-                }
+            if qid.is_some_and(|q| self.finalize_if_done(q)) && until == qid {
+                return;
             }
         }
     }
@@ -569,11 +577,7 @@ impl DesNetwork {
                 self.handle_query(t, qid, None);
                 Some(qid)
             }
-            DesEvent::FloodQuery { qid, to, path, ttl, mode } => {
-                self.handle_query(t, qid, Some(Hop { to: to.0, path, ttl, mode }));
-                Some(qid)
-            }
-            DesEvent::SuperQuery { qid, to, path, ttl, mode } => {
+            DesEvent::Query { qid, to, path, ttl, mode } => {
                 self.handle_query(t, qid, Some(Hop { to, path, ttl, mode }));
                 Some(qid)
             }
@@ -582,7 +586,7 @@ impl DesNetwork {
                 Some(qid)
             }
             DesEvent::HitDeliver { qid, .. } => {
-                if let Some(qs) = self.queries.get_mut(qid as usize) {
+                if let Some(qs) = query_mut(&mut self.queries, self.retired, qid) {
                     qs.pending = qs.pending.saturating_sub(1);
                 }
                 Some(qid)
@@ -600,14 +604,15 @@ impl DesNetwork {
 
     /// Converts a completed query's absolute times to the step
     /// substrates' origin-relative convention and releases its dedup
-    /// sets.
-    fn finalize_if_done(&mut self, qid: u32) {
-        let Some(qs) = self.queries.get_mut(qid as usize) else { return };
+    /// sets; `true` when this event was the query's last.
+    fn finalize_if_done(&mut self, qid: u32) -> bool {
+        let Some(qs) = query_mut(&mut self.queries, self.retired, qid) else { return false };
         if qs.done || qs.pending != 0 {
-            return;
+            return false;
         }
         qs.done = true;
         qs.progress.finish(qs.issued_at, self.substrate.stats_mut());
+        true
     }
 
     // ---- event handlers ----------------------------------------------
@@ -615,10 +620,10 @@ impl DesNetwork {
     /// The driver half of a query's life on the timeline: `hop: None`
     /// issues the query, `Some` delivers one copy. Whether the query
     /// leaves at all and everything its walk decides is the substrate's;
-    /// this picks the entry point and the event flavor per protocol.
+    /// this picks the entry point per protocol.
     fn handle_query(&mut self, t: Time, qid: u32, hop: Option<Hop>) {
-        let Self { substrate, queue, queries, .. } = self;
-        let Some(qs) = queries.get_mut(qid as usize) else { return };
+        let Self { substrate, queue, queries, retired, .. } = self;
+        let Some(qs) = query_mut(queries, *retired, qid) else { return };
         qs.pending = qs.pending.saturating_sub(1);
         let QueryState { origin, community, query, progress, pending, .. } = qs;
         let (origin, community, query) = (*origin, community.as_str(), &*query);
@@ -635,7 +640,7 @@ impl DesNetwork {
                     return;
                 }
                 let (mut walk, eval) = g.walk(community, query);
-                let mut sink = Timeline { qid, flat: true, pending, queue };
+                let mut sink = Timeline { qid, pending, queue };
                 match hop {
                     None => walk.start(progress, t, origin.0, None, eval, &mut sink),
                     Some(hop) => walk.arrive(progress, t, hop, eval, &mut sink),
@@ -647,7 +652,7 @@ impl DesNetwork {
                 }
                 let entry = f.super_of(origin).map(|s| s as u32);
                 let (mut walk, eval) = f.walk(community, query);
-                let mut sink = Timeline { qid, flat: false, pending, queue };
+                let mut sink = Timeline { qid, pending, queue };
                 match hop {
                     None => walk.start(progress, t, origin.0, entry, eval, &mut sink),
                     Some(hop) => walk.arrive(progress, t, hop, eval, &mut sink),
@@ -660,9 +665,9 @@ impl DesNetwork {
     /// now, not at issue — and its reply lands at the time the issue
     /// drew.
     fn handle_server_query(&mut self, qid: u32) {
-        let Self { substrate, queue, queries, .. } = self;
+        let Self { substrate, queue, queries, retired, .. } = self;
         let Substrate::Napster(n) = substrate else { return };
-        let Some(qs) = queries.get_mut(qid as usize) else { return };
+        let Some(qs) = query_mut(queries, *retired, qid) else { return };
         let arrival = qs.progress.quiescence;
         let outcome = &mut qs.progress.outcome;
         n.answer(&qs.community, &qs.query, outcome, arrival);
@@ -805,6 +810,40 @@ mod tests {
         assert!(net.events_processed() >= 5);
         assert!(net.peak_queue_len() >= 2);
         assert_eq!(net.clock(), 70);
+    }
+
+    #[test]
+    fn a_returned_query_is_freed_and_its_id_never_reused() {
+        // regression: the query table only grew — every query ever
+        // scheduled kept its community, query and dedup sets, and each
+        // run() re-scanned all of them
+        let mut net = DesNetwork::gnutella(
+            Topology::ring_lattice(6, 1),
+            Box::new(ConstantLatency(5)),
+            FloodingConfig::default(),
+        );
+        net.publish(PeerId(3), track("k1", "coltrane"));
+        let first: Vec<u32> =
+            (0..3).map(|i| net.schedule_query(i, PeerId(0), "tracks", q("coltrane"))).collect();
+        assert_eq!(first, [0, 1, 2]);
+        assert_eq!(net.run().len(), 3);
+        assert!(format!("{net:?}").contains("queries: 0"), "{net:?}");
+
+        let at = net.clock();
+        let second: Vec<u32> =
+            (0..2).map(|i| net.schedule_query(at + i, PeerId(1), "tracks", q("nobody"))).collect();
+        assert_eq!(second, [3, 4], "ids continue where the first batch left off");
+        let outcomes = net.run();
+        assert_eq!(outcomes.len(), 2, "only the second batch");
+        assert!(outcomes.iter().all(|o| o.hits.is_empty() && o.messages > 0));
+        assert!(format!("{net:?}").contains("queries: 0"), "{net:?}");
+        for qid in first.into_iter().chain(second) {
+            assert!(net.take_outcome(qid).is_none(), "q{qid} is retired, not aliased");
+        }
+        // a sequential search takes the next id and frees it on return
+        assert_eq!(net.search(PeerId(0), "tracks", &q("coltrane")).hits.len(), 1);
+        assert!(format!("{net:?}").contains("queries: 0"), "{net:?}");
+        assert_eq!(net.schedule_query(net.clock(), PeerId(0), "tracks", q("coltrane")), 6);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Routing digests for guided (digest-pruned) search.
 //!
-//! Blind TTL flooding asks every reachable peer; the E9 tables put that
-//! at ~4,000 messages per query on a 2k-peer overlay. The guided-search
+//! Blind TTL flooding asks every reachable peer: ~900 messages per query
+//! on the `search_flood` workload's 2k-peer overlay. The guided-search
 //! literature (EGSP's guided protocol, ATLAAS-P2P's discovery layer,
 //! attenuated Bloom filters in general) recovers near-flooding recall at
 //! a fraction of the cost by giving each peer a compact, conservative

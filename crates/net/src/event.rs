@@ -39,28 +39,16 @@ pub enum DesEvent {
         /// Query state index.
         qid: u32,
     },
-    /// A Gnutella-style query copy arrives at a peer.
-    FloodQuery {
+    /// A query copy arrives at a node of the searched overlay: a peer
+    /// (Gnutella) or a super-peer index (FastTrack).
+    Query {
         /// Query state index.
         qid: u32,
-        /// Destination peer.
-        to: PeerId,
-        /// Route travelled so far (last element = immediate sender).
+        /// Destination node.
+        to: u32,
+        /// Nodes travelled so far (last element = immediate sender).
         path: Vec<u32>,
         /// Remaining hops.
-        ttl: u8,
-        /// Propagation mode of this copy.
-        mode: PropMode,
-    },
-    /// A FastTrack-style query copy arrives at a super-peer.
-    SuperQuery {
-        /// Query state index.
-        qid: u32,
-        /// Destination super-peer index.
-        to: u32,
-        /// Super indices travelled so far (last = sender).
-        path: Vec<u32>,
-        /// Remaining hops on the super overlay.
         ttl: u8,
         /// Propagation mode of this copy.
         mode: PropMode,
@@ -95,11 +83,8 @@ impl DesEvent {
     pub fn log_line(&self, t: Time) -> String {
         match self {
             DesEvent::QueryIssue { qid } => format!("{t} issue q{qid}"),
-            DesEvent::FloodQuery { qid, to, path, ttl, mode } => {
+            DesEvent::Query { qid, to, path, ttl, mode } => {
                 format!("{t} query q{qid} -> {to} ttl={ttl} mode={mode:?} path={path:?}")
-            }
-            DesEvent::SuperQuery { qid, to, path, ttl, mode } => {
-                format!("{t} squery q{qid} -> s{to} ttl={ttl} mode={mode:?} path={path:?}")
             }
             DesEvent::ServerQuery { qid } => format!("{t} server-query q{qid}"),
             DesEvent::HitDeliver { qid, hits } => format!("{t} hits q{qid} n={hits}"),
@@ -115,14 +100,8 @@ mod tests {
 
     #[test]
     fn log_lines_are_stable() {
-        let ev = DesEvent::FloodQuery {
-            qid: 3,
-            to: PeerId(7),
-            path: vec![0, 2],
-            ttl: 5,
-            mode: PropMode::Flood,
-        };
-        assert_eq!(ev.log_line(40), "40 query q3 -> peer-7 ttl=5 mode=Flood path=[0, 2]");
+        let ev = DesEvent::Query { qid: 3, to: 7, path: vec![0, 2], ttl: 5, mode: PropMode::Flood };
+        assert_eq!(ev.log_line(40), "40 query q3 -> 7 ttl=5 mode=Flood path=[0, 2]");
         assert_eq!(DesEvent::DigestRefresh.log_line(9), "9 digest-refresh");
         assert_eq!(
             DesEvent::Churn { peer: PeerId(1), online: false }.log_line(2),

@@ -17,7 +17,7 @@
 //! exists once, here, for both.
 //!
 //! With [`DigestConfig::enabled`] the substrate switches to *guided*
-//! search (experiment E10): forwarding consults per-neighbor
+//! search (the `des_guided` workload): forwarding consults per-neighbor
 //! [`crate::RouteTable`] digests, follows only the most promising
 //! neighbors, stops at the first peer with local hits, and falls back to
 //! TTL'd random walkers when no digest matches.
@@ -44,7 +44,7 @@ pub struct FloodingConfig {
     /// this is the E6 ablation `flooding_no_dedup`.
     pub dedup: bool,
     /// Routing-digest layer; `enabled: true` switches searches from
-    /// blind flooding to guided forwarding (E10).
+    /// blind flooding to guided forwarding (as `des_guided` runs it).
     pub digests: DigestConfig,
 }
 

@@ -22,8 +22,6 @@
 //! of the substrates and drives it from one global virtual-time queue so
 //! churn lands while queries are in flight (picking, for Gnutella, the
 //! [`RecordArena`] layout of the [`ShareTable`] for scale).
-//! [`LiveNetwork`] is a different protocol shape (threads, out-of-band
-//! hits) and shares only the retrieve accounting.
 //!
 //! No 2002 network exists to join, so the substrates reproduce *routing
 //! semantics* (which peers are asked, how many messages, how many hops)
@@ -60,7 +58,6 @@ mod event;
 mod flooding;
 mod index_node;
 mod latency;
-mod live;
 mod message;
 mod overlay;
 mod peer;
@@ -78,9 +75,8 @@ pub use digest::{DigestConfig, RecordVisitor, RouteTable, RoutingDigest};
 pub use event::{DesEvent, PropMode};
 pub use flooding::{FloodingConfig, FloodingNetwork, ShareTable};
 pub use index_node::IndexNode;
-pub use live::LiveNetwork;
 pub use latency::{ConstantLatency, CoordinateLatency, LatencyModel, LatencySpec, UniformLatency};
-pub use message::{Message, MessageKind, ResourceRecord, SearchHit, SharedFields, Time, DEFAULT_TTL};
+pub use message::{ResourceRecord, SearchHit, SharedFields, Time, DEFAULT_TTL};
 pub use peer::PeerId;
 pub use pool::serve_batch;
 pub use sharded::ShardedIndexNode;
@@ -332,7 +328,6 @@ mod tests {
             nets.push((format!("step {kind}"), build_network_with(kind, 16, 7, &config)));
             nets.push((format!("des {kind}"), Box::new(DesNetwork::build(kind, 16, 7, &config))));
         }
-        nets.push(("live".to_string(), Box::new(LiveNetwork::new(Topology::ring_lattice(16, 2)))));
         let record =
             || ResourceRecord::new("k", "c", vec![("o/name".to_string(), "x".to_string())]);
         for (name, net) in &mut nets {

@@ -1,7 +1,8 @@
-//! Wire-level message model shared by the simulated substrates.
+//! Value types every substrate exchanges: the published record, the
+//! search hit, virtual time. Traffic itself is only counted
+//! ([`crate::MsgKind`]); no message struct is ever built.
 
 use crate::peer::PeerId;
-use up2p_store::Query;
 
 /// Virtual time in microseconds since simulation start.
 pub type Time = u64;
@@ -54,76 +55,6 @@ pub struct SearchHit {
     pub hops: u8,
 }
 
-/// Message kinds exchanged by the substrates. Not every substrate uses
-/// every kind (Napster has no forwarded queries; Gnutella has no publish).
-#[derive(Debug, Clone, PartialEq)]
-pub enum MessageKind {
-    /// A metadata query propagating through the overlay.
-    Query {
-        /// Originating peer (hits route back to it).
-        origin: PeerId,
-        /// Community scope.
-        community: String,
-        /// The query itself.
-        query: Query,
-    },
-    /// Results travelling back toward the origin.
-    QueryHit {
-        /// Hits found at one peer.
-        hits: Vec<SearchHit>,
-    },
-    /// Metadata upload to an index node (Napster server / super-peer).
-    Publish {
-        /// The record being published.
-        record: ResourceRecord,
-    },
-    /// Removal of published metadata.
-    Unpublish {
-        /// Key being withdrawn.
-        key: String,
-    },
-    /// Direct download request for an object.
-    Retrieve {
-        /// Key being fetched.
-        key: String,
-    },
-    /// Download response (success).
-    RetrieveOk {
-        /// Key fetched.
-        key: String,
-    },
-    /// Download response (provider does not have the object / is gone).
-    RetrieveFail {
-        /// Key that failed.
-        key: String,
-    },
-    /// A peer advertising its attenuated routing digest layers to a
-    /// neighbor (guided search; sent on connect and whenever a refresh
-    /// changes the advertisement).
-    DigestPush {
-        /// Attenuated layers, nearest subtree first.
-        layers: Vec<crate::digest::RoutingDigest>,
-    },
-    /// A peer asking a new neighbor for its digest (the connect-time
-    /// handshake that bootstraps guided routing).
-    DigestRequest,
-}
-
-/// A message in flight.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Message {
-    /// Unique id for duplicate suppression (Gnutella's GUID role).
-    pub id: u64,
-    /// Immediate sender (reverse-path routing).
-    pub from: PeerId,
-    /// Remaining time-to-live in overlay hops.
-    pub ttl: u8,
-    /// Hops travelled so far.
-    pub hops: u8,
-    /// Payload.
-    pub kind: MessageKind,
-}
-
 /// Default Gnutella-era TTL (the protocol shipped with 7).
 pub const DEFAULT_TTL: u8 = 7;
 
@@ -137,22 +68,5 @@ mod tests {
         assert_eq!(r.clone(), r);
         // cloning shares the metadata allocation
         assert!(SharedFields::ptr_eq(&r.fields, &r.clone().fields));
-    }
-
-    #[test]
-    fn message_carries_query() {
-        let m = Message {
-            id: 1,
-            from: PeerId(0),
-            ttl: DEFAULT_TTL,
-            hops: 0,
-            kind: MessageKind::Query {
-                origin: PeerId(0),
-                community: "patterns".into(),
-                query: Query::any_keyword("observer"),
-            },
-        };
-        assert_eq!(m.ttl, 7);
-        assert!(matches!(m.kind, MessageKind::Query { .. }));
     }
 }

@@ -12,7 +12,7 @@
 //!   Queries against different communities touch disjoint shards;
 //!   queries against the same community share a read guard. Neither
 //!   path touches the key table.
-//! * `insert`/`upsert`/`remove` serialize on the key-routing table
+//! * `insert`/`remove` serialize on the key-routing table
 //!   (`keys`) and then write **only the owning shard**, so a publish
 //!   into one community never blocks searches of another.
 //!
@@ -25,11 +25,9 @@
 //! ```
 //!
 //! Writers hold `keys` for the whole mutation and acquire the router
-//! and shard guards strictly under it, one shard guard at a time (an
-//! upsert that moves a record between communities writes the old and
-//! new shard in disjoint critical sections). Readers clone the shard's
-//! `Arc` out of the router guard and drop it before locking the shard,
-//! so no read path ever nests guards.
+//! and shard guards strictly under it, one shard guard at a time.
+//! Readers clone the shard's `Arc` out of the router guard and drop it
+//! before locking the shard, so no read path ever nests guards.
 
 use crate::index_node::CommunityTable;
 use crate::message::{ResourceRecord, SharedFields};
@@ -141,15 +139,12 @@ impl ShardedIndexNode {
         slot
     }
 
-    /// The insert body shared by [`ShardedIndexNode::insert`] and
-    /// [`ShardedIndexNode::upsert`]; `keys` is the caller's write guard
-    /// on the key table, held for the whole mutation.
-    fn insert_locked(
-        &self,
-        keys: &mut HashMap<ResourceId, u32>,
-        provider: PeerId,
-        record: &ResourceRecord,
-    ) {
+    /// Registers `provider` for the record — first-record-wins, exactly
+    /// as [`crate::IndexNode::insert`]. Writes the key table and the one
+    /// owning shard; searches of other communities proceed untouched.
+    pub fn insert(&self, provider: PeerId, record: &ResourceRecord) {
+        self.write_guards.fetch_add(1, Ordering::Relaxed);
+        let mut keys = self.keys.write();
         if let Some(&slot) = keys.get(record.key.as_str()) {
             let shard = self.shard(slot);
             self.write_guards.fetch_add(1, Ordering::Relaxed);
@@ -169,41 +164,6 @@ impl ShardedIndexNode {
             table.index_record(id.clone(), provider, &record.fields);
         }
         keys.insert(id, slot);
-    }
-
-    /// Registers `provider` for the record — first-record-wins, exactly
-    /// as [`crate::IndexNode::insert`]. Writes the key table and the one
-    /// owning shard; searches of other communities proceed untouched.
-    pub fn insert(&self, provider: PeerId, record: &ResourceRecord) {
-        self.write_guards.fetch_add(1, Ordering::Relaxed);
-        let mut keys = self.keys.write();
-        self.insert_locked(&mut keys, provider, record);
-    }
-
-    /// Registers `provider` for the record, replacing the stored fields
-    /// (and community) when the key is already present while keeping the
-    /// accumulated providers — exactly as [`crate::IndexNode::upsert`].
-    /// A replace that moves the record between communities writes the
-    /// old and new shard in two disjoint critical sections, both under
-    /// the key-table guard.
-    pub fn upsert(&self, provider: PeerId, record: &ResourceRecord) {
-        self.write_guards.fetch_add(1, Ordering::Relaxed);
-        let mut keys = self.keys.write();
-        let previous = keys.get(record.key.as_str()).copied().and_then(|slot| {
-            let shard = self.shard(slot);
-            self.write_guards.fetch_add(1, Ordering::Relaxed);
-            let taken = shard.write().take_record(record.key.as_str())?;
-            keys.remove(record.key.as_str());
-            Some(taken.0)
-        });
-        self.insert_locked(&mut keys, provider, record);
-        if let Some(old_providers) = previous {
-            if let Some(&slot) = keys.get(record.key.as_str()) {
-                let shard = self.shard(slot);
-                self.write_guards.fetch_add(1, Ordering::Relaxed);
-                shard.write().extend_providers(record.key.as_str(), old_providers);
-            }
-        }
     }
 
     /// Withdraws `provider`'s copy of the record; the record's postings
@@ -242,29 +202,6 @@ impl ShardedIndexNode {
         let shard = self.shard(slot);
         let table = shard.read();
         table.provider_count(key)
-    }
-
-    /// Visits `(community, fields)` of every record this node holds —
-    /// what a routing digest of it is built from — exactly as
-    /// [`crate::IndexNode::for_each_record`]. Each community is visited
-    /// under its own shard read guard (a per-shard snapshot, not a
-    /// cross-shard one — concurrent writers may land between shards).
-    pub fn for_each_record<F>(&self, mut f: F)
-    where
-        F: FnMut(&str, &[(String, String)]),
-    {
-        let entries: Vec<(String, Arc<RwLock<CommunityTable>>)> = {
-            let router = self.router.read();
-            router
-                .names
-                .iter()
-                .map(|(name, &slot)| (name.clone(), Arc::clone(&router.shards[slot as usize])))
-                .collect()
-        };
-        for (name, shard) in entries {
-            let table = shard.read();
-            table.for_each_record(|fields| f(&name, fields));
-        }
     }
 
     /// Evaluates a community-scoped query against this node's records,
@@ -345,24 +282,7 @@ mod tests {
     }
 
     #[test]
-    fn upsert_replaces_and_can_move_communities() {
-        let node = ShardedIndexNode::new();
-        node.insert(PeerId(1), &record("k", "c", "original"));
-        node.insert(PeerId(2), &record("k", "c", "original"));
-        node.upsert(PeerId(1), &record("k", "c", "changed"));
-        assert_eq!(
-            hits(&node, "c", &Query::any_keyword("changed")),
-            vec![("k".to_string(), PeerId(1)), ("k".to_string(), PeerId(2))]
-        );
-        node.upsert(PeerId(1), &record("k", "d", "moved"));
-        assert!(hits(&node, "c", &Query::All).is_empty());
-        assert_eq!(hits(&node, "d", &Query::any_keyword("moved")).len(), 2);
-        node.upsert(PeerId(3), &record("k2", "c", "fresh"));
-        assert_eq!(hits(&node, "c", &Query::any_keyword("fresh")), vec![("k2".to_string(), PeerId(3))]);
-    }
-
-    #[test]
-    fn search_and_digest_agree_with_index_node_on_an_interleaved_history() {
+    fn search_agrees_with_index_node_on_an_interleaved_history() {
         // drive both implementations through one randomized-ish op tape
         // and compare observable state at every step
         let sharded = ShardedIndexNode::new();
@@ -374,13 +294,9 @@ mod tests {
             let peer = PeerId(step % 5);
             let rec = record(&key, community, &format!("name{} term{}", step % 7, step % 11));
             match step % 4 {
-                0 | 1 => {
+                0..=2 => {
                     sharded.insert(peer, &rec);
                     linear.insert(peer, &rec);
-                }
-                2 => {
-                    sharded.upsert(peer, &rec);
-                    linear.upsert(peer, &rec);
                 }
                 _ => {
                     sharded.remove(peer, &key);
@@ -397,14 +313,6 @@ mod tests {
                 assert_eq!(a, b, "step {step} community {c}");
             }
         }
-        // what a digest of either node would be built from
-        let mut a: Vec<(String, Vec<(String, String)>)> = Vec::new();
-        sharded.for_each_record(|c, fields| a.push((c.to_string(), fields.to_vec())));
-        a.sort();
-        let mut b: Vec<(String, Vec<(String, String)>)> = Vec::new();
-        linear.for_each_record(|c, fields| b.push((c.to_string(), fields.to_vec())));
-        b.sort();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub struct SuperPeerConfig {
     /// TTL for flooding among super-peers.
     pub ttl: u8,
     /// Routing-digest layer over the super overlay; `enabled: true`
-    /// prunes the super-peer flood the way E10's guided Gnutella does.
+    /// prunes the super-peer flood, as the `search_guided` workload runs it.
     pub digests: DigestConfig,
 }
 

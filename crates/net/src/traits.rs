@@ -72,8 +72,7 @@ pub trait PeerNetwork {
     /// `workers` is the serving parallelism to use where the substrate
     /// supports it. The default implementation serves sequentially; the
     /// Napster server and FastTrack super-peers override it with a
-    /// thread-pool driver over the sharded index, and the live threaded
-    /// substrate overlaps the batch in flight.
+    /// thread-pool driver over the sharded index.
     fn search_batch(&mut self, requests: &[SearchRequest], workers: usize) -> Vec<SearchOutcome> {
         let _ = workers;
         requests.iter().map(|r| self.search(r.origin, &r.community, &r.query)).collect()
@@ -89,11 +88,11 @@ pub trait PeerNetwork {
     /// Zeroes the statistics (between experiment phases).
     fn reset_stats(&mut self);
 
-    /// Messages spent maintaining routing digests (guided search, E10):
+    /// Messages spent maintaining routing digests (guided search):
     /// `DigestPush` + `DigestRequest` since the last stats reset. Zero on
-    /// substrates without a digest layer or with digests disabled —
-    /// experiments report this separately from per-query traffic so the
-    /// maintenance cost of guided routing is visible, not hidden.
+    /// substrates without a digest layer or with digests disabled — the
+    /// benchmark reports them apart from per-query traffic
+    /// (`net.msgs.Digest*`) so guided routing's upkeep is visible, not hidden.
     fn digest_messages(&self) -> u64 {
         self.stats().count(MsgKind::DigestPush) + self.stats().count(MsgKind::DigestRequest)
     }

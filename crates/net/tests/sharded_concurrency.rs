@@ -10,13 +10,10 @@ use up2p_store::Query;
 
 const COMMUNITIES: [&str; 2] = ["alpha", "beta"];
 
-/// One write of the racing workload. Restricted to publish/withdraw
-/// (`insert`/`remove`), which mutate their owning shard in a single
-/// critical section each — so every state a concurrent reader can
-/// observe is exactly a sequential prefix of the tape. (`upsert` of an
-/// existing key legitimately exposes a mid-replace state to readers of
-/// that shard; its semantics are covered by the single-threaded oracle
-/// test in the crate.)
+/// One write of the racing workload: publish/withdraw (`insert`/
+/// `remove`), the node's only writes, which mutate their owning shard
+/// in a single critical section each — so every state a concurrent
+/// reader can observe is exactly a sequential prefix of the tape.
 #[derive(Debug, Clone)]
 enum Op {
     Insert { key: usize, community: usize, peer: u32, name: &'static str },
@@ -187,7 +184,6 @@ fn search_never_takes_a_write_guard() {
         assert_eq!(node.len(), 20);
         assert!(!node.is_empty());
         assert_eq!(node.community_count(), 2);
-        node.for_each_record(|_, _| {});
     }
     assert_eq!(
         node.write_guard_count(),

@@ -18,7 +18,7 @@
 //! keyword tokens computed once at publish — so rebuilding the posting
 //! lists never runs the tokenizer, which is what makes restart cheap for
 //! the churn-heavy peers the paper's availability argument cares about
-//! (experiment E12 times it).
+//! (the benchmark's `store.recover_ms` times it).
 
 use crate::digest::ResourceId;
 use crate::error::StoreError;

@@ -2,7 +2,7 @@
 //!
 //! Only fields extracted by the community's *Indexed Attribute* filter
 //! (Fig. 1 of the paper) enter the index; experiment E7 measures the
-//! size/recall trade-off this enables, and E8 measures the index at scale.
+//! size/recall trade-off, `up2p_bench`'s `store.index_*` probes the scale.
 //!
 //! Layout: every [`ResourceId`] is interned to a dense `u32` doc-id and
 //! every field path / token / normalized value to a `u32` symbol, so a
@@ -128,7 +128,7 @@ pub struct MetadataIndex {
     free: Vec<u32>,
 }
 
-/// Size statistics for experiments E7/E8 (index filtering and scale).
+/// Size statistics for experiment E7 and the benchmark's `store.index_bytes`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IndexStats {
     /// Number of indexed objects.

@@ -1,11 +1,13 @@
 //! Cross-crate integration tests: the complete U-P2P lifecycle
 //! (bootstrap → publish community → discover → join → create → publish →
-//! search → download → view) on every substrate, plus persistence and
+//! search → download → view, then a third peer finding the replica) on
+//! every substrate under both schedulers, plus persistence and
 //! query-surface equivalence.
 
+use up2p::net::{DesNetwork, NetConfig};
 use up2p::sim::corpus::{pattern_community, pattern_values, GOF_PATTERNS};
 use up2p::{
-    build_network, Community, FieldKind, PayloadPlane, PeerId, ProtocolKind, Query,
+    build_network, Community, FieldKind, PayloadPlane, PeerId, PeerNetwork, ProtocolKind, Query,
     SchemaBuilder, Servent, ROOT_COMMUNITY_ID,
 };
 
@@ -13,10 +15,21 @@ fn all_protocols() -> [ProtocolKind; 3] {
     [ProtocolKind::Napster, ProtocolKind::Gnutella, ProtocolKind::FastTrack]
 }
 
+/// Each protocol under each of its two schedulers: the step substrate
+/// and the discrete-event engine driving that same substrate.
+fn all_worlds() -> Vec<(String, Box<dyn PeerNetwork>)> {
+    let mut worlds: Vec<(String, Box<dyn PeerNetwork>)> = Vec::new();
+    for kind in all_protocols() {
+        worlds.push((format!("step {kind}"), build_network(kind, 48, 9)));
+        let des = DesNetwork::build(kind, 48, 9, &NetConfig::default());
+        worlds.push((format!("des {kind}"), Box::new(des)));
+    }
+    worlds
+}
+
 #[test]
 fn full_lifecycle_on_every_substrate() {
-    for kind in all_protocols() {
-        let mut net = build_network(kind, 48, 9);
+    for (world, mut net) in all_worlds() {
         let mut plane = PayloadPlane::new();
         let community = pattern_community();
 
@@ -34,23 +47,33 @@ fn full_lifecycle_on_every_substrate() {
         let found = seeker
             .discover_communities(&mut *net, &Query::any_keyword("patterns"))
             .unwrap();
-        assert!(!found.hits.is_empty(), "{kind}: discovery");
+        assert!(!found.hits.is_empty(), "{world}: discovery");
         let id = seeker.join_from_hit(&mut *net, &mut plane, &found.hits[0]).unwrap();
-        assert_eq!(id, community.id, "{kind}: identity is content-derived");
+        assert_eq!(id, community.id, "{world}: identity is content-derived");
 
         let hits = seeker
             .search(&mut *net, &id, &Query::keyword("name", "observer"))
             .unwrap();
-        assert!(!hits.hits.is_empty(), "{kind}: search");
+        assert!(!hits.hits.is_empty(), "{world}: search");
         let downloaded = seeker.download(&mut *net, &mut plane, &hits.hits[0]).unwrap();
-        assert_eq!(downloaded.key, obj.key, "{kind}: same object");
+        assert_eq!(downloaded.key, obj.key, "{world}: same object");
 
         let html = seeker.view_html(&downloaded).unwrap();
-        assert!(html.contains("Observer"), "{kind}: view renders");
+        assert!(html.contains("Observer"), "{world}: view renders");
         assert!(
             html.contains("notified and updated automatically"),
-            "{kind}: intent visible"
+            "{world}: intent visible"
         );
+
+        // the download replicated the object: a third peer now finds it
+        // at the publisher and at the seeker
+        let mut third = Servent::new(PeerId(21));
+        third.join(community.clone());
+        let again = third
+            .search(&mut *net, &community.id, &Query::keyword("name", "observer"))
+            .unwrap();
+        assert_eq!(again.distinct_keys(), 1, "{world}: one object");
+        assert!(again.hits.len() >= 2, "{world}: replica discoverable, {} hit(s)", again.hits.len());
     }
 }
 

@@ -1,0 +1,267 @@
+//! The compile cache — the one content-keyed cache of this crate.
+//!
+//! A community is a downloaded schema plus stylesheets, and everything
+//! the servent derives from them is a pure function of their text. A
+//! [`CompileCache`] computes such a function once per distinct input,
+//! process-wide, and hands the result out by clone (an `Arc` in every
+//! instantiation): [`crate::StylesheetCache`] for XSLT source,
+//! [`crate::SchemaCache`] for XSD source and [`crate::FormCache`] for
+//! rendered form pages.
+
+use crate::error::CoreError;
+use parking_lot::RwLock;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
+
+/// Entries a [`CompileCache`] holds; inserting one more evicts the
+/// oldest. The inputs are bytes a stranger authored, so the cache must
+/// not grow without bound. A constant, not an option, because no caller
+/// needs another value: a community costs one schema, up to four sheets
+/// and two pages, so each cache holds what 250 joined communities need.
+pub const CAPACITY: usize = 1024;
+
+/// What a [`CompileCache`] is keyed on. The FNV hash only picks a
+/// bucket; a hit is proven by [`CacheKey::matches`] against what the
+/// entry stored, so a collision or a stale entry costs a second compile,
+/// never a wrong answer.
+pub(crate) trait CacheKey {
+    /// What an entry keeps of its key.
+    type Stored;
+    /// FNV-1a hash of the key.
+    fn fnv(&self) -> u64;
+    /// `true` when `stored` was made from a key equal to this one.
+    fn matches(&self, stored: &Self::Stored) -> bool;
+    /// The form an entry keeps.
+    fn to_stored(&self) -> Self::Stored;
+}
+
+/// Source text is its own key: hashed whole, stored once per entry and
+/// compared byte for byte on every hit.
+impl CacheKey for str {
+    type Stored = Box<str>;
+
+    fn fnv(&self) -> u64 {
+        fnv1a(FNV_OFFSET, self.as_bytes())
+    }
+
+    fn matches(&self, stored: &Box<str>) -> bool {
+        self == &**stored
+    }
+
+    fn to_stored(&self) -> Box<str> {
+        self.into()
+    }
+}
+
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a continued from `hash` — stable, dependency-free, and good
+/// enough as a bucket key when every hit is verified against the stored
+/// key.
+pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Compile-once store from keys stored as `S` to values `V`.
+///
+/// Values are compiled outside any lock and inserted under a
+/// double-check, so racing callers converge on one entry and all hold
+/// the winner's value. Errors are never cached: a broken input reports
+/// its error on every call and leaves the cache untouched. At
+/// [`CAPACITY`] entries the oldest insertion is evicted; recompiling an
+/// evicted input yields an equal value, so eviction costs time only.
+pub struct CompileCache<S, V> {
+    entries: RwLock<Entries<S, V>>,
+}
+
+struct Entries<S, V> {
+    buckets: HashMap<u64, Vec<(S, V)>>,
+    /// The bucket of every entry, oldest first.
+    order: VecDeque<u64>,
+}
+
+impl<S, V: Clone> Entries<S, V> {
+    fn lookup<K: CacheKey<Stored = S> + ?Sized>(&self, hash: u64, key: &K) -> Option<V> {
+        let bucket = self.buckets.get(&hash)?;
+        bucket.iter().find(|(stored, _)| key.matches(stored)).map(|(_, value)| value.clone())
+    }
+
+    fn insert(&mut self, hash: u64, stored: S, value: V) {
+        if self.order.len() == CAPACITY {
+            // a bucket keeps insertion order, so the oldest entry of the
+            // cache is the first of its bucket
+            let oldest = self.order.pop_front().map(|hash| self.buckets.entry(hash));
+            if let Some(Entry::Occupied(mut bucket)) = oldest {
+                bucket.get_mut().remove(0);
+                if bucket.get().is_empty() {
+                    bucket.remove();
+                }
+            }
+        }
+        self.buckets.entry(hash).or_default().push((stored, value));
+        self.order.push_back(hash);
+    }
+}
+
+impl<S, V: Clone> CompileCache<S, V> {
+    /// Creates an empty cache whose lock belongs to `lock_class`.
+    pub(crate) fn new(lock_class: &'static str) -> Self {
+        let entries = Entries { buckets: HashMap::new(), order: VecDeque::new() };
+        CompileCache { entries: RwLock::with_name(lock_class, entries) }
+    }
+
+    /// Returns the value cached for `key`, running `compile` and caching
+    /// its result on first sight.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `compile` returns; nothing is cached in that case.
+    pub(crate) fn get_or_compile<K>(
+        &self,
+        key: &K,
+        compile: impl FnOnce() -> Result<V, CoreError>,
+    ) -> Result<V, CoreError>
+    where
+        K: CacheKey<Stored = S> + ?Sized,
+    {
+        let hash = key.fnv();
+        {
+            let entries = self.entries.read();
+            if let Some(found) = entries.lookup(hash, key) {
+                return Ok(found);
+            }
+        }
+        // Compile outside any lock: compilation may be slow, may fail
+        // and may consult another cache, and none of that should happen
+        // under the write guard.
+        let value = compile()?;
+        let stored = key.to_stored();
+        let mut entries = self.entries.write();
+        // Double-check: another thread may have compiled it meanwhile.
+        if let Some(found) = entries.lookup(hash, key) {
+            return Ok(found);
+        }
+        entries.insert(hash, stored, value.clone());
+        Ok(value)
+    }
+
+    /// Number of entries held, at most [`CAPACITY`].
+    pub fn len(&self) -> usize {
+        self.entries.read().order.len()
+    }
+
+    /// `true` when nothing has been cached yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<S, V: Clone> std::fmt::Debug for CompileCache<S, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CompileCache").field("entries", &self.len()).finish()
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    /// The convergence property every instantiation must keep: eight
+    /// threads racing on one unseen key leave one entry, and every
+    /// caller holds the winner's value.
+    pub(crate) fn assert_racing_gets_converge<S: Send + Sync, T: Send + Sync + ?Sized>(
+        cache: &CompileCache<S, Arc<T>>,
+        get: impl Fn() -> Arc<T> + Sync,
+    ) {
+        let values: Vec<Arc<T>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8).map(|_| scope.spawn(&get)).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(cache.len(), 1, "all threads share one cache entry");
+        let winner = get();
+        assert!(values.iter().all(|v| Arc::ptr_eq(v, &winner)));
+    }
+
+    type Echo = CompileCache<Box<str>, Arc<str>>;
+
+    fn echo(cache: &Echo, key: &str, compiles: &mut usize) -> Arc<str> {
+        cache
+            .get_or_compile(key, || {
+                *compiles += 1;
+                Ok(key.into())
+            })
+            .unwrap()
+    }
+
+    #[test]
+    fn capacity_bounds_the_cache_and_evicts_oldest_first() {
+        let cache = Echo::new("test.echo_cache");
+        let mut compiles = 0;
+        let extra = 5;
+        for i in 0..CAPACITY + extra {
+            echo(&cache, &format!("source {i}"), &mut compiles);
+            assert!(cache.len() <= CAPACITY);
+        }
+        assert_eq!(cache.len(), CAPACITY);
+        assert_eq!(compiles, CAPACITY + extra);
+        // the newest entries are hits
+        echo(&cache, &format!("source {}", CAPACITY + extra - 1), &mut compiles);
+        echo(&cache, &format!("source {extra}"), &mut compiles);
+        assert_eq!(compiles, CAPACITY + extra, "a held entry is not recompiled");
+        // the oldest were evicted: a miss recompiles to an equal value
+        assert_eq!(&*echo(&cache, "source 0", &mut compiles), "source 0");
+        assert_eq!(compiles, CAPACITY + extra + 1);
+        assert_eq!(cache.len(), CAPACITY);
+    }
+
+    /// A key whose hash is constant: every entry shares one bucket.
+    struct Colliding<'a>(&'a str);
+
+    impl CacheKey for Colliding<'_> {
+        type Stored = Box<str>;
+        fn fnv(&self) -> u64 {
+            7
+        }
+        fn matches(&self, stored: &Box<str>) -> bool {
+            self.0 == &**stored
+        }
+        fn to_stored(&self) -> Box<str> {
+            self.0.into()
+        }
+    }
+
+    #[test]
+    fn colliding_keys_never_answer_for_each_other() {
+        let cache = Echo::new("test.echo_cache");
+        let get = |key: &str| cache.get_or_compile(&Colliding(key), || Ok(key.into())).unwrap();
+        for i in 0..CAPACITY + 3 {
+            let key = format!("k{i}");
+            assert_eq!(&*get(&key), key.as_str());
+        }
+        assert_eq!(cache.len(), CAPACITY, "eviction inside one bucket keeps the bound");
+        assert_eq!(&*get("k0"), "k0");
+        assert_eq!(&*get(&format!("k{}", CAPACITY + 2)), format!("k{}", CAPACITY + 2).as_str());
+    }
+
+    #[test]
+    fn failed_compile_caches_nothing() {
+        let cache = Echo::new("test.echo_cache");
+        let fail = || cache.get_or_compile("key", || Err(CoreError::Unavailable("no".into())));
+        assert!(fail().is_err());
+        assert!(fail().is_err(), "error repeats, not cached away");
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn racing_gets_converge_on_one_entry() {
+        let cache = Echo::new("test.echo_cache");
+        assert_racing_gets_converge(&cache, || {
+            cache.get_or_compile("key", || Ok("key".into())).unwrap()
+        });
+    }
+}

@@ -1,11 +1,79 @@
 //! Communities: a schema plus stylesheets, *itself shareable as an
 //! object* (the paper's central idea).
 
+use crate::cache::CompileCache;
 use crate::error::CoreError;
+use crate::forms::{form_fields, FormField, FormKind};
 use crate::root::{ROOT_COMMUNITY_ID, ROOT_SCHEMA_XSD};
-use up2p_schema::{parse_schema_str, Schema, SchemaBuilder};
-use up2p_store::ResourceId;
+use std::sync::{Arc, OnceLock};
+use up2p_schema::{leaf_fields, parse_schema_str, searchable_fields, Schema, SchemaBuilder};
+use up2p_store::{FieldPaths, ResourceId};
 use up2p_xml::{Document, ElementBuilder, NodeId};
+
+/// Everything that depends on a community's XSD alone: the parsed
+/// schema and the lists the servent used to re-derive from it on every
+/// call. Compiled once per distinct schema text by the [`SchemaCache`]
+/// and shared by every community that carries that text.
+#[derive(Debug)]
+pub struct CompiledSchema {
+    /// The parsed schema.
+    pub schema: Arc<Schema>,
+    /// Create-form fields: every leaf, in schema order.
+    create_fields: Vec<FormField>,
+    /// Search-form fields: the searchable leaves.
+    search_fields: Vec<FormField>,
+    /// The searchable paths — what the community indexes — with their
+    /// selections parsed.
+    pub(crate) indexed: FieldPaths,
+}
+
+impl CompiledSchema {
+    fn derive(schema: Arc<Schema>) -> CompiledSchema {
+        let searchable = searchable_fields(&schema);
+        let indexed: Vec<String> = searchable.iter().map(|f| f.path.clone()).collect();
+        CompiledSchema {
+            create_fields: form_fields(&leaf_fields(&schema), FormKind::Create),
+            search_fields: form_fields(&searchable, FormKind::Search),
+            indexed: FieldPaths::new(&indexed),
+            schema,
+        }
+    }
+
+    /// The fields of the form of the given kind.
+    pub(crate) fn form_fields(&self, kind: FormKind) -> &[FormField] {
+        match kind {
+            FormKind::Create => &self.create_fields,
+            FormKind::Search => &self.search_fields,
+        }
+    }
+}
+
+/// Compile-once schema store: the [`CompileCache`] from XSD *source
+/// text* to its [`CompiledSchema`], so joining a community whose schema
+/// this process has seen before parses nothing.
+pub type SchemaCache = CompileCache<Box<str>, Arc<CompiledSchema>>;
+
+impl SchemaCache {
+    /// The process-wide cache every [`Community`] constructor goes
+    /// through.
+    pub fn global() -> &'static SchemaCache {
+        static GLOBAL: OnceLock<SchemaCache> = OnceLock::new();
+        GLOBAL.get_or_init(|| CompileCache::new("core.schema_cache"))
+    }
+
+    /// Returns the compiled schema for `xsd`, parsing and caching it on
+    /// first sight.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Schema`] when the XSD does not parse (nothing
+    /// is cached in that case).
+    pub fn get(&self, xsd: &str) -> Result<Arc<CompiledSchema>, CoreError> {
+        self.get_or_compile(xsd, || {
+            Ok(Arc::new(CompiledSchema::derive(Arc::new(parse_schema_str(xsd)?))))
+        })
+    }
+}
 
 /// A resource-sharing community: identity, descriptive metadata, the
 /// shared-object schema, and optional custom stylesheets.
@@ -32,8 +100,8 @@ pub struct Community {
     /// The shared-object schema, as XSD text (travels with the community
     /// object as an attachment).
     pub schema_xsd: String,
-    /// The parsed schema.
-    pub schema: Schema,
+    /// The parsed schema, shared with every community of the same XSD.
+    pub schema: Arc<Schema>,
     /// Custom view stylesheet (XSLT text), `None` = default.
     pub display_style: Option<String>,
     /// Custom create-form stylesheet.
@@ -43,6 +111,9 @@ pub struct Community {
     /// Custom indexed-attribute filter stylesheet (Fig. 1's fourth
     /// stylesheet).
     pub index_style: Option<String>,
+    /// The parts compiled with `schema`; read through
+    /// [`Community::compiled`].
+    compiled: Arc<CompiledSchema>,
 }
 
 impl Community {
@@ -61,24 +132,38 @@ impl Community {
         protocol: &str,
         schema_xsd: &str,
     ) -> Result<Community, CoreError> {
-        let schema = parse_schema_str(schema_xsd)?;
         let mut c = Community {
-            id: String::new(),
             name: name.to_string(),
             description: description.to_string(),
             keywords: keywords.to_string(),
             category: category.to_string(),
-            security: String::new(),
             protocol: protocol.to_string(),
+            ..Community::of_schema(schema_xsd)?
+        };
+        c.id = c.derive_id();
+        Ok(c)
+    }
+
+    /// A community of the given schema text — compiled on first sight of
+    /// that text, shared afterwards — with every other field blank.
+    fn of_schema(schema_xsd: &str) -> Result<Community, CoreError> {
+        let compiled = SchemaCache::global().get(schema_xsd)?;
+        Ok(Community {
+            id: String::new(),
+            name: String::new(),
+            description: String::new(),
+            keywords: String::new(),
+            category: String::new(),
+            security: String::new(),
+            protocol: String::new(),
             schema_xsd: schema_xsd.to_string(),
-            schema,
+            schema: Arc::clone(&compiled.schema),
             display_style: None,
             create_style: None,
             search_style: None,
             index_style: None,
-        };
-        c.id = c.derive_id();
-        Ok(c)
+            compiled,
+        })
     }
 
     /// Creates a community directly from a [`SchemaBuilder`] — the
@@ -102,8 +187,6 @@ impl Community {
 
     /// The built-in root community (Fig. 3 schema, fixed id).
     pub fn root() -> Community {
-        let schema = parse_schema_str(ROOT_SCHEMA_XSD)
-            .expect("the paper's Fig. 3 schema always parses");
         Community {
             id: ROOT_COMMUNITY_ID.to_string(),
             name: "Root Community".to_string(),
@@ -112,14 +195,8 @@ impl Community {
                 .to_string(),
             keywords: "community discovery bootstrap metaclass".to_string(),
             category: "meta".to_string(),
-            security: String::new(),
-            protocol: String::new(),
-            schema_xsd: ROOT_SCHEMA_XSD.to_string(),
-            schema,
-            display_style: None,
-            create_style: None,
-            search_style: None,
-            index_style: None,
+            ..Community::of_schema(ROOT_SCHEMA_XSD)
+                .expect("the paper's Fig. 3 schema always parses")
         }
     }
 
@@ -200,7 +277,7 @@ impl Community {
                 .map(|n| doc.text_content(n))
                 .ok_or_else(|| CoreError::MissingField(name.to_string()))
         };
-        let schema = parse_schema_str(schema_xsd)?;
+        let blank = Community::of_schema(schema_xsd)?;
         // identity comes from the object document itself, so it matches
         // the publisher's id regardless of which stylesheets this peer
         // manages to resolve
@@ -213,12 +290,7 @@ impl Community {
             category: text("category")?,
             security: text("security")?,
             protocol: text("protocol")?,
-            schema_xsd: schema_xsd.to_string(),
-            schema,
-            display_style: None,
-            create_style: None,
-            search_style: None,
-            index_style: None,
+            ..blank
         })
     }
 
@@ -270,15 +342,28 @@ impl Community {
             .map_err(CoreError::Validation)
     }
 
+    /// The parts compiled with this community's schema. `schema` is
+    /// `pub`: after a swap the handle made at construction describes
+    /// another schema, so the parts are derived from the one at hand.
+    pub(crate) fn compiled(&self) -> Arc<CompiledSchema> {
+        if Arc::ptr_eq(&self.compiled.schema, &self.schema) {
+            Arc::clone(&self.compiled)
+        } else {
+            Arc::new(CompiledSchema::derive(Arc::clone(&self.schema)))
+        }
+    }
+
     /// Field paths this community indexes (searchable fields, honoring
     /// the schema's markers with the textual-leaf default).
     pub fn indexed_paths(&self) -> Vec<String> {
-        up2p_schema::searchable_fields(&self.schema).into_iter().map(|f| f.path).collect()
+        self.compiled().indexed.paths().map(str::to_string).collect()
     }
 
     /// Attachment field paths of the community schema.
     pub fn attachment_paths(&self) -> Vec<String> {
-        up2p_schema::attachment_fields(&self.schema).into_iter().map(|f| f.path).collect()
+        let compiled = self.compiled();
+        let leaves = compiled.form_fields(FormKind::Create).iter();
+        leaves.filter(|f| f.attachment).map(|f| f.path.clone()).collect()
     }
 
     /// Finds the element holding an attachment URI inside an instance.
@@ -396,6 +481,66 @@ mod tests {
         assert_ne!(base_obj.to_xml_string(), styled_obj.to_xml_string());
         assert!(base_obj.to_xml_string().contains("up2p:default:display"));
         assert!(styled_obj.to_xml_string().contains("up2p:attachment:"));
+    }
+
+    #[test]
+    fn equal_schema_text_shares_one_parsed_schema() {
+        let a = Community::from_builder("mp3", "d", "k", "c", "", &song_builder()).unwrap();
+        let b = Community::from_builder("other", "d", "k", "c", "", &song_builder()).unwrap();
+        assert_ne!(a.id, b.id);
+        assert!(Arc::ptr_eq(&a.schema, &b.schema), "the second community parsed nothing");
+        let rebuilt = Community::from_object(&a.to_object(), &a.schema_xsd).unwrap();
+        assert!(Arc::ptr_eq(&a.schema, &rebuilt.schema));
+    }
+
+    #[test]
+    fn swapped_schema_is_the_one_compiled_parts_describe() {
+        let mut c = Community::from_builder("mp3", "d", "k", "c", "", &song_builder()).unwrap();
+        let mut other = SchemaBuilder::new("clip");
+        other.field(FieldKind::text("caption").searchable());
+        c.schema = Arc::new(other.build());
+        assert_eq!(c.indexed_paths(), vec!["clip/caption"]);
+        assert_eq!(c.attachment_paths(), Vec::<String>::new());
+    }
+
+    fn numbered_xsd(i: usize) -> String {
+        let mut b = SchemaBuilder::new(format!("item{i}"));
+        b.field(FieldKind::text("title").searchable()).field(FieldKind::integer("year"));
+        b.to_xsd()
+    }
+
+    #[test]
+    fn schema_cache_converges_under_racing_gets() {
+        let cache = SchemaCache::new("test.schema_cache");
+        let xsd = numbered_xsd(0);
+        crate::cache::tests::assert_racing_gets_converge(&cache, || cache.get(&xsd).unwrap());
+    }
+
+    #[test]
+    fn schema_cache_never_stores_broken_schemas() {
+        let cache = SchemaCache::new("test.schema_cache");
+        assert!(matches!(cache.get("<notaschema/>"), Err(CoreError::Schema(_))));
+        assert!(cache.get("<notaschema/>").is_err(), "error repeats, not cached away");
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn evicted_schema_recompiles_to_one_that_behaves_the_same() {
+        let cache = SchemaCache::new("test.schema_cache");
+        let first = cache.get(&numbered_xsd(0)).unwrap();
+        for i in 1..=crate::CAPACITY {
+            cache.get(&numbered_xsd(i)).unwrap();
+        }
+        assert_eq!(cache.len(), crate::CAPACITY, "one over capacity evicted one");
+        let again = cache.get(&numbered_xsd(0)).unwrap();
+        assert!(!Arc::ptr_eq(&first, &again), "schema 0 was evicted and parsed again");
+        assert_eq!(again.schema, first.schema);
+        assert_eq!(again.create_fields, first.create_fields);
+        assert_eq!(again.search_fields, first.search_fields);
+        let doc = Document::parse("<item0><title>So What</title><year>1959</year></item0>").unwrap();
+        assert!(Validator::new(&again.schema).validate(&doc).is_ok());
+        assert_eq!(again.indexed.extract(&doc), first.indexed.extract(&doc));
+        assert_eq!(again.indexed.extract(&doc), vec![("item0/title".into(), "So What".into())]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! the schema does not know.
 
 use crate::community::Community;
-use up2p_schema::leaf_fields;
+use crate::forms::FormKind;
 
 /// Extracted `(field path, value)` pairs ready for
 /// [`crate::FormModel::fill`].
@@ -35,7 +35,8 @@ pub type ExtractedFields = Vec<(String, String)>;
 /// # Ok::<(), up2p_core::CoreError>(())
 /// ```
 pub fn extract_metadata(community: &Community, raw: &str) -> ExtractedFields {
-    let fields = leaf_fields(&community.schema);
+    let compiled = community.compiled();
+    let fields = compiled.form_fields(FormKind::Create);
     let mut out = Vec::new();
     for line in raw.lines() {
         let Some((key, value)) = line.split_once(':') else { continue };

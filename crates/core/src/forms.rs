@@ -7,11 +7,20 @@
 //! keeps the paper's pipeline — "XSLT stylesheets render screens for
 //! creating, viewing and searching" — while letting the searchable-field
 //! rules live in one place.
+//!
+//! Both steps are pure functions of the community's definition, so each
+//! runs once per definition: the field lists are compiled with the
+//! schema ([`crate::CompiledSchema`]) and the rendered pages
+//! are kept in the [`FormCache`].
 
+use crate::cache::{fnv1a, CacheKey, CompileCache, FNV_OFFSET};
 use crate::community::Community;
 use crate::error::CoreError;
-use up2p_schema::{leaf_fields, searchable_fields, BuiltinType, Field};
+use crate::stylesheets;
+use std::sync::{Arc, OnceLock};
+use up2p_schema::{BuiltinType, Field, Schema};
 use up2p_xml::{Document, ElementBuilder};
+use up2p_xslt::Stylesheet;
 
 /// Which function the form serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,28 +91,29 @@ fn input_for(field: &Field) -> InputKind {
     }
 }
 
+/// The form fields of schema leaves, in the given order.
+pub(crate) fn form_fields(fields: &[Field], kind: FormKind) -> Vec<FormField> {
+    fields
+        .iter()
+        .map(|f| FormField {
+            name: f.name.clone(),
+            path: f.path.clone(),
+            input: input_for(f),
+            required: !f.optional && kind == FormKind::Create,
+            repeated: f.repeated,
+            attachment: f.attachment,
+        })
+        .collect()
+}
+
 impl FormModel {
     /// Derives a form of the given kind from a community's schema.
     pub fn derive(community: &Community, kind: FormKind) -> FormModel {
-        let fields = match kind {
-            FormKind::Create => leaf_fields(&community.schema),
-            FormKind::Search => searchable_fields(&community.schema),
-        };
         FormModel {
             community_id: community.id.clone(),
             community_name: community.name.clone(),
             kind,
-            fields: fields
-                .iter()
-                .map(|f| FormField {
-                    name: f.name.clone(),
-                    path: f.path.clone(),
-                    input: input_for(f),
-                    required: !f.optional && kind == FormKind::Create,
-                    repeated: f.repeated,
-                    attachment: f.attachment,
-                })
-                .collect(),
+            fields: community.compiled().form_fields(kind).to_vec(),
         }
     }
 
@@ -170,50 +180,141 @@ impl FormModel {
         root_name: &str,
         values: &[(&str, &str)],
     ) -> Result<Document, CoreError> {
-        let mut doc = Document::new();
-        let root = doc.create_element(
-            root_name.parse().unwrap_or_else(|_| "object".into()),
-        );
-        let doc_root = doc.root();
-        doc.append_child(doc_root, root);
-        for field in &self.fields {
-            let matched: Vec<&str> = values
-                .iter()
-                .filter(|(k, _)| *k == field.path || *k == field.name)
-                .map(|(_, v)| *v)
-                .collect();
-            if matched.is_empty() {
-                if field.required {
-                    return Err(CoreError::MissingField(field.path.clone()));
-                }
-                continue;
+        fill_fields(&self.fields, root_name, values)
+    }
+}
+
+/// [`FormModel::fill`] over the fields alone — all it reads of a model.
+pub(crate) fn fill_fields(
+    fields: &[FormField],
+    root_name: &str,
+    values: &[(&str, &str)],
+) -> Result<Document, CoreError> {
+    let mut doc = Document::new();
+    let root = doc.create_element(
+        root_name.parse().unwrap_or_else(|_| "object".into()),
+    );
+    let doc_root = doc.root();
+    doc.append_child(doc_root, root);
+    for field in fields {
+        let matched: Vec<&str> = values
+            .iter()
+            .filter(|(k, _)| *k == field.path || *k == field.name)
+            .map(|(_, v)| *v)
+            .collect();
+        if matched.is_empty() {
+            if field.required {
+                return Err(CoreError::MissingField(field.path.clone()));
             }
-            // create intermediate elements for nested paths (skip the
-            // root segment, it already exists)
-            for value in matched {
-                let mut parent = root;
-                let segments: Vec<&str> = field.path.split('/').skip(1).collect();
-                for (i, seg) in segments.iter().enumerate() {
-                    let last = i == segments.len() - 1;
-                    if last {
-                        let el = doc.create_element((*seg).into());
-                        doc.append_child(parent, el);
-                        let t = doc.create_text(value);
-                        doc.append_child(el, t);
-                    } else {
-                        parent = match doc.child_named(parent, seg) {
-                            Some(existing) => existing,
-                            None => {
-                                let el = doc.create_element((*seg).into());
-                                doc.append_child(parent, el);
-                                el
-                            }
-                        };
-                    }
+            continue;
+        }
+        // create intermediate elements for nested paths (skip the
+        // root segment, it already exists)
+        for value in matched {
+            let mut parent = root;
+            let segments: Vec<&str> = field.path.split('/').skip(1).collect();
+            for (i, seg) in segments.iter().enumerate() {
+                let last = i == segments.len() - 1;
+                if last {
+                    let el = doc.create_element((*seg).into());
+                    doc.append_child(parent, el);
+                    let t = doc.create_text(value);
+                    doc.append_child(el, t);
+                } else {
+                    parent = match doc.child_named(parent, seg) {
+                        Some(existing) => existing,
+                        None => {
+                            let el = doc.create_element((*seg).into());
+                            doc.append_child(parent, el);
+                            el
+                        }
+                    };
                 }
             }
         }
-        Ok(doc)
+    }
+    Ok(doc)
+}
+
+/// Rendered form pages, one per distinct [`FormKey`].
+pub type FormCache = CompileCache<FormKey, Arc<str>>;
+
+impl FormCache {
+    /// The process-wide cache behind [`crate::Servent::create_form_html`]
+    /// and [`crate::Servent::search_form_html`].
+    pub fn global() -> &'static FormCache {
+        static GLOBAL: OnceLock<FormCache> = OnceLock::new();
+        GLOBAL.get_or_init(|| CompileCache::new("core.form_cache"))
+    }
+
+    /// Returns the HTML form of `kind` for a community, through its
+    /// create or search stylesheet (or the default): derived and
+    /// rendered on first sight of these inputs, the same page afterwards.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Stylesheet`] when the stylesheet fails to
+    /// compile or apply (nothing is cached in that case).
+    pub fn get(&self, community: &Community, kind: FormKind) -> Result<Arc<str>, CoreError> {
+        let style = match kind {
+            FormKind::Create => &community.create_style,
+            FormKind::Search => &community.search_style,
+        };
+        let sheet = stylesheets::form_sheet(style.as_deref())?;
+        self.get_or_compile(&FormInputs { community, kind, sheet: &sheet }, || {
+            let doc = FormModel::derive(community, kind).to_document();
+            Ok(sheet.apply_to_string(&doc)?.into())
+        })
+    }
+}
+
+/// Everything a rendered form page is a function of: the identity the
+/// form document embeds, the kind, and the parsed schema and compiled
+/// stylesheet it was made from. The two handles are kept alive by the
+/// entry, so an equal pointer is the same immutable value — never an id
+/// or a URI standing in for one.
+#[derive(Debug)]
+pub struct FormKey {
+    id: String,
+    name: String,
+    kind: FormKind,
+    schema: Arc<Schema>,
+    sheet: Arc<Stylesheet>,
+}
+
+/// The borrowed form of a [`FormKey`]: a community as it stands now —
+/// its fields are `pub` — and the sheet its style text compiles to.
+struct FormInputs<'a> {
+    community: &'a Community,
+    kind: FormKind,
+    sheet: &'a Arc<Stylesheet>,
+}
+
+impl CacheKey for FormInputs<'_> {
+    type Stored = FormKey;
+
+    fn fnv(&self) -> u64 {
+        let hash = fnv1a(FNV_OFFSET, self.community.id.as_bytes());
+        let hash = fnv1a(hash, &[0xff, self.kind as u8]);
+        fnv1a(hash, self.community.name.as_bytes())
+    }
+
+    fn matches(&self, stored: &FormKey) -> bool {
+        stored.kind == self.kind
+            && stored.id == self.community.id
+            && stored.name == self.community.name
+            && Arc::ptr_eq(&stored.schema, &self.community.schema)
+            && Arc::ptr_eq(&stored.sheet, self.sheet)
+    }
+
+    fn to_stored(&self) -> FormKey {
+        FormKey {
+            id: self.community.id.clone(),
+            name: self.community.name.clone(),
+            kind: self.kind,
+            schema: Arc::clone(&self.community.schema),
+            sheet: Arc::clone(self.sheet),
+        }
     }
 }
 
@@ -303,6 +404,75 @@ mod tests {
         let form = FormModel::derive(&c, FormKind::Create);
         let err = form.fill("song", &[("genre", "jazz")]).unwrap_err();
         assert!(matches!(err, CoreError::MissingField(p) if p == "song/title"));
+    }
+
+    const CUSTOM_FORM: &str = r#"<xsl:stylesheet version="1.0"
+        xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+      <xsl:template match="/form"><h1><xsl:value-of select="@communityname"/>:<xsl:value-of
+        select="count(field)"/></h1></xsl:template>
+    </xsl:stylesheet>"#;
+
+    /// What the cache must equal: the uncached pipeline, spelled out.
+    fn fresh(c: &Community, kind: FormKind) -> String {
+        let style = match kind {
+            FormKind::Create => &c.create_style,
+            FormKind::Search => &c.search_style,
+        };
+        let doc = FormModel::derive(c, kind).to_document();
+        let source = style.as_deref().unwrap_or(stylesheets::DEFAULT_FORM_XSL);
+        Stylesheet::parse(source).unwrap().apply_to_string(&doc).unwrap()
+    }
+
+    #[test]
+    fn page_follows_every_input_it_is_a_function_of() {
+        let cache = FormCache::new("test.form_cache");
+        let original = community();
+        let first = cache.get(&original, FormKind::Create).unwrap();
+        assert_eq!(&*first, fresh(&original, FormKind::Create));
+
+        // each `pub` field the page depends on, changed under the same id
+        let mut renamed = original.clone();
+        renamed.name = "renamed".into();
+        let mut restyled = original.clone();
+        restyled.create_style = Some(CUSTOM_FORM.into());
+        let mut reschemed = original.clone();
+        let mut b = SchemaBuilder::new("clip");
+        b.field(FieldKind::text("caption"));
+        reschemed.schema = Arc::new(b.build());
+        for changed in [&renamed, &restyled, &reschemed] {
+            let page = cache.get(changed, FormKind::Create).unwrap();
+            assert_ne!(page, first, "a stale page was served");
+            assert_eq!(&*page, fresh(changed, FormKind::Create));
+        }
+        assert_eq!(&*cache.get(&restyled, FormKind::Create).unwrap(), "<h1>mp3:6</h1>");
+        // the search form is its own entry even where the style is shared
+        assert_eq!(&*cache.get(&original, FormKind::Search).unwrap(), fresh(&original, FormKind::Search));
+        assert_eq!(cache.len(), 5);
+
+        // and the unchanged community is still a hit
+        let again = cache.get(&original, FormKind::Create).unwrap();
+        assert!(Arc::ptr_eq(&again, &first));
+        assert_eq!(cache.len(), 5);
+    }
+
+    #[test]
+    fn form_cache_converges_under_racing_gets() {
+        let cache = FormCache::new("test.form_cache");
+        let c = community();
+        crate::cache::tests::assert_racing_gets_converge(&cache, || {
+            cache.get(&c, FormKind::Search).unwrap()
+        });
+    }
+
+    #[test]
+    fn form_cache_never_stores_pages_of_broken_stylesheets() {
+        let cache = FormCache::new("test.form_cache");
+        let mut c = community();
+        c.search_style = Some("<not-xslt/>".into());
+        assert!(matches!(cache.get(&c, FormKind::Search), Err(CoreError::Stylesheet(_))));
+        assert!(cache.get(&c, FormKind::Search).is_err(), "error repeats, not cached away");
+        assert!(cache.is_empty());
+        assert!(cache.get(&c, FormKind::Create).is_ok(), "the create form has its own style");
     }
 
     #[test]

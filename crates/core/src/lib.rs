@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod cache;
 mod community;
 mod error;
 mod extract;
@@ -50,10 +51,11 @@ mod root;
 mod servent;
 pub mod stylesheets;
 
-pub use community::Community;
+pub use cache::{CompileCache, CAPACITY};
+pub use community::{Community, CompiledSchema, SchemaCache};
 pub use error::CoreError;
 pub use extract::{extract_metadata, ExtractedFields};
-pub use forms::{FormField, FormKind, FormModel, InputKind};
+pub use forms::{FormCache, FormField, FormKey, FormKind, FormModel, InputKind};
 pub use object::{Attachment, SharedObject};
 pub use payload::PayloadPlane;
 pub use root::{COMMUNITY_FIELDS, ROOT_COMMUNITY_ID, ROOT_SCHEMA_XSD};

@@ -6,7 +6,7 @@
 
 use crate::community::Community;
 use crate::error::CoreError;
-use crate::forms::{FormKind, FormModel};
+use crate::forms::{self, FormCache, FormKind};
 use crate::object::{Attachment, SharedObject};
 use crate::payload::PayloadPlane;
 use crate::root::ROOT_COMMUNITY_ID;
@@ -113,7 +113,6 @@ impl Servent {
         attachments: Vec<Attachment>,
     ) -> Result<SharedObject, CoreError> {
         let community = self.community_or_err(community_id)?;
-        let form = FormModel::derive(community, FormKind::Create);
         // resolve "@N" placeholders to attachment URIs
         let resolved: Vec<(&str, String)> = values
             .iter()
@@ -132,7 +131,11 @@ impl Servent {
             .collect();
         let borrowed: Vec<(&str, &str)> =
             resolved.iter().map(|(k, v)| (*k, v.as_str())).collect();
-        let doc = form.fill(community.object_root_name(), &borrowed)?;
+        let doc = forms::fill_fields(
+            community.compiled().form_fields(FormKind::Create),
+            community.object_root_name(),
+            &borrowed,
+        )?;
         community.validate(&doc)?;
         Ok(SharedObject::new(community_id, doc, attachments))
     }
@@ -183,7 +186,7 @@ impl Servent {
     ) -> Result<Vec<(String, String)>, CoreError> {
         match &community.index_style {
             Some(xslt) => stylesheets::apply_index_style(xslt, &object.doc),
-            None => Ok(Repository::extract_fields(&object.doc, &community.indexed_paths())),
+            None => Ok(community.compiled().indexed.extract(&object.doc)),
         }
     }
 
@@ -331,19 +334,23 @@ impl Servent {
         hit: &SearchHit,
     ) -> Result<String, CoreError> {
         let object = self.download(net, plane, hit)?;
-        let schema_att = object
-            .attachments
-            .first()
-            .ok_or_else(|| CoreError::Unavailable("community schema attachment".into()))?;
-        let xsd = String::from_utf8_lossy(&schema_att.data).into_owned();
-        // custom stylesheets travel as further attachments, matched to the
-        // object's style URIs by content hash
+        // the schema and any custom stylesheets travel as attachments,
+        // matched to the URIs the object names by content hash
         let atts: Vec<(String, String)> = object
             .attachments
             .iter()
             .map(|a| (a.uri.clone(), String::from_utf8_lossy(&a.data).into_owned()))
             .collect();
-        let community = Community::from_object_with_attachments(&object.doc, &xsd, &atts)?;
+        let doc = &object.doc;
+        let schema_uri = doc
+            .document_element()
+            .and_then(|root| doc.child_named(root, "schema"))
+            .map(|n| doc.text_content(n));
+        let (_, xsd) = atts
+            .iter()
+            .find(|(uri, _)| Some(uri) == schema_uri.as_ref())
+            .ok_or_else(|| CoreError::Unavailable("community schema attachment".into()))?;
+        let community = Community::from_object_with_attachments(doc, xsd, &atts)?;
         let id = community.id.clone();
         self.join(community);
         Ok(id)
@@ -360,9 +367,7 @@ impl Servent {
     ///
     /// [`CoreError::UnknownCommunity`] or stylesheet failures.
     pub fn create_form_html(&self, community_id: &str) -> Result<String, CoreError> {
-        let community = self.community_or_err(community_id)?;
-        let doc = FormModel::derive(community, FormKind::Create).to_document();
-        stylesheets::render_form(&doc, community.create_style.as_deref())
+        self.form_html(community_id, FormKind::Create)
     }
 
     /// HTML search form for a community (searchable fields only).
@@ -371,9 +376,12 @@ impl Servent {
     ///
     /// Same conditions as [`Servent::create_form_html`].
     pub fn search_form_html(&self, community_id: &str) -> Result<String, CoreError> {
-        let community = self.community_or_err(community_id)?;
-        let doc = FormModel::derive(community, FormKind::Search).to_document();
-        stylesheets::render_form(&doc, community.search_style.as_deref())
+        self.form_html(community_id, FormKind::Search)
+    }
+
+    fn form_html(&self, community_id: &str, kind: FormKind) -> Result<String, CoreError> {
+        let page = FormCache::global().get(self.community_or_err(community_id)?, kind)?;
+        Ok(String::from(&*page))
     }
 
     /// HTML view of an object via the community's display stylesheet (or
@@ -629,6 +637,61 @@ mod tests {
             .search(&mut *w.net, &joined_id, &Query::any_keyword("visitor"))
             .unwrap();
         assert_eq!(hits.hits.len(), 1);
+    }
+
+    /// Publishes `community`'s object into the root community with the
+    /// given attachments, then has a second peer discover and join it.
+    fn join_published(
+        community: &Community,
+        attachments: Vec<Attachment>,
+    ) -> (Servent, Result<String, CoreError>) {
+        let mut w = world(ProtocolKind::Napster, 4);
+        let object = SharedObject::new(ROOT_COMMUNITY_ID, community.to_object(), attachments);
+        Servent::new(PeerId(1)).publish(&mut *w.net, &mut w.plane, &object).unwrap();
+        let mut seeker = Servent::new(PeerId(2));
+        let out = seeker
+            .discover_communities(&mut *w.net, &Query::any_keyword("patterns"))
+            .unwrap();
+        let joined = seeker.join_from_hit(&mut *w.net, &mut w.plane, &out.hits[0]);
+        (seeker, joined)
+    }
+
+    const CUSTOM_VIEW: &str = r#"<xsl:stylesheet version="1.0"
+        xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+      <xsl:template match="/"><h1><xsl:value-of select="//name"/></h1></xsl:template>
+    </xsl:stylesheet>"#;
+
+    #[test]
+    fn join_finds_the_schema_attachment_by_uri_not_by_position() {
+        let community = pattern_community().with_display_style(CUSTOM_VIEW);
+        // the stylesheet travels first, the schema last
+        let (seeker, joined) = join_published(
+            &community,
+            vec![
+                Attachment::from_bytes(CUSTOM_VIEW.as_bytes().to_vec()),
+                Attachment::from_bytes(community.schema_xsd.clone().into_bytes()),
+            ],
+        );
+        let joined = seeker.community(&joined.unwrap()).unwrap();
+        assert_eq!(joined.id, community.id);
+        assert_eq!(joined.schema_xsd, community.schema_xsd);
+        assert_eq!(joined.object_root_name(), "pattern");
+        assert_eq!(joined.display_style.as_deref(), Some(CUSTOM_VIEW));
+    }
+
+    #[test]
+    fn join_refuses_a_schema_the_community_object_does_not_name() {
+        let community = pattern_community();
+        let mut other = SchemaBuilder::new("song");
+        other.field(FieldKind::text("title").searchable());
+        // a valid XSD at index 0, but not the one `<schema>` names
+        let (seeker, joined) =
+            join_published(&community, vec![Attachment::from_bytes(other.to_xsd().into_bytes())]);
+        assert!(
+            matches!(&joined, Err(CoreError::Unavailable(what)) if what == "community schema attachment"),
+            "{joined:?}"
+        );
+        assert!(seeker.community(&community.id).is_none());
     }
 
     #[test]

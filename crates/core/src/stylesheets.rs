@@ -8,45 +8,27 @@
 //! the object document itself; the index default is *generated* from the
 //! community schema's searchable fields.
 
+use crate::cache::CompileCache;
 use crate::community::Community;
 use crate::error::CoreError;
-use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use up2p_xml::Document;
 use up2p_xslt::Stylesheet;
 
-/// Compile-once stylesheet store: maps stylesheet *content* to its
-/// compiled [`Stylesheet`], so the render paths pay XSLT compilation once
-/// per distinct sheet instead of once per call. Keys are an FNV-1a hash
-/// of the source; each bucket stores the source text alongside the
-/// compiled sheet, so a hash collision degrades to a second compile, not
-/// a wrong answer. Compiled sheets are shared as `Arc<Stylesheet>` —
-/// [`Stylesheet`] is immutable after parse, so pool workers serving
-/// concurrent renders read the same compiled program.
-///
-/// Parse errors are never cached: a broken custom stylesheet reports its
-/// error on every call and leaves the cache untouched.
-pub struct StylesheetCache {
-    sheets: RwLock<HashMap<u64, Vec<CachedSheet>>>,
-}
-
-struct CachedSheet {
-    source: String,
-    sheet: Arc<Stylesheet>,
-}
+/// Compile-once stylesheet store: the [`CompileCache`] from stylesheet
+/// *source text* to its compiled [`Stylesheet`], so the render paths pay
+/// XSLT compilation once per distinct sheet instead of once per call.
+/// Compiled sheets are shared as `Arc<Stylesheet>` — [`Stylesheet`] is
+/// immutable after parse, so pool workers serving concurrent renders
+/// read the same compiled program.
+pub type StylesheetCache = CompileCache<Box<str>, Arc<Stylesheet>>;
 
 impl StylesheetCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        StylesheetCache { sheets: RwLock::with_name("core.style_cache", HashMap::new()) }
-    }
-
     /// The process-wide cache used by [`render_form`], [`render_view`]
     /// and [`apply_index_style`].
     pub fn global() -> &'static StylesheetCache {
         static GLOBAL: OnceLock<StylesheetCache> = OnceLock::new();
-        GLOBAL.get_or_init(StylesheetCache::new)
+        GLOBAL.get_or_init(|| CompileCache::new("core.style_cache"))
     }
 
     /// Returns the compiled stylesheet for `source`, compiling and
@@ -57,73 +39,8 @@ impl StylesheetCache {
     /// Returns [`CoreError::Stylesheet`] when the source fails to
     /// compile (nothing is cached in that case).
     pub fn get(&self, source: &str) -> Result<Arc<Stylesheet>, CoreError> {
-        let key = fnv1a(source.as_bytes());
-        {
-            let sheets = self.sheets.read();
-            if let Some(found) = Self::lookup(&sheets, key, source) {
-                return Ok(found);
-            }
-        }
-        // Compile outside any lock: compilation may be slow and may
-        // fail, and neither should happen under the write guard.
-        let compiled = Arc::new(Stylesheet::parse(source)?);
-        let mut sheets = self.sheets.write();
-        // Double-check: another thread may have compiled it meanwhile.
-        if let Some(found) = Self::lookup(&sheets, key, source) {
-            return Ok(found);
-        }
-        sheets
-            .entry(key)
-            .or_default()
-            .push(CachedSheet { source: source.to_string(), sheet: Arc::clone(&compiled) });
-        Ok(compiled)
+        self.get_or_compile(source, || Ok(Arc::new(Stylesheet::parse(source)?)))
     }
-
-    fn lookup(
-        sheets: &HashMap<u64, Vec<CachedSheet>>,
-        key: u64,
-        source: &str,
-    ) -> Option<Arc<Stylesheet>> {
-        sheets
-            .get(&key)?
-            .iter()
-            .find(|c| c.source == source)
-            .map(|c| Arc::clone(&c.sheet))
-    }
-
-    /// Number of distinct compiled stylesheets held.
-    pub fn len(&self) -> usize {
-        self.sheets.read().values().map(Vec::len).sum()
-    }
-
-    /// `true` when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Default for StylesheetCache {
-    fn default() -> Self {
-        StylesheetCache::new()
-    }
-}
-
-impl std::fmt::Debug for StylesheetCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StylesheetCache").field("sheets", &self.len()).finish()
-    }
-}
-
-/// FNV-1a over the stylesheet source — stable, dependency-free, and good
-/// enough as a cache key when collisions are verified against the stored
-/// source.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// The compiled [`DEFAULT_FORM_XSL`], parsed once per process.
@@ -251,11 +168,15 @@ pub fn default_index_xsl(community: &Community) -> String {
 /// Returns [`CoreError::Stylesheet`] when the stylesheet fails to compile
 /// or apply.
 pub fn render_form(form_doc: &Document, custom: Option<&str>) -> Result<String, CoreError> {
-    let sheet = match custom {
-        Some(source) => StylesheetCache::global().get(source)?,
-        None => default_form_sheet()?,
-    };
-    Ok(sheet.apply_to_string(form_doc)?)
+    Ok(form_sheet(custom)?.apply_to_string(form_doc)?)
+}
+
+/// The compiled form stylesheet [`render_form`] applies.
+pub(crate) fn form_sheet(custom: Option<&str>) -> Result<Arc<Stylesheet>, CoreError> {
+    match custom {
+        Some(source) => StylesheetCache::global().get(source),
+        None => default_form_sheet(),
+    }
 }
 
 /// Applies a view stylesheet (custom or [`DEFAULT_VIEW_XSL`]) to an
@@ -394,7 +315,7 @@ mod tests {
 
     #[test]
     fn cache_compiles_each_distinct_sheet_once() {
-        let cache = StylesheetCache::new();
+        let cache = StylesheetCache::new("test.style_cache");
         let a = cache.get(DEFAULT_VIEW_XSL).unwrap();
         let b = cache.get(DEFAULT_VIEW_XSL).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second get returns the same compiled sheet");
@@ -406,7 +327,7 @@ mod tests {
 
     #[test]
     fn cache_never_stores_broken_sheets() {
-        let cache = StylesheetCache::new();
+        let cache = StylesheetCache::new("test.style_cache");
         assert!(cache.is_empty());
         assert!(cache.get("<not-xslt/>").is_err());
         assert!(cache.get("<not-xslt/>").is_err(), "error repeats, not cached away");
@@ -425,17 +346,31 @@ mod tests {
 
     #[test]
     fn concurrent_gets_converge_on_one_compiled_sheet() {
-        let cache = StylesheetCache::new();
-        let sheets: Vec<Arc<Stylesheet>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| scope.spawn(|| cache.get(DEFAULT_VIEW_XSL).unwrap()))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let cache = StylesheetCache::new("test.style_cache");
+        crate::cache::tests::assert_racing_gets_converge(&cache, || {
+            cache.get(DEFAULT_VIEW_XSL).unwrap()
         });
-        assert_eq!(cache.len(), 1, "all threads share one cache entry");
-        // losers of the compile race return the winner's entry, so every
-        // caller holds the same compiled sheet
-        let winner = cache.get(DEFAULT_VIEW_XSL).unwrap();
-        assert!(sheets.iter().all(|s| Arc::ptr_eq(s, &winner)));
+    }
+
+    #[test]
+    fn evicted_sheet_recompiles_to_one_that_renders_the_same() {
+        let sheet = |i: usize| {
+            format!(
+                r#"<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+                <xsl:template match="/"><p n="{i}"><xsl:value-of select="//title"/></p></xsl:template>
+                </xsl:stylesheet>"#
+            )
+        };
+        let cache = StylesheetCache::new("test.style_cache");
+        let doc = Document::parse("<song><title>So What</title></song>").unwrap();
+        let first = cache.get(&sheet(0)).unwrap();
+        for i in 1..=crate::CAPACITY {
+            cache.get(&sheet(i)).unwrap();
+        }
+        assert_eq!(cache.len(), crate::CAPACITY, "one over capacity evicted one");
+        let again = cache.get(&sheet(0)).unwrap();
+        assert!(!Arc::ptr_eq(&first, &again), "sheet 0 was evicted and compiled again");
+        assert_eq!(again.apply_to_string(&doc).unwrap(), first.apply_to_string(&doc).unwrap());
+        assert_eq!(again.apply_to_string(&doc).unwrap(), r#"<p n="0">So What</p>"#);
     }
 }

@@ -48,7 +48,7 @@ pub use error::StoreError;
 pub use fsio::{crc32, FailFs, RealFs, StoreFs, StoreWriter};
 pub use index::{prepare_fields, IndexStats, MetadataIndex, PreparedField, SharedFields};
 pub use query::{field_matches, Query, ValuePattern};
-pub use repository::{Repository, StoredObject};
+pub use repository::{FieldPaths, Repository, StoredObject};
 pub use tokenizer::{
     for_each_token, is_normalized, normalize, token_passes, tokenize, tokenize_with, STOPWORDS,
 };

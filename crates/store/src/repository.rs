@@ -49,6 +49,52 @@ impl StoredObject {
     }
 }
 
+/// Field paths with their selections parsed — what
+/// [`Repository::extract_fields`] prepares on every call, kept by a
+/// caller that extracts from many documents with one set of paths.
+#[derive(Debug, Clone)]
+pub struct FieldPaths(Vec<(String, Option<XPath>)>);
+
+impl FieldPaths {
+    /// Parses the selection of each path. A path that does not parse is
+    /// kept and selects nothing.
+    pub fn new(paths: &[String]) -> FieldPaths {
+        FieldPaths(
+            paths
+                .iter()
+                .map(|path| {
+                    let expr = format!("/{}", path.trim_matches('/'));
+                    (path.clone(), XPath::parse(&expr).ok())
+                })
+                .collect(),
+        )
+    }
+
+    /// The paths, as given to [`FieldPaths::new`].
+    pub fn paths(&self) -> impl Iterator<Item = &str> {
+        self.0.iter().map(|(path, _)| path.as_str())
+    }
+
+    /// The `(path, value)` pairs of `doc`: the trimmed, non-empty text
+    /// of every element a path selects, in path order.
+    pub fn extract(&self, doc: &Document) -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        for (path, xp) in &self.0 {
+            let Some(Ok(nodes)) = xp.as_ref().map(|xp| xp.select_nodes(doc, doc.root())) else {
+                continue;
+            };
+            for n in nodes {
+                let value = doc.text_content(n);
+                let trimmed = value.trim();
+                if !trimmed.is_empty() {
+                    out.push((path.clone(), trimmed.to_string()));
+                }
+            }
+        }
+        out
+    }
+}
+
 /// Content-addressed repository of XML objects with metadata search.
 ///
 /// ```
@@ -81,20 +127,7 @@ impl Repository {
     /// document. A path `pattern/name` selects every `/pattern/name`
     /// element's text content.
     pub fn extract_fields(doc: &Document, paths: &[String]) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        for path in paths {
-            let expr = format!("/{}", path.trim_matches('/'));
-            let Ok(xp) = XPath::parse(&expr) else { continue };
-            let Ok(nodes) = xp.select_nodes(doc, doc.root()) else { continue };
-            for n in nodes {
-                let value = doc.text_content(n);
-                let trimmed = value.trim();
-                if !trimmed.is_empty() {
-                    out.push((path.clone(), trimmed.to_string()));
-                }
-            }
-        }
-        out
+        FieldPaths::new(paths).extract(doc)
     }
 
     /// Inserts an object from XML text, extracting and indexing the given

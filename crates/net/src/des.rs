@@ -37,7 +37,7 @@
 
 use crate::centralized::CentralizedNetwork;
 use crate::churn::ChurnEvent;
-use crate::digest::RecordVisitor;
+use crate::digest::{Probe, RecordVisitor};
 use crate::event::DesEvent;
 use crate::flooding::{FloodingConfig, FloodingNetwork, ShareTable};
 use crate::latency::LatencyModel;
@@ -264,9 +264,9 @@ struct Timeline<'a> {
 
 impl Sink for Timeline<'_> {
     fn forward(&mut self, at: Time, hop: Hop) {
-        let (qid, Hop { to, path, ttl, mode }) = (self.qid, hop);
+        let (qid, Hop { to, via, ttl, mode }) = (self.qid, hop);
         *self.pending += 1;
-        self.queue.push(at, DesEvent::Query { qid, to, path, ttl, mode });
+        self.queue.push(at, DesEvent::Query { qid, to, via, ttl, mode });
     }
 
     fn hits_return(&mut self, at: Time, n: u32) {
@@ -523,7 +523,7 @@ impl DesNetwork {
             Substrate::Gnutella(g) => g.routes(),
             Substrate::FastTrack(f) => f.routes(),
         };
-        routes.min_depth(advertiser, receiver, community, query, max_depth)
+        routes.min_depth(advertiser, receiver, &Probe::new(community, query), max_depth)
     }
 
     /// Deterministic estimate of resident state in bytes: the
@@ -559,7 +559,11 @@ impl DesNetwork {
             self.clock = self.clock.max(t);
             self.events_processed += 1;
             if let Some(log) = &mut self.log {
-                log.push(ev.log_line(t));
+                let (queries, retired) = (&mut self.queries, self.retired);
+                log.push(ev.log_line(t, |qid, via| {
+                    let qs = query_mut(queries, retired, qid);
+                    qs.map_or_else(Vec::new, |qs| qs.progress.route(via))
+                }));
             }
             let qid = self.dispatch(t, ev);
             self.peak_queue = self.peak_queue.max(self.queue.len());
@@ -577,8 +581,8 @@ impl DesNetwork {
                 self.handle_query(t, qid, None);
                 Some(qid)
             }
-            DesEvent::Query { qid, to, path, ttl, mode } => {
-                self.handle_query(t, qid, Some(Hop { to, path, ttl, mode }));
+            DesEvent::Query { qid, to, via, ttl, mode } => {
+                self.handle_query(t, qid, Some(Hop { to, via, ttl, mode }));
                 Some(qid)
             }
             DesEvent::ServerQuery { qid } => {

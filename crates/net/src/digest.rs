@@ -14,9 +14,12 @@
 //!   pairs. A record contributes its community marker and, per field,
 //!   the normalized exact value and the keyword tokens — the terms the
 //!   store's index posts it under (`for_each_record_entry` is the one
-//!   place that enumerates them). Digests hash term *strings*, not
-//!   symbol ids: interner symbols are private to each index, strings are
-//!   the wire-stable identity.
+//!   place that enumerates them, for the routing digests and for the
+//!   flood's [`crate::PeerIndexes`] summary alike). Digests hash term
+//!   *strings*, not symbol ids: interner symbols are private to each
+//!   index, strings are the wire-stable identity. A query is compiled
+//!   once into a [`Probe`] — every hash it needs — and asked of as many
+//!   digests as there are.
 //! * [`RouteTable`] — the per-directed-edge *attenuated* digest table: for
 //!   the edge `q → p`, layer `d` summarizes everything reachable from `p`
 //!   through `q` within `d` hops. Layers are monotone
@@ -100,16 +103,16 @@ pub type RecordVisitor<'a> = dyn FnMut(&str, &[(String, String)]) + 'a;
 /// FNV state after the community name and the separator that keeps
 /// `("ab","c")` apart from `("a","bc")`; every entry hash of the
 /// community continues from here.
-fn community_scope(community: &str) -> u64 {
+pub(crate) fn community_scope(community: &str) -> u64 {
     fnv1a(fnv1a(FNV_OFFSET, community.as_bytes()), &[0xff])
 }
 
-/// Hash of a digest entry: `term_hash(c, None)` marks the community as
-/// present, `term_hash(c, Some(t))` marks one term of that community.
-/// The community is folded in so the same word in two communities sets
-/// different bits (community scoping survives digest compression).
-pub fn term_hash(community: &str, term: Option<&str>) -> u64 {
-    let scope = community_scope(community);
+/// Hash of a digest entry of the community whose [`community_scope`] is
+/// `scope`: `None` marks the community as present, `Some(t)` marks one
+/// term of that community. The community is folded in so the same word
+/// in two communities sets different bits (community scoping survives
+/// digest compression).
+pub(crate) fn entry_hash(scope: u64, term: Option<&str>) -> u64 {
     mix(term.map_or(scope, |t| fnv1a(scope, t.as_bytes())))
 }
 
@@ -125,8 +128,8 @@ pub(crate) fn for_each_record_entry(
     mut f: impl FnMut(u64),
 ) {
     let scope = community_scope(community);
-    f(mix(scope));
-    let mut entry = |term: &str| f(mix(fnv1a(scope, term.as_bytes())));
+    f(entry_hash(scope, None));
+    let mut entry = |term: &str| f(entry_hash(scope, Some(term)));
     for (_, value) in fields {
         if is_normalized(value) {
             entry(value);
@@ -150,7 +153,9 @@ fn probes(bits: u64, h: u64) -> [usize; 2] {
     [(h & mask) as usize, (h.wrapping_add(h2) & mask) as usize]
 }
 
-fn insert(words: &mut [u64], h: u64) {
+/// Sets the bits of one entry hash in the words of a digest (a
+/// power-of-two number of them).
+pub(crate) fn insert(words: &mut [u64], h: u64) {
     for bit in probes(words.len() as u64 * 64, h) {
         words[bit / 64] |= 1u64 << (bit % 64);
     }
@@ -160,23 +165,64 @@ fn contains(words: &[u64], h: u64) -> bool {
     probes(words.len() as u64 * 64, h).into_iter().all(|bit| words[bit / 64] >> (bit % 64) & 1 == 1)
 }
 
-/// [`RoutingDigest::may_match`] over the words of one digest.
-fn may_match(words: &[u64], community: &str, query: &Query) -> bool {
-    contains(words, term_hash(community, None)) && terms_plausible(words, community, query)
+/// A query compiled against one community for asking digests: the
+/// community marker's hash and the query's `And`/`Or`/term tree with
+/// every entry hash taken once. Whoever asks many digests the same
+/// question — a flood visiting hundreds of peers, a forwarding decision
+/// reading up to `radius` layers of every neighbor — builds one probe and
+/// hashes no string again. [`Probe::may_match`] is the one definition of
+/// the conservative predicate; [`RoutingDigest::may_match`] documents it.
+#[derive(Debug, Clone)]
+pub struct Probe {
+    community: u64,
+    terms: Terms,
 }
 
-fn terms_plausible(words: &[u64], community: &str, query: &Query) -> bool {
-    match query {
-        Query::All | Query::Not(_) | Query::Match { pattern: ValuePattern::Prefix(_), .. }
-        | Query::Match { pattern: ValuePattern::Suffix(_), .. }
-        | Query::Match { pattern: ValuePattern::Contains(_), .. }
-        | Query::Match { pattern: ValuePattern::Present, .. } => true,
-        Query::And(qs) => qs.iter().all(|q| terms_plausible(words, community, q)),
-        Query::Or(qs) => qs.iter().any(|q| terms_plausible(words, community, q)),
-        Query::Keyword { word, .. } => contains(words, term_hash(community, Some(word))),
-        Query::Match { pattern: ValuePattern::Exact(value), .. } => {
-            contains(words, term_hash(community, Some(value)))
+/// What a [`Probe`] asks of a digest beyond community presence.
+#[derive(Debug, Clone)]
+enum Terms {
+    /// Nothing a digest can check term-wise (`All`, `Not`, wildcard and
+    /// `Present` patterns): community presence alone decides.
+    Any,
+    /// The entry hash of a keyword or of a normalized exact value.
+    Term(u64),
+    And(Vec<Terms>),
+    Or(Vec<Terms>),
+}
+
+impl Terms {
+    fn of(scope: u64, query: &Query) -> Terms {
+        let term = |t: &str| Terms::Term(entry_hash(scope, Some(t)));
+        match query {
+            Query::And(qs) => Terms::And(qs.iter().map(|q| Terms::of(scope, q)).collect()),
+            Query::Or(qs) => Terms::Or(qs.iter().map(|q| Terms::of(scope, q)).collect()),
+            Query::Keyword { word, .. } => term(word),
+            Query::Match { pattern: ValuePattern::Exact(value), .. } => term(value),
+            Query::All | Query::Not(_) | Query::Match { .. } => Terms::Any,
         }
+    }
+
+    fn plausible(&self, words: &[u64]) -> bool {
+        match self {
+            Terms::Any => true,
+            Terms::Term(h) => contains(words, *h),
+            Terms::And(ts) => ts.iter().all(|t| t.plausible(words)),
+            Terms::Or(ts) => ts.iter().any(|t| t.plausible(words)),
+        }
+    }
+}
+
+impl Probe {
+    /// Compiles `query` as asked within `community`.
+    pub fn new(community: &str, query: &Query) -> Probe {
+        let scope = community_scope(community);
+        Probe { community: entry_hash(scope, None), terms: Terms::of(scope, query) }
+    }
+
+    /// [`RoutingDigest::may_match`] over the words of one digest (a
+    /// power-of-two number of them).
+    pub fn may_match(&self, words: &[u64]) -> bool {
+        contains(words, self.community) && self.terms.plausible(words)
     }
 }
 
@@ -255,7 +301,7 @@ impl RoutingDigest {
     /// * everything else (`All`, `Not`, wildcard/`Present` patterns) →
     ///   community presence alone.
     pub fn may_match(&self, community: &str, query: &Query) -> bool {
-        may_match(&self.words, community, query)
+        Probe::new(community, query).may_match(&self.words)
     }
 }
 
@@ -552,6 +598,12 @@ impl RouteTable {
         let arena = vec![0; self.edges.len() * self.depth * self.words];
         self.wave.is_candidate = vec![false; self.edges.len()];
         self.wave.is_pushed = vec![false; self.edges.len()];
+        // a wave lists an edge at most once per list: sized once with the
+        // arena, the three never grow (DESIGN.md §3e)
+        for list in [&mut self.wave.frontier, &mut self.wave.candidates, &mut self.wave.pushed] {
+            list.clear();
+            list.reserve_exact(self.edges.len());
+        }
         self.touched.fill(true);
         self.dirty.clear();
         self.dirty.extend(0..topo.len() as u32);
@@ -670,8 +722,8 @@ impl RouteTable {
         pushes
     }
 
-    /// Minimum plausible depth of a match for `query` behind the edge
-    /// `advertiser → receiver`: the 1-based index of the first layer
+    /// Minimum plausible depth of a match for `probe`'s query behind the
+    /// edge `advertiser → receiver`: the 1-based index of the first layer
     /// whose digest may match, probing at most `min(max_depth, radius)`
     /// layers. `None` means "no match within reach through that
     /// neighbor" (or the edge is unknown).
@@ -679,8 +731,7 @@ impl RouteTable {
         &self,
         advertiser: u32,
         receiver: u32,
-        community: &str,
-        query: &Query,
+        probe: &Probe,
         max_depth: u8,
     ) -> Option<u8> {
         let edge = self.edges.id(advertiser, receiver)?;
@@ -688,7 +739,7 @@ impl RouteTable {
         self.layers[edge * self.depth * self.words..]
             .chunks_exact(self.words)
             .take(cap.min(self.depth))
-            .position(|layer| may_match(layer, community, query))
+            .position(|layer| probe.may_match(layer))
             .map(|i| i as u8 + 1)
     }
 
@@ -716,6 +767,8 @@ mod tests {
     use super::*;
     use crate::message::ResourceRecord;
     use crate::peer::PeerId;
+    use proptest::collection::vec as pvec;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
@@ -749,6 +802,109 @@ mod tests {
 
     fn small(log2_bits: u8) -> DigestConfig {
         DigestConfig { log2_bits, ..DigestConfig::guided() }
+    }
+
+    /// [`entry_hash`] from the community's name, hashed anew at every call.
+    fn term_hash(community: &str, term: Option<&str>) -> u64 {
+        entry_hash(community_scope(community), term)
+    }
+
+    /// The string-hashing walk [`Probe::may_match`] used to be — community
+    /// name and every term re-hashed at each digest asked — kept as the
+    /// oracle for the compiled probe.
+    fn reference_may_match(words: &[u64], community: &str, query: &Query) -> bool {
+        contains(words, term_hash(community, None)) && terms_plausible(words, community, query)
+    }
+
+    fn terms_plausible(words: &[u64], community: &str, query: &Query) -> bool {
+        match query {
+            Query::All | Query::Not(_) | Query::Match { pattern: ValuePattern::Prefix(_), .. }
+            | Query::Match { pattern: ValuePattern::Suffix(_), .. }
+            | Query::Match { pattern: ValuePattern::Contains(_), .. }
+            | Query::Match { pattern: ValuePattern::Present, .. } => true,
+            Query::And(qs) => qs.iter().all(|q| terms_plausible(words, community, q)),
+            Query::Or(qs) => qs.iter().any(|q| terms_plausible(words, community, q)),
+            Query::Keyword { word, .. } => contains(words, term_hash(community, Some(word))),
+            Query::Match { pattern: ValuePattern::Exact(value), .. } => {
+                contains(words, term_hash(community, Some(value)))
+            }
+        }
+    }
+
+    const PROBE_COMMUNITIES: [&str; 2] = ["alpha", "beta"];
+
+    fn probe_term() -> impl Strategy<Value = &'static str> + Clone {
+        prop_oneof![
+            Just("apple"),
+            Just("banana"),
+            Just("observer"),
+            Just("observer pattern"),
+            Just("err"),
+            Just("missing"),
+        ]
+    }
+
+    /// Queries of every form a digest is asked, over a vocabulary small
+    /// enough for a random digest to hold some terms and lack others.
+    fn probe_query() -> impl Strategy<Value = Query> {
+        let field = prop_oneof![Just("name"), Just("o/tag"), Just("absent/field")];
+        let term = probe_term();
+        let pattern = |p: fn(String) -> ValuePattern| {
+            (field.clone(), term.clone())
+                .prop_map(move |(f, t)| Query::Match { field: f.into(), pattern: p(t.into()) })
+        };
+        let leaf = prop_oneof![
+            Just(Query::All),
+            term.clone().prop_map(Query::any_keyword),
+            (field.clone(), term.clone()).prop_map(|(f, t)| Query::keyword(f, t)),
+            (field.clone(), term.clone()).prop_map(|(f, t)| Query::eq(f, t)),
+            pattern(ValuePattern::Prefix),
+            pattern(ValuePattern::Suffix),
+            pattern(ValuePattern::Contains),
+            field
+                .clone()
+                .prop_map(|f| Query::Match { field: f.into(), pattern: ValuePattern::Present }),
+        ];
+        leaf.prop_recursive(3, 16, 3, |inner| {
+            prop_oneof![
+                pvec(inner.clone(), 0..4).prop_map(Query::And),
+                pvec(inner.clone(), 0..4).prop_map(Query::Or),
+                inner.prop_map(|q| Query::Not(Box::new(q))),
+            ]
+        })
+    }
+
+    proptest! {
+        /// The compiled probe is the predicate it replaced: over digests
+        /// of every width the substrates run, filled with a random subset
+        /// of the vocabulary (and of the other community's, and with
+        /// stray bits), it answers what the string-hashing walk answers.
+        /// Bit-identical guided routing rests on this.
+        #[test]
+        fn probe_is_may_match(
+            log2_bits in 6u8..13,
+            held in pvec((0..PROBE_COMMUNITIES.len(), any::<bool>(), probe_term()), 0..10),
+            stray in pvec(any::<u64>(), 0..24),
+            query in probe_query(),
+        ) {
+            let mut digest = RoutingDigest::new(log2_bits);
+            for (community, marker, term) in held {
+                let term = if marker { None } else { Some(term) };
+                digest.insert(term_hash(PROBE_COMMUNITIES[community], term));
+            }
+            for h in stray {
+                digest.insert(h);
+            }
+            for community in PROBE_COMMUNITIES {
+                let expected = reference_may_match(&digest.words, community, &query);
+                prop_assert_eq!(
+                    Probe::new(community, &query).may_match(&digest.words),
+                    expected,
+                    "{} in {} over {} bits", query, community, digest.bit_len()
+                );
+                prop_assert_eq!(digest.may_match(community, &query), expected);
+            }
+        }
     }
 
     /// The full recompute [`RouteTable::refresh`] used to be, kept as the
@@ -989,16 +1145,16 @@ mod tests {
         assert_eq!(pushes, 6, "first exchange pushes every edge");
         let table = &world.table;
         let q = Query::any_keyword("needle");
-        assert_eq!(table.min_depth(1, 0, "c", &q, 7), Some(3));
-        assert_eq!(table.min_depth(2, 1, "c", &q, 7), Some(2));
-        assert_eq!(table.min_depth(3, 2, "c", &q, 7), Some(1));
+        assert_eq!(table.min_depth(1, 0, &Probe::new("c", &q), 7), Some(3));
+        assert_eq!(table.min_depth(2, 1, &Probe::new("c", &q), 7), Some(2));
+        assert_eq!(table.min_depth(3, 2, &Probe::new("c", &q), 7), Some(1));
         // looking back toward the empty side finds nothing
-        assert_eq!(table.min_depth(0, 1, "c", &q, 7), None);
+        assert_eq!(table.min_depth(0, 1, &Probe::new("c", &q), 7), None);
         // a ttl too small to reach the record prunes the probe
-        assert_eq!(table.min_depth(1, 0, "c", &q, 2), None);
+        assert_eq!(table.min_depth(1, 0, &Probe::new("c", &q), 2), None);
         // neither a non-edge nor an unknown node is an advertiser
-        assert_eq!(table.min_depth(0, 2, "c", &q, 7), None);
-        assert_eq!(table.min_depth(9, 0, "c", &q, 7), None);
+        assert_eq!(table.min_depth(0, 2, &Probe::new("c", &q), 7), None);
+        assert_eq!(table.min_depth(9, 0, &Probe::new("c", &q), 7), None);
     }
 
     #[test]
@@ -1019,7 +1175,7 @@ mod tests {
         assert_eq!(requests, 0);
         assert_eq!(pushes, 2, "0→1 and 1→2 changed; 1→0 and 2→1 did not");
         assert_eq!(
-            world.table.min_depth(1, 2, "c", &Query::any_keyword("fresh"), 7),
+            world.table.min_depth(1, 2, &Probe::new("c", &Query::any_keyword("fresh")), 7),
             Some(2),
             "the new record is visible two hops away after the refresh"
         );
@@ -1103,18 +1259,19 @@ mod tests {
         for a in 0..4 {
             for b in 0..4 {
                 assert_eq!(
-                    world.table.min_depth(a, b, "c", &q, 7),
-                    fresh.min_depth(a, b, "c", &q, 7),
+                    world.table.min_depth(a, b, &Probe::new("c", &q), 7),
+                    fresh.min_depth(a, b, &Probe::new("c", &q), 7),
                     "{a} → {b}"
                 );
             }
         }
-        assert_eq!(world.table.min_depth(3, 0, "c", &q, 7), Some(1));
-        assert_eq!(world.table.min_depth(3, 2, "c", &q, 7), None, "the old edge is gone");
+        assert_eq!(world.table.min_depth(3, 0, &Probe::new("c", &q), 7), Some(1));
+        let probe = Probe::new("c", &q);
+        assert_eq!(world.table.min_depth(3, 2, &probe, 7), None, "the old edge is gone");
         // and the rebuilt arena keeps following deltas
         world.remove(3, 3, "k");
         world.refresh();
-        assert_eq!(world.table.min_depth(3, 0, "c", &q, 7), None);
+        assert_eq!(world.table.min_depth(3, 0, &Probe::new("c", &q), 7), None);
     }
 
     #[test]
@@ -1183,7 +1340,7 @@ mod tests {
         world.refresh();
         assert!(!world.advertises(0, 1, "songs", None));
         assert!(world.advertises(0, 1, "patterns", None));
-        assert_eq!(world.table.min_depth(0, 1, "songs", &Query::All, 7), None);
+        assert_eq!(world.table.min_depth(0, 1, &Probe::new("songs", &Query::All), 7), None);
     }
 
     #[test]

@@ -28,10 +28,11 @@ pub enum PropMode {
 
 /// One timestamped occurrence on the global DES timeline.
 ///
-/// `qid` fields index into the engine's per-query state table; `path`
-/// vectors carry the route travelled so far, *excluding* the
-/// destination (the last element is the immediate sender): the overlay
-/// core's in-flight query copy with a query id attached.
+/// `qid` fields index into the engine's per-query state table. A
+/// [`DesEvent::Query`] is the overlay core's in-flight query copy with a
+/// query id attached: like it, the event names the visit that sent it
+/// (`via`, an index into the query's trail of forwarding visits) instead
+/// of carrying the route travelled so far.
 #[derive(Debug, Clone)]
 pub enum DesEvent {
     /// A scheduled query leaves its origin.
@@ -46,8 +47,9 @@ pub enum DesEvent {
         qid: u32,
         /// Destination node.
         to: u32,
-        /// Nodes travelled so far (last element = immediate sender).
-        path: Vec<u32>,
+        /// The forwarding visit, on the query's trail, that sent this
+        /// copy (`u32::MAX`: none, the query is entering the overlay).
+        via: u32,
         /// Remaining hops.
         ttl: u8,
         /// Propagation mode of this copy.
@@ -79,11 +81,16 @@ pub enum DesEvent {
 impl DesEvent {
     /// One deterministic log line for the replay tests: everything that
     /// identifies the event, rendered without hashing or addresses so
-    /// two same-seed runs produce byte-identical logs.
-    pub fn log_line(&self, t: Time) -> String {
+    /// two same-seed runs produce byte-identical logs. A query copy is
+    /// logged with the route it travelled (*excluding* the destination;
+    /// the last element is the immediate sender), which `route(qid, via)`
+    /// resolves through the query's trail — asked only for a
+    /// [`DesEvent::Query`], so only a run that logs pays for routes.
+    pub fn log_line(&self, t: Time, route: impl FnOnce(u32, u32) -> Vec<u32>) -> String {
         match self {
             DesEvent::QueryIssue { qid } => format!("{t} issue q{qid}"),
-            DesEvent::Query { qid, to, path, ttl, mode } => {
+            DesEvent::Query { qid, to, via, ttl, mode } => {
+                let path = route(*qid, *via);
                 format!("{t} query q{qid} -> {to} ttl={ttl} mode={mode:?} path={path:?}")
             }
             DesEvent::ServerQuery { qid } => format!("{t} server-query q{qid}"),
@@ -100,11 +107,16 @@ mod tests {
 
     #[test]
     fn log_lines_are_stable() {
-        let ev = DesEvent::Query { qid: 3, to: 7, path: vec![0, 2], ttl: 5, mode: PropMode::Flood };
-        assert_eq!(ev.log_line(40), "40 query q3 -> 7 ttl=5 mode=Flood path=[0, 2]");
-        assert_eq!(DesEvent::DigestRefresh.log_line(9), "9 digest-refresh");
+        let ev = DesEvent::Query { qid: 3, to: 7, via: 1, ttl: 5, mode: PropMode::Flood };
+        let trail = |qid, via| {
+            assert_eq!((qid, via), (3, 1), "the event's own query and visit are resolved");
+            vec![0, 2]
+        };
+        assert_eq!(ev.log_line(40, trail), "40 query q3 -> 7 ttl=5 mode=Flood path=[0, 2]");
+        let no_route = |_, _| unreachable!("only a query copy has a route");
+        assert_eq!(DesEvent::DigestRefresh.log_line(9, no_route), "9 digest-refresh");
         assert_eq!(
-            DesEvent::Churn { peer: PeerId(1), online: false }.log_line(2),
+            DesEvent::Churn { peer: PeerId(1), online: false }.log_line(2, no_route),
             "2 churn peer-1 online=false"
         );
     }

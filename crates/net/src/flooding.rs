@@ -8,10 +8,12 @@
 //! experiment E6 measures.
 //!
 //! The peers' records live in a [`ShareTable`], the substrate's one type
-//! parameter. [`FloodingNetwork::new`] lays them out as one [`IndexNode`]
-//! per peer, so the evaluation a query pays at every visited peer is a
-//! posting-list lookup, not a scan of the peer's records;
-//! [`crate::DesNetwork`] drives the same substrate over the
+//! parameter. [`FloodingNetwork::new`] lays them out as [`PeerIndexes`]:
+//! an [`IndexNode`] per peer, so that a peer with something to say
+//! answers from posting lists instead of scanning its records, behind one
+//! flat array of per-peer Bloom words, so that the nineteen visited peers
+//! in twenty with nothing to say are told apart without opening their
+//! index at all. [`crate::DesNetwork`] drives the same substrate over the
 //! struct-of-arrays [`crate::RecordArena`]. Everything else — liveness,
 //! write path, digests, retrieve, the assembly of the query walk —
 //! exists once, here, for both.
@@ -22,7 +24,7 @@
 //! neighbors, stops at the first peer with local hits, and falls back to
 //! TTL'd random walkers when no digest matches.
 
-use crate::digest::{DigestConfig, RecordVisitor, RouteTable};
+use crate::digest::{self, DigestConfig, Probe, RecordVisitor, RouteTable};
 use crate::index_node::IndexNode;
 use crate::latency::LatencyModel;
 use crate::message::{ResourceRecord, SharedFields, DEFAULT_TTL};
@@ -60,10 +62,11 @@ impl Default for FloodingConfig {
 /// `0..peers` shares nothing and accepts nothing.
 ///
 /// Two layouts, each measured as irreplaceable on its side (DESIGN.md
-/// §3e): `Vec<IndexNode>`, an inverted index per peer, for a flood that
-/// evaluates at 900 peers per query; [`crate::RecordArena`],
-/// struct-of-arrays over all peers, for 10 000+ simulated peers. The
-/// constructor that builds the network fixes the layout, never an option.
+/// §3e): [`PeerIndexes`], an inverted index per peer behind a term
+/// summary, for a flood that evaluates at 450 peers per query;
+/// [`crate::RecordArena`], struct-of-arrays over all peers, for 10 000+
+/// simulated peers. The constructor that builds the network fixes the
+/// layout, never an option.
 pub trait ShareTable {
     /// An empty table for peers `0..peers`.
     fn with_peers(peers: usize) -> Self;
@@ -87,6 +90,17 @@ pub trait ShareTable {
     /// that reached a live `peer`. Order is the layout's own.
     fn matches(&self, peer: u32, community: &str, query: &Query) -> Vec<Match>;
 
+    /// [`ShareTable::matches`] for every peer one query visits: whatever
+    /// the layout can work out from `community` and `query` alone it
+    /// works out here, once, not at each peer.
+    fn matcher<'a>(
+        &'a self,
+        community: &'a str,
+        query: &'a Query,
+    ) -> impl FnMut(u32) -> Vec<Match> + 'a {
+        move |peer| self.matches(peer, community, query)
+    }
+
     /// Visits `(community, fields)` of every record `peer` shares — what
     /// the peer's routing digest is built from.
     fn for_each_record(&self, peer: u32, visit: &mut RecordVisitor<'_>);
@@ -95,49 +109,128 @@ pub trait ShareTable {
     fn approx_bytes(&self) -> u64;
 }
 
-/// One inverted index per peer; the provider of every record in slot `i`
-/// is peer `i`.
-impl ShareTable for Vec<IndexNode> {
+/// 64-bit words of one peer's term summary: 4 096 bits, a constant. The
+/// few dozen records a flat-overlay peer shares fill about a tenth of it
+/// (DESIGN.md §3b), and 2 000 peers' worth is 1 MiB — cache-resident
+/// where the 2 000 indexes behind it are not.
+const SUMMARY_WORDS: usize = 64;
+
+/// One inverted index per peer — the provider of every record in slot `i`
+/// is peer `i` — and in front of them one flat `[peer][word]` Bloom
+/// summary of the terms each peer's records are indexed under.
+///
+/// A flood evaluates its query at every peer it reaches and nineteen in
+/// twenty share nothing that matches; learning that from the peer's own
+/// index is a chain of dependent cache misses (community name → sub-index
+/// → term interner) into one of thousands of separate heaps. The summary
+/// speaks the routing digests' vocabulary ([`Probe`]: community marker,
+/// normalized values, keyword tokens), so "may match" here is the same
+/// predicate, proven weaker than the index: a peer whose words deny the
+/// query is skipped, any other is asked as before. It never hides a match
+/// and never invents one.
+///
+/// The words only ever gain bits from a write that adds a record. A
+/// `remove`, and an `upsert` that replaces, rebuild that one peer's words
+/// from the records it still shares — a Bloom filter cannot forget, and
+/// the counters that could would be sixteen times the array for a path
+/// the flood's writes hardly take. A peer sharing far more than the
+/// constant is sized for saturates its words and is simply always asked.
+#[derive(Debug)]
+pub struct PeerIndexes {
+    nodes: Vec<IndexNode>,
+    /// `[peer][word]`, [`SUMMARY_WORDS`] words each.
+    summary: Vec<u64>,
+}
+
+impl PeerIndexes {
+    /// `peer`'s node and summary words; `None` outside the table.
+    fn peer_mut(&mut self, peer: u32) -> Option<(&mut IndexNode, &mut [u64])> {
+        let node = self.nodes.get_mut(peer as usize)?;
+        Some((node, &mut self.summary[peer as usize * SUMMARY_WORDS..][..SUMMARY_WORDS]))
+    }
+}
+
+/// Sets `words` to the summary of exactly the records `node` holds.
+fn summarize(words: &mut [u64], node: &IndexNode) {
+    words.fill(0);
+    node.for_each_record(|community, fields| {
+        digest::for_each_record_entry(community, fields, |h| digest::insert(words, h));
+    });
+}
+
+impl ShareTable for PeerIndexes {
     fn with_peers(peers: usize) -> Self {
-        std::iter::repeat_with(IndexNode::new).take(peers).collect()
+        PeerIndexes {
+            nodes: std::iter::repeat_with(IndexNode::new).take(peers).collect(),
+            summary: vec![0; peers * SUMMARY_WORDS],
+        }
     }
 
     fn upsert(&mut self, peer: u32, record: &ResourceRecord) -> Option<(&str, SharedFields)> {
-        self.get_mut(peer as usize)?.upsert(PeerId(peer), record)
+        let (node, words) = self.peer_mut(peer)?;
+        let Some((slot, fields)) = node.upsert_slot(PeerId(peer), record) else {
+            // a fresh key only adds entries
+            digest::for_each_record_entry(&record.community, &record.fields, |h| {
+                digest::insert(words, h)
+            });
+            return None;
+        };
+        summarize(words, node);
+        Some((node.community_name(slot), fields))
     }
 
     fn remove(&mut self, peer: u32, key: &str) -> Option<(&str, SharedFields)> {
-        self.get_mut(peer as usize)?.remove(PeerId(peer), key)
+        let (node, words) = self.peer_mut(peer)?;
+        let (slot, fields) = node.remove_slot(PeerId(peer), key)?;
+        summarize(words, node);
+        Some((node.community_name(slot), fields))
     }
 
     fn has(&self, peer: u32, key: &str) -> bool {
-        self.get(peer as usize).is_some_and(|node| node.has_provider(key, PeerId(peer)))
+        self.nodes.get(peer as usize).is_some_and(|node| node.has_provider(key, PeerId(peer)))
     }
 
     fn shared_count(&self, peer: u32) -> usize {
-        self.get(peer as usize).map_or(0, IndexNode::len)
+        self.nodes.get(peer as usize).map_or(0, IndexNode::len)
     }
 
     fn matches(&self, peer: u32, community: &str, query: &Query) -> Vec<Match> {
-        // the only provider in `peer`'s index is `peer`, which is being asked
-        self.get(peer as usize)
-            .map_or_else(Vec::new, |node| overlay::index_matches(node, |_| true, community, query))
+        self.matcher(community, query)(peer)
+    }
+
+    fn matcher<'a>(
+        &'a self,
+        community: &'a str,
+        query: &'a Query,
+    ) -> impl FnMut(u32) -> Vec<Match> + 'a {
+        let probe = Probe::new(community, query);
+        move |peer| {
+            let at = peer as usize;
+            if at >= self.nodes.len()
+                || !probe.may_match(&self.summary[at * SUMMARY_WORDS..][..SUMMARY_WORDS])
+            {
+                return Vec::new();
+            }
+            // the only provider in `peer`'s index is `peer`, which is being asked
+            overlay::index_matches(&self.nodes[at], |_| true, community, query)
+        }
     }
 
     fn for_each_record(&self, peer: u32, visit: &mut RecordVisitor<'_>) {
-        if let Some(node) = self.get(peer as usize) {
+        if let Some(node) = self.nodes.get(peer as usize) {
             node.for_each_record(visit);
         }
     }
 
     fn approx_bytes(&self) -> u64 {
-        self.iter().map(|node| node.len() as u64 * 256).sum()
+        self.nodes.iter().map(|node| node.len() as u64 * 256).sum::<u64>()
+            + self.summary.len() as u64 * 8
     }
 }
 
 /// The flooding (Gnutella) substrate. Without type arguments this is the
-/// network [`FloodingNetwork::new`] builds, one inverted index per peer.
-pub struct FloodingNetwork<T: ShareTable = Vec<IndexNode>> {
+/// network [`FloodingNetwork::new`] builds, over [`PeerIndexes`].
+pub struct FloodingNetwork<T: ShareTable = PeerIndexes> {
     topology: Topology,
     alive: Vec<bool>,
     /// What every peer shares from its own store.
@@ -270,7 +363,7 @@ impl<T: ShareTable> FloodingNetwork<T> {
             ttl: self.config.ttl,
             dedup: self.config.dedup,
         };
-        (walk, move |p| shared.matches(p, community, query))
+        (walk, shared.matcher(community, query))
     }
 }
 
@@ -523,6 +616,58 @@ mod tests {
             FloodingNetwork::new(t, Box::new(ConstantLatency(1_000)), FloodingConfig::default());
         let out = net.search(PeerId(0), "c", &Query::any_keyword("nothing"));
         assert!(out.messages <= edges * 2, "{} > {}", out.messages, edges * 2);
+    }
+
+    /// Does `peer`'s summary let `query` through to its index?
+    fn passes(table: &PeerIndexes, peer: usize, query: &Query) -> bool {
+        let words = &table.summary[peer * SUMMARY_WORDS..][..SUMMARY_WORDS];
+        Probe::new("c", query).may_match(words)
+    }
+
+    fn keys(matches: Vec<Match>) -> Vec<String> {
+        matches.into_iter().map(|(key, _, _)| key).collect()
+    }
+
+    #[test]
+    fn a_removed_records_terms_leave_the_summary_with_their_last_carrier() {
+        let mut table = PeerIndexes::with_peers(2);
+        table.upsert(0, &record("a", "shared alpha"));
+        table.upsert(0, &record("b", "shared beta"));
+        let (shared, alpha, beta) =
+            (Query::any_keyword("shared"), Query::any_keyword("alpha"), Query::any_keyword("beta"));
+        assert!(passes(&table, 0, &shared) && passes(&table, 0, &alpha));
+        assert!(!passes(&table, 1, &shared), "each peer has words of its own");
+        // a Bloom filter cannot forget: the removal rebuilds peer 0's words
+        // from the record it still shares
+        ShareTable::remove(&mut table, 0, "a");
+        assert!(!passes(&table, 0, &alpha), "no record of peer 0 carries it any more");
+        assert!(passes(&table, 0, &shared) && passes(&table, 0, &beta), "b still does");
+        assert_eq!(keys(table.matches(0, "c", &shared)), ["b"]);
+        // a replacing upsert rebuilds too: the old fields' terms go
+        table.upsert(0, &record("b", "gamma"));
+        assert!(!passes(&table, 0, &shared) && !passes(&table, 0, &beta));
+        assert!(passes(&table, 0, &Query::any_keyword("gamma")));
+        assert!(passes(&table, 0, &Query::All), "the community marker stays with a record");
+        ShareTable::remove(&mut table, 0, "b");
+        assert!(!passes(&table, 0, &Query::All), "and leaves with the last one");
+        assert!(table.summary.iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn a_saturated_summary_falls_through_to_the_index() {
+        // far more distinct terms than 4 096 bits can tell apart: the
+        // words fill up, stop filtering, and the index answers as ever
+        let mut table = PeerIndexes::with_peers(1);
+        for i in 0..4_000 {
+            table.upsert(0, &record(&format!("k{i}"), &format!("term{i} word{i}")));
+        }
+        let ones: u32 = table.summary.iter().map(|w| w.count_ones()).sum();
+        assert!(ones > 4_000, "only {ones} of 4 096 bits set");
+        assert!(passes(&table, 0, &Query::any_keyword("unseen")), "saturated: all may match");
+        assert!(table.matches(0, "c", &Query::any_keyword("unseen")).is_empty());
+        assert_eq!(keys(table.matches(0, "c", &Query::any_keyword("term1234"))), ["k1234"]);
+        assert_eq!(table.matches(0, "c", &Query::All).len(), 4_000);
+        assert_eq!(table.approx_bytes(), 4_000 * 256 + 512, "the words are counted");
     }
 
     fn guided_line(n: usize) -> FloodingNetwork {

@@ -206,9 +206,9 @@ impl IndexNode {
 
     /// Registers `provider` for the record, replacing the stored fields
     /// (and community) when the key is already present — the
-    /// last-publish-wins semantics a peer's *own* share table has
-    /// (flooding and live peers overwrote their `BTreeMap` entry
-    /// wholesale). Providers accumulated under the old record are kept.
+    /// last-publish-wins semantics a peer's *own* share table has (a
+    /// Gnutella peer republishing a key shares the new record, not the
+    /// old one). Providers accumulated under the old record are kept.
     /// The record always enters the share table; the return value is the
     /// `(community, fields)` of the stored record it pushed out, if any.
     pub fn upsert(
@@ -216,6 +216,18 @@ impl IndexNode {
         provider: PeerId,
         record: &ResourceRecord,
     ) -> Option<(&str, SharedFields)> {
+        let (old_slot, old_fields) = self.upsert_slot(provider, record)?;
+        Some((self.community_name(old_slot), old_fields))
+    }
+
+    /// [`IndexNode::upsert`], naming the community of the record pushed
+    /// out by its slot ([`IndexNode::community_name`]) — which leaves the
+    /// node free for the caller to read before it takes the name.
+    pub(crate) fn upsert_slot(
+        &mut self,
+        provider: PeerId,
+        record: &ResourceRecord,
+    ) -> Option<(u32, SharedFields)> {
         let previous = self.by_key.get(record.key.as_str()).copied().and_then(|slot| {
             let taken = self.communities[slot as usize].take_record(record.key.as_str())?;
             self.by_key.remove(record.key.as_str());
@@ -226,17 +238,33 @@ impl IndexNode {
         if let Some(&slot) = self.by_key.get(record.key.as_str()) {
             self.communities[slot as usize].extend_providers(record.key.as_str(), old_providers);
         }
-        Some((&self.slot_names[old_slot as usize], old_fields))
+        Some((old_slot, old_fields))
     }
 
     /// Withdraws `provider`'s copy of the record; the record's postings
     /// disappear with its last provider, and only then is its
     /// `(community, fields)` returned.
     pub fn remove(&mut self, provider: PeerId, key: &str) -> Option<(&str, SharedFields)> {
+        let (slot, fields) = self.remove_slot(provider, key)?;
+        Some((self.community_name(slot), fields))
+    }
+
+    /// [`IndexNode::remove`], naming the community by its slot.
+    pub(crate) fn remove_slot(
+        &mut self,
+        provider: PeerId,
+        key: &str,
+    ) -> Option<(u32, SharedFields)> {
         let &slot = self.by_key.get(key)?;
         let fields = self.communities[slot as usize].remove_provider(key, provider)?;
         self.by_key.remove(key);
-        Some((&self.slot_names[slot as usize], fields))
+        Some((slot, fields))
+    }
+
+    /// The community a slot returned by [`IndexNode::upsert_slot`] or
+    /// [`IndexNode::remove_slot`] stands for.
+    pub(crate) fn community_name(&self, slot: u32) -> &str {
+        &self.slot_names[slot as usize]
     }
 
     /// Is `provider` currently advertising the record?
@@ -406,7 +434,7 @@ mod tests {
 
     #[test]
     fn digest_terms_cover_live_communities_only() {
-        use crate::digest::{term_hash, RoutingDigest};
+        use crate::digest::{community_scope, entry_hash, RoutingDigest};
         let mut node = IndexNode::new();
         node.insert(PeerId(1), &record("k1", "patterns", "Observer Pattern"));
         node.insert(PeerId(2), &record("k2", "songs", "Jazz"));
@@ -415,7 +443,9 @@ mod tests {
             d.add_node(node);
             d
         };
-        let has = |d: &RoutingDigest, c: &str, t: Option<&str>| d.contains(term_hash(c, t));
+        let has = |d: &RoutingDigest, c: &str, t: Option<&str>| {
+            d.contains(entry_hash(community_scope(c), t))
+        };
         let d = digest(&node);
         // community markers plus tokens plus the normalized exact value
         assert!(has(&d, "patterns", None));

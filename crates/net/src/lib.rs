@@ -71,9 +71,9 @@ mod traits;
 
 pub use centralized::CentralizedNetwork;
 pub use des::{DesNetwork, RecordArena};
-pub use digest::{DigestConfig, RecordVisitor, RouteTable, RoutingDigest};
+pub use digest::{DigestConfig, Probe, RecordVisitor, RouteTable, RoutingDigest};
 pub use event::{DesEvent, PropMode};
-pub use flooding::{FloodingConfig, FloodingNetwork, ShareTable};
+pub use flooding::{FloodingConfig, FloodingNetwork, PeerIndexes, ShareTable};
 pub use index_node::IndexNode;
 pub use latency::{ConstantLatency, CoordinateLatency, LatencyModel, LatencySpec, UniformLatency};
 pub use message::{ResourceRecord, SearchHit, SharedFields, Time, DEFAULT_TTL};

@@ -26,7 +26,7 @@
 //! retrieve and digest-refresh accounting every substrate shares lives
 //! here too ([`retrieve`], [`refresh_digests`]).
 
-use crate::digest::{RecordVisitor, RouteTable};
+use crate::digest::{Probe, RecordVisitor, RouteTable};
 use crate::event::PropMode;
 use crate::index_node::IndexNode;
 use crate::latency::LatencyModel;
@@ -38,6 +38,7 @@ use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use up2p_store::Query;
 
 /// One locally matching record: `(key, provider, fields)`.
@@ -63,15 +64,48 @@ pub(crate) fn index_matches(
     matches
 }
 
-/// A query copy in flight. `path` is the route travelled so far,
-/// *excluding* the destination (the last element is the immediate
-/// sender); hits found at the destination travel back along it.
+/// A query copy in flight. `via` is the visit that sent it — an index
+/// into its query's trail ([`Progress::route`]), [`ENTRY`] for the copy
+/// that enters the overlay — so a copy carries its whole route in four
+/// bytes and forwarding one allocates nothing. Hits found at the
+/// destination travel back along that route.
 pub(crate) struct Hop {
     pub to: u32,
-    pub path: Vec<u32>,
+    pub via: u32,
     pub ttl: u8,
     pub mode: PropMode,
 }
+
+/// The `via` of a copy nobody forwarded: the query entering the overlay.
+pub(crate) const ENTRY: u32 = u32::MAX;
+
+/// Hashes a node id with one multiplication. Ids are dense and chosen by
+/// the topology, never by a remote party, so the per-process SipHash key
+/// a `HashSet` defaults to buys nothing here and costs most of a visit's
+/// dedup check.
+#[derive(Default)]
+struct NodeIdHasher(u64);
+
+impl Hasher for NodeIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        // not what a `u32` key calls; here so that any key hashes soundly
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FIBONACCI);
+        }
+    }
+    fn write_u32(&mut self, id: u32) {
+        // the table takes its bucket from the low bits and its tag from
+        // the high ones; an odd multiplier keeps dense ids distinct in the
+        // first and spreads them over the second
+        self.0 = u64::from(id).wrapping_mul(FIBONACCI);
+    }
+}
+
+/// 2^64 / φ, odd.
+const FIBONACCI: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Where the walk's deliveries go.
 pub(crate) trait Sink {
@@ -96,11 +130,22 @@ pub(crate) struct Progress {
     pub outcome: SearchOutcome,
     pub last_hit_at: Time,
     pub quiescence: Time,
-    seen: HashSet<u32>,
+    seen: HashSet<u32, BuildHasherDefault<NodeIdHasher>>,
     hit_seen: HashSet<(String, PeerId)>,
+    /// One `(node, via)` per visit that forwarded: the node, and the
+    /// trail index of the visit that had sent it the copy ([`ENTRY`] for
+    /// the first). Every copy a visit sends names that visit's entry, so
+    /// parent pointers hold every route of the query once.
+    trail: Vec<(u32, u32)>,
     /// The leaf origin behind the entry super, when there is one: the
     /// last reverse hop of every hit batch.
     leaf: Option<u32>,
+}
+
+/// The nodes a copy sent by visit `via` travelled, sender first.
+fn route_back(trail: &[(u32, u32)], via: u32) -> impl Iterator<Item = u32> + '_ {
+    let visit = |via: u32| trail.get(via as usize).copied();
+    std::iter::successors(visit(via), move |&(_, via)| visit(via)).map(|(node, _)| node)
 }
 
 impl Progress {
@@ -110,14 +155,25 @@ impl Progress {
             outcome: SearchOutcome::default(),
             last_hit_at: t0,
             quiescence: t0,
-            seen: HashSet::new(),
+            seen: HashSet::default(),
             hit_seen: HashSet::new(),
+            trail: Vec::new(),
             leaf: None,
         }
     }
 
+    /// The route of a copy whose [`Hop::via`] is `via`, entry first and
+    /// immediate sender last (the destination is not part of it). For
+    /// logs and tests: the walk itself only ever reads a route backwards.
+    pub fn route(&self, via: u32) -> Vec<u32> {
+        let mut route: Vec<u32> = route_back(&self.trail, via).collect();
+        route.reverse();
+        route
+    }
+
     /// Closes the query once nothing of it is in flight: latencies
-    /// become relative to `issued_at` and the dedup sets are released.
+    /// become relative to `issued_at`, and the dedup sets and the trail
+    /// are released.
     pub fn finish(&mut self, issued_at: Time, stats: &mut NetStats) {
         let found = !self.outcome.hits.is_empty();
         let end = if found { self.last_hit_at } else { self.quiescence };
@@ -127,8 +183,9 @@ impl Progress {
         if found {
             stats.queries_with_hits += 1;
         }
-        self.seen = HashSet::new();
+        self.seen = HashSet::default();
         self.hit_seen = HashSet::new();
+        self.trail = Vec::new();
     }
 }
 
@@ -170,7 +227,7 @@ impl Walk<'_> {
     {
         let mode =
             if self.routes.config().enabled { PropMode::Guided } else { PropMode::Flood };
-        let hop = Hop { to: entry.unwrap_or(origin), path: Vec::new(), ttl: self.ttl, mode };
+        let hop = Hop { to: entry.unwrap_or(origin), via: ENTRY, ttl: self.ttl, mode };
         let Some(entry) = entry else { return self.visit(p, t0, hop, false, eval, sink) };
         let mut at = t0;
         if entry != origin {
@@ -225,7 +282,7 @@ impl Walk<'_> {
         E: FnMut(u32) -> Vec<Match>,
         S: Sink,
     {
-        let Hop { to, mut path, ttl, mode } = hop;
+        let Hop { to, via, ttl, mode } = hop;
         p.quiescence = p.quiescence.max(t);
         if !is_alive(self.alive, PeerId(to)) {
             self.stats.dropped += 1;
@@ -248,14 +305,16 @@ impl Walk<'_> {
             // summed reverse delays
             let mut back: Time = 0;
             let mut prev = to;
-            for &node in path.iter().rev().chain(&p.leaf) {
+            let mut edges = 0u32;
+            for node in route_back(&p.trail, via).chain(p.leaf) {
                 self.stats.sent(MsgKind::QueryHit);
                 p.outcome.messages += 1;
                 back += self.latency.delay(PeerId(prev), PeerId(node));
                 prev = node;
+                edges += 1;
             }
             let arrival = t + back;
-            let hops = path.len() as u8 + u8::from(p.leaf.is_some());
+            let hops = edges as u8;
             let mut new_hits = 0;
             for (key, provider, fields) in matches {
                 if p.hit_seen.insert((key.clone(), provider)) {
@@ -279,13 +338,16 @@ impl Walk<'_> {
         if ttl == 0 {
             return;
         }
-        let sender = path.last().copied();
-        path.push(to);
+        let sender = p.trail.get(via as usize).map(|&(node, _)| node);
+        // this visit's place on the trail: what every copy it sends names
+        let visit = p.trail.len() as u32;
+        p.trail.push((to, via));
         if mode == PropMode::Flood {
             // forward to all neighbors except the immediate sender
             let topology = self.topology;
             for nb in topology.neighbors(PeerId(to)).filter(|nb| Some(nb.0) != sender) {
-                self.send(p, t, nb.0, &path, ttl - 1, PropMode::Flood, sink);
+                let copy = Hop { to: nb.0, via: visit, ttl: ttl - 1, mode: PropMode::Flood };
+                self.send(p, t, to, copy, sink);
             }
         } else {
             // guided copies and walkers re-consult the digests every hop
@@ -293,67 +355,55 @@ impl Walk<'_> {
             // forwarding); a fallback where the query entered spawns the
             // full walker width, mid-path dead ends continue as one
             let width = if sender.is_none() { self.routes.config().walk_width } else { 1 };
-            self.forward_guided(p, t, sender, &path, ttl, width, sink);
+            self.forward_guided(p, t, sender, (to, visit), ttl, width, sink);
         }
     }
 
-    /// Forwards one guided copy holding `ttl > 0` from the last node of
-    /// `path`: digest-matching neighbors (closest plausible match first, capped
-    /// at the fanout) when any exist, else up to `walk_width` random
-    /// walkers so stale or saturated digests degrade to extra messages,
-    /// not misses.
+    /// Forwards one guided copy holding `ttl > 0` from node `from`, whose
+    /// visit is entry `visit` of the trail: digest-matching neighbors
+    /// (closest plausible match first, capped at the fanout) when any
+    /// exist, else up to `walk_width` random walkers so stale or saturated
+    /// digests degrade to extra messages, not misses.
     #[allow(clippy::too_many_arguments)]
     fn forward_guided<S: Sink>(
         &mut self,
         p: &mut Progress,
         t: Time,
         sender: Option<u32>,
-        path: &[u32],
+        (from, visit): (u32, u32),
         ttl: u8,
         walk_width: usize,
         sink: &mut S,
     ) {
-        let Some(&from) = path.last() else { return };
         let mut options: Vec<u32> = self
             .topology
             .neighbors(PeerId(from))
             .map(|nb| nb.0)
             .filter(|&nb| Some(nb) != sender)
             .collect();
+        // hashed once for every layer of every neighbor asked below
+        let probe = Probe::new(self.community, self.query);
         let mut candidates: Vec<(u8, u32)> = options
             .iter()
-            .filter_map(|&nb| {
-                let depth = self.routes.min_depth(nb, from, self.community, self.query, ttl);
-                depth.map(|d| (d, nb))
-            })
+            .filter_map(|&nb| self.routes.min_depth(nb, from, &probe, ttl).map(|d| (d, nb)))
             .collect();
         candidates.sort_unstable();
-        for (_, nb) in candidates.iter().take(self.routes.config().fanout.max(1)) {
-            self.send(p, t, *nb, path, ttl - 1, PropMode::Guided, sink);
+        let copy = |to, mode| Hop { to, via: visit, ttl: ttl - 1, mode };
+        for &(_, nb) in candidates.iter().take(self.routes.config().fanout.max(1)) {
+            self.send(p, t, from, copy(nb, PropMode::Guided), sink);
         }
         if candidates.is_empty() {
             for _ in 0..walk_width.min(options.len()) {
                 let nb = options.swap_remove(self.walk_rng.gen_range(0..options.len()));
-                self.send(p, t, nb, path, ttl - 1, PropMode::Walk, sink);
+                self.send(p, t, from, copy(nb, PropMode::Walk), sink);
             }
         }
     }
 
-    /// Sends one copy from the last node of `path` to `to`.
-    #[allow(clippy::too_many_arguments)]
-    fn send<S: Sink>(
-        &mut self,
-        p: &mut Progress,
-        t: Time,
-        to: u32,
-        path: &[u32],
-        ttl: u8,
-        mode: PropMode,
-        sink: &mut S,
-    ) {
-        let Some(&from) = path.last() else { return };
-        let at = t + self.query_hop(p, from, to);
-        sink.forward(at, Hop { to, path: path.to_vec(), ttl, mode });
+    /// Sends `copy` from node `from`.
+    fn send<S: Sink>(&mut self, p: &mut Progress, t: Time, from: u32, copy: Hop, sink: &mut S) {
+        let at = t + self.query_hop(p, from, copy.to);
+        sink.forward(at, copy);
     }
 
     /// Counts one `Query` crossing `from → to` and draws its delay.
@@ -428,7 +478,11 @@ mod tests {
     /// Records what the core hands its driver.
     #[derive(Default)]
     struct Recorder {
-        /// `(at, to, path, ttl, mode)` per forwarded copy.
+        /// Every forwarded copy as the sink received it.
+        copies: Vec<(Time, Hop)>,
+        /// `(at, to, path, ttl, mode)` per forwarded copy: `copies` with
+        /// each `via` resolved through the query's trail into the route
+        /// the copy carries ([`Recorder::resolve`]).
         forwards: Vec<(Time, u32, Vec<u32>, u8, PropMode)>,
         /// `(at, new hits)` per returned batch.
         batches: Vec<(Time, u32)>,
@@ -436,7 +490,7 @@ mod tests {
 
     impl Sink for Recorder {
         fn forward(&mut self, at: Time, hop: Hop) {
-            self.forwards.push((at, hop.to, hop.path, hop.ttl, hop.mode));
+            self.copies.push((at, hop));
         }
         fn hits_return(&mut self, at: Time, n: u32) {
             self.batches.push((at, n));
@@ -444,8 +498,31 @@ mod tests {
     }
 
     impl Recorder {
+        /// Reads the recorded copies' routes off `p`'s trail, once the
+        /// visit that sent them has returned.
+        fn resolve(mut self, p: &Progress) -> Recorder {
+            self.forwards = self
+                .copies
+                .iter()
+                .map(|(at, hop)| (*at, hop.to, p.route(hop.via), hop.ttl, hop.mode))
+                .collect();
+            self
+        }
+
         fn targets(&self) -> Vec<u32> {
             self.forwards.iter().map(|f| f.1).collect()
+        }
+    }
+
+    impl Progress {
+        /// Lays `path` (entry first, immediate sender last) onto the
+        /// trail as a chain of forwarding visits and returns the `via` of
+        /// a copy that travelled it.
+        fn travelled(&mut self, path: &[u32]) -> u32 {
+            path.iter().fold(ENTRY, |via, &node| {
+                self.trail.push((node, via));
+                self.trail.len() as u32 - 1
+            })
         }
     }
 
@@ -536,7 +613,7 @@ mod tests {
             let mut sink = Recorder::default();
             let (mut walk, eval) = self.parts();
             walk.start(p, t0, origin, entry, eval, &mut sink);
-            sink
+            sink.resolve(p)
         }
 
         fn arrive(
@@ -549,9 +626,10 @@ mod tests {
             mode: PropMode,
         ) -> Recorder {
             let mut sink = Recorder::default();
+            let via = p.travelled(path);
             let (mut walk, eval) = self.parts();
-            walk.arrive(p, t, Hop { to, path: path.to_vec(), ttl, mode }, eval, &mut sink);
-            sink
+            walk.arrive(p, t, Hop { to, via, ttl, mode }, eval, &mut sink);
+            sink.resolve(p)
         }
     }
 

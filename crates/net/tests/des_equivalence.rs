@@ -15,8 +15,8 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use up2p_net::{
     build_network_with, DesNetwork, DigestConfig, IndexNode, LatencySpec, MsgKind, NetConfig,
-    NetStats, PeerId, PeerNetwork, ProtocolKind, RecordArena, ResourceRecord, RoutingDigest,
-    SearchOutcome, ShareTable, Topology,
+    NetStats, PeerId, PeerIndexes, PeerNetwork, ProtocolKind, RecordArena, ResourceRecord,
+    RoutingDigest, SearchOutcome, ShareTable, Topology,
 };
 use up2p_store::{Query, ValuePattern};
 
@@ -398,7 +398,7 @@ proptest! {
     }
 
     /// The two [`ShareTable`] layouts — the DES record arena and the
-    /// step substrate's per-peer `IndexNode` — answer alike through the
+    /// step substrate's [`PeerIndexes`] — answer alike through the
     /// one trait after every write of a random tape, and advertise
     /// bit-identical routing digests for any publish/unpublish history.
     /// The search equivalences above rest on this.
@@ -409,14 +409,13 @@ proptest! {
         log2_bits in 6u8..12,
         tape in table_ops(),
     ) {
-        let mut nodes = <Vec<IndexNode>>::with_peers(TABLE_PEERS as usize);
+        let mut nodes = PeerIndexes::with_peers(TABLE_PEERS as usize);
         let mut arena = RecordArena::with_peers(TABLE_PEERS as usize);
         for (i, op) in tape.iter().enumerate() {
             // what the write pushed out is what the digests are told left
             let own = |r: Option<(&str, up2p_net::SharedFields)>| {
                 r.map(|(community, fields)| (community.to_string(), fields.to_vec()))
             };
-            // (through the trait by name: `Vec` has a `remove` of its own)
             let (from_nodes, from_arena) = if op.remove {
                 (
                     own(ShareTable::remove(&mut nodes, op.peer, &op.record.key)),

@@ -7,7 +7,8 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use up2p_net::{
     build_network, ConstantLatency, DigestConfig, FloodingConfig, FloodingNetwork, IndexNode,
-    PeerId, PeerNetwork, ProtocolKind, ResourceRecord, RouteTable, RoutingDigest, Topology,
+    PeerId, PeerIndexes, PeerNetwork, ProtocolKind, ResourceRecord, RouteTable, RoutingDigest,
+    ShareTable, SharedFields, Topology,
 };
 use up2p_store::{Query, ValuePattern};
 
@@ -331,6 +332,73 @@ proptest! {
                 !answered || digest.may_match(community, &query),
                 "digest denies {} in {} although the index answers it", query, community
             );
+        }
+    }
+
+    /// The flood's term summary never hides a match and never invents
+    /// one: after every write of a random tape — fresh publishes,
+    /// republishes with other fields or into the other community,
+    /// withdrawals of present and absent keys — the summarised table
+    /// answers every query form exactly as a plain [`IndexNode`] given the
+    /// same writes does, peer by peer and community by community (the
+    /// same words live in both communities, so a term present only in
+    /// the other one is asked for all the time). The table's writes set
+    /// summary bits or rebuild a peer's words; the plain nodes have no
+    /// summary.
+    #[test]
+    fn term_summary_never_changes_an_answer(
+        ops in digest_ops(3),
+        queries in pvec(oracle_query(), 1..4),
+    ) {
+        let mut table = PeerIndexes::with_peers(3);
+        let mut plain: Vec<IndexNode> = (0..3).map(|_| IndexNode::new()).collect();
+        let own = |r: Option<(&str, SharedFields)>| r.map(|(c, f)| (c.to_string(), f.to_vec()));
+        for (i, op) in ops.iter().enumerate() {
+            match op {
+                DigestOp::Publish { at, key, community, fields, .. } => {
+                    let record = ResourceRecord::new(
+                        format!("k{key}"), COMMUNITIES[*community], fields.clone());
+                    prop_assert_eq!(
+                        own(table.upsert(*at, &record)),
+                        own(plain[*at as usize].upsert(PeerId(*at), &record)),
+                        "op #{}: {:?}", i, op
+                    );
+                }
+                DigestOp::Unpublish { at, key, .. } => {
+                    let key = format!("k{key}");
+                    prop_assert_eq!(
+                        own(ShareTable::remove(&mut table, *at, &key)),
+                        own(plain[*at as usize].remove(PeerId(*at), &key)),
+                        "op #{}: {:?}", i, op
+                    );
+                }
+                DigestOp::Refresh => continue,
+            }
+            for query in &queries {
+                for community in COMMUNITIES {
+                    // one matcher for the walk's worth of peers, as the flood uses it
+                    let mut matcher = table.matcher(community, query);
+                    for peer in 0..4u32 {
+                        let mut expected = Vec::new();
+                        if let Some(node) = plain.get(peer as usize) {
+                            node.search(community, query, |_| true, |key, provider, fields| {
+                                expected.push((key.to_string(), provider, fields.to_vec()));
+                            });
+                        }
+                        let got: Vec<_> = matcher(peer)
+                            .into_iter()
+                            .map(|(key, provider, fields)| (key, provider, fields.to_vec()))
+                            .collect();
+                        prop_assert_eq!(
+                            &got, &expected,
+                            "peer {} answers {} in {} differently after op #{}: {:?}",
+                            peer, query, community, i, op
+                        );
+                        let again = table.matches(peer, community, query);
+                        prop_assert_eq!(again.len(), expected.len(), "matches() is the matcher");
+                    }
+                }
+            }
         }
     }
 

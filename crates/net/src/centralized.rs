@@ -7,7 +7,10 @@
 //! whose provider is currently online (Napster dropped a user's records
 //! with their session). The server's records live in a
 //! [`ShardedIndexNode`] — the community-sharded, read-mostly table —
-//! so query evaluation is a posting-list lookup behind read guards, and
+//! so a query is a posting-list lookup behind read guards and each
+//! candidate's providers are one read of a table indexed by the posting
+//! list's own doc-ids; the rest of a search is building the
+//! [`SearchHit`]s (a key `String` each; the fields are shared).
 //! [`PeerNetwork::search_batch`] serves many in-flight queries from a
 //! thread pool at once (timed by `search_napster`'s `net.pool.*` probes).
 
@@ -114,9 +117,7 @@ impl CentralizedNetwork {
         arrival: Time,
     ) {
         Self::evaluate(&self.server, &self.alive, community, query, outcome, arrival);
-        for _ in &outcome.hits {
-            self.stats.hit(1);
-        }
+        self.stats.hits(1, outcome.hits.len() as u64);
     }
 }
 
@@ -188,9 +189,7 @@ impl PeerNetwork for CentralizedNetwork {
         // hit counters merge afterwards: identical totals and by_kind()
         // view to issuing the batch through `search` one at a time
         for outcome in &outcomes {
-            for _ in &outcome.hits {
-                self.stats.hit(1);
-            }
+            self.stats.hits(1, outcome.hits.len() as u64);
             self.stats.queries_with_hits += u64::from(!outcome.hits.is_empty());
         }
         outcomes

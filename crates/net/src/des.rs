@@ -151,23 +151,31 @@ impl ShareTable for RecordArena {
         self.by_peer.get(peer as usize).map_or(0, Vec::len)
     }
 
-    /// A scan of `peer`'s records, in insertion order.
-    fn matches(&self, peer: u32, community: &str, query: &Query) -> Vec<Match> {
-        let Some(&cid) = self.community_ids.get(community) else { return Vec::new() };
-        let Some(list) = self.by_peer.get(peer as usize) else { return Vec::new() };
-        let mut out = Vec::new();
-        for &slot in list {
-            if self.communities[slot as usize] == cid
-                && query.matches_fields(&self.fields[slot as usize])
-            {
-                out.push((
-                    self.keys[slot as usize].clone(),
-                    PeerId(peer),
-                    SharedFields::clone(&self.fields[slot as usize]),
-                ));
+    /// A scan of each visited peer's records, in insertion order.
+    fn matcher<'a>(
+        &'a self,
+        community: &'a str,
+        query: &'a Query,
+    ) -> impl FnMut(u32) -> Vec<Match> + 'a {
+        let cid = self.community_ids.get(community).copied();
+        move |peer| {
+            let (Some(cid), Some(list)) = (cid, self.by_peer.get(peer as usize)) else {
+                return Vec::new();
+            };
+            let mut out = Vec::new();
+            for &slot in list {
+                if self.communities[slot as usize] == cid
+                    && query.matches_fields(&self.fields[slot as usize])
+                {
+                    out.push((
+                        self.keys[slot as usize].clone(),
+                        PeerId(peer),
+                        SharedFields::clone(&self.fields[slot as usize]),
+                    ));
+                }
             }
+            out
         }
-        out
     }
 
     fn for_each_record(&self, peer: u32, visit: &mut RecordVisitor<'_>) {
@@ -871,11 +879,11 @@ mod tests {
         for (i, artist) in ["miles davis", "john coltrane"].iter().enumerate() {
             let rec = track(&format!("k{i}"), artist);
             arena.upsert(0, &rec);
-            node.upsert(PeerId(0), &rec);
+            node.upsert_slot(PeerId(0), &rec);
         }
         // remove one so live-term filtering is exercised
         arena.remove(0, "k0");
-        node.remove(PeerId(0), "k0");
+        node.remove_slot(PeerId(0), "k0");
         let mut from_arena = RoutingDigest::new(10);
         arena.for_each_record(0, &mut |community, fields| from_arena.add_record(community, fields));
         let mut from_node = RoutingDigest::new(10);

@@ -1000,16 +1000,16 @@ mod tests {
 
         fn upsert(&mut self, at: u32, provider: u32, record: &ResourceRecord) {
             let node = &mut self.nodes[at as usize];
-            if let Some((community, fields)) = node.upsert(PeerId(provider), record) {
-                self.table.record_removed(at, community, &fields);
+            if let Some((slot, fields)) = node.upsert_slot(PeerId(provider), record) {
+                self.table.record_removed(at, node.community_name(slot), &fields);
             }
             self.table.record_added(at, &record.community, &record.fields);
         }
 
         fn remove(&mut self, at: u32, provider: u32, key: &str) {
             let node = &mut self.nodes[at as usize];
-            if let Some((community, fields)) = node.remove(PeerId(provider), key) {
-                self.table.record_removed(at, community, &fields);
+            if let Some((slot, fields)) = node.remove_slot(PeerId(provider), key) {
+                self.table.record_removed(at, node.community_name(slot), &fields);
             }
         }
 
@@ -1117,7 +1117,7 @@ mod tests {
         let mut before = RoutingDigest::new(12);
         before.add_node(&node);
         assert!(before.may_match("c", &Query::any_keyword("ephemeral")));
-        node.remove(PeerId(0), "k0");
+        node.remove_slot(PeerId(0), "k0");
         let mut after = RoutingDigest::new(12);
         after.add_node(&node);
         assert!(!after.may_match("c", &Query::any_keyword("ephemeral")));

@@ -85,20 +85,21 @@ pub trait ShareTable {
     /// Number of records `peer` shares.
     fn shared_count(&self, peer: u32) -> usize;
 
-    /// `peer`'s records matching `query` within `community`, as
-    /// `(key, provider, fields)` — the local evaluation of a query copy
-    /// that reached a live `peer`. Order is the layout's own.
-    fn matches(&self, peer: u32, community: &str, query: &Query) -> Vec<Match>;
-
-    /// [`ShareTable::matches`] for every peer one query visits: whatever
-    /// the layout can work out from `community` and `query` alone it
-    /// works out here, once, not at each peer.
+    /// The local evaluation of one query at every peer it visits: the
+    /// returned closure maps a live `peer` its copy reached to that
+    /// peer's records matching `query` within `community`, as
+    /// `(key, provider, fields)` in the layout's own order. Whatever the
+    /// layout can work out from `community` and `query` alone it works
+    /// out here, once, not at each peer.
     fn matcher<'a>(
         &'a self,
         community: &'a str,
         query: &'a Query,
-    ) -> impl FnMut(u32) -> Vec<Match> + 'a {
-        move |peer| self.matches(peer, community, query)
+    ) -> impl FnMut(u32) -> Vec<Match> + 'a;
+
+    /// [`ShareTable::matcher`] asked of one peer.
+    fn matches(&self, peer: u32, community: &str, query: &Query) -> Vec<Match> {
+        self.matcher(community, query)(peer)
     }
 
     /// Visits `(community, fields)` of every record `peer` shares — what
@@ -192,10 +193,6 @@ impl ShareTable for PeerIndexes {
 
     fn shared_count(&self, peer: u32) -> usize {
         self.nodes.get(peer as usize).map_or(0, IndexNode::len)
-    }
-
-    fn matches(&self, peer: u32, community: &str, query: &Query) -> Vec<Match> {
-        self.matcher(community, query)(peer)
     }
 
     fn matcher<'a>(

@@ -20,28 +20,41 @@
 
 use crate::message::{ResourceRecord, SharedFields};
 use crate::peer::PeerId;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use up2p_store::{MetadataIndex, Query, ResourceId};
 
 /// One community's slice of an index node: the inverted metadata index
-/// plus the provider set per record. [`IndexNode`] holds these inline;
+/// plus the providers of each record. [`IndexNode`] holds these inline;
 /// [`crate::ShardedIndexNode`] puts each behind its own `RwLock` shard.
 #[derive(Debug, Default)]
 pub(crate) struct CommunityTable {
     index: MetadataIndex,
-    /// Record key → peers currently advertising the record. `BTreeSet`
-    /// keeps per-record hit emission deterministic (ascending peer id,
-    /// as the pre-index scan produced).
-    providers: HashMap<ResourceId, BTreeSet<PeerId>>,
+    /// The index's doc-id → peers currently advertising that record,
+    /// ascending (hit emission per record is deterministic, as the
+    /// pre-index scan produced). A search candidate arrives as a doc-id;
+    /// a key-addressed operation pays `MetadataIndex::doc_of` first. The
+    /// index recycles the doc-id of a removed record, so `take_record`
+    /// empties the slot in the same step.
+    providers: Vec<Vec<PeerId>>,
 }
 
 impl CommunityTable {
+    fn providers_of(&self, key: &str) -> Option<&Vec<PeerId>> {
+        self.providers.get(self.index.doc_of(key)? as usize)
+    }
+
+    fn providers_mut(&mut self, key: &str) -> Option<&mut Vec<PeerId>> {
+        self.providers.get_mut(self.index.doc_of(key)? as usize)
+    }
+
     /// Adds `provider` to an already-indexed key. Returns `false` when
     /// the key is not present here (caller indexes the record fresh).
     pub(crate) fn add_provider(&mut self, key: &str, provider: PeerId) -> bool {
-        match self.providers.get_mut(key) {
+        match self.providers_mut(key) {
             Some(set) => {
-                set.insert(provider);
+                if let Err(at) = set.binary_search(&provider) {
+                    set.insert(at, provider);
+                }
                 true
             }
             None => false,
@@ -51,26 +64,34 @@ impl CommunityTable {
     /// Indexes a fresh record (one refcount bump on the shared metadata)
     /// with `provider` as its first advertiser.
     pub(crate) fn index_record(&mut self, id: ResourceId, provider: PeerId, fields: &SharedFields) {
-        self.index.insert_shared(id.clone(), SharedFields::clone(fields));
-        self.providers.insert(id, BTreeSet::from([provider]));
+        let doc = self.index.insert_shared(id, SharedFields::clone(fields)) as usize;
+        if doc >= self.providers.len() {
+            self.providers.resize_with(doc + 1, Vec::new);
+        }
+        if let Some(set) = self.providers.get_mut(doc) {
+            set.clear();
+            set.push(provider);
+        }
     }
 
     /// Removes the record and its postings outright, returning the
-    /// provider set it had (for upsert's provider-preserving replace)
-    /// and the fields it was indexed under.
-    pub(crate) fn take_record(&mut self, key: &str) -> Option<(BTreeSet<PeerId>, SharedFields)> {
-        let (id, providers) = self.providers.remove_entry(key)?;
-        // a key the provider table knows is in the index too
-        let fields = self.index.shared_fields(&id).cloned().unwrap_or_else(|| Vec::new().into());
-        self.index.remove(&id);
-        Some((providers, fields))
+    /// providers it had (for upsert's provider-preserving replace) and
+    /// the fields it was indexed under.
+    pub(crate) fn take_record(&mut self, key: &str) -> Option<(Vec<PeerId>, SharedFields)> {
+        let doc = self.index.doc_of(key)?;
+        let fields = self.index.remove(&ResourceId::from_key(key))?;
+        // `doc` now belongs to whichever record the index admits next
+        let providers = self.providers.get_mut(doc as usize).map(std::mem::take);
+        Some((providers.unwrap_or_default(), fields))
     }
 
-    /// Merges `extra` into the record's provider set (no-op when the key
-    /// is absent).
-    pub(crate) fn extend_providers(&mut self, key: &str, extra: BTreeSet<PeerId>) {
-        if let Some(set) = self.providers.get_mut(key) {
+    /// Merges `extra` into the record's providers (no-op when the key is
+    /// absent).
+    pub(crate) fn extend_providers(&mut self, key: &str, extra: Vec<PeerId>) {
+        if let Some(set) = self.providers_mut(key) {
             set.extend(extra);
+            set.sort_unstable();
+            set.dedup();
         }
     }
 
@@ -79,9 +100,11 @@ impl CommunityTable {
     /// (targeted replay — cost proportional to the record, not the
     /// index). Returns the record's fields exactly when it disappeared.
     pub(crate) fn remove_provider(&mut self, key: &str, provider: PeerId) -> Option<SharedFields> {
-        let providers = self.providers.get_mut(key)?;
-        providers.remove(&provider);
-        if !providers.is_empty() {
+        let set = self.providers_mut(key)?;
+        if let Ok(at) = set.binary_search(&provider) {
+            set.remove(at);
+        }
+        if !set.is_empty() {
             return None;
         }
         self.take_record(key).map(|(_, fields)| fields)
@@ -89,12 +112,12 @@ impl CommunityTable {
 
     /// Is `provider` currently advertising the record?
     pub(crate) fn has_provider(&self, key: &str, provider: PeerId) -> bool {
-        self.providers.get(key).is_some_and(|set| set.contains(&provider))
+        self.providers_of(key).is_some_and(|set| set.binary_search(&provider).is_ok())
     }
 
     /// Number of providers advertising the record.
     pub(crate) fn provider_count(&self, key: &str) -> usize {
-        self.providers.get(key).map_or(0, BTreeSet::len)
+        self.providers_of(key).map_or(0, Vec::len)
     }
 
     /// Visits the fields of every live record of this community.
@@ -104,19 +127,18 @@ impl CommunityTable {
 
     /// Evaluates a query against this community's records, invoking
     /// `emit(key, provider, fields)` for every (record, live provider)
-    /// pair. Candidates arrive in insertion order, providers in
-    /// ascending peer id.
+    /// pair. Candidates arrive in doc-id order — insertion order, except
+    /// that a record admitted after a removal takes the place freed last
+    /// — providers in ascending peer id.
     pub(crate) fn search<A, E>(&self, query: &Query, alive: A, mut emit: E)
     where
         A: Fn(PeerId) -> bool,
         E: FnMut(&str, PeerId, &SharedFields),
     {
-        self.index.for_each_match(query, |id, fields| {
-            if let Some(providers) = self.providers.get(id) {
-                for &p in providers {
-                    if alive(p) {
-                        emit(id.as_hex(), p, fields);
-                    }
+        self.index.for_each_match_doc(query, |doc, id, fields| {
+            for &p in self.providers.get(doc as usize).into_iter().flatten() {
+                if alive(p) {
+                    emit(id.as_hex(), p, fields);
                 }
             }
         });
@@ -132,8 +154,8 @@ impl CommunityTable {
 /// * [`IndexNode::insert`] keeps the first record published under a key
 ///   and only adds providers afterwards (the `or_insert` semantics the
 ///   centralized server and super-peer tables had), while
-///   [`IndexNode::upsert`] replaces the stored record (the overwrite
-///   semantics a peer's own share table had),
+///   [`IndexNode::upsert_slot`] replaces the stored record (the
+///   overwrite semantics a peer's own share table had),
 /// * a record disappears when its last provider withdraws,
 /// * `search` evaluates one community's sub-index and filters candidate
 ///   records through a caller-supplied liveness predicate.
@@ -210,20 +232,10 @@ impl IndexNode {
     /// Gnutella peer republishing a key shares the new record, not the
     /// old one). Providers accumulated under the old record are kept.
     /// The record always enters the share table; the return value is the
-    /// `(community, fields)` of the stored record it pushed out, if any.
-    pub fn upsert(
-        &mut self,
-        provider: PeerId,
-        record: &ResourceRecord,
-    ) -> Option<(&str, SharedFields)> {
-        let (old_slot, old_fields) = self.upsert_slot(provider, record)?;
-        Some((self.community_name(old_slot), old_fields))
-    }
-
-    /// [`IndexNode::upsert`], naming the community of the record pushed
-    /// out by its slot ([`IndexNode::community_name`]) — which leaves the
-    /// node free for the caller to read before it takes the name.
-    pub(crate) fn upsert_slot(
+    /// `(community slot, fields)` of the stored record it pushed out, if
+    /// any. A slot reads back through [`IndexNode::community_name`],
+    /// which leaves the node free for the caller to use in between.
+    pub fn upsert_slot(
         &mut self,
         provider: PeerId,
         record: &ResourceRecord,
@@ -243,18 +255,8 @@ impl IndexNode {
 
     /// Withdraws `provider`'s copy of the record; the record's postings
     /// disappear with its last provider, and only then is its
-    /// `(community, fields)` returned.
-    pub fn remove(&mut self, provider: PeerId, key: &str) -> Option<(&str, SharedFields)> {
-        let (slot, fields) = self.remove_slot(provider, key)?;
-        Some((self.community_name(slot), fields))
-    }
-
-    /// [`IndexNode::remove`], naming the community by its slot.
-    pub(crate) fn remove_slot(
-        &mut self,
-        provider: PeerId,
-        key: &str,
-    ) -> Option<(u32, SharedFields)> {
+    /// `(community slot, fields)` returned.
+    pub fn remove_slot(&mut self, provider: PeerId, key: &str) -> Option<(u32, SharedFields)> {
         let &slot = self.by_key.get(key)?;
         let fields = self.communities[slot as usize].remove_provider(key, provider)?;
         self.by_key.remove(key);
@@ -262,9 +264,10 @@ impl IndexNode {
     }
 
     /// The community a slot returned by [`IndexNode::upsert_slot`] or
-    /// [`IndexNode::remove_slot`] stands for.
-    pub(crate) fn community_name(&self, slot: u32) -> &str {
-        &self.slot_names[slot as usize]
+    /// [`IndexNode::remove_slot`] stands for; empty for a number neither
+    /// returned.
+    pub fn community_name(&self, slot: u32) -> &str {
+        self.slot_names.get(slot as usize).map_or("", String::as_str)
     }
 
     /// Is `provider` currently advertising the record?
@@ -297,7 +300,8 @@ impl IndexNode {
     /// invoking `emit(key, provider, fields)` for every (record, live
     /// provider) pair. `alive` filters the candidate set the index
     /// produced — the full corpus is never scanned. Candidates arrive in
-    /// insertion order, providers in ascending peer id.
+    /// insertion order (a record admitted after a removal takes the place
+    /// freed last), providers in ascending peer id.
     pub fn search<A, E>(&self, community: &str, query: &Query, alive: A, emit: E)
     where
         A: Fn(PeerId) -> bool,
@@ -332,12 +336,12 @@ mod tests {
             hits(&node, "patterns", &Query::any_keyword("observer")),
             vec![("k1".to_string(), PeerId(1))]
         );
-        node.remove(PeerId(1), "k1");
+        node.remove_slot(PeerId(1), "k1");
         assert!(hits(&node, "patterns", &Query::any_keyword("observer")).is_empty());
         assert_eq!(node.len(), 1);
         // removing an absent key or provider is a no-op
-        node.remove(PeerId(9), "k2");
-        node.remove(PeerId(1), "missing");
+        node.remove_slot(PeerId(9), "k2");
+        node.remove_slot(PeerId(1), "missing");
         assert_eq!(node.len(), 1);
     }
 
@@ -367,10 +371,10 @@ mod tests {
         );
         assert!(node.has_provider("k", PeerId(3)));
         assert!(!node.has_provider("k", PeerId(2)));
-        node.remove(PeerId(1), "k");
+        node.remove_slot(PeerId(1), "k");
         assert_eq!(node.provider_count("k"), 1);
         assert_eq!(node.len(), 1);
-        node.remove(PeerId(3), "k");
+        node.remove_slot(PeerId(3), "k");
         assert!(node.is_empty());
     }
 
@@ -404,7 +408,7 @@ mod tests {
         let mut node = IndexNode::new();
         node.insert(PeerId(1), &record("k", "c", "original"));
         node.insert(PeerId(2), &record("k", "c", "original"));
-        node.upsert(PeerId(1), &record("k", "c", "changed"));
+        node.upsert_slot(PeerId(1), &record("k", "c", "changed"));
         assert_eq!(node.len(), 1);
         assert!(hits(&node, "c", &Query::any_keyword("original")).is_empty());
         // both providers survive the replacement
@@ -413,12 +417,53 @@ mod tests {
             vec![("k".to_string(), PeerId(1)), ("k".to_string(), PeerId(2))]
         );
         // an upsert can also move the record to another community
-        node.upsert(PeerId(1), &record("k", "d", "moved"));
+        node.upsert_slot(PeerId(1), &record("k", "d", "moved"));
         assert!(hits(&node, "c", &Query::All).is_empty());
         assert_eq!(hits(&node, "d", &Query::any_keyword("moved")).len(), 2);
         // and behaves as a plain insert for a fresh key
-        node.upsert(PeerId(3), &record("k2", "c", "fresh"));
+        node.upsert_slot(PeerId(3), &record("k2", "c", "fresh"));
         assert_eq!(hits(&node, "c", &Query::any_keyword("fresh")), vec![("k2".to_string(), PeerId(3))]);
+    }
+
+    #[test]
+    fn a_recycled_doc_slot_inherits_no_provider() {
+        let mut node = IndexNode::new();
+        node.insert(PeerId(1), &record("old", "c", "x"));
+        node.insert(PeerId(2), &record("old", "c", "x"));
+        node.insert(PeerId(5), &record("other", "c", "x"));
+        // the last provider out frees the record's doc-id ...
+        node.remove_slot(PeerId(1), "old");
+        node.remove_slot(PeerId(2), "old");
+        // ... and the next record of the community is admitted into it
+        node.insert(PeerId(3), &record("new", "c", "x"));
+        assert!(!node.has_provider("old", PeerId(1)) && !node.has_provider("old", PeerId(3)));
+        assert_eq!(node.provider_count("old"), 0);
+        assert_eq!(node.provider_count("new"), 1);
+        assert!(!node.has_provider("new", PeerId(1)) && !node.has_provider("new", PeerId(2)));
+        assert_eq!(
+            hits(&node, "c", &Query::All),
+            vec![("new".to_string(), PeerId(3)), ("other".to_string(), PeerId(5))],
+            "the recycled slot emits the new provider only, in the old record's place"
+        );
+        // the replace path frees and refills a slot in one call: the
+        // providers it carries over are the replaced record's own
+        node.insert(PeerId(4), &record("new", "c", "x"));
+        node.upsert_slot(PeerId(6), &record("new", "c", "y"));
+        assert_eq!(node.provider_count("new"), 3);
+        assert_eq!(
+            hits(&node, "c", &Query::any_keyword("y")),
+            [3, 4, 6].map(|p| ("new".to_string(), PeerId(p))).to_vec()
+        );
+        // moved to another community, the slot it leaves behind is empty
+        // for whoever comes next
+        node.upsert_slot(PeerId(6), &record("new", "d", "y"));
+        node.insert(PeerId(7), &record("next", "c", "z"));
+        assert_eq!(node.provider_count("next"), 1);
+        assert_eq!(
+            hits(&node, "c", &Query::All),
+            vec![("next".to_string(), PeerId(7)), ("other".to_string(), PeerId(5))]
+        );
+        assert_eq!(hits(&node, "d", &Query::All).len(), 3);
     }
 
     #[test]
@@ -455,7 +500,7 @@ mod tests {
         // withdrawing a community's last record drops it from the record
         // walk, and so from the digest, even though its sub-index slot
         // persists
-        node.remove(PeerId(1), "k1");
+        node.remove_slot(PeerId(1), "k1");
         let mut visited = Vec::new();
         node.for_each_record(|c, fields| visited.push((c.to_string(), fields.to_vec())));
         let jazz = record("k2", "songs", "Jazz").fields.to_vec();

@@ -319,13 +319,13 @@ impl Walk<'_> {
             for (key, provider, fields) in matches {
                 if p.hit_seen.insert((key.clone(), provider)) {
                     p.outcome.hits.push(SearchHit { key, provider, fields, hops });
-                    self.stats.hit(hops);
                     p.last_hit_at = p.last_hit_at.max(arrival);
                     p.outcome.first_hit_latency =
                         Some(p.outcome.first_hit_latency.map_or(arrival, |f| f.min(arrival)));
                     new_hits += 1;
                 }
             }
+            self.stats.hits(hops, u64::from(new_hits));
             if delivered {
                 sink.hits_return(arrival, new_hits);
             }

@@ -300,7 +300,7 @@ mod tests {
                 }
                 _ => {
                     sharded.remove(peer, &key);
-                    linear.remove(peer, &key);
+                    linear.remove_slot(peer, &key);
                 }
             }
             assert_eq!(sharded.len(), linear.len(), "step {step}");

@@ -136,10 +136,14 @@ impl NetStats {
         }
     }
 
-    /// Records a hit found at `hops`.
-    pub fn hit(&mut self, hops: u8) {
-        self.hits += 1;
-        *self.hit_hops.entry(hops).or_insert(0) += 1;
+    /// Records `n` hits found at `hops` — one answer's worth; none
+    /// leaves the histogram without an entry for `hops`.
+    pub fn hits(&mut self, hops: u8, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.hits += n;
+        *self.hit_hops.entry(hops).or_insert(0) += n;
     }
 
     /// Success rate of queries (hits ≥ 1).
@@ -261,15 +265,15 @@ mod tests {
         let mut a = NetStats::new();
         a.sent(MsgKind::Query);
         a.queries = 1;
-        a.hit(2);
+        a.hits(2, 1);
         let mut b = NetStats::new();
         b.sent(MsgKind::Query);
         b.sent(MsgKind::QueryHit);
         b.queries = 2;
         b.queries_with_hits = 1;
         b.dropped = 3;
-        b.hit(2);
-        b.hit(4);
+        b.hits(2, 1);
+        b.hits(4, 1);
         a.merge(&b);
         assert_eq!(a.messages, 3);
         assert_eq!(a.count(MsgKind::Query), 2);
@@ -285,11 +289,12 @@ mod tests {
     #[test]
     fn hit_histogram() {
         let mut s = NetStats::new();
-        s.hit(1);
-        s.hit(3);
-        s.hit(3);
+        s.hits(1, 1);
+        s.hits(3, 2);
+        s.hits(5, 0);
         assert_eq!(s.hits, 3);
         assert_eq!(s.hit_hops[&3], 2);
+        assert!(!s.hit_hops.contains_key(&5), "an empty answer leaves no entry");
     }
 
     #[test]

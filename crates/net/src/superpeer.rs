@@ -275,8 +275,9 @@ impl PeerNetwork for SuperPeerNetwork {
         self.owned[provider.index()].remove(key);
         // the record leaves the digests with its last provider
         let ServePlane { indexes, routes, .. } = &mut self.plane;
-        if let Some((community, fields)) = indexes[s as usize].remove(provider, key) {
-            routes.record_removed(s, community, &fields);
+        let node = &mut indexes[s as usize];
+        if let Some((slot, fields)) = node.remove_slot(provider, key) {
+            routes.record_removed(s, node.community_name(slot), &fields);
         }
     }
 

@@ -446,12 +446,12 @@ proptest! {
         );
         for op in &publishes {
             let record = ResourceRecord::new(&*op.key, op.community, op.fields.clone());
-            node.upsert(peer, &record);
+            node.upsert_slot(peer, &record);
             arena_net.publish(peer, record);
         }
         for (key, provider) in removals {
             let key = format!("k{key}");
-            node.remove(PeerId(provider), &key);
+            node.remove_slot(PeerId(provider), &key);
             arena_net.unpublish(PeerId(provider), &key);
         }
         let mut from_node = RoutingDigest::new(log2_bits);

@@ -121,38 +121,74 @@ fn oracle_query() -> impl Strategy<Value = Query> {
 /// The pre-refactor reference: a flat record table evaluated with a
 /// linear `Query::matches_fields` scan and per-record provider sets
 /// (first publish of a key wins, last provider removes the record).
+///
+/// Emission order is modelled too: within a community a record is
+/// emitted from the place it was admitted to — a new one at the end, or
+/// the place freed last when a record of that community has been removed
+/// since (how the index hands out doc-ids) — providers ascending.
 #[derive(Default)]
 struct LinearTable {
     records: BTreeMap<String, (ResourceRecord, BTreeSet<PeerId>)>,
+    /// Community → (key per place, freed places in the order freed).
+    places: BTreeMap<String, (Vec<Option<String>>, Vec<usize>)>,
 }
 
 impl LinearTable {
     fn publish(&mut self, provider: PeerId, record: &ResourceRecord) {
-        self.records
-            .entry(record.key.clone())
-            .or_insert_with(|| (record.clone(), BTreeSet::new()))
-            .1
-            .insert(provider);
-    }
-
-    fn unpublish(&mut self, provider: PeerId, key: &str) {
-        if let Some((_, providers)) = self.records.get_mut(key) {
-            providers.remove(&provider);
-            if providers.is_empty() {
-                self.records.remove(key);
-            }
+        if let Some((_, providers)) = self.records.get_mut(&record.key) {
+            providers.insert(provider);
+            return;
+        }
+        self.records.insert(record.key.clone(), (record.clone(), BTreeSet::from([provider])));
+        let (keys, free) = self.places.entry(record.community.clone()).or_default();
+        match free.pop() {
+            Some(place) => keys[place] = Some(record.key.clone()),
+            None => keys.push(Some(record.key.clone())),
         }
     }
 
-    fn search(&self, community: &str, query: &Query, alive: &[bool]) -> BTreeSet<(String, PeerId)> {
-        let mut hits = BTreeSet::new();
-        for (record, providers) in self.records.values() {
-            if record.community != community || !query.matches_fields(&record.fields) {
+    /// Last publish wins: the stored record is replaced (leaving its
+    /// place, taking one as any fresh record does) and keeps the
+    /// providers it had.
+    fn upsert(&mut self, provider: PeerId, record: &ResourceRecord) {
+        let kept = self.evict(&record.key);
+        self.publish(provider, record);
+        self.records.get_mut(&record.key).expect("just published").1.extend(kept);
+    }
+
+    fn unpublish(&mut self, provider: PeerId, key: &str) {
+        let Some((_, providers)) = self.records.get_mut(key) else { return };
+        providers.remove(&provider);
+        if providers.is_empty() {
+            self.evict(key);
+        }
+    }
+
+    /// Drops the record and frees its place; returns its providers.
+    fn evict(&mut self, key: &str) -> BTreeSet<PeerId> {
+        let Some((record, providers)) = self.records.remove(key) else { return BTreeSet::new() };
+        let (keys, free) = self.places.get_mut(&record.community).expect("placed at publish");
+        let place = keys.iter().position(|k| k.as_deref() == Some(key)).expect("placed");
+        keys[place] = None;
+        free.push(place);
+        providers
+    }
+
+    fn providers(&self, key: &str) -> Option<&BTreeSet<PeerId>> {
+        self.records.get(key).map(|(_, providers)| providers)
+    }
+
+    fn search(&self, community: &str, query: &Query, alive: &[bool]) -> Vec<(String, PeerId)> {
+        let mut hits = Vec::new();
+        let Some((keys, _)) = self.places.get(community) else { return hits };
+        for key in keys.iter().flatten() {
+            let (record, providers) = &self.records[key];
+            if !query.matches_fields(&record.fields) {
                 continue;
             }
             for &p in providers {
                 if alive.get(p.index()).copied().unwrap_or(false) {
-                    hits.insert((record.key.clone(), p));
+                    hits.push((record.key.clone(), p));
                 }
             }
         }
@@ -269,8 +305,8 @@ proptest! {
                         format!("k{key}"), COMMUNITIES[*community], fields.clone());
                     let node = &mut nodes[at as usize];
                     if flat {
-                        if let Some((community, fields)) = node.upsert(PeerId(*provider), &record) {
-                            table.record_removed(at, community, &fields);
+                        if let Some((slot, fields)) = node.upsert_slot(PeerId(*provider), &record) {
+                            table.record_removed(at, node.community_name(slot), &fields);
                         }
                         table.record_added(at, &record.community, &record.fields);
                     } else if node.insert(PeerId(*provider), &record) {
@@ -279,9 +315,9 @@ proptest! {
                 }
                 DigestOp::Unpublish { at, provider, key } => {
                     let at = at * (n - 1) / 2;
-                    let removed = nodes[at as usize].remove(PeerId(*provider), &format!("k{key}"));
-                    if let Some((community, fields)) = removed {
-                        table.record_removed(at, community, &fields);
+                    let node = &mut nodes[at as usize];
+                    if let Some((slot, fields)) = node.remove_slot(PeerId(*provider), &format!("k{key}")) {
+                        table.record_removed(at, node.community_name(slot), &fields);
                     }
                 }
                 DigestOp::Refresh => {
@@ -321,7 +357,7 @@ proptest! {
             node.insert(op.provider, &record);
         }
         for &(key, provider) in &removals {
-            node.remove(PeerId(provider), &format!("k{key}"));
+            node.remove_slot(PeerId(provider), &format!("k{key}"));
         }
         let mut digest = RoutingDigest::new(log2_bits);
         digest.add_node(&node);
@@ -353,22 +389,29 @@ proptest! {
         let mut table = PeerIndexes::with_peers(3);
         let mut plain: Vec<IndexNode> = (0..3).map(|_| IndexNode::new()).collect();
         let own = |r: Option<(&str, SharedFields)>| r.map(|(c, f)| (c.to_string(), f.to_vec()));
+        let named = |node: &IndexNode, r: Option<(u32, SharedFields)>| {
+            r.map(|(slot, f)| (node.community_name(slot).to_string(), f.to_vec()))
+        };
         for (i, op) in ops.iter().enumerate() {
             match op {
                 DigestOp::Publish { at, key, community, fields, .. } => {
                     let record = ResourceRecord::new(
                         format!("k{key}"), COMMUNITIES[*community], fields.clone());
+                    let node = &mut plain[*at as usize];
+                    let pushed_out = node.upsert_slot(PeerId(*at), &record);
                     prop_assert_eq!(
                         own(table.upsert(*at, &record)),
-                        own(plain[*at as usize].upsert(PeerId(*at), &record)),
+                        named(node, pushed_out),
                         "op #{}: {:?}", i, op
                     );
                 }
                 DigestOp::Unpublish { at, key, .. } => {
                     let key = format!("k{key}");
+                    let node = &mut plain[*at as usize];
+                    let removed = node.remove_slot(PeerId(*at), &key);
                     prop_assert_eq!(
                         own(ShareTable::remove(&mut table, *at, &key)),
-                        own(plain[*at as usize].remove(PeerId(*at), &key)),
+                        named(node, removed),
                         "op #{}: {:?}", i, op
                     );
                 }
@@ -475,38 +518,78 @@ proptest! {
 
     /// The index/scan equivalence oracle: for random records,
     /// communities, liveness patterns and queries (exact, keyword,
-    /// wildcard, boolean), the `IndexNode` hit set equals the old linear
-    /// `matches_fields` scan — including after a random prefix of
-    /// unpublish operations.
+    /// wildcard, boolean), `IndexNode` emits the hits of the old linear
+    /// `matches_fields` scan in the model's order, and answers
+    /// `provider_count` / `has_provider` as the model does after every
+    /// op of a publish, unpublish, publish-again tape. Half the
+    /// withdrawals name a copy some publish made, so records do lose
+    /// their last provider and the last leg admits records into the
+    /// doc-ids they freed; every other op of that leg is an upsert, the
+    /// one path that frees a doc-id while the record still has providers.
     #[test]
     fn index_node_agrees_with_linear_scan(
         publishes in publish_ops(),
-        removals in pvec((0usize..16, 0u32..ORACLE_PEERS as u32), 0..12),
+        removals in pvec((0usize..40, any::<bool>()), 0..24),
+        republishes in publish_ops(),
         liveness in pvec(any::<bool>(), ORACLE_PEERS),
         query in oracle_query(),
     ) {
         let mut node = IndexNode::new();
         let mut linear = LinearTable::default();
-        for op in &publishes {
-            let record = ResourceRecord::new(&*op.key, op.community, op.fields.clone());
-            node.insert(op.provider, &record);
-            linear.publish(op.provider, &record);
+        enum Write {
+            Insert(ResourceRecord),
+            Upsert(ResourceRecord),
+            Remove(String),
         }
-        for &(key, provider) in &removals {
-            let key = format!("k{key}");
-            node.remove(PeerId(provider), &key);
-            linear.unpublish(PeerId(provider), &key);
+        let record = |op: &PublishOp| ResourceRecord::new(&*op.key, op.community, op.fields.clone());
+        let tape = publishes
+            .iter()
+            .map(|op| (op.provider, Write::Insert(record(op))))
+            .chain(removals.iter().map(|&(i, published)| match publishes.get(i % publishes.len().max(1)) {
+                Some(op) if published => (op.provider, Write::Remove(op.key.clone())),
+                _ => (PeerId((i % ORACLE_PEERS) as u32), Write::Remove(format!("k{}", i % 16))),
+            }))
+            .chain(republishes.iter().enumerate().map(|(n, op)| {
+                (op.provider, if n % 2 == 1 { Write::Upsert(record(op)) } else { Write::Insert(record(op)) })
+            }));
+        for (i, (provider, write)) in tape.enumerate() {
+            match &write {
+                Write::Insert(record) => {
+                    node.insert(provider, record);
+                    linear.publish(provider, record);
+                }
+                Write::Upsert(record) => {
+                    node.upsert_slot(provider, record);
+                    linear.upsert(provider, record);
+                }
+                Write::Remove(key) => {
+                    node.remove_slot(provider, key);
+                    linear.unpublish(provider, key);
+                }
+            }
+            for k in 0..16 {
+                let key = format!("k{k}");
+                let expected = linear.providers(&key);
+                prop_assert_eq!(
+                    node.provider_count(&key), expected.map_or(0, BTreeSet::len),
+                    "provider_count({}) after op #{}", key, i
+                );
+                for p in (0..ORACLE_PEERS as u32).map(PeerId) {
+                    prop_assert_eq!(
+                        node.has_provider(&key, p), expected.is_some_and(|set| set.contains(&p)),
+                        "has_provider({}, {:?}) after op #{}", key, p, i
+                    );
+                }
+            }
         }
         for community in COMMUNITIES {
             let expected = linear.search(community, &query, &liveness);
-            let mut got: BTreeSet<(String, PeerId)> = BTreeSet::new();
+            let mut got: Vec<(String, PeerId)> = Vec::new();
             node.search(
                 community,
                 &query,
                 |p| liveness.get(p.index()).copied().unwrap_or(false),
-                |key, p, _| {
-                    got.insert((key.to_string(), p));
-                },
+                |key, p, _| got.push((key.to_string(), p)),
             );
             prop_assert_eq!(
                 &got, &expected,

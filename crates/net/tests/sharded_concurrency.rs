@@ -74,7 +74,7 @@ fn oracle_states(tape: &[Op]) -> Vec<Vec<HitSet>> {
                 node.insert(PeerId(*peer), &rec);
             }
             Op::Remove { key, peer } => {
-                node.remove(PeerId(*peer), &format!("k{key}"));
+                node.remove_slot(PeerId(*peer), &format!("k{key}"));
             }
         }
         for (c, community) in COMMUNITIES.iter().enumerate() {

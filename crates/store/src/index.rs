@@ -14,10 +14,21 @@
 //! and `c`), so exact references are a single hash lookup instead of a
 //! scan over every field's posting map. Removal replays the removed
 //! object's own stored fields instead of sweeping the whole index.
+//!
+//! Doc-id contract: the doc-id an insert allocates
+//! ([`MetadataIndex::insert_shared`] returns it,
+//! [`MetadataIndex::doc_of`] looks it up) is stable until that id is
+//! removed — a `remove`, or the re-insert of the same id, which removes
+//! first — whatever happens to other objects in between. Afterwards it
+//! is recycled: the next insert may be handed the same number. A caller
+//! that keeps state in a `Vec` beside the index, addressed by doc-id
+//! ([`MetadataIndex::for_each_match_doc`] passes it), clears a slot when
+//! it removes the id.
 
 use crate::digest::ResourceId;
 use crate::query::{Query, ValuePattern};
 use crate::tokenizer::{for_each_token, normalize};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -141,7 +152,9 @@ pub struct IndexStats {
     pub exact_postings: usize,
     /// Approximate resident bytes: interned path/term string content
     /// (each distinct string once), 4 bytes per posting, 4 bytes per
-    /// posting-list key, and the 40-byte hex id per live object.
+    /// posting-list key, and 40 bytes per live object for its id (the
+    /// length of a content id in hex; a shorter `from_key` id still
+    /// counts 40).
     pub approx_bytes: usize,
 }
 
@@ -160,25 +173,27 @@ impl MetadataIndex {
     /// already shared. The index keeps the `Arc` (a refcount bump) — this
     /// is the borrowing insert the net layer's index nodes use so one
     /// metadata allocation serves the publisher, every index node and
-    /// every search hit.
-    pub fn insert_shared(&mut self, id: ResourceId, fields: SharedFields) {
+    /// every search hit. Returns the doc-id the object now lives under
+    /// (module docs: stable until this id is removed, recycled after).
+    pub fn insert_shared(&mut self, id: ResourceId, fields: SharedFields) -> u32 {
         self.remove(&id);
-        self.admit(id, fields, None, None);
+        self.admit(id, fields, None, None)
     }
 
     /// Indexes an object from its pre-tokenized form without running the
     /// tokenizer — the durable publish path: `prep` is what
     /// [`prepare_fields`] produced for the WAL record. When the prepared
     /// form does not line up with the fields (foreign or damaged input),
-    /// tokenizes normally rather than posting mismatched lists.
+    /// tokenizes normally rather than posting mismatched lists. Returns
+    /// the doc-id, as [`insert_shared`](Self::insert_shared) does.
     pub fn insert_tokenized(
         &mut self,
         id: ResourceId,
         fields: SharedFields,
         prep: &[PreparedField],
-    ) {
+    ) -> u32 {
         self.remove(&id);
-        self.admit(id, fields, Some(prep), None);
+        self.admit(id, fields, Some(prep), None)
     }
 
     /// Bulk-inserts a batch, deferring posting-list ordering until the
@@ -229,13 +244,15 @@ impl MetadataIndex {
 
     /// Removes an object by replaying its own stored fields — cost is
     /// proportional to the removed object's postings, not the index size.
-    pub fn remove(&mut self, id: &ResourceId) {
-        let Some(doc) = self.doc_ids.remove(id) else { return };
+    /// Returns the fields it was indexed under; its doc-id is free for
+    /// the next insert from here on.
+    pub fn remove(&mut self, id: &ResourceId) -> Option<SharedFields> {
+        let doc = self.doc_ids.remove(id)?;
         let Some(entry) = self.docs.get_mut(doc as usize).and_then(Option::take) else {
             // id table pointed at an empty slot (should not happen);
             // recycle the slot and there is nothing to unpost
             self.free.push(doc);
-            return;
+            return None;
         };
         for (i, (_, value)) in entry.fields.iter().enumerate() {
             let path = entry.path_syms[i] as usize;
@@ -250,6 +267,13 @@ impl MetadataIndex {
             });
         }
         self.free.push(doc);
+        Some(entry.fields)
+    }
+
+    /// The doc-id a live object is indexed under (module docs: stable
+    /// until `key` is removed).
+    pub fn doc_of(&self, key: &str) -> Option<u32> {
+        self.doc_ids.get(key).copied()
     }
 
     /// Number of indexed objects.
@@ -287,8 +311,8 @@ impl MetadataIndex {
     /// [`Query::matches_fields`] (property-tested).
     pub fn execute(&self, query: &Query) -> BTreeSet<ResourceId> {
         self.exec(query)
-            .into_iter()
-            .filter_map(|doc| self.docs.get(doc as usize).and_then(Option::as_ref))
+            .iter()
+            .filter_map(|&doc| self.docs.get(doc as usize).and_then(Option::as_ref))
             .map(|entry| entry.id.clone())
             .collect()
     }
@@ -302,9 +326,19 @@ impl MetadataIndex {
     where
         F: FnMut(&ResourceId, &Arc<[(String, String)]>),
     {
-        for doc in self.exec(query) {
+        self.for_each_match_doc(query, |_, id, fields| f(id, fields));
+    }
+
+    /// [`for_each_match`](Self::for_each_match), also passing each
+    /// object's doc-id — the index into whatever the caller keeps per
+    /// object beside the index (the net layer's provider table).
+    pub fn for_each_match_doc<F>(&self, query: &Query, mut f: F)
+    where
+        F: FnMut(u32, &ResourceId, &Arc<[(String, String)]>),
+    {
+        for &doc in self.exec(query).iter() {
             if let Some(entry) = self.docs.get(doc as usize).and_then(Option::as_ref) {
-                f(&entry.id, &entry.fields);
+                f(doc, &entry.id, &entry.fields);
             }
         }
     }
@@ -349,16 +383,16 @@ impl MetadataIndex {
         fields: SharedFields,
         prep: Option<&[PreparedField]>,
         dirty: Option<&mut DirtyLists>,
-    ) {
+    ) -> u32 {
         match prep.filter(|p| p.len() == fields.len()) {
             Some(prep) => self.post(id, fields, prep, dirty),
             None => self.post(id, fields, Tokenizer, dirty),
         }
     }
 
-    /// The one posting body: allocates the doc-id, interns and posts the
-    /// fields with each one's normalized value and tokens taken from
-    /// `source`, and stores the entry. With `dirty` (bulk mode) postings
+    /// The one posting body: allocates the doc-id (returned), interns and
+    /// posts the fields with each one's normalized value and tokens taken
+    /// from `source`, and stores the entry. With `dirty` (bulk mode) postings
     /// are appended unchecked and the touched lists recorded; without it
     /// every list is kept sorted in place. Removal later replays the
     /// entry via `for_each_token`, which matches a prepared source
@@ -369,7 +403,7 @@ impl MetadataIndex {
         fields: SharedFields,
         source: S,
         mut dirty: Option<&mut DirtyLists>,
-    ) {
+    ) -> u32 {
         let doc = self.alloc_doc(id.clone());
         let mut path_syms = Vec::with_capacity(fields.len());
         let mut norms = Vec::with_capacity(fields.len());
@@ -389,6 +423,7 @@ impl MetadataIndex {
             norms.push(norm);
         }
         self.docs[doc as usize] = Some(DocEntry { id, fields, path_syms, norms });
+        doc
     }
 
     /// Sorted doc-ids of every live object.
@@ -408,35 +443,40 @@ impl MetadataIndex {
     }
 
     /// Union of the posting lists for `term` across `paths` in `maps`.
-    fn union_postings(&self, maps: &[HashMap<u32, Vec<u32>>], paths: &[u32], term: u32) -> Vec<u32> {
+    fn union_postings<'a>(
+        &self,
+        maps: &'a [HashMap<u32, Vec<u32>>],
+        paths: &[u32],
+        term: u32,
+    ) -> Cow<'a, [u32]> {
         let lists: Vec<&[u32]> =
             paths.iter().filter_map(|&p| maps[p as usize].get(&term)).map(Vec::as_slice).collect();
         union_k(&lists)
     }
 
     /// Core evaluator over interned doc-ids; every branch returns a
-    /// sorted, duplicate-free list.
-    fn exec(&self, query: &Query) -> Vec<u32> {
+    /// sorted, duplicate-free list. A term found under one path — most
+    /// queries — is that path's posting list, borrowed; only a branch
+    /// that combines lists allocates.
+    fn exec(&self, query: &Query) -> Cow<'_, [u32]> {
+        const NONE: Cow<'static, [u32]> = Cow::Borrowed(&[]);
         match query {
-            Query::All => self.all_docs(),
+            Query::All => Cow::Owned(self.all_docs()),
             Query::And(qs) => {
-                if qs.is_empty() {
-                    return self.all_docs();
-                }
                 let mut lists = Vec::with_capacity(qs.len());
                 for q in qs {
                     let l = self.exec(q);
                     if l.is_empty() {
-                        return Vec::new();
+                        return NONE;
                     }
                     lists.push(l);
                 }
-                lists.sort_unstable_by_key(Vec::len);
+                lists.sort_unstable_by_key(|l| l.len());
                 let mut iter = lists.into_iter();
-                // lists has one entry per sub-query and qs is non-empty here
-                let Some(mut acc) = iter.next() else { return Vec::new() };
+                // an empty conjunction holds of every object
+                let Some(mut acc) = iter.next() else { return Cow::Owned(self.all_docs()) };
                 for l in iter {
-                    acc = intersect_gallop(&acc, &l);
+                    acc = Cow::Owned(intersect_gallop(&acc, &l));
                     if acc.is_empty() {
                         break;
                     }
@@ -444,13 +484,13 @@ impl MetadataIndex {
                 acc
             }
             Query::Or(qs) => {
-                let lists: Vec<Vec<u32>> = qs.iter().map(|q| self.exec(q)).collect();
-                let slices: Vec<&[u32]> = lists.iter().map(Vec::as_slice).collect();
-                union_k(&slices)
+                let lists: Vec<Cow<'_, [u32]>> = qs.iter().map(|q| self.exec(q)).collect();
+                let slices: Vec<&[u32]> = lists.iter().map(|l| &**l).collect();
+                Cow::Owned(union_k(&slices).into_owned())
             }
-            Query::Not(q) => difference(&self.all_docs(), &self.exec(q)),
+            Query::Not(q) => Cow::Owned(difference(&self.all_docs(), &self.exec(q))),
             Query::Keyword { field, word } => {
-                let Some(t) = self.terms.get(word) else { return Vec::new() };
+                let Some(t) = self.terms.get(word) else { return NONE };
                 match field {
                     None => {
                         let lists: Vec<&[u32]> =
@@ -462,13 +502,13 @@ impl MetadataIndex {
             }
             Query::Match { field, pattern } => match pattern {
                 ValuePattern::Exact(value) => {
-                    let Some(v) = self.terms.get(value) else { return Vec::new() };
+                    let Some(v) = self.terms.get(value) else { return NONE };
                     self.union_postings(&self.exact, self.resolve_reference(field), v)
                 }
                 _ => {
                     let path_syms = self.resolve_reference(field);
                     if path_syms.is_empty() {
-                        return Vec::new();
+                        return NONE;
                     }
                     self.docs
                         .iter()
@@ -620,13 +660,14 @@ fn intersect_gallop(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
-/// K-way merge of sorted lists into one sorted, duplicate-free list.
-fn union_k(lists: &[&[u32]]) -> Vec<u32> {
+/// K-way merge of sorted lists into one sorted, duplicate-free list; a
+/// single list is its own union and comes back borrowed.
+fn union_k<'a>(lists: &[&'a [u32]]) -> Cow<'a, [u32]> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
-    match lists.len() {
-        0 => Vec::new(),
-        1 => lists[0].to_vec(),
+    match lists {
+        [] => Cow::Borrowed(&[]),
+        [only] => Cow::Borrowed(only),
         _ => {
             let mut heap: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::with_capacity(lists.len());
             let mut pos = vec![0usize; lists.len()];
@@ -645,7 +686,7 @@ fn union_k(lists: &[&[u32]]) -> Vec<u32> {
                     heap.push(Reverse((next, i)));
                 }
             }
-            out
+            Cow::Owned(out)
         }
     }
 }
@@ -915,6 +956,35 @@ mod tests {
     }
 
     #[test]
+    fn a_doc_id_is_stable_until_its_own_remove_and_reused_after() {
+        let mut ix = MetadataIndex::new();
+        let named = |n: u8| -> SharedFields { vec![("o/name".to_string(), format!("thing{n}"))].into() };
+        let docs: Vec<u32> = (0..4).map(|n| ix.insert_shared(id(n), named(n))).collect();
+        assert_eq!(docs, vec![0, 1, 2, 3]);
+        let kept = id(2);
+        assert_eq!(ix.doc_of(kept.as_hex()), Some(2));
+        // unrelated removes and inserts leave it where it is
+        assert!(ix.remove(&id(0)).is_some());
+        assert!(ix.remove(&id(3)).is_some());
+        ix.insert_shared(id(7), named(7));
+        ix.insert_shared(id(8), named(8));
+        ix.insert_shared(id(9), named(9));
+        assert_eq!(ix.doc_of(kept.as_hex()), Some(2));
+        let mut visited = Vec::new();
+        ix.for_each_match_doc(&Query::keyword("name", "thing2"), |doc, rid, _| {
+            visited.push((doc, rid.clone()));
+        });
+        assert_eq!(visited, vec![(2, kept.clone())], "the visitor passes the same number");
+        // its own remove frees the number: the id no longer resolves and
+        // the next insert is handed it
+        assert!(ix.remove(&kept).is_some());
+        assert_eq!(ix.doc_of(kept.as_hex()), None);
+        assert_eq!(ix.insert_shared(id(10), named(10)), 2);
+        assert_eq!(ix.doc_of(id(10).as_hex()), Some(2));
+        assert!(ix.remove(&kept).is_none(), "removing twice returns nothing");
+    }
+
+    #[test]
     fn multi_segment_reference_resolves_all_suffix_paths() {
         let mut ix = MetadataIndex::new();
         ix.insert(id(1), vec![("a/b/c".into(), "deep".into())]);
@@ -966,8 +1036,9 @@ mod tests {
     fn merge_helpers_hold_their_invariants() {
         assert_eq!(intersect_gallop(&[1, 3, 5, 7], &[2, 3, 4, 5, 6, 8, 9, 11]), vec![3, 5]);
         assert_eq!(intersect_gallop(&[], &[1, 2]), Vec::<u32>::new());
-        assert_eq!(union_k(&[&[1, 4, 9], &[2, 4, 10], &[4, 5]]), vec![1, 2, 4, 5, 9, 10]);
-        assert_eq!(union_k(&[]), Vec::<u32>::new());
+        assert_eq!(*union_k(&[&[1, 4, 9], &[2, 4, 10], &[4, 5]]), [1, 2, 4, 5, 9, 10]);
+        assert!(union_k(&[]).is_empty());
+        assert!(matches!(union_k(&[&[3, 8]]), Cow::Borrowed([3, 8])), "one list is not copied");
         assert_eq!(difference(&[1, 2, 3, 4], &[2, 4]), vec![1, 3]);
         assert_eq!(gallop(&[1, 3, 5, 7, 9], 6, 0), 3);
         assert_eq!(gallop(&[1, 3, 5, 7, 9], 100, 2), 5);

@@ -208,7 +208,7 @@ impl Repository {
         match prep {
             Some(prep) => self.index.insert_tokenized(obj.id.clone(), obj.fields.clone(), prep),
             None => self.index.insert_shared(obj.id.clone(), obj.fields.clone()),
-        }
+        };
         self.file(obj)
     }
 

@@ -292,7 +292,9 @@ proptest! {
             match op {
                 0 => {
                     let id = slot_id(group[0].0);
-                    cells.iter_mut().for_each(|ix| ix.remove(&id));
+                    cells.iter_mut().for_each(|ix| {
+                        ix.remove(&id);
+                    });
                     model.remove(&id);
                 }
                 _ => {

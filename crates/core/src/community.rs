@@ -4,6 +4,7 @@
 use crate::cache::CompileCache;
 use crate::error::CoreError;
 use crate::forms::{form_fields, FormField, FormKind};
+use crate::object::Attachment;
 use crate::root::{ROOT_COMMUNITY_ID, ROOT_SCHEMA_XSD};
 use std::sync::{Arc, OnceLock};
 use up2p_schema::{leaf_fields, parse_schema_str, searchable_fields, Schema, SchemaBuilder};
@@ -233,7 +234,7 @@ impl Community {
     /// The URI under which this community's schema travels as an
     /// attachment of its community object.
     pub fn schema_uri(&self) -> String {
-        format!("up2p:attachment:{}", ResourceId::for_bytes(self.schema_xsd.as_bytes()))
+        Attachment::uri_for(self.schema_xsd.as_bytes())
     }
 
     /// Renders this community as a community *object* conforming to the
@@ -241,9 +242,7 @@ impl Community {
     /// like any other resource.
     pub fn to_object(&self) -> Document {
         let style_uri = |s: &Option<String>, kind: &str| match s {
-            Some(text) => {
-                format!("up2p:attachment:{}", ResourceId::for_bytes(text.as_bytes()))
-            }
+            Some(text) => Attachment::uri_for(text.as_bytes()),
             None => format!("up2p:default:{kind}"),
         };
         ElementBuilder::new("community")

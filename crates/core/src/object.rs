@@ -20,16 +20,20 @@ pub struct Attachment {
 }
 
 impl Attachment {
+    /// The content-addressed URI a payload travels under.
+    pub fn uri_for(data: &[u8]) -> String {
+        format!("up2p:attachment:{}", ResourceId::for_bytes(data))
+    }
+
     /// Creates an attachment from bytes, deriving its content URI.
     pub fn from_bytes(data: impl Into<Bytes>) -> Attachment {
         let data = data.into();
-        let uri = format!("up2p:attachment:{}", ResourceId::for_bytes(&data));
-        Attachment { uri, data }
+        Attachment { uri: Attachment::uri_for(&data), data }
     }
 
     /// Verifies the payload still hashes to the URI.
     pub fn verify(&self) -> bool {
-        self.uri == format!("up2p:attachment:{}", ResourceId::for_bytes(&self.data))
+        self.uri == Attachment::uri_for(&self.data)
     }
 }
 

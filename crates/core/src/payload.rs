@@ -101,10 +101,7 @@ impl PayloadPlane {
             if !att.verify() {
                 return Err(CoreError::IntegrityFailure {
                     expected: uri.clone(),
-                    actual: format!(
-                        "up2p:attachment:{}",
-                        ResourceId::for_bytes(&att.data)
-                    ),
+                    actual: Attachment::uri_for(&att.data),
                 });
             }
             attachments.push(att);

@@ -192,7 +192,8 @@ impl Servent {
 
     /// Publishes a *community* into the root community — the metaclass
     /// move that makes it discoverable. The community object travels with
-    /// its schema (and any custom stylesheets) as attachments.
+    /// its schema (and the custom stylesheets its object names) as
+    /// attachments.
     ///
     /// # Errors
     ///
@@ -206,14 +207,11 @@ impl Servent {
         self.join(community.clone());
         let mut attachments =
             vec![Attachment::from_bytes(community.schema_xsd.clone().into_bytes())];
-        for style in [
-            &community.display_style,
-            &community.create_style,
-            &community.search_style,
-            &community.index_style,
-        ]
-        .into_iter()
-        .flatten()
+        // the three sheets the community object names (Fig. 3); the index
+        // filter is servent-local, no joiner could look it up
+        for style in [&community.display_style, &community.create_style, &community.search_style]
+            .into_iter()
+            .flatten()
         {
             attachments.push(Attachment::from_bytes(style.clone().into_bytes()));
         }
@@ -677,6 +675,41 @@ mod tests {
         assert_eq!(joined.schema_xsd, community.schema_xsd);
         assert_eq!(joined.object_root_name(), "pattern");
         assert_eq!(joined.display_style.as_deref(), Some(CUSTOM_VIEW));
+    }
+
+    #[test]
+    fn publish_community_attaches_exactly_what_the_object_names() {
+        let sheet = |tag: &str| CUSTOM_VIEW.replace("h1", tag);
+        let community = pattern_community()
+            .with_display_style(sheet("h1"))
+            .with_create_style(sheet("h2"))
+            .with_search_style(sheet("h3"))
+            .with_index_style(sheet("h4"));
+        let mut w = world(ProtocolKind::Napster, 4);
+        let key = Servent::new(PeerId(1))
+            .publish_community(&mut *w.net, &mut w.plane, &community)
+            .unwrap();
+        let object = w.plane.fetch(&key).unwrap();
+        // the schema first, then the three sheets Fig. 3 has a field for;
+        // the servent-local index filter has no URI to be found under
+        assert_eq!(object.attachments.len(), 4);
+        assert_eq!(object.attachments[0].uri, community.schema_uri());
+        let named = object.xml();
+        for attachment in &object.attachments {
+            assert!(named.contains(&attachment.uri), "{} travels unnamed", attachment.uri);
+        }
+
+        let mut seeker = Servent::new(PeerId(2));
+        let out = seeker
+            .discover_communities(&mut *w.net, &Query::any_keyword("patterns"))
+            .unwrap();
+        let id = seeker.join_from_hit(&mut *w.net, &mut w.plane, &out.hits[0]).unwrap();
+        let joined = seeker.community(&id).unwrap();
+        assert_eq!(joined.id, community.id);
+        assert_eq!(joined.display_style, community.display_style);
+        assert_eq!(joined.create_style, community.create_style);
+        assert_eq!(joined.search_style, community.search_style);
+        assert_eq!(joined.index_style, None);
     }
 
     #[test]

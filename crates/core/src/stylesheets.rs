@@ -43,25 +43,23 @@ impl StylesheetCache {
     }
 }
 
-/// The compiled [`DEFAULT_FORM_XSL`], parsed once per process.
-fn default_form_sheet() -> Result<Arc<Stylesheet>, CoreError> {
-    static SHEET: OnceLock<Arc<Stylesheet>> = OnceLock::new();
-    if let Some(sheet) = SHEET.get() {
+/// A default sheet, compiled from `source` on first use and kept in
+/// `slot` for the life of the process.
+fn default_sheet(
+    slot: &OnceLock<Arc<Stylesheet>>,
+    source: &str,
+) -> Result<Arc<Stylesheet>, CoreError> {
+    if let Some(sheet) = slot.get() {
         return Ok(Arc::clone(sheet));
     }
-    let parsed = Arc::new(Stylesheet::parse(DEFAULT_FORM_XSL)?);
-    Ok(Arc::clone(SHEET.get_or_init(|| parsed)))
+    let parsed = Arc::new(Stylesheet::parse(source)?);
+    Ok(Arc::clone(slot.get_or_init(|| parsed)))
 }
 
-/// The compiled [`DEFAULT_VIEW_XSL`], parsed once per process.
-fn default_view_sheet() -> Result<Arc<Stylesheet>, CoreError> {
-    static SHEET: OnceLock<Arc<Stylesheet>> = OnceLock::new();
-    if let Some(sheet) = SHEET.get() {
-        return Ok(Arc::clone(sheet));
-    }
-    let parsed = Arc::new(Stylesheet::parse(DEFAULT_VIEW_XSL)?);
-    Ok(Arc::clone(SHEET.get_or_init(|| parsed)))
-}
+/// The compiled [`DEFAULT_FORM_XSL`].
+static DEFAULT_FORM: OnceLock<Arc<Stylesheet>> = OnceLock::new();
+/// The compiled [`DEFAULT_VIEW_XSL`].
+static DEFAULT_VIEW: OnceLock<Arc<Stylesheet>> = OnceLock::new();
 
 /// Default stylesheet rendering a form-model document to an HTML form
 /// (both create and search; the `kind` attribute parameterizes it).
@@ -175,7 +173,7 @@ pub fn render_form(form_doc: &Document, custom: Option<&str>) -> Result<String, 
 pub(crate) fn form_sheet(custom: Option<&str>) -> Result<Arc<Stylesheet>, CoreError> {
     match custom {
         Some(source) => StylesheetCache::global().get(source),
-        None => default_form_sheet(),
+        None => default_sheet(&DEFAULT_FORM, DEFAULT_FORM_XSL),
     }
 }
 
@@ -188,7 +186,7 @@ pub(crate) fn form_sheet(custom: Option<&str>) -> Result<Arc<Stylesheet>, CoreEr
 pub fn render_view(object_doc: &Document, custom: Option<&str>) -> Result<String, CoreError> {
     let sheet = match custom {
         Some(source) => StylesheetCache::global().get(source)?,
-        None => default_view_sheet()?,
+        None => default_sheet(&DEFAULT_VIEW, DEFAULT_VIEW_XSL)?,
     };
     Ok(sheet.apply_to_string(object_doc)?)
 }
@@ -336,12 +334,13 @@ mod tests {
 
     #[test]
     fn default_sheets_are_parsed_once_per_process() {
-        let a = default_form_sheet().unwrap();
-        let b = default_form_sheet().unwrap();
+        let a = default_sheet(&DEFAULT_FORM, DEFAULT_FORM_XSL).unwrap();
+        let b = default_sheet(&DEFAULT_FORM, DEFAULT_FORM_XSL).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        let v1 = default_view_sheet().unwrap();
-        let v2 = default_view_sheet().unwrap();
+        let v1 = default_sheet(&DEFAULT_VIEW, DEFAULT_VIEW_XSL).unwrap();
+        let v2 = default_sheet(&DEFAULT_VIEW, DEFAULT_VIEW_XSL).unwrap();
         assert!(Arc::ptr_eq(&v1, &v2));
+        assert!(!Arc::ptr_eq(&a, &v1));
     }
 
     #[test]

@@ -108,17 +108,14 @@ impl LatencyModel for CoordinateLatency {
 /// Declarative latency-model choice for [`crate::NetConfig`].
 ///
 /// Boxed [`LatencyModel`]s are stateful and not `Clone`, so configs carry
-/// this spec and build a fresh seeded model per substrate. The textual
-/// form (`schema_value`/`from_schema_value`) lets a community schema name
-/// its latency profile the way it names its `protocol`.
+/// this spec and build a fresh seeded model per substrate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LatencySpec {
-    /// Fixed per-link delay in microseconds: `constant:20000`.
+    /// Fixed per-link delay in microseconds.
     Constant(Time),
-    /// Uniform delay in `[min, max)` microseconds: `uniform:5000..50000`.
+    /// Uniform delay in `[min, max)` microseconds.
     Uniform(Time, Time),
-    /// Coordinate-based delay `base + distance · per_unit`:
-    /// `coordinate:5000+100000`.
+    /// Coordinate-based delay `base + distance · per_unit`.
     Coordinate {
         /// Base per-link cost in microseconds.
         base: Time,
@@ -136,47 +133,6 @@ impl LatencySpec {
             LatencySpec::Coordinate { base, per_unit } => {
                 Box::new(CoordinateLatency::new(n, base, per_unit, seed))
             }
-        }
-    }
-
-    /// Parses the textual form. Returns `None` for unknown kinds,
-    /// malformed numbers, or an empty `uniform` range.
-    ///
-    /// ```
-    /// use up2p_net::LatencySpec;
-    /// assert_eq!(
-    ///     LatencySpec::from_schema_value("constant:20000"),
-    ///     Some(LatencySpec::Constant(20_000)),
-    /// );
-    /// assert_eq!(LatencySpec::from_schema_value("dialup"), None);
-    /// ```
-    pub fn from_schema_value(v: &str) -> Option<LatencySpec> {
-        let (kind, rest) = v.split_once(':')?;
-        match kind {
-            "constant" => rest.parse().ok().map(LatencySpec::Constant),
-            "uniform" => {
-                let (min, max) = rest.split_once("..")?;
-                let (min, max) = (min.parse().ok()?, max.parse().ok()?);
-                (min < max).then_some(LatencySpec::Uniform(min, max))
-            }
-            "coordinate" => {
-                let (base, per_unit) = rest.split_once('+')?;
-                Some(LatencySpec::Coordinate {
-                    base: base.parse().ok()?,
-                    per_unit: per_unit.parse().ok()?,
-                })
-            }
-            _ => None,
-        }
-    }
-
-    /// The textual form; round-trips through
-    /// [`LatencySpec::from_schema_value`].
-    pub fn schema_value(self) -> String {
-        match self {
-            LatencySpec::Constant(us) => format!("constant:{us}"),
-            LatencySpec::Uniform(min, max) => format!("uniform:{min}..{max}"),
-            LatencySpec::Coordinate { base, per_unit } => format!("coordinate:{base}+{per_unit}"),
         }
     }
 }
@@ -207,36 +163,6 @@ mod tests {
     #[should_panic(expected = "empty latency range")]
     fn uniform_rejects_empty_range() {
         UniformLatency::new(100, 100, 1);
-    }
-
-    #[test]
-    fn latency_spec_round_trips_and_rejects_unknown_values() {
-        let specs = [
-            LatencySpec::Constant(20_000),
-            LatencySpec::Uniform(5_000, 50_000),
-            LatencySpec::Coordinate { base: 5_000, per_unit: 100_000 },
-        ];
-        for spec in specs {
-            let text = spec.schema_value();
-            assert_eq!(
-                LatencySpec::from_schema_value(&text),
-                Some(spec),
-                "{text} must round-trip"
-            );
-        }
-        for bad in [
-            "",
-            "constant",
-            "constant:",
-            "constant:fast",
-            "uniform:100",
-            "uniform:100..50",
-            "uniform:100..100",
-            "coordinate:5000",
-            "dialup:56000",
-        ] {
-            assert_eq!(LatencySpec::from_schema_value(bad), None, "{bad:?} must be rejected");
-        }
     }
 
     #[test]

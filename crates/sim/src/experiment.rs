@@ -1,6 +1,6 @@
 //! World construction: N servents over one simulated fabric.
 
-use crate::corpus::{self, PatternRecord};
+use crate::corpus;
 use crate::workload::{assign_providers, rng_for};
 use rand::rngs::StdRng;
 use up2p_core::{Community, PayloadPlane, Servent};
@@ -30,7 +30,11 @@ impl std::fmt::Debug for World {
 impl World {
     /// Builds a world of `peers` servents over the given protocol.
     pub fn new(kind: ProtocolKind, peers: usize, seed: u64) -> World {
-        let net = build_network(kind, peers, seed);
+        World::over(build_network(kind, peers, seed), peers)
+    }
+
+    /// A world of `peers` servents over a fabric built by the caller.
+    fn over(net: Box<dyn PeerNetwork + Send>, peers: usize) -> World {
         let servents = (0..peers).map(|i| Servent::new(PeerId(i as u32))).collect();
         World { net, plane: PayloadPlane::new(), servents }
     }
@@ -53,42 +57,23 @@ impl World {
         }
     }
 
-    /// Publishes one object from the given peer.
+    /// Distributes the GoF corpus over the peers with `replicas`
+    /// providers per pattern.
     ///
     /// # Panics
     ///
     /// Panics on validation failure — corpus objects are known-valid.
-    pub fn publish_values(
-        &mut self,
-        peer: usize,
-        community: &Community,
-        values: &[(&str, &str)],
-    ) -> String {
-        let s = &mut self.servents[peer];
-        let obj = s.create_object(&community.id, values).expect("corpus object is valid");
-        s.publish(&mut *self.net, &mut self.plane, &obj).expect("member of community")
-    }
-
-    /// Distributes the GoF corpus over the peers with `replicas`
-    /// providers per pattern; returns `(pattern, key)` pairs.
-    pub fn populate_patterns(
-        &mut self,
-        community: &Community,
-        replicas: usize,
-        rng: &mut StdRng,
-    ) -> Vec<(&'static PatternRecord, String)> {
+    pub fn populate_patterns(&mut self, community: &Community, replicas: usize, rng: &mut StdRng) {
         let assignment =
             assign_providers(corpus::GOF_PATTERNS.len(), self.len(), replicas, rng);
-        let mut out = Vec::new();
         for (p, providers) in corpus::GOF_PATTERNS.iter().zip(assignment) {
             let values = corpus::pattern_values(p);
-            let mut key = String::new();
             for provider in providers {
-                key = self.publish_values(provider as usize, community, &values);
+                let s = &mut self.servents[provider as usize];
+                let obj = s.create_object(&community.id, &values).expect("corpus object is valid");
+                s.publish(&mut *self.net, &mut self.plane, &obj).expect("member of community");
             }
-            out.push((p, key));
         }
-        out
     }
 
     /// Runs one search from a peer.
@@ -112,10 +97,20 @@ pub fn pattern_world(
     replicas: usize,
     seed: u64,
 ) -> (World, Community) {
+    pattern_world_over(build_network(kind, peers, seed), peers, replicas, rng_for(seed, "populate"))
+}
+
+/// [`pattern_world`] over a fabric built by the caller, providers drawn
+/// from `rng`.
+pub(crate) fn pattern_world_over(
+    net: Box<dyn PeerNetwork + Send>,
+    peers: usize,
+    replicas: usize,
+    mut rng: StdRng,
+) -> (World, Community) {
     let community = corpus::pattern_community();
-    let mut world = World::new(kind, peers, seed);
+    let mut world = World::over(net, peers);
     world.join_all(&community);
-    let mut rng = rng_for(seed, "populate");
     world.populate_patterns(&community, replicas, &mut rng);
     (world, community)
 }

@@ -37,6 +37,7 @@ pub use metrics::{retrieval_quality, RetrievalQuality, Series};
 pub use report::{fnum, ms, Table};
 pub use scenarios::{
     e11_des_scale, e1_pipeline, e2_generation, e3_discovery, e4_metadata, e5_replication,
-    e6_dedup_ablation, e6_protocols, e6_topologies, e6_ttl_sweep, e7_indexing, run_all, Scale,
+    e6_dedup_ablation, e6_protocols, e6_topologies, e6_ttl_sweep, e7_indexing, run_all,
+    run_scenario, Scale,
 };
 pub use workload::{assign_providers, rng_for, Zipf};

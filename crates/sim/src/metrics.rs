@@ -1,5 +1,7 @@
 //! Small statistics helpers for experiment reporting.
 
+use up2p_net::SearchOutcome;
+
 /// Accumulator for the mean and percentiles of a series.
 #[derive(Debug, Clone, Default)]
 pub struct Series {
@@ -46,6 +48,40 @@ impl Series {
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
         sorted[rank.min(sorted.len() - 1)]
+    }
+}
+
+/// What a measured query stream reports, collected from its outcomes —
+/// the one tally behind every search table (E3, E5, E6a–d, E11).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tally {
+    /// Queries that came back with at least one hit.
+    pub answered: usize,
+    /// Messages each query cost.
+    pub msgs: Series,
+    /// Hits each query returned.
+    pub hits: Series,
+    /// Virtual milliseconds each query took.
+    pub latency_ms: Series,
+}
+
+impl Tally {
+    /// Share of the queries that were answered.
+    pub fn recall(&self) -> f64 {
+        self.answered as f64 / self.msgs.len() as f64
+    }
+}
+
+impl FromIterator<SearchOutcome> for Tally {
+    fn from_iter<I: IntoIterator<Item = SearchOutcome>>(outcomes: I) -> Tally {
+        let mut tally = Tally::default();
+        for out in outcomes {
+            tally.answered += usize::from(!out.hits.is_empty());
+            tally.msgs.push(out.messages as f64);
+            tally.hits.push(out.hits.len() as f64);
+            tally.latency_ms.push(out.latency as f64 / 1000.0);
+        }
+        tally
     }
 }
 

@@ -1,7 +1,5 @@
-//! Experiment report tables: ASCII rendering for terminals and markdown
-//! for documents — what `run_experiments` prints.
-
-use std::fmt;
+//! Experiment report tables, rendered as markdown — what
+//! `run_experiments` prints and `tests/golden/smoke.md` holds.
 
 /// A simple labelled table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,38 +53,6 @@ impl Table {
     }
 }
 
-impl fmt::Display for Table {
-    /// Aligned ASCII rendering.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-        writeln!(f, "{}", self.title)?;
-        let line = |f: &mut fmt::Formatter<'_>| {
-            for w in &widths {
-                write!(f, "+{}", "-".repeat(w + 2))?;
-            }
-            writeln!(f, "+")
-        };
-        line(f)?;
-        for (i, h) in self.headers.iter().enumerate() {
-            write!(f, "| {:width$} ", h, width = widths[i])?;
-        }
-        writeln!(f, "|")?;
-        line(f)?;
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                write!(f, "| {:width$} ", cell, width = widths[i])?;
-            }
-            writeln!(f, "|")?;
-        }
-        line(f)
-    }
-}
-
 /// Formats a float with sensible experiment precision.
 pub fn fnum(v: f64) -> String {
     if v == 0.0 {
@@ -114,13 +80,6 @@ mod tests {
         t.row(["Napster", "2", "1.00"]);
         t.row(["Gnutella", "410", "0.93"]);
         t
-    }
-
-    #[test]
-    fn ascii_alignment() {
-        let s = sample().to_string();
-        assert!(s.contains("| protocol | msgs | recall |"));
-        assert!(s.contains("| Gnutella | 410  | 0.93   |"));
     }
 
     #[test]

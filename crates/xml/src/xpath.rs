@@ -1008,39 +1008,43 @@ pub fn eval_path(path: &Path, ctx: &Context<'_>) -> Result<Vec<XNode>, XPathErro
     for step in &path.steps {
         let mut next = Vec::new();
         for &node in &current {
-            let candidates = axis_nodes(ctx.doc, node, step.axis);
-            let mut kept: Vec<XNode> = candidates
-                .into_iter()
-                .filter(|&c| node_test_matches(ctx.doc, c, step.axis, &step.test))
-                .collect();
-            // apply predicates with position relative to this node's list
-            for pred in &step.predicates {
-                let size = kept.len();
-                let mut filtered = Vec::new();
-                for (i, &cand) in kept.iter().enumerate() {
-                    let sub = Context {
-                        doc: ctx.doc,
-                        node: cand,
-                        position: i + 1,
-                        size,
-                        vars: ctx.vars,
-                    };
-                    let v = eval_expr(pred, &sub)?;
-                    let keep = match v {
-                        Value::Num(n) => (i + 1) as f64 == n,
-                        other => other.into_bool(),
-                    };
-                    if keep {
-                        filtered.push(cand);
-                    }
-                }
-                kept = filtered;
-            }
-            next.extend(kept);
+            next.extend(eval_step(step, &Context { node, ..*ctx })?);
         }
         current = sort_dedup(next, ctx.doc);
     }
     Ok(current)
+}
+
+/// The nodes one step selects from the context node, in axis order:
+/// those on the axis that pass the node test, filtered by each predicate
+/// in turn with positions counted in what the previous one kept. Exposed
+/// for the XSLT engine: a pattern step with predicates matches a node
+/// when the step, taken from the node's parent, selects it.
+///
+/// # Errors
+///
+/// Returns [`XPathError`] for evaluation failures inside predicates.
+pub fn eval_step(step: &Step, ctx: &Context<'_>) -> Result<Vec<XNode>, XPathError> {
+    let mut kept: Vec<XNode> = axis_nodes(ctx.doc, ctx.node, step.axis)
+        .into_iter()
+        .filter(|&c| node_test_matches(ctx.doc, c, step.axis, &step.test))
+        .collect();
+    for pred in &step.predicates {
+        let size = kept.len();
+        let mut filtered = Vec::new();
+        for (i, &cand) in kept.iter().enumerate() {
+            let sub = Context { node: cand, position: i + 1, size, ..*ctx };
+            let keep = match eval_expr(pred, &sub)? {
+                Value::Num(n) => (i + 1) as f64 == n,
+                other => other.into_bool(),
+            };
+            if keep {
+                filtered.push(cand);
+            }
+        }
+        kept = filtered;
+    }
+    Ok(kept)
 }
 
 fn axis_nodes(doc: &Document, node: XNode, axis: Axis) -> Vec<XNode> {
@@ -1094,7 +1098,10 @@ fn axis_nodes(doc: &Document, node: XNode, axis: Axis) -> Vec<XNode> {
     }
 }
 
-fn node_test_matches(doc: &Document, node: XNode, axis: Axis, test: &NodeTest) -> bool {
+/// Does `node`, reached along `axis`, pass the node test? Exposed for
+/// the XSLT engine: a match pattern's step accepts exactly the nodes the
+/// same step would select.
+pub fn node_test_matches(doc: &Document, node: XNode, axis: Axis, test: &NodeTest) -> bool {
     match test {
         NodeTest::AnyNode => true,
         NodeTest::Text => matches!(node, XNode::Node(n) if doc.is_text(n)),
@@ -1107,31 +1114,24 @@ fn node_test_matches(doc: &Document, node: XNode, axis: Axis, test: &NodeTest) -
             _ => false,
         },
         NodeTest::Name { prefix, local } => {
-            let (node_prefix, node_local): (Option<String>, String) = match node {
-                XNode::Node(n) => match doc.name(n) {
-                    Some(q) => (q.prefix().map(str::to_string), q.local().to_string()),
-                    None => return false,
-                },
-                XNode::Attr(n, i) => match doc.attributes(n).get(i) {
-                    Some(a) => {
-                        (a.name.prefix().map(str::to_string), a.name.local().to_string())
-                    }
-                    None => return false,
-                },
+            let name = match node {
+                XNode::Node(n) => doc.name(n),
+                XNode::Attr(n, i) => doc.attributes(n).get(i).map(|a| &a.name),
             };
-            if local != "*" && node_local != *local {
+            let Some(name) = name else { return false };
+            if local != "*" && name.local() != local {
                 return false;
             }
-            match prefix {
+            match prefix.as_deref() {
                 None => true, // match on local name regardless of node prefix
                 Some(p) => {
                     // compare namespace URIs when resolvable, else prefixes
                     let base = node.node_id();
                     let test_uri = doc.namespace_uri(base, Some(p));
-                    let node_uri = doc.namespace_uri(base, node_prefix.as_deref());
+                    let node_uri = doc.namespace_uri(base, name.prefix());
                     match (test_uri, node_uri) {
                         (Some(a), Some(b)) => a == b,
-                        _ => node_prefix.as_deref() == Some(p.as_str()),
+                        _ => name.prefix() == Some(p),
                     }
                 }
             }

@@ -6,8 +6,8 @@
 //! required relationship (`/` = parent, `//` = any ancestor distance).
 
 use crate::error::XsltError;
-use up2p_xml::xpath::{Axis, Expr, NodeTest, Path, Step};
-use up2p_xml::{Context, Document, Value, XNode, XPath};
+use up2p_xml::xpath::{eval_step, node_test_matches, Axis, Expr, NodeTest, Path, Step};
+use up2p_xml::{Context, Document, XNode, XPath};
 
 /// A compiled match pattern: one or more alternative paths.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,83 +148,29 @@ fn parent_of(doc: &Document, node: XNode) -> Option<XNode> {
     }
 }
 
+/// Would `step`, taken from `node`'s parent, select `node`? XPath's own
+/// node test and predicate rules decide, once the axis has fixed the
+/// kind of node a pattern step can denote: a child or an attribute of
+/// some parent (no other axis is valid in a pattern).
 fn step_matches_node(doc: &Document, node: XNode, step: &Step) -> bool {
-    use up2p_xml::NodeKind;
-    // axis determines what kind of node the step can denote in a pattern:
-    // child (elements etc.) or attribute
-    let kind_ok = match step.axis {
-        Axis::Attribute => matches!(node, XNode::Attr(..)),
-        Axis::Child | Axis::SelfAxis | Axis::DescendantOrSelf => true,
-        _ => false, // other axes are not valid in patterns
+    let parent = match (step.axis, node) {
+        (Axis::Child, XNode::Node(n)) => doc.parent(n),
+        (Axis::Attribute, XNode::Attr(owner, _)) => Some(owner),
+        _ => None,
     };
-    if !kind_ok {
+    let Some(parent) = parent else { return false };
+    if !node_test_matches(doc, node, step.axis, &step.test) {
         return false;
     }
-    let test_ok = match &step.test {
-        NodeTest::AnyNode => !matches!(node, XNode::Node(n) if doc.kind(n) == &NodeKind::Document),
-        NodeTest::Text => matches!(node, XNode::Node(n) if doc.is_text(n)),
-        NodeTest::Comment => {
-            matches!(node, XNode::Node(n) if matches!(doc.kind(n), NodeKind::Comment(_)))
-        }
-        NodeTest::Wildcard => match (step.axis, node) {
-            (Axis::Attribute, XNode::Attr(..)) => true,
-            (_, XNode::Node(n)) => doc.is_element(n),
-            _ => false,
-        },
-        NodeTest::Name { local, .. } => {
-            let node_local = node.local_name(doc);
-            (local == "*" || node_local == *local) && !node_local.is_empty()
-        }
-    };
-    if !test_ok {
-        return false;
-    }
-    // predicates: evaluate with the node as context; positional predicates
-    // use the node's position among matching siblings
     if step.predicates.is_empty() {
         return true;
     }
+    // predicates count positions among the parent's children (or
+    // attributes) that pass the node test: ask XPath what the step
+    // selects from the parent
     let vars = std::collections::HashMap::new();
-    let (position, size) = sibling_position(doc, node, step);
-    for pred in &step.predicates {
-        let ctx = Context { doc, node, position, size, vars: &vars };
-        let pass = match eval_pred(pred, &ctx) {
-            Some(Value::Num(n)) => position as f64 == n,
-            Some(v) => v.into_bool(),
-            None => false,
-        };
-        if !pass {
-            return false;
-        }
-    }
-    true
-}
-
-fn eval_pred(expr: &Expr, ctx: &Context<'_>) -> Option<Value> {
-    up2p_xml::xpath::evaluate(expr, ctx).ok()
-}
-
-fn sibling_position(doc: &Document, node: XNode, step: &Step) -> (usize, usize) {
-    let XNode::Node(n) = node else { return (1, 1) };
-    let Some(parent) = doc.parent(n) else { return (1, 1) };
-    let matching: Vec<_> = doc
-        .children(parent)
-        .iter()
-        .copied()
-        .filter(|&c| {
-            let nt = &step.test;
-            match nt {
-                NodeTest::Name { local, .. } => {
-                    doc.local_name(c).map(|l| local == "*" || l == local).unwrap_or(false)
-                }
-                NodeTest::Wildcard => doc.is_element(c),
-                NodeTest::Text => doc.is_text(c),
-                _ => true,
-            }
-        })
-        .collect();
-    let pos = matching.iter().position(|&c| c == n).map(|i| i + 1).unwrap_or(1);
-    (pos, matching.len())
+    let from = Context::new(doc, XNode::Node(parent), &vars);
+    eval_step(step, &from).is_ok_and(|selected| selected.contains(&node))
 }
 
 #[cfg(test)]
@@ -233,9 +179,14 @@ mod tests {
 
     fn doc() -> Document {
         Document::parse(
-            "<a><b id='1'><c>x</c></b><b id='2'><d>y</d></b><e><c>z</c></e></a>",
+            "<a xmlns:p='urn:p' xmlns:q='urn:q'><b id='1'><c>x</c></b><b id='2'><d>y</d></b>\
+             <e><c>z</c><id>7</id></e><p:item/><q:item/></a>",
         )
         .unwrap()
+    }
+
+    fn select(doc: &Document, path: &str) -> Vec<XNode> {
+        XPath::parse(path).unwrap().eval_root(doc).unwrap().into_nodes().unwrap()
     }
 
     fn node(doc: &Document, path: &str) -> XNode {
@@ -321,6 +272,44 @@ mod tests {
         let pos = Pattern::parse("b[2]").unwrap();
         assert!(pos.matches(&d, node(&d, "//b[2]")));
         assert!(!pos.matches(&d, node(&d, "//b[1]")));
+    }
+
+    /// XSLT 1.0 §5.2: a node matches a pattern when the pattern, read as
+    /// an expression, selects it from some ancestor-or-self context — for
+    /// a relative pattern `P` that is `//P`, for an absolute one `P`
+    /// itself. Checked on every node and attribute of the fixture, so a
+    /// private notion of "node test" in this module cannot come back:
+    /// `id` must not match the `id` attributes, `p:item` must not match
+    /// `<q:item>`, `node()` must match neither an attribute nor the root.
+    #[test]
+    fn a_pattern_matches_exactly_what_it_selects() {
+        let d = doc();
+        let mut everything = select(&d, "//node() | //@*");
+        everything.push(XNode::Node(d.root()));
+        assert_eq!(everything.len(), 19, "10 elements, 4 texts, 4 attributes, the root");
+        for pattern in [
+            "b", "c", "id", "item", "p:item", "q:item", "p:*", "*", "@id", "@*", "b/@id",
+            "text()", "c/text()", "node()", "e/node()", "b[2]", "b[@id='2']", "b[@id][2]",
+            "*[1]", "a//c", "b//c", "/a/b", "/b", "/a", "//c", "//@id", "/", "c | d", "/a/e | @id",
+        ] {
+            let as_path = pattern
+                .split('|')
+                .map(|alt| match alt.trim() {
+                    absolute if absolute.starts_with('/') => absolute.to_string(),
+                    relative => format!("//{relative}"),
+                })
+                .collect::<Vec<_>>()
+                .join(" | ");
+            let selected = select(&d, &as_path);
+            let compiled = Pattern::parse(pattern).unwrap();
+            for &n in &everything {
+                assert_eq!(
+                    compiled.matches(&d, n),
+                    selected.contains(&n),
+                    "match={pattern:?} against select={as_path:?} at {n:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ fn descriptive_filenames_narrow_the_gap() {
 fn index_filtering_trades_size_for_recall_monotonically() {
     let t = e7_indexing();
     let postings: Vec<f64> = t.rows.iter().map(|r| r[2].parse().unwrap()).collect();
-    let recalls: Vec<f64> = t.rows.iter().map(|r| r[5].parse().unwrap()).collect();
+    let recalls: Vec<f64> = t.rows.iter().map(|r| r[4].parse().unwrap()).collect();
     for w in postings.windows(2) {
         assert!(w[1] <= w[0], "smaller profile, smaller index: {postings:?}");
     }

@@ -18,7 +18,7 @@ use crate::community::Community;
 use crate::error::CoreError;
 use crate::stylesheets;
 use std::sync::{Arc, OnceLock};
-use up2p_schema::{BuiltinType, Field, Schema};
+use up2p_schema::{BuiltinType, Field, Schema, ValidationError, ValidationErrorKind};
 use up2p_xml::{Document, ElementBuilder};
 use up2p_xslt::Stylesheet;
 
@@ -215,20 +215,27 @@ pub(crate) fn fill_fields(
             let segments: Vec<&str> = field.path.split('/').skip(1).collect();
             for (i, seg) in segments.iter().enumerate() {
                 let last = i == segments.len() - 1;
+                if !last {
+                    if let Some(existing) = doc.child_named(parent, seg) {
+                        parent = existing;
+                        continue;
+                    }
+                }
+                // the segment is a name out of the community's schema,
+                // which another peer wrote
+                let name = seg.parse().map_err(|_| {
+                    CoreError::Validation(vec![ValidationError {
+                        path: field.path.clone(),
+                        kind: ValidationErrorKind::ContentModel(format!("{seg:?} is not an element name")),
+                    }])
+                })?;
+                let el = doc.create_element(name);
+                doc.append_child(parent, el);
                 if last {
-                    let el = doc.create_element((*seg).into());
-                    doc.append_child(parent, el);
                     let t = doc.create_text(value);
                     doc.append_child(el, t);
                 } else {
-                    parent = match doc.child_named(parent, seg) {
-                        Some(existing) => existing,
-                        None => {
-                            let el = doc.create_element((*seg).into());
-                            doc.append_child(parent, el);
-                            el
-                        }
-                    };
+                    parent = el;
                 }
             }
         }

@@ -158,6 +158,19 @@ mod tests {
     }
 
     #[test]
+    fn a_payload_nested_past_the_parsers_bound_is_an_error() {
+        let mut plane = PayloadPlane::new();
+        let o = object();
+        plane.put(&o);
+        // what a provider hands over is its own bytes, however deep
+        for depth in [10_000, 200_000] {
+            plane.objects.get_mut(&o.key).unwrap().xml =
+                format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
+            assert!(matches!(plane.fetch(&o.key), Err(CoreError::Xml(_))), "{depth}");
+        }
+    }
+
+    #[test]
     fn attachment_integrity_enforced() {
         let mut plane = PayloadPlane::new();
         let o = object();

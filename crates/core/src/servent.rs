@@ -446,6 +446,18 @@ impl Servent {
             std::fs::write(cdir.join(format!("{}.xml", community.id)), doc.to_xml_string())
                 .map_err(up2p_store::StoreError::from)?;
         }
+        // the directory is the membership: a file an earlier save left
+        // for a community since left would rejoin it on load
+        for entry in std::fs::read_dir(&cdir).map_err(up2p_store::StoreError::from)? {
+            let path = entry.map_err(up2p_store::StoreError::from)?.path();
+            let member = path
+                .file_stem()
+                .and_then(|id| id.to_str())
+                .is_some_and(|id| self.communities.contains_key(id));
+            if path.extension().is_some_and(|e| e == "xml") && !member {
+                std::fs::remove_file(&path).map_err(up2p_store::StoreError::from)?;
+            }
+        }
         Ok(())
     }
 

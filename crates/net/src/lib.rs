@@ -22,6 +22,9 @@
 //! of the substrates and drives it from one global virtual-time queue so
 //! churn lands while queries are in flight (picking, for Gnutella, the
 //! [`RecordArena`] layout of the [`ShareTable`] for scale).
+//! [`build_network_with`] and [`DesNetwork::build`] take a [`NetConfig`]
+//! — latency model and digest layer; TTL, dedup and super-peer sizing are
+//! said once, on each substrate's own constructor and config.
 //!
 //! No 2002 network exists to join, so the substrates reproduce *routing
 //! semantics* (which peers are asked, how many messages, how many hops)
@@ -85,17 +88,19 @@ pub use superpeer::{SuperPeerConfig, SuperPeerNetwork};
 pub use topology::Topology;
 pub use traits::{PeerNetwork, ProtocolKind, SearchRequest};
 
-/// Substrate construction parameters, previously hard-coded in
-/// [`build_network`]: latency model, flooding TTL / dedup, and super-peer
-/// sizing. [`build_network`] remains the thin all-defaults wrapper.
+/// What [`build_network_with`] / [`DesNetwork::build`] let a caller
+/// choose. The rest is [`FloodingConfig::default`] (TTL, dedup) and
+/// [`SuperPeerConfig::default`] (overlay degree and TTL) at
+/// `ceil(sqrt(n))` super-peers; to set one of those, build the substrate
+/// itself: [`FloodingNetwork::new`], [`SuperPeerNetwork::new`],
+/// [`DesNetwork::gnutella`], [`DesNetwork::fasttrack`].
 ///
 /// ```
-/// use up2p_net::{LatencySpec, NetConfig, PeerNetwork, ProtocolKind};
+/// use up2p_net::{DigestConfig, LatencySpec, NetConfig, PeerNetwork, ProtocolKind};
 ///
 /// let config = NetConfig::new()
 ///     .latency(LatencySpec::Uniform(5_000, 50_000))
-///     .ttl(5)
-///     .supers(16);
+///     .digests(DigestConfig::guided());
 /// let net = up2p_net::build_network_with(ProtocolKind::FastTrack, 256, 7, &config);
 /// assert_eq!(net.peer_count(), 256);
 /// ```
@@ -103,35 +108,15 @@ pub use traits::{PeerNetwork, ProtocolKind, SearchRequest};
 pub struct NetConfig {
     /// Link latency model (all substrates).
     pub latency: LatencySpec,
-    /// Flooding query TTL (Gnutella).
-    pub ttl: u8,
-    /// Duplicate suppression (Gnutella; `false` is the E6 ablation).
-    pub dedup: bool,
-    /// Super-peer count (FastTrack); `None` picks `ceil(sqrt(n))`.
-    pub supers: Option<usize>,
-    /// Each-side neighbor count of the super-peer overlay (FastTrack).
-    pub super_degree: usize,
-    /// TTL on the super-peer overlay (FastTrack).
-    pub super_ttl: u8,
     /// Routing-digest layer (guided search) for Gnutella and FastTrack.
     /// Disabled by default: blind flooding is the baseline behavior.
     pub digests: DigestConfig,
 }
 
 impl Default for NetConfig {
-    /// The sizing [`build_network`] has always used: constant 20 ms
-    /// links, TTL 7 flooding with dedup, `sqrt(n)` super-peers at degree
-    /// 2 and super-overlay TTL 4.
+    /// Constant 20 ms links, no digests.
     fn default() -> Self {
-        NetConfig {
-            latency: LatencySpec::Constant(20_000),
-            ttl: DEFAULT_TTL,
-            dedup: true,
-            supers: None,
-            super_degree: 2,
-            super_ttl: 4,
-            digests: DigestConfig::default(),
-        }
+        NetConfig { latency: LatencySpec::Constant(20_000), digests: DigestConfig::default() }
     }
 }
 
@@ -147,36 +132,6 @@ impl NetConfig {
         self
     }
 
-    /// Sets the flooding TTL.
-    pub fn ttl(mut self, ttl: u8) -> NetConfig {
-        self.ttl = ttl;
-        self
-    }
-
-    /// Enables/disables flooding duplicate suppression.
-    pub fn dedup(mut self, dedup: bool) -> NetConfig {
-        self.dedup = dedup;
-        self
-    }
-
-    /// Sets an explicit super-peer count.
-    pub fn supers(mut self, supers: usize) -> NetConfig {
-        self.supers = Some(supers);
-        self
-    }
-
-    /// Sets the super-peer overlay degree.
-    pub fn super_degree(mut self, degree: usize) -> NetConfig {
-        self.super_degree = degree;
-        self
-    }
-
-    /// Sets the TTL used on the super-peer overlay.
-    pub fn super_ttl(mut self, ttl: u8) -> NetConfig {
-        self.super_ttl = ttl;
-        self
-    }
-
     /// Sets the routing-digest (guided search) configuration.
     pub fn digests(mut self, digests: DigestConfig) -> NetConfig {
         self.digests = digests;
@@ -184,25 +139,21 @@ impl NetConfig {
     }
 
     /// The super-peer count an `n`-peer FastTrack substrate gets:
-    /// the explicit setting, else `ceil(sqrt(n))`, clamped to `1..=n`.
+    /// `ceil(sqrt(n))`, clamped to `1..=n`.
     pub fn super_count(&self, n: usize) -> usize {
-        self.supers.unwrap_or_else(|| (n as f64).sqrt().ceil() as usize).clamp(1, n.max(1))
+        ((n as f64).sqrt().ceil() as usize).clamp(1, n.max(1))
     }
 
-    /// The Gnutella substrate's share of this configuration.
+    /// The Gnutella substrate's configuration: its defaults, with this
+    /// digest layer.
     pub(crate) fn flooding(&self) -> FloodingConfig {
-        FloodingConfig { ttl: self.ttl, dedup: self.dedup, digests: self.digests }
+        FloodingConfig { digests: self.digests, ..FloodingConfig::default() }
     }
 
-    /// The FastTrack substrate's share of this configuration, sized for
-    /// `n` peers.
+    /// The FastTrack substrate's configuration for `n` peers: its
+    /// defaults at [`super_count`](Self::super_count), with this digest layer.
     pub(crate) fn super_peer(&self, n: usize) -> SuperPeerConfig {
-        SuperPeerConfig {
-            supers: self.super_count(n),
-            super_degree: self.super_degree,
-            ttl: self.super_ttl,
-            digests: self.digests,
-        }
+        SuperPeerConfig { supers: self.super_count(n), digests: self.digests, ..SuperPeerConfig::default() }
     }
 }
 
@@ -231,12 +182,12 @@ pub fn build_network_with(
     }
 }
 
-/// Builds a substrate with the default [`NetConfig`] — the experiments'
-/// long-standing sizing:
+/// Builds a substrate with the default [`NetConfig`], constant 20 ms
+/// links and no digests:
 ///
-/// * Napster: constant 20 ms links to the server.
+/// * Napster: one index server.
 /// * Gnutella: small-world overlay (2k = 4 neighbors, β = 0.2), TTL 7.
-/// * FastTrack: ~`sqrt(n)` super-peers, TTL 4 on the super overlay.
+/// * FastTrack: `ceil(sqrt(n))` super-peers, TTL 4 on the super overlay.
 pub fn build_network(kind: ProtocolKind, n: usize, seed: u64) -> Box<dyn PeerNetwork + Send> {
     build_network_with(kind, n, seed, &NetConfig::default())
 }
@@ -269,26 +220,27 @@ mod tests {
     fn net_config_defaults_match_build_network() {
         let config = NetConfig::default();
         assert_eq!(config.latency, LatencySpec::Constant(20_000));
-        assert_eq!(config.ttl, DEFAULT_TTL);
-        assert!(config.dedup);
+        assert_eq!(config.flooding().ttl, DEFAULT_TTL);
+        assert!(config.flooding().dedup);
         assert_eq!(config.super_count(64), 8, "sqrt sizing");
         assert_eq!(config.super_count(0), 1, "clamped to at least one");
-        // explicit settings override the derived sizing
-        assert_eq!(NetConfig::new().supers(3).super_count(64), 3);
-        assert_eq!(NetConfig::new().supers(100).super_count(8), 8, "clamped to n");
     }
 
     #[test]
     fn build_network_with_honors_the_config() {
-        let config = NetConfig::new()
-            .latency(LatencySpec::Constant(1_000))
-            .ttl(2)
-            .dedup(false)
-            .supers(4)
-            .super_degree(1)
-            .super_ttl(2);
-        for kind in [ProtocolKind::Napster, ProtocolKind::Gnutella, ProtocolKind::FastTrack] {
-            let mut net = build_network_with(kind, 32, 7, &config);
+        let config = NetConfig::new().latency(LatencySpec::Constant(1_000));
+        let latency = || config.latency.build(32, 7);
+        let flooding = FloodingConfig { ttl: 2, dedup: false, ..FloodingConfig::default() };
+        let supers = SuperPeerConfig { supers: 4, super_degree: 1, ttl: 2, ..SuperPeerConfig::default() };
+        let nets: [(ProtocolKind, Box<dyn PeerNetwork>); 3] = [
+            (ProtocolKind::Napster, build_network_with(ProtocolKind::Napster, 32, 7, &config)),
+            (
+                ProtocolKind::Gnutella,
+                Box::new(FloodingNetwork::new(Topology::small_world(32, 2, 0.2, 7), latency(), flooding)),
+            ),
+            (ProtocolKind::FastTrack, Box::new(SuperPeerNetwork::new(32, supers, latency(), 7))),
+        ];
+        for (kind, mut net) in nets {
             net.publish(
                 PeerId(1),
                 ResourceRecord::new("k", "c", vec![("o/name".to_string(), "x".to_string())]),

@@ -9,8 +9,7 @@
 
 use up2p_net::churn::exponential_schedule;
 use up2p_net::{
-    DesNetwork, DigestConfig, LatencySpec, NetConfig, PeerId, PeerNetwork, ProtocolKind,
-    ResourceRecord,
+    DesNetwork, DigestConfig, LatencySpec, PeerId, PeerNetwork, ResourceRecord, SuperPeerConfig,
 };
 use up2p_store::Query;
 
@@ -27,11 +26,13 @@ fn artist(i: usize) -> String {
 
 #[test]
 fn churn_storm_at_10k_peers_stays_within_bounds() {
-    let config = NetConfig::new()
-        .latency(LatencySpec::Constant(20_000))
-        .supers(SUPERS)
-        .digests(DigestConfig { log2_bits: 12, ..DigestConfig::guided() });
-    let mut net = DesNetwork::build(ProtocolKind::FastTrack, PEERS, SEED, &config);
+    let config = SuperPeerConfig {
+        supers: SUPERS,
+        digests: DigestConfig { log2_bits: 12, ..DigestConfig::guided() },
+        ..SuperPeerConfig::default()
+    };
+    let latency = LatencySpec::Constant(20_000).build(PEERS, SEED);
+    let mut net = DesNetwork::fasttrack(PEERS, config, latency, SEED);
 
     // Replicated catalogue, providers spread over the leaves.
     let mut records = Vec::new();

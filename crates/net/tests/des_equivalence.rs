@@ -14,9 +14,9 @@ use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use up2p_net::{
-    build_network_with, DesNetwork, DigestConfig, IndexNode, LatencySpec, MsgKind, NetConfig,
-    NetStats, PeerId, PeerIndexes, PeerNetwork, ProtocolKind, RecordArena, ResourceRecord,
-    RoutingDigest, SearchOutcome, ShareTable, Topology,
+    build_network_with, DesNetwork, DigestConfig, FloodingConfig, FloodingNetwork, IndexNode,
+    LatencySpec, MsgKind, NetConfig, NetStats, PeerId, PeerIndexes, PeerNetwork, ProtocolKind,
+    RecordArena, ResourceRecord, RoutingDigest, SearchOutcome, ShareTable, Topology,
 };
 use up2p_store::{Query, ValuePattern};
 
@@ -220,8 +220,24 @@ fn assert_equivalent(
     searches: &[(PeerId, &'static str, Query)],
     retrieves: &[(PeerId, PeerId, String)],
 ) -> Result<(), TestCaseError> {
-    let mut step = build_network_with(kind, n, seed, config);
-    let mut des = DesNetwork::build(kind, n, seed, config);
+    let step = build_network_with(kind, n, seed, config);
+    let des = DesNetwork::build(kind, n, seed, config);
+    assert_pair_equivalent(kind, step, des, publishes, removals, deaths, searches, retrieves)
+}
+
+/// [`assert_equivalent`] over a step substrate and a DES engine the
+/// caller built alike.
+#[allow(clippy::too_many_arguments)]
+fn assert_pair_equivalent(
+    kind: ProtocolKind,
+    mut step: Box<dyn PeerNetwork + Send>,
+    mut des: DesNetwork,
+    publishes: &[PublishOp],
+    removals: &[(String, PeerId)],
+    deaths: &[PeerId],
+    searches: &[(PeerId, &'static str, Query)],
+    retrieves: &[(PeerId, PeerId, String)],
+) -> Result<(), TestCaseError> {
     for op in publishes {
         let record = ResourceRecord::new(&*op.key, op.community, op.fields.clone());
         step.publish(op.provider, record.clone());
@@ -389,10 +405,14 @@ proptest! {
         origin in 0u32..ORACLE_PEERS as u32,
         query in oracle_query(),
     ) {
-        let config = NetConfig::new().ttl(3).dedup(false);
+        let config = FloodingConfig { ttl: 3, dedup: false, ..FloodingConfig::default() };
+        let topology = || Topology::small_world(n, 2, 0.2, seed);
+        let latency = || NetConfig::default().latency.build(n, seed);
         let searches = vec![(PeerId(origin), COMMUNITIES[0], query)];
-        assert_equivalent(
-            ProtocolKind::Gnutella, n, seed, &config,
+        assert_pair_equivalent(
+            ProtocolKind::Gnutella,
+            Box::new(FloodingNetwork::new(topology(), latency(), config)),
+            DesNetwork::gnutella(topology(), latency(), config),
             &publishes, &[], &[], &searches, &[],
         )?;
     }

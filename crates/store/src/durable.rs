@@ -371,16 +371,14 @@ fn replay_state(
             }
         }
     }
-    let mut items = Vec::with_capacity(live.len());
+    let mut repo = Repository::new();
     for rec in live.into_values() {
         let WalRecord::Publish { community, xml, fields, prep } = rec else {
             continue; // unreachable: removes never enter the map
         };
         let doc = Document::parse(&xml)?;
-        items.push((community, xml, doc, fields.into(), Some(prep)));
+        repo.admit(&community, xml, doc, fields.into(), Some(&prep));
     }
-    let mut repo = Repository::new();
-    repo.admit_batch(items);
     let report = RecoveryReport {
         generation: manifest.generation,
         segment_objects,

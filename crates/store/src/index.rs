@@ -29,7 +29,7 @@ use crate::digest::ResourceId;
 use crate::query::{Query, ValuePattern};
 use crate::tokenizer::{for_each_token, normalize};
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Shared handle to one object's extracted `(field path, value)` pairs.
@@ -177,7 +177,7 @@ impl MetadataIndex {
     /// (module docs: stable until this id is removed, recycled after).
     pub fn insert_shared(&mut self, id: ResourceId, fields: SharedFields) -> u32 {
         self.remove(&id);
-        self.admit(id, fields, None, None)
+        self.admit(id, fields, None)
     }
 
     /// Indexes an object from its pre-tokenized form without running the
@@ -193,53 +193,7 @@ impl MetadataIndex {
         prep: &[PreparedField],
     ) -> u32 {
         self.remove(&id);
-        self.admit(id, fields, Some(prep), None)
-    }
-
-    /// Bulk-inserts a batch, deferring posting-list ordering until the
-    /// whole batch is in: lists touched by the batch are appended to
-    /// unchecked, then sorted and deduplicated once at the end. An item
-    /// that carries its pre-tokenized form (segment/WAL replay) is posted
-    /// from it without running the tokenizer, with the same length check
-    /// as [`insert_tokenized`](Self::insert_tokenized). When the batch
-    /// repeats an id, the last occurrence wins (sequential-insert
-    /// semantics).
-    pub fn insert_batch<I, F>(&mut self, batch: I)
-    where
-        I: IntoIterator<Item = (ResourceId, F, Option<Vec<PreparedField>>)>,
-        F: Into<SharedFields>,
-    {
-        let items: Vec<(ResourceId, SharedFields, Option<Vec<PreparedField>>)> =
-            batch.into_iter().map(|(id, fields, prep)| (id, fields.into(), prep)).collect();
-        // removals first, while every posting list is still sorted; also
-        // mark all but the last occurrence of a repeated id as skipped
-        let mut keep = vec![true; items.len()];
-        {
-            let mut last: HashMap<&ResourceId, usize> = HashMap::with_capacity(items.len());
-            for (i, (id, _, _)) in items.iter().enumerate() {
-                if let Some(prev) = last.insert(id, i) {
-                    keep[prev] = false;
-                }
-            }
-        }
-        for (id, _, _) in &items {
-            self.remove(id);
-        }
-        self.docs.reserve(items.len());
-        self.doc_ids.reserve(items.len());
-        let mut dirty = DirtyLists::new();
-        for (i, (id, fields, prep)) in items.into_iter().enumerate() {
-            if keep[i] {
-                self.admit(id, fields, prep.as_deref(), Some(&mut dirty));
-            }
-        }
-        for (is_token, path, term) in dirty {
-            let maps = if is_token { &mut self.tokens } else { &mut self.exact };
-            if let Some(list) = maps[path as usize].get_mut(&term) {
-                list.sort_unstable();
-                list.dedup();
-            }
-        }
+        self.admit(id, fields, Some(prep))
     }
 
     /// Removes an object by replaying its own stored fields — cost is
@@ -377,33 +331,20 @@ impl MetadataIndex {
     /// Indexes an object that is not (or no longer) in the index: from
     /// `prep` when it lines up with the fields, through the tokenizer
     /// otherwise.
-    fn admit(
-        &mut self,
-        id: ResourceId,
-        fields: SharedFields,
-        prep: Option<&[PreparedField]>,
-        dirty: Option<&mut DirtyLists>,
-    ) -> u32 {
+    fn admit(&mut self, id: ResourceId, fields: SharedFields, prep: Option<&[PreparedField]>) -> u32 {
         match prep.filter(|p| p.len() == fields.len()) {
-            Some(prep) => self.post(id, fields, prep, dirty),
-            None => self.post(id, fields, Tokenizer, dirty),
+            Some(prep) => self.post(id, fields, prep),
+            None => self.post(id, fields, Tokenizer),
         }
     }
 
     /// The one posting body: allocates the doc-id (returned), interns and
     /// posts the fields with each one's normalized value and tokens taken
-    /// from `source`, and stores the entry. With `dirty` (bulk mode) postings
-    /// are appended unchecked and the touched lists recorded; without it
-    /// every list is kept sorted in place. Removal later replays the
-    /// entry via `for_each_token`, which matches a prepared source
-    /// because [`prepare_fields`] used the same visitor.
-    fn post<S: TermSource>(
-        &mut self,
-        id: ResourceId,
-        fields: SharedFields,
-        source: S,
-        mut dirty: Option<&mut DirtyLists>,
-    ) -> u32 {
+    /// from `source`, and stores the entry; every list stays sorted.
+    /// Removal later replays the entry via `for_each_token`, which
+    /// matches a prepared source because [`prepare_fields`] used the
+    /// same visitor.
+    fn post<S: TermSource>(&mut self, id: ResourceId, fields: SharedFields, source: S) -> u32 {
         let doc = self.alloc_doc(id.clone());
         let mut path_syms = Vec::with_capacity(fields.len());
         let mut norms = Vec::with_capacity(fields.len());
@@ -412,13 +353,11 @@ impl MetadataIndex {
             path_syms.push(p);
             let norm = source.norm(i, value);
             let v = self.terms.intern(&norm);
-            let exact_list = self.exact[p as usize].entry(v).or_default();
-            add_posting(exact_list, doc, (false, p, v), dirty.as_deref_mut());
+            add_posting(self.exact[p as usize].entry(v).or_default(), doc);
             let (terms, tokens) = (&mut self.terms, &mut self.tokens);
             source.for_each_token(i, value, |token| {
                 let t = terms.intern(token);
-                let token_list = tokens[p as usize].entry(t).or_default();
-                add_posting(token_list, doc, (true, p, t), dirty.as_deref_mut());
+                add_posting(tokens[p as usize].entry(t).or_default(), doc);
             });
             norms.push(norm);
         }
@@ -550,10 +489,6 @@ impl MetadataIndex {
     }
 }
 
-/// Posting lists a bulk insert appended to out of order, as
-/// `(is_token, path symbol, term symbol)`.
-type DirtyLists = HashSet<(bool, u32, u32)>;
-
 /// Where [`MetadataIndex::post`] gets field `i`'s normalized value and
 /// keyword tokens.
 trait TermSource {
@@ -585,25 +520,17 @@ impl TermSource for &[PreparedField] {
     }
 }
 
-/// Adds `doc` to a posting list. Ascending doc-ids (the common case)
-/// append in O(1) either way. An out-of-order doc-id is inserted at its
-/// sorted position when `dirty` is `None`; in bulk mode it is appended
-/// and the list recorded in `dirty`, to be sorted and deduplicated once
-/// at batch commit.
-fn add_posting(list: &mut Vec<u32>, doc: u32, key: (bool, u32, u32), dirty: Option<&mut DirtyLists>) {
+/// Adds `doc` to a sorted posting list. Ascending doc-ids (the common
+/// case) append in O(1); a recycled, lower doc-id is inserted at its
+/// sorted position.
+fn add_posting(list: &mut Vec<u32>, doc: u32) {
     match list.last() {
         Some(&tail) if tail == doc => {}
-        Some(&tail) if tail > doc => match dirty {
-            Some(dirty) => {
-                list.push(doc);
-                dirty.insert(key);
+        Some(&tail) if tail > doc => {
+            if let Err(pos) = list.binary_search(&doc) {
+                list.insert(pos, doc);
             }
-            None => {
-                if let Err(pos) = list.binary_search(&doc) {
-                    list.insert(pos, doc);
-                }
-            }
-        },
+        }
         _ => list.push(doc),
     }
 }
@@ -846,42 +773,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_batch_matches_sequential_inserts() {
-        let fields = |n: &str, c: &str| {
-            vec![
-                ("pattern/name".to_string(), n.to_string()),
-                ("pattern/category".to_string(), c.to_string()),
-            ]
-        };
-        let items = vec![
-            (id(1), fields("Observer", "behavioral")),
-            (id(2), fields("Abstract Factory", "creational")),
-            (id(1), fields("Mediator", "behavioral")), // duplicate id: last wins
-            (id(3), fields("Factory Method", "creational")),
-        ];
-        let mut batched = MetadataIndex::new();
-        batched.insert_batch(items.iter().cloned().map(|(rid, f)| (rid, f, None)));
-        let mut sequential = MetadataIndex::new();
-        for (rid, f) in items {
-            sequential.insert(rid, f);
-        }
-        assert_eq!(batched.len(), 3);
-        for q in [
-            Query::any_keyword("factory"),
-            Query::eq("category", "behavioral"),
-            Query::keyword("name", "mediator"),
-            Query::All,
-        ] {
-            assert_eq!(batched.execute(&q), sequential.execute(&q), "on {q}");
-        }
-        let (b, s) = (batched.stats(), sequential.stats());
-        assert_eq!(b.token_postings, s.token_postings);
-        assert_eq!(b.exact_postings, s.exact_postings);
-        // observer postings were replaced by mediator's within the batch
-        assert!(batched.execute(&Query::keyword("name", "observer")).is_empty());
-    }
-
-    #[test]
     fn tokenized_insert_agrees_with_tokenizing_insert() {
         let fields = |n: &str, c: &str| -> SharedFields {
             vec![
@@ -898,28 +789,22 @@ mod tests {
         ];
         let mut reference = MetadataIndex::new();
         let mut single = MetadataIndex::new();
-        let mut batched = MetadataIndex::new();
         for (rid, f) in &items {
             reference.insert_shared(rid.clone(), Arc::clone(f));
             single.insert_tokenized(rid.clone(), Arc::clone(f), &prepare_fields(f));
         }
-        batched.insert_batch(
-            items.iter().map(|(rid, f)| (rid.clone(), Arc::clone(f), Some(prepare_fields(f)))),
-        );
-        for ix in [&single, &batched] {
-            for q in [
-                Query::any_keyword("factory"),
-                Query::eq("category", "behavioral"),
-                Query::keyword("name", "mediator"),
-                Query::keyword("name", "observer"),
-                Query::All,
-            ] {
-                assert_eq!(ix.execute(&q), reference.execute(&q), "on {q}");
-            }
-            let (a, b) = (ix.stats(), reference.stats());
-            assert_eq!(a.token_postings, b.token_postings);
-            assert_eq!(a.exact_postings, b.exact_postings);
+        for q in [
+            Query::any_keyword("factory"),
+            Query::eq("category", "behavioral"),
+            Query::keyword("name", "mediator"),
+            Query::keyword("name", "observer"),
+            Query::All,
+        ] {
+            assert_eq!(single.execute(&q), reference.execute(&q), "on {q}");
         }
+        let (a, b) = (single.stats(), reference.stats());
+        assert_eq!(a.token_postings, b.token_postings);
+        assert_eq!(a.exact_postings, b.exact_postings);
         // removal replays tokenized entries correctly (same token stream)
         single.remove(&id(2));
         reference.remove(&id(2));

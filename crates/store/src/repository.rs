@@ -171,27 +171,7 @@ impl Repository {
         self.admit(community, doc.to_xml_string(), doc, fields.into(), None)
     }
 
-    /// Bulk-inserts parsed documents, extracting and indexing the given
-    /// field paths. The metadata index defers posting-list merging across
-    /// the whole load (see [`MetadataIndex::insert_batch`]), which is the
-    /// fast path for loading large corpora. Returns the content-derived
-    /// ids in input order.
-    pub fn insert_batch<I>(
-        &mut self,
-        community: &str,
-        docs: I,
-        index_paths: &[String],
-    ) -> Vec<ResourceId>
-    where
-        I: IntoIterator<Item = Document>,
-    {
-        self.admit_batch(docs.into_iter().map(|doc| {
-            let fields = Self::extract_fields(&doc, index_paths).into();
-            (community.to_string(), doc.to_xml_string(), doc, fields, None)
-        }))
-    }
-
-    /// The one write path for a single object: `xml` is `doc`'s canonical
+    /// The one write path: `xml` is `doc`'s canonical
     /// serialization, made once by the caller (the durable store has it
     /// for the WAL record already). With `prep` — the fields'
     /// pre-tokenized form, see [`crate::prepare_fields`] — the index
@@ -210,23 +190,6 @@ impl Repository {
             None => self.index.insert_shared(obj.id.clone(), obj.fields.clone()),
         };
         self.file(obj)
-    }
-
-    /// Bulk [`admit`](Self::admit) over `(community, xml, doc, fields,
-    /// prep)` items through [`MetadataIndex::insert_batch`] — bulk loads
-    /// and segment/WAL recovery. Returns ids in input order.
-    pub(crate) fn admit_batch<I>(&mut self, items: I) -> Vec<ResourceId>
-    where
-        I: IntoIterator<Item = (String, String, Document, SharedFields, Option<Vec<PreparedField>>)>,
-    {
-        let (mut ids, mut postings) = (Vec::new(), Vec::new());
-        for (community, xml, doc, fields, prep) in items {
-            let obj = StoredObject::new(community, xml, doc, fields);
-            postings.push((obj.id.clone(), obj.fields.clone(), prep));
-            ids.push(self.file(obj));
-        }
-        self.index.insert_batch(postings);
-        ids
     }
 
     /// Files an object under its id and community.
@@ -435,33 +398,6 @@ mod tests {
         assert!(r.search(None, &Query::any_keyword("observer")).is_empty());
         assert_eq!(r.ids_in("patterns").len(), 1);
         assert!(r.remove(&id).is_none());
-    }
-
-    #[test]
-    fn insert_batch_agrees_with_sequential_insert() {
-        let docs: Vec<Document> =
-            [OBSERVER, FACTORY].iter().map(|x| Document::parse(x).unwrap()).collect();
-        let mut batched = Repository::new();
-        let ids = batched.insert_batch("patterns", docs.clone(), &paths());
-        let mut sequential = Repository::new();
-        let seq_ids: Vec<_> =
-            docs.into_iter().map(|d| sequential.insert_doc("patterns", d, &paths())).collect();
-        assert_eq!(ids, seq_ids);
-        assert_eq!(batched.len(), 2);
-        for q in [
-            Query::any_keyword("factory"),
-            Query::eq("category", "behavioral"),
-            Query::and([Query::eq("category", "creational"), Query::any_keyword("families")]),
-        ] {
-            let b: Vec<_> = batched.search(None, &q).iter().map(|o| o.id.clone()).collect();
-            let s: Vec<_> = sequential.search(None, &q).iter().map(|o| o.id.clone()).collect();
-            assert_eq!(b, s, "on {q}");
-        }
-        let (bs, ss) = (batched.index_stats(), sequential.index_stats());
-        assert_eq!(bs, ss);
-        // batch-loaded objects can be removed and searched like any other
-        batched.remove(&ids[0]);
-        assert!(batched.search(None, &Query::any_keyword("observer")).is_empty());
     }
 
     #[test]

@@ -17,8 +17,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Arc;
 use up2p_store::{
-    DurableOptions, DurableRepository, FailFs, Query, RealFs, Repository, StoreError, StoreFs,
-    StoreWriter, SyncPolicy,
+    DurableOptions, DurableRepository, FailFs, Query, RealFs, Repository, ResourceId, StoreError,
+    StoreFs, StoreWriter, SyncPolicy,
 };
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -73,29 +73,24 @@ fn oracle(ops: &[Op], upto: usize) -> Repository {
     repo
 }
 
+/// Applies one op to the durable store; `ids` is every id published so
+/// far, in order (what `Remove` selects from).
+fn apply_op(store: &mut DurableRepository, ids: &mut Vec<ResourceId>, op: Op) -> Result<(), StoreError> {
+    match op {
+        Op::Publish(n) => store.publish_xml("tracks", &xml_for(n), &index_paths()).map(|id| ids.push(id)),
+        Op::Remove(_) if ids.is_empty() => Ok(()),
+        Op::Remove(sel) => {
+            let id = ids[sel % ids.len()].clone();
+            store.remove(&id).map(|_| ())
+        }
+    }
+}
+
 /// Applies ops to the durable store until the first injected failure,
 /// returning how many were acknowledged.
 fn apply_until_crash(store: &mut DurableRepository, ops: &[Op]) -> usize {
     let mut ids = Vec::new();
-    for (acked, op) in ops.iter().enumerate() {
-        let result: Result<(), StoreError> = match op {
-            Op::Publish(n) => {
-                store.publish_xml("tracks", &xml_for(*n), &index_paths()).map(|id| ids.push(id))
-            }
-            Op::Remove(sel) => {
-                if ids.is_empty() {
-                    Ok(())
-                } else {
-                    let id = ids[sel % ids.len()].clone();
-                    store.remove(&id).map(|_| ())
-                }
-            }
-        };
-        if result.is_err() {
-            return acked;
-        }
-    }
-    ops.len()
+    ops.iter().position(|&op| apply_op(store, &mut ids, op).is_err()).unwrap_or(ops.len())
 }
 
 fn probe_queries() -> Vec<Query> {
@@ -258,6 +253,43 @@ proptest! {
         let opts = DurableOptions { sync, compact_every };
         let total = measure_total_bytes(&ops, opts, "prop-measure");
         run_kill_case(&ops, kill_num * total / 96, opts, "prop-kill");
+    }
+
+    /// Recovery admits the folded log one object at a time, as a live
+    /// publish does. A random history in which one id is published into
+    /// the segment (a compaction follows), then published again in the
+    /// WAL, removed and republished, recovers to the sequential oracle.
+    #[test]
+    fn recovery_of_a_republished_history_equals_the_sequential_oracle(
+        head in prop::collection::vec((0u32..6, 0usize..16, any::<bool>()), 0..10),
+        tail in prop::collection::vec((0u32..6, 0usize..16, any::<bool>()), 0..14),
+        k in 0u32..6,
+    ) {
+        let op = |&(n, sel, publish): &(u32, usize, bool)| if publish { Op::Publish(n) } else { Op::Remove(sel) };
+        let mut ops: Vec<Op> = head.iter().map(op).collect();
+        // `Remove(k_at)` selects the publish of `k` pushed next
+        let k_at = ops.iter().filter(|op| matches!(op, Op::Publish(_))).count();
+        ops.push(Op::Publish(k));
+        let segment_ops = ops.len();
+        ops.extend([Op::Publish(k), Op::Remove(k_at), Op::Publish(k)]);
+        ops.extend(tail.iter().map(op));
+
+        let dir = fresh_dir("prop-republish");
+        let opts = DurableOptions { sync: SyncPolicy::Manual, compact_every: None };
+        let mut store = DurableRepository::open(&dir, opts).expect("open");
+        let mut ids = Vec::new();
+        for (i, &op) in ops.iter().enumerate() {
+            if i == segment_ops {
+                store.compact().expect("compact");
+            }
+            apply_op(&mut store, &mut ids, op).expect("no fault injected");
+        }
+        store.sync().expect("sync");
+        let (recovered, report) = DurableRepository::recover(&dir).expect("recover");
+        prop_assert!(report.segment_objects >= 1 && report.wal_records >= 3, "{:?}", report);
+        prop_assert!(same_state(&recovered, &oracle(&ops, ops.len())));
+        prop_assert!(same_state(&recovered, store.repository()));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -68,7 +68,7 @@ fn query_strategy() -> impl Strategy<Value = Query> {
     })
 }
 
-/// One insert of the four-cell tape: the object's slot (its id), its
+/// One insert of the insert-cell tape: the object's slot (its id), its
 /// fields, and whether its prepared form is cut one entry short.
 type TapeItem = (usize, Vec<(String, String)>, bool);
 
@@ -95,8 +95,7 @@ fn match_order(ix: &MetadataIndex, query: &Query) -> Vec<ResourceId> {
 }
 
 /// `stats()` without `approx_bytes`: the interner keeps the strings of
-/// objects that were replaced or removed, and a batch never interns the
-/// fields of an occurrence a later one in the same batch overrides.
+/// objects that were replaced or removed.
 fn counts(s: IndexStats) -> (usize, usize, usize, usize) {
     (s.objects, s.fields, s.token_postings, s.exact_postings)
 }
@@ -237,17 +236,14 @@ proptest! {
         prop_assert!(ix.is_empty());
     }
 
-    /// The four insert cells — (tokenizing | prepared) × (single | batch) —
-    /// are one write path: driven through one random insert / remove /
-    /// re-insert tape (repeated ids inside a batch, prepared forms of the
-    /// wrong length) they hold the same postings and answer every query
-    /// like the linear scan. Within a shape the prepared cell also visits
-    /// matches in the tokenizing cell's order; across shapes doc-ids may
-    /// differ (a batch removes every replaced id before it allocates), so
-    /// only the match sets agree. Prepared inserts of new ids run zero
-    /// tokenizer passes.
+    /// The two insert cells — tokenizing `insert_shared` and prepared
+    /// `insert_tokenized` — are one write path: driven through one random
+    /// insert / remove / re-insert tape (repeated ids inside a group,
+    /// prepared forms of the wrong length) they hold the same postings,
+    /// answer every query like the linear scan and visit matches in the
+    /// same order. Prepared inserts of new ids run zero tokenizer passes.
     #[test]
-    fn four_insert_cells_agree(
+    fn insert_cells_agree(
         objects in prop::collection::vec(object_fields(), 1..10),
         tape in prop::collection::vec(
             (0u8..4, prop::collection::vec((0usize..12, object_fields(), any::<bool>()), 1..4)),
@@ -255,55 +251,49 @@ proptest! {
         ),
         query in query_strategy(),
     ) {
-        // cells: [tokenizing single, prepared single, tokenizing batch, prepared batch]
-        let mut cells: [MetadataIndex; 4] = Default::default();
+        let (mut tokenizing, mut prepared) = (MetadataIndex::new(), MetadataIndex::new());
         let mut model: BTreeMap<ResourceId, Vec<(String, String)>> = BTreeMap::new();
-        let insert_group = |cells: &mut [MetadataIndex; 4], group: &[TapeItem]| {
+        // returns the tokenizer passes of (the prepared cell, the tokenizing cell)
+        let insert_group = |tokenizing: &mut MetadataIndex, prepared: &mut MetadataIndex, group: &[TapeItem]| {
             let shared: Vec<(ResourceId, SharedFields, Vec<PreparedField>)> = group
                 .iter()
                 .map(|(slot, f, short)| (slot_id(*slot), f.clone().into(), item_prep(f, *short)))
                 .collect();
             let before = token_passes();
             for (id, f, prep) in &shared {
-                cells[1].insert_tokenized(id.clone(), f.clone(), prep);
+                prepared.insert_tokenized(id.clone(), f.clone(), prep);
             }
-            let single_passes = token_passes() - before;
-            cells[3].insert_batch(
-                shared.iter().map(|(id, f, prep)| (id.clone(), f.clone(), Some(prep.clone()))),
-            );
             let prepared_passes = token_passes() - before;
             for (id, f, _) in &shared {
-                cells[0].insert_shared(id.clone(), f.clone());
+                tokenizing.insert_shared(id.clone(), f.clone());
             }
-            cells[2].insert_batch(shared.iter().map(|(id, f, _)| (id.clone(), f.clone(), None)));
-            (single_passes, prepared_passes, token_passes() - before - prepared_passes)
+            (prepared_passes, token_passes() - before - prepared_passes)
         };
 
         // initial load: new ids, well-formed prepared forms
         let load: Vec<TapeItem> =
             objects.iter().cloned().enumerate().map(|(i, f)| (i, f, false)).collect();
-        let (single, prepared, tokenizing) = insert_group(&mut cells, &load);
-        prop_assert_eq!((single, prepared), (0, 0), "prepared cells ran the tokenizer");
+        let (prepared_passes, tokenizing_passes) = insert_group(&mut tokenizing, &mut prepared, &load);
+        prop_assert_eq!(prepared_passes, 0, "the prepared cell ran the tokenizer");
         let n_fields = objects.iter().map(Vec::len).sum::<usize>() as u64;
-        prop_assert_eq!(tokenizing, 2 * n_fields, "tokenizing cells: one pass per field");
+        prop_assert_eq!(tokenizing_passes, n_fields, "tokenizing cell: one pass per field");
         model.extend(load.into_iter().map(|(slot, f, _)| (slot_id(slot), f)));
 
         for (op, mut group) in tape {
             match op {
                 0 => {
                     let id = slot_id(group[0].0);
-                    cells.iter_mut().for_each(|ix| {
-                        ix.remove(&id);
-                    });
+                    tokenizing.remove(&id);
+                    prepared.remove(&id);
                     model.remove(&id);
                 }
                 _ => {
                     if op == 3 {
-                        // repeat the first id inside the batch: last wins
+                        // repeat the first id inside the group: last wins
                         let (slot, last) = (group[0].0, group[group.len() - 1].1.clone());
                         group.push((slot, last, false));
                     }
-                    insert_group(&mut cells, &group);
+                    insert_group(&mut tokenizing, &mut prepared, &group);
                     model.extend(group.into_iter().map(|(slot, f, _)| (slot_id(slot), f)));
                 }
             }
@@ -312,22 +302,21 @@ proptest! {
                 .filter(|(_, f)| query.matches_fields(f))
                 .map(|(id, _)| id.clone())
                 .collect();
-            for (i, ix) in cells.iter().enumerate() {
-                prop_assert_eq!(counts(ix.stats()), counts(cells[0].stats()), "cell {}", i);
-                prop_assert_eq!(ix.execute(&query), via_scan.clone(), "cell {}: {}", i, &query);
+            prop_assert_eq!(counts(prepared.stats()), counts(tokenizing.stats()));
+            for ix in [&tokenizing, &prepared] {
+                prop_assert_eq!(ix.execute(&query), via_scan.clone(), "{}", &query);
             }
             for q in [&query, &Query::All] {
-                prop_assert_eq!(match_order(&cells[1], q), match_order(&cells[0], q), "single");
-                prop_assert_eq!(match_order(&cells[3], q), match_order(&cells[2], q), "batch");
+                prop_assert_eq!(match_order(&prepared, q), match_order(&tokenizing, q));
             }
         }
     }
 
-    /// The `Repository` twin of `four_insert_cells_agree`: sequential
-    /// `insert_doc`, bulk `insert_batch`, durable publish (prepared,
-    /// single) and recovery of that store's directory (prepared, bulk)
-    /// all end in the same objects, postings and search results, with one
-    /// tokenizer pass per field on a durable publish and none in recovery.
+    /// The `Repository` twin of `insert_cells_agree`: sequential
+    /// `insert_doc` (tokenizing), durable publish (prepared) and recovery
+    /// of that store's directory (prepared, from the log) all end in the
+    /// same objects, postings and search results, with one tokenizer pass
+    /// per field on a durable publish and none in recovery.
     #[test]
     fn repository_write_paths_agree(
         groups in prop::collection::vec(
@@ -345,7 +334,7 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
         let paths = vec!["obj/name".to_string(), "obj/keywords".to_string()];
         let opts = DurableOptions { sync: SyncPolicy::Manual, compact_every: None };
-        let (mut sequential, mut batched) = (Repository::new(), Repository::new());
+        let mut sequential = Repository::new();
         let mut durable = DurableRepository::open(&dir, opts).unwrap();
         let mut ids: Vec<ResourceId> = Vec::new();
         for (objects, repeat, victim) in groups {
@@ -357,25 +346,22 @@ proptest! {
                 })
                 .collect();
             if repeat {
-                docs.push(docs[0].clone()); // the same id twice in one batch
+                docs.push(docs[0].clone()); // the same id twice in one group
             }
-            let batch_ids = batched.insert_batch("c", docs.clone(), &paths);
-            for (doc, batch_id) in docs.into_iter().zip(batch_ids) {
-                let fresh = !durable.repository().contains(&batch_id);
+            for doc in docs {
                 let id = sequential.insert_doc("c", doc.clone(), &paths);
+                let fresh = !durable.repository().contains(&id);
                 let before = token_passes();
                 prop_assert_eq!(&durable.publish_doc("c", doc, &paths).unwrap(), &id);
                 if fresh {
                     prop_assert_eq!(token_passes() - before, paths.len() as u64);
                 }
-                prop_assert_eq!(&batch_id, &id);
                 ids.push(id);
             }
             // every other round, remove an earlier object everywhere
             if victim % 2 == 0 {
                 let id = ids[victim % ids.len()].clone();
                 sequential.remove(&id);
-                batched.remove(&id);
                 durable.remove(&id).unwrap();
             }
         }
@@ -389,9 +375,7 @@ proptest! {
         let hits = |r: &Repository| -> Vec<ResourceId> {
             r.search(Some("c"), &query).iter().map(|o| o.id.clone()).collect()
         };
-        for (name, repo) in
-            [("batched", &batched), ("durable", durable.repository()), ("recovered", &recovered)]
-        {
+        for (name, repo) in [("durable", durable.repository()), ("recovered", &recovered)] {
             prop_assert_eq!(dump(repo), dump(&sequential), "{}", name);
             prop_assert_eq!(counts(repo.index_stats()), counts(sequential.index_stats()), "{}", name);
             prop_assert_eq!(hits(repo), hits(&sequential), "{}: {}", name, &query);

@@ -175,22 +175,15 @@ impl Document {
         self.attributes(id).iter().find(|a| a.name.local() == local).map(|a| a.value.as_str())
     }
 
-    /// Sets (or replaces) an attribute on an element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not an element.
+    /// Sets (or replaces) an attribute on an element. Only elements
+    /// carry attributes: on any other node this does nothing.
     pub fn set_attr(&mut self, id: NodeId, name: QName, value: impl Into<String>) {
-        match &mut self.data_mut(id).kind {
-            NodeKind::Element { attributes, .. } => {
-                let value = value.into();
-                if let Some(a) = attributes.iter_mut().find(|a| a.name == name) {
-                    a.value = value;
-                } else {
-                    attributes.push(Attribute { name, value });
-                }
-            }
-            _ => panic!("set_attr on non-element node"),
+        let NodeKind::Element { attributes, .. } = &mut self.data_mut(id).kind else { return };
+        let value = value.into();
+        if let Some(a) = attributes.iter_mut().find(|a| a.name == name) {
+            a.value = value;
+        } else {
+            attributes.push(Attribute { name, value });
         }
     }
 

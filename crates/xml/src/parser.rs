@@ -47,11 +47,19 @@ impl Document {
     }
 }
 
+/// How many elements may be open at once. `parse_element` recurses once
+/// per open element, as does every walk over the tree afterwards, so
+/// input from another peer must not choose the depth. The XSLT engine's
+/// own bound on source trees is the same 64.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     chars: Vec<char>,
     pos: usize,
     line: u32,
     col: u32,
+    /// Elements open at `pos`.
+    depth: usize,
     doc: Document,
     _input: &'a str,
 }
@@ -63,6 +71,7 @@ impl<'a> Parser<'a> {
             pos: 0,
             line: 1,
             col: 1,
+            depth: 0,
             doc: Document::new(),
             _input: input,
         }
@@ -249,7 +258,14 @@ impl<'a> Parser<'a> {
             }
         }
         // content
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.err(ParseErrorKind::InvalidDocumentStructure(format!(
+                "elements nested deeper than {MAX_DEPTH}"
+            ))));
+        }
         self.parse_content(el)?;
+        self.depth -= 1;
         // close tag
         self.eat_str("</")?;
         let close = self.parse_name()?;
@@ -305,8 +321,9 @@ impl<'a> Parser<'a> {
                     let c = expand_entity(&ent).map_err(|k| self.err(k))?;
                     text.push(c);
                 }
-                Some(_) => {
-                    text.push(self.bump().unwrap());
+                Some(c) => {
+                    self.bump();
+                    text.push(c);
                 }
             }
         }
@@ -570,5 +587,21 @@ mod tests {
         let st = d.child_named(schema, "simpleType").unwrap();
         let restriction = d.child_named(st, "restriction").unwrap();
         assert_eq!(d.children_named(restriction, "enumeration").count(), 4);
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        let nested = |n: usize| format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
+        let deep = Document::parse(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(deep.descendants(deep.root()).len(), MAX_DEPTH);
+        // a leaf that opens no content adds no level
+        assert!(Document::parse(&nested(MAX_DEPTH).replacen("<a></a>", "<a><b/></a>", 1)).is_ok());
+        for n in [MAX_DEPTH + 1, 200_000] {
+            let err = Document::parse(&nested(n)).unwrap_err();
+            assert!(
+                matches!(err.kind(), ParseErrorKind::InvalidDocumentStructure(d) if d.contains("nested deeper")),
+                "{n}: {err}"
+            );
+        }
     }
 }

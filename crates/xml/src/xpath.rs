@@ -286,8 +286,8 @@ impl XPath {
     /// Returns [`XPathError`] describing the first syntax error.
     pub fn parse(source: &str) -> Result<XPath, XPathError> {
         let tokens = tokenize(source)?;
-        let mut p = ExprParser { tokens, pos: 0 };
-        let expr = p.parse_expr()?;
+        let mut p = ExprParser { tokens, pos: 0, depth: 0, height: 0 };
+        let expr = p.parse_or()?;
         if p.pos != p.tokens.len() {
             return Err(XPathError::new(format!(
                 "trailing tokens after expression in {source:?}"
@@ -568,9 +568,24 @@ fn lex_number(chars: &[char]) -> (f64, usize) {
 // parser
 // ---------------------------------------------------------------------------
 
+/// How many parentheses, predicates, function arguments and unary
+/// minuses may be open at once, and how high the parsed tree may be
+/// (`a or b or c` is two operators high). The parser recurses per
+/// nesting, evaluation and drop recurse per level of the tree, so a
+/// downloaded stylesheet's `select=` must choose neither; real
+/// expressions use a handful of each.
+const MAX_DEPTH: usize = 32;
+
+/// Builds a binary expression from its operands.
+type BinaryExpr = fn(Box<Expr>, Box<Expr>) -> Expr;
+
 struct ExprParser {
     tokens: Vec<Tok>,
     pos: usize,
+    /// Nestings open at `pos`.
+    depth: usize,
+    /// Height of the tree the last `parse_*` call returned.
+    height: usize,
 }
 
 impl ExprParser {
@@ -593,127 +608,129 @@ impl ExprParser {
         }
     }
 
+    fn within_max_depth(levels: usize) -> Result<(), XPathError> {
+        if levels > MAX_DEPTH {
+            return Err(XPathError::new(format!("expression is more than {MAX_DEPTH} levels deep")));
+        }
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting down.
+    fn nested<T>(&mut self, parse: fn(&mut Self) -> Result<T, XPathError>) -> Result<T, XPathError> {
+        self.depth += 1;
+        Self::within_max_depth(self.depth)?;
+        let parsed = parse(self)?;
+        self.depth -= 1;
+        Ok(parsed)
+    }
+
+    /// The expression being built sits one level above a tree `below` high.
+    fn raise(&mut self, below: usize) -> Result<(), XPathError> {
+        self.height = below + 1;
+        Self::within_max_depth(self.height)
+    }
+
+    /// `operand (operator operand)*`, left-associative.
+    fn parse_chain(
+        &mut self,
+        operand: impl Fn(&mut Self) -> Result<Expr, XPathError>,
+        operator: impl Fn(&Tok) -> Option<BinaryExpr>,
+    ) -> Result<Expr, XPathError> {
+        let mut left = operand(self)?;
+        while let Some(build) = self.peek().and_then(&operator) {
+            self.bump();
+            let left_height = self.height;
+            let right = operand(self)?;
+            self.raise(left_height.max(self.height))?;
+            left = build(Box::new(left), Box::new(right));
+        }
+        Ok(left)
+    }
+
+    /// Every nested expression — parenthesized, predicate, function
+    /// argument — is parsed through here.
     fn parse_expr(&mut self) -> Result<Expr, XPathError> {
-        self.parse_or()
+        self.nested(Self::parse_or)
     }
 
     fn parse_or(&mut self) -> Result<Expr, XPathError> {
-        let mut left = self.parse_and()?;
-        while matches!(self.peek(), Some(Tok::Name(n)) if n == "or") {
-            self.bump();
-            let right = self.parse_and()?;
-            left = Expr::Or(Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.parse_chain(Self::parse_and, |t| match t {
+            Tok::Name(n) if n == "or" => Some(Expr::Or),
+            _ => None,
+        })
     }
 
     fn parse_and(&mut self) -> Result<Expr, XPathError> {
-        let mut left = self.parse_equality()?;
-        while matches!(self.peek(), Some(Tok::Name(n)) if n == "and") {
-            self.bump();
-            let right = self.parse_equality()?;
-            left = Expr::And(Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.parse_chain(Self::parse_equality, |t| match t {
+            Tok::Name(n) if n == "and" => Some(Expr::And),
+            _ => None,
+        })
     }
 
     fn parse_equality(&mut self) -> Result<Expr, XPathError> {
-        let mut left = self.parse_relational()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Eq) => CmpOp::Eq,
-                Some(Tok::Ne) => CmpOp::Ne,
-                _ => break,
-            };
-            self.bump();
-            let right = self.parse_relational()?;
-            left = Expr::Compare(op, Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.parse_chain(Self::parse_relational, |t| match t {
+            Tok::Eq => Some(|l, r| Expr::Compare(CmpOp::Eq, l, r)),
+            Tok::Ne => Some(|l, r| Expr::Compare(CmpOp::Ne, l, r)),
+            _ => None,
+        })
     }
 
     fn parse_relational(&mut self) -> Result<Expr, XPathError> {
-        let mut left = self.parse_additive()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Lt) => CmpOp::Lt,
-                Some(Tok::Le) => CmpOp::Le,
-                Some(Tok::Gt) => CmpOp::Gt,
-                Some(Tok::Ge) => CmpOp::Ge,
-                _ => break,
-            };
-            self.bump();
-            let right = self.parse_additive()?;
-            left = Expr::Compare(op, Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.parse_chain(Self::parse_additive, |t| match t {
+            Tok::Lt => Some(|l, r| Expr::Compare(CmpOp::Lt, l, r)),
+            Tok::Le => Some(|l, r| Expr::Compare(CmpOp::Le, l, r)),
+            Tok::Gt => Some(|l, r| Expr::Compare(CmpOp::Gt, l, r)),
+            Tok::Ge => Some(|l, r| Expr::Compare(CmpOp::Ge, l, r)),
+            _ => None,
+        })
     }
 
     fn parse_additive(&mut self) -> Result<Expr, XPathError> {
-        let mut left = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Plus) => ArithOp::Add,
-                Some(Tok::Minus) => ArithOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let right = self.parse_multiplicative()?;
-            left = Expr::Arith(op, Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.parse_chain(Self::parse_multiplicative, |t| match t {
+            Tok::Plus => Some(|l, r| Expr::Arith(ArithOp::Add, l, r)),
+            Tok::Minus => Some(|l, r| Expr::Arith(ArithOp::Sub, l, r)),
+            _ => None,
+        })
     }
 
     fn parse_multiplicative(&mut self) -> Result<Expr, XPathError> {
-        let mut left = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Star) => ArithOp::Mul,
-                Some(Tok::Name(n)) if n == "div" => ArithOp::Div,
-                Some(Tok::Name(n)) if n == "mod" => ArithOp::Mod,
-                _ => break,
-            };
-            self.bump();
-            let right = self.parse_unary()?;
-            left = Expr::Arith(op, Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.parse_chain(Self::parse_unary, |t| match t {
+            Tok::Star => Some(|l, r| Expr::Arith(ArithOp::Mul, l, r)),
+            Tok::Name(n) if n == "div" => Some(|l, r| Expr::Arith(ArithOp::Div, l, r)),
+            Tok::Name(n) if n == "mod" => Some(|l, r| Expr::Arith(ArithOp::Mod, l, r)),
+            _ => None,
+        })
     }
 
     fn parse_unary(&mut self) -> Result<Expr, XPathError> {
         if matches!(self.peek(), Some(Tok::Minus)) {
             self.bump();
-            let e = self.parse_unary()?;
+            let e = self.nested(Self::parse_unary)?;
+            self.raise(self.height)?;
             return Ok(Expr::Neg(Box::new(e)));
         }
         self.parse_union()
     }
 
     fn parse_union(&mut self) -> Result<Expr, XPathError> {
-        let mut left = self.parse_path_expr()?;
-        while matches!(self.peek(), Some(Tok::Pipe)) {
-            self.bump();
-            let right = self.parse_path_expr()?;
-            left = Expr::Union(Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.parse_chain(Self::parse_path_expr, |t| match t {
+            Tok::Pipe => Some(Expr::Union),
+            _ => None,
+        })
     }
 
     fn parse_path_expr(&mut self) -> Result<Expr, XPathError> {
+        let call = self.tokens.get(self.pos + 1) == Some(&Tok::LParen);
+        self.height = 0;
         match self.peek() {
-            Some(Tok::Literal(_)) => {
-                if let Some(Tok::Literal(s)) = self.bump() {
-                    Ok(Expr::Literal(s))
-                } else {
-                    unreachable!()
-                }
+            Some(Tok::Literal(s)) => {
+                let e = Expr::Literal(s.clone());
+                self.pos += 1;
+                Ok(e)
             }
-            Some(Tok::Number(_)) => {
-                if let Some(Tok::Number(n)) = self.bump() {
-                    Ok(Expr::Number(n))
-                } else {
-                    unreachable!()
-                }
+            Some(&Tok::Number(n)) => {
+                self.pos += 1;
+                Ok(Expr::Number(n))
             }
             Some(Tok::Dollar) => {
                 self.bump();
@@ -728,16 +745,15 @@ impl ExprParser {
                 self.eat(&Tok::RParen)?;
                 Ok(e)
             }
-            Some(Tok::Name(n)) if self.tokens.get(self.pos + 1) == Some(&Tok::LParen)
-                && !is_node_type_name(n) =>
-            {
+            Some(Tok::Name(n)) if call && !is_node_type_name(n) => {
                 // function call
-                let name = if let Some(Tok::Name(n)) = self.bump() { n } else { unreachable!() };
-                self.eat(&Tok::LParen)?;
-                let mut args = Vec::new();
+                let name = n.clone();
+                self.pos += 2; // name (
+                let (mut args, mut highest) = (Vec::new(), 0);
                 if self.peek() != Some(&Tok::RParen) {
                     loop {
                         args.push(self.parse_expr()?);
+                        highest = highest.max(self.height);
                         if self.peek() == Some(&Tok::Comma) {
                             self.bump();
                         } else {
@@ -746,6 +762,7 @@ impl ExprParser {
                     }
                 }
                 self.eat(&Tok::RParen)?;
+                self.raise(highest)?;
                 Ok(Expr::Call(name, args))
             }
             _ => Ok(Expr::Path(self.parse_location_path()?)),
@@ -826,11 +843,9 @@ impl ExprParser {
                 self.bump();
                 axis = Axis::Attribute;
             }
-            Some(Tok::Name(_))
+            Some(Tok::Name(name))
                 if self.tokens.get(self.pos + 1) == Some(&Tok::ColonColon) =>
             {
-                let name = if let Some(Tok::Name(n)) = self.bump() { n } else { unreachable!() };
-                self.bump(); // ::
                 axis = match name.as_str() {
                     "child" => Axis::Child,
                     "attribute" => Axis::Attribute,
@@ -845,6 +860,7 @@ impl ExprParser {
                         return Err(XPathError::new(format!("unsupported axis {other:?}")))
                     }
                 };
+                self.pos += 2; // name ::
             }
             _ => {}
         }
@@ -890,11 +906,16 @@ impl ExprParser {
 
     fn parse_predicates(&mut self) -> Result<Vec<Expr>, XPathError> {
         let mut preds = Vec::new();
+        // a path is one level above the highest predicate of its steps
+        let mut path_height = self.height;
         while self.peek() == Some(&Tok::LBracket) {
             self.bump();
             preds.push(self.parse_expr()?);
+            self.raise(self.height)?;
+            path_height = path_height.max(self.height);
             self.eat(&Tok::RBracket)?;
         }
+        self.height = path_height;
         Ok(preds)
     }
 }
@@ -1162,14 +1183,15 @@ fn cmp_xnode(doc: &Document, a: XNode, b: XNode) -> std::cmp::Ordering {
 fn compare_values(op: CmpOp, a: Value, b: Value, doc: &Document) -> bool {
     use CmpOp::*;
     match (&a, &b) {
-        (Value::Nodes(na), Value::Nodes(nb)) => {
-            let sa: Vec<String> = na.iter().map(|n| n.string_value(doc)).collect();
-            let sb: Vec<String> = nb.iter().map(|n| n.string_value(doc)).collect();
-            sa.iter().any(|x| sb.iter().any(|y| cmp_strings(op, x, y)))
-        }
         (Value::Nodes(ns), other) | (other, Value::Nodes(ns)) => {
-            let flipped = matches!(&b, Value::Nodes(_)) && !matches!(&a, Value::Nodes(_));
+            let flipped = !matches!(&a, Value::Nodes(_));
             match other {
+                // both are node-sets (`ns` is the left one)
+                Value::Nodes(nb) => {
+                    let sa: Vec<String> = ns.iter().map(|n| n.string_value(doc)).collect();
+                    let sb: Vec<String> = nb.iter().map(|n| n.string_value(doc)).collect();
+                    sa.iter().any(|x| sb.iter().any(|y| cmp_strings(op, x, y)))
+                }
                 Value::Bool(bv) => {
                     let nsb = !ns.is_empty();
                     let (l, r) = if flipped { (*bv, nsb) } else { (nsb, *bv) };
@@ -1188,7 +1210,6 @@ fn compare_values(op: CmpOp, a: Value, b: Value, doc: &Document) -> bool {
                         cmp_strings(op, &xv, s)
                     }
                 }),
-                Value::Nodes(_) => unreachable!(),
             }
         }
         _ => {
@@ -1693,5 +1714,35 @@ mod tests {
         let d = doc();
         let xp = XPath::parse("//pattern").unwrap();
         assert_eq!(xp.select_nodes(&d, d.root()).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        type Nest = fn(usize) -> String;
+        let shapes: [(&str, Nest); 7] = [
+            ("parentheses", |n| format!("{}1{}", "(".repeat(n), ")".repeat(n))),
+            ("predicates", |n| format!("a{}{}", "[a".repeat(n), "]".repeat(n))),
+            ("unary minus", |n| format!("{}1", "-".repeat(n))),
+            ("arguments", |n| format!("{}1{}", "not(".repeat(n), ")".repeat(n))),
+            // no nesting at all: the tree is as high as the chain is long
+            ("one operator", |n| format!("1{}", "+1".repeat(n))),
+            ("all operators", |n| {
+                let ops = [" or a", " and a", "=a", "<a", "+a", "*a", "|a"];
+                (0..n).rev().fold("a".to_string(), |chain, i| chain + ops[i * ops.len() / n.max(1)])
+            }),
+            // height adds up through nestings: half predicates, half operators
+            ("chains in predicates", |n| {
+                format!("{}a{}{}", "a[".repeat(n / 2), "+a".repeat(n % 2), "]+a".repeat(n / 2))
+            }),
+        ];
+        let d = doc();
+        for (shape, nest) in shapes {
+            let deepest = XPath::parse(&nest(MAX_DEPTH)).unwrap_or_else(|e| panic!("{shape}: {e}"));
+            deepest.eval_root(&d).unwrap_or_else(|e| panic!("{shape}: {e}"));
+            for n in [MAX_DEPTH + 1, 200_000] {
+                let err = XPath::parse(&nest(n)).expect_err(shape);
+                assert!(err.message().contains("levels deep"), "{shape} x {n}: {err}");
+            }
+        }
     }
 }

@@ -379,13 +379,13 @@ fn compile_body_nodes(doc: &Document, nodes: &[NodeId]) -> Result<Vec<Instructio
             }
             continue;
         }
-        if !doc.is_element(child) {
+        let Some(name) = doc.name(child) else {
             continue; // comments/PIs in stylesheet are ignored
-        }
+        };
         if is_xsl(doc, child) {
             out.push(compile_xsl_instruction(doc, child)?);
         } else {
-            out.push(compile_literal_element(doc, child)?);
+            out.push(compile_literal_element(doc, child, name.clone())?);
         }
     }
     Ok(out)
@@ -405,10 +405,7 @@ fn compile_sorts(doc: &Document, node: NodeId) -> Result<Vec<SortSpec>, XsltErro
     let mut sorts = Vec::new();
     for child in doc.child_elements(node) {
         if is_xsl(doc, child) && doc.local_name(child) == Some("sort") {
-            let select = match doc.attr(child, "select") {
-                Some(s) => XPath::parse(s).map_err(XsltError::from)?,
-                None => XPath::parse(".").expect("'.' parses"),
-            };
+            let select = XPath::parse(doc.attr(child, "select").unwrap_or("."))?;
             sorts.push(SortSpec {
                 select,
                 descending: doc.attr(child, "order") == Some("descending"),
@@ -524,8 +521,7 @@ fn compile_body_filtered(
     compile_body_nodes(doc, &children)
 }
 
-fn compile_literal_element(doc: &Document, node: NodeId) -> Result<Instruction, XsltError> {
-    let name = doc.name(node).expect("literal element has a name").clone();
+fn compile_literal_element(doc: &Document, node: NodeId, name: QName) -> Result<Instruction, XsltError> {
     let mut attributes = Vec::new();
     for a in doc.attributes(node) {
         // xmlns:xsl on literal elements is stylesheet plumbing, not output
@@ -626,5 +622,37 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.template_count(), 1);
+    }
+
+    #[test]
+    fn nesting_a_downloaded_stylesheet_chooses_is_an_error_not_a_stack_overflow() {
+        let sheet = |body: &str| {
+            format!(
+                r#"<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform">{body}</xsl:stylesheet>"#
+            )
+        };
+        let parens = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+        let elements = |n: usize| format!("{}{}", "<p>".repeat(n), "</p>".repeat(n));
+        for n in [1_000, 200_000] {
+            let deep = parens(n);
+            for body in [
+                format!(r#"<xsl:template match="/"><xsl:value-of select="{deep}"/></xsl:template>"#),
+                format!(r#"<xsl:template match="/"><xsl:if test="{deep}"><p/></xsl:if></xsl:template>"#),
+                format!(r#"<xsl:template match="a[{deep}]"><p/></xsl:template>"#),
+                format!(r#"<xsl:template match="/"><p class="{{{deep}}}"/></xsl:template>"#),
+            ] {
+                let err = Stylesheet::parse(&sheet(&body)).unwrap_err();
+                assert!(err.to_string().contains("levels deep"), "{n}: {err}");
+            }
+            let err = Stylesheet::parse(&sheet(&format!(
+                r#"<xsl:template match="/">{}</xsl:template>"#,
+                elements(n)
+            )))
+            .unwrap_err();
+            assert!(err.to_string().contains("nested deeper"), "{n}: {err}");
+        }
+        // what real stylesheets nest still compiles
+        let ok = format!(r#"<xsl:template match="a[{}]">{}</xsl:template>"#, parens(8), elements(20));
+        assert_eq!(Stylesheet::parse(&sheet(&ok)).unwrap().template_count(), 1);
     }
 }

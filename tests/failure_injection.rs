@@ -120,6 +120,31 @@ fn malformed_schema_and_stylesheets_are_rejected_cleanly() {
 }
 
 #[test]
+fn a_schema_naming_an_element_that_is_no_xml_name_fails_create_object_cleanly() {
+    // the schema is another peer's text: it joins (the XSD parses), and
+    // the object nobody can write is an error, not a panic
+    let xsd = r#"<schema xmlns="http://www.w3.org/2001/XMLSchema"><element name="thing">
+        <complexType><sequence>
+            <element name="title" type="string"/>
+            <element name="1 bad" type="string" minOccurs="0"/>
+            <element name="2 worse"><complexType><sequence>
+                <element name="leaf" type="string"/>
+            </sequence></complexType></element>
+        </sequence></complexType></element></schema>"#;
+    let community = up2p::Community::new("things", "d", "k", "c", "", xsd).unwrap();
+    let mut s = Servent::new(PeerId(0));
+    s.join(community.clone());
+    for values in [
+        vec![("title", "t"), ("1 bad", "x")],
+        vec![("title", "t"), ("thing/2 worse/leaf", "x")],
+    ] {
+        let err = s.create_object(&community.id, &values).unwrap_err();
+        assert!(matches!(err, CoreError::Validation(_)), "{err}");
+        assert!(err.to_string().contains("is not an element name"), "{err}");
+    }
+}
+
+#[test]
 fn dead_origin_cannot_search_or_publish_visibly() {
     let (mut net, mut plane, _publisher, mut seeker, id) = seeded_world(ProtocolKind::Napster);
     net.set_alive(PeerId(20), false);

@@ -1,7 +1,7 @@
-//! Facade-level coverage for the interned metadata index: bulk loading
-//! through `Repository::insert_batch`, the direct-lookup fast path for
-//! exact field references, targeted removal, and index/scan agreement on
-//! a corpus bigger than the unit-test samples.
+//! Facade-level coverage for the interned metadata index: loading a
+//! corpus through `Repository::insert_doc`, the direct-lookup fast path
+//! for exact field references, targeted removal, and index/scan
+//! agreement on a corpus bigger than the unit-test samples.
 
 use up2p::store::{MetadataIndex, Query, Repository, ResourceId, ValuePattern};
 use up2p::xml::Document;
@@ -24,10 +24,10 @@ fn paths() -> Vec<String> {
 
 #[test]
 fn batch_load_then_search_remove_reload() {
-    let docs: Vec<Document> =
-        (0..300).map(|i| Document::parse(&synthetic_xml(i)).unwrap()).collect();
     let mut repo = Repository::new();
-    let ids = repo.insert_batch("tracks", docs, &paths());
+    let ids: Vec<ResourceId> = (0..300)
+        .map(|i| repo.insert_doc("tracks", Document::parse(&synthetic_xml(i)).unwrap(), &paths()))
+        .collect();
     assert_eq!(ids.len(), 300);
     assert_eq!(repo.len(), 300, "synthetic corpus has no duplicate objects");
 

@@ -3,7 +3,7 @@
 //! and repository intact; custom stylesheets travel to joining peers as
 //! attachments.
 
-use up2p::sim::corpus::{pattern_community, pattern_values, GOF_PATTERNS};
+use up2p::sim::corpus::{mp3_community, pattern_community, pattern_values, GOF_PATTERNS};
 use up2p::{build_network, PayloadPlane, PeerId, ProtocolKind, Query, Servent};
 
 const CUSTOM_VIEW: &str = r#"<xsl:stylesheet version="1.0"
@@ -46,6 +46,28 @@ fn servent_state_round_trips() {
     assert!(!hits.is_empty());
     // and the restored servent can create new valid objects right away
     assert!(restored.create_object(&community.id, &pattern_values(&GOF_PATTERNS[5])).is_ok());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_community_left_between_two_saves_stays_left() {
+    let (patterns, mp3) = (pattern_community(), mp3_community());
+    let mut servent = Servent::new(PeerId(0));
+    servent.join(patterns.clone());
+    servent.join(mp3.clone());
+    let dir = tmp("servent-leave");
+    let _ = std::fs::remove_dir_all(&dir);
+    servent.save_state(&dir).unwrap();
+    assert!(servent.leave(&mp3.id));
+    servent.save_state(&dir).unwrap();
+
+    let restored = Servent::load_state(PeerId(0), &dir).unwrap();
+    let ids = |s: &Servent| -> std::collections::BTreeSet<String> {
+        s.communities().map(|c| c.id.clone()).collect()
+    };
+    assert_eq!(ids(&restored), ids(&servent), "membership is what the last save wrote");
+    assert!(restored.community(&patterns.id).is_some());
+    assert!(restored.community(&mp3.id).is_none(), "the left community came back");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

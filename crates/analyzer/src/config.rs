@@ -54,12 +54,6 @@ pub struct LocksConfig {
     /// Method names treated as network/channel sends; holding a guard
     /// across one is a finding.
     pub send_methods: Vec<String>,
-    /// Total acquisition order over (a subset of) lock classes, outermost
-    /// first. Any observed nested acquisition between two listed classes
-    /// that runs against this order is a finding — even before a second
-    /// function closes it into a cycle. Classes not listed are only
-    /// subject to the cycle check. Empty = order check off.
-    pub declared_order: Vec<String>,
 }
 
 /// The parsed configuration.
@@ -420,18 +414,6 @@ pub fn parse_config(src: &str) -> Result<Config, ConfigError> {
                 }
             }
             "locks" => {
-                let declared_order = get_arr(kvs, "declared_order").unwrap_or_default();
-                for (i, class) in declared_order.iter().enumerate() {
-                    if declared_order[..i].contains(class) {
-                        return Err(ConfigError {
-                            line,
-                            message: format!(
-                                "[locks] declared_order lists `{class}` twice — a total \
-                                 order has each class once"
-                            ),
-                        });
-                    }
-                }
                 cfg.locks = Some(LocksConfig {
                     scan: get_arr(kvs, "scan").ok_or(ConfigError {
                         line,
@@ -439,7 +421,6 @@ pub fn parse_config(src: &str) -> Result<Config, ConfigError> {
                     })?,
                     send_methods: get_arr(kvs, "send_methods")
                         .unwrap_or_else(|| vec!["send".into(), "send_timeout".into(), "try_send".into()]),
-                    declared_order,
                 });
             }
             other => {
@@ -503,7 +484,6 @@ retrieve = ["Retrieve"]
 [locks]
 scan = ["crates"]
 send_methods = ["send"]
-declared_order = ["keys", "router", "shard"]
 "##;
 
     #[test]
@@ -520,20 +500,6 @@ declared_order = ["keys", "router", "shard"]
         assert_eq!(s.substrates["crates/net/src/overlay.rs"], vec!["query", "retrieve"]);
         let l = cfg.locks.expect("locks section");
         assert_eq!(l.send_methods, vec!["send"]);
-        assert_eq!(l.declared_order, vec!["keys", "router", "shard"]);
-    }
-
-    #[test]
-    fn declared_order_defaults_empty() {
-        let cfg = parse_config("[locks]\nscan = [\"crates\"]\n").expect("parses");
-        assert!(cfg.locks.expect("locks section").declared_order.is_empty());
-    }
-
-    #[test]
-    fn duplicate_class_in_declared_order_is_rejected() {
-        let err = parse_config("[locks]\nscan = [\"crates\"]\ndeclared_order = [\"a\", \"b\", \"a\"]\n")
-            .expect_err("must fail");
-        assert!(err.message.contains("twice"), "{}", err.message);
     }
 
     #[test]

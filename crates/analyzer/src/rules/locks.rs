@@ -11,12 +11,6 @@
 //! * **Guard held across a send** — a `.send(…)`-shaped call while any
 //!   guard is live serializes network traffic behind the lock (and, with
 //!   bounded channels, can deadlock outright).
-//! * **Declared-order contradictions** — `[locks] declared_order` in the
-//!   config fixes a total acquisition order over named classes (the
-//!   serving plane declares `keys → router → shard`, mirroring the
-//!   runtime `parking_lot::declare_order` call); an observed edge running
-//!   against it is flagged on its own, without waiting for a second
-//!   function to close the cycle.
 //!
 //! The approximation is lexical, not type-checked: an acquisition is a
 //! `.lock()` / `.read()` / `.write()` call with empty parentheses; its
@@ -188,36 +182,6 @@ fn statement_binding(body: &[Token], dot: usize) -> (bool, Option<String>) {
     (true, name)
 }
 
-/// Flags observed edges that run against the declared total order:
-/// acquiring an earlier-declared class while a later-declared one is
-/// held. Each offending `(from, to)` pair is reported once, at its first
-/// observed site (edges arrive sorted).
-fn report_order_contradictions(edges: &[Edge], declared: &[String], findings: &mut Vec<Finding>) {
-    if declared.is_empty() {
-        return;
-    }
-    let rank = |class: &str| declared.iter().position(|c| c == class);
-    let mut seen: Vec<(&str, &str)> = Vec::new();
-    for e in edges {
-        let (Some(from), Some(to)) = (rank(&e.from), rank(&e.to)) else { continue };
-        if from <= to || seen.contains(&(e.from.as_str(), e.to.as_str())) {
-            continue;
-        }
-        seen.push((e.from.as_str(), e.to.as_str()));
-        findings.push(Finding {
-            rule: RULE,
-            file: e.file.clone(),
-            line: e.line,
-            message: format!(
-                "acquiring `{}` while holding `{}` contradicts the declared lock order ({})",
-                e.to,
-                e.from,
-                declared.iter().map(|c| format!("`{c}`")).collect::<Vec<_>>().join(" → "),
-            ),
-        });
-    }
-}
-
 /// Detects cycles in the observed lock-order graph and reports each once.
 fn report_cycles(edges: &[Edge], findings: &mut Vec<Finding>) {
     // adjacency with one example site per directed pair
@@ -351,7 +315,6 @@ pub fn check(root: &Path, cfg: &LocksConfig, findings: &mut Vec<Finding>) {
     }
     edges.sort();
     edges.dedup();
-    report_order_contradictions(&edges, &cfg.declared_order, findings);
     report_cycles(&edges, findings);
 }
 
@@ -461,59 +424,6 @@ mod tests {
         );
         assert_eq!(edges.len(), 1);
         assert_eq!((edges[0].from.as_str(), edges[0].to.as_str()), ("index", "journal"));
-    }
-
-    fn declared(classes: &[&str]) -> Vec<String> {
-        classes.iter().map(|c| c.to_string()).collect()
-    }
-
-    #[test]
-    fn edge_against_declared_order_is_flagged() {
-        // shard → keys contradicts keys → router → shard, even though a
-        // single edge forms no cycle
-        let (edges, mut findings) = run(
-            "fn f(&self) { let s = self.shard.write(); let k = self.keys.write(); }",
-            &[],
-        );
-        report_order_contradictions(&edges, &declared(&["keys", "router", "shard"]), &mut findings);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("declared lock order"), "{findings:?}");
-        assert!(findings[0].message.contains("`keys` → `router` → `shard`"), "{findings:?}");
-    }
-
-    #[test]
-    fn edge_along_declared_order_is_clean() {
-        // keys → shard skips router; skipping ranks is fine, reversing is not
-        let (edges, mut findings) = run(
-            "fn f(&self) { let k = self.keys.write(); let s = self.shard.write(); }",
-            &[],
-        );
-        report_order_contradictions(&edges, &declared(&["keys", "router", "shard"]), &mut findings);
-        assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn undeclared_classes_are_exempt_from_the_order_check() {
-        let (edges, mut findings) = run(
-            "fn f(&self) { let b = self.beta.lock(); let a = self.alpha.lock(); }",
-            &[],
-        );
-        report_order_contradictions(&edges, &declared(&["keys", "router", "shard"]), &mut findings);
-        assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn contradicting_pair_is_reported_once_across_sites() {
-        let (edges, mut findings) = run(
-            "fn f(&self) { let s = self.shard.write(); let k = self.keys.write(); }\n\
-             fn g(&self) { let s = self.shard.write(); let k = self.keys.read(); }",
-            &[],
-        );
-        let mut sorted = edges.clone();
-        sorted.sort();
-        sorted.dedup();
-        report_order_contradictions(&sorted, &declared(&["keys", "router", "shard"]), &mut findings);
-        assert_eq!(findings.len(), 1, "{findings:?}");
     }
 
     #[test]

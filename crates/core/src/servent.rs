@@ -436,13 +436,15 @@ impl Servent {
                     );
                 }
             }
-            let mut doc = wrapper.build();
-            let root = doc.document_element().expect("wrapper has a root");
-            let holder = doc.create_element("object".into());
-            doc.append_child(root, holder);
+            let mut doc = up2p_xml::Document::new();
+            let root = doc.root();
+            let saved = wrapper.attach(&mut doc, root);
+            let holder = ElementBuilder::new("object").attach(&mut doc, saved);
             let obj = community.to_object();
-            let copied = doc.import_subtree(&obj, obj.document_element().expect("object root"));
-            doc.append_child(holder, copied);
+            for &node in obj.children(obj.root()) {
+                let copied = doc.import_subtree(&obj, node);
+                doc.append_child(holder, copied);
+            }
             std::fs::write(cdir.join(format!("{}.xml", community.id)), doc.to_xml_string())
                 .map_err(up2p_store::StoreError::from)?;
         }

@@ -6,8 +6,8 @@
 //! provider learned from the hit. The server answers only with records
 //! whose provider is currently online (Napster dropped a user's records
 //! with their session). The server's records live in a
-//! [`ShardedIndexNode`] — the community-sharded, read-mostly table —
-//! so a query is a posting-list lookup behind read guards and each
+//! [`ShardedIndexNode`] — an [`crate::IndexNode`] behind one `RwLock` —
+//! so a query is a posting-list lookup under the read guard and each
 //! candidate's providers are one read of a table indexed by the posting
 //! list's own doc-ids; the rest of a search is building the
 //! [`SearchHit`]s (a key `String` each; the fields are shared).
@@ -27,7 +27,7 @@ use up2p_store::Query;
 /// The centralized (Napster) substrate.
 pub struct CentralizedNetwork {
     alive: Vec<bool>,
-    /// The server's indexed record table, sharded by community.
+    /// The server's indexed record table.
     server: ShardedIndexNode,
     latency: Box<dyn LatencyModel + Send + Sync>,
     pub(crate) stats: NetStats,
@@ -174,8 +174,8 @@ impl PeerNetwork for CentralizedNetwork {
         // sequence sequential serving makes — before the parallel phase
         let legs: Vec<Option<(Time, Time)>> =
             requests.iter().map(|r| self.begin_query(r.origin)).collect();
-        // parallel phase: read-guard-only evaluation against the shared
-        // sharded server from the worker pool
+        // parallel phase: the pool's workers evaluate against the shared
+        // server side by side, each under the read guard
         let server = &self.server;
         let alive = &self.alive;
         let outcomes = serve_batch(workers, requests.len(), |i| {

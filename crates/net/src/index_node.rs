@@ -13,10 +13,9 @@
 //! community; provider liveness is applied to the candidate set the
 //! index produces, never to the full corpus.
 //!
-//! The per-community slice lives in [`CommunityTable`] so the
-//! single-threaded [`IndexNode`] and the read-mostly
-//! [`crate::ShardedIndexNode`] share one implementation of the
-//! first-record-wins / last-provider-out semantics.
+//! The first-record-wins / last-provider-out semantics live here and
+//! nowhere else: [`crate::ShardedIndexNode`], the Napster server's node,
+//! is a lock around an [`IndexNode`].
 
 use crate::message::{ResourceRecord, SharedFields};
 use crate::peer::PeerId;
@@ -24,10 +23,9 @@ use std::collections::HashMap;
 use up2p_store::{MetadataIndex, Query, ResourceId};
 
 /// One community's slice of an index node: the inverted metadata index
-/// plus the providers of each record. [`IndexNode`] holds these inline;
-/// [`crate::ShardedIndexNode`] puts each behind its own `RwLock` shard.
+/// plus the providers of each record.
 #[derive(Debug, Default)]
-pub(crate) struct CommunityTable {
+struct CommunityTable {
     index: MetadataIndex,
     /// The index's doc-id → peers currently advertising that record,
     /// ascending (hit emission per record is deterministic, as the
@@ -49,7 +47,7 @@ impl CommunityTable {
 
     /// Adds `provider` to an already-indexed key. Returns `false` when
     /// the key is not present here (caller indexes the record fresh).
-    pub(crate) fn add_provider(&mut self, key: &str, provider: PeerId) -> bool {
+    fn add_provider(&mut self, key: &str, provider: PeerId) -> bool {
         match self.providers_mut(key) {
             Some(set) => {
                 if let Err(at) = set.binary_search(&provider) {
@@ -63,7 +61,7 @@ impl CommunityTable {
 
     /// Indexes a fresh record (one refcount bump on the shared metadata)
     /// with `provider` as its first advertiser.
-    pub(crate) fn index_record(&mut self, id: ResourceId, provider: PeerId, fields: &SharedFields) {
+    fn index_record(&mut self, id: ResourceId, provider: PeerId, fields: &SharedFields) {
         let doc = self.index.insert_shared(id, SharedFields::clone(fields)) as usize;
         if doc >= self.providers.len() {
             self.providers.resize_with(doc + 1, Vec::new);
@@ -77,7 +75,7 @@ impl CommunityTable {
     /// Removes the record and its postings outright, returning the
     /// providers it had (for upsert's provider-preserving replace) and
     /// the fields it was indexed under.
-    pub(crate) fn take_record(&mut self, key: &str) -> Option<(Vec<PeerId>, SharedFields)> {
+    fn take_record(&mut self, key: &str) -> Option<(Vec<PeerId>, SharedFields)> {
         let doc = self.index.doc_of(key)?;
         let fields = self.index.remove(&ResourceId::from_key(key))?;
         // `doc` now belongs to whichever record the index admits next
@@ -87,7 +85,7 @@ impl CommunityTable {
 
     /// Merges `extra` into the record's providers (no-op when the key is
     /// absent).
-    pub(crate) fn extend_providers(&mut self, key: &str, extra: Vec<PeerId>) {
+    fn extend_providers(&mut self, key: &str, extra: Vec<PeerId>) {
         if let Some(set) = self.providers_mut(key) {
             set.extend(extra);
             set.sort_unstable();
@@ -99,7 +97,7 @@ impl CommunityTable {
     /// leaves, the record's postings are removed from the sub-index
     /// (targeted replay — cost proportional to the record, not the
     /// index). Returns the record's fields exactly when it disappeared.
-    pub(crate) fn remove_provider(&mut self, key: &str, provider: PeerId) -> Option<SharedFields> {
+    fn remove_provider(&mut self, key: &str, provider: PeerId) -> Option<SharedFields> {
         let set = self.providers_mut(key)?;
         if let Ok(at) = set.binary_search(&provider) {
             set.remove(at);
@@ -111,17 +109,17 @@ impl CommunityTable {
     }
 
     /// Is `provider` currently advertising the record?
-    pub(crate) fn has_provider(&self, key: &str, provider: PeerId) -> bool {
+    fn has_provider(&self, key: &str, provider: PeerId) -> bool {
         self.providers_of(key).is_some_and(|set| set.binary_search(&provider).is_ok())
     }
 
     /// Number of providers advertising the record.
-    pub(crate) fn provider_count(&self, key: &str) -> usize {
+    fn provider_count(&self, key: &str) -> usize {
         self.providers_of(key).map_or(0, Vec::len)
     }
 
     /// Visits the fields of every live record of this community.
-    pub(crate) fn for_each_record<F: FnMut(&SharedFields)>(&self, mut f: F) {
+    fn for_each_record<F: FnMut(&SharedFields)>(&self, mut f: F) {
         self.index.for_each_match(&Query::All, |_, fields| f(fields));
     }
 
@@ -130,7 +128,7 @@ impl CommunityTable {
     /// pair. Candidates arrive in doc-id order — insertion order, except
     /// that a record admitted after a removal takes the place freed last
     /// — providers in ascending peer id.
-    pub(crate) fn search<A, E>(&self, query: &Query, alive: A, mut emit: E)
+    fn search<A, E>(&self, query: &Query, alive: A, mut emit: E)
     where
         A: Fn(PeerId) -> bool,
         E: FnMut(&str, PeerId, &SharedFields),

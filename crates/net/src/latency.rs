@@ -9,15 +9,6 @@ use rand::{Rng, SeedableRng};
 pub trait LatencyModel {
     /// Delay in virtual microseconds for a message `from` → `to`.
     fn delay(&mut self, from: PeerId, to: PeerId) -> Time;
-
-    /// An independent copy of this model for one request of a pooled
-    /// `search_batch`: same distribution, with any internal randomness
-    /// re-derived deterministically from `salt` so concurrent workers
-    /// never share (or race on) a generator. Stateless models return an
-    /// exact clone and ignore the salt, which keeps batch serving
-    /// bit-identical to sequential serving under constant/coordinate
-    /// latency.
-    fn fork(&self, salt: u64) -> Box<dyn LatencyModel + Send + Sync>;
 }
 
 /// Fixed delay on every link — keeps experiments deterministic when
@@ -29,10 +20,6 @@ impl LatencyModel for ConstantLatency {
     fn delay(&mut self, _from: PeerId, _to: PeerId) -> Time {
         self.0
     }
-
-    fn fork(&self, _salt: u64) -> Box<dyn LatencyModel + Send + Sync> {
-        Box::new(*self)
-    }
 }
 
 /// Uniformly random delay in `[min, max)`, seeded for reproducibility.
@@ -41,7 +28,6 @@ impl LatencyModel for ConstantLatency {
 pub struct UniformLatency {
     min: Time,
     max: Time,
-    seed: u64,
     rng: StdRng,
 }
 
@@ -53,21 +39,13 @@ impl UniformLatency {
     /// Panics if `min >= max`.
     pub fn new(min: Time, max: Time, seed: u64) -> Self {
         assert!(min < max, "empty latency range");
-        UniformLatency { min, max, seed, rng: StdRng::seed_from_u64(seed) }
+        UniformLatency { min, max, rng: StdRng::seed_from_u64(seed) }
     }
 }
 
 impl LatencyModel for UniformLatency {
     fn delay(&mut self, _from: PeerId, _to: PeerId) -> Time {
         self.rng.gen_range(self.min..self.max)
-    }
-
-    fn fork(&self, salt: u64) -> Box<dyn LatencyModel + Send + Sync> {
-        // Re-derive a fresh stream from the creation seed and the salt
-        // (splitmix-style mix) rather than cloning the advanced rng, so
-        // every request of a batch gets a distinct reproducible stream.
-        let mixed = self.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31);
-        Box::new(UniformLatency::new(self.min, self.max, mixed))
     }
 }
 
@@ -96,12 +74,6 @@ impl LatencyModel for CoordinateLatency {
         let a = self.positions.get(from.index()).copied().unwrap_or(0.5);
         let b = self.positions.get(to.index()).copied().unwrap_or(0.5);
         self.base + ((a - b).abs() * self.per_unit as f64) as Time
-    }
-
-    fn fork(&self, _salt: u64) -> Box<dyn LatencyModel + Send + Sync> {
-        // Coordinates are fixed after construction; a clone serves the
-        // identical pairwise delays.
-        Box::new(self.clone())
     }
 }
 
@@ -173,30 +145,6 @@ mod tests {
         assert!((10..100).contains(&m.delay(PeerId(0), PeerId(1))));
         let mut m = LatencySpec::Coordinate { base: 500, per_unit: 1_000 }.build(4, 1);
         assert!(m.delay(PeerId(0), PeerId(1)) >= 500);
-    }
-
-    #[test]
-    fn forks_are_deterministic_and_independent() {
-        // Constant/coordinate forks reproduce the parent exactly.
-        let mut c = ConstantLatency(9_000);
-        let mut cf = c.fork(3);
-        assert_eq!(cf.delay(PeerId(0), PeerId(1)), c.delay(PeerId(0), PeerId(1)));
-        let mut geo = CoordinateLatency::new(8, 1_000, 50_000, 11);
-        let mut geo_fork = geo.fork(7);
-        assert_eq!(geo_fork.delay(PeerId(2), PeerId(5)), geo.delay(PeerId(2), PeerId(5)));
-        // Uniform forks: same salt → same stream, regardless of how far
-        // the parent has advanced; different salts → distinct streams.
-        let mut u = UniformLatency::new(10, 1_000, 42);
-        let mut f1 = u.fork(1);
-        u.delay(PeerId(0), PeerId(1)); // advancing the parent must not change forks
-        let mut f1_again = u.fork(1);
-        let mut f2 = u.fork(2);
-        let a: Vec<Time> = (0..32).map(|_| f1.delay(PeerId(0), PeerId(1))).collect();
-        let b: Vec<Time> = (0..32).map(|_| f1_again.delay(PeerId(0), PeerId(1))).collect();
-        let c: Vec<Time> = (0..32).map(|_| f2.delay(PeerId(0), PeerId(1))).collect();
-        assert!(a.iter().all(|d| (10..1_000).contains(d)), "fork respects bounds");
-        assert_eq!(a, b, "same salt reproduces the same stream");
-        assert_ne!(a, c, "different salts give distinct streams");
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Thread-pool fan-out for batch query serving.
 //!
 //! [`serve_batch`] is the pooled driver behind
-//! [`crate::PeerNetwork::search_batch`] on the index-serving substrates:
+//! [`crate::PeerNetwork::search_batch`] on the Napster substrate:
 //! `workers` scoped threads evaluate a strided partition of the request
-//! indices against a shared read-only serving plane (the per-request
-//! evaluator takes `&self`-style shared state — for the Napster server
-//! and FastTrack super-peers that is the read-guard-only search path of
-//! [`crate::ShardedIndexNode`]), stream `(index, result)` pairs back
+//! indices against shared read-only state (the per-request evaluator
+//! takes `&self`-style shared state — for the Napster server that is
+//! [`crate::ShardedIndexNode::search`], which takes the node's read
+//! guard), stream `(index, result)` pairs back
 //! over a crossbeam channel, and the caller reassembles them in request
 //! order so batch output is deterministic and identical to sequential
 //! serving.

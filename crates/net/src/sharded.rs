@@ -1,64 +1,30 @@
-//! Community-sharded, read-mostly index node for the serving plane.
+//! The index node the Napster server serves through `&self`.
 //!
-//! [`ShardedIndexNode`] is the concurrent counterpart of
-//! [`crate::IndexNode`]: the same community-partitioned metadata index
-//! (one [`CommunityTable`] per community, identical first-record-wins /
-//! last-provider-out semantics — the implementation is literally
-//! shared), but every community's table sits behind its own `RwLock`
-//! shard so the node can be served from many threads at once:
+//! [`ShardedIndexNode`] is one `RwLock` around a [`crate::IndexNode`]:
+//! every method takes the guard and calls the node's own method, so the
+//! first-record-wins / last-provider-out semantics exist once, in
+//! `index_node.rs`. Reads take the read guard — pool workers search side
+//! by side — and `insert` / `remove` the write guard, one critical
+//! section each: a reader racing a writer sees the node before or after
+//! a write, never inside one.
 //!
-//! * `search` takes **read guards only** — a router read to resolve the
-//!   community to its shard, then a shard read to evaluate the query.
-//!   Queries against different communities touch disjoint shards;
-//!   queries against the same community share a read guard. Neither
-//!   path touches the key table.
-//! * `insert`/`remove` serialize on the key-routing table
-//!   (`keys`) and then write **only the owning shard**, so a publish
-//!   into one community never blocks searches of another.
-//!
-//! Lock discipline (named classes, registered with the runtime
-//! lock-order checker in debug builds and the `up2p-analyzer`
-//! declared-order graph):
-//!
-//! ```text
-//! sharded.keys  →  sharded.router  →  sharded.shard
-//! ```
-//!
-//! Writers hold `keys` for the whole mutation and acquire the router
-//! and shard guards strictly under it, one shard guard at a time.
-//! Readers clone the shard's `Arc` out of the router guard and drop it
-//! before locking the shard, so no read path ever nests guards.
+//! The name is older than the shape. Every measured workload publishes
+//! into one community, which a node sharded by community serves from one
+//! shard (DESIGN.md §3f, *Why the server's node is one lock*). This is
+//! the crate's only named lock class, and nothing is acquired under it.
 
-use crate::index_node::CommunityTable;
+use crate::index_node::IndexNode;
 use crate::message::{ResourceRecord, SharedFields};
 use crate::peer::PeerId;
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use up2p_store::{Query, ResourceId};
+use up2p_store::Query;
 
-/// Community name → shard slot plus the shard handles themselves.
-/// Written only when a record is first published into a brand-new
-/// community; every other operation takes it read-only.
-#[derive(Default)]
-struct Router {
-    names: HashMap<String, u32>,
-    shards: Vec<Arc<RwLock<CommunityTable>>>,
-}
-
-/// A community-sharded [`crate::IndexNode`] servable from many threads
-/// through `&self`.
+/// An [`IndexNode`] servable from many threads through `&self`.
 pub struct ShardedIndexNode {
-    /// Lock class `sharded.router` — read-mostly community routing.
-    router: RwLock<Router>,
-    /// Lock class `sharded.keys` — record key → shard slot, for
-    /// community-blind removal and provider checks. Searches never
-    /// touch it; writers serialize on it.
-    keys: RwLock<HashMap<ResourceId, u32>>,
-    /// Write-guard acquisitions across all three lock classes. Test
-    /// instrumentation: the search-is-read-only regression asserts this
-    /// stays flat across queries.
+    /// Lock class `sharded.node`.
+    node: RwLock<IndexNode>,
+    /// Write-guard acquisitions; see [`ShardedIndexNode::write_guard_count`].
     write_guards: AtomicU64,
 }
 
@@ -69,166 +35,79 @@ impl Default for ShardedIndexNode {
 }
 
 impl ShardedIndexNode {
-    /// Creates an empty sharded index node and (debug builds) registers
-    /// the shard lock classes with the runtime lock-order checker.
+    /// Creates an empty index node.
     pub fn new() -> ShardedIndexNode {
-        #[cfg(debug_assertions)]
-        {
-            static DECLARED: std::sync::Once = std::sync::Once::new();
-            DECLARED.call_once(|| {
-                parking_lot::declare_order(&["sharded.keys", "sharded.router", "sharded.shard"]);
-            });
-        }
         ShardedIndexNode {
-            router: RwLock::with_name("sharded.router", Router::default()),
-            keys: RwLock::with_name("sharded.keys", HashMap::new()),
+            node: RwLock::with_name("sharded.node", IndexNode::new()),
             write_guards: AtomicU64::new(0),
         }
     }
 
     /// Number of distinct records currently indexed.
     pub fn len(&self) -> usize {
-        let keys = self.keys.read();
-        keys.len()
+        self.node.read().len()
     }
 
     /// `true` when no records are indexed.
     pub fn is_empty(&self) -> bool {
-        let keys = self.keys.read();
-        keys.is_empty()
+        self.node.read().is_empty()
     }
 
-    /// Number of communities with at least one record ever published
-    /// (shards are created lazily and never reclaimed).
+    /// Number of communities with at least one record ever published.
     pub fn community_count(&self) -> usize {
-        let router = self.router.read();
-        router.shards.len()
+        self.node.read().community_count()
     }
 
-    /// Write-guard acquisitions so far (any lock class). Searches must
-    /// leave this unchanged — see the regression test in
+    /// Write-guard acquisitions so far. Searches must leave this
+    /// unchanged — see the regression test in
     /// `tests/sharded_concurrency.rs`.
     pub fn write_guard_count(&self) -> u64 {
         self.write_guards.load(Ordering::Relaxed)
     }
 
-    /// Clones the shard handle for `slot` out of the router (read
-    /// guard dropped on return, so callers lock the shard unnested).
-    fn shard(&self, slot: u32) -> Arc<RwLock<CommunityTable>> {
-        let router = self.router.read();
-        Arc::clone(&router.shards[slot as usize])
-    }
-
-    /// Resolves the community's shard slot, materializing the shard on
-    /// first publish into a new community (the only router write).
-    fn slot_for(&self, community: &str) -> u32 {
-        {
-            let router = self.router.read();
-            if let Some(&slot) = router.names.get(community) {
-                return slot;
-            }
-        }
-        self.write_guards.fetch_add(1, Ordering::Relaxed);
-        let mut router = self.router.write();
-        if let Some(&slot) = router.names.get(community) {
-            return slot;
-        }
-        let slot = router.shards.len() as u32;
-        router.names.insert(community.to_string(), slot);
-        router.shards.push(Arc::new(RwLock::with_name("sharded.shard", CommunityTable::default())));
-        slot
-    }
-
-    /// Registers `provider` for the record — first-record-wins, exactly
-    /// as [`crate::IndexNode::insert`]. Writes the key table and the one
-    /// owning shard; searches of other communities proceed untouched.
+    /// Registers `provider` for the record — first-record-wins, as
+    /// [`crate::IndexNode::insert`].
     pub fn insert(&self, provider: PeerId, record: &ResourceRecord) {
         self.write_guards.fetch_add(1, Ordering::Relaxed);
-        let mut keys = self.keys.write();
-        if let Some(&slot) = keys.get(record.key.as_str()) {
-            let shard = self.shard(slot);
-            self.write_guards.fetch_add(1, Ordering::Relaxed);
-            if shard.write().add_provider(record.key.as_str(), provider) {
-                return;
-            }
-            // key table and shard disagree (should not happen); drop the
-            // stale key entry and re-index the record fresh
-            keys.remove(record.key.as_str());
-        }
-        let slot = self.slot_for(record.community.as_str());
-        let id = ResourceId::from_key(&record.key);
-        let shard = self.shard(slot);
-        self.write_guards.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut table = shard.write();
-            table.index_record(id.clone(), provider, &record.fields);
-        }
-        keys.insert(id, slot);
+        self.node.write().insert(provider, record);
     }
 
     /// Withdraws `provider`'s copy of the record; the record's postings
     /// disappear with its last provider.
     pub fn remove(&self, provider: PeerId, key: &str) {
         self.write_guards.fetch_add(1, Ordering::Relaxed);
-        let mut keys = self.keys.write();
-        let Some(&slot) = keys.get(key) else { return };
-        let shard = self.shard(slot);
-        self.write_guards.fetch_add(1, Ordering::Relaxed);
-        let gone = shard.write().remove_provider(key, provider);
-        if gone.is_some() {
-            keys.remove(key);
-        }
+        self.node.write().remove_slot(provider, key);
     }
 
     /// Is `provider` currently advertising the record?
     pub fn has_provider(&self, key: &str, provider: PeerId) -> bool {
-        let slot = {
-            let keys = self.keys.read();
-            keys.get(key).copied()
-        };
-        let Some(slot) = slot else { return false };
-        let shard = self.shard(slot);
-        let table = shard.read();
-        table.has_provider(key, provider)
+        self.node.read().has_provider(key, provider)
     }
 
     /// Number of providers advertising the record.
     pub fn provider_count(&self, key: &str) -> usize {
-        let slot = {
-            let keys = self.keys.read();
-            keys.get(key).copied()
-        };
-        let Some(slot) = slot else { return 0 };
-        let shard = self.shard(slot);
-        let table = shard.read();
-        table.provider_count(key)
+        self.node.read().provider_count(key)
     }
 
     /// Evaluates a community-scoped query against this node's records,
     /// invoking `emit(key, provider, fields)` for every (record, live
-    /// provider) pair — read guards only, never the key table. Hit order
-    /// matches [`crate::IndexNode::search`]: candidates in insertion
-    /// order, providers ascending.
+    /// provider) pair under the read guard, in
+    /// [`crate::IndexNode::search`]'s order.
     pub fn search<A, E>(&self, community: &str, query: &Query, alive: A, emit: E)
     where
         A: Fn(PeerId) -> bool,
         E: FnMut(&str, PeerId, &SharedFields),
     {
-        let shard = {
-            let router = self.router.read();
-            let Some(&slot) = router.names.get(community) else { return };
-            Arc::clone(&router.shards[slot as usize])
-        };
-        let table = shard.read();
-        table.search(query, alive, emit);
+        self.node.read().search(community, query, alive, emit);
     }
 }
 
 impl std::fmt::Debug for ShardedIndexNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let node = self.node.read();
         f.debug_struct("ShardedIndexNode")
-            .field("records", &self.len())
-            .field("communities", &self.community_count())
+            .field("records", &node.len())
+            .field("communities", &node.community_count())
             .finish()
     }
 }

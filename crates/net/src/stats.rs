@@ -116,26 +116,6 @@ impl NetStats {
             .collect()
     }
 
-    /// Folds another accounting into this one — used by the pooled
-    /// `search_batch` drivers, which account each request into a private
-    /// `NetStats` off-thread and merge them back in request order so the
-    /// totals (and [`NetStats::by_kind`]) match sequential serving.
-    pub fn merge(&mut self, other: &NetStats) {
-        self.messages += other.messages;
-        for (mine, theirs) in self.kind_counts.iter_mut().zip(other.kind_counts.iter()) {
-            *mine += theirs;
-        }
-        self.dropped += other.dropped;
-        self.queries += other.queries;
-        self.queries_with_hits += other.queries_with_hits;
-        self.hits += other.hits;
-        self.retrieves += other.retrieves;
-        self.retrieves_ok += other.retrieves_ok;
-        for (&hops, &n) in &other.hit_hops {
-            *self.hit_hops.entry(hops).or_insert(0) += n;
-        }
-    }
-
     /// Records `n` hits found at `hops` — one answer's worth; none
     /// leaves the histogram without an entry for `hops`.
     pub fn hits(&mut self, hops: u8, n: u64) {
@@ -258,32 +238,6 @@ mod tests {
         let names: Vec<&str> = MsgKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), 9);
         assert_eq!(names[0], "Query");
-    }
-
-    #[test]
-    fn merge_adds_every_counter() {
-        let mut a = NetStats::new();
-        a.sent(MsgKind::Query);
-        a.queries = 1;
-        a.hits(2, 1);
-        let mut b = NetStats::new();
-        b.sent(MsgKind::Query);
-        b.sent(MsgKind::QueryHit);
-        b.queries = 2;
-        b.queries_with_hits = 1;
-        b.dropped = 3;
-        b.hits(2, 1);
-        b.hits(4, 1);
-        a.merge(&b);
-        assert_eq!(a.messages, 3);
-        assert_eq!(a.count(MsgKind::Query), 2);
-        assert_eq!(a.count(MsgKind::QueryHit), 1);
-        assert_eq!(a.queries, 3);
-        assert_eq!(a.queries_with_hits, 1);
-        assert_eq!(a.dropped, 3);
-        assert_eq!(a.hits, 3);
-        assert_eq!(a.hit_hops[&2], 2);
-        assert_eq!(a.hit_hops[&4], 1);
     }
 
     #[test]

@@ -13,10 +13,9 @@ use crate::latency::LatencyModel;
 use crate::message::ResourceRecord;
 use crate::overlay::{self, Match, Walk};
 use crate::peer::PeerId;
-use crate::pool::serve_batch;
 use crate::stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
 use crate::topology::Topology;
-use crate::traits::{PeerNetwork, SearchRequest};
+use crate::traits::PeerNetwork;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -45,31 +44,6 @@ impl Default for SuperPeerConfig {
 
 /// The super-peer (FastTrack) substrate.
 pub struct SuperPeerNetwork {
-    plane: ServePlane,
-    /// Per-peer owned object keys (for retrieval).
-    owned: Vec<BTreeSet<String>>,
-    latency: Box<dyn LatencyModel + Send + Sync>,
-    pub(crate) stats: NetStats,
-    /// Seeded source for the random-walk fallback.
-    walk_rng: StdRng,
-}
-
-impl std::fmt::Debug for SuperPeerNetwork {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SuperPeerNetwork")
-            .field("peers", &self.plane.alive.len())
-            .field("config", &self.plane.config)
-            .finish()
-    }
-}
-
-/// Everything one query evaluation consults and never writes — the
-/// serving plane of the super overlay. Kept apart from the mutable
-/// accounting (latency model, walker rng, statistics) so `search_batch`
-/// can share one plane across pool workers, giving each request a forked
-/// latency model, its own seeded walker rng and a private [`NetStats`]
-/// merged back in request order.
-struct ServePlane {
     config: SuperPeerConfig,
     /// peer index → index of its super-peer (supers map to themselves).
     super_of: Vec<u32>,
@@ -81,36 +55,20 @@ struct ServePlane {
     alive: Vec<bool>,
     /// Per-directed-edge attenuated digests over the super overlay.
     routes: RouteTable,
+    /// Per-peer owned object keys (for retrieval).
+    owned: Vec<BTreeSet<String>>,
+    latency: Box<dyn LatencyModel + Send + Sync>,
+    pub(crate) stats: NetStats,
+    /// Seeded source for the random-walk fallback.
+    walk_rng: StdRng,
 }
 
-impl ServePlane {
-    /// The walk of one query over the read-only plane, accounting into
-    /// whatever the caller hands in (the network's own latency model,
-    /// walker rng and statistics, or a pool worker's private ones), and
-    /// the local evaluation its hops run: each super answers for its live
-    /// leaves from its own index.
-    fn walk<'a>(
-        &'a self,
-        latency: &'a mut dyn LatencyModel,
-        walk_rng: &'a mut StdRng,
-        stats: &'a mut NetStats,
-        community: &'a str,
-        query: &'a Query,
-    ) -> (Walk<'a>, impl FnMut(u32) -> Vec<Match> + 'a) {
-        let walk = Walk {
-            topology: &self.super_topology,
-            routes: &self.routes,
-            alive: &self.alive,
-            latency,
-            walk_rng,
-            stats,
-            community,
-            query,
-            ttl: self.config.ttl,
-            dedup: true,
-        };
-        let alive = |p| overlay::is_alive(&self.alive, p);
-        (walk, move |s| overlay::index_matches(&self.indexes[s as usize], alive, community, query))
+impl std::fmt::Debug for SuperPeerNetwork {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SuperPeerNetwork")
+            .field("peers", &self.alive.len())
+            .field("config", &self.config)
+            .finish()
     }
 }
 
@@ -144,14 +102,12 @@ impl SuperPeerNetwork {
             Topology::small_world(config.supers, config.super_degree, 0.2, seed ^ 0x5eed)
         };
         SuperPeerNetwork {
-            plane: ServePlane {
-                config,
-                super_of,
-                super_topology,
-                indexes: std::iter::repeat_with(IndexNode::new).take(config.supers).collect(),
-                alive: vec![true; n],
-                routes: RouteTable::new(config.digests),
-            },
+            config,
+            super_of,
+            super_topology,
+            indexes: std::iter::repeat_with(IndexNode::new).take(config.supers).collect(),
+            alive: vec![true; n],
+            routes: RouteTable::new(config.digests),
             owned: vec![BTreeSet::new(); n],
             latency,
             stats: NetStats::new(),
@@ -162,12 +118,12 @@ impl SuperPeerNetwork {
     /// The super-peer index a peer is attached to; `None` for an id
     /// outside the network.
     pub fn super_of(&self, peer: PeerId) -> Option<usize> {
-        self.plane.super_of.get(peer.index()).map(|&s| s as usize)
+        self.super_of.get(peer.index()).map(|&s| s as usize)
     }
 
     /// Is the given peer a super-peer?
     pub fn is_super(&self, peer: PeerId) -> bool {
-        peer.index() < self.plane.config.supers
+        peer.index() < self.config.supers
     }
 
     /// Number of records shared by one peer.
@@ -177,7 +133,7 @@ impl SuperPeerNetwork {
 
     /// The routing digests as of the last refresh.
     pub(crate) fn routes(&self) -> &RouteTable {
-        &self.plane.routes
+        &self.routes
     }
 
     /// Deterministic estimate of resident state in bytes: liveness, owned
@@ -188,13 +144,13 @@ impl SuperPeerNetwork {
             .iter()
             .map(|s| 24 + s.iter().map(|k| 32 + k.len() as u64).sum::<u64>())
             .sum();
-        let indexes: u64 = self.plane.indexes.iter().map(|i| i.len() as u64 * 256).sum();
-        self.plane.alive.len() as u64
+        let indexes: u64 = self.indexes.iter().map(|i| i.len() as u64 * 256).sum();
+        self.alive.len() as u64
             + owned
             + indexes
-            + self.plane.super_topology.edge_count() as u64 * 16
-            + self.plane.super_of.len() as u64 * 4
-            + self.plane.routes.approx_bytes()
+            + self.super_topology.edge_count() as u64 * 16
+            + self.super_of.len() as u64 * 4
+            + self.routes.approx_bytes()
     }
 
     /// Brings the routing digests over the super overlay up to date with
@@ -202,8 +158,8 @@ impl SuperPeerNetwork {
     /// `DigestRequest`/`DigestPush` exchange. Lazy, like the flooding
     /// substrate: the next guided search triggers it.
     pub fn refresh_digests(&mut self) {
-        let ServePlane { super_topology, indexes, routes, .. } = &mut self.plane;
-        overlay::refresh_digests(routes, super_topology, &mut self.stats, |s, visit| {
+        let Self { super_topology, indexes, routes, stats, .. } = self;
+        overlay::refresh_digests(routes, super_topology, stats, |s, visit| {
             indexes[s as usize].for_each_record(visit)
         });
     }
@@ -219,16 +175,31 @@ impl SuperPeerNetwork {
         live
     }
 
-    /// [`ServePlane::walk`] on the network's own accounting, borrowed by
-    /// [`crate::DesNetwork`] one event at a time; the query enters at
-    /// [`SuperPeerNetwork::super_of`] its origin.
+    /// The walk of one query over the super overlay and the local
+    /// evaluation its hops run: each super answers for its live leaves
+    /// from its own index. Borrowed by [`crate::DesNetwork`] one event at
+    /// a time; the query enters at [`SuperPeerNetwork::super_of`] its
+    /// origin.
     pub(crate) fn walk<'a>(
         &'a mut self,
         community: &'a str,
         query: &'a Query,
     ) -> (Walk<'a>, impl FnMut(u32) -> Vec<Match> + 'a) {
-        let Self { plane, latency, walk_rng, stats, .. } = self;
-        plane.walk(latency.as_mut(), walk_rng, stats, community, query)
+        let (alive, indexes) = (&self.alive, &self.indexes);
+        let walk = Walk {
+            topology: &self.super_topology,
+            routes: &self.routes,
+            alive,
+            latency: self.latency.as_mut(),
+            walk_rng: &mut self.walk_rng,
+            stats: &mut self.stats,
+            community,
+            query,
+            ttl: self.config.ttl,
+            dedup: true,
+        };
+        let is_alive = move |p| overlay::is_alive(alive, p);
+        (walk, move |s| overlay::index_matches(&indexes[s as usize], is_alive, community, query))
     }
 }
 
@@ -238,15 +209,15 @@ impl PeerNetwork for SuperPeerNetwork {
     }
 
     fn peer_count(&self) -> usize {
-        self.plane.alive.len()
+        self.alive.len()
     }
 
     fn is_alive(&self, peer: PeerId) -> bool {
-        overlay::is_alive(&self.plane.alive, peer)
+        overlay::is_alive(&self.alive, peer)
     }
 
     fn set_alive(&mut self, peer: PeerId, alive: bool) {
-        if let Some(a) = self.plane.alive.get_mut(peer.index()) {
+        if let Some(a) = self.alive.get_mut(peer.index()) {
             *a = alive;
         }
     }
@@ -255,29 +226,28 @@ impl PeerNetwork for SuperPeerNetwork {
         if !self.is_alive(provider) {
             return;
         }
-        let s = self.plane.super_of[provider.index()];
+        let s = self.super_of[provider.index()];
         if !self.is_super(provider) {
             self.stats.sent(MsgKind::Publish); // leaf → super upload
         }
         self.owned[provider.index()].insert(record.key.clone());
         // first record wins; the digests hear of it when it enters the index
-        if self.plane.indexes[s as usize].insert(provider, &record) {
-            self.plane.routes.record_added(s, &record.community, &record.fields);
+        if self.indexes[s as usize].insert(provider, &record) {
+            self.routes.record_added(s, &record.community, &record.fields);
         }
     }
 
     fn unpublish(&mut self, provider: PeerId, key: &str) {
         // an id outside the network has no super to tell
-        let Some(&s) = self.plane.super_of.get(provider.index()) else { return };
+        let Some(&s) = self.super_of.get(provider.index()) else { return };
         if !self.is_super(provider) {
             self.stats.sent(MsgKind::Unpublish);
         }
         self.owned[provider.index()].remove(key);
         // the record leaves the digests with its last provider
-        let ServePlane { indexes, routes, .. } = &mut self.plane;
-        let node = &mut indexes[s as usize];
+        let node = &mut self.indexes[s as usize];
         if let Some((slot, fields)) = node.remove_slot(provider, key) {
-            routes.record_removed(s, node.community_name(slot), &fields);
+            self.routes.record_removed(s, node.community_name(slot), &fields);
         }
     }
 
@@ -285,56 +255,17 @@ impl PeerNetwork for SuperPeerNetwork {
         if !self.begin_query(origin) {
             return SearchOutcome::default();
         }
-        let entry = self.plane.super_of[origin.index()];
+        let entry = self.super_of[origin.index()];
         let (mut walk, eval) = self.walk(community, query);
         walk.run(origin.0, Some(entry), eval)
     }
 
-    fn search_batch(&mut self, requests: &[SearchRequest], workers: usize) -> Vec<SearchOutcome> {
-        // Digest maintenance is shared state: pay for it once, up front,
-        // exactly as a sequence of searches would (lazy, only if dirty).
-        self.refresh_digests();
-        // Walker randomness for request `i` is drawn from the shared rng
-        // in request order before fanning out, so batch results do not
-        // depend on worker scheduling.
-        let walk_seeds: Vec<u64> = requests.iter().map(|_| self.walk_rng.gen()).collect();
-        let plane = &self.plane;
-        let latency = &self.latency;
-        let served: Vec<(SearchOutcome, NetStats)> =
-            serve_batch(workers, requests.len(), |i| {
-                let r = &requests[i];
-                let mut stats = NetStats::new();
-                stats.queries += 1;
-                let outcome = if overlay::is_alive(&plane.alive, r.origin) {
-                    let mut latency = latency.fork(i as u64);
-                    let mut walk_rng = StdRng::seed_from_u64(walk_seeds[i]);
-                    let (mut walk, eval) = plane.walk(
-                        latency.as_mut(),
-                        &mut walk_rng,
-                        &mut stats,
-                        &r.community,
-                        &r.query,
-                    );
-                    walk.run(r.origin.0, Some(plane.super_of[r.origin.index()]), eval)
-                } else {
-                    SearchOutcome::default()
-                };
-                (outcome, stats)
-            });
-        let mut outcomes = Vec::with_capacity(served.len());
-        for (outcome, stats) in served {
-            self.stats.merge(&stats);
-            outcomes.push(outcome);
-        }
-        outcomes
-    }
-
     fn retrieve(&mut self, origin: PeerId, provider: PeerId, key: &str) -> RetrieveOutcome {
-        let Self { plane, owned, latency, stats, .. } = self;
+        let Self { alive, owned, latency, stats, .. } = self;
         overlay::retrieve(
             stats,
-            overlay::is_alive(&plane.alive, origin),
-            plane.alive.get(provider.index()).copied(),
+            overlay::is_alive(alive, origin),
+            alive.get(provider.index()).copied(),
             provider,
             || owned[provider.index()].contains(key),
             || latency.delay(origin, provider) + latency.delay(provider, origin),
@@ -354,6 +285,7 @@ impl PeerNetwork for SuperPeerNetwork {
 mod tests {
     use super::*;
     use crate::latency::ConstantLatency;
+    use crate::traits::SearchRequest;
 
     fn record(key: &str, name: &str) -> ResourceRecord {
         ResourceRecord::new(key, "c", vec![("o/name".to_string(), name.to_string())])
@@ -588,7 +520,7 @@ mod tests {
         assert_eq!(got[0].hits, expected.hits);
         assert!(!got[1].hits.is_empty(), "second origin reaches the record too");
         // the lazy digest build is shared state, paid once for the batch
-        let edges = 2 * batch.plane.super_topology.edge_count() as u64;
+        let edges = 2 * batch.super_topology.edge_count() as u64;
         assert_eq!(batch.stats().count(MsgKind::DigestRequest), edges);
         assert_eq!(batch.stats().count(MsgKind::DigestPush), edges);
         assert_eq!(batch.stats().queries, 2);
@@ -600,7 +532,7 @@ mod tests {
         net.publish(PeerId(30), record("k", "x"));
         net.search(PeerId(40), "c", &Query::any_keyword("x"));
         // one request per directed super-overlay edge, pushed once
-        let edges = 2 * net.plane.super_topology.edge_count() as u64;
+        let edges = 2 * net.super_topology.edge_count() as u64;
         assert_eq!(net.stats().count(MsgKind::DigestRequest), edges);
         assert_eq!(net.stats().count(MsgKind::DigestPush), edges);
         // a second search with no publishes in between pays nothing new

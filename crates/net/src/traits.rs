@@ -70,9 +70,9 @@ pub trait PeerNetwork {
     /// time (same totals, same [`NetStats::by_kind`] view).
     ///
     /// `workers` is the serving parallelism to use where the substrate
-    /// supports it. The default implementation serves sequentially; the
-    /// Napster server and FastTrack super-peers override it with a
-    /// thread-pool driver over the sharded index.
+    /// supports it. The default implementation serves sequentially, and
+    /// Gnutella and FastTrack use it; the Napster server overrides it
+    /// with a thread-pool driver over its index node.
     fn search_batch(&mut self, requests: &[SearchRequest], workers: usize) -> Vec<SearchOutcome> {
         let _ = workers;
         requests.iter().map(|r| self.search(r.origin, &r.community, &r.query)).collect()

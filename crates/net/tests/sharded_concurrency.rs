@@ -1,6 +1,7 @@
-//! Concurrency properties of [`ShardedIndexNode`]: readers racing one
-//! writer only ever observe states the sequential oracle passes through,
-//! in oracle order — and the search path never takes a write guard.
+//! Concurrency properties of [`ShardedIndexNode`], one `RwLock` around an
+//! [`IndexNode`]: readers racing one writer only ever observe states the
+//! sequential oracle passes through, in oracle order; the search path
+//! never takes a write guard; and no lock is taken under another.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -11,9 +12,9 @@ use up2p_store::Query;
 const COMMUNITIES: [&str; 2] = ["alpha", "beta"];
 
 /// One write of the racing workload: publish/withdraw (`insert`/
-/// `remove`), the node's only writes, which mutate their owning shard
-/// in a single critical section each — so every state a concurrent
-/// reader can observe is exactly a sequential prefix of the tape.
+/// `remove`), the node's only writes, each a single critical section
+/// under the node's write guard — so every state a concurrent reader can
+/// observe is exactly a sequential prefix of the tape.
 #[derive(Debug, Clone)]
 enum Op {
     Insert { key: usize, community: usize, peer: u32, name: &'static str },
@@ -94,7 +95,7 @@ proptest! {
     /// N concurrent readers + 1 writer: every hit set a reader observes
     /// equals some sequential-oracle prefix state of that community, and
     /// each reader's observations advance monotonically through the
-    /// oracle sequence (per-shard `RwLock` ⇒ no time travel).
+    /// oracle sequence (one `RwLock` ⇒ no time travel).
     #[test]
     fn readers_observe_exactly_sequential_oracle_prefixes(tape in ops()) {
         const READERS: usize = 3;
@@ -124,8 +125,8 @@ proptest! {
                             node.insert(PeerId(*peer), &rec);
                         }
                         Op::Remove { key, peer } => {
-                node.remove(PeerId(*peer), &format!("k{key}"));
-            }
+                            node.remove(PeerId(*peer), &format!("k{key}"));
+                        }
                     }
                     std::thread::yield_now();
                 }
@@ -153,11 +154,17 @@ proptest! {
             let last = states[c].last().expect("oracle has an initial state");
             prop_assert_eq!(&observe(&node, community), last);
         }
+        // Readers and the writer have run, in this test binary's own
+        // process: the runtime checker (debug builds; a release build
+        // records nothing) saw no lock taken while another was held. The
+        // next nested acquisition in this crate fails here and has to be
+        // decided, not discovered.
+        prop_assert_eq!(parking_lot::observed_pairs(), Vec::new());
     }
 }
 
-/// Regression: the read path (search, digest walk, provider checks)
-/// never acquires a write guard on any of the three lock classes.
+/// Regression: the read path (search, provider checks, counts) never
+/// acquires the write guard.
 #[test]
 fn search_never_takes_a_write_guard() {
     let node = ShardedIndexNode::new();
@@ -172,7 +179,7 @@ fn search_never_takes_a_write_guard() {
         );
     }
     let writes_after_publish = node.write_guard_count();
-    assert!(writes_after_publish > 0, "publishing writes shards");
+    assert!(writes_after_publish > 0, "publishing takes the write guard");
     for _ in 0..50 {
         for community in COMMUNITIES {
             observe(&node, community);

@@ -238,18 +238,14 @@ fn parse_attribute_decl(
     let name = required_attr(doc, node, "name")?;
     let required = doc.attr(node, "use") == Some("required");
     let simple_type = if let Some(t) = doc.attr(node, "type") {
-        match resolve_type_name(doc, node, t)? {
-            TypeRef::Builtin(b) => SimpleTypeDef::plain(b),
-            TypeRef::Named(n) => {
-                // attribute types must be simple; resolved lazily at
-                // validation would complicate things — inline a string
-                // fallback with the name noted
-                return Err(ParseSchemaError::new(format!(
-                    "attribute {name:?} references named type {n:?}; only built-in attribute types are supported"
-                )));
-            }
-            _ => unreachable!("resolve_type_name never returns inline types"),
-        }
+        // attribute types must be simple, and a named one would only
+        // resolve at validation
+        let TypeRef::Builtin(b) = resolve_type_name(doc, node, t)? else {
+            return Err(ParseSchemaError::new(format!(
+                "attribute {name:?} references named type {t:?}; only built-in attribute types are supported"
+            )));
+        };
+        SimpleTypeDef::plain(b)
     } else if let Some(st) = doc.child_named(node, "simpleType") {
         parse_simple_type_body(doc, st)?
     } else {
@@ -267,12 +263,14 @@ fn parse_simple_type_body(
         .ok_or_else(|| ParseSchemaError::new("simpleType without <restriction>"))?;
     let base_name = required_attr(doc, restriction, "base")?;
     let base = match resolve_type_name(doc, restriction, &base_name)? {
-        TypeRef::Builtin(b) => b,
-        TypeRef::Named(n) => BuiltinType::from_name(&n).ok_or_else(|| {
-            ParseSchemaError::new(format!("restriction base {n:?} is not a built-in type"))
-        })?,
-        _ => unreachable!("resolve_type_name never returns inline types"),
-    };
+        TypeRef::Builtin(b) => Some(b),
+        // a built-in's name under a prefix the document binds elsewhere
+        TypeRef::Named(n) => BuiltinType::from_name(&n),
+        TypeRef::InlineSimple(_) | TypeRef::InlineComplex(_) => None,
+    }
+    .ok_or_else(|| {
+        ParseSchemaError::new(format!("restriction base {base_name:?} is not a built-in type"))
+    })?;
     let mut facets = Facets::default();
     for facet in doc.child_elements(restriction) {
         let value = doc.attr(facet, "value").unwrap_or_default().to_string();

@@ -6,6 +6,14 @@
 //! \{ \} \|`), character classes `[a-z0-9_]` with ranges and negation,
 //! groups `( )`, alternation `|`, and the quantifiers `* + ? {n} {n,} {n,m}`.
 //!
+//! A pattern is a stranger's bytes (a downloaded community's XSD) run on
+//! every object created in that community, so neither compiling nor
+//! matching may cost more than a polynomial in their sizes: groups nest
+//! at most [`MAX_DEPTH`] deep, and the matcher carries the *set* of
+//! positions a sub-pattern can end at instead of trying them one by one
+//! — `(a*)*b` against a run of `a`s is quadratic at worst, where a
+//! backtracker is exponential.
+//!
 //! ```
 //! use up2p_schema::Regex;
 //! let re = Regex::parse(r"[A-Z][a-z]+( [A-Z][a-z]+)*")?;
@@ -15,6 +23,7 @@
 //! ```
 
 use crate::error::ParseSchemaError;
+use std::collections::BTreeSet;
 
 /// A compiled, anchored regular expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,13 +84,10 @@ impl Regex {
     /// groups, bad ranges, dangling quantifiers, ...).
     pub fn parse(pattern: &str) -> Result<Regex, ParseSchemaError> {
         let chars: Vec<char> = pattern.chars().collect();
-        let mut p = PatternParser { chars, pos: 0 };
+        let mut p = PatternParser { chars, pos: 0, depth: 0 };
         let node = p.parse_alt()?;
-        if p.pos != p.chars.len() {
-            return Err(ParseSchemaError::new(format!(
-                "unexpected {:?} in pattern {pattern:?}",
-                p.chars[p.pos]
-            )));
+        if let Some(c) = p.peek() {
+            return Err(ParseSchemaError::new(format!("unexpected {c:?} in pattern {pattern:?}")));
         }
         Ok(Regex { node, source: pattern.to_string() })
     }
@@ -94,7 +100,7 @@ impl Regex {
     /// Does the pattern match the *entire* input (XSD anchoring)?
     pub fn is_match(&self, input: &str) -> bool {
         let chars: Vec<char> = input.chars().collect();
-        match_node(&self.node, &chars, 0, &mut |end| end == chars.len())
+        ends(&self.node, &chars, &[0]).contains(&chars.len())
     }
 }
 
@@ -104,68 +110,69 @@ impl std::fmt::Display for Regex {
     }
 }
 
-/// Backtracking matcher: tries to match `node` at `pos`, invoking `k` with
-/// each candidate end position until `k` returns true.
-fn match_node(node: &Node, input: &[char], pos: usize, k: &mut dyn FnMut(usize) -> bool) -> bool {
+/// Every position `node` can end at when it starts at one of `from`.
+/// Both are sorted and hold no position twice.
+///
+/// One call costs at most `from.len()` per character class, and a
+/// repetition calls its inner node at most `input.len() + 2` times (see
+/// there), so a match is polynomial in pattern × input, with the
+/// repetition nesting — bounded by [`MAX_DEPTH`] — as the exponent's
+/// ceiling. No anchor, look-around or back-reference exists in this
+/// syntax, which is what lets a set of positions stand for every way of
+/// having reached them.
+fn ends(node: &Node, input: &[char], from: &[usize]) -> Vec<usize> {
     match node {
-        Node::Empty => k(pos),
-        Node::Char(class) => {
-            if pos < input.len() && class.matches(input[pos]) {
-                k(pos + 1)
-            } else {
-                false
-            }
+        Node::Empty => from.to_vec(),
+        Node::Char(class) => from
+            .iter()
+            .filter(|&&p| input.get(p).is_some_and(|&c| class.matches(c)))
+            .map(|&p| p + 1)
+            .collect(),
+        Node::Seq(parts) => parts.iter().fold(from.to_vec(), |at, part| ends(part, input, &at)),
+        Node::Alt(branches) => {
+            let mut all: Vec<usize> = branches.iter().flat_map(|b| ends(b, input, from)).collect();
+            all.sort_unstable();
+            all.dedup();
+            all
         }
-        Node::Seq(parts) => match_seq(parts, input, pos, k),
-        Node::Alt(branches) => branches.iter().any(|b| match_node(b, input, pos, k)),
         Node::Repeat { inner, min, max } => {
-            match_repeat(inner, *min, *max, input, pos, 0, k)
+            // The mandatory rounds. An inner node that cannot match the
+            // empty string moves every position forward, so the set runs
+            // empty within `input.len() + 1` rounds; one that can keeps
+            // every position it starts from, so the set only grows, and
+            // where a round changes nothing no later round will.
+            let mut at = from.to_vec();
+            for _ in 0..*min {
+                let next = ends(inner, input, &at);
+                if next == at {
+                    break;
+                }
+                at = next;
+            }
+            // The optional rounds, from the positions not seen before
+            // only: an earlier arrival has more rounds left than a later
+            // one. Each round adds a position or is the last.
+            let mut reached: BTreeSet<usize> = at.iter().copied().collect();
+            let mut rounds = *min;
+            while max.is_none_or(|m| rounds < m) && !at.is_empty() {
+                at = ends(inner, input, &at).into_iter().filter(|&p| reached.insert(p)).collect();
+                rounds = rounds.saturating_add(1);
+            }
+            reached.into_iter().collect()
         }
     }
 }
 
-fn match_seq(
-    parts: &[Node],
-    input: &[char],
-    pos: usize,
-    k: &mut dyn FnMut(usize) -> bool,
-) -> bool {
-    match parts.split_first() {
-        None => k(pos),
-        Some((head, tail)) => {
-            match_node(head, input, pos, &mut |next| match_seq(tail, input, next, k))
-        }
-    }
-}
-
-fn match_repeat(
-    inner: &Node,
-    min: u32,
-    max: Option<u32>,
-    input: &[char],
-    pos: usize,
-    done: u32,
-    k: &mut dyn FnMut(usize) -> bool,
-) -> bool {
-    // greedy: try one more repetition first (when allowed), then yield
-    let can_more = max.is_none_or(|m| done < m);
-    if can_more
-        && match_node(inner, input, pos, &mut |next| {
-            // zero-width progress guard prevents infinite loops on `()*`
-            next != pos && match_repeat(inner, min, max, input, next, done + 1, k)
-        })
-    {
-        return true;
-    }
-    if done >= min {
-        return k(pos);
-    }
-    false
-}
+/// Deepest group nesting a pattern may have. The parser, the matcher and
+/// the drop of the parsed tree recurse once per level; real `pattern`
+/// facets nest two or three.
+const MAX_DEPTH: usize = 32;
 
 struct PatternParser {
     chars: Vec<char>,
     pos: usize,
+    /// Groups open at `pos`.
+    depth: usize,
 }
 
 impl PatternParser {
@@ -179,13 +186,27 @@ impl PatternParser {
         Some(c)
     }
 
+    /// Consumes a (possibly empty) run of ASCII digits.
+    fn digits(&mut self) -> String {
+        let mut digits = String::new();
+        while let Some(c) = self.peek().filter(char::is_ascii_digit) {
+            digits.push(c);
+            self.pos += 1;
+        }
+        digits
+    }
+
     fn parse_alt(&mut self) -> Result<Node, ParseSchemaError> {
-        let mut branches = vec![self.parse_seq()?];
+        let first = self.parse_seq()?;
+        if self.peek() != Some('|') {
+            return Ok(first);
+        }
+        let mut branches = vec![first];
         while self.peek() == Some('|') {
             self.bump();
             branches.push(self.parse_seq()?);
         }
-        Ok(if branches.len() == 1 { branches.pop().unwrap() } else { Node::Alt(branches) })
+        Ok(Node::Alt(branches))
     }
 
     fn parse_seq(&mut self) -> Result<Node, ParseSchemaError> {
@@ -196,10 +217,13 @@ impl PatternParser {
             }
             parts.push(self.parse_repeat()?);
         }
-        Ok(match parts.len() {
-            0 => Node::Empty,
-            1 => parts.pop().unwrap(),
-            _ => Node::Seq(parts),
+        Ok(match parts.pop() {
+            None => Node::Empty,
+            Some(only) if parts.is_empty() => only,
+            Some(last) => {
+                parts.push(last);
+                Node::Seq(parts)
+            }
         })
     }
 
@@ -220,20 +244,14 @@ impl PatternParser {
             }
             Some('{') => {
                 self.bump();
-                let mut digits = String::new();
-                while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                    digits.push(self.bump().unwrap());
-                }
-                let min: u32 = digits
+                let min: u32 = self
+                    .digits()
                     .parse()
                     .map_err(|_| ParseSchemaError::new("invalid repetition count"))?;
                 let max = match self.bump() {
                     Some('}') => Some(min),
                     Some(',') => {
-                        let mut d2 = String::new();
-                        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                            d2.push(self.bump().unwrap());
-                        }
+                        let d2 = self.digits();
                         if self.bump() != Some('}') {
                             return Err(ParseSchemaError::new("unterminated {m,n}"));
                         }
@@ -264,10 +282,17 @@ impl PatternParser {
         match self.bump() {
             None => Err(ParseSchemaError::new("unexpected end of pattern")),
             Some('(') => {
+                self.depth += 1;
+                if self.depth > MAX_DEPTH {
+                    return Err(ParseSchemaError::new(format!(
+                        "pattern nests groups more than {MAX_DEPTH} deep"
+                    )));
+                }
                 let inner = self.parse_alt()?;
                 if self.bump() != Some(')') {
                     return Err(ParseSchemaError::new("unbalanced group"));
                 }
+                self.depth -= 1;
                 Ok(inner)
             }
             Some('.') => Ok(Node::Char(CharClass::Any)),
@@ -430,6 +455,41 @@ mod tests {
         // must not hang
         assert!(m("(a?)*b", "b"));
         assert!(m("(a?)*b", "aab"));
+    }
+
+    #[test]
+    fn nested_quantifiers_over_a_long_run_answer_at_once() {
+        // a backtracker doubles its work with every two more `a`s here
+        // (551 ms at 24 of them, in a release build)
+        let run = "a".repeat(5_000);
+        assert!(!m("(a*)*b", &run));
+        assert!(m("(a*)*b", &format!("{run}b")));
+        assert!(!m("(a|aa)*b", &run));
+        assert!(m("(a|aa)*b", &format!("{run}b")));
+        assert!(m("(a+)+", &run));
+        assert!(!m("(a+)+", &format!("{run}b")));
+    }
+
+    #[test]
+    fn counted_repetition_of_an_empty_match_terminates() {
+        assert!(m("(a?){4000000000}", "aaa"));
+        assert!(!m("(a?){2}b{4000000000,}", "aab"));
+        assert!(m("(a{0,3}){2,4000000000}b", "aaaaab"));
+        assert!(m("(ab|a){2,3}", "aba"));
+        assert!(!m("(ab|a){2,3}", "ab"));
+        assert!(!m("(ab|a){2,3}", "aaaab"));
+    }
+
+    #[test]
+    fn group_nesting_is_bounded() {
+        let nest = |n: usize| format!("{}a{}", "(".repeat(n), ")".repeat(n));
+        assert!(Regex::parse(&nest(MAX_DEPTH)).unwrap().is_match("a"));
+        for pattern in [nest(MAX_DEPTH + 1), "(".repeat(100_000)] {
+            let err = Regex::parse(&pattern).unwrap_err();
+            assert!(err.message().contains("deep"), "{err}");
+        }
+        // depth counts open groups, not groups seen
+        assert!(m(&"(a)".repeat(MAX_DEPTH + 1), &"a".repeat(MAX_DEPTH + 1)));
     }
 
     #[test]

@@ -11,17 +11,14 @@
 //! the instance identity for anonymous locks), and the process panics the
 //! moment two classes are ever taken in both orders — the ABBA deadlock
 //! shape, caught on the first inverted acquisition rather than the first
-//! actual deadlock. An optional declared order
-//! ([`lock_order::declare_order`]) is asserted eagerly: acquiring a
-//! class listed *earlier* than one already held panics even before an
-//! inversion is observed. Release builds compile all of this away.
+//! actual deadlock. Release builds compile all of this away.
 
 use std::sync::{self, PoisonError};
 
-pub use lock_order::{declare_order, observed_pairs, reset as reset_lock_order};
+pub use lock_order::{observed_pairs, reset as reset_lock_order};
 
-/// Lock-order tracking: per-thread held stacks, the global observed-pair
-/// table and the optional declared order. Active in debug builds only.
+/// Lock-order tracking: per-thread held stacks and the global
+/// observed-pair table. Active in debug builds only.
 pub mod lock_order {
     use std::collections::HashMap;
     #[cfg(debug_assertions)]
@@ -56,19 +53,14 @@ pub mod lock_order {
     #[cfg(debug_assertions)]
     static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 
-    struct OrderState {
-        /// Directed pairs `(held, acquired)` ever observed, with the
-        /// thread name that first observed them.
-        observed: HashMap<(LockKey, LockKey), String>,
-        /// Declared total order of class names, earliest first.
-        declared: Vec<&'static str>,
-    }
+    /// Directed pairs `(held, acquired)` ever observed, with the thread
+    /// name that first observed them.
+    type Observed = HashMap<(LockKey, LockKey), String>;
 
-    fn state() -> &'static StdMutex<OrderState> {
-        static STATE: OnceLock<StdMutex<OrderState>> = OnceLock::new();
-        STATE.get_or_init(|| {
-            StdMutex::new(OrderState { observed: HashMap::new(), declared: Vec::new() })
-        })
+    fn observed() -> std::sync::MutexGuard<'static, Observed> {
+        static OBSERVED: OnceLock<StdMutex<Observed>> = OnceLock::new();
+        let table = OBSERVED.get_or_init(|| StdMutex::new(HashMap::new()));
+        table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     #[cfg(debug_assertions)]
@@ -77,28 +69,16 @@ pub mod lock_order {
             const { std::cell::RefCell::new(Vec::new()) };
     }
 
-    /// Declares the allowed acquisition order of named lock classes,
-    /// earliest first. Acquiring a listed class while holding one that
-    /// appears later in the list panics (debug builds). Replaces any
-    /// previous declaration.
-    pub fn declare_order(classes: &[&'static str]) {
-        let mut s = state().lock().unwrap_or_else(PoisonError::into_inner);
-        s.declared = classes.to_vec();
-    }
-
-    /// Clears observed pairs and the declared order (test isolation).
+    /// Clears the observed pairs (test isolation).
     pub fn reset() {
-        let mut s = state().lock().unwrap_or_else(PoisonError::into_inner);
-        s.observed.clear();
-        s.declared.clear();
+        observed().clear();
     }
 
     /// Every `(held, acquired)` class pair observed so far, rendered as
     /// strings, sorted. Debug builds only; empty in release builds.
     pub fn observed_pairs() -> Vec<(String, String)> {
-        let s = state().lock().unwrap_or_else(PoisonError::into_inner);
         let mut v: Vec<(String, String)> =
-            s.observed.keys().map(|(a, b)| (a.to_string(), b.to_string())).collect();
+            observed().keys().map(|(a, b)| (a.to_string(), b.to_string())).collect();
         v.sort();
         v
     }
@@ -115,7 +95,7 @@ pub mod lock_order {
             // decide violations while holding the registry lock, panic after
             let mut violation: Option<String> = None;
             {
-                let mut s = state().lock().unwrap_or_else(PoisonError::into_inner);
+                let mut pairs = observed();
                 for h in &held_snapshot {
                     if h == key {
                         violation = Some(format!(
@@ -124,25 +104,8 @@ pub mod lock_order {
                         ));
                         break;
                     }
-                    // declared order: earlier classes must be taken first
-                    if let (LockKey::Named(held_name), LockKey::Named(new_name)) = (h, key) {
-                        let pos = |n: &str| s.declared.iter().position(|d| *d == n);
-                        if let (Some(hp), Some(np)) = (pos(held_name), pos(new_name)) {
-                            if np < hp {
-                                violation = Some(format!(
-                                    "lock-order violation: `{new_name}` acquired while \
-                                     `{held_name}` is held, but the declared order is \
-                                     {:?}",
-                                    s.declared
-                                ));
-                                break;
-                            }
-                        }
-                    }
                     // dynamic inversion: has the reverse pair ever happened?
-                    if let Some(first_thread) =
-                        s.observed.get(&(key.clone(), h.clone())).cloned()
-                    {
+                    if let Some(first_thread) = pairs.get(&(key.clone(), h.clone())).cloned() {
                         violation = Some(format!(
                             "lock-order inversion: this thread acquires `{key}` while \
                              holding `{h}`, but thread `{first_thread}` previously \
@@ -150,7 +113,7 @@ pub mod lock_order {
                         ));
                         break;
                     }
-                    s.observed.entry((h.clone(), key.clone())).or_insert_with(|| thread.clone());
+                    pairs.entry((h.clone(), key.clone())).or_insert_with(|| thread.clone());
                 }
             }
             if let Some(message) = violation {
@@ -430,32 +393,6 @@ mod tests {
             let err = result.expect_err("inverted order must panic in debug builds");
             let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(msg.contains("inversion"), "unexpected panic message: {msg}");
-        } else {
-            assert!(result.is_ok());
-        }
-        lock_order::reset();
-    }
-
-    #[test]
-    fn declared_order_is_asserted_eagerly() {
-        let _g = registry_guard();
-        lock_order::reset();
-        declare_order(&["test.decl.first", "test.decl.second"]);
-        let first = Mutex::with_name("test.decl.first", ());
-        let second = RwLock::with_name("test.decl.second", ());
-        {
-            // declared direction: fine, and no prior observation needed
-            let _a = first.lock();
-            let _b = second.write();
-        }
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let _b = second.read();
-            let _a = first.lock(); // violates the declared order
-        }));
-        if cfg!(debug_assertions) {
-            let err = result.expect_err("declared-order violation must panic");
-            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains("declared order"), "unexpected panic message: {msg}");
         } else {
             assert!(result.is_ok());
         }

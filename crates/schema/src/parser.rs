@@ -20,8 +20,9 @@ use up2p_xml::{Document, NodeId, XSD_NS};
 /// # Errors
 ///
 /// Returns [`ParseSchemaError`] when the document is not a schema, when
-/// declarations are missing required attributes, or when facet values are
-/// malformed.
+/// declarations are missing required attributes, when facet values are
+/// malformed, or when the root element expands to more than 1 024
+/// elements.
 pub fn parse_schema(doc: &Document) -> Result<Schema, ParseSchemaError> {
     let root = doc
         .document_element()
@@ -63,8 +64,19 @@ pub fn parse_schema(doc: &Document) -> Result<Schema, ParseSchemaError> {
     if schema.root_elements.is_empty() {
         return Err(ParseSchemaError::new("schema declares no global element"));
     }
+    if crate::searchable::expands_past(&schema, MAX_FIELDS) {
+        return Err(ParseSchemaError::new(format!(
+            "root element expands to more than {MAX_FIELDS} elements"
+        )));
+    }
     Ok(schema)
 }
+
+/// How many elements — leaf fields and the complex elements above them —
+/// a parsed schema's root element may expand to. A downloaded schema is
+/// walked for its fields on every derive, so it must not choose how long
+/// that takes; the largest committed schema (E2's) has 64 fields.
+const MAX_FIELDS: usize = 1024;
 
 /// Parses an XSD document from text.
 ///
@@ -489,6 +501,37 @@ pub(crate) mod tests {
         )
         .unwrap_err();
         assert!(e.message().contains("frobnicate"));
+    }
+
+    /// A schema whose named types each hold four elements of the next one:
+    /// `levels` levels name 4^levels leaf fields in a few kilobytes.
+    fn fan_out_xsd(levels: usize) -> String {
+        let mut xsd = String::from(
+            r#"<schema xmlns="http://www.w3.org/2001/XMLSchema"><element name="r" type="t0"/>"#,
+        );
+        for l in 0..levels {
+            xsd += &format!(r#"<complexType name="t{l}"><sequence>"#);
+            for i in 0..4 {
+                xsd += &format!(r#"<element name="e{i}" type="t{}"/>"#, l + 1);
+            }
+            xsd += "</sequence></complexType>";
+        }
+        xsd += &format!(r#"<simpleType name="t{levels}"><restriction base="string"/></simpleType>"#);
+        xsd + "</schema>"
+    }
+
+    #[test]
+    fn fan_out_past_max_fields_fails_fast() {
+        // 4 levels: 256 fields under 85 complex elements
+        let s = parse_schema_str(&fan_out_xsd(4)).unwrap();
+        assert_eq!(crate::leaf_fields(&s).len(), 256);
+        // 12 levels: 16 777 216 fields, seconds to walk, never walked
+        let xsd = fan_out_xsd(12);
+        assert!(xsd.len() < 3_000, "{} bytes", xsd.len());
+        let started = std::time::Instant::now();
+        let e = parse_schema_str(&xsd).unwrap_err();
+        assert!(e.message().contains(&MAX_FIELDS.to_string()), "{e}");
+        assert!(started.elapsed() < std::time::Duration::from_secs(1), "{:?}", started.elapsed());
     }
 
     #[test]

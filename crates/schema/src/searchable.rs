@@ -38,11 +38,36 @@ pub struct Field {
 /// in document order.
 pub fn leaf_fields(schema: &Schema) -> Vec<Field> {
     let mut out = Vec::new();
-    if let Some(root) = schema.root_element() {
-        let mut visited = HashSet::new();
-        walk_decl(schema, root, root.name.clone(), &mut out, &mut visited, 0);
-    }
+    walk_root(schema, &mut |decl, path, leaf| {
+        if let Some((base, enumeration)) = leaf {
+            out.push(Field {
+                path: path.to_string(),
+                name: decl.name.clone(),
+                base,
+                enumeration: enumeration.to_vec(),
+                searchable: decl.searchable,
+                attachment: decl.attachment,
+                optional: decl.min_occurs == 0,
+                repeated: !matches!(decl.max_occurs, crate::model::Occurs::Bounded(0 | 1)),
+            });
+        }
+        true
+    });
     out
+}
+
+/// Does the root element expand to more than `limit` elements, leaf
+/// fields and the complex elements above them alike? Named complex types
+/// that each hold several elements of the next one expand like a tree, so
+/// a few kilobytes of XSD can name billions of fields; this stops
+/// counting at `limit + 1` instead of building them.
+pub(crate) fn expands_past(schema: &Schema, limit: usize) -> bool {
+    let mut reached = 0;
+    walk_root(schema, &mut |_, _, _| {
+        reached += 1;
+        reached <= limit
+    });
+    reached > limit
 }
 
 /// The fields that should appear on search forms and in the metadata
@@ -63,74 +88,77 @@ pub fn attachment_fields(schema: &Schema) -> Vec<Field> {
     leaf_fields(schema).into_iter().filter(|f| f.attachment).collect()
 }
 
+/// Called with every element the root expands to, in document order: its
+/// declaration, its slash-separated path and, for a leaf, its base type
+/// and enumeration. Returning `false` stops the walk.
+type Visit<'v> = dyn FnMut(&ElementDecl, &str, Option<(BuiltinType, &[String])>) -> bool + 'v;
+
+fn walk_root(schema: &Schema, visit: &mut Visit<'_>) {
+    if let Some(root) = schema.root_element() {
+        walk_decl(schema, root, &mut root.name.clone(), &mut HashSet::new(), 0, visit);
+    }
+}
+
+/// `false` once `visit` has stopped the walk.
 fn walk_decl(
     schema: &Schema,
     decl: &ElementDecl,
-    path: String,
-    out: &mut Vec<Field>,
+    path: &mut String,
     visited: &mut HashSet<String>,
     depth: usize,
-) {
+    visit: &mut Visit<'_>,
+) -> bool {
     if depth > 16 {
-        return; // recursive schema guard
+        return true; // recursive schema guard
     }
-    let mut push_leaf = |base: BuiltinType, enumeration: Vec<String>| {
-        out.push(Field {
-            path: path.clone(),
-            name: decl.name.clone(),
-            base,
-            enumeration,
-            searchable: decl.searchable,
-            attachment: decl.attachment,
-            optional: decl.min_occurs == 0,
-            repeated: !matches!(decl.max_occurs, crate::model::Occurs::Bounded(0 | 1)),
-        })
+    let (leaf, body) = match &decl.type_ref {
+        TypeRef::Builtin(b) => (Some((*b, &[][..])), None),
+        TypeRef::InlineSimple(st) => (Some((st.base, &st.facets.enumeration[..])), None),
+        TypeRef::InlineComplex(ct) => (None, ct.particle.as_ref()),
+        TypeRef::Named(name) => match schema.simple_type(name) {
+            Some(st) => (Some((st.base, &st.facets.enumeration[..])), None),
+            None => (None, schema.complex_type(name).and_then(|ct| ct.particle.as_ref())),
+        },
     };
-    match &decl.type_ref {
-        TypeRef::Builtin(b) => push_leaf(*b, Vec::new()),
-        TypeRef::InlineSimple(st) => push_leaf(st.base, st.facets.enumeration.clone()),
-        TypeRef::InlineComplex(ct) => {
-            if let Some(p) = &ct.particle {
-                walk_particle(schema, p, &path, out, visited, depth);
-            }
-        }
-        TypeRef::Named(name) => {
-            if let Some(st) = schema.simple_type(name) {
-                push_leaf(st.base, st.facets.enumeration.clone());
-            } else if let Some(ct) = schema.complex_type(name) {
-                if visited.insert(name.clone()) {
-                    if let Some(p) = &ct.particle {
-                        walk_particle(schema, p, &path, out, visited, depth);
-                    }
-                    visited.remove(name);
-                }
-            }
-        }
+    if !visit(decl, path, leaf) {
+        return false;
     }
+    let Some(body) = body else { return true };
+    // a named type already being expanded above this element is skipped
+    let named = match &decl.type_ref {
+        TypeRef::Named(name) if !visited.insert(name.clone()) => return true,
+        TypeRef::Named(name) => Some(name),
+        _ => None,
+    };
+    let go_on = walk_particle(schema, body, path, visited, depth, visit);
+    if let Some(name) = named {
+        visited.remove(name);
+    }
+    go_on
 }
 
 fn walk_particle(
     schema: &Schema,
     particle: &Particle,
-    path: &str,
-    out: &mut Vec<Field>,
+    path: &mut String,
     visited: &mut HashSet<String>,
     depth: usize,
-) {
+    visit: &mut Visit<'_>,
+) -> bool {
+    let mut child = |d: &ElementDecl, path: &mut String, visited: &mut HashSet<String>| {
+        let len = path.len();
+        path.push('/');
+        path.push_str(&d.name);
+        let go_on = walk_decl(schema, d, path, visited, depth + 1, visit);
+        path.truncate(len);
+        go_on
+    };
     match particle {
-        Particle::Element(d) => {
-            walk_decl(schema, d, format!("{path}/{}", d.name), out, visited, depth + 1)
-        }
+        Particle::Element(d) => child(d, path, visited),
         Particle::Sequence { items, .. } | Particle::Choice { items, .. } => {
-            for item in items {
-                walk_particle(schema, item, path, out, visited, depth);
-            }
+            items.iter().all(|item| walk_particle(schema, item, path, visited, depth, visit))
         }
-        Particle::All { items } => {
-            for d in items {
-                walk_decl(schema, d, format!("{path}/{}", d.name), out, visited, depth + 1);
-            }
-        }
+        Particle::All { items } => items.iter().all(|d| child(d, path, visited)),
     }
 }
 

@@ -279,13 +279,15 @@ impl Repository {
     /// # Errors
     ///
     /// Returns [`StoreError::InvalidQuery`] when the expression is
-    /// malformed.
+    /// malformed, or on the first object it cannot be evaluated on (an
+    /// unbound variable, a non-node-set where a node-set is required).
     pub fn xpath_search(
         &self,
         community: Option<&str>,
         expr: &str,
     ) -> Result<Vec<&StoredObject>, StoreError> {
-        let xp = XPath::parse(expr).map_err(|e| StoreError::InvalidQuery(e.to_string()))?;
+        let invalid = |e: up2p_xml::XPathError| StoreError::InvalidQuery(e.to_string());
+        let xp = XPath::parse(expr).map_err(invalid)?;
         let mut out = Vec::new();
         for obj in self.objects.values() {
             if let Some(c) = community {
@@ -293,11 +295,7 @@ impl Repository {
                     continue;
                 }
             }
-            let truthy = xp
-                .eval_root(&obj.doc)
-                .map(|v| v.into_bool())
-                .unwrap_or(false);
-            if truthy {
+            if xp.eval_root(&obj.doc).map_err(invalid)?.into_bool() {
                 out.push(obj);
             }
         }
@@ -386,6 +384,17 @@ mod tests {
         let hits = r.xpath_search(None, "//artist[contains(., 'Davis')]").unwrap();
         assert_eq!(hits.len(), 1);
         assert!(r.xpath_search(None, "///").is_err());
+    }
+
+    /// An expression that parses but cannot be evaluated is an error, not
+    /// "no object matches".
+    #[test]
+    fn xpath_search_reports_what_it_cannot_evaluate() {
+        let r = sample();
+        for expr in ["//artist[$v]", "count('a')"] {
+            let err = r.xpath_search(None, expr).map(|hits| hits.len()).unwrap_err();
+            assert!(matches!(err, StoreError::InvalidQuery(_)), "{expr}: {err}");
+        }
     }
 
     #[test]

@@ -259,17 +259,6 @@ impl Document {
         }
     }
 
-    /// Ancestors of `id` from parent to root.
-    pub fn ancestors(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut cur = self.parent(id);
-        while let Some(p) = cur {
-            out.push(p);
-            cur = self.parent(p);
-        }
-        out
-    }
-
     /// Creates a detached element node.
     pub fn create_element(&mut self, name: QName) -> NodeId {
         self.push_node(NodeKind::Element { name, attributes: Vec::new() })

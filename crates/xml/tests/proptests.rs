@@ -1,8 +1,10 @@
 //! Property-based tests for the XML substrate: serialization round-trips,
-//! escaping, and XPath consistency against naive reference traversals.
+//! escaping, XPath consistency against naive reference traversals, and a
+//! seeded mutation fuzz of the XPath grammar.
 
 use proptest::prelude::*;
-use up2p_xml::{Document, ElementBuilder, XPath};
+use std::collections::HashMap;
+use up2p_xml::{Context, Document, ElementBuilder, Value, XNode, XPath};
 
 /// Strategy for XML-safe text content (excludes control chars the parser
 /// legitimately never sees from our writers).
@@ -110,4 +112,108 @@ proptest! {
     fn xpath_parser_never_panics(s in "\\PC{0,60}") {
         let _ = XPath::parse(&s); // must not panic
     }
+
+    /// `name()`, `string()` and `number()` without their argument read the
+    /// context node, exactly as `name(.)`, `string(.)` and `number(.)` do,
+    /// at every node of the tree and at an attribute.
+    #[test]
+    fn absent_argument_is_the_context_node(tree in tree_strategy(), v in text_strategy()) {
+        let doc = ElementBuilder::new("w").attr("k", v).child(tree).build();
+        let mut nodes = XPath::parse("//node() | //@*").unwrap()
+            .eval_root(&doc).unwrap().into_nodes().unwrap();
+        nodes.push(XNode::Node(doc.root()));
+        let vars = HashMap::new();
+        for f in ["name", "string", "number"] {
+            let bare = XPath::parse(&format!("{f}()")).unwrap();
+            let dot = XPath::parse(&format!("{f}(.)")).unwrap();
+            for &node in &nodes {
+                let ctx = Context::new(&doc, node, &vars);
+                let (b, d) = (bare.eval(&ctx).unwrap(), dot.eval(&ctx).unwrap());
+                // NaN != NaN: compare what the values print as
+                prop_assert_eq!(b.into_string(&doc), d.into_string(&doc), "{}() at {:?}", f, node);
+            }
+        }
+    }
+}
+
+/// Every expression the tree's stylesheets, examples, store and benchmark
+/// generator hand to XPath (AVT bodies included, XML escapes undone).
+const SEEDS: &[&str] = &[
+    ".", "..", "/", "*", "*[1]", "@*|node()", "@name", "@kind", "@path", "@community",
+    "@input", "@communityname", "//b", "//item", "//keep", "//marker", "//n", "//name",
+    "//num", "//row", "//title", "//x", "//tag", "/form", "/hello", "/pattern", "/x",
+    "/community/name", "@attachment = 'true'", "@input = 'checkbox'", "@input = 'number'",
+    "@input = 'select'", "@kind = 'create'", "@repeated = 'true'", "@required = 'true'",
+    "aka", "aka != ''", "applicability", "b", "category", "cell", "field", "intent", "item",
+    "n", "name", "option", "participants", "x", ". > 10", ". = 5", "count(*)",
+    "count(*) > 0", "count(field)", "count(/*/*) > 2", "concat($greeting, ' there')",
+    "concat($prefix, .)", "name()", "position()", "$missing", "$text", "$v", "$who", "'#'",
+    "'default'", "/pattern[category='behavioral']", "//artist[contains(., 'Davis')]",
+    "/catalog/pattern[last()]/name", "//pattern[@cat='behavioral'][uses > 10]",
+    "not(false()) and true() or boolean(1)", "string(number('3')) = '3'", "-2 + 5 * 3 div 4 mod 2",
+    "/catalog/child::pattern/attribute::id | //self::name/parent::*/descendant-or-self::text()",
+    "//comment()", "//a:x",
+];
+
+/// Byte mutations of [`SEEDS`] from a fixed seed: whatever parses must
+/// evaluate without panicking, and may fail only for what depends on the
+/// expression's values — an unbound variable or a non-node-set where a
+/// node-set is required — never for an unknown function or a wrong
+/// argument count, which the parser has already ruled out.
+#[test]
+fn mutated_expressions_parse_or_fail_cleanly() {
+    const ALPHABET: &[u8] = b"/@.*:|$'\"()[],=!<>+- abcnt0123456789";
+    let doc = Document::parse(
+        "<catalog xmlns:a='urn:a'><pattern id='1' cat='behavioral'><name>Observer</name>\
+         <uses>12</uses><!--c--></pattern><a:x>5</a:x><b>hi<c/></b></catalog>",
+    )
+    .unwrap();
+    let mut vars = HashMap::new();
+    for name in ["v", "greeting", "prefix", "who"] {
+        vars.insert(name.to_string(), Value::Str("hi".to_string()));
+    }
+    let mut state = 0x5EED_u64;
+    let mut next = |bound: usize| {
+        // splitmix64
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % bound.max(1) as u64) as usize
+    };
+    let (mut parsed, mut evaluated) = (0, 0);
+    for _ in 0..20_000 {
+        let mut bytes = SEEDS[next(SEEDS.len())].as_bytes().to_vec();
+        for _ in 0..1 + next(3) {
+            let at = next(bytes.len() + 1);
+            match next(4) {
+                0 => bytes.insert(at, ALPHABET[next(ALPHABET.len())]),
+                1 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                2 if at < bytes.len() => bytes[at] = ALPHABET[next(ALPHABET.len())],
+                _ => {
+                    // splice in a slice of another seed
+                    let other = SEEDS[next(SEEDS.len())].as_bytes();
+                    let from = next(other.len());
+                    let to = from + next(other.len() - from + 1);
+                    bytes.splice(at..at, other[from..to].iter().copied());
+                }
+            }
+        }
+        let source = String::from_utf8_lossy(&bytes);
+        let Ok(xp) = XPath::parse(&source) else { continue };
+        parsed += 1;
+        let ctx = Context::new(&doc, XNode::Node(doc.root()), &vars);
+        match xp.eval(&ctx) {
+            Ok(_) => evaluated += 1,
+            Err(e) => assert!(
+                e.message().starts_with("unknown variable")
+                    || e.message().starts_with("expected node-set"),
+                "{source:?}: {e}"
+            ),
+        }
+    }
+    // the mutants reach both the parser's errors and the evaluator
+    assert!(parsed > 5_000 && evaluated > 5_000, "{parsed} parsed, {evaluated} evaluated");
 }

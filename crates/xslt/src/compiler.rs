@@ -596,6 +596,34 @@ mod tests {
         assert!(err.message().contains("frobnicate"));
     }
 
+    /// A stylesheet that names a function, axis or node test XPath here
+    /// does not have — in a `select`, a `test`, a `match` or an attribute
+    /// value template — is rejected when it compiles, not when it renders.
+    #[test]
+    fn rejects_what_xpath_does_not_have() {
+        for expr in [
+            "frobnicate(.)",
+            "contains(.)",
+            "ancestor::x",
+            "translate(., 'a', 'b')",
+            "processing-instruction()",
+        ] {
+            for body in [
+                format!(r#"<xsl:template match="/"><xsl:value-of select="{expr}"/></xsl:template>"#),
+                format!(r#"<xsl:template match="/"><xsl:if test="{expr}"><p/></xsl:if></xsl:template>"#),
+                format!(r#"<xsl:template match="a[{expr}]"><p/></xsl:template>"#),
+                format!(r#"<xsl:template match="/"><p class="{{{expr}}}"/></xsl:template>"#),
+            ] {
+                let sheet = format!(
+                    r#"<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform">{body}</xsl:stylesheet>"#
+                );
+                let name = expr.split(['(', ':']).next().unwrap_or(expr);
+                let err = Stylesheet::parse(&sheet).unwrap_err();
+                assert!(err.message().contains(name), "{body}: {err}");
+            }
+        }
+    }
+
     #[test]
     fn template_params_separated_from_body() {
         let s = Stylesheet::parse(

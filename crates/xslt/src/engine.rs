@@ -260,7 +260,7 @@ impl Engine<'_, '_> {
             }
             Instruction::ForEach { select, sort, body } => {
                 let nodes = self.eval(select, node, pos, size)?.into_nodes()?;
-                let nodes = self.sorted(nodes, sort, node, pos, size)?;
+                let nodes = self.sorted(nodes, sort)?;
                 let n = nodes.len();
                 for (i, item) in nodes.into_iter().enumerate() {
                     self.exec_all(body, item, i + 1, n, parent)?;
@@ -354,7 +354,7 @@ impl Engine<'_, '_> {
                         XNode::Attr(..) => Vec::new(),
                     },
                 };
-                let nodes = self.sorted(nodes, sort, node, pos, size)?;
+                let nodes = self.sorted(nodes, sort)?;
                 let bound = self.bind_params(params, node, pos, size)?;
                 self.apply_templates_to(&nodes, mode.as_deref(), &bound, parent)?;
             }
@@ -387,14 +387,7 @@ impl Engine<'_, '_> {
         Ok(out)
     }
 
-    fn sorted(
-        &mut self,
-        nodes: Vec<XNode>,
-        sorts: &[SortSpec],
-        _node: XNode,
-        _pos: usize,
-        _size: usize,
-    ) -> Result<Vec<XNode>, XsltError> {
+    fn sorted(&mut self, nodes: Vec<XNode>, sorts: &[SortSpec]) -> Result<Vec<XNode>, XsltError> {
         if sorts.is_empty() {
             return Ok(nodes);
         }
@@ -440,7 +433,7 @@ impl Engine<'_, '_> {
                 Some(t) => {
                     self.run_template(t, node, i + 1, size, params, parent)?;
                 }
-                None => self.builtin_rule(node, i + 1, size, mode, parent)?,
+                None => self.builtin_rule(node, mode, parent)?,
             }
         }
         Ok(())
@@ -479,12 +472,9 @@ impl Engine<'_, '_> {
     fn builtin_rule(
         &mut self,
         node: XNode,
-        pos: usize,
-        size: usize,
         mode: Option<&str>,
         parent: NodeId,
     ) -> Result<(), XsltError> {
-        let _ = (pos, size);
         match node {
             XNode::Node(id) => match self.src.kind(id) {
                 NodeKind::Document | NodeKind::Element { .. } => {

@@ -31,9 +31,11 @@
 //! The one choice made here is the Gnutella share-table layout: the
 //! engine drives `FloodingNetwork<RecordArena>`, struct-of-arrays over
 //! all peers instead of one inverted index per peer, which is what makes
-//! 100k+ peers tractable. Hit *order* may differ from the step network
-//! for that reason alone: the arena scans a peer's records in insertion
-//! order, the metadata index in doc-id order, and doc ids are recycled.
+//! 100k+ peers tractable; the substrate's term summary spares it every
+//! visited peer with nothing to say, as it spares the indexes. Hit
+//! *order* may differ from the step network for the layout alone: the
+//! arena scans a peer's records in insertion order, the metadata index in
+//! doc-id order, and doc ids are recycled.
 
 use crate::centralized::CentralizedNetwork;
 use crate::churn::ChurnEvent;

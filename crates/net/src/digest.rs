@@ -15,7 +15,7 @@
 //!   the normalized exact value and the keyword tokens — the terms the
 //!   store's index posts it under (`for_each_record_entry` is the one
 //!   place that enumerates them, for the routing digests and for the
-//!   flood's [`crate::PeerIndexes`] summary alike). Digests hash term
+//!   per-peer term summary of [`crate::FloodingNetwork`] alike). Digests hash term
 //!   *strings*, not symbol ids: interner symbols are private to each
 //!   index, strings are the wire-stable identity. A query is compiled
 //!   once into a [`Probe`] — every hash it needs — and asked of as many

@@ -8,15 +8,14 @@
 //! experiment E6 measures.
 //!
 //! The peers' records live in a [`ShareTable`], the substrate's one type
-//! parameter. [`FloodingNetwork::new`] lays them out as [`PeerIndexes`]:
-//! an [`IndexNode`] per peer, so that a peer with something to say
-//! answers from posting lists instead of scanning its records, behind one
-//! flat array of per-peer Bloom words, so that the nineteen visited peers
-//! in twenty with nothing to say are told apart without opening their
-//! index at all. [`crate::DesNetwork`] drives the same substrate over the
-//! struct-of-arrays [`crate::RecordArena`]. Everything else — liveness,
-//! write path, digests, retrieve, the assembly of the query walk —
-//! exists once, here, for both.
+//! parameter: [`PeerIndexes`], an [`IndexNode`] per peer, as
+//! [`FloodingNetwork::new`] builds it, or the struct-of-arrays
+//! [`crate::RecordArena`] that [`crate::DesNetwork`] drives. In front of
+//! either sits one flat array of per-peer Bloom words, so that the
+//! nineteen visited peers in twenty with nothing to say are skipped
+//! without opening their records. That summary and everything else —
+//! liveness, write path, digests, retrieve, the assembly of the query
+//! walk — exists once, here, for both.
 //!
 //! With [`DigestConfig::enabled`] the substrate switches to *guided*
 //! search (the `des_guided` workload): forwarding consults per-neighbor
@@ -62,11 +61,11 @@ impl Default for FloodingConfig {
 /// `0..peers` shares nothing and accepts nothing.
 ///
 /// Two layouts, each measured as irreplaceable on its side (DESIGN.md
-/// §3e): [`PeerIndexes`], an inverted index per peer behind a term
-/// summary, for a flood that evaluates at 450 peers per query;
-/// [`crate::RecordArena`], struct-of-arrays over all peers, for 10 000+
-/// simulated peers. The constructor that builds the network fixes the
-/// layout, never an option.
+/// §3e): [`PeerIndexes`], an inverted index per peer, for a flood that
+/// evaluates at 450 peers per query; [`crate::RecordArena`],
+/// struct-of-arrays over all peers, for 10 000+ simulated peers. The
+/// constructor that builds the network fixes the layout, never an option,
+/// and the term summary in front of either is the network's.
 pub trait ShareTable {
     /// An empty table for peers `0..peers`.
     fn with_peers(peers: usize) -> Self;
@@ -103,7 +102,7 @@ pub trait ShareTable {
     }
 
     /// Visits `(community, fields)` of every record `peer` shares — what
-    /// the peer's routing digest is built from.
+    /// the peer's routing digest and term summary are built from.
     fn for_each_record(&self, peer: u32, visit: &mut RecordVisitor<'_>);
 
     /// Deterministic size estimate in bytes (no allocator introspection).
@@ -112,78 +111,42 @@ pub trait ShareTable {
 
 /// 64-bit words of one peer's term summary: 4 096 bits, a constant. The
 /// few dozen records a flat-overlay peer shares fill about a tenth of it
-/// (DESIGN.md §3b), and 2 000 peers' worth is 1 MiB — cache-resident
-/// where the 2 000 indexes behind it are not.
+/// (DESIGN.md §3b); 2 000 peers' worth is 1 MiB — cache-resident where
+/// the 2 000 indexes behind it are not — and 10 000 peers' is 5.1 MB.
 const SUMMARY_WORDS: usize = 64;
 
-/// One inverted index per peer — the provider of every record in slot `i`
-/// is peer `i` — and in front of them one flat `[peer][word]` Bloom
-/// summary of the terms each peer's records are indexed under.
-///
-/// A flood evaluates its query at every peer it reaches and nineteen in
-/// twenty share nothing that matches; learning that from the peer's own
-/// index is a chain of dependent cache misses (community name → sub-index
-/// → term interner) into one of thousands of separate heaps. The summary
-/// speaks the routing digests' vocabulary ([`Probe`]: community marker,
-/// normalized values, keyword tokens), so "may match" here is the same
-/// predicate, proven weaker than the index: a peer whose words deny the
-/// query is skipped, any other is asked as before. It never hides a match
-/// and never invents one.
-///
-/// The words only ever gain bits from a write that adds a record. A
-/// `remove`, and an `upsert` that replaces, rebuild that one peer's words
-/// from the records it still shares — a Bloom filter cannot forget, and
-/// the counters that could would be sixteen times the array for a path
-/// the flood's writes hardly take. A peer sharing far more than the
-/// constant is sized for saturates its words and is simply always asked.
-#[derive(Debug)]
-pub struct PeerIndexes {
-    nodes: Vec<IndexNode>,
-    /// `[peer][word]`, [`SUMMARY_WORDS`] words each.
-    summary: Vec<u64>,
-}
+/// One peer's term summary.
+type Summary = [u64; SUMMARY_WORDS];
 
-impl PeerIndexes {
-    /// `peer`'s node and summary words; `None` outside the table.
-    fn peer_mut(&mut self, peer: u32) -> Option<(&mut IndexNode, &mut [u64])> {
-        let node = self.nodes.get_mut(peer as usize)?;
-        Some((node, &mut self.summary[peer as usize * SUMMARY_WORDS..][..SUMMARY_WORDS]))
-    }
-}
-
-/// Sets `words` to the summary of exactly the records `node` holds.
-fn summarize(words: &mut [u64], node: &IndexNode) {
+/// Sets `words` to the summary of exactly the records `peer` shares.
+fn summarize<T: ShareTable>(words: &mut Summary, shared: &T, peer: u32) {
     words.fill(0);
-    node.for_each_record(|community, fields| {
+    shared.for_each_record(peer, &mut |community, fields| {
         digest::for_each_record_entry(community, fields, |h| digest::insert(words, h));
     });
 }
 
+/// One inverted index per peer: the provider of every record in slot `i`
+/// is peer `i`.
+#[derive(Debug)]
+pub struct PeerIndexes {
+    nodes: Vec<IndexNode>,
+}
+
 impl ShareTable for PeerIndexes {
     fn with_peers(peers: usize) -> Self {
-        PeerIndexes {
-            nodes: std::iter::repeat_with(IndexNode::new).take(peers).collect(),
-            summary: vec![0; peers * SUMMARY_WORDS],
-        }
+        PeerIndexes { nodes: std::iter::repeat_with(IndexNode::new).take(peers).collect() }
     }
 
     fn upsert(&mut self, peer: u32, record: &ResourceRecord) -> Option<(&str, SharedFields)> {
-        let (node, words) = self.peer_mut(peer)?;
-        let Some((slot, fields)) = node.upsert_slot(PeerId(peer), record) else {
-            // a fresh key only adds entries
-            digest::for_each_record_entry(&record.community, &record.fields, |h| {
-                digest::insert(words, h)
-            });
-            return None;
-        };
-        summarize(words, node);
+        let node = self.nodes.get_mut(peer as usize)?;
+        let (slot, fields) = node.upsert_slot(PeerId(peer), record)?;
         Some((node.community_name(slot), fields))
     }
 
     fn remove(&mut self, peer: u32, key: &str) -> Option<(&str, SharedFields)> {
-        let (node, words) = self.peer_mut(peer)?;
+        let node = self.nodes.get_mut(peer as usize)?;
         let (slot, fields) = node.remove_slot(PeerId(peer), key)?;
-        summarize(words, node);
         Some((node.community_name(slot), fields))
     }
 
@@ -200,16 +163,10 @@ impl ShareTable for PeerIndexes {
         community: &'a str,
         query: &'a Query,
     ) -> impl FnMut(u32) -> Vec<Match> + 'a {
-        let probe = Probe::new(community, query);
-        move |peer| {
-            let at = peer as usize;
-            if at >= self.nodes.len()
-                || !probe.may_match(&self.summary[at * SUMMARY_WORDS..][..SUMMARY_WORDS])
-            {
-                return Vec::new();
-            }
+        move |peer| match self.nodes.get(peer as usize) {
             // the only provider in `peer`'s index is `peer`, which is being asked
-            overlay::index_matches(&self.nodes[at], |_| true, community, query)
+            Some(node) => overlay::index_matches(node, |_| true, community, query),
+            None => Vec::new(),
         }
     }
 
@@ -220,18 +177,32 @@ impl ShareTable for PeerIndexes {
     }
 
     fn approx_bytes(&self) -> u64 {
-        self.nodes.iter().map(|node| node.len() as u64 * 256).sum::<u64>()
-            + self.summary.len() as u64 * 8
+        self.nodes.iter().map(|node| node.len() as u64 * 256).sum()
     }
 }
 
 /// The flooding (Gnutella) substrate. Without type arguments this is the
 /// network [`FloodingNetwork::new`] builds, over [`PeerIndexes`].
+///
+/// Most peers a query visits share nothing that matches, and learning
+/// that from the share table is a chain of cache misses into the peer's
+/// own index, or a scan of its records in the arena. So each peer has a
+/// Bloom summary of the terms its records are indexed under, in the
+/// digests' vocabulary: a peer whose words deny the walk's [`Probe`] is
+/// skipped, any other is asked as before — the predicate DESIGN.md §3c
+/// proves weaker than the index, so it never hides a match. A fresh
+/// publish sets bits; an unpublish or a replacing publish rebuilds that
+/// peer's words from what it still shares (a Bloom filter cannot forget,
+/// and counters that could would be sixteen times the array). A peer
+/// sharing far more than the constant is sized for saturates its words
+/// and is simply always asked.
 pub struct FloodingNetwork<T: ShareTable = PeerIndexes> {
     topology: Topology,
     alive: Vec<bool>,
     /// What every peer shares from its own store.
     shared: T,
+    /// Each peer's term summary, in front of `shared`.
+    summary: Vec<Summary>,
     latency: Box<dyn LatencyModel + Send + Sync>,
     config: FloodingConfig,
     pub(crate) stats: NetStats,
@@ -276,6 +247,7 @@ impl<T: ShareTable> FloodingNetwork<T> {
             topology,
             alive: vec![true; n],
             shared: T::with_peers(n),
+            summary: vec![[0; SUMMARY_WORDS]; n],
             latency,
             config,
             stats: NetStats::new(),
@@ -305,10 +277,11 @@ impl<T: ShareTable> FloodingNetwork<T> {
     }
 
     /// Deterministic estimate of resident state in bytes: liveness,
-    /// share table, overlay edges and routing digests.
+    /// share table, term summaries, overlay edges and routing digests.
     pub(crate) fn approx_bytes(&self) -> u64 {
         self.alive.len() as u64
             + self.shared.approx_bytes()
+            + std::mem::size_of_val(self.summary.as_slice()) as u64
             + self.topology.edge_count() as u64 * 16
             + self.routes.approx_bytes()
     }
@@ -338,16 +311,15 @@ impl<T: ShareTable> FloodingNetwork<T> {
     }
 
     /// The walk of one query over this network, and the local evaluation
-    /// its hops run: each peer answers from its own shares. Borrowed for
-    /// a whole query by [`PeerNetwork::search`] and for one event at a
-    /// time by [`crate::DesNetwork`]; the query enters at its origin
-    /// (`entry: None`).
+    /// its hops run: a peer whose term summary admits the walk's probe
+    /// answers from its own shares. Borrowed for a whole query by
+    /// [`PeerNetwork::search`] and for one event at a time by
+    /// [`crate::DesNetwork`]; the query enters at its origin (`entry: None`).
     pub(crate) fn walk<'a>(
         &'a mut self,
         community: &'a str,
         query: &'a Query,
-    ) -> (Walk<'a>, impl FnMut(u32) -> Vec<Match> + 'a) {
-        let shared = &self.shared;
+    ) -> (Walk<'a>, impl FnMut(u32, &Probe) -> Vec<Match> + 'a) {
         let walk = Walk {
             topology: &self.topology,
             routes: &self.routes,
@@ -355,12 +327,17 @@ impl<T: ShareTable> FloodingNetwork<T> {
             latency: self.latency.as_mut(),
             walk_rng: &mut self.walk_rng,
             stats: &mut self.stats,
-            community,
-            query,
+            probe: Probe::new(community, query),
             ttl: self.config.ttl,
             dedup: self.config.dedup,
         };
-        (walk, shared.matcher(community, query))
+        let summary = &self.summary;
+        let mut matcher = self.shared.matcher(community, query);
+        let eval = move |peer: u32, probe: &Probe| match summary.get(peer as usize) {
+            Some(words) if probe.may_match(words) => matcher(peer),
+            _ => Vec::new(),
+        };
+        (walk, eval)
     }
 }
 
@@ -386,13 +363,18 @@ impl<T: ShareTable> PeerNetwork for FloodingNetwork<T> {
     fn publish(&mut self, provider: PeerId, record: ResourceRecord) {
         // Gnutella shares from the local store: no message is sent, and
         // republishing a key replaces the peer's own record (upsert) —
-        // the stored record it replaces leaves the routing digests, the
-        // new one enters them
-        if provider.index() >= self.alive.len() {
-            return;
-        }
-        if let Some((community, fields)) = self.shared.upsert(provider.0, &record) {
-            self.routes.record_removed(provider.0, community, &fields);
+        // the stored record it replaces leaves the routing digests and
+        // the peer's summary, the new one enters both
+        let Some(words) = self.summary.get_mut(provider.index()) else { return };
+        match self.shared.upsert(provider.0, &record) {
+            Some((community, fields)) => {
+                self.routes.record_removed(provider.0, community, &fields);
+                summarize(words, &self.shared, provider.0);
+            }
+            // a fresh key only adds terms
+            None => digest::for_each_record_entry(&record.community, &record.fields, |h| {
+                digest::insert(words, h)
+            }),
         }
         self.routes.record_added(provider.0, &record.community, &record.fields);
     }
@@ -400,6 +382,7 @@ impl<T: ShareTable> PeerNetwork for FloodingNetwork<T> {
     fn unpublish(&mut self, provider: PeerId, key: &str) {
         if let Some((community, fields)) = self.shared.remove(provider.0, key) {
             self.routes.record_removed(provider.0, community, &fields);
+            summarize(&mut self.summary[provider.index()], &self.shared, provider.0);
         }
     }
 
@@ -437,6 +420,9 @@ mod tests {
     use super::*;
     use crate::latency::ConstantLatency;
     use crate::stats::MsgKind;
+    use crate::RecordArena;
+    use proptest::collection::vec as pvec;
+    use proptest::prelude::*;
 
     fn record(key: &str, name: &str) -> ResourceRecord {
         ResourceRecord::new(key, "c", vec![("o/name".to_string(), name.to_string())])
@@ -615,56 +601,197 @@ mod tests {
         assert!(out.messages <= edges * 2, "{} > {}", out.messages, edges * 2);
     }
 
-    /// Does `peer`'s summary let `query` through to its index?
-    fn passes(table: &PeerIndexes, peer: usize, query: &Query) -> bool {
-        let words = &table.summary[peer * SUMMARY_WORDS..][..SUMMARY_WORDS];
-        Probe::new("c", query).may_match(words)
+    /// An edgeless network of `peers` over the layout `T`.
+    fn alone<T: ShareTable>(peers: usize) -> FloodingNetwork<T> {
+        let latency = Box::new(ConstantLatency(1_000));
+        FloodingNetwork::with_table(Topology::empty(peers), latency, FloodingConfig::default())
+    }
+
+    /// Does `peer`'s summary let `query` through to its share table?
+    fn passes<T: ShareTable>(net: &FloodingNetwork<T>, peer: usize, query: &Query) -> bool {
+        Probe::new("c", query).may_match(&net.summary[peer])
+    }
+
+    /// `peer`'s answer as a walk's hop evaluates it: summary first.
+    fn gated<T: ShareTable>(
+        net: &mut FloodingNetwork<T>,
+        peer: u32,
+        community: &str,
+        query: &Query,
+    ) -> Vec<Match> {
+        let (walk, mut eval) = net.walk(community, query);
+        eval(peer, &walk.probe)
     }
 
     fn keys(matches: Vec<Match>) -> Vec<String> {
         matches.into_iter().map(|(key, _, _)| key).collect()
     }
 
-    #[test]
-    fn a_removed_records_terms_leave_the_summary_with_their_last_carrier() {
-        let mut table = PeerIndexes::with_peers(2);
-        table.upsert(0, &record("a", "shared alpha"));
-        table.upsert(0, &record("b", "shared beta"));
+    fn forgets_with_the_last_carrier<T: ShareTable>() {
+        let mut net = alone::<T>(2);
+        net.publish(PeerId(0), record("a", "shared alpha"));
+        net.publish(PeerId(0), record("b", "shared beta"));
         let (shared, alpha, beta) =
             (Query::any_keyword("shared"), Query::any_keyword("alpha"), Query::any_keyword("beta"));
-        assert!(passes(&table, 0, &shared) && passes(&table, 0, &alpha));
-        assert!(!passes(&table, 1, &shared), "each peer has words of its own");
+        assert!(passes(&net, 0, &shared) && passes(&net, 0, &alpha));
+        assert!(!passes(&net, 1, &shared), "each peer has words of its own");
         // a Bloom filter cannot forget: the removal rebuilds peer 0's words
         // from the record it still shares
-        ShareTable::remove(&mut table, 0, "a");
-        assert!(!passes(&table, 0, &alpha), "no record of peer 0 carries it any more");
-        assert!(passes(&table, 0, &shared) && passes(&table, 0, &beta), "b still does");
-        assert_eq!(keys(table.matches(0, "c", &shared)), ["b"]);
-        // a replacing upsert rebuilds too: the old fields' terms go
-        table.upsert(0, &record("b", "gamma"));
-        assert!(!passes(&table, 0, &shared) && !passes(&table, 0, &beta));
-        assert!(passes(&table, 0, &Query::any_keyword("gamma")));
-        assert!(passes(&table, 0, &Query::All), "the community marker stays with a record");
-        ShareTable::remove(&mut table, 0, "b");
-        assert!(!passes(&table, 0, &Query::All), "and leaves with the last one");
-        assert!(table.summary.iter().all(|&w| w == 0));
+        net.unpublish(PeerId(0), "a");
+        assert!(!passes(&net, 0, &alpha), "no record of peer 0 carries it any more");
+        assert!(passes(&net, 0, &shared) && passes(&net, 0, &beta), "b still does");
+        assert_eq!(keys(gated(&mut net, 0, "c", &shared)), ["b"]);
+        // a replacing publish rebuilds too: the old fields' terms go
+        net.publish(PeerId(0), record("b", "gamma"));
+        assert!(!passes(&net, 0, &shared) && !passes(&net, 0, &beta));
+        assert!(passes(&net, 0, &Query::any_keyword("gamma")));
+        assert!(passes(&net, 0, &Query::All), "the community marker stays with a record");
+        net.unpublish(PeerId(0), "b");
+        assert!(!passes(&net, 0, &Query::All), "and leaves with the last one");
+        assert!(net.summary.iter().flatten().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn a_removed_records_terms_leave_the_summary_with_their_last_carrier() {
+        forgets_with_the_last_carrier::<PeerIndexes>();
+        forgets_with_the_last_carrier::<RecordArena>();
+    }
+
+    fn saturates<T: ShareTable>() {
+        // far more distinct terms than 4 096 bits can tell apart: the
+        // words fill up, stop filtering, and the layout answers as ever
+        let mut net = alone::<T>(1);
+        for i in 0..4_000 {
+            net.publish(PeerId(0), record(&format!("k{i}"), &format!("term{i} word{i}")));
+        }
+        let ones: u32 = net.summary[0].iter().map(|w| w.count_ones()).sum();
+        assert!(ones > 4_000, "only {ones} of 4 096 bits set");
+        let unseen = Query::any_keyword("unseen");
+        assert!(passes(&net, 0, &unseen), "saturated: all may match");
+        assert!(gated(&mut net, 0, "c", &unseen).is_empty());
+        assert_eq!(keys(gated(&mut net, 0, "c", &Query::any_keyword("term1234"))), ["k1234"]);
+        assert_eq!(gated(&mut net, 0, "c", &Query::All).len(), 4_000);
+        let liveness = 1;
+        assert_eq!(
+            net.approx_bytes(),
+            liveness + net.shared.approx_bytes() + 512,
+            "the words are counted"
+        );
     }
 
     #[test]
     fn a_saturated_summary_falls_through_to_the_index() {
-        // far more distinct terms than 4 096 bits can tell apart: the
-        // words fill up, stop filtering, and the index answers as ever
-        let mut table = PeerIndexes::with_peers(1);
-        for i in 0..4_000 {
-            table.upsert(0, &record(&format!("k{i}"), &format!("term{i} word{i}")));
+        saturates::<PeerIndexes>();
+        saturates::<RecordArena>();
+    }
+
+    /// One write of the summary proptest's tape, at one of three peers
+    /// (and one id outside the network).
+    #[derive(Debug, Clone)]
+    enum Write {
+        Publish { peer: u32, key: u8, community: usize, fields: Vec<(&'static str, &'static str)> },
+        Unpublish { peer: u32, key: u8 },
+    }
+
+    const COMMUNITIES: [&str; 2] = ["alpha", "beta"];
+
+    fn value() -> impl Strategy<Value = &'static str> + Clone {
+        prop_oneof![
+            Just("apple"),
+            Just("banana split"),
+            Just("Observer Pattern"),
+            Just("factory"),
+            Just("errant banana"),
+        ]
+    }
+
+    /// Fresh publishes, republishes with changed fields or into the other
+    /// community, unpublishes of present and absent keys.
+    fn tape() -> impl Strategy<Value = Vec<Write>> {
+        let path = prop_oneof![Just("o/name"), Just("o/tag")];
+        let write = prop_oneof![
+            3 => (0u32..4, 0u8..4, 0..COMMUNITIES.len(), pvec((path, value()), 0..3)).prop_map(
+                |(peer, key, community, fields)| Write::Publish { peer, key, community, fields }
+            ),
+            1 => (0u32..4, 0u8..4).prop_map(|(peer, key)| Write::Unpublish { peer, key }),
+        ];
+        pvec(write, 1..24)
+    }
+
+    /// Every query form a summary is asked: terms it can check, and forms
+    /// it passes on the community marker alone.
+    fn query() -> impl Strategy<Value = Query> {
+        let word = prop_oneof![
+            Just("apple"),
+            Just("banana"),
+            Just("observer"),
+            Just("banana split"),
+            Just("missing"),
+        ];
+        let leaf = prop_oneof![
+            Just(Query::All),
+            word.clone().prop_map(Query::any_keyword),
+            word.clone().prop_map(|w| Query::keyword("name", w)),
+            word.clone().prop_map(|w| Query::eq("o/name", w)),
+            word.prop_map(|w| Query::contains("o/tag", w)),
+        ];
+        leaf.prop_recursive(2, 8, 3, |inner| {
+            prop_oneof![
+                pvec(inner.clone(), 0..3).prop_map(Query::And),
+                pvec(inner.clone(), 0..3).prop_map(Query::Or),
+                inner.prop_map(|q| Query::Not(Box::new(q))),
+            ]
+        })
+    }
+
+    /// After every write of `tape`, every peer's summary-gated evaluation
+    /// equals the layout's ungated matcher, for every query in both
+    /// communities.
+    fn gating_hides_nothing<T: ShareTable>(
+        tape: &[Write],
+        queries: &[Query],
+    ) -> Result<(), TestCaseError> {
+        let mut net = alone::<T>(3);
+        for (i, write) in tape.iter().enumerate() {
+            match write {
+                Write::Publish { peer, key, community, fields } => {
+                    let fields: Vec<(String, String)> =
+                        fields.iter().map(|&(p, v)| (p.to_string(), v.to_string())).collect();
+                    let community = COMMUNITIES[*community];
+                    let record = ResourceRecord::new(format!("k{key}"), community, fields);
+                    net.publish(PeerId(*peer), record);
+                }
+                Write::Unpublish { peer, key } => net.unpublish(PeerId(*peer), &format!("k{key}")),
+            }
+            for query in queries {
+                for community in COMMUNITIES {
+                    let got: Vec<Vec<Match>> =
+                        (0..4).map(|peer| gated(&mut net, peer, community, query)).collect();
+                    for (peer, got) in (0..4).zip(got) {
+                        prop_assert_eq!(
+                            got,
+                            net.shared.matches(peer, community, query),
+                            "peer {} asked {} in {} after write #{}: {:?}",
+                            peer, query, community, i, write
+                        );
+                    }
+                }
+            }
         }
-        let ones: u32 = table.summary.iter().map(|w| w.count_ones()).sum();
-        assert!(ones > 4_000, "only {ones} of 4 096 bits set");
-        assert!(passes(&table, 0, &Query::any_keyword("unseen")), "saturated: all may match");
-        assert!(table.matches(0, "c", &Query::any_keyword("unseen")).is_empty());
-        assert_eq!(keys(table.matches(0, "c", &Query::any_keyword("term1234"))), ["k1234"]);
-        assert_eq!(table.matches(0, "c", &Query::All).len(), 4_000);
-        assert_eq!(table.approx_bytes(), 4_000 * 256 + 512, "the words are counted");
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The summary never hides a match and never invents one, in
+        /// front of either layout: whatever it skips, the layout would
+        /// have answered with nothing.
+        #[test]
+        fn the_summary_never_hides_a_match(tape in tape(), queries in pvec(query(), 1..4)) {
+            gating_hides_nothing::<PeerIndexes>(&tape, &queries)?;
+            gating_hides_nothing::<RecordArena>(&tape, &queries)?;
+        }
     }
 
     fn guided_line(n: usize) -> FloodingNetwork {

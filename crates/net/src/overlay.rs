@@ -10,9 +10,10 @@
 //! and count it, and leave *when* and *against which records* to the
 //! caller:
 //!
-//! * the **local evaluation** is an `FnMut(node) -> Vec<Match>` — the
-//!   flat overlay's [`crate::ShareTable`], or an [`IndexNode`] per super
-//!   ([`index_matches`]);
+//! * the **local evaluation** is an `FnMut(node, &Probe) -> Vec<Match>` —
+//!   the flat overlay's [`crate::ShareTable`] behind a per-peer term
+//!   summary that the walk's compiled [`Probe`] is asked of, or an
+//!   [`IndexNode`] per super ([`index_matches`]);
 //! * the **[`Sink`]** receives every forwarded copy and every hit batch
 //!   with its delivery time — [`Walk::run`] drains a private per-query
 //!   queue from time 0, [`crate::DesNetwork`] pushes onto its global
@@ -198,8 +199,9 @@ pub(crate) struct Walk<'a> {
     pub latency: &'a mut dyn LatencyModel,
     pub walk_rng: &'a mut StdRng,
     pub stats: &'a mut NetStats,
-    pub community: &'a str,
-    pub query: &'a Query,
+    /// The query compiled once per walk: what guided forwarding asks the
+    /// neighbours' digests and the local evaluation may ask a summary.
+    pub probe: Probe,
     pub ttl: u8,
     /// Drop duplicate flood arrivals (Gnutella's GUID cache).
     pub dedup: bool,
@@ -222,7 +224,7 @@ impl Walk<'_> {
         eval: E,
         sink: &mut S,
     ) where
-        E: FnMut(u32) -> Vec<Match>,
+        E: FnMut(u32, &Probe) -> Vec<Match>,
         S: Sink,
     {
         let mode =
@@ -246,7 +248,7 @@ impl Walk<'_> {
     /// Handles the copy `hop` delivered at time `t`.
     pub fn arrive<E, S>(&mut self, p: &mut Progress, t: Time, hop: Hop, eval: E, sink: &mut S)
     where
-        E: FnMut(u32) -> Vec<Match>,
+        E: FnMut(u32, &Probe) -> Vec<Match>,
         S: Sink,
     {
         self.visit(p, t, hop, true, eval, sink);
@@ -256,7 +258,7 @@ impl Walk<'_> {
     /// time base 0.
     pub fn run<E>(&mut self, origin: u32, entry: Option<u32>, mut eval: E) -> SearchOutcome
     where
-        E: FnMut(u32) -> Vec<Match>,
+        E: FnMut(u32, &Probe) -> Vec<Match>,
     {
         let mut p = Progress::new(0);
         let mut queue: EventQueue<Hop> = EventQueue::new();
@@ -279,7 +281,7 @@ impl Walk<'_> {
         mut eval: E,
         sink: &mut S,
     ) where
-        E: FnMut(u32) -> Vec<Match>,
+        E: FnMut(u32, &Probe) -> Vec<Match>,
         S: Sink,
     {
         let Hop { to, via, ttl, mode } = hop;
@@ -298,7 +300,7 @@ impl Walk<'_> {
             _ => {}
         }
         let matches =
-            if first_visit || mode == PropMode::Flood { eval(to) } else { Vec::new() };
+            if first_visit || mode == PropMode::Flood { eval(to, &self.probe) } else { Vec::new() };
         if !matches.is_empty() {
             // QueryHit routes back along the reverse path and down to a
             // leaf origin: one message per edge, arriving after the
@@ -381,11 +383,9 @@ impl Walk<'_> {
             .map(|nb| nb.0)
             .filter(|&nb| Some(nb) != sender)
             .collect();
-        // hashed once for every layer of every neighbor asked below
-        let probe = Probe::new(self.community, self.query);
         let mut candidates: Vec<(u8, u32)> = options
             .iter()
-            .filter_map(|&nb| self.routes.min_depth(nb, from, &probe, ttl).map(|d| (d, nb)))
+            .filter_map(|&nb| self.routes.min_depth(nb, from, &self.probe, ttl).map(|d| (d, nb)))
             .collect();
         candidates.sort_unstable();
         let copy = |to, mode| Hop { to, via: visit, ttl: ttl - 1, mode };
@@ -582,11 +582,11 @@ mod tests {
             Script::new(n, edges, DigestConfig { log2_bits: 8, ..DigestConfig::guided() }, holders)
         }
 
-        fn parts(&mut self) -> (Walk<'_>, impl FnMut(u32) -> Vec<Match> + '_) {
+        fn parts(&mut self) -> (Walk<'_>, impl FnMut(u32, &Probe) -> Vec<Match> + '_) {
             let Script {
                 topology, routes, alive, latency, rng, stats, query, ttl, dedup, holders, evaluated,
             } = self;
-            let eval = move |node: u32| {
+            let eval = move |node: u32, _: &Probe| {
                 evaluated.push(node);
                 if holders.contains(&node) {
                     vec![(format!("k{node}"), PeerId(node), SharedFields::from(Vec::new()))]
@@ -601,8 +601,7 @@ mod tests {
                 latency,
                 walk_rng: rng,
                 stats,
-                community: "c",
-                query,
+                probe: Probe::new("c", query),
                 ttl: *ttl,
                 dedup: *dedup,
             };

@@ -7,7 +7,7 @@
 //! super answers a query with a posting-list lookup over its leaves'
 //! records instead of scanning them.
 
-use crate::digest::{DigestConfig, RouteTable};
+use crate::digest::{DigestConfig, Probe, RouteTable};
 use crate::index_node::IndexNode;
 use crate::latency::LatencyModel;
 use crate::message::ResourceRecord;
@@ -184,7 +184,7 @@ impl SuperPeerNetwork {
         &'a mut self,
         community: &'a str,
         query: &'a Query,
-    ) -> (Walk<'a>, impl FnMut(u32) -> Vec<Match> + 'a) {
+    ) -> (Walk<'a>, impl FnMut(u32, &Probe) -> Vec<Match> + 'a) {
         let (alive, indexes) = (&self.alive, &self.indexes);
         let walk = Walk {
             topology: &self.super_topology,
@@ -193,13 +193,15 @@ impl SuperPeerNetwork {
             latency: self.latency.as_mut(),
             walk_rng: &mut self.walk_rng,
             stats: &mut self.stats,
-            community,
-            query,
+            probe: Probe::new(community, query),
             ttl: self.config.ttl,
             dedup: true,
         };
         let is_alive = move |p| overlay::is_alive(alive, p);
-        (walk, move |s| overlay::index_matches(&indexes[s as usize], is_alive, community, query))
+        let eval = move |s: u32, _: &Probe| {
+            overlay::index_matches(&indexes[s as usize], is_alive, community, query)
+        };
+        (walk, eval)
     }
 }
 

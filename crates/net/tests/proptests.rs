@@ -374,19 +374,26 @@ proptest! {
     /// The flood's term summary never hides a match and never invents
     /// one: after every write of a random tape — fresh publishes,
     /// republishes with other fields or into the other community,
-    /// withdrawals of present and absent keys — the summarised table
-    /// answers every query form exactly as a plain [`IndexNode`] given the
-    /// same writes does, peer by peer and community by community (the
-    /// same words live in both communities, so a term present only in
-    /// the other one is asked for all the time). The table's writes set
-    /// summary bits or rebuild a peer's words; the plain nodes have no
-    /// summary.
+    /// withdrawals of present and absent keys — a flooding network's
+    /// answer at each of its peers (a TTL-0 search there: the peer's
+    /// summary, then its index) is every query form's answer of a plain
+    /// [`IndexNode`] given the same writes, peer by peer and community by
+    /// community (the same words live in both communities, so a term
+    /// present only in the other one is asked for all the time), and so
+    /// is the bare [`PeerIndexes`] table's, asked with no summary in
+    /// front. The network's writes set summary bits or rebuild a peer's
+    /// words; the plain nodes have no summary.
     #[test]
     fn term_summary_never_changes_an_answer(
         ops in digest_ops(3),
         queries in pvec(oracle_query(), 1..4),
     ) {
         let mut table = PeerIndexes::with_peers(3);
+        let mut net = FloodingNetwork::new(
+            Topology::empty(3),
+            Box::new(ConstantLatency(1)),
+            FloodingConfig { ttl: 0, ..FloodingConfig::default() },
+        );
         let mut plain: Vec<IndexNode> = (0..3).map(|_| IndexNode::new()).collect();
         let own = |r: Option<(&str, SharedFields)>| r.map(|(c, f)| (c.to_string(), f.to_vec()));
         let named = |node: &IndexNode, r: Option<(u32, SharedFields)>| {
@@ -404,6 +411,7 @@ proptest! {
                         named(node, pushed_out),
                         "op #{}: {:?}", i, op
                     );
+                    net.publish(PeerId(*at), record);
                 }
                 DigestOp::Unpublish { at, key, .. } => {
                     let key = format!("k{key}");
@@ -414,6 +422,7 @@ proptest! {
                         named(node, removed),
                         "op #{}: {:?}", i, op
                     );
+                    net.unpublish(PeerId(*at), &key);
                 }
                 DigestOp::Refresh => continue,
             }
@@ -437,8 +446,17 @@ proptest! {
                             "peer {} answers {} in {} differently after op #{}: {:?}",
                             peer, query, community, i, op
                         );
-                        let again = table.matches(peer, community, query);
-                        prop_assert_eq!(again.len(), expected.len(), "matches() is the matcher");
+                        let summarised: Vec<_> = net
+                            .search(PeerId(peer), community, query)
+                            .hits
+                            .into_iter()
+                            .map(|hit| (hit.key, hit.provider, hit.fields.to_vec()))
+                            .collect();
+                        prop_assert_eq!(
+                            &summarised, &expected,
+                            "peer {}'s summary changes its answer to {} in {} after op #{}: {:?}",
+                            peer, query, community, i, op
+                        );
                     }
                 }
             }

@@ -6,6 +6,23 @@ pub const STOPWORDS: &[&str] =
     &["a", "an", "and", "are", "as", "at", "be", "by", "for", "in", "is", "it", "of", "on",
       "or", "the", "to", "with"];
 
+/// Length of the longest stopword: no longer token needs looking up.
+const MAX_STOPWORD_LEN: usize = {
+    let (mut max, mut i) = (0, 0);
+    while i < STOPWORDS.len() {
+        if STOPWORDS[i].len() > max {
+            max = STOPWORDS[i].len();
+        }
+        i += 1;
+    }
+    max
+};
+
+/// Is the lowercase `token` a stopword?
+fn is_stopword(token: &str) -> bool {
+    token.len() <= MAX_STOPWORD_LEN && STOPWORDS.contains(&token)
+}
+
 /// Splits `text` into lowercase alphanumeric tokens, dropping stopwords.
 ///
 /// ```
@@ -55,14 +72,14 @@ pub fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
             continue;
         }
         if raw.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit()) {
-            if !STOPWORDS.contains(&raw) {
+            if !is_stopword(raw) {
                 f(raw);
             }
         } else {
             // same lowercasing as `tokenize` (str::to_lowercase, which
             // handles e.g. final sigma) — rare path, one allocation
             let lowered = raw.to_lowercase();
-            if !STOPWORDS.contains(&lowered.as_str()) {
+            if !is_stopword(&lowered) {
                 f(&lowered);
             }
         }
@@ -79,6 +96,16 @@ pub fn normalize(value: &str) -> String {
 /// comparison hot paths skip re-normalizing values that are already in
 /// canonical form (everything the index stores, every compiled pattern).
 pub fn is_normalized(s: &str) -> bool {
+    if s.is_ascii() {
+        // what the char path below rejects, a byte at a time: of ASCII
+        // only `A-Z` lowercase to something else, and `char::is_whitespace`
+        // takes `\t`..=`\r` (`\x0B` among them) besides ' '
+        let b = s.as_bytes();
+        return !b.iter().any(|c| c.is_ascii_uppercase() || matches!(c, b'\t'..=b'\r'))
+            && b.first() != Some(&b' ')
+            && b.last() != Some(&b' ')
+            && !b.windows(2).any(|pair| pair == b"  ");
+    }
     let mut prev_space = true; // rejects a leading space and double spaces
     for c in s.chars() {
         if c == ' ' {
@@ -98,6 +125,7 @@ pub fn is_normalized(s: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn splits_on_punctuation_and_lowercases() {
@@ -142,6 +170,7 @@ mod tests {
             "track 7 of 12",
             "Queensrÿche déjà-vu",
             "ΟΔΟΣ uphill",
+            "With a Withering look, are they within?",
             "",
             "... --- !!!",
         ] {
@@ -163,13 +192,24 @@ mod tests {
         assert_eq!(token_passes(), before);
     }
 
-    #[test]
-    fn is_normalized_agrees_with_normalize() {
-        for s in [
-            "", "abstract factory", "Abstract Factory", " leading", "trailing ", "two  spaces",
-            "tab\there", "ǅungla", "déjà vu", "İstanbul", "a", " ", "x y z",
-        ] {
-            assert_eq!(is_normalized(s), normalize(s) == s, "{s:?}");
+    /// Upper and lower case on both paths, every whitespace character
+    /// `is_normalized` treats apart from ' ' (`\x0B` is the one
+    /// `u8::is_ascii_whitespace` misses), and letters whose lowercase is
+    /// longer, titlecase or another character.
+    const ALPHABET: [char; 15] =
+        ['a', 'q', 'z', 'A', 'Q', 'Z', ' ', '\t', '\x0B', '\x0C', '\r', 'é', 'É', 'ǅ', 'İ'];
+
+    proptest! {
+        // short strings, many of them: a disagreement takes one or two
+        // characters, `"\x0B"` alone among them
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn is_normalized_agrees_with_normalize(
+            picks in proptest::collection::vec(0..ALPHABET.len(), 0..8),
+        ) {
+            let s: String = picks.into_iter().map(|i| ALPHABET[i]).collect();
+            prop_assert_eq!(is_normalized(&s), normalize(&s) == s, "{:?}", s);
         }
     }
 }

@@ -5,7 +5,7 @@
 //! search at a time on a private event queue; churn and digest refresh
 //! happen *between* searches, instantaneously. [`DesNetwork`] runs the
 //! same three protocols on **one global virtual-time queue**
-//! ([`crate::sim::EventQueue`], tie-broken by `(timestamp, sequence)`):
+//! ([`crate::sim::EventQueue`], popping by `(timestamp, push order)`):
 //! query issue, per-hop message delivery, hit return, churn transitions
 //! and digest refresh are all timestamped [`DesEvent`]s, so a churn
 //! storm lands *while* queries are in flight.
@@ -561,7 +561,7 @@ impl DesNetwork {
 
     // ---- the pump ----------------------------------------------------
 
-    /// Processes events in `(timestamp, sequence)` order. With
+    /// Processes events in `(timestamp, push order)` order. With
     /// `until = Some(qid)`, stops once that query finalizes; with `None`,
     /// drains the queue.
     fn pump(&mut self, until: Option<u32>) {
@@ -872,6 +872,41 @@ mod tests {
         assert_eq!(log[0], "0 issue q0");
         assert_eq!(log[1], "1 server-query q0");
         assert_eq!(log[2], "2 hits q0 n=1");
+    }
+
+    #[test]
+    fn a_query_scheduled_before_the_clock_runs_in_time_then_push_order() {
+        let mut net = DesNetwork::napster(4, Box::new(ConstantLatency(10)));
+        net.enable_event_log();
+        net.publish(PeerId(1), track("k1", "ella"));
+        net.schedule_query(25, PeerId(2), "tracks", q("ella"));
+        // the search pumps the timeline only until its own query is done
+        assert_eq!(net.search(PeerId(0), "tracks", &q("ella")).hits.len(), 1);
+        assert_eq!(net.clock(), 20);
+        // earlier than anything popped so far, twice at one instant, and
+        // once tying the query still queued from before the search
+        net.schedule_query(5, PeerId(3), "tracks", q("ella"));
+        net.schedule_query(5, PeerId(2), "tracks", q("ella"));
+        net.schedule_query(25, PeerId(3), "tracks", q("ella"));
+        assert_eq!(net.run().len(), 4);
+        let expected = [
+            "0 issue q1",
+            "10 server-query q1",
+            "20 hits q1 n=1",
+            "5 issue q2",
+            "5 issue q3",
+            "15 server-query q2",
+            "15 server-query q3",
+            "25 issue q0",
+            "25 issue q4",
+            "25 hits q2 n=1",
+            "25 hits q3 n=1",
+            "35 server-query q0",
+            "35 server-query q4",
+            "45 hits q0 n=1",
+            "45 hits q4 n=1",
+        ];
+        assert_eq!(net.event_log(), expected);
     }
 
     #[test]

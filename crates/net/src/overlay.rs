@@ -39,7 +39,6 @@ use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hasher};
 use up2p_store::Query;
 
 /// One locally matching record: `(key, provider, fields)`.
@@ -80,34 +79,6 @@ pub(crate) struct Hop {
 /// The `via` of a copy nobody forwarded: the query entering the overlay.
 pub(crate) const ENTRY: u32 = u32::MAX;
 
-/// Hashes a node id with one multiplication. Ids are dense and chosen by
-/// the topology, never by a remote party, so the per-process SipHash key
-/// a `HashSet` defaults to buys nothing here and costs most of a visit's
-/// dedup check.
-#[derive(Default)]
-struct NodeIdHasher(u64);
-
-impl Hasher for NodeIdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        // not what a `u32` key calls; here so that any key hashes soundly
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FIBONACCI);
-        }
-    }
-    fn write_u32(&mut self, id: u32) {
-        // the table takes its bucket from the low bits and its tag from
-        // the high ones; an odd multiplier keeps dense ids distinct in the
-        // first and spreads them over the second
-        self.0 = u64::from(id).wrapping_mul(FIBONACCI);
-    }
-}
-
-/// 2^64 / φ, odd.
-const FIBONACCI: u64 = 0x9e37_79b9_7f4a_7c15;
-
 /// Where the walk's deliveries go.
 pub(crate) trait Sink {
     /// A query copy will arrive at `hop.to` at time `at`.
@@ -131,7 +102,9 @@ pub(crate) struct Progress {
     pub outcome: SearchOutcome,
     pub last_hit_at: Time,
     pub quiescence: Time,
-    seen: HashSet<u32, BuildHasherDefault<NodeIdHasher>>,
+    /// One bit per node id visited, grown on demand: ids are dense, chosen
+    /// by the topology, and only a live node's id is ever marked.
+    seen: Vec<u64>,
     hit_seen: HashSet<(String, PeerId)>,
     /// One `(node, via)` per visit that forwarded: the node, and the
     /// trail index of the visit that had sent it the copy ([`ENTRY`] for
@@ -156,7 +129,7 @@ impl Progress {
             outcome: SearchOutcome::default(),
             last_hit_at: t0,
             quiescence: t0,
-            seen: HashSet::default(),
+            seen: Vec::new(),
             hit_seen: HashSet::new(),
             trail: Vec::new(),
             leaf: None,
@@ -173,8 +146,8 @@ impl Progress {
     }
 
     /// Closes the query once nothing of it is in flight: latencies
-    /// become relative to `issued_at`, and the dedup sets and the trail
-    /// are released.
+    /// become relative to `issued_at`, and the visited bitmap, the hit
+    /// set and the trail are released.
     pub fn finish(&mut self, issued_at: Time, stats: &mut NetStats) {
         let found = !self.outcome.hits.is_empty();
         let end = if found { self.last_hit_at } else { self.quiescence };
@@ -184,7 +157,7 @@ impl Progress {
         if found {
             stats.queries_with_hits += 1;
         }
-        self.seen = HashSet::default();
+        self.seen = Vec::new();
         self.hit_seen = HashSet::new();
         self.trail = Vec::new();
     }
@@ -290,7 +263,12 @@ impl Walk<'_> {
             self.stats.dropped += 1;
             return;
         }
-        let first_visit = p.seen.insert(to);
+        let (word, bit) = (to as usize / 64, 1u64 << (to % 64));
+        if p.seen.len() <= word {
+            p.seen.resize(word + 1, 0);
+        }
+        let first_visit = p.seen[word] & bit == 0;
+        p.seen[word] |= bit;
         match mode {
             // duplicate query arrival, dropped by the GUID cache
             PropMode::Flood if self.dedup && !first_visit => return,
@@ -680,6 +658,45 @@ mod tests {
         assert_eq!(walker.targets(), vec![2], "the walker lives on, and resumes guided forwarding");
         assert_eq!(walker.forwards[0].4, PropMode::Guided);
         assert_eq!(s.evaluated, vec![1], "revisits never re-evaluate");
+    }
+
+    #[test]
+    fn the_visited_bitmap_tells_every_id_apart_in_every_mode() {
+        // ids at both ends of a word, the next word's first, and far out
+        const NODES: [u32; 4] = [0, 63, 64, 9_999];
+        let sender = |n: u32| 5_000 + n % 1_000;
+        let onward = |n: u32| 7_000 + n % 1_000;
+        let edges: Vec<(u32, u32)> =
+            NODES.iter().flat_map(|&n| [(n, sender(n)), (n, onward(n))]).collect();
+        // (mode, dedup, a revisit evaluates again, a revisit forwards)
+        for (mode, dedup, reevaluates, forwards) in [
+            (PropMode::Flood, true, false, false),
+            (PropMode::Flood, false, true, true),
+            (PropMode::Guided, true, false, false),
+            (PropMode::Walk, true, false, true),
+        ] {
+            let mut s = match mode {
+                PropMode::Flood => Script::flood(10_000, &edges, &[]),
+                _ => Script::guided(10_000, &edges, &[]),
+            };
+            s.dedup = dedup;
+            let mut p = Progress::new(0);
+            for &n in &NODES {
+                let first = s.arrive(&mut p, 10, n, &[sender(n)], 3, mode);
+                assert_eq!(first.targets(), vec![onward(n)], "{mode:?}: first visit of {n}");
+            }
+            assert_eq!(s.evaluated, NODES, "{mode:?}: no id was taken for another");
+            for &n in &NODES {
+                let again = s.arrive(&mut p, 20, n, &[sender(n)], 3, mode);
+                let expected = if forwards { vec![onward(n)] } else { Vec::new() };
+                assert_eq!(again.targets(), expected, "{mode:?}: revisit of {n}");
+            }
+            let revisits = if reevaluates { &NODES[..] } else { &[] };
+            assert_eq!(s.evaluated[NODES.len()..], *revisits, "{mode:?}");
+            assert_eq!(p.seen.len(), 157, "{mode:?}: one bit per id up to 9 999");
+            p.finish(0, &mut s.stats);
+            assert_eq!(p.seen.capacity(), 0, "{mode:?}: finish releases the bitmap");
+        }
     }
 
     #[test]

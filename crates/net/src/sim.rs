@@ -1,21 +1,14 @@
-//! Minimal discrete-event queue used by the flooding and super-peer
-//! substrates.
-//!
-//! Each search operation is simulated to quiescence in virtual time — the
-//! queue orders deliveries by `(time, sequence)`, making runs fully
-//! deterministic for a given seed.
+//! The discrete-event queue both schedulers drain: a step search's
+//! private per-query queue and the DES engine's global timeline.
 
 use crate::message::Time;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// A deterministic time-ordered event queue.
 ///
-/// Tie-breaking rule: events are popped by **timestamp, then sequence
-/// number** — the sequence is assigned at push time, so two events
-/// scheduled for the same instant come back in push order. This is what
-/// makes every run (and the whole-network [`crate::DesNetwork`] replay
-/// logs) byte-for-byte reproducible for a given seed.
+/// Events pop by **timestamp, then push order**: what makes every run
+/// (and the [`crate::DesNetwork`] replay logs) byte-for-byte reproducible
+/// for a given seed.
 ///
 /// ```
 /// use up2p_net::sim::EventQueue;
@@ -29,68 +22,93 @@ use std::collections::BinaryHeap;
 /// assert_eq!(q.pop(), Some((10, "pushed second")));
 /// assert_eq!(q.pop(), None);
 /// ```
-#[derive(Debug)]
+///
+/// A monotone radix queue, O(1) to push: an event waits in `due` while its
+/// time is the last one popped, else in bucket *i*, *i* the highest bit in
+/// which the two times differ. Equal times always share a container and
+/// every container keeps push order: that is the whole tie-break.
+#[derive(Debug, Default)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Scheduled<E>>>,
-    seq: u64,
-}
-
-#[derive(Debug)]
-struct Scheduled<E> {
-    at: Time,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// The time of the last pop, at or before every queued time.
+    last: Time,
+    due: VecDeque<E>,
+    /// Grown on first use: a step search builds one queue per query.
+    buckets: Vec<Vec<(Time, E)>>,
+    /// Bit *i* set iff bucket *i* is non-empty.
+    occupied: u64,
+    len: usize,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), seq: 0 }
+        EventQueue { last: 0, due: VecDeque::new(), buckets: Vec::new(), occupied: 0, len: 0 }
     }
 
     /// Schedules `event` for delivery at virtual time `at`.
     pub fn push(&mut self, at: Time, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Scheduled { at, seq, event }));
+        if at < self.last {
+            // a DES query scheduled before the clock after a partial pump:
+            // re-file everything against time 0, once, where re-filing
+            // against `at` would cost a pass per push of a descending run
+            let due_at = std::mem::replace(&mut self.last, 0);
+            let due = std::mem::take(&mut self.due).into_iter().map(|e| (due_at, e));
+            self.occupied = 0;
+            for (t, e) in due.chain(std::mem::take(&mut self.buckets).into_iter().flatten()) {
+                self.file(t, e);
+            }
+        }
+        self.file(at, event);
+        self.len += 1;
     }
 
     /// Pops the earliest event, returning `(time, event)`.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        self.heap.pop().map(|Reverse(s)| (s.at, s.event))
+        if self.due.is_empty() {
+            self.advance();
+        }
+        let event = self.due.pop_front()?;
+        self.len -= 1;
+        Some((self.last, event))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// `true` when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
+    }
+
+    /// Files `event` against `last`, which `at` is not before.
+    fn file(&mut self, at: Time, event: E) {
+        let Some(i) = (at ^ self.last).checked_ilog2() else { return self.due.push_back(event) };
+        let i = i as usize;
+        if self.buckets.len() <= i {
+            self.buckets.resize_with(i + 1, Vec::new);
+        }
+        self.buckets[i].push((at, event));
+        self.occupied |= 1 << i;
+    }
+
+    /// Moves `last` to the earliest queued time, the minimum of the lowest
+    /// non-empty bucket, and re-files that bucket below it: its times are
+    /// the only ones that agree with `last` above bit *i*, so every other
+    /// bucket keeps its index.
+    fn advance(&mut self) {
+        let i = self.occupied.trailing_zeros() as usize;
+        // all buckets empty: i is 64, and there is no bucket 64
+        let Some(bucket) = self.buckets.get_mut(i) else { return };
+        let mut bucket = std::mem::take(bucket);
+        self.occupied &= !(1 << i);
+        self.last = bucket.iter().map(|&(at, _)| at).min().unwrap_or(self.last);
+        for (at, event) in bucket.drain(..) {
+            self.file(at, event);
+        }
+        // nothing landed back in bucket i: it keeps its allocation
+        self.buckets[i] = bucket;
     }
 }
 
@@ -130,5 +148,25 @@ mod tests {
         assert_eq!(q.len(), 2);
         q.pop();
         assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn descending_pushes_below_the_last_pop_drain_in_order() {
+        // one re-file for the whole run: a re-file per push would be
+        // quadratic, some 5·10^9 moves, and never finish here
+        const N: u64 = 100_000;
+        let mut q = EventQueue::new();
+        q.push(2 * N, 0);
+        q.push(2 * N + 1, 0);
+        assert_eq!(q.pop(), Some((2 * N, 0)));
+        for at in (N..2 * N).rev() {
+            q.push(at, at);
+        }
+        assert_eq!(q.len(), N as usize + 1);
+        for at in N..2 * N {
+            assert_eq!(q.pop(), Some((at, at)));
+        }
+        assert_eq!(q.pop(), Some((2 * N + 1, 0)));
+        assert!(q.is_empty());
     }
 }

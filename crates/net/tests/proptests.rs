@@ -1,14 +1,16 @@
 //! Property tests for the simulated substrates: determinism, message
-//! bounds, cross-protocol agreement on search results, and the
-//! index/scan equivalence oracle for [`IndexNode`].
+//! bounds, cross-protocol agreement on search results, the index/scan
+//! equivalence oracle for [`IndexNode`], and the event queue's pop order.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use up2p_net::sim::EventQueue;
 use up2p_net::{
     build_network, ConstantLatency, DigestConfig, FloodingConfig, FloodingNetwork, IndexNode,
     PeerId, PeerIndexes, PeerNetwork, ProtocolKind, ResourceRecord, RouteTable, RoutingDigest,
-    ShareTable, SharedFields, Topology,
+    ShareTable, SharedFields, Time, Topology,
 };
 use up2p_store::{Query, ValuePattern};
 
@@ -736,6 +738,78 @@ proptest! {
                     h.key, h.provider, query, community
                 );
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The event queue against a binary heap
+// ---------------------------------------------------------------------
+
+/// Push-time spans past the last pop: all ties, a few instants, a
+/// latency-like spread, and times far apart.
+const SPANS: [u64; 4] = [1, 4, 1_000, 1 << 40];
+
+/// One step of a queue tape.
+#[derive(Debug, Clone)]
+enum QueueOp {
+    /// Push at the last pop plus `draw` reduced into span `span`, or into
+    /// the tape's own span when `None`.
+    Push { draw: u64, span: Option<usize> },
+    /// Push strictly before the last pop (at it while nothing has popped).
+    PushBelow(u64),
+    Pop,
+}
+
+fn queue_ops() -> impl Strategy<Value = Vec<QueueOp>> {
+    let op = prop_oneof![
+        7 => any::<u64>().prop_map(|draw| QueueOp::Push { draw, span: None }),
+        1 => (any::<u64>(), 0..SPANS.len())
+            .prop_map(|(draw, span)| QueueOp::Push { draw, span: Some(span) }),
+        1 => any::<u64>().prop_map(QueueOp::PushBelow),
+        7 => Just(QueueOp::Pop),
+    ];
+    pvec(op, 0..400)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Replay determinism rests on the queue's order: on any tape of
+    /// pushes and pops, `EventQueue` pops exactly what a binary heap keyed
+    /// on `(time, push number)` pops, and agrees on its size at every step.
+    #[test]
+    fn event_queue_pops_what_a_binary_heap_pops(
+        tape_span in 0..SPANS.len(),
+        tape in queue_ops(),
+    ) {
+        let mut queue = EventQueue::new();
+        let mut heap: BinaryHeap<Reverse<(Time, u64)>> = BinaryHeap::new();
+        let (mut last_pop, mut pushes): (Time, u64) = (0, 0);
+        for op in tape.into_iter().map(Some).chain(std::iter::repeat(None)) {
+            let at = match op {
+                Some(QueueOp::Push { draw, span }) => {
+                    Some(last_pop + draw % SPANS[span.unwrap_or(tape_span)])
+                }
+                Some(QueueOp::PushBelow(draw)) => Some(draw.checked_rem(last_pop).unwrap_or(0)),
+                // the tape, then a drain
+                Some(QueueOp::Pop) | None => None,
+            };
+            if let Some(at) = at {
+                queue.push(at, pushes);
+                heap.push(Reverse((at, pushes)));
+                pushes += 1;
+            } else {
+                let popped = queue.pop();
+                prop_assert_eq!(popped, heap.pop().map(|Reverse(e)| e));
+                match popped {
+                    Some((at, _)) => last_pop = at,
+                    None if op.is_none() => break,
+                    None => {}
+                }
+            }
+            prop_assert_eq!(queue.len(), heap.len());
+            prop_assert_eq!(queue.is_empty(), heap.is_empty());
         }
     }
 }

@@ -10,7 +10,8 @@ pub struct ProptestConfig {
 }
 
 /// Hard ceiling keeping the whole workspace's property suites fast even
-/// if a config asks for more.
+/// if a config asks for more. `PROPTEST_CASES` is not held to it: a
+/// count set in the environment is a deliberate long run.
 const MAX_CASES: u32 = 256;
 const DEFAULT_CASES: u32 = 32;
 
@@ -25,15 +26,15 @@ impl ProptestConfig {
         ProptestConfig { cases }
     }
 
-    /// The case count actually run: `PROPTEST_CASES` env override, else
-    /// the configured count, clamped to [1, MAX_CASES].
+    /// The case count actually run: the `PROPTEST_CASES` env override, at
+    /// least 1, else the configured count clamped to [1, MAX_CASES].
     pub fn effective_cases(&self) -> u32 {
         let env = std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse::<u32>().ok());
         self.effective_cases_with(env)
     }
 
     fn effective_cases_with(&self, env_override: Option<u32>) -> u32 {
-        env_override.unwrap_or(self.cases).clamp(1, MAX_CASES)
+        env_override.unwrap_or(self.cases.min(MAX_CASES)).max(1)
     }
 }
 
@@ -148,5 +149,6 @@ mod tests {
         assert_eq!(ProptestConfig::with_cases(0).effective_cases_with(None), 1);
         assert_eq!(ProptestConfig::with_cases(10).effective_cases_with(Some(64)), 64);
         assert_eq!(ProptestConfig::with_cases(10).effective_cases_with(Some(0)), 1);
+        assert_eq!(ProptestConfig::with_cases(10).effective_cases_with(Some(2048)), 2048);
     }
 }

@@ -1,6 +1,6 @@
 //! `analyzer-allow.toml` — the analyzer's one checked-in configuration
 //! file: the panic-freedom allowlist plus the declarative inputs of the
-//! stat-conservation and lock-discipline rules.
+//! stat-conservation rule and the panic-freedom scope.
 //!
 //! Parsed with a purpose-built subset-of-TOML reader (the workspace has
 //! no external dependencies by policy): tables `[a.b]`, arrays of tables
@@ -46,16 +46,6 @@ pub struct PanicConfig {
     pub scan: Vec<String>,
 }
 
-/// `[locks]` — scope and vocabulary of the lock-discipline rule.
-#[derive(Debug, Clone)]
-pub struct LocksConfig {
-    /// Directories scanned (recursively, `src/` trees only).
-    pub scan: Vec<String>,
-    /// Method names treated as network/channel sends; holding a guard
-    /// across one is a finding.
-    pub send_methods: Vec<String>,
-}
-
 /// The parsed configuration.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
@@ -65,8 +55,6 @@ pub struct Config {
     pub stats: Option<StatsConfig>,
     /// Panic-freedom scope; rule skipped when absent.
     pub panic: Option<PanicConfig>,
-    /// Lock-discipline scope; rule skipped when absent.
-    pub locks: Option<LocksConfig>,
 }
 
 /// Configuration file failure.
@@ -413,16 +401,6 @@ pub fn parse_config(src: &str) -> Result<Config, ConfigError> {
                     }
                 }
             }
-            "locks" => {
-                cfg.locks = Some(LocksConfig {
-                    scan: get_arr(kvs, "scan").ok_or(ConfigError {
-                        line,
-                        message: "[locks] needs `scan = [\"dir\", …]`".into(),
-                    })?,
-                    send_methods: get_arr(kvs, "send_methods")
-                        .unwrap_or_else(|| vec!["send".into(), "send_timeout".into(), "try_send".into()]),
-                });
-            }
             other => {
                 return Err(ConfigError {
                     line,
@@ -480,10 +458,6 @@ retrieve = ["Retrieve"]
 
 [stats.substrates]
 "crates/net/src/overlay.rs" = ["query", "retrieve"]
-
-[locks]
-scan = ["crates"]
-send_methods = ["send"]
 "##;
 
     #[test]
@@ -498,8 +472,6 @@ send_methods = ["send"]
         assert_eq!(s.enum_name, "MsgKind");
         assert_eq!(s.classes["query"], vec!["Query", "QueryHit"]);
         assert_eq!(s.substrates["crates/net/src/overlay.rs"], vec!["query", "retrieve"]);
-        let l = cfg.locks.expect("locks section");
-        assert_eq!(l.send_methods, vec!["send"]);
     }
 
     #[test]
@@ -511,8 +483,12 @@ send_methods = ["send"]
 
     #[test]
     fn unknown_table_is_rejected() {
-        let err = parse_config("[mystery]\nx = \"1\"\n").expect_err("must fail");
-        assert!(err.message.contains("unknown table"));
+        // `[locks]` configured a rule that no longer exists: a config
+        // still carrying it must fail, not silently check less
+        for src in ["[mystery]\nx = \"1\"\n", "[locks]\nscan = [\"crates\"]\n"] {
+            let err = parse_config(src).expect_err("must fail");
+            assert!(err.message.contains("unknown table"), "{}", err.message);
+        }
     }
 
     #[test]
@@ -526,7 +502,7 @@ send_methods = ["send"]
     #[test]
     fn empty_config_is_all_rules_skipped() {
         let cfg = parse_config("").expect("parses");
-        assert!(cfg.stats.is_none() && cfg.panic.is_none() && cfg.locks.is_none());
+        assert!(cfg.stats.is_none() && cfg.panic.is_none());
         assert!(cfg.allow.is_empty());
     }
 

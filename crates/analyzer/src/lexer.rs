@@ -348,8 +348,8 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
 /// Removes test-only code from a token stream: items annotated
 /// `#[cfg(test)]` (or any `cfg(...)` mentioning `test`) and functions
 /// annotated `#[test]`, attribute included. Everything the panic-freedom
-/// and lock-discipline rules see has gone through this filter, so test
-/// `unwrap()`s stay legal.
+/// rule sees has gone through this filter, so test `unwrap()`s and
+/// `assert!`s stay legal.
 pub fn strip_test_code(tokens: &[Token]) -> Vec<Token> {
     let mut out = Vec::with_capacity(tokens.len());
     let mut i = 0usize;

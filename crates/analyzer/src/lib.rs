@@ -6,18 +6,16 @@
 //!    sync with the enum, and no substrate counts a kind outside the
 //!    classes it declares (`rules::stats`).
 //! 2. **Panic freedom** — no `unwrap()` / `expect()` / `panic!` /
-//!    `unreachable!` in non-test code of the scanned crates, except sites
-//!    allowlisted with a reason in `analyzer-allow.toml`
+//!    `assert!` and kin in non-test code of the scanned crates, except
+//!    sites allowlisted with a reason in `analyzer-allow.toml`
 //!    (`rules::panic_free`).
-//! 3. **Lock discipline** — nested guard acquisitions build a cross-file
-//!    lock-order graph that must stay acyclic, and no guard may be held
-//!    across a channel/network send (`rules::locks`).
+//!
+//! There is no lock-order rule: no code in the workspace takes a lock
+//! while holding another, so there is no order to check (DESIGN.md §3d).
 //!
 //! Everything is built on a hand-rolled lexer ([`lexer`]) and a
 //! subset-of-TOML config reader ([`config`]) — the workspace takes no
-//! external dependencies. The static pass is cross-validated at runtime
-//! by the instrumented `parking_lot` shim, which records acquisition
-//! order per thread in debug builds and panics on inversions.
+//! external dependencies.
 
 pub mod config;
 pub mod json;
@@ -31,8 +29,8 @@ use std::path::{Path, PathBuf};
 /// finding makes `up2p-analyzer check` exit non-zero.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule family: `stat-conservation`, `panic-freedom`,
-    /// `lock-discipline`, `lex`, or `config`.
+    /// Rule family: `stat-conservation`, `panic-freedom`, `lex`, or
+    /// `config`.
     pub rule: &'static str,
     /// Workspace-relative file (`/`-separated on every platform).
     pub file: String,
@@ -172,9 +170,6 @@ pub fn run_check(root: &Path) -> Result<Vec<Finding>, AnalyzerError> {
     }
     if let Some(panic_cfg) = &cfg.panic {
         rules::panic_free::check(root, panic_cfg, &cfg.allow, &mut findings);
-    }
-    if let Some(locks) = &cfg.locks {
-        rules::locks::check(root, locks, &mut findings);
     }
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule, a.message.as_str())

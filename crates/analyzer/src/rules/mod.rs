@@ -1,5 +1,4 @@
-//! The three rule families the analyzer enforces.
+//! The two rule families the analyzer enforces.
 
-pub mod locks;
 pub mod panic_free;
 pub mod stats;

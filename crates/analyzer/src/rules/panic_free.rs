@@ -1,7 +1,10 @@
 //! **Panic freedom.** Non-test code of the scanned crates must not call
 //! `unwrap()` / `expect()` or invoke `panic!` / `unreachable!` / `todo!`
-//! / `unimplemented!` — a servent that aborts on a malformed message or
-//! a broken internal invariant takes the whole node down with it. Sites
+//! / `unimplemented!` / `assert!` / `assert_eq!` / `assert_ne!` — a
+//! servent that aborts on a malformed message or a broken internal
+//! invariant takes the whole node down with it. `debug_assert!` and kin
+//! are not flagged: every number in this repository comes from a release
+//! build, which compiles them out. Sites
 //! that are provably infallible (or where fail-fast is the designed
 //! behavior, as in the experiment harness) are tolerated only when
 //! listed with a reason in `analyzer-allow.toml`; stale allowlist
@@ -19,7 +22,8 @@ use std::path::Path;
 const RULE: &str = "panic-freedom";
 
 /// Macros whose invocation in non-test code is a finding.
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
+const PANIC_MACROS: [&str; 7] =
+    ["panic", "unreachable", "todo", "unimplemented", "assert", "assert_eq", "assert_ne"];
 
 /// Runs the rule, appending findings.
 pub fn check(root: &Path, cfg: &PanicConfig, allow: &[AllowEntry], findings: &mut Vec<Finding>) {

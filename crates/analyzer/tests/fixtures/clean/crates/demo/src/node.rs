@@ -2,12 +2,7 @@ pub fn serve(&self) {
     self.stats.sent(Kind::A);
     self.stats.sent_n(Kind::B, 3);
     let cfg = self.config.parse().expect("config is loaded at boot");
-    {
-        let first = self.table.lock();
-        let second = self.journal.lock();
-        first.merge(&second, cfg);
-    }
-    self.tx.send(1);
+    self.table.merge(cfg);
 }
 
 #[cfg(test)]
@@ -16,7 +11,5 @@ mod tests {
     fn test_code_may_unwrap() {
         let v: Option<u8> = Some(1);
         assert_eq!(v.unwrap(), 1);
-        let held = table.lock();
-        let _ = tx.send(held.len()); // sends under guards are fine in tests
     }
 }

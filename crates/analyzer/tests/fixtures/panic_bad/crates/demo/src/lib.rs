@@ -8,6 +8,12 @@ pub fn second(x: u8) {
     }
 }
 
+pub fn third(x: u8) -> u8 {
+    debug_assert!(x < 200, "compiled out of release builds: not flagged");
+    assert!(x < 250, "an assert panics like any other macro");
+    x
+}
+
 #[cfg(test)]
 mod tests {
     #[test]
@@ -15,5 +21,6 @@ mod tests {
         assert_eq!(super::first(Some(1)), 1);
         let v: Option<u8> = Some(2);
         let _ = v.unwrap();
+        assert!(super::third(3) == 3);
     }
 }

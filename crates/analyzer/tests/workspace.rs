@@ -1,8 +1,7 @@
 //! The analyzer against the real repository: the lexer must tokenize
 //! every Rust file in the workspace, and the configured pass must be
-//! clean — these tests are what makes re-introducing a panic site, a
-//! deleted emission or an inverted lock pair a test failure and not just
-//! a CI-job failure.
+//! clean — these tests are what makes re-introducing a panic site or
+//! deleting an emission a test failure and not just a CI-job failure.
 
 use std::path::{Path, PathBuf};
 

@@ -108,10 +108,10 @@ impl<S, V: Clone> Entries<S, V> {
 }
 
 impl<S, V: Clone> CompileCache<S, V> {
-    /// Creates an empty cache whose lock belongs to `lock_class`.
-    pub(crate) fn new(lock_class: &'static str) -> Self {
+    /// Creates an empty cache.
+    pub(crate) fn new() -> Self {
         let entries = Entries { buckets: HashMap::new(), order: VecDeque::new() };
-        CompileCache { entries: RwLock::with_name(lock_class, entries) }
+        CompileCache { entries: RwLock::new(entries) }
     }
 
     /// Returns the value cached for `key`, running `compile` and caching
@@ -136,8 +136,8 @@ impl<S, V: Clone> CompileCache<S, V> {
             }
         }
         // Compile outside any lock: compilation may be slow, may fail
-        // and may consult another cache, and none of that should happen
-        // under the write guard.
+        // and may consult a cache, this one included, and none of that
+        // may happen under a guard (`a_compile_may_consult_its_own_cache`).
         let value = compile()?;
         let stored = key.to_stored();
         let mut entries = self.entries.write();
@@ -198,9 +198,35 @@ pub(crate) mod tests {
             .unwrap()
     }
 
+    /// The invariant that makes a lock-order checker unnecessary: no
+    /// guard in the workspace is held while another lock is taken. The
+    /// one place code runs that could take a second lock is `compile`,
+    /// and it runs with no guard held, so it may even fill this cache.
+    /// Moving `compile()` under either guard deadlocks here; the wait is
+    /// bounded so that fails the test instead of hanging the suite.
+    #[test]
+    fn a_compile_may_consult_its_own_cache() {
+        let cache = Arc::new(Echo::new());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = Arc::clone(&cache);
+        let handle = std::thread::spawn(move || {
+            let outer = worker.get_or_compile("outer", || {
+                let inner = worker.get_or_compile("inner", || Ok("inner".into()))?;
+                Ok(format!("outer of {inner}").into())
+            });
+            let _ = tx.send(outer);
+        });
+        let outer = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a nested get_or_compile returns instead of deadlocking");
+        handle.join().expect("the worker finishes once it has sent");
+        assert_eq!(&*outer.unwrap(), "outer of inner");
+        assert_eq!(cache.len(), 2);
+    }
+
     #[test]
     fn capacity_bounds_the_cache_and_evicts_oldest_first() {
-        let cache = Echo::new("test.echo_cache");
+        let cache = Echo::new();
         let mut compiles = 0;
         let extra = 5;
         for i in 0..CAPACITY + extra {
@@ -237,7 +263,7 @@ pub(crate) mod tests {
 
     #[test]
     fn colliding_keys_never_answer_for_each_other() {
-        let cache = Echo::new("test.echo_cache");
+        let cache = Echo::new();
         let get = |key: &str| cache.get_or_compile(&Colliding(key), || Ok(key.into())).unwrap();
         for i in 0..CAPACITY + 3 {
             let key = format!("k{i}");
@@ -250,7 +276,7 @@ pub(crate) mod tests {
 
     #[test]
     fn failed_compile_caches_nothing() {
-        let cache = Echo::new("test.echo_cache");
+        let cache = Echo::new();
         let fail = || cache.get_or_compile("key", || Err(CoreError::Unavailable("no".into())));
         assert!(fail().is_err());
         assert!(fail().is_err(), "error repeats, not cached away");
@@ -259,7 +285,7 @@ pub(crate) mod tests {
 
     #[test]
     fn racing_gets_converge_on_one_entry() {
-        let cache = Echo::new("test.echo_cache");
+        let cache = Echo::new();
         assert_racing_gets_converge(&cache, || {
             cache.get_or_compile("key", || Ok("key".into())).unwrap()
         });

@@ -59,7 +59,7 @@ impl SchemaCache {
     /// through.
     pub fn global() -> &'static SchemaCache {
         static GLOBAL: OnceLock<SchemaCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| CompileCache::new("core.schema_cache"))
+        GLOBAL.get_or_init(CompileCache::new)
     }
 
     /// Returns the compiled schema for `xsd`, parsing and caching it on
@@ -510,14 +510,14 @@ mod tests {
 
     #[test]
     fn schema_cache_converges_under_racing_gets() {
-        let cache = SchemaCache::new("test.schema_cache");
+        let cache = SchemaCache::new();
         let xsd = numbered_xsd(0);
         crate::cache::tests::assert_racing_gets_converge(&cache, || cache.get(&xsd).unwrap());
     }
 
     #[test]
     fn schema_cache_never_stores_broken_schemas() {
-        let cache = SchemaCache::new("test.schema_cache");
+        let cache = SchemaCache::new();
         assert!(matches!(cache.get("<notaschema/>"), Err(CoreError::Schema(_))));
         assert!(cache.get("<notaschema/>").is_err(), "error repeats, not cached away");
         assert!(cache.is_empty());
@@ -525,7 +525,7 @@ mod tests {
 
     #[test]
     fn evicted_schema_recompiles_to_one_that_behaves_the_same() {
-        let cache = SchemaCache::new("test.schema_cache");
+        let cache = SchemaCache::new();
         let first = cache.get(&numbered_xsd(0)).unwrap();
         for i in 1..=crate::CAPACITY {
             cache.get(&numbered_xsd(i)).unwrap();

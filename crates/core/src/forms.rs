@@ -251,7 +251,7 @@ impl FormCache {
     /// and [`crate::Servent::search_form_html`].
     pub fn global() -> &'static FormCache {
         static GLOBAL: OnceLock<FormCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| CompileCache::new("core.form_cache"))
+        GLOBAL.get_or_init(CompileCache::new)
     }
 
     /// Returns the HTML form of `kind` for a community, through its
@@ -432,7 +432,7 @@ mod tests {
 
     #[test]
     fn page_follows_every_input_it_is_a_function_of() {
-        let cache = FormCache::new("test.form_cache");
+        let cache = FormCache::new();
         let original = community();
         let first = cache.get(&original, FormKind::Create).unwrap();
         assert_eq!(&*first, fresh(&original, FormKind::Create));
@@ -464,7 +464,7 @@ mod tests {
 
     #[test]
     fn form_cache_converges_under_racing_gets() {
-        let cache = FormCache::new("test.form_cache");
+        let cache = FormCache::new();
         let c = community();
         crate::cache::tests::assert_racing_gets_converge(&cache, || {
             cache.get(&c, FormKind::Search).unwrap()
@@ -473,7 +473,7 @@ mod tests {
 
     #[test]
     fn form_cache_never_stores_pages_of_broken_stylesheets() {
-        let cache = FormCache::new("test.form_cache");
+        let cache = FormCache::new();
         let mut c = community();
         c.search_style = Some("<not-xslt/>".into());
         assert!(matches!(cache.get(&c, FormKind::Search), Err(CoreError::Stylesheet(_))));

@@ -28,7 +28,7 @@ impl StylesheetCache {
     /// and [`apply_index_style`].
     pub fn global() -> &'static StylesheetCache {
         static GLOBAL: OnceLock<StylesheetCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| CompileCache::new("core.style_cache"))
+        GLOBAL.get_or_init(CompileCache::new)
     }
 
     /// Returns the compiled stylesheet for `source`, compiling and
@@ -313,7 +313,7 @@ mod tests {
 
     #[test]
     fn cache_compiles_each_distinct_sheet_once() {
-        let cache = StylesheetCache::new("test.style_cache");
+        let cache = StylesheetCache::new();
         let a = cache.get(DEFAULT_VIEW_XSL).unwrap();
         let b = cache.get(DEFAULT_VIEW_XSL).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second get returns the same compiled sheet");
@@ -325,7 +325,7 @@ mod tests {
 
     #[test]
     fn cache_never_stores_broken_sheets() {
-        let cache = StylesheetCache::new("test.style_cache");
+        let cache = StylesheetCache::new();
         assert!(cache.is_empty());
         assert!(cache.get("<not-xslt/>").is_err());
         assert!(cache.get("<not-xslt/>").is_err(), "error repeats, not cached away");
@@ -345,7 +345,7 @@ mod tests {
 
     #[test]
     fn concurrent_gets_converge_on_one_compiled_sheet() {
-        let cache = StylesheetCache::new("test.style_cache");
+        let cache = StylesheetCache::new();
         crate::cache::tests::assert_racing_gets_converge(&cache, || {
             cache.get(DEFAULT_VIEW_XSL).unwrap()
         });
@@ -360,7 +360,7 @@ mod tests {
                 </xsl:stylesheet>"#
             )
         };
-        let cache = StylesheetCache::new("test.style_cache");
+        let cache = StylesheetCache::new();
         let doc = Document::parse("<song><title>So What</title></song>").unwrap();
         let first = cache.get(&sheet(0)).unwrap();
         for i in 1..=crate::CAPACITY {

@@ -260,22 +260,6 @@ impl RoutingDigest {
         contains(&self.words, h)
     }
 
-    /// ORs `other` into `self`, returning whether any bit changed.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the two digests have different bit widths.
-    pub fn union_with(&mut self, other: &RoutingDigest) -> bool {
-        assert_eq!(self.words.len(), other.words.len(), "digest width mismatch");
-        let mut changed = false;
-        for (w, o) in self.words.iter_mut().zip(other.words.iter()) {
-            let merged = *w | o;
-            changed |= merged != *w;
-            *w = merged;
-        }
-        changed
-    }
-
     /// Folds one record into the digest: the community presence bit plus
     /// every indexed term of its fields.
     pub fn add_record(&mut self, community: &str, fields: &[(String, String)]) {
@@ -772,6 +756,25 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
+
+    impl RoutingDigest {
+        /// ORs `other` into `self`, returning whether any bit changed.
+        /// Only the full-recompute reference below unions whole digests.
+        ///
+        /// # Panics
+        ///
+        /// Panics when the two digests have different bit widths.
+        fn union_with(&mut self, other: &RoutingDigest) -> bool {
+            assert_eq!(self.words.len(), other.words.len(), "digest width mismatch");
+            let mut changed = false;
+            for (w, o) in self.words.iter_mut().zip(other.words.iter()) {
+                let merged = *w | o;
+                changed |= merged != *w;
+                *w = merged;
+            }
+            changed
+        }
+    }
 
     fn record(key: &str, community: &str, value: &str) -> ResourceRecord {
         ResourceRecord::new(key, community, vec![("o/name".to_string(), value.to_string())])

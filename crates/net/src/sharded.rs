@@ -11,7 +11,10 @@
 //! The name is older than the shape. Every measured workload publishes
 //! into one community, which a node sharded by community serves from one
 //! shard (DESIGN.md §3f, *Why the server's node is one lock*). This is
-//! the crate's only named lock class, and nothing is acquired under it.
+//! the crate's only lock, and nothing is acquired under it: each guarded
+//! section touches the node alone, and the `alive` / `emit` closures
+//! [`ShardedIndexNode::search`] runs under the read guard must not lock
+//! (no caller's does).
 
 use crate::index_node::IndexNode;
 use crate::message::{ResourceRecord, SharedFields};
@@ -22,7 +25,6 @@ use up2p_store::Query;
 
 /// An [`IndexNode`] servable from many threads through `&self`.
 pub struct ShardedIndexNode {
-    /// Lock class `sharded.node`.
     node: RwLock<IndexNode>,
     /// Write-guard acquisitions; see [`ShardedIndexNode::write_guard_count`].
     write_guards: AtomicU64,
@@ -38,7 +40,7 @@ impl ShardedIndexNode {
     /// Creates an empty index node.
     pub fn new() -> ShardedIndexNode {
         ShardedIndexNode {
-            node: RwLock::with_name("sharded.node", IndexNode::new()),
+            node: RwLock::new(IndexNode::new()),
             write_guards: AtomicU64::new(0),
         }
     }

@@ -296,12 +296,11 @@ impl Document {
     /// Panics if `child` already has a parent, if `parent` cannot have
     /// children (text/comment/PI), or if the edge would create a cycle.
     pub fn append_child(&mut self, parent: NodeId, child: NodeId) {
-        assert!(self.data(child).parent.is_none(), "node already has a parent");
-        assert!(
-            matches!(self.data(parent).kind, NodeKind::Document | NodeKind::Element { .. }),
-            "parent node cannot have children"
-        );
-        assert_ne!(parent, child, "node cannot be its own child");
+        let container =
+            matches!(self.data(parent).kind, NodeKind::Document | NodeKind::Element { .. });
+        assert!(self.data(child).parent.is_none(), "append_child: node already has a parent");
+        assert!(container, "append_child: parent node cannot have children");
+        assert_ne!(parent, child, "append_child: node cannot be its own child");
         debug_assert!(
             !self.descendants(child).contains(&parent),
             "appending would create a cycle"

@@ -7,6 +7,11 @@
 //! instantiation): [`crate::StylesheetCache`] for XSLT source,
 //! [`crate::SchemaCache`] for XSD source and [`crate::FormCache`] for
 //! rendered form pages.
+//!
+//! A lookup hashes its key eight bytes per step ([`bucket_hash`]) to pick
+//! a bucket, then compares the key byte for byte with what each entry of
+//! the bucket stored: the hash decides only how far a lookup searches,
+//! never whether it hits.
 
 use crate::error::CoreError;
 use parking_lot::RwLock;
@@ -20,15 +25,15 @@ use std::collections::{HashMap, VecDeque};
 /// and two pages, so each cache holds what 250 joined communities need.
 pub const CAPACITY: usize = 1024;
 
-/// What a [`CompileCache`] is keyed on. The FNV hash only picks a
+/// What a [`CompileCache`] is keyed on. The [`bucket_hash`] only picks a
 /// bucket; a hit is proven by [`CacheKey::matches`] against what the
 /// entry stored, so a collision or a stale entry costs a second compile,
 /// never a wrong answer.
 pub(crate) trait CacheKey {
     /// What an entry keeps of its key.
     type Stored;
-    /// FNV-1a hash of the key.
-    fn fnv(&self) -> u64;
+    /// The bucket the key falls in: [`bucket_hash`] of its parts.
+    fn bucket(&self) -> u64;
     /// `true` when `stored` was made from a key equal to this one.
     fn matches(&self, stored: &Self::Stored) -> bool;
     /// The form an entry keeps.
@@ -40,8 +45,8 @@ pub(crate) trait CacheKey {
 impl CacheKey for str {
     type Stored = Box<str>;
 
-    fn fnv(&self) -> u64 {
-        fnv1a(FNV_OFFSET, self.as_bytes())
+    fn bucket(&self) -> u64 {
+        bucket_hash(BUCKET_SEED, self.as_bytes())
     }
 
     fn matches(&self, stored: &Box<str>) -> bool {
@@ -53,16 +58,28 @@ impl CacheKey for str {
     }
 }
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// Where a key's [`bucket_hash`] chain starts.
+pub(crate) const BUCKET_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// FNV-1a continued from `hash` — stable, dependency-free, and good
-/// enough as a bucket key when every hit is verified against the stored
-/// key.
-pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// Multiplier of one [`bucket_hash`] step (the FxHash constant).
+const BUCKET_MUL: u64 = 0x517c_c1b7_2722_0a95;
+
+/// A bucket hash continued from `hash`, eight bytes per step: each
+/// little-endian word — the last one zero-padded and then the length —
+/// is folded in with a rotate, an xor and a multiply. Stable,
+/// dependency-free, and good enough to pick a bucket when every hit is
+/// verified against the stored key; the length keeps `"a"` and `"a\0"`,
+/// and the parts of a chained key, apart.
+pub(crate) fn bucket_hash(mut hash: u64, bytes: &[u8]) -> u64 {
+    let mut step = |word: u64| hash = (hash.rotate_left(5) ^ word).wrapping_mul(BUCKET_MUL);
+    let (words, tail) = bytes.as_chunks::<8>();
+    for word in words {
+        step(u64::from_le_bytes(*word));
     }
+    let mut last = [0u8; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    step(u64::from_le_bytes(last));
+    step(bytes.len() as u64);
     hash
 }
 
@@ -128,7 +145,7 @@ impl<S, V: Clone> CompileCache<S, V> {
     where
         K: CacheKey<Stored = S> + ?Sized,
     {
-        let hash = key.fnv();
+        let hash = key.bucket();
         {
             let entries = self.entries.read();
             if let Some(found) = entries.lookup(hash, key) {
@@ -250,7 +267,7 @@ pub(crate) mod tests {
 
     impl CacheKey for Colliding<'_> {
         type Stored = Box<str>;
-        fn fnv(&self) -> u64 {
+        fn bucket(&self) -> u64 {
             7
         }
         fn matches(&self, stored: &Box<str>) -> bool {
@@ -272,6 +289,23 @@ pub(crate) mod tests {
         assert_eq!(cache.len(), CAPACITY, "eviction inside one bucket keeps the bound");
         assert_eq!(&*get("k0"), "k0");
         assert_eq!(&*get(&format!("k{}", CAPACITY + 2)), format!("k{}", CAPACITY + 2).as_str());
+    }
+
+    #[test]
+    fn bucket_hash_keeps_lengths_and_parts_apart() {
+        let one = |bytes: &[u8]| bucket_hash(BUCKET_SEED, bytes);
+        let two = |a: &[u8], b: &[u8]| bucket_hash(bucket_hash(BUCKET_SEED, a), b);
+        let mut seen = std::collections::HashSet::new();
+        for key in [&b""[..], b"\0", b"a", b"a\0", b"abcdefgh", b"abcdefgh\0", b"abcdefghi"] {
+            assert!(seen.insert(one(key)), "{key:?} collides");
+        }
+        assert_ne!(two(b"ab", b"c"), two(b"a", b"bc"));
+        assert_ne!(two(b"", b"abc"), one(b"abc"));
+        // one word differing anywhere in a long text moves the hash
+        let sheet = "x".repeat(1038);
+        let mut edited = sheet.clone().into_bytes();
+        edited[517] = b'y';
+        assert_ne!(one(sheet.as_bytes()), one(&edited));
     }
 
     #[test]

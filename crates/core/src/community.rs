@@ -76,6 +76,13 @@ impl SchemaCache {
     }
 }
 
+/// The id of the community whose object is `doc`. Identity comes from the
+/// object document itself, so it matches the publisher's id regardless of
+/// which stylesheets a joining peer manages to resolve.
+fn object_id(doc: &Document) -> String {
+    ResourceId::for_object(ROOT_COMMUNITY_ID, &doc.to_xml_string()).to_string()
+}
+
 /// A resource-sharing community: identity, descriptive metadata, the
 /// shared-object schema, and optional custom stylesheets.
 ///
@@ -268,29 +275,8 @@ impl Community {
     /// pieces, [`CoreError::MissingField`] when the object lacks required
     /// fields.
     pub fn from_object(doc: &Document, schema_xsd: &str) -> Result<Community, CoreError> {
-        let root = doc
-            .document_element()
-            .ok_or_else(|| CoreError::MissingField("community".to_string()))?;
-        let text = |name: &str| -> Result<String, CoreError> {
-            doc.child_named(root, name)
-                .map(|n| doc.text_content(n))
-                .ok_or_else(|| CoreError::MissingField(name.to_string()))
-        };
-        let blank = Community::of_schema(schema_xsd)?;
-        // identity comes from the object document itself, so it matches
-        // the publisher's id regardless of which stylesheets this peer
-        // manages to resolve
-        let id = ResourceId::for_object(ROOT_COMMUNITY_ID, &doc.to_xml_string()).to_string();
-        Ok(Community {
-            id,
-            name: text("name")?,
-            description: text("description")?,
-            keywords: text("keywords")?,
-            category: text("category")?,
-            security: text("security")?,
-            protocol: text("protocol")?,
-            ..blank
-        })
+        let no_attachments: &[(&str, &str)] = &[];
+        Community::from_verified_object(object_id(doc), doc, schema_xsd, no_attachments)
     }
 
     /// Like [`Community::from_object`], additionally resolving custom
@@ -304,25 +290,53 @@ impl Community {
         schema_xsd: &str,
         attachments: &[(String, String)],
     ) -> Result<Community, CoreError> {
-        let mut c = Community::from_object(doc, schema_xsd)?;
+        Community::from_verified_object(object_id(doc), doc, schema_xsd, attachments)
+    }
+
+    /// The one constructor behind both public ones, for a caller that
+    /// already holds the object's id: a fetched root-community object's
+    /// key is `ResourceId::for_object(ROOT_COMMUNITY_ID, xml)` of the bytes
+    /// `doc` was parsed from. Attachments are `(uri, text)` pairs, owned or
+    /// borrowed; one named by a style field becomes that stylesheet.
+    pub(crate) fn from_verified_object(
+        id: String,
+        doc: &Document,
+        schema_xsd: &str,
+        attachments: &[(impl AsRef<str>, impl AsRef<str>)],
+    ) -> Result<Community, CoreError> {
         let root = doc
             .document_element()
             .ok_or_else(|| CoreError::MissingField("community".to_string()))?;
-        let resolve = |field: &str| -> Option<String> {
-            let uri = doc.child_named(root, field).map(|n| doc.text_content(n))?;
+        let field = |name: &str| doc.child_named(root, name).map(|n| doc.text_content(n));
+        let text = |name: &str| -> Result<String, CoreError> {
+            field(name).ok_or_else(|| CoreError::MissingField(name.to_string()))
+        };
+        let resolve = |name: &str| -> Option<String> {
+            let uri = field(name)?;
             if !uri.starts_with("up2p:attachment:") {
                 return None;
             }
-            attachments.iter().find(|(u, _)| u == &uri).map(|(_, text)| text.clone())
+            let (_, text) = attachments.iter().find(|(u, _)| u.as_ref() == uri)?;
+            Some(text.as_ref().to_string())
         };
-        c.display_style = resolve("displaystyle");
-        c.create_style = resolve("createstyle");
-        c.search_style = resolve("searchstyle");
-        Ok(c)
+        let blank = Community::of_schema(schema_xsd)?;
+        Ok(Community {
+            id,
+            name: text("name")?,
+            description: text("description")?,
+            keywords: text("keywords")?,
+            category: text("category")?,
+            security: text("security")?,
+            protocol: text("protocol")?,
+            display_style: resolve("displaystyle"),
+            create_style: resolve("createstyle"),
+            search_style: resolve("searchstyle"),
+            ..blank
+        })
     }
 
     fn derive_id(&self) -> String {
-        ResourceId::for_object(ROOT_COMMUNITY_ID, &self.to_object().to_xml_string()).to_string()
+        object_id(&self.to_object())
     }
 
     /// The root element name instances of this community use.

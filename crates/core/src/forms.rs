@@ -13,7 +13,7 @@
 //! schema ([`crate::CompiledSchema`]) and the rendered pages
 //! are kept in the [`FormCache`].
 
-use crate::cache::{fnv1a, CacheKey, CompileCache, FNV_OFFSET};
+use crate::cache::{bucket_hash, CacheKey, CompileCache, BUCKET_SEED};
 use crate::community::Community;
 use crate::error::CoreError;
 use crate::stylesheets;
@@ -300,10 +300,10 @@ struct FormInputs<'a> {
 impl CacheKey for FormInputs<'_> {
     type Stored = FormKey;
 
-    fn fnv(&self) -> u64 {
-        let hash = fnv1a(FNV_OFFSET, self.community.id.as_bytes());
-        let hash = fnv1a(hash, &[0xff, self.kind as u8]);
-        fnv1a(hash, self.community.name.as_bytes())
+    fn bucket(&self) -> u64 {
+        let hash = bucket_hash(BUCKET_SEED, self.community.id.as_bytes());
+        let hash = bucket_hash(hash, &[self.kind as u8]);
+        bucket_hash(hash, self.community.name.as_bytes())
     }
 
     fn matches(&self, stored: &FormKey) -> bool {

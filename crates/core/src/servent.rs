@@ -293,51 +293,78 @@ impl Servent {
         plane: &mut PayloadPlane,
         hit: &SearchHit,
     ) -> Result<SharedObject, CoreError> {
+        let object = self.retrieve(net, plane, hit)?;
+        self.keep(net, plane, &object)?;
+        Ok(object)
+    }
+
+    /// Retrieves the object behind a hit from its provider and verifies
+    /// it against the hit's key, storing nothing.
+    fn retrieve(
+        &self,
+        net: &mut dyn PeerNetwork,
+        plane: &PayloadPlane,
+        hit: &SearchHit,
+    ) -> Result<SharedObject, CoreError> {
         match net.retrieve(self.peer, hit.provider, &hit.key) {
             RetrieveOutcome::Unavailable => {
                 Err(CoreError::Unavailable(format!("object {} at {}", hit.key, hit.provider)))
             }
-            RetrieveOutcome::Fetched { .. } => {
-                let object = plane.fetch(&hit.key)?;
-                if self.communities.contains_key(&object.community_id) {
-                    if self.share_downloads {
-                        self.publish(net, plane, &object)?;
-                    } else {
-                        let community = self.community_or_err(&object.community_id)?;
-                        let fields = self.index_fields(community, &object)?;
-                        self.repository.insert_with_fields(
-                            &object.community_id,
-                            object.doc.clone(),
-                            fields,
-                        );
-                    }
-                }
-                Ok(object)
-            }
+            RetrieveOutcome::Fetched { .. } => plane.fetch(&hit.key),
         }
+    }
+
+    /// Stores a downloaded object of a joined community and, unless
+    /// [`Servent::share_downloads`] is off, shares it onward.
+    fn keep(
+        &mut self,
+        net: &mut dyn PeerNetwork,
+        plane: &mut PayloadPlane,
+        object: &SharedObject,
+    ) -> Result<(), CoreError> {
+        let Some(community) = self.communities.get(&object.community_id) else {
+            return Ok(());
+        };
+        if self.share_downloads {
+            self.publish(net, plane, object)?;
+        } else {
+            let fields = self.index_fields(community, object)?;
+            self.repository.insert_with_fields(&object.community_id, object.doc.clone(), fields);
+        }
+        Ok(())
     }
 
     /// Discovers, downloads and joins a community from a root-community
     /// search hit: fetches the community object plus its schema
     /// attachment and becomes a member.
     ///
+    /// Only an object of the root community defines a community. Its key
+    /// is the hash of the root community id and the bytes the fetch just
+    /// verified, which is how the community id is derived, so the key is
+    /// the id and the object is not serialised and hashed again.
+    ///
     /// # Errors
     ///
     /// Propagates download errors; [`CoreError::Unavailable`] when the
-    /// schema attachment is missing.
+    /// object is no root-community object (nothing is joined or stored)
+    /// or the schema attachment is missing.
     pub fn join_from_hit(
         &mut self,
         net: &mut dyn PeerNetwork,
         plane: &mut PayloadPlane,
         hit: &SearchHit,
     ) -> Result<String, CoreError> {
-        let object = self.download(net, plane, hit)?;
+        let object = self.retrieve(net, plane, hit)?;
+        if object.community_id != ROOT_COMMUNITY_ID {
+            return Err(CoreError::Unavailable(format!("community object {}", object.key)));
+        }
+        self.keep(net, plane, &object)?;
         // the schema and any custom stylesheets travel as attachments,
         // matched to the URIs the object names by content hash
-        let atts: Vec<(String, String)> = object
+        let atts: Vec<_> = object
             .attachments
             .iter()
-            .map(|a| (a.uri.clone(), String::from_utf8_lossy(&a.data).into_owned()))
+            .map(|a| (a.uri.as_str(), String::from_utf8_lossy(&a.data)))
             .collect();
         let doc = &object.doc;
         let schema_uri = doc
@@ -346,9 +373,9 @@ impl Servent {
             .map(|n| doc.text_content(n));
         let (_, xsd) = atts
             .iter()
-            .find(|(uri, _)| Some(uri) == schema_uri.as_ref())
+            .find(|(uri, _)| schema_uri.as_deref() == Some(*uri))
             .ok_or_else(|| CoreError::Unavailable("community schema attachment".into()))?;
-        let community = Community::from_object_with_attachments(doc, xsd, &atts)?;
+        let community = Community::from_verified_object(object.key.clone(), doc, xsd, &atts)?;
         let id = community.id.clone();
         self.join(community);
         Ok(id)
@@ -739,6 +766,53 @@ mod tests {
             "{joined:?}"
         );
         assert!(seeker.community(&community.id).is_none());
+    }
+
+    /// An object of an ordinary community can look like a community
+    /// object — Fig. 3's six descriptive fields and a `schema` naming an
+    /// attached XSD — but only the root community's objects define
+    /// communities, so joining from its hit is refused and joins nothing.
+    #[test]
+    fn join_refuses_an_object_of_another_community() {
+        let mut b = SchemaBuilder::new("community");
+        for field in ["name", "description", "keywords", "category", "security", "protocol"] {
+            b.field(FieldKind::text(field).searchable());
+        }
+        b.field(FieldKind::uri("schema").attachment());
+        let lookalikes =
+            Community::from_builder("lookalikes", "d", "k", "c", "Napster", &b).unwrap();
+        let mut w = world(ProtocolKind::Napster, 4);
+        let mut alice = Servent::new(PeerId(1));
+        alice.join(lookalikes.clone());
+        let xsd = pattern_community().schema_xsd;
+        let object = alice
+            .create_object_with_attachments(
+                &lookalikes.id,
+                &[
+                    ("name", "design-patterns"),
+                    ("description", "software design patterns"),
+                    ("keywords", "patterns gof software"),
+                    ("category", "software"),
+                    ("security", ""),
+                    ("protocol", "Gnutella"),
+                    ("schema", "@0"),
+                ],
+                vec![Attachment::from_bytes(xsd.into_bytes())],
+            )
+            .unwrap();
+        alice.publish(&mut *w.net, &mut w.plane, &object).unwrap();
+
+        let mut bob = Servent::new(PeerId(2));
+        bob.join(lookalikes.clone());
+        let out = bob.search(&mut *w.net, &lookalikes.id, &Query::any_keyword("patterns")).unwrap();
+        assert_eq!(out.hits.len(), 1);
+        let joined = bob.join_from_hit(&mut *w.net, &mut w.plane, &out.hits[0]);
+        assert!(
+            matches!(&joined, Err(CoreError::Unavailable(what)) if what.contains(&object.key)),
+            "{joined:?}"
+        );
+        assert_eq!(bob.communities().count(), 2, "root and lookalikes only");
+        assert!(bob.local_objects(&lookalikes.id).is_empty(), "nothing stored");
     }
 
     #[test]

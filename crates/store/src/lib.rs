@@ -42,7 +42,7 @@ mod tokenizer;
 mod wal;
 
 pub use cmip::parse_cmip;
-pub use digest::{sha1, ResourceId};
+pub use digest::{sha1, ResourceId, Sha1};
 pub use durable::{DurableOptions, DurableRepository, RecoveryReport};
 pub use error::StoreError;
 pub use fsio::{crc32, FailFs, RealFs, StoreFs, StoreWriter};

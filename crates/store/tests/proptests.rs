@@ -1,15 +1,114 @@
 //! Property tests: the inverted index must agree exactly with the
-//! reference (linear scan) query semantics, and the CMIP filter syntax
-//! must round-trip through `Display`.
+//! reference (linear scan) query semantics, the CMIP filter syntax
+//! must round-trip through `Display`, and the incremental SHA-1 must give
+//! the digests of the plain FIPS 180-1 transcription it replaced.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use up2p_store::{
-    parse_cmip, prepare_fields, token_passes, DurableOptions, DurableRepository, IndexStats,
-    MetadataIndex, PreparedField, Query, Repository, ResourceId, SharedFields, SyncPolicy,
-    ValuePattern,
+    parse_cmip, prepare_fields, sha1, token_passes, DurableOptions, DurableRepository,
+    IndexStats, MetadataIndex, PreparedField, Query, Repository, ResourceId, Sha1, SharedFields,
+    SyncPolicy, ValuePattern,
 };
 use up2p_xml::Document;
+
+/// The oracle: SHA-1 transcribed from FIPS 180-1 as the store first
+/// implemented it — the padded message copied whole, an 80-word
+/// schedule, one `match` per round.
+fn sha1_oracle(data: &[u8]) -> [u8; 20] {
+    let mut h: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
+    let ml = (data.len() as u64).wrapping_mul(8);
+    let mut msg = data.to_vec();
+    msg.push(0x80);
+    while msg.len() % 64 != 56 {
+        msg.push(0);
+    }
+    msg.extend_from_slice(&ml.to_be_bytes());
+    let mut w = [0u32; 80];
+    for chunk in msg.chunks_exact(64) {
+        for (i, word) in chunk.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
+        }
+        for i in 16..80 {
+            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+        }
+        let (mut a, mut b, mut c, mut d, mut e) = (h[0], h[1], h[2], h[3], h[4]);
+        for (i, &wi) in w.iter().enumerate() {
+            let (f, k) = match i {
+                0..=19 => ((b & c) | ((!b) & d), 0x5A827999u32),
+                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
+                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
+                _ => (b ^ c ^ d, 0xCA62C1D6),
+            };
+            let temp = a
+                .rotate_left(5)
+                .wrapping_add(f)
+                .wrapping_add(e)
+                .wrapping_add(k)
+                .wrapping_add(wi);
+            e = d;
+            d = c;
+            c = b.rotate_left(30);
+            b = a;
+            a = temp;
+        }
+        h[0] = h[0].wrapping_add(a);
+        h[1] = h[1].wrapping_add(b);
+        h[2] = h[2].wrapping_add(c);
+        h[3] = h[3].wrapping_add(d);
+        h[4] = h[4].wrapping_add(e);
+    }
+    let mut out = [0u8; 20];
+    for (i, word) in h.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// `data` fed to a [`Sha1`] in pieces, cut at `cuts` (any order, clamped
+/// to the length; repeated cuts feed empty pieces).
+fn sha1_in_pieces(data: &[u8], cuts: &[usize]) -> [u8; 20] {
+    let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(data.len())).collect();
+    cuts.sort_unstable();
+    let mut hasher = Sha1::new();
+    let mut from = 0;
+    for cut in cuts {
+        hasher.update(&data[from..cut]);
+        from = cut;
+    }
+    hasher.update(&data[from..]);
+    hasher.finish()
+}
+
+/// Deterministic bytes of any length.
+fn message(len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i as u8).wrapping_mul(167).wrapping_add(13)).collect()
+}
+
+/// Every length to 300 — the padding edges 55/56/63/64/119/120 among
+/// them, where the length field does or does not fit the last block —
+/// one-shot and fed in three pieces, against the oracle.
+#[test]
+fn sha1_matches_the_oracle_at_every_length_to_300() {
+    for len in 0..300 {
+        let data = message(len);
+        let expected = sha1_oracle(&data);
+        assert_eq!(sha1(&data), expected, "one-shot, {len} bytes");
+        for cuts in [[0, 0], [len / 3, 2 * len / 3], [1, len.saturating_sub(1)], [64, 128]] {
+            assert_eq!(sha1_in_pieces(&data, &cuts), expected, "{len} bytes cut at {cuts:?}");
+        }
+    }
+    for len in [55, 56, 63, 64, 119, 120] {
+        let data = message(len);
+        for cut in 0..=len {
+            assert_eq!(sha1_in_pieces(&data, &[cut]), sha1_oracle(&data), "{len} cut at {cut}");
+        }
+    }
+}
+
+fn hex(digest: [u8; 20]) -> String {
+    digest.iter().map(|b| format!("{b:02x}")).collect()
+}
 
 fn word() -> impl Strategy<Value = String> {
     prop_oneof![
@@ -101,6 +200,29 @@ fn counts(s: IndexStats) -> (usize, usize, usize, usize) {
 }
 
 proptest! {
+    /// [`Sha1`] fed a message split at up to three random points, and
+    /// one-shot [`sha1`], both give the oracle's digest.
+    #[test]
+    fn sha1_equivalence(
+        data in prop::collection::vec(any::<u8>(), 0..300),
+        cuts in prop::collection::vec(0usize..300, 0..4),
+    ) {
+        let expected = sha1_oracle(&data);
+        prop_assert_eq!(sha1(&data), expected);
+        prop_assert_eq!(sha1_in_pieces(&data, &cuts), expected, "cut at {:?}", cuts);
+    }
+
+    /// An object id streams `community ‖ 0 ‖ xml` into the hasher: the
+    /// digest of the concatenation, in hex.
+    #[test]
+    fn for_object_hashes_community_nul_xml(community in "\\PC{0,40}", xml in "\\PC{0,200}") {
+        let mut joined = community.clone().into_bytes();
+        joined.push(0);
+        joined.extend_from_slice(xml.as_bytes());
+        let id = ResourceId::for_object(&community, &xml);
+        prop_assert_eq!(id.as_hex(), hex(sha1_oracle(&joined)));
+    }
+
     /// The inverted index and the reference linear scan agree on every
     /// query for every corpus.
     #[test]

@@ -16,23 +16,50 @@ fn name_strategy() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9]{0,8}".prop_map(|s| s)
 }
 
-/// A small recursive tree strategy producing element builders.
+/// Any printable text: markup characters `& < > " '` and non-ASCII
+/// included, weighted so that the markup characters turn up often.
+fn any_text() -> impl Strategy<Value = String> {
+    prop_oneof![3 => "\\PC{0,40}", 1 => "[&<>\"' a-zé✓]{0,12}"]
+}
+
+/// Up to three attributes. Names carry an `a` prefix so none is `xmlns`.
+fn attrs_strategy() -> impl Strategy<Value = Vec<(String, String)>> {
+    prop::collection::vec(("a[a-z0-9]{0,6}", any_text()), 0..3)
+}
+
+fn with_attrs(mut b: ElementBuilder, attrs: Vec<(String, String)>) -> ElementBuilder {
+    for (name, value) in attrs {
+        b = b.attr(name.as_str(), value);
+    }
+    b
+}
+
+/// A small recursive tree strategy producing element builders: attributes
+/// on every element, and mixed content — text before each child element
+/// and after the last.
 fn tree_strategy() -> impl Strategy<Value = ElementBuilder> {
-    let leaf = (name_strategy(), text_strategy())
-        .prop_map(|(n, t)| ElementBuilder::new(n.as_str()).text(t));
+    let leaf = (name_strategy(), attrs_strategy(), any_text())
+        .prop_map(|(n, attrs, t)| with_attrs(ElementBuilder::new(n.as_str()), attrs).text(t));
     leaf.prop_recursive(3, 24, 4, |inner| {
-        (name_strategy(), prop::collection::vec(inner, 0..4), text_strategy()).prop_map(
-            |(n, children, t)| {
-                let mut b = ElementBuilder::new(n.as_str());
-                if !t.is_empty() {
-                    b = b.text(t);
+        (
+            name_strategy(),
+            attrs_strategy(),
+            prop::collection::vec((any_text(), inner), 0..4),
+            any_text(),
+        )
+            .prop_map(|(n, attrs, children, tail)| {
+                let mut b = with_attrs(ElementBuilder::new(n.as_str()), attrs);
+                for (text, child) in children {
+                    if !text.is_empty() {
+                        b = b.text(text);
+                    }
+                    b = b.child(child);
                 }
-                for c in children {
-                    b = b.child(c);
+                if !tail.is_empty() {
+                    b = b.text(tail);
                 }
                 b
-            },
-        )
+            })
     })
 }
 

@@ -26,7 +26,7 @@ use crate::fsio::{RealFs, StoreFs};
 use crate::index::prepare_fields;
 use crate::repository::{Repository, StoredObject};
 use crate::segment::{load_segment, read_manifest, write_manifest, write_segment, Manifest};
-use crate::wal::{replay, SyncPolicy, Wal, WalRecord};
+use crate::wal::{encode_publish, encode_record, replay, SyncPolicy, Wal, WalRecord};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -220,13 +220,7 @@ impl DurableRepository {
         let fields = fields.into();
         let xml = doc.to_xml_string();
         let prep = prepare_fields(&fields);
-        let rec = WalRecord::Publish {
-            community: community.to_string(),
-            xml: xml.clone(),
-            fields: fields.to_vec(),
-            prep: prep.clone(),
-        };
-        self.wal.append(&rec)?;
+        self.wal.append(|out| encode_publish(community, &xml, &fields, &prep, out))?;
         self.wal_records += 1;
         let id = self.repo.admit(community, xml, doc, fields, Some(&prep));
         self.maybe_compact()?;
@@ -243,7 +237,7 @@ impl DurableRepository {
         if !self.repo.contains(id) {
             return Ok(None);
         }
-        self.wal.append(&WalRecord::Remove { id: id.to_string() })?;
+        self.wal.append(|out| encode_record(&WalRecord::Remove { id: id.to_string() }, out))?;
         self.wal_records += 1;
         let removed = self.repo.remove(id);
         self.maybe_compact()?;
@@ -318,17 +312,14 @@ fn write_generation(
 ) -> Result<(Manifest, Wal), StoreError> {
     let generation = retired.map_or(0, |m| m.generation + 1);
     // publish-shaped entries, tokenized here once so recovery never is
-    let records: Vec<WalRecord> = repo
-        .iter()
-        .map(|obj| WalRecord::Publish {
-            community: obj.community.clone(),
-            xml: obj.xml.clone(),
-            fields: obj.fields.to_vec(),
-            prep: prepare_fields(&obj.fields),
-        })
-        .collect();
+    let entries = repo.iter().map(|obj| {
+        move |out: &mut Vec<u8>| {
+            let prep = prepare_fields(&obj.fields);
+            encode_publish(&obj.community, &obj.xml, &obj.fields, &prep, out);
+        }
+    });
     let seg_name = Manifest::segment_name(generation);
-    write_segment(fs, &dir.join(&seg_name), records.len() as u32, records.iter())?;
+    write_segment(fs, &dir.join(&seg_name), repo.len() as u32, entries)?;
     let wal_name = Manifest::wal_name(generation);
     let wal = Wal::create(fs, &dir.join(&wal_name), sync)?;
     let manifest = Manifest { generation, segment: Some(seg_name), wal: wal_name };
@@ -487,6 +478,42 @@ mod tests {
         DurableRepository::save_snapshot(&repo, &d).unwrap();
         let (_, report) = DurableRepository::recover(&d).unwrap();
         assert_eq!(report.generation, 1);
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    /// The on-disk format is pinned: the frame `publish_fields` appends
+    /// from borrowed parts, and the segment entry compaction writes for
+    /// the same object, are byte for byte the frame of the owned record.
+    #[test]
+    fn frames_from_borrowed_parts_equal_the_owned_records() {
+        use crate::fsio::encode_frame;
+        use crate::segment::SEG_MAGIC;
+        use crate::wal::WAL_MAGIC;
+        let d = dir("pinned");
+        let mut store = DurableRepository::open(&d, DurableOptions::default()).unwrap();
+        let doc = Document::parse(
+            "<track><title>ΣΟΦΟΣ  Song</title><artist a='1'>Band &amp; 7</artist></track>",
+        )
+        .unwrap();
+        let fields = Repository::extract_fields(&doc, &paths());
+        let owned = WalRecord::Publish {
+            community: "tracks".into(),
+            xml: doc.to_xml_string(),
+            fields: fields.clone(),
+            prep: prepare_fields(&fields),
+        };
+        let (mut payload, mut frame) = (Vec::new(), Vec::new());
+        encode_record(&owned, &mut payload);
+        encode_frame(&payload, &mut frame);
+        store.publish_fields("tracks", doc, fields).unwrap();
+        let wal = std::fs::read(d.join(Manifest::wal_name(0))).unwrap();
+        assert_eq!(wal[..WAL_MAGIC.len()], WAL_MAGIC[..]);
+        assert_eq!(wal[WAL_MAGIC.len()..], frame[..]);
+        store.compact().unwrap();
+        let seg = std::fs::read(d.join(Manifest::segment_name(1))).unwrap();
+        assert_eq!(seg[..SEG_MAGIC.len()], SEG_MAGIC[..]);
+        assert_eq!(seg[SEG_MAGIC.len()..SEG_MAGIC.len() + 4], 1u32.to_le_bytes());
+        assert_eq!(seg[SEG_MAGIC.len() + 4..], frame[..]);
         std::fs::remove_dir_all(&d).unwrap();
     }
 

@@ -16,11 +16,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven
+// CRC-32 (IEEE 802.3), slicing-by-8
 // ---------------------------------------------------------------------
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic one-byte table; `CRC_TABLES[k][b]` is
+/// the CRC of byte `b` followed by `k` zero bytes, so eight lookups fold
+/// an 8-byte block in one step.
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -29,22 +32,45 @@ const fn build_crc_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = build_crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
 /// CRC-32 (IEEE) of `data` — the frame checksum of the WAL and segment
 /// formats. Detects every single-byte corruption and all burst errors up
 /// to 32 bits, which is exactly the torn-write/bit-rot class recovery
 /// must stop on.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut blocks = data.chunks_exact(8);
+    for b in &mut blocks {
+        let x = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[7][(x & 0xFF) as usize]
+            ^ t[6][((x >> 8) & 0xFF) as usize]
+            ^ t[5][((x >> 16) & 0xFF) as usize]
+            ^ t[4][(x >> 24) as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -61,11 +87,18 @@ pub const FRAME_HEADER: usize = 8;
 /// trying to allocate or skip by garbage.
 pub const MAX_FRAME: usize = 1 << 30;
 
-/// Appends one frame (`len || crc || payload`) to `out`.
-pub fn encode_frame(payload: &[u8], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+/// Appends one frame (`len || crc || payload`) to `out`, `encode` writing
+/// the payload in place: the header is reserved, the payload appended
+/// behind it, and its length and checksum patched in.
+pub(crate) fn encode_frame_with(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    encode(out);
+    let payload = &out[start + FRAME_HEADER..];
+    let len = (payload.len() as u32).to_le_bytes();
+    let crc = crc32(payload).to_le_bytes();
+    out[start..start + 4].copy_from_slice(&len);
+    out[start + 4..start + FRAME_HEADER].copy_from_slice(&crc);
 }
 
 /// Outcome of reading one frame out of a byte buffer.
@@ -392,6 +425,16 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// The frame encoder as the store first wrote it — header then a copy of
+/// a finished payload — kept as the reference the in-place
+/// [`encode_frame_with`] must match byte for byte.
+#[cfg(test)]
+pub(crate) fn encode_frame(payload: &[u8], out: &mut Vec<u8>) {
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,13 +445,20 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"abc"), crc32(b"abd"));
+        // past one 8-byte block, and a block plus a tail
+        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        assert_eq!(crc32(b"12345678"), 0x9AE0_DAAF);
     }
 
     #[test]
     fn frame_round_trip_and_torn_detection() {
         let mut buf = Vec::new();
-        encode_frame(b"hello", &mut buf);
-        encode_frame(b"", &mut buf);
+        encode_frame_with(&mut buf, |out| out.extend_from_slice(b"hello"));
+        encode_frame_with(&mut buf, |_| {});
+        let mut reference = Vec::new();
+        encode_frame(b"hello", &mut reference);
+        encode_frame(b"", &mut reference);
+        assert_eq!(buf, reference);
         let FrameRead::Frame { payload, next } = read_frame(&buf, 0) else {
             panic!("first frame should parse")
         };

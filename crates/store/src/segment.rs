@@ -15,8 +15,8 @@
 //! fully intact.
 
 use crate::error::StoreError;
-use crate::fsio::{encode_frame, read_frame, FrameRead, StoreFs, FRAME_HEADER};
-use crate::wal::{decode_record, encode_record, WalRecord};
+use crate::fsio::{encode_frame_with, read_frame, FrameRead, StoreFs, FRAME_HEADER};
+use crate::wal::{decode_record, WalRecord};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
@@ -109,34 +109,27 @@ pub(crate) fn write_manifest(fs: &dyn StoreFs, dir: &Path, m: &Manifest) -> io::
     fs.sync_dir(dir)
 }
 
-/// Writes a segment file from publish-shaped entries (already in
-/// ascending id order), returning the byte size. The file is synced
-/// before returning but only becomes live once a manifest names it.
-pub(crate) fn write_segment<'a, I>(
+/// Writes a segment file of `count` publish-shaped entries (already in
+/// ascending id order), each encoding its payload into the frame buffer,
+/// returning the byte size. The file is synced before returning but only
+/// becomes live once a manifest names it.
+pub(crate) fn write_segment(
     fs: &dyn StoreFs,
     path: &Path,
     count: u32,
-    entries: I,
-) -> io::Result<u64>
-where
-    I: Iterator<Item = &'a WalRecord>,
-{
+    entries: impl Iterator<Item = impl FnOnce(&mut Vec<u8>)>,
+) -> io::Result<u64> {
     let mut w = fs.create(path)?;
-    let mut written = 0u64;
-    let mut header = Vec::with_capacity(12);
-    header.extend_from_slice(SEG_MAGIC);
-    header.extend_from_slice(&count.to_le_bytes());
-    w.write_all(&header)?;
-    written += header.len() as u64;
-    let mut payload = Vec::new();
-    let mut frame = Vec::new();
-    for rec in entries {
-        payload.clear();
-        frame.clear();
-        encode_record(rec, &mut payload);
-        encode_frame(&payload, &mut frame);
-        w.write_all(&frame)?;
-        written += frame.len() as u64;
+    let mut buf = Vec::with_capacity(SEG_MAGIC.len() + 4);
+    buf.extend_from_slice(SEG_MAGIC);
+    buf.extend_from_slice(&count.to_le_bytes());
+    w.write_all(&buf)?;
+    let mut written = buf.len() as u64;
+    for encode in entries {
+        buf.clear();
+        encode_frame_with(&mut buf, encode);
+        w.write_all(&buf)?;
+        written += buf.len() as u64;
     }
     w.sync()?;
     Ok(written)
@@ -182,6 +175,7 @@ mod tests {
     use super::*;
     use crate::fsio::RealFs;
     use crate::index::PreparedField;
+    use crate::wal::encode_record;
 
     fn entry(n: u32) -> WalRecord {
         WalRecord::Publish {
@@ -190,6 +184,12 @@ mod tests {
             fields: vec![("o/v".into(), format!("v{n}"))],
             prep: vec![PreparedField { norm: format!("v{n}"), tokens: vec![format!("v{n}")] }],
         }
+    }
+
+    /// Writes owned records through the encoder a generation uses.
+    fn write_records(path: &Path, records: &[WalRecord]) -> u64 {
+        let entries = records.iter().map(|rec| move |out: &mut Vec<u8>| encode_record(rec, out));
+        write_segment(&RealFs, path, records.len() as u32, entries).unwrap()
     }
 
     fn tmp(name: &str) -> PathBuf {
@@ -236,8 +236,7 @@ mod tests {
         let dir = tmp("roundtrip");
         let path = dir.join("seg-0.up2p");
         let entries: Vec<WalRecord> = (0..8).map(entry).collect();
-        let bytes_written =
-            write_segment(&RealFs, &path, entries.len() as u32, entries.iter()).unwrap();
+        let bytes_written = write_records(&path, &entries);
         let on_disk = std::fs::read(&path).unwrap();
         assert_eq!(on_disk.len() as u64, bytes_written);
         assert_eq!(load_segment(&path).unwrap(), entries);
@@ -268,7 +267,7 @@ mod tests {
     fn empty_segment_is_valid() {
         let dir = tmp("empty");
         let path = dir.join("seg-0.up2p");
-        write_segment(&RealFs, &path, 0, [].iter()).unwrap();
+        write_records(&path, &[]);
         assert!(load_segment(&path).unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }

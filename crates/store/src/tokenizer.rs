@@ -88,8 +88,26 @@ pub fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
 
 /// Normalizes a value for exact-match indexing (lowercased, whitespace
 /// collapsed).
+///
+/// One pass into one `String`: ASCII words are lowercased a byte at a
+/// time, any other word by `str::to_lowercase`. Word by word is the same
+/// as lowercasing the joined text, because no whitespace character is
+/// case-ignorable: the final-sigma context of a `Σ` never crosses a space.
 pub fn normalize(value: &str) -> String {
-    value.split_whitespace().collect::<Vec<_>>().join(" ").to_lowercase()
+    let mut out = String::with_capacity(value.len());
+    for word in value.split_whitespace() {
+        if !out.is_empty() {
+            out.push(' ');
+        }
+        if word.is_ascii() {
+            let start = out.len();
+            out.push_str(word);
+            out[start..].make_ascii_lowercase();
+        } else {
+            out.push_str(&word.to_lowercase());
+        }
+    }
+    out
 }
 
 /// `true` when `normalize(s) == s`, checked without allocating. Lets the
@@ -199,6 +217,18 @@ mod tests {
     const ALPHABET: [char; 15] =
         ['a', 'q', 'z', 'A', 'Q', 'Z', ' ', '\t', '\x0B', '\x0C', '\r', 'é', 'É', 'ǅ', 'İ'];
 
+    /// `normalize` as first written, kept as the reference for the
+    /// one-pass form: every exact-match key in the index and the WAL is
+    /// its output.
+    fn normalize_oracle(value: &str) -> String {
+        value.split_whitespace().collect::<Vec<_>>().join(" ").to_lowercase()
+    }
+
+    /// Beside [`ALPHABET`]: both sigmas (`Σ` lowercases to `ς` only at a
+    /// word's end), a case-ignorable combining mark the final-sigma rule
+    /// looks through, a non-ASCII space, and runs of mixed whitespace.
+    const NORMALIZE_EXTRA: [&str; 6] = ["Σ", "ς", "\u{301}", "\u{A0}", "   ", " \t\n "];
+
     proptest! {
         // short strings, many of them: a disagreement takes one or two
         // characters, `"\x0B"` alone among them
@@ -211,5 +241,27 @@ mod tests {
             let s: String = picks.into_iter().map(|i| ALPHABET[i]).collect();
             prop_assert_eq!(is_normalized(&s), normalize(&s) == s, "{:?}", s);
         }
+
+        #[test]
+        fn normalize_matches_collect_join_lowercase(
+            picks in proptest::collection::vec(0..ALPHABET.len() + NORMALIZE_EXTRA.len(), 0..12),
+        ) {
+            let mut s = String::new();
+            for i in picks {
+                match ALPHABET.get(i) {
+                    Some(&c) => s.push(c),
+                    None => s.push_str(NORMALIZE_EXTRA[i - ALPHABET.len()]),
+                }
+            }
+            prop_assert_eq!(normalize(&s), normalize_oracle(&s), "{:?}", s);
+        }
+    }
+
+    #[test]
+    fn normalize_keeps_final_sigma_per_word() {
+        for s in ["ΟΔΟΣ ΟΔΟΣ", "aΣ\u{301} Σa", " ΣΣ\u{A0}Σ ", "ΑΣ\tb"] {
+            assert_eq!(normalize(s), normalize_oracle(s), "{s:?}");
+        }
+        assert_eq!(normalize("ΟΔΟΣ  ΟΔΟΣ"), "οδος οδος");
     }
 }

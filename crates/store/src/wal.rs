@@ -11,7 +11,9 @@
 //! frame — everything before it is exactly the durable prefix — and the
 //! torn tail is truncated away before the log is appended to again.
 
-use crate::fsio::{encode_frame, put_str, put_u32, read_frame, Cursor, FrameRead, StoreFs, StoreWriter};
+use crate::fsio::{
+    encode_frame_with, put_str, put_u32, read_frame, Cursor, FrameRead, StoreFs, StoreWriter,
+};
 use crate::index::PreparedField;
 use std::io::{self, Write};
 use std::path::Path;
@@ -62,23 +64,35 @@ pub enum WalRecord {
 pub(crate) fn encode_record(rec: &WalRecord, out: &mut Vec<u8>) {
     match rec {
         WalRecord::Publish { community, xml, fields, prep } => {
-            out.push(TAG_PUBLISH);
-            put_str(out, community);
-            put_str(out, xml);
-            put_u32(out, fields.len() as u32);
-            for ((path, value), pf) in fields.iter().zip(prep) {
-                put_str(out, path);
-                put_str(out, value);
-                put_str(out, &pf.norm);
-                put_u32(out, pf.tokens.len() as u32);
-                for token in &pf.tokens {
-                    put_str(out, token);
-                }
-            }
+            encode_publish(community, xml, fields, prep, out);
         }
         WalRecord::Remove { id } => {
             out.push(TAG_REMOVE);
             put_str(out, id);
+        }
+    }
+}
+
+/// The one publish encoder: a [`WalRecord::Publish`] payload from parts
+/// borrowed wherever they live, so nothing is cloned to be encoded.
+pub(crate) fn encode_publish(
+    community: &str,
+    xml: &str,
+    fields: &[(String, String)],
+    prep: &[PreparedField],
+    out: &mut Vec<u8>,
+) {
+    out.push(TAG_PUBLISH);
+    put_str(out, community);
+    put_str(out, xml);
+    put_u32(out, fields.len() as u32);
+    for ((path, value), pf) in fields.iter().zip(prep) {
+        put_str(out, path);
+        put_str(out, value);
+        put_str(out, &pf.norm);
+        put_u32(out, pf.tokens.len() as u32);
+        for token in &pf.tokens {
+            put_str(out, token);
         }
     }
 }
@@ -191,16 +205,18 @@ impl Wal {
         Ok(Wal { writer, policy, appended_since_sync: 0, frame_buf: Vec::new(), poisoned: false })
     }
 
-    /// Appends one record as a checksummed frame, syncing according to
-    /// the policy. On `Ok` under [`SyncPolicy::EveryRecord`] the record
-    /// is durable. After any failed append or sync every further one
-    /// fails too, until the store is reopened.
-    pub(crate) fn append(&mut self, rec: &WalRecord) -> io::Result<()> {
-        self.frame_buf.clear();
-        encode_record(rec, &mut self.frame_buf);
-        let mut frame = Vec::with_capacity(self.frame_buf.len() + crate::fsio::FRAME_HEADER);
-        encode_frame(&self.frame_buf, &mut frame);
-        self.guarded(|w| w.write_all(&frame))?;
+    /// Appends one record, `encode` writing its payload straight into the
+    /// reused frame buffer, as one checksummed frame in one write, syncing
+    /// according to the policy. On `Ok` under [`SyncPolicy::EveryRecord`]
+    /// the record is durable. After any failed append or sync every
+    /// further one fails too, until the store is reopened.
+    pub(crate) fn append(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+        let mut frame = std::mem::take(&mut self.frame_buf);
+        frame.clear();
+        encode_frame_with(&mut frame, encode);
+        let written = self.guarded(|w| w.write_all(&frame));
+        self.frame_buf = frame;
+        written?;
         self.appended_since_sync += 1;
         match self.policy {
             SyncPolicy::EveryRecord => self.sync(),
@@ -275,7 +291,7 @@ mod tests {
         {
             let mut wal = Wal::create(&RealFs, &path, SyncPolicy::EveryRecord).unwrap();
             for r in &recs {
-                wal.append(r).unwrap();
+                wal.append(|out| encode_record(r, out)).unwrap();
             }
         }
         let bytes = std::fs::read(&path).unwrap();
@@ -299,7 +315,7 @@ mod tests {
         {
             let mut wal =
                 Wal::open_end(&RealFs, &path, scan.valid_len, SyncPolicy::EveryRecord).unwrap();
-            wal.append(&publish(99)).unwrap();
+            wal.append(|out| encode_record(&publish(99), out)).unwrap();
         }
         let after = replay(&std::fs::read(&path).unwrap());
         assert_eq!(after.torn_bytes, 0);

@@ -1,12 +1,13 @@
 //! Property tests: the inverted index must agree exactly with the
 //! reference (linear scan) query semantics, the CMIP filter syntax
-//! must round-trip through `Display`, and the incremental SHA-1 must give
-//! the digests of the plain FIPS 180-1 transcription it replaced.
+//! must round-trip through `Display`, the incremental SHA-1 must give
+//! the digests of the plain FIPS 180-1 transcription it replaced, and
+//! slicing-by-8 CRC-32 the checksums of the one-byte loop.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use up2p_store::{
-    parse_cmip, prepare_fields, sha1, token_passes, DurableOptions, DurableRepository,
+    crc32, parse_cmip, prepare_fields, sha1, token_passes, DurableOptions, DurableRepository,
     IndexStats, MetadataIndex, PreparedField, Query, Repository, ResourceId, Sha1, SharedFields,
     SyncPolicy, ValuePattern,
 };
@@ -104,6 +105,35 @@ fn sha1_matches_the_oracle_at_every_length_to_300() {
             assert_eq!(sha1_in_pieces(&data, &[cut]), sha1_oracle(&data), "{len} cut at {cut}");
         }
     }
+}
+
+/// The one-byte table [`crc32_oracle`] steps with.
+const CRC_ORACLE_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// The oracle for [`crc32`]: the one-byte-a-step loop every WAL and
+/// segment frame was first checksummed with. Recovery stops at the first
+/// frame whose checksum disagrees, so a changed value would read a whole
+/// log as torn.
+fn crc32_oracle(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc = (crc >> 8) ^ CRC_ORACLE_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    }
+    !crc
 }
 
 fn hex(digest: [u8; 20]) -> String {
@@ -210,6 +240,19 @@ proptest! {
         let expected = sha1_oracle(&data);
         prop_assert_eq!(sha1(&data), expected);
         prop_assert_eq!(sha1_in_pieces(&data, &cuts), expected, "cut at {:?}", cuts);
+    }
+
+    /// Slicing-by-8 [`crc32`] gives the oracle's checksum at every length
+    /// 0–300 — whole 8-byte blocks, each tail of one to seven bytes — and
+    /// at every start offset modulo 8.
+    #[test]
+    fn crc32_matches_the_bytewise_loop(data in prop::collection::vec(any::<u8>(), 308..309)) {
+        for offset in 0..8 {
+            for len in 0..=300 {
+                let slice = &data[offset..offset + len];
+                prop_assert_eq!(crc32(slice), crc32_oracle(slice), "{} bytes at {}", len, offset);
+            }
+        }
     }
 
     /// An object id streams `community ‖ 0 ‖ xml` into the hasher: the

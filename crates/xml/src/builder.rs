@@ -22,6 +22,7 @@ enum BuilderNode {
     Element(ElementBuilder),
     Text(String),
     Comment(String),
+    Pi(String, String),
 }
 
 /// A consuming builder for element subtrees.
@@ -57,6 +58,12 @@ impl ElementBuilder {
     /// Appends a comment child.
     pub fn comment(mut self, text: impl Into<String>) -> Self {
         self.children.push(BuilderNode::Comment(text.into()));
+        self
+    }
+
+    /// Appends a processing-instruction child, `<?target data?>`.
+    pub fn pi(mut self, target: impl Into<String>, data: impl Into<String>) -> Self {
+        self.children.push(BuilderNode::Pi(target.into(), data.into()));
         self
     }
 
@@ -109,6 +116,10 @@ impl ElementBuilder {
                 }
                 BuilderNode::Comment(c) => {
                     let id = doc.create_comment(c);
+                    doc.append_child(el, id);
+                }
+                BuilderNode::Pi(target, data) => {
+                    let id = doc.create_pi(target, data);
                     doc.append_child(el, id);
                 }
             }

@@ -1,4 +1,6 @@
-//! Escaping and unescaping of XML character data and attribute values.
+//! Escaping and unescaping of XML character data and attribute values,
+//! and the recovery that keeps a comment or processing instruction from
+//! closing early.
 
 use crate::error::{ParseErrorKind, ParseXmlError, TextPos};
 
@@ -9,14 +11,7 @@ use crate::error::{ParseErrorKind, ParseXmlError, TextPos};
 /// ```
 pub fn escape_text(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(c),
-        }
-    }
+    escape_text_into(&mut out, s);
     out
 }
 
@@ -24,19 +19,75 @@ pub fn escape_text(s: &str) -> String {
 /// escapes `"`, tab, CR and LF so the value round-trips exactly.
 pub fn escape_attr(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\t' => out.push_str("&#9;"),
-            '\n' => out.push_str("&#10;"),
-            '\r' => out.push_str("&#13;"),
-            _ => out.push(c),
+    escape_attr_into(&mut out, s);
+    out
+}
+
+/// [`escape_text`], appended to `out`.
+pub fn escape_text_into(out: &mut String, s: &str) {
+    escape_into(out, s, false);
+}
+
+/// [`escape_attr`], appended to `out`.
+pub fn escape_attr_into(out: &mut String, s: &str) {
+    escape_into(out, s, true);
+}
+
+/// Copies the runs between special bytes whole. Every byte substituted is
+/// ASCII, so each cut falls on a character boundary.
+fn escape_into(out: &mut String, s: &str, attr: bool) {
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if attr => "&quot;",
+            b'\t' if attr => "&#9;",
+            b'\n' if attr => "&#10;",
+            b'\r' if attr => "&#13;",
+            _ => continue,
+        };
+        out.push_str(&s[clean..i]);
+        out.push_str(entity);
+        clean = i + 1;
+    }
+    out.push_str(&s[clean..]);
+}
+
+/// Appends a comment's text, to go between `<!--` and `-->`, with the
+/// recovery XSLT 1.0 §7.4 prescribes: a space after any `-` that another
+/// `-` follows or that ends the text, so no `--` and no `-->` is written
+/// and the comment cannot close early.
+///
+/// ```
+/// let mut out = String::new();
+/// up2p_xml::escape_comment_into(&mut out, "x-->y-");
+/// assert_eq!(out, "x- ->y- ");
+/// ```
+pub fn escape_comment_into(out: &mut String, text: &str) {
+    let bytes = text.as_bytes();
+    let mut clean = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b == b'-' && bytes.get(i + 1).is_none_or(|&next| next == b'-') {
+            out.push_str(&text[clean..=i]);
+            out.push(' ');
+            clean = i + 1;
         }
     }
-    out
+    out.push_str(&text[clean..]);
+}
+
+/// Appends a processing instruction's data with the recovery of XSLT 1.0
+/// §7.3: a space between `?` and `>`, so the data cannot close the PI.
+pub(crate) fn escape_pi_into(out: &mut String, data: &str) {
+    let mut clean = 0;
+    for (i, _) in data.match_indices("?>") {
+        out.push_str(&data[clean..=i]);
+        out.push(' ');
+        clean = i + 1;
+    }
+    out.push_str(&data[clean..]);
 }
 
 /// Expands the five predefined entities and numeric character references in

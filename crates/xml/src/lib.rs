@@ -43,7 +43,9 @@ pub mod xpath;
 pub use builder::ElementBuilder;
 pub use document::{Attribute, Document, NodeId, NodeKind};
 pub use error::{ParseErrorKind, ParseXmlError, TextPos, XPathError};
-pub use escape::{escape_attr, escape_text, unescape};
+pub use escape::{
+    escape_attr, escape_attr_into, escape_comment_into, escape_text, escape_text_into, unescape,
+};
 pub use name::{is_valid_ncname, ParseQNameError, QName};
 pub use writer::WriteOptions;
 pub use xpath::{Context, Value, XNode, XPath};

@@ -58,6 +58,16 @@ impl QName {
     pub fn is_unprefixed(&self, local: &str) -> bool {
         self.prefix.is_none() && &*self.local == local
     }
+
+    /// Appends the name as written (`prefix:local`) to `out`: what
+    /// `Display` prints, without a formatter.
+    pub fn push_to(&self, out: &mut String) {
+        if let Some(p) = &self.prefix {
+            out.push_str(p);
+            out.push(':');
+        }
+        out.push_str(&self.local);
+    }
 }
 
 impl fmt::Display for QName {
@@ -175,6 +185,9 @@ mod tests {
         for s in ["a", "xsl:value-of", "x_1:y-2.z"] {
             let q: QName = s.parse().unwrap();
             assert_eq!(q.to_string(), s);
+            let mut pushed = String::new();
+            q.push_to(&mut pushed);
+            assert_eq!(pushed, s);
         }
     }
 

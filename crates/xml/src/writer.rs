@@ -1,8 +1,7 @@
 //! Serialization of [`Document`] trees back to XML text.
 
 use crate::document::{Document, NodeId, NodeKind};
-use crate::escape::{escape_attr, escape_text};
-use std::fmt::Write as _;
+use crate::escape::{escape_attr_into, escape_comment_into, escape_pi_into, escape_text_into};
 
 /// Serialization options.
 #[derive(Debug, Clone)]
@@ -46,20 +45,21 @@ impl Document {
 
     /// Serializes the whole document with explicit options.
     pub fn to_xml_with(&self, options: &WriteOptions) -> String {
-        let mut out = String::new();
+        let indent = options.indent.as_deref();
+        let mut out = String::with_capacity(self.len() * BYTES_PER_NODE);
         if options.declaration {
             out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
-            if options.indent.is_some() {
+            if indent.is_some() {
                 out.push('\n');
             }
         }
         for &child in self.children(self.root()) {
-            self.write_node(child, options, 0, &mut out);
-            if options.indent.is_some() {
+            self.write_node(child, indent, 0, &mut out);
+            if indent.is_some() {
                 out.push('\n');
             }
         }
-        if options.indent.is_some() && out.ends_with('\n') {
+        if indent.is_some() && out.ends_with('\n') {
             out.pop();
         }
         out
@@ -68,75 +68,87 @@ impl Document {
     /// Serializes the subtree rooted at `node` compactly.
     pub fn node_to_xml_string(&self, node: NodeId) -> String {
         let mut out = String::new();
-        self.write_node(node, &WriteOptions::compact(), 0, &mut out);
+        self.write_node(node, None, 0, &mut out);
         out
     }
 
-    fn write_node(&self, id: NodeId, options: &WriteOptions, depth: usize, out: &mut String) {
+    /// The one writer, compact (`indent` `None`) and pretty alike.
+    fn write_node(&self, id: NodeId, indent: Option<&str>, depth: usize, out: &mut String) {
         match self.kind(id) {
             NodeKind::Document => {
                 for &c in self.children(id) {
-                    self.write_node(c, options, depth, out);
+                    self.write_node(c, indent, depth, out);
                 }
             }
             NodeKind::Element { name, attributes } => {
-                self.write_indent(options, depth, out);
-                let _ = write!(out, "<{name}");
+                push_indent(out, indent, depth);
+                out.push('<');
+                name.push_to(out);
                 for a in attributes {
-                    let _ = write!(out, " {}=\"{}\"", a.name, escape_attr(&a.value));
+                    out.push(' ');
+                    a.name.push_to(out);
+                    out.push_str("=\"");
+                    escape_attr_into(out, &a.value);
+                    out.push('"');
                 }
                 // empty text nodes contribute nothing; skip them so that
                 // `<a></a>` and `<a/>` serialize identically
-                let children: Vec<NodeId> = self
-                    .children(id)
-                    .iter()
-                    .copied()
-                    .filter(|&c| self.text(c).is_none_or(|t| !t.is_empty()))
-                    .collect();
-                if children.is_empty() {
+                let shown = |&c: &NodeId| self.text(c).is_none_or(|t| !t.is_empty());
+                let children = self.children(id);
+                if !children.iter().any(shown) {
                     out.push_str("/>");
-                } else {
-                    out.push('>');
-                    let text_only =
-                        children.iter().all(|&c: &NodeId| matches!(self.kind(c), NodeKind::Text(_)));
-                    if options.indent.is_some() && !text_only {
-                        for &c in &children {
+                    return;
+                }
+                out.push('>');
+                let text_only = children.iter().all(|&c| self.text(c).is_some());
+                match indent {
+                    Some(_) if !text_only => {
+                        for &c in children.iter().filter(|c| shown(c)) {
                             out.push('\n');
-                            self.write_node(c, options, depth + 1, out);
+                            self.write_node(c, indent, depth + 1, out);
                         }
                         out.push('\n');
-                        self.write_indent(options, depth, out);
-                    } else {
-                        for &c in &children {
-                            self.write_node(c, &WriteOptions::compact(), 0, out);
+                        push_indent(out, indent, depth);
+                    }
+                    _ => {
+                        for &c in children {
+                            self.write_node(c, None, 0, out);
                         }
                     }
-                    let _ = write!(out, "</{name}>");
                 }
+                out.push_str("</");
+                name.push_to(out);
+                out.push('>');
             }
-            NodeKind::Text(t) => {
-                out.push_str(&escape_text(t));
-            }
+            NodeKind::Text(t) => escape_text_into(out, t),
             NodeKind::Comment(c) => {
-                self.write_indent(options, depth, out);
-                let _ = write!(out, "<!--{c}-->");
+                push_indent(out, indent, depth);
+                out.push_str("<!--");
+                escape_comment_into(out, c);
+                out.push_str("-->");
             }
             NodeKind::ProcessingInstruction { target, data } => {
-                self.write_indent(options, depth, out);
-                if data.is_empty() {
-                    let _ = write!(out, "<?{target}?>");
-                } else {
-                    let _ = write!(out, "<?{target} {data}?>");
+                push_indent(out, indent, depth);
+                out.push_str("<?");
+                out.push_str(target);
+                if !data.is_empty() {
+                    out.push(' ');
+                    escape_pi_into(out, data);
                 }
+                out.push_str("?>");
             }
         }
     }
+}
 
-    fn write_indent(&self, options: &WriteOptions, depth: usize, out: &mut String) {
-        if let Some(indent) = &options.indent {
-            for _ in 0..depth {
-                out.push_str(indent);
-            }
+/// First guess at a document's serialized size per arena node: a
+/// form-filled object (14 nodes, ~190 bytes) fits without growing.
+const BYTES_PER_NODE: usize = 24;
+
+fn push_indent(out: &mut String, indent: Option<&str>, depth: usize) {
+    if let Some(indent) = indent {
+        for _ in 0..depth {
+            out.push_str(indent);
         }
     }
 }
@@ -144,6 +156,7 @@ impl Document {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ElementBuilder;
 
     #[test]
     fn compact_round_trip() {
@@ -182,6 +195,34 @@ mod tests {
         let a = d.document_element().unwrap();
         let b = d.child_named(a, "b").unwrap();
         assert_eq!(d.node_to_xml_string(b), "<b i=\"1\">x</b>");
+    }
+
+    /// XSLT 1.0 §7.3–7.4: a space after a `-` that another `-` follows or
+    /// that ends the comment, and between `?` and `>` in a PI — compact
+    /// and pretty — so the text parses back to one comment and one PI.
+    #[test]
+    fn comment_and_pi_cannot_close_early() {
+        let mut d =
+            ElementBuilder::new("a").comment("x-->y").comment("---").pi("t", "a?>b").build();
+        let top = d.create_comment("end-");
+        d.append_child(d.root(), top);
+        let compact = d.to_xml_string();
+        assert_eq!(compact, "<a><!--x- ->y--><!--- - - --><?t a? >b?></a><!--end- -->");
+        assert!(d.to_xml_pretty().ends_with(
+            "<a>\n  <!--x- ->y-->\n  <!--- - - -->\n  <?t a? >b?>\n</a>\n<!--end- -->"
+        ));
+        let back = Document::parse(&compact).unwrap();
+        let a = back.document_element().unwrap();
+        let kinds: Vec<_> = back.children(a).iter().map(|&c| back.kind(c).clone()).collect();
+        assert_eq!(
+            kinds,
+            [
+                NodeKind::Comment("x- ->y".into()),
+                NodeKind::Comment("- - - ".into()),
+                NodeKind::ProcessingInstruction { target: "t".into(), data: "a? >b".into() },
+            ]
+        );
+        assert_eq!(back.to_xml_string(), compact, "the recovered text is stable");
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! Property-based tests for the XML substrate: serialization round-trips,
-//! escaping, XPath consistency against naive reference traversals, and a
-//! seeded mutation fuzz of the XPath grammar.
+//! Property-based tests for the XML substrate: serialization round-trips
+//! and equivalence with the pre-change writer, escaping, XPath consistency
+//! against naive reference traversals, and a seeded mutation fuzz of the
+//! XPath grammar.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use up2p_xml::{Context, Document, ElementBuilder, Value, XNode, XPath};
+use std::fmt::Write as _;
+use up2p_xml::{Context, Document, ElementBuilder, NodeId, NodeKind, Value, XNode, XPath};
 
 /// Strategy for XML-safe text content (excludes control chars the parser
 /// legitimately never sees from our writers).
@@ -34,17 +36,39 @@ fn with_attrs(mut b: ElementBuilder, attrs: Vec<(String, String)>) -> ElementBui
     b
 }
 
+/// A comment's or a PI's text: printable ASCII, or runs of `-`, `?` and
+/// `>` — the `--`, `-->` and `?>` that would end one early unless the
+/// writer breaks them up.
+fn markup_text() -> impl Strategy<Value = String> {
+    prop_oneof![text_strategy(), "[-?> a]{0,10}"]
+}
+
+/// A child of a non-leaf element.
+enum Child {
+    Element(ElementBuilder),
+    Comment(String),
+    Pi(String, String),
+}
+
 /// A small recursive tree strategy producing element builders: attributes
-/// on every element, and mixed content — text before each child element
-/// and after the last.
+/// on every element, and mixed content — text before each child (an
+/// element, a comment or a processing instruction) and after the last.
 fn tree_strategy() -> impl Strategy<Value = ElementBuilder> {
     let leaf = (name_strategy(), attrs_strategy(), any_text())
         .prop_map(|(n, attrs, t)| with_attrs(ElementBuilder::new(n.as_str()), attrs).text(t));
     leaf.prop_recursive(3, 24, 4, |inner| {
+        let child = prop_oneof![
+            4 => inner.prop_map(Child::Element),
+            1 => markup_text().prop_map(Child::Comment),
+            // the parser skips the space after a PI's target, so data
+            // cannot start with one and round-trip
+            1 => (name_strategy(), markup_text())
+                .prop_map(|(target, data)| Child::Pi(target, data.trim_start().to_string())),
+        ];
         (
             name_strategy(),
             attrs_strategy(),
-            prop::collection::vec((any_text(), inner), 0..4),
+            prop::collection::vec((any_text(), child), 0..4),
             any_text(),
         )
             .prop_map(|(n, attrs, children, tail)| {
@@ -53,7 +77,11 @@ fn tree_strategy() -> impl Strategy<Value = ElementBuilder> {
                     if !text.is_empty() {
                         b = b.text(text);
                     }
-                    b = b.child(child);
+                    b = match child {
+                        Child::Element(e) => b.child(e),
+                        Child::Comment(c) => b.comment(c),
+                        Child::Pi(target, data) => b.pi(target, data),
+                    };
                 }
                 if !tail.is_empty() {
                     b = b.text(tail);
@@ -63,7 +91,133 @@ fn tree_strategy() -> impl Strategy<Value = ElementBuilder> {
     })
 }
 
+/// The oracle: the serializer as it stood before it wrote in place — each
+/// element's children collected into a `Vec`, tags formatted by `write!`,
+/// a `String` per escaped value, one character at a time — plus the
+/// comment and PI recovery of XSLT 1.0 §7.3–7.4, spelled out per
+/// character. Every object key hashes the writer's bytes, so the one
+/// writer must produce exactly these.
+fn write_oracle(doc: &Document, id: NodeId, indent: Option<&str>, depth: usize, out: &mut String) {
+    let pad = |out: &mut String, depth: usize| {
+        for _ in 0..depth {
+            out.push_str(indent.unwrap_or(""));
+        }
+    };
+    match doc.kind(id) {
+        NodeKind::Document => {
+            for &c in doc.children(id) {
+                write_oracle(doc, c, indent, depth, out);
+            }
+        }
+        NodeKind::Element { name, attributes } => {
+            pad(out, depth);
+            let _ = write!(out, "<{name}");
+            for a in attributes {
+                let _ = write!(out, " {}=\"{}\"", a.name, escape_oracle(&a.value, true));
+            }
+            let children: Vec<NodeId> = doc
+                .children(id)
+                .iter()
+                .copied()
+                .filter(|&c| doc.text(c).is_none_or(|t| !t.is_empty()))
+                .collect();
+            if children.is_empty() {
+                out.push_str("/>");
+                return;
+            }
+            out.push('>');
+            let text_only = children.iter().all(|&c| matches!(doc.kind(c), NodeKind::Text(_)));
+            if indent.is_some() && !text_only {
+                for &c in &children {
+                    out.push('\n');
+                    write_oracle(doc, c, indent, depth + 1, out);
+                }
+                out.push('\n');
+                pad(out, depth);
+            } else {
+                for &c in &children {
+                    write_oracle(doc, c, None, 0, out);
+                }
+            }
+            let _ = write!(out, "</{name}>");
+        }
+        NodeKind::Text(t) => out.push_str(&escape_oracle(t, false)),
+        NodeKind::Comment(c) => {
+            pad(out, depth);
+            let mut body = String::new();
+            let mut chars = c.chars().peekable();
+            while let Some(ch) = chars.next() {
+                body.push(ch);
+                if ch == '-' && matches!(chars.peek(), None | Some('-')) {
+                    body.push(' ');
+                }
+            }
+            let _ = write!(out, "<!--{body}-->");
+        }
+        NodeKind::ProcessingInstruction { target, data } => {
+            pad(out, depth);
+            if data.is_empty() {
+                let _ = write!(out, "<?{target}?>");
+            } else {
+                let _ = write!(out, "<?{target} {}?>", data.replace("?>", "? >"));
+            }
+        }
+    }
+}
+
+fn escape_oracle(s: &str, attr: bool) -> String {
+    let mut out = String::new();
+    for c in s.chars() {
+        match c {
+            '&' => out.push_str("&amp;"),
+            '<' => out.push_str("&lt;"),
+            '>' => out.push_str("&gt;"),
+            '"' if attr => out.push_str("&quot;"),
+            '\t' if attr => out.push_str("&#9;"),
+            '\n' if attr => out.push_str("&#10;"),
+            '\r' if attr => out.push_str("&#13;"),
+            _ => out.push(c),
+        }
+    }
+    out
+}
+
+/// [`write_oracle`] over a whole document: compact, or two-space pretty
+/// with the declaration, as `to_xml_string` and `to_xml_pretty` write it.
+fn to_xml_oracle(doc: &Document, pretty: bool) -> String {
+    let indent = pretty.then_some("  ");
+    let mut out = String::new();
+    if pretty {
+        out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
+    }
+    for &child in doc.children(doc.root()) {
+        write_oracle(doc, child, indent, 0, &mut out);
+        if pretty {
+            out.push('\n');
+        }
+    }
+    if pretty && out.ends_with('\n') {
+        out.pop();
+    }
+    out
+}
+
 proptest! {
+    /// The one in-place writer against [`write_oracle`], byte for byte:
+    /// compact, pretty, and a subtree.
+    #[test]
+    fn writer_matches_the_pre_change_writer(tree in tree_strategy(), note in markup_text()) {
+        let mut doc = tree.build();
+        let top = doc.create_comment(note);
+        doc.append_child(doc.root(), top);
+        prop_assert_eq!(doc.to_xml_string(), to_xml_oracle(&doc, false));
+        prop_assert_eq!(doc.to_xml_pretty(), to_xml_oracle(&doc, true));
+        let root = doc.document_element().unwrap();
+        let mut subtree = String::new();
+        write_oracle(&doc, root, None, 0, &mut subtree);
+        prop_assert_eq!(doc.node_to_xml_string(root), subtree);
+    }
+
     #[test]
     fn escape_unescape_round_trip(s in "\\PC{0,200}") {
         let escaped = up2p_xml::escape_text(&s);

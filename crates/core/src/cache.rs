@@ -14,9 +14,9 @@
 //! never whether it hits.
 
 use crate::error::CoreError;
-use parking_lot::RwLock;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Entries a [`CompileCache`] holds; inserting one more evicts the
 /// oldest. The inputs are bytes a stranger authored, so the cache must
@@ -85,14 +85,17 @@ pub(crate) fn bucket_hash(mut hash: u64, bytes: &[u8]) -> u64 {
 
 /// Compile-once store from keys stored as `S` to values `V`.
 ///
-/// Values are compiled outside any lock and inserted under a
-/// double-check, so racing callers converge on one entry and all hold
-/// the winner's value. Errors are never cached: a broken input reports
-/// its error on every call and leaves the cache untouched. At
-/// [`CAPACITY`] entries the oldest insertion is evicted; recompiling an
-/// evicted input yields an equal value, so eviction costs time only.
+/// The entries sit behind a `Mutex` only because the caches are
+/// `static`s, and a `static` must be `Sync`; the servent that reaches
+/// them runs on one thread. Values are compiled outside the lock and
+/// inserted under a double-check, so callers that miss on the same key
+/// converge on one entry and all hold the first value cached. Errors
+/// are never cached: a broken input reports its error on every call and
+/// leaves the cache untouched. At [`CAPACITY`] entries the oldest
+/// insertion is evicted; recompiling an evicted input yields an equal
+/// value, so eviction costs time only.
 pub struct CompileCache<S, V> {
-    entries: RwLock<Entries<S, V>>,
+    entries: Mutex<Entries<S, V>>,
 }
 
 struct Entries<S, V> {
@@ -128,7 +131,15 @@ impl<S, V: Clone> CompileCache<S, V> {
     /// Creates an empty cache.
     pub(crate) fn new() -> Self {
         let entries = Entries { buckets: HashMap::new(), order: VecDeque::new() };
-        CompileCache { entries: RwLock::new(entries) }
+        CompileCache { entries: Mutex::new(entries) }
+    }
+
+    /// The entries, under the lock. Under the guard, code either only
+    /// reads (`lookup`) or is `Entries::insert`, which cannot stop
+    /// half-way short of an allocation failure, so the entries are valid
+    /// whenever a guard drops and a poisoned lock is taken as it stands.
+    fn entries(&self) -> MutexGuard<'_, Entries<S, V>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Returns the value cached for `key`, running `compile` and caching
@@ -146,19 +157,19 @@ impl<S, V: Clone> CompileCache<S, V> {
         K: CacheKey<Stored = S> + ?Sized,
     {
         let hash = key.bucket();
-        {
-            let entries = self.entries.read();
-            if let Some(found) = entries.lookup(hash, key) {
-                return Ok(found);
-            }
+        let hit = self.entries().lookup(hash, key);
+        if let Some(found) = hit {
+            return Ok(found);
         }
-        // Compile outside any lock: compilation may be slow, may fail
-        // and may consult a cache, this one included, and none of that
-        // may happen under a guard (`a_compile_may_consult_its_own_cache`).
+        // Compile outside the lock: compilation may be slow, may fail,
+        // may panic and may consult a cache, this one included, and none
+        // of that may happen under the guard
+        // (`a_compile_may_consult_its_own_cache`).
         let value = compile()?;
         let stored = key.to_stored();
-        let mut entries = self.entries.write();
-        // Double-check: another thread may have compiled it meanwhile.
+        let mut entries = self.entries();
+        // Double-check: the compile itself, or another caller, may have
+        // cached this key meanwhile.
         if let Some(found) = entries.lookup(hash, key) {
             return Ok(found);
         }
@@ -168,7 +179,7 @@ impl<S, V: Clone> CompileCache<S, V> {
 
     /// Number of entries held, at most [`CAPACITY`].
     pub fn len(&self) -> usize {
-        self.entries.read().order.len()
+        self.entries().order.len()
     }
 
     /// `true` when nothing has been cached yet.
@@ -215,12 +226,12 @@ pub(crate) mod tests {
             .unwrap()
     }
 
-    /// The invariant that makes a lock-order checker unnecessary: no
-    /// guard in the workspace is held while another lock is taken. The
-    /// one place code runs that could take a second lock is `compile`,
-    /// and it runs with no guard held, so it may even fill this cache.
-    /// Moving `compile()` under either guard deadlocks here; the wait is
-    /// bounded so that fails the test instead of hanging the suite.
+    /// The invariant that makes a lock-order checker unnecessary: the
+    /// workspace's one lock is never held while code outside this file
+    /// runs. That code is `compile`, and it runs with no guard held, so
+    /// it may even fill this cache. Moving `compile()` under the guard
+    /// deadlocks (or panics) here; the wait is bounded so that fails the
+    /// test instead of hanging the suite.
     #[test]
     fn a_compile_may_consult_its_own_cache() {
         let cache = Arc::new(Echo::new());
@@ -239,6 +250,23 @@ pub(crate) mod tests {
         handle.join().expect("the worker finishes once it has sent");
         assert_eq!(&*outer.unwrap(), "outer of inner");
         assert_eq!(cache.len(), 2);
+    }
+
+    /// A `compile` that panics unwinds through `get_or_compile` with no
+    /// guard held: nothing is cached, and the next call for the key
+    /// compiles and caches as if the panic never happened.
+    #[test]
+    fn a_panicking_compile_leaves_the_cache_usable() {
+        let cache = Echo::new();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_compile("key", || panic!("compile failed"))
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(cache.len(), 0);
+        let mut compiles = 0;
+        assert_eq!(&*echo(&cache, "key", &mut compiles), "key");
+        assert_eq!(&*echo(&cache, "key", &mut compiles), "key");
+        assert_eq!((compiles, cache.len()), (1, 1), "compiled once, then cached");
     }
 
     #[test]

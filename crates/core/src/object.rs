@@ -5,7 +5,7 @@
 //! files that are flagged as attachments. Attachments are only downloaded
 //! when the object is retrieved from a peer." (§IV-C1)
 
-use bytes::Bytes;
+use std::sync::Arc;
 use up2p_store::ResourceId;
 use up2p_xml::Document;
 
@@ -16,7 +16,7 @@ pub struct Attachment {
     /// Content-addressed URI (`up2p:attachment:<sha1>`).
     pub uri: String,
     /// The payload.
-    pub data: Bytes,
+    pub data: Arc<[u8]>,
 }
 
 impl Attachment {
@@ -26,7 +26,7 @@ impl Attachment {
     }
 
     /// Creates an attachment from bytes, deriving its content URI.
-    pub fn from_bytes(data: impl Into<Bytes>) -> Attachment {
+    pub fn from_bytes(data: impl Into<Arc<[u8]>>) -> Attachment {
         let data = data.into();
         Attachment { uri: Attachment::uri_for(&data), data }
     }
@@ -87,7 +87,7 @@ mod tests {
         assert_eq!(a.uri, b.uri);
         assert!(a.verify());
         let mut broken = a.clone();
-        broken.data = Bytes::from_static(b"tampered");
+        broken.data = Arc::from(&b"tampered"[..]);
         assert!(!broken.verify());
     }
 

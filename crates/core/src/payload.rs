@@ -10,6 +10,7 @@
 use crate::error::CoreError;
 use crate::object::{Attachment, SharedObject};
 use std::collections::HashMap;
+use std::sync::Arc;
 use up2p_store::ResourceId;
 use up2p_xml::Document;
 
@@ -17,7 +18,7 @@ use up2p_xml::Document;
 #[derive(Debug, Clone, Default)]
 pub struct PayloadPlane {
     objects: HashMap<String, StoredPayload>,
-    attachments: HashMap<String, bytes::Bytes>,
+    attachments: HashMap<String, Arc<[u8]>>,
 }
 
 #[derive(Debug, Clone)]
@@ -53,16 +54,6 @@ impl PayloadPlane {
                 attachment_uris: object.attachments.iter().map(|a| a.uri.clone()).collect(),
             },
         );
-    }
-
-    /// Registers raw attachment bytes (e.g. a community schema).
-    pub fn put_attachment(&mut self, attachment: &Attachment) {
-        self.attachments.insert(attachment.uri.clone(), attachment.data.clone());
-    }
-
-    /// Fetches attachment bytes by URI.
-    pub fn attachment(&self, uri: &str) -> Option<bytes::Bytes> {
-        self.attachments.get(uri).cloned()
     }
 
     /// Number of registered object payloads.
@@ -319,16 +310,30 @@ mod tests {
         let o = object();
         plane.put(&o);
         let uri = o.attachments[0].uri.clone();
-        plane.attachments.insert(uri, bytes::Bytes::from_static(b"tampered"));
+        plane.attachments.insert(uri, Arc::from(&b"tampered"[..]));
         assert!(matches!(plane.fetch(&o.key), Err(CoreError::IntegrityFailure { .. })));
     }
 
     #[test]
     fn standalone_attachments() {
+        // an attachment is held once under its content URI, whichever
+        // object brought it: two objects naming the same schema fetch it
         let mut plane = PayloadPlane::new();
-        let a = Attachment::from_bytes(&b"schema text"[..]);
-        plane.put_attachment(&a);
-        assert_eq!(plane.attachment(&a.uri).unwrap(), a.data);
-        assert!(plane.attachment("up2p:attachment:unknown").is_none());
+        let schema = Attachment::from_bytes(&b"schema text"[..]);
+        let song = |title: &str| {
+            let doc = Document::parse(&format!("<song><title>{title}</title></song>")).unwrap();
+            SharedObject::new("mp3", doc, vec![schema.clone()])
+        };
+        let (a, b) = (song("a"), song("b"));
+        plane.put(&a);
+        plane.put(&b);
+        for key in [&a.key, &b.key] {
+            assert_eq!(plane.fetch(key).unwrap().attachments, vec![schema.clone()]);
+        }
+        assert_eq!(plane.attachments.len(), 1);
+        // a URI nobody put is unavailable
+        let unknown = "up2p:attachment:unknown".to_string();
+        plane.objects.get_mut(&b.key).unwrap().attachment_uris.push(unknown);
+        assert!(matches!(plane.fetch(&b.key), Err(CoreError::Unavailable(_))));
     }
 }

@@ -19,8 +19,8 @@ use up2p_xslt::Stylesheet;
 /// *source text* to its compiled [`Stylesheet`], so the render paths pay
 /// XSLT compilation once per distinct sheet instead of once per call.
 /// Compiled sheets are shared as `Arc<Stylesheet>` — [`Stylesheet`] is
-/// immutable after parse, so pool workers serving concurrent renders
-/// read the same compiled program.
+/// immutable after parse, so every render of a sheet reads the same
+/// compiled program.
 pub type StylesheetCache = CompileCache<Box<str>, Arc<Stylesheet>>;
 
 impl StylesheetCache {

@@ -5,31 +5,27 @@
 //! request/response round trip; retrieve is a direct connection to the
 //! provider learned from the hit. The server answers only with records
 //! whose provider is currently online (Napster dropped a user's records
-//! with their session). The server's records live in a
-//! [`ShardedIndexNode`] — an [`crate::IndexNode`] behind one `RwLock` —
-//! so a query is a posting-list lookup under the read guard and each
+//! with their session). The server's records live in an [`IndexNode`],
+//! as every super-peer's do, so a query is a posting-list lookup and each
 //! candidate's providers are one read of a table indexed by the posting
 //! list's own doc-ids; the rest of a search is building the
 //! [`SearchHit`]s (a key `String` each; the fields are shared).
-//! [`PeerNetwork::search_batch`] serves many in-flight queries from a
-//! thread pool at once (timed by `search_napster`'s `net.pool.*` probes).
 
+use crate::index_node::IndexNode;
 use crate::latency::LatencyModel;
 use crate::message::{ResourceRecord, SearchHit, Time};
 use crate::overlay;
 use crate::peer::PeerId;
-use crate::pool::serve_batch;
-use crate::sharded::ShardedIndexNode;
 use crate::stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
-use crate::traits::{PeerNetwork, SearchRequest};
+use crate::traits::PeerNetwork;
 use up2p_store::Query;
 
 /// The centralized (Napster) substrate.
 pub struct CentralizedNetwork {
     alive: Vec<bool>,
     /// The server's indexed record table.
-    server: ShardedIndexNode,
-    latency: Box<dyn LatencyModel + Send + Sync>,
+    server: IndexNode,
+    latency: Box<dyn LatencyModel + Send>,
     pub(crate) stats: NetStats,
 }
 
@@ -45,18 +41,13 @@ impl std::fmt::Debug for CentralizedNetwork {
 impl CentralizedNetwork {
     /// Creates a network of `n` peers, all online, with the given link
     /// latency model (used for peer↔server and peer↔peer links alike).
-    pub fn new(n: usize, latency: Box<dyn LatencyModel + Send + Sync>) -> Self {
+    pub fn new(n: usize, latency: Box<dyn LatencyModel + Send>) -> Self {
         CentralizedNetwork {
             alive: vec![true; n],
-            server: ShardedIndexNode::new(),
+            server: IndexNode::new(),
             latency,
             stats: NetStats::new(),
         }
-    }
-
-    /// Number of records the server currently indexes.
-    pub fn server_record_count(&self) -> usize {
-        self.server.len()
     }
 
     /// Deterministic estimate of resident state in bytes: liveness and
@@ -81,11 +72,10 @@ impl CentralizedNetwork {
 
     /// The server's answer to a query whose reply lands at `arrival`:
     /// the matching records of every provider online *now*, one hop
-    /// away. Takes the server and the liveness apart from the network so
-    /// `search_batch` workers can evaluate against them concurrently.
-    fn evaluate(
-        server: &ShardedIndexNode,
-        alive: &[bool],
+    /// away, with the hits counted; whether the query found anything is
+    /// left to the caller's close of the query.
+    pub(crate) fn answer(
+        &mut self,
         community: &str,
         query: &Query,
         outcome: &mut SearchOutcome,
@@ -93,6 +83,7 @@ impl CentralizedNetwork {
     ) {
         outcome.messages = 2;
         outcome.latency = arrival;
+        let Self { server, alive, .. } = self;
         server.search(community, query, |p| overlay::is_alive(alive, p), |key, provider, fields| {
             outcome.hits.push(SearchHit {
                 key: key.to_string(),
@@ -104,19 +95,6 @@ impl CentralizedNetwork {
         if !outcome.hits.is_empty() {
             outcome.first_hit_latency = Some(arrival);
         }
-    }
-
-    /// [`CentralizedNetwork::evaluate`] on this network, with the hits
-    /// counted; whether the query found anything is left to the caller's
-    /// close of the query.
-    pub(crate) fn answer(
-        &mut self,
-        community: &str,
-        query: &Query,
-        outcome: &mut SearchOutcome,
-        arrival: Time,
-    ) {
-        Self::evaluate(&self.server, &self.alive, community, query, outcome, arrival);
         self.stats.hits(1, outcome.hits.len() as u64);
     }
 }
@@ -156,7 +134,7 @@ impl PeerNetwork for CentralizedNetwork {
             return; // an id outside the network has no session to end
         }
         self.stats.sent(MsgKind::Unpublish);
-        self.server.remove(provider, key);
+        self.server.remove_slot(provider, key);
     }
 
     fn search(&mut self, origin: PeerId, community: &str, query: &Query) -> SearchOutcome {
@@ -166,33 +144,6 @@ impl PeerNetwork for CentralizedNetwork {
             self.stats.queries_with_hits += u64::from(!outcome.hits.is_empty());
         }
         outcome
-    }
-
-    fn search_batch(&mut self, requests: &[SearchRequest], workers: usize) -> Vec<SearchOutcome> {
-        // the latency model is stateful (&mut), so the per-request legs
-        // are sampled sequentially in request order — the same call
-        // sequence sequential serving makes — before the parallel phase
-        let legs: Vec<Option<(Time, Time)>> =
-            requests.iter().map(|r| self.begin_query(r.origin)).collect();
-        // parallel phase: the pool's workers evaluate against the shared
-        // server side by side, each under the read guard
-        let server = &self.server;
-        let alive = &self.alive;
-        let outcomes = serve_batch(workers, requests.len(), |i| {
-            let r = &requests[i];
-            let mut outcome = SearchOutcome::default();
-            if let Some((up, down)) = legs[i] {
-                Self::evaluate(server, alive, &r.community, &r.query, &mut outcome, up + down);
-            }
-            outcome
-        });
-        // hit counters merge afterwards: identical totals and by_kind()
-        // view to issuing the batch through `search` one at a time
-        for outcome in &outcomes {
-            self.stats.hits(1, outcome.hits.len() as u64);
-            self.stats.queries_with_hits += u64::from(!outcome.hits.is_empty());
-        }
-        outcomes
     }
 
     fn retrieve(&mut self, origin: PeerId, provider: PeerId, key: &str) -> RetrieveOutcome {
@@ -284,12 +235,15 @@ mod tests {
 
     #[test]
     fn unpublish_removes_record() {
-        let mut net = net(2);
+        let mut net = net(3);
         net.publish(PeerId(1), record("k1", "c", "x"));
+        net.publish(PeerId(2), record("k1", "c", "x"));
         net.unpublish(PeerId(1), "k1");
-        assert_eq!(net.server_record_count(), 0);
         let out = net.search(PeerId(0), "c", &Query::All);
-        assert!(out.hits.is_empty());
+        assert_eq!(out.hits.iter().map(|h| h.provider).collect::<Vec<_>>(), vec![PeerId(2)]);
+        net.unpublish(PeerId(2), "k1");
+        assert!(net.search(PeerId(0), "c", &Query::All).hits.is_empty());
+        assert!(!net.retrieve(PeerId(0), PeerId(2), "k1").is_fetched(), "the last provider left");
     }
 
     #[test]
@@ -319,52 +273,6 @@ mod tests {
         assert!(!net.retrieve(PeerId(0), PeerId(1), "k1").is_fetched());
         assert_eq!(net.stats().messages, before, "a dead peer cannot send");
         assert_eq!(net.stats().retrieves, 1);
-    }
-
-    #[test]
-    fn batch_serving_is_exactly_sequential_serving() {
-        // same requests through search() and search_batch() on twin
-        // networks: outcomes and cumulative stats must be identical,
-        // including the stateful (seeded) latency model's RTT stream
-        use crate::latency::UniformLatency;
-        for workers in [1, 4] {
-            let build = || {
-                let mut n = CentralizedNetwork::new(8, Box::new(UniformLatency::new(1_000, 9_000, 7)));
-                n.publish(PeerId(1), record("k1", "patterns", "Observer"));
-                n.publish(PeerId(2), record("k2", "patterns", "Visitor Observer"));
-                n.publish(PeerId(3), record("k3", "songs", "Jazz"));
-                n.set_alive(PeerId(5), false);
-                n
-            };
-            let requests = vec![
-                SearchRequest::new(PeerId(0), "patterns", Query::any_keyword("observer")),
-                SearchRequest::new(PeerId(5), "patterns", Query::any_keyword("observer")),
-                SearchRequest::new(PeerId(4), "songs", Query::any_keyword("jazz")),
-                SearchRequest::new(PeerId(6), "songs", Query::any_keyword("absent")),
-            ];
-            let mut sequential = build();
-            let expected: Vec<SearchOutcome> = requests
-                .iter()
-                .map(|r| sequential.search(r.origin, &r.community, &r.query))
-                .collect();
-            let mut batched = build();
-            let got = batched.search_batch(&requests, workers);
-            assert_eq!(got.len(), expected.len());
-            for (g, e) in got.iter().zip(&expected) {
-                assert_eq!(g.messages, e.messages);
-                assert_eq!(g.latency, e.latency);
-                assert_eq!(g.first_hit_latency, e.first_hit_latency);
-                let key = |h: &SearchHit| (h.key.clone(), h.provider, h.hops);
-                assert_eq!(g.hits.iter().map(key).collect::<Vec<_>>(), e.hits.iter().map(key).collect::<Vec<_>>());
-            }
-            let (s, b) = (sequential.stats(), batched.stats());
-            assert_eq!(s.messages, b.messages, "workers={workers}");
-            assert_eq!(s.by_kind(), b.by_kind());
-            assert_eq!(s.queries, b.queries);
-            assert_eq!(s.queries_with_hits, b.queries_with_hits);
-            assert_eq!(s.hits, b.hits);
-            assert_eq!(s.hit_hops, b.hit_hops);
-        }
     }
 
     #[test]

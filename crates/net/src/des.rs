@@ -346,7 +346,7 @@ impl DesNetwork {
     }
 
     /// Napster semantics: every peer talks to one central index server.
-    pub fn napster(peers: usize, latency: Box<dyn LatencyModel + Send + Sync>) -> DesNetwork {
+    pub fn napster(peers: usize, latency: Box<dyn LatencyModel + Send>) -> DesNetwork {
         DesNetwork::driving(Substrate::Napster(CentralizedNetwork::new(peers, latency)))
     }
 
@@ -354,7 +354,7 @@ impl DesNetwork {
     /// [`FloodingNetwork`] over the [`RecordArena`] layout.
     pub fn gnutella(
         topology: Topology,
-        latency: Box<dyn LatencyModel + Send + Sync>,
+        latency: Box<dyn LatencyModel + Send>,
         config: FloodingConfig,
     ) -> DesNetwork {
         DesNetwork::driving(Substrate::Gnutella(FloodingNetwork::with_table(
@@ -372,7 +372,7 @@ impl DesNetwork {
     pub fn fasttrack(
         peers: usize,
         config: SuperPeerConfig,
-        latency: Box<dyn LatencyModel + Send + Sync>,
+        latency: Box<dyn LatencyModel + Send>,
         seed: u64,
     ) -> DesNetwork {
         DesNetwork::driving(Substrate::FastTrack(SuperPeerNetwork::new(

@@ -203,7 +203,7 @@ pub struct FloodingNetwork<T: ShareTable = PeerIndexes> {
     shared: T,
     /// Each peer's term summary, in front of `shared`.
     summary: Vec<Summary>,
-    latency: Box<dyn LatencyModel + Send + Sync>,
+    latency: Box<dyn LatencyModel + Send>,
     config: FloodingConfig,
     pub(crate) stats: NetStats,
     /// Per-directed-edge attenuated digests (guided search only).
@@ -228,7 +228,7 @@ impl FloodingNetwork {
     /// online.
     pub fn new(
         topology: Topology,
-        latency: Box<dyn LatencyModel + Send + Sync>,
+        latency: Box<dyn LatencyModel + Send>,
         config: FloodingConfig,
     ) -> Self {
         FloodingNetwork::with_table(topology, latency, config)
@@ -239,7 +239,7 @@ impl<T: ShareTable> FloodingNetwork<T> {
     /// [`FloodingNetwork::new`] over the share-table layout `T`.
     pub(crate) fn with_table(
         topology: Topology,
-        latency: Box<dyn LatencyModel + Send + Sync>,
+        latency: Box<dyn LatencyModel + Send>,
         config: FloodingConfig,
     ) -> Self {
         let n = topology.len();

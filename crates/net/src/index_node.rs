@@ -14,8 +14,9 @@
 //! index produces, never to the full corpus.
 //!
 //! The first-record-wins / last-provider-out semantics live here and
-//! nowhere else: [`crate::ShardedIndexNode`], the Napster server's node,
-//! is a lock around an [`IndexNode`].
+//! nowhere else: the Napster server and every super-peer hold an
+//! [`IndexNode`], and [`crate::ShardedIndexNode`] is one with a write
+//! counter.
 
 use crate::message::{ResourceRecord, SharedFields};
 use crate::peer::PeerId;

@@ -98,7 +98,7 @@ pub enum LatencySpec {
 
 impl LatencySpec {
     /// Builds a fresh model for an `n`-peer substrate.
-    pub fn build(self, n: usize, seed: u64) -> Box<dyn LatencyModel + Send + Sync> {
+    pub fn build(self, n: usize, seed: u64) -> Box<dyn LatencyModel + Send> {
         match self {
             LatencySpec::Constant(us) => Box::new(ConstantLatency(us)),
             LatencySpec::Uniform(min, max) => Box::new(UniformLatency::new(min, max, seed)),

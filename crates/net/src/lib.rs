@@ -64,7 +64,6 @@ mod latency;
 mod message;
 mod overlay;
 mod peer;
-mod pool;
 mod sharded;
 pub mod sim;
 mod stats;
@@ -81,7 +80,6 @@ pub use index_node::IndexNode;
 pub use latency::{ConstantLatency, CoordinateLatency, LatencyModel, LatencySpec, UniformLatency};
 pub use message::{ResourceRecord, SearchHit, SharedFields, Time, DEFAULT_TTL};
 pub use peer::PeerId;
-pub use pool::serve_batch;
 pub use sharded::ShardedIndexNode;
 pub use stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
 pub use superpeer::{SuperPeerConfig, SuperPeerNetwork};

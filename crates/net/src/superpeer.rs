@@ -57,7 +57,7 @@ pub struct SuperPeerNetwork {
     routes: RouteTable,
     /// Per-peer owned object keys (for retrieval).
     owned: Vec<BTreeSet<String>>,
-    latency: Box<dyn LatencyModel + Send + Sync>,
+    latency: Box<dyn LatencyModel + Send>,
     pub(crate) stats: NetStats,
     /// Seeded source for the random-walk fallback.
     walk_rng: StdRng,
@@ -83,7 +83,7 @@ impl SuperPeerNetwork {
     pub fn new(
         n: usize,
         config: SuperPeerConfig,
-        latency: Box<dyn LatencyModel + Send + Sync>,
+        latency: Box<dyn LatencyModel + Send>,
         seed: u64,
     ) -> Self {
         assert!(config.supers > 0 && config.supers <= n, "invalid super count");
@@ -518,7 +518,7 @@ mod tests {
         ];
         let got = batch.search_batch(&requests, 4);
         // digest-selected forwarding is deterministic, so the matching
-        // query reproduces the sequential hit set even off-thread
+        // query reproduces the sequential hit set inside a batch
         assert_eq!(got[0].hits, expected.hits);
         assert!(!got[1].hits.is_empty(), "second origin reaches the record too");
         // the lazy digest build is shared state, paid once for the batch

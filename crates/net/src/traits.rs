@@ -13,7 +13,7 @@ use up2p_store::Query;
 
 /// One query of a [`PeerNetwork::search_batch`] call: the same
 /// parameters [`PeerNetwork::search`] takes, owned so a batch can be
-/// fanned out across worker threads.
+/// built ahead of serving it.
 #[derive(Debug, Clone)]
 pub struct SearchRequest {
     /// Issuing peer.
@@ -69,10 +69,9 @@ pub trait PeerNetwork {
     /// issuing the requests through [`PeerNetwork::search`] one at a
     /// time (same totals, same [`NetStats::by_kind`] view).
     ///
-    /// `workers` is the serving parallelism to use where the substrate
-    /// supports it. The default implementation serves sequentially, and
-    /// Gnutella and FastTrack use it; the Napster server overrides it
-    /// with a thread-pool driver over its index node.
+    /// Every substrate serves a batch through this sequential default,
+    /// one [`PeerNetwork::search`] after another: nothing in the crate
+    /// runs on a second thread, and `workers` is ignored.
     fn search_batch(&mut self, requests: &[SearchRequest], workers: usize) -> Vec<SearchOutcome> {
         let _ = workers;
         requests.iter().map(|r| self.search(r.origin, &r.community, &r.query)).collect()

@@ -4,8 +4,8 @@
 //! cargo run -p analyzer -- check [--root DIR] [--json FILE]
 //! ```
 //!
-//! Exit codes: `0` clean, `1` findings (deny-by-default), `2` the pass
-//! itself could not run (bad usage, unreadable config, I/O failure).
+//! Exit codes: `0` clean, `1` findings (deny-by-default), `2` bad usage
+//! or a failed `--json` write.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -41,14 +41,11 @@ fn main() -> ExitCode {
         }
     }
 
-    let findings = match analyzer::run_check(&root) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("up2p-analyzer: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
+    if !root.join("crates").is_dir() {
+        eprintln!("no `crates` directory under {}", root.display());
+        return usage();
+    }
+    let findings = analyzer::run_check(&root);
     if let Some(path) = &json_out {
         let json = analyzer::json::findings_to_json(&findings);
         if let Err(e) = std::fs::write(path, json) {

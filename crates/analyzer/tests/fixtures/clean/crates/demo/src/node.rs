@@ -1,9 +1,13 @@
 pub fn serve(&self) {
-    self.stats.sent(Kind::A);
-    self.stats.sent_n(Kind::B, 3);
-    let cfg = self.config.parse().expect("config is loaded at boot");
-    self.table.merge(cfg);
+    let cfg = self.config.parse().expect("config is loaded at boot"); // panic-ok: boot-time config parse failure is fatal by design
+    // panic-ok: the table was sized from this very config a line above
+    self.table.merge(cfg).unwrap();
+    self.expect('('); // a parser's method named `expect`, not `Option::expect`
+    debug_assert!(self.table.len() > 0, "compiled out of release builds");
 }
+
+/// A doc mentioning `// panic-ok: <reason>` is not a marker.
+pub const MARKER_TEXT: &str = "// panic-ok: quoted, not a marker";
 
 #[cfg(test)]
 mod tests {

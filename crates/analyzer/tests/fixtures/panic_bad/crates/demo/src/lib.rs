@@ -14,6 +14,20 @@ pub fn third(x: u8) -> u8 {
     x
 }
 
+pub fn fourth(r: Result<u8, u8>) -> u8 {
+    let e = r.unwrap_err();
+    r.expect_err("panics like `expect`") + e
+}
+
+// panic-ok: this marker excused a site that has since gone
+pub fn fifth(x: u8) -> u8 {
+    x.saturating_add(1)
+}
+
+pub fn sixth(x: Option<u8>) -> u8 {
+    x.expect("a marker must say why") // panic-ok:
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

@@ -204,6 +204,7 @@ impl Community {
             keywords: "community discovery bootstrap metaclass".to_string(),
             category: "meta".to_string(),
             ..Community::of_schema(ROOT_SCHEMA_XSD)
+                // panic-ok: compile-time literal XSD of the root community; validated by the crate's own tests, a parse failure is a build defect
                 .expect("the paper's Fig. 3 schema always parses")
         }
     }

@@ -27,9 +27,6 @@ pub struct Servent {
     peer: PeerId,
     repository: Repository,
     communities: HashMap<String, Community>,
-    /// Re-share downloaded objects (Napster-style replication, on by
-    /// default; experiment E5's control knob).
-    pub share_downloads: bool,
 }
 
 impl Servent {
@@ -38,7 +35,7 @@ impl Servent {
         let mut communities = HashMap::new();
         let root = Community::root();
         communities.insert(root.id.clone(), root);
-        Servent { peer, repository: Repository::new(), communities, share_downloads: true }
+        Servent { peer, repository: Repository::new(), communities }
     }
 
     /// The peer this servent runs on.
@@ -281,7 +278,7 @@ impl Servent {
     /// Downloads the object behind a search hit: retrieves it (and its
     /// attachments) from the providing peer, stores it locally, and — per
     /// the replication behavior that made Napster robust (§II) — shares
-    /// it onward unless [`Servent::share_downloads`] is off.
+    /// it onward.
     ///
     /// # Errors
     ///
@@ -314,22 +311,16 @@ impl Servent {
         }
     }
 
-    /// Stores a downloaded object of a joined community and, unless
-    /// [`Servent::share_downloads`] is off, shares it onward.
+    /// Stores a downloaded object of a joined community and shares it
+    /// onward.
     fn keep(
         &mut self,
         net: &mut dyn PeerNetwork,
         plane: &mut PayloadPlane,
         object: &SharedObject,
     ) -> Result<(), CoreError> {
-        let Some(community) = self.communities.get(&object.community_id) else {
-            return Ok(());
-        };
-        if self.share_downloads {
+        if self.communities.contains_key(&object.community_id) {
             self.publish(net, plane, object)?;
-        } else {
-            let fields = self.index_fields(community, object)?;
-            self.repository.insert_with_fields(&object.community_id, object.doc.clone(), fields);
         }
         Ok(())
     }
@@ -845,33 +836,6 @@ mod tests {
         let out = c.search(&mut *w.net, &community.id, &Query::any_keyword("observer")).unwrap();
         let providers: Vec<PeerId> = out.hits.iter().map(|h| h.provider).collect();
         assert_eq!(providers.len(), 2, "replication doubled availability: {providers:?}");
-    }
-
-    #[test]
-    fn download_without_sharing_does_not_replicate() {
-        let mut w = world(ProtocolKind::Napster, 4);
-        let community = pattern_community();
-        let mut a = Servent::new(PeerId(1));
-        a.join(community.clone());
-        let obj = a
-            .create_object(
-                &community.id,
-                &[("name", "X"), ("category", "c"), ("intent", "i"), ("structure", "s")],
-            )
-            .unwrap();
-        a.publish(&mut *w.net, &mut w.plane, &obj).unwrap();
-
-        let mut b = Servent::new(PeerId(2));
-        b.share_downloads = false;
-        b.join(community.clone());
-        let out = b.search(&mut *w.net, &community.id, &Query::any_keyword("x")).unwrap();
-        b.download(&mut *w.net, &mut w.plane, &out.hits[0]).unwrap();
-        assert_eq!(b.local_objects(&community.id).len(), 1, "stored locally");
-
-        let mut c = Servent::new(PeerId(3));
-        c.join(community.clone());
-        let out = c.search(&mut *w.net, &community.id, &Query::any_keyword("x")).unwrap();
-        assert_eq!(out.hits.len(), 1, "still only the original provider");
     }
 
     #[test]

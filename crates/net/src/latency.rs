@@ -38,6 +38,7 @@ impl UniformLatency {
     ///
     /// Panics if `min >= max`.
     pub fn new(min: Time, max: Time, seed: u64) -> Self {
+        // panic-ok: `# Panics` unless min < max; built from `LatencySpec::Uniform`, and every such spec in the tree is a literal pair with min < max (the benchmark uses `Coordinate`)
         assert!(min < max, "empty latency range");
         UniformLatency { min, max, rng: StdRng::seed_from_u64(seed) }
     }

@@ -1,13 +1,49 @@
 //! Message and latency accounting for the simulated substrates.
+//!
+//! **Message conservation.** Each protocol sends a fixed set of
+//! [`MsgKind`]s, and E6's cost comparison (§IV-B, §V) is their counts.
+//! Each kind is counted once, where a step substrate sends it: the
+//! overlay walk, the provider fetch and the digest refresh in the shared
+//! overlay core; the Napster round trip and the publish uploads in their
+//! substrates. `tests/conservation.rs` runs one script on every protocol,
+//! blind and guided, under both schedulers, and holds the set of kinds
+//! each sends to a table written in the test: a dropped emission empties
+//! its kind, and a stray one (a Gnutella `Publish`) adds one.
+//! `tests/des_equivalence.rs` holds [`DesNetwork`](crate::DesNetwork) to
+//! the step substrate's count of every kind, so the DES engine counts
+//! nothing of its own.
 
 use crate::message::Time;
 use std::collections::BTreeMap;
 
-/// Dense discriminant of every message kind the substrates count. The
-/// per-message counter is an array bump indexed by this enum — no map
-/// lookup, string compare or allocation on the hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MsgKind {
+/// Declares [`MsgKind`], [`MsgKind::ALL`] and [`MsgKind::name`] from one
+/// list, so no variant can be missing from the counter order or the
+/// printed names.
+macro_rules! msg_kinds {
+    ($($(#[$doc:meta])* $kind:ident,)*) => {
+        /// Dense discriminant of every message kind the substrates count.
+        /// The per-message counter is an array bump indexed by this enum —
+        /// no map lookup, string compare or allocation on the hot path.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum MsgKind {
+            $($(#[$doc])* $kind,)*
+        }
+
+        impl MsgKind {
+            /// Every kind, in counter order.
+            pub const ALL: [MsgKind; 9] = [$(MsgKind::$kind),*];
+
+            /// Kind name as the experiment tables print it.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(MsgKind::$kind => stringify!($kind),)*
+                }
+            }
+        }
+    };
+}
+
+msg_kinds! {
     /// A metadata query propagating through the overlay.
     Query,
     /// Results travelling back toward the origin.
@@ -26,36 +62,6 @@ pub enum MsgKind {
     DigestPush,
     /// Digest handshake request to a new neighbor (guided search).
     DigestRequest,
-}
-
-impl MsgKind {
-    /// Every kind, in counter order.
-    pub const ALL: [MsgKind; 9] = [
-        MsgKind::Query,
-        MsgKind::QueryHit,
-        MsgKind::Publish,
-        MsgKind::Unpublish,
-        MsgKind::Retrieve,
-        MsgKind::RetrieveOk,
-        MsgKind::RetrieveFail,
-        MsgKind::DigestPush,
-        MsgKind::DigestRequest,
-    ];
-
-    /// Kind name as the experiment tables print it.
-    pub fn name(self) -> &'static str {
-        match self {
-            MsgKind::Query => "Query",
-            MsgKind::QueryHit => "QueryHit",
-            MsgKind::Publish => "Publish",
-            MsgKind::Unpublish => "Unpublish",
-            MsgKind::Retrieve => "Retrieve",
-            MsgKind::RetrieveOk => "RetrieveOk",
-            MsgKind::RetrieveFail => "RetrieveFail",
-            MsgKind::DigestPush => "DigestPush",
-            MsgKind::DigestRequest => "DigestRequest",
-        }
-    }
 }
 
 /// Cumulative network statistics. Every substrate increments these; the

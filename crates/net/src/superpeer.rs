@@ -86,6 +86,7 @@ impl SuperPeerNetwork {
         latency: Box<dyn LatencyModel + Send>,
         seed: u64,
     ) -> Self {
+        // panic-ok: `# Panics` unless 1 <= supers <= n; `build_network_with` and `DesNetwork::build` pass `NetConfig::super_count`, clamped to 1..=n, and build at least one peer; the other callers are tests with literal counts below n
         assert!(config.supers > 0 && config.supers <= n, "invalid super count");
         let mut rng = StdRng::seed_from_u64(seed);
         let mut super_of = Vec::with_capacity(n);

@@ -10,7 +10,7 @@
 
 use crate::workload::{rng_for, Zipf};
 use rand::Rng;
-use up2p_core::Community;
+use up2p_core::{Community, CoreError};
 use up2p_schema::{FieldKind, SchemaBuilder};
 use up2p_store::{Query, ValuePattern};
 
@@ -219,6 +219,13 @@ pub const GOF_PATTERNS: [PatternRecord; 23] = [
     },
 ];
 
+/// A community this file builds from literals: a schema that fails to
+/// build is a defect here, which the tests below catch.
+fn literal(built: Result<Community, CoreError>) -> Community {
+    // panic-ok: compile-time literal XSD; validated by the crate's own tests, a parse failure is a build defect
+    built.expect("static schema is valid")
+}
+
 /// Builds the design-pattern community (§V case study): searchable
 /// name/aka/category/intent/applicability, unindexed bulky fields, and a
 /// sample-code attachment.
@@ -236,15 +243,14 @@ pub fn pattern_community() -> Community {
         .field(FieldKind::text("collaborations").optional())
         .field(FieldKind::text("consequences").optional())
         .field(FieldKind::uri("samplecode").optional().attachment());
-    Community::from_builder(
+    literal(Community::from_builder(
         "design-patterns",
         "Software design patterns in the Carleton Pattern Repository format",
         "patterns gof software design reuse",
         "software",
         "Gnutella",
         &b,
-    )
-    .expect("static schema is valid")
+    ))
 }
 
 /// Form values for one GoF pattern, ready for `Servent::create_object`.
@@ -329,15 +335,14 @@ pub fn mp3_community() -> Community {
         .field(FieldKind::text("genre").searchable())
         .field(FieldKind::integer("year").optional())
         .field(FieldKind::uri("audio").attachment());
-    Community::from_builder(
+    literal(Community::from_builder(
         "mp3",
         "MP3 trading with ID3 metadata search",
         "music mp3 audio songs",
         "music",
         "Napster",
         &b,
-    )
-    .expect("static schema is valid")
+    ))
 }
 
 /// Filename a song would carry on disk — artist and title (descriptive,
@@ -452,15 +457,14 @@ pub fn molecule_community() -> Community {
         .field(FieldKind::text("formula").searchable())
         .field(FieldKind::decimal("weight"))
         .field(FieldKind::enumeration("phase", ["solid", "liquid", "gas"]).searchable());
-    Community::from_builder(
+    literal(Community::from_builder(
         "molecules",
         "Chemical Markup Language molecule descriptions",
         "chemistry cml molecules science",
         "science",
         "FastTrack",
         &b,
-    )
-    .expect("static schema is valid")
+    ))
 }
 
 #[cfg(test)]

@@ -1,4 +1,6 @@
 //! World construction: N servents over one simulated fabric.
+//!
+//! panic-ok: the experiment harness fails fast; continuing after a failed publish would silently skew every measured table
 
 use crate::corpus;
 use crate::workload::{assign_providers, rng_for};

@@ -33,6 +33,7 @@ impl Table {
         S: Into<String>,
     {
         let row: Vec<String> = cells.into_iter().map(Into::into).collect();
+        // panic-ok: `# Panics` when the cell count differs from the header count; every scenario passes a fixed-length row written beside its header list, and the committed smoke tables render every table in tier-1
         assert_eq!(row.len(), self.headers.len(), "row width mismatch in {:?}", self.title);
         self.rows.push(row);
         self

@@ -4,6 +4,8 @@
 //! reaches a table, so every cell is a function of `(scale, seed)` —
 //! `tests/golden/smoke.md` is `run_all(Scale::Smoke, 42)`, committed.
 //! Wall-clock measurement of the product lives in `up2p_bench/`.
+//!
+//! panic-ok: the scenario harness fails fast on its own fixed corpus; a failure here invalidates the run, not the servent
 
 use crate::corpus::{
     self, mp3_community, pattern_community, pattern_filename, pattern_values, song_filename,

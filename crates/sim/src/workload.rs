@@ -20,6 +20,7 @@ impl Zipf {
     ///
     /// Panics when `n` is zero.
     pub fn new(n: usize, s: f64) -> Zipf {
+        // panic-ok: `# Panics` on an empty domain; callers pass corpus constants (5 000, 1 000), the 23 pattern names, or a community count of at least 16
         assert!(n > 0, "zipf over empty domain");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;

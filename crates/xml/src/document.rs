@@ -298,9 +298,14 @@ impl Document {
     pub fn append_child(&mut self, parent: NodeId, child: NodeId) {
         let container =
             matches!(self.data(parent).kind, NodeKind::Document | NodeKind::Element { .. });
-        assert!(self.data(child).parent.is_none(), "append_child: node already has a parent");
-        assert!(container, "append_child: parent node cannot have children");
-        assert_ne!(parent, child, "append_child: node cannot be its own child");
+        let misuse = match (self.data(child).parent.is_some(), container, parent == child) {
+            (true, _, _) => "node already has a parent",
+            (_, false, _) => "parent node cannot have children",
+            (_, _, true) => "node cannot be its own child",
+            _ => "",
+        };
+        // panic-ok: `# Panics` unless the child is detached, the parent is the document or an element, and they differ; the parser, `ElementBuilder`, the XSLT engine, forms and the servent each append a node they created or imported a line before to an element or document node they hold
+        assert!(misuse.is_empty(), "append_child: {misuse}");
         debug_assert!(
             !self.descendants(child).contains(&parent),
             "appending would create a cycle"

@@ -29,8 +29,7 @@ impl QName {
     /// Panics if `local` is not a valid XML name (use `str::parse::<QName>`
     /// for a fallible version).
     pub fn local_only(local: &str) -> Self {
-        assert!(is_valid_ncname(local), "invalid XML name: {local:?}");
-        QName { prefix: None, local: local.into() }
+        QName { prefix: None, local: ncname("name", local) }
     }
 
     /// Creates a prefixed name.
@@ -39,9 +38,7 @@ impl QName {
     ///
     /// Panics if either part is not a valid NCName.
     pub fn prefixed(prefix: &str, local: &str) -> Self {
-        assert!(is_valid_ncname(prefix), "invalid XML prefix: {prefix:?}");
-        assert!(is_valid_ncname(local), "invalid XML name: {local:?}");
-        QName { prefix: Some(prefix.into()), local: local.into() }
+        QName { prefix: Some(ncname("prefix", prefix)), local: ncname("name", local) }
     }
 
     /// The prefix part, if any.
@@ -113,8 +110,17 @@ impl From<&str> for QName {
     /// Panics if the string is not a valid qualified name. Use `str::parse`
     /// for the fallible conversion.
     fn from(s: &str) -> Self {
+        // panic-ok: the documented panicking conversion for names written as literals in this source; strings from a schema, a form or the wire go through `str::parse`
         s.parse().unwrap_or_else(|e| panic!("{e}"))
     }
+}
+
+/// `part` of a name written as a literal, checked: the one panic of
+/// [`QName::local_only`] and [`QName::prefixed`].
+fn ncname(what: &str, part: &str) -> Box<str> {
+    // panic-ok: `QName::local_only` / `prefixed` panic on an invalid NCName (`# Panics`); they take literals only — the XSLT engine's `fragment`, and tests — and names read from input go through `str::parse`
+    assert!(is_valid_ncname(part), "invalid XML {what}: {part:?}");
+    part.into()
 }
 
 /// Is `c` valid as the first character of an XML name?

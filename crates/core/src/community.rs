@@ -9,7 +9,7 @@ use crate::root::{ROOT_COMMUNITY_ID, ROOT_SCHEMA_XSD};
 use std::sync::{Arc, OnceLock};
 use up2p_schema::{leaf_fields, parse_schema_str, searchable_fields, Schema, SchemaBuilder};
 use up2p_store::{FieldPaths, ResourceId};
-use up2p_xml::{Document, ElementBuilder, NodeId};
+use up2p_xml::{Document, ElementBuilder};
 
 /// Everything that depends on a community's XSD alone: the parsed
 /// schema and the lists the servent used to re-derive from it on every
@@ -379,19 +379,6 @@ impl Community {
         let leaves = compiled.form_fields(FormKind::Create).iter();
         leaves.filter(|f| f.attachment).map(|f| f.path.clone()).collect()
     }
-
-    /// Finds the element holding an attachment URI inside an instance.
-    pub fn attachment_nodes(&self, doc: &Document) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        for path in self.attachment_paths() {
-            if let Ok(xp) = up2p_xml::XPath::parse(&format!("/{path}")) {
-                if let Ok(nodes) = xp.select_nodes(doc, doc.root()) {
-                    out.extend(nodes);
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -477,11 +464,6 @@ mod tests {
         let c = Community::from_builder("mp3", "d", "k", "c", "", &song_builder()).unwrap();
         assert_eq!(c.indexed_paths(), vec!["song/title", "song/artist"]);
         assert_eq!(c.attachment_paths(), vec!["song/audio"]);
-        let doc = Document::parse(
-            "<song><title>t</title><artist>a</artist><audio>up2p:attachment:abc</audio></song>",
-        )
-        .unwrap();
-        assert_eq!(c.attachment_nodes(&doc).len(), 1);
     }
 
     #[test]

@@ -141,15 +141,6 @@ impl NetStats {
         }
     }
 
-    /// Success rate of retrieves.
-    pub fn retrieve_success_rate(&self) -> f64 {
-        if self.retrieves == 0 {
-            0.0
-        } else {
-            self.retrieves_ok as f64 / self.retrieves as f64
-        }
-    }
-
     /// Mean messages per issued query.
     pub fn messages_per_query(&self) -> f64 {
         if self.queries == 0 {
@@ -216,9 +207,6 @@ mod tests {
         s.queries = 4;
         s.queries_with_hits = 3;
         assert_eq!(s.query_success_rate(), 0.75);
-        s.retrieves = 2;
-        s.retrieves_ok = 1;
-        assert_eq!(s.retrieve_success_rate(), 0.5);
         s.messages = 40;
         assert_eq!(s.messages_per_query(), 10.0);
     }

@@ -238,11 +238,6 @@ impl Repository {
         self.by_community.keys().map(String::as_str)
     }
 
-    /// Ids of all objects in a community.
-    pub fn ids_in(&self, community: &str) -> BTreeSet<ResourceId> {
-        self.by_community.get(community).cloned().unwrap_or_default()
-    }
-
     /// All stored objects, in id order.
     pub fn iter(&self) -> impl Iterator<Item = &StoredObject> {
         self.objects.values()
@@ -405,7 +400,6 @@ mod tests {
         assert_eq!(removed.field("name"), Some("Observer"));
         assert!(r.get(&id).is_none());
         assert!(r.search(None, &Query::any_keyword("observer")).is_empty());
-        assert_eq!(r.ids_in("patterns").len(), 1);
         assert!(r.remove(&id).is_none());
     }
 

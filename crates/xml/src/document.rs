@@ -169,12 +169,6 @@ impl Document {
         self.attributes(id).iter().find(|a| a.name.to_string() == name).map(|a| a.value.as_str())
     }
 
-    /// Value of the first attribute whose *local* name is `local`,
-    /// regardless of prefix.
-    pub fn attr_local(&self, id: NodeId, local: &str) -> Option<&str> {
-        self.attributes(id).iter().find(|a| a.name.local() == local).map(|a| a.value.as_str())
-    }
-
     /// Sets (or replaces) an attribute on an element. Only elements
     /// carry attributes: on any other node this does nothing.
     pub fn set_attr(&mut self, id: NodeId, name: QName, value: impl Into<String>) {
@@ -184,17 +178,6 @@ impl Document {
             a.value = value;
         } else {
             attributes.push(Attribute { name, value });
-        }
-    }
-
-    /// Removes an attribute by full name, returning its value if present.
-    pub fn remove_attr(&mut self, id: NodeId, name: &str) -> Option<String> {
-        match &mut self.data_mut(id).kind {
-            NodeKind::Element { attributes, .. } => {
-                let i = attributes.iter().position(|a| a.name.to_string() == name)?;
-                Some(attributes.remove(i).value)
-            }
-            _ => None,
         }
     }
 
@@ -314,13 +297,6 @@ impl Document {
         self.data_mut(child).parent = Some(parent);
     }
 
-    /// Detaches `id` from its parent (no-op if already detached).
-    pub fn detach(&mut self, id: NodeId) {
-        if let Some(p) = self.data_mut(id).parent.take() {
-            self.data_mut(p).children.retain(|&c| c != id);
-        }
-    }
-
     /// Recursively copies `node` from `src` into this document, returning
     /// the (detached) copy root.
     pub fn import_subtree(&mut self, src: &Document, node: NodeId) -> NodeId {
@@ -431,27 +407,9 @@ mod tests {
         d.set_attr(root, QName::local_only("category"), "audio");
         assert_eq!(d.attr(root, "category"), Some("audio"));
         assert_eq!(d.attributes(root).len(), 1);
-        assert_eq!(d.remove_attr(root, "category"), Some("audio".into()));
-        assert_eq!(d.attr(root, "category"), None);
-    }
-
-    #[test]
-    fn attr_local_ignores_prefix() {
-        let (mut d, root, ..) = sample();
         d.set_attr(root, QName::prefixed("up2p", "searchable"), "true");
-        assert_eq!(d.attr_local(root, "searchable"), Some("true"));
         assert_eq!(d.attr(root, "up2p:searchable"), Some("true"));
         assert_eq!(d.attr(root, "searchable"), None);
-    }
-
-    #[test]
-    fn detach_and_reattach() {
-        let (mut d, root, name, _) = sample();
-        d.detach(name);
-        assert_eq!(d.children(root), &[] as &[NodeId]);
-        assert_eq!(d.parent(name), None);
-        d.append_child(root, name);
-        assert_eq!(d.children(root), &[name]);
     }
 
     #[test]

@@ -247,6 +247,8 @@ struct QueryState {
     origin: PeerId,
     community: String,
     query: Query,
+    /// `query` compiled for `community` once, for every hop of its walk.
+    probe: Probe,
     issued_at: Time,
     progress: Progress,
     pending: u32,
@@ -407,6 +409,7 @@ impl DesNetwork {
         self.queries.push_back(QueryState {
             origin,
             community: community.to_string(),
+            probe: Probe::new(community, &query),
             query,
             issued_at: at,
             progress: Progress::new(at),
@@ -639,7 +642,7 @@ impl DesNetwork {
         let Self { substrate, queue, queries, retired, .. } = self;
         let Some(qs) = query_mut(queries, *retired, qid) else { return };
         qs.pending = qs.pending.saturating_sub(1);
-        let QueryState { origin, community, query, progress, pending, .. } = qs;
+        let QueryState { origin, community, query, probe, progress, pending, .. } = qs;
         let (origin, community, query) = (*origin, community.as_str(), &*query);
         match substrate {
             Substrate::Napster(n) => {
@@ -653,7 +656,7 @@ impl DesNetwork {
                 if hop.is_none() && !g.begin_query(origin) {
                     return;
                 }
-                let (mut walk, eval) = g.walk(community, query);
+                let (mut walk, eval) = g.walk(community, query, probe);
                 let mut sink = Timeline { qid, pending, queue };
                 match hop {
                     None => walk.start(progress, t, origin.0, None, eval, &mut sink),
@@ -665,7 +668,7 @@ impl DesNetwork {
                     return;
                 }
                 let entry = f.super_of(origin).map(|s| s as u32);
-                let (mut walk, eval) = f.walk(community, query);
+                let (mut walk, eval) = f.walk(community, query, probe);
                 let mut sink = Timeline { qid, pending, queue };
                 match hop {
                     None => walk.start(progress, t, origin.0, entry, eval, &mut sink),

@@ -719,6 +719,33 @@ impl RouteTable {
         max_depth: u8,
     ) -> Option<u8> {
         let edge = self.edges.id(advertiser, receiver)?;
+        self.edge_min_depth(edge, probe, max_depth)
+    }
+
+    /// [`RouteTable::min_depth`] of every edge toward `receiver` from a
+    /// neighbour other than `except`, as `(neighbour, depth)` in
+    /// neighbour id order — the order of [`Topology::neighbors`]. Each
+    /// edge is the reverse of one of `receiver`'s own out-edges, so no
+    /// neighbour's run is searched.
+    pub(crate) fn min_depths_toward<'a>(
+        &'a self,
+        receiver: u32,
+        except: Option<u32>,
+        probe: &'a Probe,
+        max_depth: u8,
+    ) -> impl Iterator<Item = (u32, Option<u8>)> + 'a {
+        let edges = &self.edges;
+        edges
+            .run(receiver)
+            .map(|e| (edges.receivers[e], e))
+            .filter(move |&(nb, _)| Some(nb) != except)
+            .map(move |(nb, e)| {
+                (nb, self.edge_min_depth(edges.reverse[e] as usize, probe, max_depth))
+            })
+    }
+
+    /// [`RouteTable::min_depth`] of the edge with id `edge`.
+    fn edge_min_depth(&self, edge: usize, probe: &Probe, max_depth: u8) -> Option<u8> {
         let cap = max_depth.min(self.config.radius) as usize;
         self.layers[edge * self.depth * self.words..]
             .chunks_exact(self.words)

@@ -118,11 +118,40 @@ const SUMMARY_WORDS: usize = 64;
 /// One peer's term summary.
 type Summary = [u64; SUMMARY_WORDS];
 
-/// Sets `words` to the summary of exactly the records `peer` shares.
-fn summarize<T: ShareTable>(words: &mut Summary, shared: &T, peer: u32) {
+/// 64-bit words of one record's signature: 128 bits, a constant. A
+/// record's community marker, values and tokens are eight-odd distinct
+/// entries, two bits each, so a signature is about an eighth full and
+/// admits a term its record lacks ~1.5 % of the time; an `And` of two
+/// such terms far less. One word would admit ~5 %. At 16 bytes a record,
+/// 100 000 records cost 1.6 MB.
+const SIGNATURE_WORDS: usize = 2;
+
+/// One record's signature, in the summary's vocabulary.
+type Signature = [u64; SIGNATURE_WORDS];
+
+/// Folds one record into its peer's summary and returns the record's
+/// signature, from one enumeration of its entries.
+fn sign(words: &mut Summary, community: &str, fields: &[(String, String)]) -> Signature {
+    let mut signature = [0; SIGNATURE_WORDS];
+    digest::for_each_record_entry(community, fields, |h| {
+        digest::insert(words, h);
+        digest::insert(&mut signature, h);
+    });
+    signature
+}
+
+/// Sets `words` and `signatures` to the summary and the record signatures
+/// of exactly the records `peer` shares.
+fn summarize<T: ShareTable>(
+    words: &mut Summary,
+    signatures: &mut Vec<Signature>,
+    shared: &T,
+    peer: u32,
+) {
     words.fill(0);
+    signatures.clear();
     shared.for_each_record(peer, &mut |community, fields| {
-        digest::for_each_record_entry(community, fields, |h| digest::insert(words, h));
+        signatures.push(sign(words, community, fields));
     });
 }
 
@@ -188,14 +217,19 @@ impl ShareTable for PeerIndexes {
 /// that from the share table is a chain of cache misses into the peer's
 /// own index, or a scan of its records in the arena. So each peer has a
 /// Bloom summary of the terms its records are indexed under, in the
-/// digests' vocabulary: a peer whose words deny the walk's [`Probe`] is
-/// skipped, any other is asked as before — the predicate DESIGN.md §3c
-/// proves weaker than the index, so it never hides a match. A fresh
-/// publish sets bits; an unpublish or a replacing publish rebuilds that
-/// peer's words from what it still shares (a Bloom filter cannot forget,
+/// digests' vocabulary, and behind it one small signature per record in
+/// the same vocabulary. A hop asks the summary, then the signatures,
+/// then the share table: a peer whose summary denies the walk's
+/// [`Probe`], or none of whose signatures admits it, answers nothing —
+/// the latter catches an `And` whose terms sit in different records. Both
+/// predicates are the one DESIGN.md §3c proves weaker than the index
+/// (applied to a peer's records together, and to each alone), so neither
+/// hides a match. A fresh publish sets bits and pushes a signature; an
+/// unpublish or a replacing publish rebuilds that peer's words and
+/// signatures from what it still shares (a Bloom filter cannot forget,
 /// and counters that could would be sixteen times the array). A peer
 /// sharing far more than the constant is sized for saturates its words
-/// and is simply always asked.
+/// and is asked whenever a signature admits the probe.
 pub struct FloodingNetwork<T: ShareTable = PeerIndexes> {
     topology: Topology,
     alive: Vec<bool>,
@@ -203,6 +237,9 @@ pub struct FloodingNetwork<T: ShareTable = PeerIndexes> {
     shared: T,
     /// Each peer's term summary, in front of `shared`.
     summary: Vec<Summary>,
+    /// Each peer's record signatures, one per record it shares (in no
+    /// particular order), between `summary` and `shared`.
+    signatures: Vec<Vec<Signature>>,
     latency: Box<dyn LatencyModel + Send>,
     config: FloodingConfig,
     pub(crate) stats: NetStats,
@@ -248,6 +285,7 @@ impl<T: ShareTable> FloodingNetwork<T> {
             alive: vec![true; n],
             shared: T::with_peers(n),
             summary: vec![[0; SUMMARY_WORDS]; n],
+            signatures: vec![Vec::new(); n],
             latency,
             config,
             stats: NetStats::new(),
@@ -277,11 +315,15 @@ impl<T: ShareTable> FloodingNetwork<T> {
     }
 
     /// Deterministic estimate of resident state in bytes: liveness,
-    /// share table, term summaries, overlay edges and routing digests.
+    /// share table, term summaries, record signatures, overlay edges and
+    /// routing digests.
     pub(crate) fn approx_bytes(&self) -> u64 {
+        let signatures: usize =
+            self.signatures.iter().map(|s| 24 + std::mem::size_of_val(s.as_slice())).sum();
         self.alive.len() as u64
             + self.shared.approx_bytes()
             + std::mem::size_of_val(self.summary.as_slice()) as u64
+            + signatures as u64
             + self.topology.edge_count() as u64 * 16
             + self.routes.approx_bytes()
     }
@@ -311,7 +353,8 @@ impl<T: ShareTable> FloodingNetwork<T> {
     }
 
     /// The walk of one query over this network, and the local evaluation
-    /// its hops run: a peer whose term summary admits the walk's probe
+    /// its hops run: a peer whose term summary and one of whose record
+    /// signatures admit `probe`, the query compiled for `community`,
     /// answers from its own shares. Borrowed for a whole query by
     /// [`PeerNetwork::search`] and for one event at a time by
     /// [`crate::DesNetwork`]; the query enters at its origin (`entry: None`).
@@ -319,6 +362,7 @@ impl<T: ShareTable> FloodingNetwork<T> {
         &'a mut self,
         community: &'a str,
         query: &'a Query,
+        probe: &'a Probe,
     ) -> (Walk<'a>, impl FnMut(u32, &Probe) -> Vec<Match> + 'a) {
         let walk = Walk {
             topology: &self.topology,
@@ -327,15 +371,22 @@ impl<T: ShareTable> FloodingNetwork<T> {
             latency: self.latency.as_mut(),
             walk_rng: &mut self.walk_rng,
             stats: &mut self.stats,
-            probe: Probe::new(community, query),
+            probe,
             ttl: self.config.ttl,
             dedup: self.config.dedup,
         };
-        let summary = &self.summary;
+        let (summary, signatures) = (&self.summary, &self.signatures);
         let mut matcher = self.shared.matcher(community, query);
-        let eval = move |peer: u32, probe: &Probe| match summary.get(peer as usize) {
-            Some(words) if probe.may_match(words) => matcher(peer),
-            _ => Vec::new(),
+        let eval = move |peer: u32, probe: &Probe| {
+            let p = peer as usize;
+            match (summary.get(p), signatures.get(p)) {
+                (Some(words), Some(records))
+                    if probe.may_match(words) && records.iter().any(|r| probe.may_match(r)) =>
+                {
+                    matcher(peer)
+                }
+                _ => Vec::new(),
+            }
         };
         (walk, eval)
     }
@@ -363,18 +414,20 @@ impl<T: ShareTable> PeerNetwork for FloodingNetwork<T> {
     fn publish(&mut self, provider: PeerId, record: ResourceRecord) {
         // Gnutella shares from the local store: no message is sent, and
         // republishing a key replaces the peer's own record (upsert) —
-        // the stored record it replaces leaves the routing digests and
-        // the peer's summary, the new one enters both
-        let Some(words) = self.summary.get_mut(provider.index()) else { return };
+        // the stored record it replaces leaves the routing digests, the
+        // peer's summary and its signatures, the new one enters all three
+        let p = provider.index();
+        let (Some(words), Some(signatures)) = (self.summary.get_mut(p), self.signatures.get_mut(p))
+        else {
+            return;
+        };
         match self.shared.upsert(provider.0, &record) {
             Some((community, fields)) => {
                 self.routes.record_removed(provider.0, community, &fields);
-                summarize(words, &self.shared, provider.0);
+                summarize(words, signatures, &self.shared, provider.0);
             }
-            // a fresh key only adds terms
-            None => digest::for_each_record_entry(&record.community, &record.fields, |h| {
-                digest::insert(words, h)
-            }),
+            // a fresh key only adds terms and a signature
+            None => signatures.push(sign(words, &record.community, &record.fields)),
         }
         self.routes.record_added(provider.0, &record.community, &record.fields);
     }
@@ -382,7 +435,8 @@ impl<T: ShareTable> PeerNetwork for FloodingNetwork<T> {
     fn unpublish(&mut self, provider: PeerId, key: &str) {
         if let Some((community, fields)) = self.shared.remove(provider.0, key) {
             self.routes.record_removed(provider.0, community, &fields);
-            summarize(&mut self.summary[provider.index()], &self.shared, provider.0);
+            let p = provider.index();
+            summarize(&mut self.summary[p], &mut self.signatures[p], &self.shared, provider.0);
         }
     }
 
@@ -390,7 +444,8 @@ impl<T: ShareTable> PeerNetwork for FloodingNetwork<T> {
         if !self.begin_query(origin) {
             return SearchOutcome::default();
         }
-        let (mut walk, eval) = self.walk(community, query);
+        let probe = Probe::new(community, query);
+        let (mut walk, eval) = self.walk(community, query, &probe);
         walk.run(origin.0, None, eval)
     }
 
@@ -612,15 +667,17 @@ mod tests {
         Probe::new("c", query).may_match(&net.summary[peer])
     }
 
-    /// `peer`'s answer as a walk's hop evaluates it: summary first.
+    /// `peer`'s answer as a walk's hop evaluates it: summary and
+    /// signatures first.
     fn gated<T: ShareTable>(
         net: &mut FloodingNetwork<T>,
         peer: u32,
         community: &str,
         query: &Query,
     ) -> Vec<Match> {
-        let (walk, mut eval) = net.walk(community, query);
-        eval(peer, &walk.probe)
+        let probe = Probe::new(community, query);
+        let (_, mut eval) = net.walk(community, query, &probe);
+        eval(peer, &probe)
     }
 
     fn keys(matches: Vec<Match>) -> Vec<String> {
@@ -659,7 +716,8 @@ mod tests {
 
     fn saturates<T: ShareTable>() {
         // far more distinct terms than 4 096 bits can tell apart: the
-        // words fill up, stop filtering, and the layout answers as ever
+        // words fill up and stop filtering, the signatures still tell the
+        // records apart, and the layout answers as ever
         let mut net = alone::<T>(1);
         for i in 0..4_000 {
             net.publish(PeerId(0), record(&format!("k{i}"), &format!("term{i} word{i}")));
@@ -671,11 +729,11 @@ mod tests {
         assert!(gated(&mut net, 0, "c", &unseen).is_empty());
         assert_eq!(keys(gated(&mut net, 0, "c", &Query::any_keyword("term1234"))), ["k1234"]);
         assert_eq!(gated(&mut net, 0, "c", &Query::All).len(), 4_000);
-        let liveness = 1;
+        let (liveness, signatures) = (1, 24 + 4_000 * 16);
         assert_eq!(
             net.approx_bytes(),
-            liveness + net.shared.approx_bytes() + 512,
-            "the words are counted"
+            liveness + net.shared.approx_bytes() + 512 + signatures,
+            "the words and the signatures are counted"
         );
     }
 
@@ -683,6 +741,88 @@ mod tests {
     fn a_saturated_summary_falls_through_to_the_index() {
         saturates::<PeerIndexes>();
         saturates::<RecordArena>();
+    }
+
+    /// A layout that counts the peers its matchers are asked about.
+    struct Counting<T> {
+        inner: T,
+        asked: std::cell::Cell<usize>,
+    }
+
+    impl<T: ShareTable> ShareTable for Counting<T> {
+        fn with_peers(peers: usize) -> Self {
+            Counting { inner: T::with_peers(peers), asked: std::cell::Cell::new(0) }
+        }
+
+        fn upsert(&mut self, peer: u32, record: &ResourceRecord) -> Option<(&str, SharedFields)> {
+            self.inner.upsert(peer, record)
+        }
+
+        fn remove(&mut self, peer: u32, key: &str) -> Option<(&str, SharedFields)> {
+            self.inner.remove(peer, key)
+        }
+
+        fn has(&self, peer: u32, key: &str) -> bool {
+            self.inner.has(peer, key)
+        }
+
+        fn shared_count(&self, peer: u32) -> usize {
+            self.inner.shared_count(peer)
+        }
+
+        fn matcher<'a>(
+            &'a self,
+            community: &'a str,
+            query: &'a Query,
+        ) -> impl FnMut(u32) -> Vec<Match> + 'a {
+            let mut matcher = self.inner.matcher(community, query);
+            move |peer| {
+                self.asked.set(self.asked.get() + 1);
+                matcher(peer)
+            }
+        }
+
+        fn for_each_record(&self, peer: u32, visit: &mut RecordVisitor<'_>) {
+            self.inner.for_each_record(peer, visit);
+        }
+
+        fn approx_bytes(&self) -> u64 {
+            self.inner.approx_bytes()
+        }
+    }
+
+    fn asks_only_a_peer_with_a_whole_match<T: ShareTable>() {
+        let mut net = alone::<Counting<T>>(1);
+        let both = Query::and([Query::any_keyword("apple"), Query::any_keyword("factory")]);
+        // peer 0's answer to `both`, and whether its layout was asked
+        let ask = |net: &mut FloodingNetwork<Counting<T>>| {
+            let before = net.shared.asked.get();
+            let answer = keys(gated(net, 0, "c", &both));
+            (answer, net.shared.asked.get() - before)
+        };
+        net.publish(PeerId(0), record("a", "apple"));
+        net.publish(PeerId(0), record("b", "factory"));
+        assert!(passes(&net, 0, &both), "the summary admits terms of different records");
+        assert_eq!(ask(&mut net), (vec![], 0), "no record carries both: the layout is not asked");
+        assert_eq!(keys(gated(&mut net, 0, "c", &Query::any_keyword("apple"))), ["a"]);
+        // a replacing publish puts both terms in one record
+        net.publish(PeerId(0), record("b", "factory apple"));
+        assert_eq!(ask(&mut net), (vec!["b".to_string()], 1));
+        // an unpublish takes that record's signature with it
+        net.publish(PeerId(0), record("c", "factory"));
+        net.unpublish(PeerId(0), "b");
+        assert!(passes(&net, 0, &both));
+        assert_eq!(ask(&mut net), (vec![], 0), "split again");
+        // and a fresh record carrying both is asked for at once
+        net.publish(PeerId(0), record("d", "apple factory"));
+        assert_eq!(ask(&mut net), (vec!["d".to_string()], 1));
+        assert_eq!(net.signatures[0].len(), 3, "one signature per record");
+    }
+
+    #[test]
+    fn a_peer_whose_records_split_an_and_is_never_asked() {
+        asks_only_a_peer_with_a_whole_match::<PeerIndexes>();
+        asks_only_a_peer_with_a_whole_match::<RecordArena>();
     }
 
     /// One write of the summary proptest's tape, at one of three peers
@@ -744,6 +884,18 @@ mod tests {
         })
     }
 
+    /// An `And` of two terms that the tape's values carry in different
+    /// records as often as in one: the case a peer's summary admits and
+    /// only its signatures can turn away.
+    fn split() -> impl Strategy<Value = Query> {
+        let term = prop_oneof![
+            prop_oneof![Just("apple"), Just("banana"), Just("observer"), Just("factory")]
+                .prop_map(Query::any_keyword),
+            value().prop_map(|v| Query::eq("name", v)),
+        ];
+        (term.clone(), term).prop_map(|(a, b)| Query::and([a, b]))
+    }
+
     /// After every write of `tape`, every peer's summary-gated evaluation
     /// equals the layout's ungated matcher, for every query in both
     /// communities.
@@ -784,11 +936,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The summary never hides a match and never invents one, in
-        /// front of either layout: whatever it skips, the layout would
-        /// have answered with nothing.
+        /// The summary and the record signatures never hide a match and
+        /// never invent one, in front of either layout: whatever they
+        /// skip, the layout would have answered with nothing.
         #[test]
-        fn the_summary_never_hides_a_match(tape in tape(), queries in pvec(query(), 1..4)) {
+        fn the_summary_never_hides_a_match(
+            tape in tape(),
+            queries in pvec(prop_oneof![query(), split()], 1..4),
+        ) {
             gating_hides_nothing::<PeerIndexes>(&tape, &queries)?;
             gating_hides_nothing::<RecordArena>(&tape, &queries)?;
         }

@@ -114,6 +114,10 @@ pub(crate) struct Progress {
     /// The leaf origin behind the entry super, when there is one: the
     /// last reverse hop of every hit batch.
     leaf: Option<u32>,
+    /// A guided hop's working list — its plausible neighbours as
+    /// `(depth, node)`, or its walker options — kept across the query's
+    /// hops, so a hop allocates only when the list must grow.
+    picks: Vec<(u8, u32)>,
 }
 
 /// The nodes a copy sent by visit `via` travelled, sender first.
@@ -133,6 +137,7 @@ impl Progress {
             hit_seen: HashSet::new(),
             trail: Vec::new(),
             leaf: None,
+            picks: Vec::new(),
         }
     }
 
@@ -160,6 +165,7 @@ impl Progress {
         self.seen = Vec::new();
         self.hit_seen = HashSet::new();
         self.trail = Vec::new();
+        self.picks = Vec::new();
     }
 }
 
@@ -172,9 +178,9 @@ pub(crate) struct Walk<'a> {
     pub latency: &'a mut dyn LatencyModel,
     pub walk_rng: &'a mut StdRng,
     pub stats: &'a mut NetStats,
-    /// The query compiled once per walk: what guided forwarding asks the
+    /// The query compiled once per query: what guided forwarding asks the
     /// neighbours' digests and the local evaluation may ask a summary.
-    pub probe: Probe,
+    pub probe: &'a Probe,
     pub ttl: u8,
     /// Drop duplicate flood arrivals (Gnutella's GUID cache).
     pub dedup: bool,
@@ -278,7 +284,7 @@ impl Walk<'_> {
             _ => {}
         }
         let matches =
-            if first_visit || mode == PropMode::Flood { eval(to, &self.probe) } else { Vec::new() };
+            if first_visit || mode == PropMode::Flood { eval(to, self.probe) } else { Vec::new() };
         if !matches.is_empty() {
             // QueryHit routes back along the reverse path and down to a
             // leaf origin: one message per edge, arriving after the
@@ -341,9 +347,10 @@ impl Walk<'_> {
 
     /// Forwards one guided copy holding `ttl > 0` from node `from`, whose
     /// visit is entry `visit` of the trail: digest-matching neighbors
-    /// (closest plausible match first, capped at the fanout) when any
-    /// exist, else up to `walk_width` random walkers so stale or saturated
-    /// digests degrade to extra messages, not misses.
+    /// (closest plausible match first, ties by id, capped at the fanout)
+    /// when any exist, else up to `walk_width` random walkers, drawn from
+    /// the neighbours in topology order, so stale or saturated digests
+    /// degrade to extra messages, not misses.
     #[allow(clippy::too_many_arguments)]
     fn forward_guided<S: Sink>(
         &mut self,
@@ -355,27 +362,25 @@ impl Walk<'_> {
         walk_width: usize,
         sink: &mut S,
     ) {
-        let mut options: Vec<u32> = self
-            .topology
-            .neighbors(PeerId(from))
-            .map(|nb| nb.0)
-            .filter(|&nb| Some(nb) != sender)
-            .collect();
-        let mut candidates: Vec<(u8, u32)> = options
-            .iter()
-            .filter_map(|&nb| self.routes.min_depth(nb, from, &self.probe, ttl).map(|d| (d, nb)))
-            .collect();
-        candidates.sort_unstable();
+        let mut picks = std::mem::take(&mut p.picks);
+        picks.clear();
+        let depths = self.routes.min_depths_toward(from, sender, self.probe, ttl);
+        picks.extend(depths.filter_map(|(nb, depth)| Some((depth?, nb))));
         let copy = |to, mode| Hop { to, via: visit, ttl: ttl - 1, mode };
-        for &(_, nb) in candidates.iter().take(self.routes.config().fanout.max(1)) {
-            self.send(p, t, from, copy(nb, PropMode::Guided), sink);
-        }
-        if candidates.is_empty() {
-            for _ in 0..walk_width.min(options.len()) {
-                let nb = options.swap_remove(self.walk_rng.gen_range(0..options.len()));
+        if picks.is_empty() {
+            let options = self.topology.neighbors(PeerId(from)).filter(|nb| Some(nb.0) != sender);
+            picks.extend(options.map(|nb| (0, nb.0)));
+            for _ in 0..walk_width.min(picks.len()) {
+                let (_, nb) = picks.swap_remove(self.walk_rng.gen_range(0..picks.len()));
                 self.send(p, t, from, copy(nb, PropMode::Walk), sink);
             }
+        } else {
+            picks.sort_unstable();
+            for &(_, nb) in picks.iter().take(self.routes.config().fanout.max(1)) {
+                self.send(p, t, from, copy(nb, PropMode::Guided), sink);
+            }
         }
+        p.picks = picks;
     }
 
     /// Sends `copy` from node `from`.
@@ -515,7 +520,7 @@ mod tests {
         latency: ConstantLatency,
         rng: StdRng,
         stats: NetStats,
-        query: Query,
+        probe: Probe,
         ttl: u8,
         dedup: bool,
         holders: Vec<u32>,
@@ -544,7 +549,7 @@ mod tests {
                 latency: ConstantLatency(HOP),
                 rng: StdRng::seed_from_u64(1),
                 stats: NetStats::new(),
-                query: Query::All,
+                probe: Probe::new("c", &Query::All),
                 ttl: 4,
                 dedup: true,
                 holders: holders.to_vec(),
@@ -562,7 +567,7 @@ mod tests {
 
         fn parts(&mut self) -> (Walk<'_>, impl FnMut(u32, &Probe) -> Vec<Match> + '_) {
             let Script {
-                topology, routes, alive, latency, rng, stats, query, ttl, dedup, holders, evaluated,
+                topology, routes, alive, latency, rng, stats, probe, ttl, dedup, holders, evaluated,
             } = self;
             let eval = move |node: u32, _: &Probe| {
                 evaluated.push(node);
@@ -579,7 +584,7 @@ mod tests {
                 latency,
                 walk_rng: rng,
                 stats,
-                probe: Probe::new("c", query),
+                probe,
                 ttl: *ttl,
                 dedup: *dedup,
             };
@@ -734,6 +739,9 @@ mod tests {
         let out = s.start(&mut p, 0, 0, None);
         assert_eq!(out.targets(), vec![3, 1], "closest plausible match first");
         assert!(out.forwards.iter().all(|f| f.4 == PropMode::Guided && f.3 == 3));
+        let mut s = Script::guided(4, &edges, &[1, 3]);
+        let mut p = Progress::new(0);
+        assert_eq!(s.start(&mut p, 0, 0, None).targets(), vec![1, 3], "equal depths in id order");
 
         let zero = DigestConfig { fanout: 0, log2_bits: 8, ..DigestConfig::guided() };
         let mut s = Script::new(4, &edges, zero, &[2, 3]);

@@ -178,13 +178,14 @@ impl SuperPeerNetwork {
 
     /// The walk of one query over the super overlay and the local
     /// evaluation its hops run: each super answers for its live leaves
-    /// from its own index. Borrowed by [`crate::DesNetwork`] one event at
-    /// a time; the query enters at [`SuperPeerNetwork::super_of`] its
-    /// origin.
+    /// from its own index. `probe` is the query compiled for `community`.
+    /// Borrowed by [`crate::DesNetwork`] one event at a time; the query
+    /// enters at [`SuperPeerNetwork::super_of`] its origin.
     pub(crate) fn walk<'a>(
         &'a mut self,
         community: &'a str,
         query: &'a Query,
+        probe: &'a Probe,
     ) -> (Walk<'a>, impl FnMut(u32, &Probe) -> Vec<Match> + 'a) {
         let (alive, indexes) = (&self.alive, &self.indexes);
         let walk = Walk {
@@ -194,7 +195,7 @@ impl SuperPeerNetwork {
             latency: self.latency.as_mut(),
             walk_rng: &mut self.walk_rng,
             stats: &mut self.stats,
-            probe: Probe::new(community, query),
+            probe,
             ttl: self.config.ttl,
             dedup: true,
         };
@@ -259,7 +260,8 @@ impl PeerNetwork for SuperPeerNetwork {
             return SearchOutcome::default();
         }
         let entry = self.super_of[origin.index()];
-        let (mut walk, eval) = self.walk(community, query);
+        let probe = Probe::new(community, query);
+        let (mut walk, eval) = self.walk(community, query, &probe);
         walk.run(origin.0, Some(entry), eval)
     }
 

@@ -120,6 +120,18 @@ fn oracle_query() -> impl Strategy<Value = Query> {
     })
 }
 
+/// An `And` of two terms the oracle's values carry in different records
+/// as often as in one: what a flooded peer's term summary admits and only
+/// its record signatures can turn away.
+fn split_and() -> impl Strategy<Value = Query> {
+    let term = prop_oneof![
+        prop_oneof![Just("apple"), Just("banana"), Just("observer"), Just("factory")]
+            .prop_map(Query::any_keyword),
+        (field_path(), value_word()).prop_map(|(f, v)| Query::eq(f, v)),
+    ];
+    (term.clone(), term).prop_map(|(a, b)| Query::and([a, b]))
+}
+
 /// The pre-refactor reference: a flat record table evaluated with a
 /// linear `Query::matches_fields` scan and per-record provider sets
 /// (first publish of a key wins, last provider removes the record).
@@ -383,12 +395,14 @@ proptest! {
     /// community (the same words live in both communities, so a term
     /// present only in the other one is asked for all the time), and so
     /// is the bare [`PeerIndexes`] table's, asked with no summary in
-    /// front. The network's writes set summary bits or rebuild a peer's
-    /// words; the plain nodes have no summary.
+    /// front. The network's writes set summary bits and push record
+    /// signatures, or rebuild a peer's words and signatures; the plain
+    /// nodes have neither. Half the queries are two-term `And`s, which
+    /// the summary admits wherever the terms sit in different records.
     #[test]
     fn term_summary_never_changes_an_answer(
         ops in digest_ops(3),
-        queries in pvec(oracle_query(), 1..4),
+        queries in pvec(prop_oneof![oracle_query(), split_and()], 1..4),
     ) {
         let mut table = PeerIndexes::with_peers(3);
         let mut net = FloodingNetwork::new(

@@ -155,7 +155,7 @@ impl Query {
                 .filter(|(path, _)| {
                     field.as_deref().is_none_or(|f| field_matches(path, f))
                 })
-                .any(|(_, value)| crate::tokenizer::tokenize(value).iter().any(|t| t == word)),
+                .any(|(_, value)| crate::tokenizer::has_token(value, word)),
         }
     }
 }

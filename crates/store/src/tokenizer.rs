@@ -1,5 +1,7 @@
 //! Tokenization of metadata values for the inverted index.
 
+use std::ops::ControlFlow;
+
 /// Stopwords excluded from keyword indexing. Small and era-appropriate;
 /// disable with [`tokenize_with`]'s `keep_stopwords`.
 pub const STOPWORDS: &[&str] =
@@ -67,23 +69,48 @@ pub fn token_passes() -> u64 {
 /// the net layer's routing digests enumerate a record's keywords with.
 pub fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
     TOKEN_PASSES.with(|c| c.set(c.get() + 1));
+    let _ = try_each_token(text, |t| {
+        f(t);
+        ControlFlow::Continue(())
+    });
+}
+
+/// Is `word` one of the tokens [`for_each_token`] visits in `text`?
+/// Stops at the first match. It indexes nothing, so it is not a
+/// tokenization pass and [`token_passes`] does not count it: this is the
+/// keyword test of a linear scan ([`crate::Query::matches_fields`]).
+pub(crate) fn has_token(text: &str, word: &str) -> bool {
+    try_each_token(text, |t| {
+        if t == word {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    })
+    .is_break()
+}
+
+/// The token stream of [`for_each_token`], uncounted, for as long as `f`
+/// continues.
+fn try_each_token(text: &str, mut f: impl FnMut(&str) -> ControlFlow<()>) -> ControlFlow<()> {
     for raw in text.split(|c: char| !c.is_alphanumeric()) {
         if raw.is_empty() {
             continue;
         }
         if raw.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit()) {
             if !is_stopword(raw) {
-                f(raw);
+                f(raw)?;
             }
         } else {
             // same lowercasing as `tokenize` (str::to_lowercase, which
             // handles e.g. final sigma) — rare path, one allocation
             let lowered = raw.to_lowercase();
             if !is_stopword(&lowered) {
-                f(&lowered);
+                f(&lowered)?;
             }
         }
     }
+    ControlFlow::Continue(())
 }
 
 /// Normalizes a value for exact-match indexing (lowercased, whitespace
@@ -254,6 +281,35 @@ mod tests {
                 }
             }
             prop_assert_eq!(normalize(&s), normalize_oracle(&s), "{:?}", s);
+        }
+    }
+
+    proptest! {
+        /// The scan's keyword test against the tokenizer it replaced:
+        /// `word` drawn from `text`'s own tokens, from its raw pieces
+        /// (mixed case, stopwords, the empty string), or from anywhere.
+        #[test]
+        fn has_token_is_tokenize_contains(
+            text in "\\PC{0,24}",
+            other in "\\PC{0,6}",
+            pick in 0usize..64,
+        ) {
+            let tokens = tokenize(&text);
+            let raw: Vec<&str> = text.split(|c: char| !c.is_alphanumeric()).collect();
+            let before = token_passes();
+            for word in [
+                tokens.get(pick % tokens.len().max(1)).map_or("", String::as_str),
+                raw[pick % raw.len()],
+                other.as_str(),
+                "the",
+            ] {
+                prop_assert_eq!(
+                    has_token(&text, word),
+                    tokens.iter().any(|t| t == word),
+                    "{:?} in {:?}", word, text
+                );
+            }
+            prop_assert_eq!(token_passes(), before, "a scan is not a tokenization pass");
         }
     }
 

@@ -23,28 +23,24 @@
 //! every hit batch a `HitDeliver` on the global queue, counted in the
 //! query's `pending`, with the query's issue time as the time base. A
 //! sequential [`PeerNetwork::search`] therefore produces the message
-//! counts, latencies and hit *sets* of the step substrate built from the
-//! same seed — there is one constructor and one stream of rng draws, not
-//! two kept alike — and `tests/des_equivalence.rs` pins what is still the
-//! driver's own: queue discipline, time base, `pending`.
+//! counts, latencies and hits, in order, of the step substrate built
+//! from the same seed — there is one constructor and one stream of rng
+//! draws, not two kept alike — and `tests/des_equivalence.rs` pins what
+//! is still the driver's own: queue discipline, time base, `pending`.
 //!
-//! The one choice made here is the Gnutella share-table layout: the
-//! engine drives `FloodingNetwork<RecordArena>`, struct-of-arrays over
-//! all peers instead of one inverted index per peer, which is what makes
-//! 100k+ peers tractable; the substrate's term summary spares it every
-//! visited peer with nothing to say, as it spares the indexes. Hit
-//! *order* may differ from the step network for the layout alone: the
-//! arena scans a peer's records in insertion order, the metadata index in
-//! doc-id order, and doc ids are recycled.
+//! The engine makes no choice of its own: the Gnutella substrate it
+//! drives keeps every peer's records in the one [`crate::RecordArena`]
+//! the step flood uses, struct-of-arrays over all peers, which is what
+//! makes 100k+ peers tractable.
 
 use crate::centralized::CentralizedNetwork;
 use crate::churn::ChurnEvent;
-use crate::digest::{Probe, RecordVisitor};
+use crate::digest::Probe;
 use crate::event::DesEvent;
-use crate::flooding::{FloodingConfig, FloodingNetwork, ShareTable};
+use crate::flooding::{FloodingConfig, FloodingNetwork};
 use crate::latency::LatencyModel;
-use crate::message::{ResourceRecord, SharedFields, Time};
-use crate::overlay::{Hop, Match, Progress, Sink};
+use crate::message::{ResourceRecord, Time};
+use crate::overlay::{Hop, Progress, Sink};
 use crate::peer::PeerId;
 use crate::sim::EventQueue;
 use crate::stats::{NetStats, RetrieveOutcome, SearchOutcome};
@@ -52,149 +48,8 @@ use crate::superpeer::{SuperPeerConfig, SuperPeerNetwork};
 use crate::topology::Topology;
 use crate::traits::{PeerNetwork, ProtocolKind};
 use crate::NetConfig;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use up2p_store::Query;
-
-// ---------------------------------------------------------------------
-// Struct-of-arrays record storage
-// ---------------------------------------------------------------------
-
-/// The struct-of-arrays [`ShareTable`]: one slot per live record across
-/// *all* peers, with per-peer slot lists, where the step substrate's
-/// default layout keeps one inverted index per peer — prohibitively
-/// pointer-heavy at 100k peers.
-///
-/// Communities are interned once; fields stay behind the shared
-/// [`SharedFields`] arc so a record replicated on many peers costs one
-/// allocation.
-#[derive(Debug, Default)]
-pub struct RecordArena {
-    /// Record key per slot (empty string = free slot).
-    keys: Vec<String>,
-    /// Interned community id per slot.
-    communities: Vec<u32>,
-    /// Shared field list per slot.
-    fields: Vec<SharedFields>,
-    /// Recycled slot indices.
-    free: Vec<u32>,
-    /// Interned community names.
-    community_names: Vec<String>,
-    /// Name → interned id.
-    community_ids: HashMap<String, u32>,
-    /// Slots held by each peer, in insertion order.
-    by_peer: Vec<Vec<u32>>,
-}
-
-impl RecordArena {
-    fn intern_community(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.community_ids.get(name) {
-            return id;
-        }
-        let id = self.community_names.len() as u32;
-        self.community_names.push(name.to_string());
-        self.community_ids.insert(name.to_string(), id);
-        id
-    }
-
-    fn take(&mut self, peer: u32, key: &str) -> Option<(u32, SharedFields)> {
-        let RecordArena { keys, communities, fields, free, by_peer, .. } = self;
-        let list = by_peer.get_mut(peer as usize)?;
-        let pos = list.iter().position(|&s| keys[s as usize] == key)?;
-        let slot = list.remove(pos);
-        keys[slot as usize].clear();
-        free.push(slot);
-        let taken = std::mem::replace(&mut fields[slot as usize], SharedFields::from(Vec::new()));
-        Some((communities[slot as usize], taken))
-    }
-}
-
-impl ShareTable for RecordArena {
-    fn with_peers(peers: usize) -> RecordArena {
-        RecordArena { by_peer: vec![Vec::new(); peers], ..RecordArena::default() }
-    }
-
-    fn upsert(&mut self, peer: u32, record: &ResourceRecord) -> Option<(&str, SharedFields)> {
-        if peer as usize >= self.by_peer.len() {
-            return None;
-        }
-        let replaced = self.take(peer, &record.key);
-        let cid = self.intern_community(&record.community);
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.keys[s as usize] = record.key.clone();
-                self.communities[s as usize] = cid;
-                self.fields[s as usize] = SharedFields::clone(&record.fields);
-                s
-            }
-            None => {
-                let s = self.keys.len() as u32;
-                self.keys.push(record.key.clone());
-                self.communities.push(cid);
-                self.fields.push(SharedFields::clone(&record.fields));
-                s
-            }
-        };
-        self.by_peer[peer as usize].push(slot);
-        replaced.map(|(cid, fields)| (self.community_names[cid as usize].as_str(), fields))
-    }
-
-    fn remove(&mut self, peer: u32, key: &str) -> Option<(&str, SharedFields)> {
-        let (cid, fields) = self.take(peer, key)?;
-        Some((self.community_names[cid as usize].as_str(), fields))
-    }
-
-    fn has(&self, peer: u32, key: &str) -> bool {
-        self.by_peer
-            .get(peer as usize)
-            .is_some_and(|list| list.iter().any(|&s| self.keys[s as usize] == key))
-    }
-
-    fn shared_count(&self, peer: u32) -> usize {
-        self.by_peer.get(peer as usize).map_or(0, Vec::len)
-    }
-
-    /// A scan of each visited peer's records, in insertion order.
-    fn matcher<'a>(
-        &'a self,
-        community: &'a str,
-        query: &'a Query,
-    ) -> impl FnMut(u32) -> Vec<Match> + 'a {
-        let cid = self.community_ids.get(community).copied();
-        move |peer| {
-            let (Some(cid), Some(list)) = (cid, self.by_peer.get(peer as usize)) else {
-                return Vec::new();
-            };
-            let mut out = Vec::new();
-            for &slot in list {
-                if self.communities[slot as usize] == cid
-                    && query.matches_fields(&self.fields[slot as usize])
-                {
-                    out.push((
-                        self.keys[slot as usize].clone(),
-                        PeerId(peer),
-                        SharedFields::clone(&self.fields[slot as usize]),
-                    ));
-                }
-            }
-            out
-        }
-    }
-
-    fn for_each_record(&self, peer: u32, visit: &mut RecordVisitor<'_>) {
-        for &slot in self.by_peer.get(peer as usize).into_iter().flatten() {
-            let community = &self.community_names[self.communities[slot as usize] as usize];
-            visit(community, &self.fields[slot as usize]);
-        }
-    }
-
-    /// Deterministic (two same-seed runs report the same number).
-    fn approx_bytes(&self) -> u64 {
-        let slots = self.keys.len() as u64;
-        let key_bytes: u64 = self.keys.iter().map(|k| k.len() as u64).sum();
-        let by_peer: u64 = self.by_peer.iter().map(|l| 24 + 4 * l.len() as u64).sum();
-        key_bytes + slots * (24 + 4 + 16) + by_peer + self.free.len() as u64 * 4
-    }
-}
 
 // ---------------------------------------------------------------------
 // The driven substrate
@@ -204,7 +59,7 @@ impl ShareTable for RecordArena {
 /// protocol decision live in here.
 enum Substrate {
     Napster(CentralizedNetwork),
-    Gnutella(FloodingNetwork<RecordArena>),
+    Gnutella(FloodingNetwork),
     FastTrack(SuperPeerNetwork),
 }
 
@@ -352,16 +207,13 @@ impl DesNetwork {
         DesNetwork::driving(Substrate::Napster(CentralizedNetwork::new(peers, latency)))
     }
 
-    /// Gnutella semantics on an explicit overlay: a
-    /// [`FloodingNetwork`] over the [`RecordArena`] layout.
+    /// Gnutella semantics on an explicit overlay: a [`FloodingNetwork`].
     pub fn gnutella(
         topology: Topology,
         latency: Box<dyn LatencyModel + Send>,
         config: FloodingConfig,
     ) -> DesNetwork {
-        DesNetwork::driving(Substrate::Gnutella(FloodingNetwork::with_table(
-            topology, latency, config,
-        )))
+        DesNetwork::driving(Substrate::Gnutella(FloodingNetwork::new(topology, latency, config)))
     }
 
     /// FastTrack semantics: a [`SuperPeerNetwork`] — the first
@@ -748,8 +600,6 @@ impl PeerNetwork for DesNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::digest::RoutingDigest;
-    use crate::index_node::IndexNode;
     use crate::latency::ConstantLatency;
     use crate::stats::MsgKind;
 
@@ -910,42 +760,6 @@ mod tests {
             "45 hits q4 n=1",
         ];
         assert_eq!(net.event_log(), expected);
-    }
-
-    #[test]
-    fn arena_digest_matches_index_node_digest() {
-        let mut arena = RecordArena::with_peers(2);
-        let mut node = IndexNode::new();
-        for (i, artist) in ["miles davis", "john coltrane"].iter().enumerate() {
-            let rec = track(&format!("k{i}"), artist);
-            arena.upsert(0, &rec);
-            node.upsert_slot(PeerId(0), &rec);
-        }
-        // remove one so live-term filtering is exercised
-        arena.remove(0, "k0");
-        node.remove_slot(PeerId(0), "k0");
-        let mut from_arena = RoutingDigest::new(10);
-        arena.for_each_record(0, &mut |community, fields| from_arena.add_record(community, fields));
-        let mut from_node = RoutingDigest::new(10);
-        from_node.add_node(&node);
-        assert_eq!(from_arena, from_node);
-    }
-
-    #[test]
-    fn arena_upsert_recycles_slots() {
-        let mut arena = RecordArena::with_peers(1);
-        arena.upsert(0, &track("k1", "a"));
-        arena.upsert(0, &track("k2", "b"));
-        arena.remove(0, "k1");
-        arena.upsert(0, &track("k3", "c"));
-        assert_eq!(arena.keys.len(), 2, "slot recycled");
-        assert_eq!(arena.shared_count(0), 2);
-        assert!(arena.has(0, "k2") && arena.has(0, "k3") && !arena.has(0, "k1"));
-        arena.upsert(0, &track("k2", "b2"));
-        assert_eq!(arena.shared_count(0), 2, "upsert replaces");
-        let hits = arena.matches(0, "tracks", &q("b2"));
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].0, "k2");
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //!   the normalized exact value and the keyword tokens — the terms the
 //!   store's index posts it under (`for_each_record_entry` is the one
 //!   place that enumerates them, for the routing digests and for the
-//!   per-peer term summary of [`crate::FloodingNetwork`] alike). Digests hash term
-//!   *strings*, not symbol ids: interner symbols are private to each
-//!   index, strings are the wire-stable identity. A query is compiled
-//!   once into a [`Probe`] — every hash it needs — and asked of as many
-//!   digests as there are.
+//!   per-peer term summary and record [`Signature`]s of
+//!   [`crate::FloodingNetwork`] alike). Digests hash term *strings*, not
+//!   symbol ids: interner symbols are private to each index, strings are
+//!   the wire-stable identity. A query is compiled once into a [`Probe`]
+//!   — every hash it needs — and asked of as many digests as there are.
 //! * [`RouteTable`] — the per-directed-edge *attenuated* digest table: for
 //!   the edge `q → p`, layer `d` summarizes everything reachable from `p`
 //!   through `q` within `d` hops. Layers are monotone
@@ -165,6 +165,30 @@ fn contains(words: &[u64], h: u64) -> bool {
     probes(words.len() as u64 * 64, h).into_iter().all(|bit| words[bit / 64] >> (bit % 64) & 1 == 1)
 }
 
+/// 64-bit words of one record's signature: 128 bits, a constant. A
+/// record's community marker, values and tokens are eight-odd distinct
+/// entries, two bits each, so a signature is about an eighth full and
+/// admits a term its record lacks ~1.5 % of the time; an `And` of two
+/// such terms far less. One word would admit ~5 %. At 16 bytes a record,
+/// 100 000 records cost 1.6 MB.
+pub const SIGNATURE_WORDS: usize = 2;
+
+/// One record's own digest: what a flooded peer asks before it verifies
+/// that record ([`Probe::admits`]).
+pub type Signature = [u64; SIGNATURE_WORDS];
+
+/// Folds one record's entries into `summary`, its peer's term summary (a
+/// power-of-two number of words), and returns the record's [`Signature`],
+/// from one enumeration of the entries.
+pub fn sign_record(summary: &mut [u64], community: &str, fields: &[(String, String)]) -> Signature {
+    let mut signature = [0; SIGNATURE_WORDS];
+    for_each_record_entry(community, fields, |h| {
+        insert(summary, h);
+        insert(&mut signature, h);
+    });
+    signature
+}
+
 /// A query compiled against one community for asking digests: the
 /// community marker's hash and the query's `And`/`Or`/term tree with
 /// every entry hash taken once. Whoever asks many digests the same
@@ -176,6 +200,10 @@ fn contains(words: &[u64], h: u64) -> bool {
 pub struct Probe {
     community: u64,
     terms: Terms,
+    /// The bits a [`Signature`] must hold to pass, when the query has no
+    /// `Or`: then the predicate is one conjunction of entries, the
+    /// community marker's and every term's.
+    required: Option<Signature>,
 }
 
 /// What a [`Probe`] asks of a digest beyond community presence.
@@ -210,19 +238,47 @@ impl Terms {
             Terms::Or(ts) => ts.iter().any(|t| t.plausible(words)),
         }
     }
+
+    /// Sets in `bits` every entry [`Terms::plausible`] requires; `false`
+    /// when an `Or` leaves a choice that no one mask says.
+    fn require(&self, bits: &mut Signature) -> bool {
+        match self {
+            Terms::Any => true,
+            Terms::Term(h) => {
+                insert(bits, *h);
+                true
+            }
+            Terms::And(ts) => ts.iter().all(|t| t.require(bits)),
+            Terms::Or(_) => false,
+        }
+    }
 }
 
 impl Probe {
     /// Compiles `query` as asked within `community`.
     pub fn new(community: &str, query: &Query) -> Probe {
         let scope = community_scope(community);
-        Probe { community: entry_hash(scope, None), terms: Terms::of(scope, query) }
+        let (community, terms) = (entry_hash(scope, None), Terms::of(scope, query));
+        let mut required = [0; SIGNATURE_WORDS];
+        insert(&mut required, community);
+        let required = terms.require(&mut required).then_some(required);
+        Probe { community, terms, required }
     }
 
     /// [`RoutingDigest::may_match`] over the words of one digest (a
     /// power-of-two number of them).
     pub fn may_match(&self, words: &[u64]) -> bool {
         contains(words, self.community) && self.terms.plausible(words)
+    }
+
+    /// [`Probe::may_match`] over one record's signature: two word tests
+    /// against the mask compiled with the probe, or the predicate itself
+    /// when the query holds an `Or`.
+    pub fn admits(&self, signature: &Signature) -> bool {
+        match &self.required {
+            Some(mask) => signature.iter().zip(mask).all(|(s, m)| s & m == *m),
+            None => self.may_match(signature),
+        }
     }
 }
 

@@ -1,13 +1,14 @@
-//! The shared per-node metadata index every record-holding node uses.
+//! The shared per-node metadata index of the nodes that hold many
+//! peers' records.
 //!
 //! The paper's servent evaluates community-scoped queries at whichever
-//! node holds the records — the Napster server, each FastTrack
-//! super-peer, or every Gnutella peer's own share table. [`IndexNode`]
-//! is that evaluation engine: a community-partitioned wrapper over
+//! node holds the records. On the Napster server and each FastTrack
+//! super-peer that is [`IndexNode`]: a community-partitioned wrapper over
 //! [`up2p_store::MetadataIndex`] that turns `search` into a posting-list
 //! lookup instead of an O(records) scan, and keeps exactly one shared
 //! metadata allocation per record (provider uploads and search hits are
-//! refcount bumps).
+//! refcount bumps). A Gnutella peer's few dozen records are verified one
+//! by one behind their signatures instead ([`crate::RecordArena`]).
 //!
 //! Sub-indexes are created lazily, on the first record published into a
 //! community; provider liveness is applied to the candidate set the

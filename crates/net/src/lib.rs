@@ -20,8 +20,9 @@
 //! above. Two schedulers run it: the substrate's own `search`, one query
 //! to quiescence on a private queue, and [`DesNetwork`], which owns one
 //! of the substrates and drives it from one global virtual-time queue so
-//! churn lands while queries are in flight (picking, for Gnutella, the
-//! [`RecordArena`] layout of the [`ShareTable`] for scale).
+//! churn lands while queries are in flight. Under both, a Gnutella peer's
+//! records sit in the one [`RecordArena`], where a hop verifies only the
+//! records whose signatures admit the query.
 //! [`build_network_with`] and [`DesNetwork::build`] take a [`NetConfig`]
 //! — latency model and digest layer; TTL, dedup and super-peer sizing are
 //! said once, on each substrate's own constructor and config.
@@ -72,10 +73,12 @@ mod topology;
 mod traits;
 
 pub use centralized::CentralizedNetwork;
-pub use des::{DesNetwork, RecordArena};
-pub use digest::{DigestConfig, Probe, RecordVisitor, RouteTable, RoutingDigest};
+pub use des::DesNetwork;
+pub use digest::{
+    sign_record, DigestConfig, Probe, RecordVisitor, RouteTable, RoutingDigest, Signature,
+};
 pub use event::{DesEvent, PropMode};
-pub use flooding::{FloodingConfig, FloodingNetwork, PeerIndexes, ShareTable};
+pub use flooding::{FloodingConfig, FloodingNetwork, RecordArena};
 pub use index_node::IndexNode;
 pub use latency::{ConstantLatency, CoordinateLatency, LatencyModel, LatencySpec, UniformLatency};
 pub use message::{ResourceRecord, SearchHit, SharedFields, Time, DEFAULT_TTL};

@@ -11,9 +11,9 @@
 //! caller:
 //!
 //! * the **local evaluation** is an `FnMut(node, &Probe) -> Vec<Match>` —
-//!   the flat overlay's [`crate::ShareTable`] behind a per-peer term
-//!   summary that the walk's compiled [`Probe`] is asked of, or an
-//!   [`IndexNode`] per super ([`index_matches`]);
+//!   the flat overlay's [`crate::RecordArena`], whose per-peer summary
+//!   and record signatures the walk's compiled [`Probe`] is asked of, or
+//!   an [`IndexNode`] per super ([`index_matches`]);
 //! * the **[`Sink`]** receives every forwarded copy and every hit batch
 //!   with its delivery time — [`Walk::run`] drains a private per-query
 //!   queue from time 0, [`crate::DesNetwork`] pushes onto its global

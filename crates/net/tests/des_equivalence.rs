@@ -2,21 +2,18 @@
 //! ([`DesNetwork`]) replays the step-based substrates' accounting
 //! decision-for-decision. On random topologies, record workloads,
 //! removals, deaths, and queries — with the same seeds — every search
-//! must produce the same hit *set* (key, provider, hops), the same
-//! message count, the same latencies, and the aggregate [`NetStats`]
-//! counters (including every per-[`MsgKind`] counter) must match.
-//!
-//! Hit *order* is deliberately not compared: the DES arena scans records
-//! in per-peer insertion order while the step substrate's metadata index
-//! scans in doc-id order, and doc ids are recycled.
+//! must produce the same hits (key, provider, hops) in the same order,
+//! the same message count, the same latencies, and the aggregate
+//! [`NetStats`] counters (including every per-[`MsgKind`] counter) must
+//! match. The order holds because both schedulers walk one substrate,
+//! whose Gnutella records sit in one arena.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 use up2p_net::{
     build_network_with, DesNetwork, DigestConfig, FloodingConfig, FloodingNetwork, IndexNode,
-    LatencySpec, MsgKind, NetConfig, NetStats, PeerId, PeerIndexes, PeerNetwork, ProtocolKind,
-    RecordArena, ResourceRecord, RoutingDigest, SearchOutcome, ShareTable, Topology,
+    LatencySpec, MsgKind, NetConfig, NetStats, PeerId, PeerNetwork, ProtocolKind, RecordArena,
+    RecordVisitor, ResourceRecord, RoutingDigest, SearchOutcome, Topology,
 };
 use up2p_store::{Query, ValuePattern};
 
@@ -151,37 +148,71 @@ fn table_ops() -> impl Strategy<Value = Vec<TableOp>> {
 type Fields = Vec<(String, String)>;
 type TableView = (Vec<bool>, usize, Vec<Vec<(String, PeerId, Fields)>>, Vec<(String, Fields)>);
 
-/// Everything a [`ShareTable`] lets one see of `peer`, order-free: which
+/// Everything a share table lets one see of one peer, order-free: which
 /// of the tape's keys it has, its record count, the hit set of a keyword
 /// and of `Query::All` per community, and the record multiset.
-fn table_view<T: ShareTable>(table: &T, peer: u32) -> TableView {
-    let has = (0..5).map(|k| table.has(peer, &format!("k{k}"))).collect();
+fn table_view(
+    has: impl Fn(&str) -> bool,
+    count: usize,
+    matches: impl Fn(&str, &Query) -> Vec<(String, PeerId, Fields)>,
+    for_each_record: impl FnOnce(&mut RecordVisitor<'_>),
+) -> TableView {
+    let has = (0..5).map(|k| has(&format!("k{k}"))).collect();
     let mut hit_sets = Vec::new();
     for community in COMMUNITIES {
         for query in [Query::any_keyword("banana"), Query::All] {
-            let mut hits: Vec<_> = table
-                .matches(peer, community, &query)
-                .into_iter()
-                .map(|(key, provider, fields)| (key, provider, fields.to_vec()))
-                .collect();
+            let mut hits = matches(community, &query);
             hits.sort();
             hit_sets.push(hits);
         }
     }
     let mut records = Vec::new();
-    table.for_each_record(peer, &mut |community, fields| {
+    for_each_record(&mut |community, fields| {
         records.push((community.to_string(), fields.to_vec()));
     });
     records.sort();
-    (has, table.shared_count(peer), hit_sets, records)
+    (has, count, hit_sets, records)
 }
 
-/// Order-insensitive hit set: `(key, provider, hops)` triples.
-type HitSet = BTreeSet<(String, PeerId, u8)>;
+/// [`table_view`] of `peer` in the arena.
+fn arena_view(arena: &RecordArena, peer: u32) -> TableView {
+    table_view(
+        |key| arena.has(peer, key),
+        arena.shared_count(peer),
+        |community, query| {
+            let hits = arena.matches(peer, community, query).into_iter();
+            hits.map(|(key, provider, fields)| (key, provider, fields.to_vec())).collect()
+        },
+        |visit| arena.for_each_record(peer, visit),
+    )
+}
 
-/// Everything about a search outcome except hit order.
-fn outcome_fingerprint(out: &SearchOutcome) -> (HitSet, u64, u64, Option<u64>) {
-    let hits: HitSet = out
+/// [`table_view`] of `peer` as a plain [`IndexNode`] per peer holds it;
+/// an id with no node shares nothing.
+fn node_view(nodes: &[IndexNode], peer: u32) -> TableView {
+    let Some(node) = nodes.get(peer as usize) else {
+        return table_view(|_| false, 0, |_, _| Vec::new(), |_| {});
+    };
+    table_view(
+        |key| node.has_provider(key, PeerId(peer)),
+        node.len(),
+        |community, query| {
+            let mut hits = Vec::new();
+            node.search(community, query, |_| true, |key, provider, fields| {
+                hits.push((key.to_string(), provider, fields.to_vec()));
+            });
+            hits
+        },
+        |visit| node.for_each_record(visit),
+    )
+}
+
+/// The hits in arrival order: `(key, provider, hops)` triples.
+type Hits = Vec<(String, PeerId, u8)>;
+
+/// Everything about a search outcome.
+fn outcome_fingerprint(out: &SearchOutcome) -> (Hits, u64, u64, Option<u64>) {
+    let hits: Hits = out
         .hits
         .iter()
         .map(|h| (h.key.clone(), h.provider, h.hops))
@@ -417,11 +448,11 @@ proptest! {
         )?;
     }
 
-    /// The two [`ShareTable`] layouts — the DES record arena and the
-    /// step substrate's [`PeerIndexes`] — answer alike through the
-    /// one trait after every write of a random tape, and advertise
-    /// bit-identical routing digests for any publish/unpublish history.
-    /// The search equivalences above rest on this.
+    /// The record arena both schedulers share answers like a plain
+    /// [`IndexNode`] per peer after every write of a random tape — every
+    /// return value and read compared — and advertises bit-identical
+    /// routing digests for any publish/unpublish history. The search
+    /// equivalences above and the flood's gate rest on this.
     #[test]
     fn arena_digests_bit_identical_to_index_node(
         publishes in publish_ops(),
@@ -429,29 +460,31 @@ proptest! {
         log2_bits in 6u8..12,
         tape in table_ops(),
     ) {
-        let mut nodes = PeerIndexes::with_peers(TABLE_PEERS as usize);
+        let mut nodes: Vec<IndexNode> = (0..TABLE_PEERS).map(|_| IndexNode::new()).collect();
         let mut arena = RecordArena::with_peers(TABLE_PEERS as usize);
         for (i, op) in tape.iter().enumerate() {
             // what the write pushed out is what the digests are told left
-            let own = |r: Option<(&str, up2p_net::SharedFields)>| {
-                r.map(|(community, fields)| (community.to_string(), fields.to_vec()))
-            };
-            let (from_nodes, from_arena) = if op.remove {
-                (
-                    own(ShareTable::remove(&mut nodes, op.peer, &op.record.key)),
-                    own(ShareTable::remove(&mut arena, op.peer, &op.record.key)),
-                )
+            let provider = PeerId(op.peer);
+            let from_nodes = nodes.get_mut(op.peer as usize).and_then(|node| {
+                let (slot, fields) = if op.remove {
+                    node.remove_slot(provider, &op.record.key)?
+                } else {
+                    node.upsert_slot(provider, &op.record)?
+                };
+                Some((node.community_name(slot).to_string(), fields.to_vec()))
+            });
+            let from_arena = if op.remove {
+                arena.remove(op.peer, &op.record.key)
             } else {
-                (
-                    own(ShareTable::upsert(&mut nodes, op.peer, &op.record)),
-                    own(ShareTable::upsert(&mut arena, op.peer, &op.record)),
-                )
+                arena.upsert(op.peer, &op.record)
             };
+            let from_arena =
+                from_arena.map(|(community, fields)| (community.to_string(), fields.to_vec()));
             prop_assert_eq!(from_nodes, from_arena, "op #{} returned differently: {:?}", i, op);
             for peer in (0..=TABLE_PEERS).chain([u32::MAX]) {
                 prop_assert_eq!(
-                    table_view(&nodes, peer),
-                    table_view(&arena, peer),
+                    node_view(&nodes, peer),
+                    arena_view(&arena, peer),
                     "peer {} differs after op #{}: {:?}", peer, i, op
                 );
             }

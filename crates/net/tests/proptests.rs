@@ -1,6 +1,7 @@
 //! Property tests for the simulated substrates: determinism, message
 //! bounds, cross-protocol agreement on search results, the index/scan
-//! equivalence oracle for [`IndexNode`], and the event queue's pop order.
+//! equivalence oracle for [`IndexNode`], the flood's record gate, and the
+//! event queue's pop order.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -8,9 +9,9 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use up2p_net::sim::EventQueue;
 use up2p_net::{
-    build_network, ConstantLatency, DigestConfig, FloodingConfig, FloodingNetwork, IndexNode,
-    PeerId, PeerIndexes, PeerNetwork, ProtocolKind, ResourceRecord, RouteTable, RoutingDigest,
-    ShareTable, SharedFields, Time, Topology,
+    build_network, sign_record, ConstantLatency, DigestConfig, FloodingConfig, FloodingNetwork,
+    IndexNode, PeerId, PeerNetwork, Probe, ProtocolKind, RecordArena, ResourceRecord, RouteTable,
+    RoutingDigest, SharedFields, Signature, Time, Topology,
 };
 use up2p_store::{Query, ValuePattern};
 
@@ -385,26 +386,27 @@ proptest! {
         }
     }
 
-    /// The flood's term summary never hides a match and never invents
-    /// one: after every write of a random tape — fresh publishes,
-    /// republishes with other fields or into the other community,
-    /// withdrawals of present and absent keys — a flooding network's
-    /// answer at each of its peers (a TTL-0 search there: the peer's
-    /// summary, then its index) is every query form's answer of a plain
-    /// [`IndexNode`] given the same writes, peer by peer and community by
-    /// community (the same words live in both communities, so a term
-    /// present only in the other one is asked for all the time), and so
-    /// is the bare [`PeerIndexes`] table's, asked with no summary in
-    /// front. The network's writes set summary bits and push record
-    /// signatures, or rebuild a peer's words and signatures; the plain
-    /// nodes have neither. Half the queries are two-term `And`s, which
-    /// the summary admits wherever the terms sit in different records.
+    /// The flood's gate never hides a match and never invents one: after
+    /// every write of a random tape — fresh publishes, republishes with
+    /// other fields or into the other community, withdrawals of present
+    /// and absent keys — a flooding network's answer at each of its peers
+    /// (a TTL-0 search there: the peer's summary and record signatures,
+    /// then `matches_fields` on the records they admit) is every query
+    /// form's answer of a plain [`IndexNode`] given the same writes, peer
+    /// by peer and community by community (the same words live in both
+    /// communities, so a term present only in the other one is asked for
+    /// all the time). The node recycles doc-ids where the arena appends,
+    /// so that comparison is of multisets; in order, the answer is the
+    /// ungated scan of a bare [`RecordArena`] given the same writes, whose
+    /// every write returns what the node's does. Half the queries are
+    /// two-term `And`s, which the summary admits wherever the terms sit in
+    /// different records.
     #[test]
     fn term_summary_never_changes_an_answer(
         ops in digest_ops(3),
         queries in pvec(prop_oneof![oracle_query(), split_and()], 1..4),
     ) {
-        let mut table = PeerIndexes::with_peers(3);
+        let mut arena = RecordArena::with_peers(3);
         let mut net = FloodingNetwork::new(
             Topology::empty(3),
             Box::new(ConstantLatency(1)),
@@ -415,6 +417,9 @@ proptest! {
         let named = |node: &IndexNode, r: Option<(u32, SharedFields)>| {
             r.map(|(slot, f)| (node.community_name(slot).to_string(), f.to_vec()))
         };
+        let owned = |(key, provider, fields): (String, PeerId, SharedFields)| {
+            (key, provider, fields.to_vec())
+        };
         for (i, op) in ops.iter().enumerate() {
             match op {
                 DigestOp::Publish { at, key, community, fields, .. } => {
@@ -423,7 +428,7 @@ proptest! {
                     let node = &mut plain[*at as usize];
                     let pushed_out = node.upsert_slot(PeerId(*at), &record);
                     prop_assert_eq!(
-                        own(table.upsert(*at, &record)),
+                        own(arena.upsert(*at, &record)),
                         named(node, pushed_out),
                         "op #{}: {:?}", i, op
                     );
@@ -434,7 +439,7 @@ proptest! {
                     let node = &mut plain[*at as usize];
                     let removed = node.remove_slot(PeerId(*at), &key);
                     prop_assert_eq!(
-                        own(ShareTable::remove(&mut table, *at, &key)),
+                        own(arena.remove(*at, &key)),
                         named(node, removed),
                         "op #{}: {:?}", i, op
                     );
@@ -444,8 +449,6 @@ proptest! {
             }
             for query in &queries {
                 for community in COMMUNITIES {
-                    // one matcher for the walk's worth of peers, as the flood uses it
-                    let mut matcher = table.matcher(community, query);
                     for peer in 0..4u32 {
                         let mut expected = Vec::new();
                         if let Some(node) = plain.get(peer as usize) {
@@ -453,28 +456,63 @@ proptest! {
                                 expected.push((key.to_string(), provider, fields.to_vec()));
                             });
                         }
-                        let got: Vec<_> = matcher(peer)
-                            .into_iter()
-                            .map(|(key, provider, fields)| (key, provider, fields.to_vec()))
-                            .collect();
-                        prop_assert_eq!(
-                            &got, &expected,
-                            "peer {} answers {} in {} differently after op #{}: {:?}",
-                            peer, query, community, i, op
-                        );
-                        let summarised: Vec<_> = net
+                        let gated: Vec<_> = net
                             .search(PeerId(peer), community, query)
                             .hits
                             .into_iter()
                             .map(|hit| (hit.key, hit.provider, hit.fields.to_vec()))
                             .collect();
+                        let scanned: Vec<_> =
+                            arena.matches(peer, community, query).into_iter().map(owned).collect();
                         prop_assert_eq!(
-                            &summarised, &expected,
-                            "peer {}'s summary changes its answer to {} in {} after op #{}: {:?}",
+                            &gated, &scanned,
+                            "peer {}'s gate changes its answer to {} in {} after op #{}: {:?}",
+                            peer, query, community, i, op
+                        );
+                        let mut gated = gated;
+                        gated.sort();
+                        expected.sort();
+                        prop_assert_eq!(
+                            &gated, &expected,
+                            "peer {} answers {} in {} unlike its index after op #{}: {:?}",
                             peer, query, community, i, op
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// The compiled signature test is the predicate it stands for: for
+    /// every query form — `Or`, `Not`, `All`, wildcards, nested `And`s —
+    /// and any 2-word signature, whether random words (dense or a quarter
+    /// full) or the signature of a generated record, [`Probe::admits`]
+    /// answers what [`Probe::may_match`] answers, in both communities.
+    #[test]
+    fn signature_mask_is_may_match(
+        query in prop_oneof![
+            oracle_query(),
+            split_and(),
+            pvec(prop_oneof![split_and(), oracle_query()], 0..3).prop_map(Query::And),
+        ],
+        random in pvec((any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()), 0..8),
+        publishes in publish_ops(),
+    ) {
+        let mut signatures: Vec<Signature> = Vec::new();
+        for (a, b, c, d) in random {
+            signatures.extend([[a, b], [a & c, b & d]]);
+        }
+        for op in &publishes {
+            signatures.push(sign_record(&mut [0; 1], op.community, &op.fields));
+        }
+        for community in COMMUNITIES {
+            let probe = Probe::new(community, &query);
+            for signature in &signatures {
+                prop_assert_eq!(
+                    probe.admits(signature),
+                    probe.may_match(signature),
+                    "{} in {} over {:x?}", query, community, signature
+                );
             }
         }
     }

@@ -156,9 +156,9 @@ impl Servent {
     ) -> Result<String, CoreError> {
         let community = self.community_or_err(&object.community_id)?;
         let fields: SharedFields = self.index_fields(community, object)?.into();
-        self.repository.insert_with_fields(
+        self.repository.insert_canonical(
             &object.community_id,
-            object.doc.clone(),
+            object.xml(),
             SharedFields::clone(&fields),
         );
         plane.put(object);

@@ -23,6 +23,7 @@ use up2p_net::{
 };
 use up2p_schema::{FieldKind, SchemaBuilder};
 use up2p_store::{tokenize, Query, Repository, ResourceId};
+use up2p_xml::Document;
 
 /// Scale knob: scenario sizes are divided by this for fast test runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,19 +124,21 @@ pub fn e1_pipeline() -> Table {
     t.row(["create-form derivation".to_string(), format!("{} fields", form.fields.len())]);
 
     let corpus = IndexedCorpus::patterns(&community, &community.indexed_paths());
-    for object in corpus.repo.iter() {
-        community.validate(object.document()).expect("valid");
+    let docs: Vec<Document> = corpus
+        .repo
+        .iter()
+        .map(|object| Document::parse(&object.xml).expect("stored bytes parse"))
+        .collect();
+    for doc in &docs {
+        community.validate(doc).expect("valid");
     }
     t.row(["fill + validate".to_string(), format!("{} objects", corpus.repo.len())]);
 
     let stats = corpus.repo.index_stats();
     t.row(["metadata indexing".to_string(), format!("{} token postings", stats.token_postings)]);
 
-    let html_bytes: usize = corpus
-        .repo
-        .iter()
-        .map(|object| stylesheets::render_view(object.document(), None).expect("renders").len())
-        .sum();
+    let html_bytes: usize =
+        docs.iter().map(|doc| stylesheets::render_view(doc, None).expect("renders").len()).sum();
     t.row(["XSLT view rendering".to_string(), format!("{html_bytes} HTML bytes")]);
 
     let queries = ["observer", "factory", "interface", "algorithm", "state"];

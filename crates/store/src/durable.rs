@@ -145,7 +145,8 @@ impl DurableRepository {
     /// # Errors
     ///
     /// [`StoreError::Corrupt`] when `dir` has no manifest or a committed
-    /// file is damaged; I/O and XML errors from reading object bodies.
+    /// file is damaged; I/O errors from reading it. Object bodies are
+    /// not parsed: each frame's CRC vouches for its bytes.
     pub fn recover(dir: &Path) -> Result<(Repository, RecoveryReport), StoreError> {
         let manifest = read_manifest(dir)?.ok_or_else(|| {
             StoreError::Corrupt(format!("{}: no durable-store manifest", dir.display()))
@@ -206,7 +207,8 @@ impl DurableRepository {
 
     /// Durably publishes with pre-extracted fields. Tokenization happens
     /// exactly once, here; the prepared form rides the WAL record so
-    /// recovery replays it for free.
+    /// recovery replays it for free. The document is serialised for the
+    /// WAL frame and dropped: the store keeps the bytes.
     ///
     /// # Errors
     ///
@@ -222,7 +224,8 @@ impl DurableRepository {
         let prep = prepare_fields(&fields);
         self.wal.append(|out| encode_publish(community, &xml, &fields, &prep, out))?;
         self.wal_records += 1;
-        let id = self.repo.admit(community, xml, doc, fields, Some(&prep));
+        let id = ResourceId::for_object(community, &xml);
+        let id = self.repo.admit(id, community, xml, fields, Some(&prep));
         self.maybe_compact()?;
         Ok(id)
     }
@@ -350,8 +353,9 @@ fn replay_state(
         Err(e) => return Err(StoreError::Io(e)),
     };
     let tail = replay(&wal_bytes);
+    let wal_records = tail.records.len();
     let mut live: BTreeMap<ResourceId, WalRecord> = BTreeMap::new();
-    for rec in segment_records.into_iter().chain(tail.records.iter().cloned()) {
+    for rec in segment_records.into_iter().chain(tail.records) {
         match rec {
             WalRecord::Publish { ref community, ref xml, .. } => {
                 let id = ResourceId::for_object(community, xml);
@@ -362,18 +366,19 @@ fn replay_state(
             }
         }
     }
+    // each frame's CRC vouches for its bytes: admitted unparsed, under
+    // the id that keyed it
     let mut repo = Repository::new();
-    for rec in live.into_values() {
+    for (id, rec) in live {
         let WalRecord::Publish { community, xml, fields, prep } = rec else {
             continue; // unreachable: removes never enter the map
         };
-        let doc = Document::parse(&xml)?;
-        repo.admit(&community, xml, doc, fields.into(), Some(&prep));
+        repo.admit(id, &community, xml, fields.into(), Some(&prep));
     }
     let report = RecoveryReport {
         generation: manifest.generation,
         segment_objects,
-        wal_records: tail.records.len(),
+        wal_records,
         torn_bytes: tail.torn_bytes,
     };
     Ok((repo, tail.valid_len, report))

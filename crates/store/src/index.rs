@@ -67,13 +67,15 @@ pub fn prepare_fields(fields: &[(String, String)]) -> Vec<PreparedField> {
         .collect()
 }
 
-/// Interner mapping strings to dense `u32` symbols. Each distinct string
-/// is stored exactly once (as the lookup key); the content byte total is
+/// Interner mapping strings to dense `u32` symbols and back. Each
+/// distinct string is stored exactly once, one `Arc<str>` shared by the
+/// lookup map and the symbol → name vector; the content byte total is
 /// accumulated on intern so `bytes()` is O(1) and matches what is
-/// actually resident.
+/// actually resident. Symbols are never freed.
 #[derive(Debug, Clone, Default)]
 struct SymbolTable {
-    lookup: HashMap<String, u32>,
+    lookup: HashMap<Arc<str>, u32>,
+    names: Vec<Arc<str>>,
     content_bytes: usize,
 }
 
@@ -82,9 +84,11 @@ impl SymbolTable {
         if let Some(&sym) = self.lookup.get(s) {
             return sym;
         }
-        let sym = self.lookup.len() as u32;
+        let sym = self.names.len() as u32;
+        let name: Arc<str> = Arc::from(s);
         self.content_bytes += s.len();
-        self.lookup.insert(s.to_string(), sym);
+        self.lookup.insert(Arc::clone(&name), sym);
+        self.names.push(name);
         sym
     }
 
@@ -92,8 +96,13 @@ impl SymbolTable {
         self.lookup.get(s).copied()
     }
 
+    /// The string `sym` was interned as.
+    fn name(&self, sym: u32) -> &str {
+        &self.names[sym as usize]
+    }
+
     fn len(&self) -> usize {
-        self.lookup.len()
+        self.names.len()
     }
 
     /// Total bytes of interned string content (each distinct string
@@ -104,8 +113,9 @@ impl SymbolTable {
 }
 
 /// Everything stored per indexed object: the original id, the raw
-/// extracted fields (public API + snippets), and the interned/normalized
-/// forms the scan fallback and targeted removal replay. Fields are held
+/// extracted fields (public API + snippets), and each field's path and
+/// normalized value as the symbols they were interned as, which the scan
+/// fallback and targeted removal replay. Fields are held
 /// behind an `Arc` so callers that already share the extracted metadata
 /// (the net layer's index nodes, the repository) pay a refcount bump, not
 /// a deep copy, per index.
@@ -114,7 +124,7 @@ struct DocEntry {
     id: ResourceId,
     fields: SharedFields,
     path_syms: Vec<u32>,
-    norms: Vec<String>,
+    norms: Vec<u32>,
 }
 
 /// Inverted index over extracted `(field path, value)` pairs.
@@ -210,9 +220,7 @@ impl MetadataIndex {
         };
         for (i, (_, value)) in entry.fields.iter().enumerate() {
             let path = entry.path_syms[i] as usize;
-            if let Some(v) = self.terms.get(&entry.norms[i]) {
-                unpost(&mut self.exact[path], v, doc);
-            }
+            unpost(&mut self.exact[path], entry.norms[i], doc);
             let (terms, tokens) = (&self.terms, &mut self.tokens);
             for_each_token(value, |token| {
                 if let Some(t) = terms.get(token) {
@@ -261,7 +269,8 @@ impl MetadataIndex {
     ///
     /// Keyword and exact-match branches are answered from the inverted
     /// structures via the reference→path map; wildcard patterns fall back
-    /// to scanning stored normalized values. Results always agree with
+    /// to scanning each object's normalized values, resolved from the
+    /// symbols it holds. Results always agree with
     /// [`Query::matches_fields`] (property-tested).
     pub fn execute(&self, query: &Query) -> BTreeSet<ResourceId> {
         self.exec(query)
@@ -359,7 +368,7 @@ impl MetadataIndex {
                 let t = terms.intern(token);
                 add_posting(tokens[p as usize].entry(t).or_default(), doc);
             });
-            norms.push(norm);
+            norms.push(v);
         }
         self.docs[doc as usize] = Some(DocEntry { id, fields, path_syms, norms });
         doc
@@ -454,8 +463,9 @@ impl MetadataIndex {
                         .enumerate()
                         .filter(|(_, e)| {
                             e.as_ref().is_some_and(|e| {
-                                e.path_syms.iter().zip(&e.norms).any(|(p, norm)| {
-                                    path_syms.contains(p) && pattern.matches_normalized(norm)
+                                e.path_syms.iter().zip(&e.norms).any(|(p, &norm)| {
+                                    path_syms.contains(p)
+                                        && pattern.matches_normalized(self.terms.name(norm))
                                 })
                             })
                         })
@@ -492,7 +502,7 @@ impl MetadataIndex {
 /// Where [`MetadataIndex::post`] gets field `i`'s normalized value and
 /// keyword tokens.
 trait TermSource {
-    fn norm(&self, i: usize, value: &str) -> String;
+    fn norm<'a>(&'a self, i: usize, value: &str) -> Cow<'a, str>;
     fn for_each_token(&self, i: usize, value: &str, f: impl FnMut(&str));
 }
 
@@ -501,19 +511,19 @@ trait TermSource {
 struct Tokenizer;
 
 impl TermSource for Tokenizer {
-    fn norm(&self, _: usize, value: &str) -> String {
-        normalize(value)
+    fn norm<'a>(&'a self, _: usize, value: &str) -> Cow<'a, str> {
+        Cow::Owned(normalize(value))
     }
     fn for_each_token(&self, _: usize, value: &str, f: impl FnMut(&str)) {
         for_each_token(value, f);
     }
 }
 
-/// Reads back what [`prepare_fields`] derived; never runs the tokenizer.
-/// The slice must be as long as the object's field list.
+/// Reads back what [`prepare_fields`] derived, by borrow; never runs
+/// the tokenizer. The slice must be as long as the object's field list.
 impl TermSource for &[PreparedField] {
-    fn norm(&self, i: usize, _: &str) -> String {
-        self[i].norm.clone()
+    fn norm<'a>(&'a self, i: usize, _: &str) -> Cow<'a, str> {
+        Cow::Borrowed(&self[i].norm)
     }
     fn for_each_token(&self, i: usize, _: &str, mut f: impl FnMut(&str)) {
         self[i].tokens.iter().for_each(|t| f(t));
@@ -726,6 +736,22 @@ mod tests {
         // removing twice is a no-op
         ix.remove(&id(2));
         assert_eq!(ix.len(), 2);
+    }
+
+    /// Two records share one normalized value, so one symbol: removing
+    /// either unposts only its own doc-id from that symbol's list.
+    #[test]
+    fn removing_one_of_two_equal_values_keeps_the_other_posted() {
+        let mut ix = MetadataIndex::new();
+        ix.insert(id(1), vec![("o/name".into(), "Abstract  Factory".into())]);
+        ix.insert(id(2), vec![("o/name".into(), "abstract factory".into())]);
+        ix.remove(&id(1));
+        assert_eq!(ix.execute(&Query::eq("name", "ABSTRACT factory")), BTreeSet::from([id(2)]));
+        let q = Query::Match { field: "name".into(), pattern: ValuePattern::from_wildcard("*t f*") };
+        assert_eq!(ix.execute(&q), BTreeSet::from([id(2)]));
+        assert_eq!(ix.stats().exact_postings, 1);
+        ix.remove(&id(2));
+        assert!(ix.execute(&Query::eq("name", "abstract factory")).is_empty());
     }
 
     #[test]

@@ -50,8 +50,8 @@ impl ValuePattern {
     }
 
     /// Does an already-[`normalize`]d value match? This is the zero-
-    /// allocation comparison the index scan fallback uses against its
-    /// stored normalized values.
+    /// allocation comparison the index scan fallback uses against the
+    /// normalized values it interned.
     pub fn matches_normalized(&self, v: &str) -> bool {
         match self {
             ValuePattern::Exact(p) => v == *p,

@@ -9,8 +9,9 @@ use crate::query::Query;
 use std::collections::{BTreeMap, BTreeSet};
 use up2p_xml::{Document, XPath};
 
-/// A stored shared object: its community, canonical XML, parsed document
-/// and the metadata fields that were extracted for indexing.
+/// A stored shared object: its community, canonical XML and the
+/// metadata fields that were extracted for indexing. A reader that needs
+/// the document parses `xml`.
 #[derive(Debug, Clone)]
 pub struct StoredObject {
     /// Content-derived identifier.
@@ -23,22 +24,9 @@ pub struct StoredObject {
     /// metadata index (and, on the publish path, the network record)
     /// holds.
     pub fields: SharedFields,
-    doc: Document,
 }
 
 impl StoredObject {
-    /// Builds the object around the canonical XML it is given (`doc`'s
-    /// serialization), which also fixes its id.
-    fn new(community: String, xml: String, doc: Document, fields: SharedFields) -> Self {
-        let id = ResourceId::for_object(&community, &xml);
-        StoredObject { id, community, xml, fields, doc }
-    }
-
-    /// The parsed object document.
-    pub fn document(&self) -> &Document {
-        &self.doc
-    }
-
     /// Value of the first field whose path ends in `leaf`, used as a
     /// display title.
     pub fn field(&self, leaf: &str) -> Option<&str> {
@@ -159,37 +147,49 @@ impl Repository {
     }
 
     /// Inserts with pre-extracted fields (used by the indexer-stylesheet
-    /// path, where the community's filter stylesheet chose the fields,
-    /// and by the servent's publish path, which shares one `Arc` between
-    /// the repository, the index and the published network record).
+    /// path, where the community's filter stylesheet chose the fields).
+    /// The document is serialised and dropped.
     pub fn insert_with_fields(
         &mut self,
         community: &str,
         doc: Document,
         fields: impl Into<SharedFields>,
     ) -> ResourceId {
-        self.admit(community, doc.to_xml_string(), doc, fields.into(), None)
+        self.insert_canonical(community, doc.to_xml_string(), fields)
     }
 
-    /// The one write path: `xml` is `doc`'s canonical
-    /// serialization, made once by the caller (the durable store has it
-    /// for the WAL record already). With `prep` — the fields'
-    /// pre-tokenized form, see [`crate::prepare_fields`] — the index
-    /// posts without running the tokenizer.
-    pub(crate) fn admit(
+    /// Inserts an object's canonical XML — the XML writer's output, which
+    /// the id hashes as given — with pre-extracted fields. The servent's
+    /// publish path serialises once and shares one `Arc` between the
+    /// repository, the index and the published network record.
+    pub fn insert_canonical(
         &mut self,
         community: &str,
         xml: String,
-        doc: Document,
+        fields: impl Into<SharedFields>,
+    ) -> ResourceId {
+        let id = ResourceId::for_object(community, &xml);
+        self.admit(id, community, xml, fields.into(), None)
+    }
+
+    /// The one write path: `id` is [`ResourceId::for_object`] of
+    /// `community` and the canonical `xml`, hashed once by the caller
+    /// (recovery has it from keying its live set). With `prep` — the
+    /// fields' pre-tokenized form, see [`crate::prepare_fields`] — the
+    /// index posts without running the tokenizer.
+    pub(crate) fn admit(
+        &mut self,
+        id: ResourceId,
+        community: &str,
+        xml: String,
         fields: SharedFields,
         prep: Option<&[PreparedField]>,
     ) -> ResourceId {
-        let obj = StoredObject::new(community.to_string(), xml, doc, fields);
         match prep {
-            Some(prep) => self.index.insert_tokenized(obj.id.clone(), obj.fields.clone(), prep),
-            None => self.index.insert_shared(obj.id.clone(), obj.fields.clone()),
+            Some(prep) => self.index.insert_tokenized(id.clone(), fields.clone(), prep),
+            None => self.index.insert_shared(id.clone(), fields.clone()),
         };
-        self.file(obj)
+        self.file(StoredObject { id, community: community.to_string(), xml, fields })
     }
 
     /// Files an object under its id and community.
@@ -269,13 +269,16 @@ impl Repository {
 
     /// Runs an XPath query against every object document (the "richer
     /// query language" of the paper's future work): an object matches
-    /// when the expression evaluates to a truthy value on its document.
+    /// when the expression evaluates to a truthy value on its document,
+    /// parsed from the stored bytes.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::InvalidQuery`] when the expression is
     /// malformed, or on the first object it cannot be evaluated on (an
-    /// unbound variable, a non-node-set where a node-set is required).
+    /// unbound variable, a non-node-set where a node-set is required);
+    /// [`StoreError::InvalidXml`] when an object's stored bytes do not
+    /// parse.
     pub fn xpath_search(
         &self,
         community: Option<&str>,
@@ -285,12 +288,11 @@ impl Repository {
         let xp = XPath::parse(expr).map_err(invalid)?;
         let mut out = Vec::new();
         for obj in self.objects.values() {
-            if let Some(c) = community {
-                if obj.community != c {
-                    continue;
-                }
+            if community.is_some_and(|c| obj.community != c) {
+                continue;
             }
-            if xp.eval_root(&obj.doc).map_err(invalid)?.into_bool() {
+            let doc = Document::parse(&obj.xml)?;
+            if xp.eval_root(&doc).map_err(invalid)?.into_bool() {
                 out.push(obj);
             }
         }

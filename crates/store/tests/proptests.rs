@@ -1,17 +1,19 @@
 //! Property tests: the inverted index must agree exactly with the
 //! reference (linear scan) query semantics, the CMIP filter syntax
 //! must round-trip through `Display`, the incremental SHA-1 must give
-//! the digests of the plain FIPS 180-1 transcription it replaced, and
-//! slicing-by-8 CRC-32 the checksums of the one-byte loop.
+//! the digests of the plain FIPS 180-1 transcription it replaced,
+//! slicing-by-8 CRC-32 the checksums of the one-byte loop, and
+//! `xpath_search` over stored bytes the answers of the evaluator that
+//! kept a parsed document per object.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use up2p_store::{
-    crc32, parse_cmip, prepare_fields, sha1, token_passes, DurableOptions, DurableRepository,
-    IndexStats, MetadataIndex, PreparedField, Query, Repository, ResourceId, Sha1, SharedFields,
-    SyncPolicy, ValuePattern,
+    crc32, normalize, parse_cmip, prepare_fields, sha1, token_passes, DurableOptions,
+    DurableRepository, IndexStats, MetadataIndex, PreparedField, Query, Repository, ResourceId,
+    Sha1, SharedFields, StoreError, SyncPolicy, ValuePattern,
 };
-use up2p_xml::Document;
+use up2p_xml::{Document, XPath};
 
 /// The oracle: SHA-1 transcribed from FIPS 180-1 as the store first
 /// implemented it — the padded message copied whole, an 80-word
@@ -216,6 +218,89 @@ fn item_prep(fields: &[(String, String)], short: bool) -> Vec<PreparedField> {
     prep
 }
 
+/// Per field, the exact value and a prefix, suffix and contains
+/// pattern cut from its normalized form.
+fn value_patterns(fields: &[(String, String)]) -> Vec<Query> {
+    let mut out = Vec::new();
+    for (path, value) in fields {
+        let norm = normalize(value);
+        let chars: Vec<char> = norm.chars().collect();
+        let n = chars.len();
+        let cut = |a: usize, b: usize| chars[a.min(n)..b.min(n)].iter().collect::<String>();
+        for pattern in [
+            ValuePattern::Exact(norm.clone()),
+            ValuePattern::Prefix(cut(0, 3)),
+            ValuePattern::Suffix(cut(n.saturating_sub(3), n)),
+            ValuePattern::Contains(cut(1, n.saturating_sub(1))),
+        ] {
+            out.push(Query::Match { field: path.clone(), pattern });
+        }
+    }
+    out
+}
+
+/// One stored object: its community, name and XML, under one of two
+/// roots.
+fn xml_object() -> impl Strategy<Value = (String, String, String)> {
+    (prop_oneof![Just("a"), Just("b")], any::<bool>(), word(), prop::collection::vec(word(), 0..3))
+        .prop_map(|(community, song, name, kws)| {
+            let root = if song { "song" } else { "obj" };
+            let kws: String = kws.iter().map(|k| format!("<kw>{k}</kw>")).collect();
+            let xml = format!("<{root}><name>{name}</name>{kws}</{root}>");
+            (community.to_string(), name, xml)
+        })
+}
+
+/// XPath expressions over [`xml_object`]s: ones that select, one that
+/// does not parse, and one that fails to evaluate only on a song named
+/// `w` (the unbound `$v` is reached past the `and`).
+fn xpath_expr(kind: u8, w: &str, n: usize) -> String {
+    match kind {
+        0 => format!("/obj[name='{w}']"),
+        1 => format!("//kw[contains(., '{w}')]"),
+        2 => format!("count(/*/kw) > {n}"),
+        3 => format!("/song/name = '{w}' and $v"),
+        4 => "/song".to_string(),
+        _ => "///".to_string(),
+    }
+}
+
+/// The `xpath_search` that kept a parsed `Document` per object: every
+/// object in id order, community-filtered, the first evaluation error
+/// returned.
+fn xpath_search_oracle(
+    docs: &BTreeMap<ResourceId, (String, Document)>,
+    community: Option<&str>,
+    expr: &str,
+) -> Result<Vec<ResourceId>, StoreError> {
+    let invalid = |e: up2p_xml::XPathError| StoreError::InvalidQuery(e.to_string());
+    let xp = XPath::parse(expr).map_err(invalid)?;
+    let mut out = Vec::new();
+    for (id, (c, doc)) in docs {
+        if let Some(want) = community {
+            if c != want {
+                continue;
+            }
+        }
+        if xp.eval_root(doc).map_err(invalid)?.into_bool() {
+            out.push(id.clone());
+        }
+    }
+    Ok(out)
+}
+
+/// A fresh scratch directory per proptest case.
+fn case_dir(name: &str) -> std::path::PathBuf {
+    static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "up2p-store-prop-{name}-{}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 /// Every query's matches in `for_each_match` (doc-id) order.
 fn match_order(ix: &MetadataIndex, query: &Query) -> Vec<ResourceId> {
     let mut out = Vec::new();
@@ -404,14 +489,17 @@ proptest! {
     /// The two insert cells — tokenizing `insert_shared` and prepared
     /// `insert_tokenized` — are one write path: driven through one random
     /// insert / remove / re-insert tape (repeated ids inside a group,
-    /// prepared forms of the wrong length) they hold the same postings,
-    /// answer every query like the linear scan and visit matches in the
-    /// same order. Prepared inserts of new ids run zero tokenizer passes.
+    /// prepared forms of the wrong length, removal of a record whose
+    /// normalized values a live twin shares) they hold the same postings,
+    /// answer every query — and the exact, prefix, suffix and contains
+    /// patterns of the twin's values — like the linear scan and visit
+    /// matches in the same order. Prepared inserts of new ids run zero
+    /// tokenizer passes.
     #[test]
     fn insert_cells_agree(
         objects in prop::collection::vec(object_fields(), 1..10),
         tape in prop::collection::vec(
-            (0u8..4, prop::collection::vec((0usize..12, object_fields(), any::<bool>()), 1..4)),
+            (0u8..5, prop::collection::vec((0usize..12, object_fields(), any::<bool>()), 1..4)),
             1..12,
         ),
         query in query_strategy(),
@@ -445,12 +533,37 @@ proptest! {
         model.extend(load.into_iter().map(|(slot, f, _)| (slot_id(slot), f)));
 
         for (op, mut group) in tape {
+            let mut patterns = Vec::new();
             match op {
                 0 => {
                     let id = slot_id(group[0].0);
                     tokenizing.remove(&id);
                     prepared.remove(&id);
                     model.remove(&id);
+                }
+                4 => {
+                    // a twin of a live record under another id, its values
+                    // recased and respaced to the same normalized form; then
+                    // the original goes and the twin's postings must stay
+                    let (slot, short) = (group[0].0, group[0].2);
+                    let Some((original, fields)) = model
+                        .iter()
+                        .nth(slot % model.len().max(1))
+                        .map(|(id, f)| (id.clone(), f.clone()))
+                    else {
+                        continue;
+                    };
+                    let recase = |v: &str| format!(" {} ", v.to_uppercase().replace(' ', "  "));
+                    let twin: Vec<(String, String)> =
+                        fields.iter().map(|(path, v)| (path.clone(), recase(v))).collect();
+                    patterns = value_patterns(&twin);
+                    insert_group(&mut tokenizing, &mut prepared, &[(slot, twin.clone(), short)]);
+                    model.insert(slot_id(slot), twin);
+                    if original != slot_id(slot) {
+                        tokenizing.remove(&original);
+                        prepared.remove(&original);
+                        model.remove(&original);
+                    }
                 }
                 _ => {
                     if op == 3 {
@@ -462,14 +575,16 @@ proptest! {
                     model.extend(group.into_iter().map(|(slot, f, _)| (slot_id(slot), f)));
                 }
             }
-            let via_scan: BTreeSet<ResourceId> = model
-                .iter()
-                .filter(|(_, f)| query.matches_fields(f))
-                .map(|(id, _)| id.clone())
-                .collect();
             prop_assert_eq!(counts(prepared.stats()), counts(tokenizing.stats()));
-            for ix in [&tokenizing, &prepared] {
-                prop_assert_eq!(ix.execute(&query), via_scan.clone(), "{}", &query);
+            for q in patterns.iter().chain([&query]) {
+                let via_scan: BTreeSet<ResourceId> = model
+                    .iter()
+                    .filter(|(_, f)| q.matches_fields(f))
+                    .map(|(id, _)| id.clone())
+                    .collect();
+                for ix in [&tokenizing, &prepared] {
+                    prop_assert_eq!(ix.execute(q), via_scan.clone(), "{}", q);
+                }
             }
             for q in [&query, &Query::All] {
                 prop_assert_eq!(match_order(&prepared, q), match_order(&tokenizing, q));
@@ -490,13 +605,7 @@ proptest! {
         ),
         query in query_strategy(),
     ) {
-        static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "up2p-store-prop-{}-{}",
-            std::process::id(),
-            CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = case_dir("paths");
         let paths = vec!["obj/name".to_string(), "obj/keywords".to_string()];
         let opts = DurableOptions { sync: SyncPolicy::Manual, compact_every: None };
         let mut sequential = Repository::new();
@@ -546,5 +655,48 @@ proptest! {
             prop_assert_eq!(hits(repo), hits(&sequential), "{}: {}", name, &query);
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+    /// `xpath_search` parses each object's stored bytes where it reads
+    /// them. Over generated stores — inserted, and recovered from a
+    /// snapshot, which admits the bytes unparsed — it gives the hits of
+    /// the evaluator that kept a `Document` per object, in the same order,
+    /// with and without a community filter, and the same `InvalidQuery`
+    /// for an expression that does not parse or fails on one object.
+    #[test]
+    fn xpath_search_equals_the_document_per_object_evaluator(
+        objects in prop::collection::vec(xml_object(), 0..8),
+        community in prop_oneof![Just(None), Just(Some("a")), Just(Some("b")), Just(Some("c"))],
+        shape in (0u8..6, word(), 0usize..3, any::<usize>()),
+    ) {
+        let (kind, w, n, pick) = shape;
+        // the failing expression names a stored object: a song fails it
+        let w = match objects.get(pick % objects.len().max(1)) {
+            Some((_, name, _)) if kind == 3 => name.clone(),
+            _ => w,
+        };
+        let expr = xpath_expr(kind, &w, n);
+        let mut repo = Repository::new();
+        let mut oracle = BTreeMap::new();
+        for (c, _, xml) in &objects {
+            let id = repo.insert_xml(c, xml, &["obj/name".to_string()]).unwrap();
+            oracle.insert(id, (c.clone(), Document::parse(xml).unwrap()));
+        }
+        let dir = case_dir("xpath");
+        DurableRepository::save_snapshot(&repo, &dir).unwrap();
+        let (recovered, _) = DurableRepository::recover(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let expected = xpath_search_oracle(&oracle, community, &expr);
+        for (name, r) in [("inserted", &repo), ("recovered", &recovered)] {
+            let got = r
+                .xpath_search(community, &expr)
+                .map(|hits| hits.iter().map(|o| o.id.clone()).collect::<Vec<_>>());
+            match (&got, &expected) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "{}: {}", name, &expr),
+                (Err(StoreError::InvalidQuery(a)), Err(StoreError::InvalidQuery(b))) => {
+                    prop_assert_eq!(a, b, "{}: {}", name, &expr)
+                }
+                _ => prop_assert!(false, "{}: {}: {:?} against {:?}", name, &expr, got, expected),
+            }
+        }
     }
 }

@@ -1,183 +1,88 @@
-//! Napster-style centralized substrate: one index server, direct
-//! peer-to-peer transfers.
+//! Napster: one index server, direct peer-to-peer transfers.
 //!
 //! Publish uploads metadata to the server; search is a single
 //! request/response round trip; retrieve is a direct connection to the
 //! provider learned from the hit. The server answers only with records
 //! whose provider is currently online (Napster dropped a user's records
-//! with their session). The server's records live in an [`IndexNode`],
+//! with their session). The server's records live in an [`crate::IndexNode`],
 //! as every super-peer's do, so a query is a posting-list lookup and each
 //! candidate's providers are one read of a table indexed by the posting
 //! list's own doc-ids; the rest of a search is building the
 //! [`SearchHit`]s (a key `String` each; the fields are shared).
+//!
+//! What is Napster's alone — the round trip and the server's answer —
+//! is here; the rest of the protocol is the one [`Substrate`]'s.
 
-use crate::index_node::IndexNode;
-use crate::latency::LatencyModel;
-use crate::message::{ResourceRecord, SearchHit, Time};
-use crate::overlay;
+use crate::event::PropMode;
+use crate::message::{SearchHit, Time};
+use crate::overlay::{is_alive, Hop, Progress, ENTRY};
 use crate::peer::PeerId;
-use crate::stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
-use crate::traits::PeerNetwork;
+use crate::stats::MsgKind;
+use crate::substrate::{Protocol, Substrate};
 use up2p_store::Query;
 
-/// The centralized (Napster) substrate.
-pub struct CentralizedNetwork {
-    alive: Vec<bool>,
-    /// The server's indexed record table.
-    server: IndexNode,
-    latency: Box<dyn LatencyModel + Send>,
-    pub(crate) stats: NetStats,
-}
-
-impl std::fmt::Debug for CentralizedNetwork {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CentralizedNetwork")
-            .field("peers", &self.alive.len())
-            .field("records", &self.server.len())
-            .finish()
-    }
-}
-
-impl CentralizedNetwork {
-    /// Creates a network of `n` peers, all online, with the given link
-    /// latency model (used for peer↔server and peer↔peer links alike).
-    pub fn new(n: usize, latency: Box<dyn LatencyModel + Send>) -> Self {
-        CentralizedNetwork {
-            alive: vec![true; n],
-            server: IndexNode::new(),
-            latency,
-            stats: NetStats::new(),
-        }
-    }
-
-    /// Deterministic estimate of resident state in bytes: liveness and
-    /// the server's records.
-    pub(crate) fn approx_bytes(&self) -> u64 {
-        self.alive.len() as u64 + self.server.len() as u64 * 256
-    }
-
-    /// Opens a query: counts it, and for a live origin counts the round
-    /// trip — one request up, one response down, the reply comes whether
-    /// or not it carries hits — and draws the delay of its two legs.
-    /// `None` means the query never leaves.
-    pub(crate) fn begin_query(&mut self, origin: PeerId) -> Option<(Time, Time)> {
-        self.stats.queries += 1;
-        if !self.is_alive(origin) {
-            return None;
-        }
-        self.stats.sent(MsgKind::Query);
-        self.stats.sent(MsgKind::QueryHit);
-        Some((self.latency.delay(origin, SERVER), self.latency.delay(SERVER, origin)))
-    }
-
-    /// The server's answer to a query whose reply lands at `arrival`:
-    /// the matching records of every provider online *now*, one hop
-    /// away, with the hits counted; whether the query found anything is
-    /// left to the caller's close of the query.
-    pub(crate) fn answer(
-        &mut self,
-        community: &str,
-        query: &Query,
-        outcome: &mut SearchOutcome,
-        arrival: Time,
-    ) {
-        outcome.messages = 2;
-        outcome.latency = arrival;
-        let Self { server, alive, .. } = self;
-        server.search(community, query, |p| overlay::is_alive(alive, p), |key, provider, fields| {
-            outcome.hits.push(SearchHit {
-                key: key.to_string(),
-                provider,
-                fields: fields.clone(),
-                hops: 1,
-            });
-        });
-        if !outcome.hits.is_empty() {
-            outcome.first_hit_latency = Some(arrival);
-        }
-        self.stats.hits(1, outcome.hits.len() as u64);
-    }
-}
-
-/// Pseudo peer-id used for latency sampling on peer↔server links.
+/// Pseudo peer-id of the index server, for latency sampling on
+/// peer↔server links.
 const SERVER: PeerId = PeerId(u32::MAX);
 
-impl PeerNetwork for CentralizedNetwork {
-    fn protocol_name(&self) -> &'static str {
-        "Napster"
+impl Hop {
+    /// The request a Napster query sends to the server.
+    pub(crate) const SERVER: Hop = Hop { to: SERVER.0, via: ENTRY, ttl: 0, mode: PropMode::Flood };
+}
+
+impl Substrate {
+    /// The round trip of a query from a live `origin` issued at `t`: one
+    /// request up, one response down — the reply comes whether or not it
+    /// carries hits — counted, with the delay of both legs drawn. The
+    /// reply lands at `p`'s quiescence; returns when the request reaches
+    /// the server.
+    pub(crate) fn server_trip(&mut self, p: &mut Progress, t: Time, origin: PeerId) -> Time {
+        self.stats.sent(MsgKind::Query);
+        self.stats.sent(MsgKind::QueryHit);
+        p.outcome.messages = 2;
+        let up = t + self.latency.delay(origin, SERVER);
+        p.quiescence = up + self.latency.delay(SERVER, origin);
+        p.last_hit_at = p.quiescence;
+        up
     }
 
-    fn peer_count(&self) -> usize {
-        self.alive.len()
-    }
-
-    fn is_alive(&self, peer: PeerId) -> bool {
-        overlay::is_alive(&self.alive, peer)
-    }
-
-    fn set_alive(&mut self, peer: PeerId, alive: bool) {
-        if let Some(a) = self.alive.get_mut(peer.index()) {
-            *a = alive;
+    /// The server's answer to a request that reached it: the matching
+    /// records of every provider online *now*, one hop away, counted and
+    /// landing with the reply. Returns how many there are; whether the
+    /// query found anything is left to the close of the query.
+    pub(crate) fn answer(&mut self, p: &mut Progress, community: &str, query: &Query) -> u32 {
+        let Substrate { alive, stats, protocol: Protocol::Napster(server), .. } = self else {
+            return 0;
+        };
+        let hits = &mut p.outcome.hits;
+        server.search(community, query, |peer| is_alive(alive, peer), |key, provider, fields| {
+            let (key, fields) = (key.to_string(), fields.clone());
+            hits.push(SearchHit { key, provider, fields, hops: 1 });
+        });
+        if !hits.is_empty() {
+            p.outcome.first_hit_latency = Some(p.quiescence);
         }
-    }
-
-    fn publish(&mut self, provider: PeerId, record: ResourceRecord) {
-        if !self.is_alive(provider) {
-            return;
-        }
-        self.stats.sent(MsgKind::Publish);
-        self.server.insert(provider, &record);
-    }
-
-    fn unpublish(&mut self, provider: PeerId, key: &str) {
-        if provider.index() >= self.alive.len() {
-            return; // an id outside the network has no session to end
-        }
-        self.stats.sent(MsgKind::Unpublish);
-        self.server.remove_slot(provider, key);
-    }
-
-    fn search(&mut self, origin: PeerId, community: &str, query: &Query) -> SearchOutcome {
-        let mut outcome = SearchOutcome::default();
-        if let Some((up, down)) = self.begin_query(origin) {
-            self.answer(community, query, &mut outcome, up + down);
-            self.stats.queries_with_hits += u64::from(!outcome.hits.is_empty());
-        }
-        outcome
-    }
-
-    fn retrieve(&mut self, origin: PeerId, provider: PeerId, key: &str) -> RetrieveOutcome {
-        let Self { alive, server, latency, stats } = self;
-        overlay::retrieve(
-            stats,
-            overlay::is_alive(alive, origin),
-            alive.get(provider.index()).copied(),
-            provider,
-            || server.has_provider(key, provider),
-            || latency.delay(origin, provider) + latency.delay(provider, origin),
-        )
-    }
-
-    fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = NetStats::new();
+        stats.hits(1, hits.len() as u64);
+        hits.len() as u32
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::latency::ConstantLatency;
+    use crate::latency::LatencySpec;
+    use crate::message::ResourceRecord;
+    use crate::peer::PeerId;
+    use crate::stats::MsgKind;
+    use crate::substrate::Substrate;
+    use crate::traits::PeerNetwork;
+    use up2p_store::Query;
 
     fn record(key: &str, community: &str, name: &str) -> ResourceRecord {
         ResourceRecord::new(key, community, vec![("o/name".to_string(), name.to_string())])
     }
 
-    fn net(n: usize) -> CentralizedNetwork {
-        CentralizedNetwork::new(n, Box::new(ConstantLatency(10_000)))
+    fn net(n: usize) -> Substrate {
+        Substrate::napster(n, LatencySpec::Constant(10_000).build(n, 1))
     }
 
     #[test]

@@ -99,14 +99,13 @@ pub fn expected_availability(availability: f64, replicas: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::latency::ConstantLatency;
     use crate::topology::Topology;
-    use crate::{FloodingConfig, FloodingNetwork};
+    use crate::{FloodingConfig, LatencySpec, Substrate};
 
-    fn net(n: usize) -> FloodingNetwork {
-        FloodingNetwork::new(
+    fn net(n: usize) -> Substrate {
+        Substrate::gnutella(
             Topology::ring_lattice(n, 2),
-            Box::new(ConstantLatency(1_000)),
+            LatencySpec::Constant(1_000).build(n, 1),
             FloodingConfig::default(),
         )
     }

@@ -1,95 +1,47 @@
 //! Whole-network discrete-event simulation engine.
 //!
-//! The step substrates ([`crate::CentralizedNetwork`],
-//! [`crate::FloodingNetwork`], [`crate::SuperPeerNetwork`]) simulate one
-//! search at a time on a private event queue; churn and digest refresh
-//! happen *between* searches, instantaneously. [`DesNetwork`] runs the
-//! same three protocols on **one global virtual-time queue**
-//! ([`crate::sim::EventQueue`], popping by `(timestamp, push order)`):
-//! query issue, per-hop message delivery, hit return, churn transitions
-//! and digest refresh are all timestamped [`DesEvent`]s, so a churn
-//! storm lands *while* queries are in flight.
+//! A [`Substrate`]'s own `search` simulates one query at a time on a
+//! private event queue; churn and digest refresh happen *between*
+//! searches, instantaneously. [`DesNetwork`] runs the same substrate on
+//! **one global virtual-time queue** ([`crate::sim::EventQueue`],
+//! popping by `(timestamp, push order)`): query issue, per-hop message
+//! delivery, hit return, churn transitions and digest refresh are all
+//! timestamped [`DesEvent`]s, so a churn storm lands *while* queries are
+//! in flight.
 //!
 //! # A scheduler, not a protocol
 //!
-//! The engine owns a step substrate and a timeline, nothing else. Peers,
+//! The engine owns a [`Substrate`] and a timeline, nothing else. Peers,
 //! liveness, shared records, overlay, routing digests, latency model,
-//! walker rng and statistics are the substrate's, built by the
-//! substrate's constructor; `publish`, `unpublish`, `retrieve`, liveness
-//! and digest refresh delegate to it, and a query event borrows the
+//! walker rng and statistics are the substrate's, built by its
+//! constructor; `publish`, `unpublish`, `retrieve`, liveness and digest
+//! refresh are its own, and a query event is one call of
+//! [`Substrate::issue`] or [`Substrate::deliver`], which run the
 //! substrate's own walk (the crate's one overlay-search core,
-//! `overlay.rs`) exactly as the substrate's `search` does. What differs
-//! is the [`Sink`]: every forwarded copy becomes a `Query` event and
-//! every hit batch a `HitDeliver` on the global queue, counted in the
-//! query's `pending`, with the query's issue time as the time base. A
-//! sequential [`PeerNetwork::search`] therefore produces the message
-//! counts, latencies and hits, in order, of the step substrate built
-//! from the same seed — there is one constructor and one stream of rng
-//! draws, not two kept alike — and `tests/des_equivalence.rs` pins what
-//! is still the driver's own: queue discipline, time base, `pending`.
-//!
-//! The engine makes no choice of its own: the Gnutella substrate it
-//! drives keeps every peer's records in the one [`crate::RecordArena`]
-//! the step flood uses, struct-of-arrays over all peers, which is what
-//! makes 100k+ peers tractable.
+//! `overlay.rs`) or its server's answer exactly as its `search` does.
+//! What differs is the [`Sink`]: every forwarded copy becomes a `Query`
+//! (or `ServerQuery`) event and every hit batch a `HitDeliver` on the
+//! global queue, counted in the query's `pending`, with the query's
+//! issue time as the time base. A sequential [`PeerNetwork::search`]
+//! therefore produces the message counts, latencies and hits, in order,
+//! of the step driver over a substrate built from the same seed — there
+//! is one constructor and one stream of rng draws, not two kept alike —
+//! and `tests/des_equivalence.rs` pins what is still the driver's own:
+//! queue discipline, time base, `pending`.
 
-use crate::centralized::CentralizedNetwork;
 use crate::churn::ChurnEvent;
 use crate::digest::Probe;
 use crate::event::DesEvent;
-use crate::flooding::{FloodingConfig, FloodingNetwork};
-use crate::latency::LatencyModel;
 use crate::message::{ResourceRecord, Time};
 use crate::overlay::{Hop, Progress, Sink};
 use crate::peer::PeerId;
 use crate::sim::EventQueue;
 use crate::stats::{NetStats, RetrieveOutcome, SearchOutcome};
-use crate::superpeer::{SuperPeerConfig, SuperPeerNetwork};
-use crate::topology::Topology;
+use crate::substrate::Substrate;
 use crate::traits::{PeerNetwork, ProtocolKind};
 use crate::NetConfig;
 use std::collections::VecDeque;
 use up2p_store::Query;
-
-// ---------------------------------------------------------------------
-// The driven substrate
-// ---------------------------------------------------------------------
-
-/// The step substrate the engine schedules: all protocol state and every
-/// protocol decision live in here.
-enum Substrate {
-    Napster(CentralizedNetwork),
-    Gnutella(FloodingNetwork),
-    FastTrack(SuperPeerNetwork),
-}
-
-impl Substrate {
-    /// Everything the [`PeerNetwork`] trait already offers is delegated
-    /// through these two.
-    fn as_net(&self) -> &dyn PeerNetwork {
-        match self {
-            Substrate::Napster(n) => n,
-            Substrate::Gnutella(g) => g,
-            Substrate::FastTrack(f) => f,
-        }
-    }
-
-    fn as_net_mut(&mut self) -> &mut dyn PeerNetwork {
-        match self {
-            Substrate::Napster(n) => n,
-            Substrate::Gnutella(g) => g,
-            Substrate::FastTrack(f) => f,
-        }
-    }
-
-    fn stats_mut(&mut self) -> &mut NetStats {
-        match self {
-            Substrate::Napster(n) => &mut n.stats,
-            Substrate::Gnutella(g) => &mut g.stats,
-            Substrate::FastTrack(f) => &mut f.stats,
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Per-query state
@@ -133,7 +85,12 @@ impl Sink for Timeline<'_> {
     fn forward(&mut self, at: Time, hop: Hop) {
         let (qid, Hop { to, via, ttl, mode }) = (self.qid, hop);
         *self.pending += 1;
-        self.queue.push(at, DesEvent::Query { qid, to, via, ttl, mode });
+        let event = if to == Hop::SERVER.to {
+            DesEvent::ServerQuery { qid }
+        } else {
+            DesEvent::Query { qid, to, via, ttl, mode }
+        };
+        self.queue.push(at, event);
     }
 
     fn hits_return(&mut self, at: Time, n: u32) {
@@ -146,15 +103,15 @@ impl Sink for Timeline<'_> {
 // The engine
 // ---------------------------------------------------------------------
 
-/// Discrete-event simulation substrate running Napster, Gnutella, or
-/// FastTrack semantics on one global virtual-time queue.
+/// Discrete-event simulation engine running a [`Substrate`] — Napster,
+/// Gnutella or FastTrack — on one global virtual-time queue.
 ///
 /// Construct with [`DesNetwork::build`] (the same [`NetConfig`] mapping
-/// and seeds as [`crate::build_network_with`]) or the per-protocol
-/// constructors, then either:
+/// and seeds as [`crate::build_network_with`]) or [`DesNetwork::new`]
+/// around a substrate built any other way, then either:
 ///
 /// * drive it through the [`PeerNetwork`] trait — each `search` pumps
-///   the queue until that query completes, with the step substrate's
+///   the queue until that query completes, with the step driver's
 ///   accounting — or
 /// * build a global timeline with [`DesNetwork::schedule_query`],
 ///   [`DesNetwork::schedule_churn`], and
@@ -176,7 +133,7 @@ pub struct DesNetwork {
 impl std::fmt::Debug for DesNetwork {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DesNetwork")
-            .field("kind", &self.kind())
+            .field("kind", &self.substrate.kind())
             .field("peers", &self.peer_count())
             .field("clock", &self.clock)
             .field("events_processed", &self.events_processed)
@@ -189,7 +146,8 @@ impl std::fmt::Debug for DesNetwork {
 impl DesNetwork {
     // ---- construction ------------------------------------------------
 
-    fn driving(substrate: Substrate) -> DesNetwork {
+    /// Drives `substrate` from an empty timeline at virtual time 0.
+    pub fn new(substrate: Substrate) -> DesNetwork {
         DesNetwork {
             substrate,
             queue: EventQueue::new(),
@@ -202,53 +160,11 @@ impl DesNetwork {
         }
     }
 
-    /// Napster semantics: every peer talks to one central index server.
-    pub fn napster(peers: usize, latency: Box<dyn LatencyModel + Send>) -> DesNetwork {
-        DesNetwork::driving(Substrate::Napster(CentralizedNetwork::new(peers, latency)))
-    }
-
-    /// Gnutella semantics on an explicit overlay: a [`FloodingNetwork`].
-    pub fn gnutella(
-        topology: Topology,
-        latency: Box<dyn LatencyModel + Send>,
-        config: FloodingConfig,
-    ) -> DesNetwork {
-        DesNetwork::driving(Substrate::Gnutella(FloodingNetwork::new(topology, latency, config)))
-    }
-
-    /// FastTrack semantics: a [`SuperPeerNetwork`] — the first
-    /// `config.supers` peers are supers, every other peer is assigned one
-    /// uniformly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.supers` is zero or exceeds `peers`.
-    pub fn fasttrack(
-        peers: usize,
-        config: SuperPeerConfig,
-        latency: Box<dyn LatencyModel + Send>,
-        seed: u64,
-    ) -> DesNetwork {
-        DesNetwork::driving(Substrate::FastTrack(SuperPeerNetwork::new(
-            peers, config, latency, seed,
-        )))
-    }
-
-    /// Builds a DES substrate from the same [`NetConfig`] knobs as
-    /// [`crate::build_network_with`], consuming seeds identically so the
-    /// two constructions are comparable run-for-run.
+    /// Drives [`Substrate::build`]: the same [`NetConfig`] mapping and
+    /// seeds as [`crate::build_network_with`], so the two are comparable
+    /// run-for-run.
     pub fn build(kind: ProtocolKind, peers: usize, seed: u64, config: &NetConfig) -> DesNetwork {
-        let latency = config.latency.build(peers, seed);
-        match kind {
-            ProtocolKind::Napster => DesNetwork::napster(peers, latency),
-            ProtocolKind::Gnutella => {
-                let topology = Topology::small_world(peers, 2, 0.2, seed);
-                DesNetwork::gnutella(topology, latency, config.flooding())
-            }
-            ProtocolKind::FastTrack => {
-                DesNetwork::fasttrack(peers, config.super_peer(peers), latency, seed)
-            }
-        }
+        DesNetwork::new(Substrate::build(kind, peers, seed, config))
     }
 
     // ---- timeline construction ---------------------------------------
@@ -329,13 +245,10 @@ impl DesNetwork {
 
     // ---- introspection -----------------------------------------------
 
-    /// Which protocol this engine runs.
-    pub fn kind(&self) -> ProtocolKind {
-        match self.substrate {
-            Substrate::Napster(_) => ProtocolKind::Napster,
-            Substrate::Gnutella(_) => ProtocolKind::Gnutella,
-            Substrate::FastTrack(_) => ProtocolKind::FastTrack,
-        }
+    /// The driven substrate: its protocol, overlay, shares and routing
+    /// tables.
+    pub fn substrate(&self) -> &Substrate {
+        &self.substrate
     }
 
     /// Current virtual time (max timestamp processed so far).
@@ -353,65 +266,19 @@ impl DesNetwork {
         self.peak_queue
     }
 
-    /// Records currently shared by `peer` (0 for Napster, where records
-    /// live only on the server).
-    pub fn shared_count(&self, peer: PeerId) -> usize {
-        match &self.substrate {
-            Substrate::Napster(_) => 0,
-            Substrate::Gnutella(g) => g.shared_count(peer),
-            Substrate::FastTrack(f) => f.shared_count(peer),
-        }
-    }
-
-    /// The super-peer index `peer` reports to (FastTrack only).
-    pub fn super_of_peer(&self, peer: PeerId) -> Option<usize> {
-        match &self.substrate {
-            Substrate::FastTrack(f) => f.super_of(peer),
-            _ => None,
-        }
-    }
-
-    /// Queries the routing tables like the forwarding path does: the
-    /// minimum advertised depth at which `advertiser`'s digest (held by
-    /// `receiver`) may match, within `max_depth`. Used by the churn
-    /// regression tests to assert stale digests never go false-negative.
-    pub fn route_min_depth(
-        &self,
-        advertiser: u32,
-        receiver: u32,
-        community: &str,
-        query: &Query,
-        max_depth: u8,
-    ) -> Option<u8> {
-        let routes = match &self.substrate {
-            Substrate::Napster(_) => return None,
-            Substrate::Gnutella(g) => g.routes(),
-            Substrate::FastTrack(f) => f.routes(),
-        };
-        routes.min_depth(advertiser, receiver, &Probe::new(community, query), max_depth)
-    }
-
     /// Deterministic estimate of resident state in bytes: the
     /// substrate's own estimate plus the event queue at its high-water
     /// mark. Not allocator-exact — comparable across runs and protocols,
     /// which is what the E11 scale experiment needs.
     pub fn approx_bytes(&self) -> u64 {
-        let state = match &self.substrate {
-            Substrate::Napster(n) => n.approx_bytes(),
-            Substrate::Gnutella(g) => g.approx_bytes(),
-            Substrate::FastTrack(f) => f.approx_bytes(),
-        };
-        state + self.peak_queue as u64 * (std::mem::size_of::<DesEvent>() as u64 + 24)
+        let queue = self.peak_queue as u64 * (std::mem::size_of::<DesEvent>() as u64 + 24);
+        self.substrate.approx_bytes() + queue
     }
 
     /// Rebuilds dirty routing digests immediately (also triggered by the
     /// guided search path and [`DesEvent::DigestRefresh`] events).
     pub fn refresh_digests(&mut self) {
-        match &mut self.substrate {
-            Substrate::Napster(_) => {}
-            Substrate::Gnutella(g) => g.refresh_digests(),
-            Substrate::FastTrack(f) => f.refresh_digests(),
-        }
+        self.substrate.refresh_digests();
     }
 
     // ---- the pump ----------------------------------------------------
@@ -451,7 +318,7 @@ impl DesNetwork {
                 Some(qid)
             }
             DesEvent::ServerQuery { qid } => {
-                self.handle_server_query(qid);
+                self.handle_query(t, qid, Some(Hop::SERVER));
                 Some(qid)
             }
             DesEvent::HitDeliver { qid, .. } => {
@@ -472,7 +339,7 @@ impl DesNetwork {
     }
 
     /// Converts a completed query's absolute times to the step
-    /// substrates' origin-relative convention and releases its dedup
+    /// search's origin-relative convention and releases its dedup
     /// sets; `true` when this event was the query's last.
     fn finalize_if_done(&mut self, qid: u32) -> bool {
         let Some(qs) = query_mut(&mut self.queries, self.retired, qid) else { return false };
@@ -480,71 +347,26 @@ impl DesNetwork {
             return false;
         }
         qs.done = true;
-        qs.progress.finish(qs.issued_at, self.substrate.stats_mut());
+        qs.progress.finish(qs.issued_at, &mut self.substrate.stats);
         true
     }
 
     // ---- event handlers ----------------------------------------------
 
     /// The driver half of a query's life on the timeline: `hop: None`
-    /// issues the query, `Some` delivers one copy. Whether the query
-    /// leaves at all and everything its walk decides is the substrate's;
-    /// this picks the entry point per protocol.
+    /// issues the query, `Some` delivers one copy — to an overlay node or
+    /// to the Napster server. Whether the query leaves at all and
+    /// everything its walk decides is the substrate's.
     fn handle_query(&mut self, t: Time, qid: u32, hop: Option<Hop>) {
         let Self { substrate, queue, queries, retired, .. } = self;
         let Some(qs) = query_mut(queries, *retired, qid) else { return };
         qs.pending = qs.pending.saturating_sub(1);
         let QueryState { origin, community, query, probe, progress, pending, .. } = qs;
-        let (origin, community, query) = (*origin, community.as_str(), &*query);
-        match substrate {
-            Substrate::Napster(n) => {
-                let Some((up, down)) = n.begin_query(origin) else { return };
-                progress.quiescence = t + up + down;
-                progress.last_hit_at = progress.quiescence;
-                *pending += 1;
-                queue.push(t + up, DesEvent::ServerQuery { qid });
-            }
-            Substrate::Gnutella(g) => {
-                if hop.is_none() && !g.begin_query(origin) {
-                    return;
-                }
-                let (mut walk, eval) = g.walk(community, query, probe);
-                let mut sink = Timeline { qid, pending, queue };
-                match hop {
-                    None => walk.start(progress, t, origin.0, None, eval, &mut sink),
-                    Some(hop) => walk.arrive(progress, t, hop, eval, &mut sink),
-                }
-            }
-            Substrate::FastTrack(f) => {
-                if hop.is_none() && !f.begin_query(origin) {
-                    return;
-                }
-                let entry = f.super_of(origin).map(|s| s as u32);
-                let (mut walk, eval) = f.walk(community, query, probe);
-                let mut sink = Timeline { qid, pending, queue };
-                match hop {
-                    None => walk.start(progress, t, origin.0, entry, eval, &mut sink),
-                    Some(hop) => walk.arrive(progress, t, hop, eval, &mut sink),
-                }
-            }
+        let mut sink = Timeline { qid, pending, queue };
+        match hop {
+            None => substrate.issue(progress, t, *origin, community, query, probe, &mut sink),
+            Some(hop) => substrate.deliver(progress, t, hop, community, query, probe, &mut sink),
         }
-    }
-
-    /// The server answers when the request reaches it — liveness is read
-    /// now, not at issue — and its reply lands at the time the issue
-    /// drew.
-    fn handle_server_query(&mut self, qid: u32) {
-        let Self { substrate, queue, queries, retired, .. } = self;
-        let Substrate::Napster(n) = substrate else { return };
-        let Some(qs) = query_mut(queries, *retired, qid) else { return };
-        let arrival = qs.progress.quiescence;
-        let outcome = &mut qs.progress.outcome;
-        n.answer(&qs.community, &qs.query, outcome, arrival);
-        // The server's reply arrives whether or not it carries hits, so
-        // `pending` stays as it is: this event leaves it, the reply
-        // enters it.
-        let hits = outcome.hits.len() as u32;
-        queue.push(arrival, DesEvent::HitDeliver { qid, hits });
     }
 }
 
@@ -554,27 +376,27 @@ impl DesNetwork {
 
 impl PeerNetwork for DesNetwork {
     fn protocol_name(&self) -> &'static str {
-        self.substrate.as_net().protocol_name()
+        self.substrate.protocol_name()
     }
 
     fn peer_count(&self) -> usize {
-        self.substrate.as_net().peer_count()
+        self.substrate.peer_count()
     }
 
     fn is_alive(&self, peer: PeerId) -> bool {
-        self.substrate.as_net().is_alive(peer)
+        self.substrate.is_alive(peer)
     }
 
     fn set_alive(&mut self, peer: PeerId, alive: bool) {
-        self.substrate.as_net_mut().set_alive(peer, alive);
+        self.substrate.set_alive(peer, alive);
     }
 
     fn publish(&mut self, provider: PeerId, record: ResourceRecord) {
-        self.substrate.as_net_mut().publish(provider, record);
+        self.substrate.publish(provider, record);
     }
 
     fn unpublish(&mut self, provider: PeerId, key: &str) {
-        self.substrate.as_net_mut().unpublish(provider, key);
+        self.substrate.unpublish(provider, key);
     }
 
     fn search(&mut self, origin: PeerId, community: &str, query: &Query) -> SearchOutcome {
@@ -585,23 +407,31 @@ impl PeerNetwork for DesNetwork {
     }
 
     fn retrieve(&mut self, origin: PeerId, provider: PeerId, key: &str) -> RetrieveOutcome {
-        self.substrate.as_net_mut().retrieve(origin, provider, key)
+        self.substrate.retrieve(origin, provider, key)
     }
 
     fn stats(&self) -> &NetStats {
-        self.substrate.as_net().stats()
+        self.substrate.stats()
     }
 
     fn reset_stats(&mut self) {
-        self.substrate.as_net_mut().reset_stats();
+        self.substrate.reset_stats();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::latency::ConstantLatency;
+    use crate::flooding::FloodingConfig;
+    use crate::latency::{Latency, LatencySpec};
     use crate::stats::MsgKind;
+    use crate::superpeer::SuperPeerConfig;
+    use crate::topology::Topology;
+
+    /// `us` microseconds on every link.
+    fn constant(us: Time) -> Latency {
+        LatencySpec::Constant(us).build(0, 1)
+    }
 
     fn track(key: &str, artist: &str) -> ResourceRecord {
         ResourceRecord::new(
@@ -617,7 +447,7 @@ mod tests {
 
     #[test]
     fn napster_round_trip() {
-        let mut net = DesNetwork::napster(4, Box::new(ConstantLatency(10)));
+        let mut net = DesNetwork::new(Substrate::napster(4, constant(10)));
         net.publish(PeerId(1), track("k1", "miles davis"));
         let out = net.search(PeerId(0), "tracks", &q("miles"));
         assert_eq!(out.hits.len(), 1);
@@ -632,11 +462,11 @@ mod tests {
 
     #[test]
     fn gnutella_flood_finds_remote_record() {
-        let mut net = DesNetwork::gnutella(
+        let mut net = DesNetwork::new(Substrate::gnutella(
             Topology::ring_lattice(6, 1),
-            Box::new(ConstantLatency(5)),
+            constant(5),
             FloodingConfig::default(),
-        );
+        ));
         net.publish(PeerId(3), track("k1", "coltrane"));
         let out = net.search(PeerId(0), "tracks", &q("coltrane"));
         assert_eq!(out.hits.len(), 1);
@@ -649,7 +479,7 @@ mod tests {
     #[test]
     fn fasttrack_leaf_to_leaf() {
         let config = SuperPeerConfig { supers: 2, ..SuperPeerConfig::default() };
-        let mut net = DesNetwork::fasttrack(8, config, Box::new(ConstantLatency(7)), 9);
+        let mut net = DesNetwork::new(Substrate::fasttrack(8, config, constant(7), 9));
         net.publish(PeerId(5), track("k1", "mingus"));
         let out = net.search(PeerId(6), "tracks", &q("mingus"));
         assert_eq!(out.hits.len(), 1);
@@ -659,7 +489,7 @@ mod tests {
 
     #[test]
     fn global_timeline_interleaves_churn_and_queries() {
-        let mut net = DesNetwork::napster(3, Box::new(ConstantLatency(10)));
+        let mut net = DesNetwork::new(Substrate::napster(3, constant(10)));
         net.publish(PeerId(1), track("k1", "monk"));
         // Query at t=0 sees the provider; churn kills it at t=5 (before
         // the server processes the query at t=10), so the *same* query
@@ -684,11 +514,11 @@ mod tests {
         // regression: the query table only grew — every query ever
         // scheduled kept its community, query and dedup sets, and each
         // run() re-scanned all of them
-        let mut net = DesNetwork::gnutella(
+        let mut net = DesNetwork::new(Substrate::gnutella(
             Topology::ring_lattice(6, 1),
-            Box::new(ConstantLatency(5)),
+            constant(5),
             FloodingConfig::default(),
-        );
+        ));
         net.publish(PeerId(3), track("k1", "coltrane"));
         let first: Vec<u32> =
             (0..3).map(|i| net.schedule_query(i, PeerId(0), "tracks", q("coltrane"))).collect();
@@ -715,7 +545,7 @@ mod tests {
 
     #[test]
     fn event_log_records_processed_events() {
-        let mut net = DesNetwork::napster(2, Box::new(ConstantLatency(1)));
+        let mut net = DesNetwork::new(Substrate::napster(2, constant(1)));
         net.enable_event_log();
         net.publish(PeerId(1), track("k1", "ella"));
         net.schedule_query(0, PeerId(0), "tracks", q("ella"));
@@ -729,7 +559,7 @@ mod tests {
 
     #[test]
     fn a_query_scheduled_before_the_clock_runs_in_time_then_push_order() {
-        let mut net = DesNetwork::napster(4, Box::new(ConstantLatency(10)));
+        let mut net = DesNetwork::new(Substrate::napster(4, constant(10)));
         net.enable_event_log();
         net.publish(PeerId(1), track("k1", "ella"));
         net.schedule_query(25, PeerId(2), "tracks", q("ella"));
@@ -765,11 +595,11 @@ mod tests {
     #[test]
     fn approx_bytes_is_deterministic() {
         let build = || {
-            let mut net = DesNetwork::gnutella(
+            let mut net = DesNetwork::new(Substrate::gnutella(
                 Topology::ring_lattice(16, 2),
-                Box::new(ConstantLatency(3)),
+                constant(3),
                 FloodingConfig::default(),
-            );
+            ));
             for i in 0..8 {
                 net.publish(PeerId(i), track(&format!("k{i}"), "art"));
             }

@@ -15,8 +15,8 @@
 //!   the normalized exact value and the keyword tokens — the terms the
 //!   store's index posts it under (`for_each_record_entry` is the one
 //!   place that enumerates them, for the routing digests and for the
-//!   per-peer term summary and record [`Signature`]s of
-//!   [`crate::FloodingNetwork`] alike). Digests hash term *strings*, not
+//!   per-peer term summary and record [`Signature`]s of the Gnutella
+//!   [`crate::RecordArena`] alike). Digests hash term *strings*, not
 //!   symbol ids: interner symbols are private to each index, strings are
 //!   the wire-stable identity. A query is compiled once into a [`Probe`]
 //!   — every hash it needs — and asked of as many digests as there are.
@@ -359,8 +359,6 @@ struct EdgeIndex {
     receivers: Vec<u32>,
     /// Id of the opposite direction of each edge.
     reverse: Vec<u32>,
-    /// [`Topology::fingerprint`] of the graph this was taken from.
-    fingerprint: u64,
 }
 
 impl EdgeIndex {
@@ -372,8 +370,7 @@ impl EdgeIndex {
             receivers.extend(topo.neighbors(q).map(|p| p.0));
             offsets.push(receivers.len() as u32);
         }
-        let mut index =
-            EdgeIndex { offsets, receivers, reverse: Vec::new(), fingerprint: topo.fingerprint() };
+        let mut index = EdgeIndex { offsets, receivers, reverse: Vec::new() };
         let reverse = (0..index.nodes() as u32)
             .flat_map(|q| index.run(q).map(move |e| (q, e)))
             // the graph is undirected, so the opposite direction exists
@@ -572,18 +569,19 @@ impl RouteTable {
     }
 
     /// Brings the attenuated layers up to date with the share tables
-    /// across `topo`. `records_of(node, visit)` must call `visit` with
-    /// the `(community, fields)` of every record in `node`'s share table;
-    /// it is asked for every node on the first build and afterwards only
-    /// for a node's first write since. Returns `(requests, pushes)`:
-    /// `DigestRequest` messages (one per directed edge, first exchange
-    /// only) and `DigestPush` messages (one per directed edge whose
-    /// advertised layers changed).
+    /// across `topo`, the overlay the table serves: it is laid out for it
+    /// on the first refresh and never rewired. `records_of(node, visit)`
+    /// must call `visit` with the `(community, fields)` of every record
+    /// in `node`'s share table; it is asked for every node on the first
+    /// build and afterwards only for a node's first write since. Returns
+    /// `(requests, pushes)`: `DigestRequest` messages (one per directed
+    /// edge, first exchange only) and `DigestPush` messages (one per
+    /// directed edge whose advertised layers changed).
     pub fn refresh<F>(&mut self, topo: &Topology, mut records_of: F) -> (u64, u64)
     where
         F: FnMut(u32, &mut RecordVisitor<'_>),
     {
-        if !self.built || self.edges.nodes() != topo.len() {
+        if !self.built {
             // the first exchange: every node's digest from its records
             let n = topo.len();
             self.local = vec![0; n * self.words];
@@ -609,33 +607,15 @@ impl RouteTable {
                 self.recount(node, &mut records_of);
             }
         }
-        if self.edges.fingerprint == topo.fingerprint() {
-            return (0, self.propagate());
-        }
-        // same nodes, other links: rebuild the arena for them, and an
-        // advertisement changed when it differs from what the same
-        // directed edge carried before
-        let (old_edges, old_layers) = self.lay_out(topo);
-        self.propagate();
-        let stride = self.depth * self.words;
-        let changed = (0..topo.len() as u32)
-            .flat_map(|q| self.edges.run(q).map(move |e| (q, e)))
-            .filter(|&(q, e)| {
-                let before = old_edges.id(q, self.edges.receivers[e]);
-                before.map(|o| &old_layers[o * stride..][..stride])
-                    != Some(&self.layers[e * stride..][..stride])
-            })
-            .count();
-        (0, changed as u64)
+        (0, self.propagate())
     }
 
-    /// Lays a zeroed arena out for `topo` and returns the one it
-    /// replaces. All zeros is the fixpoint of an overlay sharing nothing:
-    /// starting there, every node is a change, in every word, for the
-    /// next [`RouteTable::propagate`].
-    fn lay_out(&mut self, topo: &Topology) -> (EdgeIndex, Vec<u64>) {
-        let edges = std::mem::replace(&mut self.edges, EdgeIndex::of(topo));
-        let arena = vec![0; self.edges.len() * self.depth * self.words];
+    /// Lays a zeroed arena out for `topo`. All zeros is the fixpoint of
+    /// an overlay sharing nothing: starting there, every node is a
+    /// change, in every word, for the next [`RouteTable::propagate`].
+    fn lay_out(&mut self, topo: &Topology) {
+        self.edges = EdgeIndex::of(topo);
+        self.layers = vec![0; self.edges.len() * self.depth * self.words];
         self.wave.is_candidate = vec![false; self.edges.len()];
         self.wave.is_pushed = vec![false; self.edges.len()];
         // a wave lists an edge at most once per list: sized once with the
@@ -647,7 +627,6 @@ impl RouteTable {
         self.touched.fill(true);
         self.dirty.clear();
         self.dirty.extend(0..topo.len() as u32);
-        (edges, std::mem::replace(&mut self.layers, arena))
     }
 
     /// Counts `node`'s share table from its records: the first write
@@ -1323,41 +1302,6 @@ mod tests {
             }
             world.refresh();
         }
-    }
-
-    #[test]
-    fn a_rewired_topology_is_rebuilt_not_trusted() {
-        // 0 - 1 - 2 - 3 with the record at 3
-        let mut world = World::new(small(10), line(4));
-        world.insert(3, 3, &record("k", "c", "needle"));
-        world.refresh();
-        // move 3 from behind 2 to behind 0: same node and edge counts
-        world.topo.disconnect(PeerId(2), PeerId(3));
-        world.topo.connect(PeerId(0), PeerId(3));
-        world.insert(1, 1, &record("k1", "c", "other"));
-        let (requests, pushes) = world.refresh();
-        assert_eq!(requests, 0);
-        assert!(pushes > 0);
-        let nodes = &world.nodes;
-        let mut fresh = RouteTable::new(world.config);
-        fresh.refresh(&world.topo, |p, visit| nodes[p as usize].for_each_record(visit));
-        let q = Query::any_keyword("needle");
-        for a in 0..4 {
-            for b in 0..4 {
-                assert_eq!(
-                    world.table.min_depth(a, b, &Probe::new("c", &q), 7),
-                    fresh.min_depth(a, b, &Probe::new("c", &q), 7),
-                    "{a} → {b}"
-                );
-            }
-        }
-        assert_eq!(world.table.min_depth(3, 0, &Probe::new("c", &q), 7), Some(1));
-        let probe = Probe::new("c", &q);
-        assert_eq!(world.table.min_depth(3, 2, &probe, 7), None, "the old edge is gone");
-        // and the rebuilt arena keeps following deltas
-        world.remove(3, 3, "k");
-        world.refresh();
-        assert_eq!(world.table.min_depth(3, 0, &Probe::new("c", &q), 7), None);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Event vocabulary for the whole-network discrete-event engine.
 //!
-//! The step-based substrates simulate each *search* to quiescence on a
-//! private [`crate::sim::EventQueue`]; everything between searches
+//! A [`crate::Substrate`]'s own search simulates each query to
+//! quiescence on a private [`crate::sim::EventQueue`]; everything between searches
 //! (churn, digest refreshes, the next query) happens instantaneously
 //! from the simulation's point of view. [`crate::DesNetwork`] promotes
 //! all of those occurrences to first-class timestamped events on one

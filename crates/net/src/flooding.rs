@@ -1,20 +1,18 @@
-//! Gnutella-style flooding substrate: TTL-limited query broadcast over an
-//! overlay graph with duplicate suppression, hits routed back along the
-//! reverse path.
+//! Gnutella: TTL-limited query broadcast over an overlay graph with
+//! duplicate suppression, hits routed back along the reverse path.
 //!
 //! Publishing is free (objects are shared from the provider's own store;
 //! no metadata leaves the peer), searching costs O(edges within the TTL
 //! horizon) messages — exactly the trade-off against Napster that
 //! experiment E6 measures.
 //!
-//! The peers' records live in one [`RecordArena`], struct-of-arrays over
-//! all peers, under both schedulers: the substrate's own `search` and
-//! [`crate::DesNetwork`]. In front of each peer's records sit a Bloom
-//! summary of their terms and one signature per record, so that a hop
-//! verifies only the few records that could match and skips the peers
-//! with nothing to say unopened. That gate and everything else —
-//! liveness, write path, digests, retrieve, the assembly of the query
-//! walk — exists once, here.
+//! What is Gnutella's alone is here: the peers' records, in one
+//! [`RecordArena`], struct-of-arrays over all peers, under both
+//! schedulers. In front of each peer's records sit a Bloom summary of
+//! their terms and one signature per record, so that a hop verifies only
+//! the few records that could match and skips the peers with nothing to
+//! say unopened. Liveness, the write path's dispatch, digests, retrieve
+//! and the assembly of the query walk are the one [`crate::Substrate`]'s.
 //!
 //! With [`DigestConfig::enabled`] the substrate switches to *guided*
 //! search (the `des_guided` workload): forwarding consults per-neighbor
@@ -22,16 +20,10 @@
 //! neighbors, stops at the first peer with local hits, and falls back to
 //! TTL'd random walkers when no digest matches.
 
-use crate::digest::{self, DigestConfig, Probe, RecordVisitor, RouteTable, Signature};
-use crate::latency::LatencyModel;
+use crate::digest::{self, DigestConfig, Probe, RecordVisitor, Signature};
 use crate::message::{ResourceRecord, SharedFields, DEFAULT_TTL};
-use crate::overlay::{self, Match, Walk};
+use crate::overlay::Match;
 use crate::peer::PeerId;
-use crate::stats::{NetStats, RetrieveOutcome, SearchOutcome};
-use crate::topology::Topology;
-use crate::traits::PeerNetwork;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 use up2p_store::Query;
 
@@ -66,7 +58,7 @@ type Summary = [u64; SUMMARY_WORDS];
 /// One record in a peer's list: its signature, its slot and its interned
 /// community, side by side so a hop reads them in one pass.
 #[derive(Debug, Clone, Copy)]
-struct PeerRecord {
+pub(crate) struct PeerRecord {
     signature: Signature,
     slot: u32,
     community: u32,
@@ -115,6 +107,12 @@ impl RecordArena {
             by_peer: vec![Vec::new(); peers],
             ..RecordArena::default()
         }
+    }
+
+    /// The interned id of community `name`, if any record was ever
+    /// shared in it.
+    pub(crate) fn community_id(&self, name: &str) -> Option<u32> {
+        self.community_ids.get(name).copied()
     }
 
     fn intern_community(&mut self, name: &str) -> u32 {
@@ -219,7 +217,7 @@ impl RecordArena {
     /// the peer's order. Both predicates are the one DESIGN.md §3c proves
     /// weaker than the query (applied to a peer's records together, and
     /// to each alone), so no match is left out.
-    fn candidates<'a>(
+    pub(crate) fn candidates<'a>(
         &'a self,
         peer: u32,
         probe: &'a Probe,
@@ -234,7 +232,7 @@ impl RecordArena {
 
     /// Those of `peer`'s `records` that lie in community `cid` and match
     /// `query`, as hits.
-    fn verify<'a>(
+    pub(crate) fn verify<'a>(
         &self,
         peer: u32,
         cid: u32,
@@ -261,7 +259,7 @@ impl RecordArena {
     /// Deterministic size estimate in bytes (two same-seed runs report
     /// the same number): slots, keys, summaries, and each peer's list of
     /// records.
-    fn approx_bytes(&self) -> u64 {
+    pub(crate) fn approx_bytes(&self) -> u64 {
         let slots = self.keys.len() as u64;
         let key_bytes: u64 = self.keys.iter().map(|k| k.len() as u64).sum();
         let by_peer: usize =
@@ -271,221 +269,14 @@ impl RecordArena {
     }
 }
 
-/// The flooding (Gnutella) substrate.
-///
-/// A hop asks the visited peer's summary, then its record signatures,
-/// and runs `Query::matches_fields` on the records they admit only: most
-/// peers a query visits share nothing that matches, and of those that
-/// do, most records do not. A peer sharing
-/// far more than the summary is sized for saturates it, and its
-/// signatures alone then choose what to verify.
-pub struct FloodingNetwork {
-    topology: Topology,
-    alive: Vec<bool>,
-    /// What every peer shares from its own store.
-    shared: RecordArena,
-    latency: Box<dyn LatencyModel + Send>,
-    config: FloodingConfig,
-    pub(crate) stats: NetStats,
-    /// Per-directed-edge attenuated digests (guided search only).
-    routes: RouteTable,
-    /// Seeded source for the random-walk fallback; part of the
-    /// deterministic state, not wall-clock randomness.
-    walk_rng: StdRng,
-}
-
-impl std::fmt::Debug for FloodingNetwork {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FloodingNetwork")
-            .field("peers", &self.alive.len())
-            .field("edges", &self.topology.edge_count())
-            .field("config", &self.config)
-            .finish()
-    }
-}
-
-impl FloodingNetwork {
-    /// Creates a flooding network over the given overlay with all peers
-    /// online.
-    pub fn new(
-        topology: Topology,
-        latency: Box<dyn LatencyModel + Send>,
-        config: FloodingConfig,
-    ) -> Self {
-        let n = topology.len();
-        FloodingNetwork {
-            topology,
-            alive: vec![true; n],
-            shared: RecordArena::with_peers(n),
-            latency,
-            config,
-            stats: NetStats::new(),
-            routes: RouteTable::new(config.digests),
-            walk_rng: StdRng::seed_from_u64(0xd16e_57ed ^ n as u64),
-        }
-    }
-
-    /// The overlay graph.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> FloodingConfig {
-        self.config
-    }
-
-    /// Number of records shared by one peer.
-    pub fn shared_count(&self, peer: PeerId) -> usize {
-        self.shared.shared_count(peer.0)
-    }
-
-    /// The routing digests as of the last refresh.
-    pub(crate) fn routes(&self) -> &RouteTable {
-        &self.routes
-    }
-
-    /// Deterministic estimate of resident state in bytes: liveness,
-    /// records with their summaries and signatures, overlay edges and
-    /// routing digests.
-    pub(crate) fn approx_bytes(&self) -> u64 {
-        self.alive.len() as u64
-            + self.shared.approx_bytes()
-            + self.topology.edge_count() as u64 * 16
-            + self.routes.approx_bytes()
-    }
-
-    /// Brings the routing digests up to date with the writes since the
-    /// last refresh and repropagates the attenuated layers they changed,
-    /// counting the `DigestRequest`/`DigestPush` exchange the refresh
-    /// costs. A no-op when guided search is disabled or nothing changed
-    /// since the last refresh; guided searches call this lazily, the way
-    /// a servent batches digest updates onto its keep-alives.
-    pub fn refresh_digests(&mut self) {
-        let shared = &self.shared;
-        overlay::refresh_digests(&mut self.routes, &self.topology, &mut self.stats, |p, visit| {
-            shared.for_each_record(p, visit)
-        });
-    }
-
-    /// Opens a query: counts it, and for a live origin brings the digests
-    /// up to date. `false` means the query never leaves.
-    pub(crate) fn begin_query(&mut self, origin: PeerId) -> bool {
-        self.stats.queries += 1;
-        let live = self.is_alive(origin);
-        if live {
-            self.refresh_digests();
-        }
-        live
-    }
-
-    /// The walk of one query over this network, and the local evaluation
-    /// its hops run: a peer verifies the records its summary and
-    /// signatures admit for `probe`, the query compiled for `community`.
-    /// Borrowed for a whole query by [`PeerNetwork::search`] and for one
-    /// event at a time by [`crate::DesNetwork`]; the query enters at its
-    /// origin (`entry: None`).
-    pub(crate) fn walk<'a>(
-        &'a mut self,
-        community: &'a str,
-        query: &'a Query,
-        probe: &'a Probe,
-    ) -> (Walk<'a>, impl FnMut(u32, &Probe) -> Vec<Match> + 'a) {
-        let walk = Walk {
-            topology: &self.topology,
-            routes: &self.routes,
-            alive: &self.alive,
-            latency: self.latency.as_mut(),
-            walk_rng: &mut self.walk_rng,
-            stats: &mut self.stats,
-            probe,
-            ttl: self.config.ttl,
-            dedup: self.config.dedup,
-        };
-        let shared = &self.shared;
-        let cid = shared.community_ids.get(community).copied();
-        let eval = move |peer: u32, probe: &Probe| match cid {
-            Some(cid) => shared.verify(peer, cid, query, shared.candidates(peer, probe)),
-            None => Vec::new(),
-        };
-        (walk, eval)
-    }
-}
-
-impl PeerNetwork for FloodingNetwork {
-    fn protocol_name(&self) -> &'static str {
-        "Gnutella"
-    }
-
-    fn peer_count(&self) -> usize {
-        self.alive.len()
-    }
-
-    fn is_alive(&self, peer: PeerId) -> bool {
-        overlay::is_alive(&self.alive, peer)
-    }
-
-    fn set_alive(&mut self, peer: PeerId, alive: bool) {
-        if let Some(a) = self.alive.get_mut(peer.index()) {
-            *a = alive;
-        }
-    }
-
-    fn publish(&mut self, provider: PeerId, record: ResourceRecord) {
-        // Gnutella shares from the local store: no message is sent, and
-        // republishing a key replaces the peer's own record (upsert) —
-        // the stored record it replaces leaves the routing digests, the
-        // new one enters them
-        if provider.index() >= self.alive.len() {
-            return;
-        }
-        if let Some((community, fields)) = self.shared.upsert(provider.0, &record) {
-            self.routes.record_removed(provider.0, community, &fields);
-        }
-        self.routes.record_added(provider.0, &record.community, &record.fields);
-    }
-
-    fn unpublish(&mut self, provider: PeerId, key: &str) {
-        if let Some((community, fields)) = self.shared.remove(provider.0, key) {
-            self.routes.record_removed(provider.0, community, &fields);
-        }
-    }
-
-    fn search(&mut self, origin: PeerId, community: &str, query: &Query) -> SearchOutcome {
-        if !self.begin_query(origin) {
-            return SearchOutcome::default();
-        }
-        let probe = Probe::new(community, query);
-        let (mut walk, eval) = self.walk(community, query, &probe);
-        walk.run(origin.0, None, eval)
-    }
-
-    fn retrieve(&mut self, origin: PeerId, provider: PeerId, key: &str) -> RetrieveOutcome {
-        let Self { alive, shared, latency, stats, .. } = self;
-        overlay::retrieve(
-            stats,
-            overlay::is_alive(alive, origin),
-            alive.get(provider.index()).copied(),
-            provider,
-            || shared.has(provider.0, key),
-            || latency.delay(origin, provider) + latency.delay(provider, origin),
-        )
-    }
-
-    fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = NetStats::new();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::latency::ConstantLatency;
+    use crate::latency::{Latency, LatencySpec};
     use crate::stats::MsgKind;
+    use crate::substrate::{Protocol, Substrate};
+    use crate::topology::Topology;
+    use crate::traits::PeerNetwork;
     use crate::digest::RoutingDigest;
     use crate::index_node::IndexNode;
     use proptest::collection::vec as pvec;
@@ -495,13 +286,26 @@ mod tests {
         ResourceRecord::new(key, "c", vec![("o/name".to_string(), name.to_string())])
     }
 
-    fn line(n: usize) -> FloodingNetwork {
+    /// 1 ms on every link.
+    fn ms() -> Latency {
+        LatencySpec::Constant(1_000).build(0, 1)
+    }
+
+    /// The records of a Gnutella substrate.
+    fn arena(net: &Substrate) -> &RecordArena {
+        match &net.protocol {
+            Protocol::Gnutella(_, shared) => shared,
+            _ => unreachable!("a Gnutella substrate"),
+        }
+    }
+
+    fn line(n: usize) -> Substrate {
         // 0 - 1 - 2 - ... - (n-1)
         let mut t = Topology::empty(n);
         for i in 0..n - 1 {
             t.connect(PeerId(i as u32), PeerId(i as u32 + 1));
         }
-        FloodingNetwork::new(t, Box::new(ConstantLatency(1_000)), FloodingConfig::default())
+        Substrate::gnutella(t, ms(), FloodingConfig::default())
     }
 
     #[test]
@@ -522,9 +326,9 @@ mod tests {
         for i in 0..5 {
             t.connect(PeerId(i), PeerId(i + 1));
         }
-        let mut net = FloodingNetwork::new(
+        let mut net = Substrate::gnutella(
             t,
-            Box::new(ConstantLatency(1_000)),
+            ms(),
             FloodingConfig { ttl: 2, ..FloodingConfig::default() },
         );
         net.publish(PeerId(5), record("far", "x"));
@@ -554,9 +358,9 @@ mod tests {
                     t.connect(PeerId(i), PeerId(j));
                 }
             }
-            let mut net = FloodingNetwork::new(
+            let mut net = Substrate::gnutella(
                 t,
-                Box::new(ConstantLatency(1_000)),
+                ms(),
                 FloodingConfig { ttl: 4, dedup, ..FloodingConfig::default() },
             );
             net.publish(PeerId(3), record("k", "x"));
@@ -663,35 +467,34 @@ mod tests {
         let t = Topology::ring_lattice(20, 2);
         let edges = t.edge_count() as u64;
         let mut net =
-            FloodingNetwork::new(t, Box::new(ConstantLatency(1_000)), FloodingConfig::default());
+            Substrate::gnutella(t, ms(), FloodingConfig::default());
         let out = net.search(PeerId(0), "c", &Query::any_keyword("nothing"));
         assert!(out.messages <= edges * 2, "{} > {}", out.messages, edges * 2);
     }
 
     /// An edgeless network of `peers`.
-    fn alone(peers: usize) -> FloodingNetwork {
-        let latency = Box::new(ConstantLatency(1_000));
-        FloodingNetwork::new(Topology::empty(peers), latency, FloodingConfig::default())
+    fn alone(peers: usize) -> Substrate {
+        Substrate::gnutella(Topology::empty(peers), ms(), FloodingConfig::default())
     }
 
     /// Does `peer`'s summary let `query` through to its signatures?
-    fn passes(net: &FloodingNetwork, peer: usize, query: &Query) -> bool {
-        Probe::new("c", query).may_match(&net.shared.summary[peer])
+    fn passes(net: &Substrate, peer: usize, query: &Query) -> bool {
+        Probe::new("c", query).may_match(&arena(net).summary[peer])
     }
 
     /// `peer`'s answer as a walk's hop evaluates it: summary and
     /// signatures first.
-    fn gated(net: &mut FloodingNetwork, peer: u32, community: &str, query: &Query) -> Vec<Match> {
+    fn gated(net: &mut Substrate, peer: u32, community: &str, query: &Query) -> Vec<Match> {
         let probe = Probe::new(community, query);
-        let (_, mut eval) = net.walk(community, query, &probe);
+        let (_, mut eval) = net.walk(community, query, &probe).expect("an overlay");
         eval(peer, &probe)
     }
 
     /// The keys of the records `peer` verifies for `query` in "c".
-    fn verified(net: &FloodingNetwork, peer: u32, query: &Query) -> Vec<String> {
+    fn verified(net: &Substrate, peer: u32, query: &Query) -> Vec<String> {
         let probe = Probe::new("c", query);
-        let keys = &net.shared.keys;
-        net.shared.candidates(peer, &probe).map(|r| keys[r.slot as usize].clone()).collect()
+        let arena = arena(net);
+        arena.candidates(peer, &probe).map(|r| arena.keys[r.slot as usize].clone()).collect()
     }
 
     fn keys(matches: Vec<Match>) -> Vec<String> {
@@ -720,7 +523,7 @@ mod tests {
         assert!(passes(&net, 0, &Query::All), "the community marker stays with a record");
         net.unpublish(PeerId(0), "b");
         assert!(!passes(&net, 0, &Query::All), "and leaves with the last one");
-        assert!(net.shared.summary.iter().flatten().all(|&w| w == 0));
+        assert!(arena(&net).summary.iter().flatten().all(|&w| w == 0));
     }
 
     #[test]
@@ -732,7 +535,7 @@ mod tests {
         for i in 0..4_000 {
             net.publish(PeerId(0), record(&format!("k{i}"), &format!("term{i} word{i}")));
         }
-        let ones: u32 = net.shared.summary[0].iter().map(|w| w.count_ones()).sum();
+        let ones: u32 = arena(&net).summary[0].iter().map(|w| w.count_ones()).sum();
         assert!(ones > 4_000, "only {ones} of 4 096 bits set");
         let unseen = Query::any_keyword("unseen");
         assert!(passes(&net, 0, &unseen), "saturated: all may match");
@@ -770,8 +573,8 @@ mod tests {
         net.publish(PeerId(0), record("d", "apple factory"));
         assert_eq!(verified(&net, 0, &both), ["d"]);
         // through every write, each slot kept its own record's signature
-        for r in &net.shared.by_peer[0] {
-            let fields = &net.shared.fields[r.slot as usize];
+        for r in &arena(&net).by_peer[0] {
+            let fields = &arena(&net).fields[r.slot as usize];
             assert_eq!(r.signature, digest::sign_record(&mut [0; 1], "c", fields));
         }
         // an `Or` has no one mask: each record is asked the predicate, and
@@ -784,7 +587,7 @@ mod tests {
         let mut net = alone(1);
         let wide: Vec<String> = (0..40).map(|i| format!("w{i}")).collect();
         net.publish(PeerId(0), record("wide", &wide.join(" ")));
-        let signature = net.shared.by_peer[0][0].signature;
+        let signature = arena(&net).by_peer[0][0].signature;
         let stray = (0..)
             .map(|i| format!("x{i}"))
             .find(|t| Probe::new("c", &Query::any_keyword(t)).admits(&signature))
@@ -933,7 +736,7 @@ mod tests {
                         for peer in 0..4 {
                             prop_assert_eq!(
                                 gated(&mut net, peer, community, query),
-                                net.shared.matches(peer, community, query),
+                                arena(&net).matches(peer, community, query),
                                 "peer {} asked {} in {} after write #{}: {:?}",
                                 peer, query, community, i, write
                             );
@@ -944,14 +747,14 @@ mod tests {
         }
     }
 
-    fn guided_line(n: usize) -> FloodingNetwork {
+    fn guided_line(n: usize) -> Substrate {
         let mut t = Topology::empty(n);
         for i in 0..n - 1 {
             t.connect(PeerId(i as u32), PeerId(i as u32 + 1));
         }
         let config =
             FloodingConfig { digests: DigestConfig::guided(), ..FloodingConfig::default() };
-        FloodingNetwork::new(t, Box::new(ConstantLatency(1_000)), config)
+        Substrate::gnutella(t, ms(), config)
     }
 
     #[test]
@@ -1005,7 +808,7 @@ mod tests {
         // no digest matches anywhere, so the search degrades to the
         // fallback walkers: at most walk_width TTL'd walks, far below the
         // flood cost (which would still cross every edge)
-        let bound = (net.config().ttl as u64) * net.config().digests.walk_width as u64;
+        let bound = DEFAULT_TTL as u64 * DigestConfig::guided().walk_width as u64;
         assert!(out.messages <= bound, "{} > {bound}", out.messages);
     }
 
@@ -1032,9 +835,9 @@ mod tests {
             let t = Topology::small_world(24, 2, 0.2, 9);
             let digests =
                 if guided { DigestConfig::guided() } else { DigestConfig::default() };
-            let mut net = FloodingNetwork::new(
+            let mut net = Substrate::gnutella(
                 t,
-                Box::new(ConstantLatency(1_000)),
+                ms(),
                 FloodingConfig { digests, ..FloodingConfig::default() },
             );
             for i in [3u32, 11, 19] {

@@ -5,83 +5,42 @@ use crate::peer::PeerId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Produces a one-way delay for a message on a link.
-pub trait LatencyModel {
-    /// Delay in virtual microseconds for a message `from` → `to`.
-    fn delay(&mut self, from: PeerId, to: PeerId) -> Time;
-}
-
-/// Fixed delay on every link — keeps experiments deterministic when
-/// latency is not the variable under study.
-#[derive(Debug, Clone, Copy)]
-pub struct ConstantLatency(pub Time);
-
-impl LatencyModel for ConstantLatency {
-    fn delay(&mut self, _from: PeerId, _to: PeerId) -> Time {
-        self.0
-    }
-}
-
-/// Uniformly random delay in `[min, max)`, seeded for reproducibility.
-/// Roughly models the wide-area RTT spread of 2002-era dial-up/DSL swarms.
+/// A seeded link-latency model: one per substrate, drawn from for every
+/// message it sends. Only [`LatencySpec::build`] makes one.
 #[derive(Debug, Clone)]
-pub struct UniformLatency {
-    min: Time,
-    max: Time,
+pub struct Latency {
+    spec: LatencySpec,
+    /// Source of the `Uniform` draws.
     rng: StdRng,
-}
-
-impl UniformLatency {
-    /// Creates a model producing delays in `[min, max)` microseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min >= max`.
-    pub fn new(min: Time, max: Time, seed: u64) -> Self {
-        // panic-ok: `# Panics` unless min < max; built from `LatencySpec::Uniform`, and every such spec in the tree is a literal pair with min < max (the benchmark uses `Coordinate`)
-        assert!(min < max, "empty latency range");
-        UniformLatency { min, max, rng: StdRng::seed_from_u64(seed) }
-    }
-}
-
-impl LatencyModel for UniformLatency {
-    fn delay(&mut self, _from: PeerId, _to: PeerId) -> Time {
-        self.rng.gen_range(self.min..self.max)
-    }
-}
-
-/// Per-peer "coordinates" latency: each peer gets a random position on a
-/// line; delay is proportional to distance plus a base cost. Gives
-/// triangle-inequality-respecting, stable pairwise delays.
-#[derive(Debug, Clone)]
-pub struct CoordinateLatency {
+    /// Each peer's place on the line (`Coordinate` only).
     positions: Vec<f64>,
-    base: Time,
-    per_unit: Time,
 }
 
-impl CoordinateLatency {
-    /// Creates coordinates for `n` peers with the given base cost and
-    /// per-distance-unit cost (distance is in `[0,1]`).
-    pub fn new(n: usize, base: Time, per_unit: Time, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let positions = (0..n).map(|_| rng.gen::<f64>()).collect();
-        CoordinateLatency { positions, base, per_unit }
+impl Latency {
+    /// Delay in virtual microseconds for a message `from` → `to`:
+    ///
+    /// * `Constant` — the same on every link, keeping experiments
+    ///   deterministic when latency is not the variable under study;
+    /// * `Uniform` — a seeded draw in `[min, max)`, roughly the wide-area
+    ///   RTT spread of 2002-era dial-up/DSL swarms;
+    /// * `Coordinate` — base cost plus the distance between the two
+    ///   peers' random positions on a line: stable, symmetric pairwise
+    ///   delays that respect the triangle inequality. An id outside the
+    ///   network (the Napster server) sits mid-line.
+    pub fn delay(&mut self, from: PeerId, to: PeerId) -> Time {
+        match self.spec {
+            LatencySpec::Constant(us) => us,
+            LatencySpec::Uniform(min, max) => self.rng.gen_range(min..max),
+            LatencySpec::Coordinate { base, per_unit } => {
+                let at = |p: PeerId| self.positions.get(p.index()).copied().unwrap_or(0.5);
+                base + ((at(from) - at(to)).abs() * per_unit as f64) as Time
+            }
+        }
     }
 }
 
-impl LatencyModel for CoordinateLatency {
-    fn delay(&mut self, from: PeerId, to: PeerId) -> Time {
-        let a = self.positions.get(from.index()).copied().unwrap_or(0.5);
-        let b = self.positions.get(to.index()).copied().unwrap_or(0.5);
-        self.base + ((a - b).abs() * self.per_unit as f64) as Time
-    }
-}
-
-/// Declarative latency-model choice for [`crate::NetConfig`].
-///
-/// Boxed [`LatencyModel`]s are stateful and not `Clone`, so configs carry
-/// this spec and build a fresh seeded model per substrate.
+/// Declarative latency-model choice for [`crate::NetConfig`]: a config
+/// carries this spec and builds a fresh seeded [`Latency`] per substrate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LatencySpec {
     /// Fixed per-link delay in microseconds.
@@ -98,15 +57,23 @@ pub enum LatencySpec {
 }
 
 impl LatencySpec {
-    /// Builds a fresh model for an `n`-peer substrate.
-    pub fn build(self, n: usize, seed: u64) -> Box<dyn LatencyModel + Send> {
-        match self {
-            LatencySpec::Constant(us) => Box::new(ConstantLatency(us)),
-            LatencySpec::Uniform(min, max) => Box::new(UniformLatency::new(min, max, seed)),
-            LatencySpec::Coordinate { base, per_unit } => {
-                Box::new(CoordinateLatency::new(n, base, per_unit, seed))
+    /// Builds a fresh model for an `n`-peer substrate, seeded by `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `Uniform` range is empty (`min >= max`).
+    pub fn build(self, n: usize, seed: u64) -> Latency {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let positions = match self {
+            LatencySpec::Coordinate { .. } => (0..n).map(|_| rng.gen::<f64>()).collect(),
+            LatencySpec::Uniform(min, max) => {
+                // panic-ok: `# Panics` unless min < max; every `Uniform` spec in the tree is a literal pair with min < max (the benchmark uses `Coordinate`)
+                assert!(min < max, "empty latency range");
+                Vec::new()
             }
-        }
+            LatencySpec::Constant(_) => Vec::new(),
+        };
+        Latency { spec: self, rng, positions }
     }
 }
 
@@ -116,15 +83,15 @@ mod tests {
 
     #[test]
     fn constant_is_constant() {
-        let mut m = ConstantLatency(50_000);
+        let mut m = LatencySpec::Constant(50_000).build(2, 1);
         assert_eq!(m.delay(PeerId(0), PeerId(1)), 50_000);
         assert_eq!(m.delay(PeerId(5), PeerId(9)), 50_000);
     }
 
     #[test]
     fn uniform_within_bounds_and_reproducible() {
-        let mut a = UniformLatency::new(10, 100, 42);
-        let mut b = UniformLatency::new(10, 100, 42);
+        let mut a = LatencySpec::Uniform(10, 100).build(2, 42);
+        let mut b = LatencySpec::Uniform(10, 100).build(2, 42);
         for _ in 0..100 {
             let d = a.delay(PeerId(0), PeerId(1));
             assert!((10..100).contains(&d));
@@ -135,7 +102,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty latency range")]
     fn uniform_rejects_empty_range() {
-        UniformLatency::new(100, 100, 1);
+        LatencySpec::Uniform(100, 100).build(2, 1);
     }
 
     #[test]
@@ -149,8 +116,27 @@ mod tests {
     }
 
     #[test]
+    fn seeded_draws_are_pinned() {
+        // the first eight delays each seeded model gives over fixed pairs:
+        // a change to how a model draws moves every virtual latency
+        let pairs = [(0, 1), (1, 0), (2, 63), (63, 2), (5, 9), (10, 40), (33, 7), (0, 0)];
+        let draws = |spec: LatencySpec| {
+            let mut m = spec.build(64, 7);
+            pairs.map(|(a, b)| m.delay(PeerId(a), PeerId(b)))
+        };
+        assert_eq!(
+            draws(LatencySpec::Uniform(1_000, 30_000)),
+            [5_092, 5_004, 12_537, 5_600, 24_309, 8_846, 1_271, 10_251]
+        );
+        assert_eq!(
+            draws(LatencySpec::Coordinate { base: 500, per_unit: 40_000 }),
+            [5_170, 5_170, 6_971, 6_971, 16_196, 34_886, 20_628, 500]
+        );
+    }
+
+    #[test]
     fn coordinates_are_symmetric_and_stable() {
-        let mut m = CoordinateLatency::new(10, 5_000, 100_000, 7);
+        let mut m = LatencySpec::Coordinate { base: 5_000, per_unit: 100_000 }.build(10, 7);
         let d1 = m.delay(PeerId(2), PeerId(8));
         let d2 = m.delay(PeerId(8), PeerId(2));
         assert_eq!(d1, d2);

@@ -5,43 +5,45 @@
 //! The paper deliberately treats the network as a pluggable layer: a
 //! community's schema names its `protocol` (Fig. 3: Napster, Gnutella or
 //! FastTrack) and the servent only needs create/search/retrieve
-//! primitives. This crate provides that trait ([`PeerNetwork`]) and three
-//! deterministic discrete-event implementations:
+//! primitives. This crate provides that trait ([`PeerNetwork`]) and one
+//! deterministic discrete-event implementation of it, [`Substrate`], in
+//! three protocols:
 //!
-//! * [`CentralizedNetwork`] — Napster-style index server,
-//! * [`FloodingNetwork`] — Gnutella-style TTL flooding over an overlay,
-//! * [`SuperPeerNetwork`] — FastTrack-style two-tier super-peer network.
+//! * Napster — a centralized index server,
+//! * Gnutella — TTL flooding over an overlay,
+//! * FastTrack — a two-tier super-peer network.
 //!
+//! A substrate keeps once what the protocols keep alike — liveness,
+//! latency model, statistics, the opening of a query, the retrieve rule —
+//! and beside it only what its protocol keeps alone: the server's index,
+//! every peer's records in one [`RecordArena`], or the supers' indexes.
 //! The two overlay protocols share one search core (the private
 //! `overlay` module: visit and dedup rules, reverse-path `QueryHit`
-//! accounting, frontier stop, blind and digest-guided forwarding), and
-//! each protocol's state — constructor, write path, retrieve, digest
-//! refresh, the assembly of its walk — exists once, in its substrate
-//! above. Two schedulers run it: the substrate's own `search`, one query
-//! to quiescence on a private queue, and [`DesNetwork`], which owns one
-//! of the substrates and drives it from one global virtual-time queue so
-//! churn lands while queries are in flight. Under both, a Gnutella peer's
-//! records sit in the one [`RecordArena`], where a hop verifies only the
-//! records whose signatures admit the query.
-//! [`build_network_with`] and [`DesNetwork::build`] take a [`NetConfig`]
-//! — latency model and digest layer; TTL, dedup and super-peer sizing are
-//! said once, on each substrate's own constructor and config.
+//! accounting, frontier stop, blind and digest-guided forwarding). Two
+//! schedulers drive a substrate: its own `search`, one query to
+//! quiescence on a private queue, and [`DesNetwork`], which owns one and
+//! drives it from one global virtual-time queue so churn lands while
+//! queries are in flight. A Gnutella hop verifies only the records
+//! whose signatures admit the query.
+//! [`Substrate::build`] takes a [`NetConfig`] — latency model and digest
+//! layer — for [`build_network_with`] and [`DesNetwork::build`] alike;
+//! TTL, dedup and super-peer sizing are said once, on each protocol's
+//! own constructor and config.
 //!
-//! No 2002 network exists to join, so the substrates reproduce *routing
+//! No 2002 network exists to join, so the substrate reproduces *routing
 //! semantics* (which peers are asked, how many messages, how many hops)
 //! under seeded latency models, overlay topologies and churn — the
 //! quantities experiments E3/E5/E6 report.
 //!
 //! ```
 //! use up2p_net::{
-//!     ConstantLatency, FloodingConfig, FloodingNetwork, PeerId, PeerNetwork,
-//!     ResourceRecord, Topology,
+//!     FloodingConfig, LatencySpec, PeerId, PeerNetwork, ResourceRecord, Substrate, Topology,
 //! };
 //! use up2p_store::Query;
 //!
 //! let topo = Topology::small_world(64, 2, 0.2, 1);
-//! let mut net = FloodingNetwork::new(
-//!     topo, Box::new(ConstantLatency(20_000)), FloodingConfig::default());
+//! let latency = LatencySpec::Constant(20_000).build(64, 1);
+//! let mut net = Substrate::gnutella(topo, latency, FloodingConfig::default());
 //! net.publish(PeerId(9), ResourceRecord::new(
 //!     "k1",
 //!     "patterns",
@@ -68,24 +70,25 @@ mod peer;
 mod sharded;
 pub mod sim;
 mod stats;
+mod substrate;
 mod superpeer;
 mod topology;
 mod traits;
 
-pub use centralized::CentralizedNetwork;
 pub use des::DesNetwork;
 pub use digest::{
     sign_record, DigestConfig, Probe, RecordVisitor, RouteTable, RoutingDigest, Signature,
 };
 pub use event::{DesEvent, PropMode};
-pub use flooding::{FloodingConfig, FloodingNetwork, RecordArena};
+pub use flooding::{FloodingConfig, RecordArena};
 pub use index_node::IndexNode;
-pub use latency::{ConstantLatency, CoordinateLatency, LatencyModel, LatencySpec, UniformLatency};
+pub use latency::{Latency, LatencySpec};
 pub use message::{ResourceRecord, SearchHit, SharedFields, Time, DEFAULT_TTL};
 pub use peer::PeerId;
 pub use sharded::ShardedIndexNode;
 pub use stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
-pub use superpeer::{SuperPeerConfig, SuperPeerNetwork};
+pub use substrate::Substrate;
+pub use superpeer::SuperPeerConfig;
 pub use topology::Topology;
 pub use traits::{PeerNetwork, ProtocolKind, SearchRequest};
 
@@ -93,8 +96,8 @@ pub use traits::{PeerNetwork, ProtocolKind, SearchRequest};
 /// choose. The rest is [`FloodingConfig::default`] (TTL, dedup) and
 /// [`SuperPeerConfig::default`] (overlay degree and TTL) at
 /// `ceil(sqrt(n))` super-peers; to set one of those, build the substrate
-/// itself: [`FloodingNetwork::new`], [`SuperPeerNetwork::new`],
-/// [`DesNetwork::gnutella`], [`DesNetwork::fasttrack`].
+/// itself — [`Substrate::gnutella`], [`Substrate::fasttrack`] — and drive
+/// it directly or through [`DesNetwork::new`].
 ///
 /// ```
 /// use up2p_net::{DigestConfig, LatencySpec, NetConfig, PeerNetwork, ProtocolKind};
@@ -159,28 +162,15 @@ impl NetConfig {
 }
 
 /// Builds a substrate of the given kind from an explicit configuration:
-/// `n` peers, seeded topology/latency, all peers online.
+/// `n` peers, seeded topology/latency, all peers online
+/// ([`Substrate::build`]).
 pub fn build_network_with(
     kind: ProtocolKind,
     n: usize,
     seed: u64,
     config: &NetConfig,
 ) -> Box<dyn PeerNetwork + Send> {
-    match kind {
-        ProtocolKind::Napster => {
-            Box::new(CentralizedNetwork::new(n, config.latency.build(n, seed)))
-        }
-        ProtocolKind::Gnutella => {
-            let topo = Topology::small_world(n, 2, 0.2, seed);
-            Box::new(FloodingNetwork::new(topo, config.latency.build(n, seed), config.flooding()))
-        }
-        ProtocolKind::FastTrack => Box::new(SuperPeerNetwork::new(
-            n,
-            config.super_peer(n),
-            config.latency.build(n, seed),
-            seed,
-        )),
-    }
+    Box::new(Substrate::build(kind, n, seed, config))
 }
 
 /// Builds a substrate with the default [`NetConfig`], constant 20 ms
@@ -237,9 +227,9 @@ mod tests {
             (ProtocolKind::Napster, build_network_with(ProtocolKind::Napster, 32, 7, &config)),
             (
                 ProtocolKind::Gnutella,
-                Box::new(FloodingNetwork::new(Topology::small_world(32, 2, 0.2, 7), latency(), flooding)),
+                Box::new(Substrate::gnutella(Topology::small_world(32, 2, 0.2, 7), latency(), flooding)),
             ),
-            (ProtocolKind::FastTrack, Box::new(SuperPeerNetwork::new(32, supers, latency(), 7))),
+            (ProtocolKind::FastTrack, Box::new(Substrate::fasttrack(32, supers, latency(), 7))),
         ];
         for (kind, mut net) in nets {
             net.publish(
@@ -302,12 +292,13 @@ mod tests {
         }
         // the accessor beside the trait: nobody is a ghost's super
         let latency = config.latency.build(16, 7);
-        let step = SuperPeerNetwork::new(16, config.super_peer(16), latency, 7);
+        let step = Substrate::fasttrack(16, config.super_peer(16), latency, 7);
         let des = DesNetwork::build(ProtocolKind::FastTrack, 16, 7, &config);
+        let des = des.substrate();
         for ghost in [PeerId(16), PeerId(u32::MAX)] {
-            assert_eq!((step.super_of(ghost), des.super_of_peer(ghost)), (None, None));
+            assert_eq!((step.super_of(ghost), des.super_of(ghost)), (None, None));
         }
-        assert_eq!(step.super_of(PeerId(9)), des.super_of_peer(PeerId(9)), "one constructor");
+        assert_eq!(step.super_of(PeerId(9)), des.super_of(PeerId(9)), "one constructor");
         assert!(step.super_of(PeerId(9)).is_some());
     }
 }

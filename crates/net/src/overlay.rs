@@ -13,33 +13,31 @@
 //! * the **local evaluation** is an `FnMut(node, &Probe) -> Vec<Match>` —
 //!   the flat overlay's [`crate::RecordArena`], whose per-peer summary
 //!   and record signatures the walk's compiled [`Probe`] is asked of, or
-//!   an [`IndexNode`] per super ([`index_matches`]);
+//!   an [`crate::IndexNode`] per super;
 //! * the **[`Sink`]** receives every forwarded copy and every hit batch
 //!   with its delivery time — [`Walk::run`] drains a private per-query
 //!   queue from time 0, [`crate::DesNetwork`] pushes onto its global
 //!   timeline.
 //!
-//! Each overlay substrate assembles its [`Walk`] in one place (its
-//! `walk` method) and lends it to whichever driver is running the query.
+//! Both overlay protocols keep one [`Overlay`] — graph, routing digests,
+//! walker rng, TTL and dedup rule — and every [`Walk`] is assembled from
+//! it in one place, [`Overlay::walk`], for whichever driver is running
+//! the query.
 //!
 //! Node ids are plain `u32`s: peer ids on the flat overlay, super
-//! indices (which are the supers' peer ids) on the two-tier one. The
-//! retrieve and digest-refresh accounting every substrate shares lives
-//! here too ([`retrieve`], [`refresh_digests`]).
+//! indices (which are the supers' peer ids) on the two-tier one.
 
-use crate::digest::{Probe, RecordVisitor, RouteTable};
+use crate::digest::{DigestConfig, Probe, RecordVisitor, RouteTable};
 use crate::event::PropMode;
-use crate::index_node::IndexNode;
-use crate::latency::LatencyModel;
+use crate::latency::Latency;
 use crate::message::{SearchHit, SharedFields, Time};
 use crate::peer::PeerId;
 use crate::sim::EventQueue;
-use crate::stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
+use crate::stats::{MsgKind, NetStats, SearchOutcome};
 use crate::topology::Topology;
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
-use up2p_store::Query;
 
 /// One locally matching record: `(key, provider, fields)`.
 pub(crate) type Match = (String, PeerId, SharedFields);
@@ -47,21 +45,6 @@ pub(crate) type Match = (String, PeerId, SharedFields);
 /// Liveness of `peer`; ids outside the network are dead.
 pub(crate) fn is_alive(alive: &[bool], peer: PeerId) -> bool {
     alive.get(peer.index()).copied().unwrap_or(false)
-}
-
-/// Local evaluation against one [`IndexNode`]: candidates come from the
-/// posting lists, `alive` filters only that candidate set's providers.
-pub(crate) fn index_matches(
-    node: &IndexNode,
-    alive: impl Fn(PeerId) -> bool,
-    community: &str,
-    query: &Query,
-) -> Vec<Match> {
-    let mut matches = Vec::new();
-    node.search(community, query, alive, |key, provider, fields| {
-        matches.push((key.to_string(), provider, fields.clone()));
-    });
-    matches
 }
 
 /// A query copy in flight. `via` is the visit that sent it — an index
@@ -169,21 +152,92 @@ impl Progress {
     }
 }
 
+/// What the two overlay protocols keep alike: the graph a query walks,
+/// the routing digests over it, the walkers' rng, and the TTL and dedup
+/// rule every copy obeys. No substrate rewires its graph after
+/// construction, so the digests are laid out for it once.
+pub(crate) struct Overlay {
+    pub topology: Topology,
+    /// Per-directed-edge attenuated digests (guided search only).
+    pub routes: RouteTable,
+    /// Seeded source for the random-walk fallback; part of the
+    /// deterministic state, not wall-clock randomness.
+    walk_rng: StdRng,
+    ttl: u8,
+    /// Drop duplicate flood arrivals (Gnutella's GUID cache).
+    dedup: bool,
+}
+
+impl Overlay {
+    /// `topology` with an empty digest table for `digests`, walkers
+    /// seeded by `walk_seed`.
+    pub fn new(
+        topology: Topology,
+        digests: DigestConfig,
+        walk_seed: u64,
+        ttl: u8,
+        dedup: bool,
+    ) -> Overlay {
+        let (routes, walk_rng) = (RouteTable::new(digests), StdRng::seed_from_u64(walk_seed));
+        Overlay { topology, routes, walk_rng, ttl, dedup }
+    }
+
+    /// The walk of one query over this overlay, borrowed for a whole
+    /// query by the step driver and for one event at a time by
+    /// [`crate::DesNetwork`]: the substrate lends its liveness, latency
+    /// model and statistics, `probe` is the query compiled once.
+    pub fn walk<'a>(
+        &'a mut self,
+        alive: &'a [bool],
+        latency: &'a mut Latency,
+        stats: &'a mut NetStats,
+        probe: &'a Probe,
+    ) -> Walk<'a> {
+        let Overlay { topology, routes, walk_rng, ttl, dedup } = self;
+        Walk { topology, routes, alive, latency, walk_rng, stats, probe, ttl: *ttl, dedup: *dedup }
+    }
+
+    /// Brings the routing digests up to date with the writes since the
+    /// last refresh and counts the `DigestRequest`/`DigestPush` exchange
+    /// that costs. `records_of` lists a node's share table (see
+    /// [`RouteTable::refresh`]). A no-op when guided search is disabled
+    /// or nothing changed since the last refresh; guided searches call
+    /// this lazily, the way a servent batches digest updates onto its
+    /// keep-alives.
+    pub fn refresh(
+        &mut self,
+        stats: &mut NetStats,
+        records_of: impl FnMut(u32, &mut RecordVisitor<'_>),
+    ) {
+        if !self.routes.config().enabled || !self.routes.needs_refresh() {
+            return;
+        }
+        let (requests, pushes) = self.routes.refresh(&self.topology, records_of);
+        stats.sent_n(MsgKind::DigestRequest, requests);
+        stats.sent_n(MsgKind::DigestPush, pushes);
+    }
+
+    /// Deterministic estimate of the overlay's resident bytes: its edges
+    /// and its routing digests.
+    pub fn approx_bytes(&self) -> u64 {
+        self.topology.edge_count() as u64 * 16 + self.routes.approx_bytes()
+    }
+}
+
 /// What a hop consults and accounts into, borrowed from the substrate
 /// for one query (the step drivers) or one event (the DES engine).
 pub(crate) struct Walk<'a> {
-    pub topology: &'a Topology,
-    pub routes: &'a RouteTable,
-    pub alive: &'a [bool],
-    pub latency: &'a mut dyn LatencyModel,
-    pub walk_rng: &'a mut StdRng,
-    pub stats: &'a mut NetStats,
+    topology: &'a Topology,
+    routes: &'a RouteTable,
+    alive: &'a [bool],
+    latency: &'a mut Latency,
+    walk_rng: &'a mut StdRng,
+    stats: &'a mut NetStats,
     /// The query compiled once per query: what guided forwarding asks the
     /// neighbours' digests and the local evaluation may ask a summary.
-    pub probe: &'a Probe,
-    pub ttl: u8,
-    /// Drop duplicate flood arrivals (Gnutella's GUID cache).
-    pub dedup: bool,
+    probe: &'a Probe,
+    ttl: u8,
+    dedup: bool,
 }
 
 impl Walk<'_> {
@@ -397,64 +451,11 @@ impl Walk<'_> {
     }
 }
 
-/// Brings the routing digests over `topology` up to date with the
-/// writes since the last refresh and counts the
-/// `DigestRequest`/`DigestPush` exchange that costs. `records_of` lists
-/// a node's share table (see [`RouteTable::refresh`]). A no-op when
-/// guided search is disabled or nothing changed since the last refresh;
-/// guided searches call this lazily, the way a servent batches digest
-/// updates onto its keep-alives.
-pub(crate) fn refresh_digests(
-    routes: &mut RouteTable,
-    topology: &Topology,
-    stats: &mut NetStats,
-    records_of: impl FnMut(u32, &mut RecordVisitor<'_>),
-) {
-    if !routes.config().enabled || !routes.needs_refresh() {
-        return;
-    }
-    let (requests, pushes) = routes.refresh(topology, records_of);
-    stats.sent_n(MsgKind::DigestRequest, requests);
-    stats.sent_n(MsgKind::DigestPush, pushes);
-}
-
-/// The direct provider fetch every substrate accounts the same way.
-/// `provider_alive` is `None` for an id outside the network; `has` and
-/// `rtt` run only when the request reaches a live provider.
-pub(crate) fn retrieve(
-    stats: &mut NetStats,
-    origin_alive: bool,
-    provider_alive: Option<bool>,
-    provider: PeerId,
-    has: impl FnOnce() -> bool,
-    rtt: impl FnOnce() -> Time,
-) -> RetrieveOutcome {
-    stats.retrieves += 1;
-    // a dead peer cannot send, and an unknown id names nobody to send
-    // to: the request never leaves the origin
-    let (true, Some(provider_alive)) = (origin_alive, provider_alive) else {
-        return RetrieveOutcome::Unavailable;
-    };
-    stats.sent(MsgKind::Retrieve);
-    if !provider_alive {
-        stats.dropped += 1;
-        return RetrieveOutcome::Unavailable;
-    }
-    if !has() {
-        stats.sent(MsgKind::RetrieveFail);
-        return RetrieveOutcome::Unavailable;
-    }
-    stats.sent(MsgKind::RetrieveOk);
-    stats.retrieves_ok += 1;
-    RetrieveOutcome::Fetched { provider, latency: rtt() }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::digest::DigestConfig;
-    use crate::latency::ConstantLatency;
-    use rand::SeedableRng;
+    use crate::latency::LatencySpec;
+    use up2p_store::Query;
 
     const HOP: Time = 10;
 
@@ -514,15 +515,11 @@ mod tests {
     /// record, so its digest carries the community bit) iff it is a
     /// holder.
     struct Script {
-        topology: Topology,
-        routes: RouteTable,
+        overlay: Overlay,
         alive: Vec<bool>,
-        latency: ConstantLatency,
-        rng: StdRng,
+        latency: Latency,
         stats: NetStats,
         probe: Probe,
-        ttl: u8,
-        dedup: bool,
         holders: Vec<u32>,
         /// Every evaluation the core asked for, in order.
         evaluated: Vec<u32>,
@@ -534,24 +531,20 @@ mod tests {
             for &(a, b) in edges {
                 topology.connect(PeerId(a), PeerId(b));
             }
-            let mut routes = RouteTable::new(digests);
+            let mut overlay = Overlay::new(topology, digests, 1, 4, true);
             if digests.enabled {
-                routes.refresh(&topology, |node, visit| {
+                overlay.routes.refresh(&overlay.topology, |node, visit| {
                     if holders.contains(&node) {
                         visit("c", &[]);
                     }
                 });
             }
             Script {
-                topology,
-                routes,
+                overlay,
                 alive: vec![true; n],
-                latency: ConstantLatency(HOP),
-                rng: StdRng::seed_from_u64(1),
+                latency: LatencySpec::Constant(HOP).build(n, 1),
                 stats: NetStats::new(),
                 probe: Probe::new("c", &Query::All),
-                ttl: 4,
-                dedup: true,
                 holders: holders.to_vec(),
                 evaluated: Vec::new(),
             }
@@ -566,9 +559,7 @@ mod tests {
         }
 
         fn parts(&mut self) -> (Walk<'_>, impl FnMut(u32, &Probe) -> Vec<Match> + '_) {
-            let Script {
-                topology, routes, alive, latency, rng, stats, probe, ttl, dedup, holders, evaluated,
-            } = self;
+            let Script { overlay, alive, latency, stats, probe, holders, evaluated } = self;
             let eval = move |node: u32, _: &Probe| {
                 evaluated.push(node);
                 if holders.contains(&node) {
@@ -577,18 +568,7 @@ mod tests {
                     Vec::new()
                 }
             };
-            let walk = Walk {
-                topology,
-                routes,
-                alive,
-                latency,
-                walk_rng: rng,
-                stats,
-                probe,
-                ttl: *ttl,
-                dedup: *dedup,
-            };
-            (walk, eval)
+            (overlay.walk(alive, latency, stats, probe), eval)
         }
 
         fn start(&mut self, p: &mut Progress, t0: Time, origin: u32, entry: Option<u32>) -> Recorder {
@@ -637,7 +617,7 @@ mod tests {
     #[test]
     fn flood_without_dedup_reevaluates_and_pays_again() {
         let mut s = Script::flood(3, &TRIANGLE, &[1]);
-        s.dedup = false;
+        s.overlay.dedup = false;
         let mut p = Progress::new(0);
         s.arrive(&mut p, 10, 1, &[0], 3, PropMode::Flood);
         let second = s.arrive(&mut p, 15, 1, &[2], 3, PropMode::Flood);
@@ -684,7 +664,7 @@ mod tests {
                 PropMode::Flood => Script::flood(10_000, &edges, &[]),
                 _ => Script::guided(10_000, &edges, &[]),
             };
-            s.dedup = dedup;
+            s.overlay.dedup = dedup;
             let mut p = Progress::new(0);
             for &n in &NODES {
                 let first = s.arrive(&mut p, 10, n, &[sender(n)], 3, mode);
@@ -723,7 +703,7 @@ mod tests {
         let mut p = Progress::new(0);
         assert!(s.arrive(&mut p, 10, 1, &[0], 0, PropMode::Flood).forwards.is_empty());
         assert_eq!(s.evaluated, vec![1]);
-        s.ttl = 0;
+        s.overlay.ttl = 0;
         let mut p = Progress::new(0);
         assert!(s.start(&mut p, 0, 0, None).forwards.is_empty(), "a TTL-0 query never leaves");
         assert_eq!(s.evaluated, vec![1, 0]);

@@ -2,15 +2,16 @@
 //!
 //! **Message conservation.** Each protocol sends a fixed set of
 //! [`MsgKind`]s, and E6's cost comparison (§IV-B, §V) is their counts.
-//! Each kind is counted once, where a step substrate sends it: the
-//! overlay walk, the provider fetch and the digest refresh in the shared
-//! overlay core; the Napster round trip and the publish uploads in their
-//! substrates. `tests/conservation.rs` runs one script on every protocol,
-//! blind and guided, under both schedulers, and holds the set of kinds
+//! Each kind is counted once, where the substrate sends it: the overlay
+//! walk and the digest refresh in the shared overlay core; the provider
+//! fetch in [`Substrate`](crate::Substrate) itself; the Napster round
+//! trip and the publish uploads beside their protocols' state.
+//! `tests/conservation.rs` runs one script on every protocol, blind and
+//! guided, under both schedulers, and holds the set of kinds
 //! each sends to a table written in the test: a dropped emission empties
 //! its kind, and a stray one (a Gnutella `Publish`) adds one.
 //! `tests/des_equivalence.rs` holds [`DesNetwork`](crate::DesNetwork) to
-//! the step substrate's count of every kind, so the DES engine counts
+//! the step search's count of every kind, so the DES engine counts
 //! nothing of its own.
 
 use crate::message::Time;

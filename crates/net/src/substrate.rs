@@ -1,0 +1,455 @@
+//! The one substrate: Napster, Gnutella and FastTrack as one value.
+//!
+//! What every protocol keeps alike lives once, in [`Substrate`]: which
+//! peers are online, the latency model, the statistics, the opening of a
+//! query, the retrieve rule and the [`PeerNetwork`] impl. What differs is
+//! the private `Protocol`: the Napster server's [`IndexNode`]
+//! (`centralized.rs`), every Gnutella peer's records in one
+//! [`RecordArena`] (`flooding.rs`), FastTrack's supers with their indexes
+//! (`superpeer.rs`); the two overlay protocols share one [`Overlay`].
+//!
+//! Two schedulers drive it: the substrate's own `search`, one query to
+//! quiescence on a private queue, and [`crate::DesNetwork`], which owns a
+//! substrate and moves each query a hop at a time on its global timeline
+//! through [`Substrate::issue`] and [`Substrate::deliver`]. Either way a
+//! hop is the overlay walk (`overlay.rs`) or the server's answer, built
+//! here.
+
+use crate::digest::Probe;
+use crate::flooding::{FloodingConfig, RecordArena};
+use crate::index_node::IndexNode;
+use crate::latency::Latency;
+use crate::message::{ResourceRecord, Time};
+use crate::overlay::{is_alive, Hop, Match, Overlay, Progress, Sink, Walk};
+use crate::peer::PeerId;
+use crate::stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
+use crate::superpeer::{SuperPeerConfig, Supers};
+use crate::topology::Topology;
+use crate::traits::{PeerNetwork, ProtocolKind};
+use crate::NetConfig;
+use up2p_store::Query;
+
+/// A simulated peer-to-peer network of one protocol: Napster's index
+/// server, Gnutella's TTL-limited flood over an overlay, or FastTrack's
+/// super-peer flood with leaves uploading to their super.
+///
+/// Build it with [`Substrate::build`] from a [`NetConfig`], or with the
+/// per-protocol constructors to set the overlay, TTL, dedup rule or
+/// super count; then drive it through [`PeerNetwork`] or hand it to
+/// [`crate::DesNetwork::new`].
+pub struct Substrate {
+    pub(crate) alive: Vec<bool>,
+    pub(crate) latency: Latency,
+    pub(crate) stats: NetStats,
+    pub(crate) protocol: Protocol,
+}
+
+/// What one protocol keeps that the others do not.
+pub(crate) enum Protocol {
+    /// The server's indexed record table.
+    Napster(IndexNode),
+    /// The flat overlay and what every peer shares from its own store.
+    Gnutella(Overlay, RecordArena),
+    /// The overlay among the supers and their leaves' records.
+    FastTrack(Overlay, Supers),
+}
+
+impl std::fmt::Debug for Substrate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Substrate")
+            .field("kind", &self.kind())
+            .field("peers", &self.alive.len())
+            .field("edges", &self.topology().map(Topology::edge_count))
+            .finish()
+    }
+}
+
+impl Substrate {
+    fn new(peers: usize, latency: Latency, protocol: Protocol) -> Substrate {
+        Substrate { alive: vec![true; peers], latency, stats: NetStats::new(), protocol }
+    }
+
+    /// Napster: `peers` peers, all online, and one index server; `latency`
+    /// times peer↔server and peer↔peer links alike.
+    pub fn napster(peers: usize, latency: Latency) -> Substrate {
+        Substrate::new(peers, latency, Protocol::Napster(IndexNode::new()))
+    }
+
+    /// Gnutella over `topology`, every peer online.
+    pub fn gnutella(topology: Topology, latency: Latency, config: FloodingConfig) -> Substrate {
+        let n = topology.len();
+        let walk_seed = 0xd16e_57ed ^ n as u64;
+        let overlay = Overlay::new(topology, config.digests, walk_seed, config.ttl, config.dedup);
+        Substrate::new(n, latency, Protocol::Gnutella(overlay, RecordArena::with_peers(n)))
+    }
+
+    /// FastTrack: `peers` peers, all online. The first `config.supers`
+    /// ids are super-peers; every other peer is assigned a uniformly
+    /// random super (seeded).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.supers` is zero or exceeds `peers`.
+    pub fn fasttrack(
+        peers: usize,
+        config: SuperPeerConfig,
+        latency: Latency,
+        seed: u64,
+    ) -> Substrate {
+        let (supers, topology) = Supers::new(peers, config, seed);
+        let overlay = Overlay::new(topology, config.digests, seed ^ 0x3a1f_7a1c, config.ttl, true);
+        Substrate::new(peers, latency, Protocol::FastTrack(overlay, supers))
+    }
+
+    /// A substrate of `kind` for `peers` peers from `config`, seeded by
+    /// `seed` — the one mapping [`crate::build_network_with`] and
+    /// [`crate::DesNetwork::build`] share:
+    ///
+    /// * Napster: one index server.
+    /// * Gnutella: small-world overlay (2k = 4 neighbors, β = 0.2) under
+    ///   [`NetConfig`]'s digests and [`FloodingConfig`]'s defaults.
+    /// * FastTrack: [`NetConfig::super_count`] super-peers under
+    ///   [`NetConfig`]'s digests and [`SuperPeerConfig`]'s defaults.
+    pub fn build(kind: ProtocolKind, peers: usize, seed: u64, config: &NetConfig) -> Substrate {
+        let latency = config.latency.build(peers, seed);
+        match kind {
+            ProtocolKind::Napster => Substrate::napster(peers, latency),
+            ProtocolKind::Gnutella => {
+                let topology = Topology::small_world(peers, 2, 0.2, seed);
+                Substrate::gnutella(topology, latency, config.flooding())
+            }
+            ProtocolKind::FastTrack => {
+                Substrate::fasttrack(peers, config.super_peer(peers), latency, seed)
+            }
+        }
+    }
+
+    /// Which protocol this substrate runs.
+    pub fn kind(&self) -> ProtocolKind {
+        match self.protocol {
+            Protocol::Napster(_) => ProtocolKind::Napster,
+            Protocol::Gnutella(..) => ProtocolKind::Gnutella,
+            Protocol::FastTrack(..) => ProtocolKind::FastTrack,
+        }
+    }
+
+    fn overlay(&self) -> Option<&Overlay> {
+        match &self.protocol {
+            Protocol::Napster(_) => None,
+            Protocol::Gnutella(overlay, _) | Protocol::FastTrack(overlay, _) => Some(overlay),
+        }
+    }
+
+    /// The graph a query walks: the peers' overlay (Gnutella) or the
+    /// supers' (FastTrack, whose node ids are super indices). `None` on
+    /// Napster.
+    pub fn topology(&self) -> Option<&Topology> {
+        self.overlay().map(|o| &o.topology)
+    }
+
+    /// The super-peer index `peer` reports to; `None` for an id outside
+    /// the network and on every protocol but FastTrack.
+    pub fn super_of(&self, peer: PeerId) -> Option<usize> {
+        match &self.protocol {
+            Protocol::FastTrack(_, supers) => supers.super_of(peer),
+            _ => None,
+        }
+    }
+
+    /// Number of records `peer` shares (0 on Napster, where records live
+    /// only on the server).
+    pub fn shared_count(&self, peer: PeerId) -> usize {
+        match &self.protocol {
+            Protocol::Napster(_) => 0,
+            Protocol::Gnutella(_, shared) => shared.shared_count(peer.0),
+            Protocol::FastTrack(_, supers) => supers.shared_count(peer),
+        }
+    }
+
+    /// Queries the routing tables like the forwarding path does: the
+    /// minimum advertised depth at which `advertiser`'s digest (held by
+    /// `receiver`) may match, within `max_depth`, as of the last refresh.
+    /// `None` on Napster. Used by the churn regression tests to assert
+    /// stale digests never go false-negative.
+    pub fn route_min_depth(
+        &self,
+        advertiser: u32,
+        receiver: u32,
+        community: &str,
+        query: &Query,
+        max_depth: u8,
+    ) -> Option<u8> {
+        let routes = &self.overlay()?.routes;
+        routes.min_depth(advertiser, receiver, &Probe::new(community, query), max_depth)
+    }
+
+    /// Deterministic estimate of resident state in bytes: liveness, the
+    /// protocol's records and, on an overlay, its edges and digests.
+    pub(crate) fn approx_bytes(&self) -> u64 {
+        let records = match &self.protocol {
+            Protocol::Napster(server) => server.len() as u64 * 256,
+            Protocol::Gnutella(_, shared) => shared.approx_bytes(),
+            Protocol::FastTrack(_, supers) => supers.approx_bytes(),
+        };
+        self.alive.len() as u64 + records + self.overlay().map_or(0, Overlay::approx_bytes)
+    }
+
+    /// Brings the routing digests up to date with the writes since the
+    /// last refresh and repropagates the attenuated layers they changed,
+    /// counting the `DigestRequest`/`DigestPush` exchange the refresh
+    /// costs. A no-op on Napster, when guided search is disabled, or when
+    /// nothing changed since the last refresh; guided searches call this
+    /// lazily.
+    pub fn refresh_digests(&mut self) {
+        let Substrate { stats, protocol, .. } = self;
+        match protocol {
+            Protocol::Napster(_) => {}
+            Protocol::Gnutella(overlay, shared) => {
+                overlay.refresh(stats, |p, visit| shared.for_each_record(p, visit))
+            }
+            Protocol::FastTrack(overlay, supers) => {
+                overlay.refresh(stats, |s, visit| supers.index(s).for_each_record(visit))
+            }
+        }
+    }
+
+    /// Opens a query: counts it, and for a live origin brings the digests
+    /// up to date. `false` means the query never leaves.
+    fn begin_query(&mut self, origin: PeerId) -> bool {
+        self.stats.queries += 1;
+        let live = self.is_alive(origin);
+        if live {
+            self.refresh_digests();
+        }
+        live
+    }
+
+    /// Where a query from `origin` enters the overlay: its super on
+    /// FastTrack, the origin itself (`None`) on Gnutella.
+    fn entry(&self, origin: PeerId) -> Option<u32> {
+        self.super_of(origin).map(|s| s as u32)
+    }
+
+    /// The walk of one query over the overlay, and the local evaluation
+    /// its hops run: a Gnutella peer verifies the records its summary and
+    /// signatures admit for `probe`, the query compiled for `community`;
+    /// a super answers for its live leaves from its own index. `None` on
+    /// Napster, which has no overlay.
+    pub(crate) fn walk<'a>(
+        &'a mut self,
+        community: &'a str,
+        query: &'a Query,
+        probe: &'a Probe,
+    ) -> Option<(Walk<'a>, impl FnMut(u32, &Probe) -> Vec<Match> + 'a)> {
+        let Substrate { alive, latency, stats, protocol } = self;
+        let alive: &'a [bool] = alive;
+        let (overlay, shares) = match protocol {
+            Protocol::Napster(_) => return None,
+            Protocol::Gnutella(overlay, shared) => {
+                (overlay, Shares::Arena(shared, shared.community_id(community)))
+            }
+            Protocol::FastTrack(overlay, supers) => (overlay, Shares::Index(supers)),
+        };
+        let eval = move |node: u32, probe: &Probe| match shares {
+            Shares::Arena(shared, Some(cid)) => {
+                shared.verify(node, cid, query, shared.candidates(node, probe))
+            }
+            Shares::Arena(_, None) => Vec::new(),
+            Shares::Index(supers) => {
+                let mut matches = Vec::new();
+                let live = |p| is_alive(alive, p);
+                supers.index(node).search(community, query, live, |key, provider, fields| {
+                    matches.push((key.to_string(), provider, fields.clone()))
+                });
+                matches
+            }
+        };
+        Some((overlay.walk(alive, latency, stats, probe), eval))
+    }
+
+    /// The first event of a query the DES engine scheduled at `origin`,
+    /// at `t`: opens it, then sends the Napster request toward the server
+    /// or starts the overlay walk.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn issue<S: Sink>(
+        &mut self,
+        p: &mut Progress,
+        t: Time,
+        origin: PeerId,
+        community: &str,
+        query: &Query,
+        probe: &Probe,
+        sink: &mut S,
+    ) {
+        if !self.begin_query(origin) {
+            return;
+        }
+        if let Protocol::Napster(_) = self.protocol {
+            let at = self.server_trip(p, t, origin);
+            return sink.forward(at, Hop::SERVER);
+        }
+        let entry = self.entry(origin);
+        if let Some((mut walk, eval)) = self.walk(community, query, probe) {
+            walk.start(p, t, origin.0, entry, eval, sink);
+        }
+    }
+
+    /// A copy of the query reaches `hop.to` at `t`: an overlay node runs
+    /// its hop, or the server answers, its reply landing when
+    /// [`Substrate::issue`] drew it.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn deliver<S: Sink>(
+        &mut self,
+        p: &mut Progress,
+        t: Time,
+        hop: Hop,
+        community: &str,
+        query: &Query,
+        probe: &Probe,
+        sink: &mut S,
+    ) {
+        if let Some((mut walk, eval)) = self.walk(community, query, probe) {
+            return walk.arrive(p, t, hop, eval, sink);
+        }
+        let hits = self.answer(p, community, query);
+        sink.hits_return(p.quiescence, hits);
+    }
+}
+
+/// The records a hop of the walk evaluates: a Gnutella peer's in the
+/// arena, with the query's community interned there (`None`: no record
+/// of it exists), or a super's index.
+#[derive(Clone, Copy)]
+enum Shares<'a> {
+    Arena(&'a RecordArena, Option<u32>),
+    Index(&'a Supers),
+}
+
+impl PeerNetwork for Substrate {
+    fn protocol_name(&self) -> &'static str {
+        self.kind().schema_value()
+    }
+
+    fn peer_count(&self) -> usize {
+        self.alive.len()
+    }
+
+    fn is_alive(&self, peer: PeerId) -> bool {
+        is_alive(&self.alive, peer)
+    }
+
+    fn set_alive(&mut self, peer: PeerId, alive: bool) {
+        if let Some(a) = self.alive.get_mut(peer.index()) {
+            *a = alive;
+        }
+    }
+
+    fn publish(&mut self, provider: PeerId, record: ResourceRecord) {
+        let Substrate { alive, stats, protocol, .. } = self;
+        let Some(&online) = alive.get(provider.index()) else { return };
+        match protocol {
+            // an upload needs a session: an offline peer's is dropped
+            Protocol::Napster(server) if online => {
+                stats.sent(MsgKind::Publish);
+                server.insert(provider, &record);
+            }
+            Protocol::FastTrack(overlay, supers) if online => {
+                // first record wins; the digests hear of it when it
+                // enters the super's index
+                if let Some(s) = supers.publish(provider, &record, stats) {
+                    overlay.routes.record_added(s, &record.community, &record.fields);
+                }
+            }
+            // Gnutella shares from the peer's own store, online or not:
+            // no message is sent, and republishing a key replaces the
+            // peer's own record (upsert) — the stored record it replaces
+            // leaves the routing digests, the new one enters them
+            Protocol::Gnutella(overlay, shared) => {
+                if let Some((community, fields)) = shared.upsert(provider.0, &record) {
+                    overlay.routes.record_removed(provider.0, community, &fields);
+                }
+                overlay.routes.record_added(provider.0, &record.community, &record.fields);
+            }
+            Protocol::Napster(_) | Protocol::FastTrack(..) => {}
+        }
+    }
+
+    fn unpublish(&mut self, provider: PeerId, key: &str) {
+        let Substrate { alive, stats, protocol, .. } = self;
+        if provider.index() >= alive.len() {
+            return; // an id outside the network has no session to end
+        }
+        match protocol {
+            Protocol::Napster(server) => {
+                stats.sent(MsgKind::Unpublish);
+                server.remove_slot(provider, key);
+            }
+            Protocol::Gnutella(overlay, shared) => {
+                if let Some((community, fields)) = shared.remove(provider.0, key) {
+                    overlay.routes.record_removed(provider.0, community, &fields);
+                }
+            }
+            Protocol::FastTrack(overlay, supers) => {
+                // the record leaves the digests with its last provider
+                if let Some((s, community, fields)) = supers.unpublish(provider, key, stats) {
+                    overlay.routes.record_removed(s, community, &fields);
+                }
+            }
+        }
+    }
+
+    fn search(&mut self, origin: PeerId, community: &str, query: &Query) -> SearchOutcome {
+        if !self.begin_query(origin) {
+            return SearchOutcome::default();
+        }
+        if let Protocol::Napster(_) = self.protocol {
+            let mut p = Progress::new(0);
+            self.server_trip(&mut p, 0, origin);
+            self.answer(&mut p, community, query);
+            p.finish(0, &mut self.stats);
+            return p.outcome;
+        }
+        let (probe, entry) = (Probe::new(community, query), self.entry(origin));
+        let Some((mut walk, eval)) = self.walk(community, query, &probe) else {
+            return SearchOutcome::default();
+        };
+        walk.run(origin.0, entry, eval)
+    }
+
+    fn retrieve(&mut self, origin: PeerId, provider: PeerId, key: &str) -> RetrieveOutcome {
+        let Substrate { alive, latency, stats, protocol } = self;
+        stats.retrieves += 1;
+        // a dead peer cannot send, and an unknown id names nobody to send
+        // to: the request never leaves the origin
+        let (true, Some(&provider_alive)) = (is_alive(alive, origin), alive.get(provider.index()))
+        else {
+            return RetrieveOutcome::Unavailable;
+        };
+        stats.sent(MsgKind::Retrieve);
+        if !provider_alive {
+            stats.dropped += 1;
+            return RetrieveOutcome::Unavailable;
+        }
+        let has = match protocol {
+            Protocol::Napster(server) => server.has_provider(key, provider),
+            Protocol::Gnutella(_, shared) => shared.has(provider.0, key),
+            Protocol::FastTrack(_, supers) => supers.owns(provider, key),
+        };
+        if !has {
+            stats.sent(MsgKind::RetrieveFail);
+            return RetrieveOutcome::Unavailable;
+        }
+        stats.sent(MsgKind::RetrieveOk);
+        stats.retrieves_ok += 1;
+        let latency = latency.delay(origin, provider) + latency.delay(provider, origin);
+        RetrieveOutcome::Fetched { provider, latency }
+    }
+
+    fn stats(&self) -> &NetStats {
+        &self.stats
+    }
+
+    fn reset_stats(&mut self) {
+        self.stats = NetStats::new();
+    }
+}

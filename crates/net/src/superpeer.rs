@@ -1,25 +1,24 @@
-//! FastTrack-style super-peer substrate: leaves publish metadata to their
-//! super-peer; queries flood only the (much smaller) super-peer overlay.
+//! FastTrack: leaves publish metadata to their super-peer; queries
+//! flood only the (much smaller) super-peer overlay.
 //!
 //! Sits between Napster and Gnutella in the E6 comparison: no single
 //! server, but message cost scales with super-peer edges rather than all
 //! peers. Every super-peer's record table is an [`IndexNode`], so each
 //! super answers a query with a posting-list lookup over its leaves'
-//! records instead of scanning them.
+//! records instead of scanning them. What is FastTrack's alone — the
+//! leaves' assignment, the supers' indexes and the leaf↔super write
+//! path — is [`Supers`]; the rest of the protocol is the one
+//! [`crate::Substrate`]'s.
 
-use crate::digest::{DigestConfig, Probe, RouteTable};
+use crate::digest::DigestConfig;
 use crate::index_node::IndexNode;
-use crate::latency::LatencyModel;
-use crate::message::ResourceRecord;
-use crate::overlay::{self, Match, Walk};
+use crate::message::{ResourceRecord, SharedFields};
 use crate::peer::PeerId;
-use crate::stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
+use crate::stats::{MsgKind, NetStats};
 use crate::topology::Topology;
-use crate::traits::PeerNetwork;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-use up2p_store::Query;
 
 /// Configuration for the super-peer substrate.
 #[derive(Debug, Clone, Copy)]
@@ -42,78 +41,43 @@ impl Default for SuperPeerConfig {
     }
 }
 
-/// The super-peer (FastTrack) substrate.
-pub struct SuperPeerNetwork {
-    config: SuperPeerConfig,
+/// The supers of a FastTrack network and what they index: super `s` is
+/// peer `s`, node `s` of the super overlay, and holds index `s`.
+pub(crate) struct Supers {
     /// peer index → index of its super-peer (supers map to themselves).
     super_of: Vec<u32>,
-    /// Overlay among super-peers; `PeerId` in this graph is the *super
-    /// index* (0..supers), which is also the super's global peer id.
-    super_topology: Topology,
     /// Per-super metadata index over its leaves' records.
     indexes: Vec<IndexNode>,
-    alive: Vec<bool>,
-    /// Per-directed-edge attenuated digests over the super overlay.
-    routes: RouteTable,
     /// Per-peer owned object keys (for retrieval).
     owned: Vec<BTreeSet<String>>,
-    latency: Box<dyn LatencyModel + Send>,
-    pub(crate) stats: NetStats,
-    /// Seeded source for the random-walk fallback.
-    walk_rng: StdRng,
 }
 
-impl std::fmt::Debug for SuperPeerNetwork {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SuperPeerNetwork")
-            .field("peers", &self.alive.len())
-            .field("config", &self.config)
-            .finish()
-    }
-}
-
-impl SuperPeerNetwork {
-    /// Creates a network of `n` peers. The first `config.supers` ids are
-    /// super-peers; every other peer is assigned to a uniformly random
-    /// super (seeded).
+impl Supers {
+    /// The supers of `n` peers and the overlay among them: the first
+    /// `config.supers` ids are supers, every other peer is assigned a
+    /// uniformly random one (seeded).
     ///
     /// # Panics
     ///
     /// Panics if `config.supers` is zero or exceeds `n`.
-    pub fn new(
-        n: usize,
-        config: SuperPeerConfig,
-        latency: Box<dyn LatencyModel + Send>,
-        seed: u64,
-    ) -> Self {
-        // panic-ok: `# Panics` unless 1 <= supers <= n; `build_network_with` and `DesNetwork::build` pass `NetConfig::super_count`, clamped to 1..=n, and build at least one peer; the other callers are tests with literal counts below n
+    pub fn new(n: usize, config: SuperPeerConfig, seed: u64) -> (Supers, Topology) {
+        // panic-ok: `# Panics` unless 1 <= supers <= n; `Substrate::build` passes `NetConfig::super_count`, clamped to 1..=n, and builds at least one peer; the other callers are tests with literal counts below n
         assert!(config.supers > 0 && config.supers <= n, "invalid super count");
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut super_of = Vec::with_capacity(n);
-        for i in 0..n {
-            if i < config.supers {
-                super_of.push(i as u32);
-            } else {
-                super_of.push(rng.gen_range(0..config.supers) as u32);
-            }
-        }
-        let super_topology = if config.supers <= 3 {
+        let super_of = (0..n)
+            .map(|i| if i < config.supers { i } else { rng.gen_range(0..config.supers) } as u32)
+            .collect();
+        let topology = if config.supers <= 3 {
             Topology::ring_lattice(config.supers, 1)
         } else {
             Topology::small_world(config.supers, config.super_degree, 0.2, seed ^ 0x5eed)
         };
-        SuperPeerNetwork {
-            config,
+        let supers = Supers {
             super_of,
-            super_topology,
             indexes: std::iter::repeat_with(IndexNode::new).take(config.supers).collect(),
-            alive: vec![true; n],
-            routes: RouteTable::new(config.digests),
             owned: vec![BTreeSet::new(); n],
-            latency,
-            stats: NetStats::new(),
-            walk_rng: StdRng::seed_from_u64(seed ^ 0x3a1f_7a1c),
-        }
+        };
+        (supers, topology)
     }
 
     /// The super-peer index a peer is attached to; `None` for an id
@@ -122,185 +86,90 @@ impl SuperPeerNetwork {
         self.super_of.get(peer.index()).map(|&s| s as usize)
     }
 
-    /// Is the given peer a super-peer?
-    pub fn is_super(&self, peer: PeerId) -> bool {
-        peer.index() < self.config.supers
+    /// Super `s`'s index.
+    pub fn index(&self, s: u32) -> &IndexNode {
+        &self.indexes[s as usize]
     }
 
     /// Number of records shared by one peer.
-    pub(crate) fn shared_count(&self, peer: PeerId) -> usize {
+    pub fn shared_count(&self, peer: PeerId) -> usize {
         self.owned.get(peer.index()).map_or(0, BTreeSet::len)
     }
 
-    /// The routing digests as of the last refresh.
-    pub(crate) fn routes(&self) -> &RouteTable {
-        &self.routes
+    /// Does `provider` hold the object `key`?
+    pub fn owns(&self, provider: PeerId, key: &str) -> bool {
+        self.owned.get(provider.index()).is_some_and(|keys| keys.contains(key))
     }
 
-    /// Deterministic estimate of resident state in bytes: liveness, owned
-    /// keys, super indexes, super overlay and routing digests.
-    pub(crate) fn approx_bytes(&self) -> u64 {
+    /// A live peer of the network shares `record`: a leaf uploads it to
+    /// its super (one `Publish`). Returns the super when the record
+    /// entered its index — the first record under a key wins.
+    pub fn publish(
+        &mut self,
+        provider: PeerId,
+        record: &ResourceRecord,
+        stats: &mut NetStats,
+    ) -> Option<u32> {
+        let p = provider.index();
+        let s = self.super_of[p];
+        if s != provider.0 {
+            stats.sent(MsgKind::Publish); // leaf → super upload
+        }
+        self.owned[p].insert(record.key.clone());
+        self.indexes[s as usize].insert(provider, record).then_some(s)
+    }
+
+    /// A peer of the network withdraws `key`: a leaf tells its super (one
+    /// `Unpublish`). Returns the super, with the community and fields of
+    /// the record, when it left the index with its last provider.
+    pub fn unpublish(
+        &mut self,
+        provider: PeerId,
+        key: &str,
+        stats: &mut NetStats,
+    ) -> Option<(u32, &str, SharedFields)> {
+        let p = provider.index();
+        let s = self.super_of[p];
+        if s != provider.0 {
+            stats.sent(MsgKind::Unpublish);
+        }
+        self.owned[p].remove(key);
+        let node = &mut self.indexes[s as usize];
+        let (slot, fields) = node.remove_slot(provider, key)?;
+        Some((s, node.community_name(slot), fields))
+    }
+
+    /// Deterministic estimate of resident bytes: owned keys, super
+    /// indexes and the leaves' assignment.
+    pub fn approx_bytes(&self) -> u64 {
         let owned: u64 = self
             .owned
             .iter()
             .map(|s| 24 + s.iter().map(|k| 32 + k.len() as u64).sum::<u64>())
             .sum();
         let indexes: u64 = self.indexes.iter().map(|i| i.len() as u64 * 256).sum();
-        self.alive.len() as u64
-            + owned
-            + indexes
-            + self.super_topology.edge_count() as u64 * 16
-            + self.super_of.len() as u64 * 4
-            + self.routes.approx_bytes()
-    }
-
-    /// Brings the routing digests over the super overlay up to date with
-    /// the writes since the last refresh, counting the
-    /// `DigestRequest`/`DigestPush` exchange. Lazy, like the flooding
-    /// substrate: the next guided search triggers it.
-    pub fn refresh_digests(&mut self) {
-        let Self { super_topology, indexes, routes, stats, .. } = self;
-        overlay::refresh_digests(routes, super_topology, stats, |s, visit| {
-            indexes[s as usize].for_each_record(visit)
-        });
-    }
-
-    /// Opens a query: counts it, and for a live origin brings the digests
-    /// up to date. `false` means the query never leaves.
-    pub(crate) fn begin_query(&mut self, origin: PeerId) -> bool {
-        self.stats.queries += 1;
-        let live = self.is_alive(origin);
-        if live {
-            self.refresh_digests();
-        }
-        live
-    }
-
-    /// The walk of one query over the super overlay and the local
-    /// evaluation its hops run: each super answers for its live leaves
-    /// from its own index. `probe` is the query compiled for `community`.
-    /// Borrowed by [`crate::DesNetwork`] one event at a time; the query
-    /// enters at [`SuperPeerNetwork::super_of`] its origin.
-    pub(crate) fn walk<'a>(
-        &'a mut self,
-        community: &'a str,
-        query: &'a Query,
-        probe: &'a Probe,
-    ) -> (Walk<'a>, impl FnMut(u32, &Probe) -> Vec<Match> + 'a) {
-        let (alive, indexes) = (&self.alive, &self.indexes);
-        let walk = Walk {
-            topology: &self.super_topology,
-            routes: &self.routes,
-            alive,
-            latency: self.latency.as_mut(),
-            walk_rng: &mut self.walk_rng,
-            stats: &mut self.stats,
-            probe,
-            ttl: self.config.ttl,
-            dedup: true,
-        };
-        let is_alive = move |p| overlay::is_alive(alive, p);
-        let eval = move |s: u32, _: &Probe| {
-            overlay::index_matches(&indexes[s as usize], is_alive, community, query)
-        };
-        (walk, eval)
-    }
-}
-
-impl PeerNetwork for SuperPeerNetwork {
-    fn protocol_name(&self) -> &'static str {
-        "FastTrack"
-    }
-
-    fn peer_count(&self) -> usize {
-        self.alive.len()
-    }
-
-    fn is_alive(&self, peer: PeerId) -> bool {
-        overlay::is_alive(&self.alive, peer)
-    }
-
-    fn set_alive(&mut self, peer: PeerId, alive: bool) {
-        if let Some(a) = self.alive.get_mut(peer.index()) {
-            *a = alive;
-        }
-    }
-
-    fn publish(&mut self, provider: PeerId, record: ResourceRecord) {
-        if !self.is_alive(provider) {
-            return;
-        }
-        let s = self.super_of[provider.index()];
-        if !self.is_super(provider) {
-            self.stats.sent(MsgKind::Publish); // leaf → super upload
-        }
-        self.owned[provider.index()].insert(record.key.clone());
-        // first record wins; the digests hear of it when it enters the index
-        if self.indexes[s as usize].insert(provider, &record) {
-            self.routes.record_added(s, &record.community, &record.fields);
-        }
-    }
-
-    fn unpublish(&mut self, provider: PeerId, key: &str) {
-        // an id outside the network has no super to tell
-        let Some(&s) = self.super_of.get(provider.index()) else { return };
-        if !self.is_super(provider) {
-            self.stats.sent(MsgKind::Unpublish);
-        }
-        self.owned[provider.index()].remove(key);
-        // the record leaves the digests with its last provider
-        let node = &mut self.indexes[s as usize];
-        if let Some((slot, fields)) = node.remove_slot(provider, key) {
-            self.routes.record_removed(s, node.community_name(slot), &fields);
-        }
-    }
-
-    fn search(&mut self, origin: PeerId, community: &str, query: &Query) -> SearchOutcome {
-        if !self.begin_query(origin) {
-            return SearchOutcome::default();
-        }
-        let entry = self.super_of[origin.index()];
-        let probe = Probe::new(community, query);
-        let (mut walk, eval) = self.walk(community, query, &probe);
-        walk.run(origin.0, Some(entry), eval)
-    }
-
-    fn retrieve(&mut self, origin: PeerId, provider: PeerId, key: &str) -> RetrieveOutcome {
-        let Self { alive, owned, latency, stats, .. } = self;
-        overlay::retrieve(
-            stats,
-            overlay::is_alive(alive, origin),
-            alive.get(provider.index()).copied(),
-            provider,
-            || owned[provider.index()].contains(key),
-            || latency.delay(origin, provider) + latency.delay(provider, origin),
-        )
-    }
-
-    fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = NetStats::new();
+        owned + indexes + self.super_of.len() as u64 * 4
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::latency::ConstantLatency;
-    use crate::traits::SearchRequest;
+    use crate::latency::LatencySpec;
+    use crate::stats::{RetrieveOutcome, SearchOutcome};
+    use crate::substrate::Substrate;
+    use crate::traits::{PeerNetwork, SearchRequest};
+    use up2p_store::Query;
 
     fn record(key: &str, name: &str) -> ResourceRecord {
         ResourceRecord::new(key, "c", vec![("o/name".to_string(), name.to_string())])
     }
 
-    fn net(n: usize, supers: usize) -> SuperPeerNetwork {
-        SuperPeerNetwork::new(
+    fn net(n: usize, supers: usize) -> Substrate {
+        Substrate::fasttrack(
             n,
             SuperPeerConfig { supers, super_degree: 2, ttl: 6, ..SuperPeerConfig::default() },
-            Box::new(ConstantLatency(1_000)),
+            LatencySpec::Constant(1_000).build(n, 1),
             42,
         )
     }
@@ -311,10 +180,8 @@ mod tests {
         for p in 0..50u32 {
             let s = net.super_of(PeerId(p)).expect("in range");
             assert!(s < 5);
-            if p < 5 {
-                assert_eq!(s, p as usize, "supers are their own super");
-                assert!(net.is_super(PeerId(p)));
-            }
+            // a peer is a super exactly when it is its own super
+            assert_eq!(s == p as usize, p < 5, "peer {p} under super {s}");
         }
     }
 
@@ -424,8 +291,8 @@ mod tests {
         assert_eq!(net.stats().messages, 0, "a dead peer cannot send");
     }
 
-    fn guided_net(n: usize, supers: usize) -> SuperPeerNetwork {
-        SuperPeerNetwork::new(
+    fn guided_net(n: usize, supers: usize) -> Substrate {
+        Substrate::fasttrack(
             n,
             SuperPeerConfig {
                 supers,
@@ -433,7 +300,7 @@ mod tests {
                 ttl: 6,
                 digests: DigestConfig::guided(),
             },
-            Box::new(ConstantLatency(1_000)),
+            LatencySpec::Constant(1_000).build(n, 1),
             42,
         )
     }
@@ -525,7 +392,7 @@ mod tests {
         assert_eq!(got[0].hits, expected.hits);
         assert!(!got[1].hits.is_empty(), "second origin reaches the record too");
         // the lazy digest build is shared state, paid once for the batch
-        let edges = 2 * batch.super_topology.edge_count() as u64;
+        let edges = 2 * batch.topology().expect("the super overlay").edge_count() as u64;
         assert_eq!(batch.stats().count(MsgKind::DigestRequest), edges);
         assert_eq!(batch.stats().count(MsgKind::DigestPush), edges);
         assert_eq!(batch.stats().queries, 2);
@@ -537,7 +404,7 @@ mod tests {
         net.publish(PeerId(30), record("k", "x"));
         net.search(PeerId(40), "c", &Query::any_keyword("x"));
         // one request per directed super-overlay edge, pushed once
-        let edges = 2 * net.super_topology.edge_count() as u64;
+        let edges = 2 * net.topology().expect("the super overlay").edge_count() as u64;
         assert_eq!(net.stats().count(MsgKind::DigestRequest), edges);
         assert_eq!(net.stats().count(MsgKind::DigestPush), edges);
         // a second search with no publishes in between pays nothing new

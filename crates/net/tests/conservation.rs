@@ -8,7 +8,9 @@
 //! counting a kind that is not its own (Gnutella publishes locally, so a
 //! `Publish` there) adds one. The step and DES runs must count every
 //! kind alike, so the DES engine sending anything of its own fails here
-//! as well as in `des_equivalence.rs`.
+//! as well as in `des_equivalence.rs`. A second script has a known but
+//! offline provider write, come back and be searched for, and holds each
+//! protocol's liveness rule for writes to the counts and hits in a table.
 
 use up2p_net::{
     build_network_with, DesNetwork, DigestConfig, MsgKind, NetConfig, PeerId, PeerNetwork,
@@ -86,5 +88,81 @@ fn every_protocol_sends_exactly_its_own_kinds_under_both_schedulers() {
                 step.iter().filter(|&&(_, n)| n > 0).map(|&(k, _)| k).collect();
             assert_eq!(sent, expected, "{kind} (guided: {guided}) sent {step:?}");
         }
+    }
+}
+
+/// Every kind with a nonzero count, in counter order.
+type Counts = Vec<(MsgKind, u64)>;
+
+/// A provider the network knows but that is offline writes: two
+/// publishes, then an unpublish of one of them. It comes back online and
+/// a search asks for both. Returns the nonzero per-kind counts after the
+/// publishes, after the unpublish and after the search, and the keys the
+/// search found.
+fn offline_script(net: &mut dyn PeerNetwork) -> ([Counts; 3], Vec<String>) {
+    let record = |key: &str| {
+        ResourceRecord::new(key, "c", vec![("o/name".to_string(), "observer".to_string())])
+    };
+    let counts = |net: &dyn PeerNetwork| -> Counts {
+        let all = MsgKind::ALL.into_iter().map(|k| (k, net.stats().count(k)));
+        all.filter(|&(_, n)| n > 0).collect()
+    };
+    // a leaf on FastTrack (supers are ids 0..8 at 64 peers)
+    let provider = PeerId(30);
+    net.set_alive(provider, false);
+    net.publish(provider, record("k1"));
+    net.publish(provider, record("k2"));
+    let published = counts(net);
+    net.unpublish(provider, "k1");
+    let unpublished = counts(net);
+    net.set_alive(provider, true);
+    let found = net.search(PeerId(50), "c", &Query::any_keyword("observer"));
+    let mut keys: Vec<String> = found.hits.into_iter().map(|h| h.key).collect();
+    keys.sort();
+    ([published, unpublished, counts(net)], keys)
+}
+
+#[test]
+fn an_offline_provider_writes_by_its_protocols_rule() {
+    use MsgKind::{DigestPush, DigestRequest, Query as Q, QueryHit, Unpublish};
+    // Napster and FastTrack drop an offline peer's publish (it has no
+    // session to upload on) but still send its unpublish; Gnutella
+    // upserts and removes in the peer's own store, sending nothing, so
+    // the record left behind is found once the peer is back.
+    let napster = [vec![], vec![(Unpublish, 1)], vec![(Q, 1), (QueryHit, 1), (Unpublish, 1)]];
+    let rows: [(ProtocolKind, bool, [Counts; 3], &[&str]); 6] = [
+        (ProtocolKind::Napster, false, napster.clone(), &[]),
+        (ProtocolKind::Napster, true, napster, &[]),
+        (ProtocolKind::Gnutella, false, [vec![], vec![], vec![(Q, 193), (QueryHit, 4)]], &["k2"]),
+        (
+            ProtocolKind::Gnutella,
+            true,
+            [vec![], vec![], vec![(Q, 35), (QueryHit, 4), (DigestPush, 256), (DigestRequest, 256)]],
+            &["k2"],
+        ),
+        (
+            ProtocolKind::FastTrack,
+            false,
+            [vec![], vec![(Unpublish, 1)], vec![(Q, 26), (Unpublish, 1)]],
+            &[],
+        ),
+        (
+            ProtocolKind::FastTrack,
+            true,
+            [
+                vec![],
+                vec![(Unpublish, 1)],
+                vec![(Q, 9), (Unpublish, 1), (DigestPush, 32), (DigestRequest, 32)],
+            ],
+            &[],
+        ),
+    ];
+    for (kind, guided, counts, keys) in rows {
+        let digests = if guided { DigestConfig::guided() } else { DigestConfig::default() };
+        let config = NetConfig::new().digests(digests);
+        let step = offline_script(&mut *build_network_with(kind, PEERS, SEED, &config));
+        let des = offline_script(&mut DesNetwork::build(kind, PEERS, SEED, &config));
+        assert_eq!(step, (counts, keys.iter().map(|k| k.to_string()).collect()), "{kind} {guided}");
+        assert_eq!(des, step, "{kind} (guided: {guided}): the schedulers count alike");
     }
 }

@@ -9,7 +9,8 @@
 
 use up2p_net::churn::exponential_schedule;
 use up2p_net::{
-    DesNetwork, DigestConfig, LatencySpec, PeerId, PeerNetwork, ResourceRecord, SuperPeerConfig,
+    DesNetwork, DigestConfig, LatencySpec, PeerId, PeerNetwork, ResourceRecord, Substrate,
+    SuperPeerConfig,
 };
 use up2p_store::Query;
 
@@ -32,7 +33,7 @@ fn churn_storm_at_10k_peers_stays_within_bounds() {
         ..SuperPeerConfig::default()
     };
     let latency = LatencySpec::Constant(20_000).build(PEERS, SEED);
-    let mut net = DesNetwork::fasttrack(PEERS, config, latency, SEED);
+    let mut net = DesNetwork::new(Substrate::fasttrack(PEERS, config, latency, SEED));
 
     // Replicated catalogue, providers spread over the leaves.
     let mut records = Vec::new();
@@ -96,16 +97,16 @@ fn churn_storm_at_10k_peers_stays_within_bounds() {
     // every overlay neighbor, probed via the community marker), the
     // record's exact query must still be advertised as plausible.
     for (_, i, provider) in &records {
-        let Some(home) = net.super_of_peer(*provider) else {
+        let Some(home) = net.substrate().super_of(*provider) else {
             panic!("leaf without super");
         };
         let q = Query::contains("artist", &artist(*i));
         for receiver in 0..SUPERS as u32 {
             let edge_with_content =
-                net.route_min_depth(home as u32, receiver, "tracks", &Query::All, 1);
+                net.substrate().route_min_depth(home as u32, receiver, "tracks", &Query::All, 1);
             if edge_with_content.is_some() {
                 assert_eq!(
-                    net.route_min_depth(home as u32, receiver, "tracks", &q, 1),
+                    net.substrate().route_min_depth(home as u32, receiver, "tracks", &q, 1),
                     Some(1),
                     "stale digest went false-negative: super {home} -> {receiver} \
                      hides record {i}"

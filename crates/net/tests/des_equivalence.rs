@@ -1,5 +1,5 @@
 //! Equivalence property tests: the discrete-event engine
-//! ([`DesNetwork`]) replays the step-based substrates' accounting
+//! ([`DesNetwork`]) replays the step search's accounting
 //! decision-for-decision. On random topologies, record workloads,
 //! removals, deaths, and queries — with the same seeds — every search
 //! must produce the same hits (key, provider, hops) in the same order,
@@ -11,9 +11,9 @@
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use up2p_net::{
-    build_network_with, DesNetwork, DigestConfig, FloodingConfig, FloodingNetwork, IndexNode,
-    LatencySpec, MsgKind, NetConfig, NetStats, PeerId, PeerNetwork, ProtocolKind, RecordArena,
-    RecordVisitor, ResourceRecord, RoutingDigest, SearchOutcome, Topology,
+    build_network_with, DesNetwork, DigestConfig, FloodingConfig, IndexNode, LatencySpec, MsgKind,
+    NetConfig, NetStats, PeerId, PeerNetwork, ProtocolKind, RecordArena, RecordVisitor,
+    ResourceRecord, RoutingDigest, SearchOutcome, Substrate, Topology,
 };
 use up2p_store::{Query, ValuePattern};
 
@@ -442,8 +442,8 @@ proptest! {
         let searches = vec![(PeerId(origin), COMMUNITIES[0], query)];
         assert_pair_equivalent(
             ProtocolKind::Gnutella,
-            Box::new(FloodingNetwork::new(topology(), latency(), config)),
-            DesNetwork::gnutella(topology(), latency(), config),
+            Box::new(Substrate::gnutella(topology(), latency(), config)),
+            DesNetwork::new(Substrate::gnutella(topology(), latency(), config)),
             &publishes, &[], &[], &searches, &[],
         )?;
     }
@@ -530,6 +530,7 @@ proptest! {
         for community in COMMUNITIES {
             for q in &probes {
                 let via_routes = arena_net
+                    .substrate()
                     .route_min_depth(0, receiver, community, q, 1)
                     .is_some();
                 prop_assert_eq!(

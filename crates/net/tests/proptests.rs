@@ -9,9 +9,9 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use up2p_net::sim::EventQueue;
 use up2p_net::{
-    build_network, sign_record, ConstantLatency, DigestConfig, FloodingConfig, FloodingNetwork,
-    IndexNode, PeerId, PeerNetwork, Probe, ProtocolKind, RecordArena, ResourceRecord, RouteTable,
-    RoutingDigest, SharedFields, Signature, Time, Topology,
+    build_network, sign_record, DigestConfig, FloodingConfig, IndexNode, LatencySpec, PeerId,
+    PeerNetwork, Probe, ProtocolKind, RecordArena, ResourceRecord, RouteTable, RoutingDigest,
+    SharedFields, Signature, Substrate, Time, Topology,
 };
 use up2p_store::{Query, ValuePattern};
 
@@ -407,9 +407,9 @@ proptest! {
         queries in pvec(prop_oneof![oracle_query(), split_and()], 1..4),
     ) {
         let mut arena = RecordArena::with_peers(3);
-        let mut net = FloodingNetwork::new(
+        let mut net = Substrate::gnutella(
             Topology::empty(3),
-            Box::new(ConstantLatency(1)),
+            LatencySpec::Constant(1).build(0, 1),
             FloodingConfig { ttl: 0, ..FloodingConfig::default() },
         );
         let mut plain: Vec<IndexNode> = (0..3).map(|_| IndexNode::new()).collect();
@@ -529,8 +529,8 @@ proptest! {
     ) {
         let topo = Topology::small_world(n, k, 0.2, seed);
         let edges = topo.edge_count() as u64;
-        let mut net = FloodingNetwork::new(
-            topo, Box::new(ConstantLatency(1_000)), FloodingConfig::default());
+        let mut net = Substrate::gnutella(
+            topo, LatencySpec::Constant(1_000).build(0, 1), FloodingConfig::default());
         net.publish(PeerId((n as u32).saturating_sub(1)), record("k", "target"));
         let out = net.search(PeerId(origin % n as u32), "c", &Query::any_keyword("target"));
         let hit_budget = out.hits.len() as u64 * 8;
@@ -701,9 +701,9 @@ proptest! {
     ) {
         let build = |digests: DigestConfig| {
             let topo = Topology::small_world(n, k, 0.2, seed);
-            let mut net = FloodingNetwork::new(
+            let mut net = Substrate::gnutella(
                 topo,
-                Box::new(ConstantLatency(1_000)),
+                LatencySpec::Constant(1_000).build(0, 1),
                 FloodingConfig { digests, ..FloodingConfig::default() },
             );
             for op in &publishes {
@@ -746,9 +746,9 @@ proptest! {
         query in oracle_query(),
     ) {
         let topo = Topology::small_world(n, 2, 0.2, seed);
-        let mut net = FloodingNetwork::new(
+        let mut net = Substrate::gnutella(
             topo,
-            Box::new(ConstantLatency(1_000)),
+            LatencySpec::Constant(1_000).build(0, 1),
             FloodingConfig { digests: DigestConfig::guided(), ..FloodingConfig::default() },
         );
         // per-peer share-table oracle, matching the flooding substrate's

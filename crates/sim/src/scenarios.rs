@@ -18,9 +18,7 @@ use crate::workload::{rng_for, Zipf};
 use rand::rngs::StdRng;
 use rand::Rng;
 use up2p_core::{stylesheets, Community, FormKind, FormModel};
-use up2p_net::{
-    churn, ConstantLatency, FloodingConfig, FloodingNetwork, PeerId, ProtocolKind, Topology,
-};
+use up2p_net::{churn, FloodingConfig, LatencySpec, PeerId, ProtocolKind, Substrate, Topology};
 use up2p_schema::{FieldKind, SchemaBuilder};
 use up2p_store::{tokenize, Query, Repository, ResourceId};
 use up2p_xml::Document;
@@ -455,7 +453,7 @@ fn flood_world(
 ) -> (World, Community) {
     let peers = topo.len();
     let config = FloodingConfig { ttl, dedup, ..FloodingConfig::default() };
-    let net = FloodingNetwork::new(topo, Box::new(ConstantLatency(20_000)), config);
+    let net = Substrate::gnutella(topo, LatencySpec::Constant(20_000).build(peers, 1), config);
     pattern_world_over(Box::new(net), peers, replicas, rng)
 }
 

@@ -6,7 +6,7 @@ use up2p::{
     build_network, CoreError, PayloadPlane, PeerId, ProtocolKind, Query, Servent,
 };
 use up2p::net::{
-    churn, ConstantLatency, FloodingConfig, FloodingNetwork, PeerNetwork, Topology,
+    churn, FloodingConfig, LatencySpec, PeerNetwork, Substrate, Topology,
 };
 
 fn seeded_world(
@@ -62,9 +62,9 @@ fn ttl_exhaustion_hides_distant_objects() {
     for i in 0..7u32 {
         topo.connect(PeerId(i), PeerId(i + 1));
     }
-    let mut net = FloodingNetwork::new(
+    let mut net = Substrate::gnutella(
         topo,
-        Box::new(ConstantLatency(10_000)),
+        LatencySpec::Constant(10_000).build(0, 1),
         FloodingConfig { ttl: 3, dedup: true, ..FloodingConfig::default() },
     );
     let mut plane = PayloadPlane::new();
@@ -217,11 +217,11 @@ fn mid_write_crash_loses_nothing_acknowledged() {
 
 #[test]
 fn orphaned_superpeer_leaves_recover_when_super_returns() {
-    use up2p::net::{SuperPeerConfig, SuperPeerNetwork};
-    let mut net = SuperPeerNetwork::new(
+    use up2p::net::SuperPeerConfig;
+    let mut net = Substrate::fasttrack(
         24,
         SuperPeerConfig { supers: 4, super_degree: 1, ttl: 4, ..SuperPeerConfig::default() },
-        Box::new(ConstantLatency(10_000)),
+        LatencySpec::Constant(10_000).build(0, 1),
         99,
     );
     let mut plane = PayloadPlane::new();

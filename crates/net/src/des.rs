@@ -592,6 +592,53 @@ mod tests {
         assert_eq!(net.event_log(), expected);
     }
 
+    /// 0 - 1 - 2 - 3 - 4 at 10 µs a link, with a query for "coltrane"
+    /// from 0 in flight: its issue has run, so it has looked at 0's
+    /// records and its first copy is on its way to 1. The search from an
+    /// id outside the network pumps the timeline until its own query is
+    /// done, which is at once.
+    fn in_flight(before: &[(u32, &str)]) -> DesNetwork {
+        let mut t = Topology::empty(5);
+        for i in 0..4 {
+            t.connect(PeerId(i), PeerId(i + 1));
+        }
+        let substrate = Substrate::gnutella(t, constant(10), FloodingConfig::default());
+        let mut net = DesNetwork::new(substrate);
+        for &(peer, key) in before {
+            net.publish(PeerId(peer), track(key, "coltrane"));
+        }
+        net.schedule_query(0, PeerId(0), "tracks", q("coltrane"));
+        assert!(net.search(PeerId(99), "tracks", &q("coltrane")).hits.is_empty());
+        net
+    }
+
+    /// `(key, provider, hops)` of each hit, then the outcome's messages
+    /// and the network's `Query` and `QueryHit` counts.
+    fn seen(net: &DesNetwork, out: &SearchOutcome) -> (Vec<(String, u32, u8)>, u64, u64, u64) {
+        let hits = out.hits.iter().map(|h| (h.key.clone(), h.provider.0, h.hops)).collect();
+        let stats = net.stats();
+        (hits, out.messages, stats.count(MsgKind::Query), stats.count(MsgKind::QueryHit))
+    }
+
+    #[test]
+    fn a_write_lands_in_a_query_in_flight() {
+        // a record published at 4 before the copy gets there is found,
+        // beside the one at 1 the query's first hop already admitted
+        let mut net = in_flight(&[(1, "k1")]);
+        net.publish(PeerId(4), track("k4", "coltrane"));
+        let out = net.run();
+        assert_eq!(out.len(), 1);
+        let expected = (vec![("k1".to_string(), 1, 1), ("k4".to_string(), 4, 4)], 9, 4, 5);
+        assert_eq!(seen(&net, &out[0]), expected);
+
+        // and one unpublished there before it arrives is not
+        let mut net = in_flight(&[(1, "k1"), (4, "k4")]);
+        net.unpublish(PeerId(4), "k4");
+        let out = net.run();
+        assert_eq!(out.len(), 1);
+        assert_eq!(seen(&net, &out[0]), (vec![("k1".to_string(), 1, 1)], 5, 4, 1));
+    }
+
     #[test]
     fn approx_bytes_is_deterministic() {
         let build = || {

@@ -15,11 +15,12 @@
 //!   the normalized exact value and the keyword tokens — the terms the
 //!   store's index posts it under (`for_each_record_entry` is the one
 //!   place that enumerates them, for the routing digests and for the
-//!   per-peer term summary and record [`Signature`]s of the Gnutella
-//!   [`crate::RecordArena`] alike). Digests hash term *strings*, not
-//!   symbol ids: interner symbols are private to each index, strings are
-//!   the wire-stable identity. A query is compiled once into a [`Probe`]
-//!   — every hash it needs — and asked of as many digests as there are.
+//!   per-peer term summaries, stored bit-sliced, and record
+//!   [`Signature`]s of the Gnutella [`crate::RecordArena`] alike).
+//!   Digests hash term *strings*, not symbol ids: interner symbols are
+//!   private to each index, strings are the wire-stable identity. A
+//!   query is compiled once into a [`Probe`] — every hash it needs — and
+//!   asked of as many digests as there are.
 //! * [`RouteTable`] — the per-directed-edge *attenuated* digest table: for
 //!   the edge `q → p`, layer `d` summarizes everything reachable from `p`
 //!   through `q` within `d` hops. Layers are monotone
@@ -162,7 +163,12 @@ pub(crate) fn insert(words: &mut [u64], h: u64) {
 }
 
 fn contains(words: &[u64], h: u64) -> bool {
-    probes(words.len() as u64 * 64, h).into_iter().all(|bit| words[bit / 64] >> (bit % 64) & 1 == 1)
+    probes(words.len() as u64 * 64, h).into_iter().all(|bit| contains_bit(words, bit))
+}
+
+/// Is bit `bit` of a digest's `words` set?
+fn contains_bit(words: &[u64], bit: usize) -> bool {
+    words[bit / 64] >> (bit % 64) & 1 == 1
 }
 
 /// 64-bit words of one record's signature: 128 bits, a constant. A
@@ -177,13 +183,17 @@ pub const SIGNATURE_WORDS: usize = 2;
 /// that record ([`Probe::admits`]).
 pub type Signature = [u64; SIGNATURE_WORDS];
 
-/// Folds one record's entries into `summary`, its peer's term summary (a
-/// power-of-two number of words), and returns the record's [`Signature`],
-/// from one enumeration of the entries.
-pub fn sign_record(summary: &mut [u64], community: &str, fields: &[(String, String)]) -> Signature {
+/// The record's [`Signature`], with each of its entry hashes handed to
+/// `entry` on the way (the Gnutella arena sets its peer's term-summary
+/// bits from them): one enumeration of the entries serves both.
+pub fn sign_record(
+    community: &str,
+    fields: &[(String, String)],
+    mut entry: impl FnMut(u64),
+) -> Signature {
     let mut signature = [0; SIGNATURE_WORDS];
     for_each_record_entry(community, fields, |h| {
-        insert(summary, h);
+        entry(h);
         insert(&mut signature, h);
     });
     signature
@@ -239,6 +249,27 @@ impl Terms {
         }
     }
 
+    /// Folds into `out` the digests of `slices` for which
+    /// [`Terms::plausible`] holds: ANDs them in, or ORs them in when `or`.
+    /// A branch of the same connective folds straight into `out`; one of
+    /// the other is evaluated on its own first.
+    fn fold_sliced(&self, slices: &Slices, out: &mut [u64], or: bool) {
+        match self {
+            Terms::Any if or => out.fill(!0),
+            Terms::Any => {}
+            Terms::Term(h) => slices.fold(*h, out, or),
+            Terms::And(ts) if !or => ts.iter().for_each(|t| t.fold_sliced(slices, out, false)),
+            Terms::Or(ts) if or => ts.iter().for_each(|t| t.fold_sliced(slices, out, true)),
+            Terms::And(ts) | Terms::Or(ts) => {
+                // an `And` under an `Or` starts from every digest, an `Or`
+                // under an `And` from none
+                let mut own = vec![if or { !0 } else { 0 }; out.len()];
+                ts.iter().for_each(|t| t.fold_sliced(slices, &mut own, !or));
+                fold(out, own.into_iter(), or);
+            }
+        }
+    }
+
     /// Sets in `bits` every entry [`Terms::plausible`] requires; `false`
     /// when an `Or` leaves a choice that no one mask says.
     fn require(&self, bits: &mut Signature) -> bool {
@@ -271,6 +302,16 @@ impl Probe {
         contains(words, self.community) && self.terms.plausible(words)
     }
 
+    /// [`Probe::may_match`] asked of every digest of `slices` at once:
+    /// sets `out` to the digests that may match, one bit each, reading
+    /// only the two rows of each entry the probe names.
+    pub(crate) fn may_match_sliced(&self, slices: &Slices, out: &mut Vec<u64>) {
+        out.clear();
+        out.resize(slices.words, !0);
+        slices.fold(self.community, out, false);
+        self.terms.fold_sliced(slices, out, false);
+    }
+
     /// [`Probe::may_match`] over one record's signature: two word tests
     /// against the mask compiled with the probe, or the predicate itself
     /// when the query holds an `Or`.
@@ -278,6 +319,79 @@ impl Probe {
         match &self.required {
             Some(mask) => signature.iter().zip(mask).all(|(s, m)| s & m == *m),
             None => self.may_match(signature),
+        }
+    }
+}
+
+/// Many digests of one width stored bit-sliced, as bit-sliced signature
+/// files (Faloutsos & Christodoulakis) and BitFunnel store Bloom filters:
+/// row `b` holds bit `b` of every digest, digest `i` at bit `i % 64` of
+/// the row's word `i / 64`. A probe reads the two rows of each entry it
+/// names once for all the digests ([`Probe::may_match_sliced`]); digest
+/// `i` is the column of its bits.
+#[derive(Debug, Default)]
+pub(crate) struct Slices {
+    /// Row `b` is the `words` words from `b * words`.
+    rows: Vec<u64>,
+    /// 64-bit words of one row: `ceil(digests / 64)`.
+    words: usize,
+    /// Bits of one digest, a power of two: the number of rows.
+    bits: usize,
+}
+
+impl Slices {
+    /// `digests` empty digests of `digest_words` words each.
+    pub(crate) fn new(digests: usize, digest_words: usize) -> Slices {
+        let (words, bits) = (digests.div_ceil(64), digest_words * 64);
+        Slices { rows: vec![0; bits * words], words, bits }
+    }
+
+    /// Where digest `i`'s bit `bit` sits: the word's index and the bit's
+    /// mask.
+    fn cell(&self, bit: usize, i: usize) -> (usize, u64) {
+        (bit * self.words + i / 64, 1 << (i % 64))
+    }
+
+    /// Sets entry `h`'s bits in digest `i`.
+    pub(crate) fn insert(&mut self, i: usize, h: u64) {
+        for bit in probes(self.bits as u64, h) {
+            let (word, mask) = self.cell(bit, i);
+            self.rows[word] |= mask;
+        }
+    }
+
+    /// Clears entry `h`'s bits from digest `i`, except those `kept`, a
+    /// digest of the same width, sets.
+    pub(crate) fn remove(&mut self, i: usize, h: u64, kept: &[u64]) {
+        for bit in probes(self.bits as u64, h) {
+            if !contains_bit(kept, bit) {
+                let (word, mask) = self.cell(bit, i);
+                self.rows[word] &= !mask;
+            }
+        }
+    }
+
+    /// Bytes of the rows.
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.rows.as_slice())
+    }
+
+    /// Folds into `out` the digests holding entry `h`: the AND of its two
+    /// rows, ANDed into `out` or, when `or`, ORed in.
+    fn fold(&self, h: u64, out: &mut [u64], or: bool) {
+        let row = |bit: usize| &self.rows[bit * self.words..][..self.words];
+        let [a, b] = probes(self.bits as u64, h).map(row);
+        fold(out, a.iter().zip(b).map(|(a, b)| a & b), or);
+    }
+}
+
+/// ANDs `set` into `out` word by word, or ORs it in when `or`.
+fn fold(out: &mut [u64], set: impl Iterator<Item = u64>, or: bool) {
+    for (o, s) in out.iter_mut().zip(set) {
+        if or {
+            *o |= s;
+        } else {
+            *o &= s;
         }
     }
 }
@@ -818,6 +932,20 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
+
+    impl Slices {
+        /// Digest `i`'s words, gathered from its column.
+        pub(crate) fn column(&self, i: usize) -> Vec<u64> {
+            let mut words = vec![0; self.bits / 64];
+            for bit in 0..self.bits {
+                let (word, mask) = self.cell(bit, i);
+                if self.rows[word] & mask != 0 {
+                    words[bit / 64] |= 1 << (bit % 64);
+                }
+            }
+            words
+        }
+    }
 
     impl RoutingDigest {
         /// ORs `other` into `self`, returning whether any bit changed.

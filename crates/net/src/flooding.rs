@@ -11,7 +11,9 @@
 //! schedulers. In front of each peer's records sit a Bloom summary of
 //! their terms and one signature per record, so that a hop verifies only
 //! the few records that could match and skips the peers with nothing to
-//! say unopened. Liveness, the write path's dispatch, digests, retrieve
+//! say unopened. The summaries are stored bit-sliced, so a query is asked
+//! of all of them at once, before its first hop, and a hop reads one bit
+//! of the result. Liveness, the write path's dispatch, digests, retrieve
 //! and the assembly of the query walk are the one [`crate::Substrate`]'s.
 //!
 //! With [`DigestConfig::enabled`] the substrate switches to *guided*
@@ -20,7 +22,7 @@
 //! neighbors, stops at the first peer with local hits, and falls back to
 //! TTL'd random walkers when no digest matches.
 
-use crate::digest::{self, DigestConfig, Probe, RecordVisitor, Signature};
+use crate::digest::{self, DigestConfig, Probe, RecordVisitor, Signature, Slices};
 use crate::message::{ResourceRecord, SharedFields, DEFAULT_TTL};
 use crate::overlay::Match;
 use crate::peer::PeerId;
@@ -48,11 +50,12 @@ impl Default for FloodingConfig {
 
 /// 64-bit words of one peer's term summary: 4 096 bits, a constant. The
 /// few dozen records a flat-overlay peer shares fill about a tenth of it
-/// (DESIGN.md §3b); 2 000 peers' worth is 1 MiB and 10 000 peers' is
-/// 5.1 MB.
+/// (DESIGN.md §3b). Stored bit-sliced, it is 4 096 rows of one bit per
+/// peer rounded up to whole words: 1 MiB at 2 000 peers, 5.1 MB at
+/// 10 000.
 const SUMMARY_WORDS: usize = 64;
 
-/// One peer's term summary.
+/// One peer's term summary, as a write rebuilds it.
 type Summary = [u64; SUMMARY_WORDS];
 
 /// One record in a peer's list: its signature, its slot and its interned
@@ -75,12 +78,15 @@ pub(crate) struct PeerRecord {
 /// [`SharedFields`] arc so a record replicated on many peers costs one
 /// allocation. Each peer also keeps the gate a hop asks first: a term
 /// summary over all its records, and beside each slot that record's
-/// [`Signature`], both in the digests' vocabulary. A fresh publish sets
-/// summary bits and pushes a signature with its slot; a replacing
+/// [`Signature`], both in the digests' vocabulary. The summaries are one
+/// bit-sliced array, row `b` holding bit `b` of every peer's summary, so
+/// a query reads the few rows it names once for every peer and a peer's
+/// summary is the column of its bits. A fresh publish sets its record's
+/// bits in the column and pushes a signature with its slot; a replacing
 /// publish or an unpublish takes the slot and its signature out together
-/// and rebuilds the peer's summary from what it still shares (a Bloom
-/// filter cannot forget, and counters that could would be sixteen times
-/// the array).
+/// and clears the taken record's bits that no record the peer still
+/// shares sets (a Bloom filter cannot forget, and counters that could
+/// would be sixteen times the array).
 #[derive(Debug, Default)]
 pub struct RecordArena {
     /// Record key per slot (empty string = free slot).
@@ -93,8 +99,10 @@ pub struct RecordArena {
     community_names: Vec<String>,
     /// Name → interned id.
     community_ids: HashMap<String, u32>,
-    /// Each peer's term summary.
-    summary: Vec<Summary>,
+    /// The peers' term summaries, bit-sliced: peer `p`'s is column `p`.
+    summaries: Slices,
+    /// Writes so far: an admitted set built at another count is stale.
+    writes: u64,
     /// Each peer's records in insertion order.
     by_peer: Vec<Vec<PeerRecord>>,
 }
@@ -103,7 +111,7 @@ impl RecordArena {
     /// An empty arena for peers `0..peers`.
     pub fn with_peers(peers: usize) -> RecordArena {
         RecordArena {
-            summary: vec![[0; SUMMARY_WORDS]; peers],
+            summaries: Slices::new(peers, SUMMARY_WORDS),
             by_peer: vec![Vec::new(); peers],
             ..RecordArena::default()
         }
@@ -126,7 +134,7 @@ impl RecordArena {
     }
 
     /// Frees `peer`'s slot of `key` and drops its signature with it; the
-    /// caller rebuilds the summary.
+    /// caller clears its summary bits ([`RecordArena::forget`]).
     fn take(&mut self, peer: u32, key: &str) -> Option<(u32, SharedFields)> {
         let RecordArena { keys, fields, free, by_peer, .. } = self;
         let list = by_peer.get_mut(peer as usize)?;
@@ -138,17 +146,22 @@ impl RecordArena {
         Some((community, taken))
     }
 
-    /// Sets peer `p`'s summary to exactly the records it shares.
-    fn resummarize(&mut self, p: usize) {
-        let RecordArena { fields, community_names, summary, by_peer, .. } = self;
-        let words = &mut summary[p];
-        words.fill(0);
+    /// Clears from peer `p`'s column the bits of a record it no longer
+    /// shares, the `taken` fields in community `cid`, that no record it
+    /// still shares sets: the column is again exactly the summary of its
+    /// records, and only the taken record's rows are written.
+    fn forget(&mut self, p: usize, cid: u32, taken: &[(String, String)]) {
+        let RecordArena { fields, community_names, summaries, by_peer, .. } = self;
+        let mut kept: Summary = [0; SUMMARY_WORDS];
         for r in &by_peer[p] {
             let community = &community_names[r.community as usize];
             digest::for_each_record_entry(community, &fields[r.slot as usize], |h| {
-                digest::insert(words, h)
+                digest::insert(&mut kept, h)
             });
         }
+        digest::for_each_record_entry(&community_names[cid as usize], taken, |h| {
+            summaries.remove(p, h, &kept)
+        });
     }
 
     /// Inserts or replaces `peer`'s copy of `record`; returns the
@@ -158,6 +171,7 @@ impl RecordArena {
         if p >= self.by_peer.len() {
             return None;
         }
+        self.writes += 1;
         let replaced = self.take(peer, &record.key);
         let community = self.intern_community(&record.community);
         let slot = match self.free.pop() {
@@ -172,12 +186,13 @@ impl RecordArena {
                 self.keys.len() as u32 - 1
             }
         };
-        let (words, fields) = (&mut self.summary[p], &record.fields);
-        let signature = digest::sign_record(words, &record.community, fields);
+        let summaries = &mut self.summaries;
+        let signature =
+            digest::sign_record(&record.community, &record.fields, |h| summaries.insert(p, h));
         self.by_peer[p].push(PeerRecord { signature, slot, community });
         let (cid, fields) = replaced?;
         // the replaced record's terms leave the summary
-        self.resummarize(p);
+        self.forget(p, cid, &fields);
         Some((self.community_names[cid as usize].as_str(), fields))
     }
 
@@ -185,7 +200,8 @@ impl RecordArena {
     /// when there was one.
     pub fn remove(&mut self, peer: u32, key: &str) -> Option<(&str, SharedFields)> {
         let (cid, fields) = self.take(peer, key)?;
-        self.resummarize(peer as usize);
+        self.writes += 1;
+        self.forget(peer as usize, cid, &fields);
         Some((self.community_names[cid as usize].as_str(), fields))
     }
 
@@ -212,19 +228,37 @@ impl RecordArena {
         }
     }
 
+    /// Writes so far: [`RecordArena::admitted`] is stale once this moves.
+    pub(crate) fn writes(&self) -> u64 {
+        self.writes
+    }
+
+    /// Sets `admitted` to the peers whose term summary may match `probe`,
+    /// one bit per peer id: [`Probe::may_match`] of every peer's summary
+    /// at once, from the rows the probe names. A query builds it before
+    /// its first hop and again only after a write.
+    pub(crate) fn admitted(&self, probe: &Probe, admitted: &mut Vec<u64>) {
+        probe.may_match_sliced(&self.summaries, admitted);
+    }
+
     /// The records a hop verifies for `probe` at `peer`: none unless the
-    /// peer's summary admits it, then each one whose signature does, in
-    /// the peer's order. Both predicates are the one DESIGN.md §3c proves
-    /// weaker than the query (applied to a peer's records together, and
-    /// to each alone), so no match is left out.
+    /// peer is in the query's `admitted` set, built by
+    /// [`RecordArena::admitted`] since the last write, then each one whose
+    /// signature admits `probe`, in the peer's order. Both predicates are
+    /// the one DESIGN.md §3c proves weaker than the query (applied to a
+    /// peer's records together, and to each alone), so no match is left
+    /// out.
     pub(crate) fn candidates<'a>(
         &'a self,
         peer: u32,
+        admitted: &[u64],
         probe: &'a Probe,
     ) -> impl Iterator<Item = &'a PeerRecord> + 'a {
         let p = peer as usize;
-        let records = match self.summary.get(p) {
-            Some(words) if probe.may_match(words) => self.by_peer[p].as_slice(),
+        let records = match self.by_peer.get(p) {
+            Some(list) if admitted.get(p / 64).is_some_and(|w| w >> (p % 64) & 1 == 1) => {
+                list.as_slice()
+            }
             _ => &[],
         };
         records.iter().filter(|r| probe.admits(&r.signature))
@@ -257,15 +291,15 @@ impl RecordArena {
     }
 
     /// Deterministic size estimate in bytes (two same-seed runs report
-    /// the same number): slots, keys, summaries, and each peer's list of
-    /// records.
+    /// the same number): slots, keys, the summaries' rows, and each peer's
+    /// list of records.
     pub(crate) fn approx_bytes(&self) -> u64 {
         let slots = self.keys.len() as u64;
         let key_bytes: u64 = self.keys.iter().map(|k| k.len() as u64).sum();
         let by_peer: usize =
             self.by_peer.iter().map(|l| 24 + std::mem::size_of_val(l.as_slice())).sum();
-        let summary = std::mem::size_of_val(self.summary.as_slice());
-        key_bytes + slots * (24 + 16) + (by_peer + summary) as u64 + self.free.len() as u64 * 4
+        let summaries = self.summaries.bytes();
+        key_bytes + slots * (24 + 16) + (by_peer + summaries) as u64 + self.free.len() as u64 * 4
     }
 }
 
@@ -279,6 +313,7 @@ mod tests {
     use crate::traits::PeerNetwork;
     use crate::digest::RoutingDigest;
     use crate::index_node::IndexNode;
+    use crate::overlay::Progress;
     use proptest::collection::vec as pvec;
     use proptest::prelude::*;
 
@@ -477,24 +512,26 @@ mod tests {
         Substrate::gnutella(Topology::empty(peers), ms(), FloodingConfig::default())
     }
 
-    /// Does `peer`'s summary let `query` through to its signatures?
+    /// Does `peer`'s summary, its column, let `query` through to its
+    /// signatures?
     fn passes(net: &Substrate, peer: usize, query: &Query) -> bool {
-        Probe::new("c", query).may_match(&arena(net).summary[peer])
+        Probe::new("c", query).may_match(&arena(net).summaries.column(peer))
     }
 
-    /// `peer`'s answer as a walk's hop evaluates it: summary and
-    /// signatures first.
+    /// `peer`'s answer as a walk's hop evaluates it: the query's admitted
+    /// set and the peer's signatures first.
     fn gated(net: &mut Substrate, peer: u32, community: &str, query: &Query) -> Vec<Match> {
-        let probe = Probe::new(community, query);
-        let (_, mut eval) = net.walk(community, query, &probe).expect("an overlay");
-        eval(peer, &probe)
+        let (probe, mut p) = (Probe::new(community, query), Progress::new(0));
+        let (_, mut eval) = net.walk(&mut p, community, query, &probe).expect("an overlay");
+        eval(peer, &p.admitted)
     }
 
     /// The keys of the records `peer` verifies for `query` in "c".
     fn verified(net: &Substrate, peer: u32, query: &Query) -> Vec<String> {
-        let probe = Probe::new("c", query);
-        let arena = arena(net);
-        arena.candidates(peer, &probe).map(|r| arena.keys[r.slot as usize].clone()).collect()
+        let (probe, arena, mut admitted) = (Probe::new("c", query), arena(net), Vec::new());
+        arena.admitted(&probe, &mut admitted);
+        let candidates = arena.candidates(peer, &admitted, &probe);
+        candidates.map(|r| arena.keys[r.slot as usize].clone()).collect()
     }
 
     fn keys(matches: Vec<Match>) -> Vec<String> {
@@ -510,20 +547,20 @@ mod tests {
             (Query::any_keyword("shared"), Query::any_keyword("alpha"), Query::any_keyword("beta"));
         assert!(passes(&net, 0, &shared) && passes(&net, 0, &alpha));
         assert!(!passes(&net, 1, &shared), "each peer has words of its own");
-        // a Bloom filter cannot forget: the removal rebuilds peer 0's words
-        // from the record it still shares
+        // a Bloom filter cannot forget: the removal clears from peer 0's
+        // column the bits the record it still shares does not set
         net.unpublish(PeerId(0), "a");
         assert!(!passes(&net, 0, &alpha), "no record of peer 0 carries it any more");
         assert!(passes(&net, 0, &shared) && passes(&net, 0, &beta), "b still does");
         assert_eq!(keys(gated(&mut net, 0, "c", &shared)), ["b"]);
-        // a replacing publish rebuilds too: the old fields' terms go
+        // a replacing publish clears them too: the old fields' terms go
         net.publish(PeerId(0), record("b", "gamma"));
         assert!(!passes(&net, 0, &shared) && !passes(&net, 0, &beta));
         assert!(passes(&net, 0, &Query::any_keyword("gamma")));
         assert!(passes(&net, 0, &Query::All), "the community marker stays with a record");
         net.unpublish(PeerId(0), "b");
         assert!(!passes(&net, 0, &Query::All), "and leaves with the last one");
-        assert!(arena(&net).summary.iter().flatten().all(|&w| w == 0));
+        assert!((0..2).all(|p| arena(&net).summaries.column(p).iter().all(|&w| w == 0)));
     }
 
     #[test]
@@ -535,7 +572,7 @@ mod tests {
         for i in 0..4_000 {
             net.publish(PeerId(0), record(&format!("k{i}"), &format!("term{i} word{i}")));
         }
-        let ones: u32 = arena(&net).summary[0].iter().map(|w| w.count_ones()).sum();
+        let ones: u32 = arena(&net).summaries.column(0).iter().map(|w| w.count_ones()).sum();
         assert!(ones > 4_000, "only {ones} of 4 096 bits set");
         let unseen = Query::any_keyword("unseen");
         assert!(passes(&net, 0, &unseen), "saturated: all may match");
@@ -543,7 +580,8 @@ mod tests {
         assert_eq!(keys(gated(&mut net, 0, "c", &Query::any_keyword("term1234"))), ["k1234"]);
         assert_eq!(gated(&mut net, 0, "c", &Query::All).len(), 4_000);
         let key_bytes: u64 = (0..4_000).map(|i| format!("k{i}").len() as u64).sum();
-        let (liveness, slots, summary, records) = (1, 4_000 * 40, 512, 24 + 4_000 * 24);
+        // one peer's column still takes a whole word of each of the 4 096 rows
+        let (liveness, slots, summary, records) = (1, 4_000 * 40, 4_096 * 8, 24 + 4_000 * 24);
         assert_eq!(
             net.approx_bytes(),
             liveness + key_bytes + slots + summary + records,
@@ -575,7 +613,7 @@ mod tests {
         // through every write, each slot kept its own record's signature
         for r in &arena(&net).by_peer[0] {
             let fields = &arena(&net).fields[r.slot as usize];
-            assert_eq!(r.signature, digest::sign_record(&mut [0; 1], "c", fields));
+            assert_eq!(r.signature, digest::sign_record("c", fields, |_| {}));
         }
         // an `Or` has no one mask: each record is asked the predicate, and
         // the branches may sit in different records
@@ -634,8 +672,7 @@ mod tests {
         assert_eq!(hits[0].0, "k2");
     }
 
-    /// One write of the summary proptest's tape, at one of three peers
-    /// (and one id outside the network).
+    /// One write of a summary proptest's tape.
     #[derive(Debug, Clone)]
     enum Write {
         Publish { peer: u32, key: u8, community: usize, fields: Vec<(&'static str, &'static str)> },
@@ -643,6 +680,12 @@ mod tests {
     }
 
     const COMMUNITIES: [&str; 2] = ["alpha", "beta"];
+
+    /// The record a [`Write::Publish`] shares.
+    fn shared(key: u8, community: usize, fields: &[(&str, &str)]) -> ResourceRecord {
+        let fields: Vec<_> = fields.iter().map(|&(p, v)| (p.to_string(), v.to_string())).collect();
+        ResourceRecord::new(format!("k{key}"), COMMUNITIES[community], fields)
+    }
 
     fn value() -> impl Strategy<Value = &'static str> + Clone {
         prop_oneof![
@@ -655,14 +698,18 @@ mod tests {
     }
 
     /// Fresh publishes, republishes with changed fields or into the other
-    /// community, unpublishes of present and absent keys.
-    fn tape() -> impl Strategy<Value = Vec<Write>> {
+    /// community, unpublishes of present and absent keys, at the ids
+    /// `peer` draws.
+    fn tape(
+        peer: impl Strategy<Value = u32> + Clone + 'static,
+    ) -> impl Strategy<Value = Vec<Write>> {
         let path = prop_oneof![Just("o/name"), Just("o/tag")];
         let write = prop_oneof![
-            3 => (0u32..4, 0u8..4, 0..COMMUNITIES.len(), pvec((path, value()), 0..3)).prop_map(
-                |(peer, key, community, fields)| Write::Publish { peer, key, community, fields }
-            ),
-            1 => (0u32..4, 0u8..4).prop_map(|(peer, key)| Write::Unpublish { peer, key }),
+            3 => (peer.clone(), 0u8..4, 0..COMMUNITIES.len(), pvec((path, value()), 0..3))
+                .prop_map(|(peer, key, community, fields)| {
+                    Write::Publish { peer, key, community, fields }
+                }),
+            1 => (peer, 0u8..4).prop_map(|(peer, key)| Write::Unpublish { peer, key }),
         ];
         pvec(write, 1..24)
     }
@@ -709,23 +756,20 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The summary and the record signatures never hide a match and
-        /// never invent one: after every write of `tape`, every peer's
-        /// gated answer is, in order, the arena's ungated scan, for every
-        /// query in both communities.
+        /// never invent one: after every write of `tape` at three peers
+        /// (and one id outside the network), every peer's gated answer is,
+        /// in order, the arena's ungated scan, for every query in both
+        /// communities.
         #[test]
         fn the_summary_never_hides_a_match(
-            tape in tape(),
+            tape in tape(0u32..4),
             queries in pvec(prop_oneof![query(), split()], 1..4),
         ) {
             let mut net = alone(3);
             for (i, write) in tape.iter().enumerate() {
                 match write {
                     Write::Publish { peer, key, community, fields } => {
-                        let fields: Vec<(String, String)> =
-                            fields.iter().map(|&(p, v)| (p.to_string(), v.to_string())).collect();
-                        let community = COMMUNITIES[*community];
-                        let record = ResourceRecord::new(format!("k{key}"), community, fields);
-                        net.publish(PeerId(*peer), record);
+                        net.publish(PeerId(*peer), shared(*key, *community, fields));
                     }
                     Write::Unpublish { peer, key } => {
                         net.unpublish(PeerId(*peer), &format!("k{key}"))
@@ -739,6 +783,58 @@ mod tests {
                                 arena(&net).matches(peer, community, query),
                                 "peer {} asked {} in {} after write #{}: {:?}",
                                 peer, query, community, i, write
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
+        /// The sliced gate is the per-peer predicate it replaced: after
+        /// every write of `tape` to a 130-peer arena — at peers on both
+        /// sides of two word boundaries, and at an id outside the network
+        /// — a query's admitted set holds exactly the ids whose summary,
+        /// rebuilt from the records they share, [`Probe::may_match`]es,
+        /// for every query form in both communities; the ids the last
+        /// word spans past the network are never admitted.
+        #[test]
+        fn admitted_set_is_per_peer_may_match(
+            tape in tape(prop_oneof![Just(0u32), Just(63), Just(64), Just(129), Just(130)]),
+            queries in pvec(prop_oneof![query(), split()], 1..4),
+        ) {
+            const PEERS: usize = 130;
+            let (mut arena, mut admitted) = (RecordArena::with_peers(PEERS), Vec::new());
+            for (i, write) in tape.iter().enumerate() {
+                match write {
+                    Write::Publish { peer, key, community, fields } => {
+                        arena.upsert(*peer, &shared(*key, *community, fields));
+                    }
+                    Write::Unpublish { peer, key } => {
+                        arena.remove(*peer, &format!("k{key}"));
+                    }
+                }
+                let summaries: Vec<Summary> = (0..PEERS.div_ceil(64) * 64)
+                    .map(|p| {
+                        let mut words = [0; SUMMARY_WORDS];
+                        arena.for_each_record(p as u32, &mut |community, fields| {
+                            digest::for_each_record_entry(community, fields, |h| {
+                                digest::insert(&mut words, h)
+                            })
+                        });
+                        words
+                    })
+                    .collect();
+                for query in &queries {
+                    for community in COMMUNITIES {
+                        let probe = Probe::new(community, query);
+                        arena.admitted(&probe, &mut admitted);
+                        prop_assert_eq!(admitted.len(), PEERS.div_ceil(64));
+                        for (p, summary) in summaries.iter().enumerate() {
+                            prop_assert_eq!(
+                                admitted[p / 64] >> (p % 64) & 1 == 1,
+                                probe.may_match(summary),
+                                "peer {} asked {} in {} after write #{}: {:?}",
+                                p, query, community, i, write
                             );
                         }
                     }

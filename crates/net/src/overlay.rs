@@ -10,10 +10,11 @@
 //! and count it, and leave *when* and *against which records* to the
 //! caller:
 //!
-//! * the **local evaluation** is an `FnMut(node, &Probe) -> Vec<Match>` —
-//!   the flat overlay's [`crate::RecordArena`], whose per-peer summary
-//!   and record signatures the walk's compiled [`Probe`] is asked of, or
-//!   an [`crate::IndexNode`] per super;
+//! * the **local evaluation** is an `FnMut(node, admitted) -> Vec<Match>`
+//!   — the flat overlay's [`crate::RecordArena`], where a node in the
+//!   query's admitted set ([`Progress::admitted`]) has the walk's
+//!   compiled [`Probe`] asked of its record signatures, or an
+//!   [`crate::IndexNode`] per super;
 //! * the **[`Sink`]** receives every forwarded copy and every hit batch
 //!   with its delivery time — [`Walk::run`] drains a private per-query
 //!   queue from time 0, [`crate::DesNetwork`] pushes onto its global
@@ -101,6 +102,12 @@ pub(crate) struct Progress {
     /// `(depth, node)`, or its walker options — kept across the query's
     /// hops, so a hop allocates only when the list must grow.
     picks: Vec<(u8, u32)>,
+    /// The flat overlay's gate for this query: one bit per node id whose
+    /// term summary admits it ([`crate::RecordArena::admitted`]), what
+    /// every local evaluation is handed. Empty on the two-tier overlay.
+    pub admitted: Vec<u64>,
+    /// The arena's write count when `admitted` was built; `None` before.
+    admitted_at: Option<u64>,
 }
 
 /// The nodes a copy sent by visit `via` travelled, sender first.
@@ -121,6 +128,19 @@ impl Progress {
             trail: Vec::new(),
             leaf: None,
             picks: Vec::new(),
+            admitted: Vec::new(),
+            admitted_at: None,
+        }
+    }
+
+    /// Brings [`Progress::admitted`] up to the arena's write count
+    /// `writes`: `build` rebuilds it when it was built at another count or
+    /// never, so a query the DES has in flight across a write still sees
+    /// every summary as it is at each hop.
+    pub fn admit(&mut self, writes: u64, build: impl FnOnce(&mut Vec<u64>)) {
+        if self.admitted_at != Some(writes) {
+            build(&mut self.admitted);
+            self.admitted_at = Some(writes);
         }
     }
 
@@ -135,7 +155,7 @@ impl Progress {
 
     /// Closes the query once nothing of it is in flight: latencies
     /// become relative to `issued_at`, and the visited bitmap, the hit
-    /// set and the trail are released.
+    /// set, the trail and the admitted set are released.
     pub fn finish(&mut self, issued_at: Time, stats: &mut NetStats) {
         let found = !self.outcome.hits.is_empty();
         let end = if found { self.last_hit_at } else { self.quiescence };
@@ -149,6 +169,8 @@ impl Progress {
         self.hit_seen = HashSet::new();
         self.trail = Vec::new();
         self.picks = Vec::new();
+        self.admitted = Vec::new();
+        self.admitted_at = None;
     }
 }
 
@@ -234,7 +256,7 @@ pub(crate) struct Walk<'a> {
     walk_rng: &'a mut StdRng,
     stats: &'a mut NetStats,
     /// The query compiled once per query: what guided forwarding asks the
-    /// neighbours' digests and the local evaluation may ask a summary.
+    /// neighbours' digests.
     probe: &'a Probe,
     ttl: u8,
     dedup: bool,
@@ -257,7 +279,7 @@ impl Walk<'_> {
         eval: E,
         sink: &mut S,
     ) where
-        E: FnMut(u32, &Probe) -> Vec<Match>,
+        E: FnMut(u32, &[u64]) -> Vec<Match>,
         S: Sink,
     {
         let mode =
@@ -281,19 +303,25 @@ impl Walk<'_> {
     /// Handles the copy `hop` delivered at time `t`.
     pub fn arrive<E, S>(&mut self, p: &mut Progress, t: Time, hop: Hop, eval: E, sink: &mut S)
     where
-        E: FnMut(u32, &Probe) -> Vec<Match>,
+        E: FnMut(u32, &[u64]) -> Vec<Match>,
         S: Sink,
     {
         self.visit(p, t, hop, true, eval, sink);
     }
 
     /// The step driver: runs one query to quiescence on a private queue,
-    /// time base 0.
-    pub fn run<E>(&mut self, origin: u32, entry: Option<u32>, mut eval: E) -> SearchOutcome
+    /// time base 0, accumulating into `p`, a `Progress::new(0)` the
+    /// caller may have given its admitted set.
+    pub fn run<E>(
+        &mut self,
+        mut p: Progress,
+        origin: u32,
+        entry: Option<u32>,
+        mut eval: E,
+    ) -> SearchOutcome
     where
-        E: FnMut(u32, &Probe) -> Vec<Match>,
+        E: FnMut(u32, &[u64]) -> Vec<Match>,
     {
-        let mut p = Progress::new(0);
         let mut queue: EventQueue<Hop> = EventQueue::new();
         self.start(&mut p, 0, origin, entry, &mut eval, &mut queue);
         while let Some((t, hop)) = queue.pop() {
@@ -314,7 +342,7 @@ impl Walk<'_> {
         mut eval: E,
         sink: &mut S,
     ) where
-        E: FnMut(u32, &Probe) -> Vec<Match>,
+        E: FnMut(u32, &[u64]) -> Vec<Match>,
         S: Sink,
     {
         let Hop { to, via, ttl, mode } = hop;
@@ -338,7 +366,7 @@ impl Walk<'_> {
             _ => {}
         }
         let matches =
-            if first_visit || mode == PropMode::Flood { eval(to, self.probe) } else { Vec::new() };
+            if first_visit || mode == PropMode::Flood { eval(to, &p.admitted) } else { Vec::new() };
         if !matches.is_empty() {
             // QueryHit routes back along the reverse path and down to a
             // leaf origin: one message per edge, arriving after the
@@ -558,9 +586,9 @@ mod tests {
             Script::new(n, edges, DigestConfig { log2_bits: 8, ..DigestConfig::guided() }, holders)
         }
 
-        fn parts(&mut self) -> (Walk<'_>, impl FnMut(u32, &Probe) -> Vec<Match> + '_) {
+        fn parts(&mut self) -> (Walk<'_>, impl FnMut(u32, &[u64]) -> Vec<Match> + '_) {
             let Script { overlay, alive, latency, stats, probe, holders, evaluated } = self;
-            let eval = move |node: u32, _: &Probe| {
+            let eval = move |node: u32, _: &[u64]| {
                 evaluated.push(node);
                 if holders.contains(&node) {
                     vec![(format!("k{node}"), PeerId(node), SharedFields::from(Vec::new()))]

@@ -231,28 +231,31 @@ impl Substrate {
     }
 
     /// The walk of one query over the overlay, and the local evaluation
-    /// its hops run: a Gnutella peer verifies the records its summary and
-    /// signatures admit for `probe`, the query compiled for `community`;
-    /// a super answers for its live leaves from its own index. `None` on
-    /// Napster, which has no overlay.
+    /// its hops run: a Gnutella peer in the query's admitted set verifies
+    /// the records its signatures admit for `probe`, the query compiled
+    /// for `community`; a super answers for its live leaves from its own
+    /// index. On Gnutella the admitted set in `p` is first brought up to
+    /// the arena's writes. `None` on Napster, which has no overlay.
     pub(crate) fn walk<'a>(
         &'a mut self,
+        p: &mut Progress,
         community: &'a str,
         query: &'a Query,
         probe: &'a Probe,
-    ) -> Option<(Walk<'a>, impl FnMut(u32, &Probe) -> Vec<Match> + 'a)> {
+    ) -> Option<(Walk<'a>, impl FnMut(u32, &[u64]) -> Vec<Match> + 'a)> {
         let Substrate { alive, latency, stats, protocol } = self;
         let alive: &'a [bool] = alive;
         let (overlay, shares) = match protocol {
             Protocol::Napster(_) => return None,
             Protocol::Gnutella(overlay, shared) => {
+                p.admit(shared.writes(), |set| shared.admitted(probe, set));
                 (overlay, Shares::Arena(shared, shared.community_id(community)))
             }
             Protocol::FastTrack(overlay, supers) => (overlay, Shares::Index(supers)),
         };
-        let eval = move |node: u32, probe: &Probe| match shares {
+        let eval = move |node: u32, admitted: &[u64]| match shares {
             Shares::Arena(shared, Some(cid)) => {
-                shared.verify(node, cid, query, shared.candidates(node, probe))
+                shared.verify(node, cid, query, shared.candidates(node, admitted, probe))
             }
             Shares::Arena(_, None) => Vec::new(),
             Shares::Index(supers) => {
@@ -289,7 +292,7 @@ impl Substrate {
             return sink.forward(at, Hop::SERVER);
         }
         let entry = self.entry(origin);
-        if let Some((mut walk, eval)) = self.walk(community, query, probe) {
+        if let Some((mut walk, eval)) = self.walk(p, community, query, probe) {
             walk.start(p, t, origin.0, entry, eval, sink);
         }
     }
@@ -308,7 +311,7 @@ impl Substrate {
         probe: &Probe,
         sink: &mut S,
     ) {
-        if let Some((mut walk, eval)) = self.walk(community, query, probe) {
+        if let Some((mut walk, eval)) = self.walk(p, community, query, probe) {
             return walk.arrive(p, t, hop, eval, sink);
         }
         let hits = self.answer(p, community, query);
@@ -402,18 +405,18 @@ impl PeerNetwork for Substrate {
         if !self.begin_query(origin) {
             return SearchOutcome::default();
         }
+        let mut p = Progress::new(0);
         if let Protocol::Napster(_) = self.protocol {
-            let mut p = Progress::new(0);
             self.server_trip(&mut p, 0, origin);
             self.answer(&mut p, community, query);
             p.finish(0, &mut self.stats);
             return p.outcome;
         }
         let (probe, entry) = (Probe::new(community, query), self.entry(origin));
-        let Some((mut walk, eval)) = self.walk(community, query, &probe) else {
+        let Some((mut walk, eval)) = self.walk(&mut p, community, query, &probe) else {
             return SearchOutcome::default();
         };
-        walk.run(origin.0, entry, eval)
+        walk.run(p, origin.0, entry, eval)
     }
 
     fn retrieve(&mut self, origin: PeerId, provider: PeerId, key: &str) -> RetrieveOutcome {

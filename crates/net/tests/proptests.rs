@@ -503,7 +503,7 @@ proptest! {
             signatures.extend([[a, b], [a & c, b & d]]);
         }
         for op in &publishes {
-            signatures.push(sign_record(&mut [0; 1], op.community, &op.fields));
+            signatures.push(sign_record(op.community, &op.fields, |_| {}));
         }
         for community in COMMUNITIES {
             let probe = Probe::new(community, &query);

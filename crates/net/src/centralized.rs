@@ -11,7 +11,8 @@
 //! [`SearchHit`]s (a key `String` each; the fields are shared).
 //!
 //! What is Napster's alone — the round trip and the server's answer —
-//! is here; the rest of the protocol is the one [`Substrate`]'s.
+//! is here; the rest of the protocol is the one [`Substrate`]'s and its
+//! driver's, [`crate::DesNetwork`].
 
 use crate::event::PropMode;
 use crate::message::{SearchHit, Time};
@@ -50,6 +51,7 @@ impl Substrate {
     /// records of every provider online *now*, one hop away, counted and
     /// landing with the reply. Returns how many there are; whether the
     /// query found anything is left to the close of the query.
+    #[inline(always)]
     pub(crate) fn answer(&mut self, p: &mut Progress, community: &str, query: &Query) -> u32 {
         let Substrate { alive, stats, protocol: Protocol::Napster(server), .. } = self else {
             return 0;
@@ -69,6 +71,7 @@ impl Substrate {
 
 #[cfg(test)]
 mod tests {
+    use crate::des::DesNetwork;
     use crate::latency::LatencySpec;
     use crate::message::ResourceRecord;
     use crate::peer::PeerId;
@@ -81,8 +84,8 @@ mod tests {
         ResourceRecord::new(key, community, vec![("o/name".to_string(), name.to_string())])
     }
 
-    fn net(n: usize) -> Substrate {
-        Substrate::napster(n, LatencySpec::Constant(10_000).build(n, 1))
+    fn net(n: usize) -> DesNetwork {
+        DesNetwork::new(Substrate::napster(n, LatencySpec::Constant(10_000).build(n, 1)))
     }
 
     #[test]

@@ -100,14 +100,14 @@ pub fn expected_availability(availability: f64, replicas: u32) -> f64 {
 mod tests {
     use super::*;
     use crate::topology::Topology;
-    use crate::{FloodingConfig, LatencySpec, Substrate};
+    use crate::{DesNetwork, FloodingConfig, LatencySpec, Substrate};
 
-    fn net(n: usize) -> Substrate {
-        Substrate::gnutella(
+    fn net(n: usize) -> DesNetwork {
+        DesNetwork::new(Substrate::gnutella(
             Topology::ring_lattice(n, 2),
             LatencySpec::Constant(1_000).build(n, 1),
             FloodingConfig::default(),
-        )
+        ))
     }
 
     #[test]

@@ -1,43 +1,39 @@
-//! Whole-network discrete-event simulation engine.
+//! Whole-network discrete-event simulation engine: the one driver of
+//! every query.
 //!
-//! A [`Substrate`]'s own `search` simulates one query at a time on a
-//! private event queue; churn and digest refresh happen *between*
-//! searches, instantaneously. [`DesNetwork`] runs the same substrate on
-//! **one global virtual-time queue** ([`crate::sim::EventQueue`],
-//! popping by `(timestamp, push order)`): query issue, per-hop message
-//! delivery, hit return, churn transitions and digest refresh are all
-//! timestamped [`DesEvent`]s, so a churn storm lands *while* queries are
-//! in flight.
+//! [`DesNetwork`] runs a [`Substrate`] on **one global virtual-time
+//! queue** ([`crate::sim::EventQueue`], popping by `(timestamp, push
+//! order)`): query issue, per-hop message delivery, hit return, churn
+//! transitions and digest refresh are all timestamped [`DesEvent`]s, so a
+//! churn storm lands *while* queries are in flight. A sequential
+//! [`PeerNetwork::search`] is the same machinery with one query on the
+//! timeline: it schedules the query at the clock and pumps until that
+//! query is done.
 //!
-//! # A scheduler, not a protocol
+//! # A scheduler over protocol state
 //!
-//! The engine owns a [`Substrate`] and a timeline, nothing else. Peers,
-//! liveness, shared records, overlay, routing digests, latency model,
-//! walker rng and statistics are the substrate's, built by its
-//! constructor; `publish`, `unpublish`, `retrieve`, liveness and digest
-//! refresh are its own, and a query event is one call of
-//! [`Substrate::issue`] or [`Substrate::deliver`], which run the
-//! substrate's own walk (the crate's one overlay-search core,
-//! `overlay.rs`) or its server's answer exactly as its `search` does.
-//! What differs is the [`Sink`]: every forwarded copy becomes a `Query`
-//! (or `ServerQuery`) event and every hit batch a `HitDeliver` on the
-//! global queue, counted in the query's `pending`, with the query's
-//! issue time as the time base. A sequential [`PeerNetwork::search`]
-//! therefore produces the message counts, latencies and hits, in order,
-//! of the step driver over a substrate built from the same seed — there
-//! is one constructor and one stream of rng draws, not two kept alike —
-//! and `tests/des_equivalence.rs` pins what is still the driver's own:
-//! queue discipline, time base, `pending`.
+//! The engine owns a substrate and a timeline. Peers, liveness, shared
+//! records, overlay, routing digests, latency model, walker rng and
+//! statistics are the substrate's, built by its constructor; the
+//! [`PeerNetwork`] impl here writes, retrieves and toggles liveness in
+//! them. A query event is one call of [`Substrate::issue`] or
+//! [`Substrate::deliver`], which run the substrate's walk (the crate's
+//! one overlay-search core, `overlay.rs`) or its server's answer. The
+//! walk's [`Sink`] here makes every forwarded copy a `Query` (or
+//! `ServerQuery`) event and every hit batch a `HitDeliver`, counted in
+//! the query's `pending`, with the query's issue time as the time base.
+//! `tests/search_oracle.rs` holds every blind search to what the world
+//! it runs on must yield.
 
 use crate::churn::ChurnEvent;
 use crate::digest::Probe;
 use crate::event::DesEvent;
 use crate::message::{ResourceRecord, Time};
-use crate::overlay::{Hop, Progress, Sink};
+use crate::overlay::{is_alive, Hop, Progress, Sink};
 use crate::peer::PeerId;
 use crate::sim::EventQueue;
-use crate::stats::{NetStats, RetrieveOutcome, SearchOutcome};
-use crate::substrate::Substrate;
+use crate::stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
+use crate::substrate::{Protocol, Substrate};
 use crate::traits::{PeerNetwork, ProtocolKind};
 use crate::NetConfig;
 use std::collections::VecDeque;
@@ -106,20 +102,19 @@ impl Sink for Timeline<'_> {
 /// Discrete-event simulation engine running a [`Substrate`] — Napster,
 /// Gnutella or FastTrack — on one global virtual-time queue.
 ///
-/// Construct with [`DesNetwork::build`] (the same [`NetConfig`] mapping
-/// and seeds as [`crate::build_network_with`]) or [`DesNetwork::new`]
-/// around a substrate built any other way, then either:
+/// Construct with [`DesNetwork::build`] (what [`crate::build_network_with`]
+/// returns, boxed) or [`DesNetwork::new`] around a substrate built any
+/// other way, then either:
 ///
 /// * drive it through the [`PeerNetwork`] trait — each `search` pumps
-///   the queue until that query completes, with the step driver's
-///   accounting — or
+///   the queue until that query completes — or
 /// * build a global timeline with [`DesNetwork::schedule_query`],
 ///   [`DesNetwork::schedule_churn`], and
 ///   [`DesNetwork::schedule_digest_refresh`], then [`DesNetwork::run`]
 ///   it to completion, letting queries and churn interleave in virtual
 ///   time.
 pub struct DesNetwork {
-    substrate: Substrate,
+    pub(crate) substrate: Substrate,
     queue: EventQueue<DesEvent>,
     queries: VecDeque<QueryState>,
     /// Queries freed so far: the id of `queries[0]`.
@@ -160,9 +155,8 @@ impl DesNetwork {
         }
     }
 
-    /// Drives [`Substrate::build`]: the same [`NetConfig`] mapping and
-    /// seeds as [`crate::build_network_with`], so the two are comparable
-    /// run-for-run.
+    /// Drives [`Substrate::build`]; [`crate::build_network_with`] boxes
+    /// this.
     pub fn build(kind: ProtocolKind, peers: usize, seed: u64, config: &NetConfig) -> DesNetwork {
         DesNetwork::new(Substrate::build(kind, peers, seed, config))
     }
@@ -291,82 +285,69 @@ impl DesNetwork {
             self.clock = self.clock.max(t);
             self.events_processed += 1;
             if let Some(log) = &mut self.log {
-                let (queries, retired) = (&mut self.queries, self.retired);
+                // a copy of its own, so the event itself need not live in
+                // memory on the unlogged path
+                let (ev, queries, retired) = (ev.clone(), &mut self.queries, self.retired);
                 log.push(ev.log_line(t, |qid, via| {
                     let qs = query_mut(queries, retired, qid);
                     qs.map_or_else(Vec::new, |qs| qs.progress.route(via))
                 }));
             }
-            let qid = self.dispatch(t, ev);
+            let finished = self.dispatch(t, ev);
             self.peak_queue = self.peak_queue.max(self.queue.len());
-            if qid.is_some_and(|q| self.finalize_if_done(q)) && until == qid {
+            if finished.is_some() && finished == until {
                 return;
             }
         }
     }
 
-    /// Routes one event to its handler; returns the query id for
-    /// query-scoped events so the pump can check for completion.
+    /// Handles one event. A query's event is the driver half of its life
+    /// on the timeline — its issue, a copy delivered to an overlay node or
+    /// to the Napster server, or a hit batch landing; whether the query
+    /// leaves at all and everything its walk decides is the substrate's.
+    /// Returns the query's id when this event was its last: the query is
+    /// then closed, its times made relative to its issue and its dedup
+    /// sets released.
     fn dispatch(&mut self, t: Time, ev: DesEvent) -> Option<u32> {
-        match ev {
-            DesEvent::QueryIssue { qid } => {
-                self.handle_query(t, qid, None);
-                Some(qid)
-            }
-            DesEvent::Query { qid, to, via, ttl, mode } => {
-                self.handle_query(t, qid, Some(Hop { to, via, ttl, mode }));
-                Some(qid)
-            }
-            DesEvent::ServerQuery { qid } => {
-                self.handle_query(t, qid, Some(Hop::SERVER));
-                Some(qid)
-            }
-            DesEvent::HitDeliver { qid, .. } => {
-                if let Some(qs) = query_mut(&mut self.queries, self.retired, qid) {
-                    qs.pending = qs.pending.saturating_sub(1);
-                }
-                Some(qid)
-            }
+        let qid = match ev {
             DesEvent::Churn { peer, online } => {
                 self.set_alive(peer, online);
-                None
+                return None;
             }
             DesEvent::DigestRefresh => {
                 self.refresh_digests();
-                None
+                return None;
             }
+            DesEvent::QueryIssue { qid }
+            | DesEvent::Query { qid, .. }
+            | DesEvent::ServerQuery { qid }
+            | DesEvent::HitDeliver { qid, .. } => qid,
+        };
+        let Self { substrate, queue, queries, retired, .. } = self;
+        let qs = query_mut(queries, *retired, qid)?;
+        qs.pending = qs.pending.saturating_sub(1);
+        let QueryState { origin, community, query, probe, progress, pending, .. } = &mut *qs;
+        let mut sink = Timeline { qid, pending, queue };
+        match ev {
+            DesEvent::QueryIssue { .. } => {
+                substrate.issue(progress, t, *origin, community, query, probe, &mut sink)
+            }
+            DesEvent::Query { to, via, ttl, mode, .. } => {
+                let hop = Hop { to, via, ttl, mode };
+                substrate.deliver(progress, t, hop, community, query, probe, &mut sink)
+            }
+            DesEvent::ServerQuery { .. } => {
+                substrate.deliver(progress, t, Hop::SERVER, community, query, probe, &mut sink)
+            }
+            // a hit batch landing is one thing less to wait for
+            _ => {}
         }
-    }
-
-    /// Converts a completed query's absolute times to the step
-    /// search's origin-relative convention and releases its dedup
-    /// sets; `true` when this event was the query's last.
-    fn finalize_if_done(&mut self, qid: u32) -> bool {
-        let Some(qs) = query_mut(&mut self.queries, self.retired, qid) else { return false };
         if qs.done || qs.pending != 0 {
-            return false;
+            return None;
         }
         qs.done = true;
-        qs.progress.finish(qs.issued_at, &mut self.substrate.stats);
-        true
-    }
-
-    // ---- event handlers ----------------------------------------------
-
-    /// The driver half of a query's life on the timeline: `hop: None`
-    /// issues the query, `Some` delivers one copy — to an overlay node or
-    /// to the Napster server. Whether the query leaves at all and
-    /// everything its walk decides is the substrate's.
-    fn handle_query(&mut self, t: Time, qid: u32, hop: Option<Hop>) {
-        let Self { substrate, queue, queries, retired, .. } = self;
-        let Some(qs) = query_mut(queries, *retired, qid) else { return };
-        qs.pending = qs.pending.saturating_sub(1);
-        let QueryState { origin, community, query, probe, progress, pending, .. } = qs;
-        let mut sink = Timeline { qid, pending, queue };
-        match hop {
-            None => substrate.issue(progress, t, *origin, community, query, probe, &mut sink),
-            Some(hop) => substrate.deliver(progress, t, hop, community, query, probe, &mut sink),
-        }
+        qs.progress.finish(qs.issued_at, &mut substrate.stats);
+        Some(qid)
     }
 }
 
@@ -376,27 +357,75 @@ impl DesNetwork {
 
 impl PeerNetwork for DesNetwork {
     fn protocol_name(&self) -> &'static str {
-        self.substrate.protocol_name()
+        self.substrate.kind().schema_value()
     }
 
     fn peer_count(&self) -> usize {
-        self.substrate.peer_count()
+        self.substrate.alive.len()
     }
 
     fn is_alive(&self, peer: PeerId) -> bool {
-        self.substrate.is_alive(peer)
+        is_alive(&self.substrate.alive, peer)
     }
 
     fn set_alive(&mut self, peer: PeerId, alive: bool) {
-        self.substrate.set_alive(peer, alive);
+        if let Some(a) = self.substrate.alive.get_mut(peer.index()) {
+            *a = alive;
+        }
     }
 
     fn publish(&mut self, provider: PeerId, record: ResourceRecord) {
-        self.substrate.publish(provider, record);
+        let Substrate { alive, stats, protocol, .. } = &mut self.substrate;
+        let Some(&online) = alive.get(provider.index()) else { return };
+        match protocol {
+            // an upload needs a session: an offline peer's is dropped
+            Protocol::Napster(server) if online => {
+                stats.sent(MsgKind::Publish);
+                server.insert(provider, &record);
+            }
+            Protocol::FastTrack(overlay, supers) if online => {
+                // first record wins; the digests hear of it when it
+                // enters the super's index
+                if let Some(s) = supers.publish(provider, &record, stats) {
+                    overlay.routes.record_added(s, &record.community, &record.fields);
+                }
+            }
+            // Gnutella shares from the peer's own store, online or not:
+            // no message is sent, and republishing a key replaces the
+            // peer's own record (upsert) — the stored record it replaces
+            // leaves the routing digests, the new one enters them
+            Protocol::Gnutella(overlay, shared) => {
+                if let Some((community, fields)) = shared.upsert(provider.0, &record) {
+                    overlay.routes.record_removed(provider.0, community, &fields);
+                }
+                overlay.routes.record_added(provider.0, &record.community, &record.fields);
+            }
+            Protocol::Napster(_) | Protocol::FastTrack(..) => {}
+        }
     }
 
     fn unpublish(&mut self, provider: PeerId, key: &str) {
-        self.substrate.unpublish(provider, key);
+        let Substrate { alive, stats, protocol, .. } = &mut self.substrate;
+        if provider.index() >= alive.len() {
+            return; // an id outside the network has no session to end
+        }
+        match protocol {
+            Protocol::Napster(server) => {
+                stats.sent(MsgKind::Unpublish);
+                server.remove_slot(provider, key);
+            }
+            Protocol::Gnutella(overlay, shared) => {
+                if let Some((community, fields)) = shared.remove(provider.0, key) {
+                    overlay.routes.record_removed(provider.0, community, &fields);
+                }
+            }
+            Protocol::FastTrack(overlay, supers) => {
+                // the record leaves the digests with its last provider
+                if let Some((s, community, fields)) = supers.unpublish(provider, key, stats) {
+                    overlay.routes.record_removed(s, community, &fields);
+                }
+            }
+        }
     }
 
     fn search(&mut self, origin: PeerId, community: &str, query: &Query) -> SearchOutcome {
@@ -407,15 +436,40 @@ impl PeerNetwork for DesNetwork {
     }
 
     fn retrieve(&mut self, origin: PeerId, provider: PeerId, key: &str) -> RetrieveOutcome {
-        self.substrate.retrieve(origin, provider, key)
+        let Substrate { alive, latency, stats, protocol } = &mut self.substrate;
+        stats.retrieves += 1;
+        // a dead peer cannot send, and an unknown id names nobody to send
+        // to: the request never leaves the origin
+        let (true, Some(&provider_alive)) = (is_alive(alive, origin), alive.get(provider.index()))
+        else {
+            return RetrieveOutcome::Unavailable;
+        };
+        stats.sent(MsgKind::Retrieve);
+        if !provider_alive {
+            stats.dropped += 1;
+            return RetrieveOutcome::Unavailable;
+        }
+        let has = match protocol {
+            Protocol::Napster(server) => server.has_provider(key, provider),
+            Protocol::Gnutella(_, shared) => shared.has(provider.0, key),
+            Protocol::FastTrack(_, supers) => supers.owns(provider, key),
+        };
+        if !has {
+            stats.sent(MsgKind::RetrieveFail);
+            return RetrieveOutcome::Unavailable;
+        }
+        stats.sent(MsgKind::RetrieveOk);
+        stats.retrieves_ok += 1;
+        let latency = latency.delay(origin, provider) + latency.delay(provider, origin);
+        RetrieveOutcome::Fetched { provider, latency }
     }
 
     fn stats(&self) -> &NetStats {
-        self.substrate.stats()
+        &self.substrate.stats
     }
 
     fn reset_stats(&mut self) {
-        self.substrate.reset_stats();
+        self.substrate.stats = NetStats::new();
     }
 }
 
@@ -637,6 +691,18 @@ mod tests {
         let out = net.run();
         assert_eq!(out.len(), 1);
         assert_eq!(seen(&net, &out[0]), (vec![("k1".to_string(), 1, 1)], 5, 4, 1));
+    }
+
+    #[test]
+    fn the_first_record_of_a_community_lands_in_a_query_in_flight() {
+        // nobody had shared in "tracks" when the query left: the publish
+        // interns the community, and the hop at 4 must see it
+        let mut net = in_flight(&[]);
+        net.publish(PeerId(4), track("k4", "coltrane"));
+        let out = net.run();
+        assert_eq!(out.len(), 1);
+        let hits: Vec<_> = out[0].hits.iter().map(|h| (h.key.as_str(), h.provider.0, h.hops)).collect();
+        assert_eq!(hits, [("k4", 4, 4)]);
     }
 
     #[test]

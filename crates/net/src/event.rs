@@ -1,18 +1,16 @@
 //! Event vocabulary for the whole-network discrete-event engine.
 //!
-//! A [`crate::Substrate`]'s own search simulates each query to
-//! quiescence on a private [`crate::sim::EventQueue`]; everything between searches
-//! (churn, digest refreshes, the next query) happens instantaneously
-//! from the simulation's point of view. [`crate::DesNetwork`] promotes
-//! all of those occurrences to first-class timestamped events on one
-//! global virtual-time queue, so a churn storm can land *while* a query
-//! is still in flight. This module defines that event vocabulary.
+//! [`crate::DesNetwork`] runs every occurrence of a simulation — a query
+//! leaving its origin, a copy reaching a node, hits landing, a churn
+//! transition, a digest refresh — as a timestamped event on one global
+//! virtual-time queue, so a churn storm can land *while* a query is
+//! still in flight. This module defines that event vocabulary.
 
 use crate::message::Time;
 use crate::peer::PeerId;
 
-/// How a query copy propagates, on every driver of the overlay-search
-/// core: blind flooding uses [`PropMode::Flood`] throughout; guided
+/// How a query copy propagates through the overlay-search core: blind
+/// flooding uses [`PropMode::Flood`] throughout; guided
 /// search forwards digest-selected copies as [`PropMode::Guided`] and
 /// falls back to TTL'd random walkers ([`PropMode::Walk`]) when no
 /// neighbor digest matches.

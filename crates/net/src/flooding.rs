@@ -7,14 +7,14 @@
 //! experiment E6 measures.
 //!
 //! What is Gnutella's alone is here: the peers' records, in one
-//! [`RecordArena`], struct-of-arrays over all peers, under both
-//! schedulers. In front of each peer's records sit a Bloom summary of
+//! [`RecordArena`], struct-of-arrays over all peers. In front of each peer's records sit a Bloom summary of
 //! their terms and one signature per record, so that a hop verifies only
 //! the few records that could match and skips the peers with nothing to
 //! say unopened. The summaries are stored bit-sliced, so a query is asked
 //! of all of them at once, before its first hop, and a hop reads one bit
-//! of the result. Liveness, the write path's dispatch, digests, retrieve
-//! and the assembly of the query walk are the one [`crate::Substrate`]'s.
+//! of the result. Liveness, digests and the assembly of the query walk
+//! are the one [`crate::Substrate`]'s; the write path's dispatch and
+//! retrieve are its driver's, [`crate::DesNetwork`].
 //!
 //! With [`DigestConfig::enabled`] the substrate switches to *guided*
 //! search (the `des_guided` workload): forwarding consults per-neighbor
@@ -306,6 +306,7 @@ impl RecordArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::des::DesNetwork;
     use crate::latency::{Latency, LatencySpec};
     use crate::stats::MsgKind;
     use crate::substrate::{Protocol, Substrate};
@@ -326,21 +327,21 @@ mod tests {
         LatencySpec::Constant(1_000).build(0, 1)
     }
 
-    /// The records of a Gnutella substrate.
-    fn arena(net: &Substrate) -> &RecordArena {
-        match &net.protocol {
+    /// The records of a Gnutella network.
+    fn arena(net: &DesNetwork) -> &RecordArena {
+        match &net.substrate().protocol {
             Protocol::Gnutella(_, shared) => shared,
             _ => unreachable!("a Gnutella substrate"),
         }
     }
 
-    fn line(n: usize) -> Substrate {
+    fn line(n: usize) -> DesNetwork {
         // 0 - 1 - 2 - ... - (n-1)
         let mut t = Topology::empty(n);
         for i in 0..n - 1 {
             t.connect(PeerId(i as u32), PeerId(i as u32 + 1));
         }
-        Substrate::gnutella(t, ms(), FloodingConfig::default())
+        DesNetwork::new(Substrate::gnutella(t, ms(), FloodingConfig::default()))
     }
 
     #[test]
@@ -361,11 +362,11 @@ mod tests {
         for i in 0..5 {
             t.connect(PeerId(i), PeerId(i + 1));
         }
-        let mut net = Substrate::gnutella(
+        let mut net = DesNetwork::new(Substrate::gnutella(
             t,
             ms(),
             FloodingConfig { ttl: 2, ..FloodingConfig::default() },
-        );
+        ));
         net.publish(PeerId(5), record("far", "x"));
         net.publish(PeerId(2), record("near", "x"));
         let out = net.search(PeerId(0), "c", &Query::any_keyword("x"));
@@ -393,11 +394,11 @@ mod tests {
                     t.connect(PeerId(i), PeerId(j));
                 }
             }
-            let mut net = Substrate::gnutella(
+            let mut net = DesNetwork::new(Substrate::gnutella(
                 t,
                 ms(),
                 FloodingConfig { ttl: 4, dedup, ..FloodingConfig::default() },
-            );
+            ));
             net.publish(PeerId(3), record("k", "x"));
             let out = net.search(PeerId(0), "c", &Query::any_keyword("x"));
             out.messages
@@ -468,7 +469,7 @@ mod tests {
         net.unpublish(PeerId(1), "k");
         let out = net.search(PeerId(0), "c", &Query::any_keyword("x"));
         assert!(out.hits.is_empty());
-        assert_eq!(net.shared_count(PeerId(1)), 0);
+        assert_eq!(net.substrate().shared_count(PeerId(1)), 0);
     }
 
     #[test]
@@ -478,7 +479,7 @@ mod tests {
         let mut net = line(3);
         net.publish(PeerId(1), record("k", "old name"));
         net.publish(PeerId(1), record("k", "new name"));
-        assert_eq!(net.shared_count(PeerId(1)), 1);
+        assert_eq!(net.substrate().shared_count(PeerId(1)), 1);
         assert!(net.search(PeerId(0), "c", &Query::any_keyword("old")).hits.is_empty());
         let out = net.search(PeerId(0), "c", &Query::any_keyword("new"));
         assert_eq!(out.hits.len(), 1);
@@ -501,33 +502,33 @@ mod tests {
         // per direction) plus hit back-propagation
         let t = Topology::ring_lattice(20, 2);
         let edges = t.edge_count() as u64;
-        let mut net =
-            Substrate::gnutella(t, ms(), FloodingConfig::default());
+        let mut net = DesNetwork::new(Substrate::gnutella(t, ms(), FloodingConfig::default()));
         let out = net.search(PeerId(0), "c", &Query::any_keyword("nothing"));
         assert!(out.messages <= edges * 2, "{} > {}", out.messages, edges * 2);
     }
 
     /// An edgeless network of `peers`.
-    fn alone(peers: usize) -> Substrate {
-        Substrate::gnutella(Topology::empty(peers), ms(), FloodingConfig::default())
+    fn alone(peers: usize) -> DesNetwork {
+        DesNetwork::new(Substrate::gnutella(Topology::empty(peers), ms(), FloodingConfig::default()))
     }
 
     /// Does `peer`'s summary, its column, let `query` through to its
     /// signatures?
-    fn passes(net: &Substrate, peer: usize, query: &Query) -> bool {
+    fn passes(net: &DesNetwork, peer: usize, query: &Query) -> bool {
         Probe::new("c", query).may_match(&arena(net).summaries.column(peer))
     }
 
     /// `peer`'s answer as a walk's hop evaluates it: the query's admitted
     /// set and the peer's signatures first.
-    fn gated(net: &mut Substrate, peer: u32, community: &str, query: &Query) -> Vec<Match> {
+    fn gated(net: &mut DesNetwork, peer: u32, community: &str, query: &Query) -> Vec<Match> {
         let (probe, mut p) = (Probe::new(community, query), Progress::new(0));
-        let (_, mut eval) = net.walk(&mut p, community, query, &probe).expect("an overlay");
+        let walk = net.substrate.walk(&mut p, community, query, &probe);
+        let (_, mut eval) = walk.expect("an overlay");
         eval(peer, &p.admitted)
     }
 
     /// The keys of the records `peer` verifies for `query` in "c".
-    fn verified(net: &Substrate, peer: u32, query: &Query) -> Vec<String> {
+    fn verified(net: &DesNetwork, peer: u32, query: &Query) -> Vec<String> {
         let (probe, arena, mut admitted) = (Probe::new("c", query), arena(net), Vec::new());
         arena.admitted(&probe, &mut admitted);
         let candidates = arena.candidates(peer, &admitted, &probe);
@@ -583,7 +584,7 @@ mod tests {
         // one peer's column still takes a whole word of each of the 4 096 rows
         let (liveness, slots, summary, records) = (1, 4_000 * 40, 4_096 * 8, 24 + 4_000 * 24);
         assert_eq!(
-            net.approx_bytes(),
+            net.substrate().approx_bytes(),
             liveness + key_bytes + slots + summary + records,
             "the words and the signatures are counted"
         );
@@ -843,14 +844,14 @@ mod tests {
         }
     }
 
-    fn guided_line(n: usize) -> Substrate {
+    fn guided_line(n: usize) -> DesNetwork {
         let mut t = Topology::empty(n);
         for i in 0..n - 1 {
             t.connect(PeerId(i as u32), PeerId(i as u32 + 1));
         }
         let config =
             FloodingConfig { digests: DigestConfig::guided(), ..FloodingConfig::default() };
-        Substrate::gnutella(t, ms(), config)
+        DesNetwork::new(Substrate::gnutella(t, ms(), config))
     }
 
     #[test]
@@ -931,11 +932,11 @@ mod tests {
             let t = Topology::small_world(24, 2, 0.2, 9);
             let digests =
                 if guided { DigestConfig::guided() } else { DigestConfig::default() };
-            let mut net = Substrate::gnutella(
+            let mut net = DesNetwork::new(Substrate::gnutella(
                 t,
                 ms(),
                 FloodingConfig { digests, ..FloodingConfig::default() },
-            );
+            ));
             for i in [3u32, 11, 19] {
                 net.publish(PeerId(i), record(&format!("k{i}"), "needle"));
             }

@@ -6,8 +6,8 @@
 //! community's schema names its `protocol` (Fig. 3: Napster, Gnutella or
 //! FastTrack) and the servent only needs create/search/retrieve
 //! primitives. This crate provides that trait ([`PeerNetwork`]) and one
-//! deterministic discrete-event implementation of it, [`Substrate`], in
-//! three protocols:
+//! deterministic discrete-event implementation of it, [`DesNetwork`],
+//! driving a [`Substrate`] of one of three protocols:
 //!
 //! * Napster — a centralized index server,
 //! * Gnutella — TTL flooding over an overlay,
@@ -19,14 +19,13 @@
 //! every peer's records in one [`RecordArena`], or the supers' indexes.
 //! The two overlay protocols share one search core (the private
 //! `overlay` module: visit and dedup rules, reverse-path `QueryHit`
-//! accounting, frontier stop, blind and digest-guided forwarding). Two
-//! schedulers drive a substrate: its own `search`, one query to
-//! quiescence on a private queue, and [`DesNetwork`], which owns one and
-//! drives it from one global virtual-time queue so churn lands while
-//! queries are in flight. A Gnutella hop verifies only the records
-//! whose signatures admit the query.
-//! [`Substrate::build`] takes a [`NetConfig`] — latency model and digest
-//! layer — for [`build_network_with`] and [`DesNetwork::build`] alike;
+//! accounting, frontier stop, blind and digest-guided forwarding). One
+//! scheduler drives a substrate: [`DesNetwork`] owns it and moves every
+//! query on one global virtual-time queue, a sequential search as much
+//! as a timeline on which churn lands while queries are in flight. A
+//! Gnutella hop verifies only the records whose signatures admit the
+//! query. [`Substrate::build`] takes a [`NetConfig`] — latency model and
+//! digest layer — for [`DesNetwork::build`] and so [`build_network_with`];
 //! TTL, dedup and super-peer sizing are said once, on each protocol's
 //! own constructor and config.
 //!
@@ -37,13 +36,14 @@
 //!
 //! ```
 //! use up2p_net::{
-//!     FloodingConfig, LatencySpec, PeerId, PeerNetwork, ResourceRecord, Substrate, Topology,
+//!     DesNetwork, FloodingConfig, LatencySpec, PeerId, PeerNetwork, ResourceRecord, Substrate,
+//!     Topology,
 //! };
 //! use up2p_store::Query;
 //!
 //! let topo = Topology::small_world(64, 2, 0.2, 1);
 //! let latency = LatencySpec::Constant(20_000).build(64, 1);
-//! let mut net = Substrate::gnutella(topo, latency, FloodingConfig::default());
+//! let mut net = DesNetwork::new(Substrate::gnutella(topo, latency, FloodingConfig::default()));
 //! net.publish(PeerId(9), ResourceRecord::new(
 //!     "k1",
 //!     "patterns",
@@ -97,7 +97,7 @@ pub use traits::{PeerNetwork, ProtocolKind, SearchRequest};
 /// [`SuperPeerConfig::default`] (overlay degree and TTL) at
 /// `ceil(sqrt(n))` super-peers; to set one of those, build the substrate
 /// itself — [`Substrate::gnutella`], [`Substrate::fasttrack`] — and drive
-/// it directly or through [`DesNetwork::new`].
+/// it through [`DesNetwork::new`].
 ///
 /// ```
 /// use up2p_net::{DigestConfig, LatencySpec, NetConfig, PeerNetwork, ProtocolKind};
@@ -161,19 +161,19 @@ impl NetConfig {
     }
 }
 
-/// Builds a substrate of the given kind from an explicit configuration:
-/// `n` peers, seeded topology/latency, all peers online
-/// ([`Substrate::build`]).
+/// Builds a network of the given kind from an explicit configuration:
+/// `n` peers, seeded topology/latency, all peers online, driven by
+/// [`DesNetwork::build`].
 pub fn build_network_with(
     kind: ProtocolKind,
     n: usize,
     seed: u64,
     config: &NetConfig,
 ) -> Box<dyn PeerNetwork + Send> {
-    Box::new(Substrate::build(kind, n, seed, config))
+    Box::new(DesNetwork::build(kind, n, seed, config))
 }
 
-/// Builds a substrate with the default [`NetConfig`], constant 20 ms
+/// Builds a network with the default [`NetConfig`], constant 20 ms
 /// links and no digests:
 ///
 /// * Napster: one index server.
@@ -227,9 +227,16 @@ mod tests {
             (ProtocolKind::Napster, build_network_with(ProtocolKind::Napster, 32, 7, &config)),
             (
                 ProtocolKind::Gnutella,
-                Box::new(Substrate::gnutella(Topology::small_world(32, 2, 0.2, 7), latency(), flooding)),
+                Box::new(DesNetwork::new(Substrate::gnutella(
+                    Topology::small_world(32, 2, 0.2, 7),
+                    latency(),
+                    flooding,
+                ))),
             ),
-            (ProtocolKind::FastTrack, Box::new(Substrate::fasttrack(32, supers, latency(), 7))),
+            (
+                ProtocolKind::FastTrack,
+                Box::new(DesNetwork::new(Substrate::fasttrack(32, supers, latency(), 7))),
+            ),
         ];
         for (kind, mut net) in nets {
             net.publish(
@@ -264,41 +271,33 @@ mod tests {
 
     #[test]
     fn unknown_peer_operations_send_nothing_on_any_substrate() {
-        // every substrate, built every way, with digests on where they apply
+        // every protocol, with digests on where they apply
         let config = NetConfig::new().digests(DigestConfig::guided());
-        let mut nets: Vec<(String, Box<dyn PeerNetwork>)> = Vec::new();
-        for kind in [ProtocolKind::Napster, ProtocolKind::Gnutella, ProtocolKind::FastTrack] {
-            nets.push((format!("step {kind}"), build_network_with(kind, 16, 7, &config)));
-            nets.push((format!("des {kind}"), Box::new(DesNetwork::build(kind, 16, 7, &config))));
-        }
         let record =
             || ResourceRecord::new("k", "c", vec![("o/name".to_string(), "x".to_string())]);
-        for (name, net) in &mut nets {
+        for kind in [ProtocolKind::Napster, ProtocolKind::Gnutella, ProtocolKind::FastTrack] {
+            let mut net = build_network_with(kind, 16, 7, &config);
             net.publish(PeerId(2), record());
             net.reset_stats();
             for ghost in [PeerId(16), PeerId(u32::MAX)] {
                 net.publish(ghost, record());
                 net.unpublish(ghost, "k");
                 let out = net.search(ghost, "c", &Query::any_keyword("x"));
-                assert!(out.hits.is_empty() && out.messages == 0, "{name}");
+                assert!(out.hits.is_empty() && out.messages == 0, "{kind}");
                 for (origin, provider) in [(ghost, PeerId(2)), (PeerId(1), ghost)] {
                     let fetched = net.retrieve(origin, provider, "k");
-                    assert_eq!(fetched, RetrieveOutcome::Unavailable, "{name}");
+                    assert_eq!(fetched, RetrieveOutcome::Unavailable, "{kind}");
                 }
             }
-            assert_eq!(net.stats().messages, 0, "{name}: {:?}", net.stats().by_kind());
-            assert_eq!(net.stats().dropped, 0, "{name}");
-            assert!(net.retrieve(PeerId(1), PeerId(2), "k").is_fetched(), "{name}: record intact");
+            assert_eq!(net.stats().messages, 0, "{kind}: {:?}", net.stats().by_kind());
+            assert_eq!(net.stats().dropped, 0, "{kind}");
+            assert!(net.retrieve(PeerId(1), PeerId(2), "k").is_fetched(), "{kind}: record intact");
         }
         // the accessor beside the trait: nobody is a ghost's super
-        let latency = config.latency.build(16, 7);
-        let step = Substrate::fasttrack(16, config.super_peer(16), latency, 7);
-        let des = DesNetwork::build(ProtocolKind::FastTrack, 16, 7, &config);
-        let des = des.substrate();
+        let net = DesNetwork::build(ProtocolKind::FastTrack, 16, 7, &config);
         for ghost in [PeerId(16), PeerId(u32::MAX)] {
-            assert_eq!((step.super_of(ghost), des.super_of(ghost)), (None, None));
+            assert_eq!(net.substrate().super_of(ghost), None);
         }
-        assert_eq!(step.super_of(PeerId(9)), des.super_of(PeerId(9)), "one constructor");
-        assert!(step.super_of(PeerId(9)).is_some());
+        assert!(net.substrate().super_of(PeerId(9)).is_some());
     }
 }

@@ -16,14 +16,13 @@
 //!   compiled [`Probe`] asked of its record signatures, or an
 //!   [`crate::IndexNode`] per super;
 //! * the **[`Sink`]** receives every forwarded copy and every hit batch
-//!   with its delivery time — [`Walk::run`] drains a private per-query
-//!   queue from time 0, [`crate::DesNetwork`] pushes onto its global
-//!   timeline.
+//!   with its delivery time — [`crate::DesNetwork`] pushes each onto its
+//!   timeline as an event.
 //!
 //! Both overlay protocols keep one [`Overlay`] — graph, routing digests,
 //! walker rng, TTL and dedup rule — and every [`Walk`] is assembled from
-//! it in one place, [`Overlay::walk`], for whichever driver is running
-//! the query.
+//! it in one place, [`Overlay::walk`], for the event the driver is
+//! handling.
 //!
 //! Node ids are plain `u32`s: peer ids on the flat overlay, super
 //! indices (which are the supers' peer ids) on the two-tier one.
@@ -33,7 +32,6 @@ use crate::event::PropMode;
 use crate::latency::Latency;
 use crate::message::{SearchHit, SharedFields, Time};
 use crate::peer::PeerId;
-use crate::sim::EventQueue;
 use crate::stats::{MsgKind, NetStats, SearchOutcome};
 use crate::topology::Topology;
 use rand::rngs::StdRng;
@@ -42,6 +40,12 @@ use std::collections::HashSet;
 
 /// One locally matching record: `(key, provider, fields)`.
 pub(crate) type Match = (String, PeerId, SharedFields);
+
+/// A hop's local evaluation: the records node `node` answers with, given
+/// the query's admitted set ([`Progress::admitted`]).
+pub(crate) trait Eval: FnMut(u32, &[u64]) -> Vec<Match> {}
+
+impl<F: FnMut(u32, &[u64]) -> Vec<Match>> Eval for F {}
 
 /// Liveness of `peer`; ids outside the network are dead.
 pub(crate) fn is_alive(alive: &[bool], peer: PeerId) -> bool {
@@ -69,15 +73,6 @@ pub(crate) trait Sink {
     fn forward(&mut self, at: Time, hop: Hop);
     /// A batch of `n` new hits will reach the origin at time `at`.
     fn hits_return(&mut self, at: Time, n: u32);
-}
-
-/// The step drivers' sink: a private per-query queue. Hit times are
-/// already folded into [`Progress`], so the batch itself needs no event.
-impl Sink for EventQueue<Hop> {
-    fn forward(&mut self, at: Time, hop: Hop) {
-        self.push(at, hop);
-    }
-    fn hits_return(&mut self, _at: Time, _n: u32) {}
 }
 
 /// Everything one query accumulates across its hops. Times are absolute
@@ -108,6 +103,9 @@ pub(crate) struct Progress {
     pub admitted: Vec<u64>,
     /// The arena's write count when `admitted` was built; `None` before.
     admitted_at: Option<u64>,
+    /// The query's community as the arena interned it at that count
+    /// (`None`: no record of it exists).
+    community: Option<u32>,
 }
 
 /// The nodes a copy sent by visit `via` travelled, sender first.
@@ -130,18 +128,27 @@ impl Progress {
             picks: Vec::new(),
             admitted: Vec::new(),
             admitted_at: None,
+            community: None,
         }
     }
 
     /// Brings [`Progress::admitted`] up to the arena's write count
-    /// `writes`: `build` rebuilds it when it was built at another count or
-    /// never, so a query the DES has in flight across a write still sees
-    /// every summary as it is at each hop.
-    pub fn admit(&mut self, writes: u64, build: impl FnOnce(&mut Vec<u64>)) {
+    /// `writes` and returns the query's interned community: `build`
+    /// rebuilds the set and looks the community up when they were built
+    /// at another count or never, so a query in flight across a write
+    /// sees every summary, and a community the write interned, as they
+    /// are at each hop.
+    #[inline]
+    pub fn admit(
+        &mut self,
+        writes: u64,
+        build: impl FnOnce(&mut Vec<u64>) -> Option<u32>,
+    ) -> Option<u32> {
         if self.admitted_at != Some(writes) {
-            build(&mut self.admitted);
+            self.community = build(&mut self.admitted);
             self.admitted_at = Some(writes);
         }
+        self.community
     }
 
     /// The route of a copy whose [`Hop::via`] is `via`, entry first and
@@ -204,10 +211,9 @@ impl Overlay {
         Overlay { topology, routes, walk_rng, ttl, dedup }
     }
 
-    /// The walk of one query over this overlay, borrowed for a whole
-    /// query by the step driver and for one event at a time by
-    /// [`crate::DesNetwork`]: the substrate lends its liveness, latency
-    /// model and statistics, `probe` is the query compiled once.
+    /// The walk of one query over this overlay, borrowed for one event at
+    /// a time by [`crate::DesNetwork`]: the substrate lends its liveness,
+    /// latency model and statistics, `probe` is the query compiled once.
     pub fn walk<'a>(
         &'a mut self,
         alive: &'a [bool],
@@ -247,7 +253,7 @@ impl Overlay {
 }
 
 /// What a hop consults and accounts into, borrowed from the substrate
-/// for one query (the step drivers) or one event (the DES engine).
+/// for one event.
 pub(crate) struct Walk<'a> {
     topology: &'a Topology,
     routes: &'a RouteTable,
@@ -279,7 +285,7 @@ impl Walk<'_> {
         eval: E,
         sink: &mut S,
     ) where
-        E: FnMut(u32, &[u64]) -> Vec<Match>,
+        E: Eval,
         S: Sink,
     {
         let mode =
@@ -301,34 +307,13 @@ impl Walk<'_> {
     }
 
     /// Handles the copy `hop` delivered at time `t`.
+    #[inline]
     pub fn arrive<E, S>(&mut self, p: &mut Progress, t: Time, hop: Hop, eval: E, sink: &mut S)
     where
-        E: FnMut(u32, &[u64]) -> Vec<Match>,
+        E: Eval,
         S: Sink,
     {
         self.visit(p, t, hop, true, eval, sink);
-    }
-
-    /// The step driver: runs one query to quiescence on a private queue,
-    /// time base 0, accumulating into `p`, a `Progress::new(0)` the
-    /// caller may have given its admitted set.
-    pub fn run<E>(
-        &mut self,
-        mut p: Progress,
-        origin: u32,
-        entry: Option<u32>,
-        mut eval: E,
-    ) -> SearchOutcome
-    where
-        E: FnMut(u32, &[u64]) -> Vec<Match>,
-    {
-        let mut queue: EventQueue<Hop> = EventQueue::new();
-        self.start(&mut p, 0, origin, entry, &mut eval, &mut queue);
-        while let Some((t, hop)) = queue.pop() {
-            self.arrive(&mut p, t, hop, &mut eval, &mut queue);
-        }
-        p.finish(0, self.stats);
-        p.outcome
     }
 
     /// One visit. `delivered` is false only for the origin's free look at
@@ -342,7 +327,7 @@ impl Walk<'_> {
         mut eval: E,
         sink: &mut S,
     ) where
-        E: FnMut(u32, &[u64]) -> Vec<Match>,
+        E: Eval,
         S: Sink,
     {
         let Hop { to, via, ttl, mode } = hop;
@@ -586,7 +571,7 @@ mod tests {
             Script::new(n, edges, DigestConfig { log2_bits: 8, ..DigestConfig::guided() }, holders)
         }
 
-        fn parts(&mut self) -> (Walk<'_>, impl FnMut(u32, &[u64]) -> Vec<Match> + '_) {
+        fn parts(&mut self) -> (Walk<'_>, impl Eval + '_) {
             let Script { overlay, alive, latency, stats, probe, holders, evaluated } = self;
             let eval = move |node: u32, _: &[u64]| {
                 evaluated.push(node);

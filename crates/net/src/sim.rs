@@ -1,5 +1,5 @@
-//! The discrete-event queue both schedulers drain: a step search's
-//! private per-query queue and the DES engine's global timeline.
+//! The discrete-event queue the DES engine drains: its global timeline,
+//! on which every query, churn transition and digest refresh runs.
 
 use crate::message::Time;
 use std::collections::VecDeque;
@@ -32,7 +32,7 @@ pub struct EventQueue<E> {
     /// The time of the last pop, at or before every queued time.
     last: Time,
     due: VecDeque<E>,
-    /// Grown on first use: a step search builds one queue per query.
+    /// Grown on first use.
     buckets: Vec<Vec<(Time, E)>>,
     /// Bit *i* set iff bucket *i* is non-empty.
     occupied: u64,
@@ -46,6 +46,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` for delivery at virtual time `at`.
+    #[inline]
     pub fn push(&mut self, at: Time, event: E) {
         if at < self.last {
             // a DES query scheduled before the clock after a partial pump:
@@ -63,6 +64,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Pops the earliest event, returning `(time, event)`.
+    #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
         if self.due.is_empty() {
             self.advance();

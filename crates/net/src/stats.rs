@@ -5,14 +5,12 @@
 //! Each kind is counted once, where the substrate sends it: the overlay
 //! walk and the digest refresh in the shared overlay core; the provider
 //! fetch in [`Substrate`](crate::Substrate) itself; the Napster round
-//! trip and the publish uploads beside their protocols' state.
-//! `tests/conservation.rs` runs one script on every protocol, blind and
-//! guided, under both schedulers, and holds the set of kinds
-//! each sends to a table written in the test: a dropped emission empties
-//! its kind, and a stray one (a Gnutella `Publish`) adds one.
-//! `tests/des_equivalence.rs` holds [`DesNetwork`](crate::DesNetwork) to
-//! the step search's count of every kind, so the DES engine counts
-//! nothing of its own.
+//! trip and the publish uploads beside their protocols' state; the
+//! [`DesNetwork`](crate::DesNetwork) that drives them counts nothing of
+//! its own. `tests/conservation.rs` runs one script on every protocol,
+//! blind and guided, and holds the set of kinds each sends to a table
+//! written in the test: a dropped emission empties its kind, and a stray
+//! one (a Gnutella `Publish`) adds one.
 
 use crate::message::Time;
 use std::collections::BTreeMap;

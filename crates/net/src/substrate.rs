@@ -2,30 +2,30 @@
 //!
 //! What every protocol keeps alike lives once, in [`Substrate`]: which
 //! peers are online, the latency model, the statistics, the opening of a
-//! query, the retrieve rule and the [`PeerNetwork`] impl. What differs is
-//! the private `Protocol`: the Napster server's [`IndexNode`]
-//! (`centralized.rs`), every Gnutella peer's records in one
-//! [`RecordArena`] (`flooding.rs`), FastTrack's supers with their indexes
-//! (`superpeer.rs`); the two overlay protocols share one [`Overlay`].
+//! query and the assembly of its walk. What differs is the private
+//! `Protocol`: the Napster server's [`IndexNode`] (`centralized.rs`),
+//! every Gnutella peer's records in one [`RecordArena`] (`flooding.rs`),
+//! FastTrack's supers with their indexes (`superpeer.rs`); the two overlay
+//! protocols share one [`Overlay`].
 //!
-//! Two schedulers drive it: the substrate's own `search`, one query to
-//! quiescence on a private queue, and [`crate::DesNetwork`], which owns a
-//! substrate and moves each query a hop at a time on its global timeline
-//! through [`Substrate::issue`] and [`Substrate::deliver`]. Either way a
-//! hop is the overlay walk (`overlay.rs`) or the server's answer, built
-//! here.
+//! A substrate is protocol state, not a network one can drive:
+//! [`crate::DesNetwork`] owns one and moves each query a hop at a time on
+//! its timeline through [`Substrate::issue`] and [`Substrate::deliver`],
+//! and its [`crate::PeerNetwork`] impl writes, retrieves and toggles
+//! liveness here. A hop is the overlay walk (`overlay.rs`) or the
+//! server's answer, built here.
 
 use crate::digest::Probe;
 use crate::flooding::{FloodingConfig, RecordArena};
 use crate::index_node::IndexNode;
 use crate::latency::Latency;
-use crate::message::{ResourceRecord, Time};
-use crate::overlay::{is_alive, Hop, Match, Overlay, Progress, Sink, Walk};
+use crate::message::Time;
+use crate::overlay::{is_alive, Eval, Hop, Overlay, Progress, Sink, Walk};
 use crate::peer::PeerId;
-use crate::stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
+use crate::stats::NetStats;
 use crate::superpeer::{SuperPeerConfig, Supers};
 use crate::topology::Topology;
-use crate::traits::{PeerNetwork, ProtocolKind};
+use crate::traits::ProtocolKind;
 use crate::NetConfig;
 use up2p_store::Query;
 
@@ -35,8 +35,8 @@ use up2p_store::Query;
 ///
 /// Build it with [`Substrate::build`] from a [`NetConfig`], or with the
 /// per-protocol constructors to set the overlay, TTL, dedup rule or
-/// super count; then drive it through [`PeerNetwork`] or hand it to
-/// [`crate::DesNetwork::new`].
+/// super count; then hand it to [`crate::DesNetwork::new`], which drives
+/// it.
 pub struct Substrate {
     pub(crate) alive: Vec<bool>,
     pub(crate) latency: Latency,
@@ -102,8 +102,8 @@ impl Substrate {
     }
 
     /// A substrate of `kind` for `peers` peers from `config`, seeded by
-    /// `seed` — the one mapping [`crate::build_network_with`] and
-    /// [`crate::DesNetwork::build`] share:
+    /// `seed` — the mapping [`crate::DesNetwork::build`], and with it
+    /// [`crate::build_network_with`], drives:
     ///
     /// * Napster: one index server.
     /// * Gnutella: small-world overlay (2k = 4 neighbors, β = 0.2) under
@@ -217,7 +217,7 @@ impl Substrate {
     /// up to date. `false` means the query never leaves.
     fn begin_query(&mut self, origin: PeerId) -> bool {
         self.stats.queries += 1;
-        let live = self.is_alive(origin);
+        let live = is_alive(&self.alive, origin);
         if live {
             self.refresh_digests();
         }
@@ -234,22 +234,27 @@ impl Substrate {
     /// its hops run: a Gnutella peer in the query's admitted set verifies
     /// the records its signatures admit for `probe`, the query compiled
     /// for `community`; a super answers for its live leaves from its own
-    /// index. On Gnutella the admitted set in `p` is first brought up to
-    /// the arena's writes. `None` on Napster, which has no overlay.
+    /// index. On Gnutella the admitted set in `p`, and the community's
+    /// interned id with it, are first brought up to the arena's writes.
+    /// `None` on Napster, which has no overlay.
+    #[inline(always)]
     pub(crate) fn walk<'a>(
         &'a mut self,
         p: &mut Progress,
         community: &'a str,
         query: &'a Query,
         probe: &'a Probe,
-    ) -> Option<(Walk<'a>, impl FnMut(u32, &[u64]) -> Vec<Match> + 'a)> {
+    ) -> Option<(Walk<'a>, impl Eval + 'a)> {
         let Substrate { alive, latency, stats, protocol } = self;
         let alive: &'a [bool] = alive;
         let (overlay, shares) = match protocol {
             Protocol::Napster(_) => return None,
             Protocol::Gnutella(overlay, shared) => {
-                p.admit(shared.writes(), |set| shared.admitted(probe, set));
-                (overlay, Shares::Arena(shared, shared.community_id(community)))
+                let cid = p.admit(shared.writes(), |set| {
+                    shared.admitted(probe, set);
+                    shared.community_id(community)
+                });
+                (overlay, Shares::Arena(shared, cid))
             }
             Protocol::FastTrack(overlay, supers) => (overlay, Shares::Index(supers)),
         };
@@ -301,6 +306,7 @@ impl Substrate {
     /// its hop, or the server answers, its reply landing when
     /// [`Substrate::issue`] drew it.
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     pub(crate) fn deliver<S: Sink>(
         &mut self,
         p: &mut Progress,
@@ -326,133 +332,4 @@ impl Substrate {
 enum Shares<'a> {
     Arena(&'a RecordArena, Option<u32>),
     Index(&'a Supers),
-}
-
-impl PeerNetwork for Substrate {
-    fn protocol_name(&self) -> &'static str {
-        self.kind().schema_value()
-    }
-
-    fn peer_count(&self) -> usize {
-        self.alive.len()
-    }
-
-    fn is_alive(&self, peer: PeerId) -> bool {
-        is_alive(&self.alive, peer)
-    }
-
-    fn set_alive(&mut self, peer: PeerId, alive: bool) {
-        if let Some(a) = self.alive.get_mut(peer.index()) {
-            *a = alive;
-        }
-    }
-
-    fn publish(&mut self, provider: PeerId, record: ResourceRecord) {
-        let Substrate { alive, stats, protocol, .. } = self;
-        let Some(&online) = alive.get(provider.index()) else { return };
-        match protocol {
-            // an upload needs a session: an offline peer's is dropped
-            Protocol::Napster(server) if online => {
-                stats.sent(MsgKind::Publish);
-                server.insert(provider, &record);
-            }
-            Protocol::FastTrack(overlay, supers) if online => {
-                // first record wins; the digests hear of it when it
-                // enters the super's index
-                if let Some(s) = supers.publish(provider, &record, stats) {
-                    overlay.routes.record_added(s, &record.community, &record.fields);
-                }
-            }
-            // Gnutella shares from the peer's own store, online or not:
-            // no message is sent, and republishing a key replaces the
-            // peer's own record (upsert) — the stored record it replaces
-            // leaves the routing digests, the new one enters them
-            Protocol::Gnutella(overlay, shared) => {
-                if let Some((community, fields)) = shared.upsert(provider.0, &record) {
-                    overlay.routes.record_removed(provider.0, community, &fields);
-                }
-                overlay.routes.record_added(provider.0, &record.community, &record.fields);
-            }
-            Protocol::Napster(_) | Protocol::FastTrack(..) => {}
-        }
-    }
-
-    fn unpublish(&mut self, provider: PeerId, key: &str) {
-        let Substrate { alive, stats, protocol, .. } = self;
-        if provider.index() >= alive.len() {
-            return; // an id outside the network has no session to end
-        }
-        match protocol {
-            Protocol::Napster(server) => {
-                stats.sent(MsgKind::Unpublish);
-                server.remove_slot(provider, key);
-            }
-            Protocol::Gnutella(overlay, shared) => {
-                if let Some((community, fields)) = shared.remove(provider.0, key) {
-                    overlay.routes.record_removed(provider.0, community, &fields);
-                }
-            }
-            Protocol::FastTrack(overlay, supers) => {
-                // the record leaves the digests with its last provider
-                if let Some((s, community, fields)) = supers.unpublish(provider, key, stats) {
-                    overlay.routes.record_removed(s, community, &fields);
-                }
-            }
-        }
-    }
-
-    fn search(&mut self, origin: PeerId, community: &str, query: &Query) -> SearchOutcome {
-        if !self.begin_query(origin) {
-            return SearchOutcome::default();
-        }
-        let mut p = Progress::new(0);
-        if let Protocol::Napster(_) = self.protocol {
-            self.server_trip(&mut p, 0, origin);
-            self.answer(&mut p, community, query);
-            p.finish(0, &mut self.stats);
-            return p.outcome;
-        }
-        let (probe, entry) = (Probe::new(community, query), self.entry(origin));
-        let Some((mut walk, eval)) = self.walk(&mut p, community, query, &probe) else {
-            return SearchOutcome::default();
-        };
-        walk.run(p, origin.0, entry, eval)
-    }
-
-    fn retrieve(&mut self, origin: PeerId, provider: PeerId, key: &str) -> RetrieveOutcome {
-        let Substrate { alive, latency, stats, protocol } = self;
-        stats.retrieves += 1;
-        // a dead peer cannot send, and an unknown id names nobody to send
-        // to: the request never leaves the origin
-        let (true, Some(&provider_alive)) = (is_alive(alive, origin), alive.get(provider.index()))
-        else {
-            return RetrieveOutcome::Unavailable;
-        };
-        stats.sent(MsgKind::Retrieve);
-        if !provider_alive {
-            stats.dropped += 1;
-            return RetrieveOutcome::Unavailable;
-        }
-        let has = match protocol {
-            Protocol::Napster(server) => server.has_provider(key, provider),
-            Protocol::Gnutella(_, shared) => shared.has(provider.0, key),
-            Protocol::FastTrack(_, supers) => supers.owns(provider, key),
-        };
-        if !has {
-            stats.sent(MsgKind::RetrieveFail);
-            return RetrieveOutcome::Unavailable;
-        }
-        stats.sent(MsgKind::RetrieveOk);
-        stats.retrieves_ok += 1;
-        let latency = latency.delay(origin, provider) + latency.delay(provider, origin);
-        RetrieveOutcome::Fetched { provider, latency }
-    }
-
-    fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = NetStats::new();
-    }
 }

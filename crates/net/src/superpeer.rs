@@ -8,7 +8,7 @@
 //! records instead of scanning them. What is FastTrack's alone — the
 //! leaves' assignment, the supers' indexes and the leaf↔super write
 //! path — is [`Supers`]; the rest of the protocol is the one
-//! [`crate::Substrate`]'s.
+//! [`crate::Substrate`]'s and its driver's, [`crate::DesNetwork`].
 
 use crate::digest::DigestConfig;
 use crate::index_node::IndexNode;
@@ -155,6 +155,7 @@ impl Supers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::des::DesNetwork;
     use crate::latency::LatencySpec;
     use crate::stats::{RetrieveOutcome, SearchOutcome};
     use crate::substrate::Substrate;
@@ -165,20 +166,20 @@ mod tests {
         ResourceRecord::new(key, "c", vec![("o/name".to_string(), name.to_string())])
     }
 
-    fn net(n: usize, supers: usize) -> Substrate {
-        Substrate::fasttrack(
+    fn net(n: usize, supers: usize) -> DesNetwork {
+        DesNetwork::new(Substrate::fasttrack(
             n,
             SuperPeerConfig { supers, super_degree: 2, ttl: 6, ..SuperPeerConfig::default() },
             LatencySpec::Constant(1_000).build(n, 1),
             42,
-        )
+        ))
     }
 
     #[test]
     fn leaves_are_assigned_to_supers() {
         let net = net(50, 5);
         for p in 0..50u32 {
-            let s = net.super_of(PeerId(p)).expect("in range");
+            let s = net.substrate().super_of(PeerId(p)).expect("in range");
             assert!(s < 5);
             // a peer is a super exactly when it is its own super
             assert_eq!(s == p as usize, p < 5, "peer {p} under super {s}");
@@ -210,7 +211,7 @@ mod tests {
         let mut net = net(20, 4);
         // find a leaf and kill its super
         let leaf = PeerId(15);
-        let s = net.super_of(leaf).expect("in range");
+        let s = net.substrate().super_of(leaf).expect("in range");
         net.publish(PeerId(10), record("k", "x"));
         net.set_alive(PeerId(s as u32), false);
         let out = net.search(leaf, "c", &Query::any_keyword("x"));
@@ -291,8 +292,8 @@ mod tests {
         assert_eq!(net.stats().messages, 0, "a dead peer cannot send");
     }
 
-    fn guided_net(n: usize, supers: usize) -> Substrate {
-        Substrate::fasttrack(
+    fn guided_net(n: usize, supers: usize) -> DesNetwork {
+        DesNetwork::new(Substrate::fasttrack(
             n,
             SuperPeerConfig {
                 supers,
@@ -302,7 +303,7 @@ mod tests {
             },
             LatencySpec::Constant(1_000).build(n, 1),
             42,
-        )
+        ))
     }
 
     #[test]
@@ -392,7 +393,7 @@ mod tests {
         assert_eq!(got[0].hits, expected.hits);
         assert!(!got[1].hits.is_empty(), "second origin reaches the record too");
         // the lazy digest build is shared state, paid once for the batch
-        let edges = 2 * batch.topology().expect("the super overlay").edge_count() as u64;
+        let edges = 2 * batch.substrate().topology().expect("the super overlay").edge_count() as u64;
         assert_eq!(batch.stats().count(MsgKind::DigestRequest), edges);
         assert_eq!(batch.stats().count(MsgKind::DigestPush), edges);
         assert_eq!(batch.stats().queries, 2);
@@ -404,7 +405,7 @@ mod tests {
         net.publish(PeerId(30), record("k", "x"));
         net.search(PeerId(40), "c", &Query::any_keyword("x"));
         // one request per directed super-overlay edge, pushed once
-        let edges = 2 * net.topology().expect("the super overlay").edge_count() as u64;
+        let edges = 2 * net.substrate().topology().expect("the super overlay").edge_count() as u64;
         assert_eq!(net.stats().count(MsgKind::DigestRequest), edges);
         assert_eq!(net.stats().count(MsgKind::DigestPush), edges);
         // a second search with no publishes in between pays nothing new

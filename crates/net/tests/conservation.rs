@@ -2,19 +2,17 @@
 //! [`MsgKind`]s. One script — two publishes from non-super peers, a
 //! search that hits, a retrieve that fetches, one of a missing key and
 //! one from a dead provider, an unpublish from a leaf and a second search
-//! — runs on every protocol, blind and guided, through both schedulers,
-//! and the kinds with a nonzero count must be the protocol's row of
-//! [`SENDS`]. Deleting an emission site empties its kind; a substrate
-//! counting a kind that is not its own (Gnutella publishes locally, so a
-//! `Publish` there) adds one. The step and DES runs must count every
-//! kind alike, so the DES engine sending anything of its own fails here
-//! as well as in `des_equivalence.rs`. A second script has a known but
-//! offline provider write, come back and be searched for, and holds each
-//! protocol's liveness rule for writes to the counts and hits in a table.
+//! — runs on every protocol, blind and guided, and the kinds with a
+//! nonzero count must be the protocol's row of [`SENDS`]. Deleting an
+//! emission site empties its kind; a substrate counting a kind that is
+//! not its own (Gnutella publishes locally, so a `Publish` there) adds
+//! one. A second script has a known but offline provider write, come back
+//! and be searched for, and holds each protocol's liveness rule for
+//! writes to the counts and hits in a table.
 
 use up2p_net::{
-    build_network_with, DesNetwork, DigestConfig, MsgKind, NetConfig, PeerId, PeerNetwork,
-    ProtocolKind, ResourceRecord,
+    build_network_with, DigestConfig, MsgKind, NetConfig, PeerId, PeerNetwork, ProtocolKind,
+    ResourceRecord,
 };
 use up2p_store::Query;
 
@@ -71,22 +69,20 @@ fn run_script(net: &mut dyn PeerNetwork) -> Vec<(MsgKind, u64)> {
 }
 
 #[test]
-fn every_protocol_sends_exactly_its_own_kinds_under_both_schedulers() {
+fn every_protocol_sends_exactly_its_own_kinds() {
     for (kind, blind) in SENDS {
         for guided in [false, true] {
             let digests = if guided { DigestConfig::guided() } else { DigestConfig::default() };
             let config = NetConfig::new().digests(digests);
-            let step = run_script(&mut *build_network_with(kind, PEERS, SEED, &config));
-            let des = run_script(&mut DesNetwork::build(kind, PEERS, SEED, &config));
-            assert_eq!(step, des, "{kind} (guided: {guided}): the schedulers count alike");
+            let counts = run_script(&mut *build_network_with(kind, PEERS, SEED, &config));
 
             let mut expected = blind.to_vec();
             if guided && kind != ProtocolKind::Napster {
                 expected.extend([MsgKind::DigestPush, MsgKind::DigestRequest]);
             }
             let sent: Vec<MsgKind> =
-                step.iter().filter(|&&(_, n)| n > 0).map(|&(k, _)| k).collect();
-            assert_eq!(sent, expected, "{kind} (guided: {guided}) sent {step:?}");
+                counts.iter().filter(|&&(_, n)| n > 0).map(|&(k, _)| k).collect();
+            assert_eq!(sent, expected, "{kind} (guided: {guided}) sent {counts:?}");
         }
     }
 }
@@ -160,9 +156,7 @@ fn an_offline_provider_writes_by_its_protocols_rule() {
     for (kind, guided, counts, keys) in rows {
         let digests = if guided { DigestConfig::guided() } else { DigestConfig::default() };
         let config = NetConfig::new().digests(digests);
-        let step = offline_script(&mut *build_network_with(kind, PEERS, SEED, &config));
-        let des = offline_script(&mut DesNetwork::build(kind, PEERS, SEED, &config));
-        assert_eq!(step, (counts, keys.iter().map(|k| k.to_string()).collect()), "{kind} {guided}");
-        assert_eq!(des, step, "{kind} (guided: {guided}): the schedulers count alike");
+        let got = offline_script(&mut *build_network_with(kind, PEERS, SEED, &config));
+        assert_eq!(got, (counts, keys.iter().map(|k| k.to_string()).collect()), "{kind} {guided}");
     }
 }

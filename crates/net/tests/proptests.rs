@@ -3,122 +3,26 @@
 //! equivalence oracle for [`IndexNode`], the flood's record gate, and the
 //! event queue's pop order.
 
+mod common;
+
+use common::{
+    field_path, oracle_query, publish_ops, value_word, LinearTable, PublishOp, COMMUNITIES,
+    ORACLE_PEERS,
+};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use up2p_net::sim::EventQueue;
 use up2p_net::{
-    build_network, sign_record, DigestConfig, FloodingConfig, IndexNode, LatencySpec, PeerId,
+    build_network, sign_record, DesNetwork, DigestConfig, FloodingConfig, IndexNode, LatencySpec, PeerId,
     PeerNetwork, Probe, ProtocolKind, RecordArena, ResourceRecord, RouteTable, RoutingDigest,
     SharedFields, Signature, Substrate, Time, Topology,
 };
-use up2p_store::{Query, ValuePattern};
+use up2p_store::Query;
 
 fn record(key: &str, name: &str) -> ResourceRecord {
     ResourceRecord::new(key, "c", vec![("o/name".to_string(), name.to_string())])
-}
-
-// ---------------------------------------------------------------------
-// Index/scan equivalence oracle
-// ---------------------------------------------------------------------
-
-/// One publish operation in the oracle workload.
-#[derive(Debug, Clone)]
-struct PublishOp {
-    key: String,
-    community: &'static str,
-    provider: PeerId,
-    fields: Vec<(String, String)>,
-}
-
-const COMMUNITIES: [&str; 2] = ["alpha", "beta"];
-const ORACLE_PEERS: usize = 8;
-
-fn field_path() -> impl Strategy<Value = &'static str> {
-    prop_oneof![Just("o/name"), Just("o/tag"), Just("meta/name")]
-}
-
-fn value_word() -> impl Strategy<Value = &'static str> {
-    prop_oneof![
-        Just("apple"),
-        Just("banana split"),
-        Just("Observer Pattern"),
-        Just("factory"),
-        Just("errant banana"),
-    ]
-}
-
-fn publish_ops() -> impl Strategy<Value = Vec<PublishOp>> {
-    pvec(
-        (
-            0usize..16,
-            0usize..COMMUNITIES.len(),
-            0u32..ORACLE_PEERS as u32,
-            pvec((field_path(), value_word()), 1..3),
-        ),
-        0..40,
-    )
-    .prop_map(|ops| {
-        ops.into_iter()
-            .map(|(key, community, provider, fields)| PublishOp {
-                key: format!("k{key}"),
-                community: COMMUNITIES[community],
-                provider: PeerId(provider),
-                fields: fields
-                    .into_iter()
-                    .map(|(p, v)| (p.to_string(), v.to_string()))
-                    .collect(),
-            })
-            .collect()
-    })
-}
-
-/// Random queries covering every class the substrates evaluate: exact,
-/// keyword (fielded and any-field), wildcard patterns, and boolean
-/// composition over them.
-fn oracle_query() -> impl Strategy<Value = Query> {
-    let reference = prop_oneof![
-        Just("name"),
-        Just("o/name"),
-        Just("tag"),
-        Just("meta/name"),
-        Just("absent/field"),
-    ];
-    let frag = prop_oneof![
-        Just("apple"),
-        Just("banana"),
-        Just("observer"),
-        Just("pattern"),
-        Just("err"),
-        Just("missing"),
-    ];
-    let leaf = prop_oneof![
-        Just(Query::All),
-        (reference.clone(), frag.clone()).prop_map(|(f, w)| Query::eq(f, w)),
-        (reference.clone(), frag.clone()).prop_map(|(f, w)| Query::contains(f, w)),
-        (reference.clone(), frag.clone()).prop_map(|(f, w)| Query::keyword(f, w)),
-        frag.clone().prop_map(Query::any_keyword),
-        (reference.clone(), frag.clone()).prop_map(|(f, w)| Query::Match {
-            field: f.to_string(),
-            pattern: ValuePattern::from_wildcard(&format!("{w}*")),
-        }),
-        (reference.clone(), frag).prop_map(|(f, w)| Query::Match {
-            field: f.to_string(),
-            pattern: ValuePattern::from_wildcard(&format!("*{w}")),
-        }),
-        reference.prop_map(|f| Query::Match {
-            field: f.to_string(),
-            pattern: ValuePattern::Present,
-        }),
-    ];
-    leaf.prop_recursive(2, 12, 3, |inner| {
-        prop_oneof![
-            pvec(inner.clone(), 0..3).prop_map(Query::and),
-            pvec(inner.clone(), 0..3).prop_map(Query::or),
-            inner.prop_map(|q| Query::Not(Box::new(q))),
-        ]
-    })
 }
 
 /// An `And` of two terms the oracle's values carry in different records
@@ -131,84 +35,6 @@ fn split_and() -> impl Strategy<Value = Query> {
         (field_path(), value_word()).prop_map(|(f, v)| Query::eq(f, v)),
     ];
     (term.clone(), term).prop_map(|(a, b)| Query::and([a, b]))
-}
-
-/// The pre-refactor reference: a flat record table evaluated with a
-/// linear `Query::matches_fields` scan and per-record provider sets
-/// (first publish of a key wins, last provider removes the record).
-///
-/// Emission order is modelled too: within a community a record is
-/// emitted from the place it was admitted to — a new one at the end, or
-/// the place freed last when a record of that community has been removed
-/// since (how the index hands out doc-ids) — providers ascending.
-#[derive(Default)]
-struct LinearTable {
-    records: BTreeMap<String, (ResourceRecord, BTreeSet<PeerId>)>,
-    /// Community → (key per place, freed places in the order freed).
-    places: BTreeMap<String, (Vec<Option<String>>, Vec<usize>)>,
-}
-
-impl LinearTable {
-    fn publish(&mut self, provider: PeerId, record: &ResourceRecord) {
-        if let Some((_, providers)) = self.records.get_mut(&record.key) {
-            providers.insert(provider);
-            return;
-        }
-        self.records.insert(record.key.clone(), (record.clone(), BTreeSet::from([provider])));
-        let (keys, free) = self.places.entry(record.community.clone()).or_default();
-        match free.pop() {
-            Some(place) => keys[place] = Some(record.key.clone()),
-            None => keys.push(Some(record.key.clone())),
-        }
-    }
-
-    /// Last publish wins: the stored record is replaced (leaving its
-    /// place, taking one as any fresh record does) and keeps the
-    /// providers it had.
-    fn upsert(&mut self, provider: PeerId, record: &ResourceRecord) {
-        let kept = self.evict(&record.key);
-        self.publish(provider, record);
-        self.records.get_mut(&record.key).expect("just published").1.extend(kept);
-    }
-
-    fn unpublish(&mut self, provider: PeerId, key: &str) {
-        let Some((_, providers)) = self.records.get_mut(key) else { return };
-        providers.remove(&provider);
-        if providers.is_empty() {
-            self.evict(key);
-        }
-    }
-
-    /// Drops the record and frees its place; returns its providers.
-    fn evict(&mut self, key: &str) -> BTreeSet<PeerId> {
-        let Some((record, providers)) = self.records.remove(key) else { return BTreeSet::new() };
-        let (keys, free) = self.places.get_mut(&record.community).expect("placed at publish");
-        let place = keys.iter().position(|k| k.as_deref() == Some(key)).expect("placed");
-        keys[place] = None;
-        free.push(place);
-        providers
-    }
-
-    fn providers(&self, key: &str) -> Option<&BTreeSet<PeerId>> {
-        self.records.get(key).map(|(_, providers)| providers)
-    }
-
-    fn search(&self, community: &str, query: &Query, alive: &[bool]) -> Vec<(String, PeerId)> {
-        let mut hits = Vec::new();
-        let Some((keys, _)) = self.places.get(community) else { return hits };
-        for key in keys.iter().flatten() {
-            let (record, providers) = &self.records[key];
-            if !query.matches_fields(&record.fields) {
-                continue;
-            }
-            for &p in providers {
-                if alive.get(p.index()).copied().unwrap_or(false) {
-                    hits.push((record.key.clone(), p));
-                }
-            }
-        }
-        hits
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -407,11 +233,11 @@ proptest! {
         queries in pvec(prop_oneof![oracle_query(), split_and()], 1..4),
     ) {
         let mut arena = RecordArena::with_peers(3);
-        let mut net = Substrate::gnutella(
+        let mut net = DesNetwork::new(Substrate::gnutella(
             Topology::empty(3),
             LatencySpec::Constant(1).build(0, 1),
             FloodingConfig { ttl: 0, ..FloodingConfig::default() },
-        );
+        ));
         let mut plain: Vec<IndexNode> = (0..3).map(|_| IndexNode::new()).collect();
         let own = |r: Option<(&str, SharedFields)>| r.map(|(c, f)| (c.to_string(), f.to_vec()));
         let named = |node: &IndexNode, r: Option<(u32, SharedFields)>| {
@@ -529,8 +355,8 @@ proptest! {
     ) {
         let topo = Topology::small_world(n, k, 0.2, seed);
         let edges = topo.edge_count() as u64;
-        let mut net = Substrate::gnutella(
-            topo, LatencySpec::Constant(1_000).build(0, 1), FloodingConfig::default());
+        let mut net = DesNetwork::new(Substrate::gnutella(
+            topo, LatencySpec::Constant(1_000).build(0, 1), FloodingConfig::default()));
         net.publish(PeerId((n as u32).saturating_sub(1)), record("k", "target"));
         let out = net.search(PeerId(origin % n as u32), "c", &Query::any_keyword("target"));
         let hit_budget = out.hits.len() as u64 * 8;
@@ -701,11 +527,11 @@ proptest! {
     ) {
         let build = |digests: DigestConfig| {
             let topo = Topology::small_world(n, k, 0.2, seed);
-            let mut net = Substrate::gnutella(
+            let mut net = DesNetwork::new(Substrate::gnutella(
                 topo,
                 LatencySpec::Constant(1_000).build(0, 1),
                 FloodingConfig { digests, ..FloodingConfig::default() },
-            );
+            ));
             for op in &publishes {
                 let record = ResourceRecord::new(&*op.key, op.community, op.fields.clone());
                 net.publish(op.provider, record);
@@ -746,11 +572,11 @@ proptest! {
         query in oracle_query(),
     ) {
         let topo = Topology::small_world(n, 2, 0.2, seed);
-        let mut net = Substrate::gnutella(
+        let mut net = DesNetwork::new(Substrate::gnutella(
             topo,
             LatencySpec::Constant(1_000).build(0, 1),
             FloodingConfig { digests: DigestConfig::guided(), ..FloodingConfig::default() },
-        );
+        ));
         // per-peer share-table oracle, matching the flooding substrate's
         // semantics: every peer shares its own copy, last publish wins
         let mut tables: BTreeMap<(PeerId, String), ResourceRecord> = BTreeMap::new();

@@ -18,7 +18,9 @@ use crate::workload::{rng_for, Zipf};
 use rand::rngs::StdRng;
 use rand::Rng;
 use up2p_core::{stylesheets, Community, FormKind, FormModel};
-use up2p_net::{churn, FloodingConfig, LatencySpec, PeerId, ProtocolKind, Substrate, Topology};
+use up2p_net::{
+    churn, DesNetwork, FloodingConfig, LatencySpec, PeerId, ProtocolKind, Substrate, Topology,
+};
 use up2p_schema::{FieldKind, SchemaBuilder};
 use up2p_store::{tokenize, Query, Repository, ResourceId};
 use up2p_xml::Document;
@@ -454,7 +456,7 @@ fn flood_world(
     let peers = topo.len();
     let config = FloodingConfig { ttl, dedup, ..FloodingConfig::default() };
     let net = Substrate::gnutella(topo, LatencySpec::Constant(20_000).build(peers, 1), config);
-    pattern_world_over(Box::new(net), peers, replicas, rng)
+    pattern_world_over(Box::new(DesNetwork::new(net)), peers, replicas, rng)
 }
 
 /// The measured stream of E6b–d: the corpus's name queries in rotation,
@@ -641,7 +643,7 @@ fn e11_case(
     churn_storm: bool,
     t: &mut Table,
 ) {
-    use up2p_net::{DesNetwork, PeerNetwork, ResourceRecord};
+    use up2p_net::{PeerNetwork, ResourceRecord};
     let peers = load.peers;
     let mut net = DesNetwork::build(kind, peers, seed, config);
     for (i, fields) in load.records.iter().enumerate() {

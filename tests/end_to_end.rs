@@ -1,10 +1,8 @@
 //! Cross-crate integration tests: the complete U-P2P lifecycle
 //! (bootstrap → publish community → discover → join → create → publish →
 //! search → download → view, then a third peer finding the replica) on
-//! every substrate under both schedulers, plus persistence and
-//! query-surface equivalence.
+//! every substrate, plus persistence and query-surface equivalence.
 
-use up2p::net::{DesNetwork, NetConfig};
 use up2p::sim::corpus::{pattern_community, pattern_values, GOF_PATTERNS};
 use up2p::{
     build_network, Community, FieldKind, PayloadPlane, PeerId, PeerNetwork, ProtocolKind, Query,
@@ -15,16 +13,10 @@ fn all_protocols() -> [ProtocolKind; 3] {
     [ProtocolKind::Napster, ProtocolKind::Gnutella, ProtocolKind::FastTrack]
 }
 
-/// Each protocol under each of its two schedulers: the step substrate
-/// and the discrete-event engine driving that same substrate.
-fn all_worlds() -> Vec<(String, Box<dyn PeerNetwork>)> {
-    let mut worlds: Vec<(String, Box<dyn PeerNetwork>)> = Vec::new();
-    for kind in all_protocols() {
-        worlds.push((format!("step {kind}"), build_network(kind, 48, 9)));
-        let des = DesNetwork::build(kind, 48, 9, &NetConfig::default());
-        worlds.push((format!("des {kind}"), Box::new(des)));
-    }
-    worlds
+/// Each protocol's world, as `build_network` drives it.
+fn all_worlds() -> Vec<(String, Box<dyn PeerNetwork + Send>)> {
+    let world = |kind: ProtocolKind| (kind.to_string(), build_network(kind, 48, 9));
+    all_protocols().into_iter().map(world).collect()
 }
 
 #[test]

@@ -6,7 +6,7 @@ use up2p::{
     build_network, CoreError, PayloadPlane, PeerId, ProtocolKind, Query, Servent,
 };
 use up2p::net::{
-    churn, FloodingConfig, LatencySpec, PeerNetwork, Substrate, Topology,
+    churn, DesNetwork, FloodingConfig, LatencySpec, PeerNetwork, Substrate, Topology,
 };
 
 fn seeded_world(
@@ -62,11 +62,11 @@ fn ttl_exhaustion_hides_distant_objects() {
     for i in 0..7u32 {
         topo.connect(PeerId(i), PeerId(i + 1));
     }
-    let mut net = Substrate::gnutella(
+    let mut net = DesNetwork::new(Substrate::gnutella(
         topo,
         LatencySpec::Constant(10_000).build(0, 1),
         FloodingConfig { ttl: 3, dedup: true, ..FloodingConfig::default() },
-    );
+    ));
     let mut plane = PayloadPlane::new();
     let community = pattern_community();
     let mut far = Servent::new(PeerId(6));
@@ -218,12 +218,12 @@ fn mid_write_crash_loses_nothing_acknowledged() {
 #[test]
 fn orphaned_superpeer_leaves_recover_when_super_returns() {
     use up2p::net::SuperPeerConfig;
-    let mut net = Substrate::fasttrack(
+    let mut net = DesNetwork::new(Substrate::fasttrack(
         24,
         SuperPeerConfig { supers: 4, super_degree: 1, ttl: 4, ..SuperPeerConfig::default() },
         LatencySpec::Constant(10_000).build(0, 1),
         99,
-    );
+    ));
     let mut plane = PayloadPlane::new();
     let community = pattern_community();
     let mut publisher = Servent::new(PeerId(10));
@@ -234,7 +234,7 @@ fn orphaned_superpeer_leaves_recover_when_super_returns() {
     publisher.publish(&mut net, &mut plane, &obj).unwrap();
 
     let leaf = PeerId(15);
-    let super_idx = net.super_of(leaf).expect("leaf is in the network") as u32;
+    let super_idx = net.substrate().super_of(leaf).expect("leaf is in the network") as u32;
     let mut seeker = Servent::new(leaf);
     seeker.join(community.clone());
 

@@ -1,8 +1,9 @@
 //! # up2p-xml
 //!
 //! XML substrate for the U-P2P reproduction: a from-scratch XML 1.0 subset
-//! parser, an arena DOM with parent pointers, a serializer and an XPath 1.0
-//! subset engine.
+//! parser, an arena DOM with parent pointers, one streaming [`Writer`] per
+//! output method (XML, HTML, text) that a tree is replayed into, and an
+//! XPath 1.0 subset engine.
 //!
 //! The paper's implementation used the Xerces (parsing) and Xalan (XSLT)
 //! Java libraries; this crate plays the Xerces role and provides the XPath
@@ -47,7 +48,7 @@ pub use escape::{
     escape_attr, escape_attr_into, escape_comment_into, escape_text, escape_text_into, unescape,
 };
 pub use name::{is_valid_ncname, ParseQNameError, QName};
-pub use writer::WriteOptions;
+pub use writer::{OutputMethod, Sink, Writer};
 pub use xpath::{Context, Value, XNode, XPath};
 
 /// The XML Schema namespace URI (`http://www.w3.org/2001/XMLSchema`).

@@ -18,7 +18,9 @@
 //! wrong number of arguments, is a parse error — a stylesheet a stranger
 //! wrote fails when it compiles, not when it renders. Node-sets may
 //! contain attribute nodes ([`XNode::Attr`]) with correct set-comparison
-//! semantics.
+//! semantics. One evaluation visits at most `MAX_VISITS` nodes (2^22) and
+//! reports an error past that, so a nested query such as `//*[//*[//*]]`
+//! over a deep document fails fast instead of running for hours.
 //!
 //! ```
 //! use up2p_xml::{Document, XPath};
@@ -31,6 +33,7 @@
 
 use crate::document::{Document, NodeId, NodeKind};
 use crate::error::XPathError;
+use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -350,10 +353,11 @@ impl XPath {
     ///
     /// # Errors
     ///
-    /// Returns [`XPathError`] for an unbound variable or a value that is
-    /// not a node-set where one is required (`count('a')`, `'a' | b`).
+    /// Returns [`XPathError`] for an unbound variable, a value that is
+    /// not a node-set where one is required (`count('a')`, `'a' | b`), or
+    /// an evaluation that visits more than `MAX_VISITS` nodes.
     pub fn eval(&self, ctx: &Context<'_>) -> Result<Value, XPathError> {
-        eval_expr(&self.expr, ctx)
+        eval_expr(&self.expr, ctx, &Budget::new())
     }
 
     /// Evaluates with the document root as context node.
@@ -994,30 +998,30 @@ impl<'d> Context<'d> {
     }
 }
 
-fn eval_expr(expr: &Expr, ctx: &Context<'_>) -> Result<Value, XPathError> {
+fn eval_expr(expr: &Expr, ctx: &Context<'_>, budget: &Budget) -> Result<Value, XPathError> {
     match expr {
         Expr::Or(a, b) => {
-            if eval_expr(a, ctx)?.into_bool() {
+            if eval_expr(a, ctx, budget)?.into_bool() {
                 Ok(Value::Bool(true))
             } else {
-                Ok(Value::Bool(eval_expr(b, ctx)?.into_bool()))
+                Ok(Value::Bool(eval_expr(b, ctx, budget)?.into_bool()))
             }
         }
         Expr::And(a, b) => {
-            if !eval_expr(a, ctx)?.into_bool() {
+            if !eval_expr(a, ctx, budget)?.into_bool() {
                 Ok(Value::Bool(false))
             } else {
-                Ok(Value::Bool(eval_expr(b, ctx)?.into_bool()))
+                Ok(Value::Bool(eval_expr(b, ctx, budget)?.into_bool()))
             }
         }
         Expr::Compare(op, a, b) => {
-            let va = eval_expr(a, ctx)?;
-            let vb = eval_expr(b, ctx)?;
+            let va = eval_expr(a, ctx, budget)?;
+            let vb = eval_expr(b, ctx, budget)?;
             Ok(Value::Bool(compare_values(*op, va, vb, ctx.doc)))
         }
         Expr::Arith(op, a, b) => {
-            let va = eval_expr(a, ctx)?.into_number(ctx.doc);
-            let vb = eval_expr(b, ctx)?.into_number(ctx.doc);
+            let va = eval_expr(a, ctx, budget)?.into_number(ctx.doc);
+            let vb = eval_expr(b, ctx, budget)?.into_number(ctx.doc);
             Ok(Value::Num(match op {
                 ArithOp::Add => va + vb,
                 ArithOp::Sub => va - vb,
@@ -1026,12 +1030,12 @@ fn eval_expr(expr: &Expr, ctx: &Context<'_>) -> Result<Value, XPathError> {
                 ArithOp::Mod => va % vb,
             }))
         }
-        Expr::Neg(e) => Ok(Value::Num(-eval_expr(e, ctx)?.into_number(ctx.doc))),
+        Expr::Neg(e) => Ok(Value::Num(-eval_expr(e, ctx, budget)?.into_number(ctx.doc))),
         Expr::Union(a, b) => {
-            let mut na = eval_expr(a, ctx)?.into_nodes()?;
-            let nb = eval_expr(b, ctx)?.into_nodes()?;
+            let mut na = eval_expr(a, ctx, budget)?.into_nodes()?;
+            let nb = eval_expr(b, ctx, budget)?.into_nodes()?;
             na.extend(nb);
-            Ok(Value::Nodes(sort_dedup(na, ctx.doc)))
+            Ok(Value::Nodes(sort_dedup(na, ctx.doc, budget)?))
         }
         Expr::Literal(s) => Ok(Value::Str(s.clone())),
         Expr::Number(n) => Ok(Value::Num(*n)),
@@ -1040,12 +1044,12 @@ fn eval_expr(expr: &Expr, ctx: &Context<'_>) -> Result<Value, XPathError> {
             .get(name)
             .cloned()
             .ok_or_else(|| XPathError::new(format!("unknown variable ${name}"))),
-        Expr::Call(function, args) => call_function(*function, args, ctx),
-        Expr::Path(path) => Ok(Value::Nodes(eval_path(path, ctx)?)),
+        Expr::Call(function, args) => call_function(*function, args, ctx, budget),
+        Expr::Path(path) => Ok(Value::Nodes(eval_path(path, ctx, budget)?)),
     }
 }
 
-fn eval_path(path: &Path, ctx: &Context<'_>) -> Result<Vec<XNode>, XPathError> {
+fn eval_path(path: &Path, ctx: &Context<'_>, budget: &Budget) -> Result<Vec<XNode>, XPathError> {
     let start = if path.absolute {
         XNode::Node(ctx.doc.root())
     } else {
@@ -1053,11 +1057,16 @@ fn eval_path(path: &Path, ctx: &Context<'_>) -> Result<Vec<XNode>, XPathError> {
     };
     let mut current = vec![start];
     for step in &path.steps {
+        // from one node, a step yields its nodes in document order, once each
+        if let [node] = current[..] {
+            current = step_nodes(step, &Context { node, ..*ctx }, budget)?;
+            continue;
+        }
         let mut next = Vec::new();
         for &node in &current {
-            next.extend(eval_step(step, &Context { node, ..*ctx })?);
+            next.extend(step_nodes(step, &Context { node, ..*ctx }, budget)?);
         }
-        current = sort_dedup(next, ctx.doc);
+        current = sort_dedup(next, ctx.doc, budget)?;
     }
     Ok(current)
 }
@@ -1072,16 +1081,19 @@ fn eval_path(path: &Path, ctx: &Context<'_>) -> Result<Vec<XNode>, XPathError> {
 ///
 /// Returns [`XPathError`] for evaluation failures inside predicates.
 pub fn eval_step(step: &Step, ctx: &Context<'_>) -> Result<Vec<XNode>, XPathError> {
-    let mut kept: Vec<XNode> = axis_nodes(ctx.doc, ctx.node, step.axis)
-        .into_iter()
-        .filter(|&c| node_test_matches(ctx.doc, c, step.axis, &step.test))
-        .collect();
+    step_nodes(step, ctx, &Budget::new())
+}
+
+fn step_nodes(step: &Step, ctx: &Context<'_>, budget: &Budget) -> Result<Vec<XNode>, XPathError> {
+    let mut kept = axis_nodes(ctx.doc, ctx.node, step.axis);
+    budget.charge(kept.len())?;
+    kept.retain(|&c| node_test_matches(ctx.doc, c, step.axis, &step.test));
     for pred in &step.predicates {
         let size = kept.len();
         let mut filtered = Vec::new();
         for (i, &cand) in kept.iter().enumerate() {
             let sub = Context { node: cand, position: i + 1, size, ..*ctx };
-            let keep = match eval_expr(pred, &sub)? {
+            let keep = match eval_expr(pred, &sub, budget)? {
                 Value::Num(n) => (i + 1) as f64 == n,
                 other => other.into_bool(),
             };
@@ -1161,15 +1173,81 @@ pub fn node_test_matches(doc: &Document, node: XNode, axis: Axis, test: &NodeTes
     }
 }
 
-fn sort_dedup(mut nodes: Vec<XNode>, doc: &Document) -> Vec<XNode> {
-    nodes.sort_by(|a, b| cmp_xnode(doc, *a, *b));
-    nodes.dedup();
-    nodes
+/// Most nodes one [`XPath::eval`] may visit: each node an axis yields
+/// counts once, and so does each node of the document-order ranking a
+/// sort of more than one context's nodes builds. `//*[//*]` over a
+/// 1 000-element chain stays under it (about 2 million visits);
+/// `//*[//*[//*]]` over 2 000 elements, about 10^10, does not.
+const MAX_VISITS: usize = 1 << 22;
+
+/// One evaluation's remaining visits, and its document-order ranking,
+/// built on the first sort that needs it.
+struct Budget {
+    left: Cell<usize>,
+    ranks: OnceCell<Vec<u32>>,
 }
 
-fn cmp_xnode(doc: &Document, a: XNode, b: XNode) -> std::cmp::Ordering {
+/// The rank of a node the root does not reach.
+const DETACHED: u32 = u32::MAX;
+
+impl Budget {
+    fn new() -> Self {
+        Budget { left: Cell::new(MAX_VISITS), ranks: OnceCell::new() }
+    }
+
+    fn charge(&self, visits: usize) -> Result<(), XPathError> {
+        let left = self.left.get();
+        if visits > left {
+            self.left.set(0);
+            return Err(XPathError::new(format!(
+                "evaluation visits more than {MAX_VISITS} nodes"
+            )));
+        }
+        self.left.set(left - visits);
+        Ok(())
+    }
+
+    /// Each node's position in a pre-order walk from the root.
+    fn ranks(&self, doc: &Document) -> Result<&[u32], XPathError> {
+        if let Some(ranks) = self.ranks.get() {
+            return Ok(ranks);
+        }
+        self.charge(doc.len())?;
+        let mut ranks = vec![DETACHED; doc.len()];
+        let mut next = 0;
+        let mut stack = vec![doc.root()];
+        while let Some(n) = stack.pop() {
+            if let Some(r) = ranks.get_mut(n.index()) {
+                *r = next;
+                next += 1;
+            }
+            stack.extend(doc.children(n).iter().rev());
+        }
+        Ok(self.ranks.get_or_init(|| ranks))
+    }
+}
+
+fn sort_dedup(
+    mut nodes: Vec<XNode>,
+    doc: &Document,
+    budget: &Budget,
+) -> Result<Vec<XNode>, XPathError> {
+    if nodes.len() > 1 {
+        let ranks = budget.ranks(doc)?;
+        nodes.sort_by(|a, b| cmp_xnode(doc, ranks, *a, *b));
+        nodes.dedup();
+    }
+    Ok(nodes)
+}
+
+fn cmp_xnode(doc: &Document, ranks: &[u32], a: XNode, b: XNode) -> std::cmp::Ordering {
     use std::cmp::Ordering;
-    let base = doc.cmp_document_order(a.node_id(), b.node_id());
+    let (a_id, b_id) = (a.node_id(), b.node_id());
+    let rank = |id: NodeId| ranks.get(id.index()).copied().unwrap_or(DETACHED);
+    let base = match (rank(a_id), rank(b_id)) {
+        (DETACHED, DETACHED) => doc.cmp_document_order(a_id, b_id),
+        (ra, rb) => ra.cmp(&rb),
+    };
     if base != Ordering::Equal {
         return base;
     }
@@ -1257,9 +1335,14 @@ fn cmp_bools(op: CmpOp, a: bool, b: bool) -> bool {
 
 /// Runs a call the parser resolved: `args` holds as many arguments as
 /// `f` accepts. An absent optional argument is the context node.
-fn call_function(f: Function, args: &[Expr], ctx: &Context<'_>) -> Result<Value, XPathError> {
+fn call_function(
+    f: Function,
+    args: &[Expr],
+    ctx: &Context<'_>,
+    budget: &Budget,
+) -> Result<Value, XPathError> {
     let doc = ctx.doc;
-    let arg = |i: usize| eval_expr(&args[i], ctx);
+    let arg = |i: usize| eval_expr(&args[i], ctx, budget);
     Ok(match f {
         Function::Position => Value::Num(ctx.position as f64),
         Function::Last => Value::Num(ctx.size as f64),
@@ -1561,6 +1644,38 @@ mod tests {
         let d = doc();
         let xp = XPath::parse("//pattern").unwrap();
         assert_eq!(xp.select_nodes(&d, d.root()).unwrap().len(), 3);
+    }
+
+    /// Visits are counted, not timed: `//*` over an `n`-element chain is
+    /// the root's `n + 1` nodes on `descendant-or-self`, one child from
+    /// each of `n` and an `n + 1`-node ranking; `//*[//*]` adds `//*` less
+    /// its ranking per element; one more level exceeds the budget.
+    #[test]
+    fn evaluation_stops_at_its_visit_budget() {
+        let chain = |n: usize| {
+            let mut d = Document::new();
+            let mut parent = d.root();
+            for _ in 0..n {
+                let e = d.create_element(crate::QName::local_only("e"));
+                d.append_child(parent, e);
+                parent = e;
+            }
+            d
+        };
+        let visits = |d: &Document, source: &str| {
+            let vars = HashMap::new();
+            let budget = Budget::new();
+            let ctx = Context::new(d, XNode::Node(d.root()), &vars);
+            let value = eval_expr(XPath::parse(source).unwrap().expr(), &ctx, &budget);
+            (value.map(|v| v.into_nodes().unwrap().len()), MAX_VISITS - budget.left.get())
+        };
+        let (short, long) = (chain(1_000), chain(2_000));
+        assert_eq!(visits(&long, "//*"), (Ok(2_000), 2_001 + 2_000 + 2_001));
+        let quadratic = 1_001 + 1_000 + 1_000 * (1_001 + 1_000) + 1_001;
+        assert_eq!(visits(&short, "//*[//*]"), (Ok(1_000), quadratic));
+        let (value, n) = visits(&long, "//*[//*[//*]]");
+        assert!(value.unwrap_err().message().contains("visits more than"));
+        assert_eq!(n, MAX_VISITS);
     }
 
     #[test]

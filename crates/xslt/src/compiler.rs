@@ -9,7 +9,7 @@
 
 use crate::error::XsltError;
 use crate::pattern::Pattern;
-use up2p_xml::{Document, NodeId, QName, XPath, XSLT_NS};
+use up2p_xml::{Document, NodeId, OutputMethod, QName, XPath, XSLT_NS};
 
 /// One part of an attribute value template: literal text or an embedded
 /// expression.
@@ -211,18 +211,6 @@ pub struct Template {
     pub body: Vec<Instruction>,
     /// Declaration order (later wins among equal priority).
     pub order: usize,
-}
-
-/// Output method requested by `xsl:output`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OutputMethod {
-    /// XML serialization (default).
-    #[default]
-    Xml,
-    /// HTML serialization (void elements, no self-closing).
-    Html,
-    /// Concatenated text.
-    Text,
 }
 
 /// A compiled stylesheet, ready to be applied to source documents.

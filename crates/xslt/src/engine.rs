@@ -1,13 +1,12 @@
 //! The transformation engine: applies a compiled [`Stylesheet`] to a source
-//! document, producing a result document.
+//! document, writing the result into an output sink — a tree for
+//! [`Stylesheet::apply`], text for [`Stylesheet::apply_to_string`].
 
-use crate::compiler::{
-    Avt, AvtPart, Instruction, OutputMethod, ParamBinding, SortSpec, Stylesheet, Template,
-};
+use crate::compiler::{Avt, AvtPart, Instruction, ParamBinding, SortSpec, Stylesheet, Template};
 use crate::error::XsltError;
-use crate::output;
+use crate::output::{Capture, Output, TreeSink};
 use std::collections::HashMap;
-use up2p_xml::{Context, Document, NodeId, NodeKind, QName, Value, XNode, XPath};
+use up2p_xml::{Context, Document, NodeKind, QName, Value, Writer, XNode, XPath};
 
 /// Maximum template-application nesting before the engine reports runaway
 /// recursion. Kept conservative: each level costs several stack frames and
@@ -15,6 +14,10 @@ use up2p_xml::{Context, Document, NodeId, NodeKind, QName, Value, XNode, XPath};
 /// stylesheets nest a handful of levels; source trees deeper than this are
 /// pathological.
 const MAX_DEPTH: usize = 64;
+
+/// First guess at a page's size: a generated view or form page (130 to
+/// 1 600 bytes) grows at most once.
+const PAGE_BYTES: usize = 1024;
 
 impl Stylesheet {
     /// Applies the stylesheet to `source`, returning the result tree.
@@ -37,13 +40,32 @@ impl Stylesheet {
         source: &Document,
         params: &HashMap<String, Value>,
     ) -> Result<Document, XsltError> {
-        let mut engine = Engine {
-            sheet: self,
-            src: source,
-            out: Document::new(),
-            vars: params.clone(),
-            depth: 0,
-        };
+        let mut tree = TreeSink::new();
+        self.run(source, params.clone(), &mut tree)?;
+        Ok(tree.into_document())
+    }
+
+    /// Applies the stylesheet and writes the result as text per its
+    /// `xsl:output` method, streaming: no result tree is built. The bytes
+    /// are those of [`Stylesheet::apply`]'s tree serialized by the same
+    /// method.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Stylesheet::apply`].
+    pub fn apply_to_string(&self, source: &Document) -> Result<String, XsltError> {
+        let mut page = Writer::with_capacity(self.output_method(), PAGE_BYTES);
+        self.run(source, HashMap::new(), &mut page)?;
+        Ok(page.finish())
+    }
+
+    fn run(
+        &self,
+        source: &Document,
+        vars: HashMap<String, Value>,
+        out: &mut impl Output,
+    ) -> Result<(), XsltError> {
+        let mut engine = Engine { sheet: self, src: source, vars, depth: 0 };
         // global variables, evaluated against the root context
         for g in &self.globals {
             if engine.vars.contains_key(&g.name) {
@@ -52,35 +74,13 @@ impl Stylesheet {
             let v = engine.eval_binding(g, XNode::Node(source.root()), 1, 1)?;
             engine.vars.insert(g.name.clone(), v);
         }
-        let root = engine.out.root();
-        engine.apply_templates_to(
-            &[XNode::Node(source.root())],
-            None,
-            &[],
-            root,
-        )?;
-        Ok(engine.out)
-    }
-
-    /// Applies the stylesheet and serializes per its `xsl:output` method.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Stylesheet::apply`].
-    pub fn apply_to_string(&self, source: &Document) -> Result<String, XsltError> {
-        let doc = self.apply(source)?;
-        Ok(match self.output_method() {
-            OutputMethod::Xml => doc.to_xml_string(),
-            OutputMethod::Html => output::to_html(&doc),
-            OutputMethod::Text => doc.text_content(doc.root()),
-        })
+        engine.apply_templates_to(&[XNode::Node(source.root())], None, &[], out)
     }
 }
 
 struct Engine<'s, 'd> {
     sheet: &'s Stylesheet,
     src: &'d Document,
-    out: Document,
     /// Flat variable map with shadow/restore handled by an undo log at
     /// each scope boundary.
     vars: HashMap<String, Value>,
@@ -163,8 +163,8 @@ impl Engine<'_, '_> {
         }
     }
 
-    /// Executes instructions into a detached fragment and returns its
-    /// string value (used for variables-with-body, attribute bodies, ...).
+    /// Runs a body into a [`Capture`] and returns the text it wrote
+    /// (variables-with-body, attribute and comment bodies).
     fn exec_to_string(
         &mut self,
         body: &[Instruction],
@@ -172,9 +172,9 @@ impl Engine<'_, '_> {
         pos: usize,
         size: usize,
     ) -> Result<String, XsltError> {
-        let frag = self.out.create_element(QName::local_only("fragment"));
-        self.exec_all(body, node, pos, size, frag)?;
-        Ok(self.out.text_content(frag))
+        let mut text = Capture::default();
+        self.exec_all(body, node, pos, size, &mut text)?;
+        Ok(text.0)
     }
 
     fn exec_all(
@@ -183,11 +183,11 @@ impl Engine<'_, '_> {
         node: XNode,
         pos: usize,
         size: usize,
-        parent: NodeId,
+        out: &mut impl Output,
     ) -> Result<(), XsltError> {
         let mut undo = Undo::new();
         for inst in body {
-            self.exec(inst, node, pos, size, parent, &mut undo)?;
+            self.exec(inst, node, pos, size, out, &mut undo)?;
         }
         self.unwind(undo);
         Ok(())
@@ -199,41 +199,38 @@ impl Engine<'_, '_> {
         node: XNode,
         pos: usize,
         size: usize,
-        parent: NodeId,
+        out: &mut impl Output,
         undo: &mut Undo,
     ) -> Result<(), XsltError> {
+        let src = self.src;
         match inst {
-            Instruction::Text(t) => {
-                let id = self.out.create_text(t.clone());
-                self.out.append_child(parent, id);
-            }
+            Instruction::Text(t) => out.text(t),
             Instruction::ValueOf(xp) => {
                 let s = self.eval_string(xp, node, pos, size)?;
                 if !s.is_empty() {
-                    let id = self.out.create_text(s);
-                    self.out.append_child(parent, id);
+                    out.text(&s);
                 }
             }
             Instruction::LiteralElement { name, attributes, body } => {
-                let el = self.out.create_element(name.clone());
-                self.out.append_child(parent, el);
+                out.start_element(name);
                 for (aname, avt) in attributes {
                     let v = self.eval_avt(avt, node, pos, size)?;
-                    self.out.set_attr(el, aname.clone(), v);
+                    out.attribute(aname, &v);
                 }
-                self.exec_all(body, node, pos, size, el)?;
+                self.exec_all(body, node, pos, size, out)?;
+                out.end_element(name);
             }
             Instruction::Element { name, body } => {
                 let n = self.eval_avt(name, node, pos, size)?;
                 let qname: QName = n
                     .parse()
                     .map_err(|_| XsltError::new(format!("xsl:element produced bad name {n:?}")))?;
-                let el = self.out.create_element(qname);
-                self.out.append_child(parent, el);
-                self.exec_all(body, node, pos, size, el)?;
+                out.start_element(&qname);
+                self.exec_all(body, node, pos, size, out)?;
+                out.end_element(&qname);
             }
             Instruction::Attribute { name, body } => {
-                if !self.out.is_element(parent) {
+                if !out.in_element() {
                     return Err(XsltError::new(
                         "xsl:attribute outside an element context",
                     ));
@@ -243,27 +240,27 @@ impl Engine<'_, '_> {
                     XsltError::new(format!("xsl:attribute produced bad name {n:?}"))
                 })?;
                 let v = self.exec_to_string(body, node, pos, size)?;
-                self.out.set_attr(parent, qname, v);
+                out.attribute(&qname, &v);
             }
             Instruction::If { test, body } => {
                 if self.eval(test, node, pos, size)?.into_bool() {
-                    self.exec_all(body, node, pos, size, parent)?;
+                    self.exec_all(body, node, pos, size, out)?;
                 }
             }
             Instruction::Choose { whens, otherwise } => {
                 for (test, body) in whens {
                     if self.eval(test, node, pos, size)?.into_bool() {
-                        return self.exec_all(body, node, pos, size, parent);
+                        return self.exec_all(body, node, pos, size, out);
                     }
                 }
-                self.exec_all(otherwise, node, pos, size, parent)?;
+                self.exec_all(otherwise, node, pos, size, out)?;
             }
             Instruction::ForEach { select, sort, body } => {
                 let nodes = self.eval(select, node, pos, size)?.into_nodes()?;
                 let nodes = self.sorted(nodes, sort)?;
                 let n = nodes.len();
                 for (i, item) in nodes.into_iter().enumerate() {
-                    self.exec_all(body, item, i + 1, n, parent)?;
+                    self.exec_all(body, item, i + 1, n, out)?;
                 }
             }
             Instruction::Variable(binding) => {
@@ -274,89 +271,59 @@ impl Engine<'_, '_> {
                 Value::Nodes(nodes) => {
                     for n in nodes {
                         match n {
-                            XNode::Node(id) => {
-                                if matches!(self.src.kind(id), NodeKind::Document) {
-                                    for &c in self.src.children(id) {
-                                        let copy = self.out.import_subtree(self.src, c);
-                                        self.out.append_child(parent, copy);
-                                    }
-                                } else {
-                                    let copy = self.out.import_subtree(self.src, id);
-                                    self.out.append_child(parent, copy);
-                                }
-                            }
+                            XNode::Node(id) => src.replay(id, out),
                             XNode::Attr(owner, idx) => {
-                                if let Some(a) = self.src.attributes(owner).get(idx) {
-                                    if self.out.is_element(parent) {
-                                        self.out.set_attr(
-                                            parent,
-                                            a.name.clone(),
-                                            a.value.clone(),
-                                        );
-                                    }
+                                if let Some(a) = src.attributes(owner).get(idx) {
+                                    out.attribute(&a.name, &a.value);
                                 }
                             }
                         }
                     }
                 }
                 other => {
-                    let s = other.into_string(self.src);
+                    let s = other.into_string(src);
                     if !s.is_empty() {
-                        let id = self.out.create_text(s);
-                        self.out.append_child(parent, id);
+                        out.text(&s);
                     }
                 }
             },
             Instruction::Copy { body } => match node {
-                XNode::Node(id) => match self.src.kind(id).clone() {
+                XNode::Node(id) => match src.kind(id) {
                     NodeKind::Element { name, .. } => {
-                        let el = self.out.create_element(name);
-                        self.out.append_child(parent, el);
-                        self.exec_all(body, node, pos, size, el)?;
+                        out.start_element(name);
+                        self.exec_all(body, node, pos, size, out)?;
+                        out.end_element(name);
                     }
-                    NodeKind::Text(t) => {
-                        let id = self.out.create_text(t);
-                        self.out.append_child(parent, id);
-                    }
-                    NodeKind::Comment(c) => {
-                        let id = self.out.create_comment(c);
-                        self.out.append_child(parent, id);
-                    }
-                    NodeKind::Document => {
-                        self.exec_all(body, node, pos, size, parent)?;
-                    }
+                    NodeKind::Text(t) => out.text(t),
+                    NodeKind::Comment(c) => out.comment(c),
+                    NodeKind::Document => self.exec_all(body, node, pos, size, out)?,
                     NodeKind::ProcessingInstruction { target, data } => {
-                        let id = self.out.create_pi(target, data);
-                        self.out.append_child(parent, id);
+                        out.processing_instruction(target, data)
                     }
                 },
                 XNode::Attr(owner, idx) => {
-                    if let Some(a) = self.src.attributes(owner).get(idx) {
-                        if self.out.is_element(parent) {
-                            let (n, v) = (a.name.clone(), a.value.clone());
-                            self.out.set_attr(parent, n, v);
-                        }
+                    if let Some(a) = src.attributes(owner).get(idx) {
+                        out.attribute(&a.name, &a.value);
                     }
                 }
             },
             Instruction::Comment { body } => {
                 let s = self.exec_to_string(body, node, pos, size)?;
-                let id = self.out.create_comment(s);
-                self.out.append_child(parent, id);
+                out.comment(&s);
             }
             Instruction::ApplyTemplates { select, mode, params, sort } => {
                 let nodes = match select {
                     Some(xp) => self.eval(xp, node, pos, size)?.into_nodes()?,
                     None => match node {
                         XNode::Node(id) => {
-                            self.src.children(id).iter().map(|&c| XNode::Node(c)).collect()
+                            src.children(id).iter().map(|&c| XNode::Node(c)).collect()
                         }
                         XNode::Attr(..) => Vec::new(),
                     },
                 };
                 let nodes = self.sorted(nodes, sort)?;
                 let bound = self.bind_params(params, node, pos, size)?;
-                self.apply_templates_to(&nodes, mode.as_deref(), &bound, parent)?;
+                self.apply_templates_to(&nodes, mode.as_deref(), &bound, out)?;
             }
             Instruction::CallTemplate { name, params } => {
                 let template = self
@@ -366,7 +333,7 @@ impl Engine<'_, '_> {
                     .find(|t| t.name.as_deref() == Some(name.as_str()))
                     .ok_or_else(|| XsltError::new(format!("no template named {name:?}")))?;
                 let bound = self.bind_params(params, node, pos, size)?;
-                self.run_template(template, node, pos, size, &bound, parent)?;
+                self.run_template(template, node, pos, size, &bound, out)?;
             }
         }
         Ok(())
@@ -425,15 +392,15 @@ impl Engine<'_, '_> {
         nodes: &[XNode],
         mode: Option<&str>,
         params: &[(String, Value)],
-        parent: NodeId,
+        out: &mut impl Output,
     ) -> Result<(), XsltError> {
         let size = nodes.len();
         for (i, &node) in nodes.iter().enumerate() {
             match best_template(self.sheet, self.src, node, mode) {
                 Some(t) => {
-                    self.run_template(t, node, i + 1, size, params, parent)?;
+                    self.run_template(t, node, i + 1, size, params, out)?;
                 }
-                None => self.builtin_rule(node, mode, parent)?,
+                None => self.builtin_rule(node, mode, out)?,
             }
         }
         Ok(())
@@ -446,7 +413,7 @@ impl Engine<'_, '_> {
         pos: usize,
         size: usize,
         params: &[(String, Value)],
-        parent: NodeId,
+        out: &mut impl Output,
     ) -> Result<(), XsltError> {
         self.depth += 1;
         if self.depth > MAX_DEPTH {
@@ -462,7 +429,7 @@ impl Engine<'_, '_> {
             };
             self.bind_var(&mut undo, &p.name, value);
         }
-        let result = self.exec_all(&template.body, node, pos, size, parent);
+        let result = self.exec_all(&template.body, node, pos, size, out);
         self.unwind(undo);
         self.depth -= 1;
         result
@@ -473,10 +440,11 @@ impl Engine<'_, '_> {
         &mut self,
         node: XNode,
         mode: Option<&str>,
-        parent: NodeId,
+        out: &mut impl Output,
     ) -> Result<(), XsltError> {
+        let src = self.src;
         match node {
-            XNode::Node(id) => match self.src.kind(id) {
+            XNode::Node(id) => match src.kind(id) {
                 NodeKind::Document | NodeKind::Element { .. } => {
                     self.depth += 1;
                     if self.depth > MAX_DEPTH {
@@ -484,22 +452,20 @@ impl Engine<'_, '_> {
                         return Err(XsltError::new("template recursion too deep"));
                     }
                     let children: Vec<XNode> =
-                        self.src.children(id).iter().map(|&c| XNode::Node(c)).collect();
-                    let r = self.apply_templates_to(&children, mode, &[], parent);
+                        src.children(id).iter().map(|&c| XNode::Node(c)).collect();
+                    let r = self.apply_templates_to(&children, mode, &[], out);
                     self.depth -= 1;
                     r
                 }
                 NodeKind::Text(t) => {
-                    let id = self.out.create_text(t.clone());
-                    self.out.append_child(parent, id);
+                    out.text(t);
                     Ok(())
                 }
                 _ => Ok(()),
             },
             XNode::Attr(owner, idx) => {
-                if let Some(a) = self.src.attributes(owner).get(idx) {
-                    let id = self.out.create_text(a.value.clone());
-                    self.out.append_child(parent, id);
+                if let Some(a) = src.attributes(owner).get(idx) {
+                    out.text(&a.value);
                 }
                 Ok(())
             }
@@ -925,6 +891,91 @@ mod tests {
             out,
             r#"<table><tr id="r1"><td c="1">a</td><td c="2">b</td></tr><tr id="r2"><td c="1">c</td></tr></table>"#
         );
+    }
+
+    /// Both paths: the streamed page, and the tree serialized by the same
+    /// output method.
+    fn both_paths(xslt: &str, xml: &str) -> [String; 2] {
+        let sheet = Stylesheet::parse(xslt).unwrap();
+        let src = Document::parse(xml).unwrap();
+        let tree = sheet.apply(&src).unwrap();
+        let serialized = match sheet.output_method() {
+            up2p_xml::OutputMethod::Xml => tree.to_xml_string(),
+            up2p_xml::OutputMethod::Html => crate::to_html(&tree),
+            up2p_xml::OutputMethod::Text => tree.text_content(tree.root()),
+        };
+        [sheet.apply_to_string(&src).unwrap(), serialized]
+    }
+
+    /// Variable, attribute and comment bodies are captured as text, not
+    /// built as detached fragments: every node of the tree is reachable.
+    #[test]
+    fn apply_builds_no_orphan_nodes() {
+        let sheet = Stylesheet::parse(&format!(
+            r#"<xsl:stylesheet {XSL_NS}>
+              <xsl:template match="/">
+                <xsl:variable name="v"><b><xsl:value-of select="//n"/></b>!</xsl:variable>
+                <r><xsl:attribute name="a"><i>x</i><xsl:value-of select="$v"/></xsl:attribute>
+                  <xsl:comment><p>c</p><xsl:value-of select="$v"/></xsl:comment>
+                  <xsl:value-of select="$v"/></r>
+              </xsl:template>
+            </xsl:stylesheet>"#
+        ))
+        .unwrap();
+        let src = Document::parse("<d><n>7</n></d>").unwrap();
+        let out = sheet.apply(&src).unwrap();
+        assert_eq!(out.to_xml_string(), r#"<r a="x7!"><!--c7!-->7!</r>"#);
+        assert_eq!(out.len(), 1 + out.descendants(out.root()).len());
+        assert_eq!(out.len(), 4); // document, r, comment, text
+    }
+
+    /// XSLT 1.0 §7.1.3: an attribute added to an element after its first
+    /// content is ignored — by `xsl:attribute`, by `xsl:copy` of an
+    /// attribute and by `xsl:copy-of` of attributes, on both paths. Before
+    /// any content, or after only empty text, it lands.
+    #[test]
+    fn an_attribute_after_content_is_ignored_on_both_paths() {
+        let src = r#"<d k="1" j="2">t</d>"#;
+        for (body, expected) in [
+            (r#"<r>t<xsl:attribute name="a">1</xsl:attribute></r>"#, "<r>t</r>"),
+            (r#"<r><e/><xsl:attribute name="a">1</xsl:attribute></r>"#, "<r><e/></r>"),
+            (r#"<r><xsl:comment/><xsl:copy-of select="/d/@k"/></r>"#, "<r><!----></r>"),
+            (r#"<r>t<xsl:copy-of select="/d/@*"/></r>"#, "<r>t</r>"),
+            (r#"<r><xsl:copy-of select="/d/@*"/>t</r>"#, r#"<r k="1" j="2">t</r>"#),
+            (
+                r#"<r>t<xsl:for-each select="/d/@*"><xsl:copy/></xsl:for-each></r>"#,
+                "<r>t</r>",
+            ),
+            (
+                r#"<r><xsl:for-each select="/d/@*"><xsl:copy/></xsl:for-each>t</r>"#,
+                r#"<r k="1" j="2">t</r>"#,
+            ),
+            (
+                r#"<r a="0"><xsl:text></xsl:text><xsl:value-of select="/d/@none"/><xsl:attribute name="a">1</xsl:attribute></r>"#,
+                r#"<r a="1"/>"#,
+            ),
+        ] {
+            let sheet = format!(
+                r#"<xsl:stylesheet {XSL_NS}><xsl:template match="/">{body}</xsl:template></xsl:stylesheet>"#
+            );
+            assert_eq!(both_paths(&sheet, src), [expected, expected], "{body}");
+        }
+    }
+
+    /// The body of a void HTML element still runs: the attributes it sets
+    /// land, and its content is dropped.
+    #[test]
+    fn attributes_set_in_a_void_elements_body_land() {
+        let sheet = format!(
+            r#"<xsl:stylesheet {XSL_NS}>
+              <xsl:output method="html"/>
+              <xsl:template match="/">
+                <p><input type="text"><xsl:attribute name="value"><xsl:value-of select="//v"/></xsl:attribute><xsl:copy-of select="/d/@k"/>dropped<b>too</b><xsl:attribute name="late">x</xsl:attribute></input><br/></p>
+              </xsl:template>
+            </xsl:stylesheet>"#
+        );
+        let expected = r#"<p><input type="text" value="a&quot;b" k="1"><br></p>"#;
+        assert_eq!(both_paths(&sheet, r#"<d k="1"><v>a"b</v></d>"#), [expected, expected]);
     }
 
     #[test]

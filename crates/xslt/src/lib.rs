@@ -5,6 +5,12 @@
 //! turns a community's XML Schema into create/search/view HTML interfaces
 //! by applying XSLT stylesheets; this crate executes those stylesheets.
 //!
+//! One interpreter runs a compiled [`Stylesheet`] into an output sink:
+//! [`Stylesheet::apply`] builds the result tree, and
+//! [`Stylesheet::apply_to_string`] streams the page straight into
+//! [`up2p_xml::Writer`] by the sheet's `xsl:output` method (XML, HTML or
+//! text), building no tree — byte for byte what the tree serializes to.
+//!
 //! ```
 //! use up2p_xslt::Stylesheet;
 //! use up2p_xml::Document;
@@ -33,9 +39,9 @@ mod error;
 mod output;
 mod pattern;
 
-pub use compiler::{
-    Avt, AvtPart, Instruction, OutputMethod, ParamBinding, SortSpec, Stylesheet, Template,
-};
+pub use compiler::{Avt, AvtPart, Instruction, ParamBinding, SortSpec, Stylesheet, Template};
 pub use error::XsltError;
 pub use output::to_html;
+/// Output method requested by `xsl:output`.
+pub use up2p_xml::OutputMethod;
 pub use pattern::Pattern;

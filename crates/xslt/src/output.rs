@@ -1,77 +1,133 @@
-//! HTML output method (`xsl:output method="html"`).
+//! The sinks a transformation writes into.
 //!
-//! Differences from XML serialization that matter for browser-facing
-//! output: void elements (`<br>`, `<input>`, ...) are written without a
-//! closing tag, non-void empty elements keep an explicit closing tag
-//! (`<div></div>`, never `<div/>`), and the contents of `<script>` and
-//! `<style>` are not entity-escaped.
+//! The engine runs every stylesheet once, generic over an [`Output`]:
+//!
+//! * [`Writer`] (from `up2p-xml`): [`Stylesheet::apply_to_string`]
+//!   streams the result straight into text by the sheet's `xsl:output`
+//!   method, building no tree;
+//! * [`TreeSink`]: [`Stylesheet::apply`] builds the result [`Document`];
+//! * [`Capture`]: the body of an `xsl:variable`, `xsl:param`,
+//!   `xsl:with-param`, `xsl:attribute` or `xsl:comment` becomes its text.
+//!
+//! The output methods' rules (escaping, `<a/>`, HTML void elements, raw
+//! `script`/`style` text, the comment guard) live in the writer alone:
+//! [`to_html`] replays a tree into it. Every sink ignores an attribute
+//! that arrives after its element's first content (XSLT 1.0 §7.1.3).
+//!
+//! [`Stylesheet::apply_to_string`]: crate::Stylesheet::apply_to_string
+//! [`Stylesheet::apply`]: crate::Stylesheet::apply
 
-use up2p_xml::{escape_attr_into, escape_comment_into, escape_text_into, Document, NodeId, NodeKind};
+use up2p_xml::{Document, NodeId, OutputMethod, QName, Sink, Writer};
 
-/// HTML void elements per the HTML 4.01 / XHTML-era list the paper's
-/// browser targets understood.
-const VOID_ELEMENTS: &[&str] = &[
-    "area", "base", "br", "col", "hr", "img", "input", "link", "meta", "param",
-];
+/// A sink the engine can run a stylesheet into.
+pub(crate) trait Output: Sink {
+    /// Whether an `xsl:attribute` here has an element (or, in a capture,
+    /// a result tree fragment) to go to.
+    fn in_element(&self) -> bool;
+}
+
+impl Output for Writer {
+    fn in_element(&self) -> bool {
+        self.open_elements() > 0
+    }
+}
+
+/// Builds the result tree.
+pub(crate) struct TreeSink {
+    doc: Document,
+    /// The innermost open node: an element, or the document node.
+    open: NodeId,
+    /// Whether `open` has content yet.
+    content: bool,
+}
+
+impl TreeSink {
+    pub(crate) fn new() -> Self {
+        let doc = Document::new();
+        let open = doc.root();
+        TreeSink { doc, open, content: false }
+    }
+
+    pub(crate) fn into_document(self) -> Document {
+        self.doc
+    }
+
+    /// Appends `id` to the innermost open node; `shown` marks it content.
+    fn append(&mut self, id: NodeId, shown: bool) {
+        self.doc.append_child(self.open, id);
+        self.content |= shown;
+    }
+}
+
+impl Sink for TreeSink {
+    fn start_element(&mut self, name: &QName) {
+        let el = self.doc.create_element(name.clone());
+        self.append(el, true);
+        self.open = el;
+        self.content = false;
+    }
+
+    fn attribute(&mut self, name: &QName, value: &str) {
+        if !self.content {
+            self.doc.set_attr(self.open, name.clone(), value);
+        }
+    }
+
+    fn end_element(&mut self, _: &QName) {
+        if let Some(parent) = self.doc.parent(self.open) {
+            // the element just closed is content of its parent
+            self.open = parent;
+            self.content = true;
+        }
+    }
+
+    fn text(&mut self, text: &str) {
+        let id = self.doc.create_text(text);
+        self.append(id, !text.is_empty());
+    }
+
+    fn comment(&mut self, text: &str) {
+        let id = self.doc.create_comment(text);
+        self.append(id, true);
+    }
+
+    fn processing_instruction(&mut self, target: &str, data: &str) {
+        let id = self.doc.create_pi(target, data);
+        self.append(id, true);
+    }
+}
+
+impl Output for TreeSink {
+    fn in_element(&self) -> bool {
+        self.open != self.doc.root()
+    }
+}
+
+/// Keeps the text of what a body writes: its string value as a result
+/// tree fragment. Markup, attributes and comments leave nothing.
+#[derive(Default)]
+pub(crate) struct Capture(pub(crate) String);
+
+impl Sink for Capture {
+    fn start_element(&mut self, _: &QName) {}
+    fn attribute(&mut self, _: &QName, _: &str) {}
+    fn end_element(&mut self, _: &QName) {}
+    fn text(&mut self, text: &str) {
+        self.0.push_str(text);
+    }
+    fn comment(&mut self, _: &str) {}
+    fn processing_instruction(&mut self, _: &str, _: &str) {}
+}
+
+impl Output for Capture {
+    fn in_element(&self) -> bool {
+        true
+    }
+}
 
 /// Serializes a result tree using the HTML output method.
 pub fn to_html(doc: &Document) -> String {
-    let mut out = String::new();
-    for &child in doc.children(doc.root()) {
-        write_html(doc, child, &mut out, false);
-    }
-    out
-}
-
-fn write_html(doc: &Document, id: NodeId, out: &mut String, raw_text: bool) {
-    match doc.kind(id) {
-        NodeKind::Document => {
-            for &c in doc.children(id) {
-                write_html(doc, c, out, raw_text);
-            }
-        }
-        NodeKind::Element { name, attributes } => {
-            out.push('<');
-            name.push_to(out);
-            for a in attributes {
-                out.push(' ');
-                a.name.push_to(out);
-                out.push_str("=\"");
-                escape_attr_into(out, &a.value);
-                out.push('"');
-            }
-            out.push('>');
-            let local = name.local();
-            if VOID_ELEMENTS.iter().any(|v| local.eq_ignore_ascii_case(v)) {
-                return; // no closing tag, children ignored
-            }
-            let raw = local.eq_ignore_ascii_case("script") || local.eq_ignore_ascii_case("style");
-            for &c in doc.children(id) {
-                write_html(doc, c, out, raw);
-            }
-            out.push_str("</");
-            name.push_to(out);
-            out.push('>');
-        }
-        NodeKind::Text(t) => {
-            if raw_text {
-                out.push_str(t);
-            } else {
-                escape_text_into(out, t);
-            }
-        }
-        NodeKind::Comment(c) => {
-            out.push_str("<!--");
-            // an HTML parser also ends a comment at a `>` or `->` right
-            // after `<!--`; the space keeps those inside it
-            if c.starts_with('>') || c.starts_with("->") {
-                out.push(' ');
-            }
-            escape_comment_into(out, c);
-            out.push_str("-->");
-        }
-        NodeKind::ProcessingInstruction { .. } => {}
-    }
+    doc.serialize(OutputMethod::Html)
 }
 
 #[cfg(test)]
@@ -145,6 +201,7 @@ mod tests {
             let src = ElementBuilder::new("item").child_text("title", title).build();
             let out = sheet.apply_to_string(&src).unwrap();
             assert_eq!(out, html, "{title:?}");
+            assert_eq!(to_html(&sheet.apply(&src).unwrap()), html, "{title:?}");
             // the page holds exactly one comment, and it ends where it
             // was meant to
             let body = &out["<div><!--".len()..];

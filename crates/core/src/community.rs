@@ -194,6 +194,12 @@ impl Community {
     }
 
     /// The built-in root community (Fig. 3 schema, fixed id).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the compiled-in root schema does not parse, which the
+    /// crate's own tests rule out.
+    #[expect(clippy::expect_used, reason = "compile-time literal XSD of the root community; validated by the crate's own tests, a parse failure is a build defect")]
     pub fn root() -> Community {
         Community {
             id: ROOT_COMMUNITY_ID.to_string(),
@@ -204,7 +210,6 @@ impl Community {
             keywords: "community discovery bootstrap metaclass".to_string(),
             category: "meta".to_string(),
             ..Community::of_schema(ROOT_SCHEMA_XSD)
-                // panic-ok: compile-time literal XSD of the root community; validated by the crate's own tests, a parse failure is a build defect
                 .expect("the paper's Fig. 3 schema always parses")
         }
     }

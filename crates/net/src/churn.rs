@@ -18,13 +18,13 @@ use rand::{Rng, SeedableRng};
 /// # Panics
 ///
 /// Panics if `availability` is outside `[0, 1]`.
+#[expect(clippy::disallowed_macros, reason = "`# Panics` on an availability outside [0, 1]; its callers are E5, which passes 0.9 / 0.7 / 0.5, and tests passing literals")]
 pub fn apply_snapshot(
     net: &mut dyn PeerNetwork,
     availability: f64,
     pinned: &[PeerId],
     rng: &mut StdRng,
 ) {
-    // panic-ok: `# Panics` on an availability outside [0, 1]; its callers are E5, which passes 0.9 / 0.7 / 0.5, and tests passing literals
     assert!((0.0..=1.0).contains(&availability), "availability must be a probability");
     for i in 0..net.peer_count() {
         let p = PeerId(i as u32);

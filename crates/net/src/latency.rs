@@ -62,12 +62,12 @@ impl LatencySpec {
     /// # Panics
     ///
     /// Panics if a `Uniform` range is empty (`min >= max`).
+    #[expect(clippy::disallowed_macros, reason = "`# Panics` unless min < max; every `Uniform` spec in the tree is a literal pair with min < max (the benchmark uses `Coordinate`)")]
     pub fn build(self, n: usize, seed: u64) -> Latency {
         let mut rng = StdRng::seed_from_u64(seed);
         let positions = match self {
             LatencySpec::Coordinate { .. } => (0..n).map(|_| rng.gen::<f64>()).collect(),
             LatencySpec::Uniform(min, max) => {
-                // panic-ok: `# Panics` unless min < max; every `Uniform` spec in the tree is a literal pair with min < max (the benchmark uses `Coordinate`)
                 assert!(min < max, "empty latency range");
                 Vec::new()
             }

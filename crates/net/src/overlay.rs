@@ -418,7 +418,7 @@ impl Walk<'_> {
     /// when any exist, else up to `walk_width` random walkers, drawn from
     /// the neighbours in topology order, so stale or saturated digests
     /// degrade to extra messages, not misses.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one hop's progress, clock, sender, trail entry, TTL, width and sink, each differing per call")]
     fn forward_guided<S: Sink>(
         &mut self,
         p: &mut Progress,

@@ -278,7 +278,7 @@ impl Substrate {
     /// The first event of a query the DES engine scheduled at `origin`,
     /// at `t`: opens it, then sends the Napster request toward the server
     /// or starts the overlay walk.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the DES engine passes the query's fields apart, borrowed from its own event and progress state")]
     pub(crate) fn issue<S: Sink>(
         &mut self,
         p: &mut Progress,
@@ -305,7 +305,7 @@ impl Substrate {
     /// A copy of the query reaches `hop.to` at `t`: an overlay node runs
     /// its hop, or the server answers, its reply landing when
     /// [`Substrate::issue`] drew it.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the DES engine passes the query's fields apart, borrowed from its own event and progress state")]
     #[inline(always)]
     pub(crate) fn deliver<S: Sink>(
         &mut self,

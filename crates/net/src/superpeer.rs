@@ -60,8 +60,8 @@ impl Supers {
     /// # Panics
     ///
     /// Panics if `config.supers` is zero or exceeds `n`.
+    #[expect(clippy::disallowed_macros, reason = "`# Panics` unless 1 <= supers <= n; `Substrate::build` passes `NetConfig::super_count`, clamped to 1..=n, and builds at least one peer; the other callers are tests with literal counts below n")]
     pub fn new(n: usize, config: SuperPeerConfig, seed: u64) -> (Supers, Topology) {
-        // panic-ok: `# Panics` unless 1 <= supers <= n; `Substrate::build` passes `NetConfig::super_count`, clamped to 1..=n, and builds at least one peer; the other callers are tests with literal counts below n
         assert!(config.supers > 0 && config.supers <= n, "invalid super count");
         let mut rng = StdRng::seed_from_u64(seed);
         let super_of = (0..n)

@@ -221,8 +221,8 @@ pub const GOF_PATTERNS: [PatternRecord; 23] = [
 
 /// A community this file builds from literals: a schema that fails to
 /// build is a defect here, which the tests below catch.
+#[expect(clippy::expect_used, reason = "compile-time literal XSD; validated by the crate's own tests, a parse failure is a build defect")]
 fn literal(built: Result<Community, CoreError>) -> Community {
-    // panic-ok: compile-time literal XSD; validated by the crate's own tests, a parse failure is a build defect
     built.expect("static schema is valid")
 }
 

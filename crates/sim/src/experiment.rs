@@ -1,6 +1,5 @@
 //! World construction: N servents over one simulated fabric.
-//!
-//! panic-ok: the experiment harness fails fast; continuing after a failed publish would silently skew every measured table
+#![expect(clippy::expect_used, reason = "the experiment harness fails fast; continuing after a failed publish would silently skew every measured table")]
 
 use crate::corpus;
 use crate::workload::{assign_providers, rng_for};
@@ -79,6 +78,10 @@ impl World {
     }
 
     /// Runs one search from a peer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `peer` is not a member of `community`.
     pub fn search_from(
         &mut self,
         peer: usize,

@@ -27,13 +27,13 @@ impl Table {
     /// # Panics
     ///
     /// Panics when the cell count differs from the header count.
+    #[expect(clippy::disallowed_macros, reason = "`# Panics` when the cell count differs from the header count; every scenario passes a fixed-length row written beside its header list, and the committed smoke tables render every table in tier-1")]
     pub fn row<I, S>(&mut self, cells: I) -> &mut Table
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
         let row: Vec<String> = cells.into_iter().map(Into::into).collect();
-        // panic-ok: `# Panics` when the cell count differs from the header count; every scenario passes a fixed-length row written beside its header list, and the committed smoke tables render every table in tier-1
         assert_eq!(row.len(), self.headers.len(), "row width mismatch in {:?}", self.title);
         self.rows.push(row);
         self

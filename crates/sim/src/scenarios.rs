@@ -4,8 +4,7 @@
 //! reaches a table, so every cell is a function of `(scale, seed)` —
 //! `tests/golden/smoke.md` is `run_all(Scale::Smoke, 42)`, committed.
 //! Wall-clock measurement of the product lives in `up2p_bench/`.
-//!
-//! panic-ok: the scenario harness fails fast on its own fixed corpus; a failure here invalidates the run, not the servent
+#![expect(clippy::expect_used, clippy::disallowed_macros, reason = "the scenario harness fails fast on its own fixed corpus; a failure here invalidates the run, not the servent")]
 
 use crate::corpus::{
     self, mp3_community, pattern_community, pattern_filename, pattern_values, song_filename,
@@ -112,6 +111,10 @@ fn name_in_category_query(p: &PatternRecord) -> Query {
 /// validate → index → view) over the GoF corpus and reports what each
 /// stage produced. What a stage costs is the benchmark's per-layer
 /// anatomy (`author_publish`, `community_ui`).
+///
+/// # Panics
+///
+/// Panics if a stage fails on the fixed GoF corpus.
 pub fn e1_pipeline() -> Table {
     let mut t = Table::new(
         "E1 (Fig. 1): generative pipeline over the GoF corpus (23 objects)",
@@ -158,6 +161,11 @@ pub fn e1_pipeline() -> Table {
 /// and renders it for each, reporting output size vs schema size. All
 /// sizes must succeed — that is the Fig. 2 "operates on any community
 /// schema" claim.
+///
+/// # Panics
+///
+/// Panics if a generated schema fails to build, derive or render, or
+/// its create form drops a field.
 pub fn e2_generation(sizes: &[usize]) -> Table {
     let mut t = Table::new(
         "E2 (Fig. 2): interface generation vs schema size",
@@ -191,6 +199,11 @@ pub fn e2_generation(sizes: &[usize]) -> Table {
 /// E3: publishes `communities` community objects into the root community
 /// of a fabric of `peers`, then issues Zipf-popular discovery queries;
 /// reports success rate, messages and latency per protocol.
+///
+/// # Panics
+///
+/// Panics if a generated community fails to build or publish, or a
+/// discovery query fails.
 pub fn e3_discovery(scale: Scale, seed: u64) -> Table {
     let mut t = Table::new(
         "E3 (Fig. 3): community discovery via the root community",

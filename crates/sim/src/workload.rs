@@ -19,8 +19,8 @@ impl Zipf {
     /// # Panics
     ///
     /// Panics when `n` is zero.
+    #[expect(clippy::disallowed_macros, reason = "`# Panics` on an empty domain; callers pass corpus constants (5 000, 1 000), the 23 pattern names, or a community count of at least 16")]
     pub fn new(n: usize, s: f64) -> Zipf {
-        // panic-ok: `# Panics` on an empty domain; callers pass corpus constants (5 000, 1 000), the 23 pattern names, or a community count of at least 16
         assert!(n > 0, "zipf over empty domain");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;

@@ -278,6 +278,7 @@ impl Document {
     ///
     /// Panics if `child` already has a parent, if `parent` cannot have
     /// children (text/comment/PI), or if the edge would create a cycle.
+    #[expect(clippy::disallowed_macros, reason = "`# Panics` unless the child is detached, the parent is the document or an element, and they differ; the parser, `ElementBuilder`, the XSLT engine, forms and the servent each append a node they created or imported a line before to an element or document node they hold; the cycle check is a `debug_assert!`, gone from release builds")]
     pub fn append_child(&mut self, parent: NodeId, child: NodeId) {
         let container =
             matches!(self.data(parent).kind, NodeKind::Document | NodeKind::Element { .. });
@@ -287,7 +288,6 @@ impl Document {
             (_, _, true) => "node cannot be its own child",
             _ => "",
         };
-        // panic-ok: `# Panics` unless the child is detached, the parent is the document or an element, and they differ; the parser, `ElementBuilder`, the XSLT engine, forms and the servent each append a node they created or imported a line before to an element or document node they hold
         assert!(misuse.is_empty(), "append_child: {misuse}");
         debug_assert!(
             !self.descendants(child).contains(&parent),

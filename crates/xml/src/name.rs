@@ -109,16 +109,16 @@ impl From<&str> for QName {
     ///
     /// Panics if the string is not a valid qualified name. Use `str::parse`
     /// for the fallible conversion.
+    #[expect(clippy::panic, reason = "the documented panicking conversion for names written as literals in this source; strings from a schema, a form or the wire go through `str::parse`")]
     fn from(s: &str) -> Self {
-        // panic-ok: the documented panicking conversion for names written as literals in this source; strings from a schema, a form or the wire go through `str::parse`
         s.parse().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
 /// `part` of a name written as a literal, checked: the one panic of
 /// [`QName::local_only`] and [`QName::prefixed`].
+#[expect(clippy::disallowed_macros, reason = "`QName::local_only` / `prefixed` panic on an invalid NCName (`# Panics`); they take literals only — the XSLT engine's `fragment`, and tests — and names read from input go through `str::parse`")]
 fn ncname(what: &str, part: &str) -> Box<str> {
-    // panic-ok: `QName::local_only` / `prefixed` panic on an invalid NCName (`# Panics`); they take literals only — the XSLT engine's `fragment`, and tests — and names read from input go through `str::parse`
     assert!(is_valid_ncname(part), "invalid XML {what}: {part:?}");
     part.into()
 }

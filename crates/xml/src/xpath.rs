@@ -171,7 +171,7 @@ fn parse_number(s: &str) -> f64 {
 
 /// Axes supported by the subset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // variants mirror the XPath axis names directly
+#[expect(missing_docs, reason = "variants mirror the XPath axis names directly")]
 pub enum Axis {
     Child,
     Attribute,
@@ -224,7 +224,7 @@ pub struct Path {
 
 /// Binary comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // =, !=, <, <=, >, >=
+#[expect(missing_docs, reason = "variants are the operators =, !=, <, <=, >, >=")]
 pub enum CmpOp {
     Eq,
     Ne,
@@ -236,7 +236,7 @@ pub enum CmpOp {
 
 /// Binary arithmetic operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // +, -, *, div, mod
+#[expect(missing_docs, reason = "variants are the operators +, -, *, div, mod")]
 pub enum ArithOp {
     Add,
     Sub,
@@ -249,7 +249,7 @@ pub enum ArithOp {
 /// these and checks its argument count, so evaluation never meets an
 /// unknown name or a missing argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // variants mirror the XPath function names directly
+#[expect(missing_docs, reason = "variants mirror the XPath function names directly")]
 pub enum Function {
     Position,
     Last,
@@ -293,7 +293,7 @@ impl Function {
 
 /// Parsed expression tree.
 #[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // variants mirror the XPath grammar productions
+#[expect(missing_docs, reason = "variants mirror the XPath grammar productions")]
 pub enum Expr {
     Or(Box<Expr>, Box<Expr>),
     And(Box<Expr>, Box<Expr>),

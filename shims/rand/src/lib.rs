@@ -72,6 +72,7 @@ pub trait SampleUniform: Sized {
 macro_rules! impl_uniform_int {
     ($($t:ty),*) => {
         $(impl SampleUniform for $t {
+            #[expect(clippy::disallowed_macros, reason = "mirrors upstream `rand`'s documented panic on an empty range")]
             fn sample_range<R: RngCore + ?Sized>(rng: &mut R, range: Range<Self>) -> Self {
                 assert!(range.start < range.end, "cannot sample empty range");
                 let span = (range.end as i128 - range.start as i128) as u128;
@@ -85,6 +86,7 @@ macro_rules! impl_uniform_int {
 impl_uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl SampleUniform for f64 {
+    #[expect(clippy::disallowed_macros, reason = "mirrors upstream `rand`'s documented panic on an empty range")]
     fn sample_range<R: RngCore + ?Sized>(rng: &mut R, range: Range<Self>) -> Self {
         assert!(range.start < range.end, "cannot sample empty range");
         let u = f64::sample_standard(rng);
@@ -93,6 +95,7 @@ impl SampleUniform for f64 {
 }
 
 impl SampleUniform for f32 {
+    #[expect(clippy::disallowed_macros, reason = "mirrors upstream `rand`'s documented panic on an empty range")]
     fn sample_range<R: RngCore + ?Sized>(rng: &mut R, range: Range<Self>) -> Self {
         assert!(range.start < range.end, "cannot sample empty range");
         let u = f32::sample_standard(rng);
@@ -116,6 +119,7 @@ pub trait Rng: RngCore {
         T::sample_range(self, range)
     }
 
+    #[expect(clippy::disallowed_macros, reason = "mirrors upstream `rand`'s documented panic on a probability outside [0, 1]")]
     fn gen_bool(&mut self, p: f64) -> bool
     where
         Self: Sized,

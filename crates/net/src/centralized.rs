@@ -75,7 +75,7 @@ mod tests {
     use crate::latency::LatencySpec;
     use crate::message::ResourceRecord;
     use crate::peer::PeerId;
-    use crate::stats::MsgKind;
+    use crate::stats::{Fate, MsgKind};
     use crate::substrate::Substrate;
     use crate::traits::PeerNetwork;
     use up2p_store::Query;
@@ -128,7 +128,8 @@ mod tests {
         assert_eq!(net.stats().count(MsgKind::Retrieve), 3);
         assert_eq!(net.stats().count(MsgKind::RetrieveOk), 1);
         assert_eq!(net.stats().count(MsgKind::RetrieveFail), 1);
-        assert_eq!(net.stats().dropped, 1, "the dead provider's request is dropped");
+        let offline = net.stats().fate_count(Fate::ProviderOffline);
+        assert_eq!(offline, 1, "the dead provider's request is dropped");
     }
 
     #[test]

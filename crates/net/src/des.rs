@@ -22,6 +22,8 @@
 //! walk's [`Sink`] here makes every forwarded copy a `Query` (or
 //! `ServerQuery`) event and every hit batch a `HitDeliver`, counted in
 //! the query's `pending`, with the query's issue time as the time base.
+//! The hop's [`Fate`] comes back from the substrate, and `dispatch`
+//! counts it once.
 //! `tests/search_oracle.rs` holds every blind search to what the world
 //! it runs on must yield.
 
@@ -32,7 +34,7 @@ use crate::message::{ResourceRecord, Time};
 use crate::overlay::{is_alive, Hop, Progress, Sink};
 use crate::peer::PeerId;
 use crate::sim::EventQueue;
-use crate::stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
+use crate::stats::{Fate, MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
 use crate::substrate::{Protocol, Substrate};
 use crate::traits::{PeerNetwork, ProtocolKind};
 use crate::NetConfig;
@@ -122,7 +124,8 @@ pub struct DesNetwork {
     clock: Time,
     events_processed: u64,
     peak_queue: usize,
-    log: Option<Vec<String>>,
+    /// `(time, event, hop fate)` per processed event, when tracing.
+    trace: Option<Vec<(Time, DesEvent, Option<Fate>)>>,
 }
 
 impl std::fmt::Debug for DesNetwork {
@@ -151,7 +154,7 @@ impl DesNetwork {
             clock: 0,
             events_processed: 0,
             peak_queue: 0,
-            log: None,
+            trace: None,
         }
     }
 
@@ -199,16 +202,16 @@ impl DesNetwork {
         self.peak_queue = self.peak_queue.max(self.queue.len());
     }
 
-    /// Starts recording one log line per processed event (for the
-    /// determinism/replay tests).
-    pub fn enable_event_log(&mut self) {
-        self.log = Some(Vec::new());
+    /// Starts recording every processed event with its hop's fate (for
+    /// the replay and conservation tests).
+    pub fn enable_trace(&mut self) {
+        self.trace = Some(Vec::new());
     }
 
-    /// The recorded event log (empty unless
-    /// [`DesNetwork::enable_event_log`] was called).
-    pub fn event_log(&self) -> &[String] {
-        self.log.as_deref().unwrap_or(&[])
+    /// The recorded trace, in processing order (empty unless
+    /// [`DesNetwork::enable_trace`] was called).
+    pub fn trace(&self) -> &[(Time, DesEvent, Option<Fate>)] {
+        self.trace.as_deref().unwrap_or(&[])
     }
 
     /// Drains the queue, then returns every not-yet-taken query outcome
@@ -284,16 +287,15 @@ impl DesNetwork {
         while let Some((t, ev)) = self.queue.pop() {
             self.clock = self.clock.max(t);
             self.events_processed += 1;
-            if let Some(log) = &mut self.log {
+            if let Some(trace) = &mut self.trace {
                 // a copy of its own, so the event itself need not live in
-                // memory on the unlogged path
-                let (ev, queries, retired) = (ev.clone(), &mut self.queries, self.retired);
-                log.push(ev.log_line(t, |qid, via| {
-                    let qs = query_mut(queries, retired, qid);
-                    qs.map_or_else(Vec::new, |qs| qs.progress.route(via))
-                }));
+                // memory on the untraced path
+                trace.push((t, ev.clone(), None));
             }
-            let finished = self.dispatch(t, ev);
+            let (finished, fate) = self.dispatch(t, ev);
+            if let Some((_, _, slot)) = self.trace.as_mut().and_then(|trace| trace.last_mut()) {
+                *slot = fate;
+            }
             self.peak_queue = self.peak_queue.max(self.queue.len());
             if finished.is_some() && finished == until {
                 return;
@@ -305,18 +307,19 @@ impl DesNetwork {
     /// on the timeline — its issue, a copy delivered to an overlay node or
     /// to the Napster server, or a hit batch landing; whether the query
     /// leaves at all and everything its walk decides is the substrate's.
-    /// Returns the query's id when this event was its last: the query is
-    /// then closed, its times made relative to its issue and its dedup
-    /// sets released.
-    fn dispatch(&mut self, t: Time, ev: DesEvent) -> Option<u32> {
+    /// Counts and returns the fate of the hop it was, if it was one, and
+    /// the query's id when this event was its last: the query is then
+    /// closed, its times made relative to its issue and its dedup sets
+    /// released.
+    fn dispatch(&mut self, t: Time, ev: DesEvent) -> (Option<u32>, Option<Fate>) {
         let qid = match ev {
             DesEvent::Churn { peer, online } => {
                 self.set_alive(peer, online);
-                return None;
+                return (None, None);
             }
             DesEvent::DigestRefresh => {
                 self.refresh_digests();
-                return None;
+                return (None, None);
             }
             DesEvent::QueryIssue { qid }
             | DesEvent::Query { qid, .. }
@@ -324,30 +327,34 @@ impl DesNetwork {
             | DesEvent::HitDeliver { qid, .. } => qid,
         };
         let Self { substrate, queue, queries, retired, .. } = self;
-        let qs = query_mut(queries, *retired, qid)?;
+        let Some(qs) = query_mut(queries, *retired, qid) else { return (None, None) };
         qs.pending = qs.pending.saturating_sub(1);
         let QueryState { origin, community, query, probe, progress, pending, .. } = &mut *qs;
         let mut sink = Timeline { qid, pending, queue };
-        match ev {
+        let fate = match ev {
             DesEvent::QueryIssue { .. } => {
                 substrate.issue(progress, t, *origin, community, query, probe, &mut sink)
             }
             DesEvent::Query { to, via, ttl, mode, .. } => {
                 let hop = Hop { to, via, ttl, mode };
-                substrate.deliver(progress, t, hop, community, query, probe, &mut sink)
+                Some(substrate.deliver(progress, t, hop, community, query, probe, &mut sink))
             }
             DesEvent::ServerQuery { .. } => {
-                substrate.deliver(progress, t, Hop::SERVER, community, query, probe, &mut sink)
+                let hop = Hop::SERVER;
+                Some(substrate.deliver(progress, t, hop, community, query, probe, &mut sink))
             }
             // a hit batch landing is one thing less to wait for
-            _ => {}
+            _ => None,
+        };
+        if let Some(fate) = fate {
+            substrate.stats.ended(fate);
         }
         if qs.done || qs.pending != 0 {
-            return None;
+            return (None, fate);
         }
         qs.done = true;
         qs.progress.finish(qs.issued_at, &mut substrate.stats);
-        Some(qid)
+        (Some(qid), fate)
     }
 }
 
@@ -446,7 +453,7 @@ impl PeerNetwork for DesNetwork {
         };
         stats.sent(MsgKind::Retrieve);
         if !provider_alive {
-            stats.dropped += 1;
+            stats.ended(Fate::ProviderOffline);
             return RetrieveOutcome::Unavailable;
         }
         let has = match protocol {
@@ -598,23 +605,25 @@ mod tests {
     }
 
     #[test]
-    fn event_log_records_processed_events() {
+    fn trace_records_processed_events_and_their_fates() {
         let mut net = DesNetwork::new(Substrate::napster(2, constant(1)));
-        net.enable_event_log();
+        net.enable_trace();
         net.publish(PeerId(1), track("k1", "ella"));
         net.schedule_query(0, PeerId(0), "tracks", q("ella"));
         net.run();
-        let log = net.event_log();
-        assert_eq!(log.len(), 3, "issue + server-query + hits: {log:?}");
-        assert_eq!(log[0], "0 issue q0");
-        assert_eq!(log[1], "1 server-query q0");
-        assert_eq!(log[2], "2 hits q0 n=1");
+        let expected = [
+            (0, DesEvent::QueryIssue { qid: 0 }, None),
+            (1, DesEvent::ServerQuery { qid: 0 }, Some(Fate::Answered)),
+            (2, DesEvent::HitDeliver { qid: 0, hits: 1 }, None),
+        ];
+        assert_eq!(net.trace(), expected);
+        assert_eq!(net.stats().fate_count(Fate::Answered), 1);
     }
 
     #[test]
     fn a_query_scheduled_before_the_clock_runs_in_time_then_push_order() {
         let mut net = DesNetwork::new(Substrate::napster(4, constant(10)));
-        net.enable_event_log();
+        net.enable_trace();
         net.publish(PeerId(1), track("k1", "ella"));
         net.schedule_query(25, PeerId(2), "tracks", q("ella"));
         // the search pumps the timeline only until its own query is done
@@ -626,24 +635,26 @@ mod tests {
         net.schedule_query(5, PeerId(2), "tracks", q("ella"));
         net.schedule_query(25, PeerId(3), "tracks", q("ella"));
         assert_eq!(net.run().len(), 4);
+        use DesEvent::{HitDeliver as Hits, QueryIssue as Issue, ServerQuery as Server};
         let expected = [
-            "0 issue q1",
-            "10 server-query q1",
-            "20 hits q1 n=1",
-            "5 issue q2",
-            "5 issue q3",
-            "15 server-query q2",
-            "15 server-query q3",
-            "25 issue q0",
-            "25 issue q4",
-            "25 hits q2 n=1",
-            "25 hits q3 n=1",
-            "35 server-query q0",
-            "35 server-query q4",
-            "45 hits q0 n=1",
-            "45 hits q4 n=1",
+            (0, Issue { qid: 1 }),
+            (10, Server { qid: 1 }),
+            (20, Hits { qid: 1, hits: 1 }),
+            (5, Issue { qid: 2 }),
+            (5, Issue { qid: 3 }),
+            (15, Server { qid: 2 }),
+            (15, Server { qid: 3 }),
+            (25, Issue { qid: 0 }),
+            (25, Issue { qid: 4 }),
+            (25, Hits { qid: 2, hits: 1 }),
+            (25, Hits { qid: 3, hits: 1 }),
+            (35, Server { qid: 0 }),
+            (35, Server { qid: 4 }),
+            (45, Hits { qid: 0, hits: 1 }),
+            (45, Hits { qid: 4, hits: 1 }),
         ];
-        assert_eq!(net.event_log(), expected);
+        let processed: Vec<_> = net.trace().iter().map(|(t, ev, _)| (*t, ev.clone())).collect();
+        assert_eq!(processed, expected);
     }
 
     /// 0 - 1 - 2 - 3 - 4 at 10 µs a link, with a query for "coltrane"

@@ -6,7 +6,6 @@
 //! virtual-time queue, so a churn storm can land *while* a query is
 //! still in flight. This module defines that event vocabulary.
 
-use crate::message::Time;
 use crate::peer::PeerId;
 
 /// How a query copy propagates through the overlay-search core: blind
@@ -30,8 +29,10 @@ pub enum PropMode {
 /// [`DesEvent::Query`] is the overlay core's in-flight query copy with a
 /// query id attached: like it, the event names the visit that sent it
 /// (`via`, an index into the query's trail of forwarding visits) instead
-/// of carrying the route travelled so far.
-#[derive(Debug, Clone)]
+/// of carrying the route travelled so far. The trail is built only from
+/// earlier events of the same run, so two runs with equal events took
+/// equal routes.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DesEvent {
     /// A scheduled query leaves its origin.
     QueryIssue {
@@ -74,48 +75,4 @@ pub enum DesEvent {
     },
     /// A scheduled routing-digest rebuild.
     DigestRefresh,
-}
-
-impl DesEvent {
-    /// One deterministic log line for the replay tests: everything that
-    /// identifies the event, rendered without hashing or addresses so
-    /// two same-seed runs produce byte-identical logs. A query copy is
-    /// logged with the route it travelled (*excluding* the destination;
-    /// the last element is the immediate sender), which `route(qid, via)`
-    /// resolves through the query's trail — asked only for a
-    /// [`DesEvent::Query`], so only a run that logs pays for routes.
-    pub fn log_line(&self, t: Time, route: impl FnOnce(u32, u32) -> Vec<u32>) -> String {
-        match self {
-            DesEvent::QueryIssue { qid } => format!("{t} issue q{qid}"),
-            DesEvent::Query { qid, to, via, ttl, mode } => {
-                let path = route(*qid, *via);
-                format!("{t} query q{qid} -> {to} ttl={ttl} mode={mode:?} path={path:?}")
-            }
-            DesEvent::ServerQuery { qid } => format!("{t} server-query q{qid}"),
-            DesEvent::HitDeliver { qid, hits } => format!("{t} hits q{qid} n={hits}"),
-            DesEvent::Churn { peer, online } => format!("{t} churn {peer} online={online}"),
-            DesEvent::DigestRefresh => format!("{t} digest-refresh"),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn log_lines_are_stable() {
-        let ev = DesEvent::Query { qid: 3, to: 7, via: 1, ttl: 5, mode: PropMode::Flood };
-        let trail = |qid, via| {
-            assert_eq!((qid, via), (3, 1), "the event's own query and visit are resolved");
-            vec![0, 2]
-        };
-        assert_eq!(ev.log_line(40, trail), "40 query q3 -> 7 ttl=5 mode=Flood path=[0, 2]");
-        let no_route = |_, _| unreachable!("only a query copy has a route");
-        assert_eq!(DesEvent::DigestRefresh.log_line(9, no_route), "9 digest-refresh");
-        assert_eq!(
-            DesEvent::Churn { peer: PeerId(1), online: false }.log_line(2, no_route),
-            "2 churn peer-1 online=false"
-        );
-    }
 }

@@ -308,7 +308,7 @@ mod tests {
     use super::*;
     use crate::des::DesNetwork;
     use crate::latency::{Latency, LatencySpec};
-    use crate::stats::MsgKind;
+    use crate::stats::{Fate, MsgKind};
     use crate::substrate::{Protocol, Substrate};
     use crate::topology::Topology;
     use crate::traits::PeerNetwork;
@@ -418,7 +418,7 @@ mod tests {
         net.set_alive(PeerId(2), false);
         let out = net.search(PeerId(0), "c", &Query::any_keyword("x"));
         assert!(out.hits.is_empty(), "peer 2 is the only route to peer 4");
-        assert!(net.stats().dropped > 0);
+        assert!(net.stats().fate_count(Fate::Dead) > 0);
     }
 
     #[test]
@@ -449,7 +449,7 @@ mod tests {
         assert_eq!(net.stats().count(MsgKind::Retrieve), 3);
         assert_eq!(net.stats().count(MsgKind::RetrieveOk), 1);
         assert_eq!(net.stats().count(MsgKind::RetrieveFail), 1);
-        assert_eq!(net.stats().dropped, 1);
+        assert_eq!(net.stats().fate_count(Fate::ProviderOffline), 1);
     }
 
     #[test]
@@ -921,7 +921,7 @@ mod tests {
         net.set_alive(PeerId(3), false);
         let out = net.search(PeerId(0), "c", &Query::any_keyword("x"));
         assert!(out.hits.is_empty(), "dead providers never produce hits");
-        assert!(net.stats().dropped > 0, "the stale trail ends at the dead peer");
+        assert!(net.stats().fate_count(Fate::Dead) > 0, "the stale trail ends at the dead peer");
     }
 
     #[test]

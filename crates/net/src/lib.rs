@@ -86,7 +86,7 @@ pub use latency::{Latency, LatencySpec};
 pub use message::{ResourceRecord, SearchHit, SharedFields, Time, DEFAULT_TTL};
 pub use peer::PeerId;
 pub use sharded::ShardedIndexNode;
-pub use stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
+pub use stats::{Fate, MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
 pub use substrate::Substrate;
 pub use superpeer::SuperPeerConfig;
 pub use topology::Topology;
@@ -290,7 +290,8 @@ mod tests {
                 }
             }
             assert_eq!(net.stats().messages, 0, "{kind}: {:?}", net.stats().by_kind());
-            assert_eq!(net.stats().dropped, 0, "{kind}");
+            let fates = Fate::ALL.map(|f| net.stats().fate_count(f));
+            assert_eq!(fates, [0; 9], "{kind}");
             assert!(net.retrieve(PeerId(1), PeerId(2), "k").is_fetched(), "{kind}: record intact");
         }
         // the accessor beside the trait: nobody is a ghost's super

@@ -6,9 +6,9 @@
 //! share table, returns `QueryHit`s along the reverse path, and forwards
 //! — blindly to every neighbor, or along routing digests with random
 //! walkers as the fallback. [`Walk::start`], [`Walk::arrive`] and
-//! [`Progress::finish`] are that hop handler; they decide *what* happens
-//! and count it, and leave *when* and *against which records* to the
-//! caller:
+//! [`Progress::finish`] are that hop handler; they decide *what* happens,
+//! count the messages and return the hop's [`Fate`], and leave *when* and
+//! *against which records* to the caller:
 //!
 //! * the **local evaluation** is an `FnMut(node, admitted) -> Vec<Match>`
 //!   — the flat overlay's [`crate::RecordArena`], where a node in the
@@ -32,7 +32,7 @@ use crate::event::PropMode;
 use crate::latency::Latency;
 use crate::message::{SearchHit, SharedFields, Time};
 use crate::peer::PeerId;
-use crate::stats::{MsgKind, NetStats, SearchOutcome};
+use crate::stats::{Fate, MsgKind, NetStats, SearchOutcome};
 use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,7 +53,7 @@ pub(crate) fn is_alive(alive: &[bool], peer: PeerId) -> bool {
 }
 
 /// A query copy in flight. `via` is the visit that sent it — an index
-/// into its query's trail ([`Progress::route`]), [`ENTRY`] for the copy
+/// into its query's trail of forwarding visits, [`ENTRY`] for the copy
 /// that enters the overlay — so a copy carries its whole route in four
 /// bytes and forwarding one allocates nothing. Hits found at the
 /// destination travel back along that route.
@@ -149,15 +149,6 @@ impl Progress {
             self.admitted_at = Some(writes);
         }
         self.community
-    }
-
-    /// The route of a copy whose [`Hop::via`] is `via`, entry first and
-    /// immediate sender last (the destination is not part of it). For
-    /// logs and tests: the walk itself only ever reads a route backwards.
-    pub fn route(&self, via: u32) -> Vec<u32> {
-        let mut route: Vec<u32> = route_back(&self.trail, via).collect();
-        route.reverse();
-        route
     }
 
     /// Closes the query once nothing of it is in flight: latencies
@@ -273,9 +264,11 @@ impl Walk<'_> {
     /// origin alive and refreshed the digests.
     ///
     /// `entry: None` is the flat overlay: the origin is an overlay node
-    /// and consults its own shares first, for free. `entry: Some(s)` is
-    /// the two-tier overlay: the query enters at super `s`, one uplink
-    /// `Query` away when the origin is a leaf.
+    /// and consults its own shares first, for free — a hop, whose fate
+    /// this returns. `entry: Some(s)` is the two-tier overlay: the query
+    /// enters at super `s`, one uplink `Query` away when the origin is a
+    /// leaf; the copy's arrival is the hop, unless the uplink finds the
+    /// super offline ([`Fate::Dead`]).
     pub fn start<E, S>(
         &mut self,
         p: &mut Progress,
@@ -284,36 +277,37 @@ impl Walk<'_> {
         entry: Option<u32>,
         eval: E,
         sink: &mut S,
-    ) where
+    ) -> Option<Fate>
+    where
         E: Eval,
         S: Sink,
     {
         let mode =
             if self.routes.config().enabled { PropMode::Guided } else { PropMode::Flood };
         let hop = Hop { to: entry.unwrap_or(origin), via: ENTRY, ttl: self.ttl, mode };
-        let Some(entry) = entry else { return self.visit(p, t0, hop, false, eval, sink) };
+        let Some(entry) = entry else { return Some(self.visit(p, t0, hop, false, eval, sink)) };
         let mut at = t0;
         if entry != origin {
             p.leaf = Some(origin);
             at += self.query_hop(p, origin, entry);
             if !is_alive(self.alive, PeerId(entry)) {
                 // orphaned leaf: its super is gone
-                self.stats.dropped += 1;
                 p.quiescence = at;
-                return;
+                return Some(Fate::Dead);
             }
         }
         sink.forward(at, hop);
+        None
     }
 
     /// Handles the copy `hop` delivered at time `t`.
     #[inline]
-    pub fn arrive<E, S>(&mut self, p: &mut Progress, t: Time, hop: Hop, eval: E, sink: &mut S)
+    pub fn arrive<E, S>(&mut self, p: &mut Progress, t: Time, hop: Hop, eval: E, sink: &mut S) -> Fate
     where
         E: Eval,
         S: Sink,
     {
-        self.visit(p, t, hop, true, eval, sink);
+        self.visit(p, t, hop, true, eval, sink)
     }
 
     /// One visit. `delivered` is false only for the origin's free look at
@@ -326,15 +320,15 @@ impl Walk<'_> {
         delivered: bool,
         mut eval: E,
         sink: &mut S,
-    ) where
+    ) -> Fate
+    where
         E: Eval,
         S: Sink,
     {
         let Hop { to, via, ttl, mode } = hop;
         p.quiescence = p.quiescence.max(t);
         if !is_alive(self.alive, PeerId(to)) {
-            self.stats.dropped += 1;
-            return;
+            return Fate::Dead;
         }
         let (word, bit) = (to as usize / 64, 1u64 << (to % 64));
         if p.seen.len() <= word {
@@ -344,15 +338,16 @@ impl Walk<'_> {
         p.seen[word] |= bit;
         match mode {
             // duplicate query arrival, dropped by the GUID cache
-            PropMode::Flood if self.dedup && !first_visit => return,
+            PropMode::Flood if self.dedup && !first_visit => return Fate::FloodRevisit,
             // a guided copy is always deduplicated; a walker survives
             // revisits (it merely skips re-evaluating the share table)
-            PropMode::Guided if !first_visit => return,
+            PropMode::Guided if !first_visit => return Fate::GuidedRevisit,
             _ => {}
         }
         let matches =
             if first_visit || mode == PropMode::Flood { eval(to, &p.admitted) } else { Vec::new() };
-        if !matches.is_empty() {
+        let answered = !matches.is_empty();
+        if answered {
             // QueryHit routes back along the reverse path and down to a
             // leaf origin: one message per edge, arriving after the
             // summed reverse delays
@@ -385,30 +380,38 @@ impl Walk<'_> {
             if mode != PropMode::Flood {
                 // frontier stop: this copy found results, stop paying
                 // for forwarding (other copies keep exploring)
-                return;
+                return Fate::Answered;
             }
         }
-        if ttl == 0 {
-            return;
-        }
-        let sender = p.trail.get(via as usize).map(|&(node, _)| node);
-        // this visit's place on the trail: what every copy it sends names
-        let visit = p.trail.len() as u32;
-        p.trail.push((to, via));
-        if mode == PropMode::Flood {
-            // forward to all neighbors except the immediate sender
-            let topology = self.topology;
-            for nb in topology.neighbors(PeerId(to)).filter(|nb| Some(nb.0) != sender) {
-                let copy = Hop { to: nb.0, via: visit, ttl: ttl - 1, mode: PropMode::Flood };
-                self.send(p, t, to, copy, sink);
+        // every copy this visit sends is one more message of the query
+        let before = p.outcome.messages;
+        if ttl > 0 {
+            let sender = p.trail.get(via as usize).map(|&(node, _)| node);
+            // this visit's place on the trail: what every copy it sends names
+            let visit = p.trail.len() as u32;
+            p.trail.push((to, via));
+            if mode == PropMode::Flood {
+                // forward to all neighbors except the immediate sender
+                let topology = self.topology;
+                for nb in topology.neighbors(PeerId(to)).filter(|nb| Some(nb.0) != sender) {
+                    let copy = Hop { to: nb.0, via: visit, ttl: ttl - 1, mode: PropMode::Flood };
+                    self.send(p, t, to, copy, sink);
+                }
+            } else {
+                // guided copies and walkers re-consult the digests every
+                // hop (a walker escaping a stale region resumes guided
+                // forwarding); a fallback where the query entered spawns
+                // the full walker width, mid-path dead ends continue as one
+                let width = if sender.is_none() { self.routes.config().walk_width } else { 1 };
+                self.forward_guided(p, t, sender, (to, visit), ttl, width, sink);
             }
-        } else {
-            // guided copies and walkers re-consult the digests every hop
-            // (a walker escaping a stale region resumes guided
-            // forwarding); a fallback where the query entered spawns the
-            // full walker width, mid-path dead ends continue as one
-            let width = if sender.is_none() { self.routes.config().walk_width } else { 1 };
-            self.forward_guided(p, t, sender, (to, visit), ttl, width, sink);
+        }
+        match (p.outcome.messages > before, ttl, mode) {
+            (true, ..) => Fate::Forwarded,
+            _ if answered => Fate::Answered,
+            (_, 0, PropMode::Walk) => Fate::WalkerExpired,
+            (_, 0, _) => Fate::TtlSpent,
+            _ => Fate::DeadEnd,
         }
     }
 
@@ -483,6 +486,8 @@ mod tests {
         forwards: Vec<(Time, u32, Vec<u32>, u8, PropMode)>,
         /// `(at, new hits)` per returned batch.
         batches: Vec<(Time, u32)>,
+        /// What the hop returned.
+        fate: Option<Fate>,
     }
 
     impl Sink for Recorder {
@@ -512,6 +517,14 @@ mod tests {
     }
 
     impl Progress {
+        /// The route of a copy whose [`Hop::via`] is `via`, entry first
+        /// and immediate sender last (the destination is not part of it).
+        fn route(&self, via: u32) -> Vec<u32> {
+            let mut route: Vec<u32> = route_back(&self.trail, via).collect();
+            route.reverse();
+            route
+        }
+
         /// Lays `path` (entry first, immediate sender last) onto the
         /// trail as a chain of forwarding visits and returns the `via` of
         /// a copy that travelled it.
@@ -587,7 +600,7 @@ mod tests {
         fn start(&mut self, p: &mut Progress, t0: Time, origin: u32, entry: Option<u32>) -> Recorder {
             let mut sink = Recorder::default();
             let (mut walk, eval) = self.parts();
-            walk.start(p, t0, origin, entry, eval, &mut sink);
+            sink.fate = walk.start(p, t0, origin, entry, eval, &mut sink);
             sink.resolve(p)
         }
 
@@ -603,7 +616,7 @@ mod tests {
             let mut sink = Recorder::default();
             let via = p.travelled(path);
             let (mut walk, eval) = self.parts();
-            walk.arrive(p, t, Hop { to, via, ttl, mode }, eval, &mut sink);
+            sink.fate = Some(walk.arrive(p, t, Hop { to, via, ttl, mode }, eval, &mut sink));
             sink.resolve(p)
         }
     }
@@ -618,8 +631,10 @@ mod tests {
         // sender exclusion: 1 forwards to 2, never back to 0
         assert_eq!(first.forwards, vec![(20, 2, vec![0, 1], 2, PropMode::Flood)]);
         assert_eq!(first.batches, vec![(20, 1)], "one hit, one reverse hop later");
+        assert_eq!(first.fate, Some(Fate::Forwarded));
         let second = s.arrive(&mut p, 15, 1, &[2], 3, PropMode::Flood);
         assert!(second.forwards.is_empty() && second.batches.is_empty());
+        assert_eq!(second.fate, Some(Fate::FloodRevisit));
         assert_eq!(s.evaluated, vec![1], "the duplicate never reached the share table");
         assert_eq!(s.stats.count(MsgKind::Query), 1);
         assert_eq!(s.stats.count(MsgKind::QueryHit), 1);
@@ -652,8 +667,10 @@ mod tests {
         assert_eq!(first.forwards, vec![(20, 2, vec![0, 1], 2, PropMode::Guided)]);
         let again = s.arrive(&mut p, 12, 1, &[0], 3, PropMode::Guided);
         assert!(again.forwards.is_empty(), "a guided copy is always deduplicated");
+        assert_eq!((first.fate, again.fate), (Some(Fate::Forwarded), Some(Fate::GuidedRevisit)));
         let walker = s.arrive(&mut p, 14, 1, &[0], 3, PropMode::Walk);
         assert_eq!(walker.targets(), vec![2], "the walker lives on, and resumes guided forwarding");
+        assert_eq!(walker.fate, Some(Fate::Forwarded));
         assert_eq!(walker.forwards[0].4, PropMode::Guided);
         assert_eq!(s.evaluated, vec![1], "revisits never re-evaluate");
     }
@@ -707,20 +724,29 @@ mod tests {
             let out = s.arrive(&mut p, 10, 1, &[0], 3, mode);
             assert_eq!(out.batches, vec![(20, 1)], "{mode:?} found the record at 1");
             assert_eq!(!out.forwards.is_empty(), keeps_forwarding, "{mode:?}");
+            let fate = if keeps_forwarding { Fate::Forwarded } else { Fate::Answered };
+            assert_eq!(out.fate, Some(fate), "{mode:?}");
         }
     }
 
     #[test]
     fn ttl_zero_evaluates_but_never_forwards() {
-        let mut s = Script::flood(3, &TRIANGLE, &[]);
+        let mut s = Script::flood(3, &TRIANGLE, &[2]);
         let mut p = Progress::new(0);
-        assert!(s.arrive(&mut p, 10, 1, &[0], 0, PropMode::Flood).forwards.is_empty());
-        assert_eq!(s.evaluated, vec![1]);
+        let spent = s.arrive(&mut p, 10, 1, &[0], 0, PropMode::Flood);
+        assert!(spent.forwards.is_empty());
+        assert_eq!(spent.fate, Some(Fate::TtlSpent));
+        let found = s.arrive(&mut p, 10, 2, &[0], 0, PropMode::Flood);
+        let answered = (found.batches.len(), found.fate);
+        assert_eq!(answered, (1, Some(Fate::Answered)), "a match is no spent TTL");
+        assert_eq!(s.evaluated, vec![1, 2]);
         s.overlay.ttl = 0;
         let mut p = Progress::new(0);
-        assert!(s.start(&mut p, 0, 0, None).forwards.is_empty(), "a TTL-0 query never leaves");
-        assert_eq!(s.evaluated, vec![1, 0]);
-        assert_eq!(s.stats.messages, 0);
+        let start = s.start(&mut p, 0, 0, None);
+        assert!(start.forwards.is_empty(), "a TTL-0 query never leaves");
+        assert_eq!(start.fate, Some(Fate::TtlSpent), "the origin's own look is a hop");
+        assert_eq!(s.evaluated, vec![1, 2, 0]);
+        assert_eq!(s.stats.count(MsgKind::Query), 0);
     }
 
     #[test]
@@ -754,10 +780,19 @@ mod tests {
         targets.sort_unstable();
         assert_eq!(targets, vec![1, 2], "five walkers asked for, two distinct neighbours exist");
         assert!(out.forwards.iter().all(|f| f.4 == PropMode::Walk));
-        // mid-path a dead end continues as one walker, never back to the sender
-        assert_eq!(s.arrive(&mut p, 10, 1, &[0], 3, PropMode::Walk).targets(), vec![3]);
-        // and with the sender as the only neighbour the walk ends
-        assert!(s.arrive(&mut p, 20, 3, &[0, 1], 2, PropMode::Walk).forwards.is_empty());
+        assert_eq!(out.fate, Some(Fate::Forwarded));
+        // (to, path, ttl) → copies sent on, and the hop's fate:
+        for (to, path, ttl, targets, fate) in [
+            // mid-path a dead end continues as one walker, never back to the sender
+            (1, &[0][..], 3, vec![3], Fate::Forwarded),
+            // with the sender as the only neighbour the walk ends
+            (3, &[0, 1], 2, vec![], Fate::DeadEnd),
+            // and a walker with no TTL left expires where it stands
+            (2, &[0], 0, vec![], Fate::WalkerExpired),
+        ] {
+            let hop = s.arrive(&mut p, 10, to, path, ttl, PropMode::Walk);
+            assert_eq!((hop.targets(), hop.fate), (targets, Some(fate)), "walker at {to}");
+        }
     }
 
     #[test]
@@ -767,7 +802,7 @@ mod tests {
         let mut p = Progress::new(0);
         let out = s.arrive(&mut p, 10, 1, &[0], 3, PropMode::Flood);
         assert!(out.forwards.is_empty() && out.batches.is_empty() && s.evaluated.is_empty());
-        assert_eq!(s.stats.dropped, 1);
+        assert_eq!(out.fate, Some(Fate::Dead));
         assert_eq!(p.quiescence, 10);
     }
 
@@ -792,6 +827,7 @@ mod tests {
         let mut p = Progress::new(0);
         let up = s.start(&mut p, 0, 5, Some(0));
         assert_eq!(up.forwards, vec![(HOP, 0, vec![], 4, PropMode::Flood)]);
+        assert_eq!(up.fate, None, "the hop is the copy's arrival at the entry");
         assert_eq!((s.stats.count(MsgKind::Query), p.outcome.messages), (1, 1));
         assert!(s.evaluated.is_empty(), "a leaf has no overlay shares to consult");
 
@@ -824,8 +860,9 @@ mod tests {
         let mut s = Script::flood(6, &[(0, 1)], &[1]);
         s.alive[0] = false;
         let mut p = Progress::new(0);
-        assert!(s.start(&mut p, 0, 5, Some(0)).forwards.is_empty());
-        assert_eq!((s.stats.count(MsgKind::Query), s.stats.dropped), (1, 1));
+        let out = s.start(&mut p, 0, 5, Some(0));
+        assert!(out.forwards.is_empty());
+        assert_eq!((s.stats.count(MsgKind::Query), out.fate), (1, Some(Fate::Dead)));
         p.finish(0, &mut s.stats);
         assert_eq!((p.outcome.latency, p.outcome.messages), (HOP, 1));
     }

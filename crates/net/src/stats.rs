@@ -1,4 +1,4 @@
-//! Message and latency accounting for the simulated substrates.
+//! Message, hop and latency accounting for the simulated substrates.
 //!
 //! **Message conservation.** Each protocol sends a fixed set of
 //! [`MsgKind`]s, and E6's cost comparison (§IV-B, §V) is their counts.
@@ -11,56 +11,89 @@
 //! blind and guided, and holds the set of kinds each sends to a table
 //! written in the test: a dropped emission empties its kind, and a stray
 //! one (a Gnutella `Publish`) adds one.
+//!
+//! **Hop conservation.** Every hop of a query ends as exactly one
+//! [`Fate`], which the walk returns and the engine counts once;
+//! `tests/conservation.rs` ties the sum of fates to a traced run's events
+//! and to the `Query` count.
 
 use crate::message::Time;
 use std::collections::BTreeMap;
 
-/// Declares [`MsgKind`], [`MsgKind::ALL`] and [`MsgKind::name`] from one
-/// list, so no variant can be missing from the counter order or the
-/// printed names.
-macro_rules! msg_kinds {
-    ($($(#[$doc:meta])* $kind:ident,)*) => {
-        /// Dense discriminant of every message kind the substrates count.
-        /// The per-message counter is an array bump indexed by this enum —
-        /// no map lookup, string compare or allocation on the hot path.
+/// Declares a dense counted enum with its `ALL` (counter order) and
+/// `name` from one list, so no variant can be missing from the counter
+/// order or the printed names. Counting one is an array bump indexed by
+/// the discriminant: no map lookup, string compare or allocation.
+macro_rules! counted {
+    ($(#[$meta:meta])* pub enum $name:ident { $($(#[$doc:meta])* $variant:ident,)* }) => {
+        $(#[$meta])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-        pub enum MsgKind {
-            $($(#[$doc])* $kind,)*
+        pub enum $name {
+            $($(#[$doc])* $variant,)*
         }
 
-        impl MsgKind {
-            /// Every kind, in counter order.
-            pub const ALL: [MsgKind; 9] = [$(MsgKind::$kind),*];
+        impl $name {
+            /// Every variant, in counter order.
+            pub const ALL: [$name; [$($name::$variant),*].len()] = [$($name::$variant),*];
 
-            /// Kind name as the experiment tables print it.
+            /// Variant name as the experiment tables print it.
             pub fn name(self) -> &'static str {
                 match self {
-                    $(MsgKind::$kind => stringify!($kind),)*
+                    $($name::$variant => stringify!($variant),)*
                 }
             }
         }
     };
 }
 
-msg_kinds! {
-    /// A metadata query propagating through the overlay.
-    Query,
-    /// Results travelling back toward the origin.
-    QueryHit,
-    /// Metadata upload to an index node.
-    Publish,
-    /// Removal of published metadata.
-    Unpublish,
-    /// Direct download request.
-    Retrieve,
-    /// Download response (success).
-    RetrieveOk,
-    /// Download response (failure).
-    RetrieveFail,
-    /// Routing digest advertisement to a neighbor (guided search).
-    DigestPush,
-    /// Digest handshake request to a new neighbor (guided search).
-    DigestRequest,
+counted! {
+    /// Every message kind the substrates count.
+    pub enum MsgKind {
+        /// A metadata query propagating through the overlay.
+        Query,
+        /// Results travelling back toward the origin.
+        QueryHit,
+        /// Metadata upload to an index node.
+        Publish,
+        /// Removal of published metadata.
+        Unpublish,
+        /// Direct download request.
+        Retrieve,
+        /// Download response (success).
+        RetrieveOk,
+        /// Download response (failure).
+        RetrieveFail,
+        /// Routing digest advertisement to a neighbor (guided search).
+        DigestPush,
+        /// Digest handshake request to a new neighbor (guided search).
+        DigestRequest,
+    }
+}
+
+counted! {
+    /// What became of one hop of a query, or of a retrieve request that
+    /// left its origin and found its provider gone.
+    pub enum Fate {
+        /// The hop sent at least one copy on.
+        Forwarded,
+        /// The hop matched records and sent no copy: a guided or walker
+        /// copy's frontier stop, a match at TTL 0, every server answer.
+        Answered,
+        /// The copy, or a leaf's uplink, reached an offline node.
+        Dead,
+        /// A flood copy the GUID cache dropped as a duplicate.
+        FloodRevisit,
+        /// A guided copy reaching a node the query had visited.
+        GuidedRevisit,
+        /// A flood or guided copy with no match and no TTL left.
+        TtlSpent,
+        /// A walker with no match and no TTL left.
+        WalkerExpired,
+        /// No match, TTL left, and nobody to send to but the sender.
+        DeadEnd,
+        /// A retrieve reached an offline provider.
+        ProviderOffline,
+    }
 }
 
 /// Cumulative network statistics. Every substrate increments these; the
@@ -71,8 +104,8 @@ pub struct NetStats {
     pub messages: u64,
     /// Per-kind message counters, indexed by `MsgKind` discriminant.
     kind_counts: [u64; MsgKind::ALL.len()],
-    /// Messages dropped at dead peers.
-    pub dropped: u64,
+    /// Per-fate hop counters, indexed by `Fate` discriminant.
+    fate_counts: [u64; Fate::ALL.len()],
     /// Queries issued.
     pub queries: u64,
     /// Queries that returned at least one hit.
@@ -109,6 +142,16 @@ impl NetStats {
     /// Messages sent of one kind.
     pub fn count(&self, kind: MsgKind) -> u64 {
         self.kind_counts[kind as usize]
+    }
+
+    /// Records one hop's fate.
+    pub fn ended(&mut self, fate: Fate) {
+        self.fate_counts[fate as usize] += 1;
+    }
+
+    /// Hops that ended as `fate`.
+    pub fn fate_count(&self, fate: Fate) -> u64 {
+        self.fate_counts[fate as usize]
     }
 
     /// Messages by kind name (`Query`, `QueryHit`, ...), kinds with zero
@@ -231,6 +274,11 @@ mod tests {
         let names: Vec<&str> = MsgKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), 9);
         assert_eq!(names[0], "Query");
+        // fates count the same way, apart from the messages
+        s.ended(Fate::Dead);
+        let counted = (s.fate_count(Fate::Dead), s.fate_count(Fate::Forwarded), s.messages);
+        assert_eq!(counted, (1, 0, 8));
+        assert_eq!(Fate::ALL.map(Fate::name)[8], "ProviderOffline");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::latency::Latency;
 use crate::message::Time;
 use crate::overlay::{is_alive, Eval, Hop, Overlay, Progress, Sink, Walk};
 use crate::peer::PeerId;
-use crate::stats::NetStats;
+use crate::stats::{Fate, NetStats};
 use crate::superpeer::{SuperPeerConfig, Supers};
 use crate::topology::Topology;
 use crate::traits::ProtocolKind;
@@ -277,7 +277,8 @@ impl Substrate {
 
     /// The first event of a query the DES engine scheduled at `origin`,
     /// at `t`: opens it, then sends the Napster request toward the server
-    /// or starts the overlay walk.
+    /// or starts the overlay walk. Returns the fate of the hop this was,
+    /// if it was one ([`Walk::start`]).
     #[expect(clippy::too_many_arguments, reason = "the DES engine passes the query's fields apart, borrowed from its own event and progress state")]
     pub(crate) fn issue<S: Sink>(
         &mut self,
@@ -288,23 +289,23 @@ impl Substrate {
         query: &Query,
         probe: &Probe,
         sink: &mut S,
-    ) {
+    ) -> Option<Fate> {
         if !self.begin_query(origin) {
-            return;
+            return None;
         }
         if let Protocol::Napster(_) = self.protocol {
             let at = self.server_trip(p, t, origin);
-            return sink.forward(at, Hop::SERVER);
+            sink.forward(at, Hop::SERVER);
+            return None;
         }
         let entry = self.entry(origin);
-        if let Some((mut walk, eval)) = self.walk(p, community, query, probe) {
-            walk.start(p, t, origin.0, entry, eval, sink);
-        }
+        let (mut walk, eval) = self.walk(p, community, query, probe)?;
+        walk.start(p, t, origin.0, entry, eval, sink)
     }
 
     /// A copy of the query reaches `hop.to` at `t`: an overlay node runs
     /// its hop, or the server answers, its reply landing when
-    /// [`Substrate::issue`] drew it.
+    /// [`Substrate::issue`] drew it. Returns the hop's fate.
     #[expect(clippy::too_many_arguments, reason = "the DES engine passes the query's fields apart, borrowed from its own event and progress state")]
     #[inline(always)]
     pub(crate) fn deliver<S: Sink>(
@@ -316,12 +317,13 @@ impl Substrate {
         query: &Query,
         probe: &Probe,
         sink: &mut S,
-    ) {
+    ) -> Fate {
         if let Some((mut walk, eval)) = self.walk(p, community, query, probe) {
             return walk.arrive(p, t, hop, eval, sink);
         }
         let hits = self.answer(p, community, query);
         sink.hits_return(p.quiescence, hits);
+        Fate::Answered
     }
 }
 

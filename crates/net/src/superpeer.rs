@@ -157,7 +157,7 @@ mod tests {
     use super::*;
     use crate::des::DesNetwork;
     use crate::latency::LatencySpec;
-    use crate::stats::{RetrieveOutcome, SearchOutcome};
+    use crate::stats::{Fate, RetrieveOutcome, SearchOutcome};
     use crate::substrate::Substrate;
     use crate::traits::{PeerNetwork, SearchRequest};
     use up2p_store::Query;
@@ -276,7 +276,7 @@ mod tests {
         assert_eq!(net.stats().count(MsgKind::Retrieve), 3);
         assert_eq!(net.stats().count(MsgKind::RetrieveOk), 1);
         assert_eq!(net.stats().count(MsgKind::RetrieveFail), 1);
-        assert_eq!(net.stats().dropped, 1);
+        assert_eq!(net.stats().fate_count(Fate::ProviderOffline), 1);
         assert_eq!(net.stats().retrieves, 3);
         assert_eq!(net.stats().retrieves_ok, 1);
     }
@@ -368,7 +368,8 @@ mod tests {
             assert_eq!(b.queries, s.queries, "workers={workers}");
             assert_eq!(b.queries_with_hits, s.queries_with_hits, "workers={workers}");
             assert_eq!(b.hits, s.hits, "workers={workers}");
-            assert_eq!(b.dropped, s.dropped, "workers={workers}");
+            let fates = |stats: &NetStats| Fate::ALL.map(|f| stats.fate_count(f));
+            assert_eq!(fates(b), fates(s), "workers={workers}");
             assert_eq!(b.hit_hops, s.hit_hops, "workers={workers}");
         }
     }

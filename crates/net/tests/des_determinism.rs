@@ -1,22 +1,29 @@
 //! Determinism/replay tests: two DES runs with the same seed and
-//! configuration must produce **byte-identical** event logs and equal
-//! metrics. The guarantee comes from the event queue's tie-breaking
+//! configuration must produce **equal typed traces** — every processed
+//! event with its time and its hop's fate — and equal metrics. A query
+//! copy names the visit that sent it on its query's trail, which only
+//! earlier events of the same run build, so equal traces took equal
+//! routes. The guarantee comes from the event queue's tie-breaking
 //! rule — `(timestamp, sequence number)`, documented and doc-tested on
 //! [`up2p_net::sim::EventQueue`] — plus seeded RNG streams for walker
 //! selection, super assignment, and uniform latency.
 
 use up2p_net::churn::exponential_schedule;
 use up2p_net::{
-    DesNetwork, DigestConfig, LatencySpec, MsgKind, NetConfig, PeerId, PeerNetwork, ProtocolKind,
-    ResourceRecord,
+    DesEvent, DesNetwork, DigestConfig, Fate, LatencySpec, MsgKind, NetConfig, PeerId, PeerNetwork,
+    ProtocolKind, ResourceRecord, Time,
 };
 use up2p_store::Query;
 
 const PEERS: usize = 64;
 const SEED: u64 = 42;
 
-/// `(event log, per-kind counters, per-query metrics, events, clock)`.
-type RunTrace = (Vec<String>, Vec<String>, Vec<(u64, u64)>, u64, u64);
+/// Every processed event with its time and its hop's fate.
+type Trace = Vec<(Time, DesEvent, Option<Fate>)>;
+
+/// `(trace, per-kind and per-fate counters, per-query metrics, events,
+/// clock)`.
+type RunTrace = (Trace, Vec<u64>, Vec<(u64, u64)>, u64, u64);
 
 /// One full mixed timeline: publishes, a churn schedule, digest
 /// refreshes, and interleaved queries, with stateful uniform latency and
@@ -26,7 +33,7 @@ fn run_once(kind: ProtocolKind) -> RunTrace {
         .latency(LatencySpec::Uniform(1_000, 30_000))
         .digests(DigestConfig { log2_bits: 8, ..DigestConfig::guided() });
     let mut net = DesNetwork::build(kind, PEERS, SEED, &config);
-    net.enable_event_log();
+    net.enable_trace();
     for i in 0..40u32 {
         net.publish(
             PeerId(i % PEERS as u32),
@@ -54,25 +61,25 @@ fn run_once(kind: ProtocolKind) -> RunTrace {
     let outcomes = net.run();
     let metrics: Vec<(u64, u64)> =
         outcomes.iter().map(|o| (o.hits.len() as u64, o.messages)).collect();
-    let stats: Vec<String> = MsgKind::ALL
-        .iter()
-        .map(|&k| format!("{}={}", k.name(), net.stats().count(k)))
-        .collect();
-    (net.event_log().to_vec(), stats, metrics, net.events_processed(), net.clock())
+    let stats = net.stats();
+    let kinds = MsgKind::ALL.map(|k| stats.count(k));
+    let counts = kinds.into_iter().chain(Fate::ALL.map(|f| stats.fate_count(f))).collect();
+    (net.trace().to_vec(), counts, metrics, net.events_processed(), net.clock())
 }
 
 #[test]
-fn same_seed_runs_are_byte_identical() {
+fn same_seed_runs_have_equal_traces() {
     for kind in [ProtocolKind::Napster, ProtocolKind::Gnutella, ProtocolKind::FastTrack] {
-        let (log_a, stats_a, metrics_a, events_a, clock_a) = run_once(kind);
-        let (log_b, stats_b, metrics_b, events_b, clock_b) = run_once(kind);
-        assert!(!log_a.is_empty(), "{kind:?}: timeline produced no events");
-        // byte-identical event logs, line for line
-        assert_eq!(log_a.len(), log_b.len(), "{kind:?}: log length diverged");
-        for (i, (a, b)) in log_a.iter().zip(&log_b).enumerate() {
-            assert_eq!(a.as_bytes(), b.as_bytes(), "{kind:?}: log line {i} diverged");
+        let (trace_a, stats_a, metrics_a, events_a, clock_a) = run_once(kind);
+        let (trace_b, stats_b, metrics_b, events_b, clock_b) = run_once(kind);
+        assert!(!trace_a.is_empty(), "{kind:?}: timeline produced no events");
+        assert_eq!(trace_a.len() as u64, events_a, "{kind:?}: an event went untraced");
+        // equal traces, entry for entry
+        assert_eq!(trace_a.len(), trace_b.len(), "{kind:?}: trace length diverged");
+        for (i, (a, b)) in trace_a.iter().zip(&trace_b).enumerate() {
+            assert_eq!(a, b, "{kind:?}: trace entry {i} diverged");
         }
-        assert_eq!(stats_a, stats_b, "{kind:?}: per-kind counters diverged");
+        assert_eq!(stats_a, stats_b, "{kind:?}: per-kind or per-fate counters diverged");
         assert_eq!(metrics_a, metrics_b, "{kind:?}: query metrics diverged");
         assert_eq!(events_a, events_b, "{kind:?}: event count diverged");
         assert_eq!(clock_a, clock_b, "{kind:?}: final clock diverged");
@@ -81,16 +88,16 @@ fn same_seed_runs_are_byte_identical() {
 
 #[test]
 fn different_seeds_diverge() {
-    // Sanity: the log actually depends on the seed (otherwise the test
+    // Sanity: the trace actually depends on the seed (otherwise the test
     // above proves nothing).
     let run = |seed: u64| {
         let config = NetConfig::new().latency(LatencySpec::Uniform(1_000, 30_000));
         let mut net = DesNetwork::build(ProtocolKind::Gnutella, PEERS, seed, &config);
-        net.enable_event_log();
+        net.enable_trace();
         net.publish(PeerId(7), ResourceRecord::new("k1", "alpha", Vec::new()));
         net.schedule_query(0, PeerId(0), "alpha", Query::All);
         net.run();
-        net.event_log().to_vec()
+        net.trace().to_vec()
     };
     assert_ne!(run(1), run(2), "different seeds must produce different timelines");
 }

@@ -644,7 +644,9 @@ impl DesLoad {
 
 /// One E11 row: build a [`up2p_net::DesNetwork`], publish the
 /// catalogue, schedule the query timeline (plus an optional churn
-/// storm), drain the queue, and report cost/answers/footprint. How long
+/// storm), drain the queue, and report cost/answers/footprint and where
+/// the query's hops ended: the per-query mean of each nonzero
+/// [`up2p_net::Fate`], in counter order. How long
 /// the drain took goes to stderr — the only 100k-peer timing there is
 /// until the benchmark has a `des_scale` workload — and into no table.
 fn e11_case(
@@ -656,7 +658,7 @@ fn e11_case(
     churn_storm: bool,
     t: &mut Table,
 ) {
-    use up2p_net::{PeerNetwork, ResourceRecord};
+    use up2p_net::{Fate, PeerNetwork, ResourceRecord};
     let peers = load.peers;
     let mut net = DesNetwork::build(kind, peers, seed, config);
     for (i, fields) in load.records.iter().enumerate() {
@@ -684,6 +686,12 @@ fn e11_case(
     );
 
     let tally: Tally = outcomes.into_iter().collect();
+    let queries = load.queries.len() as f64;
+    let fates: Vec<String> = Fate::ALL
+        .into_iter()
+        .filter(|&f| net.stats().fate_count(f) > 0)
+        .map(|f| format!("{} {}", f.name(), fnum(net.stats().fate_count(f) as f64 / queries)))
+        .collect();
     t.row([
         format!("{name} {peers}"),
         peers.to_string(),
@@ -691,6 +699,7 @@ fn e11_case(
         format!("{}/{}", tally.answered, load.answerable),
         fnum(tally.hits.mean()),
         fnum(net.approx_bytes() as f64 / peers as f64),
+        fates.join(", "),
     ]);
 }
 
@@ -708,7 +717,15 @@ pub fn e11_des_scale(scale: Scale, seed: u64) -> Table {
     };
     let mut t = Table::new(
         format!("E11: discrete-event engine at scale ({} / {} peers)", grid[0], grid[1]),
-        &["substrate", "peers", "msgs/query", "answered/answerable", "hits/query", "bytes/peer"],
+        &[
+            "substrate",
+            "peers",
+            "msgs/query",
+            "answered/answerable",
+            "hits/query",
+            "bytes/peer",
+            "fates/query",
+        ],
     );
     let loads = grid.map(|peers| DesLoad::new(peers, seed));
     let plain = NetConfig::new();

@@ -663,10 +663,7 @@ mod tests {
     /// id outside the network pumps the timeline until its own query is
     /// done, which is at once.
     fn in_flight(before: &[(u32, &str)]) -> DesNetwork {
-        let mut t = Topology::empty(5);
-        for i in 0..4 {
-            t.connect(PeerId(i), PeerId(i + 1));
-        }
+        let t = Topology::from_edges(5, (0..4).map(|i| (PeerId(i), PeerId(i + 1))));
         let substrate = Substrate::gnutella(t, constant(10), FloodingConfig::default());
         let mut net = DesNetwork::new(substrate);
         for &(peer, key) in before {

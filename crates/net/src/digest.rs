@@ -27,9 +27,12 @@
 //!   (`layer d ⊇ layer d-1`), so the first matching layer gives a
 //!   conservative minimum depth toward a match. Kept current by deltas:
 //!   counted local digests follow each record in and out, and a refresh
-//!   recomputes only the layers, edges and words a write reached.
-//! * [`DigestConfig`] — the knobs: layer count (radius), bits per layer,
-//!   guided fanout and the width of the random-walk fallback.
+//!   recomputes only the layers, edges and words a write reached. Its
+//!   edges are the [`Topology`]'s own: the table keeps no graph of its
+//!   own, only the layers indexed by the topology's edge ids.
+//! * [`DigestConfig`] — the knobs: whether to guide at all, and the bits
+//!   per layer. The radius (5 layers) is a constant here, the guided
+//!   fanout (2) and the fallback's walker width (2) in the overlay walk.
 //!
 //! The digest answers "may a match exist behind this neighbor?" — never
 //! "does one exist". False positives only cost messages; false negatives
@@ -50,31 +53,27 @@ use up2p_store::{for_each_token, is_normalized, normalize, Query, ValuePattern};
 pub struct DigestConfig {
     /// Consult digests to prune forwarding (guided search).
     pub enabled: bool,
-    /// Attenuation radius: number of layers kept per directed edge
-    /// (layer `d` covers the subtree within `d` hops).
-    pub radius: u8,
     /// log2 of the bit width of each layer (15 → 32,768 bits = 4 KiB).
     pub log2_bits: u8,
-    /// Maximum neighbors a guided query is forwarded to per hop.
-    pub fanout: usize,
-    /// Random walkers spawned at the origin when no neighbor digest
-    /// matches (mid-path dead ends continue as a single walker).
-    pub walk_width: usize,
 }
 
 impl Default for DigestConfig {
     fn default() -> Self {
-        DigestConfig { enabled: false, radius: 5, log2_bits: 15, fanout: 2, walk_width: 2 }
+        DigestConfig { enabled: false, log2_bits: 15 }
     }
 }
 
 impl DigestConfig {
-    /// Guided search with the default sizing (radius 5, 4 KiB layers,
-    /// fanout 2, two fallback walkers).
+    /// Guided search with the default sizing: 4 KiB layers, five of them
+    /// per directed edge, fanout 2 and two fallback walkers.
     pub fn guided() -> DigestConfig {
         DigestConfig { enabled: true, ..DigestConfig::default() }
     }
 }
+
+/// Attenuation radius: the layers kept per directed edge (layer `d`
+/// covers the subtree within `d` hops).
+const RADIUS: usize = 5;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -459,74 +458,16 @@ impl RoutingDigest {
     }
 }
 
-/// The directed edges of one topology in CSR form: the edge `q → p`
-/// (advertiser `q`, receiver `p`) has a dense id, `q`'s out-edges are one
-/// contiguous run sorted by receiver, and every edge knows its opposite
-/// direction. That is all the layer recurrence needs: the upstream edges
-/// of `q → p` are the reverses of `q`'s other out-edges, and the edges
-/// depending on `r → q` are `q`'s out-edges other than `q → r`.
-#[derive(Debug, Default)]
-struct EdgeIndex {
-    /// Advertiser `q`'s out-edges are the ids `offsets[q]..offsets[q+1]`.
-    offsets: Vec<u32>,
-    /// Receiver of each edge, ascending within an advertiser's run.
-    receivers: Vec<u32>,
-    /// Id of the opposite direction of each edge.
-    reverse: Vec<u32>,
-}
-
-impl EdgeIndex {
-    fn of(topo: &Topology) -> EdgeIndex {
-        let mut offsets = Vec::with_capacity(topo.len() + 1);
-        let mut receivers = Vec::new();
-        offsets.push(0);
-        for q in topo.peers() {
-            receivers.extend(topo.neighbors(q).map(|p| p.0));
-            offsets.push(receivers.len() as u32);
-        }
-        let mut index = EdgeIndex { offsets, receivers, reverse: Vec::new() };
-        let reverse = (0..index.nodes() as u32)
-            .flat_map(|q| index.run(q).map(move |e| (q, e)))
-            // the graph is undirected, so the opposite direction exists
-            .map(|(q, e)| index.id(index.receivers[e], q).unwrap_or(e) as u32)
-            .collect();
-        index.reverse = reverse;
-        index
-    }
-
-    fn nodes(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    fn len(&self) -> usize {
-        self.receivers.len()
-    }
-
-    /// Ids of `advertiser`'s out-edges (empty for an unknown node).
-    fn run(&self, advertiser: u32) -> std::ops::Range<usize> {
-        let at = |i: usize| self.offsets.get(i).map_or(self.len(), |&o| o as usize);
-        at(advertiser as usize)..at(advertiser as usize + 1)
-    }
-
-    fn id(&self, advertiser: u32, receiver: u32) -> Option<usize> {
-        let run = self.run(advertiser);
-        self.receivers[run.clone()].binary_search(&receiver).ok().map(|i| run.start + i)
-    }
-
-    fn advertiser(&self, edge: usize) -> u32 {
-        self.receivers[self.reverse[edge] as usize]
-    }
-}
-
 /// Per-directed-edge attenuated digest table for one overlay.
 ///
-/// For each directed edge `q → p` the table holds `radius` monotone
+/// For each directed edge `q → p` the table holds five (the radius) monotone
 /// layers: layer 1 is `q`'s own share table; layer `d` additionally
 /// unions layer `d-1` of every edge `r → q` with `r ≠ p` — everything
 /// reachable from `p` through `q` in at most `d` hops (echoes around
 /// cycles only ever *add* bits, keeping the no-false-negative direction).
-/// All layers live in one `[edge][layer][word]` arena laid out from the
-/// topology on the first build.
+/// All layers live in one `[edge][layer][word]` arena laid out on the
+/// first build, indexed by the ids of the [`Topology`]'s directed edges:
+/// the table is always handed the overlay it serves.
 ///
 /// Maintenance is lazy and batched, as a real servent would piggyback
 /// digest refreshes on its keep-alives, and costs what changed, not what
@@ -552,11 +493,10 @@ impl EdgeIndex {
 #[derive(Debug)]
 pub struct RouteTable {
     config: DigestConfig,
-    /// 64-bit words per layer and layers per edge, from `config`.
+    /// 64-bit words per layer, from `config`.
     words: usize,
-    depth: usize,
-    edges: EdgeIndex,
-    /// `[edge][layer][word]`; layer index `d-1` covers depth `d`.
+    /// `[edge][layer][word]`, [`RADIUS`] layers an edge; layer index
+    /// `d-1` covers depth `d`.
     layers: Vec<u64>,
     /// `[node][word]`: each node's digest of its own share table.
     local: Vec<u64>,
@@ -606,8 +546,6 @@ impl RouteTable {
         RouteTable {
             config,
             words: words_for(config.log2_bits),
-            depth: config.radius.max(1) as usize,
-            edges: EdgeIndex::default(),
             layers: Vec::new(),
             local: Vec::new(),
             counts: Vec::new(),
@@ -711,8 +649,8 @@ impl RouteTable {
             }
             self.built = true;
             self.lay_out(topo);
-            self.propagate();
-            let directed = self.edges.len() as u64;
+            self.propagate(topo);
+            let directed = 2 * topo.edge_count() as u64;
             return (directed, directed);
         }
         for i in 0..self.dirty.len() {
@@ -721,22 +659,22 @@ impl RouteTable {
                 self.recount(node, &mut records_of);
             }
         }
-        (0, self.propagate())
+        (0, self.propagate(topo))
     }
 
     /// Lays a zeroed arena out for `topo`. All zeros is the fixpoint of
     /// an overlay sharing nothing: starting there, every node is a
     /// change, in every word, for the next [`RouteTable::propagate`].
     fn lay_out(&mut self, topo: &Topology) {
-        self.edges = EdgeIndex::of(topo);
-        self.layers = vec![0; self.edges.len() * self.depth * self.words];
-        self.wave.is_candidate = vec![false; self.edges.len()];
-        self.wave.is_pushed = vec![false; self.edges.len()];
+        let directed = 2 * topo.edge_count();
+        self.layers = vec![0; directed * RADIUS * self.words];
+        self.wave.is_candidate = vec![false; directed];
+        self.wave.is_pushed = vec![false; directed];
         // a wave lists an edge at most once per list: sized once with the
         // arena, the three never grow (DESIGN.md §3e)
         for list in [&mut self.wave.frontier, &mut self.wave.candidates, &mut self.wave.pushed] {
             list.clear();
-            list.reserve_exact(self.edges.len());
+            list.reserve_exact(directed);
         }
         self.touched.fill(true);
         self.dirty.clear();
@@ -781,10 +719,9 @@ impl RouteTable {
     /// stored layer — only in the touched words, the only ones that can
     /// differ. Returns the number of edges with any changed layer and
     /// leaves nothing dirty.
-    fn propagate(&mut self) -> u64 {
-        let RouteTable { words, depth, edges, layers, local, dirty, is_dirty, touched, wave, .. } =
-            self;
-        let (words, stride) = (*words, *depth * *words);
+    fn propagate(&mut self, topo: &Topology) -> u64 {
+        let RouteTable { words, layers, local, dirty, is_dirty, touched, wave, .. } = self;
+        let (words, stride) = (*words, RADIUS * *words);
         let Wave {
             touched_words: at,
             frontier,
@@ -800,7 +737,7 @@ impl RouteTable {
         for node in dirty.drain(..) {
             is_dirty[node as usize] = false;
             let own = &local[node as usize * words..][..words];
-            for e in edges.run(node) {
+            for e in topo.run(node) {
                 let layer = &mut layers[e * stride..][..words];
                 let mut changed = false;
                 for &i in at.iter() {
@@ -813,10 +750,10 @@ impl RouteTable {
                 }
             }
         }
-        for d in 1..*depth {
+        for d in 1..RADIUS {
             for &e in frontier.iter() {
                 push_once(candidates, is_candidate, e);
-                for c in edges.run(edges.receivers[e]).filter(|&f| f != edges.reverse[e] as usize) {
+                for c in topo.run(topo.receiver(e)).filter(|&f| f != topo.reverse(e)) {
                     push_once(candidates, is_candidate, c);
                 }
             }
@@ -830,8 +767,8 @@ impl RouteTable {
                 for (g, &i) in gather.iter_mut().zip(at.iter()) {
                     *g = layers[c * stride + below + i];
                 }
-                for f in edges.run(edges.advertiser(c)).filter(|&f| f != c) {
-                    let upstream = edges.reverse[f] as usize * stride + below;
+                for f in topo.run(topo.advertiser(c)).filter(|&f| f != c) {
+                    let upstream = topo.reverse(f) * stride + below;
                     for (g, &i) in gather.iter_mut().zip(at.iter()) {
                         *g |= layers[upstream + i];
                     }
@@ -856,19 +793,20 @@ impl RouteTable {
     }
 
     /// Minimum plausible depth of a match for `probe`'s query behind the
-    /// edge `advertiser → receiver`: the 1-based index of the first layer
-    /// whose digest may match, probing at most `min(max_depth, radius)`
-    /// layers. `None` means "no match within reach through that
-    /// neighbor" (or the edge is unknown).
+    /// edge `advertiser → receiver` of `topo`, the overlay the table was
+    /// refreshed over: the 1-based index of the first layer whose digest
+    /// may match, probing at most `min(max_depth, radius)` layers. `None`
+    /// means "no match within reach through that neighbor" (or the edge
+    /// is unknown).
     pub fn min_depth(
         &self,
+        topo: &Topology,
         advertiser: u32,
         receiver: u32,
         probe: &Probe,
         max_depth: u8,
     ) -> Option<u8> {
-        let edge = self.edges.id(advertiser, receiver)?;
-        self.edge_min_depth(edge, probe, max_depth)
+        self.edge_min_depth(topo.edge(advertiser, receiver)?, probe, max_depth)
     }
 
     /// [`RouteTable::min_depth`] of every edge toward `receiver` from a
@@ -878,47 +816,50 @@ impl RouteTable {
     /// neighbour's run is searched.
     pub(crate) fn min_depths_toward<'a>(
         &'a self,
+        topo: &'a Topology,
         receiver: u32,
         except: Option<u32>,
         probe: &'a Probe,
         max_depth: u8,
     ) -> impl Iterator<Item = (u32, Option<u8>)> + 'a {
-        let edges = &self.edges;
-        edges
-            .run(receiver)
-            .map(|e| (edges.receivers[e], e))
+        topo.run(receiver)
+            .map(|e| (topo.receiver(e), e))
             .filter(move |&(nb, _)| Some(nb) != except)
-            .map(move |(nb, e)| {
-                (nb, self.edge_min_depth(edges.reverse[e] as usize, probe, max_depth))
-            })
+            .map(move |(nb, e)| (nb, self.edge_min_depth(topo.reverse(e), probe, max_depth)))
     }
 
-    /// [`RouteTable::min_depth`] of the edge with id `edge`.
+    /// [`RouteTable::min_depth`] of the edge with id `edge`; `None` for an
+    /// edge the table holds no layers of.
     fn edge_min_depth(&self, edge: usize, probe: &Probe, max_depth: u8) -> Option<u8> {
-        let cap = max_depth.min(self.config.radius) as usize;
-        self.layers[edge * self.depth * self.words..]
+        let cap = (max_depth as usize).min(RADIUS);
+        self.layers
+            .get(edge * RADIUS * self.words..)?
             .chunks_exact(self.words)
-            .take(cap.min(self.depth))
+            .take(cap)
             .position(|layer| probe.may_match(layer))
             .map(|i| i as u8 + 1)
     }
 
     /// The words of layer `depth` (1-based) of the edge
-    /// `advertiser → receiver`, as of the last refresh.
-    pub fn layer(&self, advertiser: u32, receiver: u32, depth: u8) -> Option<&[u64]> {
-        let edge = self.edges.id(advertiser, receiver)?;
-        let d = (depth as usize).checked_sub(1).filter(|&d| d < self.depth)?;
-        Some(&self.layers[(edge * self.depth + d) * self.words..][..self.words])
+    /// `advertiser → receiver` of `topo`, as of the last refresh.
+    pub fn layer(
+        &self,
+        topo: &Topology,
+        advertiser: u32,
+        receiver: u32,
+        depth: u8,
+    ) -> Option<&[u64]> {
+        let edge = topo.edge(advertiser, receiver)?;
+        let d = (depth as usize).checked_sub(1).filter(|&d| d < RADIUS)?;
+        self.layers.get((edge * RADIUS + d) * self.words..)?.get(..self.words)
     }
 
-    /// Bytes the table holds: the layer arena, the edge index, the local
-    /// digests, and a count array for each node written since the build.
+    /// Bytes the table holds: the layer arena, the local digests, and a
+    /// count array for each node written since the build. The edges are
+    /// the topology's.
     pub fn approx_bytes(&self) -> u64 {
         let counted = self.counts.iter().flatten().count();
-        let edge_index = self.edges.offsets.len() + 2 * self.edges.len();
-        ((self.layers.len() + self.local.len()) * 8
-            + edge_index * 4
-            + counted * self.words * 64 * 4) as u64
+        ((self.layers.len() + self.local.len()) * 8 + counted * self.words * 64 * 4) as u64
     }
 }
 
@@ -986,11 +927,7 @@ mod tests {
     }
 
     fn line(n: u32) -> Topology {
-        let mut topo = Topology::empty(n as usize);
-        for i in 1..n {
-            topo.connect(PeerId(i - 1), PeerId(i));
-        }
-        topo
+        Topology::from_edges(n as usize, (1..n).map(|i| (PeerId(i - 1), PeerId(i))))
     }
 
     fn small(log2_bits: u8) -> DigestConfig {
@@ -1141,7 +1078,7 @@ mod tests {
             }
             // layer d = layer d-1 ∪ neighbors' layer d-1 (monotone closure);
             // pushes are deferred so every read this round sees layer d-1
-            for _ in 1..config.radius.max(1) {
+            for _ in 1..RADIUS {
                 let mut next: Vec<RoutingDigest> = Vec::with_capacity(keys.len());
                 for &(q, p) in &keys {
                     let mut layer = edges[&(q, p)].last().unwrap().clone();
@@ -1219,13 +1156,13 @@ mod tests {
             for (&(q, p), layers) in &self.reference.edges {
                 for (d, layer) in layers.iter().enumerate() {
                     assert_eq!(
-                        self.table.layer(q, p, d as u8 + 1),
+                        self.table.layer(&self.topo, q, p, d as u8 + 1),
                         Some(&*layer.words),
                         "layer {} of {q} → {p}",
                         d + 1
                     );
                 }
-                assert_eq!(self.table.layer(q, p, layers.len() as u8 + 1), None);
+                assert_eq!(self.table.layer(&self.topo, q, p, layers.len() as u8 + 1), None);
             }
             got
         }
@@ -1233,7 +1170,7 @@ mod tests {
         /// Does `at`'s own advertisement (layer 1 toward `toward`) carry
         /// the entry?
         fn advertises(&self, at: u32, toward: u32, community: &str, term: Option<&str>) -> bool {
-            let layer = self.table.layer(at, toward, 1).expect("edge exists");
+            let layer = self.table.layer(&self.topo, at, toward, 1).expect("edge exists");
             contains(layer, term_hash(community, term))
         }
     }
@@ -1336,18 +1273,18 @@ mod tests {
         let (requests, pushes) = world.refresh();
         assert_eq!(requests, 6, "one request per directed edge");
         assert_eq!(pushes, 6, "first exchange pushes every edge");
-        let table = &world.table;
-        let q = Query::any_keyword("needle");
-        assert_eq!(table.min_depth(1, 0, &Probe::new("c", &q), 7), Some(3));
-        assert_eq!(table.min_depth(2, 1, &Probe::new("c", &q), 7), Some(2));
-        assert_eq!(table.min_depth(3, 2, &Probe::new("c", &q), 7), Some(1));
+        let probe = Probe::new("c", &Query::any_keyword("needle"));
+        let min_depth = |q, p, ttl| world.table.min_depth(&world.topo, q, p, &probe, ttl);
+        assert_eq!(min_depth(1, 0, 7), Some(3));
+        assert_eq!(min_depth(2, 1, 7), Some(2));
+        assert_eq!(min_depth(3, 2, 7), Some(1));
         // looking back toward the empty side finds nothing
-        assert_eq!(table.min_depth(0, 1, &Probe::new("c", &q), 7), None);
+        assert_eq!(min_depth(0, 1, 7), None);
         // a ttl too small to reach the record prunes the probe
-        assert_eq!(table.min_depth(1, 0, &Probe::new("c", &q), 2), None);
+        assert_eq!(min_depth(1, 0, 2), None);
         // neither a non-edge nor an unknown node is an advertiser
-        assert_eq!(table.min_depth(0, 2, &Probe::new("c", &q), 7), None);
-        assert_eq!(table.min_depth(9, 0, &Probe::new("c", &q), 7), None);
+        assert_eq!(min_depth(0, 2, 7), None);
+        assert_eq!(min_depth(9, 0, 7), None);
     }
 
     #[test]
@@ -1367,8 +1304,9 @@ mod tests {
         let (requests, pushes) = world.refresh();
         assert_eq!(requests, 0);
         assert_eq!(pushes, 2, "0→1 and 1→2 changed; 1→0 and 2→1 did not");
+        let probe = Probe::new("c", &Query::any_keyword("fresh"));
         assert_eq!(
-            world.table.min_depth(1, 2, &Probe::new("c", &Query::any_keyword("fresh")), 7),
+            world.table.min_depth(&world.topo, 1, 2, &probe, 7),
             Some(2),
             "the new record is visible two hops away after the refresh"
         );
@@ -1396,11 +1334,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let n = rng.gen_range(3..12usize);
             let degree = rng.gen_range(1..3usize);
-            let config = DigestConfig {
-                radius: rng.gen_range(0..5),
-                log2_bits: rng.gen_range(6..10),
-                ..DigestConfig::guided()
-            };
+            let config = small(rng.gen_range(6..10));
             let mut world = World::new(config, Topology::small_world(n, degree, 0.3, seed));
             // the flat overlay upserts into the provider's own table; the
             // two-tier one inserts first-record-wins into a shared table
@@ -1473,7 +1407,7 @@ mod tests {
         world.insert(0, 0, &record("b", "c", b));
         world.refresh();
         let bit_set = |world: &World| {
-            let layer = world.table.layer(0, 1, 1).expect("edge exists");
+            let layer = world.table.layer(&world.topo, 0, 1, 1).expect("edge exists");
             layer[common / 64] >> (common % 64) & 1 == 1
         };
         assert!(bit_set(&world));
@@ -1498,7 +1432,8 @@ mod tests {
         world.refresh();
         assert!(!world.advertises(0, 1, "songs", None));
         assert!(world.advertises(0, 1, "patterns", None));
-        assert_eq!(world.table.min_depth(0, 1, &Probe::new("songs", &Query::All), 7), None);
+        let probe = Probe::new("songs", &Query::All);
+        assert_eq!(world.table.min_depth(&world.topo, 0, 1, &probe, 7), None);
     }
 
     #[test]

@@ -337,10 +337,7 @@ mod tests {
 
     fn line(n: usize) -> DesNetwork {
         // 0 - 1 - 2 - ... - (n-1)
-        let mut t = Topology::empty(n);
-        for i in 0..n - 1 {
-            t.connect(PeerId(i as u32), PeerId(i as u32 + 1));
-        }
+        let t = Topology::from_edges(n, (1..n as u32).map(|i| (PeerId(i - 1), PeerId(i))));
         DesNetwork::new(Substrate::gnutella(t, ms(), FloodingConfig::default()))
     }
 
@@ -358,10 +355,7 @@ mod tests {
 
     #[test]
     fn ttl_bounds_reach() {
-        let mut t = Topology::empty(6);
-        for i in 0..5 {
-            t.connect(PeerId(i), PeerId(i + 1));
-        }
+        let t = Topology::from_edges(6, (0..5).map(|i| (PeerId(i), PeerId(i + 1))));
         let mut net = DesNetwork::new(Substrate::gnutella(
             t,
             ms(),
@@ -387,13 +381,9 @@ mod tests {
     #[test]
     fn dedup_caps_messages_on_cyclic_graphs() {
         let cycle = |dedup| {
-            let mut t = Topology::empty(4);
             // complete graph — worst case for duplicate queries
-            for i in 0..4u32 {
-                for j in (i + 1)..4 {
-                    t.connect(PeerId(i), PeerId(j));
-                }
-            }
+            let pairs = (0..4u32).flat_map(|i| ((i + 1)..4).map(move |j| (PeerId(i), PeerId(j))));
+            let t = Topology::from_edges(4, pairs);
             let mut net = DesNetwork::new(Substrate::gnutella(
                 t,
                 ms(),
@@ -469,7 +459,7 @@ mod tests {
         net.unpublish(PeerId(1), "k");
         let out = net.search(PeerId(0), "c", &Query::any_keyword("x"));
         assert!(out.hits.is_empty());
-        assert_eq!(net.substrate().shared_count(PeerId(1)), 0);
+        assert_eq!(arena(&net).shared_count(1), 0);
     }
 
     #[test]
@@ -479,7 +469,7 @@ mod tests {
         let mut net = line(3);
         net.publish(PeerId(1), record("k", "old name"));
         net.publish(PeerId(1), record("k", "new name"));
-        assert_eq!(net.substrate().shared_count(PeerId(1)), 1);
+        assert_eq!(arena(&net).shared_count(1), 1);
         assert!(net.search(PeerId(0), "c", &Query::any_keyword("old")).hits.is_empty());
         let out = net.search(PeerId(0), "c", &Query::any_keyword("new"));
         assert_eq!(out.hits.len(), 1);
@@ -509,7 +499,8 @@ mod tests {
 
     /// An edgeless network of `peers`.
     fn alone(peers: usize) -> DesNetwork {
-        DesNetwork::new(Substrate::gnutella(Topology::empty(peers), ms(), FloodingConfig::default()))
+        let t = Topology::from_edges(peers, []);
+        DesNetwork::new(Substrate::gnutella(t, ms(), FloodingConfig::default()))
     }
 
     /// Does `peer`'s summary, its column, let `query` through to its
@@ -845,10 +836,7 @@ mod tests {
     }
 
     fn guided_line(n: usize) -> DesNetwork {
-        let mut t = Topology::empty(n);
-        for i in 0..n - 1 {
-            t.connect(PeerId(i as u32), PeerId(i as u32 + 1));
-        }
+        let t = Topology::from_edges(n, (1..n as u32).map(|i| (PeerId(i - 1), PeerId(i))));
         let config =
             FloodingConfig { digests: DigestConfig::guided(), ..FloodingConfig::default() };
         DesNetwork::new(Substrate::gnutella(t, ms(), config))
@@ -903,9 +891,9 @@ mod tests {
         let out = net.search(PeerId(0), "c", &Query::any_keyword("x"));
         assert!(out.hits.is_empty(), "a removed record is never resurrected");
         // no digest matches anywhere, so the search degrades to the
-        // fallback walkers: at most walk_width TTL'd walks, far below the
+        // fallback walkers: at most WALK_WIDTH TTL'd walks, far below the
         // flood cost (which would still cross every edge)
-        let bound = DEFAULT_TTL as u64 * DigestConfig::guided().walk_width as u64;
+        let bound = DEFAULT_TTL as u64 * crate::overlay::WALK_WIDTH as u64;
         assert!(out.messages <= bound, "{} > {bound}", out.messages);
     }
 

@@ -47,6 +47,13 @@ pub(crate) trait Eval: FnMut(u32, &[u64]) -> Vec<Match> {}
 
 impl<F: FnMut(u32, &[u64]) -> Vec<Match>> Eval for F {}
 
+/// Most neighbours a guided copy is forwarded to per hop.
+const FANOUT: usize = 2;
+
+/// Random walkers spawned where the query entered the overlay when no
+/// neighbour's digest matches; a dead end further on continues as one.
+pub(crate) const WALK_WIDTH: usize = 2;
+
 /// Liveness of `peer`; ids outside the network are dead.
 pub(crate) fn is_alive(alive: &[bool], peer: PeerId) -> bool {
     alive.get(peer.index()).copied().unwrap_or(false)
@@ -174,11 +181,12 @@ impl Progress {
 
 /// What the two overlay protocols keep alike: the graph a query walks,
 /// the routing digests over it, the walkers' rng, and the TTL and dedup
-/// rule every copy obeys. No substrate rewires its graph after
-/// construction, so the digests are laid out for it once.
+/// rule every copy obeys. A [`Topology`] is immutable, so the digests
+/// are laid out for it once.
 pub(crate) struct Overlay {
     pub topology: Topology,
-    /// Per-directed-edge attenuated digests (guided search only).
+    /// Per-directed-edge attenuated digests (guided search only), indexed
+    /// by `topology`'s edge ids.
     pub routes: RouteTable,
     /// Seeded source for the random-walk fallback; part of the
     /// deterministic state, not wall-clock randomness.
@@ -237,7 +245,8 @@ impl Overlay {
     }
 
     /// Deterministic estimate of the overlay's resident bytes: its edges
-    /// and its routing digests.
+    /// (a receiver and a reverse id per direction, 16 bytes an undirected
+    /// edge) and its routing digests.
     pub fn approx_bytes(&self) -> u64 {
         self.topology.edge_count() as u64 * 16 + self.routes.approx_bytes()
     }
@@ -400,10 +409,8 @@ impl Walk<'_> {
             } else {
                 // guided copies and walkers re-consult the digests every
                 // hop (a walker escaping a stale region resumes guided
-                // forwarding); a fallback where the query entered spawns
-                // the full walker width, mid-path dead ends continue as one
-                let width = if sender.is_none() { self.routes.config().walk_width } else { 1 };
-                self.forward_guided(p, t, sender, (to, visit), ttl, width, sink);
+                // forwarding)
+                self.forward_guided(p, t, sender, (to, visit), ttl, sink);
             }
         }
         match (p.outcome.messages > before, ttl, mode) {
@@ -417,11 +424,11 @@ impl Walk<'_> {
 
     /// Forwards one guided copy holding `ttl > 0` from node `from`, whose
     /// visit is entry `visit` of the trail: digest-matching neighbors
-    /// (closest plausible match first, ties by id, capped at the fanout)
-    /// when any exist, else up to `walk_width` random walkers, drawn from
-    /// the neighbours in topology order, so stale or saturated digests
-    /// degrade to extra messages, not misses.
-    #[expect(clippy::too_many_arguments, reason = "one hop's progress, clock, sender, trail entry, TTL, width and sink, each differing per call")]
+    /// (closest plausible match first, ties by id, capped at [`FANOUT`])
+    /// when any exist, else random walkers drawn from the neighbours in
+    /// topology order — [`WALK_WIDTH`] where the query entered, one for a
+    /// dead end further on — so stale or saturated digests degrade to
+    /// extra messages, not misses.
     fn forward_guided<S: Sink>(
         &mut self,
         p: &mut Progress,
@@ -429,24 +436,24 @@ impl Walk<'_> {
         sender: Option<u32>,
         (from, visit): (u32, u32),
         ttl: u8,
-        walk_width: usize,
         sink: &mut S,
     ) {
         let mut picks = std::mem::take(&mut p.picks);
         picks.clear();
-        let depths = self.routes.min_depths_toward(from, sender, self.probe, ttl);
+        let depths = self.routes.min_depths_toward(self.topology, from, sender, self.probe, ttl);
         picks.extend(depths.filter_map(|(nb, depth)| Some((depth?, nb))));
         let copy = |to, mode| Hop { to, via: visit, ttl: ttl - 1, mode };
         if picks.is_empty() {
             let options = self.topology.neighbors(PeerId(from)).filter(|nb| Some(nb.0) != sender);
             picks.extend(options.map(|nb| (0, nb.0)));
-            for _ in 0..walk_width.min(picks.len()) {
+            let width = if sender.is_none() { WALK_WIDTH } else { 1 };
+            for _ in 0..width.min(picks.len()) {
                 let (_, nb) = picks.swap_remove(self.walk_rng.gen_range(0..picks.len()));
                 self.send(p, t, from, copy(nb, PropMode::Walk), sink);
             }
         } else {
             picks.sort_unstable();
-            for &(_, nb) in picks.iter().take(self.routes.config().fanout.max(1)) {
+            for &(_, nb) in picks.iter().take(FANOUT) {
                 self.send(p, t, from, copy(nb, PropMode::Guided), sink);
             }
         }
@@ -553,10 +560,8 @@ mod tests {
 
     impl Script {
         fn new(n: usize, edges: &[(u32, u32)], digests: DigestConfig, holders: &[u32]) -> Script {
-            let mut topology = Topology::empty(n);
-            for &(a, b) in edges {
-                topology.connect(PeerId(a), PeerId(b));
-            }
+            let pairs = edges.iter().map(|&(a, b)| (PeerId(a), PeerId(b)));
+            let topology = Topology::from_edges(n, pairs);
             let mut overlay = Overlay::new(topology, digests, 1, 4, true);
             if digests.enabled {
                 overlay.routes.refresh(&overlay.topology, |node, visit| {
@@ -750,7 +755,7 @@ mod tests {
     }
 
     #[test]
-    fn guided_forwarding_prefers_the_nearest_match_and_fanout_zero_means_one() {
+    fn guided_forwarding_prefers_the_nearest_match_up_to_the_fanout() {
         // from 0: a holder one hop away through 3, two hops away through 1
         let edges = [(0, 1), (1, 2), (0, 3)];
         let mut s = Script::guided(4, &edges, &[2, 3]);
@@ -762,23 +767,21 @@ mod tests {
         let mut p = Progress::new(0);
         assert_eq!(s.start(&mut p, 0, 0, None).targets(), vec![1, 3], "equal depths in id order");
 
-        let zero = DigestConfig { fanout: 0, log2_bits: 8, ..DigestConfig::guided() };
-        let mut s = Script::new(4, &edges, zero, &[2, 3]);
+        // three plausible neighbours: the two nearest get a copy
+        let edges = [(0, 1), (1, 2), (0, 3), (0, 4)];
+        let mut s = Script::guided(5, &edges, &[2, 3, 4]);
         let mut p = Progress::new(0);
-        assert_eq!(s.start(&mut p, 0, 0, None).targets(), vec![3]);
+        assert_eq!(s.start(&mut p, 0, 0, None).targets(), vec![3, 4]);
     }
 
     #[test]
     fn walker_fallback_is_capped_by_the_neighbours_available() {
         // nothing advertised anywhere: every guided forward falls back
         let edges = [(0, 1), (0, 2), (1, 3)];
-        let wide = DigestConfig { walk_width: 5, log2_bits: 8, ..DigestConfig::guided() };
-        let mut s = Script::new(4, &edges, wide, &[]);
+        let mut s = Script::guided(4, &edges, &[]);
         let mut p = Progress::new(0);
-        let out = s.start(&mut p, 0, 0, None);
-        let mut targets = out.targets();
-        targets.sort_unstable();
-        assert_eq!(targets, vec![1, 2], "five walkers asked for, two distinct neighbours exist");
+        let out = s.start(&mut p, 0, 3, None);
+        assert_eq!(out.targets(), vec![1], "two walkers asked for, one neighbour exists");
         assert!(out.forwards.iter().all(|f| f.4 == PropMode::Walk));
         assert_eq!(out.fate, Some(Fate::Forwarded));
         // (to, path, ttl) → copies sent on, and the hop's fate:

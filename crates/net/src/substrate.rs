@@ -156,16 +156,6 @@ impl Substrate {
         }
     }
 
-    /// Number of records `peer` shares (0 on Napster, where records live
-    /// only on the server).
-    pub fn shared_count(&self, peer: PeerId) -> usize {
-        match &self.protocol {
-            Protocol::Napster(_) => 0,
-            Protocol::Gnutella(_, shared) => shared.shared_count(peer.0),
-            Protocol::FastTrack(_, supers) => supers.shared_count(peer),
-        }
-    }
-
     /// Queries the routing tables like the forwarding path does: the
     /// minimum advertised depth at which `advertiser`'s digest (held by
     /// `receiver`) may match, within `max_depth`, as of the last refresh.
@@ -179,8 +169,8 @@ impl Substrate {
         query: &Query,
         max_depth: u8,
     ) -> Option<u8> {
-        let routes = &self.overlay()?.routes;
-        routes.min_depth(advertiser, receiver, &Probe::new(community, query), max_depth)
+        let Overlay { topology, routes, .. } = self.overlay()?;
+        routes.min_depth(topology, advertiser, receiver, &Probe::new(community, query), max_depth)
     }
 
     /// Deterministic estimate of resident state in bytes: liveness, the

@@ -8,7 +8,9 @@
 //! records instead of scanning them. What is FastTrack's alone — the
 //! leaves' assignment, the supers' indexes and the leaf↔super write
 //! path — is [`Supers`]; the rest of the protocol is the one
-//! [`crate::Substrate`]'s and its driver's, [`crate::DesNetwork`].
+//! [`crate::Substrate`]'s and its driver's, [`crate::DesNetwork`]. Who
+//! shares what is said once, by the provider sets of those indexes: a
+//! retrieve asks the provider's super, as Napster's asks its server.
 
 use crate::digest::DigestConfig;
 use crate::index_node::IndexNode;
@@ -18,7 +20,6 @@ use crate::stats::{MsgKind, NetStats};
 use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
 
 /// Configuration for the super-peer substrate.
 #[derive(Debug, Clone, Copy)]
@@ -46,10 +47,9 @@ impl Default for SuperPeerConfig {
 pub(crate) struct Supers {
     /// peer index → index of its super-peer (supers map to themselves).
     super_of: Vec<u32>,
-    /// Per-super metadata index over its leaves' records.
+    /// Per-super metadata index over its leaves' records, and with its
+    /// provider sets the one record of which peer shares which key.
     indexes: Vec<IndexNode>,
-    /// Per-peer owned object keys (for retrieval).
-    owned: Vec<BTreeSet<String>>,
 }
 
 impl Supers {
@@ -75,7 +75,6 @@ impl Supers {
         let supers = Supers {
             super_of,
             indexes: std::iter::repeat_with(IndexNode::new).take(config.supers).collect(),
-            owned: vec![BTreeSet::new(); n],
         };
         (supers, topology)
     }
@@ -91,14 +90,10 @@ impl Supers {
         &self.indexes[s as usize]
     }
 
-    /// Number of records shared by one peer.
-    pub fn shared_count(&self, peer: PeerId) -> usize {
-        self.owned.get(peer.index()).map_or(0, BTreeSet::len)
-    }
-
-    /// Does `provider` hold the object `key`?
+    /// Does `provider` hold the object `key`? Its super's index lists it
+    /// among the record's providers exactly while it shares the key.
     pub fn owns(&self, provider: PeerId, key: &str) -> bool {
-        self.owned.get(provider.index()).is_some_and(|keys| keys.contains(key))
+        self.super_of(provider).is_some_and(|s| self.indexes[s].has_provider(key, provider))
     }
 
     /// A live peer of the network shares `record`: a leaf uploads it to
@@ -110,12 +105,10 @@ impl Supers {
         record: &ResourceRecord,
         stats: &mut NetStats,
     ) -> Option<u32> {
-        let p = provider.index();
-        let s = self.super_of[p];
+        let s = self.super_of[provider.index()];
         if s != provider.0 {
             stats.sent(MsgKind::Publish); // leaf → super upload
         }
-        self.owned[p].insert(record.key.clone());
         self.indexes[s as usize].insert(provider, record).then_some(s)
     }
 
@@ -128,27 +121,20 @@ impl Supers {
         key: &str,
         stats: &mut NetStats,
     ) -> Option<(u32, &str, SharedFields)> {
-        let p = provider.index();
-        let s = self.super_of[p];
+        let s = self.super_of[provider.index()];
         if s != provider.0 {
             stats.sent(MsgKind::Unpublish);
         }
-        self.owned[p].remove(key);
         let node = &mut self.indexes[s as usize];
         let (slot, fields) = node.remove_slot(provider, key)?;
         Some((s, node.community_name(slot), fields))
     }
 
-    /// Deterministic estimate of resident bytes: owned keys, super
-    /// indexes and the leaves' assignment.
+    /// Deterministic estimate of resident bytes: super indexes and the
+    /// leaves' assignment.
     pub fn approx_bytes(&self) -> u64 {
-        let owned: u64 = self
-            .owned
-            .iter()
-            .map(|s| 24 + s.iter().map(|k| 32 + k.len() as u64).sum::<u64>())
-            .sum();
         let indexes: u64 = self.indexes.iter().map(|i| i.len() as u64 * 256).sum();
-        owned + indexes + self.super_of.len() as u64 * 4
+        indexes + self.super_of.len() as u64 * 4
     }
 }
 
@@ -160,6 +146,7 @@ mod tests {
     use crate::stats::{Fate, RetrieveOutcome, SearchOutcome};
     use crate::substrate::Substrate;
     use crate::traits::{PeerNetwork, SearchRequest};
+    use std::collections::BTreeSet;
     use up2p_store::Query;
 
     fn record(key: &str, name: &str) -> ResourceRecord {
@@ -279,6 +266,22 @@ mod tests {
         assert_eq!(net.stats().fate_count(Fate::ProviderOffline), 1);
         assert_eq!(net.stats().retrieves, 3);
         assert_eq!(net.stats().retrieves_ok, 1);
+
+        // two leaves under different supers share "k2": a retrieve asks
+        // the provider's super, so one withdrawal fails only its own
+        let a = PeerId(13);
+        let sup = |p| net.substrate().super_of(p).expect("in range");
+        let b = (4..20).map(PeerId).find(|&p| sup(p) != sup(a)).expect("another super's leaf");
+        net.publish(a, record("k2", "y"));
+        net.publish(b, record("k2", "y"));
+        net.unpublish(a, "k2");
+        net.reset_stats();
+        assert!(!net.retrieve(PeerId(12), a, "k2").is_fetched());
+        assert!(net.retrieve(PeerId(12), b, "k2").is_fetched());
+        net.publish(a, record("k2", "y"));
+        assert!(net.retrieve(PeerId(12), a, "k2").is_fetched(), "republished");
+        assert_eq!(net.stats().count(MsgKind::RetrieveFail), 1);
+        assert_eq!(net.stats().count(MsgKind::RetrieveOk), 2);
     }
 
     #[test]

@@ -87,23 +87,24 @@ fn digest_ops(nodes: u32) -> impl Strategy<Value = Vec<DigestOp>> {
 /// a few chords.
 fn connected_topology(parents: &[u32], chords: &[(u32, u32)]) -> Topology {
     let n = parents.len() as u32 + 1;
-    let mut topo = Topology::empty(n as usize);
-    for (i, &parent) in parents.iter().enumerate() {
-        topo.connect(PeerId(i as u32 + 1), PeerId(parent % (i as u32 + 1)));
-    }
-    for &(a, b) in chords {
-        topo.connect(PeerId(a % n), PeerId(b % n));
-    }
-    topo
+    let tree = parents.iter().zip(1..).map(|(&parent, i)| (PeerId(i), PeerId(parent % i)));
+    let chords = chords.iter().map(|&(a, b)| (PeerId(a % n), PeerId(b % n)));
+    Topology::from_edges(n as usize, tree.chain(chords))
 }
 
+/// The layers a route table keeps per directed edge: the attenuation
+/// radius, fixed at five (DESIGN.md §3c).
+const RADIUS: u8 = 5;
+
 /// Every layer of every directed edge of `table`, in edge order.
-fn all_layers(table: &RouteTable, topo: &Topology, radius: u8) -> Vec<Vec<Vec<u64>>> {
+fn all_layers(table: &RouteTable, topo: &Topology) -> Vec<Vec<Vec<u64>>> {
     let mut out = Vec::new();
     for q in topo.peers() {
         for p in topo.neighbors(q) {
-            let layers = (1..=radius.max(1))
-                .map(|d| table.layer(q.0, p.0, d).expect("edge and depth exist").to_vec())
+            let layer = |d| table.layer(topo, q.0, p.0, d);
+            assert_eq!(layer(RADIUS + 1), None, "no layer beyond the radius");
+            let layers = (1..=RADIUS)
+                .map(|d| layer(d).expect("edge and depth exist").to_vec())
                 .collect();
             out.push(layers);
         }
@@ -125,11 +126,11 @@ proptest! {
     fn delta_digests_equal_a_rebuild_from_scratch(
         parents in pvec(any::<u32>(), 2..9),
         chords in pvec((any::<u32>(), any::<u32>()), 0..6),
-        shape in (0u8..5, 6u8..10, any::<bool>()),
+        shape in (6u8..10, any::<bool>()),
         ops in digest_ops(3),
     ) {
-        let (radius, log2_bits, flat) = shape;
-        let config = DigestConfig { radius, log2_bits, ..DigestConfig::guided() };
+        let (log2_bits, flat) = shape;
+        let config = DigestConfig { log2_bits, ..DigestConfig::guided() };
         let topo = connected_topology(&parents, &chords);
         prop_assert!(topo.is_connected());
         let directed = 2 * topo.edge_count() as u64;
@@ -166,8 +167,8 @@ proptest! {
                         .refresh(&topo, |p, visit| nodes[p as usize].for_each_record(visit));
                     let mut scratch = RouteTable::new(config);
                     scratch.refresh(&topo, |p, visit| nodes[p as usize].for_each_record(visit));
-                    let after = all_layers(&table, &topo, radius);
-                    prop_assert_eq!(&after, &all_layers(&scratch, &topo, radius));
+                    let after = all_layers(&table, &topo);
+                    prop_assert_eq!(&after, &all_layers(&scratch, &topo));
                     let expected = match &before {
                         None => (directed, directed),
                         Some(before) => {
@@ -234,7 +235,7 @@ proptest! {
     ) {
         let mut arena = RecordArena::with_peers(3);
         let mut net = DesNetwork::new(Substrate::gnutella(
-            Topology::empty(3),
+            Topology::from_edges(3, []),
             LatencySpec::Constant(1).build(0, 1),
             FloodingConfig { ttl: 0, ..FloodingConfig::default() },
         ));

@@ -58,10 +58,7 @@ fn total_churn_makes_objects_invisible_then_revival_restores_them() {
 #[test]
 fn ttl_exhaustion_hides_distant_objects() {
     // a line topology with the object 5 hops away and TTL 3
-    let mut topo = Topology::empty(8);
-    for i in 0..7u32 {
-        topo.connect(PeerId(i), PeerId(i + 1));
-    }
+    let topo = Topology::from_edges(8, (0..7u32).map(|i| (PeerId(i), PeerId(i + 1))));
     let mut net = DesNetwork::new(Substrate::gnutella(
         topo,
         LatencySpec::Constant(10_000).build(0, 1),

@@ -11,12 +11,15 @@
 //! This module provides that layer for the simulated substrates:
 //!
 //! * [`RoutingDigest`] — a Bloom-filter bitset over `(community, term)`
-//!   pairs. A record contributes its community marker and, per field,
-//!   the normalized exact value and the keyword tokens — the terms the
-//!   store's index posts it under (`for_each_record_entry` is the one
-//!   place that enumerates them, for the routing digests and for the
-//!   per-peer term summaries, stored bit-sliced, and record
-//!   [`Signature`]s of the Gnutella [`crate::RecordArena`] alike).
+//!   pairs. The vocabulary is tokens: a record contributes its community
+//!   marker and, per field, the keyword tokens the store's index posts
+//!   it under, and a query's `Exact` pattern is asked as the `And` of its
+//!   own tokens. A whole value is no term: nearly unique per record, it
+//!   would fill the deep layers for one query form alone
+//!   (`for_each_record_entry` is the one place that enumerates a
+//!   record's entries, for the routing digests and for the per-peer term
+//!   summaries, stored bit-sliced, and record [`Signature`]s of the
+//!   Gnutella [`crate::RecordArena`] alike).
 //!   Digests hash term *strings*, not symbol ids: interner symbols are
 //!   private to each index, strings are the wire-stable identity. A
 //!   query is compiled once into a [`Probe`] — every hash it needs — and
@@ -32,7 +35,8 @@
 //!   own, only the layers indexed by the topology's edge ids.
 //! * [`DigestConfig`] — the knobs: whether to guide at all, and the bits
 //!   per layer. The radius (5 layers) is a constant here, the guided
-//!   fanout (2) and the fallback's walker width (2) in the overlay walk.
+//!   fanout (2, on a layer sparse enough to believe) and the fallback's
+//!   walker width (2) in the overlay walk.
 //!
 //! The digest answers "may a match exist behind this neighbor?" — never
 //! "does one exist". False positives only cost messages; false negatives
@@ -44,7 +48,7 @@
 
 use crate::index_node::IndexNode;
 use crate::topology::Topology;
-use up2p_store::{for_each_token, is_normalized, normalize, Query, ValuePattern};
+use up2p_store::{for_each_token, normalize, Query, ValuePattern};
 
 /// Tuning knobs for the routing-digest layer. `enabled: false` (the
 /// default) keeps every substrate byte-for-byte on its blind-flooding
@@ -117,11 +121,16 @@ pub(crate) fn entry_hash(scope: u64, term: Option<&str>) -> u64 {
 }
 
 /// The digest vocabulary of one record, as entry hashes: the community
-/// marker, then each field's normalized value and keyword tokens —
-/// exactly the terms the store's index posts the record under. An entry
-/// is visited once per occurrence (a token two fields share is visited
-/// twice), so replaying the same record takes out of the occurrence
-/// counts precisely what it put in.
+/// marker, then each field's keyword tokens — the terms the store's
+/// index posts the record under as keywords. A whole value is no entry:
+/// an `Exact` pattern is asked by its tokens ([`Probe::new`]), which a
+/// value equal to it carries. Lowercasing can move a token boundary in
+/// a non-ASCII value (`İ` lowercases to `i` and a combining dot, which
+/// is no letter), so such a value also enters the tokens of its
+/// normalized form, the form an `Exact` pattern is compared with. An
+/// entry is visited once per occurrence (a token two fields share is
+/// visited twice), so replaying the same record takes out of the
+/// occurrence counts precisely what it put in.
 pub(crate) fn for_each_record_entry(
     community: &str,
     fields: &[(String, String)],
@@ -131,12 +140,10 @@ pub(crate) fn for_each_record_entry(
     f(entry_hash(scope, None));
     let mut entry = |term: &str| f(entry_hash(scope, Some(term)));
     for (_, value) in fields {
-        if is_normalized(value) {
-            entry(value);
-        } else {
-            entry(&normalize(value));
-        }
         for_each_token(value, &mut entry);
+        if !value.is_ascii() {
+            for_each_token(&normalize(value), &mut entry);
+        }
     }
 }
 
@@ -171,10 +178,10 @@ fn contains_bit(words: &[u64], bit: usize) -> bool {
 }
 
 /// 64-bit words of one record's signature: 128 bits, a constant. A
-/// record's community marker, values and tokens are eight-odd distinct
-/// entries, two bits each, so a signature is about an eighth full and
-/// admits a term its record lacks ~1.5 % of the time; an `And` of two
-/// such terms far less. One word would admit ~5 %. At 16 bytes a record,
+/// record's community marker and tokens are six-odd distinct entries,
+/// two bits each, so a signature is about a tenth full and admits a
+/// term its record lacks ~1 % of the time; an `And` of two such terms
+/// far less. One word would admit ~3 %. At 16 bytes a record,
 /// 100 000 records cost 1.6 MB.
 pub const SIGNATURE_WORDS: usize = 2;
 
@@ -221,7 +228,8 @@ enum Terms {
     /// Nothing a digest can check term-wise (`All`, `Not`, wildcard and
     /// `Present` patterns): community presence alone decides.
     Any,
-    /// The entry hash of a keyword or of a normalized exact value.
+    /// The entry hash of one token: a keyword, or one of an exact
+    /// value's.
     Term(u64),
     And(Vec<Terms>),
     Or(Vec<Terms>),
@@ -234,7 +242,11 @@ impl Terms {
             Query::And(qs) => Terms::And(qs.iter().map(|q| Terms::of(scope, q)).collect()),
             Query::Or(qs) => Terms::Or(qs.iter().map(|q| Terms::of(scope, q)).collect()),
             Query::Keyword { word, .. } => term(word),
-            Query::Match { pattern: ValuePattern::Exact(value), .. } => term(value),
+            Query::Match { pattern: ValuePattern::Exact(value), .. } => {
+                let mut tokens = Vec::new();
+                for_each_token(value, |t| tokens.push(term(t)));
+                Terms::And(tokens)
+            }
             Query::All | Query::Not(_) | Query::Match { .. } => Terms::Any,
         }
     }
@@ -447,8 +459,10 @@ impl RoutingDigest {
     /// index semantics, so a fresh digest never yields a false negative:
     ///
     /// * `Keyword` → the token's term bit (field restrictions ignored),
-    /// * `Match` with an `Exact` pattern → the normalized value's term
-    ///   bit (exact patterns are pre-normalized by the query builders),
+    /// * `Match` with an `Exact` pattern → the term bits of all its
+    ///   tokens (exact patterns are pre-normalized by the query builders,
+    ///   and a value equal to one carries its tokens; a pattern with no
+    ///   token is community presence alone),
     /// * `And` → all branches plausible, `Or` → any branch plausible
     ///   (an empty `Or` matches nothing, exactly like the evaluator),
     /// * everything else (`All`, `Not`, wildcard/`Present` patterns) →
@@ -498,6 +512,8 @@ pub struct RouteTable {
     /// `[edge][layer][word]`, [`RADIUS`] layers an edge; layer index
     /// `d-1` covers depth `d`.
     layers: Vec<u64>,
+    /// `[edge][layer]`: the set bits of each layer, kept by the wave.
+    ones: Vec<u32>,
     /// `[node][word]`: each node's digest of its own share table.
     local: Vec<u64>,
     /// Per-bit occurrence counts of the nodes written since the build
@@ -532,6 +548,20 @@ struct Wave {
     gather: Vec<u64>,
 }
 
+/// Writes each `(index, word)` of `words` into `layer`, keeping `ones`,
+/// the layer's set bits, current; whether any word changed.
+fn overwrite(layer: &mut [u64], ones: &mut u32, words: impl Iterator<Item = (usize, u64)>) -> bool {
+    let mut changed = false;
+    for (i, new) in words {
+        let old = std::mem::replace(&mut layer[i], new);
+        if old != new {
+            changed = true;
+            *ones = *ones + new.count_ones() - old.count_ones();
+        }
+    }
+    changed
+}
+
 /// Appends `edge` to `list` unless its flag says it is already there.
 fn push_once(list: &mut Vec<usize>, listed: &mut [bool], edge: usize) {
     if !std::mem::replace(&mut listed[edge], true) {
@@ -547,6 +577,7 @@ impl RouteTable {
             config,
             words: words_for(config.log2_bits),
             layers: Vec::new(),
+            ones: Vec::new(),
             local: Vec::new(),
             counts: Vec::new(),
             dirty: Vec::new(),
@@ -668,6 +699,7 @@ impl RouteTable {
     fn lay_out(&mut self, topo: &Topology) {
         let directed = 2 * topo.edge_count();
         self.layers = vec![0; directed * RADIUS * self.words];
+        self.ones = vec![0; directed * RADIUS];
         self.wave.is_candidate = vec![false; directed];
         self.wave.is_pushed = vec![false; directed];
         // a wave lists an edge at most once per list: sized once with the
@@ -720,7 +752,7 @@ impl RouteTable {
     /// differ. Returns the number of edges with any changed layer and
     /// leaves nothing dirty.
     fn propagate(&mut self, topo: &Topology) -> u64 {
-        let RouteTable { words, layers, local, dirty, is_dirty, touched, wave, .. } = self;
+        let RouteTable { words, layers, ones, local, dirty, is_dirty, touched, wave, .. } = self;
         let (words, stride) = (*words, RADIUS * *words);
         let Wave {
             touched_words: at,
@@ -739,12 +771,7 @@ impl RouteTable {
             let own = &local[node as usize * words..][..words];
             for e in topo.run(node) {
                 let layer = &mut layers[e * stride..][..words];
-                let mut changed = false;
-                for &i in at.iter() {
-                    changed |= layer[i] != own[i];
-                    layer[i] = own[i];
-                }
-                if changed {
+                if overwrite(layer, &mut ones[e * RADIUS], at.iter().map(|&i| (i, own[i]))) {
                     frontier.push(e);
                     push_once(pushed, is_pushed, e);
                 }
@@ -774,12 +801,8 @@ impl RouteTable {
                     }
                 }
                 let layer = &mut layers[c * stride + below + words..][..words];
-                let mut changed = false;
-                for (&g, &i) in gather.iter().zip(at.iter()) {
-                    changed |= layer[i] != g;
-                    layer[i] = g;
-                }
-                if changed {
+                let gathered = at.iter().zip(gather.iter()).map(|(&i, &g)| (i, g));
+                if overwrite(layer, &mut ones[c * RADIUS + d], gathered) {
                     frontier.push(c);
                     push_once(pushed, is_pushed, c);
                 }
@@ -810,21 +833,21 @@ impl RouteTable {
     }
 
     /// [`RouteTable::min_depth`] of every edge toward `receiver` from a
-    /// neighbour other than `except`, as `(neighbour, depth)` in
-    /// neighbour id order — the order of [`Topology::neighbors`]. Each
-    /// edge is the reverse of one of `receiver`'s own out-edges, so no
-    /// neighbour's run is searched.
+    /// neighbour `keep` keeps, as `(neighbour, depth)` in neighbour id
+    /// order — the order of [`Topology::neighbors`]. Each edge is the
+    /// reverse of one of `receiver`'s own out-edges, so no neighbour's
+    /// run is searched.
     pub(crate) fn min_depths_toward<'a>(
         &'a self,
         topo: &'a Topology,
         receiver: u32,
-        except: Option<u32>,
+        keep: impl Fn(u32) -> bool + 'a,
         probe: &'a Probe,
         max_depth: u8,
     ) -> impl Iterator<Item = (u32, Option<u8>)> + 'a {
         topo.run(receiver)
             .map(|e| (topo.receiver(e), e))
-            .filter(move |&(nb, _)| Some(nb) != except)
+            .filter(move |&(nb, _)| keep(nb))
             .map(move |(nb, e)| (nb, self.edge_min_depth(topo.reverse(e), probe, max_depth)))
     }
 
@@ -854,12 +877,46 @@ impl RouteTable {
         self.layers.get((edge * RADIUS + d) * self.words..)?.get(..self.words)
     }
 
-    /// Bytes the table holds: the layer arena, the local digests, and a
-    /// count array for each node written since the build. The edges are
-    /// the topology's.
+    /// Is layer `depth` (1-based) of the edge `advertiser → receiver`
+    /// sparse enough to believe: `2·ones² < bits²`? A term absent from a
+    /// layer a fraction `f` full passes its two probes with chance `f²`,
+    /// so below `f² = ½` a one-term match there is more likely real than
+    /// a false positive. `false` for an edge or depth the table does not
+    /// hold. The edge is found in the receiver's run, which a guided hop
+    /// at the receiver has just read.
+    pub(crate) fn is_sparse(
+        &self,
+        topo: &Topology,
+        advertiser: u32,
+        receiver: u32,
+        depth: u8,
+    ) -> bool {
+        let edge = topo.edge(receiver, advertiser).map(|e| topo.reverse(e));
+        let d = (depth as usize).checked_sub(1).filter(|&d| d < RADIUS);
+        let ones = edge.zip(d).and_then(|(e, d)| self.ones.get(e * RADIUS + d));
+        let bits = self.words as u64 * 64;
+        ones.is_some_and(|&ones| 2 * u64::from(ones).pow(2) < bits.pow(2))
+    }
+
+    /// The mean fill of each layer over every directed edge, as of the
+    /// last refresh: the share of its bits set, depth 1 first. `None`
+    /// before the first refresh.
+    pub fn fill(&self) -> Option<[f64; RADIUS]> {
+        let mut sum = [0u64; RADIUS];
+        for (i, &ones) in self.ones.iter().enumerate() {
+            sum[i % RADIUS] += u64::from(ones);
+        }
+        let bits = (self.ones.len() / RADIUS * self.words * 64) as f64;
+        (bits > 0.0).then(|| sum.map(|s| s as f64 / bits))
+    }
+
+    /// Bytes the table holds: the layer arena with each layer's set-bit
+    /// count, the local digests, and a count array for each node written
+    /// since the build. The edges are the topology's.
     pub fn approx_bytes(&self) -> u64 {
         let counted = self.counts.iter().flatten().count();
-        ((self.layers.len() + self.local.len()) * 8 + counted * self.words * 64 * 4) as u64
+        let words = self.layers.len() + self.local.len();
+        (words * 8 + self.ones.len() * 4 + counted * self.words * 64 * 4) as u64
     }
 }
 
@@ -940,8 +997,9 @@ mod tests {
     }
 
     /// The string-hashing walk [`Probe::may_match`] used to be — community
-    /// name and every term re-hashed at each digest asked — kept as the
-    /// oracle for the compiled probe.
+    /// name and every term re-hashed at each digest asked, an exact value
+    /// split by the store's own `tokenize` — kept as the oracle for the
+    /// compiled probe.
     fn reference_may_match(words: &[u64], community: &str, query: &Query) -> bool {
         contains(words, term_hash(community, None)) && terms_plausible(words, community, query)
     }
@@ -955,9 +1013,9 @@ mod tests {
             Query::And(qs) => qs.iter().all(|q| terms_plausible(words, community, q)),
             Query::Or(qs) => qs.iter().any(|q| terms_plausible(words, community, q)),
             Query::Keyword { word, .. } => contains(words, term_hash(community, Some(word))),
-            Query::Match { pattern: ValuePattern::Exact(value), .. } => {
-                contains(words, term_hash(community, Some(value)))
-            }
+            Query::Match { pattern: ValuePattern::Exact(value), .. } => up2p_store::tokenize(value)
+                .iter()
+                .all(|token| contains(words, term_hash(community, Some(token)))),
         }
     }
 
@@ -1154,6 +1212,7 @@ mod tests {
             assert_eq!(got, expected, "(requests, pushes)");
             assert!(!self.table.needs_refresh());
             for (&(q, p), layers) in &self.reference.edges {
+                let edge = self.topo.edge(q, p).expect("edge exists");
                 for (d, layer) in layers.iter().enumerate() {
                     assert_eq!(
                         self.table.layer(&self.topo, q, p, d as u8 + 1),
@@ -1161,6 +1220,8 @@ mod tests {
                         "layer {} of {q} → {p}",
                         d + 1
                     );
+                    let ones = self.table.ones[edge * RADIUS + d];
+                    assert_eq!(u64::from(ones), layer.ones(), "set bits of layer {}", d + 1);
                 }
                 assert_eq!(self.table.layer(&self.topo, q, p, layers.len() as u8 + 1), None);
             }
@@ -1256,12 +1317,46 @@ mod tests {
 
     #[test]
     fn record_entries_hash_like_term_hash() {
+        // tokens only: the whole value is asked by its tokens
         let fields = vec![("o/name".to_string(), "  Observer   Pattern ".to_string())];
         let mut got = Vec::new();
         for_each_record_entry("patterns", &fields, |h| got.push(h));
-        let expected = [None, Some("observer pattern"), Some("observer"), Some("pattern")]
-            .map(|term| term_hash("patterns", term));
+        let expected =
+            [None, Some("observer"), Some("pattern")].map(|term| term_hash("patterns", term));
         assert_eq!(got, expected);
+        // `İ` lowercases to `i` and a combining dot, no letter: the raw
+        // value's one token is two in its normalized form, which enters too
+        let fields = vec![("o/city".to_string(), "İstanbul Köln".to_string())];
+        let mut got = Vec::new();
+        for_each_record_entry("cities", &fields, |h| got.push(h));
+        let raw = [Some("i\u{307}stanbul"), Some("köln")];
+        let normalized = [Some("i"), Some("stanbul"), Some("köln")];
+        let expected: Vec<u64> = [None]
+            .into_iter()
+            .chain(raw)
+            .chain(normalized)
+            .map(|term| term_hash("cities", term))
+            .collect();
+        assert_eq!(got, expected);
+        let signature = sign_record("cities", &fields, |_| {});
+        assert!(Probe::new("cities", &Query::eq("o/city", "İstanbul Köln")).admits(&signature));
+    }
+
+    #[test]
+    fn an_exact_value_is_asked_by_its_tokens() {
+        let mut d = RoutingDigest::new(12);
+        for term in ["abstract", "blues"] {
+            d.insert(term_hash("songs", Some(term)));
+        }
+        d.insert(term_hash("songs", None));
+        // every token must be there, wherever it came from
+        assert!(!d.may_match("songs", &Query::eq("track/title", "Abstract Factory Blues")));
+        d.insert(term_hash("songs", Some("factory")));
+        assert!(d.may_match("songs", &Query::eq("track/title", "Abstract Factory Blues")));
+        // stopwords are no tokens, and a value of none is community presence
+        assert!(d.may_match("songs", &Query::eq("track/title", "the blues")));
+        assert!(d.may_match("songs", &Query::eq("track/title", "--")));
+        assert!(!d.may_match("films", &Query::eq("track/title", "--")));
     }
 
     #[test]
@@ -1400,9 +1495,8 @@ mod tests {
             .expect("some pair collides in 64 bits");
         let mut world = World::new(small(6), line(2));
         world.refresh();
-        // no community marker or exact value in the way: bare tokens of
-        // a one-word value hash the same as the value, so each term is
-        // entered twice and leaves twice
+        // no community marker in the way: each one-word record enters its
+        // term once and takes it out once
         world.insert(0, 0, &record("a", "c", a));
         world.insert(0, 0, &record("b", "c", b));
         world.refresh();
@@ -1448,8 +1542,8 @@ mod tests {
         world.insert(0, 0, &record("b", "c", "needle"));
         assert!(world.table.counts[0].is_none(), "inexact counts are dropped");
         world.refresh();
-        // two records, each entering "needle" as its value and as its token
-        assert_eq!(world.table.counts[0].as_ref().expect("recounted")[bit], 4);
+        // two records, each entering "needle" once, as its one token
+        assert_eq!(world.table.counts[0].as_ref().expect("recounted")[bit], 2);
         world.remove(0, 0, "a");
         world.remove(0, 0, "b");
         world.refresh();

@@ -408,7 +408,11 @@ mod tests {
         net.set_alive(PeerId(2), false);
         let out = net.search(PeerId(0), "c", &Query::any_keyword("x"));
         assert!(out.hits.is_empty(), "peer 2 is the only route to peer 4");
-        assert!(net.stats().fate_count(Fate::Dead) > 0);
+        // no copy is sent over the link to offline peer 2: the flood ends
+        // at peer 1, one Query out, with TTL left and nowhere to go
+        assert_eq!(out.messages, 1);
+        assert_eq!(net.stats().fate_count(Fate::Dead), 0);
+        assert_eq!(net.stats().fate_count(Fate::DeadEnd), 1);
     }
 
     #[test]
@@ -679,6 +683,8 @@ mod tests {
         ResourceRecord::new(format!("k{key}"), COMMUNITIES[community], fields)
     }
 
+    /// Field values, one of which splits into other tokens once
+    /// normalized (`İ` lowercases to `i` and a combining dot).
     fn value() -> impl Strategy<Value = &'static str> + Clone {
         prop_oneof![
             Just("apple"),
@@ -686,6 +692,7 @@ mod tests {
             Just("Observer Pattern"),
             Just("factory"),
             Just("errant banana"),
+            Just("İstanbul Köln"),
         ]
     }
 
@@ -706,8 +713,9 @@ mod tests {
         pvec(write, 1..24)
     }
 
-    /// Every query form a summary is asked: terms it can check, and forms
-    /// it passes on the community marker alone.
+    /// Every query form a summary is asked: terms it can check, exact
+    /// whole values it asks by their tokens, and forms it passes on the
+    /// community marker alone.
     fn query() -> impl Strategy<Value = Query> {
         let word = prop_oneof![
             Just("apple"),
@@ -716,11 +724,13 @@ mod tests {
             Just("banana split"),
             Just("missing"),
         ];
+        let whole = prop_oneof![Just("observer pattern"), Just("İstanbul Köln")];
         let leaf = prop_oneof![
             Just(Query::All),
             word.clone().prop_map(Query::any_keyword),
             word.clone().prop_map(|w| Query::keyword("name", w)),
             word.clone().prop_map(|w| Query::eq("o/name", w)),
+            whole.prop_map(|v| Query::eq("name", v)),
             word.prop_map(|w| Query::contains("o/tag", w)),
         ];
         leaf.prop_recursive(2, 8, 3, |inner| {
@@ -901,15 +911,20 @@ mod tests {
     fn walk_fallback_survives_stale_digests() {
         // peer death does NOT dirty the digests (a real overlay only
         // notices through timeouts), so the guided path toward the dead
-        // provider goes stale; the walker fallback keeps exploring and
-        // the search still terminates without false hits
+        // provider goes stale; no copy crosses the link to the offline
+        // peer, the walker fallback takes over where the trail leads
+        // nowhere live, and the search terminates without false hits
         let mut net = guided_line(5);
         net.publish(PeerId(3), record("k", "x"));
         assert_eq!(net.search(PeerId(0), "c", &Query::any_keyword("x")).hits.len(), 1);
         net.set_alive(PeerId(3), false);
         let out = net.search(PeerId(0), "c", &Query::any_keyword("x"));
         assert!(out.hits.is_empty(), "dead providers never produce hits");
-        assert!(net.stats().fate_count(Fate::Dead) > 0, "the stale trail ends at the dead peer");
+        assert_eq!(net.stats().fate_count(Fate::Dead), 0, "no copy is sent to the offline peer");
+        assert!(
+            net.stats().fate_count(Fate::DeadEnd) > 0,
+            "the stale trail ends at the last live peer before it"
+        );
     }
 
     #[test]

@@ -492,10 +492,12 @@ mod tests {
             d.contains(entry_hash(community_scope(c), t))
         };
         let d = digest(&node);
-        // community markers plus tokens plus the normalized exact value
+        // community markers plus tokens; an exact value is asked by its
+        // tokens, so the whole one is no entry
         assert!(has(&d, "patterns", None));
         assert!(has(&d, "patterns", Some("observer")));
-        assert!(has(&d, "patterns", Some("observer pattern")));
+        assert!(has(&d, "patterns", Some("pattern")));
+        assert!(!has(&d, "patterns", Some("observer pattern")));
         assert!(has(&d, "songs", Some("jazz")));
         // withdrawing a community's last record drops it from the record
         // walk, and so from the digest, even though its sub-index slot

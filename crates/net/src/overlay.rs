@@ -2,10 +2,11 @@
 //! query walk, written once.
 //!
 //! A query copy ([`Hop`]) arrives at an overlay node; the node drops it
-//! (dead, or a duplicate the mode does not tolerate), evaluates its
-//! share table, returns `QueryHit`s along the reverse path, and forwards
-//! — blindly to every neighbor, or along routing digests with random
-//! walkers as the fallback. [`Walk::start`], [`Walk::arrive`] and
+//! (gone offline while the copy was in flight, or a duplicate the mode
+//! does not tolerate), evaluates its share table, returns `QueryHit`s
+//! along the reverse path, and forwards over its live links — blindly to
+//! every neighbor, or along routing digests with random walkers as the
+//! fallback. [`Walk::start`], [`Walk::arrive`] and
 //! [`Progress::finish`] are that hop handler; they decide *what* happens,
 //! count the messages and return the hop's [`Fate`], and leave *when* and
 //! *against which records* to the caller:
@@ -47,7 +48,8 @@ pub(crate) trait Eval: FnMut(u32, &[u64]) -> Vec<Match> {}
 
 impl<F: FnMut(u32, &[u64]) -> Vec<Match>> Eval for F {}
 
-/// Most neighbours a guided copy is forwarded to per hop.
+/// Most neighbours a guided copy is forwarded to per hop, when the
+/// nearest match is in a layer sparse enough to believe.
 const FANOUT: usize = 2;
 
 /// Random walkers spawned where the query entered the overlay when no
@@ -337,6 +339,7 @@ impl Walk<'_> {
         let Hop { to, via, ttl, mode } = hop;
         p.quiescence = p.quiescence.max(t);
         if !is_alive(self.alive, PeerId(to)) {
+            // it went offline while the copy was in flight
             return Fate::Dead;
         }
         let (word, bit) = (to as usize / 64, 1u64 << (to % 64));
@@ -400,9 +403,10 @@ impl Walk<'_> {
             let visit = p.trail.len() as u32;
             p.trail.push((to, via));
             if mode == PropMode::Flood {
-                // forward to all neighbors except the immediate sender
-                let topology = self.topology;
-                for nb in topology.neighbors(PeerId(to)).filter(|nb| Some(nb.0) != sender) {
+                // forward to all live neighbors except the immediate sender
+                let (topology, alive) = (self.topology, self.alive);
+                let onward = |nb: &PeerId| Some(nb.0) != sender && is_alive(alive, *nb);
+                for nb in topology.neighbors(PeerId(to)).filter(onward) {
                     let copy = Hop { to: nb.0, via: visit, ttl: ttl - 1, mode: PropMode::Flood };
                     self.send(p, t, to, copy, sink);
                 }
@@ -423,12 +427,15 @@ impl Walk<'_> {
     }
 
     /// Forwards one guided copy holding `ttl > 0` from node `from`, whose
-    /// visit is entry `visit` of the trail: digest-matching neighbors
-    /// (closest plausible match first, ties by id, capped at [`FANOUT`])
-    /// when any exist, else random walkers drawn from the neighbours in
-    /// topology order — [`WALK_WIDTH`] where the query entered, one for a
-    /// dead end further on — so stale or saturated digests degrade to
-    /// extra messages, not misses.
+    /// visit is entry `visit` of the trail, over its live links other
+    /// than the one to the sender: to digest-matching neighbours, closest
+    /// plausible match first and ties by id — [`FANOUT`] of them when the
+    /// nearest one matched in a layer sparse enough to believe
+    /// ([`RouteTable::is_sparse`]), else that one alone — when any
+    /// exist, else random walkers drawn from the neighbours in topology
+    /// order — [`WALK_WIDTH`] where the query entered, one for a dead end
+    /// further on — so stale or saturated digests degrade to extra
+    /// messages, not misses.
     fn forward_guided<S: Sink>(
         &mut self,
         p: &mut Progress,
@@ -440,21 +447,24 @@ impl Walk<'_> {
     ) {
         let mut picks = std::mem::take(&mut p.picks);
         picks.clear();
-        let depths = self.routes.min_depths_toward(self.topology, from, sender, self.probe, ttl);
+        let alive = self.alive;
+        let onward = |nb: u32| Some(nb) != sender && is_alive(alive, PeerId(nb));
+        let depths = self.routes.min_depths_toward(self.topology, from, onward, self.probe, ttl);
         picks.extend(depths.filter_map(|(nb, depth)| Some((depth?, nb))));
+        picks.sort_unstable();
         let copy = |to, mode| Hop { to, via: visit, ttl: ttl - 1, mode };
-        if picks.is_empty() {
-            let options = self.topology.neighbors(PeerId(from)).filter(|nb| Some(nb.0) != sender);
+        if let Some(&(depth, nearest)) = picks.first() {
+            let sparse = self.routes.is_sparse(self.topology, nearest, from, depth);
+            for &(_, nb) in picks.iter().take(if sparse { FANOUT } else { 1 }) {
+                self.send(p, t, from, copy(nb, PropMode::Guided), sink);
+            }
+        } else {
+            let options = self.topology.neighbors(PeerId(from)).filter(|nb| onward(nb.0));
             picks.extend(options.map(|nb| (0, nb.0)));
             let width = if sender.is_none() { WALK_WIDTH } else { 1 };
             for _ in 0..width.min(picks.len()) {
                 let (_, nb) = picks.swap_remove(self.walk_rng.gen_range(0..picks.len()));
                 self.send(p, t, from, copy(nb, PropMode::Walk), sink);
-            }
-        } else {
-            picks.sort_unstable();
-            for &(_, nb) in picks.iter().take(FANOUT) {
-                self.send(p, t, from, copy(nb, PropMode::Guided), sink);
             }
         }
         p.picks = picks;
@@ -546,7 +556,8 @@ mod tests {
     /// A scripted overlay: no index, no queue. Node `n` answers with one
     /// record `k<n>` iff it is a holder; a node advertises (a field-less
     /// record, so its digest carries the community bit) iff it is a
-    /// holder.
+    /// holder, and a `dense` node also a record of 400 tokens, which
+    /// fills all but a few percent of a 256-bit layer.
     struct Script {
         overlay: Overlay,
         alive: Vec<bool>,
@@ -559,14 +570,25 @@ mod tests {
     }
 
     impl Script {
-        fn new(n: usize, edges: &[(u32, u32)], digests: DigestConfig, holders: &[u32]) -> Script {
+        fn new(
+            n: usize,
+            edges: &[(u32, u32)],
+            digests: DigestConfig,
+            holders: &[u32],
+            dense: &[u32],
+        ) -> Script {
             let pairs = edges.iter().map(|&(a, b)| (PeerId(a), PeerId(b)));
             let topology = Topology::from_edges(n, pairs);
             let mut overlay = Overlay::new(topology, digests, 1, 4, true);
+            let words = (0..400).map(|i| format!("w{i}")).collect::<Vec<_>>().join(" ");
+            let filler = [("o/words".to_string(), words)];
             if digests.enabled {
                 overlay.routes.refresh(&overlay.topology, |node, visit| {
                     if holders.contains(&node) {
                         visit("c", &[]);
+                    }
+                    if dense.contains(&node) {
+                        visit("c", &filler);
                     }
                 });
             }
@@ -582,11 +604,16 @@ mod tests {
         }
 
         fn flood(n: usize, edges: &[(u32, u32)], holders: &[u32]) -> Script {
-            Script::new(n, edges, DigestConfig::default(), holders)
+            Script::new(n, edges, DigestConfig::default(), holders, &[])
         }
 
         fn guided(n: usize, edges: &[(u32, u32)], holders: &[u32]) -> Script {
-            Script::new(n, edges, DigestConfig { log2_bits: 8, ..DigestConfig::guided() }, holders)
+            Script::guided_dense(n, edges, holders, &[])
+        }
+
+        fn guided_dense(n: usize, edges: &[(u32, u32)], holders: &[u32], dense: &[u32]) -> Script {
+            let digests = DigestConfig { log2_bits: 8, ..DigestConfig::guided() };
+            Script::new(n, edges, digests, holders, dense)
         }
 
         fn parts(&mut self) -> (Walk<'_>, impl Eval + '_) {
@@ -772,6 +799,73 @@ mod tests {
         let mut s = Script::guided(5, &edges, &[2, 3, 4]);
         let mut p = Progress::new(0);
         assert_eq!(s.start(&mut p, 0, 0, None).targets(), vec![3, 4]);
+    }
+
+    #[test]
+    fn a_split_needs_a_sparse_layer_under_the_nearest_match() {
+        // 0 - 1, 0 - 2, 0 - 3, each neighbour a holder: three depth-1
+        // matches, the nearest through 1 (ties by id)
+        let star = [(0, 1), (0, 2), (0, 3)];
+        let mut s = Script::guided_dense(4, &star, &[1, 2, 3], &[1]);
+        let layer = s.overlay.routes.layer(&s.overlay.topology, 1, 0, 1).expect("edge exists");
+        let ones: u64 = layer.iter().map(|w| u64::from(w.count_ones())).sum();
+        assert!(2 * ones * ones >= 256 * 256, "{ones} of 256 bits set");
+        let mut p = Progress::new(0);
+        let out = s.start(&mut p, 0, 0, None);
+        assert_eq!(out.targets(), vec![1], "a match in a dense layer earns one copy");
+        // the same query with the dense layer behind a farther pick splits
+        let mut s = Script::guided_dense(4, &star, &[1, 2, 3], &[2]);
+        let mut p = Progress::new(0);
+        assert_eq!(s.start(&mut p, 0, 0, None).targets(), vec![1, 2]);
+
+        // 0 - 1 - 4 and 0 - 2 - 5, holders 4 and 5: both matches at
+        // depth 2, where layer 2 of 1 → 0 is 4's digest
+        let forks = [(0, 1), (1, 4), (0, 2), (2, 5)];
+        for (dense, targets) in [(4, vec![1]), (5, vec![1, 2])] {
+            let mut s = Script::guided_dense(6, &forks, &[4, 5], &[dense]);
+            let routes = &s.overlay.routes;
+            let sparse = routes.is_sparse(&s.overlay.topology, 1, 0, 2);
+            assert_eq!(sparse, dense != 4, "layer 2 of 1 → 0 with {dense} dense");
+            let mut p = Progress::new(0);
+            assert_eq!(s.start(&mut p, 0, 0, None).targets(), targets, "{dense} dense");
+        }
+    }
+
+    #[test]
+    fn no_copy_goes_to_an_offline_neighbour() {
+        // 0 — 1, 2, 3; 1 — 4, 5. Guided: 2 and 3 match at depth 1 from 0,
+        // 4 and 5 at depth 1 from 1 and at depth 2 through 1 from 0
+        let edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)];
+        let (entry, mid): (&[u32], &[u32]) = (&[], &[0]);
+        // (mode, holders, offline, where the hop is, its path) → targets
+        for (mode, holders, offline, at, path, targets) in [
+            (PropMode::Flood, &[][..], &[2][..], 0, entry, vec![1, 3]),
+            (PropMode::Flood, &[], &[4], 1, mid, vec![5]),
+            (PropMode::Guided, &[2, 3, 4, 5], &[2], 0, entry, vec![3, 1]),
+            (PropMode::Guided, &[2, 3, 4, 5], &[4], 1, mid, vec![5]),
+            (PropMode::Walk, &[], &[1, 2], 0, entry, vec![3]),
+            (PropMode::Walk, &[], &[4], 1, mid, vec![5]),
+            (PropMode::Walk, &[], &[4, 5], 1, mid, vec![]),
+        ] {
+            let mut s = match mode {
+                PropMode::Flood => Script::flood(6, &edges, holders),
+                _ => Script::guided(6, &edges, holders),
+            };
+            for &node in offline {
+                s.alive[node as usize] = false;
+            }
+            let mut p = Progress::new(0);
+            let out = if path.is_empty() {
+                s.start(&mut p, 0, at, None)
+            } else {
+                s.arrive(&mut p, 10, at, path, 3, mode)
+            };
+            let case = format!("{mode:?} at {at}, {offline:?} offline");
+            assert_eq!(out.targets(), targets, "{case}");
+            let fate = if targets.is_empty() { Fate::DeadEnd } else { Fate::Forwarded };
+            assert_eq!(out.fate, Some(fate), "{case}");
+            assert_eq!(s.stats.count(MsgKind::Query), targets.len() as u64, "{case}");
+        }
     }
 
     #[test]

@@ -79,7 +79,9 @@ counted! {
         /// The hop matched records and sent no copy: a guided or walker
         /// copy's frontier stop, a match at TTL 0, every server answer.
         Answered,
-        /// The copy, or a leaf's uplink, reached an offline node.
+        /// The copy reached a node that went offline while it was in
+        /// flight, or an orphaned leaf's uplink reached its offline super.
+        /// No node sends a copy over a link to an offline neighbour.
         Dead,
         /// A flood copy the GUID cache dropped as a duplicate.
         FloodRevisit,
@@ -89,7 +91,8 @@ counted! {
         TtlSpent,
         /// A walker with no match and no TTL left.
         WalkerExpired,
-        /// No match, TTL left, and nobody to send to but the sender.
+        /// No match, TTL left, and no live neighbour to send to but the
+        /// sender.
         DeadEnd,
         /// A retrieve reached an offline provider.
         ProviderOffline,

@@ -15,7 +15,7 @@
 //! liveness here. A hop is the overlay walk (`overlay.rs`) or the
 //! server's answer, built here.
 
-use crate::digest::Probe;
+use crate::digest::{Probe, RouteTable};
 use crate::flooding::{FloodingConfig, RecordArena};
 use crate::index_node::IndexNode;
 use crate::latency::Latency;
@@ -145,6 +145,12 @@ impl Substrate {
     /// Napster.
     pub fn topology(&self) -> Option<&Topology> {
         self.overlay().map(|o| &o.topology)
+    }
+
+    /// The routing digests over the overlay; `None` on Napster. They are
+    /// built by the first guided search, and only with digests enabled.
+    pub fn routes(&self) -> Option<&RouteTable> {
+        self.overlay().map(|o| &o.routes)
     }
 
     /// The super-peer index `peer` reports to; `None` for an id outside

@@ -26,6 +26,9 @@ pub fn field_path() -> impl Strategy<Value = &'static str> {
     prop_oneof![Just("o/name"), Just("o/tag"), Just("meta/name")]
 }
 
+/// Field values: one word or two, mixed case, and one whose raw and
+/// normalized forms split into different tokens (`İ` lowercases to `i`
+/// and a combining dot, which is no letter).
 pub fn value_word() -> impl Strategy<Value = &'static str> {
     prop_oneof![
         Just("apple"),
@@ -33,7 +36,14 @@ pub fn value_word() -> impl Strategy<Value = &'static str> {
         Just("Observer Pattern"),
         Just("factory"),
         Just("errant banana"),
+        Just("İstanbul Köln"),
     ]
+}
+
+/// Whole multi-word values of [`value_word`], for exact matches a digest
+/// can only ask by their tokens.
+pub fn whole_value() -> impl Strategy<Value = &'static str> + Clone {
+    prop_oneof![Just("banana split"), Just("observer pattern"), Just("İstanbul Köln")]
 }
 
 pub fn publish_ops() -> impl Strategy<Value = Vec<PublishOp>> {
@@ -61,9 +71,9 @@ pub fn publish_ops() -> impl Strategy<Value = Vec<PublishOp>> {
     })
 }
 
-/// Random queries covering every class the substrates evaluate: exact,
-/// keyword (fielded and any-field), wildcard patterns, and boolean
-/// composition over them.
+/// Random queries covering every class the substrates evaluate: exact
+/// (over single words and whole multi-word values), keyword (fielded and
+/// any-field), wildcard patterns, and boolean composition over them.
 pub fn oracle_query() -> impl Strategy<Value = Query> {
     let reference = prop_oneof![
         Just("name"),
@@ -83,6 +93,7 @@ pub fn oracle_query() -> impl Strategy<Value = Query> {
     let leaf = prop_oneof![
         Just(Query::All),
         (reference.clone(), frag.clone()).prop_map(|(f, w)| Query::eq(f, w)),
+        (reference.clone(), whole_value()).prop_map(|(f, v)| Query::eq(f, v)),
         (reference.clone(), frag.clone()).prop_map(|(f, w)| Query::contains(f, w)),
         (reference.clone(), frag.clone()).prop_map(|(f, w)| Query::keyword(f, w)),
         frag.clone().prop_map(Query::any_keyword),

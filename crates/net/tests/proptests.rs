@@ -118,8 +118,9 @@ proptest! {
     /// The licence for delta maintenance: whatever the history of
     /// publishes, republishes, withdrawals and refreshes, after every
     /// refresh the delta-maintained table holds, bit for bit, what a
-    /// table built from scratch from the same share tables holds, and it
-    /// reports one push per directed edge whose layers changed. Run
+    /// table built from scratch from the same share tables holds, its
+    /// layer fill is their set bits, and it reports one push per
+    /// directed edge whose layers changed. Run
     /// against both call sites: the flat overlay's last-publish-wins
     /// `upsert` and the two-tier overlay's first-record-wins `insert`.
     #[test]
@@ -169,6 +170,15 @@ proptest! {
                     scratch.refresh(&topo, |p, visit| nodes[p as usize].for_each_record(visit));
                     let after = all_layers(&table, &topo);
                     prop_assert_eq!(&after, &all_layers(&scratch, &topo));
+                    // the set-bit counts the wave keeps are the layers'
+                    let mut ones = [0u64; RADIUS as usize];
+                    for edge in &after {
+                        for (sum, layer) in ones.iter_mut().zip(edge) {
+                            *sum += layer.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+                        }
+                    }
+                    let bits = (after.len() << log2_bits) as f64;
+                    prop_assert_eq!(table.fill(), Some(ones.map(|o| o as f64 / bits)));
                     let expected = match &before {
                         None => (directed, directed),
                         Some(before) => {

@@ -646,7 +646,8 @@ impl DesLoad {
 /// catalogue, schedule the query timeline (plus an optional churn
 /// storm), drain the queue, and report cost/answers/footprint and where
 /// the query's hops ended: the per-query mean of each nonzero
-/// [`up2p_net::Fate`], in counter order. How long
+/// [`up2p_net::Fate`], in counter order, and on a guided row the mean
+/// fill of each digest layer, depth 1 first. How long
 /// the drain took goes to stderr — the only 100k-peer timing there is
 /// until the benchmark has a `des_scale` workload — and into no table.
 fn e11_case(
@@ -658,7 +659,7 @@ fn e11_case(
     churn_storm: bool,
     t: &mut Table,
 ) {
-    use up2p_net::{Fate, PeerNetwork, ResourceRecord};
+    use up2p_net::{Fate, PeerNetwork, ResourceRecord, RouteTable};
     let peers = load.peers;
     let mut net = DesNetwork::build(kind, peers, seed, config);
     for (i, fields) in load.records.iter().enumerate() {
@@ -692,6 +693,9 @@ fn e11_case(
         .filter(|&f| net.stats().fate_count(f) > 0)
         .map(|f| format!("{} {}", f.name(), fnum(net.stats().fate_count(f) as f64 / queries)))
         .collect();
+    let fill = net.substrate().routes().and_then(RouteTable::fill).map_or("-".to_string(), |f| {
+        f.map(fnum).join("/")
+    });
     t.row([
         format!("{name} {peers}"),
         peers.to_string(),
@@ -700,6 +704,7 @@ fn e11_case(
         fnum(tally.hits.mean()),
         fnum(net.approx_bytes() as f64 / peers as f64),
         fates.join(", "),
+        fill,
     ]);
 }
 
@@ -725,6 +730,7 @@ pub fn e11_des_scale(scale: Scale, seed: u64) -> Table {
             "hits/query",
             "bytes/peer",
             "fates/query",
+            "digest fill",
         ],
     );
     let loads = grid.map(|peers| DesLoad::new(peers, seed));
@@ -913,6 +919,17 @@ mod tests {
         };
         let (flood, guided) = (msgs("gnutella 500"), msgs("gnutella guided 500"));
         assert!(guided < flood, "guided {guided:.1} should undercut flood {flood:.1}");
+        // only the guided row has digests: five layers, each a superset
+        // of the one below, so no emptier
+        for row in &t.rows {
+            let fill: Vec<f64> = row[7].split('/').filter_map(|f| f.parse().ok()).collect();
+            if row[0].starts_with("gnutella guided") {
+                assert_eq!(fill.len(), 5, "{row:?}");
+                assert!(fill.windows(2).all(|w| w[0] <= w[1]) && fill[4] <= 1.0, "{row:?}");
+            } else {
+                assert_eq!(row[7], "-", "{row:?}");
+            }
+        }
     }
 
     #[test]

@@ -28,11 +28,13 @@
 //!   the edge `q → p`, layer `d` summarizes everything reachable from `p`
 //!   through `q` within `d` hops. Layers are monotone
 //!   (`layer d ⊇ layer d-1`), so the first matching layer gives a
-//!   conservative minimum depth toward a match. Kept current by deltas:
-//!   counted local digests follow each record in and out, and a refresh
-//!   recomputes only the layers, edges and words a write reached. Its
-//!   edges are the [`Topology`]'s own: the table keeps no graph of its
-//!   own, only the layers indexed by the topology's edge ids.
+//!   conservative minimum depth toward a match, and each Bloom bit needs
+//!   only its first depth: three bit-planes an edge hold it as a code,
+//!   from which any layer decodes. Kept current by deltas: counted local
+//!   digests follow each record in and out, and a refresh recomputes
+//!   only the layers, edges and words a write reached. Its edges are the
+//!   [`Topology`]'s own: the table keeps no graph of its own, only the
+//!   planes indexed by the topology's edge ids.
 //! * [`DigestConfig`] — the knobs: whether to guide at all, and the bits
 //!   per layer. The radius (5 layers) is a constant here, the guided
 //!   fanout (2, on a layer sparse enough to believe) and the fallback's
@@ -216,10 +218,10 @@ pub fn sign_record(
 pub struct Probe {
     community: u64,
     terms: Terms,
-    /// The bits a [`Signature`] must hold to pass, when the query has no
-    /// `Or`: then the predicate is one conjunction of entries, the
-    /// community marker's and every term's.
-    required: Option<Signature>,
+    /// When the query has no `Or`, the predicate is one conjunction of
+    /// entries, the community marker's and every term's: their hashes,
+    /// and the bits a [`Signature`] must hold to pass.
+    conjunction: Option<(Box<[u64]>, Signature)>,
 }
 
 /// What a [`Probe`] asks of a digest beyond community presence.
@@ -281,17 +283,33 @@ impl Terms {
         }
     }
 
-    /// Sets in `bits` every entry [`Terms::plausible`] requires; `false`
-    /// when an `Or` leaves a choice that no one mask says.
-    fn require(&self, bits: &mut Signature) -> bool {
+    /// Appends to `entries` every entry [`Terms::plausible`] requires;
+    /// `false` when an `Or` leaves a choice that no one list says.
+    fn require(&self, entries: &mut Vec<u64>) -> bool {
         match self {
             Terms::Any => true,
             Terms::Term(h) => {
-                insert(bits, *h);
+                entries.push(*h);
                 true
             }
-            Terms::And(ts) => ts.iter().all(|t| t.require(bits)),
+            Terms::And(ts) => ts.iter().all(|t| t.require(entries)),
             Terms::Or(_) => false,
+        }
+    }
+
+    /// The smallest depth code ([`RouteTable`]) that
+    /// [`Terms::plausible`] needs of a route table's bits, `code(bit)`
+    /// each in a table of `bits` bits: it holds in layer `d` exactly when
+    /// the result is at least `7 − d`. [`ANY`] when nothing is needed.
+    fn code(&self, bits: u64, code: &impl Fn(usize) -> u8) -> u8 {
+        match self {
+            Terms::Any => ANY,
+            Terms::Term(h) => {
+                let [a, b] = probes(bits, *h).map(code);
+                a.min(b)
+            }
+            Terms::And(ts) => ts.iter().map(|t| t.code(bits, code)).min().unwrap_or(ANY),
+            Terms::Or(ts) => ts.iter().map(|t| t.code(bits, code)).max().unwrap_or(NONE),
         }
     }
 }
@@ -301,10 +319,13 @@ impl Probe {
     pub fn new(community: &str, query: &Query) -> Probe {
         let scope = community_scope(community);
         let (community, terms) = (entry_hash(scope, None), Terms::of(scope, query));
-        let mut required = [0; SIGNATURE_WORDS];
-        insert(&mut required, community);
-        let required = terms.require(&mut required).then_some(required);
-        Probe { community, terms, required }
+        let mut entries = vec![community];
+        let conjunction = terms.require(&mut entries).then(|| {
+            let mut required = [0; SIGNATURE_WORDS];
+            entries.iter().for_each(|&h| insert(&mut required, h));
+            (entries.into_boxed_slice(), required)
+        });
+        Probe { community, terms, conjunction }
     }
 
     /// [`RoutingDigest::may_match`] over the words of one digest (a
@@ -327,10 +348,30 @@ impl Probe {
     /// against the mask compiled with the probe, or the predicate itself
     /// when the query holds an `Or`.
     pub fn admits(&self, signature: &Signature) -> bool {
-        match &self.required {
-            Some(mask) => signature.iter().zip(mask).all(|(s, m)| s & m == *m),
+        match &self.conjunction {
+            Some((_, mask)) => signature.iter().zip(mask).all(|(s, m)| s & m == *m),
             None => self.may_match(signature),
         }
+    }
+
+    /// The smallest depth code among the bits [`Probe::may_match`] needs
+    /// of a route table of `bits` bits, `code(bit)` each: the probe may
+    /// match layer `d` exactly when the result is at least `7 − d`
+    /// ([`RouteTable`]). A conjunction reads its bits in one flat pass and
+    /// stops at the first below `floor`, a code too deep to matter; a
+    /// probe with an `Or` walks its term tree.
+    fn code(&self, bits: u64, floor: u8, code: impl Fn(usize) -> u8) -> u8 {
+        let Some((entries, _)) = &self.conjunction else {
+            return Terms::Term(self.community).code(bits, &code).min(self.terms.code(bits, &code));
+        };
+        let mut least = ANY;
+        for bit in entries.iter().flat_map(|&h| probes(bits, h)) {
+            least = least.min(code(bit));
+            if least < floor {
+                break;
+            }
+        }
+        least
     }
 }
 
@@ -472,16 +513,86 @@ impl RoutingDigest {
     }
 }
 
+/// Bit-planes a directed edge keeps: three bits hold a Bloom bit's depth
+/// code, one of the six states of its first depth (1 to [`RADIUS`], or
+/// none).
+const PLANES: usize = 3;
+
+/// The depth code of a Bloom bit whose first layer is `depth`:
+/// `7 − depth`, so a shallower bit has a larger code, and 0 ([`NONE`])
+/// past the radius, so a zeroed arena is the empty table. Layer `d` is the
+/// bits whose code is at least `7 − d`.
+fn code(depth: usize) -> u8 {
+    if depth > RADIUS {
+        NONE
+    } else {
+        7 - depth as u8
+    }
+}
+
+/// The code of a bit in no layer.
+const NONE: u8 = 0;
+
+/// Above every depth code: what a probe that needs no bit asks.
+const ANY: u8 = 7;
+
+/// Layer `depth` of the words at one index of an edge's planes, plane 0
+/// first: the bits whose code is at least `7 − depth`, three terms at
+/// most.
+fn decode([p0, p1, p2]: [u64; PLANES], depth: usize) -> u64 {
+    match depth {
+        1 => p2 & p1,
+        2 => p2 & (p1 | p0),
+        3 => p2,
+        4 => p2 | (p1 & p0),
+        _ => p2 | p1,
+    }
+}
+
+/// Gives the bits of `mask` the code of first depth `depth` in the words
+/// at one index of an edge's planes.
+fn paint(words: &mut [u64; PLANES], mask: u64, depth: usize) {
+    let code = code(depth);
+    for (k, w) in words.iter_mut().enumerate() {
+        if code >> k & 1 == 1 {
+            *w |= mask;
+        } else {
+            *w &= !mask;
+        }
+    }
+}
+
+/// The words at index `i` of an edge's planes, `planes` the edge's
+/// `[plane][word]` block.
+fn at(planes: &[u64], i: usize) -> [u64; PLANES] {
+    let words = planes.len() / PLANES;
+    [planes[i], planes[words + i], planes[2 * words + i]]
+}
+
+/// Stores `words` at index `i` of an edge's planes.
+fn put(planes: &mut [u64], i: usize, words: [u64; PLANES]) {
+    let plane = planes.len() / PLANES;
+    for (k, w) in words.into_iter().enumerate() {
+        planes[k * plane + i] = w;
+    }
+}
+
 /// Per-directed-edge attenuated digest table for one overlay.
 ///
-/// For each directed edge `q → p` the table holds five (the radius) monotone
-/// layers: layer 1 is `q`'s own share table; layer `d` additionally
-/// unions layer `d-1` of every edge `r → q` with `r ≠ p` — everything
-/// reachable from `p` through `q` in at most `d` hops (echoes around
-/// cycles only ever *add* bits, keeping the no-false-negative direction).
-/// All layers live in one `[edge][layer][word]` arena laid out on the
-/// first build, indexed by the ids of the [`Topology`]'s directed edges:
-/// the table is always handed the overlay it serves.
+/// For each directed edge `q → p` the table describes five (the radius)
+/// monotone layers: layer 1 is `q`'s own share table; layer `d`
+/// additionally unions layer `d-1` of every edge `r → q` with `r ≠ p` —
+/// everything reachable from `p` through `q` in at most `d` hops (echoes
+/// around cycles only ever *add* bits, keeping the no-false-negative
+/// direction). Monotone layers give each Bloom bit one fact, the first
+/// depth whose layer holds it, and the table keeps only that: three
+/// bit-planes an edge hold each bit's depth code, `7 − depth` or 0 for
+/// none. Layer `d` is the bits of code at least `7 − d`, a bitwise
+/// expression of at most three planes, and a conjunctive probe's
+/// minimum depth is `7 −` the smallest code among its bits. All
+/// planes live in one `[edge][plane][word]` arena laid out on the first
+/// build, indexed by the ids of the [`Topology`]'s directed edges: the
+/// table is always handed the overlay it serves.
 ///
 /// Maintenance is lazy and batched, as a real servent would piggyback
 /// digest refreshes on its keep-alives, and costs what changed, not what
@@ -496,7 +607,9 @@ impl RoutingDigest {
 ///   pushes the changed words outward one layer at a time: layer `d` of
 ///   an edge is recomputed only when layer `d-1` of the edge itself or of
 ///   an upstream edge changed, and an edge whose recomputed layer equals
-///   the stored one ends the wave there;
+///   the stored one ends the wave there. A bit entering layer `d` takes
+///   first depth `d`, which also enters it in every deeper layer that
+///   lacked it; a bit leaving layer `d` takes `d+1`;
 /// * the refresh reports how many `DigestRequest`/`DigestPush` messages
 ///   the exchange cost (one push per directed edge whose advertisement
 ///   actually changed).
@@ -507,11 +620,11 @@ impl RoutingDigest {
 #[derive(Debug)]
 pub struct RouteTable {
     config: DigestConfig,
-    /// 64-bit words per layer, from `config`.
+    /// 64-bit words per layer, and per plane, from `config`.
     words: usize,
-    /// `[edge][layer][word]`, [`RADIUS`] layers an edge; layer index
-    /// `d-1` covers depth `d`.
-    layers: Vec<u64>,
+    /// `[edge][plane][word]`, [`PLANES`] planes an edge: plane `k` holds
+    /// bit `k` of each Bloom bit's depth code.
+    planes: Vec<u64>,
     /// `[edge][layer]`: the set bits of each layer, kept by the wave.
     ones: Vec<u32>,
     /// `[node][word]`: each node's digest of its own share table.
@@ -526,6 +639,11 @@ pub struct RouteTable {
     /// Words of some `local` digest a write since the last refresh may
     /// have changed; nothing outside them can differ in any layer.
     touched: Vec<bool>,
+    /// Indices of the words a refresh recomputes: the touched ones, or
+    /// every one on the first build.
+    at_words: Vec<usize>,
+    /// One layer's words at `at_words`, gathered before they are written.
+    gather: Vec<u64>,
     wave: Wave,
     built: bool,
 }
@@ -534,8 +652,6 @@ pub struct RouteTable {
 /// refresh allocates nothing.
 #[derive(Debug, Default)]
 struct Wave {
-    /// Indices of the touched words.
-    touched_words: Vec<usize>,
     /// Edges whose layer below the one being computed changed.
     frontier: Vec<usize>,
     /// The frontier plus its dependent edges, each once.
@@ -544,19 +660,40 @@ struct Wave {
     /// Edges with any changed layer: one `DigestPush` each.
     pushed: Vec<usize>,
     is_pushed: Vec<bool>,
-    /// One layer's touched words, gathered before they are compared.
-    gather: Vec<u64>,
 }
 
-/// Writes each `(index, word)` of `words` into `layer`, keeping `ones`,
-/// the layer's set bits, current; whether any word changed.
-fn overwrite(layer: &mut [u64], ones: &mut u32, words: impl Iterator<Item = (usize, u64)>) -> bool {
+/// Writes each `(index, word)` of `words` into layer `depth` of one
+/// edge, `planes` its `[plane][word]` block and `ones` its layers' set
+/// bits, kept current: a bit entering the layer takes first depth
+/// `depth`, one leaving it `depth + 1`, or none past the radius. The
+/// wave writes layers in order, so a bit leaving layer `depth` is in no
+/// shallower one. Whether any word of the layer changed.
+fn write_layer(
+    planes: &mut [u64],
+    ones: &mut [u32],
+    depth: usize,
+    words: impl Iterator<Item = (usize, u64)>,
+) -> bool {
     let mut changed = false;
     for (i, new) in words {
-        let old = std::mem::replace(&mut layer[i], new);
-        if old != new {
-            changed = true;
-            *ones = *ones + new.count_ones() - old.count_ones();
+        let old = at(planes, i);
+        let was = decode(old, depth);
+        if was == new {
+            continue;
+        }
+        changed = true;
+        let mut now = old;
+        paint(&mut now, new & !was, depth);
+        paint(&mut now, was & !new, depth + 1);
+        put(planes, i, now);
+        // the layers the write moved: `depth`, and each deeper one an
+        // entering bit was not in yet
+        for d in depth..=RADIUS {
+            let (before, after) = (decode(old, d), decode(now, d));
+            if before == after {
+                break;
+            }
+            ones[d - 1] = ones[d - 1] + after.count_ones() - before.count_ones();
         }
     }
     changed
@@ -576,13 +713,15 @@ impl RouteTable {
         RouteTable {
             config,
             words: words_for(config.log2_bits),
-            layers: Vec::new(),
+            planes: Vec::new(),
             ones: Vec::new(),
             local: Vec::new(),
             counts: Vec::new(),
             dirty: Vec::new(),
             is_dirty: Vec::new(),
             touched: Vec::new(),
+            at_words: Vec::new(),
+            gather: Vec::new(),
             wave: Wave::default(),
             built: false,
         }
@@ -671,7 +810,7 @@ impl RouteTable {
             self.counts = std::iter::repeat_with(|| None).take(n).collect();
             self.is_dirty = vec![false; n];
             self.touched = vec![false; self.words];
-            self.wave.gather = vec![0; self.words];
+            self.gather = vec![0; self.words];
             for node in 0..n as u32 {
                 let own = &mut self.local[node as usize * self.words..][..self.words];
                 records_of(node, &mut |community, fields| {
@@ -679,8 +818,7 @@ impl RouteTable {
                 });
             }
             self.built = true;
-            self.lay_out(topo);
-            self.propagate(topo);
+            self.build(topo);
             let directed = 2 * topo.edge_count() as u64;
             return (directed, directed);
         }
@@ -693,24 +831,90 @@ impl RouteTable {
         (0, self.propagate(topo))
     }
 
-    /// Lays a zeroed arena out for `topo`. All zeros is the fixpoint of
-    /// an overlay sharing nothing: starting there, every node is a
-    /// change, in every word, for the next [`RouteTable::propagate`].
-    fn lay_out(&mut self, topo: &Topology) {
+    /// The first build over `topo`: lays the arena out and computes every
+    /// layer of every edge, every word, in one straight pass per layer.
+    /// Every edge changes, so no frontier is kept; before layer `d` is
+    /// written no bit has a first depth of `d` or more, so each of its
+    /// bits enters or stays, and the set-bit counts are taken once at the
+    /// end. The delta wave's equivalence tests hold its result to a
+    /// table built from scratch.
+    fn build(&mut self, topo: &Topology) {
         let directed = 2 * topo.edge_count();
-        self.layers = vec![0; directed * RADIUS * self.words];
+        let (words, stride) = (self.words, PLANES * self.words);
+        self.planes = vec![0; directed * stride];
         self.ones = vec![0; directed * RADIUS];
-        self.wave.is_candidate = vec![false; directed];
-        self.wave.is_pushed = vec![false; directed];
+        let wave = &mut self.wave;
+        wave.is_candidate = vec![false; directed];
+        wave.is_pushed = vec![false; directed];
         // a wave lists an edge at most once per list: sized once with the
         // arena, the three never grow (DESIGN.md §3e)
-        for list in [&mut self.wave.frontier, &mut self.wave.candidates, &mut self.wave.pushed] {
+        for list in [&mut wave.frontier, &mut wave.candidates, &mut wave.pushed] {
             list.clear();
             list.reserve_exact(directed);
         }
-        self.touched.fill(true);
-        self.dirty.clear();
-        self.dirty.extend(0..topo.len() as u32);
+        self.at_words = (0..words).collect();
+        for depth in 1..=RADIUS {
+            for c in 0..directed {
+                self.gather(topo, c, depth);
+                let edge = &mut self.planes[c * stride..][..stride];
+                for (i, &new) in self.gather.iter().enumerate() {
+                    let mut now = at(edge, i);
+                    let entering = new & !decode(now, depth);
+                    paint(&mut now, entering, depth);
+                    put(edge, i, now);
+                }
+            }
+        }
+        let edges = self.planes.chunks_exact(stride);
+        for (edge, ones) in edges.zip(self.ones.chunks_exact_mut(RADIUS)) {
+            for i in 0..words {
+                let now = at(edge, i);
+                for (d, ones) in (1..).zip(ones.iter_mut()) {
+                    *ones += decode(now, d).count_ones();
+                }
+            }
+        }
+    }
+
+    /// Recomputes layer `depth` of edge `c` at `at_words` and writes it
+    /// ([`write_layer`]); whether it changed.
+    fn recompute(&mut self, topo: &Topology, c: usize, depth: usize) -> bool {
+        self.gather(topo, c, depth);
+        let stride = PLANES * self.words;
+        write_layer(
+            &mut self.planes[c * stride..][..stride],
+            &mut self.ones[c * RADIUS..][..RADIUS],
+            depth,
+            self.at_words.iter().copied().zip(self.gather.iter().copied()),
+        )
+    }
+
+    /// Gathers what layer `depth` of edge `c` holds at `at_words`: the
+    /// advertiser's own digest for layer 1, else layer `d-1` of `c`
+    /// unioned with that of every edge upstream of it. A write to layer
+    /// `d` moves no bit of layer `d-1`, so edges already written at `d`
+    /// read as before.
+    fn gather(&mut self, topo: &Topology, c: usize, depth: usize) {
+        let RouteTable { words, planes, local, at_words, gather, .. } = self;
+        let (words, stride) = (*words, PLANES * *words);
+        let gather = &mut gather[..at_words.len()];
+        if depth == 1 {
+            let own = &local[topo.advertiser(c) as usize * words..][..words];
+            for (g, &i) in gather.iter_mut().zip(at_words.iter()) {
+                *g = own[i];
+            }
+        } else {
+            let edge = &planes[c * stride..][..stride];
+            for (g, &i) in gather.iter_mut().zip(at_words.iter()) {
+                *g = decode(at(edge, i), depth - 1);
+            }
+            for f in topo.run(topo.advertiser(c)).filter(|&f| f != c) {
+                let upstream = &planes[topo.reverse(f) * stride..][..stride];
+                for (g, &i) in gather.iter_mut().zip(at_words.iter()) {
+                    *g |= decode(at(upstream, i), depth - 1);
+                }
+            }
+        }
     }
 
     /// Counts `node`'s share table from its records: the first write
@@ -721,7 +925,7 @@ impl RouteTable {
     {
         let words = self.words;
         let mut count_of = vec![0u32; words * 64].into_boxed_slice();
-        let fresh = &mut self.wave.gather[..words];
+        let fresh = &mut self.gather[..words];
         fresh.fill(0);
         let mut exact = true;
         records_of(node, &mut |community, fields| {
@@ -749,35 +953,30 @@ impl RouteTable {
     /// their out-edges, then recomputes layer `d` of exactly the edges
     /// whose own or upstream layer `d-1` changed, comparing against the
     /// stored layer — only in the touched words, the only ones that can
-    /// differ. Returns the number of edges with any changed layer and
-    /// leaves nothing dirty.
+    /// differ. A bit entering layer `d` of an edge also enters its deeper
+    /// layers, but every edge that reads those has read the bit one layer
+    /// below already, at `d + 1`, so the wave need not visit them again.
+    /// Returns the number of edges with any changed layer and leaves
+    /// nothing dirty.
     fn propagate(&mut self, topo: &Topology) -> u64 {
-        let RouteTable { words, layers, ones, local, dirty, is_dirty, touched, wave, .. } = self;
-        let (words, stride) = (*words, RADIUS * *words);
-        let Wave {
-            touched_words: at,
-            frontier,
-            candidates,
-            is_candidate,
-            pushed,
-            is_pushed,
-            gather,
-        } = wave;
-        at.clear();
-        at.extend((0..words).filter(|&i| std::mem::take(&mut touched[i])));
+        let mut wave = std::mem::take(&mut self.wave);
+        let Wave { frontier, candidates, is_candidate, pushed, is_pushed } = &mut wave;
+        let touched = &mut self.touched;
+        self.at_words.clear();
+        self.at_words.extend((0..self.words).filter(|&i| std::mem::take(&mut touched[i])));
         frontier.clear();
-        for node in dirty.drain(..) {
-            is_dirty[node as usize] = false;
-            let own = &local[node as usize * words..][..words];
+        for i in 0..self.dirty.len() {
+            let node = self.dirty[i];
+            self.is_dirty[node as usize] = false;
             for e in topo.run(node) {
-                let layer = &mut layers[e * stride..][..words];
-                if overwrite(layer, &mut ones[e * RADIUS], at.iter().map(|&i| (i, own[i]))) {
+                if self.recompute(topo, e, 1) {
                     frontier.push(e);
                     push_once(pushed, is_pushed, e);
                 }
             }
         }
-        for d in 1..RADIUS {
+        self.dirty.clear();
+        for depth in 2..=RADIUS {
             for &e in frontier.iter() {
                 push_once(candidates, is_candidate, e);
                 for c in topo.run(topo.receiver(e)).filter(|&f| f != topo.reverse(e)) {
@@ -785,24 +984,9 @@ impl RouteTable {
                 }
             }
             frontier.clear();
-            let below = (d - 1) * words;
             for c in candidates.drain(..) {
                 is_candidate[c] = false;
-                // layer d = layer d-1 ∪ upstream layer d-1; every read
-                // is of the finished layer below
-                let gather = &mut gather[..at.len()];
-                for (g, &i) in gather.iter_mut().zip(at.iter()) {
-                    *g = layers[c * stride + below + i];
-                }
-                for f in topo.run(topo.advertiser(c)).filter(|&f| f != c) {
-                    let upstream = topo.reverse(f) * stride + below;
-                    for (g, &i) in gather.iter_mut().zip(at.iter()) {
-                        *g |= layers[upstream + i];
-                    }
-                }
-                let layer = &mut layers[c * stride + below + words..][..words];
-                let gathered = at.iter().zip(gather.iter()).map(|(&i, &g)| (i, g));
-                if overwrite(layer, &mut ones[c * RADIUS + d], gathered) {
+                if self.recompute(topo, c, depth) {
                     frontier.push(c);
                     push_once(pushed, is_pushed, c);
                 }
@@ -812,6 +996,7 @@ impl RouteTable {
         for e in pushed.drain(..) {
             is_pushed[e] = false;
         }
+        self.wave = wave;
         pushes
     }
 
@@ -851,30 +1036,40 @@ impl RouteTable {
             .map(move |(nb, e)| (nb, self.edge_min_depth(topo.reverse(e), probe, max_depth)))
     }
 
-    /// [`RouteTable::min_depth`] of the edge with id `edge`; `None` for an
-    /// edge the table holds no layers of.
+    /// [`RouteTable::min_depth`] of the edge with id `edge`: `7 −` the
+    /// smallest depth code among the bits the probe needs, when that code
+    /// is a depth within reach; `None` for an edge the table holds no
+    /// planes of.
     fn edge_min_depth(&self, edge: usize, probe: &Probe, max_depth: u8) -> Option<u8> {
-        let cap = (max_depth as usize).min(RADIUS);
-        self.layers
-            .get(edge * RADIUS * self.words..)?
-            .chunks_exact(self.words)
-            .take(cap)
-            .position(|layer| probe.may_match(layer))
-            .map(|i| i as u8 + 1)
+        let stride = PLANES * self.words;
+        let planes = self.planes.get(edge * stride..)?.get(..stride)?;
+        let floor = code(usize::from(max_depth).min(RADIUS));
+        let code = probe.code(self.words as u64 * 64, floor, |bit| {
+            let (i, shift) = (bit / 64, bit % 64);
+            let plane = |k: usize| (planes[k * self.words + i] >> shift & 1) as u8;
+            plane(2) << 2 | plane(1) << 1 | plane(0)
+        });
+        (code >= floor).then(|| 7 - code)
     }
 
-    /// The words of layer `depth` (1-based) of the edge
-    /// `advertiser → receiver` of `topo`, as of the last refresh.
+
+    /// Layer `depth` (1-based) of the edge `advertiser → receiver` of
+    /// `topo`, as of the last refresh, decoded from its planes.
     pub fn layer(
         &self,
         topo: &Topology,
         advertiser: u32,
         receiver: u32,
         depth: u8,
-    ) -> Option<&[u64]> {
+    ) -> Option<Vec<u64>> {
         let edge = topo.edge(advertiser, receiver)?;
-        let d = (depth as usize).checked_sub(1).filter(|&d| d < RADIUS)?;
-        self.layers.get((edge * RADIUS + d) * self.words..)?.get(..self.words)
+        let depth = usize::from(depth);
+        if !(1..=RADIUS).contains(&depth) {
+            return None;
+        }
+        let stride = PLANES * self.words;
+        let planes = self.planes.get(edge * stride..)?.get(..stride)?;
+        Some((0..self.words).map(|i| decode(at(planes, i), depth)).collect())
     }
 
     /// Is layer `depth` (1-based) of the edge `advertiser → receiver`
@@ -910,12 +1105,12 @@ impl RouteTable {
         (bits > 0.0).then(|| sum.map(|s| s as f64 / bits))
     }
 
-    /// Bytes the table holds: the layer arena with each layer's set-bit
+    /// Bytes the table holds: the plane arena with each layer's set-bit
     /// count, the local digests, and a count array for each node written
     /// since the build. The edges are the topology's.
     pub fn approx_bytes(&self) -> u64 {
         let counted = self.counts.iter().flatten().count();
-        let words = self.layers.len() + self.local.len();
+        let words = self.planes.len() + self.local.len();
         (words * 8 + self.ones.len() * 4 + counted * self.words * 64 * 4) as u64
     }
 }
@@ -1216,7 +1411,7 @@ mod tests {
                 for (d, layer) in layers.iter().enumerate() {
                     assert_eq!(
                         self.table.layer(&self.topo, q, p, d as u8 + 1),
-                        Some(&*layer.words),
+                        Some(layer.words.to_vec()),
                         "layer {} of {q} → {p}",
                         d + 1
                     );
@@ -1232,7 +1427,7 @@ mod tests {
         /// the entry?
         fn advertises(&self, at: u32, toward: u32, community: &str, term: Option<&str>) -> bool {
             let layer = self.table.layer(&self.topo, at, toward, 1).expect("edge exists");
-            contains(layer, term_hash(community, term))
+            contains(&layer, term_hash(community, term))
         }
     }
 
@@ -1476,6 +1671,51 @@ mod tests {
         world.remove(0, 0, "b");
         world.refresh();
         assert!(!world.advertises(0, 1, "c", Some("shared")));
+    }
+
+    #[test]
+    fn every_first_depth_reads_and_writes_as_its_layers_say() {
+        // one bit of a one-word table in each of its six states: first
+        // depth 1 to the radius, and `RADIUS + 1` for none
+        let bit = 1u64 << 37;
+        let coded = |first: usize| {
+            let mut words = [0; PLANES];
+            paint(&mut words, bit, first);
+            words
+        };
+        let first_of = |words: [u64; PLANES]| {
+            (1..=RADIUS).find(|&d| decode(words, d) & bit != 0).unwrap_or(RADIUS + 1)
+        };
+        let ones_of = |words: [u64; PLANES]| -> Vec<u32> {
+            (1..=RADIUS).map(|d| decode(words, d).count_ones()).collect()
+        };
+        // writes layer `depth` of the bit in state `first` as `new`:
+        // the state after, and whether the write reports a change; the
+        // set-bit counts it keeps must be those of every layer after
+        let write = |first: usize, depth: usize, new: u64| {
+            let mut planes = coded(first).to_vec();
+            let mut ones = ones_of(coded(first));
+            let changed = write_layer(&mut planes, &mut ones, depth, std::iter::once((0, new)));
+            let words = at(&planes, 0);
+            assert_eq!(ones, ones_of(words), "set bits after writing layer {depth} at {first}");
+            (first_of(words), changed)
+        };
+        for first in 1..=RADIUS + 1 {
+            for depth in 1..=RADIUS {
+                let expected = if first <= depth { bit } else { 0 };
+                assert_eq!(decode(coded(first), depth), expected, "layer {depth} at {first}");
+                // entering: a deeper bit moves up to `depth`, entering
+                // every layer from there to the one it was first in
+                let entered = (first.min(depth), first > depth);
+                assert_eq!(write(first, depth, bit), entered, "entering {depth} at {first}");
+                // leaving: the wave clears a bit only from a layer no
+                // shallower one holds it in; it moves one layer down
+                if first >= depth {
+                    let left = if first == depth { (depth + 1, true) } else { (first, false) };
+                    assert_eq!(write(first, depth, 0), left, "leaving {depth} at {first}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -402,6 +402,33 @@ mod tests {
     }
 
     #[test]
+    fn a_flood_without_dedup_returns_each_hit_once() {
+        // a complete graph of five, two records at each of four peers:
+        // without dedup every peer is reached, and evaluated, many times
+        let hits = |dedup| {
+            let pairs = (0..5u32).flat_map(|i| ((i + 1)..5).map(move |j| (PeerId(i), PeerId(j))));
+            let mut net = DesNetwork::new(Substrate::gnutella(
+                Topology::from_edges(5, pairs),
+                ms(),
+                FloodingConfig { ttl: 4, dedup, ..FloodingConfig::default() },
+            ));
+            for peer in 1..5 {
+                for key in ["a", "b"] {
+                    net.publish(PeerId(peer), record(&format!("{key}{peer}"), "x"));
+                }
+            }
+            let out = net.search(PeerId(0), "c", &Query::any_keyword("x"));
+            let mut hits: Vec<_> = out.hits.into_iter().map(|h| (h.key, h.provider.0)).collect();
+            hits.sort();
+            (hits, out.messages)
+        };
+        let ((once, flooded), (with, deduped)) = (hits(false), hits(true));
+        assert!(flooded > 4 * deduped, "{flooded} vs {deduped} messages");
+        assert_eq!(once.len(), 8);
+        assert_eq!(once, with);
+    }
+
+    #[test]
     fn dead_peers_break_the_path() {
         let mut net = line(5);
         net.publish(PeerId(4), record("k", "x"));

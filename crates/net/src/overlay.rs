@@ -37,7 +37,6 @@ use crate::stats::{Fate, MsgKind, NetStats, SearchOutcome};
 use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 
 /// One locally matching record: `(key, provider, fields)`.
 pub(crate) type Match = (String, PeerId, SharedFields);
@@ -93,7 +92,6 @@ pub(crate) struct Progress {
     /// One bit per node id visited, grown on demand: ids are dense, chosen
     /// by the topology, and only a live node's id is ever marked.
     seen: Vec<u64>,
-    hit_seen: HashSet<(String, PeerId)>,
     /// One `(node, via)` per visit that forwarded: the node, and the
     /// trail index of the visit that had sent it the copy ([`ENTRY`] for
     /// the first). Every copy a visit sends names that visit's entry, so
@@ -131,7 +129,6 @@ impl Progress {
             last_hit_at: t0,
             quiescence: t0,
             seen: Vec::new(),
-            hit_seen: HashSet::new(),
             trail: Vec::new(),
             leaf: None,
             picks: Vec::new(),
@@ -173,7 +170,6 @@ impl Progress {
             stats.queries_with_hits += 1;
         }
         self.seen = Vec::new();
-        self.hit_seen = HashSet::new();
         self.trail = Vec::new();
         self.picks = Vec::new();
         self.admitted = Vec::new();
@@ -377,13 +373,20 @@ impl Walk<'_> {
             let hops = edges as u8;
             let mut new_hits = 0;
             for (key, provider, fields) in matches {
-                if p.hit_seen.insert((key.clone(), provider)) {
-                    p.outcome.hits.push(SearchHit { key, provider, fields, hops });
-                    p.last_hit_at = p.last_hit_at.max(arrival);
-                    p.outcome.first_hit_latency =
-                        Some(p.outcome.first_hit_latency.map_or(arrival, |f| f.min(arrival)));
-                    new_hits += 1;
+                // a node's matches are its own records: on Gnutella it is
+                // their provider, on FastTrack its leaves are, each homed
+                // at one super for good. So only a second evaluation of
+                // the same node, a flood without dedup, finds a `(key,
+                // provider)` pair the query already holds.
+                let held = |h: &SearchHit| h.provider == provider && h.key == key;
+                if !first_visit && p.outcome.hits.iter().any(held) {
+                    continue;
                 }
+                p.outcome.hits.push(SearchHit { key, provider, fields, hops });
+                p.last_hit_at = p.last_hit_at.max(arrival);
+                p.outcome.first_hit_latency =
+                    Some(p.outcome.first_hit_latency.map_or(arrival, |f| f.min(arrival)));
+                new_hits += 1;
             }
             self.stats.hits(hops, u64::from(new_hits));
             if delivered {
@@ -687,6 +690,26 @@ mod tests {
         assert_eq!(second.batches, vec![(25, 0)]);
         assert_eq!(s.stats.count(MsgKind::QueryHit), 2);
         assert_eq!(p.outcome.hits.len(), 1);
+    }
+
+    #[test]
+    fn a_flood_without_dedup_keeps_each_hit_once() {
+        // 1 holds nothing at the first visit; its record is published
+        // before the second, which finds it, and the third finds it again
+        let mut s = Script::flood(3, &TRIANGLE, &[2]);
+        s.overlay.dedup = false;
+        let mut p = Progress::new(0);
+        assert!(s.arrive(&mut p, 10, 1, &[0], 3, PropMode::Flood).batches.is_empty());
+        s.holders.push(1);
+        let second = s.arrive(&mut p, 15, 1, &[2], 3, PropMode::Flood);
+        assert_eq!(second.batches, vec![(25, 1)], "new at the second visit");
+        let third = s.arrive(&mut p, 20, 1, &[0], 3, PropMode::Flood);
+        assert_eq!(third.batches, vec![(30, 0)], "held since the second");
+        s.arrive(&mut p, 30, 2, &[0, 1], 2, PropMode::Flood);
+        s.arrive(&mut p, 35, 2, &[0], 2, PropMode::Flood);
+        assert_eq!(s.evaluated, vec![1, 1, 1, 2, 2]);
+        let hits: Vec<_> = p.outcome.hits.iter().map(|h| (h.key.as_str(), h.provider.0)).collect();
+        assert_eq!(hits, [("k1", 1), ("k2", 2)]);
     }
 
     #[test]

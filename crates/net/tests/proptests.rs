@@ -92,21 +92,58 @@ fn connected_topology(parents: &[u32], chords: &[(u32, u32)]) -> Topology {
     Topology::from_edges(n as usize, tree.chain(chords))
 }
 
+/// Applies one write of a digest history at `nodes` and reports the
+/// records it moved to `table`: the flat overlay's last-publish-wins
+/// `upsert` when `flat`, else the two-tier overlay's first-record-wins
+/// `insert`. The three generated node ids are spread over the overlay.
+/// `false` for a `Refresh`, which is the caller's.
+fn write(op: &DigestOp, nodes: &mut [IndexNode], table: &mut RouteTable, flat: bool) -> bool {
+    let spread = |at: u32| at * (nodes.len() as u32 - 1) / 2;
+    match op {
+        DigestOp::Publish { at, provider, key, community, fields } => {
+            let at = spread(*at);
+            let record =
+                ResourceRecord::new(format!("k{key}"), COMMUNITIES[*community], fields.clone());
+            let node = &mut nodes[at as usize];
+            if flat {
+                if let Some((slot, fields)) = node.upsert_slot(PeerId(*provider), &record) {
+                    table.record_removed(at, node.community_name(slot), &fields);
+                }
+                table.record_added(at, &record.community, &record.fields);
+            } else if node.insert(PeerId(*provider), &record) {
+                table.record_added(at, &record.community, &record.fields);
+            }
+        }
+        DigestOp::Unpublish { at, provider, key } => {
+            let at = spread(*at);
+            let node = &mut nodes[at as usize];
+            if let Some((slot, fields)) = node.remove_slot(PeerId(*provider), &format!("k{key}")) {
+                table.record_removed(at, node.community_name(slot), &fields);
+            }
+        }
+        DigestOp::Refresh => return false,
+    }
+    true
+}
+
 /// The layers a route table keeps per directed edge: the attenuation
 /// radius, fixed at five (DESIGN.md §3c).
 const RADIUS: u8 = 5;
+
+/// Every layer of the directed edge `q → p` of `table`, depth 1 first.
+fn all_layers_of(table: &RouteTable, topo: &Topology, q: u32, p: u32) -> Vec<Vec<u64>> {
+    let layer = |d| table.layer(topo, q, p, d);
+    assert_eq!(layer(0), None, "no layer above the first");
+    assert_eq!(layer(RADIUS + 1), None, "no layer beyond the radius");
+    (1..=RADIUS).map(|d| layer(d).expect("edge and depth exist")).collect()
+}
 
 /// Every layer of every directed edge of `table`, in edge order.
 fn all_layers(table: &RouteTable, topo: &Topology) -> Vec<Vec<Vec<u64>>> {
     let mut out = Vec::new();
     for q in topo.peers() {
         for p in topo.neighbors(q) {
-            let layer = |d| table.layer(topo, q.0, p.0, d);
-            assert_eq!(layer(RADIUS + 1), None, "no layer beyond the radius");
-            let layers = (1..=RADIUS)
-                .map(|d| layer(d).expect("edge and depth exist").to_vec())
-                .collect();
-            out.push(layers);
+            out.push(all_layers_of(table, topo, q.0, p.0));
         }
     }
     out
@@ -140,54 +177,75 @@ proptest! {
         let mut table = RouteTable::new(config);
         let mut before: Option<Vec<Vec<Vec<u64>>>> = None;
         for op in ops.iter().chain([&DigestOp::Refresh]) {
-            match op {
-                DigestOp::Publish { at, provider, key, community, fields } => {
-                    // spread the three generated node ids over the overlay
-                    let at = at * (n - 1) / 2;
-                    let record = ResourceRecord::new(
-                        format!("k{key}"), COMMUNITIES[*community], fields.clone());
-                    let node = &mut nodes[at as usize];
-                    if flat {
-                        if let Some((slot, fields)) = node.upsert_slot(PeerId(*provider), &record) {
-                            table.record_removed(at, node.community_name(slot), &fields);
-                        }
-                        table.record_added(at, &record.community, &record.fields);
-                    } else if node.insert(PeerId(*provider), &record) {
-                        table.record_added(at, &record.community, &record.fields);
-                    }
+            if write(op, &mut nodes, &mut table, flat) {
+                continue;
+            }
+            let got = table
+                .refresh(&topo, |p, visit| nodes[p as usize].for_each_record(visit));
+            let mut scratch = RouteTable::new(config);
+            scratch.refresh(&topo, |p, visit| nodes[p as usize].for_each_record(visit));
+            let after = all_layers(&table, &topo);
+            prop_assert_eq!(&after, &all_layers(&scratch, &topo));
+            // the set-bit counts the wave keeps are the layers'
+            let mut ones = [0u64; RADIUS as usize];
+            for edge in &after {
+                for (sum, layer) in ones.iter_mut().zip(edge) {
+                    *sum += layer.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
                 }
-                DigestOp::Unpublish { at, provider, key } => {
-                    let at = at * (n - 1) / 2;
-                    let node = &mut nodes[at as usize];
-                    if let Some((slot, fields)) = node.remove_slot(PeerId(*provider), &format!("k{key}")) {
-                        table.record_removed(at, node.community_name(slot), &fields);
-                    }
+            }
+            let bits = (after.len() << log2_bits) as f64;
+            prop_assert_eq!(table.fill(), Some(ones.map(|o| o as f64 / bits)));
+            let expected = match &before {
+                None => (directed, directed),
+                Some(before) => {
+                    (0, before.iter().zip(&after).filter(|(b, a)| b != a).count() as u64)
                 }
-                DigestOp::Refresh => {
-                    let got = table
-                        .refresh(&topo, |p, visit| nodes[p as usize].for_each_record(visit));
-                    let mut scratch = RouteTable::new(config);
-                    scratch.refresh(&topo, |p, visit| nodes[p as usize].for_each_record(visit));
-                    let after = all_layers(&table, &topo);
-                    prop_assert_eq!(&after, &all_layers(&scratch, &topo));
-                    // the set-bit counts the wave keeps are the layers'
-                    let mut ones = [0u64; RADIUS as usize];
-                    for edge in &after {
-                        for (sum, layer) in ones.iter_mut().zip(edge) {
-                            *sum += layer.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-                        }
+            };
+            prop_assert_eq!(got, expected, "(requests, pushes)");
+            prop_assert!(!table.needs_refresh());
+            before = Some(after);
+        }
+    }
+
+    /// The depth code answers what the layers it encodes answer: after
+    /// every refresh of a random history, the minimum depth of every
+    /// directed edge, for queries of every form (`Or`, `Not`, wildcards
+    /// and split `And`s among them) at every TTL, is the first decoded
+    /// layer within `min(ttl, radius)` whose digest may match.
+    #[test]
+    fn min_depth_is_the_first_layer_that_may_match(
+        parents in pvec(any::<u32>(), 2..9),
+        chords in pvec((any::<u32>(), any::<u32>()), 0..6),
+        shape in (6u8..10, any::<bool>()),
+        ops in digest_ops(3),
+        queries in pvec(prop_oneof![oracle_query(), split_and()], 1..4),
+    ) {
+        let (log2_bits, flat) = shape;
+        let config = DigestConfig { log2_bits, ..DigestConfig::guided() };
+        let topo = connected_topology(&parents, &chords);
+        let mut nodes: Vec<IndexNode> = (0..topo.len()).map(|_| IndexNode::new()).collect();
+        let mut table = RouteTable::new(config);
+        let probes: Vec<(&str, &Query, Probe)> = queries
+            .iter()
+            .flat_map(|q| COMMUNITIES.map(|c| (c, q, Probe::new(c, q))))
+            .collect();
+        for op in ops.iter().chain([&DigestOp::Refresh]) {
+            if write(op, &mut nodes, &mut table, flat) {
+                continue;
+            }
+            table.refresh(&topo, |p, visit| nodes[p as usize].for_each_record(visit));
+            for (q, p) in topo.peers().flat_map(|q| topo.neighbors(q).map(move |p| (q.0, p.0))) {
+                let layers = all_layers_of(&table, &topo, q, p);
+                for (community, query, probe) in &probes {
+                    for ttl in 0..=RADIUS + 1 {
+                        let first = (1..=ttl.min(RADIUS))
+                            .find(|&d| probe.may_match(&layers[usize::from(d) - 1]));
+                        prop_assert_eq!(
+                            table.min_depth(&topo, q, p, probe, ttl),
+                            first,
+                            "{} in {} behind {} → {} at ttl {}", query, community, q, p, ttl
+                        );
                     }
-                    let bits = (after.len() << log2_bits) as f64;
-                    prop_assert_eq!(table.fill(), Some(ones.map(|o| o as f64 / bits)));
-                    let expected = match &before {
-                        None => (directed, directed),
-                        Some(before) => {
-                            (0, before.iter().zip(&after).filter(|(b, a)| b != a).count() as u64)
-                        }
-                    };
-                    prop_assert_eq!(got, expected, "(requests, pushes)");
-                    prop_assert!(!table.needs_refresh());
-                    before = Some(after);
                 }
             }
         }

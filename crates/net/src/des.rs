@@ -419,7 +419,7 @@ impl PeerNetwork for DesNetwork {
         match protocol {
             Protocol::Napster(server) => {
                 stats.sent(MsgKind::Unpublish);
-                server.remove_slot(provider, key);
+                server.remove(provider, key);
             }
             Protocol::Gnutella(overlay, shared) => {
                 if let Some((community, fields)) = shared.remove(provider.0, key) {

@@ -10,12 +10,13 @@
 //!
 //! This module provides that layer for the simulated substrates:
 //!
-//! * [`RoutingDigest`] — a Bloom-filter bitset over `(community, term)`
-//!   pairs. The vocabulary is tokens: a record contributes its community
-//!   marker and, per field, the keyword tokens the store's index posts
-//!   it under, and a query's `Exact` pattern is asked as the `And` of its
-//!   own tokens. A whole value is no term: nearly unique per record, it
-//!   would fill the deep layers for one query form alone
+//! * The digest — a Bloom-filter bitset over `(community, term)` pairs,
+//!   the format [`RouteTable`] keeps per node. The vocabulary is tokens:
+//!   a record contributes its community marker and, per field, the
+//!   keyword tokens the store's index posts it under, and a query's
+//!   `Exact` pattern is asked as the `And` of its own tokens. A whole
+//!   value is no term: nearly unique per record, it would fill the deep
+//!   layers for one query form alone
 //!   (`for_each_record_entry` is the one place that enumerates a
 //!   record's entries, for the routing digests and for the per-peer term
 //!   summaries, stored bit-sliced, and record [`Signature`]s of the
@@ -40,15 +41,19 @@
 //!   fanout (2, on a layer sparse enough to believe) and the fallback's
 //!   walker width (2) in the overlay walk.
 //!
+//! [`RoutingDigest`] is one digest as a plain bitset. No route runs
+//! through it: it is the reference the table's layers and the compiled
+//! probes are tested against.
+//!
 //! The digest answers "may a match exist behind this neighbor?" — never
 //! "does one exist". False positives only cost messages; false negatives
 //! are impossible for fresh digests because every query predicate is
 //! mapped to a *weaker* digest predicate (see [`RoutingDigest::may_match`]).
-//! Hits themselves always come from real [`IndexNode`] evaluation at the
-//! visited peer, so a stale digest can waste messages but can never
-//! resurrect an unpublished record (property-tested).
+//! Hits themselves always come from real evaluation at the visited peer
+//! ([`crate::IndexNode`], [`crate::RecordArena`]), so a stale digest can
+//! waste messages but can never resurrect an unpublished record
+//! (property-tested).
 
-use crate::index_node::IndexNode;
 use crate::topology::Topology;
 use up2p_store::{for_each_token, normalize, Query, ValuePattern};
 
@@ -462,16 +467,6 @@ impl RoutingDigest {
         RoutingDigest { words: vec![0u64; words_for(log2_bits)].into_boxed_slice() }
     }
 
-    /// Bit capacity (always a power of two).
-    pub fn bit_len(&self) -> u64 {
-        self.words.len() as u64 * 64
-    }
-
-    /// Number of set bits — the fill level experiments report.
-    pub fn ones(&self) -> u64 {
-        self.words.iter().map(|w| w.count_ones() as u64).sum()
-    }
-
     /// Sets the bits for one entry hash.
     pub fn insert(&mut self, h: u64) {
         insert(&mut self.words, h);
@@ -486,11 +481,6 @@ impl RoutingDigest {
     /// every indexed term of its fields.
     pub fn add_record(&mut self, community: &str, fields: &[(String, String)]) {
         for_each_record_entry(community, fields, |h| self.insert(h));
-    }
-
-    /// Folds one node's share table into the digest, record by record.
-    pub fn add_node(&mut self, node: &IndexNode) {
-        node.for_each_record(|community, fields| self.add_record(community, fields));
     }
 
     /// Conservative query evaluation: `true` whenever *any* record
@@ -1118,6 +1108,7 @@ impl RouteTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index_node::IndexNode;
     use crate::message::ResourceRecord;
     use crate::peer::PeerId;
     use proptest::collection::vec as pvec;
@@ -1141,6 +1132,21 @@ mod tests {
     }
 
     impl RoutingDigest {
+        /// Bit capacity (always a power of two).
+        fn bit_len(&self) -> u64 {
+            self.words.len() as u64 * 64
+        }
+
+        /// Number of set bits.
+        fn ones(&self) -> u64 {
+            self.words.iter().map(|w| w.count_ones() as u64).sum()
+        }
+
+        /// Folds every record of `node`'s share table into the digest.
+        fn add_node(&mut self, node: &IndexNode) {
+            node.for_each_record(|community, fields| self.add_record(community, fields));
+        }
+
         /// ORs `other` into `self`, returning whether any bit changed.
         /// Only the full-recompute reference below unions whole digests.
         ///
@@ -1381,18 +1387,18 @@ mod tests {
             }
         }
 
+        /// Last publish wins, as in a peer's own table: `provider`'s
+        /// stored copy leaves, then `record` enters. On a node only
+        /// `provider` publishes to, that replaces the record.
         fn upsert(&mut self, at: u32, provider: u32, record: &ResourceRecord) {
-            let node = &mut self.nodes[at as usize];
-            if let Some((slot, fields)) = node.upsert_slot(PeerId(provider), record) {
-                self.table.record_removed(at, node.community_name(slot), &fields);
-            }
-            self.table.record_added(at, &record.community, &record.fields);
+            self.remove(at, provider, &record.key);
+            self.insert(at, provider, record);
         }
 
         fn remove(&mut self, at: u32, provider: u32, key: &str) {
             let node = &mut self.nodes[at as usize];
-            if let Some((slot, fields)) = node.remove_slot(PeerId(provider), key) {
-                self.table.record_removed(at, node.community_name(slot), &fields);
+            if let Some((community, fields)) = node.remove(PeerId(provider), key) {
+                self.table.record_removed(at, community, &fields);
             }
         }
 
@@ -1503,7 +1509,7 @@ mod tests {
         let mut before = RoutingDigest::new(12);
         before.add_node(&node);
         assert!(before.may_match("c", &Query::any_keyword("ephemeral")));
-        node.remove_slot(PeerId(0), "k0");
+        node.remove(PeerId(0), "k0");
         let mut after = RoutingDigest::new(12);
         after.add_node(&node);
         assert!(!after.may_match("c", &Query::any_keyword("ephemeral")));

@@ -212,11 +212,6 @@ impl RecordArena {
             .is_some_and(|list| list.iter().any(|r| self.keys[r.slot as usize] == key))
     }
 
-    /// Number of records `peer` shares.
-    pub fn shared_count(&self, peer: u32) -> usize {
-        self.by_peer.get(peer as usize).map_or(0, Vec::len)
-    }
-
     /// `peer`'s records matching `query` within `community`, in its
     /// insertion order, by `Query::matches_fields` over every record —
     /// the ungated scan a hop's answer is tested against.
@@ -490,7 +485,7 @@ mod tests {
         net.unpublish(PeerId(1), "k");
         let out = net.search(PeerId(0), "c", &Query::any_keyword("x"));
         assert!(out.hits.is_empty());
-        assert_eq!(arena(&net).shared_count(1), 0);
+        assert!(arena(&net).by_peer[1].is_empty());
     }
 
     #[test]
@@ -500,7 +495,7 @@ mod tests {
         let mut net = line(3);
         net.publish(PeerId(1), record("k", "old name"));
         net.publish(PeerId(1), record("k", "new name"));
-        assert_eq!(arena(&net).shared_count(1), 1);
+        assert_eq!(arena(&net).by_peer[1].len(), 1);
         assert!(net.search(PeerId(0), "c", &Query::any_keyword("old")).hits.is_empty());
         let out = net.search(PeerId(0), "c", &Query::any_keyword("new"));
         assert_eq!(out.hits.len(), 1);
@@ -662,19 +657,22 @@ mod tests {
     #[test]
     fn arena_digest_matches_index_node_digest() {
         let mut arena = RecordArena::with_peers(2);
+        let own = |r: Option<(&str, SharedFields)>| r.map(|(c, f)| (c.to_string(), f.to_vec()));
         let mut node = IndexNode::new();
-        for (i, name) in ["miles davis", "john coltrane"].iter().enumerate() {
-            let rec = record(&format!("k{i}"), name);
-            arena.upsert(0, &rec);
-            node.upsert_slot(PeerId(0), &rec);
+        for (i, name) in ["miles davis", "john coltrane", "sonny rollins"].iter().enumerate() {
+            let rec = record(&format!("k{}", i % 2), name);
+            // the peer's own table, last publish wins: on a one-provider
+            // node a republish is a remove, then an insert
+            let replaced = own(node.remove(PeerId(0), &rec.key));
+            assert!(node.insert(PeerId(0), &rec));
+            assert_eq!(own(arena.upsert(0, &rec)), replaced);
         }
         // remove one so live-term filtering is exercised
-        arena.remove(0, "k0");
-        node.remove_slot(PeerId(0), "k0");
+        assert_eq!(own(arena.remove(0, "k0")), own(node.remove(PeerId(0), "k0")));
         let mut from_arena = RoutingDigest::new(10);
         arena.for_each_record(0, &mut |community, fields| from_arena.add_record(community, fields));
         let mut from_node = RoutingDigest::new(10);
-        from_node.add_node(&node);
+        node.for_each_record(|community, fields| from_node.add_record(community, fields));
         assert_eq!(from_arena, from_node);
     }
 
@@ -686,10 +684,10 @@ mod tests {
         arena.remove(0, "k1");
         arena.upsert(0, &record("k3", "c"));
         assert_eq!(arena.keys.len(), 2, "slot recycled");
-        assert_eq!(arena.shared_count(0), 2);
+        assert_eq!(arena.by_peer[0].len(), 2);
         assert!(arena.has(0, "k2") && arena.has(0, "k3") && !arena.has(0, "k1"));
         arena.upsert(0, &record("k2", "b2"));
-        assert_eq!(arena.shared_count(0), 2, "upsert replaces");
+        assert_eq!(arena.by_peer[0].len(), 2, "upsert replaces");
         let hits = arena.matches(0, "c", &Query::any_keyword("b2"));
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0, "k2");

@@ -14,10 +14,11 @@
 //! community; provider liveness is applied to the candidate set the
 //! index produces, never to the full corpus.
 //!
-//! The first-record-wins / last-provider-out semantics live here and
-//! nowhere else: the Napster server and every super-peer hold an
-//! [`IndexNode`], and [`crate::ShardedIndexNode`] is one with a write
-//! counter.
+//! An index node has one write rule: the first record published under a
+//! key wins, later publishes only add providers, and the record leaves
+//! with its last provider. It lives here and nowhere else: the Napster
+//! server and every super-peer hold an [`IndexNode`], and
+//! [`crate::ShardedIndexNode`] is one with a write counter.
 
 use crate::message::{ResourceRecord, SharedFields};
 use crate::peer::PeerId;
@@ -33,31 +34,22 @@ struct CommunityTable {
     /// ascending (hit emission per record is deterministic, as the
     /// pre-index scan produced). A search candidate arrives as a doc-id;
     /// a key-addressed operation pays `MetadataIndex::doc_of` first. The
-    /// index recycles the doc-id of a removed record, so `take_record`
-    /// empties the slot in the same step.
+    /// index recycles the doc-id of a removed record, which leaves with
+    /// its last provider, so a recycled slot starts empty.
     providers: Vec<Vec<PeerId>>,
 }
 
 impl CommunityTable {
-    fn providers_of(&self, key: &str) -> Option<&Vec<PeerId>> {
-        self.providers.get(self.index.doc_of(key)? as usize)
-    }
-
     fn providers_mut(&mut self, key: &str) -> Option<&mut Vec<PeerId>> {
         self.providers.get_mut(self.index.doc_of(key)? as usize)
     }
 
-    /// Adds `provider` to an already-indexed key. Returns `false` when
-    /// the key is not present here (caller indexes the record fresh).
-    fn add_provider(&mut self, key: &str, provider: PeerId) -> bool {
-        match self.providers_mut(key) {
-            Some(set) => {
-                if let Err(at) = set.binary_search(&provider) {
-                    set.insert(at, provider);
-                }
-                true
+    /// Adds `provider` to an already-indexed key.
+    fn add_provider(&mut self, key: &str, provider: PeerId) {
+        if let Some(set) = self.providers_mut(key) {
+            if let Err(at) = set.binary_search(&provider) {
+                set.insert(at, provider);
             }
-            None => false,
         }
     }
 
@@ -74,27 +66,6 @@ impl CommunityTable {
         }
     }
 
-    /// Removes the record and its postings outright, returning the
-    /// providers it had (for upsert's provider-preserving replace) and
-    /// the fields it was indexed under.
-    fn take_record(&mut self, key: &str) -> Option<(Vec<PeerId>, SharedFields)> {
-        let doc = self.index.doc_of(key)?;
-        let fields = self.index.remove(&ResourceId::from_key(key))?;
-        // `doc` now belongs to whichever record the index admits next
-        let providers = self.providers.get_mut(doc as usize).map(std::mem::take);
-        Some((providers.unwrap_or_default(), fields))
-    }
-
-    /// Merges `extra` into the record's providers (no-op when the key is
-    /// absent).
-    fn extend_providers(&mut self, key: &str, extra: Vec<PeerId>) {
-        if let Some(set) = self.providers_mut(key) {
-            set.extend(extra);
-            set.sort_unstable();
-            set.dedup();
-        }
-    }
-
     /// Withdraws `provider`'s copy of the record. When the last provider
     /// leaves, the record's postings are removed from the sub-index
     /// (targeted replay — cost proportional to the record, not the
@@ -107,17 +78,14 @@ impl CommunityTable {
         if !set.is_empty() {
             return None;
         }
-        self.take_record(key).map(|(_, fields)| fields)
+        // the emptied slot is whichever record the index admits next
+        self.index.remove(&ResourceId::from_key(key))
     }
 
     /// Is `provider` currently advertising the record?
     fn has_provider(&self, key: &str, provider: PeerId) -> bool {
-        self.providers_of(key).is_some_and(|set| set.binary_search(&provider).is_ok())
-    }
-
-    /// Number of providers advertising the record.
-    fn provider_count(&self, key: &str) -> usize {
-        self.providers_of(key).map_or(0, Vec::len)
+        let set = self.index.doc_of(key).and_then(|doc| self.providers.get(doc as usize));
+        set.is_some_and(|set| set.binary_search(&provider).is_ok())
     }
 
     /// Visits the fields of every live record of this community.
@@ -153,10 +121,8 @@ impl CommunityTable {
 ///
 /// * [`IndexNode::insert`] keeps the first record published under a key
 ///   and only adds providers afterwards (the `or_insert` semantics the
-///   centralized server and super-peer tables had), while
-///   [`IndexNode::upsert_slot`] replaces the stored record (the
-///   overwrite semantics a peer's own share table had),
-/// * a record disappears when its last provider withdraws,
+///   centralized server and super-peer tables had),
+/// * [`IndexNode::remove`] takes the record out with its last provider,
 /// * `search` evaluates one community's sub-index and filters candidate
 ///   records through a caller-supplied liveness predicate.
 #[derive(Debug, Default)]
@@ -188,12 +154,6 @@ impl IndexNode {
         self.by_key.is_empty()
     }
 
-    /// Number of communities with at least one record ever published
-    /// (sub-indexes are lazy — this counts materialized ones).
-    pub fn community_count(&self) -> usize {
-        self.communities.len()
-    }
-
     /// Registers `provider` for the record. The first publish of a key
     /// indexes the record's fields (one refcount bump on the shared
     /// metadata); subsequent publishes of the same key are provider-set
@@ -203,12 +163,8 @@ impl IndexNode {
     /// in), `false` when only its provider set grew.
     pub fn insert(&mut self, provider: PeerId, record: &ResourceRecord) -> bool {
         if let Some(&slot) = self.by_key.get(record.key.as_str()) {
-            if self.communities[slot as usize].add_provider(record.key.as_str(), provider) {
-                return false;
-            }
-            // key table and provider table disagree (should not happen);
-            // drop the stale key entry and re-index the record fresh
-            self.by_key.remove(record.key.as_str());
+            self.communities[slot as usize].add_provider(record.key.as_str(), provider);
+            return false;
         }
         let slot = match self.names.get(record.community.as_str()) {
             Some(&slot) => slot,
@@ -226,48 +182,14 @@ impl IndexNode {
         true
     }
 
-    /// Registers `provider` for the record, replacing the stored fields
-    /// (and community) when the key is already present — the
-    /// last-publish-wins semantics a peer's *own* share table has (a
-    /// Gnutella peer republishing a key shares the new record, not the
-    /// old one). Providers accumulated under the old record are kept.
-    /// The record always enters the share table; the return value is the
-    /// `(community slot, fields)` of the stored record it pushed out, if
-    /// any. A slot reads back through [`IndexNode::community_name`],
-    /// which leaves the node free for the caller to use in between.
-    pub fn upsert_slot(
-        &mut self,
-        provider: PeerId,
-        record: &ResourceRecord,
-    ) -> Option<(u32, SharedFields)> {
-        let previous = self.by_key.get(record.key.as_str()).copied().and_then(|slot| {
-            let taken = self.communities[slot as usize].take_record(record.key.as_str())?;
-            self.by_key.remove(record.key.as_str());
-            Some((slot, taken))
-        });
-        self.insert(provider, record);
-        let (old_slot, (old_providers, old_fields)) = previous?;
-        if let Some(&slot) = self.by_key.get(record.key.as_str()) {
-            self.communities[slot as usize].extend_providers(record.key.as_str(), old_providers);
-        }
-        Some((old_slot, old_fields))
-    }
-
     /// Withdraws `provider`'s copy of the record; the record's postings
-    /// disappear with its last provider, and only then is its
-    /// `(community slot, fields)` returned.
-    pub fn remove_slot(&mut self, provider: PeerId, key: &str) -> Option<(u32, SharedFields)> {
+    /// disappear with its last provider, and only then are its
+    /// `(community, fields)` returned.
+    pub fn remove(&mut self, provider: PeerId, key: &str) -> Option<(&str, SharedFields)> {
         let &slot = self.by_key.get(key)?;
         let fields = self.communities[slot as usize].remove_provider(key, provider)?;
         self.by_key.remove(key);
-        Some((slot, fields))
-    }
-
-    /// The community a slot returned by [`IndexNode::upsert_slot`] or
-    /// [`IndexNode::remove_slot`] stands for; empty for a number neither
-    /// returned.
-    pub fn community_name(&self, slot: u32) -> &str {
-        self.slot_names.get(slot as usize).map_or("", String::as_str)
+        Some((self.slot_names[slot as usize].as_str(), fields))
     }
 
     /// Is `provider` currently advertising the record?
@@ -275,13 +197,6 @@ impl IndexNode {
         self.by_key
             .get(key)
             .is_some_and(|&slot| self.communities[slot as usize].has_provider(key, provider))
-    }
-
-    /// Number of providers advertising the record.
-    pub fn provider_count(&self, key: &str) -> usize {
-        self.by_key
-            .get(key)
-            .map_or(0, |&slot| self.communities[slot as usize].provider_count(key))
     }
 
     /// Visits `(community, fields)` of every record in this node's share
@@ -326,33 +241,40 @@ mod tests {
         out
     }
 
+    fn providers(node: &IndexNode, key: &str) -> Vec<u32> {
+        (0..10).filter(|&p| node.has_provider(key, PeerId(p))).collect()
+    }
+
     #[test]
     fn insert_search_remove_round_trip() {
         let mut node = IndexNode::new();
-        node.insert(PeerId(1), &record("k1", "patterns", "Observer"));
+        let observer = record("k1", "patterns", "Observer");
+        node.insert(PeerId(1), &observer);
         node.insert(PeerId(2), &record("k2", "patterns", "Visitor"));
         assert_eq!(node.len(), 2);
         assert_eq!(
             hits(&node, "patterns", &Query::any_keyword("observer")),
             vec![("k1".to_string(), PeerId(1))]
         );
-        node.remove_slot(PeerId(1), "k1");
+        let (community, fields) = node.remove(PeerId(1), "k1").expect("last provider out");
+        assert_eq!(community, "patterns");
+        assert!(SharedFields::ptr_eq(&fields, &observer.fields), "the published fields leave");
         assert!(hits(&node, "patterns", &Query::any_keyword("observer")).is_empty());
         assert_eq!(node.len(), 1);
         // removing an absent key or provider is a no-op
-        node.remove_slot(PeerId(9), "k2");
-        node.remove_slot(PeerId(1), "missing");
+        assert!(node.remove(PeerId(9), "k2").is_none());
+        assert!(node.remove(PeerId(1), "missing").is_none());
         assert_eq!(node.len(), 1);
     }
 
     #[test]
     fn communities_partition_lazily() {
         let mut node = IndexNode::new();
-        assert_eq!(node.community_count(), 0);
+        assert_eq!(node.communities.len(), 0);
         node.insert(PeerId(1), &record("k1", "patterns", "Observer"));
-        assert_eq!(node.community_count(), 1);
+        assert_eq!(node.communities.len(), 1);
         node.insert(PeerId(2), &record("k2", "songs", "Observer"));
-        assert_eq!(node.community_count(), 2);
+        assert_eq!(node.communities.len(), 2);
         assert_eq!(hits(&node, "patterns", &Query::any_keyword("observer")).len(), 1);
         assert_eq!(hits(&node, "songs", &Query::any_keyword("observer")).len(), 1);
         assert!(hits(&node, "absent", &Query::All).is_empty());
@@ -361,20 +283,18 @@ mod tests {
     #[test]
     fn replicas_share_one_record_and_leave_one_at_a_time() {
         let mut node = IndexNode::new();
-        node.insert(PeerId(1), &record("k", "c", "x"));
-        node.insert(PeerId(3), &record("k", "c", "x"));
+        assert!(node.insert(PeerId(1), &record("k", "c", "x")));
+        assert!(!node.insert(PeerId(3), &record("k", "c", "x")), "a second provider only");
         assert_eq!(node.len(), 1);
-        assert_eq!(node.provider_count("k"), 2);
+        assert_eq!(providers(&node, "k"), [1, 3]);
         assert_eq!(
             hits(&node, "c", &Query::All),
             vec![("k".to_string(), PeerId(1)), ("k".to_string(), PeerId(3))]
         );
-        assert!(node.has_provider("k", PeerId(3)));
-        assert!(!node.has_provider("k", PeerId(2)));
-        node.remove_slot(PeerId(1), "k");
-        assert_eq!(node.provider_count("k"), 1);
+        assert!(node.remove(PeerId(1), "k").is_none(), "a provider is left");
+        assert_eq!(providers(&node, "k"), [3]);
         assert_eq!(node.len(), 1);
-        node.remove_slot(PeerId(3), "k");
+        assert!(node.remove(PeerId(3), "k").is_some());
         assert!(node.is_empty());
     }
 
@@ -404,66 +324,34 @@ mod tests {
     }
 
     #[test]
-    fn upsert_replaces_the_stored_record() {
-        let mut node = IndexNode::new();
-        node.insert(PeerId(1), &record("k", "c", "original"));
-        node.insert(PeerId(2), &record("k", "c", "original"));
-        node.upsert_slot(PeerId(1), &record("k", "c", "changed"));
-        assert_eq!(node.len(), 1);
-        assert!(hits(&node, "c", &Query::any_keyword("original")).is_empty());
-        // both providers survive the replacement
-        assert_eq!(
-            hits(&node, "c", &Query::any_keyword("changed")),
-            vec![("k".to_string(), PeerId(1)), ("k".to_string(), PeerId(2))]
-        );
-        // an upsert can also move the record to another community
-        node.upsert_slot(PeerId(1), &record("k", "d", "moved"));
-        assert!(hits(&node, "c", &Query::All).is_empty());
-        assert_eq!(hits(&node, "d", &Query::any_keyword("moved")).len(), 2);
-        // and behaves as a plain insert for a fresh key
-        node.upsert_slot(PeerId(3), &record("k2", "c", "fresh"));
-        assert_eq!(hits(&node, "c", &Query::any_keyword("fresh")), vec![("k2".to_string(), PeerId(3))]);
-    }
-
-    #[test]
     fn a_recycled_doc_slot_inherits_no_provider() {
         let mut node = IndexNode::new();
         node.insert(PeerId(1), &record("old", "c", "x"));
         node.insert(PeerId(2), &record("old", "c", "x"));
         node.insert(PeerId(5), &record("other", "c", "x"));
         // the last provider out frees the record's doc-id ...
-        node.remove_slot(PeerId(1), "old");
-        node.remove_slot(PeerId(2), "old");
+        assert!(node.remove(PeerId(1), "old").is_none());
+        assert!(node.remove(PeerId(2), "old").is_some());
         // ... and the next record of the community is admitted into it
-        node.insert(PeerId(3), &record("new", "c", "x"));
-        assert!(!node.has_provider("old", PeerId(1)) && !node.has_provider("old", PeerId(3)));
-        assert_eq!(node.provider_count("old"), 0);
-        assert_eq!(node.provider_count("new"), 1);
-        assert!(!node.has_provider("new", PeerId(1)) && !node.has_provider("new", PeerId(2)));
+        assert!(node.insert(PeerId(3), &record("new", "c", "x")));
+        assert!(providers(&node, "old").is_empty());
+        assert_eq!(providers(&node, "new"), [3]);
         assert_eq!(
             hits(&node, "c", &Query::All),
             vec![("new".to_string(), PeerId(3)), ("other".to_string(), PeerId(5))],
             "the recycled slot emits the new provider only, in the old record's place"
         );
-        // the replace path frees and refills a slot in one call: the
-        // providers it carries over are the replaced record's own
-        node.insert(PeerId(4), &record("new", "c", "x"));
-        node.upsert_slot(PeerId(6), &record("new", "c", "y"));
-        assert_eq!(node.provider_count("new"), 3);
-        assert_eq!(
-            hits(&node, "c", &Query::any_keyword("y")),
-            [3, 4, 6].map(|p| ("new".to_string(), PeerId(p))).to_vec()
-        );
-        // moved to another community, the slot it leaves behind is empty
-        // for whoever comes next
-        node.upsert_slot(PeerId(6), &record("new", "d", "y"));
-        node.insert(PeerId(7), &record("next", "c", "z"));
-        assert_eq!(node.provider_count("next"), 1);
+        // a slot freed while another community grows is empty for
+        // whoever comes next
+        assert!(node.insert(PeerId(4), &record("moved", "d", "y")));
+        assert!(node.remove(PeerId(3), "new").is_some());
+        assert!(node.insert(PeerId(7), &record("next", "c", "z")));
+        assert_eq!(providers(&node, "next"), [7]);
         assert_eq!(
             hits(&node, "c", &Query::All),
             vec![("next".to_string(), PeerId(7)), ("other".to_string(), PeerId(5))]
         );
-        assert_eq!(hits(&node, "d", &Query::All).len(), 3);
+        assert_eq!(hits(&node, "d", &Query::All), vec![("moved".to_string(), PeerId(4))]);
     }
 
     #[test]
@@ -485,7 +373,7 @@ mod tests {
         node.insert(PeerId(2), &record("k2", "songs", "Jazz"));
         let digest = |node: &IndexNode| {
             let mut d = RoutingDigest::new(12);
-            d.add_node(node);
+            node.for_each_record(|community, fields| d.add_record(community, fields));
             d
         };
         let has = |d: &RoutingDigest, c: &str, t: Option<&str>| {
@@ -502,7 +390,7 @@ mod tests {
         // withdrawing a community's last record drops it from the record
         // walk, and so from the digest, even though its sub-index slot
         // persists
-        node.remove_slot(PeerId(1), "k1");
+        node.remove(PeerId(1), "k1");
         let mut visited = Vec::new();
         node.for_each_record(|c, fields| visited.push((c.to_string(), fields.to_vec())));
         let jazz = record("k2", "songs", "Jazz").fields.to_vec();

@@ -55,7 +55,7 @@ impl ShardedIndexNode {
     /// disappear with its last provider.
     pub fn remove(&mut self, provider: PeerId, key: &str) {
         self.writes += 1;
-        self.node.remove_slot(provider, key);
+        self.node.remove(provider, key);
     }
 
     /// Evaluates a community-scoped query against this node's records,
@@ -91,7 +91,7 @@ mod tests {
         node.insert(PeerId(2), &record("k2", "patterns", "Visitor"));
         node.insert(PeerId(3), &record("k3", "songs", "Jazz"));
         assert_eq!(node.len(), 3);
-        assert_eq!(node.node.community_count(), 2);
+        assert_eq!(hits(&node, "songs", &Query::All), vec![("k3".to_string(), PeerId(3))]);
         assert_eq!(
             hits(&node, "patterns", &Query::any_keyword("observer")),
             vec![("k1".to_string(), PeerId(1))]
@@ -109,7 +109,7 @@ mod tests {
         let mut node = ShardedIndexNode::new();
         node.insert(PeerId(1), &record("k", "c", "original"));
         node.insert(PeerId(2), &record("k", "c", "changed"));
-        assert_eq!(node.node.provider_count("k"), 2);
+        assert!(node.node.has_provider("k", PeerId(1)));
         assert!(node.node.has_provider("k", PeerId(2)));
         assert!(!node.node.has_provider("k", PeerId(3)));
         assert_eq!(hits(&node, "c", &Query::any_keyword("original")).len(), 2);
@@ -138,7 +138,7 @@ mod tests {
                 }
                 _ => {
                     sharded.remove(peer, &key);
-                    linear.remove_slot(peer, &key);
+                    linear.remove(peer, &key);
                 }
             }
             assert_eq!(sharded.len(), linear.len(), "step {step}");

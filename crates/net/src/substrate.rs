@@ -162,23 +162,6 @@ impl Substrate {
         }
     }
 
-    /// Queries the routing tables like the forwarding path does: the
-    /// minimum advertised depth at which `advertiser`'s digest (held by
-    /// `receiver`) may match, within `max_depth`, as of the last refresh.
-    /// `None` on Napster. Used by the churn regression tests to assert
-    /// stale digests never go false-negative.
-    pub fn route_min_depth(
-        &self,
-        advertiser: u32,
-        receiver: u32,
-        community: &str,
-        query: &Query,
-        max_depth: u8,
-    ) -> Option<u8> {
-        let Overlay { topology, routes, .. } = self.overlay()?;
-        routes.min_depth(topology, advertiser, receiver, &Probe::new(community, query), max_depth)
-    }
-
     /// Deterministic estimate of resident state in bytes: liveness, the
     /// protocol's records and, on an overlay, its edges and digests.
     pub(crate) fn approx_bytes(&self) -> u64 {

@@ -125,9 +125,8 @@ impl Supers {
         if s != provider.0 {
             stats.sent(MsgKind::Unpublish);
         }
-        let node = &mut self.indexes[s as usize];
-        let (slot, fields) = node.remove_slot(provider, key)?;
-        Some((s, node.community_name(slot), fields))
+        let (community, fields) = self.indexes[s as usize].remove(provider, key)?;
+        Some((s, community, fields))
     }
 
     /// Deterministic estimate of resident bytes: super indexes and the

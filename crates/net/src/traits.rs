@@ -8,7 +8,7 @@
 
 use crate::message::ResourceRecord;
 use crate::peer::PeerId;
-use crate::stats::{MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
+use crate::stats::{NetStats, RetrieveOutcome, SearchOutcome};
 use up2p_store::Query;
 
 /// One query of a [`PeerNetwork::search_batch`] call: the same
@@ -86,15 +86,6 @@ pub trait PeerNetwork {
 
     /// Zeroes the statistics (between experiment phases).
     fn reset_stats(&mut self);
-
-    /// Messages spent maintaining routing digests (guided search):
-    /// `DigestPush` + `DigestRequest` since the last stats reset. Zero on
-    /// substrates without a digest layer or with digests disabled — the
-    /// benchmark reports them apart from per-query traffic
-    /// (`net.msgs.Digest*`) so guided routing's upkeep is visible, not hidden.
-    fn digest_messages(&self) -> u64 {
-        self.stats().count(MsgKind::DigestPush) + self.stats().count(MsgKind::DigestRequest)
-    }
 }
 
 /// Which substrate to build — mirrors the `protocol` field of the

@@ -7,7 +7,7 @@
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use up2p_net::{PeerId, ResourceRecord};
+use up2p_net::{IndexNode, PeerId, ResourceRecord};
 use up2p_store::{Query, ValuePattern};
 
 /// One publish operation in the oracle workload.
@@ -135,10 +135,12 @@ pub struct LinearTable {
 }
 
 impl LinearTable {
-    pub fn publish(&mut self, provider: PeerId, record: &ResourceRecord) {
+    /// `true` when the record entered the table, `false` when only its
+    /// provider set grew.
+    pub fn publish(&mut self, provider: PeerId, record: &ResourceRecord) -> bool {
         if let Some((_, providers)) = self.records.get_mut(&record.key) {
             providers.insert(provider);
-            return;
+            return false;
         }
         self.records.insert(record.key.clone(), (record.clone(), BTreeSet::from([provider])));
         let (keys, free) = self.places.entry(record.community.clone()).or_default();
@@ -146,33 +148,23 @@ impl LinearTable {
             Some(place) => keys[place] = Some(record.key.clone()),
             None => keys.push(Some(record.key.clone())),
         }
+        true
     }
 
-    /// Last publish wins: the stored record is replaced (leaving its
-    /// place, taking one as any fresh record does) and keeps the
-    /// providers it had.
-    pub fn upsert(&mut self, provider: PeerId, record: &ResourceRecord) {
-        let kept = self.evict(&record.key);
-        self.publish(provider, record);
-        self.records.get_mut(&record.key).expect("just published").1.extend(kept);
-    }
-
-    pub fn unpublish(&mut self, provider: PeerId, key: &str) {
-        let Some((_, providers)) = self.records.get_mut(key) else { return };
+    /// The record, when it left the table with its last provider; its
+    /// place is freed.
+    pub fn unpublish(&mut self, provider: PeerId, key: &str) -> Option<ResourceRecord> {
+        let (_, providers) = self.records.get_mut(key)?;
         providers.remove(&provider);
-        if providers.is_empty() {
-            self.evict(key);
+        if !providers.is_empty() {
+            return None;
         }
-    }
-
-    /// Drops the record and frees its place; returns its providers.
-    fn evict(&mut self, key: &str) -> BTreeSet<PeerId> {
-        let Some((record, providers)) = self.records.remove(key) else { return BTreeSet::new() };
+        let (record, _) = self.records.remove(key)?;
         let (keys, free) = self.places.get_mut(&record.community).expect("placed at publish");
         let place = keys.iter().position(|k| k.as_deref() == Some(key)).expect("placed");
         keys[place] = None;
         free.push(place);
-        providers
+        Some(record)
     }
 
     pub fn providers(&self, key: &str) -> Option<&BTreeSet<PeerId>> {
@@ -197,3 +189,15 @@ impl LinearTable {
     }
 }
 
+/// A peer's own share table as a one-provider [`IndexNode`]: last publish
+/// wins, so a republish is a `remove`, then an `insert`. Returns the
+/// `(community, fields)` of the record it replaced.
+pub fn republish(
+    node: &mut IndexNode,
+    provider: PeerId,
+    record: &ResourceRecord,
+) -> Option<(String, Vec<(String, String)>)> {
+    let replaced = node.remove(provider, &record.key).map(|(c, f)| (c.to_string(), f.to_vec()));
+    assert!(node.insert(provider, record), "{provider:?} is the node's one provider");
+    replaced
+}

@@ -9,7 +9,7 @@
 
 use up2p_net::churn::exponential_schedule;
 use up2p_net::{
-    DesNetwork, DigestConfig, LatencySpec, PeerId, PeerNetwork, ResourceRecord, Substrate,
+    DesNetwork, DigestConfig, LatencySpec, PeerId, PeerNetwork, Probe, ResourceRecord, Substrate,
     SuperPeerConfig,
 };
 use up2p_store::Query;
@@ -96,17 +96,21 @@ fn churn_storm_at_10k_peers_stays_within_bounds() {
     // the storm; for every super that holds a copy of that digest (i.e.
     // every overlay neighbor, probed via the community marker), the
     // record's exact query must still be advertised as plausible.
+    let substrate = net.substrate();
+    let topo = substrate.topology().expect("a super overlay");
+    let routes = substrate.routes().expect("a super overlay");
     for (_, i, provider) in &records {
-        let Some(home) = net.substrate().super_of(*provider) else {
+        let Some(home) = substrate.super_of(*provider) else {
             panic!("leaf without super");
+        };
+        let depth = |receiver, q: &Query| {
+            routes.min_depth(topo, home as u32, receiver, &Probe::new("tracks", q), 1)
         };
         let q = Query::contains("artist", &artist(*i));
         for receiver in 0..SUPERS as u32 {
-            let edge_with_content =
-                net.substrate().route_min_depth(home as u32, receiver, "tracks", &Query::All, 1);
-            if edge_with_content.is_some() {
+            if depth(receiver, &Query::All).is_some() {
                 assert_eq!(
-                    net.substrate().route_min_depth(home as u32, receiver, "tracks", &q, 1),
+                    depth(receiver, &q),
                     Some(1),
                     "stale digest went false-negative: super {home} -> {receiver} \
                      hides record {i}"

@@ -6,8 +6,8 @@
 mod common;
 
 use common::{
-    field_path, oracle_query, publish_ops, value_word, LinearTable, PublishOp, COMMUNITIES,
-    ORACLE_PEERS,
+    field_path, oracle_query, publish_ops, republish, value_word, LinearTable, PublishOp,
+    COMMUNITIES, ORACLE_PEERS,
 };
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -15,9 +15,9 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use up2p_net::sim::EventQueue;
 use up2p_net::{
-    build_network, sign_record, DesNetwork, DigestConfig, FloodingConfig, IndexNode, LatencySpec, PeerId,
-    PeerNetwork, Probe, ProtocolKind, RecordArena, ResourceRecord, RouteTable, RoutingDigest,
-    SharedFields, Signature, Substrate, Time, Topology,
+    build_network, sign_record, DesNetwork, DigestConfig, FloodingConfig, IndexNode, LatencySpec,
+    MsgKind, PeerId, PeerNetwork, Probe, ProtocolKind, RecordArena, ResourceRecord, RouteTable,
+    RoutingDigest, SharedFields, Signature, Substrate, Time, Topology,
 };
 use up2p_store::Query;
 
@@ -93,12 +93,14 @@ fn connected_topology(parents: &[u32], chords: &[(u32, u32)]) -> Topology {
 }
 
 /// Applies one write of a digest history at `nodes` and reports the
-/// records it moved to `table`: the flat overlay's last-publish-wins
-/// `upsert` when `flat`, else the two-tier overlay's first-record-wins
-/// `insert`. The three generated node ids are spread over the overlay.
-/// `false` for a `Refresh`, which is the caller's.
+/// records it moved to `table`: on the flat overlay a peer's own table,
+/// last publish wins ([`republish`]), which publishes and withdraws only
+/// its own records; on the two-tier overlay a shared table,
+/// first-record-wins `insert`. The three generated node ids are spread
+/// over the overlay. `false` for a `Refresh`, which is the caller's.
 fn write(op: &DigestOp, nodes: &mut [IndexNode], table: &mut RouteTable, flat: bool) -> bool {
     let spread = |at: u32| at * (nodes.len() as u32 - 1) / 2;
+    let who = |at: u32, provider: u32| PeerId(if flat { at } else { provider });
     match op {
         DigestOp::Publish { at, provider, key, community, fields } => {
             let at = spread(*at);
@@ -106,19 +108,19 @@ fn write(op: &DigestOp, nodes: &mut [IndexNode], table: &mut RouteTable, flat: b
                 ResourceRecord::new(format!("k{key}"), COMMUNITIES[*community], fields.clone());
             let node = &mut nodes[at as usize];
             if flat {
-                if let Some((slot, fields)) = node.upsert_slot(PeerId(*provider), &record) {
-                    table.record_removed(at, node.community_name(slot), &fields);
+                if let Some((community, fields)) = republish(node, who(at, *provider), &record) {
+                    table.record_removed(at, &community, &fields);
                 }
                 table.record_added(at, &record.community, &record.fields);
-            } else if node.insert(PeerId(*provider), &record) {
+            } else if node.insert(who(at, *provider), &record) {
                 table.record_added(at, &record.community, &record.fields);
             }
         }
         DigestOp::Unpublish { at, provider, key } => {
             let at = spread(*at);
             let node = &mut nodes[at as usize];
-            if let Some((slot, fields)) = node.remove_slot(PeerId(*provider), &format!("k{key}")) {
-                table.record_removed(at, node.community_name(slot), &fields);
+            if let Some((community, fields)) = node.remove(who(at, *provider), &format!("k{key}")) {
+                table.record_removed(at, community, &fields);
             }
         }
         DigestOp::Refresh => return false,
@@ -159,7 +161,7 @@ proptest! {
     /// layer fill is their set bits, and it reports one push per
     /// directed edge whose layers changed. Run
     /// against both call sites: the flat overlay's last-publish-wins
-    /// `upsert` and the two-tier overlay's first-record-wins `insert`.
+    /// republish and the two-tier overlay's first-record-wins `insert`.
     #[test]
     fn delta_digests_equal_a_rebuild_from_scratch(
         parents in pvec(any::<u32>(), 2..9),
@@ -267,10 +269,10 @@ proptest! {
             node.insert(op.provider, &record);
         }
         for &(key, provider) in &removals {
-            node.remove_slot(PeerId(provider), &format!("k{key}"));
+            node.remove(PeerId(provider), &format!("k{key}"));
         }
         let mut digest = RoutingDigest::new(log2_bits);
-        digest.add_node(&node);
+        node.for_each_record(|community, fields| digest.add_record(community, fields));
         for community in COMMUNITIES {
             let mut answered = false;
             node.search(community, &query, |_| true, |_, _, _| answered = true);
@@ -309,9 +311,6 @@ proptest! {
         ));
         let mut plain: Vec<IndexNode> = (0..3).map(|_| IndexNode::new()).collect();
         let own = |r: Option<(&str, SharedFields)>| r.map(|(c, f)| (c.to_string(), f.to_vec()));
-        let named = |node: &IndexNode, r: Option<(u32, SharedFields)>| {
-            r.map(|(slot, f)| (node.community_name(slot).to_string(), f.to_vec()))
-        };
         let owned = |(key, provider, fields): (String, PeerId, SharedFields)| {
             (key, provider, fields.to_vec())
         };
@@ -320,22 +319,20 @@ proptest! {
                 DigestOp::Publish { at, key, community, fields, .. } => {
                     let record = ResourceRecord::new(
                         format!("k{key}"), COMMUNITIES[*community], fields.clone());
-                    let node = &mut plain[*at as usize];
-                    let pushed_out = node.upsert_slot(PeerId(*at), &record);
+                    let pushed_out = republish(&mut plain[*at as usize], PeerId(*at), &record);
                     prop_assert_eq!(
                         own(arena.upsert(*at, &record)),
-                        named(node, pushed_out),
+                        pushed_out,
                         "op #{}: {:?}", i, op
                     );
                     net.publish(PeerId(*at), record);
                 }
                 DigestOp::Unpublish { at, key, .. } => {
                     let key = format!("k{key}");
-                    let node = &mut plain[*at as usize];
-                    let removed = node.remove_slot(PeerId(*at), &key);
+                    let removed = own(plain[*at as usize].remove(PeerId(*at), &key));
                     prop_assert_eq!(
                         own(arena.remove(*at, &key)),
-                        named(node, removed),
+                        removed,
                         "op #{}: {:?}", i, op
                     );
                     net.unpublish(PeerId(*at), &key);
@@ -486,13 +483,13 @@ proptest! {
     /// The index/scan equivalence oracle: for random records,
     /// communities, liveness patterns and queries (exact, keyword,
     /// wildcard, boolean), `IndexNode` emits the hits of the old linear
-    /// `matches_fields` scan in the model's order, and answers
-    /// `provider_count` / `has_provider` as the model does after every
-    /// op of a publish, unpublish, publish-again tape. Half the
-    /// withdrawals name a copy some publish made, so records do lose
-    /// their last provider and the last leg admits records into the
-    /// doc-ids they freed; every other op of that leg is an upsert, the
-    /// one path that frees a doc-id while the record still has providers.
+    /// `matches_fields` scan in the model's order. After every op of a
+    /// publish, unpublish, publish-again tape it returns what the model
+    /// does — `insert` whether the record entered, `remove` the record
+    /// that left with its last provider — and answers `has_provider` for
+    /// every peer as the model does. Half the withdrawals name a copy
+    /// some publish made, so records do lose their last provider and the
+    /// last leg admits records into the doc-ids they freed.
     #[test]
     fn index_node_agrees_with_linear_scan(
         publishes in publish_ops(),
@@ -505,7 +502,6 @@ proptest! {
         let mut linear = LinearTable::default();
         enum Write {
             Insert(ResourceRecord),
-            Upsert(ResourceRecord),
             Remove(String),
         }
         let record = |op: &PublishOp| ResourceRecord::new(&*op.key, op.community, op.fields.clone());
@@ -516,31 +512,23 @@ proptest! {
                 Some(op) if published => (op.provider, Write::Remove(op.key.clone())),
                 _ => (PeerId((i % ORACLE_PEERS) as u32), Write::Remove(format!("k{}", i % 16))),
             }))
-            .chain(republishes.iter().enumerate().map(|(n, op)| {
-                (op.provider, if n % 2 == 1 { Write::Upsert(record(op)) } else { Write::Insert(record(op)) })
-            }));
+            .chain(republishes.iter().map(|op| (op.provider, Write::Insert(record(op)))));
         for (i, (provider, write)) in tape.enumerate() {
             match &write {
-                Write::Insert(record) => {
-                    node.insert(provider, record);
-                    linear.publish(provider, record);
-                }
-                Write::Upsert(record) => {
-                    node.upsert_slot(provider, record);
-                    linear.upsert(provider, record);
-                }
-                Write::Remove(key) => {
-                    node.remove_slot(provider, key);
-                    linear.unpublish(provider, key);
-                }
+                Write::Insert(record) => prop_assert_eq!(
+                    node.insert(provider, record),
+                    linear.publish(provider, record),
+                    "insert({:?}, {}) at op #{}", provider, record.key, i
+                ),
+                Write::Remove(key) => prop_assert_eq!(
+                    node.remove(provider, key).map(|(c, f)| (c.to_string(), f.to_vec())),
+                    linear.unpublish(provider, key).map(|r| (r.community, r.fields.to_vec())),
+                    "remove({:?}, {}) at op #{}", provider, key, i
+                ),
             }
             for k in 0..16 {
                 let key = format!("k{k}");
                 let expected = linear.providers(&key);
-                prop_assert_eq!(
-                    node.provider_count(&key), expected.map_or(0, BTreeSet::len),
-                    "provider_count({}) after op #{}", key, i
-                );
                 for p in (0..ORACLE_PEERS as u32).map(PeerId) {
                     prop_assert_eq!(
                         node.has_provider(&key, p), expected.is_some_and(|set| set.contains(&p)),
@@ -798,7 +786,9 @@ fn guided_search_cuts_the_message_bill_tenfold_at_scale() {
                 messages += out.messages;
                 answered += usize::from(!out.hits.is_empty());
             }
-            (messages as f64 / QUERIES as f64, answered, net.digest_messages())
+            let stats = net.stats();
+            let digest = stats.count(MsgKind::DigestPush) + stats.count(MsgKind::DigestRequest);
+            (messages as f64 / QUERIES as f64, answered, digest)
         };
         let (flood_msgs, flood_answered, flood_digest) = measure(&NetConfig::new());
         let (guided_msgs, guided_answered, guided_digest) =

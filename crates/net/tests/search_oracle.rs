@@ -19,15 +19,15 @@
 mod common;
 
 use common::{
-    field_path, oracle_query, publish_ops, value_word, LinearTable, PublishOp, COMMUNITIES,
-    ORACLE_PEERS,
+    field_path, oracle_query, publish_ops, republish, value_word, LinearTable, PublishOp,
+    COMMUNITIES, ORACLE_PEERS,
 };
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use up2p_net::{
     build_network_with, DesNetwork, DigestConfig, FloodingConfig, IndexNode, LatencySpec, MsgKind,
-    NetConfig, PeerId, PeerNetwork, ProtocolKind, RecordArena, RecordVisitor, ResourceRecord,
+    NetConfig, PeerId, PeerNetwork, Probe, ProtocolKind, RecordArena, RecordVisitor, ResourceRecord,
     RoutingDigest, SuperPeerConfig, Substrate, Topology,
 };
 use up2p_store::Query;
@@ -75,14 +75,14 @@ fn table_ops() -> impl Strategy<Value = Vec<TableOp>> {
 }
 
 type Fields = Vec<(String, String)>;
-type TableView = (Vec<bool>, usize, Vec<Vec<(String, PeerId, Fields)>>, Vec<(String, Fields)>);
+type TableView = (Vec<bool>, Vec<Vec<(String, PeerId, Fields)>>, Vec<(String, Fields)>);
 
 /// Everything a share table lets one see of one peer, order-free: which
-/// of the tape's keys it has, its record count, the hit set of a keyword
-/// and of `Query::All` per community, and the record multiset.
+/// of the tape's keys it has, the hit set of a keyword and of
+/// `Query::All` per community, and the record multiset (its size the
+/// record count).
 fn table_view(
     has: impl Fn(&str) -> bool,
-    count: usize,
     matches: impl Fn(&str, &Query) -> Vec<(String, PeerId, Fields)>,
     for_each_record: impl FnOnce(&mut RecordVisitor<'_>),
 ) -> TableView {
@@ -100,14 +100,13 @@ fn table_view(
         records.push((community.to_string(), fields.to_vec()));
     });
     records.sort();
-    (has, count, hit_sets, records)
+    (has, hit_sets, records)
 }
 
 /// [`table_view`] of `peer` in the arena.
 fn arena_view(arena: &RecordArena, peer: u32) -> TableView {
     table_view(
         |key| arena.has(peer, key),
-        arena.shared_count(peer),
         |community, query| {
             let hits = arena.matches(peer, community, query).into_iter();
             hits.map(|(key, provider, fields)| (key, provider, fields.to_vec())).collect()
@@ -120,11 +119,10 @@ fn arena_view(arena: &RecordArena, peer: u32) -> TableView {
 /// an id with no node shares nothing.
 fn node_view(nodes: &[IndexNode], peer: u32) -> TableView {
     let Some(node) = nodes.get(peer as usize) else {
-        return table_view(|_| false, 0, |_, _| Vec::new(), |_| {});
+        return table_view(|_| false, |_, _| Vec::new(), |_| {});
     };
     table_view(
         |key| node.has_provider(key, PeerId(peer)),
-        node.len(),
         |community, query| {
             let mut hits = Vec::new();
             node.search(community, query, |_| true, |key, provider, fields| {
@@ -175,7 +173,9 @@ impl World {
     fn publish(&mut self, provider: PeerId, record: &ResourceRecord) {
         let p = provider.index();
         match self.kind {
-            ProtocolKind::Napster if self.alive[p] => self.tables[0].publish(provider, record),
+            ProtocolKind::Napster if self.alive[p] => {
+                self.tables[0].publish(provider, record);
+            }
             ProtocolKind::FastTrack if self.alive[p] => {
                 let s = self.super_of[p].expect("a peer of the network has a super");
                 self.tables[s].publish(provider, record);
@@ -189,7 +189,9 @@ impl World {
 
     fn unpublish(&mut self, provider: PeerId, key: &str) {
         match self.kind {
-            ProtocolKind::Napster => self.tables[0].unpublish(provider, key),
+            ProtocolKind::Napster => {
+                self.tables[0].unpublish(provider, key);
+            }
             ProtocolKind::FastTrack => {
                 let s = self.super_of[provider.index()].expect("a peer of the network has a super");
                 self.tables[s].unpublish(provider, key);
@@ -436,12 +438,11 @@ proptest! {
             // what the write pushed out is what the digests are told left
             let provider = PeerId(op.peer);
             let from_nodes = nodes.get_mut(op.peer as usize).and_then(|node| {
-                let (slot, fields) = if op.remove {
-                    node.remove_slot(provider, &op.record.key)?
+                if op.remove {
+                    node.remove(provider, &op.record.key).map(|(c, f)| (c.to_string(), f.to_vec()))
                 } else {
-                    node.upsert_slot(provider, &op.record)?
-                };
-                Some((node.community_name(slot).to_string(), fields.to_vec()))
+                    republish(node, provider, &op.record)
+                }
             });
             let from_arena = if op.remove {
                 arena.remove(op.peer, &op.record.key)
@@ -469,27 +470,26 @@ proptest! {
         );
         for op in &publishes {
             let record = ResourceRecord::new(&*op.key, op.community, op.fields.clone());
-            node.upsert_slot(peer, &record);
+            republish(&mut node, peer, &record);
             arena_net.publish(peer, record);
         }
         for (key, provider) in removals {
             let key = format!("k{key}");
-            node.remove_slot(PeerId(provider), &key);
+            node.remove(PeerId(provider), &key);
             arena_net.unpublish(PeerId(provider), &key);
         }
         let mut from_node = RoutingDigest::new(log2_bits);
-        from_node.add_node(&node);
+        node.for_each_record(|community, fields| from_node.add_record(community, fields));
         // Read peer 0's advertisement back out through the route tables
-        // of one of its neighbors: after a refresh, `min_depth == Some(1)`
-        // must agree with the reference digest's `may_match` for any
-        // query — sample a few.
+        // of one of its neighbors: after a refresh, the depth-1 layer that
+        // neighbor holds *is* peer 0's own digest, so `min_depth ==
+        // Some(1)` must agree with the reference digest's `may_match` for
+        // any query — sample a few.
         arena_net.refresh_digests();
-        // Same overlay construction as `DesNetwork::build` (seed 1): the
-        // depth-1 advertisement peer 0's neighbor holds *is* peer 0's own
-        // digest, so `min_depth == Some(1)` must agree with the reference
-        // digest's `may_match` for any probe.
-        let topo = Topology::small_world(ORACLE_PEERS, 2, 0.2, 1);
-        let receiver = topo.neighbors(PeerId(0)).next().map(|p| p.0).unwrap_or(1);
+        let substrate = arena_net.substrate();
+        let topo = substrate.topology().expect("an overlay");
+        let routes = substrate.routes().expect("an overlay");
+        let receiver = topo.neighbors(PeerId(0)).next().expect("peer 0 has a neighbor").0;
         let probes = [
             Query::any_keyword("banana"),
             Query::any_keyword("observer"),
@@ -499,10 +499,8 @@ proptest! {
         ];
         for community in COMMUNITIES {
             for q in &probes {
-                let via_routes = arena_net
-                    .substrate()
-                    .route_min_depth(0, receiver, community, q, 1)
-                    .is_some();
+                let via_routes =
+                    routes.min_depth(topo, 0, receiver, &Probe::new(community, q), 1).is_some();
                 prop_assert_eq!(
                     via_routes,
                     from_node.may_match(community, q),

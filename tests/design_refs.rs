@@ -1,11 +1,13 @@
-//! Every section reference into DESIGN.md names a section that exists.
+//! Every section reference into DESIGN.md names a section that exists,
+//! and every item and test DESIGN.md names by code is defined.
 //!
 //! Code comments, the README, the ROADMAP, the verify skill and the CI
 //! workflow cite DESIGN.md sections by number, and DESIGN.md cites its
 //! own sections with a bare `§`. Cutting or renumbering a `## ` heading
-//! must not leave one of those pointing at nothing.
+//! must not leave one of those pointing at nothing. Likewise deleting or
+//! renaming a method, variant or test must not leave DESIGN.md naming it.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -149,4 +151,220 @@ fn the_collector_reads_every_spelling_in_use() {
 
     let heads = headings("# t\n## 1. Map\n## 3a. Store\n### 3z. Sub\n## Notes\n## 4. E\n");
     assert_eq!(heads.into_iter().collect::<Vec<_>>(), ["1", "3a", "4"]);
+}
+
+/// Where the definitions DESIGN.md names are looked for: the workspace's
+/// sources, relative to the repository root.
+const DEFINITIONS: &[&str] = &["crates", "shims", "src", "tests", "examples"];
+
+/// Types of the standard library DESIGN.md names an item of.
+const STD_TYPES: &[&str] = &["Arc", "Box", "HashMap", "Mutex", "Option", "Rc", "Result", "Vec"];
+
+fn is_ident(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// The backticked code spans of `text`, with the line each is on; fenced
+/// blocks' fence lines are skipped.
+fn code_spans(text: &str) -> Vec<(usize, &str)> {
+    let mut out = Vec::new();
+    for (at, line) in text.lines().enumerate() {
+        if line.trim_start().starts_with("```") {
+            continue;
+        }
+        out.extend(line.split('`').skip(1).step_by(2).map(|span| (at + 1, span)));
+    }
+    out
+}
+
+/// The `Type::item` paths in a code span: an identifier that starts with
+/// an uppercase letter, `::`, then an identifier.
+fn type_items(span: &str) -> Vec<(&str, &str)> {
+    let mut out = Vec::new();
+    for (at, _) in span.match_indices("::") {
+        let before = &span[..at];
+        let start = before.rfind(|c: char| !is_ident(c)).map_or(0, |i| i + 1);
+        let after = &span[at + 2..];
+        let end = after.find(|c: char| !is_ident(c)).unwrap_or(after.len());
+        let (ty, item) = (&before[start..], &after[..end]);
+        if ty.starts_with(|c: char| c.is_ascii_uppercase()) && !item.is_empty() {
+            out.push((ty, item));
+        }
+    }
+    out
+}
+
+/// The tests DESIGN.md cites: in a `*Tests.*` paragraph (to the next
+/// blank line), each code span that is a snake_case name of three words
+/// or more, bare or as a path; anywhere, each `module::tests::name`.
+fn cited_tests(design: &str) -> Vec<(usize, &str)> {
+    let mut in_tests = false;
+    let mut out = Vec::new();
+    for (at, line) in design.lines().enumerate() {
+        if line.starts_with("*Tests.*") {
+            in_tests = true;
+        } else if line.trim().is_empty() {
+            in_tests = false;
+        }
+        for span in line.split('`').skip(1).step_by(2) {
+            let snake = span.split("::").all(|s| !s.is_empty() && s.chars().all(is_ident))
+                && !span.starts_with(|c: char| c.is_ascii_uppercase());
+            let name = span.rsplit("::").next().unwrap_or(span);
+            if snake && (span.contains("::tests::") || in_tests && name.matches('_').count() >= 2) {
+                out.push((at + 1, span));
+            }
+        }
+    }
+    out
+}
+
+/// What one source file defines: the types it declares or implements,
+/// and the names it declares items, variants or fields under. Read line
+/// by line, generously: a name that merely looks defined passes.
+#[derive(Default)]
+struct Defines {
+    types: BTreeSet<String>,
+    items: BTreeSet<String>,
+}
+
+impl Defines {
+    fn of(source: &str) -> Defines {
+        let mut defines = Defines::default();
+        for line in source.lines() {
+            let line = line.trim_start();
+            let words: Vec<&str> =
+                line.split(|c: char| !is_ident(c)).filter(|w| !w.is_empty()).collect();
+            for pair in words.windows(2) {
+                match pair[0] {
+                    "struct" | "enum" | "trait" | "type" | "union" => {
+                        defines.types.insert(pair[1].to_string());
+                    }
+                    "fn" | "const" | "static" | "mod" => {
+                        defines.items.insert(pair[1].to_string());
+                    }
+                    _ => {}
+                }
+            }
+            if let Some(ty) = implemented_type(line) {
+                defines.types.insert(ty.to_string());
+            }
+            // a variant (`Dead,`, `Corrupt(..)`) or a field (`seen: ..`)
+            let field =
+                line.strip_prefix("pub(crate) ").or(line.strip_prefix("pub ")).unwrap_or(line);
+            let end = field.find(|c: char| !is_ident(c)).unwrap_or(field.len());
+            let rest = field[end..].trim_start();
+            let opens = if field.starts_with(|c: char| c.is_ascii_uppercase()) {
+                rest.is_empty() || rest.starts_with([',', '(', '{', '='])
+            } else {
+                rest.starts_with(':') && !rest.starts_with("::")
+            };
+            if end > 0 && opens {
+                defines.items.insert(field[..end].to_string());
+            }
+        }
+        defines
+    }
+}
+
+/// The type an `impl` line implements: `Type` of `impl<G> Type<G>` or of
+/// `impl<G> Trait for Type<G>`.
+fn implemented_type(line: &str) -> Option<&str> {
+    let mut rest = line.strip_prefix("impl")?;
+    if rest.starts_with('<') {
+        let mut depth = 0;
+        let close = rest.find(|c| {
+            depth += match c {
+                '<' => 1,
+                '>' => -1,
+                _ => 0,
+            };
+            depth == 0
+        })?;
+        rest = &rest[close + 1..];
+    } else if !rest.starts_with(' ') {
+        return None;
+    }
+    let header = rest.split(['{', ';']).next().unwrap_or(rest);
+    let ty = header.rsplit(" for ").next().unwrap_or(header).trim_start();
+    let path = &ty[..ty.find(|c: char| !is_ident(c) && c != ':').unwrap_or(ty.len())];
+    path.rsplit("::").next().filter(|t| !t.is_empty())
+}
+
+#[test]
+fn every_item_and_test_design_names_is_defined() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let design = fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+    let mut files = Vec::new();
+    for source in DEFINITIONS {
+        collect_files(&root.join(source), &mut files);
+    }
+    // file stem (or directory of a `mod.rs`) → what the file defines
+    let mut defined: BTreeMap<String, Vec<Defines>> = BTreeMap::new();
+    for file in files.iter().filter(|f| f.extension().is_some_and(|e| e == "rs")) {
+        let Ok(text) = fs::read_to_string(file) else { continue };
+        let stem = match file.file_stem().and_then(|s| s.to_str()) {
+            Some("mod") => file.parent().and_then(Path::file_name).and_then(|s| s.to_str()),
+            stem => stem,
+        };
+        defined.entry(stem.unwrap_or_default().to_string()).or_default().push(Defines::of(&text));
+    }
+    let all = || defined.values().flatten();
+
+    let refs: Vec<(usize, &str, &str)> = code_spans(&design)
+        .into_iter()
+        .flat_map(|(line, span)| type_items(span).into_iter().map(move |(t, i)| (line, t, i)))
+        .filter(|(_, ty, _)| !STD_TYPES.contains(ty))
+        .collect();
+    let tests = cited_tests(&design);
+    // A collector that stopped matching would pass vacuously.
+    assert!(refs.len() >= 40, "only {} `Type::item` references", refs.len());
+    assert!(tests.len() >= 30, "only {} cited tests", tests.len());
+
+    let mut missing: Vec<String> = refs
+        .iter()
+        .filter(|(_, ty, item)| !all().any(|d| d.types.contains(*ty) && d.items.contains(*item)))
+        .map(|(line, ty, item)| format!("DESIGN.md:{line}: `{ty}::{item}`"))
+        .collect();
+    for (line, test) in &tests {
+        let mut path = test.rsplit("::");
+        let name = path.next().unwrap_or(test);
+        let module = path.find(|&m| m != "tests");
+        let found = match module {
+            Some(m) => defined.get(m).into_iter().flatten().any(|d| d.items.contains(name)),
+            None => all().any(|d| d.items.contains(name)),
+        };
+        if !found {
+            missing.push(format!("DESIGN.md:{line}: test `{test}`"));
+        }
+    }
+    assert!(missing.is_empty(), "named in DESIGN.md, defined nowhere:\n{}", missing.join("\n"));
+}
+
+#[test]
+fn the_definition_reader_reads_every_form_in_use() {
+    let source = "pub struct Table {\n    pub(crate) seen: Vec<u64>,\n}\n\
+        pub enum Fate {\n    Dead,\n    Corrupt(String),\n}\n\
+        impl<S, V: Clone> Entries<S, V> {\n    pub fn lookup(&self) {}\n}\n\
+        impl<'a> Iterator for crate::walk::Walk<'a> {\n    const SERVER: u32 = 0;\n}\n\
+        impl Probe {\n    fn new() {}\n}\nimplement(x);\n";
+    let d = Defines::of(source);
+    let types: Vec<&str> = d.types.iter().map(String::as_str).collect();
+    assert_eq!(types, ["Entries", "Fate", "Probe", "Table", "Walk"]);
+    for item in ["seen", "Dead", "Corrupt", "lookup", "SERVER", "new"] {
+        assert!(d.items.contains(item), "{item} in {:?}", d.items);
+    }
+    assert!(!d.items.contains("implement"), "a call is no definition");
+
+    let spans: Vec<&str> = code_spans("a `X::y` b `up2p_net::IndexNode::insert(..)`\n```sh\nz\n")
+        .into_iter()
+        .map(|(_, s)| s)
+        .collect();
+    assert_eq!(spans, ["X::y", "up2p_net::IndexNode::insert(..)"]);
+    assert_eq!(type_items(spans[1]), [("IndexNode", "insert")]);
+    assert!(type_items("digest::for_each_record_entry").is_empty());
+
+    let cited =
+        cited_tests("`a_b_c`\n*Tests.* `a_b_c`, `one_two`, `m::tests::x`, `Type::a_b`\n\n`z_y_x`");
+    let names: Vec<&str> = cited.iter().map(|&(_, t)| t).collect();
+    assert_eq!(names, ["a_b_c", "m::tests::x"]);
 }

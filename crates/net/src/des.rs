@@ -16,7 +16,8 @@
 //! records, overlay, routing digests, latency model, walker rng and
 //! statistics are the substrate's, built by its constructor; the
 //! [`PeerNetwork`] impl here writes, retrieves and toggles liveness in
-//! them. A query event is one call of [`Substrate::issue`] or
+//! them — the one place liveness changes, so FastTrack re-homes the
+//! leaves of a super that left there. A query event is one call of [`Substrate::issue`] or
 //! [`Substrate::deliver`], which run the substrate's walk (the crate's
 //! one overlay-search core, `overlay.rs`) or its server's answer. The
 //! walk's [`Sink`] here makes every forwarded copy a `Query` (or
@@ -376,8 +377,14 @@ impl PeerNetwork for DesNetwork {
     }
 
     fn set_alive(&mut self, peer: PeerId, alive: bool) {
-        if let Some(a) = self.substrate.alive.get_mut(peer.index()) {
-            *a = alive;
+        let Substrate { alive: live, stats, protocol, .. } = &mut self.substrate;
+        match live.get_mut(peer.index()) {
+            Some(a) if *a != alive => *a = alive,
+            _ => return,
+        }
+        // FastTrack homes every live leaf at a live super, unless none is
+        if let Protocol::FastTrack(overlay, supers) = protocol {
+            supers.rehome(peer, live, stats, &mut overlay.routes);
         }
     }
 

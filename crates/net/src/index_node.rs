@@ -93,6 +93,12 @@ impl CommunityTable {
         self.index.for_each_match(&Query::All, |_, fields| f(fields));
     }
 
+    /// Visits `(key, provider, fields)` of every record of this
+    /// community once per provider.
+    fn for_each_share<F: FnMut(&str, PeerId, &SharedFields)>(&self, f: F) {
+        self.search(&Query::All, |_| true, f);
+    }
+
     /// Evaluates a query against this community's records, invoking
     /// `emit(key, provider, fields)` for every (record, live provider)
     /// pair. Candidates arrive in doc-id order — insertion order, except
@@ -208,6 +214,18 @@ impl IndexNode {
     {
         for (name, sub) in self.slot_names.iter().zip(&self.communities) {
             sub.for_each_record(|fields| f(name, fields));
+        }
+    }
+
+    /// Visits `(key, community, provider, fields)` of every record in
+    /// this node's share table once per provider — what a super hands on
+    /// when its leaves move to another.
+    pub fn for_each_share<F>(&self, mut f: F)
+    where
+        F: FnMut(&str, &str, PeerId, &SharedFields),
+    {
+        for (name, sub) in self.slot_names.iter().zip(&self.communities) {
+            sub.for_each_share(|key, provider, fields| f(key, name, provider, fields));
         }
     }
 

@@ -100,6 +100,9 @@ pub(crate) struct Progress {
     /// The leaf origin behind the entry super, when there is one: the
     /// last reverse hop of every hit batch.
     leaf: Option<u32>,
+    /// The two-tier overlay's count of leaf moves when the query was
+    /// issued ([`Walk::start`]); 0 on the flat overlay.
+    moves: u64,
     /// A guided hop's working list — its plausible neighbours as
     /// `(depth, node)`, or its walker options — kept across the query's
     /// hops, so a hop allocates only when the list must grow.
@@ -131,6 +134,7 @@ impl Progress {
             seen: Vec::new(),
             trail: Vec::new(),
             leaf: None,
+            moves: 0,
             picks: Vec::new(),
             admitted: Vec::new(),
             admitted_at: None,
@@ -210,16 +214,20 @@ impl Overlay {
 
     /// The walk of one query over this overlay, borrowed for one event at
     /// a time by [`crate::DesNetwork`]: the substrate lends its liveness,
-    /// latency model and statistics, `probe` is the query compiled once.
+    /// latency model and statistics, `probe` is the query compiled once,
+    /// and `moves` counts the leaves' moves between supers so far (0 on
+    /// the flat overlay).
     pub fn walk<'a>(
         &'a mut self,
         alive: &'a [bool],
         latency: &'a mut Latency,
         stats: &'a mut NetStats,
         probe: &'a Probe,
+        moves: u64,
     ) -> Walk<'a> {
         let Overlay { topology, routes, walk_rng, ttl, dedup } = self;
-        Walk { topology, routes, alive, latency, walk_rng, stats, probe, ttl: *ttl, dedup: *dedup }
+        let (ttl, dedup) = (*ttl, *dedup);
+        Walk { topology, routes, alive, latency, walk_rng, stats, probe, ttl, dedup, moves }
     }
 
     /// Brings the routing digests up to date with the writes since the
@@ -264,6 +272,8 @@ pub(crate) struct Walk<'a> {
     probe: &'a Probe,
     ttl: u8,
     dedup: bool,
+    /// Leaf moves between supers so far ([`Overlay::walk`]).
+    moves: u64,
 }
 
 impl Walk<'_> {
@@ -275,7 +285,8 @@ impl Walk<'_> {
     /// this returns. `entry: Some(s)` is the two-tier overlay: the query
     /// enters at super `s`, one uplink `Query` away when the origin is a
     /// leaf; the copy's arrival is the hop, unless the uplink finds the
-    /// super offline ([`Fate::Dead`]).
+    /// super offline ([`Fate::Dead`]), which happens only when no super
+    /// is live.
     pub fn start<E, S>(
         &mut self,
         p: &mut Progress,
@@ -289,6 +300,7 @@ impl Walk<'_> {
         E: Eval,
         S: Sink,
     {
+        p.moves = self.moves;
         let mode =
             if self.routes.config().enabled { PropMode::Guided } else { PropMode::Flood };
         let hop = Hop { to: entry.unwrap_or(origin), via: ENTRY, ttl: self.ttl, mode };
@@ -298,7 +310,7 @@ impl Walk<'_> {
             p.leaf = Some(origin);
             at += self.query_hop(p, origin, entry);
             if !is_alive(self.alive, PeerId(entry)) {
-                // orphaned leaf: its super is gone
+                // its home is offline only while no super is live
                 p.quiescence = at;
                 return Some(Fate::Dead);
             }
@@ -372,14 +384,16 @@ impl Walk<'_> {
             let arrival = t + back;
             let hops = edges as u8;
             let mut new_hits = 0;
+            // a node's matches are its own records: on Gnutella it is
+            // their provider, on FastTrack its leaves are, each homed at
+            // one super at a time. So only a second evaluation of the same
+            // node, a flood without dedup, or a leaf that moved to another
+            // super while the query was in flight finds a `(key,
+            // provider)` pair the query already holds.
+            let recheck = !first_visit || p.moves != self.moves;
             for (key, provider, fields) in matches {
-                // a node's matches are its own records: on Gnutella it is
-                // their provider, on FastTrack its leaves are, each homed
-                // at one super for good. So only a second evaluation of
-                // the same node, a flood without dedup, finds a `(key,
-                // provider)` pair the query already holds.
                 let held = |h: &SearchHit| h.provider == provider && h.key == key;
-                if !first_visit && p.outcome.hits.iter().any(held) {
+                if recheck && p.outcome.hits.iter().any(held) {
                     continue;
                 }
                 p.outcome.hits.push(SearchHit { key, provider, fields, hops });
@@ -629,7 +643,7 @@ mod tests {
                     Vec::new()
                 }
             };
-            (overlay.walk(alive, latency, stats, probe), eval)
+            (overlay.walk(alive, latency, stats, probe, 0), eval)
         }
 
         fn start(&mut self, p: &mut Progress, t0: Time, origin: u32, entry: Option<u32>) -> Recorder {

@@ -80,7 +80,7 @@ counted! {
         /// copy's frontier stop, a match at TTL 0, every server answer.
         Answered,
         /// The copy reached a node that went offline while it was in
-        /// flight, or an orphaned leaf's uplink reached its offline super.
+        /// flight, or a leaf's uplink found no super live.
         /// No node sends a copy over a link to an offline neighbour.
         Dead,
         /// A flood copy the GUID cache dropped as a duplicate.

@@ -226,16 +226,18 @@ impl Substrate {
     ) -> Option<(Walk<'a>, impl Eval + 'a)> {
         let Substrate { alive, latency, stats, protocol } = self;
         let alive: &'a [bool] = alive;
-        let (overlay, shares) = match protocol {
+        let (overlay, shares, moves) = match protocol {
             Protocol::Napster(_) => return None,
             Protocol::Gnutella(overlay, shared) => {
                 let cid = p.admit(shared.writes(), |set| {
                     shared.admitted(probe, set);
                     shared.community_id(community)
                 });
-                (overlay, Shares::Arena(shared, cid))
+                (overlay, Shares::Arena(shared, cid), 0)
             }
-            Protocol::FastTrack(overlay, supers) => (overlay, Shares::Index(supers)),
+            Protocol::FastTrack(overlay, supers) => {
+                (overlay, Shares::Index(supers), supers.moves())
+            }
         };
         let eval = move |node: u32, admitted: &[u64]| match shares {
             Shares::Arena(shared, Some(cid)) => {
@@ -251,7 +253,7 @@ impl Substrate {
                 matches
             }
         };
-        Some((overlay.walk(alive, latency, stats, probe), eval))
+        Some((overlay.walk(alive, latency, stats, probe, moves), eval))
     }
 
     /// The first event of a query the DES engine scheduled at `origin`,

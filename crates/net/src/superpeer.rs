@@ -6,15 +6,17 @@
 //! peers. Every super-peer's record table is an [`IndexNode`], so each
 //! super answers a query with a posting-list lookup over its leaves'
 //! records instead of scanning them. What is FastTrack's alone — the
-//! leaves' assignment, the supers' indexes and the leaf↔super write
-//! path — is [`Supers`]; the rest of the protocol is the one
-//! [`crate::Substrate`]'s and its driver's, [`crate::DesNetwork`]. Who
+//! leaves' assignment and its repair when a super leaves, the supers'
+//! indexes and the leaf↔super write path — is [`Supers`]; the rest of
+//! the protocol is the one [`crate::Substrate`]'s and its driver's,
+//! [`crate::DesNetwork`]. Who
 //! shares what is said once, by the provider sets of those indexes: a
 //! retrieve asks the provider's super, as Napster's asks its server.
 
-use crate::digest::DigestConfig;
+use crate::digest::{DigestConfig, RouteTable};
 use crate::index_node::IndexNode;
 use crate::message::{ResourceRecord, SharedFields};
+use crate::overlay::is_alive;
 use crate::peer::PeerId;
 use crate::stats::{MsgKind, NetStats};
 use crate::topology::Topology;
@@ -44,12 +46,18 @@ impl Default for SuperPeerConfig {
 
 /// The supers of a FastTrack network and what they index: super `s` is
 /// peer `s`, node `s` of the super overlay, and holds index `s`.
+///
+/// Every live leaf is homed at a live super, unless no super is live:
+/// [`Supers::rehome`] restores that after each change of liveness.
 pub(crate) struct Supers {
     /// peer index → index of its super-peer (supers map to themselves).
     super_of: Vec<u32>,
     /// Per-super metadata index over its leaves' records, and with its
     /// provider sets the one record of which peer shares which key.
     indexes: Vec<IndexNode>,
+    /// How many times leaves have moved to another super: a query that
+    /// saw another count at issue may meet a leaf's records at two.
+    moves: u64,
 }
 
 impl Supers {
@@ -75,6 +83,7 @@ impl Supers {
         let supers = Supers {
             super_of,
             indexes: std::iter::repeat_with(IndexNode::new).take(config.supers).collect(),
+            moves: 0,
         };
         (supers, topology)
     }
@@ -129,6 +138,96 @@ impl Supers {
         Some((s, community, fields))
     }
 
+    /// How many times leaves have moved to another super so far.
+    pub fn moves(&self) -> u64 {
+        self.moves
+    }
+
+    /// Restores the invariant after `peer`'s liveness became the one
+    /// `alive` gives it. A super gone offline hands its live leaves,
+    /// together, to the live super with the fewest records (ties to the
+    /// lowest id); a leaf back online under an offline super moves there
+    /// alone; the first super back while none was live takes every live
+    /// leaf. A super that returns does not take back the leaves that
+    /// moved away. Each moved record is the leaf's re-upload (one
+    /// `Publish`); `routes` hears of every record that left or entered
+    /// an index.
+    pub fn rehome(
+        &mut self,
+        peer: PeerId,
+        alive: &[bool],
+        stats: &mut NetStats,
+        routes: &mut RouteTable,
+    ) {
+        let live = |p: u32| is_alive(alive, PeerId(p));
+        let Some(&home) = self.super_of.get(peer.index()) else { return };
+        let supers = 0..self.indexes.len() as u32;
+        if home != peer.0 {
+            // a leaf: it moves only when it came online under an offline super
+            if live(peer.0) && !live(home) {
+                if let Some(to) = self.emptiest(alive) {
+                    self.move_leaves(home, to, |leaf| leaf == peer.0, stats, routes);
+                }
+            }
+        } else if !live(home) {
+            if let Some(to) = self.emptiest(alive) {
+                self.move_leaves(home, to, live, stats, routes);
+            }
+        } else if supers.clone().filter(|&s| live(s)).count() == 1 {
+            // the first super back: every live leaf was homed at an offline one
+            for from in supers.filter(|&s| s != home) {
+                self.move_leaves(from, home, live, stats, routes);
+            }
+        }
+    }
+
+    /// The live super with the fewest records, ties to the lowest id;
+    /// `None` when no super is live.
+    fn emptiest(&self, alive: &[bool]) -> Option<u32> {
+        let supers = 0..self.indexes.len() as u32;
+        let live = supers.filter(|&s| is_alive(alive, PeerId(s)));
+        live.min_by_key(|&s| (self.indexes[s as usize].len(), s))
+    }
+
+    /// Moves the leaves homed at `from` that `which` picks to `to`, with
+    /// their records: `from`'s index is read once, each picked share
+    /// leaves it and enters `to`'s as a `Publish`.
+    fn move_leaves(
+        &mut self,
+        from: u32,
+        to: u32,
+        which: impl Fn(u32) -> bool,
+        stats: &mut NetStats,
+        routes: &mut RouteTable,
+    ) {
+        let picked = |leaf: u32| leaf != from && which(leaf);
+        let mut shares = Vec::new();
+        self.indexes[from as usize].for_each_share(|key, community, provider, fields| {
+            if picked(provider.0) {
+                let (key, community) = (key.to_string(), community.to_string());
+                shares.push((provider, ResourceRecord { key, community, fields: fields.clone() }));
+            }
+        });
+        for (provider, record) in &shares {
+            let left = self.indexes[from as usize].remove(*provider, &record.key);
+            if let Some((community, fields)) = left {
+                routes.record_removed(from, community, &fields);
+            }
+            stats.sent(MsgKind::Publish); // the leaf's re-upload
+            if self.indexes[to as usize].insert(*provider, record) {
+                routes.record_added(to, &record.community, &record.fields);
+            }
+        }
+        let mut moved = false;
+        for (leaf, home) in (0u32..).zip(&mut self.super_of) {
+            if *home == from && picked(leaf) {
+                *home = to;
+                moved = true;
+            }
+        }
+        self.moves += u64::from(moved);
+    }
+
     /// Deterministic estimate of resident bytes: super indexes and the
     /// leaves' assignment.
     pub fn approx_bytes(&self) -> u64 {
@@ -140,12 +239,15 @@ impl Supers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::churn::exponential_schedule;
     use crate::des::DesNetwork;
     use crate::latency::LatencySpec;
     use crate::stats::{Fate, RetrieveOutcome, SearchOutcome};
-    use crate::substrate::Substrate;
+    use crate::substrate::{Protocol, Substrate};
     use crate::traits::{PeerNetwork, SearchRequest};
-    use std::collections::BTreeSet;
+    use proptest::collection::vec as pvec;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
     use up2p_store::Query;
 
     fn record(key: &str, name: &str) -> ResourceRecord {
@@ -193,15 +295,60 @@ mod tests {
     }
 
     #[test]
-    fn dead_super_orphans_its_leaves() {
+    fn a_dead_supers_leaves_search_from_a_live_one_and_stay_there() {
         let mut net = net(20, 4);
-        // find a leaf and kill its super
-        let leaf = PeerId(15);
+        let (leaf, other) = (PeerId(15), PeerId(10));
         let s = net.substrate().super_of(leaf).expect("in range");
-        net.publish(PeerId(10), record("k", "x"));
+        net.publish(other, record("k", "x"));
+        net.publish(leaf, record("k15", "y"));
+        let homed_at_s = |p: &&PeerId| net.substrate().super_of(**p) == Some(s);
+        let moved = [other, leaf].iter().filter(homed_at_s).count() as u64;
+        net.reset_stats();
         net.set_alive(PeerId(s as u32), false);
-        let out = net.search(leaf, "c", &Query::any_keyword("x"));
-        assert!(out.hits.is_empty(), "orphaned leaf cannot search");
+        let to = net.substrate().super_of(leaf).expect("in range");
+        assert_ne!(to, s, "the leaf left its offline super");
+        assert_eq!(net.stats().count(MsgKind::Publish), moved, "one re-upload per moved record");
+        let providers = |net: &mut DesNetwork, word| -> Vec<PeerId> {
+            let out = net.search(leaf, "c", &Query::any_keyword(word));
+            out.hits.into_iter().map(|h| h.provider).collect()
+        };
+        assert_eq!(providers(&mut net, "x"), [other], "the leaf searches through its new super");
+        assert_eq!(providers(&mut net, "y"), [leaf], "and its record answers from there");
+        net.set_alive(PeerId(s as u32), true);
+        assert_eq!(net.substrate().super_of(leaf), Some(to), "the super returns without it");
+        assert_eq!(providers(&mut net, "y"), [leaf]);
+        assert_eq!(net.stats().count(MsgKind::Publish), moved, "nothing moved back");
+    }
+
+    #[test]
+    fn leaves_move_to_the_live_super_with_the_fewest_records() {
+        let mut net = net(40, 4);
+        let sup = |net: &DesNetwork, p: u32| net.substrate().super_of(PeerId(p)).expect("in range");
+        // super 0 holds two records, super 1 none, supers 2 and 3 one each
+        net.publish(PeerId(0), record("a", "x"));
+        net.publish(PeerId(0), record("b", "x"));
+        net.publish(PeerId(2), record("c", "x"));
+        net.publish(PeerId(3), record("d", "x"));
+        let leaves: Vec<u32> = (4..40).filter(|&p| sup(&net, p) == 1).collect();
+        net.set_alive(PeerId(1), false);
+        // super 1's leaves go together to the fewest records, ties to the lowest id
+        assert!(leaves.iter().all(|&p| sup(&net, p) == 2), "{leaves:?}");
+        // a leaf offline when its super left stays; back online, it moves alone
+        let lone = (4..40).find(|&p| sup(&net, p) == 3).expect("a leaf of super 3");
+        net.set_alive(PeerId(lone), false);
+        net.set_alive(PeerId(3), false);
+        assert_eq!(sup(&net, lone), 3, "an offline leaf is not moved");
+        net.set_alive(PeerId(lone), true);
+        assert_ne!(sup(&net, lone), 3);
+        // every super offline: the leaves wait, and the first super back takes them all
+        for s in [0, 2] {
+            net.set_alive(PeerId(s), false);
+        }
+        let out = net.search(PeerId(lone), "c", &Query::All);
+        assert_eq!((out.hits.len(), net.stats().fate_count(Fate::Dead)), (0, 1), "a dead uplink");
+        net.set_alive(PeerId(3), true);
+        assert!((4..40).all(|p| sup(&net, p) == 3), "every live leaf is at the one live super");
+        assert_eq!(net.search(PeerId(lone), "c", &Query::All).hits.len(), 1, "d, at super 3");
     }
 
     #[test]
@@ -415,5 +562,177 @@ mod tests {
         net.search(PeerId(40), "c", &Query::any_keyword("x"));
         assert_eq!(net.stats().count(MsgKind::DigestRequest), edges);
         assert_eq!(net.stats().count(MsgKind::DigestPush), edges);
+    }
+
+    fn supers_of(net: &DesNetwork) -> &Supers {
+        match &net.substrate.protocol {
+            Protocol::FastTrack(_, supers) => supers,
+            _ => panic!("a FastTrack network"),
+        }
+    }
+
+    /// Each `(peer, key)` of `shares` is in exactly one index, its
+    /// peer's home's, no other share is in any, and a live leaf's home is
+    /// live unless no super is.
+    fn check_homes(
+        net: &DesNetwork,
+        shares: &BTreeSet<(u32, String)>,
+    ) -> Result<(), TestCaseError> {
+        let (supers, alive) = (supers_of(net), &net.substrate.alive);
+        let mut held = BTreeMap::new();
+        for (s, index) in supers.indexes.iter().enumerate() {
+            index.for_each_share(|key, _, provider, _| {
+                let at = held.entry((provider.0, key.to_string())).or_insert_with(Vec::new);
+                at.push((s, supers.super_of(provider)));
+            });
+        }
+        let found: BTreeSet<(u32, String)> = held.keys().cloned().collect();
+        prop_assert_eq!(&found, shares);
+        for ((peer, key), at) in &held {
+            prop_assert_eq!(at.len(), 1, "{}'s {} is in {:?}", peer, key, at);
+            prop_assert_eq!(Some(at[0].0), at[0].1, "{}'s {} is not at its home", peer, key);
+        }
+        let live_supers = alive[..supers.indexes.len()].contains(&true);
+        for (p, &home) in supers.super_of.iter().enumerate() {
+            let stranded = alive[p] && !alive[home as usize] && live_supers;
+            prop_assert!(!stranded, "live leaf {} is homed at offline super {}", p, home);
+        }
+        Ok(())
+    }
+
+    /// After a refresh, every layer of every directed edge of the route
+    /// table is what a table built from scratch over the supers' indexes
+    /// holds: the moves told the digests of every record that left or
+    /// entered an index.
+    fn check_routes(net: &mut DesNetwork) -> Result<(), TestCaseError> {
+        net.refresh_digests();
+        let Protocol::FastTrack(overlay, supers) = &net.substrate.protocol else {
+            panic!("a FastTrack network")
+        };
+        let (topo, routes) = (&overlay.topology, &overlay.routes);
+        let mut scratch = RouteTable::new(routes.config());
+        scratch.refresh(topo, |s, visit| supers.index(s).for_each_record(visit));
+        for q in topo.peers() {
+            for p in topo.neighbors(q) {
+                for depth in 1.. {
+                    let layer = routes.layer(topo, q.0, p.0, depth);
+                    prop_assert_eq!(&layer, &scratch.layer(topo, q.0, p.0, depth));
+                    if layer.is_none() {
+                        break;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// One step of a liveness history: a publish or a withdrawal of one
+    /// of eight keys, or a peer going offline or coming back.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Publish(u32, usize),
+        Unpublish(u32, usize),
+        Live(u32, bool),
+    }
+
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        let step = prop_oneof![
+            (0u32..40, 0usize..8).prop_map(|(p, k)| Step::Publish(p, k)),
+            (0u32..40, 0usize..8).prop_map(|(p, k)| Step::Unpublish(p, k)),
+            (0u32..40, any::<bool>()).prop_map(|(p, up)| Step::Live(p, up)),
+            // and as often one of the first five peers, the supers among them
+            (0u32..5, any::<bool>()).prop_map(|(p, up)| Step::Live(p, up)),
+        ];
+        pvec(step, 0..48)
+    }
+
+    /// Sets `peer`'s liveness twice: the second call must move nothing.
+    fn toggle(net: &mut DesNetwork, peer: u32, up: bool) -> Result<(), TestCaseError> {
+        net.set_alive(PeerId(peer), up);
+        let state = |net: &DesNetwork| {
+            let supers = supers_of(net);
+            (supers.super_of.clone(), supers.moves, net.stats().count(MsgKind::Publish))
+        };
+        let before = state(net);
+        net.set_alive(PeerId(peer), up);
+        prop_assert_eq!(state(net), before, "repeating set_alive({}, {}) moved", peer, up);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every live leaf is homed at a live super, unless no super is
+        /// live: over random publish, withdrawal and liveness histories,
+        /// then every super offline and one back, each live share sits in
+        /// exactly one index, its provider's home's; a repeated
+        /// `set_alive` moves nothing; guided, the digests match a rebuild
+        /// after every liveness change; and on a DES timeline where churn
+        /// moves leaves while queries fly, no query's hits repeat a
+        /// `(key, provider)`.
+        #[test]
+        fn live_leaves_are_homed_at_live_supers(
+            dims in (8usize..40, 1usize..6, 0u64..500, any::<bool>()),
+            history in steps(),
+            back in 0u32..6,
+            origins in pvec(0u32..40, 1..12),
+        ) {
+            let (n, supers, seed, guided) = dims;
+            let supers = supers.min(n);
+            let digests = if guided {
+                DigestConfig { log2_bits: 8, ..DigestConfig::guided() }
+            } else {
+                DigestConfig::default()
+            };
+            let config = SuperPeerConfig { supers, super_degree: 2, ttl: 6, digests };
+            let latency = LatencySpec::Uniform(1_000, 40_000).build(n, seed);
+            let mut net = DesNetwork::new(Substrate::fasttrack(n, config, latency, seed));
+            let mut shares = BTreeSet::new();
+            for step in &history {
+                match *step {
+                    Step::Publish(p, k) => {
+                        let p = p % n as u32;
+                        if net.is_alive(PeerId(p)) {
+                            shares.insert((p, format!("k{k}")));
+                        }
+                        net.publish(PeerId(p), record(&format!("k{k}"), ["x", "y"][k % 2]));
+                    }
+                    Step::Unpublish(p, k) => {
+                        let p = p % n as u32;
+                        shares.remove(&(p, format!("k{k}")));
+                        net.unpublish(PeerId(p), &format!("k{k}"));
+                    }
+                    Step::Live(p, up) => {
+                        toggle(&mut net, p % n as u32, up)?;
+                        if guided {
+                            check_routes(&mut net)?;
+                        }
+                    }
+                }
+                check_homes(&net, &shares)?;
+            }
+            for s in 0..supers as u32 {
+                toggle(&mut net, s, false)?;
+                check_homes(&net, &shares)?;
+            }
+            toggle(&mut net, back % supers as u32, true)?;
+            check_homes(&net, &shares)?;
+            if guided {
+                check_routes(&mut net)?;
+            }
+
+            let horizon = origins.len() as u64 * 20_000;
+            net.schedule_churn(&exponential_schedule(n, horizon, 60_000, 30_000, seed));
+            for (i, &origin) in origins.iter().enumerate() {
+                net.schedule_query(i as u64 * 20_000, PeerId(origin % n as u32), "c", Query::All);
+            }
+            for (i, out) in net.run().iter().enumerate() {
+                let hits: Vec<(&str, PeerId)> =
+                    out.hits.iter().map(|h| (h.key.as_str(), h.provider)).collect();
+                let distinct: BTreeSet<_> = hits.iter().collect();
+                prop_assert_eq!(distinct.len(), hits.len(), "query {} repeats: {:?}", i, hits);
+            }
+            check_homes(&net, &shares)?;
+        }
     }
 }

@@ -171,6 +171,20 @@ impl LinearTable {
         self.records.get(key).map(|(_, providers)| providers)
     }
 
+    /// Number of distinct records.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// The records `provider` is among the providers of, as the table
+    /// holds them.
+    pub fn provided_by(&self, provider: PeerId) -> Vec<ResourceRecord> {
+        let of = |(record, providers): &(ResourceRecord, BTreeSet<PeerId>)| {
+            providers.contains(&provider).then(|| record.clone())
+        };
+        self.records.values().filter_map(of).collect()
+    }
+
     pub fn search(&self, community: &str, query: &Query, alive: &[bool]) -> Vec<(String, PeerId)> {
         let mut hits = Vec::new();
         let Some((keys, _)) = self.places.get(community) else { return hits };

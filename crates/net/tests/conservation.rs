@@ -216,12 +216,13 @@ proptest! {
     /// Every hop ends as exactly one [`Fate`]. A hop is a `Query` or
     /// `ServerQuery` event, a flat origin's look at its own shares (a
     /// Gnutella `QueryIssue` at a live origin), or a dropped uplink (a
-    /// FastTrack `QueryIssue` at a live leaf whose super is offline).
-    /// Replaying the trace's churn over the liveness the test set, with
-    /// `Q` and `S` the `Query` and `ServerQuery` events, `L` the looks,
-    /// `D` the dropped uplinks and `E` the free entries (a FastTrack
-    /// `QueryIssue` at a live super, whose copy to itself is a `Query`
-    /// event that no message carried):
+    /// FastTrack `QueryIssue` at a live leaf while no super is live: a
+    /// live leaf is homed at a live super otherwise). Replaying the
+    /// trace's churn over the liveness the test set, with `Q` and `S` the
+    /// `Query` and `ServerQuery` events, `L` the looks, `D` the dropped
+    /// uplinks and `E` the free entries (a FastTrack `QueryIssue` at a
+    /// live super, whose copy to itself is a `Query` event that no
+    /// message carried):
     ///
     /// ```text
     /// Σ_{f ≠ ProviderOffline} fate_count(f) = Q + S + L + D
@@ -275,7 +276,12 @@ proptest! {
             net.retrieve(PeerId(origin), PeerId(provider), &format!("k{key}"));
         }
 
+        // supers never move, so the final assignment tells them apart
         let super_of = |p: u32| net.substrate().super_of(PeerId(p));
+        let supers = match kind {
+            ProtocolKind::FastTrack => net.substrate().topology().map_or(0, |t| t.len()),
+            _ => 0,
+        };
         let (mut q, mut sq, mut looks, mut dropped, mut free) = (0u64, 0u64, 0u64, 0u64, 0u64);
         let mut senders = BTreeSet::new();
         let mut traced = [0u64; Fate::ALL.len()];
@@ -299,6 +305,7 @@ proptest! {
                 DesEvent::QueryIssue { qid } => {
                     let origin = origins[qid as usize];
                     let live = alive[origin as usize];
+                    let no_super_live = !alive[..supers].contains(&true);
                     match (kind, super_of(origin)) {
                         (ProtocolKind::Gnutella, _) if live => {
                             looks += 1;
@@ -308,7 +315,7 @@ proptest! {
                             free += 1;
                             false
                         }
-                        (ProtocolKind::FastTrack, Some(s)) if live && !alive[s] => {
+                        (ProtocolKind::FastTrack, Some(_)) if live && no_super_live => {
                             dropped += 1;
                             true
                         }

@@ -9,7 +9,8 @@
 //!   origin, by BFS over live peers, each hit's `hops` its distance;
 //! * FastTrack: one [`LinearTable`] per super (an offline leaf's publish
 //!   is dropped), over the supers within the super TTL of the origin's
-//!   live super, by BFS over live supers.
+//!   live super, by BFS over live supers. Leaves move between supers
+//!   with their records as `World::set_alive` says.
 //!
 //! Links are constant-latency, so the first copy to reach a node came the
 //! shortest way. This is what licenses a refactor of the scheduler or of
@@ -146,7 +147,7 @@ struct World {
     /// as adjacency lists.
     graph: Vec<Vec<u32>>,
     ttl: u8,
-    /// Each peer's super on FastTrack.
+    /// Each peer's super on FastTrack, as leaves move.
     super_of: Vec<Option<usize>>,
     /// Napster's one server table, or FastTrack's table per super.
     tables: Vec<LinearTable>,
@@ -202,6 +203,44 @@ impl World {
         }
     }
 
+    /// `peer` goes offline or comes back. On FastTrack every live leaf is
+    /// then homed at a live super, unless none is live: a super gone
+    /// offline hands its live leaves to the live super with the fewest
+    /// records (ties to the lowest id), a leaf back under an offline
+    /// super moves there, and the first super back takes every live leaf.
+    fn set_alive(&mut self, peer: u32, up: bool) {
+        let p = peer as usize;
+        let was = std::mem::replace(&mut self.alive[p], up);
+        if was == up || self.kind != ProtocolKind::FastTrack {
+            return;
+        }
+        let supers = 0..self.graph.len();
+        let live: Vec<usize> = supers.filter(|&s| self.alive[s]).collect();
+        let emptiest = live.iter().copied().min_by_key(|&s| (self.tables[s].len(), s));
+        let home = |world: &World, leaf: usize| world.super_of[leaf].expect("a peer has a super");
+        let leaves = self.graph.len()..self.alive.len();
+        let moving: Vec<(usize, usize)> = if home(self, p) != p {
+            let stranded = up && !self.alive[home(self, p)];
+            emptiest.filter(|_| stranded).map(|to| (p, to)).into_iter().collect()
+        } else if let (false, Some(to)) = (up, emptiest) {
+            let homed_here = |&leaf: &usize| self.alive[leaf] && home(self, leaf) == p;
+            leaves.filter(homed_here).map(|leaf| (leaf, to)).collect()
+        } else if up && live.len() == 1 {
+            let stranded = |&leaf: &usize| self.alive[leaf] && home(self, leaf) != p;
+            leaves.filter(stranded).map(|leaf| (leaf, p)).collect()
+        } else {
+            Vec::new()
+        };
+        for (leaf, to) in moving {
+            let from = home(self, leaf);
+            for record in self.tables[from].provided_by(PeerId(leaf as u32)) {
+                self.tables[from].unpublish(PeerId(leaf as u32), &record.key);
+                self.tables[to].publish(PeerId(leaf as u32), &record);
+            }
+            self.super_of[leaf] = Some(to);
+        }
+    }
+
     /// The live nodes of the graph within TTL hops of `entry`, with their
     /// distance, by BFS over live nodes.
     fn reach(&self, entry: u32) -> Vec<(u32, u8)> {
@@ -251,7 +290,7 @@ impl World {
             ProtocolKind::FastTrack => {
                 let entry = self.super_of[o].expect("a peer of the network has a super");
                 if !self.alive[entry] {
-                    return Vec::new(); // an orphaned leaf reaches nobody
+                    return Vec::new(); // no super is live
                 }
                 let leaf = u8::from(entry != o);
                 for (s, d) in self.reach(entry as u32) {
@@ -305,9 +344,9 @@ fn unpublish(net: &mut dyn PeerNetwork, world: &mut World, (key, provider): (usi
     net.unpublish(PeerId(provider), &key);
 }
 
-fn kill(net: &mut dyn PeerNetwork, world: &mut World, peer: u32) {
-    world.alive[peer as usize] = false;
-    net.set_alive(PeerId(peer), false);
+fn set_alive(net: &mut dyn PeerNetwork, world: &mut World, peer: u32, up: bool) {
+    world.set_alive(peer, up);
+    net.set_alive(PeerId(peer), up);
 }
 
 /// A search's hits as the world orders them.
@@ -325,25 +364,29 @@ proptest! {
     /// Every blind search, on every protocol, finds what the world holds
     /// within its reach and nothing else. Deaths land either before the
     /// publishes, so Napster and FastTrack drop an offline peer's upload,
-    /// or after the removals.
+    /// or after the removals; some peers come back before the searches.
     #[test]
     fn blind_search_finds_what_the_world_holds(
         dims in (0usize..3, 8usize..40, 0u64..500, any::<bool>()),
         publishes in publish_ops(),
         removals in pvec((0usize..16, 0u32..ORACLE_PEERS as u32), 0..8),
-        deaths in (pvec(0u32..ORACLE_PEERS as u32, 0..3), any::<bool>()),
+        deaths in (
+            pvec(0u32..ORACLE_PEERS as u32, 0..4),
+            any::<bool>(),
+            pvec(0u32..ORACLE_PEERS as u32, 0..3),
+        ),
         origins in pvec(0u32..ORACLE_PEERS as u32, 1..4),
         query in oracle_query(),
     ) {
         let (kind_idx, n, seed, dedup) = dims;
-        let (deaths, early) = deaths;
+        let (deaths, early, returns) = deaths;
         let kind =
             [ProtocolKind::Napster, ProtocolKind::Gnutella, ProtocolKind::FastTrack][kind_idx];
         let config = NetConfig::new().latency(LINK);
         let (mut net, mut world) = network(kind, n, seed, &config, dedup);
         let net = &mut *net;
         for &p in deaths.iter().filter(|_| early) {
-            kill(net, &mut world, p);
+            set_alive(net, &mut world, p, false);
         }
         for op in &publishes {
             publish(net, &mut world, op);
@@ -352,7 +395,10 @@ proptest! {
             unpublish(net, &mut world, removal);
         }
         for &p in deaths.iter().filter(|_| !early) {
-            kill(net, &mut world, p);
+            set_alive(net, &mut world, p, false);
+        }
+        for &p in &returns {
+            set_alive(net, &mut world, p, true);
         }
         for (i, &origin) in origins.iter().enumerate() {
             let community = COMMUNITIES[i % 2];
@@ -390,7 +436,7 @@ proptest! {
         let (mut net, mut world) = network(kind, n, seed, &config, true);
         let net = &mut *net;
         for &p in &deaths {
-            kill(net, &mut world, p);
+            set_alive(net, &mut world, p, false);
         }
         for (round, (publishes, removals)) in rounds.iter().enumerate() {
             for op in publishes.iter().take(12) {

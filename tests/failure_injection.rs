@@ -1,5 +1,6 @@
-//! Failure injection across crates: dead peers, orphaned super-peer
-//! leaves, payload tampering, malformed inputs and TTL exhaustion.
+//! Failure injection across crates: dead peers, super-peer leaves whose
+//! super goes offline, payload tampering, malformed inputs and TTL
+//! exhaustion.
 
 use up2p::sim::corpus::{pattern_community, pattern_values, GOF_PATTERNS};
 use up2p::{
@@ -213,7 +214,7 @@ fn mid_write_crash_loses_nothing_acknowledged() {
 }
 
 #[test]
-fn orphaned_superpeer_leaves_recover_when_super_returns() {
+fn superpeer_leaves_move_to_a_live_super_and_stay_when_it_returns() {
     use up2p::net::SuperPeerConfig;
     let mut net = DesNetwork::new(Substrate::fasttrack(
         24,
@@ -236,14 +237,21 @@ fn orphaned_superpeer_leaves_recover_when_super_returns() {
     seeker.join(community.clone());
 
     net.set_alive(PeerId(super_idx), false);
+    let moved_to = net.substrate().super_of(leaf).expect("leaf is in the network");
+    assert_ne!(moved_to as u32, super_idx, "the leaf left its offline super");
     let out = seeker
         .search(&mut net, &community.id, &Query::keyword("name", "factory"))
         .unwrap();
-    assert!(out.hits.is_empty(), "orphaned leaf");
+    assert!(!out.hits.is_empty(), "the leaf searches through its new super");
 
     net.set_alive(PeerId(super_idx), true);
+    assert_eq!(
+        net.substrate().super_of(leaf),
+        Some(moved_to),
+        "the super returns without the leaf that moved away"
+    );
     let out = seeker
         .search(&mut net, &community.id, &Query::keyword("name", "factory"))
         .unwrap();
-    assert!(!out.hits.is_empty(), "recovered after super returns");
+    assert!(!out.hits.is_empty(), "still found from the new super");
 }

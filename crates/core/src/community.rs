@@ -108,8 +108,6 @@ pub struct Community {
     /// The shared-object schema, as XSD text (travels with the community
     /// object as an attachment).
     pub schema_xsd: String,
-    /// The parsed schema, shared with every community of the same XSD.
-    pub schema: Arc<Schema>,
     /// Custom view stylesheet (XSLT text), `None` = default.
     pub display_style: Option<String>,
     /// Custom create-form stylesheet.
@@ -119,8 +117,8 @@ pub struct Community {
     /// Custom indexed-attribute filter stylesheet (Fig. 1's fourth
     /// stylesheet).
     pub index_style: Option<String>,
-    /// The parts compiled with `schema`; read through
-    /// [`Community::compiled`].
+    /// The parsed schema and the parts compiled with it, shared with
+    /// every community of the same XSD.
     compiled: Arc<CompiledSchema>,
 }
 
@@ -165,7 +163,6 @@ impl Community {
             security: String::new(),
             protocol: String::new(),
             schema_xsd: schema_xsd.to_string(),
-            schema: Arc::clone(&compiled.schema),
             display_style: None,
             create_style: None,
             search_style: None,
@@ -345,9 +342,14 @@ impl Community {
         object_id(&self.to_object())
     }
 
+    /// The parsed schema, shared with every community of the same XSD.
+    pub fn schema(&self) -> &Arc<Schema> {
+        &self.compiled.schema
+    }
+
     /// The root element name instances of this community use.
     pub fn object_root_name(&self) -> &str {
-        self.schema.root_element().map(|e| e.name.as_str()).unwrap_or("object")
+        self.schema().root_element().map(|e| e.name.as_str()).unwrap_or("object")
     }
 
     /// Validates an instance document against the community schema.
@@ -356,20 +358,14 @@ impl Community {
     ///
     /// Returns [`CoreError::Validation`] listing every problem.
     pub fn validate(&self, doc: &Document) -> Result<(), CoreError> {
-        up2p_schema::Validator::new(&self.schema)
+        up2p_schema::Validator::new(self.schema())
             .validate(doc)
             .map_err(CoreError::Validation)
     }
 
-    /// The parts compiled with this community's schema. `schema` is
-    /// `pub`: after a swap the handle made at construction describes
-    /// another schema, so the parts are derived from the one at hand.
-    pub(crate) fn compiled(&self) -> Arc<CompiledSchema> {
-        if Arc::ptr_eq(&self.compiled.schema, &self.schema) {
-            Arc::clone(&self.compiled)
-        } else {
-            Arc::new(CompiledSchema::derive(Arc::clone(&self.schema)))
-        }
+    /// The parts compiled with this community's schema.
+    pub(crate) fn compiled(&self) -> &CompiledSchema {
+        &self.compiled
     }
 
     /// Field paths this community indexes (searchable fields, honoring
@@ -380,8 +376,7 @@ impl Community {
 
     /// Attachment field paths of the community schema.
     pub fn attachment_paths(&self) -> Vec<String> {
-        let compiled = self.compiled();
-        let leaves = compiled.form_fields(FormKind::Create).iter();
+        let leaves = self.compiled.form_fields(FormKind::Create).iter();
         leaves.filter(|f| f.attachment).map(|f| f.path.clone()).collect()
     }
 }
@@ -417,7 +412,7 @@ mod tests {
             .unwrap();
         let obj = c.to_object();
         let root = Community::root();
-        Validator::new(&root.schema).validate(&obj).unwrap();
+        Validator::new(root.schema()).validate(&obj).unwrap();
     }
 
     #[test]
@@ -489,19 +484,9 @@ mod tests {
         let a = Community::from_builder("mp3", "d", "k", "c", "", &song_builder()).unwrap();
         let b = Community::from_builder("other", "d", "k", "c", "", &song_builder()).unwrap();
         assert_ne!(a.id, b.id);
-        assert!(Arc::ptr_eq(&a.schema, &b.schema), "the second community parsed nothing");
+        assert!(Arc::ptr_eq(a.schema(), b.schema()), "the second community parsed nothing");
         let rebuilt = Community::from_object(&a.to_object(), &a.schema_xsd).unwrap();
-        assert!(Arc::ptr_eq(&a.schema, &rebuilt.schema));
-    }
-
-    #[test]
-    fn swapped_schema_is_the_one_compiled_parts_describe() {
-        let mut c = Community::from_builder("mp3", "d", "k", "c", "", &song_builder()).unwrap();
-        let mut other = SchemaBuilder::new("clip");
-        other.field(FieldKind::text("caption").searchable());
-        c.schema = Arc::new(other.build());
-        assert_eq!(c.indexed_paths(), vec!["clip/caption"]);
-        assert_eq!(c.attachment_paths(), Vec::<String>::new());
+        assert!(Arc::ptr_eq(a.schema(), rebuilt.schema()));
     }
 
     fn numbered_xsd(i: usize) -> String {

@@ -26,8 +26,7 @@ use crate::digest::{self, DigestConfig, Probe, RecordVisitor, Signature, Slices}
 use crate::message::{ResourceRecord, SharedFields, DEFAULT_TTL};
 use crate::overlay::Match;
 use crate::peer::PeerId;
-use std::collections::HashMap;
-use up2p_store::Query;
+use up2p_store::{Query, SymbolTable};
 
 /// Tuning knobs for the flooding substrate.
 #[derive(Debug, Clone, Copy)]
@@ -96,9 +95,7 @@ pub struct RecordArena {
     /// Recycled slot indices.
     free: Vec<u32>,
     /// Interned community names.
-    community_names: Vec<String>,
-    /// Name → interned id.
-    community_ids: HashMap<String, u32>,
+    communities: SymbolTable,
     /// The peers' term summaries, bit-sliced: peer `p`'s is column `p`.
     summaries: Slices,
     /// Writes so far: an admitted set built at another count is stale.
@@ -120,17 +117,7 @@ impl RecordArena {
     /// The interned id of community `name`, if any record was ever
     /// shared in it.
     pub(crate) fn community_id(&self, name: &str) -> Option<u32> {
-        self.community_ids.get(name).copied()
-    }
-
-    fn intern_community(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.community_ids.get(name) {
-            return id;
-        }
-        let id = self.community_names.len() as u32;
-        self.community_names.push(name.to_string());
-        self.community_ids.insert(name.to_string(), id);
-        id
+        self.communities.get(name)
     }
 
     /// Frees `peer`'s slot of `key` and drops its signature with it; the
@@ -151,15 +138,15 @@ impl RecordArena {
     /// still shares sets: the column is again exactly the summary of its
     /// records, and only the taken record's rows are written.
     fn forget(&mut self, p: usize, cid: u32, taken: &[(String, String)]) {
-        let RecordArena { fields, community_names, summaries, by_peer, .. } = self;
+        let RecordArena { fields, communities, summaries, by_peer, .. } = self;
         let mut kept: Summary = [0; SUMMARY_WORDS];
         for r in &by_peer[p] {
-            let community = &community_names[r.community as usize];
+            let community = communities.name(r.community);
             digest::for_each_record_entry(community, &fields[r.slot as usize], |h| {
                 digest::insert(&mut kept, h)
             });
         }
-        digest::for_each_record_entry(&community_names[cid as usize], taken, |h| {
+        digest::for_each_record_entry(communities.name(cid), taken, |h| {
             summaries.remove(p, h, &kept)
         });
     }
@@ -173,7 +160,7 @@ impl RecordArena {
         }
         self.writes += 1;
         let replaced = self.take(peer, &record.key);
-        let community = self.intern_community(&record.community);
+        let community = self.communities.intern(&record.community);
         let slot = match self.free.pop() {
             Some(s) => {
                 self.keys[s as usize] = record.key.clone();
@@ -193,7 +180,7 @@ impl RecordArena {
         let (cid, fields) = replaced?;
         // the replaced record's terms leave the summary
         self.forget(p, cid, &fields);
-        Some((self.community_names[cid as usize].as_str(), fields))
+        Some((self.communities.name(cid), fields))
     }
 
     /// Removes `peer`'s copy of `key`; returns its `(community, fields)`
@@ -202,7 +189,7 @@ impl RecordArena {
         let (cid, fields) = self.take(peer, key)?;
         self.writes += 1;
         self.forget(peer as usize, cid, &fields);
-        Some((self.community_names[cid as usize].as_str(), fields))
+        Some((self.communities.name(cid), fields))
     }
 
     /// Does `peer` share `key`?
@@ -217,8 +204,8 @@ impl RecordArena {
     /// the ungated scan a hop's answer is tested against.
     pub fn matches(&self, peer: u32, community: &str, query: &Query) -> Vec<Match> {
         let records = self.by_peer.get(peer as usize).into_iter().flatten();
-        match self.community_ids.get(community) {
-            Some(&cid) => self.verify(peer, cid, query, records),
+        match self.communities.get(community) {
+            Some(cid) => self.verify(peer, cid, query, records),
             None => Vec::new(),
         }
     }
@@ -281,7 +268,7 @@ impl RecordArena {
     /// the peer's routing digest is built from.
     pub fn for_each_record(&self, peer: u32, visit: &mut RecordVisitor<'_>) {
         for r in self.by_peer.get(peer as usize).into_iter().flatten() {
-            visit(&self.community_names[r.community as usize], &self.fields[r.slot as usize]);
+            visit(self.communities.name(r.community), &self.fields[r.slot as usize]);
         }
     }
 

@@ -17,13 +17,14 @@
 //! An index node has one write rule: the first record published under a
 //! key wins, later publishes only add providers, and the record leaves
 //! with its last provider. It lives here and nowhere else: the Napster
-//! server and every super-peer hold an [`IndexNode`], and
-//! [`crate::ShardedIndexNode`] is one with a write counter.
+//! server and every super-peer hold an [`IndexNode`]. A node counts its
+//! writes ([`IndexNode::write_guard_count`]); a search takes `&self`, so
+//! it writes nothing and leaves the count as it was.
 
 use crate::message::{ResourceRecord, SharedFields};
 use crate::peer::PeerId;
 use std::collections::HashMap;
-use up2p_store::{MetadataIndex, Query, ResourceId};
+use up2p_store::{MetadataIndex, Query, ResourceId, SymbolTable};
 
 /// One community's slice of an index node: the inverted metadata index
 /// plus the providers of each record.
@@ -133,15 +134,15 @@ impl CommunityTable {
 ///   records through a caller-supplied liveness predicate.
 #[derive(Debug, Default)]
 pub struct IndexNode {
-    /// Community name → slot in `communities` (sub-indexes are created
+    /// Community name ↔ slot in `communities` (sub-indexes are created
     /// lazily on first publish).
-    names: HashMap<String, u32>,
-    /// Slot → community name (the inverse of `names`).
-    slot_names: Vec<String>,
+    names: SymbolTable,
     communities: Vec<CommunityTable>,
     /// Record key → community slot, for community-blind removal and
     /// provider checks.
     by_key: HashMap<ResourceId, u32>,
+    /// `insert` and `remove` calls so far.
+    writes: u64,
 }
 
 impl IndexNode {
@@ -160,6 +161,12 @@ impl IndexNode {
         self.by_key.is_empty()
     }
 
+    /// `insert` and `remove` calls so far. A search takes `&self` and
+    /// leaves this unchanged.
+    pub fn write_guard_count(&self) -> u64 {
+        self.writes
+    }
+
     /// Registers `provider` for the record. The first publish of a key
     /// indexes the record's fields (one refcount bump on the shared
     /// metadata); subsequent publishes of the same key are provider-set
@@ -168,20 +175,15 @@ impl IndexNode {
     /// `true` when the record entered the share table (first provider
     /// in), `false` when only its provider set grew.
     pub fn insert(&mut self, provider: PeerId, record: &ResourceRecord) -> bool {
+        self.writes += 1;
         if let Some(&slot) = self.by_key.get(record.key.as_str()) {
             self.communities[slot as usize].add_provider(record.key.as_str(), provider);
             return false;
         }
-        let slot = match self.names.get(record.community.as_str()) {
-            Some(&slot) => slot,
-            None => {
-                let slot = self.communities.len() as u32;
-                self.names.insert(record.community.clone(), slot);
-                self.slot_names.push(record.community.clone());
-                self.communities.push(CommunityTable::default());
-                slot
-            }
-        };
+        let slot = self.names.intern(&record.community);
+        if slot as usize == self.communities.len() {
+            self.communities.push(CommunityTable::default());
+        }
         let id = ResourceId::from_key(&record.key);
         self.communities[slot as usize].index_record(id.clone(), provider, &record.fields);
         self.by_key.insert(id, slot);
@@ -192,10 +194,11 @@ impl IndexNode {
     /// disappear with its last provider, and only then are its
     /// `(community, fields)` returned.
     pub fn remove(&mut self, provider: PeerId, key: &str) -> Option<(&str, SharedFields)> {
+        self.writes += 1;
         let &slot = self.by_key.get(key)?;
         let fields = self.communities[slot as usize].remove_provider(key, provider)?;
         self.by_key.remove(key);
-        Some((self.slot_names[slot as usize].as_str(), fields))
+        Some((self.names.name(slot), fields))
     }
 
     /// Is `provider` currently advertising the record?
@@ -212,7 +215,8 @@ impl IndexNode {
     where
         F: FnMut(&str, &[(String, String)]),
     {
-        for (name, sub) in self.slot_names.iter().zip(&self.communities) {
+        for (slot, sub) in (0..).zip(&self.communities) {
+            let name = self.names.name(slot);
             sub.for_each_record(|fields| f(name, fields));
         }
     }
@@ -224,7 +228,8 @@ impl IndexNode {
     where
         F: FnMut(&str, &str, PeerId, &SharedFields),
     {
-        for (name, sub) in self.slot_names.iter().zip(&self.communities) {
+        for (slot, sub) in (0..).zip(&self.communities) {
+            let name = self.names.name(slot);
             sub.for_each_share(|key, provider, fields| f(key, name, provider, fields));
         }
     }
@@ -240,7 +245,7 @@ impl IndexNode {
         A: Fn(PeerId) -> bool,
         E: FnMut(&str, PeerId, &SharedFields),
     {
-        let Some(&slot) = self.names.get(community) else { return };
+        let Some(slot) = self.names.get(community) else { return };
         self.communities[slot as usize].search(query, alive, emit);
     }
 }
@@ -283,6 +288,23 @@ mod tests {
         assert!(node.remove(PeerId(9), "k2").is_none());
         assert!(node.remove(PeerId(1), "missing").is_none());
         assert_eq!(node.len(), 1);
+    }
+
+    #[test]
+    fn every_write_counts_and_a_search_none() {
+        let mut node = IndexNode::new();
+        node.insert(PeerId(1), &record("k1", "patterns", "Observer"));
+        node.insert(PeerId(2), &record("k1", "patterns", "Observer"));
+        node.insert(PeerId(3), &record("k2", "songs", "Jazz"));
+        // a no-op removal is a write call all the same
+        node.remove(PeerId(9), "k2");
+        node.remove(PeerId(1), "missing");
+        node.remove(PeerId(1), "k1");
+        assert_eq!(node.write_guard_count(), 6, "every insert and remove counts");
+        hits(&node, "patterns", &Query::any_keyword("observer"));
+        hits(&node, "songs", &Query::All);
+        hits(&node, "absent", &Query::All);
+        assert_eq!(node.write_guard_count(), 6, "searches write nothing");
     }
 
     #[test]

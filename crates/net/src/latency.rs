@@ -5,13 +5,13 @@ use crate::peer::PeerId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A seeded link-latency model: one per substrate, drawn from for every
-/// message it sends. Only [`LatencySpec::build`] makes one.
+/// A seeded link-latency model: one per substrate, read for every
+/// message it sends. A link's delay is a function of its two ends alone,
+/// never of how many were asked before. Only [`LatencySpec::build`]
+/// makes one.
 #[derive(Debug, Clone)]
 pub struct Latency {
     spec: LatencySpec,
-    /// Source of the `Uniform` draws.
-    rng: StdRng,
     /// Each peer's place on the line (`Coordinate` only).
     positions: Vec<f64>,
 }
@@ -21,16 +21,13 @@ impl Latency {
     ///
     /// * `Constant` — the same on every link, keeping experiments
     ///   deterministic when latency is not the variable under study;
-    /// * `Uniform` — a seeded draw in `[min, max)`, roughly the wide-area
-    ///   RTT spread of 2002-era dial-up/DSL swarms;
     /// * `Coordinate` — base cost plus the distance between the two
     ///   peers' random positions on a line: stable, symmetric pairwise
     ///   delays that respect the triangle inequality. An id outside the
     ///   network (the Napster server) sits mid-line.
-    pub fn delay(&mut self, from: PeerId, to: PeerId) -> Time {
+    pub fn delay(&self, from: PeerId, to: PeerId) -> Time {
         match self.spec {
             LatencySpec::Constant(us) => us,
-            LatencySpec::Uniform(min, max) => self.rng.gen_range(min..max),
             LatencySpec::Coordinate { base, per_unit } => {
                 let at = |p: PeerId| self.positions.get(p.index()).copied().unwrap_or(0.5);
                 base + ((at(from) - at(to)).abs() * per_unit as f64) as Time
@@ -45,8 +42,6 @@ impl Latency {
 pub enum LatencySpec {
     /// Fixed per-link delay in microseconds.
     Constant(Time),
-    /// Uniform delay in `[min, max)` microseconds.
-    Uniform(Time, Time),
     /// Coordinate-based delay `base + distance · per_unit`.
     Coordinate {
         /// Base per-link cost in microseconds.
@@ -58,22 +53,15 @@ pub enum LatencySpec {
 
 impl LatencySpec {
     /// Builds a fresh model for an `n`-peer substrate, seeded by `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a `Uniform` range is empty (`min >= max`).
-    #[expect(clippy::disallowed_macros, reason = "`# Panics` unless min < max; every `Uniform` spec in the tree is a literal pair with min < max (the benchmark uses `Coordinate`)")]
     pub fn build(self, n: usize, seed: u64) -> Latency {
-        let mut rng = StdRng::seed_from_u64(seed);
         let positions = match self {
-            LatencySpec::Coordinate { .. } => (0..n).map(|_| rng.gen::<f64>()).collect(),
-            LatencySpec::Uniform(min, max) => {
-                assert!(min < max, "empty latency range");
-                Vec::new()
+            LatencySpec::Coordinate { .. } => {
+                let mut rng = StdRng::seed_from_u64(seed);
+                (0..n).map(|_| rng.gen::<f64>()).collect()
             }
             LatencySpec::Constant(_) => Vec::new(),
         };
-        Latency { spec: self, rng, positions }
+        Latency { spec: self, positions }
     }
 }
 
@@ -83,60 +71,34 @@ mod tests {
 
     #[test]
     fn constant_is_constant() {
-        let mut m = LatencySpec::Constant(50_000).build(2, 1);
+        let m = LatencySpec::Constant(50_000).build(2, 1);
         assert_eq!(m.delay(PeerId(0), PeerId(1)), 50_000);
         assert_eq!(m.delay(PeerId(5), PeerId(9)), 50_000);
     }
 
     #[test]
-    fn uniform_within_bounds_and_reproducible() {
-        let mut a = LatencySpec::Uniform(10, 100).build(2, 42);
-        let mut b = LatencySpec::Uniform(10, 100).build(2, 42);
-        for _ in 0..100 {
-            let d = a.delay(PeerId(0), PeerId(1));
-            assert!((10..100).contains(&d));
-            assert_eq!(d, b.delay(PeerId(0), PeerId(1)), "same seed, same sequence");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "empty latency range")]
-    fn uniform_rejects_empty_range() {
-        LatencySpec::Uniform(100, 100).build(2, 1);
-    }
-
-    #[test]
     fn latency_spec_builds_working_models() {
-        let mut m = LatencySpec::Constant(7_000).build(4, 1);
+        let m = LatencySpec::Constant(7_000).build(4, 1);
         assert_eq!(m.delay(PeerId(0), PeerId(1)), 7_000);
-        let mut m = LatencySpec::Uniform(10, 100).build(4, 1);
-        assert!((10..100).contains(&m.delay(PeerId(0), PeerId(1))));
-        let mut m = LatencySpec::Coordinate { base: 500, per_unit: 1_000 }.build(4, 1);
+        let m = LatencySpec::Coordinate { base: 500, per_unit: 1_000 }.build(4, 1);
         assert!(m.delay(PeerId(0), PeerId(1)) >= 500);
     }
 
     #[test]
     fn seeded_draws_are_pinned() {
-        // the first eight delays each seeded model gives over fixed pairs:
-        // a change to how a model draws moves every virtual latency
+        // the delays a seeded model gives over fixed pairs: a change to
+        // how a model places its peers moves every virtual latency
         let pairs = [(0, 1), (1, 0), (2, 63), (63, 2), (5, 9), (10, 40), (33, 7), (0, 0)];
-        let draws = |spec: LatencySpec| {
-            let mut m = spec.build(64, 7);
-            pairs.map(|(a, b)| m.delay(PeerId(a), PeerId(b)))
-        };
+        let m = LatencySpec::Coordinate { base: 500, per_unit: 40_000 }.build(64, 7);
         assert_eq!(
-            draws(LatencySpec::Uniform(1_000, 30_000)),
-            [5_092, 5_004, 12_537, 5_600, 24_309, 8_846, 1_271, 10_251]
-        );
-        assert_eq!(
-            draws(LatencySpec::Coordinate { base: 500, per_unit: 40_000 }),
+            pairs.map(|(a, b)| m.delay(PeerId(a), PeerId(b))),
             [5_170, 5_170, 6_971, 6_971, 16_196, 34_886, 20_628, 500]
         );
     }
 
     #[test]
     fn coordinates_are_symmetric_and_stable() {
-        let mut m = LatencySpec::Coordinate { base: 5_000, per_unit: 100_000 }.build(10, 7);
+        let m = LatencySpec::Coordinate { base: 5_000, per_unit: 100_000 }.build(10, 7);
         let d1 = m.delay(PeerId(2), PeerId(8));
         let d2 = m.delay(PeerId(8), PeerId(2));
         assert_eq!(d1, d2);

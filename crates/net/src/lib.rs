@@ -67,7 +67,6 @@ mod latency;
 mod message;
 mod overlay;
 mod peer;
-mod sharded;
 pub mod sim;
 mod stats;
 mod substrate;
@@ -85,12 +84,14 @@ pub use index_node::IndexNode;
 pub use latency::{Latency, LatencySpec};
 pub use message::{ResourceRecord, SearchHit, SharedFields, Time, DEFAULT_TTL};
 pub use peer::PeerId;
-pub use sharded::ShardedIndexNode;
 pub use stats::{Fate, MsgKind, NetStats, RetrieveOutcome, SearchOutcome};
 pub use substrate::Substrate;
 pub use superpeer::SuperPeerConfig;
 pub use topology::Topology;
 pub use traits::{PeerNetwork, ProtocolKind, SearchRequest};
+
+/// [`IndexNode`] under the second name `up2p_bench` compiles against.
+pub type ShardedIndexNode = IndexNode;
 
 /// What [`build_network_with`] / [`DesNetwork::build`] let a caller
 /// choose. The rest is [`FloodingConfig::default`] (TTL, dedup) and
@@ -103,7 +104,7 @@ pub use traits::{PeerNetwork, ProtocolKind, SearchRequest};
 /// use up2p_net::{DigestConfig, LatencySpec, NetConfig, PeerNetwork, ProtocolKind};
 ///
 /// let config = NetConfig::new()
-///     .latency(LatencySpec::Uniform(5_000, 50_000))
+///     .latency(LatencySpec::Coordinate { base: 5_000, per_unit: 45_000 })
 ///     .digests(DigestConfig::guided());
 /// let net = up2p_net::build_network_with(ProtocolKind::FastTrack, 256, 7, &config);
 /// assert_eq!(net.peer_count(), 256);

@@ -220,7 +220,7 @@ impl Overlay {
     pub fn walk<'a>(
         &'a mut self,
         alive: &'a [bool],
-        latency: &'a mut Latency,
+        latency: &'a Latency,
         stats: &'a mut NetStats,
         probe: &'a Probe,
         moves: u64,
@@ -264,7 +264,7 @@ pub(crate) struct Walk<'a> {
     topology: &'a Topology,
     routes: &'a RouteTable,
     alive: &'a [bool],
-    latency: &'a mut Latency,
+    latency: &'a Latency,
     walk_rng: &'a mut StdRng,
     stats: &'a mut NetStats,
     /// The query compiled once per query: what guided forwarding asks the
@@ -493,7 +493,7 @@ impl Walk<'_> {
         sink.forward(at, copy);
     }
 
-    /// Counts one `Query` crossing `from → to` and draws its delay.
+    /// Counts one `Query` crossing `from → to` and returns its delay.
     fn query_hop(&mut self, p: &mut Progress, from: u32, to: u32) -> Time {
         self.stats.sent(MsgKind::Query);
         p.outcome.messages += 1;

@@ -685,7 +685,7 @@ mod tests {
                 DigestConfig::default()
             };
             let config = SuperPeerConfig { supers, super_degree: 2, ttl: 6, digests };
-            let latency = LatencySpec::Uniform(1_000, 40_000).build(n, seed);
+            let latency = LatencySpec::Coordinate { base: 1_000, per_unit: 39_000 }.build(n, seed);
             let mut net = DesNetwork::new(Substrate::fasttrack(n, config, latency, seed));
             let mut shares = BTreeSet::new();
             for step in &history {

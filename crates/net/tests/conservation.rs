@@ -185,14 +185,14 @@ fn an_offline_provider_writes_by_its_protocols_rule() {
 /// The network of one conservation case: `kind` over `n` peers at
 /// `ttl`, blind or guided (tiny digests, so walkers fall back), Gnutella
 /// with or without duplicate suppression, FastTrack over `supers`
-/// supers, on stateful uniform latency.
+/// supers, on seeded coordinate latency.
 fn conservation_network(
     kind: ProtocolKind,
     n: usize,
     seed: u64,
     (ttl, guided, dedup, supers): (u8, bool, bool, usize),
 ) -> DesNetwork {
-    let latency = LatencySpec::Uniform(1_000, 40_000).build(n, seed);
+    let latency = LatencySpec::Coordinate { base: 1_000, per_unit: 39_000 }.build(n, seed);
     let digests = match guided {
         true => DigestConfig { log2_bits: 8, ..DigestConfig::guided() },
         false => DigestConfig::default(),

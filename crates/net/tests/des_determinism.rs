@@ -6,7 +6,7 @@
 //! routes. The guarantee comes from the event queue's tie-breaking
 //! rule — `(timestamp, sequence number)`, documented and doc-tested on
 //! [`up2p_net::sim::EventQueue`] — plus seeded RNG streams for walker
-//! selection, super assignment, and uniform latency.
+//! selection, super assignment, and coordinate latency.
 
 use up2p_net::churn::exponential_schedule;
 use up2p_net::{
@@ -26,11 +26,11 @@ type Trace = Vec<(Time, DesEvent, Option<Fate>)>;
 type RunTrace = (Trace, Vec<u64>, Vec<(u64, u64)>, u64, u64);
 
 /// One full mixed timeline: publishes, a churn schedule, digest
-/// refreshes, and interleaved queries, with stateful uniform latency and
+/// refreshes, and interleaved queries, with seeded coordinate latency and
 /// guided search so every RNG stream is exercised.
 fn run_once(kind: ProtocolKind) -> RunTrace {
     let config = NetConfig::new()
-        .latency(LatencySpec::Uniform(1_000, 30_000))
+        .latency(LatencySpec::Coordinate { base: 1_000, per_unit: 29_000 })
         .digests(DigestConfig { log2_bits: 8, ..DigestConfig::guided() });
     let mut net = DesNetwork::build(kind, PEERS, SEED, &config);
     net.enable_trace();
@@ -91,7 +91,8 @@ fn different_seeds_diverge() {
     // Sanity: the trace actually depends on the seed (otherwise the test
     // above proves nothing).
     let run = |seed: u64| {
-        let config = NetConfig::new().latency(LatencySpec::Uniform(1_000, 30_000));
+        let config =
+            NetConfig::new().latency(LatencySpec::Coordinate { base: 1_000, per_unit: 29_000 });
         let mut net = DesNetwork::build(ProtocolKind::Gnutella, PEERS, seed, &config);
         net.enable_trace();
         net.publish(PeerId(7), ResourceRecord::new("k1", "alpha", Vec::new()));

@@ -416,7 +416,7 @@ proptest! {
     /// every later round's publishes, republishes and withdrawals reach
     /// them as deltas and the next search pays a refresh — finds nothing
     /// the world does not hold within the blind reach, under stateful
-    /// uniform latency and tiny digests that force walker fallbacks.
+    /// coordinate latency and tiny digests that force walker fallbacks.
     #[test]
     fn guided_search_finds_nothing_the_world_lacks(
         dims in (0usize..2, 8usize..32, 0u64..300),
@@ -431,7 +431,7 @@ proptest! {
         let (kind_idx, n, seed) = dims;
         let kind = [ProtocolKind::Gnutella, ProtocolKind::FastTrack][kind_idx];
         let config = NetConfig::new()
-            .latency(LatencySpec::Uniform(1_000, 40_000))
+            .latency(LatencySpec::Coordinate { base: 1_000, per_unit: 39_000 })
             .digests(DigestConfig { log2_bits: 8, ..DigestConfig::guided() });
         let (mut net, mut world) = network(kind, n, seed, &config, true);
         let net = &mut *net;

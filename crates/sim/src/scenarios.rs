@@ -18,7 +18,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use up2p_core::{stylesheets, Community, FormKind, FormModel};
 use up2p_net::{
-    churn, DesNetwork, FloodingConfig, LatencySpec, PeerId, ProtocolKind, Substrate, Topology,
+    churn, DesNetwork, FloodingConfig, LatencySpec, PeerId, ProtocolKind, RetrieveOutcome,
+    SearchOutcome, Substrate, Topology,
 };
 use up2p_schema::{FieldKind, SchemaBuilder};
 use up2p_store::{tokenize, Query, Repository, ResourceId};
@@ -365,58 +366,91 @@ fn push_quality_rows(
 // E5 — §V: replication vs availability under churn
 // ---------------------------------------------------------------------
 
+/// How an E5 trial fetches the first hit. A bare `retrieve` keeps
+/// nothing, so a row measures the replication it was built with and is
+/// the one the analytic curve describes. A servent's `download` re-shares
+/// every find, so a row's replica count grows while it runs.
+#[derive(Debug, Clone, Copy)]
+enum Fetch {
+    Retrieve,
+    Download,
+}
+
+/// One E5 trial: searches for `target` from `origin` and fetches the
+/// first hit by `fetch`. Returns the search and whether the fetch got
+/// the object.
+fn e5_trial(
+    world: &mut World,
+    community: &Community,
+    origin: usize,
+    target: &PatternRecord,
+    fetch: Fetch,
+) -> (SearchOutcome, bool) {
+    let out = world.search_from(origin, community, &name_in_category_query(target));
+    let fetched = out.hits.first().is_some_and(|hit| match fetch {
+        Fetch::Retrieve => {
+            let got = world.net.retrieve(PeerId(origin as u32), hit.provider, &hit.key);
+            matches!(got, RetrieveOutcome::Fetched { .. })
+        }
+        Fetch::Download => {
+            let servent = &mut world.servents[origin];
+            servent.download(&mut *world.net, &mut world.plane, hit).is_ok()
+        }
+    });
+    (out, fetched)
+}
+
 /// E5: availability of a pattern object under peer churn, as a function
 /// of its replication factor — simulated on the flooding substrate vs the
-/// analytic `1-(1-a)^r` curve.
+/// analytic `1-(1-a)^r` curve, fetching by a bare retrieve and again by a
+/// re-sharing download.
 pub fn e5_replication(scale: Scale, seed: u64) -> Table {
     let mut t = Table::new(
         "E5 (§V): object availability vs replication under churn (Gnutella substrate)",
-        &["availability", "replicas", "trials", "found rate", "analytic", "retrieve ok"],
+        &["fetch", "availability", "replicas", "trials", "found rate", "analytic", "retrieve ok"],
     );
     let peers = scale.peers(128);
     let trials = scale.queries(200);
-    for &availability in &[0.9, 0.7, 0.5] {
-        for &replicas in &[1usize, 2, 4, 8] {
-            let (mut world, community) =
-                pattern_world(ProtocolKind::Gnutella, peers, replicas, seed);
-            let mut fetched = 0usize;
-            let tally: Tally = (0..trials)
-                .map(|trial| {
-                    let origin = (trial * 13 + 1) % peers;
-                    // Common random numbers: the churn snapshot for a trial
-                    // depends only on (availability, trial), so every replica
-                    // count faces the identical alive/dead pattern. Together
-                    // with nested provider placement (see assign_providers)
-                    // this makes found-rate monotone in `replicas` per trial,
-                    // not just in expectation.
-                    let mut rng = rng_for(seed, &format!("e5-{availability}-t{trial}"));
-                    churn::apply_snapshot(
-                        &mut *world.net,
-                        availability,
-                        &[PeerId(origin as u32)],
-                        &mut rng,
-                    );
-                    let target = &GOF_PATTERNS[trial % GOF_PATTERNS.len()];
-                    let query = name_in_category_query(target);
-                    let out = world.search_from(origin, &community, &query);
-                    if let Some(hit) = out.hits.first() {
-                        let servent = &mut world.servents[origin];
-                        if servent.download(&mut *world.net, &mut world.plane, hit).is_ok() {
-                            fetched += 1;
-                        }
-                    }
-                    out
-                })
-                .collect();
-            churn::revive_all(&mut *world.net);
-            t.row([
-                fnum(availability),
-                replicas.to_string(),
-                trials.to_string(),
-                fnum(tally.recall()),
-                fnum(churn::expected_availability(availability, replicas as u32)),
-                fnum(fetched as f64 / trials as f64),
-            ]);
+    for fetch in [Fetch::Retrieve, Fetch::Download] {
+        for &availability in &[0.9, 0.7, 0.5] {
+            for &replicas in &[1usize, 2, 4, 8] {
+                let (mut world, community) =
+                    pattern_world(ProtocolKind::Gnutella, peers, replicas, seed);
+                let mut fetched = 0usize;
+                let tally: Tally = (0..trials)
+                    .map(|trial| {
+                        let origin = (trial * 13 + 1) % peers;
+                        // Common random numbers: the churn snapshot for a
+                        // trial depends only on (availability, trial), so
+                        // every replica count faces the identical alive/dead
+                        // pattern. Together with nested provider placement
+                        // (see assign_providers) this makes found-rate
+                        // monotone in `replicas` per trial, not just in
+                        // expectation.
+                        let mut rng = rng_for(seed, &format!("e5-{availability}-t{trial}"));
+                        churn::apply_snapshot(
+                            &mut *world.net,
+                            availability,
+                            &[PeerId(origin as u32)],
+                            &mut rng,
+                        );
+                        let target = &GOF_PATTERNS[trial % GOF_PATTERNS.len()];
+                        let (out, ok) = e5_trial(&mut world, &community, origin, target, fetch);
+                        fetched += usize::from(ok);
+                        out
+                    })
+                    .collect();
+                churn::revive_all(&mut *world.net);
+                t.row([
+                    format!("{fetch:?}").to_lowercase(),
+                    fnum(availability),
+                    replicas.to_string(),
+                    trials.to_string(),
+                    fnum(tally.recall()),
+                    fnum(churn::expected_availability(availability, replicas as u32)),
+                    fnum(fetched as f64 / trials as f64),
+                ]);
+            }
         }
     }
     t
@@ -574,7 +608,7 @@ pub fn e7_indexing() -> Table {
         &["profile", "fields", "token postings", "approx bytes", "recall"],
     );
     let community = pattern_community();
-    let all_paths: Vec<String> = up2p_schema::leaf_fields(&community.schema)
+    let all_paths: Vec<String> = up2p_schema::leaf_fields(community.schema())
         .into_iter()
         .filter(|f| f.base.is_textual() || !f.enumeration.is_empty())
         .map(|f| f.path)
@@ -846,13 +880,36 @@ mod tests {
     #[test]
     fn e5_availability_rises_with_replicas() {
         let t = e5_replication(Scale::Smoke, 7);
-        // within each availability block, found-rate is non-decreasing
+        // within each (fetch, availability) block, found-rate is
+        // non-decreasing
         for chunk in t.rows.chunks(4) {
-            let rates: Vec<f64> = chunk.iter().map(|r| r[3].parse().unwrap()).collect();
+            let rates: Vec<f64> = chunk.iter().map(|r| r[4].parse().unwrap()).collect();
             assert!(
                 rates.windows(2).all(|w| w[1] >= w[0] - 0.08),
                 "rates should rise with replication: {rates:?}"
             );
+        }
+    }
+
+    #[test]
+    fn e5_retrieve_keeps_nothing_and_download_reshares() {
+        use up2p_net::MsgKind;
+        let target = &GOF_PATTERNS[0];
+        for (kind, origin) in [(ProtocolKind::Napster, 5), (ProtocolKind::Gnutella, 9)] {
+            for (fetch, kept) in [(Fetch::Retrieve, false), (Fetch::Download, true)] {
+                let (mut world, community) = pattern_world(kind, 16, 1, 3);
+                let me = PeerId(origin as u32);
+                world.net.reset_stats();
+                let (out, ok) = e5_trial(&mut world, &community, origin, target, fetch);
+                let hit = out.hits.first().expect("the pattern is found");
+                assert!(ok && hit.provider != me, "{kind:?} {fetch:?}");
+                // a Napster upload is a message; a Gnutella peer shares
+                // from its own store, so its copy shows at the peer
+                let publishes = world.net.stats().count(MsgKind::Publish);
+                assert_eq!(publishes > 0, kept && kind == ProtocolKind::Napster, "{fetch:?}");
+                let shares = world.net.retrieve(me, me, &hit.key);
+                assert_eq!(matches!(shares, RetrieveOutcome::Fetched { .. }), kept, "{fetch:?}");
+            }
         }
     }
 

@@ -71,16 +71,18 @@ pub fn prepare_fields(fields: &[(String, String)]) -> Vec<PreparedField> {
 /// distinct string is stored exactly once, one `Arc<str>` shared by the
 /// lookup map and the symbol → name vector; the content byte total is
 /// accumulated on intern so `bytes()` is O(1) and matches what is
-/// actually resident. Symbols are never freed.
+/// actually resident. Symbols are never freed, and are handed out
+/// densely from 0, so a `Vec` beside the table can be indexed by them.
 #[derive(Debug, Clone, Default)]
-struct SymbolTable {
+pub struct SymbolTable {
     lookup: HashMap<Arc<str>, u32>,
     names: Vec<Arc<str>>,
     content_bytes: usize,
 }
 
 impl SymbolTable {
-    fn intern(&mut self, s: &str) -> u32 {
+    /// The symbol of `s`, interning it on first sight.
+    pub fn intern(&mut self, s: &str) -> u32 {
         if let Some(&sym) = self.lookup.get(s) {
             return sym;
         }
@@ -92,12 +94,17 @@ impl SymbolTable {
         sym
     }
 
-    fn get(&self, s: &str) -> Option<u32> {
+    /// The symbol of `s`, if it was ever interned.
+    pub fn get(&self, s: &str) -> Option<u32> {
         self.lookup.get(s).copied()
     }
 
     /// The string `sym` was interned as.
-    fn name(&self, sym: u32) -> &str {
+    ///
+    /// # Panics
+    ///
+    /// Panics if no [`SymbolTable::intern`] of this table returned `sym`.
+    pub fn name(&self, sym: u32) -> &str {
         &self.names[sym as usize]
     }
 

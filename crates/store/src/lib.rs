@@ -46,7 +46,9 @@ pub use digest::{sha1, ResourceId, Sha1};
 pub use durable::{DurableOptions, DurableRepository, RecoveryReport};
 pub use error::StoreError;
 pub use fsio::{crc32, FailFs, RealFs, StoreFs, StoreWriter};
-pub use index::{prepare_fields, IndexStats, MetadataIndex, PreparedField, SharedFields};
+pub use index::{
+    prepare_fields, IndexStats, MetadataIndex, PreparedField, SharedFields, SymbolTable,
+};
 pub use query::{field_matches, Query, ValuePattern};
 pub use repository::{FieldPaths, Repository, StoredObject};
 pub use tokenizer::{

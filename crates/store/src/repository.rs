@@ -6,7 +6,7 @@ use crate::digest::ResourceId;
 use crate::error::StoreError;
 use crate::index::{IndexStats, MetadataIndex, PreparedField, SharedFields};
 use crate::query::Query;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use up2p_xml::{Document, XPath};
 
 /// A stored shared object: its community, canonical XML and the
@@ -101,7 +101,6 @@ impl FieldPaths {
 #[derive(Debug, Clone, Default)]
 pub struct Repository {
     objects: BTreeMap<ResourceId, StoredObject>,
-    by_community: BTreeMap<String, BTreeSet<ResourceId>>,
     index: MetadataIndex,
 }
 
@@ -189,13 +188,7 @@ impl Repository {
             Some(prep) => self.index.insert_tokenized(id.clone(), fields.clone(), prep),
             None => self.index.insert_shared(id.clone(), fields.clone()),
         };
-        self.file(StoredObject { id, community: community.to_string(), xml, fields })
-    }
-
-    /// Files an object under its id and community.
-    fn file(&mut self, obj: StoredObject) -> ResourceId {
-        let id = obj.id.clone();
-        self.by_community.entry(obj.community.clone()).or_default().insert(id.clone());
+        let obj = StoredObject { id: id.clone(), community: community.to_string(), xml, fields };
         self.objects.insert(id.clone(), obj);
         id
     }
@@ -214,12 +207,6 @@ impl Repository {
     pub fn remove(&mut self, id: &ResourceId) -> Option<StoredObject> {
         let obj = self.objects.remove(id)?;
         self.index.remove(id);
-        if let Some(set) = self.by_community.get_mut(&obj.community) {
-            set.remove(id);
-            if set.is_empty() {
-                self.by_community.remove(&obj.community);
-            }
-        }
         Some(obj)
     }
 
@@ -231,11 +218,6 @@ impl Repository {
     /// `true` when no objects are stored.
     pub fn is_empty(&self) -> bool {
         self.objects.is_empty()
-    }
-
-    /// Communities with at least one object, in sorted order.
-    pub fn communities(&self) -> impl Iterator<Item = &str> {
-        self.by_community.keys().map(String::as_str)
     }
 
     /// All stored objects, in id order.
@@ -403,13 +385,6 @@ mod tests {
         assert!(r.get(&id).is_none());
         assert!(r.search(None, &Query::any_keyword("observer")).is_empty());
         assert!(r.remove(&id).is_none());
-    }
-
-    #[test]
-    fn communities_listed() {
-        let r = sample();
-        let cs: Vec<&str> = r.communities().collect();
-        assert_eq!(cs, vec!["patterns", "songs"]);
     }
 
     #[test]

@@ -207,9 +207,9 @@ proptest! {
         // from a second servent that joined over the network
         let mut seeker = Servent::new(PeerId(2));
         prop_assert_eq!(w.join(&mut seeker).unwrap(), id);
-        let joined_schema = Arc::clone(&seeker.community(id).unwrap().schema);
+        let joined_schema = Arc::clone(seeker.community(id).unwrap().schema());
         prop_assert!(
-            Arc::ptr_eq(&joined_schema, &community.schema),
+            Arc::ptr_eq(&joined_schema, community.schema()),
             "the join parsed a schema this process had already compiled"
         );
         prop_assert_eq!(&served_pages(&seeker, id), &expect);
@@ -217,7 +217,7 @@ proptest! {
         // after leave → join_from_hit
         prop_assert!(seeker.leave(id));
         prop_assert_eq!(w.join(&mut seeker).unwrap(), id);
-        prop_assert!(Arc::ptr_eq(&seeker.community(id).unwrap().schema, &joined_schema));
+        prop_assert!(Arc::ptr_eq(seeker.community(id).unwrap().schema(), &joined_schema));
         prop_assert_eq!(&served_pages(&seeker, id), &expect);
 
         // after save_state → load_state, which sets styles after construction

@@ -7,8 +7,10 @@
 //! with their session). The server's records live in an [`crate::IndexNode`],
 //! as every super-peer's do, so a query is a posting-list lookup and each
 //! candidate's providers are one read of a table indexed by the posting
-//! list's own doc-ids; the rest of a search is building the
-//! [`SearchHit`]s (a key `String` each; the fields are shared).
+//! list's own doc-ids. The rest of a search is building the
+//! [`SearchHit`]s (a key `String` each; the fields are shared, one
+//! refcount bump a hit), which the index node starts only once it has
+//! read every candidate's row.
 //!
 //! What is Napster's alone — the round trip and the server's answer —
 //! is here; the rest of the protocol is the one [`Substrate`]'s and its

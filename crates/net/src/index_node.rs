@@ -24,6 +24,8 @@
 use crate::message::{ResourceRecord, SharedFields};
 use crate::peer::PeerId;
 use std::collections::HashMap;
+use std::hint::black_box;
+use std::sync::Arc;
 use up2p_store::{MetadataIndex, Query, ResourceId, SymbolTable};
 
 /// One community's slice of an index node: the inverted metadata index
@@ -105,18 +107,32 @@ impl CommunityTable {
     /// pair. Candidates arrive in doc-id order — insertion order, except
     /// that a record admitted after a removal takes the place freed last
     /// — providers in ascending peer id.
+    ///
+    /// Two passes: every candidate's row is read first, then the hits are
+    /// emitted. An emitter that keeps a hit bumps the fields' refcount, a
+    /// locked instruction no later load may pass, so reading each row
+    /// between two bumps would pay its cache misses one after another.
+    /// The gather touches the lines `emit` reads — the key's bytes, the
+    /// provider list, the refcount — with plain loads, which overlap.
     fn search<A, E>(&self, query: &Query, alive: A, mut emit: E)
     where
         A: Fn(PeerId) -> bool,
         E: FnMut(&str, PeerId, &SharedFields),
     {
-        self.index.for_each_match_doc(query, |doc, id, fields| {
-            for &p in self.providers.get(doc as usize).into_iter().flatten() {
+        let rows = self.index.gather_matches(query, |doc, id, fields| {
+            let providers = self.providers.get(doc as usize).map_or(&[][..], Vec::as_slice);
+            let key = id.as_hex();
+            let first = (key.bytes().next(), providers.first().copied());
+            black_box((first, Arc::strong_count(fields)));
+            (key, fields, providers)
+        });
+        for (key, fields, providers) in rows {
+            for &p in providers {
                 if alive(p) {
-                    emit(id.as_hex(), p, fields);
+                    emit(key, p, fields);
                 }
             }
-        });
+        }
     }
 }
 

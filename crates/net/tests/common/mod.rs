@@ -167,6 +167,12 @@ impl LinearTable {
         Some(record)
     }
 
+    /// The record as it entered the table: the first publish of its key
+    /// since the key was last absent.
+    pub fn record(&self, key: &str) -> Option<&ResourceRecord> {
+        self.records.get(key).map(|(record, _)| record)
+    }
+
     pub fn providers(&self, key: &str) -> Option<&BTreeSet<PeerId>> {
         self.records.get(key).map(|(_, providers)| providers)
     }

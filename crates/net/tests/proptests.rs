@@ -483,9 +483,10 @@ proptest! {
     /// The index/scan equivalence oracle: for random records,
     /// communities, liveness patterns and queries (exact, keyword,
     /// wildcard, boolean), `IndexNode` emits the hits of the old linear
-    /// `matches_fields` scan in the model's order. After every op of a
-    /// publish, unpublish, publish-again tape it returns what the model
-    /// does — `insert` whether the record entered, `remove` the record
+    /// `matches_fields` scan in the model's order, each with the shared
+    /// fields of the record that first entered under its key. After every
+    /// op of a publish, unpublish, publish-again tape it returns what the
+    /// model does — `insert` whether the record entered, `remove` the record
     /// that left with its last provider — and answers `has_provider` for
     /// every peer as the model does. Half the withdrawals name a copy
     /// some publish made, so records do lose their last provider and the
@@ -540,16 +541,28 @@ proptest! {
         for community in COMMUNITIES {
             let expected = linear.search(community, &query, &liveness);
             let mut got: Vec<(String, PeerId)> = Vec::new();
+            let mut handed: Vec<SharedFields> = Vec::new();
             node.search(
                 community,
                 &query,
                 |p| liveness.get(p.index()).copied().unwrap_or(false),
-                |key, p, _| got.push((key.to_string(), p)),
+                |key, p, fields| {
+                    got.push((key.to_string(), p));
+                    handed.push(fields.clone());
+                },
             );
             prop_assert_eq!(
                 &got, &expected,
                 "index/scan disagreement in {} on {}", community, query
             );
+            // each hit carries the very allocation its key entered with
+            for ((key, p), fields) in got.iter().zip(&handed) {
+                let admitted = linear.record(key).map(|r| &r.fields);
+                prop_assert!(
+                    admitted.is_some_and(|f| SharedFields::ptr_eq(f, fields)),
+                    "hit ({}, {:?}) in {} carries another record's fields", key, p, community
+                );
+            }
         }
     }
 

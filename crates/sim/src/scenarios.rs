@@ -403,7 +403,9 @@ fn e5_trial(
 /// E5: availability of a pattern object under peer churn, as a function
 /// of its replication factor — simulated on the flooding substrate vs the
 /// analytic `1-(1-a)^r` curve, fetching by a bare retrieve and again by a
-/// re-sharing download.
+/// re-sharing download. Targets are Zipf-popular, as E6a's are, so at
+/// every scale trials ask again for objects an earlier download
+/// re-shared.
 pub fn e5_replication(scale: Scale, seed: u64) -> Table {
     let mut t = Table::new(
         "E5 (§V): object availability vs replication under churn (Gnutella substrate)",
@@ -411,6 +413,11 @@ pub fn e5_replication(scale: Scale, seed: u64) -> Table {
     );
     let peers = scale.peers(128);
     let trials = scale.queries(200);
+    // one draw for the whole table: every row asks for the same targets
+    let zipf = Zipf::new(GOF_PATTERNS.len(), 1.0);
+    let mut rng = rng_for(seed, "e5-targets");
+    let targets: Vec<&PatternRecord> =
+        (0..trials).map(|_| &GOF_PATTERNS[zipf.sample(&mut rng)]).collect();
     for fetch in [Fetch::Retrieve, Fetch::Download] {
         for &availability in &[0.9, 0.7, 0.5] {
             for &replicas in &[1usize, 2, 4, 8] {
@@ -434,8 +441,8 @@ pub fn e5_replication(scale: Scale, seed: u64) -> Table {
                             &[PeerId(origin as u32)],
                             &mut rng,
                         );
-                        let target = &GOF_PATTERNS[trial % GOF_PATTERNS.len()];
-                        let (out, ok) = e5_trial(&mut world, &community, origin, target, fetch);
+                        let (out, ok) =
+                            e5_trial(&mut world, &community, origin, targets[trial], fetch);
                         fetched += usize::from(ok);
                         out
                     })
@@ -888,6 +895,28 @@ mod tests {
                 rates.windows(2).all(|w| w[1] >= w[0] - 0.08),
                 "rates should rise with replication: {rates:?}"
             );
+        }
+    }
+
+    #[test]
+    fn e5_smoke_shows_the_reshare_confound() {
+        // rows: every (availability, replicas) by retrieve, then the same
+        // by download; a re-shared copy can only add providers for a
+        // later trial that asks for the same object
+        for seed in [7, 42] {
+            let t = e5_replication(Scale::Smoke, seed);
+            let (retrieve, download) = t.rows.split_at(t.rows.len() / 2);
+            let rate = |row: &Vec<String>, col: usize| -> f64 { row[col].parse().unwrap() };
+            let mut higher = 0;
+            for (r, d) in retrieve.iter().zip(download) {
+                assert_eq!((&r[0][..], &d[0][..]), ("retrieve", "download"));
+                assert_eq!(r[1..4], d[1..4], "the same row of each half");
+                for col in [4, 6] {
+                    assert!(rate(d, col) >= rate(r, col), "seed {seed}: {d:?} below {r:?}");
+                }
+                higher += usize::from(rate(d, 4) > rate(r, 4));
+            }
+            assert!(higher > 0, "seed {seed}: no trial found a re-shared copy");
         }
     }
 

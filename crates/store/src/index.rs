@@ -22,7 +22,7 @@
 //! first — whatever happens to other objects in between. Afterwards it
 //! is recycled: the next insert may be handed the same number. A caller
 //! that keeps state in a `Vec` beside the index, addressed by doc-id
-//! ([`MetadataIndex::for_each_match_doc`] passes it), clears a slot when
+//! ([`MetadataIndex::gather_matches`] passes it), clears a slot when
 //! it removes the id.
 
 use crate::digest::ResourceId;
@@ -263,8 +263,7 @@ impl MetadataIndex {
     /// The shared handle to an indexed object's extracted fields (clone =
     /// refcount bump; this is what search hits carry).
     pub fn shared_fields(&self, id: &ResourceId) -> Option<&Arc<[(String, String)]>> {
-        let doc = *self.doc_ids.get(id)?;
-        self.docs.get(doc as usize)?.as_ref().map(|entry| &entry.fields)
+        self.entry(*self.doc_ids.get(id)?).map(|entry| &entry.fields)
     }
 
     /// All indexed ids.
@@ -282,35 +281,48 @@ impl MetadataIndex {
     pub fn execute(&self, query: &Query) -> BTreeSet<ResourceId> {
         self.exec(query)
             .iter()
-            .filter_map(|&doc| self.docs.get(doc as usize).and_then(Option::as_ref))
+            .filter_map(|&doc| self.entry(doc))
             .map(|entry| entry.id.clone())
             .collect()
     }
 
     /// Visits every matching object in ascending doc-id (insertion)
     /// order without materializing an id set. The callback receives the
-    /// id and the shared fields handle, so callers can compose the
-    /// candidate set with their own state — e.g. the net layer filters
-    /// by provider liveness and emits hits that share the same `Arc`.
+    /// id and the shared fields handle.
     pub fn for_each_match<F>(&self, query: &Query, mut f: F)
     where
         F: FnMut(&ResourceId, &Arc<[(String, String)]>),
     {
-        self.for_each_match_doc(query, |_, id, fields| f(id, fields));
-    }
-
-    /// [`for_each_match`](Self::for_each_match), also passing each
-    /// object's doc-id — the index into whatever the caller keeps per
-    /// object beside the index (the net layer's provider table).
-    pub fn for_each_match_doc<F>(&self, query: &Query, mut f: F)
-    where
-        F: FnMut(u32, &ResourceId, &Arc<[(String, String)]>),
-    {
         for &doc in self.exec(query).iter() {
-            if let Some(entry) = self.docs.get(doc as usize).and_then(Option::as_ref) {
-                f(doc, &entry.id, &entry.fields);
+            if let Some(entry) = self.entry(doc) {
+                f(&entry.id, &entry.fields);
             }
         }
+    }
+
+    /// One row per matching object, in ascending doc-id order: `row` is
+    /// handed each object's doc-id — the index into whatever the caller
+    /// keeps per object beside the index (the net layer's provider
+    /// table) — its id and its shared fields, borrowed from the index.
+    /// The rows land in one vector sized to the candidate set, so a
+    /// caller can read every candidate before it acts on any.
+    pub fn gather_matches<'a, T, F>(&'a self, query: &Query, mut row: F) -> Vec<T>
+    where
+        F: FnMut(u32, &'a ResourceId, &'a Arc<[(String, String)]>) -> T,
+    {
+        let docs = self.exec(query);
+        let mut rows = Vec::with_capacity(docs.len());
+        for &doc in docs.iter() {
+            if let Some(entry) = self.entry(doc) {
+                rows.push(row(doc, &entry.id, &entry.fields));
+            }
+        }
+        rows
+    }
+
+    /// The live entry under a doc-id.
+    fn entry(&self, doc: u32) -> Option<&DocEntry> {
+        self.docs.get(doc as usize).and_then(Option::as_ref)
     }
 
     /// Allocates a doc-id (recycling freed slots) and registers the id.
@@ -888,11 +900,9 @@ mod tests {
         ix.insert_shared(id(8), named(8));
         ix.insert_shared(id(9), named(9));
         assert_eq!(ix.doc_of(kept.as_hex()), Some(2));
-        let mut visited = Vec::new();
-        ix.for_each_match_doc(&Query::keyword("name", "thing2"), |doc, rid, _| {
-            visited.push((doc, rid.clone()));
-        });
-        assert_eq!(visited, vec![(2, kept.clone())], "the visitor passes the same number");
+        let visited =
+            ix.gather_matches(&Query::keyword("name", "thing2"), |doc, rid, _| (doc, rid.clone()));
+        assert_eq!(visited, vec![(2, kept.clone())], "the gather passes the same number");
         // its own remove frees the number: the id no longer resolves and
         // the next insert is handed it
         assert!(ix.remove(&kept).is_some());

@@ -10,14 +10,14 @@
 //! list's own doc-ids. The rest of a search is building the
 //! [`SearchHit`]s (a key `String` each; the fields are shared, one
 //! refcount bump a hit), which the index node starts only once it has
-//! read every candidate's row.
+//! read every candidate's row, into a vector sized by their count.
 //!
 //! What is Napster's alone — the round trip and the server's answer —
 //! is here; the rest of the protocol is the one [`Substrate`]'s and its
 //! driver's, [`crate::DesNetwork`].
 
 use crate::event::PropMode;
-use crate::message::{SearchHit, Time};
+use crate::message::{SearchHit, SharedFields, Time};
 use crate::overlay::{is_alive, Hop, Progress, ENTRY};
 use crate::peer::PeerId;
 use crate::stats::MsgKind;
@@ -59,9 +59,12 @@ impl Substrate {
             return 0;
         };
         let hits = &mut p.outcome.hits;
-        server.search(community, query, |peer| is_alive(alive, peer), |key, provider, fields| {
-            let (key, fields) = (key.to_string(), fields.clone());
-            hits.push(SearchHit { key, provider, fields, hops: 1 });
+        server.search_sized(community, query, |peer| is_alive(alive, peer), |rows| {
+            hits.reserve(rows);
+            |key: &str, provider: PeerId, fields: &SharedFields| {
+                let (key, fields) = (key.to_string(), fields.clone());
+                hits.push(SearchHit { key, provider, fields, hops: 1 });
+            }
         });
         if !hits.is_empty() {
             p.outcome.first_hit_latency = Some(p.quiescence);

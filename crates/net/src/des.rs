@@ -268,7 +268,7 @@ impl DesNetwork {
     /// substrate's own estimate plus the event queue at its high-water
     /// mark. Not allocator-exact — comparable across runs and protocols,
     /// which is what the E11 scale experiment needs.
-    pub fn approx_bytes(&self) -> u64 {
+    pub fn approx_bytes(&mut self) -> u64 {
         let queue = self.peak_queue as u64 * (std::mem::size_of::<DesEvent>() as u64 + 24);
         self.substrate.approx_bytes() + queue
     }
@@ -384,7 +384,7 @@ impl PeerNetwork for DesNetwork {
         }
         // FastTrack homes every live leaf at a live super, unless none is
         if let Protocol::FastTrack(overlay, supers) = protocol {
-            supers.rehome(peer, live, stats, &mut overlay.routes);
+            supers.settle(&mut overlay.routes).rehome(peer, live, stats, &mut overlay.routes);
         }
     }
 
@@ -397,13 +397,10 @@ impl PeerNetwork for DesNetwork {
                 stats.sent(MsgKind::Publish);
                 server.insert(provider, &record);
             }
-            Protocol::FastTrack(overlay, supers) if online => {
-                // first record wins; the digests hear of it when it
-                // enters the super's index
-                if let Some(s) = supers.publish(provider, &record, stats) {
-                    overlay.routes.record_added(s, &record.community, &record.fields);
-                }
-            }
+            // queued at the provider's super until its index is next
+            // read; first record wins, and the digests hear of it when it
+            // enters the index
+            Protocol::FastTrack(_, supers) if online => supers.publish(provider, record, stats),
             // Gnutella shares from the peer's own store, online or not:
             // no message is sent, and republishing a key replaces the
             // peer's own record (upsert) — the stored record it replaces
@@ -435,6 +432,7 @@ impl PeerNetwork for DesNetwork {
             }
             Protocol::FastTrack(overlay, supers) => {
                 // the record leaves the digests with its last provider
+                let supers = supers.settle(&mut overlay.routes);
                 if let Some((s, community, fields)) = supers.unpublish(provider, key, stats) {
                     overlay.routes.record_removed(s, community, &fields);
                 }
@@ -466,7 +464,9 @@ impl PeerNetwork for DesNetwork {
         let has = match protocol {
             Protocol::Napster(server) => server.has_provider(key, provider),
             Protocol::Gnutella(_, shared) => shared.has(provider.0, key),
-            Protocol::FastTrack(_, supers) => supers.owns(provider, key),
+            Protocol::FastTrack(overlay, supers) => {
+                supers.settle(&mut overlay.routes).owns(provider, key)
+            }
         };
         if !has {
             stats.sent(MsgKind::RetrieveFail);

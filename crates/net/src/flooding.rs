@@ -588,7 +588,7 @@ mod tests {
         // one peer's column still takes a whole word of each of the 4 096 rows
         let (liveness, slots, summary, records) = (1, 4_000 * 40, 4_096 * 8, 24 + 4_000 * 24);
         assert_eq!(
-            net.substrate().approx_bytes(),
+            net.substrate.approx_bytes(),
             liveness + key_bytes + slots + summary + records,
             "the words and the signatures are counted"
         );

@@ -99,14 +99,15 @@ impl CommunityTable {
     /// Visits `(key, provider, fields)` of every record of this
     /// community once per provider.
     fn for_each_share<F: FnMut(&str, PeerId, &SharedFields)>(&self, f: F) {
-        self.search(&Query::All, |_| true, f);
+        self.search(&Query::All, |_| true, |_| f);
     }
 
     /// Evaluates a query against this community's records, invoking
     /// `emit(key, provider, fields)` for every (record, live provider)
-    /// pair. Candidates arrive in doc-id order — insertion order, except
-    /// that a record admitted after a removal takes the place freed last
-    /// — providers in ascending peer id.
+    /// pair, where `emit` is what `sized` makes of the number of matching
+    /// records. Candidates arrive in doc-id order — insertion order,
+    /// except that a record admitted after a removal takes the place
+    /// freed last — providers in ascending peer id.
     ///
     /// Two passes: every candidate's row is read first, then the hits are
     /// emitted. An emitter that keeps a hit bumps the fields' refcount, a
@@ -114,9 +115,10 @@ impl CommunityTable {
     /// between two bumps would pay its cache misses one after another.
     /// The gather touches the lines `emit` reads — the key's bytes, the
     /// provider list, the refcount — with plain loads, which overlap.
-    fn search<A, E>(&self, query: &Query, alive: A, mut emit: E)
+    fn search<A, S, E>(&self, query: &Query, alive: A, sized: S)
     where
         A: Fn(PeerId) -> bool,
+        S: FnOnce(usize) -> E,
         E: FnMut(&str, PeerId, &SharedFields),
     {
         let rows = self.index.gather_matches(query, |doc, id, fields| {
@@ -126,6 +128,7 @@ impl CommunityTable {
             black_box((first, Arc::strong_count(fields)));
             (key, fields, providers)
         });
+        let mut emit = sized(rows.len());
         for (key, fields, providers) in rows {
             for &p in providers {
                 if alive(p) {
@@ -191,17 +194,29 @@ impl IndexNode {
     /// `true` when the record entered the share table (first provider
     /// in), `false` when only its provider set grew.
     pub fn insert(&mut self, provider: PeerId, record: &ResourceRecord) -> bool {
+        let id = ResourceId::from_key(&record.key);
+        self.insert_shared(provider, id, &record.community, &record.fields)
+    }
+
+    /// [`IndexNode::insert`] of a record given by its parts: an `id` the
+    /// index keeps when the record is new, and dropped otherwise.
+    pub(crate) fn insert_shared(
+        &mut self,
+        provider: PeerId,
+        id: ResourceId,
+        community: &str,
+        fields: &SharedFields,
+    ) -> bool {
         self.writes += 1;
-        if let Some(&slot) = self.by_key.get(record.key.as_str()) {
-            self.communities[slot as usize].add_provider(record.key.as_str(), provider);
+        if let Some(&slot) = self.by_key.get(&id) {
+            self.communities[slot as usize].add_provider(id.as_hex(), provider);
             return false;
         }
-        let slot = self.names.intern(&record.community);
+        let slot = self.names.intern(community);
         if slot as usize == self.communities.len() {
             self.communities.push(CommunityTable::default());
         }
-        let id = ResourceId::from_key(&record.key);
-        self.communities[slot as usize].index_record(id.clone(), provider, &record.fields);
+        self.communities[slot as usize].index_record(id.clone(), provider, fields);
         self.by_key.insert(id, slot);
         true
     }
@@ -261,8 +276,21 @@ impl IndexNode {
         A: Fn(PeerId) -> bool,
         E: FnMut(&str, PeerId, &SharedFields),
     {
+        self.search_sized(community, query, alive, |_| emit);
+    }
+
+    /// [`IndexNode::search`] whose emitter is made once the matching
+    /// records are known: `sized` gets their number, which is the hit
+    /// count when each has one live provider, and is not called when the
+    /// community has no records.
+    pub(crate) fn search_sized<A, S, E>(&self, community: &str, query: &Query, alive: A, sized: S)
+    where
+        A: Fn(PeerId) -> bool,
+        S: FnOnce(usize) -> E,
+        E: FnMut(&str, PeerId, &SharedFields),
+    {
         let Some(slot) = self.names.get(community) else { return };
-        self.communities[slot as usize].search(query, alive, emit);
+        self.communities[slot as usize].search(query, alive, sized);
     }
 }
 

@@ -391,6 +391,7 @@ impl Walk<'_> {
             // super while the query was in flight finds a `(key,
             // provider)` pair the query already holds.
             let recheck = !first_visit || p.moves != self.moves;
+            p.outcome.hits.reserve(matches.len());
             for (key, provider, fields) in matches {
                 let held = |h: &SearchHit| h.provider == provider && h.key == key;
                 if recheck && p.outcome.hits.iter().any(held) {

@@ -19,11 +19,11 @@ use crate::digest::{Probe, RouteTable};
 use crate::flooding::{FloodingConfig, RecordArena};
 use crate::index_node::IndexNode;
 use crate::latency::Latency;
-use crate::message::Time;
+use crate::message::{SharedFields, Time};
 use crate::overlay::{is_alive, Eval, Hop, Overlay, Progress, Sink, Walk};
 use crate::peer::PeerId;
 use crate::stats::{Fate, NetStats};
-use crate::superpeer::{SuperPeerConfig, Supers};
+use crate::superpeer::{Settled, SuperPeerConfig, Supers};
 use crate::topology::Topology;
 use crate::traits::ProtocolKind;
 use crate::NetConfig;
@@ -164,11 +164,13 @@ impl Substrate {
 
     /// Deterministic estimate of resident state in bytes: liveness, the
     /// protocol's records and, on an overlay, its edges and digests.
-    pub(crate) fn approx_bytes(&self) -> u64 {
-        let records = match &self.protocol {
+    pub(crate) fn approx_bytes(&mut self) -> u64 {
+        let records = match &mut self.protocol {
             Protocol::Napster(server) => server.len() as u64 * 256,
             Protocol::Gnutella(_, shared) => shared.approx_bytes(),
-            Protocol::FastTrack(_, supers) => supers.approx_bytes(),
+            Protocol::FastTrack(overlay, supers) => {
+                supers.settle(&mut overlay.routes).approx_bytes()
+            }
         };
         self.alive.len() as u64 + records + self.overlay().map_or(0, Overlay::approx_bytes)
     }
@@ -187,6 +189,7 @@ impl Substrate {
                 overlay.refresh(stats, |p, visit| shared.for_each_record(p, visit))
             }
             Protocol::FastTrack(overlay, supers) => {
+                let supers = supers.settle(&mut overlay.routes);
                 overlay.refresh(stats, |s, visit| supers.index(s).for_each_record(visit))
             }
         }
@@ -236,6 +239,7 @@ impl Substrate {
                 (overlay, Shares::Arena(shared, cid), 0)
             }
             Protocol::FastTrack(overlay, supers) => {
+                let supers = supers.settle(&mut overlay.routes);
                 (overlay, Shares::Index(supers), supers.moves())
             }
         };
@@ -246,9 +250,12 @@ impl Substrate {
             Shares::Arena(_, None) => Vec::new(),
             Shares::Index(supers) => {
                 let mut matches = Vec::new();
-                let live = |p| is_alive(alive, p);
-                supers.index(node).search(community, query, live, |key, provider, fields| {
-                    matches.push((key.to_string(), provider, fields.clone()))
+                let out = &mut matches;
+                supers.index(node).search_sized(community, query, |p| is_alive(alive, p), |rows| {
+                    out.reserve_exact(rows);
+                    move |key: &str, provider: PeerId, fields: &SharedFields| {
+                        out.push((key.to_string(), provider, fields.clone()))
+                    }
                 });
                 matches
             }
@@ -314,5 +321,5 @@ impl Substrate {
 #[derive(Clone, Copy)]
 enum Shares<'a> {
     Arena(&'a RecordArena, Option<u32>),
-    Index(&'a Supers),
+    Index(&'a Settled),
 }

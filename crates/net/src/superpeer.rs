@@ -22,6 +22,7 @@ use crate::stats::{MsgKind, NetStats};
 use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use up2p_store::{ResourceId, SymbolTable};
 
 /// Configuration for the super-peer substrate.
 #[derive(Debug, Clone, Copy)]
@@ -47,9 +48,37 @@ impl Default for SuperPeerConfig {
 /// The supers of a FastTrack network and what they index: super `s` is
 /// peer `s`, node `s` of the super overlay, and holds index `s`.
 ///
-/// Every live leaf is homed at a live super, unless no super is live:
-/// [`Supers::rehome`] restores that after each change of liveness.
+/// A leaf's upload is queued at its super and applied with every other
+/// queued one by [`Supers::settle`], the one way to the indexes: what
+/// reads them settles first, so it sees each upload as if it had been
+/// applied when sent. Applied together, a super's uploads find its index
+/// warm in cache; applied as they arrive, interleaved over every super,
+/// each would find its index cold.
 pub(crate) struct Supers {
+    settled: Settled,
+    /// Per super, the uploads not yet in its index, in arrival order.
+    uploads: Vec<Vec<Upload>>,
+    /// Whether any of `uploads` holds one.
+    queued: bool,
+    /// The community names of queued uploads.
+    communities: SymbolTable,
+}
+
+/// One queued upload: what the super's index keeps of the record.
+struct Upload {
+    provider: PeerId,
+    id: ResourceId,
+    /// The community, interned in [`Supers`]'s `communities`.
+    community: u32,
+    fields: SharedFields,
+}
+
+/// The supers with every upload applied, handed out by
+/// [`Supers::settle`].
+///
+/// Every live leaf is homed at a live super, unless no super is live:
+/// [`Settled::rehome`] restores that after each change of liveness.
+pub(crate) struct Settled {
     /// peer index → index of its super-peer (supers map to themselves).
     super_of: Vec<u32>,
     /// Per-super metadata index over its leaves' records, and with its
@@ -80,17 +109,66 @@ impl Supers {
         } else {
             Topology::small_world(config.supers, config.super_degree, 0.2, seed ^ 0x5eed)
         };
-        let supers = Supers {
+        let settled = Settled {
             super_of,
             indexes: std::iter::repeat_with(IndexNode::new).take(config.supers).collect(),
             moves: 0,
         };
-        (supers, topology)
+        let uploads = std::iter::repeat_with(Vec::new).take(config.supers).collect();
+        let communities = SymbolTable::default();
+        (Supers { settled, uploads, queued: false, communities }, topology)
     }
 
     /// The super-peer index a peer is attached to; `None` for an id
     /// outside the network.
     pub fn super_of(&self, peer: PeerId) -> Option<usize> {
+        self.settled.super_of(peer)
+    }
+
+    /// A live peer of the network shares `record`: a leaf uploads it to
+    /// its super (one `Publish`), which queues it for [`Supers::settle`].
+    pub fn publish(&mut self, provider: PeerId, record: ResourceRecord, stats: &mut NetStats) {
+        let s = self.settled.super_of[provider.index()];
+        if s != provider.0 {
+            stats.sent(MsgKind::Publish); // leaf → super upload
+        }
+        let ResourceRecord { key, community, fields } = record;
+        let (id, community) = (ResourceId::from_key(&key), self.communities.intern(&community));
+        self.uploads[s as usize].push(Upload { provider, id, community, fields });
+        self.queued = true;
+    }
+
+    /// The supers with every queued upload applied, super by super in
+    /// arrival order through [`IndexNode::insert`]'s rule (the first
+    /// record under a key wins); `routes` hears of each record that
+    /// entered an index.
+    #[inline]
+    pub fn settle(&mut self, routes: &mut RouteTable) -> &mut Settled {
+        if std::mem::take(&mut self.queued) {
+            self.apply_uploads(routes);
+        }
+        &mut self.settled
+    }
+
+    fn apply_uploads(&mut self, routes: &mut RouteTable) {
+        let indexes = &mut self.settled.indexes;
+        for ((s, queue), index) in (0u32..).zip(&mut self.uploads).zip(indexes) {
+            // taken, not drained: the queue's memory goes back before
+            // the next index grows
+            for Upload { provider, id, community, fields } in std::mem::take(queue) {
+                let community = self.communities.name(community);
+                if index.insert_shared(provider, id, community, &fields) {
+                    routes.record_added(s, community, &fields);
+                }
+            }
+        }
+    }
+}
+
+impl Settled {
+    /// The super-peer index a peer is attached to; `None` for an id
+    /// outside the network.
+    fn super_of(&self, peer: PeerId) -> Option<usize> {
         self.super_of.get(peer.index()).map(|&s| s as usize)
     }
 
@@ -103,22 +181,6 @@ impl Supers {
     /// among the record's providers exactly while it shares the key.
     pub fn owns(&self, provider: PeerId, key: &str) -> bool {
         self.super_of(provider).is_some_and(|s| self.indexes[s].has_provider(key, provider))
-    }
-
-    /// A live peer of the network shares `record`: a leaf uploads it to
-    /// its super (one `Publish`). Returns the super when the record
-    /// entered its index — the first record under a key wins.
-    pub fn publish(
-        &mut self,
-        provider: PeerId,
-        record: &ResourceRecord,
-        stats: &mut NetStats,
-    ) -> Option<u32> {
-        let s = self.super_of[provider.index()];
-        if s != provider.0 {
-            stats.sent(MsgKind::Publish); // leaf → super upload
-        }
-        self.indexes[s as usize].insert(provider, record).then_some(s)
     }
 
     /// A peer of the network withdraws `key`: a leaf tells its super (one
@@ -391,6 +453,69 @@ mod tests {
     }
 
     #[test]
+    fn the_read_straight_after_an_upload_sees_it() {
+        // each read comes straight after the publish, nothing between it
+        // applies the queued upload
+        let blind = || net(20, 4);
+        let fresh = || {
+            let mut net = guided_net(20, 4);
+            net.publish(PeerId(10), record("k", "x"));
+            net
+        };
+        let providers = |net: &mut DesNetwork, origin| -> Vec<PeerId> {
+            let out = net.search(PeerId(origin), "c", &Query::any_keyword("x"));
+            out.hits.into_iter().map(|h| h.provider).collect()
+        };
+        let mut net = fresh();
+        let home = net.substrate().super_of(PeerId(10)).expect("in range");
+        let other = (11..20).find(|&p| net.substrate().super_of(PeerId(p)) != Some(home));
+        let other = other.expect("a leaf of another super");
+        assert_eq!(providers(&mut net, other), [PeerId(10)], "a search from another super's leaf");
+        assert!(fresh().retrieve(PeerId(other), PeerId(10), "k").is_fetched(), "a retrieve");
+        let mut net = fresh();
+        net.unpublish(PeerId(10), "k");
+        assert!(providers(&mut net, other).is_empty(), "an unpublish withdraws it");
+        assert!(!net.retrieve(PeerId(other), PeerId(10), "k").is_fetched());
+        let mut net = fresh();
+        net.set_alive(PeerId(home as u32), false);
+        assert_ne!(net.substrate().super_of(PeerId(10)), Some(home));
+        assert_eq!(net.stats().count(MsgKind::Publish), 2, "the upload, then its move");
+        assert_eq!(providers(&mut net, other), [PeerId(10)], "it moved with its leaf");
+        // the estimate counts the upload whether or not a read applied it
+        let [mut queued, mut applied] = [(); 2].map(|_| blind());
+        for n in [&mut queued, &mut applied] {
+            n.publish(PeerId(10), record("k", "x"));
+        }
+        applied.refresh_digests(); // blind: applies the upload, builds nothing
+        let bytes = applied.substrate.approx_bytes();
+        assert_eq!(queued.substrate.approx_bytes(), bytes);
+        assert_eq!(bytes, blind().substrate.approx_bytes() + 256, "one record more");
+    }
+
+    #[test]
+    fn a_query_in_flight_finds_an_upload_at_every_super_it_reaches_after() {
+        let mut net = net(50, 5);
+        let sup = |net: &DesNetwork, p: u32| net.substrate().super_of(PeerId(p)).expect("in range");
+        // one leaf under each super publishes once the query has left
+        let leaves: Vec<u32> =
+            (0..5).map(|s| (5..50).find(|&p| sup(&net, p) == s).expect("a leaf")).collect();
+        let origin = (5..50).find(|p| !leaves.contains(p)).expect("another leaf");
+        let dead = (5..50).rev().find(|p| !leaves.contains(p) && *p != origin).expect("a third");
+        let qid = net.schedule_query(0, PeerId(origin), "c", Query::All);
+        // a search from an offline peer pumps the timeline up to its own
+        // end: the query above is issued, and its uplink is in flight
+        net.set_alive(PeerId(dead), false);
+        assert!(net.search(PeerId(dead), "c", &Query::All).hits.is_empty());
+        assert!(net.take_outcome(qid).is_none(), "still in flight");
+        for &leaf in &leaves {
+            net.publish(PeerId(leaf), record(&format!("k{leaf}"), "x"));
+        }
+        let out = net.run();
+        let found: BTreeSet<u32> = out[0].hits.iter().map(|h| h.provider.0).collect();
+        assert_eq!(found, leaves.into_iter().collect(), "the flood reaches every super");
+    }
+
+    #[test]
     #[should_panic(expected = "invalid super count")]
     fn zero_supers_rejected() {
         net(10, 0);
@@ -564,21 +689,22 @@ mod tests {
         assert_eq!(net.stats().count(MsgKind::DigestPush), edges);
     }
 
-    fn supers_of(net: &DesNetwork) -> &Supers {
-        match &net.substrate.protocol {
-            Protocol::FastTrack(_, supers) => supers,
-            _ => panic!("a FastTrack network"),
-        }
+    /// The supers with every upload applied, reached as the product
+    /// reaches them, and who is online.
+    fn settled(net: &mut DesNetwork) -> (&Settled, &[bool]) {
+        let Substrate { alive, protocol, .. } = &mut net.substrate;
+        let Protocol::FastTrack(overlay, supers) = protocol else { panic!("a FastTrack network") };
+        (supers.settle(&mut overlay.routes), alive)
     }
 
     /// Each `(peer, key)` of `shares` is in exactly one index, its
     /// peer's home's, no other share is in any, and a live leaf's home is
     /// live unless no super is.
     fn check_homes(
-        net: &DesNetwork,
+        net: &mut DesNetwork,
         shares: &BTreeSet<(u32, String)>,
     ) -> Result<(), TestCaseError> {
-        let (supers, alive) = (supers_of(net), &net.substrate.alive);
+        let (supers, alive) = settled(net);
         let mut held = BTreeMap::new();
         for (s, index) in supers.indexes.iter().enumerate() {
             index.for_each_share(|key, _, provider, _| {
@@ -600,15 +726,41 @@ mod tests {
         Ok(())
     }
 
+    /// What `provider` reads of its own `key` straight after publishing
+    /// it: another peer fetches it exactly when both are online and it is
+    /// shared, and the provider's own search finds it exactly when it is
+    /// shared and the provider's home is online, as if the upload had
+    /// entered its super's index when it was sent.
+    fn check_reads(
+        net: &mut DesNetwork,
+        provider: u32,
+        key: &str,
+        word: &str,
+        shared: bool,
+    ) -> Result<(), TestCaseError> {
+        let n = net.peer_count() as u32;
+        let live = |net: &DesNetwork, p: u32| net.is_alive(PeerId(p));
+        let other = (provider + 1) % n;
+        let fetchable = shared && live(net, other) && live(net, provider);
+        prop_assert_eq!(net.retrieve(PeerId(other), PeerId(provider), key).is_fetched(), fetchable);
+        let home = net.substrate().super_of(PeerId(provider)).expect("in range") as u32;
+        let found = shared && live(net, provider) && live(net, home);
+        let out = net.search(PeerId(provider), "c", &Query::any_keyword(word));
+        let hit = out.hits.iter().any(|h| h.key == key && h.provider == PeerId(provider));
+        prop_assert_eq!(hit, found, "{}'s {} at super {}", provider, key, home);
+        Ok(())
+    }
+
     /// After a refresh, every layer of every directed edge of the route
     /// table is what a table built from scratch over the supers' indexes
     /// holds: the moves told the digests of every record that left or
     /// entered an index.
     fn check_routes(net: &mut DesNetwork) -> Result<(), TestCaseError> {
         net.refresh_digests();
-        let Protocol::FastTrack(overlay, supers) = &net.substrate.protocol else {
+        let Protocol::FastTrack(overlay, supers) = &mut net.substrate.protocol else {
             panic!("a FastTrack network")
         };
+        let supers = supers.settle(&mut overlay.routes);
         let (topo, routes) = (&overlay.topology, &overlay.routes);
         let mut scratch = RouteTable::new(routes.config());
         scratch.refresh(topo, |s, visit| supers.index(s).for_each_record(visit));
@@ -626,18 +778,19 @@ mod tests {
         Ok(())
     }
 
-    /// One step of a liveness history: a publish or a withdrawal of one
-    /// of eight keys, or a peer going offline or coming back.
+    /// One step of a liveness history: a publish of one of eight keys,
+    /// read back at once or left queued for the next step, a withdrawal,
+    /// or a peer going offline or coming back.
     #[derive(Debug, Clone)]
     enum Step {
-        Publish(u32, usize),
+        Publish(u32, usize, bool),
         Unpublish(u32, usize),
         Live(u32, bool),
     }
 
     fn steps() -> impl Strategy<Value = Vec<Step>> {
         let step = prop_oneof![
-            (0u32..40, 0usize..8).prop_map(|(p, k)| Step::Publish(p, k)),
+            (0u32..40, 0usize..8, any::<bool>()).prop_map(|(p, k, read)| Step::Publish(p, k, read)),
             (0u32..40, 0usize..8).prop_map(|(p, k)| Step::Unpublish(p, k)),
             (0u32..40, any::<bool>()).prop_map(|(p, up)| Step::Live(p, up)),
             // and as often one of the first five peers, the supers among them
@@ -649,9 +802,10 @@ mod tests {
     /// Sets `peer`'s liveness twice: the second call must move nothing.
     fn toggle(net: &mut DesNetwork, peer: u32, up: bool) -> Result<(), TestCaseError> {
         net.set_alive(PeerId(peer), up);
-        let state = |net: &DesNetwork| {
-            let supers = supers_of(net);
-            (supers.super_of.clone(), supers.moves, net.stats().count(MsgKind::Publish))
+        let state = |net: &mut DesNetwork| {
+            let publishes = net.stats().count(MsgKind::Publish);
+            let (supers, _) = settled(net);
+            (supers.super_of.clone(), supers.moves, publishes)
         };
         let before = state(net);
         net.set_alive(PeerId(peer), up);
@@ -669,7 +823,9 @@ mod tests {
         /// `set_alive` moves nothing; guided, the digests match a rebuild
         /// after every liveness change; and on a DES timeline where churn
         /// moves leaves while queries fly, no query's hits repeat a
-        /// `(key, provider)`.
+        /// `(key, provider)`. Uploads are applied when an index is next
+        /// read: a publish read back at once is seen by a search and a
+        /// retrieve, and one left queued by whatever step comes next.
         #[test]
         fn live_leaves_are_homed_at_live_supers(
             dims in (8usize..40, 1usize..6, 0u64..500, any::<bool>()),
@@ -690,12 +846,17 @@ mod tests {
             let mut shares = BTreeSet::new();
             for step in &history {
                 match *step {
-                    Step::Publish(p, k) => {
-                        let p = p % n as u32;
+                    Step::Publish(p, k, read) => {
+                        let (p, key, word) = (p % n as u32, format!("k{k}"), ["x", "y"][k % 2]);
                         if net.is_alive(PeerId(p)) {
-                            shares.insert((p, format!("k{k}")));
+                            shares.insert((p, key.clone()));
                         }
-                        net.publish(PeerId(p), record(&format!("k{k}"), ["x", "y"][k % 2]));
+                        net.publish(PeerId(p), record(&key, word));
+                        if !read {
+                            continue; // the next step meets the upload queued
+                        }
+                        let shared = shares.contains(&(p, key.clone()));
+                        check_reads(&mut net, p, &key, word, shared)?;
                     }
                     Step::Unpublish(p, k) => {
                         let p = p % n as u32;
@@ -709,14 +870,14 @@ mod tests {
                         }
                     }
                 }
-                check_homes(&net, &shares)?;
+                check_homes(&mut net, &shares)?;
             }
             for s in 0..supers as u32 {
                 toggle(&mut net, s, false)?;
-                check_homes(&net, &shares)?;
+                check_homes(&mut net, &shares)?;
             }
             toggle(&mut net, back % supers as u32, true)?;
-            check_homes(&net, &shares)?;
+            check_homes(&mut net, &shares)?;
             if guided {
                 check_routes(&mut net)?;
             }
@@ -732,7 +893,7 @@ mod tests {
                 let distinct: BTreeSet<_> = hits.iter().collect();
                 prop_assert_eq!(distinct.len(), hits.len(), "query {} repeats: {:?}", i, hits);
             }
-            check_homes(&net, &shares)?;
+            check_homes(&mut net, &shares)?;
         }
     }
 }

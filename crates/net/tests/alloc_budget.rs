@@ -3,14 +3,14 @@
 //! and `realloc` each count one), so tests running beside it on other
 //! threads add nothing.
 //!
-//! A Napster search builds one `SearchHit` per (record, live provider),
-//! and each hit's key is one `String`: a search allocates at least once
-//! per hit. Everything else it allocates is a budget per search, the
-//! same at every index size, and that budget holds the growth of the hit
-//! vector (one allocation per doubling), the one vector the index node
-//! gathers the candidates' rows into, and the driver's bookkeeping. A
-//! search that allocated per candidate again, beside the key, would
-//! exceed it at the larger index.
+//! A search builds one `SearchHit` per (record, live provider), and each
+//! hit's key is one `String`: a search allocates at least once per hit.
+//! Everything else it allocates is a budget per search, the same at
+//! every index size: the hit vector, sized from the count of matching
+//! records where they are gathered, the vectors those records are
+//! gathered into, and the driver's bookkeeping. A search that allocated
+//! per candidate again, beside the key, or grew its hit vector one
+//! doubling at a time, would exceed it at the larger index.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -65,20 +65,24 @@ fn allocations() -> u64 {
 }
 
 /// Allocations a Napster search may make beyond one per hit, at any
-/// index size: 10 for the hit vector (4 slots doubled up to 2 048 hits)
-/// and 8 for the search — the one vector of gathered rows and the
-/// driver's per-query state. The larger search spends all 18, the
-/// smaller three fewer doublings.
-const BUDGET: u64 = 18;
+/// index size: one for the hit vector and 8 for the search — the one
+/// vector of gathered rows and the driver's per-query state.
+const NAPSTER_BUDGET: u64 = 9;
+
+/// The same for a FastTrack search, whose query floods all 8 supers
+/// (`ceil(sqrt 50)`): per super that answers, the rows it gathers, the
+/// matches it hands back and at most one growth of the query's hit
+/// vector, and the driver's per-query state.
+const FASTTRACK_BUDGET: u64 = 26;
 
 const PEERS: usize = 50;
 
-/// `(hits, allocations)` of one Napster search for the tenth of `records`
-/// records that are jazz, each shared by one of `PEERS` peers, all
-/// online. The counted search is the second of two equal ones, so no
+/// `(hits, allocations)` of one search of `kind` for the tenth of
+/// `records` records that are jazz, each shared by one of `PEERS` peers,
+/// all online. The counted search is the second of two equal ones, so no
 /// queue or table grown by the first is counted.
-fn napster_search(records: usize) -> (u64, u64) {
-    let mut net = build_network(ProtocolKind::Napster, PEERS, 1);
+fn search(kind: ProtocolKind, records: usize) -> (u64, u64) {
+    let mut net = build_network(kind, PEERS, 1);
     for i in 0..records {
         let genre = if i % 10 == 0 { "jazz" } else { "rock" };
         let fields = vec![
@@ -88,24 +92,36 @@ fn napster_search(records: usize) -> (u64, u64) {
         net.publish(PeerId((i % PEERS) as u32), ResourceRecord::new(format!("k{i}"), "c", fields));
     }
     let query = Query::any_keyword("jazz");
-    let warm = net.search(PeerId(0), "c", &query);
+    let warm = net.search(PeerId(PEERS as u32 - 1), "c", &query);
     let before = allocations();
-    let out = net.search(PeerId(0), "c", &query);
+    let out = net.search(PeerId(PEERS as u32 - 1), "c", &query);
     let spent = allocations() - before;
     assert_eq!(out.hits.len(), warm.hits.len());
     (out.hits.len() as u64, spent)
 }
 
-#[test]
-fn a_napster_search_allocates_once_per_hit_and_a_budget_per_search() {
+/// Holds a search of `kind` to one allocation a hit and `budget` beyond,
+/// at 2 000 and at 20 000 records.
+fn within_budget(kind: ProtocolKind, budget: u64) {
     for records in [2_000, 20_000] {
-        let (hits, spent) = napster_search(records);
-        assert_eq!(hits as usize, records / 10, "every jazz record is one hit");
-        assert!(spent >= hits, "{records} records: {spent} allocations, fewer than {hits} hits");
+        let (hits, spent) = search(kind, records);
+        let at = format!("{kind:?}, {records} records");
+        assert_eq!(hits as usize, records / 10, "{at}: every jazz record is one hit");
+        assert!(spent >= hits, "{at}: {spent} allocations, fewer than {hits} hits");
         let beyond = spent - hits;
         assert!(
-            beyond <= BUDGET,
-            "{records} records: {spent} allocations, {hits} hits, {beyond} beyond (budget {BUDGET})"
+            beyond <= budget,
+            "{at}: {spent} allocations, {hits} hits, {beyond} beyond (budget {budget})"
         );
     }
+}
+
+#[test]
+fn a_napster_search_allocates_once_per_hit_and_a_budget_per_search() {
+    within_budget(ProtocolKind::Napster, NAPSTER_BUDGET);
+}
+
+#[test]
+fn a_fasttrack_search_allocates_once_per_hit_and_a_budget_per_search() {
+    within_budget(ProtocolKind::FastTrack, FASTTRACK_BUDGET);
 }

@@ -35,7 +35,8 @@
 //!   digests follow each record in and out, and a refresh recomputes
 //!   only the layers, edges and words a write reached. Its edges are the
 //!   [`Topology`]'s own: the table keeps no graph of its own, only the
-//!   planes indexed by the topology's edge ids.
+//!   planes, each edge's at the slot of its reverse, so that what a node
+//!   hears from its neighbours is its own run.
 //! * [`DigestConfig`] — the knobs: whether to guide at all, and the bits
 //!   per layer. The radius (5 layers) is a constant here, the guided
 //!   fanout (2, on a layer sparse enough to believe) and the fallback's
@@ -567,6 +568,15 @@ fn put(planes: &mut [u64], i: usize, words: [u64; PLANES]) {
     }
 }
 
+/// The arena slot of edge `e`, `q → p`: the id of its reverse `p → q`,
+/// `p`'s out-edge toward `q`. Everything `p`'s neighbours advertise to
+/// `p` then lies in `p`'s own run, `topo.run(p)`, one block; the slot of
+/// `q → p` is found as `topo.edge(p, q)`. The mapping is its own
+/// inverse: slot `s` holds edge `slot(topo, s)`.
+fn slot(topo: &Topology, e: usize) -> usize {
+    topo.reverse(e)
+}
+
 /// Per-directed-edge attenuated digest table for one overlay.
 ///
 /// For each directed edge `q → p` the table describes five (the radius)
@@ -580,9 +590,11 @@ fn put(planes: &mut [u64], i: usize, words: [u64; PLANES]) {
 /// none. Layer `d` is the bits of code at least `7 − d`, a bitwise
 /// expression of at most three planes, and a conjunctive probe's
 /// minimum depth is `7 −` the smallest code among its bits. All
-/// planes live in one `[edge][plane][word]` arena laid out on the first
-/// build, indexed by the ids of the [`Topology`]'s directed edges: the
-/// table is always handed the overlay it serves.
+/// planes live in one `[slot][plane][word]` arena laid out on the first
+/// build, each edge `q → p` at the slot of its reverse `p → q`, so
+/// what `p` hears from its neighbours is `p`'s own run of the
+/// [`Topology`], one block: the table is always handed the overlay it
+/// serves.
 ///
 /// Maintenance is lazy and batched, as a real servent would piggyback
 /// digest refreshes on its keep-alives, and costs what changed, not what
@@ -612,10 +624,10 @@ pub struct RouteTable {
     config: DigestConfig,
     /// 64-bit words per layer, and per plane, from `config`.
     words: usize,
-    /// `[edge][plane][word]`, [`PLANES`] planes an edge: plane `k` holds
-    /// bit `k` of each Bloom bit's depth code.
+    /// `[slot][plane][word]`, [`PLANES`] planes an edge at its [`slot`]:
+    /// plane `k` holds bit `k` of each Bloom bit's depth code.
     planes: Vec<u64>,
-    /// `[edge][layer]`: the set bits of each layer, kept by the wave.
+    /// `[slot][layer]`: the set bits of each layer, kept by the wave.
     ones: Vec<u32>,
     /// `[node][word]`: each node's digest of its own share table.
     local: Vec<u64>,
@@ -823,7 +835,11 @@ impl RouteTable {
 
     /// The first build over `topo`: lays the arena out and computes every
     /// layer of every edge, every word, in one straight pass per layer.
-    /// Every edge changes, so no frontier is kept; before layer `d` is
+    /// It walks edge ids in order, not slots: an advertiser's out-edges
+    /// are consecutive ids that all gather from its run, read once for
+    /// all of them (walking slots, for sequential writes, built a
+    /// 10 000-peer table 13 % slower on a 2-vCPU host). Every edge
+    /// changes, so no frontier is kept; before layer `d` is
     /// written no bit has a first depth of `d` or more, so each of its
     /// bits enters or stays, and the set-bit counts are taken once at the
     /// end. The delta wave's equivalence tests hold its result to a
@@ -846,7 +862,7 @@ impl RouteTable {
         for depth in 1..=RADIUS {
             for c in 0..directed {
                 self.gather(topo, c, depth);
-                let edge = &mut self.planes[c * stride..][..stride];
+                let edge = &mut self.planes[slot(topo, c) * stride..][..stride];
                 for (i, &new) in self.gather.iter().enumerate() {
                     let mut now = at(edge, i);
                     let entering = new & !decode(now, depth);
@@ -855,8 +871,8 @@ impl RouteTable {
                 }
             }
         }
-        let edges = self.planes.chunks_exact(stride);
-        for (edge, ones) in edges.zip(self.ones.chunks_exact_mut(RADIUS)) {
+        let slots = self.planes.chunks_exact(stride);
+        for (edge, ones) in slots.zip(self.ones.chunks_exact_mut(RADIUS)) {
             for i in 0..words {
                 let now = at(edge, i);
                 for (d, ones) in (1..).zip(ones.iter_mut()) {
@@ -870,10 +886,10 @@ impl RouteTable {
     /// ([`write_layer`]); whether it changed.
     fn recompute(&mut self, topo: &Topology, c: usize, depth: usize) -> bool {
         self.gather(topo, c, depth);
-        let stride = PLANES * self.words;
+        let (s, stride) = (slot(topo, c), PLANES * self.words);
         write_layer(
-            &mut self.planes[c * stride..][..stride],
-            &mut self.ones[c * RADIUS..][..RADIUS],
+            &mut self.planes[s * stride..][..stride],
+            &mut self.ones[s * RADIUS..][..RADIUS],
             depth,
             self.at_words.iter().copied().zip(self.gather.iter().copied()),
         )
@@ -881,9 +897,11 @@ impl RouteTable {
 
     /// Gathers what layer `depth` of edge `c` holds at `at_words`: the
     /// advertiser's own digest for layer 1, else layer `d-1` of `c`
-    /// unioned with that of every edge upstream of it. A write to layer
-    /// `d` moves no bit of layer `d-1`, so edges already written at `d`
-    /// read as before.
+    /// unioned with that of every edge upstream of it: each edge into
+    /// the advertiser but the one from `c`'s receiver, whose slots are
+    /// the advertiser's run without `c`. A write to layer `d` moves no
+    /// bit of layer `d-1`, so edges already written at `d` read as
+    /// before.
     fn gather(&mut self, topo: &Topology, c: usize, depth: usize) {
         let RouteTable { words, planes, local, at_words, gather, .. } = self;
         let (words, stride) = (*words, PLANES * *words);
@@ -894,12 +912,13 @@ impl RouteTable {
                 *g = own[i];
             }
         } else {
-            let edge = &planes[c * stride..][..stride];
+            let edge = &planes[slot(topo, c) * stride..][..stride];
             for (g, &i) in gather.iter_mut().zip(at_words.iter()) {
                 *g = decode(at(edge, i), depth - 1);
             }
-            for f in topo.run(topo.advertiser(c)).filter(|&f| f != c) {
-                let upstream = &planes[topo.reverse(f) * stride..][..stride];
+            // slot `c` holds the edge receiver → advertiser, not upstream
+            for s in topo.run(topo.advertiser(c)).filter(|&s| s != c) {
+                let upstream = &planes[s * stride..][..stride];
                 for (g, &i) in gather.iter_mut().zip(at_words.iter()) {
                     *g |= decode(at(upstream, i), depth - 1);
                 }
@@ -1004,14 +1023,14 @@ impl RouteTable {
         probe: &Probe,
         max_depth: u8,
     ) -> Option<u8> {
-        self.edge_min_depth(topo.edge(advertiser, receiver)?, probe, max_depth)
+        // the edge's slot: the receiver's out-edge toward the advertiser
+        self.slot_min_depth(topo.edge(receiver, advertiser)?, probe, max_depth)
     }
 
     /// [`RouteTable::min_depth`] of every edge toward `receiver` from a
     /// neighbour `keep` keeps, as `(neighbour, depth)` in neighbour id
-    /// order — the order of [`Topology::neighbors`]. Each edge is the
-    /// reverse of one of `receiver`'s own out-edges, so no neighbour's
-    /// run is searched.
+    /// order — the order of [`Topology::neighbors`]. Their slots are
+    /// `receiver`'s own run, so the hop reads one block.
     pub(crate) fn min_depths_toward<'a>(
         &'a self,
         topo: &'a Topology,
@@ -1021,18 +1040,18 @@ impl RouteTable {
         max_depth: u8,
     ) -> impl Iterator<Item = (u32, Option<u8>)> + 'a {
         topo.run(receiver)
-            .map(|e| (topo.receiver(e), e))
+            .map(|s| (topo.receiver(s), s))
             .filter(move |&(nb, _)| keep(nb))
-            .map(move |(nb, e)| (nb, self.edge_min_depth(topo.reverse(e), probe, max_depth)))
+            .map(move |(nb, s)| (nb, self.slot_min_depth(s, probe, max_depth)))
     }
 
-    /// [`RouteTable::min_depth`] of the edge with id `edge`: `7 −` the
+    /// [`RouteTable::min_depth`] of the edge at slot `s`: `7 −` the
     /// smallest depth code among the bits the probe needs, when that code
-    /// is a depth within reach; `None` for an edge the table holds no
-    /// planes of.
-    fn edge_min_depth(&self, edge: usize, probe: &Probe, max_depth: u8) -> Option<u8> {
+    /// is a depth within reach; `None` for a slot the table holds no
+    /// planes at.
+    fn slot_min_depth(&self, s: usize, probe: &Probe, max_depth: u8) -> Option<u8> {
         let stride = PLANES * self.words;
-        let planes = self.planes.get(edge * stride..)?.get(..stride)?;
+        let planes = self.planes.get(s * stride..)?.get(..stride)?;
         let floor = code(usize::from(max_depth).min(RADIUS));
         let code = probe.code(self.words as u64 * 64, floor, |bit| {
             let (i, shift) = (bit / 64, bit % 64);
@@ -1041,7 +1060,6 @@ impl RouteTable {
         });
         (code >= floor).then(|| 7 - code)
     }
-
 
     /// Layer `depth` (1-based) of the edge `advertiser → receiver` of
     /// `topo`, as of the last refresh, decoded from its planes.
@@ -1052,13 +1070,13 @@ impl RouteTable {
         receiver: u32,
         depth: u8,
     ) -> Option<Vec<u64>> {
-        let edge = topo.edge(advertiser, receiver)?;
+        let s = topo.edge(receiver, advertiser)?; // the edge's slot
         let depth = usize::from(depth);
         if !(1..=RADIUS).contains(&depth) {
             return None;
         }
         let stride = PLANES * self.words;
-        let planes = self.planes.get(edge * stride..)?.get(..stride)?;
+        let planes = self.planes.get(s * stride..)?.get(..stride)?;
         Some((0..self.words).map(|i| decode(at(planes, i), depth)).collect())
     }
 
@@ -1067,8 +1085,8 @@ impl RouteTable {
     /// layer a fraction `f` full passes its two probes with chance `f²`,
     /// so below `f² = ½` a one-term match there is more likely real than
     /// a false positive. `false` for an edge or depth the table does not
-    /// hold. The edge is found in the receiver's run, which a guided hop
-    /// at the receiver has just read.
+    /// hold. The count sits in the receiver's run, which a guided hop at
+    /// the receiver has just read.
     pub(crate) fn is_sparse(
         &self,
         topo: &Topology,
@@ -1076,9 +1094,9 @@ impl RouteTable {
         receiver: u32,
         depth: u8,
     ) -> bool {
-        let edge = topo.edge(receiver, advertiser).map(|e| topo.reverse(e));
+        let s = topo.edge(receiver, advertiser); // the edge's slot
         let d = (depth as usize).checked_sub(1).filter(|&d| d < RADIUS);
-        let ones = edge.zip(d).and_then(|(e, d)| self.ones.get(e * RADIUS + d));
+        let ones = s.zip(d).and_then(|(s, d)| self.ones.get(s * RADIUS + d));
         let bits = self.words as u64 * 64;
         ones.is_some_and(|&ones| 2 * u64::from(ones).pow(2) < bits.pow(2))
     }
@@ -1413,7 +1431,7 @@ mod tests {
             assert_eq!(got, expected, "(requests, pushes)");
             assert!(!self.table.needs_refresh());
             for (&(q, p), layers) in &self.reference.edges {
-                let edge = self.topo.edge(q, p).expect("edge exists");
+                let s = self.topo.edge(p, q).expect("edge exists");
                 for (d, layer) in layers.iter().enumerate() {
                     assert_eq!(
                         self.table.layer(&self.topo, q, p, d as u8 + 1),
@@ -1421,7 +1439,7 @@ mod tests {
                         "layer {} of {q} → {p}",
                         d + 1
                     );
-                    let ones = self.table.ones[edge * RADIUS + d];
+                    let ones = self.table.ones[s * RADIUS + d];
                     assert_eq!(u64::from(ones), layer.ones(), "set bits of layer {}", d + 1);
                 }
                 assert_eq!(self.table.layer(&self.topo, q, p, layers.len() as u8 + 1), None);
@@ -1558,6 +1576,86 @@ mod tests {
         assert!(d.may_match("songs", &Query::eq("track/title", "the blues")));
         assert!(d.may_match("songs", &Query::eq("track/title", "--")));
         assert!(!d.may_match("films", &Query::eq("track/title", "--")));
+    }
+
+    /// A connected overlay: node `i > 0` hangs off `parents[i-1] % i`,
+    /// plus a few chords.
+    fn connected(parents: &[u32], chords: &[(u32, u32)]) -> Topology {
+        let n = parents.len() as u32 + 1;
+        let tree = parents.iter().zip(1..).map(|(&parent, i)| (PeerId(i), PeerId(parent % i)));
+        let chords = chords.iter().map(|&(a, b)| (PeerId(a % n), PeerId(b % n)));
+        Topology::from_edges(n as usize, tree.chain(chords))
+    }
+
+    /// Minimum depths toward a node, and whether layers toward it are
+    /// sparse.
+    type HopReads = (Vec<Vec<(u32, Option<u8>)>>, Vec<bool>);
+
+    /// What a guided hop at `p` reads of `table`: the minimum depths
+    /// toward `p` of every probe at every TTL, from every neighbour and
+    /// from all but the first, and whether each layer of each edge toward
+    /// `p` is sparse.
+    fn hop_reads(table: &RouteTable, topo: &Topology, p: u32, probes: &[Probe]) -> HopReads {
+        let first = topo.neighbors(PeerId(p)).next().map(|nb| nb.0);
+        let mut depths = Vec::new();
+        for probe in probes {
+            for ttl in 0..=RADIUS as u8 + 1 {
+                depths.push(table.min_depths_toward(topo, p, |_| true, probe, ttl).collect());
+                let onward = move |nb| Some(nb) != first;
+                depths.push(table.min_depths_toward(topo, p, onward, probe, ttl).collect());
+            }
+        }
+        let sparse = topo
+            .neighbors(PeerId(p))
+            .flat_map(|nb| (0..=RADIUS as u8 + 1).map(move |d| (nb.0, d)))
+            .map(|(nb, d)| table.is_sparse(topo, nb, p, d))
+            .collect();
+        (depths, sparse)
+    }
+
+    proptest! {
+        /// A guided hop at `p` reads only `p`'s run: over random
+        /// connected overlays and share tables, once every slot outside
+        /// `topo.run(p)` holds garbage, planes and set-bit counts alike,
+        /// `min_depths_toward(p, …)` and `is_sparse(…, p, …)` return
+        /// what they returned before.
+        #[test]
+        fn a_guided_hop_reads_only_its_own_run(
+            parents in pvec(any::<u32>(), 1..9),
+            chords in pvec((any::<u32>(), any::<u32>()), 0..6),
+            log2_bits in 6u8..10,
+            shares in pvec((any::<u32>(), 0..PROBE_COMMUNITIES.len(), probe_term()), 0..16),
+            seed in any::<u64>(),
+        ) {
+            let topo = connected(&parents, &chords);
+            let mut nodes: Vec<IndexNode> = (0..topo.len()).map(|_| IndexNode::new()).collect();
+            for (i, &(at, community, term)) in shares.iter().enumerate() {
+                let record = record(&format!("k{i}"), PROBE_COMMUNITIES[community], term);
+                nodes[at as usize % topo.len()].insert(PeerId(0), &record);
+            }
+            let mut table = RouteTable::new(small(log2_bits));
+            table.refresh(&topo, |p, visit| nodes[p as usize].for_each_record(visit));
+            let probes: Vec<Probe> = ["apple", "observer pattern", "missing"]
+                .into_iter()
+                .map(Query::any_keyword)
+                .chain([Query::All])
+                .flat_map(|q| PROBE_COMMUNITIES.map(|c| Probe::new(c, &q)))
+                .collect();
+            let (planes, ones) = (table.planes.clone(), table.ones.clone());
+            let stride = PLANES * table.words;
+            let mut rng = StdRng::seed_from_u64(seed);
+            for p in 0..topo.len() as u32 {
+                let before = hop_reads(&table, &topo, p, &probes);
+                let own = topo.run(p);
+                for s in (0..2 * topo.edge_count()).filter(|s| !own.contains(s)) {
+                    table.planes[s * stride..][..stride].fill_with(|| rng.gen());
+                    table.ones[s * RADIUS..][..RADIUS].fill_with(|| rng.gen());
+                }
+                prop_assert_eq!(hop_reads(&table, &topo, p, &probes), before, "at {}", p);
+                table.planes.clone_from(&planes);
+                table.ones.clone_from(&ones);
+            }
+        }
     }
 
     #[test]

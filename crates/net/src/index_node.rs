@@ -194,8 +194,15 @@ impl IndexNode {
     /// `true` when the record entered the share table (first provider
     /// in), `false` when only its provider set grew.
     pub fn insert(&mut self, provider: PeerId, record: &ResourceRecord) -> bool {
+        // a replica is looked up by the key it came with: only a new
+        // record's id is built
+        self.writes += 1;
+        if self.add_replica(provider, &record.key) {
+            return false;
+        }
         let id = ResourceId::from_key(&record.key);
-        self.insert_shared(provider, id, &record.community, &record.fields)
+        self.index_new(provider, id, &record.community, &record.fields);
+        true
     }
 
     /// [`IndexNode::insert`] of a record given by its parts: an `id` the
@@ -208,17 +215,34 @@ impl IndexNode {
         fields: &SharedFields,
     ) -> bool {
         self.writes += 1;
-        if let Some(&slot) = self.by_key.get(&id) {
-            self.communities[slot as usize].add_provider(id.as_hex(), provider);
+        if self.add_replica(provider, id.as_hex()) {
             return false;
         }
+        self.index_new(provider, id, community, fields);
+        true
+    }
+
+    /// Adds `provider` to the record under `key`, if the index holds one.
+    fn add_replica(&mut self, provider: PeerId, key: &str) -> bool {
+        let Some(&slot) = self.by_key.get(key) else { return false };
+        self.communities[slot as usize].add_provider(key, provider);
+        true
+    }
+
+    /// Indexes a record no key of the index names yet.
+    fn index_new(
+        &mut self,
+        provider: PeerId,
+        id: ResourceId,
+        community: &str,
+        fields: &SharedFields,
+    ) {
         let slot = self.names.intern(community);
         if slot as usize == self.communities.len() {
             self.communities.push(CommunityTable::default());
         }
         self.communities[slot as usize].index_record(id.clone(), provider, fields);
         self.by_key.insert(id, slot);
-        true
     }
 
     /// Withdraws `provider`'s copy of the record; the record's postings

@@ -89,8 +89,9 @@ pub(crate) struct Progress {
     pub outcome: SearchOutcome,
     pub last_hit_at: Time,
     pub quiescence: Time,
-    /// One bit per node id visited, grown on demand: ids are dense, chosen
-    /// by the topology, and only a live node's id is ever marked.
+    /// One bit per node id visited, sized for the overlay at the first
+    /// visit: ids are dense, chosen by the topology, and only a live
+    /// node's id is ever marked.
     seen: Vec<u64>,
     /// One `(node, via)` per visit that forwarded: the node, and the
     /// trail index of the visit that had sent it the copy ([`ENTRY`] for
@@ -352,7 +353,10 @@ impl Walk<'_> {
         }
         let (word, bit) = (to as usize / 64, 1u64 << (to % 64));
         if p.seen.len() <= word {
-            p.seen.resize(word + 1, 0);
+            // sized for the whole overlay at once: a walk that reaches
+            // ever higher ids would otherwise grow it one doubling at a
+            // time, more often on a larger overlay
+            p.seen.resize((word + 1).max(self.topology.len().div_ceil(64)), 0);
         }
         let first_visit = p.seen[word] & bit == 0;
         p.seen[word] |= bit;

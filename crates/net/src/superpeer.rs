@@ -753,8 +753,9 @@ mod tests {
 
     /// After a refresh, every layer of every directed edge of the route
     /// table is what a table built from scratch over the supers' indexes
-    /// holds: the moves told the digests of every record that left or
-    /// entered an index.
+    /// holds: the refresh applied every queued upload before it read an
+    /// index, and the moves told the digests of every record that left
+    /// or entered one.
     fn check_routes(net: &mut DesNetwork) -> Result<(), TestCaseError> {
         net.refresh_digests();
         let Protocol::FastTrack(overlay, supers) = &mut net.substrate.protocol else {
@@ -825,7 +826,8 @@ mod tests {
         /// moves leaves while queries fly, no query's hits repeat a
         /// `(key, provider)`. Uploads are applied when an index is next
         /// read: a publish read back at once is seen by a search and a
-        /// retrieve, and one left queued by whatever step comes next.
+        /// retrieve, and one left queued by a digest refresh (guided) or
+        /// by whatever step comes next.
         #[test]
         fn live_leaves_are_homed_at_live_supers(
             dims in (8usize..40, 1usize..6, 0u64..500, any::<bool>()),
@@ -853,7 +855,12 @@ mod tests {
                         }
                         net.publish(PeerId(p), record(&key, word));
                         if !read {
-                            continue; // the next step meets the upload queued
+                            // guided, a refresh meets the upload queued;
+                            // blind, the next step does
+                            if guided {
+                                check_routes(&mut net)?;
+                            }
+                            continue;
                         }
                         let shared = shares.contains(&(p, key.clone()));
                         check_reads(&mut net, p, &key, word, shared)?;

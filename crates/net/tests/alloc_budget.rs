@@ -1,7 +1,7 @@
-//! Allocation budgets of the search paths, counted by a global allocator
-//! that counts what the calling thread allocates (`alloc`, `alloc_zeroed`
-//! and `realloc` each count one), so tests running beside it on other
-//! threads add nothing.
+//! Allocation budgets of the search paths and of a replica publish,
+//! counted by a global allocator that counts what the calling thread
+//! allocates (`alloc`, `alloc_zeroed` and `realloc` each count one), so
+//! tests running beside it on other threads add nothing.
 //!
 //! A search builds one `SearchHit` per (record, live provider), and each
 //! hit's key is one `String`: a search allocates at least once per hit.
@@ -14,7 +14,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use up2p_net::{build_network, PeerId, ProtocolKind, ResourceRecord};
+use up2p_net::{
+    build_network, build_network_with, DigestConfig, NetConfig, PeerId, ProtocolKind,
+    ResourceRecord,
+};
 use up2p_store::Query;
 
 struct Counting;
@@ -124,4 +127,87 @@ fn a_napster_search_allocates_once_per_hit_and_a_budget_per_search() {
 #[test]
 fn a_fasttrack_search_allocates_once_per_hit_and_a_budget_per_search() {
     within_budget(ProtocolKind::FastTrack, FASTTRACK_BUDGET);
+}
+
+/// Allocations a guided Gnutella search for 20 hits may make beyond one
+/// per hit, at any network size: the query's copy, community and
+/// compiled probe (5); its admitted set, visited bitmap and guided pick
+/// list (3); the arena's hit vector, grown one doubling at a time to 20
+/// hits (4); the trail of forwarding visits, grown the same way (4 at
+/// most, within 32 visits); and the event queue's buckets (2).
+const GUIDED_BUDGET: u64 = 18;
+
+/// `(hits, allocations)` of one guided Gnutella search from peer 7 over
+/// `peers` peers that share ten records each: peer 0 holds the 20 jazz
+/// ones, within the digests' reach of peer 7 at both sizes tested. The
+/// counted search is the second of two equal ones, as in [`search`].
+fn guided_search(peers: usize) -> (u64, u64) {
+    let digests = DigestConfig { log2_bits: 12, ..DigestConfig::guided() };
+    let config = NetConfig::new().digests(digests);
+    let mut net = build_network_with(ProtocolKind::Gnutella, peers, 1, &config);
+    for i in 0..peers * 10 {
+        let (genre, at) = if i < 20 { ("jazz", 0) } else { ("rock", i % peers) };
+        let fields = vec![
+            ("track/title".to_string(), format!("track {i}")),
+            ("track/genre".to_string(), genre.to_string()),
+        ];
+        net.publish(PeerId(at as u32), ResourceRecord::new(format!("k{i}"), "c", fields));
+    }
+    let query = Query::any_keyword("jazz");
+    let warm = net.search(PeerId(7), "c", &query);
+    let before = allocations();
+    let out = net.search(PeerId(7), "c", &query);
+    let spent = allocations() - before;
+    assert_eq!(out.hits.len(), warm.hits.len());
+    (out.hits.len() as u64, spent)
+}
+
+#[test]
+fn a_guided_gnutella_search_allocates_once_per_hit_and_a_budget_per_search() {
+    for peers in [200, 4_096] {
+        let (hits, spent) = guided_search(peers);
+        let at = format!("guided Gnutella, {peers} peers");
+        assert_eq!(hits, 20, "{at}: every jazz record is one hit");
+        let beyond = spent - hits;
+        assert!(
+            beyond <= GUIDED_BUDGET,
+            "{at}: {spent} allocations, {hits} hits, {beyond} beyond (budget {GUIDED_BUDGET})"
+        );
+    }
+}
+
+/// Allocations of `n` pushes into an empty vector of provider ids: the
+/// growth of a provider list from nothing to `n`.
+fn provider_list_growth(n: u32) -> u64 {
+    let before = allocations();
+    let mut list = Vec::new();
+    for p in 0..n {
+        std::hint::black_box(&mut list).push(PeerId(p));
+    }
+    allocations() - before
+}
+
+/// A replica publish on Napster, a key the server already indexes,
+/// adds its provider and nothing else: over 40 replicas of one record,
+/// the server allocates only for the growth of the record's provider
+/// list from one provider to 41.
+#[test]
+fn a_replica_publish_allocates_only_its_provider_lists_growth() {
+    let mut net = build_network(ProtocolKind::Napster, PEERS, 1);
+    let record = || {
+        let fields = vec![("track/title".to_string(), "shared track".to_string())];
+        ResourceRecord::new("k", "c", fields)
+    };
+    net.publish(PeerId(0), record());
+    let mut spent = 0;
+    for p in 1..=40 {
+        let replica = record();
+        let before = allocations();
+        net.publish(PeerId(p), replica);
+        spent += allocations() - before;
+    }
+    let growth = provider_list_growth(41) - provider_list_growth(1);
+    assert!(spent <= growth, "40 replica publishes: {spent} allocations, growth {growth}");
+    let out = net.search(PeerId(0), "c", &Query::any_keyword("shared"));
+    assert_eq!(out.hits.len(), 41, "one hit per provider");
 }

@@ -7,7 +7,11 @@ use crate::forms::{form_fields, FormField, FormKind};
 use crate::object::Attachment;
 use crate::root::{ROOT_COMMUNITY_ID, ROOT_SCHEMA_XSD};
 use std::sync::{Arc, OnceLock};
-use up2p_schema::{leaf_fields, parse_schema_str, searchable_fields, Schema, SchemaBuilder};
+use up2p_net::ProtocolKind;
+use up2p_schema::{
+    leaf_fields, parse_schema_str, searchable_fields, Schema, SchemaBuilder, ValidationError,
+    ValidationErrorKind,
+};
 use up2p_store::{FieldPaths, ResourceId};
 use up2p_xml::{Document, ElementBuilder};
 
@@ -276,7 +280,8 @@ impl Community {
     ///
     /// Returns [`CoreError::Xml`]/[`CoreError::Schema`] on malformed
     /// pieces, [`CoreError::MissingField`] when the object lacks required
-    /// fields.
+    /// fields, [`CoreError::Validation`] when its `protocol` is none of
+    /// Fig. 3's `protocolTypes`.
     pub fn from_object(doc: &Document, schema_xsd: &str) -> Result<Community, CoreError> {
         let no_attachments: &[(&str, &str)] = &[];
         Community::from_verified_object(object_id(doc), doc, schema_xsd, no_attachments)
@@ -322,6 +327,16 @@ impl Community {
             let (_, text) = attachments.iter().find(|(u, _)| u.as_ref() == uri)?;
             Some(text.as_ref().to_string())
         };
+        let protocol = text("protocol")?;
+        if ProtocolKind::from_schema_value(&protocol).is_none() {
+            return Err(CoreError::Validation(vec![ValidationError {
+                path: "community/protocol".to_string(),
+                kind: ValidationErrorKind::FacetViolation {
+                    value: protocol,
+                    facet: "enumeration".to_string(),
+                },
+            }]));
+        }
         let blank = Community::of_schema(schema_xsd)?;
         Ok(Community {
             id,
@@ -330,7 +345,7 @@ impl Community {
             keywords: text("keywords")?,
             category: text("category")?,
             security: text("security")?,
-            protocol: text("protocol")?,
+            protocol,
             display_style: resolve("displaystyle"),
             create_style: resolve("createstyle"),
             search_style: resolve("searchstyle"),
@@ -372,12 +387,6 @@ impl Community {
     /// the schema's markers with the textual-leaf default).
     pub fn indexed_paths(&self) -> Vec<String> {
         self.compiled().indexed.paths().map(str::to_string).collect()
-    }
-
-    /// Attachment field paths of the community schema.
-    pub fn attachment_paths(&self) -> Vec<String> {
-        let leaves = self.compiled.form_fields(FormKind::Create).iter();
-        leaves.filter(|f| f.attachment).map(|f| f.path.clone()).collect()
     }
 }
 
@@ -463,7 +472,10 @@ mod tests {
     fn indexed_and_attachment_paths() {
         let c = Community::from_builder("mp3", "d", "k", "c", "", &song_builder()).unwrap();
         assert_eq!(c.indexed_paths(), vec!["song/title", "song/artist"]);
-        assert_eq!(c.attachment_paths(), vec!["song/audio"]);
+        let form = crate::FormModel::derive(&c, FormKind::Create);
+        let attachments: Vec<&str> =
+            form.fields.iter().filter(|f| f.attachment).map(|f| f.path.as_str()).collect();
+        assert_eq!(attachments, ["song/audio"]);
     }
 
     #[test]

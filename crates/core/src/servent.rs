@@ -332,13 +332,16 @@ impl Servent {
     /// Only an object of the root community defines a community. Its key
     /// is the hash of the root community id and the bytes the fetch just
     /// verified, which is how the community id is derived, so the key is
-    /// the id and the object is not serialised and hashed again.
+    /// the id and the object is not serialised and hashed again. The
+    /// object is stored and shared onward only once it has made a
+    /// community.
     ///
     /// # Errors
     ///
-    /// Propagates download errors; [`CoreError::Unavailable`] when the
-    /// object is no root-community object (nothing is joined or stored)
-    /// or the schema attachment is missing.
+    /// Propagates download errors and [`Community::from_object`]'s;
+    /// [`CoreError::Unavailable`] when the object is no root-community
+    /// object or the schema attachment is missing. On any error nothing is
+    /// joined or stored.
     pub fn join_from_hit(
         &mut self,
         net: &mut dyn PeerNetwork,
@@ -349,7 +352,6 @@ impl Servent {
         if object.community_id != ROOT_COMMUNITY_ID {
             return Err(CoreError::Unavailable(format!("community object {}", object.key)));
         }
-        self.keep(net, plane, &object)?;
         // the schema and any custom stylesheets travel as attachments,
         // matched to the URIs the object names by content hash
         let atts: Vec<_> = object
@@ -367,6 +369,7 @@ impl Servent {
             .find(|(uri, _)| schema_uri.as_deref() == Some(*uri))
             .ok_or_else(|| CoreError::Unavailable("community schema attachment".into()))?;
         let community = Community::from_verified_object(object.key.clone(), doc, xsd, &atts)?;
+        self.keep(net, plane, &object)?;
         let id = community.id.clone();
         self.join(community);
         Ok(id)
@@ -409,12 +412,6 @@ impl Servent {
     pub fn view_html(&self, object: &SharedObject) -> Result<String, CoreError> {
         let community = self.community_or_err(&object.community_id)?;
         stylesheets::render_view(&object.doc, community.display_style.as_deref())
-    }
-
-    /// Objects of a community in the local repository (shared or
-    /// downloaded) — the paper's browse view.
-    pub fn local_objects(&self, community_id: &str) -> Vec<&up2p_store::StoredObject> {
-        self.repository.search(Some(community_id), &Query::All)
     }
 
     // -----------------------------------------------------------------
@@ -608,7 +605,7 @@ mod tests {
         assert_eq!(out.hits.len(), 1);
         let downloaded = bob.download(&mut *w.net, &mut w.plane, &out.hits[0]).unwrap();
         assert_eq!(downloaded.key, obj.key);
-        assert_eq!(bob.local_objects(&community.id).len(), 1);
+        assert_eq!(bob.repository().search(Some(&community.id), &Query::All).len(), 1);
 
         let html = bob.view_html(&downloaded).unwrap();
         assert!(html.contains("Observer"));
@@ -803,7 +800,47 @@ mod tests {
             "{joined:?}"
         );
         assert_eq!(bob.communities().count(), 2, "root and lookalikes only");
-        assert!(bob.local_objects(&lookalikes.id).is_empty(), "nothing stored");
+        let stored = bob.repository().search(Some(&lookalikes.id), &Query::All);
+        assert!(stored.is_empty(), "nothing stored");
+    }
+
+    /// A stranger's community object that makes no community — its
+    /// `protocol` outside Fig. 3's `protocolTypes`, or no `<name>` — is
+    /// refused by `join_from_hit` before the joining peer stores or
+    /// re-shares it: a third peer finds each only at the stranger.
+    #[test]
+    fn join_stores_and_reshares_no_malformed_community_object() {
+        let community = pattern_community();
+        let xml = community.to_object().to_xml_string();
+        let edited = |from: &str, to: &str| up2p_xml::Document::parse(&xml.replace(from, to));
+        let kazaa = edited("<protocol>Gnutella</protocol>", "<protocol>Kazaa</protocol>").unwrap();
+        let nameless = edited("<name>design-patterns</name>", "").unwrap();
+        let schema = || vec![Attachment::from_bytes(community.schema_xsd.clone().into_bytes())];
+        let mut w = world(ProtocolKind::Napster, 4);
+        let mut stranger = Servent::new(PeerId(1));
+        for doc in [kazaa, nameless] {
+            let object = SharedObject::new(ROOT_COMMUNITY_ID, doc, schema());
+            stranger.publish(&mut *w.net, &mut w.plane, &object).unwrap();
+        }
+
+        let mut seeker = Servent::new(PeerId(2));
+        let stored = seeker.repository().len();
+        let patterns = Query::any_keyword("patterns");
+        let out = seeker.discover_communities(&mut *w.net, &patterns).unwrap();
+        assert_eq!(out.hits.len(), 2);
+        for hit in &out.hits {
+            let joined = seeker.join_from_hit(&mut *w.net, &mut w.plane, hit);
+            assert!(
+                matches!(joined, Err(CoreError::Validation(_) | CoreError::MissingField(_))),
+                "{joined:?}"
+            );
+        }
+        assert_eq!(seeker.communities().count(), 1, "the root community only");
+        assert_eq!(seeker.repository().len(), stored, "nothing stored");
+
+        let out = Servent::new(PeerId(3)).discover_communities(&mut *w.net, &patterns).unwrap();
+        let providers: Vec<PeerId> = out.hits.iter().map(|h| h.provider).collect();
+        assert_eq!(providers, [PeerId(1), PeerId(1)], "re-shared by nobody else");
     }
 
     #[test]

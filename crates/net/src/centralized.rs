@@ -80,7 +80,7 @@ mod tests {
     use crate::latency::LatencySpec;
     use crate::message::ResourceRecord;
     use crate::peer::PeerId;
-    use crate::stats::{Fate, MsgKind};
+    use crate::stats::{Fate, MsgKind, RetrieveOutcome};
     use crate::substrate::Substrate;
     use crate::traits::PeerNetwork;
     use up2p_store::Query;
@@ -103,7 +103,7 @@ mod tests {
         assert_eq!(out.messages, 2);
         assert_eq!(out.latency, 20_000);
         let got = net.retrieve(PeerId(0), PeerId(1), "k1");
-        assert!(got.is_fetched());
+        assert_ne!(got, RetrieveOutcome::Unavailable);
     }
 
     #[test]
@@ -126,10 +126,10 @@ mod tests {
         assert_eq!(out.hits.len(), 1);
         assert_eq!(out.hits[0].provider, PeerId(2));
         // retrieval from the dead one fails, from the live one succeeds
-        assert!(!net.retrieve(PeerId(0), PeerId(1), "k1").is_fetched());
-        assert!(net.retrieve(PeerId(0), PeerId(2), "k1").is_fetched());
+        assert_eq!(net.retrieve(PeerId(0), PeerId(1), "k1"), RetrieveOutcome::Unavailable);
+        assert_ne!(net.retrieve(PeerId(0), PeerId(2), "k1"), RetrieveOutcome::Unavailable);
         // and one where the provider never had the object fails loudly
-        assert!(!net.retrieve(PeerId(0), PeerId(0), "k1").is_fetched());
+        assert_eq!(net.retrieve(PeerId(0), PeerId(0), "k1"), RetrieveOutcome::Unavailable);
         assert_eq!(net.stats().count(MsgKind::Retrieve), 3);
         assert_eq!(net.stats().count(MsgKind::RetrieveOk), 1);
         assert_eq!(net.stats().count(MsgKind::RetrieveFail), 1);
@@ -157,7 +157,8 @@ mod tests {
         assert_eq!(out.hits.iter().map(|h| h.provider).collect::<Vec<_>>(), vec![PeerId(2)]);
         net.unpublish(PeerId(2), "k1");
         assert!(net.search(PeerId(0), "c", &Query::All).hits.is_empty());
-        assert!(!net.retrieve(PeerId(0), PeerId(2), "k1").is_fetched(), "the last provider left");
+        let last = net.retrieve(PeerId(0), PeerId(2), "k1");
+        assert_eq!(last, RetrieveOutcome::Unavailable, "the last provider left");
     }
 
     #[test]
@@ -169,7 +170,6 @@ mod tests {
         let s = net.stats();
         assert_eq!(s.queries, 2);
         assert_eq!(s.queries_with_hits, 1);
-        assert_eq!(s.query_success_rate(), 0.5);
         assert_eq!(s.count(MsgKind::Publish), 1);
         assert_eq!(s.count(MsgKind::Query), 2);
     }
@@ -184,7 +184,7 @@ mod tests {
         assert_eq!(out.messages, 0);
         // the same for retrieves: a dead origin sends nothing
         let before = net.stats().messages;
-        assert!(!net.retrieve(PeerId(0), PeerId(1), "k1").is_fetched());
+        assert_eq!(net.retrieve(PeerId(0), PeerId(1), "k1"), RetrieveOutcome::Unavailable);
         assert_eq!(net.stats().messages, before, "a dead peer cannot send");
         assert_eq!(net.stats().retrieves, 1);
     }

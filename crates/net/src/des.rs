@@ -492,7 +492,7 @@ mod tests {
     use super::*;
     use crate::flooding::FloodingConfig;
     use crate::latency::{Latency, LatencySpec};
-    use crate::stats::MsgKind;
+    use crate::stats::{MsgKind, RetrieveOutcome};
     use crate::superpeer::SuperPeerConfig;
     use crate::topology::Topology;
 
@@ -523,7 +523,7 @@ mod tests {
         assert_eq!(out.messages, 2);
         assert_eq!(out.latency, 20);
         assert_eq!(out.first_hit_latency, Some(20));
-        assert!(net.retrieve(PeerId(0), PeerId(1), "k1").is_fetched());
+        assert_ne!(net.retrieve(PeerId(0), PeerId(1), "k1"), RetrieveOutcome::Unavailable);
         assert_eq!(net.stats().count(MsgKind::Query), 1);
         assert_eq!(net.stats().count(MsgKind::QueryHit), 1);
     }

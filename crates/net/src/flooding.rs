@@ -290,7 +290,7 @@ mod tests {
     use super::*;
     use crate::des::DesNetwork;
     use crate::latency::{Latency, LatencySpec};
-    use crate::stats::{Fate, MsgKind};
+    use crate::stats::{Fate, MsgKind, RetrieveOutcome};
     use crate::substrate::{Protocol, Substrate};
     use crate::topology::Topology;
     use crate::traits::PeerNetwork;
@@ -440,10 +440,11 @@ mod tests {
     fn retrieve_requires_live_provider_with_object() {
         let mut net = line(3);
         net.publish(PeerId(2), record("k", "x"));
-        assert!(net.retrieve(PeerId(0), PeerId(2), "k").is_fetched());
-        assert!(!net.retrieve(PeerId(0), PeerId(1), "k").is_fetched(), "peer 1 lacks it");
+        assert_ne!(net.retrieve(PeerId(0), PeerId(2), "k"), RetrieveOutcome::Unavailable);
+        let lacking = net.retrieve(PeerId(0), PeerId(1), "k");
+        assert_eq!(lacking, RetrieveOutcome::Unavailable, "peer 1 lacks it");
         net.set_alive(PeerId(2), false);
-        assert!(!net.retrieve(PeerId(0), PeerId(2), "k").is_fetched());
+        assert_eq!(net.retrieve(PeerId(0), PeerId(2), "k"), RetrieveOutcome::Unavailable);
         assert_eq!(net.stats().retrieves, 3);
         assert_eq!(net.stats().retrieves_ok, 1);
         // per-kind accounting: every live-origin attempt sends Retrieve;
@@ -460,7 +461,7 @@ mod tests {
         let mut net = line(3);
         net.publish(PeerId(2), record("k", "x"));
         net.set_alive(PeerId(0), false);
-        assert!(!net.retrieve(PeerId(0), PeerId(2), "k").is_fetched());
+        assert_eq!(net.retrieve(PeerId(0), PeerId(2), "k"), RetrieveOutcome::Unavailable);
         assert_eq!(net.stats().retrieves, 1, "the attempt is still counted");
         assert_eq!(net.stats().messages, 0, "a dead peer cannot send");
     }

@@ -201,10 +201,8 @@ mod tests {
             );
             let out = net.search(PeerId(40), "c", &Query::any_keyword("target"));
             assert_eq!(out.hits.len(), 1, "{kind} must find the record");
-            assert!(
-                net.retrieve(PeerId(40), PeerId(3), "k").is_fetched(),
-                "{kind} retrieve"
-            );
+            let got = net.retrieve(PeerId(40), PeerId(3), "k");
+            assert_ne!(got, RetrieveOutcome::Unavailable, "{kind} retrieve");
         }
     }
 
@@ -293,7 +291,8 @@ mod tests {
             assert_eq!(net.stats().messages, 0, "{kind}: {:?}", net.stats().by_kind());
             let fates = Fate::ALL.map(|f| net.stats().fate_count(f));
             assert_eq!(fates, [0; 9], "{kind}");
-            assert!(net.retrieve(PeerId(1), PeerId(2), "k").is_fetched(), "{kind}: record intact");
+            let got = net.retrieve(PeerId(1), PeerId(2), "k");
+            assert_ne!(got, RetrieveOutcome::Unavailable, "{kind}: record intact");
         }
         // the accessor beside the trait: nobody is a ghost's super
         let net = DesNetwork::build(ProtocolKind::FastTrack, 16, 7, &config);

@@ -177,15 +177,6 @@ impl NetStats {
         *self.hit_hops.entry(hops).or_insert(0) += n;
     }
 
-    /// Success rate of queries (hits ≥ 1).
-    pub fn query_success_rate(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.queries_with_hits as f64 / self.queries as f64
-        }
-    }
-
     /// Mean messages per issued query.
     pub fn messages_per_query(&self) -> f64 {
         if self.queries == 0 {
@@ -234,13 +225,6 @@ pub enum RetrieveOutcome {
     Unavailable,
 }
 
-impl RetrieveOutcome {
-    /// `true` for [`RetrieveOutcome::Fetched`].
-    pub fn is_fetched(&self) -> bool {
-        matches!(self, RetrieveOutcome::Fetched { .. })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,10 +232,8 @@ mod tests {
     #[test]
     fn rates() {
         let mut s = NetStats::new();
-        assert_eq!(s.query_success_rate(), 0.0);
+        assert_eq!(s.messages_per_query(), 0.0);
         s.queries = 4;
-        s.queries_with_hits = 3;
-        assert_eq!(s.query_success_rate(), 0.75);
         s.messages = 40;
         assert_eq!(s.messages_per_query(), 10.0);
     }
@@ -311,6 +293,5 @@ mod tests {
             ..SearchOutcome::default()
         };
         assert_eq!(o.distinct_keys(), 2);
-        assert!(!RetrieveOutcome::Unavailable.is_fetched());
     }
 }

@@ -420,7 +420,7 @@ mod tests {
         net.set_alive(PeerId(10), false);
         let out = net.search(PeerId(12), "c", &Query::any_keyword("x"));
         assert!(out.hits.is_empty());
-        assert!(!net.retrieve(PeerId(12), PeerId(10), "k").is_fetched());
+        assert_eq!(net.retrieve(PeerId(12), PeerId(10), "k"), RetrieveOutcome::Unavailable);
     }
 
     #[test]
@@ -437,7 +437,7 @@ mod tests {
         let mut net = net(20, 4);
         net.publish(PeerId(10), record("k", "x"));
         let got = net.retrieve(PeerId(12), PeerId(10), "k");
-        assert!(got.is_fetched());
+        assert_ne!(got, RetrieveOutcome::Unavailable);
         if let RetrieveOutcome::Fetched { latency, .. } = got {
             assert_eq!(latency, 2_000);
         }
@@ -471,11 +471,12 @@ mod tests {
         let other = (11..20).find(|&p| net.substrate().super_of(PeerId(p)) != Some(home));
         let other = other.expect("a leaf of another super");
         assert_eq!(providers(&mut net, other), [PeerId(10)], "a search from another super's leaf");
-        assert!(fresh().retrieve(PeerId(other), PeerId(10), "k").is_fetched(), "a retrieve");
+        let got = fresh().retrieve(PeerId(other), PeerId(10), "k");
+        assert_ne!(got, RetrieveOutcome::Unavailable, "a retrieve");
         let mut net = fresh();
         net.unpublish(PeerId(10), "k");
         assert!(providers(&mut net, other).is_empty(), "an unpublish withdraws it");
-        assert!(!net.retrieve(PeerId(other), PeerId(10), "k").is_fetched());
+        assert_eq!(net.retrieve(PeerId(other), PeerId(10), "k"), RetrieveOutcome::Unavailable);
         let mut net = fresh();
         net.set_alive(PeerId(home as u32), false);
         assert_ne!(net.substrate().super_of(PeerId(10)), Some(home));
@@ -525,12 +526,12 @@ mod tests {
     fn retrieve_failure_kinds_are_counted() {
         let mut net = net(20, 4);
         net.publish(PeerId(10), record("k", "x"));
-        assert!(net.retrieve(PeerId(12), PeerId(10), "k").is_fetched());
+        assert_ne!(net.retrieve(PeerId(12), PeerId(10), "k"), RetrieveOutcome::Unavailable);
         // live provider without the object answers RetrieveFail
-        assert!(!net.retrieve(PeerId(12), PeerId(11), "k").is_fetched());
+        assert_eq!(net.retrieve(PeerId(12), PeerId(11), "k"), RetrieveOutcome::Unavailable);
         // dead provider: the request is dropped, no response of any kind
         net.set_alive(PeerId(10), false);
-        assert!(!net.retrieve(PeerId(12), PeerId(10), "k").is_fetched());
+        assert_eq!(net.retrieve(PeerId(12), PeerId(10), "k"), RetrieveOutcome::Unavailable);
         assert_eq!(net.stats().count(MsgKind::Retrieve), 3);
         assert_eq!(net.stats().count(MsgKind::RetrieveOk), 1);
         assert_eq!(net.stats().count(MsgKind::RetrieveFail), 1);
@@ -547,10 +548,10 @@ mod tests {
         net.publish(b, record("k2", "y"));
         net.unpublish(a, "k2");
         net.reset_stats();
-        assert!(!net.retrieve(PeerId(12), a, "k2").is_fetched());
-        assert!(net.retrieve(PeerId(12), b, "k2").is_fetched());
+        assert_eq!(net.retrieve(PeerId(12), a, "k2"), RetrieveOutcome::Unavailable);
+        assert_ne!(net.retrieve(PeerId(12), b, "k2"), RetrieveOutcome::Unavailable);
         net.publish(a, record("k2", "y"));
-        assert!(net.retrieve(PeerId(12), a, "k2").is_fetched(), "republished");
+        assert_ne!(net.retrieve(PeerId(12), a, "k2"), RetrieveOutcome::Unavailable, "republished");
         assert_eq!(net.stats().count(MsgKind::RetrieveFail), 1);
         assert_eq!(net.stats().count(MsgKind::RetrieveOk), 2);
     }
@@ -561,7 +562,7 @@ mod tests {
         net.publish(PeerId(10), record("k", "x"));
         net.reset_stats();
         net.set_alive(PeerId(12), false);
-        assert!(!net.retrieve(PeerId(12), PeerId(10), "k").is_fetched());
+        assert_eq!(net.retrieve(PeerId(12), PeerId(10), "k"), RetrieveOutcome::Unavailable);
         assert_eq!(net.stats().retrieves, 1, "the attempt is still counted");
         assert_eq!(net.stats().messages, 0, "a dead peer cannot send");
     }
@@ -742,7 +743,8 @@ mod tests {
         let live = |net: &DesNetwork, p: u32| net.is_alive(PeerId(p));
         let other = (provider + 1) % n;
         let fetchable = shared && live(net, other) && live(net, provider);
-        prop_assert_eq!(net.retrieve(PeerId(other), PeerId(provider), key).is_fetched(), fetchable);
+        let got = net.retrieve(PeerId(other), PeerId(provider), key);
+        prop_assert_eq!(got != RetrieveOutcome::Unavailable, fetchable);
         let home = net.substrate().super_of(PeerId(provider)).expect("in range") as u32;
         let found = shared && live(net, provider) && live(net, home);
         let out = net.search(PeerId(provider), "c", &Query::any_keyword(word));

@@ -15,8 +15,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use up2p_net::{
-    build_network, build_network_with, DigestConfig, NetConfig, PeerId, ProtocolKind,
-    ResourceRecord,
+    build_network, build_network_with, DesNetwork, DigestConfig, MsgKind, NetConfig, PeerId,
+    PeerNetwork, ProtocolKind, ResourceRecord,
 };
 use up2p_store::Query;
 
@@ -174,6 +174,40 @@ fn a_guided_gnutella_search_allocates_once_per_hit_and_a_budget_per_search() {
             "{at}: {spent} allocations, {hits} hits, {beyond} beyond (budget {GUIDED_BUDGET})"
         );
     }
+}
+
+/// A warm digest refresh allocates nothing (DESIGN.md §3c): on a guided
+/// Gnutella world whose digests are built, neither a refresh with nothing
+/// dirty nor one after a publish to a node whose Bloom counts already
+/// exist. The second must do work, or the first would hold it vacuously.
+#[test]
+fn a_warm_digest_refresh_allocates_nothing() {
+    let digests = DigestConfig { log2_bits: 12, ..DigestConfig::guided() };
+    let config = NetConfig::new().digests(digests);
+    let mut net = DesNetwork::build(ProtocolKind::Gnutella, 200, 1, &config);
+    let record = |i: usize| {
+        let fields = vec![("track/title".to_string(), format!("track {i}"))];
+        ResourceRecord::new(format!("k{i}"), "c", fields)
+    };
+    for i in 0..2_000 {
+        net.publish(PeerId((i % 200) as u32), record(i));
+    }
+    net.refresh_digests();
+    // peer 3's first write since the build gives it its Bloom counts
+    net.publish(PeerId(3), record(2_000));
+    net.refresh_digests();
+
+    let before = allocations();
+    net.refresh_digests();
+    assert_eq!(allocations() - before, 0, "a refresh with nothing dirty");
+
+    net.publish(PeerId(3), record(2_001));
+    let pushes = net.stats().count(MsgKind::DigestPush);
+    let before = allocations();
+    net.refresh_digests();
+    let spent = allocations() - before;
+    assert!(net.stats().count(MsgKind::DigestPush) > pushes, "the refresh pushed nothing");
+    assert_eq!(spent, 0, "a refresh after a publish to a node with counts");
 }
 
 /// Allocations of `n` pushes into an empty vector of provider ids: the

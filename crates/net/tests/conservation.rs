@@ -23,7 +23,7 @@ use up2p_net::churn::exponential_schedule;
 use up2p_net::{
     build_network_with, DesEvent, DesNetwork, DigestConfig, Fate, FloodingConfig, LatencySpec,
     MsgKind, NetConfig, NetStats, PeerId, PeerNetwork, ProtocolKind, ResourceRecord,
-    SuperPeerConfig, Substrate, Topology,
+    RetrieveOutcome, SuperPeerConfig, Substrate, Topology,
 };
 use up2p_store::Query;
 
@@ -70,10 +70,10 @@ fn run_script(net: &mut dyn PeerNetwork) -> Vec<(MsgKind, u64)> {
     net.publish(PeerId(41), record("k2"));
     let found = net.search(PeerId(50), "c", &Query::any_keyword("observer"));
     assert!(!found.hits.is_empty(), "{}: the search must hit", net.protocol_name());
-    assert!(net.retrieve(PeerId(50), PeerId(20), "k1").is_fetched());
-    assert!(!net.retrieve(PeerId(50), PeerId(20), "missing").is_fetched());
+    assert_ne!(net.retrieve(PeerId(50), PeerId(20), "k1"), RetrieveOutcome::Unavailable);
+    assert_eq!(net.retrieve(PeerId(50), PeerId(20), "missing"), RetrieveOutcome::Unavailable);
     net.set_alive(PeerId(41), false);
-    assert!(!net.retrieve(PeerId(50), PeerId(41), "k2").is_fetched());
+    assert_eq!(net.retrieve(PeerId(50), PeerId(41), "k2"), RetrieveOutcome::Unavailable);
     net.unpublish(PeerId(20), "k1");
     net.search(PeerId(50), "c", &Query::any_keyword("observer"));
     assert_retrieves_conserved(net.stats());

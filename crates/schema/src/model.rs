@@ -239,27 +239,6 @@ pub enum Particle {
     },
 }
 
-impl Particle {
-    /// Walks all element declarations in this particle tree, depth-first.
-    pub fn element_decls(&self) -> Vec<&ElementDecl> {
-        let mut out = Vec::new();
-        self.collect_decls(&mut out);
-        out
-    }
-
-    fn collect_decls<'a>(&'a self, out: &mut Vec<&'a ElementDecl>) {
-        match self {
-            Particle::Element(d) => out.push(d),
-            Particle::Sequence { items, .. } | Particle::Choice { items, .. } => {
-                for p in items {
-                    p.collect_decls(out);
-                }
-            }
-            Particle::All { items } => out.extend(items.iter()),
-        }
-    }
-}
-
 /// A complex type: an optional content particle plus attributes.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ComplexType {
@@ -373,30 +352,24 @@ mod tests {
         assert_eq!(t.check("0").unwrap_err(), "minInclusive 1");
     }
 
+    /// The product's walk of a particle tree (`leaf_fields`) collects
+    /// its element declarations depth-first, through a nested choice.
     #[test]
     fn particle_collects_decls() {
-        let p = Particle::Sequence {
-            items: vec![
-                Particle::Element(ElementDecl::new("a", TypeRef::Builtin(BuiltinType::String))),
-                Particle::Choice {
-                    items: vec![
-                        Particle::Element(ElementDecl::new(
-                            "b",
-                            TypeRef::Builtin(BuiltinType::String),
-                        )),
-                        Particle::Element(ElementDecl::new(
-                            "c",
-                            TypeRef::Builtin(BuiltinType::String),
-                        )),
-                    ],
-                    min_occurs: 1,
-                    max_occurs: Occurs::Bounded(1),
-                },
-            ],
-            min_occurs: 1,
-            max_occurs: Occurs::Bounded(1),
-        };
-        let names: Vec<&str> = p.element_decls().iter().map(|d| d.name.as_str()).collect();
-        assert_eq!(names, vec!["a", "b", "c"]);
+        let s = crate::parse_schema_str(
+            r#"<schema xmlns="http://www.w3.org/2001/XMLSchema">
+              <element name="r"><complexType><sequence>
+                <element name="a" type="xsd:string"/>
+                <choice>
+                  <element name="b" type="xsd:string"/>
+                  <element name="c" type="xsd:string"/>
+                </choice>
+              </sequence></complexType></element>
+            </schema>"#,
+        )
+        .unwrap();
+        let fields = crate::leaf_fields(&s);
+        let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["a", "b", "c"]);
     }
 }

@@ -321,6 +321,20 @@ fn parse_f64(v: &str) -> Result<f64, ParseSchemaError> {
 pub(crate) mod tests {
     use super::*;
 
+    /// The element declarations of a complex type's flat sequence.
+    fn sequence_decls(ct: &ComplexType) -> Vec<&ElementDecl> {
+        let Some(Particle::Sequence { items, .. }) = &ct.particle else {
+            panic!("expected a sequence: {:?}", ct.particle)
+        };
+        items
+            .iter()
+            .map(|p| match p {
+                Particle::Element(d) => d,
+                other => panic!("expected an element: {other:?}"),
+            })
+            .collect()
+    }
+
     /// The community schema of Fig. 3, verbatim from the paper.
     pub const FIG3: &str = r#"<?xml version="1.0"?>
 <schema xmlns="http://www.w3.org/2001/XMLSchema">
@@ -358,7 +372,7 @@ pub(crate) mod tests {
         let TypeRef::InlineComplex(ct) = &root.type_ref else {
             panic!("expected inline complex type")
         };
-        let decls = ct.particle.as_ref().unwrap().element_decls();
+        let decls = sequence_decls(ct);
         assert_eq!(decls.len(), 10);
         assert_eq!(decls[0].name, "name");
         assert_eq!(decls[5].name, "protocol");
@@ -387,7 +401,7 @@ pub(crate) mod tests {
         .unwrap();
         let root = s.root_element().unwrap();
         let TypeRef::InlineComplex(ct) = &root.type_ref else { panic!() };
-        let decls = ct.particle.as_ref().unwrap().element_decls();
+        let decls = sequence_decls(ct);
         assert_eq!(decls[0].min_occurs, 0);
         assert_eq!(decls[0].max_occurs, Occurs::Unbounded);
         assert_eq!(decls[1].min_occurs, 2);
@@ -412,7 +426,7 @@ pub(crate) mod tests {
         )
         .unwrap();
         let TypeRef::InlineComplex(ct) = &s.root_element().unwrap().type_ref else { panic!() };
-        let decls = ct.particle.as_ref().unwrap().element_decls();
+        let decls = sequence_decls(ct);
         assert!(decls[0].searchable);
         assert!(decls[1].searchable);
         assert!(!decls[2].searchable);

@@ -5,7 +5,7 @@
 //!   2000s), same field structure as the repository's DTD.
 //! * **MP3s** — synthetic song metadata in the shape ID3 extraction
 //!   produces (the paper's motivating Napster workload).
-//! * **Molecules** — a small CML-flavored chemistry set (the paper's §I
+//! * **Molecules** — a CML-flavored chemistry community (the paper's §I
 //!   example of sharing "XML descriptions of chemical molecules").
 
 use crate::workload::{rng_for, Zipf};
@@ -421,35 +421,6 @@ pub(crate) fn synthetic_track_queries(n_queries: usize, seed: u64) -> Vec<Query>
         .collect()
 }
 
-/// A molecule record (CML-flavored, §I example).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MoleculeRecord {
-    /// Trivial name.
-    pub name: &'static str,
-    /// Chemical formula.
-    pub formula: &'static str,
-    /// Molar mass in g/mol.
-    pub weight: f64,
-    /// Phase at room temperature.
-    pub phase: &'static str,
-}
-
-/// A small chemistry corpus.
-pub const MOLECULES: [MoleculeRecord; 12] = [
-    MoleculeRecord { name: "water", formula: "H2O", weight: 18.015, phase: "liquid" },
-    MoleculeRecord { name: "carbon dioxide", formula: "CO2", weight: 44.009, phase: "gas" },
-    MoleculeRecord { name: "methane", formula: "CH4", weight: 16.043, phase: "gas" },
-    MoleculeRecord { name: "ethanol", formula: "C2H5OH", weight: 46.069, phase: "liquid" },
-    MoleculeRecord { name: "glucose", formula: "C6H12O6", weight: 180.156, phase: "solid" },
-    MoleculeRecord { name: "ammonia", formula: "NH3", weight: 17.031, phase: "gas" },
-    MoleculeRecord { name: "benzene", formula: "C6H6", weight: 78.114, phase: "liquid" },
-    MoleculeRecord { name: "caffeine", formula: "C8H10N4O2", weight: 194.19, phase: "solid" },
-    MoleculeRecord { name: "aspirin", formula: "C9H8O4", weight: 180.158, phase: "solid" },
-    MoleculeRecord { name: "sodium chloride", formula: "NaCl", weight: 58.443, phase: "solid" },
-    MoleculeRecord { name: "sulfuric acid", formula: "H2SO4", weight: 98.079, phase: "liquid" },
-    MoleculeRecord { name: "ozone", formula: "O3", weight: 47.998, phase: "gas" },
-];
-
 /// Builds the molecule community.
 pub fn molecule_community() -> Community {
     let mut b = SchemaBuilder::new("molecule");
@@ -534,19 +505,16 @@ mod tests {
     fn molecule_objects_validate() {
         let community = molecule_community();
         let form = FormModel::derive(&community, FormKind::Create);
-        for m in &MOLECULES {
-            let w = m.weight.to_string();
-            let doc = form
-                .fill(
-                    "molecule",
-                    &[
-                        ("name", m.name),
-                        ("formula", m.formula),
-                        ("weight", w.as_str()),
-                        ("phase", m.phase),
-                    ],
-                )
-                .unwrap();
+        let molecules = [
+            ["water", "H2O", "18.015", "liquid"],
+            ["carbon dioxide", "CO2", "44.009", "gas"],
+            ["glucose", "C6H12O6", "180.156", "solid"],
+            ["caffeine", "C8H10N4O2", "194.19", "solid"],
+        ];
+        for [name, formula, weight, phase] in molecules {
+            let values =
+                [("name", name), ("formula", formula), ("weight", weight), ("phase", phase)];
+            let doc = form.fill("molecule", &values).unwrap();
             community.validate(&doc).unwrap();
         }
     }

@@ -142,7 +142,7 @@ mod tests {
         let total: usize = world
             .servents
             .iter()
-            .map(|s| s.local_objects(&community.id).len())
+            .map(|s| s.repository().search(Some(&community.id), &Query::All).len())
             .sum();
         assert_eq!(total, 23);
         assert_eq!(world.plane.len(), 23);
@@ -154,7 +154,7 @@ mod tests {
         let total: usize = world
             .servents
             .iter()
-            .map(|s| s.local_objects(&community.id).len())
+            .map(|s| s.repository().search(Some(&community.id), &Query::All).len())
             .sum();
         assert_eq!(total, 69, "23 patterns x 3 replicas");
     }

@@ -50,15 +50,6 @@ impl Zipf {
         let u: f64 = rng.gen();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
-
-    /// Probability mass of rank `k`.
-    pub fn pmf(&self, k: usize) -> f64 {
-        if k == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[k] - self.cdf[k - 1]
-        }
-    }
 }
 
 /// Deterministic RNG for a named experiment phase — experiments derive
@@ -107,21 +98,26 @@ pub fn assign_providers(
 mod tests {
     use super::*;
 
+    /// Probability mass of rank `k`.
+    fn pmf(z: &Zipf, k: usize) -> f64 {
+        z.cdf[k] - k.checked_sub(1).map_or(0.0, |j| z.cdf[j])
+    }
+
     #[test]
     fn zipf_is_normalized_and_skewed() {
         let z = Zipf::new(100, 1.0);
         assert_eq!(z.len(), 100);
-        let total: f64 = (0..100).map(|k| z.pmf(k)).sum();
+        let total: f64 = (0..100).map(|k| pmf(&z, k)).sum();
         assert!((total - 1.0).abs() < 1e-9);
-        assert!(z.pmf(0) > z.pmf(10));
-        assert!(z.pmf(10) > z.pmf(90));
+        assert!(pmf(&z, 0) > pmf(&z, 10));
+        assert!(pmf(&z, 10) > pmf(&z, 90));
     }
 
     #[test]
     fn zipf_zero_exponent_is_uniform() {
         let z = Zipf::new(10, 0.0);
         for k in 0..10 {
-            assert!((z.pmf(k) - 0.1).abs() < 1e-9);
+            assert!((pmf(&z, k) - 0.1).abs() < 1e-9);
         }
     }
 
@@ -135,7 +131,7 @@ mod tests {
             counts[z.sample(&mut rng)] += 1;
         }
         let freq0 = counts[0] as f64 / draws as f64;
-        assert!((freq0 - z.pmf(0)).abs() < 0.02, "freq {freq0} vs pmf {}", z.pmf(0));
+        assert!((freq0 - pmf(&z, 0)).abs() < 0.02, "freq {freq0} vs pmf {}", pmf(&z, 0));
         assert!(counts[0] > counts[10]);
     }
 

@@ -44,15 +44,6 @@ impl ResourceId {
         &self.0
     }
 
-    /// Parses a hex id (for persistence).
-    pub fn from_hex(s: &str) -> Option<ResourceId> {
-        if s.len() == 40 && s.chars().all(|c| c.is_ascii_hexdigit()) {
-            Some(ResourceId(s.to_ascii_lowercase().into()))
-        } else {
-            None
-        }
-    }
-
     /// A short prefix for display: the first 8 hex digits, or the whole
     /// id when it is shorter (ids wrapped by [`ResourceId::from_key`]
     /// are not guaranteed to be 40-hex).
@@ -287,15 +278,6 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c, "same XML in a different community is a different resource");
         assert_eq!(a.as_hex().len(), 40);
-    }
-
-    #[test]
-    fn from_hex_round_trip() {
-        let id = ResourceId::for_bytes(b"data");
-        let back = ResourceId::from_hex(id.as_hex()).unwrap();
-        assert_eq!(id, back);
-        assert!(ResourceId::from_hex("xyz").is_none());
-        assert!(ResourceId::from_hex(&"a".repeat(39)).is_none());
     }
 
     #[test]

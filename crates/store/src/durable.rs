@@ -473,7 +473,7 @@ mod tests {
         let d = dir("snapshot");
         let mut repo = Repository::new();
         for n in 0..6 {
-            repo.insert_xml("tracks", &track(n), &paths()).unwrap();
+            repo.insert_doc("tracks", Document::parse(&track(n)).unwrap(), &paths());
         }
         DurableRepository::save_snapshot(&repo, &d).unwrap();
         let (recovered, report) = DurableRepository::recover(&d).unwrap();

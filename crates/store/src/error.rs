@@ -5,8 +5,6 @@ use std::fmt;
 /// Error produced by repository operations.
 #[derive(Debug)]
 pub enum StoreError {
-    /// The referenced object does not exist.
-    NotFound(String),
     /// The object XML could not be parsed.
     InvalidXml(up2p_xml::ParseXmlError),
     /// A query string could not be parsed.
@@ -20,7 +18,6 @@ pub enum StoreError {
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StoreError::NotFound(id) => write!(f, "object {id} not found"),
             StoreError::InvalidXml(e) => write!(f, "invalid object XML: {e}"),
             StoreError::InvalidQuery(m) => write!(f, "invalid query: {m}"),
             StoreError::Io(e) => write!(f, "store I/O failed: {e}"),
@@ -57,7 +54,7 @@ mod tests {
 
     #[test]
     fn display_variants() {
-        assert_eq!(StoreError::NotFound("abc".into()).to_string(), "object abc not found");
+        assert!(StoreError::Corrupt("crc".into()).to_string().contains("corrupt store file"));
         assert!(StoreError::InvalidQuery("eof".into()).to_string().contains("invalid query"));
     }
 

@@ -255,17 +255,6 @@ impl MetadataIndex {
         self.doc_ids.is_empty()
     }
 
-    /// The extracted fields of an indexed object.
-    pub fn fields(&self, id: &ResourceId) -> Option<&[(String, String)]> {
-        self.shared_fields(id).map(|f| &**f)
-    }
-
-    /// The shared handle to an indexed object's extracted fields (clone =
-    /// refcount bump; this is what search hits carry).
-    pub fn shared_fields(&self, id: &ResourceId) -> Option<&Arc<[(String, String)]>> {
-        self.entry(*self.doc_ids.get(id)?).map(|entry| &entry.fields)
-    }
-
     /// All indexed ids.
     pub fn ids(&self) -> BTreeSet<ResourceId> {
         self.doc_ids.keys().cloned().collect()
@@ -811,7 +800,7 @@ mod tests {
             let via_scan: BTreeSet<ResourceId> = ix
                 .ids()
                 .into_iter()
-                .filter(|id| q.matches_fields(ix.fields(id).unwrap()))
+                .filter(|id| q.matches_fields(&ix.entry(ix.doc_ids[id]).unwrap().fields))
                 .collect();
             assert_eq!(via_index, via_scan, "disagreement on {q}");
         }
@@ -935,12 +924,8 @@ mod tests {
         let fields: Arc<[(String, String)]> =
             vec![("pattern/name".to_string(), "Observer Pattern".to_string())].into();
         ix.insert_shared(id(1), Arc::clone(&fields));
-        // the index holds the same allocation, not a copy
-        let held = ix.shared_fields(&id(1)).expect("indexed");
-        assert!(Arc::ptr_eq(held, &fields));
-        assert_eq!(ix.fields(&id(1)), Some(&*fields));
-        // candidate iteration surfaces the same handle and composes with
-        // an external predicate
+        // the index holds the same allocation, not a copy: candidate
+        // iteration surfaces it, and composes with an external predicate
         let mut seen = Vec::new();
         ix.for_each_match(&Query::any_keyword("observer"), |rid, f| {
             assert!(Arc::ptr_eq(f, &fields));

@@ -1,10 +1,9 @@
 //! # up2p-store
 //!
 //! The local object store of the U-P2P reproduction: a content-addressed
-//! repository of XML objects with an inverted metadata index and three
-//! query surfaces (programmatic [`Query`], CMIP/LDAP-style filter text as
-//! the paper's servent used, and per-document XPath as its future-work
-//! "richer query language").
+//! repository of XML objects with an inverted metadata index and two
+//! query surfaces: programmatic [`Query`] and CMIP/LDAP-style filter
+//! text, as the paper's servent used.
 //!
 //! The paper's servent stored object information "in a database based on
 //! Magenta … transactions … formatted as CMIP queries" (§IV-B). This crate
@@ -13,16 +12,16 @@
 //! fields enter the index, which experiment E7 measures.
 //!
 //! ```
-//! use up2p_store::{Repository, Query};
+//! use up2p_store::{parse_cmip, Query, Repository};
+//! use up2p_xml::Document;
 //!
 //! let mut repo = Repository::new();
-//! repo.insert_xml(
-//!     "patterns",
+//! let doc = Document::parse(
 //!     "<pattern><name>Observer</name><category>behavioral</category></pattern>",
-//!     &["pattern/name".into(), "pattern/category".into()],
 //! )?;
-//! assert_eq!(repo.search_cmip(None, "(name=observ*)")?.len(), 1);
-//! assert_eq!(repo.xpath_search(None, "/pattern[category='behavioral']")?.len(), 1);
+//! repo.insert_doc("patterns", doc, &["pattern/name".into(), "pattern/category".into()]);
+//! assert_eq!(repo.search(None, &parse_cmip("(name=observ*)")?).len(), 1);
+//! assert_eq!(repo.search(None, &Query::eq("category", "behavioral")).len(), 1);
 //! # Ok::<(), up2p_store::StoreError>(())
 //! ```
 

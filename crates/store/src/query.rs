@@ -1,12 +1,11 @@
 //! Structured metadata queries.
 //!
-//! Three query surfaces share this AST (the paper used CMIP-formatted
-//! queries and listed "richer languages such as the XML Query language" as
-//! future work):
+//! Two query surfaces share this AST, the two a servent offers (§IV-B):
 //!
-//! * programmatic construction ([`Query`] builders),
-//! * the CMIP/LDAP-style filter text syntax ([`crate::parse_cmip`]),
-//! * XPath queries evaluated per-object ([`crate::Repository::xpath_search`]).
+//! * programmatic construction ([`Query`] builders), what a search form
+//!   derives,
+//! * the CMIP/LDAP-style filter text syntax ([`crate::parse_cmip`]), the
+//!   paper's query format.
 
 use crate::tokenizer::normalize;
 use std::fmt;

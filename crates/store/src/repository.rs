@@ -3,7 +3,6 @@
 //! metadata index attached.
 
 use crate::digest::ResourceId;
-use crate::error::StoreError;
 use crate::index::{IndexStats, MetadataIndex, PreparedField, SharedFields};
 use crate::query::Query;
 use std::collections::BTreeMap;
@@ -24,17 +23,6 @@ pub struct StoredObject {
     /// metadata index (and, on the publish path, the network record)
     /// holds.
     pub fields: SharedFields,
-}
-
-impl StoredObject {
-    /// Value of the first field whose path ends in `leaf`, used as a
-    /// display title.
-    pub fn field(&self, leaf: &str) -> Option<&str> {
-        self.fields
-            .iter()
-            .find(|(p, _)| crate::query::field_matches(p, leaf))
-            .map(|(_, v)| v.as_str())
-    }
 }
 
 /// Field paths with their selections parsed — what
@@ -86,14 +74,14 @@ impl FieldPaths {
 /// Content-addressed repository of XML objects with metadata search.
 ///
 /// ```
-/// use up2p_store::{Repository, Query};
+/// use up2p_store::{Query, Repository};
+/// use up2p_xml::Document;
 ///
 /// let mut repo = Repository::new();
-/// let id = repo.insert_xml(
-///     "patterns",
+/// let doc = Document::parse(
 ///     "<pattern><name>Observer</name><category>behavioral</category></pattern>",
-///     &["pattern/name".into(), "pattern/category".into()],
 /// )?;
+/// let id = repo.insert_doc("patterns", doc, &["pattern/name".into(), "pattern/category".into()]);
 /// let hits = repo.search(Some("patterns"), &Query::any_keyword("observer"));
 /// assert_eq!(hits[0].id, id);
 /// # Ok::<(), up2p_store::StoreError>(())
@@ -115,23 +103,6 @@ impl Repository {
     /// element's text content.
     pub fn extract_fields(doc: &Document, paths: &[String]) -> Vec<(String, String)> {
         FieldPaths::new(paths).extract(doc)
-    }
-
-    /// Inserts an object from XML text, extracting and indexing the given
-    /// field paths. Returns the content-derived id; inserting the same
-    /// object twice is idempotent.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::InvalidXml`] when the text does not parse.
-    pub fn insert_xml(
-        &mut self,
-        community: &str,
-        xml: &str,
-        index_paths: &[String],
-    ) -> Result<ResourceId, StoreError> {
-        let doc = Document::parse(xml)?;
-        Ok(self.insert_doc(community, doc, index_paths))
     }
 
     /// Inserts a parsed object document.
@@ -235,52 +206,6 @@ impl Repository {
             .collect()
     }
 
-    /// Runs a CMIP-style filter text query.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::InvalidQuery`] when the filter is malformed.
-    pub fn search_cmip(
-        &self,
-        community: Option<&str>,
-        filter: &str,
-    ) -> Result<Vec<&StoredObject>, StoreError> {
-        let q = crate::cmip::parse_cmip(filter)?;
-        Ok(self.search(community, &q))
-    }
-
-    /// Runs an XPath query against every object document (the "richer
-    /// query language" of the paper's future work): an object matches
-    /// when the expression evaluates to a truthy value on its document,
-    /// parsed from the stored bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::InvalidQuery`] when the expression is
-    /// malformed, or on the first object it cannot be evaluated on (an
-    /// unbound variable, a non-node-set where a node-set is required);
-    /// [`StoreError::InvalidXml`] when an object's stored bytes do not
-    /// parse.
-    pub fn xpath_search(
-        &self,
-        community: Option<&str>,
-        expr: &str,
-    ) -> Result<Vec<&StoredObject>, StoreError> {
-        let invalid = |e: up2p_xml::XPathError| StoreError::InvalidQuery(e.to_string());
-        let xp = XPath::parse(expr).map_err(invalid)?;
-        let mut out = Vec::new();
-        for obj in self.objects.values() {
-            if community.is_some_and(|c| obj.community != c) {
-                continue;
-            }
-            let doc = Document::parse(&obj.xml)?;
-            if xp.eval_root(&doc).map_err(invalid)?.into_bool() {
-                out.push(obj);
-            }
-        }
-        Ok(out)
-    }
-
     /// Index size statistics (experiment E7).
     pub fn index_stats(&self) -> IndexStats {
         self.index.stats()
@@ -300,34 +225,42 @@ mod tests {
         vec!["pattern/name".into(), "pattern/category".into(), "pattern/intent".into()]
     }
 
+    fn insert(r: &mut Repository, community: &str, xml: &str, paths: &[String]) -> ResourceId {
+        r.insert_doc(community, Document::parse(xml).unwrap(), paths)
+    }
+
+    /// The value of an object's `pattern/name` field.
+    fn name(o: &StoredObject) -> &str {
+        &o.fields[0].1
+    }
+
     fn sample() -> Repository {
         let mut r = Repository::new();
-        r.insert_xml("patterns", OBSERVER, &paths()).unwrap();
-        r.insert_xml("patterns", FACTORY, &paths()).unwrap();
-        r.insert_xml(
+        insert(&mut r, "patterns", OBSERVER, &paths());
+        insert(&mut r, "patterns", FACTORY, &paths());
+        insert(
+            &mut r,
             "songs",
             "<song><title>So What</title><artist>Miles Davis</artist></song>",
             &["song/title".into(), "song/artist".into()],
-        )
-        .unwrap();
+        );
         r
     }
 
     #[test]
     fn insert_is_idempotent_and_content_addressed() {
         let mut r = Repository::new();
-        let a = r.insert_xml("patterns", OBSERVER, &paths()).unwrap();
-        let b = r.insert_xml("patterns", OBSERVER, &paths()).unwrap();
+        let a = insert(&mut r, "patterns", OBSERVER, &paths());
+        let b = insert(&mut r, "patterns", OBSERVER, &paths());
         assert_eq!(a, b);
         assert_eq!(r.len(), 1);
         // whitespace differences do not change identity (canonical form)
-        let c = r
-            .insert_xml(
-                "patterns",
-                "<pattern><name>Observer</name><category>behavioral</category><intent>notify dependents automatically</intent></pattern>",
-                &paths(),
-            )
-            .unwrap();
+        let c = insert(
+            &mut r,
+            "patterns",
+            "<pattern><name>Observer</name><category>behavioral</category><intent>notify dependents automatically</intent></pattern>",
+            &paths(),
+        );
         assert_eq!(a, c);
     }
 
@@ -336,7 +269,7 @@ mod tests {
         let r = sample();
         let hits = r.search(Some("patterns"), &Query::any_keyword("observer"));
         assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].field("name"), Some("Observer"));
+        assert_eq!(name(hits[0]), "Observer");
         // "miles" is in songs, not patterns
         assert!(r.search(Some("patterns"), &Query::any_keyword("miles")).is_empty());
         assert_eq!(r.search(None, &Query::any_keyword("miles")).len(), 1);
@@ -345,35 +278,10 @@ mod tests {
     #[test]
     fn cmip_search() {
         let r = sample();
-        let hits = r.search_cmip(Some("patterns"), "(&(category=creational)(name=*factory*))")
-            .unwrap();
+        let filter = crate::parse_cmip("(&(category=creational)(name=*factory*))").unwrap();
+        let hits = r.search(Some("patterns"), &filter);
         assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].field("name"), Some("Abstract Factory"));
-        assert!(r.search_cmip(None, "(bad").is_err());
-    }
-
-    #[test]
-    fn xpath_search_works_per_document() {
-        let r = sample();
-        let hits = r
-            .xpath_search(Some("patterns"), "/pattern[category='behavioral']")
-            .unwrap();
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].field("name"), Some("Observer"));
-        let hits = r.xpath_search(None, "//artist[contains(., 'Davis')]").unwrap();
-        assert_eq!(hits.len(), 1);
-        assert!(r.xpath_search(None, "///").is_err());
-    }
-
-    /// An expression that parses but cannot be evaluated is an error, not
-    /// "no object matches".
-    #[test]
-    fn xpath_search_reports_what_it_cannot_evaluate() {
-        let r = sample();
-        for expr in ["//artist[$v]", "count('a')"] {
-            let err = r.xpath_search(None, expr).map(|hits| hits.len()).unwrap_err();
-            assert!(matches!(err, StoreError::InvalidQuery(_)), "{expr}: {err}");
-        }
+        assert_eq!(name(hits[0]), "Abstract Factory");
     }
 
     #[test]
@@ -381,7 +289,7 @@ mod tests {
         let mut r = sample();
         let id = r.search(Some("patterns"), &Query::any_keyword("observer"))[0].id.clone();
         let removed = r.remove(&id).unwrap();
-        assert_eq!(removed.field("name"), Some("Observer"));
+        assert_eq!(name(&removed), "Observer");
         assert!(r.get(&id).is_none());
         assert!(r.search(None, &Query::any_keyword("observer")).is_empty());
         assert!(r.remove(&id).is_none());
@@ -420,7 +328,7 @@ mod tests {
         // same ids, same search results
         let hits = loaded.search(Some("patterns"), &Query::any_keyword("factory"));
         assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].field("name"), Some("Abstract Factory"));
+        assert_eq!(name(hits[0]), "Abstract Factory");
         let ids_before: Vec<_> = r.iter().map(|o| o.id.clone()).collect();
         let ids_after: Vec<_> = loaded.iter().map(|o| o.id.clone()).collect();
         assert_eq!(ids_before, ids_after);

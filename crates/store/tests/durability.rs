@@ -20,6 +20,7 @@ use up2p_store::{
     DurableOptions, DurableRepository, FailFs, Query, RealFs, Repository, ResourceId, StoreError,
     StoreFs, StoreWriter, SyncPolicy,
 };
+use up2p_xml::Document;
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -61,7 +62,8 @@ fn oracle(ops: &[Op], upto: usize) -> Repository {
     for op in &ops[..upto] {
         match op {
             Op::Publish(n) => {
-                ids.push(repo.insert_xml("tracks", &xml_for(*n), &index_paths()).expect("valid xml"));
+                let doc = Document::parse(&xml_for(*n)).expect("valid xml");
+                ids.push(repo.insert_doc("tracks", doc, &index_paths()));
             }
             Op::Remove(sel) => {
                 if !ids.is_empty() {

@@ -2,18 +2,16 @@
 //! reference (linear scan) query semantics, the CMIP filter syntax
 //! must round-trip through `Display`, the incremental SHA-1 must give
 //! the digests of the plain FIPS 180-1 transcription it replaced,
-//! slicing-by-8 CRC-32 the checksums of the one-byte loop, and
-//! `xpath_search` over stored bytes the answers of the evaluator that
-//! kept a parsed document per object.
+//! and slicing-by-8 CRC-32 the checksums of the one-byte loop.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use up2p_store::{
     crc32, normalize, parse_cmip, prepare_fields, sha1, token_passes, DurableOptions,
     DurableRepository, IndexStats, MetadataIndex, PreparedField, Query, Repository, ResourceId,
-    Sha1, SharedFields, StoreError, SyncPolicy, ValuePattern,
+    Sha1, SharedFields, SyncPolicy, ValuePattern,
 };
-use up2p_xml::{Document, XPath};
+use up2p_xml::Document;
 
 /// The oracle: SHA-1 transcribed from FIPS 180-1 as the store first
 /// implemented it — the padded message copied whole, an 80-word
@@ -239,56 +237,6 @@ fn value_patterns(fields: &[(String, String)]) -> Vec<Query> {
     out
 }
 
-/// One stored object: its community, name and XML, under one of two
-/// roots.
-fn xml_object() -> impl Strategy<Value = (String, String, String)> {
-    (prop_oneof![Just("a"), Just("b")], any::<bool>(), word(), prop::collection::vec(word(), 0..3))
-        .prop_map(|(community, song, name, kws)| {
-            let root = if song { "song" } else { "obj" };
-            let kws: String = kws.iter().map(|k| format!("<kw>{k}</kw>")).collect();
-            let xml = format!("<{root}><name>{name}</name>{kws}</{root}>");
-            (community.to_string(), name, xml)
-        })
-}
-
-/// XPath expressions over [`xml_object`]s: ones that select, one that
-/// does not parse, and one that fails to evaluate only on a song named
-/// `w` (the unbound `$v` is reached past the `and`).
-fn xpath_expr(kind: u8, w: &str, n: usize) -> String {
-    match kind {
-        0 => format!("/obj[name='{w}']"),
-        1 => format!("//kw[contains(., '{w}')]"),
-        2 => format!("count(/*/kw) > {n}"),
-        3 => format!("/song/name = '{w}' and $v"),
-        4 => "/song".to_string(),
-        _ => "///".to_string(),
-    }
-}
-
-/// The `xpath_search` that kept a parsed `Document` per object: every
-/// object in id order, community-filtered, the first evaluation error
-/// returned.
-fn xpath_search_oracle(
-    docs: &BTreeMap<ResourceId, (String, Document)>,
-    community: Option<&str>,
-    expr: &str,
-) -> Result<Vec<ResourceId>, StoreError> {
-    let invalid = |e: up2p_xml::XPathError| StoreError::InvalidQuery(e.to_string());
-    let xp = XPath::parse(expr).map_err(invalid)?;
-    let mut out = Vec::new();
-    for (id, (c, doc)) in docs {
-        if let Some(want) = community {
-            if c != want {
-                continue;
-            }
-        }
-        if xp.eval_root(doc).map_err(invalid)?.into_bool() {
-            out.push(id.clone());
-        }
-    }
-    Ok(out)
-}
-
 /// A fresh scratch directory per proptest case.
 fn case_dir(name: &str) -> std::path::PathBuf {
     static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
@@ -393,8 +341,8 @@ proptest! {
         let paths = vec!["o/name".to_string()];
         let mut ids = Vec::new();
         for n in &names {
-            let xml = format!("<o><name>{n}</name></o>");
-            ids.push(repo.insert_xml("c", &xml, &paths).unwrap());
+            let doc = Document::parse(&format!("<o><name>{n}</name></o>")).unwrap();
+            ids.push(repo.insert_doc("c", doc, &paths));
         }
         prop_assert_eq!(repo.len(), names.len());
         for (n, id) in names.iter().zip(&ids) {
@@ -655,48 +603,5 @@ proptest! {
             prop_assert_eq!(hits(repo), hits(&sequential), "{}: {}", name, &query);
         }
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-    /// `xpath_search` parses each object's stored bytes where it reads
-    /// them. Over generated stores — inserted, and recovered from a
-    /// snapshot, which admits the bytes unparsed — it gives the hits of
-    /// the evaluator that kept a `Document` per object, in the same order,
-    /// with and without a community filter, and the same `InvalidQuery`
-    /// for an expression that does not parse or fails on one object.
-    #[test]
-    fn xpath_search_equals_the_document_per_object_evaluator(
-        objects in prop::collection::vec(xml_object(), 0..8),
-        community in prop_oneof![Just(None), Just(Some("a")), Just(Some("b")), Just(Some("c"))],
-        shape in (0u8..6, word(), 0usize..3, any::<usize>()),
-    ) {
-        let (kind, w, n, pick) = shape;
-        // the failing expression names a stored object: a song fails it
-        let w = match objects.get(pick % objects.len().max(1)) {
-            Some((_, name, _)) if kind == 3 => name.clone(),
-            _ => w,
-        };
-        let expr = xpath_expr(kind, &w, n);
-        let mut repo = Repository::new();
-        let mut oracle = BTreeMap::new();
-        for (c, _, xml) in &objects {
-            let id = repo.insert_xml(c, xml, &["obj/name".to_string()]).unwrap();
-            oracle.insert(id, (c.clone(), Document::parse(xml).unwrap()));
-        }
-        let dir = case_dir("xpath");
-        DurableRepository::save_snapshot(&repo, &dir).unwrap();
-        let (recovered, _) = DurableRepository::recover(&dir).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-        let expected = xpath_search_oracle(&oracle, community, &expr);
-        for (name, r) in [("inserted", &repo), ("recovered", &recovered)] {
-            let got = r
-                .xpath_search(community, &expr)
-                .map(|hits| hits.iter().map(|o| o.id.clone()).collect::<Vec<_>>());
-            match (&got, &expected) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "{}: {}", name, &expr),
-                (Err(StoreError::InvalidQuery(a)), Err(StoreError::InvalidQuery(b))) => {
-                    prop_assert_eq!(a, b, "{}: {}", name, &expr)
-                }
-                _ => prop_assert!(false, "{}: {}: {:?} against {:?}", name, &expr, got, expected),
-            }
-        }
     }
 }

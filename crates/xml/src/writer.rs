@@ -335,13 +335,6 @@ impl Document {
         w.finish()
     }
 
-    /// Serializes the subtree rooted at `node` compactly.
-    pub fn node_to_xml_string(&self, node: NodeId) -> String {
-        let mut w = Writer::new(OutputMethod::Xml);
-        self.replay(node, &mut w);
-        w.finish()
-    }
-
     /// [`Document::replay`] with line breaks and indents between the
     /// children of an element that holds more than text; the caller
     /// indents `node` itself.
@@ -419,7 +412,9 @@ mod tests {
         let d = Document::parse("<a><b i='1'>x</b></a>").unwrap();
         let a = d.document_element().unwrap();
         let b = d.child_named(a, "b").unwrap();
-        assert_eq!(d.node_to_xml_string(b), "<b i=\"1\">x</b>");
+        let mut w = Writer::new(OutputMethod::Xml);
+        d.replay(b, &mut w);
+        assert_eq!(w.finish(), "<b i=\"1\">x</b>");
     }
 
     /// XSLT 1.0 §7.3–7.4: a space after a `-` that another `-` follows or

@@ -292,11 +292,6 @@ impl Stylesheet {
     pub fn output_method(&self) -> OutputMethod {
         self.output
     }
-
-    /// Number of template rules (for tooling/diagnostics).
-    pub fn template_count(&self) -> usize {
-        self.templates.len()
-    }
 }
 
 /// Is `node` an element in the XSLT namespace?
@@ -542,7 +537,7 @@ mod tests {
     #[test]
     fn compiles_minimal_stylesheet() {
         let s = Stylesheet::parse(MINIMAL).unwrap();
-        assert_eq!(s.template_count(), 2);
+        assert_eq!(s.templates.len(), 2);
         assert_eq!(s.output_method(), OutputMethod::Html);
     }
 
@@ -637,7 +632,7 @@ mod tests {
             </xsl:transform>"#,
         )
         .unwrap();
-        assert_eq!(s.template_count(), 1);
+        assert_eq!(s.templates.len(), 1);
     }
 
     #[test]
@@ -669,6 +664,6 @@ mod tests {
         }
         // what real stylesheets nest still compiles
         let ok = format!(r#"<xsl:template match="a[{}]">{}</xsl:template>"#, parens(8), elements(20));
-        assert_eq!(Stylesheet::parse(&sheet(&ok)).unwrap().template_count(), 1);
+        assert_eq!(Stylesheet::parse(&sheet(&ok)).unwrap().templates.len(), 1);
     }
 }

@@ -127,8 +127,8 @@ fn repository_persistence_round_trip() {
 }
 
 #[test]
-fn three_query_surfaces_agree() {
-    // programmatic Query, CMIP filter text and XPath must select the same
+fn query_and_cmip_surfaces_agree() {
+    // programmatic Query and CMIP filter text must select the same
     // objects from the same corpus
     let community = pattern_community();
     let mut repo = up2p::store::Repository::new();
@@ -144,21 +144,10 @@ fn three_query_surfaces_agree() {
         .iter()
         .map(|o| o.id.clone())
         .collect();
-    let via_cmip: Vec<_> = repo
-        .search_cmip(None, "(category=creational)")
-        .unwrap()
-        .iter()
-        .map(|o| o.id.clone())
-        .collect();
-    let via_xpath: Vec<_> = repo
-        .xpath_search(None, "/pattern[category='creational']")
-        .unwrap()
-        .iter()
-        .map(|o| o.id.clone())
-        .collect();
+    let filter = up2p::store::parse_cmip("(category=creational)").unwrap();
+    let via_cmip: Vec<_> = repo.search(None, &filter).iter().map(|o| o.id.clone()).collect();
     assert_eq!(via_query.len(), 5, "five creational GoF patterns");
     assert_eq!(via_query, via_cmip);
-    assert_eq!(via_query, via_xpath);
 }
 
 #[test]

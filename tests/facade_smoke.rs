@@ -84,7 +84,8 @@ fn facade_modules_reach_every_layer() {
     .unwrap();
     assert_eq!(sheet.apply_to_string(&doc).unwrap(), "hi");
     let mut repo = up2p::store::Repository::new();
-    repo.insert_xml("c", "<o><name>n</name></o>", &["o/name".to_string()]).unwrap();
+    let doc = up2p::xml::Document::parse("<o><name>n</name></o>").unwrap();
+    repo.insert_doc("c", doc, &["o/name".to_string()]);
     assert_eq!(repo.search(Some("c"), &up2p::Query::eq("name", "n")).len(), 1);
     let topo = up2p::net::Topology::small_world(8, 2, 0.1, 1);
     assert!(topo.edge_count() > 0);

@@ -3,7 +3,7 @@
 //! for exact field references, targeted removal, and index/scan
 //! agreement on a corpus bigger than the unit-test samples.
 
-use up2p::store::{MetadataIndex, Query, Repository, ResourceId, ValuePattern};
+use up2p::store::{parse_cmip, MetadataIndex, Query, Repository, ResourceId, ValuePattern};
 use up2p::xml::Document;
 use std::collections::BTreeSet;
 
@@ -39,14 +39,13 @@ fn batch_load_then_search_remove_reload() {
     assert_eq!(jazz.len(), jazz_leaf.len());
 
     // boolean + keyword + wildcard through the facade
-    let hits = repo
-        .search_cmip(Some("tracks"), "(&(genre=rock)(title~=number8))")
-        .unwrap();
+    let filter = parse_cmip("(&(genre=rock)(title~=number8))").unwrap();
+    let hits = repo.search(Some("tracks"), &filter);
     assert!(!hits.is_empty());
     for o in &hits {
-        assert_eq!(o.field("genre"), Some("rock"));
+        assert!(o.fields.contains(&("track/genre".to_string(), "rock".to_string())));
     }
-    let wild = repo.search_cmip(None, "(artist=artist0*)").unwrap();
+    let wild = repo.search(None, &parse_cmip("(artist=artist0*)").unwrap());
     assert_eq!(wild.len(), 150, "artist00..artist09 is half the corpus");
 
     // targeted removal leaves the rest of the index intact

@@ -39,7 +39,7 @@ fn servent_state_round_trips() {
     assert_eq!(c.display_style.as_deref(), Some(CUSTOM_VIEW));
     assert_eq!(c.schema_xsd, community.schema_xsd);
     // repository contents survive
-    assert_eq!(restored.local_objects(&community.id).len(), 3);
+    assert_eq!(restored.repository().search(Some(&community.id), &Query::All).len(), 3);
     let hits = restored
         .repository()
         .search(Some(&community.id), &Query::any_keyword("factory"));
@@ -157,7 +157,7 @@ fn saved_state_loads_through_manifest_fast_path_without_retokenizing() {
 
     // and the full servent restore path uses the same loader
     let restored = Servent::load_state(PeerId(0), &dir).unwrap();
-    assert_eq!(restored.local_objects(&community.id).len(), 6);
+    assert_eq!(restored.repository().search(Some(&community.id), &Query::All).len(), 6);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -87,6 +87,21 @@ fn object_id(doc: &Document) -> String {
     ResourceId::for_object(ROOT_COMMUNITY_ID, &doc.to_xml_string()).to_string()
 }
 
+/// Refuses a `protocol` outside Fig. 3's `protocolTypes` enumeration, as
+/// a facet violation at `community/protocol`.
+fn check_protocol(protocol: &str) -> Result<(), CoreError> {
+    if ProtocolKind::from_schema_value(protocol).is_some() {
+        return Ok(());
+    }
+    Err(CoreError::Validation(vec![ValidationError {
+        path: "community/protocol".to_string(),
+        kind: ValidationErrorKind::FacetViolation {
+            value: protocol.to_string(),
+            facet: "enumeration".to_string(),
+        },
+    }]))
+}
+
 /// A resource-sharing community: identity, descriptive metadata, the
 /// shared-object schema, and optional custom stylesheets.
 ///
@@ -133,7 +148,9 @@ impl Community {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Schema`] when the XSD does not parse.
+    /// Returns [`CoreError::Validation`] when `protocol` is none of Fig.
+    /// 3's `protocolTypes` (a community every joiner would refuse), and
+    /// [`CoreError::Schema`] when the XSD does not parse.
     pub fn new(
         name: &str,
         description: &str,
@@ -142,6 +159,7 @@ impl Community {
         protocol: &str,
         schema_xsd: &str,
     ) -> Result<Community, CoreError> {
+        check_protocol(protocol)?;
         let mut c = Community {
             name: name.to_string(),
             description: description.to_string(),
@@ -181,8 +199,9 @@ impl Community {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Schema`] if the generated XSD fails to
-    /// re-parse (a builder bug; should not happen).
+    /// Returns [`CoreError::Validation`] when `protocol` is none of Fig.
+    /// 3's `protocolTypes`, and [`CoreError::Schema`] if the generated XSD
+    /// fails to re-parse (a builder bug; should not happen).
     pub fn from_builder(
         name: &str,
         description: &str,
@@ -328,15 +347,7 @@ impl Community {
             Some(text.as_ref().to_string())
         };
         let protocol = text("protocol")?;
-        if ProtocolKind::from_schema_value(&protocol).is_none() {
-            return Err(CoreError::Validation(vec![ValidationError {
-                path: "community/protocol".to_string(),
-                kind: ValidationErrorKind::FacetViolation {
-                    value: protocol,
-                    facet: "enumeration".to_string(),
-                },
-            }]));
-        }
+        check_protocol(&protocol)?;
         let blank = Community::of_schema(schema_xsd)?;
         Ok(Community {
             id,
@@ -413,6 +424,24 @@ mod tests {
         let c = Community::from_builder("cml", "songs", "music", "audio", "Gnutella", &song_builder())
             .unwrap();
         assert_ne!(a.id, c.id);
+    }
+
+    /// An author cannot make a community its joiners would refuse: a
+    /// protocol outside Fig. 3's enumeration fails at construction, from
+    /// a builder or from schema text, as the join path fails it.
+    #[test]
+    fn a_protocol_outside_the_enumeration_is_refused_at_construction() {
+        let refused = |built: Result<Community, CoreError>| match built {
+            Err(CoreError::Validation(errs)) => errs.iter().any(|e| e.path == "community/protocol"),
+            _ => false,
+        };
+        let b = song_builder();
+        assert!(refused(Community::from_builder("mp3", "d", "k", "c", "Kazaa", &b)));
+        assert!(refused(Community::new("mp3", "d", "k", "c", "napster", &b.to_xsd())));
+        for protocol in ["", "Napster", "Gnutella", "FastTrack"] {
+            let built = Community::from_builder("mp3", "d", "k", "c", protocol, &b);
+            assert!(built.is_ok(), "{protocol:?}");
+        }
     }
 
     #[test]

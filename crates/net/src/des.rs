@@ -29,7 +29,7 @@
 //! it runs on must yield.
 
 use crate::churn::ChurnEvent;
-use crate::digest::Probe;
+use crate::digest::{for_each_record_entry, EntryVisitor, Probe};
 use crate::event::DesEvent;
 use crate::message::{ResourceRecord, Time};
 use crate::overlay::{is_alive, Hop, Progress, Sink};
@@ -407,9 +407,15 @@ impl PeerNetwork for DesNetwork {
             // leaves the routing digests, the new one enters them
             Protocol::Gnutella(overlay, shared) => {
                 if let Some((community, fields)) = shared.upsert(provider.0, &record) {
-                    overlay.routes.record_removed(provider.0, community, &fields);
+                    let entries = |visit: &mut EntryVisitor<'_>| {
+                        for_each_record_entry(community, &fields, visit)
+                    };
+                    overlay.routes.record_removed(provider.0, entries);
                 }
-                overlay.routes.record_added(provider.0, &record.community, &record.fields);
+                let ResourceRecord { community, fields, .. } = &record;
+                let entries =
+                    |visit: &mut EntryVisitor<'_>| for_each_record_entry(community, fields, visit);
+                overlay.routes.record_added(provider.0, entries);
             }
             Protocol::Napster(_) | Protocol::FastTrack(..) => {}
         }
@@ -427,15 +433,16 @@ impl PeerNetwork for DesNetwork {
             }
             Protocol::Gnutella(overlay, shared) => {
                 if let Some((community, fields)) = shared.remove(provider.0, key) {
-                    overlay.routes.record_removed(provider.0, community, &fields);
+                    let entries = |visit: &mut EntryVisitor<'_>| {
+                        for_each_record_entry(community, &fields, visit)
+                    };
+                    overlay.routes.record_removed(provider.0, entries);
                 }
             }
             Protocol::FastTrack(overlay, supers) => {
                 // the record leaves the digests with its last provider
                 let supers = supers.settle(&mut overlay.routes);
-                if let Some((s, community, fields)) = supers.unpublish(provider, key, stats) {
-                    overlay.routes.record_removed(s, community, &fields);
-                }
+                supers.unpublish(provider, key, stats, &mut overlay.routes);
             }
         }
     }

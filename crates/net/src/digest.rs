@@ -17,10 +17,11 @@
 //!   `Exact` pattern is asked as the `And` of its own tokens. A whole
 //!   value is no term: nearly unique per record, it would fill the deep
 //!   layers for one query form alone
-//!   (`for_each_record_entry` is the one place that enumerates a
-//!   record's entries, for the routing digests and for the per-peer term
+//!   (`for_each_record_entry` is the one definition of a record's
+//!   entries, for the routing digests and for the per-peer term
 //!   summaries, stored bit-sliced, and record [`Signature`]s of the
-//!   Gnutella [`crate::RecordArena`] alike).
+//!   Gnutella [`crate::RecordArena`] alike; an [`crate::IndexNode`]
+//!   reads the same entries off the term symbols its index keeps).
 //!   Digests hash term *strings*, not symbol ids: interner symbols are
 //!   private to each index, strings are the wire-stable identity. A
 //!   query is compiled once into a [`Probe`] — every hash it needs — and
@@ -108,9 +109,9 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// What a share table hands each of its records to, as
-/// `(community, fields)` — see [`RouteTable::refresh`].
-pub type RecordVisitor<'a> = dyn FnMut(&str, &[(String, String)]) + 'a;
+/// What a record's digest entries are handed to, one entry hash at a
+/// time — see [`RouteTable::refresh`].
+pub type EntryVisitor<'a> = dyn FnMut(u64) + 'a;
 
 /// FNV state after the community name and the separator that keeps
 /// `("ab","c")` apart from `("a","bc")`; every entry hash of the
@@ -138,7 +139,10 @@ pub(crate) fn entry_hash(scope: u64, term: Option<&str>) -> u64 {
 /// normalized form, the form an `Exact` pattern is compared with. An
 /// entry is visited once per occurrence (a token two fields share is
 /// visited twice), so replaying the same record takes out of the
-/// occurrence counts precisely what it put in.
+/// occurrence counts precisely what it put in. An [`crate::IndexNode`]
+/// reads the same entries off the symbols its index keeps
+/// ([`crate::Entries`]); this is the definition they are tested against.
+#[inline]
 pub(crate) fn for_each_record_entry(
     community: &str,
     fields: &[(String, String)],
@@ -739,22 +743,23 @@ impl RouteTable {
         !self.built || !self.dirty.is_empty()
     }
 
-    /// A record entered `node`'s share table (first provider in).
-    pub fn record_added(&mut self, node: u32, community: &str, fields: &[(String, String)]) {
-        self.record_delta(node, community, fields, true);
+    /// A record entered `node`'s share table (first provider in):
+    /// `entries` hands its entry hashes to the visitor it is given, and is
+    /// not called before the first refresh.
+    pub fn record_added(&mut self, node: u32, entries: impl FnOnce(&mut EntryVisitor<'_>)) {
+        self.record_delta(node, entries, true);
     }
 
-    /// A record left `node`'s share table (last provider out). `fields`
-    /// are the ones it was stored under.
-    pub fn record_removed(&mut self, node: u32, community: &str, fields: &[(String, String)]) {
-        self.record_delta(node, community, fields, false);
+    /// A record left `node`'s share table (last provider out): `entries`
+    /// hands over the entries it was stored under.
+    pub fn record_removed(&mut self, node: u32, entries: impl FnOnce(&mut EntryVisitor<'_>)) {
+        self.record_delta(node, entries, false);
     }
 
     fn record_delta(
         &mut self,
         node: u32,
-        community: &str,
-        fields: &[(String, String)],
+        entries: impl FnOnce(&mut EntryVisitor<'_>),
         entering: bool,
     ) {
         // before the build there is nothing to keep current: the first
@@ -769,7 +774,7 @@ impl RouteTable {
         let own = &mut self.local[node as usize * self.words..][..self.words];
         let touched = &mut self.touched;
         let mut exact = true;
-        for_each_record_entry(community, fields, |h| {
+        entries(&mut |h| {
             for bit in probes(own.len() as u64 * 64, h) {
                 let count = &mut count_of[bit];
                 let stepped = if entering { count.checked_add(1) } else { count.checked_sub(1) };
@@ -794,16 +799,17 @@ impl RouteTable {
 
     /// Brings the attenuated layers up to date with the share tables
     /// across `topo`, the overlay the table serves: it is laid out for it
-    /// on the first refresh and never rewired. `records_of(node, visit)`
-    /// must call `visit` with the `(community, fields)` of every record
-    /// in `node`'s share table; it is asked for every node on the first
-    /// build and afterwards only for a node's first write since. Returns
+    /// on the first refresh and never rewired. `entries_of(node, visit)`
+    /// must call `visit` with the entry hashes of every record in
+    /// `node`'s share table, each record's as `for_each_record_entry`
+    /// enumerates them; it is asked for every node on the first build and
+    /// afterwards only for a node's first write since. Returns
     /// `(requests, pushes)`: `DigestRequest` messages (one per directed
     /// edge, first exchange only) and `DigestPush` messages (one per
     /// directed edge whose advertised layers changed).
-    pub fn refresh<F>(&mut self, topo: &Topology, mut records_of: F) -> (u64, u64)
+    pub fn refresh<F>(&mut self, topo: &Topology, mut entries_of: F) -> (u64, u64)
     where
-        F: FnMut(u32, &mut RecordVisitor<'_>),
+        F: FnMut(u32, &mut EntryVisitor<'_>),
     {
         if !self.built {
             // the first exchange: every node's digest from its records
@@ -815,9 +821,7 @@ impl RouteTable {
             self.gather = vec![0; self.words];
             for node in 0..n as u32 {
                 let own = &mut self.local[node as usize * self.words..][..self.words];
-                records_of(node, &mut |community, fields| {
-                    for_each_record_entry(community, fields, |h| insert(own, h));
-                });
+                entries_of(node, &mut |h| insert(own, h));
             }
             self.built = true;
             self.build(topo);
@@ -827,7 +831,7 @@ impl RouteTable {
         for i in 0..self.dirty.len() {
             let node = self.dirty[i];
             if self.counts[node as usize].is_none() {
-                self.recount(node, &mut records_of);
+                self.recount(node, &mut entries_of);
             }
         }
         (0, self.propagate(topo))
@@ -928,25 +932,23 @@ impl RouteTable {
 
     /// Counts `node`'s share table from its records: the first write
     /// since the build, or counts that went out of range.
-    fn recount<F>(&mut self, node: u32, records_of: &mut F)
+    fn recount<F>(&mut self, node: u32, entries_of: &mut F)
     where
-        F: FnMut(u32, &mut RecordVisitor<'_>),
+        F: FnMut(u32, &mut EntryVisitor<'_>),
     {
         let words = self.words;
         let mut count_of = vec![0u32; words * 64].into_boxed_slice();
         let fresh = &mut self.gather[..words];
         fresh.fill(0);
         let mut exact = true;
-        records_of(node, &mut |community, fields| {
-            for_each_record_entry(community, fields, |h| {
-                insert(fresh, h);
-                for bit in probes(words as u64 * 64, h) {
-                    match count_of[bit].checked_add(1) {
-                        Some(count) => count_of[bit] = count,
-                        None => exact = false,
-                    }
+        entries_of(node, &mut |h| {
+            insert(fresh, h);
+            for bit in probes(words as u64 * 64, h) {
+                match count_of[bit].checked_add(1) {
+                    Some(count) => count_of[bit] = count,
+                    None => exact = false,
                 }
-            });
+            }
         });
         let own = &mut self.local[node as usize * words..][..words];
         for (i, (old, new)) in own.iter_mut().zip(fresh.iter()).enumerate() {
@@ -1130,6 +1132,7 @@ mod tests {
     use crate::message::ResourceRecord;
     use crate::peer::PeerId;
     use proptest::collection::vec as pvec;
+    use up2p_store::ResourceId;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1399,10 +1402,11 @@ mod tests {
         }
 
         fn insert(&mut self, at: u32, provider: u32, record: &ResourceRecord) {
-            let node = &mut self.nodes[at as usize];
-            if node.insert(PeerId(provider), record) {
-                self.table.record_added(at, &record.community, &record.fields);
-            }
+            let (node, table) = (&mut self.nodes[at as usize], &mut self.table);
+            let (id, fields) = (ResourceId::from_key(&record.key), record.fields.clone());
+            node.upload(PeerId(provider), id, &record.community, fields, |entries| {
+                table.record_added(at, |visit| entries.visit(visit))
+            });
         }
 
         /// Last publish wins, as in a peer's own table: `provider`'s
@@ -1414,19 +1418,19 @@ mod tests {
         }
 
         fn remove(&mut self, at: u32, provider: u32, key: &str) {
-            let node = &mut self.nodes[at as usize];
-            if let Some((community, fields)) = node.remove(PeerId(provider), key) {
-                self.table.record_removed(at, community, &fields);
-            }
+            let (node, table) = (&mut self.nodes[at as usize], &mut self.table);
+            node.withdraw(PeerId(provider), key, |entries| {
+                table.record_removed(at, |visit| entries.visit(visit))
+            });
         }
 
         /// Refreshes both sides and holds the table to the reference:
         /// the message counts, and every layer of every directed edge.
         fn refresh(&mut self) -> (u64, u64) {
-            let nodes = &self.nodes;
+            let nodes = &mut self.nodes;
             let got = self
                 .table
-                .refresh(&self.topo, |p, visit| nodes[p as usize].for_each_record(visit));
+                .refresh(&self.topo, |p, visit| nodes[p as usize].for_each_entry(visit));
             let expected = self.reference.refresh(self.config, &self.topo, nodes);
             assert_eq!(got, expected, "(requests, pushes)");
             assert!(!self.table.needs_refresh());
@@ -1634,7 +1638,7 @@ mod tests {
                 nodes[at as usize % topo.len()].insert(PeerId(0), &record);
             }
             let mut table = RouteTable::new(small(log2_bits));
-            table.refresh(&topo, |p, visit| nodes[p as usize].for_each_record(visit));
+            table.refresh(&topo, |p, visit| nodes[p as usize].for_each_entry(visit));
             let probes: Vec<Probe> = ["apple", "observer pattern", "missing"]
                 .into_iter()
                 .map(Query::any_keyword)
@@ -1893,7 +1897,8 @@ mod tests {
         world.refresh();
         assert!(!world.advertises(0, 1, "c", Some("needle")), "exact again: both left");
         // a record leaving that the counts never saw enter
-        world.table.record_removed(0, "c", &[("o/name".to_string(), "phantom".to_string())]);
+        let phantom = [("o/name".to_string(), "phantom".to_string())];
+        world.table.record_removed(0, |visit| for_each_record_entry("c", &phantom, visit));
         assert!(world.table.counts[0].is_none());
         world.refresh();
     }
@@ -1917,7 +1922,7 @@ mod tests {
         assert!(world.table.counts[0].is_none() && world.table.counts[1].is_none());
         // a table that is never refreshed holds nothing
         let mut idle = RouteTable::new(DigestConfig::guided());
-        idle.record_added(0, "c", &[]);
+        idle.record_added(0, |visit| for_each_record_entry("c", &[], visit));
         assert_eq!(idle.approx_bytes(), 0);
         assert!(idle.needs_refresh(), "only because it was never built");
     }

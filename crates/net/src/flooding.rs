@@ -22,7 +22,7 @@
 //! neighbors, stops at the first peer with local hits, and falls back to
 //! TTL'd random walkers when no digest matches.
 
-use crate::digest::{self, DigestConfig, Probe, RecordVisitor, Signature, Slices};
+use crate::digest::{self, DigestConfig, EntryVisitor, Probe, Signature, Slices};
 use crate::message::{ResourceRecord, SharedFields, DEFAULT_TTL};
 use crate::overlay::Match;
 use crate::peer::PeerId;
@@ -247,7 +247,9 @@ impl RecordArena {
     }
 
     /// Those of `peer`'s `records` that lie in community `cid` and match
-    /// `query`, as hits.
+    /// `query`, as hits, in a vector sized once, at the first hit, for
+    /// every record the peer shares: no hit vector is made for a peer
+    /// that has none, and none grows.
     pub(crate) fn verify<'a>(
         &self,
         peer: u32,
@@ -255,20 +257,27 @@ impl RecordArena {
         query: &Query,
         records: impl Iterator<Item = &'a PeerRecord>,
     ) -> Vec<Match> {
-        records
-            .filter(|r| r.community == cid && query.matches_fields(&self.fields[r.slot as usize]))
-            .map(|r| {
-                let s = r.slot as usize;
-                (self.keys[s].clone(), PeerId(peer), SharedFields::clone(&self.fields[s]))
-            })
-            .collect()
+        let hit = |r: &PeerRecord| {
+            let s = r.slot as usize;
+            (self.keys[s].clone(), PeerId(peer), SharedFields::clone(&self.fields[s]))
+        };
+        let mut matching = records
+            .filter(|r| r.community == cid && query.matches_fields(&self.fields[r.slot as usize]));
+        let Some(first) = matching.next() else { return Vec::new() };
+        let shared = self.by_peer.get(peer as usize).map_or(1, Vec::len);
+        let mut hits = Vec::with_capacity(shared);
+        hits.push(hit(first));
+        hits.extend(matching.map(hit));
+        hits
     }
 
-    /// Visits `(community, fields)` of every record `peer` shares — what
-    /// the peer's routing digest is built from.
-    pub fn for_each_record(&self, peer: u32, visit: &mut RecordVisitor<'_>) {
+    /// Hands the entries of every record `peer` shares to `visit`, each
+    /// record's enumerated from its strings — what the peer's routing
+    /// digest is built from.
+    pub fn for_each_entry(&self, peer: u32, visit: &mut EntryVisitor<'_>) {
         for r in self.by_peer.get(peer as usize).into_iter().flatten() {
-            visit(self.communities.name(r.community), &self.fields[r.slot as usize]);
+            let community = self.communities.name(r.community);
+            digest::for_each_record_entry(community, &self.fields[r.slot as usize], &mut *visit);
         }
     }
 
@@ -658,9 +667,9 @@ mod tests {
         // remove one so live-term filtering is exercised
         assert_eq!(own(arena.remove(0, "k0")), own(node.remove(PeerId(0), "k0")));
         let mut from_arena = RoutingDigest::new(10);
-        arena.for_each_record(0, &mut |community, fields| from_arena.add_record(community, fields));
+        arena.for_each_entry(0, &mut |h| from_arena.insert(h));
         let mut from_node = RoutingDigest::new(10);
-        node.for_each_record(|community, fields| from_node.add_record(community, fields));
+        node.for_each_entry(&mut |h| from_node.insert(h));
         assert_eq!(from_arena, from_node);
     }
 
@@ -831,11 +840,7 @@ mod tests {
                 let summaries: Vec<Summary> = (0..PEERS.div_ceil(64) * 64)
                     .map(|p| {
                         let mut words = [0; SUMMARY_WORDS];
-                        arena.for_each_record(p as u32, &mut |community, fields| {
-                            digest::for_each_record_entry(community, fields, |h| {
-                                digest::insert(&mut words, h)
-                            })
-                        });
+                        arena.for_each_entry(p as u32, &mut |h| digest::insert(&mut words, h));
                         words
                     })
                     .collect();

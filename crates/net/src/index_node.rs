@@ -20,17 +20,26 @@
 //! server and every super-peer hold an [`IndexNode`]. A node counts its
 //! writes ([`IndexNode::write_guard_count`]); a search takes `&self`, so
 //! it writes nothing and leaves the count as it was.
+//!
+//! A record is tokenized once, when it enters: its index keeps the term
+//! symbols it was posted under, and what the routing digests are told of
+//! it — when it enters, when it leaves, when a digest is built — is read
+//! off those symbols ([`Entries`]), as is what a record moving to another
+//! node is indexed under there.
 
+use crate::digest::{community_scope, entry_hash, EntryVisitor};
 use crate::message::{ResourceRecord, SharedFields};
 use crate::peer::PeerId;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::Arc;
-use up2p_store::{MetadataIndex, Query, ResourceId, SymbolTable};
+use up2p_store::{for_each_token, normalize, MetadataIndex, Query, ResourceId, SymbolTable};
 
 /// One community's slice of an index node: the inverted metadata index
-/// plus the providers of each record.
-#[derive(Debug, Default)]
+/// plus the providers of each record, and the digest entries of its
+/// terms.
+#[derive(Debug)]
 struct CommunityTable {
     index: MetadataIndex,
     /// The index's doc-id → peers currently advertising that record,
@@ -38,18 +47,45 @@ struct CommunityTable {
     /// pre-index scan produced). A search candidate arrives as a doc-id;
     /// a key-addressed operation pays `MetadataIndex::doc_of` first. The
     /// index recycles the doc-id of a removed record, which leaves with
-    /// its last provider, so a recycled slot starts empty.
+    /// its last provider, so a recycled slot starts empty, and a doc-id
+    /// is live exactly while its list is not.
     providers: Vec<Vec<PeerId>>,
+    /// The community's [`community_scope`], where each of its entry
+    /// hashes starts.
+    scope: u64,
+    /// Per term symbol of `index`, its entry hash, taken the first time
+    /// a digest asks for it; 0 until then (a hash that is 0 is taken
+    /// again at each use).
+    hashes: Vec<u64>,
+    /// Per doc-id of a record with a non-ASCII value, the entries of the
+    /// normalized forms of those values, taken when it entered.
+    extra: HashMap<u32, Box<[u64]>>,
+}
+
+/// Where a record comes from when it enters an index node.
+enum Source<'a> {
+    /// Its fields, tokenized here.
+    Fields(SharedFields),
+    /// Doc `doc` of another node's table, whose symbols it is indexed
+    /// under, with the fields that doc holds.
+    Table(&'a CommunityTable, u32, &'a SharedFields),
 }
 
 impl CommunityTable {
-    fn providers_mut(&mut self, key: &str) -> Option<&mut Vec<PeerId>> {
-        self.providers.get_mut(self.index.doc_of(key)? as usize)
+    fn new(community: &str) -> CommunityTable {
+        CommunityTable {
+            index: MetadataIndex::new(),
+            providers: Vec::new(),
+            scope: community_scope(community),
+            hashes: Vec::new(),
+            extra: HashMap::new(),
+        }
     }
 
     /// Adds `provider` to an already-indexed key.
     fn add_provider(&mut self, key: &str, provider: PeerId) {
-        if let Some(set) = self.providers_mut(key) {
+        let doc = self.index.doc_of(key);
+        if let Some(set) = doc.and_then(|doc| self.providers.get_mut(doc as usize)) {
             if let Err(at) = set.binary_search(&provider) {
                 set.insert(at, provider);
             }
@@ -57,24 +93,48 @@ impl CommunityTable {
     }
 
     /// Indexes a fresh record (one refcount bump on the shared metadata)
-    /// with `provider` as its first advertiser.
-    fn index_record(&mut self, id: ResourceId, provider: PeerId, fields: &SharedFields) {
-        let doc = self.index.insert_shared(id, SharedFields::clone(fields)) as usize;
-        if doc >= self.providers.len() {
-            self.providers.resize_with(doc + 1, Vec::new);
+    /// with `provider` as its first advertiser; returns its doc-id. A
+    /// record from another table is indexed under that table's symbols
+    /// and brings its extra entries; one given by its fields is tokenized,
+    /// and the normalized forms of its non-ASCII values too, while their
+    /// strings are warm.
+    fn index_record(&mut self, id: ResourceId, provider: PeerId, source: Source<'_>) -> u32 {
+        let (doc, extra) = match source {
+            Source::Fields(fields) => {
+                let extra = extra_entries(self.scope, &fields);
+                (self.index.insert_shared(id, fields), extra)
+            }
+            Source::Table(from, at, fields) => {
+                let doc = self.index.insert_copy(id, SharedFields::clone(fields), &from.index, at);
+                (doc, from.extra.get(&at).cloned())
+            }
+        };
+        if let Some(extra) = extra {
+            self.extra.insert(doc, extra);
         }
-        if let Some(set) = self.providers.get_mut(doc) {
+        let doc_slot = doc as usize;
+        if doc_slot >= self.providers.len() {
+            self.providers.resize_with(doc_slot + 1, Vec::new);
+        }
+        if let Some(set) = self.providers.get_mut(doc_slot) {
             set.clear();
             set.push(provider);
         }
+        doc
     }
 
-    /// Withdraws `provider`'s copy of the record. When the last provider
-    /// leaves, the record's postings are removed from the sub-index
-    /// (targeted replay — cost proportional to the record, not the
-    /// index). Returns the record's fields exactly when it disappeared.
-    fn remove_provider(&mut self, key: &str, provider: PeerId) -> Option<SharedFields> {
-        let set = self.providers_mut(key)?;
+    /// Withdraws `provider`'s copy of the record `key` under `doc`. When
+    /// the last provider leaves, the record's postings are removed from
+    /// the sub-index by replaying its symbols, `left` is handed its
+    /// entries, and its fields are returned.
+    fn remove_provider(
+        &mut self,
+        doc: u32,
+        key: &str,
+        provider: PeerId,
+        left: impl FnOnce(Entries<'_>),
+    ) -> Option<SharedFields> {
+        let set = self.providers.get_mut(doc as usize)?;
         if let Ok(at) = set.binary_search(&provider) {
             set.remove(at);
         }
@@ -82,24 +142,36 @@ impl CommunityTable {
             return None;
         }
         // the emptied slot is whichever record the index admits next
-        self.index.remove(&ResourceId::from_key(key))
+        let removed = self.index.remove_key(key)?;
+        let extra = self.extra.remove(&doc);
+        let extra = extra.as_deref().unwrap_or(&[]);
+        let CommunityTable { index, scope, hashes, .. } = self;
+        left(Entries { scope: *scope, hashes, index, tokens: removed.tokens(), extra });
+        Some(removed.into_fields())
+    }
+
+    /// The entries of the live record under `doc`.
+    fn entries(&mut self, doc: u32) -> Entries<'_> {
+        let CommunityTable { index, scope, hashes, extra, .. } = self;
+        let (index, extra) = (&*index, extra_of(extra, doc));
+        Entries { scope: *scope, hashes, index, tokens: index.tokens_of(doc), extra }
+    }
+
+    /// Hands the entries of every live record of this community to
+    /// `visit`, in doc-id order.
+    fn for_each_entry(&mut self, visit: &mut EntryVisitor<'_>) {
+        let CommunityTable { index, scope, hashes, extra, .. } = self;
+        let index = &*index;
+        for (doc, tokens) in index.doc_tokens() {
+            let extra = extra_of(extra, doc);
+            Entries { scope: *scope, hashes, index, tokens, extra }.visit(visit);
+        }
     }
 
     /// Is `provider` currently advertising the record?
     fn has_provider(&self, key: &str, provider: PeerId) -> bool {
         let set = self.index.doc_of(key).and_then(|doc| self.providers.get(doc as usize));
         set.is_some_and(|set| set.binary_search(&provider).is_ok())
-    }
-
-    /// Visits the fields of every live record of this community.
-    fn for_each_record<F: FnMut(&SharedFields)>(&self, mut f: F) {
-        self.index.for_each_match(&Query::All, |_, fields| f(fields));
-    }
-
-    /// Visits `(key, provider, fields)` of every record of this
-    /// community once per provider.
-    fn for_each_share<F: FnMut(&str, PeerId, &SharedFields)>(&self, f: F) {
-        self.search(&Query::All, |_| true, |_| f);
     }
 
     /// Evaluates a query against this community's records, invoking
@@ -137,6 +209,71 @@ impl CommunityTable {
             }
         }
     }
+}
+
+/// The extra entries of the record under `doc` in `extra`.
+fn extra_of(extra: &HashMap<u32, Box<[u64]>>, doc: u32) -> &[u64] {
+    extra.get(&doc).map_or(&[], |e| &e[..])
+}
+
+/// The entries the normalized forms of a record's non-ASCII values add
+/// to its digest vocabulary ([`crate::digest::for_each_record_entry`]'s
+/// second pass over such a value); `None` when every value is ASCII.
+fn extra_entries(scope: u64, fields: &[(String, String)]) -> Option<Box<[u64]>> {
+    let mut extra = Vec::new();
+    for (_, value) in fields.iter().filter(|(_, value)| !value.is_ascii()) {
+        for_each_token(&normalize(value), |t| extra.push(entry_hash(scope, Some(t))));
+    }
+    (!extra.is_empty()).then(|| extra.into_boxed_slice())
+}
+
+/// One record's routing-digest entries, read off the symbols its index
+/// node keeps for it: the entries `digest::for_each_record_entry`
+/// enumerates from the record's strings, as a multiset, with no
+/// tokenizer pass. What
+/// [`crate::RouteTable::record_added`] and
+/// [`crate::RouteTable::record_removed`] are handed for a record of an
+/// index node.
+pub struct Entries<'a> {
+    scope: u64,
+    /// The entry hash of each of `index`'s term symbols, taken lazily.
+    hashes: &'a mut Vec<u64>,
+    index: &'a MetadataIndex,
+    tokens: &'a [u32],
+    extra: &'a [u64],
+}
+
+impl Entries<'_> {
+    /// Hands each entry hash to `visit`: the community marker, one entry
+    /// per token occurrence, then the normalized forms' extra entries.
+    pub fn visit(self, visit: &mut EntryVisitor<'_>) {
+        let Entries { scope, hashes, index, tokens, extra } = self;
+        visit(entry_hash(scope, None));
+        for &sym in tokens {
+            let i = sym as usize;
+            let hash = match hashes.get(i) {
+                Some(&hash) if hash != 0 => hash,
+                _ => {
+                    let hash = entry_hash(scope, Some(index.term(sym)));
+                    if i >= hashes.len() {
+                        hashes.resize(i + 1, 0);
+                    }
+                    hashes[i] = hash;
+                    hash
+                }
+            };
+            visit(hash);
+        }
+        extra.iter().for_each(|&h| visit(h));
+    }
+}
+
+/// Where a record sits in an index node: its community's slot and its
+/// doc-id there, valid until the record leaves.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Share {
+    slot: u32,
+    doc: u32,
 }
 
 /// A community-partitioned metadata index held by one record-storing
@@ -200,26 +337,42 @@ impl IndexNode {
         if self.add_replica(provider, &record.key) {
             return false;
         }
-        let id = ResourceId::from_key(&record.key);
-        self.index_new(provider, id, &record.community, &record.fields);
-        true
+        let (id, fields) = (ResourceId::from_key(&record.key), SharedFields::clone(&record.fields));
+        self.admit(provider, id, &record.community, Source::Fields(fields), |_| {})
     }
 
     /// [`IndexNode::insert`] of a record given by its parts: an `id` the
-    /// index keeps when the record is new, and dropped otherwise.
-    pub(crate) fn insert_shared(
+    /// index keeps when the record is new, and dropped otherwise, with
+    /// one key lookup either way. `added` is handed the record's entries
+    /// when it entered.
+    pub fn upload(
         &mut self,
         provider: PeerId,
         id: ResourceId,
         community: &str,
-        fields: &SharedFields,
+        fields: SharedFields,
+        added: impl FnOnce(Entries<'_>),
     ) -> bool {
         self.writes += 1;
-        if self.add_replica(provider, id.as_hex()) {
-            return false;
-        }
-        self.index_new(provider, id, community, fields);
-        true
+        self.admit(provider, id, community, Source::Fields(fields), added)
+    }
+
+    /// [`IndexNode::upload`] of `provider`'s copy of the record `from`
+    /// holds at `share`, with the id and fields `from` holds and indexed
+    /// under the terms `from` keeps for it: no value is tokenized again.
+    pub(crate) fn take_over(
+        &mut self,
+        provider: PeerId,
+        from: &IndexNode,
+        share: Share,
+        added: impl FnOnce(Entries<'_>),
+    ) -> bool {
+        let Some(table) = from.communities.get(share.slot as usize) else { return false };
+        let Some((id, fields)) = table.index.record(share.doc) else { return false };
+        self.writes += 1;
+        let community = from.names.name(share.slot);
+        let source = Source::Table(table, share.doc, fields);
+        self.admit(provider, ResourceId::clone(id), community, source, added)
     }
 
     /// Adds `provider` to the record under `key`, if the index holds one.
@@ -229,31 +382,85 @@ impl IndexNode {
         true
     }
 
-    /// Indexes a record no key of the index names yet.
-    fn index_new(
+    /// The one write body: adds `provider` to the record under `id`, or
+    /// indexes the record from `source` when no key of the index names it
+    /// yet and hands `added` its entries. Whether it entered.
+    fn admit(
         &mut self,
         provider: PeerId,
         id: ResourceId,
         community: &str,
-        fields: &SharedFields,
-    ) {
-        let slot = self.names.intern(community);
-        if slot as usize == self.communities.len() {
-            self.communities.push(CommunityTable::default());
+        source: Source<'_>,
+        added: impl FnOnce(Entries<'_>),
+    ) -> bool {
+        let IndexNode { names, communities, by_key, .. } = self;
+        let fresh = match by_key.entry(id) {
+            Entry::Occupied(live) => {
+                communities[*live.get() as usize].add_provider(live.key().as_hex(), provider);
+                return false;
+            }
+            Entry::Vacant(fresh) => fresh,
+        };
+        let slot = names.intern(community);
+        if slot as usize == communities.len() {
+            communities.push(CommunityTable::new(community));
         }
-        self.communities[slot as usize].index_record(id.clone(), provider, fields);
-        self.by_key.insert(id, slot);
+        let table = &mut communities[slot as usize];
+        let doc = table.index_record(ResourceId::clone(fresh.key()), provider, source);
+        fresh.insert(slot);
+        added(table.entries(doc));
+        true
     }
 
     /// Withdraws `provider`'s copy of the record; the record's postings
     /// disappear with its last provider, and only then are its
     /// `(community, fields)` returned.
     pub fn remove(&mut self, provider: PeerId, key: &str) -> Option<(&str, SharedFields)> {
+        self.withdraw(provider, key, |_| {})
+    }
+
+    /// [`IndexNode::remove`] that hands `left` the entries of the record
+    /// when it left.
+    pub fn withdraw(
+        &mut self,
+        provider: PeerId,
+        key: &str,
+        left: impl FnOnce(Entries<'_>),
+    ) -> Option<(&str, SharedFields)> {
         self.writes += 1;
         let &slot = self.by_key.get(key)?;
-        let fields = self.communities[slot as usize].remove_provider(key, provider)?;
+        let doc = self.communities[slot as usize].index.doc_of(key)?;
+        self.withdraw_at(provider, Share { slot, doc }, key, left)
+    }
+
+    /// [`IndexNode::withdraw`] of the record `key` at `share`.
+    fn withdraw_at(
+        &mut self,
+        provider: PeerId,
+        share: Share,
+        key: &str,
+        left: impl FnOnce(Entries<'_>),
+    ) -> Option<(&str, SharedFields)> {
+        let table = self.communities.get_mut(share.slot as usize)?;
+        let fields = table.remove_provider(share.doc, key, provider, left)?;
         self.by_key.remove(key);
-        Some((self.names.name(slot), fields))
+        Some((self.names.name(share.slot), fields))
+    }
+
+    /// [`IndexNode::withdraw`] of `provider`'s copy of the record at
+    /// `share`.
+    pub(crate) fn remove_share(
+        &mut self,
+        provider: PeerId,
+        share: Share,
+        left: impl FnOnce(Entries<'_>),
+    ) {
+        let table = self.communities.get(share.slot as usize);
+        if let Some((id, _)) = table.and_then(|table| table.index.record(share.doc)) {
+            let id = ResourceId::clone(id);
+            self.writes += 1;
+            self.withdraw_at(provider, share, id.as_hex(), left);
+        }
     }
 
     /// Is `provider` currently advertising the record?
@@ -263,29 +470,24 @@ impl IndexNode {
             .is_some_and(|&slot| self.communities[slot as usize].has_provider(key, provider))
     }
 
-    /// Visits `(community, fields)` of every record in this node's share
-    /// table, whatever its provider set — what a routing digest of the
+    /// Hands the entries of every record in this node's share table to
+    /// `visit`, whatever its provider set — what a routing digest of the
     /// node is built from.
-    pub fn for_each_record<F>(&self, mut f: F)
-    where
-        F: FnMut(&str, &[(String, String)]),
-    {
-        for (slot, sub) in (0..).zip(&self.communities) {
-            let name = self.names.name(slot);
-            sub.for_each_record(|fields| f(name, fields));
+    pub fn for_each_entry(&mut self, visit: &mut EntryVisitor<'_>) {
+        for table in &mut self.communities {
+            table.for_each_entry(visit);
         }
     }
 
-    /// Visits `(key, community, provider, fields)` of every record in
-    /// this node's share table once per provider — what a super hands on
-    /// when its leaves move to another.
-    pub fn for_each_share<F>(&self, mut f: F)
-    where
-        F: FnMut(&str, &str, PeerId, &SharedFields),
-    {
-        for (slot, sub) in (0..).zip(&self.communities) {
-            let name = self.names.name(slot);
-            sub.for_each_share(|key, provider, fields| f(key, name, provider, fields));
+    /// Visits every record in this node's share table once per
+    /// provider, as `(share, provider)`, community by community in
+    /// doc-id order, providers ascending — what a super hands on when its
+    /// leaves move to another.
+    pub(crate) fn for_each_share(&self, mut f: impl FnMut(Share, PeerId)) {
+        for (slot, table) in (0..).zip(&self.communities) {
+            for (doc, providers) in (0..).zip(&table.providers) {
+                providers.iter().for_each(|&p| f(Share { slot, doc }, p));
+            }
         }
     }
 
@@ -321,6 +523,29 @@ impl IndexNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl IndexNode {
+        /// Visits `(community, fields)` of every record in this node's
+        /// share table, whatever its provider set: what the reference
+        /// digests of the tests are built from, by the strings.
+        pub(crate) fn for_each_record(&self, mut f: impl FnMut(&str, &[(String, String)])) {
+            for (slot, table) in (0..).zip(&self.communities) {
+                let name = self.names.name(slot);
+                table.index.for_each_match(&Query::All, |_, fields| f(name, fields));
+            }
+        }
+
+        /// Visits `(key, provider)` of every record in this node's share
+        /// table once per provider.
+        pub(crate) fn for_each_key(&self, mut f: impl FnMut(&str, PeerId)) {
+            self.for_each_share(|share, provider| {
+                let table = &self.communities[share.slot as usize];
+                if let Some((id, _)) = table.index.record(share.doc) {
+                    f(id.as_hex(), provider);
+                }
+            });
+        }
+    }
 
     fn record(key: &str, community: &str, name: &str) -> ResourceRecord {
         ResourceRecord::new(key, community, vec![("o/name".to_string(), name.to_string())])
@@ -506,5 +731,108 @@ mod tests {
         let d = digest(&node);
         assert!(!has(&d, "patterns", None) && !has(&d, "patterns", Some("observer")));
         assert!(has(&d, "songs", None));
+    }
+
+    use crate::digest::for_each_record_entry;
+    use proptest::prelude::*;
+
+    /// `entries`' hashes, sorted: a multiset.
+    fn multiset(entries: Entries<'_>) -> Vec<u64> {
+        let mut got = Vec::new();
+        entries.visit(&mut |h| got.push(h));
+        got.sort_unstable();
+        got
+    }
+
+    /// [`for_each_record_entry`]'s hashes of a record, sorted.
+    fn oracle(community: &str, fields: &[(String, String)]) -> Vec<u64> {
+        let mut want = Vec::new();
+        for_each_record_entry(community, fields, |h| want.push(h));
+        want.sort_unstable();
+        want
+    }
+
+    /// Values with repeated words, a word shared by two fields, and words
+    /// whose lowercase moves a token boundary.
+    fn record_fields() -> impl Strategy<Value = Vec<(String, String)>> {
+        let word = prop_oneof![
+            Just("jazz"),
+            Just("Jazz jazz"),
+            Just("İstanbul"),
+            Just("Été"),
+            Just("of"),
+            Just("x-ray"),
+        ];
+        let path = prop_oneof![Just("o/name"), Just("o/tag")];
+        proptest::collection::vec((path, word), 0..4)
+            .prop_map(|f| f.into_iter().map(|(p, v)| (p.to_string(), v.to_string())).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The entries an index node reads off its symbols are, as a
+        /// multiset, the entries `for_each_record_entry` enumerates from
+        /// the record's strings: for every record of a node given a tape
+        /// of uploads (replicas among them) and withdrawals, for every
+        /// record that leaves (what `withdraw` hands over), and for every
+        /// record a second node takes over from the first.
+        #[test]
+        fn index_entries_are_the_records_entries(
+            tape in proptest::collection::vec(
+                (0u8..6, 0usize..2, 0u32..3, any::<bool>(), record_fields()), 1..30,
+            ),
+        ) {
+            const COMMUNITIES: [&str; 2] = ["songs", "patterns"];
+            let mut node = IndexNode::new();
+            for (key, community, provider, withdraw, fields) in tape {
+                let (key, community) = (format!("k{key}"), COMMUNITIES[community]);
+                if withdraw {
+                    let mut left = None;
+                    let gone = node.withdraw(PeerId(provider), &key, |e| left = Some(multiset(e)));
+                    prop_assert_eq!(gone.is_some(), left.is_some());
+                    if let (Some((c, f)), Some(left)) = (gone, left) {
+                        prop_assert_eq!(left, oracle(c, &f));
+                    }
+                } else {
+                    let fields: SharedFields = fields.into();
+                    let mut added = None;
+                    let id = ResourceId::from_key(&key);
+                    let entered = node.upload(PeerId(provider), id, community, fields.clone(), |e| {
+                        added = Some(multiset(e))
+                    });
+                    prop_assert_eq!(entered, added.is_some());
+                    if let Some(added) = added {
+                        prop_assert_eq!(added, oracle(community, &fields));
+                    }
+                }
+            }
+            let mut shares = Vec::new();
+            node.for_each_share(|share, provider| shares.push((share, provider)));
+            let mut other = IndexNode::new();
+            for &(share, provider) in &shares {
+                let table = &node.communities[share.slot as usize];
+                let community = node.names.name(share.slot);
+                let record = table.index.record(share.doc).expect("a listed share is live");
+                let fields = SharedFields::clone(record.1);
+                let mut added = None;
+                other.take_over(provider, &node, share, |e| added = Some(multiset(e)));
+                if let Some(added) = added {
+                    prop_assert_eq!(added, oracle(community, &fields));
+                }
+            }
+            for n in [&mut node, &mut other] {
+                for slot in 0..n.communities.len() as u32 {
+                    let community = n.names.name(slot).to_string();
+                    let table = &mut n.communities[slot as usize];
+                    let docs: Vec<u32> = table.index.doc_tokens().map(|(doc, _)| doc).collect();
+                    for doc in docs {
+                        let fields = SharedFields::clone(table.index.record(doc).expect("live").1);
+                        prop_assert_eq!(multiset(table.entries(doc)), oracle(&community, &fields));
+                    }
+                }
+            }
+            prop_assert_eq!(node.len(), other.len(), "every record moved");
+        }
     }
 }

@@ -76,11 +76,11 @@ mod traits;
 
 pub use des::DesNetwork;
 pub use digest::{
-    sign_record, DigestConfig, Probe, RecordVisitor, RouteTable, RoutingDigest, Signature,
+    sign_record, DigestConfig, EntryVisitor, Probe, RouteTable, RoutingDigest, Signature,
 };
 pub use event::{DesEvent, PropMode};
 pub use flooding::{FloodingConfig, RecordArena};
-pub use index_node::IndexNode;
+pub use index_node::{Entries, IndexNode};
 pub use latency::{Latency, LatencySpec};
 pub use message::{ResourceRecord, SearchHit, SharedFields, Time, DEFAULT_TTL};
 pub use peer::PeerId;

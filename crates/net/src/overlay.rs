@@ -28,7 +28,7 @@
 //! Node ids are plain `u32`s: peer ids on the flat overlay, super
 //! indices (which are the supers' peer ids) on the two-tier one.
 
-use crate::digest::{DigestConfig, Probe, RecordVisitor, RouteTable};
+use crate::digest::{DigestConfig, EntryVisitor, Probe, RouteTable};
 use crate::event::PropMode;
 use crate::latency::Latency;
 use crate::message::{SearchHit, SharedFields, Time};
@@ -233,7 +233,7 @@ impl Overlay {
 
     /// Brings the routing digests up to date with the writes since the
     /// last refresh and counts the `DigestRequest`/`DigestPush` exchange
-    /// that costs. `records_of` lists a node's share table (see
+    /// that costs. `entries_of` lists the entries of a node's share table (see
     /// [`RouteTable::refresh`]). A no-op when guided search is disabled
     /// or nothing changed since the last refresh; guided searches call
     /// this lazily, the way a servent batches digest updates onto its
@@ -241,12 +241,12 @@ impl Overlay {
     pub fn refresh(
         &mut self,
         stats: &mut NetStats,
-        records_of: impl FnMut(u32, &mut RecordVisitor<'_>),
+        entries_of: impl FnMut(u32, &mut EntryVisitor<'_>),
     ) {
         if !self.routes.config().enabled || !self.routes.needs_refresh() {
             return;
         }
-        let (requests, pushes) = self.routes.refresh(&self.topology, records_of);
+        let (requests, pushes) = self.routes.refresh(&self.topology, entries_of);
         stats.sent_n(MsgKind::DigestRequest, requests);
         stats.sent_n(MsgKind::DigestPush, pushes);
     }
@@ -509,6 +509,7 @@ impl Walk<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::for_each_record_entry;
     use crate::latency::LatencySpec;
     use up2p_store::Query;
 
@@ -607,10 +608,10 @@ mod tests {
             if digests.enabled {
                 overlay.routes.refresh(&overlay.topology, |node, visit| {
                     if holders.contains(&node) {
-                        visit("c", &[]);
+                        for_each_record_entry("c", &[], &mut *visit);
                     }
                     if dense.contains(&node) {
-                        visit("c", &filler);
+                        for_each_record_entry("c", &filler, &mut *visit);
                     }
                 });
             }

@@ -186,11 +186,11 @@ impl Substrate {
         match protocol {
             Protocol::Napster(_) => {}
             Protocol::Gnutella(overlay, shared) => {
-                overlay.refresh(stats, |p, visit| shared.for_each_record(p, visit))
+                overlay.refresh(stats, |p, visit| shared.for_each_entry(p, visit))
             }
             Protocol::FastTrack(overlay, supers) => {
                 let supers = supers.settle(&mut overlay.routes);
-                overlay.refresh(stats, |s, visit| supers.index(s).for_each_record(visit))
+                overlay.refresh(stats, |s, visit| supers.index_mut(s).for_each_entry(visit))
             }
         }
     }

@@ -157,9 +157,9 @@ impl Supers {
             // the next index grows
             for Upload { provider, id, community, fields } in std::mem::take(queue) {
                 let community = self.communities.name(community);
-                if index.insert_shared(provider, id, community, &fields) {
-                    routes.record_added(s, community, &fields);
-                }
+                index.upload(provider, id, community, fields, |entries| {
+                    routes.record_added(s, |visit| entries.visit(visit))
+                });
             }
         }
     }
@@ -177,6 +177,12 @@ impl Settled {
         &self.indexes[s as usize]
     }
 
+    /// Super `s`'s index, to read its records' digest entries off
+    /// ([`IndexNode::for_each_entry`]).
+    pub fn index_mut(&mut self, s: u32) -> &mut IndexNode {
+        &mut self.indexes[s as usize]
+    }
+
     /// Does `provider` hold the object `key`? Its super's index lists it
     /// among the record's providers exactly while it shares the key.
     pub fn owns(&self, provider: PeerId, key: &str) -> bool {
@@ -184,20 +190,22 @@ impl Settled {
     }
 
     /// A peer of the network withdraws `key`: a leaf tells its super (one
-    /// `Unpublish`). Returns the super, with the community and fields of
-    /// the record, when it left the index with its last provider.
+    /// `Unpublish`). `routes` hears of the record when it left the index
+    /// with its last provider.
     pub fn unpublish(
         &mut self,
         provider: PeerId,
         key: &str,
         stats: &mut NetStats,
-    ) -> Option<(u32, &str, SharedFields)> {
+        routes: &mut RouteTable,
+    ) {
         let s = self.super_of[provider.index()];
         if s != provider.0 {
             stats.sent(MsgKind::Unpublish);
         }
-        let (community, fields) = self.indexes[s as usize].remove(provider, key)?;
-        Some((s, community, fields))
+        self.indexes[s as usize].withdraw(provider, key, |entries| {
+            routes.record_removed(s, |visit| entries.visit(visit))
+        });
     }
 
     /// How many times leaves have moved to another super so far.
@@ -252,8 +260,10 @@ impl Settled {
     }
 
     /// Moves the leaves homed at `from` that `which` picks to `to`, with
-    /// their records: `from`'s index is read once, each picked share
-    /// leaves it and enters `to`'s as a `Publish`.
+    /// their records: `from`'s index is read once, and each picked share
+    /// enters `to`'s as a `Publish` with the id, fields and term symbols
+    /// `from` holds — no value is tokenized again — before it leaves
+    /// `from`'s.
     fn move_leaves(
         &mut self,
         from: u32,
@@ -264,21 +274,22 @@ impl Settled {
     ) {
         let picked = |leaf: u32| leaf != from && which(leaf);
         let mut shares = Vec::new();
-        self.indexes[from as usize].for_each_share(|key, community, provider, fields| {
+        self.indexes[from as usize].for_each_share(|share, provider| {
             if picked(provider.0) {
-                let (key, community) = (key.to_string(), community.to_string());
-                shares.push((provider, ResourceRecord { key, community, fields: fields.clone() }));
+                shares.push((share, provider));
             }
         });
-        for (provider, record) in &shares {
-            let left = self.indexes[from as usize].remove(*provider, &record.key);
-            if let Some((community, fields)) = left {
-                routes.record_removed(from, community, &fields);
-            }
+        for (share, provider) in shares {
+            let Ok([src, dst]) = self.indexes.get_disjoint_mut([from as usize, to as usize]) else {
+                break; // `from` is `to`: nothing moves
+            };
             stats.sent(MsgKind::Publish); // the leaf's re-upload
-            if self.indexes[to as usize].insert(*provider, record) {
-                routes.record_added(to, &record.community, &record.fields);
-            }
+            dst.take_over(provider, src, share, |entries| {
+                routes.record_added(to, |visit| entries.visit(visit))
+            });
+            src.remove_share(provider, share, |entries| {
+                routes.record_removed(from, |visit| entries.visit(visit))
+            });
         }
         let mut moved = false;
         for (leaf, home) in (0u32..).zip(&mut self.super_of) {
@@ -302,6 +313,7 @@ impl Settled {
 mod tests {
     use super::*;
     use crate::churn::exponential_schedule;
+    use crate::digest::for_each_record_entry;
     use crate::des::DesNetwork;
     use crate::latency::LatencySpec;
     use crate::stats::{Fate, RetrieveOutcome, SearchOutcome};
@@ -708,7 +720,7 @@ mod tests {
         let (supers, alive) = settled(net);
         let mut held = BTreeMap::new();
         for (s, index) in supers.indexes.iter().enumerate() {
-            index.for_each_share(|key, _, provider, _| {
+            index.for_each_key(|key, provider| {
                 let at = held.entry((provider.0, key.to_string())).or_insert_with(Vec::new);
                 at.push((s, supers.super_of(provider)));
             });
@@ -766,7 +778,11 @@ mod tests {
         let supers = supers.settle(&mut overlay.routes);
         let (topo, routes) = (&overlay.topology, &overlay.routes);
         let mut scratch = RouteTable::new(routes.config());
-        scratch.refresh(topo, |s, visit| supers.index(s).for_each_record(visit));
+        // from the records' strings, where the table heard of them by symbol
+        scratch.refresh(topo, |s, visit| {
+            let index = supers.index(s);
+            index.for_each_record(|c, fields| for_each_record_entry(c, fields, &mut *visit))
+        });
         for q in topo.peers() {
             for p in topo.neighbors(q) {
                 for depth in 1.. {

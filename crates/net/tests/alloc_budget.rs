@@ -132,10 +132,11 @@ fn a_fasttrack_search_allocates_once_per_hit_and_a_budget_per_search() {
 /// Allocations a guided Gnutella search for 20 hits may make beyond one
 /// per hit, at any network size: the query's copy, community and
 /// compiled probe (5); its admitted set, visited bitmap and guided pick
-/// list (3); the arena's hit vector, grown one doubling at a time to 20
-/// hits (4); the trail of forwarding visits, grown the same way (4 at
-/// most, within 32 visits); and the event queue's buckets (2).
-const GUIDED_BUDGET: u64 = 18;
+/// list (3); the arena's hit vector, sized once at its first hit for the
+/// answering peer's records (1); the trail of forwarding visits, grown
+/// one doubling at a time (4 at most, within 32 visits); and the event
+/// queue's buckets (2).
+const GUIDED_BUDGET: u64 = 15;
 
 /// `(hits, allocations)` of one guided Gnutella search from peer 7 over
 /// `peers` peers that share ten records each: peer 0 holds the 20 jazz
@@ -244,4 +245,57 @@ fn a_replica_publish_allocates_only_its_provider_lists_growth() {
     assert!(spent <= growth, "40 replica publishes: {spent} allocations, growth {growth}");
     let out = net.search(PeerId(0), "c", &Query::any_keyword("shared"));
     assert_eq!(out.hits.len(), 41, "one hit per provider");
+}
+
+/// Allocations of one write to an index node, once it has seen the
+/// record's terms and freed a doc-id before: the record's `ResourceId`,
+/// its symbol vector, and, where its doc-id's provider list is not
+/// recycled, that list (a FastTrack upload also allocates the queue it
+/// waits in until its super's index is next read, where it reuses the
+/// freed provider list). Removing it allocates nothing: it is looked up
+/// by the key it came with, and its postings are replayed from its
+/// symbols.
+const INSERT_BUDGET: u64 = 3;
+
+/// `(insert, remove)` allocations of a record entering and leaving the
+/// index of `kind`'s server or super: the record shares its terms with
+/// the 200 already published, and a record published and withdrawn
+/// before it left its doc-id free.
+fn index_write(kind: ProtocolKind) -> (u64, u64) {
+    let mut net = DesNetwork::build(kind, PEERS, 1, &NetConfig::new());
+    let record = |i: usize| {
+        let fields = vec![
+            ("track/title".to_string(), format!("track {}", i % 20)),
+            ("track/genre".to_string(), "jazz".to_string()),
+        ];
+        ResourceRecord::new(format!("k{i}"), "c", fields)
+    };
+    for i in 0..200 {
+        net.publish(PeerId((i % PEERS) as u32), record(i));
+    }
+    let provider = PeerId(PEERS as u32 - 1);
+    let mut spent = (0, 0);
+    for i in [200, 201] {
+        let (fresh, key) = (record(i), format!("k{i}"));
+        let before = allocations();
+        net.publish(provider, fresh);
+        // FastTrack: the read that applies the queued upload
+        net.refresh_digests();
+        let inserted = allocations() - before;
+        let before = allocations();
+        net.unpublish(provider, &key);
+        spent = (inserted, allocations() - before);
+    }
+    let out = net.search(PeerId(0), "c", &Query::any_keyword("jazz"));
+    assert_eq!(out.hits.len(), 200, "{kind:?}: the record left again");
+    spent
+}
+
+#[test]
+fn an_index_write_allocates_its_id_and_symbols_and_a_remove_nothing() {
+    for kind in [ProtocolKind::Napster, ProtocolKind::FastTrack] {
+        let (inserted, removed) = index_write(kind);
+        assert!(inserted <= INSERT_BUDGET, "{kind:?}: an insert allocated {inserted} times");
+        assert_eq!(removed, 0, "{kind:?}: a remove allocated");
+    }
 }

@@ -19,7 +19,7 @@ use up2p_net::{
     MsgKind, PeerId, PeerNetwork, Probe, ProtocolKind, RecordArena, ResourceRecord, RouteTable,
     RoutingDigest, SharedFields, Signature, Substrate, Time, Topology,
 };
-use up2p_store::Query;
+use up2p_store::{Query, ResourceId};
 
 fn record(key: &str, name: &str) -> ResourceRecord {
     ResourceRecord::new(key, "c", vec![("o/name".to_string(), name.to_string())])
@@ -94,9 +94,9 @@ fn connected_topology(parents: &[u32], chords: &[(u32, u32)]) -> Topology {
 
 /// Applies one write of a digest history at `nodes` and reports the
 /// records it moved to `table`: on the flat overlay a peer's own table,
-/// last publish wins ([`republish`]), which publishes and withdraws only
-/// its own records; on the two-tier overlay a shared table,
-/// first-record-wins `insert`. The three generated node ids are spread
+/// last publish wins (a withdrawal, then an upload), which publishes and
+/// withdraws only its own records; on the two-tier overlay a shared
+/// table, first record wins. The three generated node ids are spread
 /// over the overlay. `false` for a `Refresh`, which is the caller's.
 fn write(op: &DigestOp, nodes: &mut [IndexNode], table: &mut RouteTable, flat: bool) -> bool {
     let spread = |at: u32| at * (nodes.len() as u32 - 1) / 2;
@@ -107,21 +107,23 @@ fn write(op: &DigestOp, nodes: &mut [IndexNode], table: &mut RouteTable, flat: b
             let record =
                 ResourceRecord::new(format!("k{key}"), COMMUNITIES[*community], fields.clone());
             let node = &mut nodes[at as usize];
+            let provider = who(at, *provider);
             if flat {
-                if let Some((community, fields)) = republish(node, who(at, *provider), &record) {
-                    table.record_removed(at, &community, &fields);
-                }
-                table.record_added(at, &record.community, &record.fields);
-            } else if node.insert(who(at, *provider), &record) {
-                table.record_added(at, &record.community, &record.fields);
+                node.withdraw(provider, &record.key, |entries| {
+                    table.record_removed(at, |visit| entries.visit(visit))
+                });
             }
+            let (id, fields) = (ResourceId::from_key(&record.key), record.fields.clone());
+            node.upload(provider, id, &record.community, fields, |entries| {
+                table.record_added(at, |visit| entries.visit(visit))
+            });
         }
         DigestOp::Unpublish { at, provider, key } => {
             let at = spread(*at);
             let node = &mut nodes[at as usize];
-            if let Some((community, fields)) = node.remove(who(at, *provider), &format!("k{key}")) {
-                table.record_removed(at, community, &fields);
-            }
+            node.withdraw(who(at, *provider), &format!("k{key}"), |entries| {
+                table.record_removed(at, |visit| entries.visit(visit))
+            });
         }
         DigestOp::Refresh => return false,
     }
@@ -183,9 +185,9 @@ proptest! {
                 continue;
             }
             let got = table
-                .refresh(&topo, |p, visit| nodes[p as usize].for_each_record(visit));
+                .refresh(&topo, |p, visit| nodes[p as usize].for_each_entry(visit));
             let mut scratch = RouteTable::new(config);
-            scratch.refresh(&topo, |p, visit| nodes[p as usize].for_each_record(visit));
+            scratch.refresh(&topo, |p, visit| nodes[p as usize].for_each_entry(visit));
             let after = all_layers(&table, &topo);
             prop_assert_eq!(&after, &all_layers(&scratch, &topo));
             // the set-bit counts the wave keeps are the layers'
@@ -235,7 +237,7 @@ proptest! {
             if write(op, &mut nodes, &mut table, flat) {
                 continue;
             }
-            table.refresh(&topo, |p, visit| nodes[p as usize].for_each_record(visit));
+            table.refresh(&topo, |p, visit| nodes[p as usize].for_each_entry(visit));
             for (q, p) in topo.peers().flat_map(|q| topo.neighbors(q).map(move |p| (q.0, p.0))) {
                 let layers = all_layers_of(&table, &topo, q, p);
                 for (community, query, probe) in &probes {
@@ -272,7 +274,7 @@ proptest! {
             node.remove(PeerId(provider), &format!("k{key}"));
         }
         let mut digest = RoutingDigest::new(log2_bits);
-        node.for_each_record(|community, fields| digest.add_record(community, fields));
+        node.for_each_entry(&mut |h| digest.insert(h));
         for community in COMMUNITIES {
             let mut answered = false;
             node.search(community, &query, |_| true, |_, _, _| answered = true);

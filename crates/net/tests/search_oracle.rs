@@ -28,7 +28,7 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use up2p_net::{
     build_network_with, DesNetwork, DigestConfig, FloodingConfig, IndexNode, LatencySpec, MsgKind,
-    NetConfig, PeerId, PeerNetwork, Probe, ProtocolKind, RecordArena, RecordVisitor, ResourceRecord,
+    EntryVisitor, NetConfig, PeerId, PeerNetwork, Probe, ProtocolKind, RecordArena, ResourceRecord,
     RoutingDigest, SuperPeerConfig, Substrate, Topology,
 };
 use up2p_store::Query;
@@ -76,16 +76,16 @@ fn table_ops() -> impl Strategy<Value = Vec<TableOp>> {
 }
 
 type Fields = Vec<(String, String)>;
-type TableView = (Vec<bool>, Vec<Vec<(String, PeerId, Fields)>>, Vec<(String, Fields)>);
+type TableView = (Vec<bool>, Vec<Vec<(String, PeerId, Fields)>>, Vec<u64>);
 
 /// Everything a share table lets one see of one peer, order-free: which
 /// of the tape's keys it has, the hit set of a keyword and of
-/// `Query::All` per community, and the record multiset (its size the
-/// record count).
+/// `Query::All` per community (the record multiset), and the multiset of
+/// its records' digest entries.
 fn table_view(
     has: impl Fn(&str) -> bool,
     matches: impl Fn(&str, &Query) -> Vec<(String, PeerId, Fields)>,
-    for_each_record: impl FnOnce(&mut RecordVisitor<'_>),
+    for_each_entry: impl FnOnce(&mut EntryVisitor<'_>),
 ) -> TableView {
     let has = (0..5).map(|k| has(&format!("k{k}"))).collect();
     let mut hit_sets = Vec::new();
@@ -96,12 +96,10 @@ fn table_view(
             hit_sets.push(hits);
         }
     }
-    let mut records = Vec::new();
-    for_each_record(&mut |community, fields| {
-        records.push((community.to_string(), fields.to_vec()));
-    });
-    records.sort();
-    (has, hit_sets, records)
+    let mut entries = Vec::new();
+    for_each_entry(&mut |h| entries.push(h));
+    entries.sort_unstable();
+    (has, hit_sets, entries)
 }
 
 /// [`table_view`] of `peer` in the arena.
@@ -112,16 +110,18 @@ fn arena_view(arena: &RecordArena, peer: u32) -> TableView {
             let hits = arena.matches(peer, community, query).into_iter();
             hits.map(|(key, provider, fields)| (key, provider, fields.to_vec())).collect()
         },
-        |visit| arena.for_each_record(peer, visit),
+        |visit| arena.for_each_entry(peer, visit),
     )
 }
 
 /// [`table_view`] of `peer` as a plain [`IndexNode`] per peer holds it;
 /// an id with no node shares nothing.
-fn node_view(nodes: &[IndexNode], peer: u32) -> TableView {
-    let Some(node) = nodes.get(peer as usize) else {
+fn node_view(nodes: &mut [IndexNode], peer: u32) -> TableView {
+    let Some(node) = nodes.get_mut(peer as usize) else {
         return table_view(|_| false, |_, _| Vec::new(), |_| {});
     };
+    let mut entries = Vec::new();
+    node.for_each_entry(&mut |h| entries.push(h));
     table_view(
         |key| node.has_provider(key, PeerId(peer)),
         |community, query| {
@@ -131,7 +131,7 @@ fn node_view(nodes: &[IndexNode], peer: u32) -> TableView {
             });
             hits
         },
-        |visit| node.for_each_record(visit),
+        |visit| entries.into_iter().for_each(visit),
     )
 }
 
@@ -500,7 +500,7 @@ proptest! {
             prop_assert_eq!(from_nodes, from_arena, "op #{} returned differently: {:?}", i, op);
             for peer in (0..=TABLE_PEERS).chain([u32::MAX]) {
                 prop_assert_eq!(
-                    node_view(&nodes, peer),
+                    node_view(&mut nodes, peer),
                     arena_view(&arena, peer),
                     "peer {} differs after op #{}: {:?}", peer, i, op
                 );
@@ -525,7 +525,7 @@ proptest! {
             arena_net.unpublish(PeerId(provider), &key);
         }
         let mut from_node = RoutingDigest::new(log2_bits);
-        node.for_each_record(|community, fields| from_node.add_record(community, fields));
+        node.for_each_entry(&mut |h| from_node.insert(h));
         // Read peer 0's advertisement back out through the route tables
         // of one of its neighbors: after a refresh, the depth-1 layer that
         // neighbor holds *is* peer 0's own digest, so `min_depth ==

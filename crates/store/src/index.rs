@@ -12,8 +12,9 @@
 //! Field references resolve through a precomputed suffix map
 //! ([`MetadataIndex::intern_path`] registers `a/b/c` under `a/b/c`, `b/c`
 //! and `c`), so exact references are a single hash lookup instead of a
-//! scan over every field's posting map. Removal replays the removed
-//! object's own stored fields instead of sweeping the whole index.
+//! scan over every field's posting map. An object is tokenized once, at
+//! insert: its entry keeps every symbol it was posted under, and removal
+//! unposts exactly those, with no tokenizer pass and no term lookup.
 //!
 //! Doc-id contract: the doc-id an insert allocates
 //! ([`MetadataIndex::insert_shared`] returns it,
@@ -27,8 +28,9 @@
 
 use crate::digest::ResourceId;
 use crate::query::{Query, ValuePattern};
-use crate::tokenizer::{for_each_token, normalize};
+use crate::tokenizer::{for_each_token, is_normalized, normalize};
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -120,18 +122,63 @@ impl SymbolTable {
 }
 
 /// Everything stored per indexed object: the original id, the raw
-/// extracted fields (public API + snippets), and each field's path and
-/// normalized value as the symbols they were interned as, which the scan
-/// fallback and targeted removal replay. Fields are held
-/// behind an `Arc` so callers that already share the extracted metadata
-/// (the net layer's index nodes, the repository) pay a refcount bump, not
-/// a deep copy, per index.
+/// extracted fields (public API + snippets), and every symbol the object
+/// was posted under, in one allocation, which the scan fallback and
+/// removal replay. Fields are held behind an `Arc` so callers that
+/// already share the extracted metadata (the net layer's index nodes, the
+/// repository) pay a refcount bump, not a deep copy, per index.
 #[derive(Debug, Clone)]
 struct DocEntry {
     id: ResourceId,
     fields: SharedFields,
-    path_syms: Vec<u32>,
-    norms: Vec<u32>,
+    /// For field `i`, `syms[3i]` is its path symbol, `syms[3i + 1]` its
+    /// normalized value's and `syms[3i + 2]` the end of its tokens; the
+    /// token symbols of every field follow the `3n` head, field after
+    /// field, one per occurrence.
+    syms: Box<[u32]>,
+}
+
+impl DocEntry {
+    /// Length of the per-field head of `syms`.
+    fn head(&self) -> usize {
+        3 * self.fields.len()
+    }
+
+    /// `(path, normalized value, tokens)` of each field, in field order.
+    fn postings(&self) -> impl Iterator<Item = (u32, u32, &[u32])> + '_ {
+        let head = self.syms.get(..self.head()).unwrap_or(&[]);
+        let mut start = head.len();
+        head.chunks_exact(3).map(move |field| {
+            let end = (field[2] as usize).max(start);
+            let tokens = self.syms.get(start..end).unwrap_or(&[]);
+            start = end;
+            (field[0], field[1], tokens)
+        })
+    }
+
+    /// Every token symbol of the object, one per occurrence, in field
+    /// order.
+    fn tokens(&self) -> &[u32] {
+        self.syms.get(self.head()..).unwrap_or(&[])
+    }
+}
+
+/// An object [`MetadataIndex::remove_key`] took out of the index, with
+/// the token symbols it was posted under, which stay resolvable through
+/// [`MetadataIndex::term`] (symbols are never freed).
+#[derive(Debug)]
+pub struct Removed(DocEntry);
+
+impl Removed {
+    /// Its token symbols, one per occurrence, in field order.
+    pub fn tokens(&self) -> &[u32] {
+        self.0.tokens()
+    }
+
+    /// The fields it was indexed under.
+    pub fn into_fields(self) -> SharedFields {
+        self.0.fields
+    }
 }
 
 /// Inverted index over extracted `(field path, value)` pairs.
@@ -154,6 +201,9 @@ pub struct MetadataIndex {
     doc_ids: HashMap<ResourceId, u32>,
     /// Recycled doc-ids available for reuse.
     free: Vec<u32>,
+    /// The symbols of the entry being posted, collected here before the
+    /// entry takes them in one allocation of their exact length.
+    scratch: Vec<u32>,
 }
 
 /// Size statistics for experiment E7 and the benchmark's `store.index_bytes`.
@@ -193,8 +243,7 @@ impl MetadataIndex {
     /// every search hit. Returns the doc-id the object now lives under
     /// (module docs: stable until this id is removed, recycled after).
     pub fn insert_shared(&mut self, id: ResourceId, fields: SharedFields) -> u32 {
-        self.remove(&id);
-        self.admit(id, fields, None)
+        self.admit(id, fields, Tokenizer)
     }
 
     /// Indexes an object from its pre-tokenized form without running the
@@ -209,40 +258,82 @@ impl MetadataIndex {
         fields: SharedFields,
         prep: &[PreparedField],
     ) -> u32 {
-        self.remove(&id);
-        self.admit(id, fields, Some(prep))
+        if prep.len() == fields.len() {
+            self.admit(id, fields, prep)
+        } else {
+            self.admit(id, fields, Tokenizer)
+        }
     }
 
-    /// Removes an object by replaying its own stored fields — cost is
-    /// proportional to the removed object's postings, not the index size.
-    /// Returns the fields it was indexed under; its doc-id is free for
-    /// the next insert from here on.
-    pub fn remove(&mut self, id: &ResourceId) -> Option<SharedFields> {
-        let doc = self.doc_ids.remove(id)?;
-        let Some(entry) = self.docs.get_mut(doc as usize).and_then(Option::take) else {
-            // id table pointed at an empty slot (should not happen);
-            // recycle the slot and there is nothing to unpost
-            self.free.push(doc);
-            return None;
-        };
-        for (i, (_, value)) in entry.fields.iter().enumerate() {
-            let path = entry.path_syms[i] as usize;
-            unpost(&mut self.exact[path], entry.norms[i], doc);
-            let (terms, tokens) = (&self.terms, &mut self.tokens);
-            for_each_token(value, |token| {
-                if let Some(t) = terms.get(token) {
-                    unpost(&mut tokens[path], t, doc);
-                }
-            });
+    /// Indexes an object that `source` holds under its doc-id `doc` with
+    /// these same `fields`, reading its terms there by symbol name, without
+    /// running the tokenizer — a record moving from one index to another.
+    /// When `source` holds the doc with other fields, or none, tokenizes
+    /// normally. Returns the doc-id, as [`insert_shared`](Self::insert_shared)
+    /// does.
+    pub fn insert_copy(
+        &mut self,
+        id: ResourceId,
+        fields: SharedFields,
+        source: &MetadataIndex,
+        doc: u32,
+    ) -> u32 {
+        match source.entry(doc).filter(|entry| Arc::ptr_eq(&entry.fields, &fields)) {
+            Some(entry) => self.admit(id, fields, OtherIndex { terms: &source.terms, entry }),
+            None => self.admit(id, fields, Tokenizer),
         }
+    }
+
+    /// Removes an object by replaying the symbols its entry keeps — cost
+    /// is proportional to the removed object's postings, not the index
+    /// size, and no value is tokenized again. Returns the fields it was
+    /// indexed under; its doc-id is free for the next insert from here on.
+    pub fn remove(&mut self, id: &ResourceId) -> Option<SharedFields> {
+        self.remove_key(id.as_hex()).map(Removed::into_fields)
+    }
+
+    /// [`remove`](Self::remove) by the id's hex form, handing back what
+    /// the entry kept.
+    pub fn remove_key(&mut self, key: &str) -> Option<Removed> {
+        let doc = self.doc_ids.remove(key)?;
         self.free.push(doc);
-        Some(entry.fields)
+        // an id pointing at an empty slot (should not happen) unposts nothing
+        let entry = self.docs.get_mut(doc as usize).and_then(Option::take)?;
+        unpost_entry(&mut self.exact, &mut self.tokens, doc, &entry);
+        Some(Removed(entry))
     }
 
     /// The doc-id a live object is indexed under (module docs: stable
     /// until `key` is removed).
     pub fn doc_of(&self, key: &str) -> Option<u32> {
         self.doc_ids.get(key).copied()
+    }
+
+    /// The id and fields of the live object under a doc-id.
+    pub fn record(&self, doc: u32) -> Option<(&ResourceId, &SharedFields)> {
+        self.entry(doc).map(|entry| (&entry.id, &entry.fields))
+    }
+
+    /// The token symbols of the live object under a doc-id, one per
+    /// occurrence, in field order; empty for a free doc-id.
+    pub fn tokens_of(&self, doc: u32) -> &[u32] {
+        self.entry(doc).map_or(&[], DocEntry::tokens)
+    }
+
+    /// Every live object's doc-id with its token symbols, in doc-id order.
+    pub fn doc_tokens(&self) -> impl Iterator<Item = (u32, &[u32])> + '_ {
+        let live = (0..).zip(&self.docs).filter_map(|(doc, e)| Some((doc, e.as_ref()?)));
+        live.map(|(doc, entry)| (doc, entry.tokens()))
+    }
+
+    /// The term a symbol of this index was interned as: a token or a
+    /// normalized value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no insert into this index interned `sym`.
+    pub fn term(&self, sym: u32) -> &str {
+        self.terms.name(sym)
     }
 
     /// Number of indexed objects.
@@ -314,19 +405,6 @@ impl MetadataIndex {
         self.docs.get(doc as usize).and_then(Option::as_ref)
     }
 
-    /// Allocates a doc-id (recycling freed slots) and registers the id.
-    fn alloc_doc(&mut self, id: ResourceId) -> u32 {
-        let doc = match self.free.pop() {
-            Some(doc) => doc,
-            None => {
-                self.docs.push(None);
-                (self.docs.len() - 1) as u32
-            }
-        };
-        self.doc_ids.insert(id, doc);
-        doc
-    }
-
     /// Interns a field path, extending the per-path maps and registering
     /// the path under every `/`-aligned suffix reference.
     fn intern_path(&mut self, path: &str) -> u32 {
@@ -345,29 +423,40 @@ impl MetadataIndex {
         sym
     }
 
-    /// Indexes an object that is not (or no longer) in the index: from
-    /// `prep` when it lines up with the fields, through the tokenizer
-    /// otherwise.
-    fn admit(&mut self, id: ResourceId, fields: SharedFields, prep: Option<&[PreparedField]>) -> u32 {
-        match prep.filter(|p| p.len() == fields.len()) {
-            Some(prep) => self.post(id, fields, prep),
-            None => self.post(id, fields, Tokenizer),
-        }
+    /// The one write body: an id new to the index is handed a doc-id
+    /// (recycling freed slots); a live one keeps its own, its old postings
+    /// replayed out first. One `doc_ids` lookup either way. Returns the
+    /// doc-id.
+    fn admit<S: TermSource>(&mut self, id: ResourceId, fields: SharedFields, source: S) -> u32 {
+        let doc = match self.doc_ids.entry(ResourceId::clone(&id)) {
+            Entry::Occupied(live) => {
+                let doc = *live.get();
+                if let Some(old) = self.docs.get_mut(doc as usize).and_then(Option::take) {
+                    unpost_entry(&mut self.exact, &mut self.tokens, doc, &old);
+                }
+                doc
+            }
+            Entry::Vacant(new) => {
+                let doc = self.free.pop().unwrap_or_else(|| {
+                    self.docs.push(None);
+                    (self.docs.len() - 1) as u32
+                });
+                *new.insert(doc)
+            }
+        };
+        self.post(doc, id, fields, source);
+        doc
     }
 
-    /// The one posting body: allocates the doc-id (returned), interns and
-    /// posts the fields with each one's normalized value and tokens taken
-    /// from `source`, and stores the entry; every list stays sorted.
-    /// Removal later replays the entry via `for_each_token`, which
-    /// matches a prepared source because [`prepare_fields`] used the
-    /// same visitor.
-    fn post<S: TermSource>(&mut self, id: ResourceId, fields: SharedFields, source: S) -> u32 {
-        let doc = self.alloc_doc(id.clone());
-        let mut path_syms = Vec::with_capacity(fields.len());
-        let mut norms = Vec::with_capacity(fields.len());
+    /// Interns and posts the fields under `doc` with each one's
+    /// normalized value and tokens taken from `source`, and stores the
+    /// entry with every symbol posted; every list stays sorted.
+    fn post<S: TermSource>(&mut self, doc: u32, id: ResourceId, fields: SharedFields, source: S) {
+        let mut syms = std::mem::take(&mut self.scratch);
+        syms.clear();
+        syms.resize(3 * fields.len(), 0);
         for (i, (path, value)) in fields.iter().enumerate() {
             let p = self.intern_path(path);
-            path_syms.push(p);
             let norm = source.norm(i, value);
             let v = self.terms.intern(&norm);
             add_posting(self.exact[p as usize].entry(v).or_default(), doc);
@@ -375,11 +464,14 @@ impl MetadataIndex {
             source.for_each_token(i, value, |token| {
                 let t = terms.intern(token);
                 add_posting(tokens[p as usize].entry(t).or_default(), doc);
+                syms.push(t);
             });
-            norms.push(v);
+            let end = syms.len() as u32;
+            syms[3 * i..3 * i + 3].copy_from_slice(&[p, v, end]);
         }
-        self.docs[doc as usize] = Some(DocEntry { id, fields, path_syms, norms });
-        doc
+        let entry = DocEntry { id, fields, syms: Box::from(syms.as_slice()) };
+        self.docs[doc as usize] = Some(entry);
+        self.scratch = syms;
     }
 
     /// Sorted doc-ids of every live object.
@@ -471,8 +563,8 @@ impl MetadataIndex {
                         .enumerate()
                         .filter(|(_, e)| {
                             e.as_ref().is_some_and(|e| {
-                                e.path_syms.iter().zip(&e.norms).any(|(p, &norm)| {
-                                    path_syms.contains(p)
+                                e.postings().any(|(p, norm, _)| {
+                                    path_syms.contains(&p)
                                         && pattern.matches_normalized(self.terms.name(norm))
                                 })
                             })
@@ -510,17 +602,21 @@ impl MetadataIndex {
 /// Where [`MetadataIndex::post`] gets field `i`'s normalized value and
 /// keyword tokens.
 trait TermSource {
-    fn norm<'a>(&'a self, i: usize, value: &str) -> Cow<'a, str>;
+    fn norm<'a>(&'a self, i: usize, value: &'a str) -> Cow<'a, str>;
     fn for_each_token(&self, i: usize, value: &str, f: impl FnMut(&str));
 }
 
 /// Derives both from the raw value; the token visitor allocates no
-/// `String` per token.
+/// `String` per token, and a value already in normal form is borrowed.
 struct Tokenizer;
 
 impl TermSource for Tokenizer {
-    fn norm<'a>(&'a self, _: usize, value: &str) -> Cow<'a, str> {
-        Cow::Owned(normalize(value))
+    fn norm<'a>(&'a self, _: usize, value: &'a str) -> Cow<'a, str> {
+        if is_normalized(value) {
+            Cow::Borrowed(value)
+        } else {
+            Cow::Owned(normalize(value))
+        }
     }
     fn for_each_token(&self, _: usize, value: &str, f: impl FnMut(&str)) {
         for_each_token(value, f);
@@ -530,11 +626,46 @@ impl TermSource for Tokenizer {
 /// Reads back what [`prepare_fields`] derived, by borrow; never runs
 /// the tokenizer. The slice must be as long as the object's field list.
 impl TermSource for &[PreparedField] {
-    fn norm<'a>(&'a self, i: usize, _: &str) -> Cow<'a, str> {
+    fn norm<'a>(&'a self, i: usize, _: &'a str) -> Cow<'a, str> {
         Cow::Borrowed(&self[i].norm)
     }
     fn for_each_token(&self, i: usize, _: &str, mut f: impl FnMut(&str)) {
         self[i].tokens.iter().for_each(|t| f(t));
+    }
+}
+
+/// Reads another index's entry of the same fields by symbol name; never
+/// runs the tokenizer.
+struct OtherIndex<'a> {
+    terms: &'a SymbolTable,
+    entry: &'a DocEntry,
+}
+
+impl TermSource for OtherIndex<'_> {
+    fn norm<'a>(&'a self, i: usize, _: &'a str) -> Cow<'a, str> {
+        let norm = self.entry.syms.get(3 * i + 1).map_or("", |&v| self.terms.name(v));
+        Cow::Borrowed(norm)
+    }
+    fn for_each_token(&self, i: usize, _: &str, mut f: impl FnMut(&str)) {
+        if let Some((_, _, tokens)) = self.entry.postings().nth(i) {
+            tokens.iter().for_each(|&t| f(self.terms.name(t)));
+        }
+    }
+}
+
+/// Unposts every symbol `entry` keeps from the lists under `doc`.
+fn unpost_entry(
+    exact: &mut [HashMap<u32, Vec<u32>>],
+    tokens: &mut [HashMap<u32, Vec<u32>>],
+    doc: u32,
+    entry: &DocEntry,
+) {
+    for (path, norm, terms) in entry.postings() {
+        let path = path as usize;
+        unpost(&mut exact[path], norm, doc);
+        for &t in terms {
+            unpost(&mut tokens[path], t, doc);
+        }
     }
 }
 
@@ -956,5 +1087,97 @@ mod tests {
         assert_eq!(gallop(&[1, 3, 5, 7, 9], 6, 0), 3);
         assert_eq!(gallop(&[1, 3, 5, 7, 9], 100, 2), 5);
         assert_eq!(gallop(&[1, 3, 5], 0, 0), 0);
+    }
+
+    /// What an index holds, by name: per `(path, term)` the ids of its
+    /// token postings and of its exact-value postings (empty lists
+    /// included, so a list left behind empty shows), and its live ids.
+    type View = (
+        BTreeMap<(String, String), BTreeSet<ResourceId>>,
+        BTreeMap<(String, String), BTreeSet<ResourceId>>,
+        BTreeSet<ResourceId>,
+    );
+
+    fn view(ix: &MetadataIndex) -> View {
+        let lists = |maps: &[HashMap<u32, Vec<u32>>]| {
+            let mut out = BTreeMap::new();
+            for (p, map) in maps.iter().enumerate() {
+                for (&term, docs) in map {
+                    let ids = docs.iter().map(|&d| ix.doc_id(d)).collect();
+                    let path = ix.paths.name(p as u32).to_string();
+                    out.insert((path, ix.term(term).to_string()), ids);
+                }
+            }
+            out
+        };
+        let live = ix.doc_ids.keys().cloned().collect();
+        (lists(&ix.tokens), lists(&ix.exact), live)
+    }
+
+    impl MetadataIndex {
+        /// The id under a live doc-id.
+        fn doc_id(&self, doc: u32) -> ResourceId {
+            self.record(doc).map(|(id, _)| id.clone()).expect("a posted doc-id is live")
+        }
+    }
+
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Values with repeated words, case and spacing to normalize, and
+    /// words whose lowercase moves a token boundary or is longer.
+    fn value() -> impl Strategy<Value = String> {
+        const WORDS: &[&str] =
+            &["blue", "Blue", "BLUE  blue", "İstanbul", "Été", "straße", "a", "x-1", "  "];
+        proptest::collection::vec(0..WORDS.len(), 0..4)
+            .prop_map(|picks| picks.iter().map(|&i| WORDS[i]).collect::<Vec<_>>().join(" "))
+    }
+
+    /// One to three fields, two of which may share a path.
+    fn fields() -> impl Strategy<Value = Vec<(String, String)>> {
+        let path = prop_oneof![Just("o/name"), Just("o/tag"), Just("p/name")];
+        proptest::collection::vec((path, value()), 1..4)
+            .prop_map(|f| f.into_iter().map(|(p, v)| (p.to_string(), v)).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Removal replays the symbols an entry keeps: after a tape of
+        /// inserts, re-inserts of a live id and removals, every token
+        /// list, exact list and `doc_of` is what an index given only the
+        /// surviving records holds, and each live entry's token symbols
+        /// name the tokenizer's stream of its values.
+        #[test]
+        fn removal_by_symbols_leaves_what_an_index_never_given_the_record_holds(
+            tape in proptest::collection::vec((0u8..6, any::<bool>(), fields()), 1..24),
+        ) {
+            let mut ix = MetadataIndex::new();
+            let mut live: BTreeMap<ResourceId, SharedFields> = BTreeMap::new();
+            for (n, remove, f) in tape {
+                let rid = id(n);
+                if remove {
+                    prop_assert_eq!(ix.remove(&rid).is_some(), live.remove(&rid).is_some());
+                } else {
+                    let f: SharedFields = f.into();
+                    live.insert(rid.clone(), SharedFields::clone(&f));
+                    ix.insert_shared(rid, f);
+                }
+            }
+            let mut fresh = MetadataIndex::new();
+            for (rid, f) in &live {
+                fresh.insert_shared(rid.clone(), SharedFields::clone(f));
+            }
+            prop_assert_eq!(view(&ix), view(&fresh));
+            for (rid, f) in &live {
+                let doc = ix.doc_of(rid.as_hex()).expect("live");
+                let held: Vec<&str> = ix.tokens_of(doc).iter().map(|&t| ix.term(t)).collect();
+                let mut stream = Vec::new();
+                for (_, v) in f.iter() {
+                    for_each_token(v, |t| stream.push(t.to_string()));
+                }
+                prop_assert_eq!(held, stream);
+            }
+        }
     }
 }

@@ -3,10 +3,10 @@
 //! A community is a downloaded schema plus stylesheets, and everything
 //! the servent derives from them is a pure function of their text. A
 //! [`CompileCache`] computes such a function once per distinct input,
-//! process-wide, and hands the result out by clone (an `Arc` in every
-//! instantiation): [`crate::StylesheetCache`] for XSLT source,
-//! [`crate::SchemaCache`] for XSD source and [`crate::FormCache`] for
-//! rendered form pages.
+//! keeps the result in the calling thread's entries and hands it out by
+//! clone (an `Arc` in every instantiation): [`crate::StylesheetCache`]
+//! for XSLT source, [`crate::SchemaCache`] for XSD source and
+//! [`crate::FormCache`] for rendered form pages.
 //!
 //! A lookup hashes its key eight bytes per step ([`bucket_hash`]) to pick
 //! a bucket, then compares the key byte for byte with what each entry of
@@ -14,9 +14,10 @@
 //! never whether it hits.
 
 use crate::error::CoreError;
+use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::thread::LocalKey;
 
 /// Entries a [`CompileCache`] holds; inserting one more evicts the
 /// oldest. The inputs are bytes a stranger authored, so the cache must
@@ -85,23 +86,32 @@ pub(crate) fn bucket_hash(mut hash: u64, bytes: &[u8]) -> u64 {
 
 /// Compile-once store from keys stored as `S` to values `V`.
 ///
-/// The entries sit behind a `Mutex` only because the caches are
-/// `static`s, and a `static` must be `Sync`; the servent that reaches
-/// them runs on one thread. Values are compiled outside the lock and
-/// inserted under a double-check, so callers that miss on the same key
-/// converge on one entry and all hold the first value cached. Errors
-/// are never cached: a broken input reports its error on every call and
-/// leaves the cache untouched. At [`CAPACITY`] entries the oldest
-/// insertion is evicted; recompiling an evicted input yields an equal
-/// value, so eviction costs time only.
-pub struct CompileCache<S, V> {
-    entries: Mutex<Entries<S, V>>,
+/// The entries are the calling thread's: the cache holds the key of a
+/// `thread_local!`, so a `static` can hold the cache and no lock guards
+/// it. A borrow of the entries is taken and dropped inside one lookup
+/// or one insert, never across `compile`. Errors are never cached: a
+/// broken input reports its error on every call and leaves the cache
+/// untouched. At [`CAPACITY`] entries the oldest insertion is evicted;
+/// recompiling an evicted input yields an equal value, so eviction
+/// costs time only.
+pub struct CompileCache<S: 'static, V: 'static> {
+    entries: &'static LocalKey<Slot<S, V>>,
 }
 
-struct Entries<S, V> {
+/// What a [`CompileCache`]'s `thread_local!` holds.
+pub(crate) type Slot<S, V> = RefCell<Entries<S, V>>;
+
+/// What one [`CompileCache`] holds on one thread.
+pub(crate) struct Entries<S, V> {
     buckets: HashMap<u64, Vec<(S, V)>>,
     /// The bucket of every entry, oldest first.
     order: VecDeque<u64>,
+}
+
+impl<S, V> Default for Entries<S, V> {
+    fn default() -> Self {
+        Entries { buckets: HashMap::new(), order: VecDeque::new() }
+    }
 }
 
 impl<S, V: Clone> Entries<S, V> {
@@ -128,18 +138,9 @@ impl<S, V: Clone> Entries<S, V> {
 }
 
 impl<S, V: Clone> CompileCache<S, V> {
-    /// Creates an empty cache.
-    pub(crate) fn new() -> Self {
-        let entries = Entries { buckets: HashMap::new(), order: VecDeque::new() };
-        CompileCache { entries: Mutex::new(entries) }
-    }
-
-    /// The entries, under the lock. Under the guard, code either only
-    /// reads (`lookup`) or is `Entries::insert`, which cannot stop
-    /// half-way short of an allocation failure, so the entries are valid
-    /// whenever a guard drops and a poisoned lock is taken as it stands.
-    fn entries(&self) -> MutexGuard<'_, Entries<S, V>> {
-        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    /// A cache over the entries `entries` keeps on each thread.
+    pub(crate) const fn new(entries: &'static LocalKey<Slot<S, V>>) -> Self {
+        CompileCache { entries }
     }
 
     /// Returns the value cached for `key`, running `compile` and caching
@@ -157,29 +158,20 @@ impl<S, V: Clone> CompileCache<S, V> {
         K: CacheKey<Stored = S> + ?Sized,
     {
         let hash = key.bucket();
-        let hit = self.entries().lookup(hash, key);
-        if let Some(found) = hit {
+        if let Some(found) = self.entries.with_borrow(|entries| entries.lookup(hash, key)) {
             return Ok(found);
         }
-        // Compile outside the lock: compilation may be slow, may fail,
-        // may panic and may consult a cache, this one included, and none
-        // of that may happen under the guard
-        // (`a_compile_may_consult_its_own_cache`).
+        // No borrow is held while `compile` runs: it may fail, panic or
+        // consult a cache, this one too (`a_compile_may_consult_its_own_cache`).
         let value = compile()?;
         let stored = key.to_stored();
-        let mut entries = self.entries();
-        // Double-check: the compile itself, or another caller, may have
-        // cached this key meanwhile.
-        if let Some(found) = entries.lookup(hash, key) {
-            return Ok(found);
-        }
-        entries.insert(hash, stored, value.clone());
+        self.entries.with_borrow_mut(|entries| entries.insert(hash, stored, value.clone()));
         Ok(value)
     }
 
     /// Number of entries held, at most [`CAPACITY`].
     pub fn len(&self) -> usize {
-        self.entries().order.len()
+        self.entries.with_borrow(|entries| entries.order.len())
     }
 
     /// `true` when nothing has been cached yet.
@@ -195,27 +187,17 @@ impl<S, V: Clone> std::fmt::Debug for CompileCache<S, V> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use std::sync::Arc;
 
-    /// The convergence property every instantiation must keep: eight
-    /// threads racing on one unseen key leave one entry, and every
-    /// caller holds the winner's value.
-    pub(crate) fn assert_racing_gets_converge<S: Send + Sync, T: Send + Sync + ?Sized>(
-        cache: &CompileCache<S, Arc<T>>,
-        get: impl Fn() -> Arc<T> + Sync,
-    ) {
-        let values: Vec<Arc<T>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8).map(|_| scope.spawn(&get)).collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(cache.len(), 1, "all threads share one cache entry");
-        let winner = get();
-        assert!(values.iter().all(|v| Arc::ptr_eq(v, &winner)));
-    }
-
     type Echo = CompileCache<Box<str>, Arc<str>>;
+
+    /// A cache of this test's own: each test runs on a thread of its own.
+    fn own_cache() -> Echo {
+        thread_local!(static ENTRIES: Slot<Box<str>, Arc<str>> = Slot::default());
+        CompileCache::new(&ENTRIES)
+    }
 
     fn echo(cache: &Echo, key: &str, compiles: &mut usize) -> Arc<str> {
         cache
@@ -226,38 +208,26 @@ pub(crate) mod tests {
             .unwrap()
     }
 
-    /// The invariant that makes a lock-order checker unnecessary: the
-    /// workspace's one lock is never held while code outside this file
-    /// runs. That code is `compile`, and it runs with no guard held, so
-    /// it may even fill this cache. Moving `compile()` under the guard
-    /// deadlocks (or panics) here; the wait is bounded so that fails the
-    /// test instead of hanging the suite.
+    /// `compile` runs with no borrow of the entries held, so it may even
+    /// fill this cache. Moving `compile()` inside a borrow fails the
+    /// nested call here at once.
     #[test]
     fn a_compile_may_consult_its_own_cache() {
-        let cache = Arc::new(Echo::new());
-        let (tx, rx) = std::sync::mpsc::channel();
-        let worker = Arc::clone(&cache);
-        let handle = std::thread::spawn(move || {
-            let outer = worker.get_or_compile("outer", || {
-                let inner = worker.get_or_compile("inner", || Ok("inner".into()))?;
-                Ok(format!("outer of {inner}").into())
-            });
-            let _ = tx.send(outer);
+        let cache = own_cache();
+        let outer = cache.get_or_compile("outer", || {
+            let inner = cache.get_or_compile("inner", || Ok("inner".into()))?;
+            Ok(format!("outer of {inner}").into())
         });
-        let outer = rx
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .expect("a nested get_or_compile returns instead of deadlocking");
-        handle.join().expect("the worker finishes once it has sent");
         assert_eq!(&*outer.unwrap(), "outer of inner");
         assert_eq!(cache.len(), 2);
     }
 
     /// A `compile` that panics unwinds through `get_or_compile` with no
-    /// guard held: nothing is cached, and the next call for the key
+    /// borrow held: nothing is cached, and the next call for the key
     /// compiles and caches as if the panic never happened.
     #[test]
     fn a_panicking_compile_leaves_the_cache_usable() {
-        let cache = Echo::new();
+        let cache = own_cache();
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cache.get_or_compile("key", || panic!("compile failed"))
         }));
@@ -271,7 +241,7 @@ pub(crate) mod tests {
 
     #[test]
     fn capacity_bounds_the_cache_and_evicts_oldest_first() {
-        let cache = Echo::new();
+        let cache = own_cache();
         let mut compiles = 0;
         let extra = 5;
         for i in 0..CAPACITY + extra {
@@ -308,7 +278,7 @@ pub(crate) mod tests {
 
     #[test]
     fn colliding_keys_never_answer_for_each_other() {
-        let cache = Echo::new();
+        let cache = own_cache();
         let get = |key: &str| cache.get_or_compile(&Colliding(key), || Ok(key.into())).unwrap();
         for i in 0..CAPACITY + 3 {
             let key = format!("k{i}");
@@ -338,18 +308,10 @@ pub(crate) mod tests {
 
     #[test]
     fn failed_compile_caches_nothing() {
-        let cache = Echo::new();
+        let cache = own_cache();
         let fail = || cache.get_or_compile("key", || Err(CoreError::Unavailable("no".into())));
         assert!(fail().is_err());
         assert!(fail().is_err(), "error repeats, not cached away");
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn racing_gets_converge_on_one_entry() {
-        let cache = Echo::new();
-        assert_racing_gets_converge(&cache, || {
-            cache.get_or_compile("key", || Ok("key".into())).unwrap()
-        });
     }
 }

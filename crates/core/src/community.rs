@@ -1,12 +1,12 @@
 //! Communities: a schema plus stylesheets, *itself shareable as an
 //! object* (the paper's central idea).
 
-use crate::cache::CompileCache;
+use crate::cache::{CompileCache, Slot};
 use crate::error::CoreError;
 use crate::forms::{form_fields, FormField, FormKind};
 use crate::object::Attachment;
 use crate::root::{ROOT_COMMUNITY_ID, ROOT_SCHEMA_XSD};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use up2p_net::ProtocolKind;
 use up2p_schema::{
     leaf_fields, parse_schema_str, searchable_fields, Schema, SchemaBuilder, ValidationError,
@@ -55,15 +55,16 @@ impl CompiledSchema {
 
 /// Compile-once schema store: the [`CompileCache`] from XSD *source
 /// text* to its [`CompiledSchema`], so joining a community whose schema
-/// this process has seen before parses nothing.
+/// this thread has seen before parses nothing.
 pub type SchemaCache = CompileCache<Box<str>, Arc<CompiledSchema>>;
 
 impl SchemaCache {
-    /// The process-wide cache every [`Community`] constructor goes
+    /// The calling thread's cache every [`Community`] constructor goes
     /// through.
     pub fn global() -> &'static SchemaCache {
-        static GLOBAL: OnceLock<SchemaCache> = OnceLock::new();
-        GLOBAL.get_or_init(CompileCache::new)
+        thread_local!(static ENTRIES: Slot<Box<str>, Arc<CompiledSchema>> = Slot::default());
+        static GLOBAL: SchemaCache = CompileCache::new(&ENTRIES);
+        &GLOBAL
     }
 
     /// Returns the compiled schema for `xsd`, parsing and caching it on
@@ -406,6 +407,12 @@ mod tests {
     use super::*;
     use up2p_schema::{FieldKind, Validator};
 
+    /// A cache of this test's own: each test runs on a thread of its own.
+    fn own_cache() -> SchemaCache {
+        thread_local!(static ENTRIES: Slot<Box<str>, Arc<CompiledSchema>> = Slot::default());
+        CompileCache::new(&ENTRIES)
+    }
+
     fn song_builder() -> SchemaBuilder {
         let mut b = SchemaBuilder::new("song");
         b.field(FieldKind::text("title").searchable())
@@ -537,15 +544,8 @@ mod tests {
     }
 
     #[test]
-    fn schema_cache_converges_under_racing_gets() {
-        let cache = SchemaCache::new();
-        let xsd = numbered_xsd(0);
-        crate::cache::tests::assert_racing_gets_converge(&cache, || cache.get(&xsd).unwrap());
-    }
-
-    #[test]
     fn schema_cache_never_stores_broken_schemas() {
-        let cache = SchemaCache::new();
+        let cache = own_cache();
         assert!(matches!(cache.get("<notaschema/>"), Err(CoreError::Schema(_))));
         assert!(cache.get("<notaschema/>").is_err(), "error repeats, not cached away");
         assert!(cache.is_empty());
@@ -553,7 +553,7 @@ mod tests {
 
     #[test]
     fn evicted_schema_recompiles_to_one_that_behaves_the_same() {
-        let cache = SchemaCache::new();
+        let cache = own_cache();
         let first = cache.get(&numbered_xsd(0)).unwrap();
         for i in 1..=crate::CAPACITY {
             cache.get(&numbered_xsd(i)).unwrap();

@@ -13,11 +13,11 @@
 //! schema ([`crate::CompiledSchema`]) and the rendered pages
 //! are kept in the [`FormCache`].
 
-use crate::cache::{bucket_hash, CacheKey, CompileCache, BUCKET_SEED};
+use crate::cache::{bucket_hash, CacheKey, CompileCache, Slot, BUCKET_SEED};
 use crate::community::Community;
 use crate::error::CoreError;
 use crate::stylesheets;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use up2p_schema::{BuiltinType, Field, Schema, ValidationError, ValidationErrorKind};
 use up2p_xml::{Document, ElementBuilder};
 use up2p_xslt::Stylesheet;
@@ -247,11 +247,12 @@ pub(crate) fn fill_fields(
 pub type FormCache = CompileCache<FormKey, Arc<str>>;
 
 impl FormCache {
-    /// The process-wide cache behind [`crate::Servent::create_form_html`]
+    /// The calling thread's cache behind [`crate::Servent::create_form_html`]
     /// and [`crate::Servent::search_form_html`].
     pub fn global() -> &'static FormCache {
-        static GLOBAL: OnceLock<FormCache> = OnceLock::new();
-        GLOBAL.get_or_init(CompileCache::new)
+        thread_local!(static ENTRIES: Slot<FormKey, Arc<str>> = Slot::default());
+        static GLOBAL: FormCache = CompileCache::new(&ENTRIES);
+        &GLOBAL
     }
 
     /// Returns the HTML form of `kind` for a community, through its
@@ -329,6 +330,12 @@ impl CacheKey for FormInputs<'_> {
 mod tests {
     use super::*;
     use up2p_schema::{FieldKind, SchemaBuilder};
+
+    /// A cache of this test's own: each test runs on a thread of its own.
+    fn own_cache() -> FormCache {
+        thread_local!(static ENTRIES: Slot<FormKey, Arc<str>> = Slot::default());
+        CompileCache::new(&ENTRIES)
+    }
 
     fn community() -> Community {
         let mut b = SchemaBuilder::new("song");
@@ -432,7 +439,7 @@ mod tests {
 
     #[test]
     fn page_follows_every_input_it_is_a_function_of() {
-        let cache = FormCache::new();
+        let cache = own_cache();
         let original = community();
         let first = cache.get(&original, FormKind::Create).unwrap();
         assert_eq!(&*first, fresh(&original, FormKind::Create));
@@ -459,17 +466,8 @@ mod tests {
     }
 
     #[test]
-    fn form_cache_converges_under_racing_gets() {
-        let cache = FormCache::new();
-        let c = community();
-        crate::cache::tests::assert_racing_gets_converge(&cache, || {
-            cache.get(&c, FormKind::Search).unwrap()
-        });
-    }
-
-    #[test]
     fn form_cache_never_stores_pages_of_broken_stylesheets() {
-        let cache = FormCache::new();
+        let cache = own_cache();
         let mut c = community();
         c.search_style = Some("<not-xslt/>".into());
         assert!(matches!(cache.get(&c, FormKind::Search), Err(CoreError::Stylesheet(_))));

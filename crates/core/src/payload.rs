@@ -38,9 +38,12 @@ impl PayloadPlane {
     ///
     /// A key the plane already holds keeps the payload it holds: a key is
     /// a content hash, so it names the same bytes whoever puts it, and a
-    /// download shared onward is not serialised again.
+    /// download shared onward is not serialised again. So does an
+    /// attachment URI, and an object carrying other bytes under a held
+    /// URI is not registered: no two byte strings hash to one URI.
     pub fn put(&mut self, object: &SharedObject) {
-        if self.objects.contains_key(&object.key) {
+        let forged = |a: &Attachment| self.attachments.get(&a.uri).is_some_and(|h| **h != *a.data);
+        if self.objects.contains_key(&object.key) || object.attachments.iter().any(forged) {
             return;
         }
         for a in &object.attachments {
@@ -325,11 +328,16 @@ mod tests {
             SharedObject::new("mp3", doc, vec![schema.clone()])
         };
         let (a, b) = (song("a"), song("b"));
+        // other bytes under the schema's URI do not replace the held ones
+        let mut forger = song("forger");
+        forger.attachments[0].data = Arc::from(&b"forged schema"[..]);
         plane.put(&a);
+        plane.put(&forger);
         plane.put(&b);
         for key in [&a.key, &b.key] {
             assert_eq!(plane.fetch(key).unwrap().attachments, vec![schema.clone()]);
         }
+        assert!(plane.fetch(&forger.key).is_err(), "the forger's object is not served");
         assert_eq!(plane.attachments.len(), 1);
         // a URI nobody put is unavailable
         let unknown = "up2p:attachment:unknown".to_string();

@@ -562,7 +562,7 @@ mod tests {
     }
 
     struct World {
-        net: Box<dyn PeerNetwork + Send>,
+        net: Box<dyn PeerNetwork>,
         plane: PayloadPlane,
     }
 

@@ -8,7 +8,7 @@
 //! the object document itself; the index default is *generated* from the
 //! community schema's searchable fields.
 
-use crate::cache::CompileCache;
+use crate::cache::{CompileCache, Slot};
 use crate::community::Community;
 use crate::error::CoreError;
 use std::sync::{Arc, OnceLock};
@@ -24,11 +24,12 @@ use up2p_xslt::Stylesheet;
 pub type StylesheetCache = CompileCache<Box<str>, Arc<Stylesheet>>;
 
 impl StylesheetCache {
-    /// The process-wide cache used by [`render_form`], [`render_view`]
-    /// and [`apply_index_style`].
+    /// The calling thread's cache used by [`render_form`],
+    /// [`render_view`] and [`apply_index_style`].
     pub fn global() -> &'static StylesheetCache {
-        static GLOBAL: OnceLock<StylesheetCache> = OnceLock::new();
-        GLOBAL.get_or_init(CompileCache::new)
+        thread_local!(static ENTRIES: Slot<Box<str>, Arc<Stylesheet>> = Slot::default());
+        static GLOBAL: StylesheetCache = CompileCache::new(&ENTRIES);
+        &GLOBAL
     }
 
     /// Returns the compiled stylesheet for `source`, compiling and
@@ -226,6 +227,12 @@ mod tests {
     use up2p_schema::{FieldKind, SchemaBuilder};
     use up2p_store::Repository;
 
+    /// A cache of this test's own: each test runs on a thread of its own.
+    fn own_cache() -> StylesheetCache {
+        thread_local!(static ENTRIES: Slot<Box<str>, Arc<Stylesheet>> = Slot::default());
+        CompileCache::new(&ENTRIES)
+    }
+
     fn community() -> Community {
         let mut b = SchemaBuilder::new("song");
         b.field(FieldKind::text("title").searchable())
@@ -313,7 +320,7 @@ mod tests {
 
     #[test]
     fn cache_compiles_each_distinct_sheet_once() {
-        let cache = StylesheetCache::new();
+        let cache = own_cache();
         let a = cache.get(DEFAULT_VIEW_XSL).unwrap();
         let b = cache.get(DEFAULT_VIEW_XSL).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second get returns the same compiled sheet");
@@ -325,7 +332,7 @@ mod tests {
 
     #[test]
     fn cache_never_stores_broken_sheets() {
-        let cache = StylesheetCache::new();
+        let cache = own_cache();
         assert!(cache.is_empty());
         assert!(cache.get("<not-xslt/>").is_err());
         assert!(cache.get("<not-xslt/>").is_err(), "error repeats, not cached away");
@@ -344,14 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_gets_converge_on_one_compiled_sheet() {
-        let cache = StylesheetCache::new();
-        crate::cache::tests::assert_racing_gets_converge(&cache, || {
-            cache.get(DEFAULT_VIEW_XSL).unwrap()
-        });
-    }
-
-    #[test]
     fn evicted_sheet_recompiles_to_one_that_renders_the_same() {
         let sheet = |i: usize| {
             format!(
@@ -360,7 +359,7 @@ mod tests {
                 </xsl:stylesheet>"#
             )
         };
-        let cache = StylesheetCache::new();
+        let cache = own_cache();
         let doc = Document::parse("<song><title>So What</title></song>").unwrap();
         let first = cache.get(&sheet(0)).unwrap();
         for i in 1..=crate::CAPACITY {

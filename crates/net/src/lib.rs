@@ -165,6 +165,8 @@ impl NetConfig {
 /// Builds a network of the given kind from an explicit configuration:
 /// `n` peers, seeded topology/latency, all peers online, driven by
 /// [`DesNetwork::build`].
+///
+/// `Send` because `up2p_bench` stores the result as `Box<dyn PeerNetwork + Send>`.
 pub fn build_network_with(
     kind: ProtocolKind,
     n: usize,
@@ -180,6 +182,8 @@ pub fn build_network_with(
 /// * Napster: one index server.
 /// * Gnutella: small-world overlay (2k = 4 neighbors, β = 0.2), TTL 7.
 /// * FastTrack: `ceil(sqrt(n))` super-peers, TTL 4 on the super overlay.
+///
+/// `Send` because `up2p_bench` stores the result as `Box<dyn PeerNetwork + Send>`.
 pub fn build_network(kind: ProtocolKind, n: usize, seed: u64) -> Box<dyn PeerNetwork + Send> {
     build_network_with(kind, n, seed, &NetConfig::default())
 }

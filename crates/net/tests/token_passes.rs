@@ -108,3 +108,36 @@ fn a_napster_record_is_tokenized_when_it_enters_the_server_and_not_when_it_leave
         assert!(net.search(PeerId(0), "c", &Query::All).hits.is_empty(), "every record left");
     }
 }
+
+/// Today's baseline, not the rule above: a Gnutella peer keeps its
+/// records' strings, so the first build reads them all, and a peer's
+/// first write since a build costs a recount from them at the next
+/// refresh. A replacing publish and an unpublish also read the peer's
+/// other records again, to take the old record's bits out of its term
+/// summary. After the recount the digest follows the peer's writes by
+/// delta.
+#[test]
+fn a_guided_gnutella_peer_reads_its_records_again_after_a_write() {
+    let digests = DigestConfig { log2_bits: 12, ..DigestConfig::guided() };
+    let config = NetConfig::new().digests(digests);
+    let mut net = DesNetwork::build(ProtocolKind::Gnutella, PEERS, 1, &config);
+    // the records each peer shares
+    let held = (RECORDS / PEERS) as u64;
+    let spent = passes(|| {
+        for i in 0..RECORDS {
+            net.publish(PeerId((i % PEERS) as u32), record(i, false));
+        }
+    });
+    assert_eq!(spent, VALUES * RECORDS as u64, "publish before the build");
+    assert_eq!(passes(|| net.refresh_digests()), VALUES * RECORDS as u64, "the first build");
+    let fresh = passes(|| net.publish(PeerId(42), record(LATE, false)));
+    assert_eq!(fresh, VALUES, "a fresh publish");
+    assert_eq!(passes(|| net.refresh_digests()), VALUES * (held + 1), "the refresh after it");
+    // peer 7 shares `k7` again, with record 8's values
+    let replacing = ResourceRecord { key: "k7".into(), ..record(8, false) };
+    let spent = passes(|| net.publish(PeerId(7), replacing));
+    assert_eq!(spent, VALUES * (held + 2), "a replacing publish");
+    assert_eq!(passes(|| net.refresh_digests()), VALUES * held, "the refresh after it");
+    assert_eq!(passes(|| net.unpublish(PeerId(7), "k7")), VALUES * (held + 1), "an unpublish");
+    assert_eq!(passes(|| net.refresh_digests()), 0, "the refresh after it");
+}

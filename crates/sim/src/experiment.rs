@@ -12,7 +12,7 @@ use up2p_store::Query;
 /// per peer.
 pub struct World {
     /// The metadata/routing fabric.
-    pub net: Box<dyn PeerNetwork + Send>,
+    pub net: Box<dyn PeerNetwork>,
     /// The payload plane.
     pub plane: PayloadPlane,
     /// One servent per peer, indexed by peer id.
@@ -35,7 +35,7 @@ impl World {
     }
 
     /// A world of `peers` servents over a fabric built by the caller.
-    fn over(net: Box<dyn PeerNetwork + Send>, peers: usize) -> World {
+    fn over(net: Box<dyn PeerNetwork>, peers: usize) -> World {
         let servents = (0..peers).map(|i| Servent::new(PeerId(i as u32))).collect();
         World { net, plane: PayloadPlane::new(), servents }
     }
@@ -108,7 +108,7 @@ pub fn pattern_world(
 /// [`pattern_world`] over a fabric built by the caller, providers drawn
 /// from `rng`.
 pub(crate) fn pattern_world_over(
-    net: Box<dyn PeerNetwork + Send>,
+    net: Box<dyn PeerNetwork>,
     peers: usize,
     replicas: usize,
     mut rng: StdRng,

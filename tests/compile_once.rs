@@ -10,7 +10,7 @@
 //!   none and reports its error every time.
 
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use up2p::core::stylesheets::DEFAULT_FORM_XSL;
 use up2p::core::{FormCache, SchemaCache, StylesheetCache};
 use up2p::xslt::Stylesheet;
@@ -20,13 +20,8 @@ use up2p::{
     ROOT_COMMUNITY_ID,
 };
 
-/// The caches are process-wide and the cost tests read their sizes, so
-/// the tests of this file take turns.
-fn turn() -> MutexGuard<'static, ()> {
-    static TURN: Mutex<()> = Mutex::new(());
-    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
+/// The sizes of the calling thread's caches: each test runs on a thread
+/// of its own, so it reads what it alone put there.
 fn cache_sizes() -> [usize; 3] {
     [SchemaCache::global().len(), StylesheetCache::global().len(), FormCache::global().len()]
 }
@@ -161,7 +156,7 @@ fn served_pages(servent: &Servent, id: &str) -> [String; 2] {
 }
 
 struct World {
-    net: Box<dyn PeerNetwork + Send>,
+    net: Box<dyn PeerNetwork>,
     plane: PayloadPlane,
 }
 
@@ -191,7 +186,6 @@ proptest! {
         create_tag in prop_oneof![Just(None), "[a-z]{3,6}".prop_map(Some)],
         search_tag in prop_oneof![Just(None), "[a-z]{3,6}".prop_map(Some)],
     ) {
-        let _turn = turn();
         let community =
             build_community(&name, &fields, create_tag.as_deref(), search_tag.as_deref());
         let id = community.id.as_str();
@@ -210,7 +204,7 @@ proptest! {
         let joined_schema = Arc::clone(seeker.community(id).unwrap().schema());
         prop_assert!(
             Arc::ptr_eq(&joined_schema, community.schema()),
-            "the join parsed a schema this process had already compiled"
+            "the join parsed a schema this thread had already compiled"
         );
         prop_assert_eq!(&served_pages(&seeker, id), &expect);
 
@@ -251,7 +245,6 @@ fn unique_community(tag: &str) -> Community {
 
 #[test]
 fn first_sight_costs_one_entry_per_distinct_input() {
-    let _turn = turn();
     let mut w = World::new();
     // every servent is born into the root community: compiled here
     let mut founder = Servent::new(PeerId(1));
@@ -273,7 +266,7 @@ fn first_sight_costs_one_entry_per_distinct_input() {
     let rendered = cache_sizes();
     assert_eq!(rendered, [made[0], made[1] + 1, made[2] + 2]);
 
-    // from here on the community is known to the process
+    // from here on the community is known to this thread
     assert_eq!(served_pages(&seeker, &id), pages);
     seeker.leave(&id);
     w.join(&mut seeker).unwrap();
@@ -286,7 +279,6 @@ fn first_sight_costs_one_entry_per_distinct_input() {
 
 #[test]
 fn broken_inputs_report_every_time_and_cache_nothing() {
-    let _turn = turn();
     let mut w = World::new();
     let mut founder = Servent::new(PeerId(1));
     let good = unique_community("broken");

@@ -14,8 +14,10 @@ fn all_protocols() -> [ProtocolKind; 3] {
 }
 
 /// Each protocol's world, as `build_network` drives it.
-fn all_worlds() -> Vec<(String, Box<dyn PeerNetwork + Send>)> {
-    let world = |kind: ProtocolKind| (kind.to_string(), build_network(kind, 48, 9));
+fn all_worlds() -> Vec<(String, Box<dyn PeerNetwork>)> {
+    let world = |kind: ProtocolKind| -> (String, Box<dyn PeerNetwork>) {
+        (kind.to_string(), build_network(kind, 48, 9))
+    };
     all_protocols().into_iter().map(world).collect()
 }
 

@@ -12,7 +12,7 @@ use up2p::net::{
 
 fn seeded_world(
     kind: ProtocolKind,
-) -> (Box<dyn PeerNetwork + Send>, PayloadPlane, Servent, Servent, String) {
+) -> (Box<dyn PeerNetwork>, PayloadPlane, Servent, Servent, String) {
     let mut net = build_network(kind, 24, 13);
     let mut plane = PayloadPlane::new();
     let community = pattern_community();

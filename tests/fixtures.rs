@@ -32,6 +32,7 @@ const SEEDED: &[(&str, &str, &[&str])] = &[
     // a function that can panic and has no `# Panics` section
     ("src/lib.rs", "pub fn undocumented", &["clippy::missing_panics_doc"]),
     ("src/lib.rs", "o.unwrap() + 1", &["clippy::unwrap_used"]),
+    ("src/lib.rs", "pub type Lock", &["clippy::disallowed_types"]),
 ];
 
 fn line_of(file: &str, needle: &str) -> usize {

@@ -1,5 +1,5 @@
-//! Seeded panic sites: `tests/fixtures.rs` expects the findings it
-//! lists on each line it names, and none in `clean.rs`.
+//! Seeded panic sites and a lock: `tests/fixtures.rs` expects the
+//! findings it lists on each line it names, and none in `clean.rs`.
 
 pub mod clean;
 
@@ -60,6 +60,9 @@ pub fn unexplained(o: Option<u8>) -> u8 {
 // A bare allow: no reason, and not an `expect`.
 #[allow(dead_code)]
 fn unused() {}
+
+/// A lock outside tests.
+pub type Lock = std::sync::Mutex<u8>;
 
 /// Unwraps with no `# Panics` section.
 pub fn undocumented(o: Option<u8>) -> u8 {

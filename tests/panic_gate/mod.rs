@@ -7,14 +7,16 @@ use std::path::Path;
 use std::process::Command;
 
 /// What the gate denies beyond `-D warnings`, which also makes an
-/// unfulfilled `#[expect]` an error. `disallowed_macros` takes its macro
-/// list from the repository's `clippy.toml`.
+/// unfulfilled `#[expect]` an error. `disallowed_macros` and
+/// `disallowed_types` take their lists from the repository's
+/// `clippy.toml`.
 const LINTS: &[&str] = &[
     "clippy::unwrap_used",
     "clippy::expect_used",
     "clippy::panic",
     "clippy::unreachable",
     "clippy::disallowed_macros",
+    "clippy::disallowed_types",
     "clippy::allow_attributes",
     "clippy::allow_attributes_without_reason",
     "clippy::missing_panics_doc",

@@ -40,9 +40,15 @@ impl PayloadPlane {
     /// a content hash, so it names the same bytes whoever puts it, and a
     /// download shared onward is not serialised again. So does an
     /// attachment URI, and an object carrying other bytes under a held
-    /// URI is not registered: no two byte strings hash to one URI.
+    /// URI is not registered: no two byte strings hash to one URI. Nor is
+    /// one whose attachment under a new URI does not hash to it, so the
+    /// first bytes put under a URI cannot forge it; only a new URI's bytes
+    /// are hashed.
     pub fn put(&mut self, object: &SharedObject) {
-        let forged = |a: &Attachment| self.attachments.get(&a.uri).is_some_and(|h| **h != *a.data);
+        let forged = |a: &Attachment| match self.attachments.get(&a.uri) {
+            Some(held) => **held != *a.data,
+            None => !a.verify(),
+        };
         if self.objects.contains_key(&object.key) || object.attachments.iter().any(forged) {
             return;
         }
@@ -339,6 +345,17 @@ mod tests {
         }
         assert!(plane.fetch(&forger.key).is_err(), "the forger's object is not served");
         assert_eq!(plane.attachments.len(), 1);
+        // a forger who puts first under a URI nobody holds yet registers
+        // nothing, and the honest objects after it are served
+        let mut plane = PayloadPlane::new();
+        plane.put(&forger);
+        plane.put(&a);
+        plane.put(&b);
+        for key in [&a.key, &b.key] {
+            assert_eq!(plane.fetch(key).unwrap().attachments, vec![schema.clone()]);
+        }
+        assert!(plane.fetch(&forger.key).is_err(), "the forger's object is not served");
+        assert_eq!(plane.len(), 2);
         // a URI nobody put is unavailable
         let unknown = "up2p:attachment:unknown".to_string();
         plane.objects.get_mut(&b.key).unwrap().attachment_uris.push(unknown);

@@ -4,7 +4,7 @@
 //! The paper's servent evaluates community-scoped queries at whichever
 //! node holds the records. On the Napster server and each FastTrack
 //! super-peer that is [`IndexNode`]: a community-partitioned wrapper over
-//! [`up2p_store::MetadataIndex`] that turns `search` into a posting-list
+//! [`up2p_store::DocIndex`] that turns `search` into a posting-list
 //! lookup instead of an O(records) scan, and keeps exactly one shared
 //! metadata allocation per record (provider uploads and search hits are
 //! refcount bumps). A Gnutella peer's few dozen records are verified one
@@ -34,18 +34,18 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::Arc;
-use up2p_store::{for_each_token, normalize, MetadataIndex, Query, ResourceId, SymbolTable};
+use up2p_store::{for_each_token, normalize, DocIndex, Query, Removed, ResourceId, SymbolTable};
 
 /// One community's slice of an index node: the inverted metadata index
 /// plus the providers of each record, and the digest entries of its
 /// terms.
 #[derive(Debug)]
 struct CommunityTable {
-    index: MetadataIndex,
+    index: DocIndex,
     /// The index's doc-id → peers currently advertising that record,
     /// ascending (hit emission per record is deterministic, as the
-    /// pre-index scan produced). A search candidate arrives as a doc-id;
-    /// a key-addressed operation pays `MetadataIndex::doc_of` first. The
+    /// pre-index scan produced). A search candidate arrives as a doc-id,
+    /// and a key-addressed operation finds it in the node's key map. The
     /// index recycles the doc-id of a removed record, which leaves with
     /// its last provider, so a recycled slot starts empty, and a doc-id
     /// is live exactly while its list is not.
@@ -66,15 +66,15 @@ struct CommunityTable {
 enum Source<'a> {
     /// Its fields, tokenized here.
     Fields(SharedFields),
-    /// Doc `doc` of another node's table, whose symbols it is indexed
-    /// under, with the fields that doc holds.
-    Table(&'a CommunityTable, u32, &'a SharedFields),
+    /// Doc `doc` of another node's table, whose id, fields and symbols
+    /// it is indexed under.
+    Table(&'a CommunityTable, u32),
 }
 
 impl CommunityTable {
     fn new(community: &str) -> CommunityTable {
         CommunityTable {
-            index: MetadataIndex::new(),
+            index: DocIndex::default(),
             providers: Vec::new(),
             scope: community_scope(community),
             hashes: Vec::new(),
@@ -82,31 +82,30 @@ impl CommunityTable {
         }
     }
 
-    /// Adds `provider` to an already-indexed key.
-    fn add_provider(&mut self, key: &str, provider: PeerId) {
-        let doc = self.index.doc_of(key);
-        if let Some(set) = doc.and_then(|doc| self.providers.get_mut(doc as usize)) {
+    /// Adds `provider` to the record under `doc`.
+    fn add_provider(&mut self, doc: u32, provider: PeerId) {
+        if let Some(set) = self.providers.get_mut(doc as usize) {
             if let Err(at) = set.binary_search(&provider) {
                 set.insert(at, provider);
             }
         }
     }
 
-    /// Indexes a fresh record (one refcount bump on the shared metadata)
-    /// with `provider` as its first advertiser; returns its doc-id. A
+    /// Indexes a fresh record `id` (one refcount bump on the shared
+    /// metadata) with `provider` as its first advertiser; returns its
+    /// doc-id, or `None` when `src` is a free doc of another table. A
     /// record from another table is indexed under that table's symbols
     /// and brings its extra entries; one given by its fields is tokenized,
     /// and the normalized forms of its non-ASCII values too, while their
     /// strings are warm.
-    fn index_record(&mut self, id: ResourceId, provider: PeerId, source: Source<'_>) -> u32 {
-        let (doc, extra) = match source {
+    fn index_record(&mut self, id: &ResourceId, provider: PeerId, src: Source<'_>) -> Option<u32> {
+        let (doc, extra) = match src {
             Source::Fields(fields) => {
                 let extra = extra_entries(self.scope, &fields);
-                (self.index.insert_shared(id, fields), extra)
+                (self.index.insert(ResourceId::clone(id), fields), extra)
             }
-            Source::Table(from, at, fields) => {
-                let doc = self.index.insert_copy(id, SharedFields::clone(fields), &from.index, at);
-                (doc, from.extra.get(&at).cloned())
+            Source::Table(from, at) => {
+                (self.index.insert_copy(&from.index, at)?, from.extra.get(&at).cloned())
             }
         };
         if let Some(extra) = extra {
@@ -120,20 +119,19 @@ impl CommunityTable {
             set.clear();
             set.push(provider);
         }
-        doc
+        Some(doc)
     }
 
-    /// Withdraws `provider`'s copy of the record `key` under `doc`. When
-    /// the last provider leaves, the record's postings are removed from
-    /// the sub-index by replaying its symbols, `left` is handed its
-    /// entries, and its fields are returned.
+    /// Withdraws `provider`'s copy of the record under `doc`. When the
+    /// last provider leaves, the record's postings are removed from the
+    /// sub-index by replaying its symbols, `left` is handed its entries,
+    /// and what the index kept of it is returned.
     fn remove_provider(
         &mut self,
         doc: u32,
-        key: &str,
         provider: PeerId,
         left: impl FnOnce(Entries<'_>),
-    ) -> Option<SharedFields> {
+    ) -> Option<Removed> {
         let set = self.providers.get_mut(doc as usize)?;
         if let Ok(at) = set.binary_search(&provider) {
             set.remove(at);
@@ -142,12 +140,12 @@ impl CommunityTable {
             return None;
         }
         // the emptied slot is whichever record the index admits next
-        let removed = self.index.remove_key(key)?;
+        let removed = self.index.remove(doc)?;
         let extra = self.extra.remove(&doc);
         let extra = extra.as_deref().unwrap_or(&[]);
         let CommunityTable { index, scope, hashes, .. } = self;
         left(Entries { scope: *scope, hashes, index, tokens: removed.tokens(), extra });
-        Some(removed.into_fields())
+        Some(removed)
     }
 
     /// The entries of the live record under `doc`.
@@ -168,9 +166,9 @@ impl CommunityTable {
         }
     }
 
-    /// Is `provider` currently advertising the record?
-    fn has_provider(&self, key: &str, provider: PeerId) -> bool {
-        let set = self.index.doc_of(key).and_then(|doc| self.providers.get(doc as usize));
+    /// Is `provider` currently advertising the record under `doc`?
+    fn has_provider(&self, doc: u32, provider: PeerId) -> bool {
+        let set = self.providers.get(doc as usize);
         set.is_some_and(|set| set.binary_search(&provider).is_ok())
     }
 
@@ -238,7 +236,7 @@ pub struct Entries<'a> {
     scope: u64,
     /// The entry hash of each of `index`'s term symbols, taken lazily.
     hashes: &'a mut Vec<u64>,
-    index: &'a MetadataIndex,
+    index: &'a DocIndex,
     tokens: &'a [u32],
     extra: &'a [u64],
 }
@@ -294,9 +292,9 @@ pub struct IndexNode {
     /// lazily on first publish).
     names: SymbolTable,
     communities: Vec<CommunityTable>,
-    /// Record key → community slot, for community-blind removal and
-    /// provider checks.
-    by_key: HashMap<ResourceId, u32>,
+    /// Record key → its place, the node's one key map: every key-addressed
+    /// operation finds its record here, with one lookup.
+    by_key: HashMap<ResourceId, Share>,
     /// `insert` and `remove` calls so far.
     writes: u64,
 }
@@ -368,17 +366,17 @@ impl IndexNode {
         added: impl FnOnce(Entries<'_>),
     ) -> bool {
         let Some(table) = from.communities.get(share.slot as usize) else { return false };
-        let Some((id, fields)) = table.index.record(share.doc) else { return false };
+        let Some((id, _)) = table.index.record(share.doc) else { return false };
         self.writes += 1;
         let community = from.names.name(share.slot);
-        let source = Source::Table(table, share.doc, fields);
+        let source = Source::Table(table, share.doc);
         self.admit(provider, ResourceId::clone(id), community, source, added)
     }
 
     /// Adds `provider` to the record under `key`, if the index holds one.
     fn add_replica(&mut self, provider: PeerId, key: &str) -> bool {
-        let Some(&slot) = self.by_key.get(key) else { return false };
-        self.communities[slot as usize].add_provider(key, provider);
+        let Some(&Share { slot, doc }) = self.by_key.get(key) else { return false };
+        self.communities[slot as usize].add_provider(doc, provider);
         true
     }
 
@@ -396,7 +394,8 @@ impl IndexNode {
         let IndexNode { names, communities, by_key, .. } = self;
         let fresh = match by_key.entry(id) {
             Entry::Occupied(live) => {
-                communities[*live.get() as usize].add_provider(live.key().as_hex(), provider);
+                let Share { slot, doc } = *live.get();
+                communities[slot as usize].add_provider(doc, provider);
                 return false;
             }
             Entry::Vacant(fresh) => fresh,
@@ -406,8 +405,8 @@ impl IndexNode {
             communities.push(CommunityTable::new(community));
         }
         let table = &mut communities[slot as usize];
-        let doc = table.index_record(ResourceId::clone(fresh.key()), provider, source);
-        fresh.insert(slot);
+        let Some(doc) = table.index_record(fresh.key(), provider, source) else { return false };
+        fresh.insert(Share { slot, doc });
         added(table.entries(doc));
         true
     }
@@ -428,23 +427,22 @@ impl IndexNode {
         left: impl FnOnce(Entries<'_>),
     ) -> Option<(&str, SharedFields)> {
         self.writes += 1;
-        let &slot = self.by_key.get(key)?;
-        let doc = self.communities[slot as usize].index.doc_of(key)?;
-        self.withdraw_at(provider, Share { slot, doc }, key, left)
+        let &share = self.by_key.get(key)?;
+        self.withdraw_at(provider, share, left)
     }
 
-    /// [`IndexNode::withdraw`] of the record `key` at `share`.
+    /// [`IndexNode::withdraw`] of the record at `share`; the record's
+    /// key leaves the key map with its last provider.
     fn withdraw_at(
         &mut self,
         provider: PeerId,
         share: Share,
-        key: &str,
         left: impl FnOnce(Entries<'_>),
     ) -> Option<(&str, SharedFields)> {
         let table = self.communities.get_mut(share.slot as usize)?;
-        let fields = table.remove_provider(share.doc, key, provider, left)?;
-        self.by_key.remove(key);
-        Some((self.names.name(share.slot), fields))
+        let removed = table.remove_provider(share.doc, provider, left)?;
+        self.by_key.remove(removed.id());
+        Some((self.names.name(share.slot), removed.into_fields()))
     }
 
     /// [`IndexNode::withdraw`] of `provider`'s copy of the record at
@@ -455,19 +453,14 @@ impl IndexNode {
         share: Share,
         left: impl FnOnce(Entries<'_>),
     ) {
-        let table = self.communities.get(share.slot as usize);
-        if let Some((id, _)) = table.and_then(|table| table.index.record(share.doc)) {
-            let id = ResourceId::clone(id);
-            self.writes += 1;
-            self.withdraw_at(provider, share, id.as_hex(), left);
-        }
+        self.writes += 1;
+        self.withdraw_at(provider, share, left);
     }
 
     /// Is `provider` currently advertising the record?
     pub fn has_provider(&self, key: &str, provider: PeerId) -> bool {
-        self.by_key
-            .get(key)
-            .is_some_and(|&slot| self.communities[slot as usize].has_provider(key, provider))
+        let Some(&Share { slot, doc }) = self.by_key.get(key) else { return false };
+        self.communities[slot as usize].has_provider(doc, provider)
     }
 
     /// Hands the entries of every record in this node's share table to
@@ -531,7 +524,7 @@ mod tests {
         pub(crate) fn for_each_record(&self, mut f: impl FnMut(&str, &[(String, String)])) {
             for (slot, table) in (0..).zip(&self.communities) {
                 let name = self.names.name(slot);
-                table.index.for_each_match(&Query::All, |_, fields| f(name, fields));
+                table.index.gather_matches(&Query::All, |_, _, fields| f(name, fields));
             }
         }
 
@@ -736,6 +729,19 @@ mod tests {
     use crate::digest::for_each_record_entry;
     use proptest::prelude::*;
 
+    /// The one key map states each record's place: every key names a
+    /// live doc of its slot's table indexed under that key, and the
+    /// tables hold as many live docs as the map holds keys.
+    fn keys_name_their_places(node: &IndexNode) -> Result<(), TestCaseError> {
+        for (key, share) in &node.by_key {
+            let record = node.communities[share.slot as usize].index.record(share.doc);
+            prop_assert_eq!(record.map(|(id, _)| id), Some(key), "slot {}", share.slot);
+        }
+        let docs = node.communities.iter().map(|table| table.index.doc_tokens().count());
+        prop_assert_eq!(docs.sum::<usize>(), node.len());
+        Ok(())
+    }
+
     /// `entries`' hashes, sorted: a multiset.
     fn multiset(entries: Entries<'_>) -> Vec<u64> {
         let mut got = Vec::new();
@@ -776,7 +782,9 @@ mod tests {
         /// the record's strings: for every record of a node given a tape
         /// of uploads (replicas among them) and withdrawals, for every
         /// record that leaves (what `withdraw` hands over), and for every
-        /// record a second node takes over from the first.
+        /// record a second node takes over from the first. After every
+        /// write and after the take-over, each node's key map names
+        /// exactly its live docs.
         #[test]
         fn index_entries_are_the_records_entries(
             tape in proptest::collection::vec(
@@ -806,6 +814,7 @@ mod tests {
                         prop_assert_eq!(added, oracle(community, &fields));
                     }
                 }
+                keys_name_their_places(&node)?;
             }
             let mut shares = Vec::new();
             node.for_each_share(|share, provider| shares.push((share, provider)));
@@ -832,6 +841,7 @@ mod tests {
                     }
                 }
             }
+            keys_name_their_places(&other)?;
             prop_assert_eq!(node.len(), other.len(), "every record moved");
         }
     }

@@ -138,14 +138,20 @@ fn a_fasttrack_search_allocates_once_per_hit_and_a_budget_per_search() {
 /// queue's buckets (2).
 const GUIDED_BUDGET: u64 = 15;
 
-/// `(hits, allocations)` of one guided Gnutella search from peer 7 over
+/// The same for a guided FastTrack search on `search_guided`'s digests,
+/// whose query goes from super 7 to super 0 by its digests: the query's
+/// copy and compiled probe, the guided walk's bookkeeping, what super 0
+/// gathers and hands back, and the event queue's buckets.
+const GUIDED_FASTTRACK_BUDGET: u64 = 14;
+
+/// `(hits, allocations)` of one guided search of `kind` from peer 7 over
 /// `peers` peers that share ten records each: peer 0 holds the 20 jazz
-/// ones, within the digests' reach of peer 7 at both sizes tested. The
-/// counted search is the second of two equal ones, as in [`search`].
-fn guided_search(peers: usize) -> (u64, u64) {
-    let digests = DigestConfig { log2_bits: 12, ..DigestConfig::guided() };
+/// ones, within the digests' reach of peer 7 at both sizes tested (on
+/// FastTrack both are supers). The counted search is the second of two
+/// equal ones, as in [`search`].
+fn guided_search(kind: ProtocolKind, digests: DigestConfig, peers: usize) -> (u64, u64) {
     let config = NetConfig::new().digests(digests);
-    let mut net = build_network_with(ProtocolKind::Gnutella, peers, 1, &config);
+    let mut net = build_network_with(kind, peers, 1, &config);
     for i in 0..peers * 10 {
         let (genre, at) = if i < 20 { ("jazz", 0) } else { ("rock", i % peers) };
         let fields = vec![
@@ -163,18 +169,30 @@ fn guided_search(peers: usize) -> (u64, u64) {
     (out.hits.len() as u64, spent)
 }
 
-#[test]
-fn a_guided_gnutella_search_allocates_once_per_hit_and_a_budget_per_search() {
+/// Holds a guided search of `kind` for 20 hits to one allocation a hit
+/// and `budget` beyond, at 200 and at 4 096 peers.
+fn guided_within_budget(kind: ProtocolKind, digests: DigestConfig, budget: u64) {
     for peers in [200, 4_096] {
-        let (hits, spent) = guided_search(peers);
-        let at = format!("guided Gnutella, {peers} peers");
+        let (hits, spent) = guided_search(kind, digests, peers);
+        let at = format!("guided {kind:?}, {peers} peers");
         assert_eq!(hits, 20, "{at}: every jazz record is one hit");
         let beyond = spent - hits;
         assert!(
-            beyond <= GUIDED_BUDGET,
-            "{at}: {spent} allocations, {hits} hits, {beyond} beyond (budget {GUIDED_BUDGET})"
+            beyond <= budget,
+            "{at}: {spent} allocations, {hits} hits, {beyond} beyond (budget {budget})"
         );
     }
+}
+
+#[test]
+fn a_guided_gnutella_search_allocates_once_per_hit_and_a_budget_per_search() {
+    let digests = DigestConfig { log2_bits: 12, ..DigestConfig::guided() };
+    guided_within_budget(ProtocolKind::Gnutella, digests, GUIDED_BUDGET);
+}
+
+#[test]
+fn a_guided_fasttrack_search_allocates_once_per_hit_and_a_budget_per_search() {
+    guided_within_budget(ProtocolKind::FastTrack, DigestConfig::guided(), GUIDED_FASTTRACK_BUDGET);
 }
 
 /// A warm digest refresh allocates nothing (DESIGN.md §3c): on a guided

@@ -56,7 +56,7 @@ impl ResourceId {
     /// The network layer addresses records by the string key a provider
     /// published them under (normally the 40-hex content id, but any
     /// opaque key works); this lets its index nodes use the key directly
-    /// as a [`crate::MetadataIndex`] document id.
+    /// as the id of a record they index.
     pub fn from_key(key: &str) -> ResourceId {
         ResourceId(key.into())
     }

@@ -10,21 +10,24 @@
 //! lists are sorted `Vec<u32>` per `(field path, term)`; `And` intersects
 //! them with galloping (exponential) search, `Or` takes a k-way merge.
 //! Field references resolve through a precomputed suffix map
-//! ([`MetadataIndex::intern_path`] registers `a/b/c` under `a/b/c`, `b/c`
+//! ([`DocIndex::intern_path`] registers `a/b/c` under `a/b/c`, `b/c`
 //! and `c`), so exact references are a single hash lookup instead of a
 //! scan over every field's posting map. An object is tokenized once, at
 //! insert: its entry keeps every symbol it was posted under, and removal
 //! unposts exactly those, with no tokenizer pass and no term lookup.
 //!
-//! Doc-id contract: the doc-id an insert allocates
-//! ([`MetadataIndex::insert_shared`] returns it,
-//! [`MetadataIndex::doc_of`] looks it up) is stable until that id is
-//! removed — a `remove`, or the re-insert of the same id, which removes
-//! first — whatever happens to other objects in between. Afterwards it
-//! is recycled: the next insert may be handed the same number. A caller
-//! that keeps state in a `Vec` beside the index, addressed by doc-id
-//! ([`MetadataIndex::gather_matches`] passes it), clears a slot when
-//! it removes the id.
+//! [`DocIndex`] is addressed by doc-id: an insert allots one and a
+//! removal names one. [`MetadataIndex`] is a `DocIndex` with the doc-id
+//! of each live [`ResourceId`] beside it, for a caller that addresses
+//! objects by id (the repository); an index node keeps its own key map.
+//!
+//! Doc-id contract: the doc-id [`DocIndex::insert`] allots is stable
+//! until [`DocIndex::remove`] of it, whatever happens to other objects in
+//! between (a [`MetadataIndex`] re-insert of a live id removes it first
+//! and is allotted it again). Afterwards it is recycled: the next insert
+//! may be handed the same number. A caller that keeps state in a `Vec`
+//! beside the index, addressed by doc-id ([`DocIndex::gather_matches`]
+//! passes it), clears a slot when it removes the doc-id.
 
 use crate::digest::ResourceId;
 use crate::query::{Query, ValuePattern};
@@ -163,13 +166,18 @@ impl DocEntry {
     }
 }
 
-/// An object [`MetadataIndex::remove_key`] took out of the index, with
-/// the token symbols it was posted under, which stay resolvable through
-/// [`MetadataIndex::term`] (symbols are never freed).
+/// An object [`DocIndex::remove`] took out of the index, with the token
+/// symbols it was posted under, which stay resolvable through
+/// [`DocIndex::term`] (symbols are never freed).
 #[derive(Debug)]
 pub struct Removed(DocEntry);
 
 impl Removed {
+    /// The id it was indexed under.
+    pub fn id(&self) -> &ResourceId {
+        &self.0.id
+    }
+
     /// Its token symbols, one per occurrence, in field order.
     pub fn tokens(&self) -> &[u32] {
         self.0.tokens()
@@ -181,9 +189,10 @@ impl Removed {
     }
 }
 
-/// Inverted index over extracted `(field path, value)` pairs.
+/// Inverted index over extracted `(field path, value)` pairs, addressed
+/// by doc-id: an insert allots one, and an object is removed by it.
 #[derive(Debug, Clone, Default)]
-pub struct MetadataIndex {
+pub struct DocIndex {
     /// Field-path interner; `tokens`/`exact` are indexed by path symbol.
     paths: SymbolTable,
     /// Shared interner for tokens and normalized values.
@@ -197,13 +206,20 @@ pub struct MetadataIndex {
     exact: Vec<HashMap<u32, Vec<u32>>>,
     /// Doc-id → entry; `None` marks a recycled slot.
     docs: Vec<Option<DocEntry>>,
-    /// ResourceId → doc-id for every live object.
-    doc_ids: HashMap<ResourceId, u32>,
-    /// Recycled doc-ids available for reuse.
+    /// Recycled doc-ids available for reuse, last freed on top: the
+    /// `None` slots of `docs`.
     free: Vec<u32>,
     /// The symbols of the entry being posted, collected here before the
     /// entry takes them in one allocation of their exact length.
     scratch: Vec<u32>,
+}
+
+/// A [`DocIndex`] addressed by object id, as the repository keeps it.
+#[derive(Debug, Clone, Default)]
+pub struct MetadataIndex {
+    index: DocIndex,
+    /// ResourceId → doc-id for every live object.
+    doc_ids: HashMap<ResourceId, u32>,
 }
 
 /// Size statistics for experiment E7 and the benchmark's `store.index_bytes`.
@@ -231,17 +247,9 @@ impl MetadataIndex {
         Self::default()
     }
 
-    /// Indexes (or re-indexes) an object's extracted fields.
-    pub fn insert(&mut self, id: ResourceId, fields: Vec<(String, String)>) {
-        self.insert_shared(id, fields.into());
-    }
-
     /// Indexes (or re-indexes) an object whose extracted fields are
-    /// already shared. The index keeps the `Arc` (a refcount bump) — this
-    /// is the borrowing insert the net layer's index nodes use so one
-    /// metadata allocation serves the publisher, every index node and
-    /// every search hit. Returns the doc-id the object now lives under
-    /// (module docs: stable until this id is removed, recycled after).
+    /// already shared; the index keeps the `Arc` (a refcount bump).
+    /// Returns the doc-id the object now lives under.
     pub fn insert_shared(&mut self, id: ResourceId, fields: SharedFields) -> u32 {
         self.admit(id, fields, Tokenizer)
     }
@@ -265,48 +273,114 @@ impl MetadataIndex {
         }
     }
 
-    /// Indexes an object that `source` holds under its doc-id `doc` with
-    /// these same `fields`, reading its terms there by symbol name, without
-    /// running the tokenizer — a record moving from one index to another.
-    /// When `source` holds the doc with other fields, or none, tokenizes
-    /// normally. Returns the doc-id, as [`insert_shared`](Self::insert_shared)
-    /// does.
-    pub fn insert_copy(
-        &mut self,
-        id: ResourceId,
-        fields: SharedFields,
-        source: &MetadataIndex,
-        doc: u32,
-    ) -> u32 {
-        match source.entry(doc).filter(|entry| Arc::ptr_eq(&entry.fields, &fields)) {
-            Some(entry) => self.admit(id, fields, OtherIndex { terms: &source.terms, entry }),
-            None => self.admit(id, fields, Tokenizer),
+    /// Removes an object ([`DocIndex::remove`] of its doc-id), returning
+    /// the fields it was indexed under.
+    pub fn remove(&mut self, id: &ResourceId) -> Option<SharedFields> {
+        let doc = self.doc_ids.remove(id)?;
+        self.index.remove(doc).map(Removed::into_fields)
+    }
+
+    /// Executes a query, returning matching ids.
+    ///
+    /// Keyword and exact-match branches are answered from the inverted
+    /// structures via the reference→path map; wildcard patterns fall back
+    /// to scanning each object's normalized values, resolved from the
+    /// symbols it holds. Results always agree with
+    /// [`Query::matches_fields`] (property-tested).
+    pub fn execute(&self, query: &Query) -> BTreeSet<ResourceId> {
+        self.index
+            .exec(query)
+            .iter()
+            .filter_map(|&doc| self.index.entry(doc))
+            .map(|entry| entry.id.clone())
+            .collect()
+    }
+
+    /// Visits every matching object in ascending doc-id (insertion)
+    /// order without materializing an id set. The callback receives the
+    /// id and the shared fields handle.
+    pub fn for_each_match<F>(&self, query: &Query, mut f: F)
+    where
+        F: FnMut(&ResourceId, &Arc<[(String, String)]>),
+    {
+        for &doc in self.index.exec(query).iter() {
+            if let Some(entry) = self.index.entry(doc) {
+                f(&entry.id, &entry.fields);
+            }
         }
     }
 
-    /// Removes an object by replaying the symbols its entry keeps — cost
-    /// is proportional to the removed object's postings, not the index
-    /// size, and no value is tokenized again. Returns the fields it was
-    /// indexed under; its doc-id is free for the next insert from here on.
-    pub fn remove(&mut self, id: &ResourceId) -> Option<SharedFields> {
-        self.remove_key(id.as_hex()).map(Removed::into_fields)
+    /// Current size statistics.
+    pub fn stats(&self) -> IndexStats {
+        let DocIndex { paths, terms, tokens, exact, .. } = &self.index;
+        let token_postings: usize = tokens.iter().flat_map(HashMap::values).map(Vec::len).sum();
+        let exact_postings: usize = exact.iter().flat_map(HashMap::values).map(Vec::len).sum();
+        let lists: usize = tokens.iter().chain(exact).map(HashMap::len).sum();
+        let fields = (0..paths.len())
+            .filter(|&p| !tokens[p].is_empty() || !exact[p].is_empty())
+            .count();
+        let objects = self.doc_ids.len();
+        IndexStats {
+            objects,
+            fields,
+            token_postings,
+            exact_postings,
+            approx_bytes: paths.bytes()
+                + terms.bytes()
+                + 4 * (token_postings + exact_postings)
+                + 4 * lists
+                + 40 * objects,
+        }
     }
 
-    /// [`remove`](Self::remove) by the id's hex form, handing back what
-    /// the entry kept.
-    pub fn remove_key(&mut self, key: &str) -> Option<Removed> {
-        let doc = self.doc_ids.remove(key)?;
+    /// The one write body, with one `doc_ids` lookup: a live id's entry
+    /// is removed first, and the doc-id that frees is the one the new
+    /// entry is allotted (the free list is last in, first out), so the
+    /// id keeps its doc-id. Returns the doc-id.
+    fn admit<S: TermSource>(&mut self, id: ResourceId, fields: SharedFields, source: S) -> u32 {
+        let doc = match self.doc_ids.entry(ResourceId::clone(&id)) {
+            Entry::Occupied(live) => {
+                self.index.remove(*live.get());
+                live.into_mut()
+            }
+            Entry::Vacant(new) => new.insert(0),
+        };
+        *doc = self.index.admit(id, fields, source);
+        *doc
+    }
+}
+
+impl DocIndex {
+    /// Indexes an object whose extracted fields are already shared under
+    /// a fresh doc-id, which it returns (module docs: stable until it is
+    /// removed, recycled after). The index keeps the `Arc` (a refcount
+    /// bump), so one metadata allocation serves the publisher, every
+    /// index node and every search hit.
+    pub fn insert(&mut self, id: ResourceId, fields: SharedFields) -> u32 {
+        self.admit(id, fields, Tokenizer)
+    }
+
+    /// Indexes the object `source` holds under its doc-id `doc`, with the
+    /// id and fields it holds there and its terms read there by symbol
+    /// name, without running the tokenizer — a record moving from one
+    /// index to another. Returns the doc-id it is allotted here; `None`
+    /// when `doc` is free in `source`.
+    pub fn insert_copy(&mut self, source: &DocIndex, doc: u32) -> Option<u32> {
+        let entry = source.entry(doc)?;
+        let (id, fields) = (ResourceId::clone(&entry.id), SharedFields::clone(&entry.fields));
+        Some(self.admit(id, fields, OtherIndex { terms: &source.terms, entry }))
+    }
+
+    /// Removes the object under `doc` by replaying the symbols its entry
+    /// keeps — cost is proportional to its postings, not the index size,
+    /// and no value is tokenized again — and hands back what the entry
+    /// kept. `doc` is free for the next insert from here on; `None` when
+    /// it already was.
+    pub fn remove(&mut self, doc: u32) -> Option<Removed> {
+        let entry = self.docs.get_mut(doc as usize)?.take()?;
         self.free.push(doc);
-        // an id pointing at an empty slot (should not happen) unposts nothing
-        let entry = self.docs.get_mut(doc as usize).and_then(Option::take)?;
         unpost_entry(&mut self.exact, &mut self.tokens, doc, &entry);
         Some(Removed(entry))
-    }
-
-    /// The doc-id a live object is indexed under (module docs: stable
-    /// until `key` is removed).
-    pub fn doc_of(&self, key: &str) -> Option<u32> {
-        self.doc_ids.get(key).copied()
     }
 
     /// The id and fields of the live object under a doc-id.
@@ -334,50 +408,6 @@ impl MetadataIndex {
     /// Panics if no insert into this index interned `sym`.
     pub fn term(&self, sym: u32) -> &str {
         self.terms.name(sym)
-    }
-
-    /// Number of indexed objects.
-    pub fn len(&self) -> usize {
-        self.doc_ids.len()
-    }
-
-    /// `true` when nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.doc_ids.is_empty()
-    }
-
-    /// All indexed ids.
-    pub fn ids(&self) -> BTreeSet<ResourceId> {
-        self.doc_ids.keys().cloned().collect()
-    }
-
-    /// Executes a query, returning matching ids.
-    ///
-    /// Keyword and exact-match branches are answered from the inverted
-    /// structures via the reference→path map; wildcard patterns fall back
-    /// to scanning each object's normalized values, resolved from the
-    /// symbols it holds. Results always agree with
-    /// [`Query::matches_fields`] (property-tested).
-    pub fn execute(&self, query: &Query) -> BTreeSet<ResourceId> {
-        self.exec(query)
-            .iter()
-            .filter_map(|&doc| self.entry(doc))
-            .map(|entry| entry.id.clone())
-            .collect()
-    }
-
-    /// Visits every matching object in ascending doc-id (insertion)
-    /// order without materializing an id set. The callback receives the
-    /// id and the shared fields handle.
-    pub fn for_each_match<F>(&self, query: &Query, mut f: F)
-    where
-        F: FnMut(&ResourceId, &Arc<[(String, String)]>),
-    {
-        for &doc in self.exec(query).iter() {
-            if let Some(entry) = self.entry(doc) {
-                f(&entry.id, &entry.fields);
-            }
-        }
     }
 
     /// One row per matching object, in ascending doc-id order: `row` is
@@ -423,27 +453,13 @@ impl MetadataIndex {
         sym
     }
 
-    /// The one write body: an id new to the index is handed a doc-id
-    /// (recycling freed slots); a live one keeps its own, its old postings
-    /// replayed out first. One `doc_ids` lookup either way. Returns the
-    /// doc-id.
+    /// The one write body: allots a doc-id, the one freed last if any,
+    /// and posts the fields under it. Returns the doc-id.
     fn admit<S: TermSource>(&mut self, id: ResourceId, fields: SharedFields, source: S) -> u32 {
-        let doc = match self.doc_ids.entry(ResourceId::clone(&id)) {
-            Entry::Occupied(live) => {
-                let doc = *live.get();
-                if let Some(old) = self.docs.get_mut(doc as usize).and_then(Option::take) {
-                    unpost_entry(&mut self.exact, &mut self.tokens, doc, &old);
-                }
-                doc
-            }
-            Entry::Vacant(new) => {
-                let doc = self.free.pop().unwrap_or_else(|| {
-                    self.docs.push(None);
-                    (self.docs.len() - 1) as u32
-                });
-                *new.insert(doc)
-            }
-        };
+        let doc = self.free.pop().unwrap_or_else(|| {
+            self.docs.push(None);
+            (self.docs.len() - 1) as u32
+        });
         self.post(doc, id, fields, source);
         doc
     }
@@ -575,31 +591,9 @@ impl MetadataIndex {
             },
         }
     }
-
-    /// Current size statistics.
-    pub fn stats(&self) -> IndexStats {
-        let token_postings: usize = self.tokens.iter().flat_map(HashMap::values).map(Vec::len).sum();
-        let exact_postings: usize = self.exact.iter().flat_map(HashMap::values).map(Vec::len).sum();
-        let lists: usize =
-            self.tokens.iter().map(HashMap::len).sum::<usize>() + self.exact.iter().map(HashMap::len).sum::<usize>();
-        let fields = (0..self.paths.len())
-            .filter(|&p| !self.tokens[p].is_empty() || !self.exact[p].is_empty())
-            .count();
-        IndexStats {
-            objects: self.doc_ids.len(),
-            fields,
-            token_postings,
-            exact_postings,
-            approx_bytes: self.paths.bytes()
-                + self.terms.bytes()
-                + 4 * (token_postings + exact_postings)
-                + 4 * lists
-                + 40 * self.doc_ids.len(),
-        }
-    }
 }
 
-/// Where [`MetadataIndex::post`] gets field `i`'s normalized value and
+/// Where [`DocIndex::post`] gets field `i`'s normalized value and
 /// keyword tokens.
 trait TermSource {
     fn norm<'a>(&'a self, i: usize, value: &'a str) -> Cow<'a, str>;
@@ -792,29 +786,32 @@ mod tests {
 
     fn sample() -> MetadataIndex {
         let mut ix = MetadataIndex::new();
-        ix.insert(
+        ix.insert_shared(
             id(1),
             vec![
                 ("pattern/name".into(), "Observer".into()),
                 ("pattern/category".into(), "behavioral".into()),
                 ("pattern/intent".into(), "notify dependents automatically".into()),
-            ],
+            ]
+            .into(),
         );
-        ix.insert(
+        ix.insert_shared(
             id(2),
             vec![
                 ("pattern/name".into(), "Abstract Factory".into()),
                 ("pattern/category".into(), "creational".into()),
                 ("pattern/intent".into(), "families of related objects".into()),
-            ],
+            ]
+            .into(),
         );
-        ix.insert(
+        ix.insert_shared(
             id(3),
             vec![
                 ("pattern/name".into(), "Factory Method".into()),
                 ("pattern/category".into(), "creational".into()),
                 ("pattern/intent".into(), "defer instantiation to subclasses".into()),
-            ],
+            ]
+            .into(),
         );
         ix
     }
@@ -868,13 +865,13 @@ mod tests {
     fn remove_clears_postings() {
         let mut ix = sample();
         ix.remove(&id(2));
-        assert_eq!(ix.len(), 2);
+        assert_eq!(ix.stats().objects, 2);
         assert!(ix.execute(&Query::any_keyword("families")).is_empty());
         let hits = ix.execute(&Query::any_keyword("factory"));
         assert_eq!(hits, BTreeSet::from([id(3)]));
         // removing twice is a no-op
         ix.remove(&id(2));
-        assert_eq!(ix.len(), 2);
+        assert_eq!(ix.stats().objects, 2);
     }
 
     /// Two records share one normalized value, so one symbol: removing
@@ -882,8 +879,8 @@ mod tests {
     #[test]
     fn removing_one_of_two_equal_values_keeps_the_other_posted() {
         let mut ix = MetadataIndex::new();
-        ix.insert(id(1), vec![("o/name".into(), "Abstract  Factory".into())]);
-        ix.insert(id(2), vec![("o/name".into(), "abstract factory".into())]);
+        ix.insert_shared(id(1), vec![("o/name".into(), "Abstract  Factory".into())].into());
+        ix.insert_shared(id(2), vec![("o/name".into(), "abstract factory".into())].into());
         ix.remove(&id(1));
         assert_eq!(ix.execute(&Query::eq("name", "ABSTRACT factory")), BTreeSet::from([id(2)]));
         let q = Query::Match { field: "name".into(), pattern: ValuePattern::from_wildcard("*t f*") };
@@ -896,10 +893,10 @@ mod tests {
     #[test]
     fn reinsert_replaces_old_fields() {
         let mut ix = sample();
-        ix.insert(id(1), vec![("pattern/name".into(), "Mediator".into())]);
+        ix.insert_shared(id(1), vec![("pattern/name".into(), "Mediator".into())].into());
         assert!(ix.execute(&Query::keyword("name", "observer")).is_empty());
         assert_eq!(ix.execute(&Query::keyword("name", "mediator")), BTreeSet::from([id(1)]));
-        assert_eq!(ix.len(), 3);
+        assert_eq!(ix.stats().objects, 3);
     }
 
     #[test]
@@ -929,9 +926,10 @@ mod tests {
         for q in queries {
             let via_index = ix.execute(&q);
             let via_scan: BTreeSet<ResourceId> = ix
-                .ids()
-                .into_iter()
-                .filter(|id| q.matches_fields(&ix.entry(ix.doc_ids[id]).unwrap().fields))
+                .doc_ids
+                .iter()
+                .filter(|&(_, &doc)| q.matches_fields(ix.index.record(doc).unwrap().1))
+                .map(|(id, _)| id.clone())
                 .collect();
             assert_eq!(via_index, via_scan, "disagreement on {q}");
         }
@@ -989,55 +987,52 @@ mod tests {
     fn doc_ids_are_recycled_after_remove() {
         let mut ix = MetadataIndex::new();
         for n in 0..6u8 {
-            ix.insert(id(n), vec![("o/name".into(), format!("thing{n}"))]);
+            ix.insert_shared(id(n), vec![("o/name".into(), format!("thing{n}"))].into());
         }
         for n in 0..6u8 {
             ix.remove(&id(n));
         }
-        assert!(ix.is_empty());
         let s = ix.stats();
         assert_eq!((s.objects, s.token_postings, s.exact_postings), (0, 0, 0));
         // re-inserting reuses freed slots rather than growing the table
         for n in 0..6u8 {
-            ix.insert(id(n), vec![("o/name".into(), format!("item{n}"))]);
+            ix.insert_shared(id(n), vec![("o/name".into(), format!("item{n}"))].into());
         }
-        assert_eq!(ix.docs.len(), 6, "slots are recycled, not appended");
+        assert_eq!(ix.index.docs.len(), 6, "slots are recycled, not appended");
         assert_eq!(ix.execute(&Query::keyword("name", "item3")), BTreeSet::from([id(3)]));
     }
 
     #[test]
     fn a_doc_id_is_stable_until_its_own_remove_and_reused_after() {
-        let mut ix = MetadataIndex::new();
+        let mut ix = DocIndex::default();
         let named = |n: u8| -> SharedFields { vec![("o/name".to_string(), format!("thing{n}"))].into() };
-        let docs: Vec<u32> = (0..4).map(|n| ix.insert_shared(id(n), named(n))).collect();
+        let docs: Vec<u32> = (0..4).map(|n| ix.insert(id(n), named(n))).collect();
         assert_eq!(docs, vec![0, 1, 2, 3]);
         let kept = id(2);
-        assert_eq!(ix.doc_of(kept.as_hex()), Some(2));
         // unrelated removes and inserts leave it where it is
-        assert!(ix.remove(&id(0)).is_some());
-        assert!(ix.remove(&id(3)).is_some());
-        ix.insert_shared(id(7), named(7));
-        ix.insert_shared(id(8), named(8));
-        ix.insert_shared(id(9), named(9));
-        assert_eq!(ix.doc_of(kept.as_hex()), Some(2));
+        assert_eq!(ix.remove(0).map(|gone| gone.id().clone()), Some(id(0)));
+        assert!(ix.remove(3).is_some());
+        let recycled: Vec<u32> = (7..10).map(|n| ix.insert(id(n), named(n))).collect();
+        assert_eq!(recycled, vec![3, 0, 4], "the doc-id freed last is allotted first");
+        assert_eq!(ix.doc_id(2), kept);
         let visited =
             ix.gather_matches(&Query::keyword("name", "thing2"), |doc, rid, _| (doc, rid.clone()));
         assert_eq!(visited, vec![(2, kept.clone())], "the gather passes the same number");
-        // its own remove frees the number: the id no longer resolves and
-        // the next insert is handed it
-        assert!(ix.remove(&kept).is_some());
-        assert_eq!(ix.doc_of(kept.as_hex()), None);
-        assert_eq!(ix.insert_shared(id(10), named(10)), 2);
-        assert_eq!(ix.doc_of(id(10).as_hex()), Some(2));
-        assert!(ix.remove(&kept).is_none(), "removing twice returns nothing");
+        // its own remove frees the number, and the next insert is handed it
+        let gone = ix.remove(2).expect("live");
+        assert_eq!(gone.id(), &kept);
+        assert!(ix.remove(2).is_none(), "removing twice returns nothing");
+        assert!(ix.record(2).is_none());
+        assert_eq!(ix.insert(id(10), named(10)), 2);
+        assert_eq!(ix.doc_id(2), id(10));
     }
 
     #[test]
     fn multi_segment_reference_resolves_all_suffix_paths() {
         let mut ix = MetadataIndex::new();
-        ix.insert(id(1), vec![("a/b/c".into(), "deep".into())]);
-        ix.insert(id(2), vec![("b/c".into(), "shallow".into())]);
-        ix.insert(id(3), vec![("x/c".into(), "other".into())]);
+        ix.insert_shared(id(1), vec![("a/b/c".into(), "deep".into())].into());
+        ix.insert_shared(id(2), vec![("b/c".into(), "shallow".into())].into());
+        ix.insert_shared(id(3), vec![("x/c".into(), "other".into())].into());
         // "b/c" matches both the exact path and the /-aligned suffix
         let hits = ix.execute(&Query::Match {
             field: "b/c".into(),
@@ -1098,7 +1093,7 @@ mod tests {
         BTreeSet<ResourceId>,
     );
 
-    fn view(ix: &MetadataIndex) -> View {
+    fn view(ix: &DocIndex) -> View {
         let lists = |maps: &[HashMap<u32, Vec<u32>>]| {
             let mut out = BTreeMap::new();
             for (p, map) in maps.iter().enumerate() {
@@ -1110,11 +1105,11 @@ mod tests {
             }
             out
         };
-        let live = ix.doc_ids.keys().cloned().collect();
+        let live = ix.doc_tokens().map(|(doc, _)| ix.doc_id(doc)).collect();
         (lists(&ix.tokens), lists(&ix.exact), live)
     }
 
-    impl MetadataIndex {
+    impl DocIndex {
         /// The id under a live doc-id.
         fn doc_id(&self, doc: u32) -> ResourceId {
             self.record(doc).map(|(id, _)| id.clone()).expect("a posted doc-id is live")
@@ -1145,9 +1140,10 @@ mod tests {
 
         /// Removal replays the symbols an entry keeps: after a tape of
         /// inserts, re-inserts of a live id and removals, every token
-        /// list, exact list and `doc_of` is what an index given only the
-        /// surviving records holds, and each live entry's token symbols
-        /// name the tokenizer's stream of its values.
+        /// list, exact list and live id is what an index given only the
+        /// surviving records holds, each surviving id's doc-id holds that
+        /// id, and each live entry's token symbols name the tokenizer's
+        /// stream of its values.
         #[test]
         fn removal_by_symbols_leaves_what_an_index_never_given_the_record_holds(
             tape in proptest::collection::vec((0u8..6, any::<bool>(), fields()), 1..24),
@@ -1168,9 +1164,12 @@ mod tests {
             for (rid, f) in &live {
                 fresh.insert_shared(rid.clone(), SharedFields::clone(f));
             }
-            prop_assert_eq!(view(&ix), view(&fresh));
+            prop_assert_eq!(view(&ix.index), view(&fresh.index));
+            prop_assert_eq!(ix.doc_ids.len(), live.len());
             for (rid, f) in &live {
-                let doc = ix.doc_of(rid.as_hex()).expect("live");
+                let doc = ix.doc_ids[rid];
+                prop_assert_eq!(&ix.index.doc_id(doc), rid);
+                let ix = &ix.index;
                 let held: Vec<&str> = ix.tokens_of(doc).iter().map(|&t| ix.term(t)).collect();
                 let mut stream = Vec::new();
                 for (_, v) in f.iter() {

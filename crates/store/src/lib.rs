@@ -46,7 +46,8 @@ pub use durable::{DurableOptions, DurableRepository, RecoveryReport};
 pub use error::StoreError;
 pub use fsio::{crc32, FailFs, RealFs, StoreFs, StoreWriter};
 pub use index::{
-    prepare_fields, IndexStats, MetadataIndex, PreparedField, Removed, SharedFields, SymbolTable,
+    prepare_fields, DocIndex, IndexStats, MetadataIndex, PreparedField, Removed, SharedFields,
+    SymbolTable,
 };
 pub use query::{field_matches, Query, ValuePattern};
 pub use repository::{FieldPaths, Repository, StoredObject};

@@ -76,7 +76,7 @@ fn index_agrees_with_linear_scan_at_scale() {
             ("track/artist".to_string(), format!("artist{:02}", i % 20)),
             ("track/genre".to_string(), ["rock", "jazz", "folk"][i % 3].to_string()),
         ];
-        ix.insert(id.clone(), fields.clone());
+        ix.insert_shared(id.clone(), fields.clone().into());
         reference.push((id, fields));
     }
     // remove a third to exercise doc-id recycling in query results
